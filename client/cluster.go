@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"sync"
 	"time"
 
@@ -67,7 +68,8 @@ func WithProbeTimeout(d time.Duration) ClusterOption {
 }
 
 // WithClientOptions applies per-replica Client options (WithRetry,
-// WithHTTPClient, ...) to every member client.
+// WithHTTPClient, ...) to every member client; health probes share the
+// transport of a configured WithHTTPClient.
 func WithClientOptions(opts ...Option) ClusterOption {
 	return func(o *clusterOptions) { o.clientOpts = append(o.clientOpts, opts...) }
 }
@@ -86,10 +88,16 @@ func NewCluster(members []string, opts ...ClusterOption) *Cluster {
 	for _, m := range ring.Members() {
 		clients[m] = New(m, o.clientOpts...)
 	}
+	// Probes travel the transport the member clients were configured with
+	// (WithHTTPClient): replicas reachable only through it - custom TLS
+	// roots, a proxy, a name-to-address map - are probed the way they are
+	// queried. The prober bounds each probe with its own deadline.
+	probeHTTP := &http.Client{Transport: New("", o.clientOpts...).hc.Transport}
 	prober := cluster.NewProber(ring.Members(), cluster.Config{
 		Interval:  o.interval,
 		Threshold: o.threshold,
 		Timeout:   o.timeout,
+		Probe:     cluster.HTTPProbe(probeHTTP),
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Cluster{ring: ring, prober: prober, clients: clients, cancel: cancel}

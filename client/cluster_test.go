@@ -3,7 +3,10 @@ package client
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -43,10 +46,16 @@ func buildEngine(t testing.TB, n int) *ccsp.Engine {
 // returns the routing client plus the per-graph engines and servers.
 // extraHolders lists graphs to ALSO register on their first ring
 // successor, giving those graphs a live failover target.
+//
+// Members are the stable logical URLs http://replica-<i>.test, which the
+// cluster's transport dials at the replica's real httptest address: the
+// ring hashes member names, so hashing the ephemeral ports instead made
+// placement - and whether spanCheck holds - differ from run to run.
 func testCluster(t *testing.T, nReplicas int, graphs map[string]int, extraHolders []string) (*Cluster, map[string]*ccsp.Engine, map[string]*httptest.Server) {
 	t.Helper()
 	servers := make(map[string]*server.Server)
 	tss := make(map[string]*httptest.Server)
+	addrs := make(map[string]string) // logical host:port -> listener address
 	var members []string
 	for i := 0; i < nReplicas; i++ {
 		s, err := server.New(server.Config{Deferred: true})
@@ -55,10 +64,17 @@ func testCluster(t *testing.T, nReplicas int, graphs map[string]int, extraHolder
 		}
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(ts.Close)
-		servers[ts.URL] = s
-		tss[ts.URL] = ts
-		members = append(members, ts.URL)
+		host := fmt.Sprintf("replica-%d.test", i)
+		addrs[host+":80"] = ts.Listener.Addr().String()
+		servers["http://"+host] = s
+		tss["http://"+host] = ts
+		members = append(members, "http://"+host)
 	}
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		var d net.Dialer
+		return d.DialContext(ctx, network, addrs[addr])
+	}}
+	t.Cleanup(tr.CloseIdleConnections)
 
 	ring := cluster.NewRing(members, 0)
 	extra := make(map[string]bool, len(extraHolders))
@@ -90,7 +106,8 @@ func testCluster(t *testing.T, nReplicas int, graphs map[string]int, extraHolder
 		s.SetReady()
 	}
 
-	c := NewCluster(members, WithProbeInterval(time.Hour), WithProbeThreshold(1))
+	c := NewCluster(members, WithProbeInterval(time.Hour), WithProbeThreshold(1),
+		WithClientOptions(WithHTTPClient(&http.Client{Transport: tr})))
 	t.Cleanup(c.Close)
 	return c, engines, tss
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/congestedclique/ccsp/internal/graphgen"
+	"github.com/congestedclique/ccsp/internal/hopset"
 )
 
 // Benchmarks for the direct query path (DESIGN.md §13). Engines are
@@ -62,6 +63,25 @@ func BenchmarkDirectQuery(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkBuildDirect measures one cold §4 hopset build on the host -
+// what NewEngine and every dynamic rebuild pay - on the E17 graph family
+// (m ≈ 4n, ε = 0.5, default worker pool).
+func BenchmarkBuildDirect(b *testing.B) {
+	for _, n := range []int{256, 1024} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			g := graphgen.Connected(n, 3*n, graphgen.Weights{Max: 10}, int64(n)+17)
+			sr, w := g.AugSemiring(), g.WeightMatrix()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := hopset.BuildDirect(context.Background(), sr, w, hopset.Practical(0.5), 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

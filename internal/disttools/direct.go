@@ -21,6 +21,9 @@ import (
 // KNearestAll solves the k-nearest problem (Theorem 18) for every node at
 // once on the host: row v of the result equals what KNearest returns at
 // node v. w is the full augmented weight matrix (diagonal included).
+// cur ← Filter(cur·cur, k) depends on cur alone, so the first squaring
+// that returns its input proves the remaining ones identical and ends
+// the loop (DESIGN.md §13, "the fast build path").
 func KNearestAll[E any](ctx context.Context, sr semiring.Ordered[E], w *matrix.Mat[E], k, workers int) (*matrix.Mat[E], error) {
 	n := w.N
 	if k < 1 {
@@ -38,7 +41,11 @@ func KNearestAll[E any](ctx context.Context, sr semiring.Ordered[E], w *matrix.M
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cur = matmul.KernelMulFiltered(sr, cur, cur, k, workers)
+		next := matmul.KernelMulFiltered(sr, cur, cur, k, workers)
+		if matrix.Equal[E](sr, next, cur) {
+			break
+		}
+		cur = next
 	}
 	return cur, nil
 }
@@ -46,7 +53,9 @@ func KNearestAll[E any](ctx context.Context, sr semiring.Ordered[E], w *matrix.M
 // SourceDetectAll solves (S,d,|S|)-source detection (Theorem 19, second
 // variant) for every node at once: row v of the result equals what
 // SourceDetect returns at node v. g is the full augmented weight matrix
-// of the graph (which may include hopset edges).
+// of the graph (which may include hopset edges). It is the sparse
+// reference SourceDetectAllRestricted is verified against; the build and
+// query paths all run the restricted panel.
 func SourceDetectAll[E any](ctx context.Context, sr semiring.Semiring[E], g *matrix.Mat[E], inS []bool, d, workers int) (*matrix.Mat[E], error) {
 	n := g.N
 	nS := 0
@@ -194,7 +203,8 @@ func SourceDetectAllRestricted(ctx context.Context, g *matrix.Mat[semiring.WH], 
 
 // SourceDetectKAll solves (S,d,k)-source detection (Theorem 19, first
 // variant) for every node at once: row v equals what SourceDetectK
-// returns at node v.
+// returns at node v. Like KNearestAll it stops at the first fixed point
+// of u ← Filter(w·u, k), since w and k never change between steps.
 func SourceDetectKAll[E any](ctx context.Context, sr semiring.Ordered[E], w *matrix.Mat[E], inS []bool, d, k, workers int) (*matrix.Mat[E], error) {
 	n := w.N
 	if k < 1 {
@@ -217,7 +227,11 @@ func SourceDetectKAll[E any](ctx context.Context, sr semiring.Ordered[E], w *mat
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		u = matmul.KernelMulFiltered(sr, w, u, k, workers)
+		next := matmul.KernelMulFiltered(sr, w, u, k, workers)
+		if matrix.Equal[E](sr, next, u) {
+			break
+		}
+		u = next
 	}
 	return u, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"github.com/congestedclique/ccsp/internal/disttools"
 	"github.com/congestedclique/ccsp/internal/hitting"
@@ -128,14 +129,18 @@ func BuildDirect(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semi
 
 	// Iterated bounded hopsets (§4.2.1): level ℓ computes d-hop distances
 	// between A_1 nodes in G ∪ H^{ℓ-1} and replaces the A_1 clique edges
-	// with the improved estimates, exactly like the collective loop.
+	// with the improved estimates, exactly like the collective loop. Only
+	// A_1 rows carry clique edges, so a level re-merges just the rows whose
+	// clique edges it changed; one that changes none leaves every later
+	// level's input, hence output, identical and ends the loop (DESIGN.md
+	// §13, "the fast build path").
 	aRows := make([]matrix.Row[semiring.WH], n)
 	g := matrix.New[semiring.WH](n)
+	for v := 0; v < n; v++ {
+		g.Rows[v] = matrix.MergeRows(sr, w.Rows[v], h0[v])
+	}
 	for level := 0; level < levels; level++ {
-		for v := 0; v < n; v++ {
-			g.Rows[v] = matrix.MergeRows(sr, w.Rows[v], h0[v], aRows[v])
-		}
-		det, err := disttools.SourceDetectAll[semiring.WH](ctx, sr, g, inA1, d, workers)
+		det, err := disttools.SourceDetectAllRestricted(ctx, g, inA1, d, workers)
 		if err != nil {
 			return nil, fmt.Errorf("hopset: level %d source detection: %w", level, err)
 		}
@@ -152,8 +157,18 @@ func BuildDirect(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semi
 				fresh[e.Col] = append(fresh[e.Col], matrix.Entry[semiring.WH]{Col: int32(v), Val: semiring.WH{W: e.Val.W, H: 1}})
 			}
 		}
+		changed := false
 		for v := 0; v < n; v++ {
-			aRows[v] = matrix.MergeRows(sr, fresh[v])
+			row := matrix.MergeRows(sr, fresh[v])
+			if slices.Equal(row, aRows[v]) {
+				continue
+			}
+			changed = true
+			aRows[v] = row
+			g.Rows[v] = matrix.MergeRows(sr, w.Rows[v], h0[v], row)
+		}
+		if !changed {
+			break
 		}
 	}
 

@@ -1,0 +1,264 @@
+package hopset
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"math/bits"
+	"sync/atomic"
+	"testing"
+
+	"github.com/congestedclique/ccsp/internal/disttools"
+	"github.com/congestedclique/ccsp/internal/graph"
+	"github.com/congestedclique/ccsp/internal/hitting"
+	"github.com/congestedclique/ccsp/internal/matmul"
+	"github.com/congestedclique/ccsp/internal/matrix"
+	"github.com/congestedclique/ccsp/internal/semiring"
+	"github.com/congestedclique/ccsp/internal/wire"
+)
+
+// buildDirectRef is BuildDirect as it stood before the fast build path
+// (DESIGN.md §13): every level re-merges all n rows of G ∪ H and runs the
+// unrestricted sparse SourceDetectAll for all d-1 products, and all levels
+// run. It is the reference BuildDirect's artifact bytes are pinned against.
+func buildDirectRef(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], p Params, workers int) (*Artifact, error) {
+	n := w.N
+	if p.Eps <= 0 || p.Eps > 1 {
+		return nil, fmt.Errorf("hopset: invalid eps %v", p.Eps)
+	}
+	// Parameter derivation, identical to Build.
+	k := p.K
+	if k == 0 {
+		k = int(math.Ceil(math.Sqrt(float64(n)) * math.Log2(float64(n)+1)))
+	}
+	if k > n {
+		k = n
+	}
+	if k < 1 {
+		k = 1
+	}
+	levels := p.Levels
+	if levels == 0 {
+		levels = bits.Len(uint(n - 1)) // ceil(log2 n)
+	}
+	if levels < 1 {
+		levels = 1
+	}
+	bf := p.BetaFactor
+	if bf == 0 {
+		bf = 12
+	}
+	beta := int(math.Ceil(bf * float64(levels) / p.Eps))
+	if beta < 3 {
+		beta = 3
+	}
+	hopCap := p.HopCap
+	if hopCap == 0 {
+		hopCap = n
+	}
+	d := 4 * beta
+	if d > hopCap {
+		d = hopCap
+	}
+	if d < 1 {
+		d = 1
+	}
+
+	// Bunch computation via k-nearest (§4.2.1), all rows at once.
+	// All ⌈log₂ k⌉ squarings, as KNearestAll ran them before its
+	// fixpoint exit.
+	knear := matrix.Filter[semiring.WH](sr, w, k)
+	for t := 0; t < bits.Len(uint(k-1)); t++ {
+		knear = matmul.KernelMulFiltered[semiring.WH](sr, knear, knear, k, workers)
+	}
+	sets := make([][]int32, n)
+	for v := 0; v < n; v++ {
+		sv := make([]int32, 0, len(knear.Rows[v]))
+		for _, e := range knear.Rows[v] {
+			sv = append(sv, e.Col)
+		}
+		sets[v] = sv
+	}
+	inA1 := hitting.Greedy(n, sets)
+
+	art := &Artifact{
+		N:    n,
+		Beta: beta,
+		K:    k,
+		InA1: inA1,
+		Rows: make([]matrix.Row[semiring.WH], n),
+		PV:   make([]int32, n),
+		DPV:  make([]semiring.WH, n),
+	}
+	// p(v): the closest A_1 node within N_k(v).
+	for v := 0; v < n; v++ {
+		art.PV[v], art.DPV[v] = -1, semiring.InfWH
+		for _, e := range knear.Rows[v] {
+			if inA1[e.Col] && semiring.LessWH(e.Val, art.DPV[v]) {
+				art.PV[v] = e.Col
+				art.DPV[v] = e.Val
+			}
+		}
+	}
+
+	// H_0: bunch edges of nodes outside A_1, symmetrized at both
+	// endpoints (the collective version routes each edge to its other
+	// end; here we append to both rows directly - MergeRows makes the
+	// accumulation order irrelevant).
+	h0 := make([]matrix.Row[semiring.WH], n)
+	for v := 0; v < n; v++ {
+		if inA1[v] || art.PV[v] < 0 {
+			continue
+		}
+		for _, e := range knear.Rows[v] {
+			if e.Col == int32(v) {
+				continue
+			}
+			if e.Val.W < art.DPV[v].W || e.Col == art.PV[v] {
+				h0[v] = append(h0[v], matrix.Entry[semiring.WH]{Col: e.Col, Val: semiring.WH{W: e.Val.W, H: 1}})
+				h0[e.Col] = append(h0[e.Col], matrix.Entry[semiring.WH]{Col: int32(v), Val: semiring.WH{W: e.Val.W, H: 1}})
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		h0[v] = matrix.MergeRows(sr, h0[v])
+	}
+
+	// Iterated bounded hopsets (§4.2.1): level ℓ computes d-hop distances
+	// between A_1 nodes in G ∪ H^{ℓ-1} and replaces the A_1 clique edges
+	// with the improved estimates, exactly like the collective loop.
+	aRows := make([]matrix.Row[semiring.WH], n)
+	g := matrix.New[semiring.WH](n)
+	for level := 0; level < levels; level++ {
+		for v := 0; v < n; v++ {
+			g.Rows[v] = matrix.MergeRows(sr, w.Rows[v], h0[v], aRows[v])
+		}
+		det, err := disttools.SourceDetectAll[semiring.WH](ctx, sr, g, inA1, d, workers)
+		if err != nil {
+			return nil, fmt.Errorf("hopset: level %d source detection: %w", level, err)
+		}
+		fresh := make([]matrix.Row[semiring.WH], n)
+		for v := 0; v < n; v++ {
+			if !inA1[v] {
+				continue
+			}
+			for _, e := range det.Rows[v] {
+				if e.Col == int32(v) {
+					continue
+				}
+				fresh[v] = append(fresh[v], matrix.Entry[semiring.WH]{Col: e.Col, Val: semiring.WH{W: e.Val.W, H: 1}})
+				fresh[e.Col] = append(fresh[e.Col], matrix.Entry[semiring.WH]{Col: int32(v), Val: semiring.WH{W: e.Val.W, H: 1}})
+			}
+		}
+		for v := 0; v < n; v++ {
+			aRows[v] = matrix.MergeRows(sr, fresh[v])
+		}
+	}
+
+	for v := 0; v < n; v++ {
+		art.Rows[v] = matrix.MergeRows(sr, h0[v], aRows[v])
+	}
+	return art, nil
+}
+
+func encoded(a *Artifact) []byte {
+	var w wire.Writer
+	EncodeArtifact(&w, a)
+	return w.Bytes()
+}
+
+// TestBuildDirectMatchesUnrestrictedReference: restricted per-level
+// detection, the changed-rows-only re-merge and the three fixpoint exits
+// leave the encoded artifact byte-identical to the old full loop, on both
+// presets (Paper runs the level loop at d = n, Practical well below it)
+// and with a hop cap that makes each level build on the last, serial and
+// pooled, across weighted, unit-weight, tree, path and
+// disconnected graphs.
+func TestBuildDirectMatchesUnrestrictedReference(t *testing.T) {
+	split := graph.New(30) // two components: A_1 clique edges never span them
+	for v := 1; v < 30; v++ {
+		if v != 15 {
+			split.MustAddEdge(v-1, v, int64(v%4)+1)
+		}
+	}
+	graphs := map[string]*graph.Graph{
+		"sparse":       randGraph(48, 24, 20, 71),
+		"dense":        randGraph(32, 200, 50, 72),
+		"tree":         randGraph(40, 0, 9, 73),
+		"unit-weight":  randGraph(40, 60, 1, 74),
+		"unit-path":    lineGraph(36, 1),
+		"disconnected": split,
+	}
+	presets := map[string]Params{
+		"practical":       Practical(0.5),
+		"paper":           Paper(0.5),
+		"practical-small": {Eps: 0.25, BetaFactor: 2, K: 3}, // small bunches: a large A_1
+		// d = 3: a level reaches only A_1 nodes three hops away, so every
+		// level's clique edges feed the next and the re-merge matters.
+		"hop-capped": {Eps: 0.5, BetaFactor: 2, K: 3, HopCap: 3},
+	}
+	for gname, g := range graphs {
+		sr, w := g.AugSemiring(), g.WeightMatrix()
+		for pname, p := range presets {
+			want, err := buildDirectRef(context.Background(), sr, w, p, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 0} {
+				got, err := BuildDirect(context.Background(), sr, w, p, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(encoded(got), encoded(want)) {
+					t.Errorf("%s/%s workers=%d: artifact bytes differ from the unrestricted reference (edges %d vs %d)",
+						gname, pname, workers, got.Edges(), want.Edges())
+				}
+			}
+		}
+	}
+}
+
+// countdownCtx reports context.Canceled from its (after+1)-th Err call on
+// and counts the calls: BuildDirect polls Err once before every product,
+// so the count places a cancellation at an exact product boundary.
+type countdownCtx struct {
+	context.Context
+	after int64
+	calls atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.calls.Add(1) > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestBuildDirectCancelMidBuild: a context canceled anywhere in the build
+// - inside k-nearest, inside a level's detection, at the last product -
+// surfaces as a context.Canceled-matchable error at the very next poll,
+// i.e. within one product.
+func TestBuildDirectCancelMidBuild(t *testing.T) {
+	g := randGraph(64, 96, 20, 81)
+	sr, w := g.AugSemiring(), g.WeightMatrix()
+	full := &countdownCtx{Context: context.Background(), after: math.MaxInt64}
+	if _, err := BuildDirect(full, sr, w, Practical(0.5), 0); err != nil {
+		t.Fatal(err)
+	}
+	polls := full.calls.Load()
+	if polls < 4 {
+		t.Fatalf("a full build polled ctx only %d times", polls)
+	}
+	for _, after := range []int64{0, 1, polls / 2, polls - 1} {
+		ctx := &countdownCtx{Context: context.Background(), after: after}
+		art, err := BuildDirect(ctx, sr, w, Practical(0.5), 0)
+		if !errors.Is(err, context.Canceled) || art != nil {
+			t.Errorf("canceled at poll %d of %d: got (%v, %v), want a context.Canceled error", after+1, polls, art, err)
+		}
+		if n := ctx.calls.Load(); n != after+1 {
+			t.Errorf("canceled at poll %d of %d: build polled %d more times before returning", after+1, polls, n-after-1)
+		}
+	}
+}

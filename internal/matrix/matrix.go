@@ -7,7 +7,9 @@
 package matrix
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/congestedclique/ccsp/internal/semiring"
@@ -178,10 +180,11 @@ func (m *Mat[E]) Check(sr semiring.Semiring[E]) error {
 	return nil
 }
 
-// SortRow normalizes a row built by appends: sorts by column and asserts
-// uniqueness.
+// SortRow sorts a row built by appends by column, in place. It does not
+// merge or reject duplicate columns: callers either append each column at
+// most once or combine duplicates afterwards (MergeRows).
 func SortRow[E any](r Row[E]) Row[E] {
-	sort.Slice(r, func(i, j int) bool { return r[i].Col < r[j].Col })
+	slices.SortFunc(r, func(a, b Entry[E]) int { return cmp.Compare(a.Col, b.Col) })
 	return r
 }
 

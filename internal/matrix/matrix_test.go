@@ -2,6 +2,8 @@ package matrix
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -271,6 +273,99 @@ func TestRandomSupportShape(t *testing.T) {
 				t.Errorf("row %d invalid col %d", i, c)
 			}
 			seen[c] = true
+		}
+	}
+}
+
+// filterRowRef is the sort-based FilterRow this package shipped before the
+// typed selection: order an index permutation by (Rank, column), keep the
+// first rho, re-sort by column. Kept as the reference FilterRow is pinned
+// against.
+func filterRowRef[E any](sr semiring.Ordered[E], r Row[E], rho int) Row[E] {
+	if len(r) <= rho {
+		return r
+	}
+	idx := make([]int, len(r))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		ra, rb := sr.Rank(r[idx[a]].Val), sr.Rank(r[idx[b]].Val)
+		if ra != rb {
+			return ra < rb
+		}
+		return r[idx[a]].Col < r[idx[b]].Col
+	})
+	out := make(Row[E], 0, rho)
+	for _, i := range idx[:rho] {
+		out = append(out, r[i])
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Col < out[b].Col })
+	return out
+}
+
+// TestFilterRowMatchesReference pins the selection-based FilterRow to the
+// old sort-based body entry for entry: rank ties broken by column, every
+// boundary ρ, input row untouched, result column-sorted. Rows draw weights
+// from a handful of values so that most cutoffs land inside a run of equal
+// ranks; the fixed shapes are the classic bad inputs of a quickselect.
+func TestFilterRowMatchesReference(t *testing.T) {
+	sr := semiring.NewAugMinPlus(1<<20, 64)
+	check := func(r Row[semiring.WH]) bool {
+		n := len(r)
+		for _, rho := range []int{0, 1, n - 1, n, n + 1, n / 2, n/2 + 1} {
+			if rho < 0 {
+				continue
+			}
+			in := append(Row[semiring.WH](nil), r...)
+			got, want := FilterRow[semiring.WH](sr, in, rho), filterRowRef[semiring.WH](sr, r, rho)
+			if !slices.Equal(in, r) {
+				t.Logf("len=%d rho=%d: input row modified", n, rho)
+				return false
+			}
+			if !slices.Equal(got, want) {
+				t.Logf("len=%d rho=%d:\n got %v\nwant %v", n, rho, got, want)
+				return false
+			}
+			for i := 1; i < len(got); i++ {
+				if got[i-1].Col >= got[i].Col {
+					t.Logf("len=%d rho=%d: result not column-sorted at %d", n, rho, i)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	prop := func(seed int64, lenRaw, spreadRaw uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n, spread := int(lenRaw)%96, int64(spreadRaw)%5+1
+		r := make(Row[semiring.WH], 0, n)
+		col := int32(0)
+		for i := 0; i < n; i++ {
+			col += int32(rng.Intn(3)) + 1
+			r = append(r, Entry[semiring.WH]{Col: col, Val: semiring.WH{W: rng.Int63n(spread), H: rng.Int63n(spread)}})
+		}
+		return check(r)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+	shapes := map[string]func(i, n int) int64{
+		"ascending":  func(i, n int) int64 { return int64(i) },
+		"descending": func(i, n int) int64 { return int64(n - i) },
+		"constant":   func(i, n int) int64 { return 7 },
+		"organ-pipe": func(i, n int) int64 { return int64(min(i, n-i)) },
+		"two-values": func(i, n int) int64 { return int64(i % 2) },
+	}
+	for name, f := range shapes {
+		for _, n := range []int{1, 2, 3, 64, 65} {
+			r := make(Row[semiring.WH], n)
+			for i := range r {
+				r[i] = Entry[semiring.WH]{Col: int32(i), Val: semiring.WH{W: f(i, n), H: 1}}
+			}
+			if !check(r) {
+				t.Errorf("%s n=%d: FilterRow differs from the sort-based reference", name, n)
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package matrix
 
 import (
 	"math/rand"
-	"sort"
 
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
@@ -89,32 +88,74 @@ func popcount(x uint64) int {
 }
 
 // FilterRow returns the ρ-filtered version of a row per §2.2: the ρ
-// smallest entries under the order (Rank(value), column), matching the
-// tie-breaking used by the cutoff values of Lemma 15. The input row is not
-// modified.
+// smallest entries under the order (Rank(value), column). That is what a
+// Lemma 15 cutoff keeps: every entry ranked below the ρ-th smallest rank,
+// then the lowest-column entries of exactly that rank up to ρ in total.
+// The cutoff rank is selected, not sorted for, and one pass over r -
+// column-sorted by the Row invariant - emits the kept entries in order.
+// The input row is not modified.
 func FilterRow[E any](sr semiring.Ordered[E], r Row[E], rho int) Row[E] {
 	if len(r) <= rho {
 		return r
 	}
-	idx := make([]int, len(r))
-	for i := range idx {
-		idx[i] = i
+	if rho < 1 {
+		return Row[E]{}
 	}
 	ranks := make([]int64, len(r))
 	for i, e := range r {
 		ranks[i] = sr.Rank(e.Val)
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		if ranks[idx[a]] != ranks[idx[b]] {
-			return ranks[idx[a]] < ranks[idx[b]]
+	selectNth(ranks, rho-1)
+	cut := ranks[rho-1]
+	ties := rho // entries ranked exactly cut that still fit
+	for _, rk := range ranks[:rho-1] {
+		if rk < cut {
+			ties--
 		}
-		return r[idx[a]].Col < r[idx[b]].Col
-	})
-	out := make(Row[E], 0, rho)
-	for _, i := range idx[:rho] {
-		out = append(out, r[i])
 	}
-	return SortRow(out)
+	out := make(Row[E], 0, rho)
+	for _, e := range r {
+		if rk := sr.Rank(e.Val); rk < cut {
+			out = append(out, e)
+		} else if rk == cut && ties > 0 {
+			out = append(out, e)
+			ties--
+		}
+	}
+	return out
+}
+
+// selectNth permutes a so that a[k] is what sorting a would put there,
+// with nothing larger before it and nothing smaller after it (Hoare's
+// quickselect; the middle pivot keeps the sorted and constant runs common
+// among distance ranks near-linear).
+func selectNth(a []int64, k int) {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		p := a[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < p {
+				i++
+			}
+			for a[j] > p {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // Filter returns the ρ-filtered version of m: each row keeps its ρ smallest
