@@ -229,25 +229,9 @@ func (c *Client) Epoch(ctx context.Context, graph string) (*api.EpochResponse, e
 	if graph != "" {
 		url += "?graph=" + graph // the graph ID charset needs no escaping
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, transportError(ctx, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
-	if err != nil {
-		return nil, transportError(ctx, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, statusError("/v1/epoch", resp.StatusCode, body)
-	}
 	var er api.EpochResponse
-	if err := json.Unmarshal(body, &er); err != nil {
-		return nil, fmt.Errorf("client: /v1/epoch: bad JSON: %w", err)
+	if err := c.get(ctx, "/v1/epoch", url, &er); err != nil {
+		return nil, err
 	}
 	return &er, nil
 }
@@ -255,27 +239,37 @@ func (c *Client) Epoch(ctx context.Context, graph string) (*api.EpochResponse, e
 // Health calls GET /healthz: daemon liveness plus the served graph's
 // shape.
 func (c *Client) Health(ctx context.Context) (*api.Health, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
+	var h api.Health
+	if err := c.get(ctx, "healthz", c.base+"/healthz", &h); err != nil {
+		return nil, err
+	}
+	return &h, nil
+}
+
+// get runs one GET round trip and decodes a 200 into out; name labels
+// the endpoint in errors. Unlike post it never retries: both callers
+// are probes whose failure is itself the answer.
+func (c *Client) get(ctx context.Context, name, url string, out interface{}) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
+		return fmt.Errorf("client: %w", err)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, transportError(ctx, err)
+		return transportError(ctx, err)
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 	if err != nil {
-		return nil, transportError(ctx, err)
+		return transportError(ctx, err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("client: healthz: status %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
+		return statusError(name, resp.StatusCode, body)
 	}
-	var h api.Health
-	if err := json.Unmarshal(body, &h); err != nil {
-		return nil, fmt.Errorf("client: healthz: bad JSON: %w", err)
+	if err := json.Unmarshal(body, out); err != nil {
+		return fmt.Errorf("client: %s: bad JSON: %w", name, err)
 	}
-	return &h, nil
+	return nil
 }
 
 // maxResponseBytes caps decoded response bodies. All-pairs matrices grow

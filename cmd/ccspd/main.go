@@ -31,13 +31,10 @@
 // Endpoints: the typed query plane POST /v1/query (one api.Request:
 // sssp, mssp, apsp, distance, diameter, knearest, source_detection) and
 // POST /v1/batch (many requests, one deduped engine batch with
-// per-request errors), plus GET /healthz, /readyz, /v1/stats and
-// /debug/vars (expvar; serving counters under "ccspd"); the pre-plane
-// GET endpoints (/v1/sssp, /v1/mssp, /v1/distance, /v1/diameter) remain
-// as deprecated byte-identical shims. Distances are -1 for unreachable
-// pairs. The client package (and cmd/ccsp -server) speaks the POST
-// plane. GET /metrics exposes every serving and engine counter in
-// Prometheus text format.
+// per-request errors), plus GET /healthz, /readyz and /v1/stats.
+// Distances are -1 for unreachable pairs. The client package (and
+// cmd/ccsp -server) speaks the POST plane. GET /metrics exposes every
+// serving and engine counter in Prometheus text format.
 //
 // Every graph is served mutable: POST /v1/update applies a batch of
 // edge insertions, reweights, and deletions as one atomic graph
@@ -54,8 +51,8 @@
 // admission entirely, so /healthz stays green under overload.
 //
 // -debug-addr starts a second listener (keep it loopback-only) with
-// pprof profiles, expvar, and the same /metrics page - profiling stays
-// off the public port. SIGINT/SIGTERM during startup aborts a build in
+// pprof profiles and the same /metrics page - the public port serves
+// neither profiles nor anything else about the process. SIGINT/SIGTERM during startup aborts a build in
 // flight at its next simulator barrier (a partial -save snapshot is never
 // left behind: the write is temp-file + rename, and an interrupted build
 // never reaches it); during serving it drains in-flight requests, then
@@ -72,7 +69,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
@@ -131,7 +127,7 @@ func run() error {
 		execMode  = flag.String("exec", "simulated", "execution mode: simulated (round accounting) | direct (kernel, identical answers, fast startup; ignored with -load)")
 		maxInFl   = flag.Int("max-inflight", 0, "admission control: max queries executing concurrently (0 = 4×GOMAXPROCS, negative = unlimited)")
 		maxQueue  = flag.Int("max-queue", 0, "admission control: max queries waiting for an execution slot (0 = same as -max-inflight, negative = no queue)")
-		debugAddr = flag.String("debug-addr", "", "optional separate listener for pprof + expvar + /metrics (e.g. 127.0.0.1:6060); off when empty")
+		debugAddr = flag.String("debug-addr", "", "optional separate listener for pprof + /metrics, which the serving port never exposes (e.g. 127.0.0.1:6060); off when empty")
 	)
 	flag.Var(&loads, "load", "snapshot to restore: PATH for the default graph, or NAME=PATH for a named graph (repeatable)")
 	flag.Parse()
@@ -169,11 +165,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	expvar.Publish("ccspd", expvar.Func(srv.Vars))
 
-	// Opt-in debug listener: pprof profiles, expvar, and the same
-	// /metrics page as the serving port. A separate listener (typically
-	// loopback-only) keeps profiling endpoints off the public port.
+	// Opt-in debug listener: pprof profiles and the same /metrics page
+	// as the serving port. A separate listener (typically loopback-only)
+	// keeps profiling endpoints off the public port.
 	if *debugAddr != "" {
 		dln, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
@@ -186,7 +181,7 @@ func run() error {
 			}
 		}()
 		defer dbgSrv.Close() //nolint:errcheck
-		log.Printf("ccspd: debug endpoints (pprof, expvar, metrics) on %s", dln.Addr())
+		log.Printf("ccspd: debug endpoints (pprof, metrics) on %s", dln.Addr())
 	}
 
 	// Request contexts derive from serveCtx: if the drain window below

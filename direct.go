@@ -2,15 +2,14 @@ package ccsp
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"sort"
 	"sync"
 	"time"
 
+	"github.com/congestedclique/ccsp/api"
 	"github.com/congestedclique/ccsp/internal/apsp"
 	"github.com/congestedclique/ccsp/internal/diameter"
 	"github.com/congestedclique/ccsp/internal/disttools"
+	"github.com/congestedclique/ccsp/internal/graph"
 	"github.com/congestedclique/ccsp/internal/hopset"
 	"github.com/congestedclique/ccsp/internal/matrix"
 	"github.com/congestedclique/ccsp/internal/mssp"
@@ -18,19 +17,17 @@ import (
 	"github.com/congestedclique/ccsp/internal/sssp"
 )
 
-// This file implements ExecDirect (DESIGN.md §12): every Engine query and
-// preprocessing step computed on flat host-side matrices with the matmul
-// kernels, bypassing the per-node simulator. The results are byte-identical
-// to the simulated paths - each direct function mirrors its collective
-// sibling step by step, and the differential oracle suite (direct_test.go,
-// FuzzDirectVsSimulated) asserts the equivalence over graph families,
-// algorithms, and worker counts.
+// directExec is the ExecDirect backend (DESIGN.md §12): every step is
+// computed on flat host-side matrices with the matmul kernels, bypassing
+// the per-node simulator. Each method mirrors its simExec sibling step by
+// step and hands back the kernels' own matrix; Stats carry no rounds or
+// messages, only the wall-clock cost. The weight matrix and its routed
+// (first-hop witness) sibling are materialized once on first use and
+// immutable afterwards (the graph does not change after newEngine).
+type directExec struct {
+	g       *graph.Graph
+	workers int
 
-// directState is the Engine's direct-mode cache: the full augmented weight
-// matrix and its routed (first-hop witness) sibling, each materialized
-// once on first direct use and immutable afterwards (the graph must not
-// change after NewEngine).
-type directState struct {
 	once sync.Once
 	w    *matrix.Mat[semiring.WH]
 
@@ -39,237 +36,136 @@ type directState struct {
 }
 
 // weightMat returns the cached full augmented weight matrix.
-func (e *Engine) weightMat() *matrix.Mat[semiring.WH] {
-	e.direct.once.Do(func() {
-		e.direct.w = e.gr.g.WeightMatrix()
-	})
-	return e.direct.w
+func (d *directExec) weightMat() *matrix.Mat[semiring.WH] {
+	d.once.Do(func() { d.w = d.g.WeightMatrix() })
+	return d.w
 }
 
 // routedMat returns the cached routed weight matrix (the k-nearest query
 // input), so repeated queries stop paying the O(n·deg) row rebuild.
-func (e *Engine) routedMat() *matrix.Mat[semiring.WHF] {
-	e.direct.routedOnce.Do(func() {
-		n := e.gr.N()
-		w := matrix.New[semiring.WHF](n)
-		for v := 0; v < n; v++ {
-			w.Rows[v] = e.gr.g.WeightRowRouted(v)
+func (d *directExec) routedMat() *matrix.Mat[semiring.WHF] {
+	d.routedOnce.Do(func() {
+		d.routed = matrix.New[semiring.WHF](d.g.N)
+		for v := range d.routed.Rows {
+			d.routed.Rows[v] = d.g.WeightRowRouted(v)
 		}
-		e.direct.routed = w
 	})
-	return e.direct.routed
+	return d.routed
 }
 
-// artifactMats returns the artifact's cached direct-query matrices: the
-// weight matrix the artifact was built on (G, or the low-degree subgraph
-// G' for artLowDegree, reconstructed from the entry's degs vector exactly
-// as the build did) and the merged G ∪ H matrix the β-hop detections run
-// over. Built once per entry under its sync.Once - also for entries
-// restored from a snapshot - and immutable afterwards, so every query
-// after the first skips the O(n·deg) merge entirely (DESIGN.md §13).
-func (e *Engine) artifactMats(variant artVariant, ent *artifactEntry) (base, gh *matrix.Mat[semiring.WH]) {
+// lowDegree returns the §6.3 low-degree subgraph G' of w under the
+// broadcast degree vector degs.
+func lowDegree(w *matrix.Mat[semiring.WH], degs []int64) *matrix.Mat[semiring.WH] {
+	k := apsp.DegreeThreshold(w.N)
+	low := matrix.New[semiring.WH](w.N)
+	for v := range low.Rows {
+		low.Rows[v] = apsp.LowDegreeRow(v, w.Rows[v], degs, k)
+	}
+	return low
+}
+
+// artifactMats returns the artifact's cached query matrices: the weight
+// matrix the artifact was built on (G, or the low-degree subgraph G' for
+// artLowDegree, reconstructed from the entry's degs vector exactly as the
+// build did) and the merged G ∪ H matrix the β-hop detections run over. Built once
+// per entry under its sync.Once - also for entries restored from a
+// snapshot - and immutable afterwards, so every query after the first
+// skips the O(n·deg) merge entirely (DESIGN.md §13).
+func (d *directExec) artifactMats(variant artVariant, ent *artifactEntry) (base, gh *matrix.Mat[semiring.WH]) {
 	ent.ghOnce.Do(func() {
-		w := e.weightMat()
+		ent.base = d.weightMat()
 		if variant == artLowDegree {
-			n := e.gr.N()
-			k := apsp.DegreeThreshold(n)
-			low := matrix.New[semiring.WH](n)
-			for v := 0; v < n; v++ {
-				low.Rows[v] = apsp.LowDegreeRow(v, w.Rows[v], ent.degs, k)
-			}
-			w = low
+			ent.base = lowDegree(ent.base, ent.degs)
 		}
-		ent.base = w
-		ent.gh = mssp.MergeGH(e.gr.g.AugSemiring(), w, ent.art)
+		ent.gh = mssp.MergeGH(d.g.AugSemiring(), ent.base, ent.art)
 	})
 	return ent.base, ent.gh
 }
 
-// directStats is the Stats of a direct-mode computation: no rounds, no
-// messages - the maps are empty rather than nil so snapshots round-trip
-// losslessly - and the real cost as wall-clock time.
-func directStats(n int, wall time.Duration) Stats {
-	return Stats{
-		Nodes:          n,
+// direct is the frame around every kernel call: refuse a context that is
+// already dead (the kernels only poll between product iterations), time the
+// call, and report the wall-clock as the run's Stats - no rounds, no
+// messages, the maps empty rather than nil so snapshots round-trip
+// losslessly.
+func direct[T any](ctx context.Context, d *directExec, kernel func() (T, error)) (T, Stats, error) {
+	if err := ctx.Err(); err != nil {
+		var zero T
+		return zero, Stats{}, err
+	}
+	start := time.Now()
+	out, err := kernel()
+	return out, Stats{
+		Nodes:          d.g.N,
 		Exec:           ExecDirect,
 		ChargedRounds:  map[string]int{},
 		PhaseRounds:    map[string]int{},
-		CollectiveTime: map[string]time.Duration{"direct": wall},
-	}
+		CollectiveTime: map[string]time.Duration{"direct": time.Since(start)},
+	}, err
 }
 
-// wrapDirectErr is the direct-mode analogue of wrapRun: it maps the raw
-// context sentinels (which the kernel loops return on cancellation) into
-// the public ErrCanceled taxonomy, keeping the originals matchable.
-func wrapDirectErr(op string, err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return fmt.Errorf("ccsp: %s: %w: %w", op, ErrCanceled, err)
-	default:
-		return fmt.Errorf("ccsp: %s: %w", op, err)
-	}
-}
-
-// buildArtifactDirect is the ExecDirect counterpart of buildArtifact: the
-// §4 hopset construction on the host via hopset.BuildDirect. The resulting
-// artifactEntry is byte-identical to the simulated build's (same Artifact,
-// same degs vector); only its stats differ (wall-clock instead of rounds).
-func (e *Engine) buildArtifactDirect(ctx context.Context, key artifactKey) (*artifactEntry, error) {
-	op := fmt.Sprintf("preprocess (%s)", key.variant)
-	if err := ctx.Err(); err != nil {
-		return nil, wrapDirectErr(op, err)
-	}
-	n := e.gr.N()
-	sr := e.gr.g.AugSemiring()
-	start := time.Now()
-	w := e.weightMat()
-	var degsShared []int64
-	if key.variant == artLowDegree {
-		degs := make([]int64, n)
-		for v := 0; v < n; v++ {
-			degs[v] = int64(len(w.Rows[v])) // the row includes the diagonal: |N(v)|
-		}
-		degsShared = degs
-		k := apsp.DegreeThreshold(n)
-		low := matrix.New[semiring.WH](n)
-		for v := 0; v < n; v++ {
-			low.Rows[v] = apsp.LowDegreeRow(v, w.Rows[v], degs, k)
-		}
-		w = low
-	}
-	art, err := hopset.BuildDirect(ctx, sr, w, key.params, e.opts.Workers)
-	if err != nil {
-		return nil, wrapDirectErr(op, err)
-	}
-	return &artifactEntry{art: art, degs: degsShared, stats: directStats(n, time.Since(start))}, nil
-}
-
-// msspDirect answers an MSSP query from the cached artifact on the host.
-func (e *Engine) msspDirect(ctx context.Context, inS []bool, srcList []int, srcIdx map[int32]int, ent *artifactEntry) (*MSSPResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, wrapDirectErr("MSSP", err)
-	}
-	n := e.gr.N()
-	start := time.Now()
-	_, gh := e.artifactMats(artFull, ent)
-	res, err := mssp.RunDirectMerged(ctx, gh, ent.art.Beta, inS, e.opts.Workers)
-	if err != nil {
-		return nil, wrapDirectErr("MSSP", err)
-	}
-	dist := make([][]int64, n)
-	for v := 0; v < n; v++ {
-		row := make([]int64, len(srcList))
-		for i := range row {
-			row[i] = Unreachable
-		}
-		for _, en := range res.Rows[v] {
-			if i, ok := srcIdx[en.Col]; ok {
-				row[i] = en.Val.W
+func (d *directExec) build(ctx context.Context, key artifactKey) (*hopset.Artifact, []int64, Stats, error) {
+	var degs []int64
+	art, stats, err := direct(ctx, d, func() (*hopset.Artifact, error) {
+		w := d.weightMat()
+		if key.variant == artLowDegree {
+			degs = make([]int64, w.N)
+			for v := range degs {
+				degs[v] = int64(len(w.Rows[v])) // the row includes the diagonal: |N(v)|
 			}
+			w = lowDegree(w, degs)
 		}
-		dist[v] = row
-	}
-	return &MSSPResult{Sources: srcList, Dist: dist, Stats: directStats(n, time.Since(start))}, nil
+		return hopset.BuildDirect(ctx, d.g.AugSemiring(), w, key.params, d.workers)
+	})
+	return art, degs, stats, err
 }
 
-// ssspDirect answers an exact SSSP query on the host.
-func (e *Engine) ssspDirect(ctx context.Context, source int) (*SSSPResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, wrapDirectErr("SSSP", err)
-	}
-	n := e.gr.N()
-	start := time.Now()
-	dist, iters, err := sssp.ExactDirect(ctx, e.gr.g.AugSemiring(), e.weightMat(), source, 0, e.opts.Workers)
-	if err != nil {
-		return nil, wrapDirectErr("SSSP", err)
-	}
-	return &SSSPResult{Source: source, Dist: dist, Iterations: iters, Stats: directStats(n, time.Since(start))}, nil
+func (d *directExec) mssp(ctx context.Context, ent *artifactEntry, inS []bool) (*matrix.Mat[semiring.WH], Stats, error) {
+	return direct(ctx, d, func() (*matrix.Mat[semiring.WH], error) {
+		_, gh := d.artifactMats(artFull, ent)
+		return mssp.RunDirectMerged(ctx, gh, ent.art.Beta, inS, d.workers)
+	})
 }
 
-// apspDirect wraps one direct APSP variant into an APSPResult.
-func (e *Engine) apspDirect(ctx context.Context, name string, algo func() ([][]int64, error)) (*APSPResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, wrapDirectErr(name+" APSP", err)
-	}
-	start := time.Now()
-	dist, err := algo()
-	if err != nil {
-		return nil, wrapDirectErr(name+" APSP", err)
-	}
-	return &APSPResult{Dist: dist, Stats: directStats(e.gr.N(), time.Since(start))}, nil
+func (d *directExec) sssp(ctx context.Context, source int) ([]int64, int, Stats, error) {
+	var iters int
+	dist, stats, err := direct(ctx, d, func() (dist []int64, err error) {
+		dist, iters, err = sssp.ExactDirect(ctx, d.g.AugSemiring(), d.weightMat(), source, 0, d.workers)
+		return dist, err
+	})
+	return dist, iters, stats, err
 }
 
-// diameterDirect answers a diameter query from the cached base artifact on
-// the host.
-func (e *Engine) diameterDirect(ctx context.Context, ent *artifactEntry) (*DiameterResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, wrapDirectErr("diameter", err)
-	}
-	n := e.gr.N()
-	start := time.Now()
-	_, gh := e.artifactMats(artFull, ent)
-	est, err := diameter.ApproxDirect(ctx, e.gr.g.AugSemiring(), e.weightMat(), gh, ent.art.Beta, e.opts.Workers)
-	if err != nil {
-		return nil, wrapDirectErr("diameter", err)
-	}
-	return &DiameterResult{Estimate: est, Stats: directStats(n, time.Since(start))}, nil
-}
-
-// knearestDirect answers a k-nearest query on the host, over the routed
-// (first-hop witness) semiring like its simulated sibling.
-func (e *Engine) knearestDirect(ctx context.Context, k int) (*KNearestResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, wrapDirectErr("k-nearest", err)
-	}
-	n := e.gr.N()
-	start := time.Now()
-	knear, err := disttools.KNearestAll[semiring.WHF](ctx, e.gr.g.RoutedSemiring(), e.routedMat(), k, e.opts.Workers)
-	if err != nil {
-		return nil, wrapDirectErr("k-nearest", err)
-	}
-	out := make([][]Neighbor, n)
-	for v := 0; v < n; v++ {
-		row := knear.Rows[v]
-		nb := make([]Neighbor, 0, len(row))
-		for _, en := range row {
-			nb = append(nb, Neighbor{Node: int(en.Col), Dist: en.Val.W, Hops: int(en.Val.H), FirstHop: int(en.Val.FH)})
+func (d *directExec) apsp(ctx context.Context, v api.APSPVariant, entG, entLow *artifactEntry) ([][]int64, Stats, error) {
+	return direct(ctx, d, func() ([][]int64, error) {
+		sr, w := d.g.AugSemiring(), d.weightMat()
+		_, ghG := d.artifactMats(artFull, entG)
+		switch v {
+		case api.APSPWeighted:
+			return apsp.TwoPlusEpsWeightedDirect(ctx, sr, w, ghG, entG.art.Beta, d.workers)
+		case api.APSPWeighted3:
+			return apsp.ThreePlusEpsDirect(ctx, sr, w, ghG, entG.art.Beta, d.workers)
+		default:
+			low, ghLow := d.artifactMats(artLowDegree, entLow)
+			return apsp.TwoPlusEpsUnweightedDirect(ctx, sr, w, ghG, entG.art.Beta, low, ghLow, entLow.art.Beta, d.workers)
 		}
-		sort.Slice(nb, func(i, j int) bool {
-			if nb[i].Dist != nb[j].Dist {
-				return nb[i].Dist < nb[j].Dist
-			}
-			if nb[i].Hops != nb[j].Hops {
-				return nb[i].Hops < nb[j].Hops
-			}
-			return nb[i].Node < nb[j].Node
-		})
-		out[v] = nb
-	}
-	return &KNearestResult{Neighbors: out, Stats: directStats(n, time.Since(start))}, nil
+	})
 }
 
-// sourceDetectionDirect answers an (S, d, k)-source detection query on the
-// host.
-func (e *Engine) sourceDetectionDirect(ctx context.Context, inS []bool, d, k int) (*SourceDetectionResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, wrapDirectErr("source detection", err)
-	}
-	n := e.gr.N()
-	start := time.Now()
-	det, err := disttools.SourceDetectKAll[semiring.WH](ctx, e.gr.g.AugSemiring(), e.weightMat(), inS, d, k, e.opts.Workers)
-	if err != nil {
-		return nil, wrapDirectErr("source detection", err)
-	}
-	out := make([][]Neighbor, n)
-	for v := 0; v < n; v++ {
-		row := det.Rows[v]
-		nb := make([]Neighbor, 0, len(row))
-		for _, en := range row {
-			nb = append(nb, Neighbor{Node: int(en.Col), Dist: en.Val.W, Hops: int(en.Val.H), FirstHop: -1})
-		}
-		out[v] = nb
-	}
-	return &SourceDetectionResult{Detected: out, Stats: directStats(n, time.Since(start))}, nil
+func (d *directExec) diameter(ctx context.Context, ent *artifactEntry) (int64, Stats, error) {
+	return direct(ctx, d, func() (int64, error) {
+		_, gh := d.artifactMats(artFull, ent)
+		return diameter.ApproxDirect(ctx, d.g.AugSemiring(), d.weightMat(), gh, ent.art.Beta, d.workers)
+	})
+}
+
+func (d *directExec) knearest(ctx context.Context, k int) (*matrix.Mat[semiring.WHF], Stats, error) {
+	return direct(ctx, d, func() (*matrix.Mat[semiring.WHF], error) {
+		return disttools.KNearestAll[semiring.WHF](ctx, d.g.RoutedSemiring(), d.routedMat(), k, d.workers)
+	})
+}
+
+func (d *directExec) sourceDetect(ctx context.Context, inS []bool, dHops, k int) (*matrix.Mat[semiring.WH], Stats, error) {
+	return direct(ctx, d, func() (*matrix.Mat[semiring.WH], error) {
+		return disttools.SourceDetectKAll[semiring.WH](ctx, d.g.AugSemiring(), d.weightMat(), inS, dHops, k, d.workers)
+	})
 }

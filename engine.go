@@ -8,16 +8,11 @@ import (
 	"sync"
 	"time"
 
+	"github.com/congestedclique/ccsp/api"
 	"github.com/congestedclique/ccsp/internal/apsp"
-	"github.com/congestedclique/ccsp/internal/cc"
-	"github.com/congestedclique/ccsp/internal/diameter"
-	"github.com/congestedclique/ccsp/internal/disttools"
-	"github.com/congestedclique/ccsp/internal/hitting"
 	"github.com/congestedclique/ccsp/internal/hopset"
 	"github.com/congestedclique/ccsp/internal/matrix"
-	"github.com/congestedclique/ccsp/internal/mssp"
 	"github.com/congestedclique/ccsp/internal/semiring"
-	"github.com/congestedclique/ccsp/internal/sssp"
 )
 
 // Engine is the preprocess-once / query-many entry point. The paper's
@@ -64,9 +59,10 @@ type Engine struct {
 	// snapshots. Written only before the engine is shared (immutable
 	// afterwards, like everything else here).
 	epoch uint64
-	// direct caches the host-side weight matrix for ExecDirect runs
-	// (direct.go); unused in simulated mode.
-	direct directState
+	// exec computes every artifact and query for the public methods
+	// (exec.go): the round-accurate simulator or the flat-matrix kernels,
+	// chosen once from Options.Execution.
+	exec executor
 }
 
 // Preprocessed is the cache of reusable preprocessing artifacts - per-node
@@ -122,11 +118,11 @@ type artifactEntry struct {
 	degs  []int64 // artLowDegree only: broadcast |N(v)| vector, read-only
 	stats Stats
 
-	// Direct-mode query matrices derived from the artifact (DESIGN.md
+	// directExec's query matrices derived from the artifact (DESIGN.md
 	// §13), built once on first direct query and immutable afterwards:
 	// base is the weight matrix the artifact was built on (G itself, or
 	// the low-degree subgraph G' for artLowDegree) and gh is base merged
-	// with the hopset rows (G ∪ H). Unused in simulated mode.
+	// with the hopset rows (G ∪ H). Unused by simExec.
 	ghOnce sync.Once
 	base   *matrix.Mat[semiring.WH]
 	gh     *matrix.Mat[semiring.WH]
@@ -165,14 +161,19 @@ func newEngine(gr *Graph, opts Options) (*Engine, error) {
 	// must not be able to change what cached artifacts (or lazy direct
 	// matrices) are derived from.
 	gr = &Graph{g: gr.g.Clone()}
-	return &Engine{
+	e := &Engine{
 		gr:   gr,
 		opts: opts,
 		pre: &Preprocessed{
 			arts:     make(map[artifactKey]*artifactEntry),
 			inflight: make(map[artifactKey]*buildCall),
 		},
-	}, nil
+		exec: &simExec{g: gr.g, opts: opts},
+	}
+	if opts.Execution == ExecDirect {
+		e.exec = &directExec{g: gr.g, workers: opts.Workers}
+	}
+	return e, nil
 }
 
 // baseKey is the hopset parameterization of direct (1+ε) queries: MSSP
@@ -256,45 +257,16 @@ func (e *Engine) build(ctx context.Context, key artifactKey, call *buildCall) {
 	call.ent, call.err = e.buildArtifact(ctx, key)
 }
 
-// buildArtifact runs the preprocessing simulator run for one artifact: the
-// collective hopset construction of §4 (plus, for the low-degree variant,
-// the one-round degree broadcast that defines G'), collected into
-// host-side form. Under ExecDirect the same artifact is computed on flat
-// matrices instead (direct.go); the entry is byte-identical either way.
+// buildArtifact runs the preprocessing for one artifact: the hopset
+// construction of §4 (plus, for the low-degree variant, the degree vector
+// that defines G'). The entry is byte-identical whichever executor built
+// it; only its stats differ (rounds, or wall-clock for the kernels).
 func (e *Engine) buildArtifact(ctx context.Context, key artifactKey) (*artifactEntry, error) {
-	if e.opts.Execution == ExecDirect {
-		return e.buildArtifactDirect(ctx, key)
-	}
-	n := e.gr.N()
-	sr := e.gr.g.AugSemiring()
-	board := hitting.NewBoard(n)
-	results := make([]*hopset.Result, n)
-	var degsShared []int64
-	op := fmt.Sprintf("preprocess (%s)", key.variant)
-	stats, err := cc.Run(ctx, e.opts.config(n), func(nd *cc.Node) error {
-		row := e.gr.g.WeightRow(nd.ID)
-		if key.variant == artLowDegree {
-			degs := nd.BroadcastVal(int64(len(row)))
-			if nd.ID == 0 {
-				degsShared = degs
-			}
-			row = apsp.LowDegreeRow(nd.ID, row, degs, apsp.DegreeThreshold(n))
-		}
-		res, err := hopset.Build(nd, sr, row, board, key.params)
-		if err != nil {
-			return err
-		}
-		results[nd.ID] = res
-		return nil
-	})
+	art, degs, stats, err := e.exec.build(ctx, key)
 	if err != nil {
-		return nil, wrapRun(op, err)
+		return nil, wrapRun(fmt.Sprintf("preprocess (%s)", key.variant), err)
 	}
-	art, err := hopset.Collect(results)
-	if err != nil {
-		return nil, wrapRun(op, err)
-	}
-	return &artifactEntry{art: art, degs: degsShared, stats: statsFrom(stats)}, nil
+	return &artifactEntry{art: art, degs: degs, stats: stats}, nil
 }
 
 // ArtifactBuild describes one preprocessing run.
@@ -358,15 +330,11 @@ func (e *Engine) Epoch() uint64 { return e.epoch }
 func (e *Engine) Options() Options { return e.opts }
 
 // normalizeSources validates and deduplicates a source list, returning
-// the membership vector, the ascending source list and the column index
-// of each source.
-func normalizeSources(n int, sources []int) (inS []bool, srcList []int, srcIdx map[int32]int, err error) {
-	inS = make([]bool, n)
-	for _, s := range sources {
-		if s < 0 || s >= n {
-			return nil, nil, nil, fmt.Errorf("%w: source %d out of range [0,%d)", ErrInvalidSource, s, n)
-		}
-		inS[s] = true
+// the membership vector and the ascending source list.
+func normalizeSources(n int, sources []int) (inS []bool, srcList []int, err error) {
+	inS, err = sourceSet(n, sources)
+	if err != nil {
+		return nil, nil, err
 	}
 	srcList = make([]int, 0, len(sources))
 	for v := 0; v < n; v++ {
@@ -375,13 +343,21 @@ func normalizeSources(n int, sources []int) (inS []bool, srcList []int, srcIdx m
 		}
 	}
 	if len(srcList) == 0 {
-		return nil, nil, nil, fmt.Errorf("%w: empty source set", ErrInvalidSource)
+		return nil, nil, fmt.Errorf("%w: empty source set", ErrInvalidSource)
 	}
-	srcIdx = make(map[int32]int, len(srcList))
-	for i, s := range srcList {
-		srcIdx[int32(s)] = i
+	return inS, srcList, nil
+}
+
+// sourceSet validates a source list into its membership vector.
+func sourceSet(n int, sources []int) ([]bool, error) {
+	inS := make([]bool, n)
+	for _, s := range sources {
+		if s < 0 || s >= n {
+			return nil, fmt.Errorf("%w: source %d out of range [0,%d)", ErrInvalidSource, s, n)
+		}
+		inS[s] = true
 	}
-	return inS, srcList, srcIdx, nil
+	return inS, nil
 }
 
 // MSSP answers a (1+ε)-approximate multi-source query (Theorem 3) from
@@ -389,8 +365,7 @@ func normalizeSources(n int, sources []int) (inS []bool, srcList []int, srcIdx m
 // construction. Safe to call concurrently; canceling ctx aborts the query
 // run at its next barrier.
 func (e *Engine) MSSP(ctx context.Context, sources []int) (*MSSPResult, error) {
-	n := e.gr.N()
-	inS, srcList, srcIdx, err := normalizeSources(n, sources)
+	inS, srcList, err := normalizeSources(e.gr.N(), sources)
 	if err != nil {
 		return nil, err
 	}
@@ -398,156 +373,98 @@ func (e *Engine) MSSP(ctx context.Context, sources []int) (*MSSPResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.opts.Execution == ExecDirect {
-		return e.msspDirect(ctx, inS, srcList, srcIdx, ent)
+	rows, stats, err := e.exec.mssp(ctx, ent, inS)
+	if err != nil {
+		return nil, wrapRun("MSSP", err)
 	}
-	sr := e.gr.g.AugSemiring()
-	dist := make([][]int64, n)
-	stats, err := cc.Run(ctx, e.opts.config(n), func(nd *cc.Node) error {
-		res, err := mssp.RunWithHopset(nd, sr, e.gr.g.WeightRow(nd.ID), inS, ent.art.At(nd.ID))
-		if err != nil {
-			return err
-		}
+	return &MSSPResult{Sources: srcList, Dist: sourceColumns(rows, srcList), Stats: stats}, nil
+}
+
+// sourceColumns projects detection rows (entries keyed by source ID) onto
+// dense per-node vectors in srcList order, Unreachable where a source was
+// not detected.
+func sourceColumns(rows *matrix.Mat[semiring.WH], srcList []int) [][]int64 {
+	srcIdx := make(map[int32]int, len(srcList))
+	for i, s := range srcList {
+		srcIdx[int32(s)] = i
+	}
+	dist := make([][]int64, len(rows.Rows))
+	for v, det := range rows.Rows {
 		row := make([]int64, len(srcList))
 		for i := range row {
 			row[i] = Unreachable
 		}
-		for _, en := range res.Dist {
+		for _, en := range det {
 			if i, ok := srcIdx[en.Col]; ok {
 				row[i] = en.Val.W
 			}
 		}
-		dist[nd.ID] = row
-		return nil
-	})
-	if err != nil {
-		return nil, wrapRun("MSSP", err)
+		dist[v] = row
 	}
-	return &MSSPResult{Sources: srcList, Dist: dist, Stats: statsFrom(stats)}, nil
+	return dist
 }
 
 // SSSP answers an exact single-source query (Theorem 33). The shortcut
 // algorithm does not use a hopset, so the query needs no preprocessing
 // artifacts at all.
 func (e *Engine) SSSP(ctx context.Context, source int) (*SSSPResult, error) {
-	n := e.gr.N()
-	if source < 0 || source >= n {
+	if n := e.gr.N(); source < 0 || source >= n {
 		return nil, fmt.Errorf("%w: source %d out of range [0,%d)", ErrInvalidSource, source, n)
 	}
-	if e.opts.Execution == ExecDirect {
-		return e.ssspDirect(ctx, source)
-	}
-	sr := e.gr.g.AugSemiring()
-	var dist []int64
-	var iters int
-	stats, err := cc.Run(ctx, e.opts.config(n), func(nd *cc.Node) error {
-		d, it := sssp.Exact(nd, sr, e.gr.g.WeightRow(nd.ID), source, 0)
-		if nd.ID == 0 {
-			dist = append([]int64(nil), d...)
-			iters = it
-		}
-		return nil
-	})
+	dist, iters, stats, err := e.exec.sssp(ctx, source)
 	if err != nil {
 		return nil, wrapRun("SSSP", err)
 	}
-	return &SSSPResult{Source: source, Dist: dist, Iterations: iters, Stats: statsFrom(stats)}, nil
-}
-
-// apspQueryAlgo is the query-only stage of one APSP variant.
-type apspQueryAlgo func(nd *cc.Node, sr semiring.AugMinPlus, wrow matrix.Row[semiring.WH], boards *hitting.BoardSeq) ([]int64, error)
-
-// runAPSPQuery launches the query-only run shared by the APSP methods.
-func (e *Engine) runAPSPQuery(ctx context.Context, name string, algo apspQueryAlgo) (*APSPResult, error) {
-	n := e.gr.N()
-	sr := e.gr.g.AugSemiring()
-	boards := hitting.NewBoardSeq(n)
-	dist := make([][]int64, n)
-	stats, err := cc.Run(ctx, e.opts.config(n), func(nd *cc.Node) error {
-		row, err := algo(nd, sr, e.gr.g.WeightRow(nd.ID), boards)
-		if err != nil {
-			return err
-		}
-		dist[nd.ID] = row
-		return nil
-	})
-	if err != nil {
-		return nil, wrapRun(name+" APSP", err)
-	}
-	return &APSPResult{Dist: dist, Stats: statsFrom(stats)}, nil
+	return &SSSPResult{Source: source, Dist: dist, Iterations: iters, Stats: stats}, nil
 }
 
 // APSP answers an all-pairs query with the strongest guarantee for the
 // input: the (2+ε) unweighted algorithm (Theorem 31) when all edges have
 // weight 1, the (2+ε, (1+ε)W) weighted algorithm (Theorem 28) otherwise.
 func (e *Engine) APSP(ctx context.Context) (*APSPResult, error) {
-	if e.gr.Unweighted() {
-		return e.APSPUnweighted(ctx)
-	}
-	return e.APSPWeighted(ctx)
+	return e.apspByVariant(ctx, e.ResolveAPSPVariant(api.APSPAuto))
 }
 
 // APSPWeighted answers a (2+ε, (1+ε)W)-approximate all-pairs query
 // (Theorem 28) from the cached ε/2 hopset.
 func (e *Engine) APSPWeighted(ctx context.Context) (*APSPResult, error) {
-	ent, err := e.artifact(ctx, e.apspKey())
-	if err != nil {
-		return nil, err
-	}
-	if e.opts.Execution == ExecDirect {
-		return e.apspDirect(ctx, "weighted", func() ([][]int64, error) {
-			_, gh := e.artifactMats(artFull, ent)
-			return apsp.TwoPlusEpsWeightedDirect(ctx, e.gr.g.AugSemiring(), e.weightMat(), gh, ent.art.Beta, e.opts.Workers)
-		})
-	}
-	eps := e.opts.Epsilon
-	return e.runAPSPQuery(ctx, "weighted", func(nd *cc.Node, sr semiring.AugMinPlus, wrow matrix.Row[semiring.WH], boards *hitting.BoardSeq) ([]int64, error) {
-		return apsp.TwoPlusEpsWeightedWithHopset(nd, sr, wrow, eps, boards, ent.art.At(nd.ID))
-	})
+	return e.apspByVariant(ctx, api.APSPWeighted)
 }
 
 // APSPWeighted3 answers the simpler (3+ε)-approximate weighted all-pairs
 // query of §6.1; it shares the ε/2 hopset artifact with APSPWeighted.
 func (e *Engine) APSPWeighted3(ctx context.Context) (*APSPResult, error) {
-	ent, err := e.artifact(ctx, e.apspKey())
-	if err != nil {
-		return nil, err
-	}
-	if e.opts.Execution == ExecDirect {
-		return e.apspDirect(ctx, "3+eps", func() ([][]int64, error) {
-			_, gh := e.artifactMats(artFull, ent)
-			return apsp.ThreePlusEpsDirect(ctx, e.gr.g.AugSemiring(), e.weightMat(), gh, ent.art.Beta, e.opts.Workers)
-		})
-	}
-	eps := e.opts.Epsilon
-	return e.runAPSPQuery(ctx, "3+eps", func(nd *cc.Node, sr semiring.AugMinPlus, wrow matrix.Row[semiring.WH], boards *hitting.BoardSeq) ([]int64, error) {
-		return apsp.ThreePlusEpsWithHopset(nd, sr, wrow, eps, boards, ent.art.At(nd.ID))
-	})
+	return e.apspByVariant(ctx, api.APSPWeighted3)
 }
 
 // APSPUnweighted answers a (2+ε)-approximate all-pairs query on an
 // unweighted graph (Theorem 31). It uses two cached artifacts: the ε/2
 // hopset on G and the ε/2 hopset on the low-degree subgraph G'.
 func (e *Engine) APSPUnweighted(ctx context.Context) (*APSPResult, error) {
+	return e.apspByVariant(ctx, api.APSPUnweighted)
+}
+
+// apspByVariant answers one concrete (non-auto) APSP variant from the ε/2
+// hopset on G, plus - for the unweighted algorithm only - the one on G'.
+func (e *Engine) apspByVariant(ctx context.Context, v api.APSPVariant) (*APSPResult, error) {
+	if v != api.APSPWeighted && v != api.APSPWeighted3 && v != api.APSPUnweighted {
+		return nil, fmt.Errorf("%w: unknown apsp variant %q", api.ErrMalformed, v)
+	}
 	entG, err := e.artifact(ctx, e.apspKey())
 	if err != nil {
 		return nil, err
 	}
-	entLow, err := e.artifact(ctx, e.apspLowKey())
+	var entLow *artifactEntry
+	if v == api.APSPUnweighted {
+		if entLow, err = e.artifact(ctx, e.apspLowKey()); err != nil {
+			return nil, err
+		}
+	}
+	dist, stats, err := e.exec.apsp(ctx, v, entG, entLow)
 	if err != nil {
-		return nil, err
+		return nil, wrapRun(string(v)+" APSP", err)
 	}
-	if e.opts.Execution == ExecDirect {
-		return e.apspDirect(ctx, "unweighted", func() ([][]int64, error) {
-			_, ghG := e.artifactMats(artFull, entG)
-			low, ghLow := e.artifactMats(artLowDegree, entLow)
-			return apsp.TwoPlusEpsUnweightedDirect(ctx, e.gr.g.AugSemiring(), e.weightMat(), ghG, entG.art.Beta, low, ghLow, entLow.art.Beta, e.opts.Workers)
-		})
-	}
-	eps := e.opts.Epsilon
-	return e.runAPSPQuery(ctx, "unweighted", func(nd *cc.Node, sr semiring.AugMinPlus, wrow matrix.Row[semiring.WH], boards *hitting.BoardSeq) ([]int64, error) {
-		return apsp.TwoPlusEpsUnweightedWithHopsets(nd, sr, wrow, eps, boards, entLow.degs, entG.art.At(nd.ID), entLow.art.At(nd.ID))
-	})
+	return &APSPResult{Dist: dist, Stats: stats}, nil
 }
 
 // Diameter answers a near-3/2 diameter query (§7.2) from the cached base
@@ -557,27 +474,11 @@ func (e *Engine) Diameter(ctx context.Context) (*DiameterResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.opts.Execution == ExecDirect {
-		return e.diameterDirect(ctx, ent)
-	}
-	n := e.gr.N()
-	sr := e.gr.g.AugSemiring()
-	boards := hitting.NewBoardSeq(n)
-	var estimate int64
-	stats, err := cc.Run(ctx, e.opts.config(n), func(nd *cc.Node) error {
-		est, err := diameter.ApproxWithHopset(nd, sr, e.gr.g.WeightRow(nd.ID), boards, ent.art.At(nd.ID))
-		if err != nil {
-			return err
-		}
-		if nd.ID == 0 {
-			estimate = est
-		}
-		return nil
-	})
+	est, stats, err := e.exec.diameter(ctx, ent)
 	if err != nil {
 		return nil, wrapRun("diameter", err)
 	}
-	return &DiameterResult{Estimate: estimate, Stats: statsFrom(stats)}, nil
+	return &DiameterResult{Estimate: est, Stats: stats}, nil
 }
 
 // KNearest answers a k-nearest query (Theorem 18 over the
@@ -586,14 +487,12 @@ func (e *Engine) KNearest(ctx context.Context, k int) (*KNearestResult, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("%w: k must be positive, got %d", ErrInvalidOption, k)
 	}
-	if e.opts.Execution == ExecDirect {
-		return e.knearestDirect(ctx, k)
+	rows, stats, err := e.exec.knearest(ctx, k)
+	if err != nil {
+		return nil, wrapRun("k-nearest", err)
 	}
-	n := e.gr.N()
-	sr := e.gr.g.RoutedSemiring()
-	out := make([][]Neighbor, n)
-	stats, err := cc.Run(ctx, e.opts.config(n), func(nd *cc.Node) error {
-		row := disttools.KNearest[semiring.WHF](nd, sr, e.gr.g.WeightRowRouted(nd.ID), k)
+	out := make([][]Neighbor, len(rows.Rows))
+	for v, row := range rows.Rows {
 		nb := make([]Neighbor, 0, len(row))
 		for _, en := range row {
 			nb = append(nb, Neighbor{Node: int(en.Col), Dist: en.Val.W, Hops: int(en.Val.H), FirstHop: int(en.Val.FH)})
@@ -607,13 +506,9 @@ func (e *Engine) KNearest(ctx context.Context, k int) (*KNearestResult, error) {
 			}
 			return nb[i].Node < nb[j].Node
 		})
-		out[nd.ID] = nb
-		return nil
-	})
-	if err != nil {
-		return nil, wrapRun("k-nearest", err)
+		out[v] = nb
 	}
-	return &KNearestResult{Neighbors: out, Stats: statsFrom(stats)}, nil
+	return &KNearestResult{Neighbors: out, Stats: stats}, nil
 }
 
 // SourceDetection answers an (S, d, k)-source detection query
@@ -626,34 +521,23 @@ func (e *Engine) SourceDetection(ctx context.Context, sources []int, d, k int) (
 		return nil, fmt.Errorf("%w: d and k must be positive (d=%d, k=%d)", ErrInvalidOption, d, k)
 	}
 	n := e.gr.N()
-	if d > n {
-		d = n
+	inS, err := sourceSet(n, sources)
+	if err != nil {
+		return nil, err
 	}
-	inS := make([]bool, n)
-	for _, s := range sources {
-		if s < 0 || s >= n {
-			return nil, fmt.Errorf("%w: source %d out of range [0,%d)", ErrInvalidSource, s, n)
-		}
-		inS[s] = true
+	rows, stats, err := e.exec.sourceDetect(ctx, inS, min(d, n), k)
+	if err != nil {
+		return nil, wrapRun("source detection", err)
 	}
-	if e.opts.Execution == ExecDirect {
-		return e.sourceDetectionDirect(ctx, inS, d, k)
-	}
-	sr := e.gr.g.AugSemiring()
-	out := make([][]Neighbor, n)
-	stats, err := cc.Run(ctx, e.opts.config(n), func(nd *cc.Node) error {
-		row := disttools.SourceDetectK[semiring.WH](nd, sr, e.gr.g.WeightRow(nd.ID), inS, d, k)
+	out := make([][]Neighbor, len(rows.Rows))
+	for v, row := range rows.Rows {
 		nb := make([]Neighbor, 0, len(row))
 		for _, en := range row {
 			nb = append(nb, Neighbor{Node: int(en.Col), Dist: en.Val.W, Hops: int(en.Val.H), FirstHop: -1})
 		}
-		out[nd.ID] = nb
-		return nil
-	})
-	if err != nil {
-		return nil, wrapRun("source detection", err)
+		out[v] = nb
 	}
-	return &SourceDetectionResult{Detected: out, Stats: statsFrom(stats)}, nil
+	return &SourceDetectionResult{Detected: out, Stats: stats}, nil
 }
 
 // oneShot runs a single query on a fresh lazy Engine and folds the

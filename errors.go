@@ -57,14 +57,16 @@ var (
 	ErrOverloaded = errors.New("ccsp: overloaded")
 )
 
-// wrapRun translates a simulator-run error into the public error taxonomy,
-// prefixed with the failing operation. The cc sentinels stay in the chain,
-// so the context sentinels (which cc.ErrCanceled wraps) remain matchable.
+// wrapRun translates an executor error into the public error taxonomy,
+// prefixed with the failing operation. The simulator reports cancellation
+// as cc.ErrCanceled (which wraps the context's sentinel), the kernels
+// return the raw context sentinels; either way the originals stay in the
+// chain and remain matchable.
 func wrapRun(op string, err error) error {
 	switch {
 	case err == nil:
 		return nil
-	case errors.Is(err, cc.ErrCanceled):
+	case errors.Is(err, cc.ErrCanceled), errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return fmt.Errorf("ccsp: %s: %w: %w", op, ErrCanceled, err)
 	case errors.Is(err, cc.ErrRoundLimit):
 		return fmt.Errorf("ccsp: %s: %w: %w", op, ErrRoundLimit, err)

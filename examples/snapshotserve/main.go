@@ -12,6 +12,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -23,6 +24,7 @@ import (
 	"time"
 
 	"github.com/congestedclique/ccsp"
+	"github.com/congestedclique/ccsp/api"
 	"github.com/congestedclique/ccsp/internal/server"
 )
 
@@ -103,7 +105,11 @@ func run(ctx context.Context) error {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, err := http.Get(ts.URL + "/v1/distance?from=3&to=40")
+	query, err := json.Marshal(api.Request{Kind: api.KindDistance, Distance: &api.DistanceParams{From: 3, To: 40}})
+	if err != nil {
+		return err
+	}
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(query))
 	if err != nil {
 		return err
 	}
@@ -112,6 +118,6 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("GET /v1/distance?from=3&to=40 ->\n%s", body)
+	fmt.Printf("POST /v1/query %s ->\n%s", query, body)
 	return nil
 }

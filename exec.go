@@ -1,0 +1,172 @@
+package ccsp
+
+import (
+	"context"
+
+	"github.com/congestedclique/ccsp/api"
+	"github.com/congestedclique/ccsp/internal/apsp"
+	"github.com/congestedclique/ccsp/internal/cc"
+	"github.com/congestedclique/ccsp/internal/diameter"
+	"github.com/congestedclique/ccsp/internal/disttools"
+	"github.com/congestedclique/ccsp/internal/graph"
+	"github.com/congestedclique/ccsp/internal/hitting"
+	"github.com/congestedclique/ccsp/internal/hopset"
+	"github.com/congestedclique/ccsp/internal/matrix"
+	"github.com/congestedclique/ccsp/internal/mssp"
+	"github.com/congestedclique/ccsp/internal/semiring"
+	"github.com/congestedclique/ccsp/internal/sssp"
+)
+
+// executor is the one seam between the Engine's public methods and the
+// backends that compute the paper's algebra (DESIGN.md §12). A method runs
+// one preprocessing or query step on the engine's graph and returns its
+// intermediate rows - the same values from every backend, which the
+// differential oracle (direct_test.go, FuzzDirectVsSimulated) pins byte for
+// byte - plus the run's Stats. Errors come back raw (cc or context
+// sentinels); validation, artifact lookup, result shaping and the wrap into
+// the public error taxonomy live once, in the Engine methods above the
+// seam. newEngine picks the implementation from Options.Execution.
+type executor interface {
+	// build constructs the hopset artifact for key (§4) and, for
+	// artLowDegree, the degree vector that defines G'.
+	build(ctx context.Context, key artifactKey) (*hopset.Artifact, []int64, Stats, error)
+	// mssp runs the β-hop source detection on G ∪ H (Theorem 3): row v
+	// holds (s, d̃(v,s)) for every source s that reaches v.
+	mssp(ctx context.Context, ent *artifactEntry, inS []bool) (*matrix.Mat[semiring.WH], Stats, error)
+	// sssp returns exact distances from source and the Bellman-Ford
+	// iteration count (Theorem 33).
+	sssp(ctx context.Context, source int) ([]int64, int, Stats, error)
+	// apsp runs one concrete §6 variant from the ε/2 hopset on G (and, for
+	// the unweighted algorithm, the one on G'); dense n×n estimates.
+	apsp(ctx context.Context, v api.APSPVariant, entG, entLow *artifactEntry) ([][]int64, Stats, error)
+	// diameter returns the §7.2 estimate from the base hopset.
+	diameter(ctx context.Context, ent *artifactEntry) (int64, Stats, error)
+	// knearest returns every node's k closest nodes over the routed
+	// semiring (Theorem 18), rows in column order.
+	knearest(ctx context.Context, k int) (*matrix.Mat[semiring.WHF], Stats, error)
+	// sourceDetect solves (S, d, k)-source detection (Theorem 19).
+	sourceDetect(ctx context.Context, inS []bool, d, k int) (*matrix.Mat[semiring.WH], Stats, error)
+}
+
+// simExec is the round-accurate backend: every step is one cc.Run of the
+// per-node collective program, each node writing its row into a shared
+// matrix (disjoint writes). Stats are the run's rounds and messages.
+type simExec struct {
+	g    *graph.Graph
+	opts Options
+}
+
+// run executes one simulator run of prog on the engine's clique.
+func (s *simExec) run(ctx context.Context, prog cc.Program) (Stats, error) {
+	stats, err := cc.Run(ctx, s.opts.config(s.g.N), prog)
+	return statsFrom(stats), err
+}
+
+func (s *simExec) build(ctx context.Context, key artifactKey) (*hopset.Artifact, []int64, Stats, error) {
+	n := s.g.N
+	sr := s.g.AugSemiring()
+	board := hitting.NewBoard(n)
+	results := make([]*hopset.Result, n)
+	var degsShared []int64
+	stats, err := s.run(ctx, func(nd *cc.Node) error {
+		row := s.g.WeightRow(nd.ID)
+		if key.variant == artLowDegree {
+			degs := nd.BroadcastVal(int64(len(row)))
+			if nd.ID == 0 {
+				degsShared = degs
+			}
+			row = apsp.LowDegreeRow(nd.ID, row, degs, apsp.DegreeThreshold(n))
+		}
+		res, err := hopset.Build(nd, sr, row, board, key.params)
+		results[nd.ID] = res
+		return err
+	})
+	if err != nil {
+		return nil, nil, stats, err
+	}
+	art, err := hopset.Collect(results)
+	return art, degsShared, stats, err
+}
+
+func (s *simExec) mssp(ctx context.Context, ent *artifactEntry, inS []bool) (*matrix.Mat[semiring.WH], Stats, error) {
+	sr := s.g.AugSemiring()
+	rows := matrix.New[semiring.WH](s.g.N)
+	stats, err := s.run(ctx, func(nd *cc.Node) error {
+		res, err := mssp.RunWithHopset(nd, sr, s.g.WeightRow(nd.ID), inS, ent.art.At(nd.ID))
+		if err != nil {
+			return err
+		}
+		rows.Rows[nd.ID] = res.Dist
+		return nil
+	})
+	return rows, stats, err
+}
+
+func (s *simExec) sssp(ctx context.Context, source int) ([]int64, int, Stats, error) {
+	sr := s.g.AugSemiring()
+	var dist []int64
+	var iters int
+	stats, err := s.run(ctx, func(nd *cc.Node) error {
+		d, it := sssp.Exact(nd, sr, s.g.WeightRow(nd.ID), source, 0)
+		if nd.ID == 0 {
+			dist = append([]int64(nil), d...)
+			iters = it
+		}
+		return nil
+	})
+	return dist, iters, stats, err
+}
+
+func (s *simExec) apsp(ctx context.Context, v api.APSPVariant, entG, entLow *artifactEntry) ([][]int64, Stats, error) {
+	sr := s.g.AugSemiring()
+	eps := s.opts.Epsilon
+	boards := hitting.NewBoardSeq(s.g.N)
+	dist := make([][]int64, s.g.N)
+	stats, err := s.run(ctx, func(nd *cc.Node) (err error) {
+		wrow := s.g.WeightRow(nd.ID)
+		switch v {
+		case api.APSPWeighted:
+			dist[nd.ID], err = apsp.TwoPlusEpsWeightedWithHopset(nd, sr, wrow, eps, boards, entG.art.At(nd.ID))
+		case api.APSPWeighted3:
+			dist[nd.ID], err = apsp.ThreePlusEpsWithHopset(nd, sr, wrow, eps, boards, entG.art.At(nd.ID))
+		default:
+			dist[nd.ID], err = apsp.TwoPlusEpsUnweightedWithHopsets(nd, sr, wrow, eps, boards, entLow.degs, entG.art.At(nd.ID), entLow.art.At(nd.ID))
+		}
+		return err
+	})
+	return dist, stats, err
+}
+
+func (s *simExec) diameter(ctx context.Context, ent *artifactEntry) (int64, Stats, error) {
+	sr := s.g.AugSemiring()
+	boards := hitting.NewBoardSeq(s.g.N)
+	var estimate int64
+	stats, err := s.run(ctx, func(nd *cc.Node) error {
+		est, err := diameter.ApproxWithHopset(nd, sr, s.g.WeightRow(nd.ID), boards, ent.art.At(nd.ID))
+		if nd.ID == 0 {
+			estimate = est
+		}
+		return err
+	})
+	return estimate, stats, err
+}
+
+func (s *simExec) knearest(ctx context.Context, k int) (*matrix.Mat[semiring.WHF], Stats, error) {
+	sr := s.g.RoutedSemiring()
+	rows := matrix.New[semiring.WHF](s.g.N)
+	stats, err := s.run(ctx, func(nd *cc.Node) error {
+		rows.Rows[nd.ID] = disttools.KNearest[semiring.WHF](nd, sr, s.g.WeightRowRouted(nd.ID), k)
+		return nil
+	})
+	return rows, stats, err
+}
+
+func (s *simExec) sourceDetect(ctx context.Context, inS []bool, d, k int) (*matrix.Mat[semiring.WH], Stats, error) {
+	sr := s.g.AugSemiring()
+	rows := matrix.New[semiring.WH](s.g.N)
+	stats, err := s.run(ctx, func(nd *cc.Node) error {
+		rows.Rows[nd.ID] = disttools.SourceDetectK[semiring.WH](nd, sr, s.g.WeightRow(nd.ID), inS, d, k)
+		return nil
+	})
+	return rows, stats, err
+}

@@ -37,8 +37,9 @@ func newAdmissionServer(t testing.TB, n int, cfg Config) (*Server, *httptest.Ser
 	return s, ts
 }
 
-// postQuery posts one SSSP request and returns the raw response.
-func postQuery(t testing.TB, url string, source int) *http.Response {
+// postSSSP posts one SSSP request and returns the raw response (status,
+// Retry-After header and body are all under test here).
+func postSSSP(t testing.TB, url string, source int) *http.Response {
 	t.Helper()
 	body, _ := json.Marshal(api.Request{Kind: api.KindSSSP, SSSP: &api.SSSPParams{Source: source}})
 	resp, err := http.Post(url+"/v1/query", "application/json", bytes.NewReader(body))
@@ -58,7 +59,7 @@ func TestAdmissionShedsWhenFull(t *testing.T) {
 	// Occupy the only execution slot directly - no racing a real query.
 	s.adm.slots <- struct{}{}
 
-	resp := postQuery(t, ts.URL, 0)
+	resp := postSSSP(t, ts.URL, 0)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", resp.StatusCode)
@@ -91,7 +92,7 @@ func TestAdmissionShedsWhenFull(t *testing.T) {
 
 	// Releasing the slot restores service.
 	<-s.adm.slots
-	ok := postQuery(t, ts.URL, 0)
+	ok := postSSSP(t, ts.URL, 0)
 	defer ok.Body.Close()
 	if ok.StatusCode != http.StatusOK {
 		t.Fatalf("after release: status %d, want 200", ok.StatusCode)
@@ -106,7 +107,7 @@ func TestAdmissionQueueWaitSheds(t *testing.T) {
 
 	s.adm.slots <- struct{}{}
 	start := time.Now()
-	resp := postQuery(t, ts.URL, 0)
+	resp := postSSSP(t, ts.URL, 0)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("queued past wait: status %d, want 503", resp.StatusCode)
@@ -151,7 +152,7 @@ func TestAdmissionBoundsInFlight(t *testing.T) {
 		wg.Add(1)
 		go func(src int) {
 			defer wg.Done()
-			resp := postQuery(t, ts.URL, src%12)
+			resp := postSSSP(t, ts.URL, src%12)
 			io.Copy(io.Discard, resp.Body) //nolint:errcheck
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusOK {
@@ -187,7 +188,7 @@ func TestAdmissionSaturation(t *testing.T) {
 		wg.Add(1)
 		go func(src int) {
 			defer wg.Done()
-			resp := postQuery(t, ts.URL, src%10)
+			resp := postSSSP(t, ts.URL, src%10)
 			defer resp.Body.Close()
 			if resp.StatusCode != http.StatusServiceUnavailable {
 				other.Add(1)
@@ -245,7 +246,7 @@ func TestAdmissionDisabled(t *testing.T) {
 	if s.adm != nil {
 		t.Fatal("MaxInFlight < 0 should disable admission")
 	}
-	resp := postQuery(t, ts.URL, 0)
+	resp := postSSSP(t, ts.URL, 0)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200", resp.StatusCode)
@@ -283,8 +284,8 @@ func TestAdmissionCacheHitsBypass(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
-	warm := postQuery(t, ts.URL, 0) // populate the cache
-	io.Copy(io.Discard, warm.Body)  //nolint:errcheck
+	warm := postSSSP(t, ts.URL, 0) // populate the cache
+	io.Copy(io.Discard, warm.Body) //nolint:errcheck
 	warm.Body.Close()
 	if warm.StatusCode != http.StatusOK {
 		t.Fatalf("warmup: status %d", warm.StatusCode)
@@ -293,7 +294,7 @@ func TestAdmissionCacheHitsBypass(t *testing.T) {
 	s.adm.slots <- struct{}{}
 	defer func() { <-s.adm.slots }()
 
-	hit := postQuery(t, ts.URL, 0)
+	hit := postSSSP(t, ts.URL, 0)
 	defer hit.Body.Close()
 	if hit.StatusCode != http.StatusOK {
 		t.Fatalf("cache hit during saturation: status %d, want 200", hit.StatusCode)
@@ -304,33 +305,6 @@ func TestAdmissionCacheHitsBypass(t *testing.T) {
 	}
 	if !resp.Cached {
 		t.Error("response not marked cached")
-	}
-}
-
-// TestLegacyOverloadShape: the frozen query-string shims shed with the
-// historical {"error": ...} body plus the Retry-After hint.
-func TestLegacyOverloadShape(t *testing.T) {
-	s, ts := newAdmissionServer(t, 10, Config{MaxInFlight: 1, MaxQueue: -1})
-	s.adm.slots <- struct{}{}
-	defer func() { <-s.adm.slots }()
-
-	resp, err := http.Get(ts.URL + "/v1/sssp?source=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503", resp.StatusCode)
-	}
-	if got := resp.Header.Get("Retry-After"); got != retryAfterHint {
-		t.Errorf("Retry-After %q, want %q", got, retryAfterHint)
-	}
-	var body map[string]string
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(body["error"], "overloaded") {
-		t.Errorf("legacy error body %q, want an overloaded message", body["error"])
 	}
 }
 

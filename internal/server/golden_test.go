@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -21,6 +22,12 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden response files
 // can be pinned byte-for-byte.
 func goldenGraph(t testing.TB) *ccsp.Engine {
 	t.Helper()
+	return goldenEngine(t, ccsp.ExecSimulated)
+}
+
+// goldenEngine preprocesses the golden graph in the given execution mode.
+func goldenEngine(t testing.TB, exec ccsp.Execution) *ccsp.Engine {
+	t.Helper()
 	gr := ccsp.NewGraph(8)
 	for _, e := range [][3]int64{
 		{0, 1, 2}, {1, 2, 3}, {2, 3, 1}, {3, 4, 4}, {4, 5, 2}, {5, 6, 5}, {6, 7, 1}, {7, 0, 3},
@@ -28,7 +35,7 @@ func goldenGraph(t testing.TB) *ccsp.Engine {
 	} {
 		gr.MustAddEdge(int(e[0]), int(e[1]), e[2])
 	}
-	eng, err := ccsp.NewEngine(context.Background(), gr, ccsp.Options{Epsilon: 0.5})
+	eng, err := ccsp.NewEngine(context.Background(), gr, ccsp.Options{Epsilon: 0.5, Execution: exec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +48,29 @@ func goldenGraph(t testing.TB) *ccsp.Engine {
 // the review gate the versioning policy of DESIGN.md §11 relies on.
 // Regenerate intentionally with: go test ./internal/server -run Golden -update
 func TestGoldenResponses(t *testing.T) {
-	eng := goldenGraph(t)
+	checkGolden(t, goldenGraph(t), false)
+}
+
+// statsBlock matches the top-level "stats" object of an indented
+// api.Response.
+var statsBlock = regexp.MustCompile(`(?s)\n  "stats": \{.*?\n  \},`)
+
+// TestGoldenResponsesDirect holds ExecDirect to the same golden files,
+// with the stats object (rounds and messages, which the kernels do not
+// have) cut from both sides. Both backends share one shaping layer, so the
+// differential oracle cannot see a shaping bug - both sides inherit it -
+// but these absolute bytes can.
+func TestGoldenResponsesDirect(t *testing.T) {
+	if *updateGolden {
+		t.Skip("golden files are written from the simulated run")
+	}
+	checkGolden(t, goldenEngine(t, ccsp.ExecDirect), true)
+}
+
+// checkGolden posts every golden case to a cache-less server over eng and
+// compares the response with the golden file, both without their stats
+// object when stripStats is set.
+func checkGolden(t *testing.T, eng *ccsp.Engine, stripStats bool) {
 	ts := newTestServer(t, eng, Config{CacheSize: -1}) // no cache: every response is a fresh run
 
 	cases := []struct {
@@ -88,8 +117,12 @@ func TestGoldenResponses(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing golden file (run with -update to create): %v", err)
 			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("response bytes diverged from %s\n got: %s\nwant: %s", path, buf.Bytes(), want)
+			got := buf.Bytes()
+			if stripStats {
+				got, want = statsBlock.ReplaceAll(got, nil), statsBlock.ReplaceAll(want, nil)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("response bytes diverged from %s\n got: %s\nwant: %s", path, got, want)
 			}
 		})
 	}

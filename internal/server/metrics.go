@@ -1,13 +1,11 @@
 // Server-side telemetry: every Server owns a private telemetry.Registry
 // (so tests and multi-server processes stay isolated) exposed at GET
 // /metrics alongside the process-global telemetry.Default that engine-
-// and cluster-level instrumentation records into. The expvar surface
-// (/debug/vars, Vars) reads through the same metrics, so the two views
-// can never drift.
+// and cluster-level instrumentation records into. GET /v1/stats reads
+// through the same metrics, so the two views can never drift.
 package server
 
 import (
-	"expvar"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -98,10 +96,10 @@ func (s *Server) metricsHandler() http.Handler {
 }
 
 // DebugHandler returns the opt-in debug surface cmd/ccspd serves on a
-// separate -debug-addr listener: net/http/pprof profiles, the expvar
-// page, and the same /metrics exposition as the public handler. It is
-// deliberately not part of Handler so profiling endpoints never ride
-// on the public serving port by accident.
+// separate -debug-addr listener: net/http/pprof profiles and the same
+// /metrics exposition as the public handler. It is deliberately not
+// part of Handler so nothing that exposes the process (profiles, its
+// command line) ever rides on the public serving port.
 func (s *Server) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -109,7 +107,6 @@ func (s *Server) DebugHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.Handle("/metrics", s.metricsHandler())
 	return mux
 }

@@ -23,14 +23,14 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// One success, one repeat (cache hit), one typed failure.
 	for i := 0; i < 2; i++ {
-		r := postQuery(t, ts.URL, 3)
+		r := postSSSP(t, ts.URL, 3)
 		io.Copy(io.Discard, r.Body) //nolint:errcheck
 		r.Body.Close()
 		if r.StatusCode != http.StatusOK {
 			t.Fatalf("query %d: status %d", i, r.StatusCode)
 		}
 	}
-	bad := postQuery(t, ts.URL, 999)
+	bad := postSSSP(t, ts.URL, 999)
 	io.Copy(io.Discard, bad.Body) //nolint:errcheck
 	bad.Body.Close()
 
@@ -68,32 +68,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestVarsKeysStable pins the expvar snapshot's historical keys: the
-// PR 8 surface must survive the move onto the telemetry registry
-// (additions are fine, removals and renames are not).
-func TestVarsKeysStable(t *testing.T) {
-	_, eng := testEngine(t, 10)
-	s, err := New(Config{Engine: eng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vars, ok := s.Vars().(map[string]interface{})
-	if !ok {
-		t.Fatalf("Vars() is %T, want a map", s.Vars())
-	}
-	for _, key := range []string{
-		"ready", "graphs", "requests", "errors", "timeouts", "queries",
-		"batches", "batch_requests", "inflight",
-		"cache_entries", "cache_hits", "cache_misses",
-	} {
-		if _, present := vars[key]; !present {
-			t.Errorf("Vars() lost historical key %q", key)
-		}
-	}
-}
-
-// TestDebugHandler: the opt-in debug mux serves pprof, expvar and the
-// metrics page; none of these ride on the public Handler's pprof paths.
+// TestDebugHandler: the opt-in debug mux serves pprof and the metrics
+// page; the public Handler serves nothing under /debug/ - neither
+// profiles nor the expvar page (command line, memstats) it once leaked.
 func TestDebugHandler(t *testing.T) {
 	_, eng := testEngine(t, 10)
 	s, err := New(Config{Engine: eng})
@@ -106,7 +83,6 @@ func TestDebugHandler(t *testing.T) {
 	for path, wantInBody := range map[string]string{
 		"/debug/pprof/":        "profiles",
 		"/debug/pprof/cmdline": "",
-		"/debug/vars":          "cmdline",
 		"/metrics":             "ccspd_requests_total",
 	} {
 		resp, err := http.Get(ts.URL + path)
@@ -124,15 +100,16 @@ func TestDebugHandler(t *testing.T) {
 		}
 	}
 
-	// The public handler must NOT serve pprof profiles.
 	pub := httptest.NewServer(s.Handler())
 	t.Cleanup(pub.Close)
-	resp, err := http.Get(pub.URL + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		t.Error("public handler serves /debug/pprof/; profiling must stay on the debug listener")
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/vars"} {
+		resp, err := http.Get(pub.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("public handler: GET %s: status %d, want 404", path, resp.StatusCode)
+		}
 	}
 }

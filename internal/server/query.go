@@ -2,7 +2,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 
@@ -34,27 +33,41 @@ func writeAPIError(w http.ResponseWriter, code int, kind api.Kind, apiErr *api.E
 	writeJSON(w, code, errorBody{Kind: kind, Error: apiErr})
 }
 
+// requirePOST answers anything but a POST with the typed 405 and reports
+// whether the handler may proceed.
+func (s *Server) requirePOST(w http.ResponseWriter, r *http.Request, kind api.Kind) bool {
+	if r.Method == http.MethodPost {
+		return true
+	}
+	s.errors.Inc()
+	writeAPIError(w, http.StatusMethodNotAllowed, kind,
+		&api.Error{Code: api.CodeMalformed, Message: "use POST"})
+	return false
+}
+
+// fail answers a request-level failure: count it (timeouts apart from
+// errors), attach Retry-After to an admission shed, and write the typed
+// error body under the status the taxonomy maps it to.
+func (s *Server) fail(w http.ResponseWriter, kind api.Kind, err error) {
+	setRetryAfter(w, err)
+	writeAPIError(w, s.countError(err), kind, ccsp.APIError(err))
+}
+
 // handleQuery serves POST /v1/query: one api.Request in, one
-// api.Response out, cached and planned identically to the legacy shims
-// (a distance request shares the single-source MSSP cache entry, an auto
-// APSP variant resolves before keying).
+// api.Response out (a distance request shares the single-source MSSP
+// cache entry, an auto APSP variant resolves before keying).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.errors.Inc()
-		writeAPIError(w, http.StatusMethodNotAllowed, "",
-			&api.Error{Code: api.CodeMalformed, Message: "use POST"})
+	if !s.requirePOST(w, r, "") {
 		return
 	}
 	req, err := api.DecodeRequest(http.MaxBytesReader(w, r.Body, maxQueryBytes))
 	if err != nil {
-		s.errors.Inc()
-		writeAPIError(w, statusForError(err), req.Kind, ccsp.APIError(err))
+		s.fail(w, req.Kind, err)
 		return
 	}
 	resp, err := s.execute(r.Context(), req)
 	if err != nil {
-		setRetryAfter(w, err)
-		writeAPIError(w, s.countError(err), req.Kind, ccsp.APIError(err))
+		s.fail(w, req.Kind, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -67,21 +80,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // timeout; a top-level error (unreadable body, oversized batch, context
 // dead before any query ran) is the only way to get a non-200.
 //
-// Cache interplay: every position is planned like a single query, hits
-// answer from the cache (Cached: true), distinct misses dedup onto one
-// engine run each, and completed runs refill the cache for the next
-// request - so a hot batch converges to zero simulator runs.
+// Cache interplay: every position goes through the same lookup as a
+// single query, hits answer from the cache (Cached: true), distinct
+// misses dedup onto one engine run each, and completed runs refill the
+// cache for the next request - so a hot batch converges to zero
+// simulator runs.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.errors.Inc()
-		writeAPIError(w, http.StatusMethodNotAllowed, "",
-			&api.Error{Code: api.CodeMalformed, Message: "use POST"})
+	if !s.requirePOST(w, r, "") {
 		return
 	}
 	br, err := api.DecodeBatchRequest(http.MaxBytesReader(w, r.Body, maxBatchBytes))
 	if err != nil {
-		s.errors.Inc()
-		writeAPIError(w, statusForError(err), "", ccsp.APIError(err))
+		s.fail(w, "", err)
 		return
 	}
 	if len(br.Requests) == 0 {
@@ -101,99 +111,83 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.batches.Inc()
 	s.batchReqs.Add(int64(len(br.Requests)))
 
-	resps := make([]api.Response, len(br.Requests))
-	// Plan every position; answer cache hits and malformed requests in
-	// place, group the rest by canonical key for one engine run each.
-	// Positions sharing a key share the run but keep their own plans:
-	// two distance requests from one source (or a distance and a plain
-	// single-source MSSP) coalesce onto one engine run yet project
-	// different responses out of it. Keys are graph-qualified, so a
-	// mixed-graph batch groups into one sub-batch per engine.
-	type member struct {
-		idx int
-		p   plan
-	}
+	// Hits and unplannable requests answer in place; the misses group by
+	// canonical key for one engine run each, and the runs by engine for
+	// one Engine.Batch each (keys are graph- and epoch-qualified, so a key
+	// belongs to exactly one engine). Positions sharing a key share the
+	// run but keep their own plans: two distance requests from one source
+	// (or a distance and a plain single-source MSSP) coalesce onto one
+	// run yet project different responses out of it.
 	type missGroup struct {
-		run     api.Request
-		eng     *ccsp.Engine
-		members []member
+		key     string
+		members []int // positions in br.Requests
 	}
-	var order []string
-	misses := make(map[string]*missGroup)
+	type engineBatch struct {
+		eng    *ccsp.Engine
+		runs   []api.Request
+		groups []*missGroup // groups[j] is answered by runs[j]
+	}
+	resps := make([]api.Response, len(br.Requests))
+	plans := make([]plan, len(br.Requests))
+	var batches []*engineBatch
+	byEngine := make(map[*ccsp.Engine]*engineBatch)
+	byKey := make(map[string]*missGroup)
 	for i, req := range br.Requests {
-		p, err := s.plan(req)
+		var hit bool
+		plans[i], resps[i], hit, err = s.lookup(req)
 		if err != nil {
 			resps[i] = api.Response{Kind: req.Kind, Graph: req.Graph, Error: ccsp.APIError(err)}
+		}
+		if err != nil || hit {
 			continue
 		}
-		if v, ok := s.cache.Get(p.key); ok {
-			s.queries.Inc()
-			resps[i] = p.finish(v.(api.Response), true)
-			continue
-		}
-		g, ok := misses[p.key]
+		p := plans[i]
+		g, ok := byKey[p.key]
 		if !ok {
-			g = &missGroup{run: p.run, eng: p.eng}
-			misses[p.key] = g
-			order = append(order, p.key)
+			g = &missGroup{key: p.key}
+			byKey[p.key] = g
+			b, ok := byEngine[p.eng]
+			if !ok {
+				b = &engineBatch{eng: p.eng}
+				byEngine[p.eng] = b
+				batches = append(batches, b)
+			}
+			b.runs = append(b.runs, p.run)
+			b.groups = append(b.groups, g)
 		}
-		g.members = append(g.members, member{idx: i, p: p})
+		g.members = append(g.members, i)
 	}
 
-	if len(order) > 0 {
-		// One Engine.Batch per distinct engine, preserving first-seen key
-		// order within each; engines run one after another under the one
-		// shared batch timeout (each engine's batch still fans out over
-		// its own bounded worker group).
-		var engines []*ccsp.Engine
-		keysByEngine := make(map[*ccsp.Engine][]string)
-		for _, key := range order {
-			eng := misses[key].eng
-			if _, seen := keysByEngine[eng]; !seen {
-				engines = append(engines, eng)
-			}
-			keysByEngine[eng] = append(keysByEngine[eng], key)
-		}
-		ctx := r.Context()
-		if s.timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.timeout)
-			defer cancel()
-		}
-		// The whole batch takes one admission slot: its engine runs
-		// execute sequentially, so it occupies one engine's worth of CPU
-		// regardless of how many positions it carries.
-		release, err := s.admit(ctx)
+	if len(batches) > 0 {
+		// The whole batch runs under one timeout and takes one admission
+		// slot: its engines run one after another (each Engine.Batch
+		// still fans out over its own bounded worker group), so it
+		// occupies one engine's worth of CPU however many positions it
+		// carries.
+		ctx, leave, err := s.enter(r.Context())
 		if err != nil {
-			setRetryAfter(w, err)
-			writeAPIError(w, s.countError(err), "", ccsp.APIError(err))
+			s.fail(w, "", err)
 			return
 		}
-		s.batchRuns.Add(int64(len(order)))
-		for _, eng := range engines {
-			keys := keysByEngine[eng]
-			runs := make([]api.Request, len(keys))
-			for j, key := range keys {
-				runs[j] = misses[key].run
-			}
-			out, err := eng.Batch(ctx, runs)
+		s.batchRuns.Add(int64(len(byKey)))
+		for _, b := range batches {
+			out, err := b.eng.Batch(ctx, b.runs)
 			if err != nil {
 				// Only "the batch never ran" (context dead on entry) lands here.
-				release()
-				writeAPIError(w, s.countError(err), "", ccsp.APIError(err))
+				leave()
+				s.fail(w, "", err)
 				return
 			}
-			for j, key := range keys {
+			for j, g := range b.groups {
 				if out[j].Error == nil {
-					s.cache.Put(key, out[j])
-					s.queries.Inc()
+					s.store(g.key, out[j])
 				}
-				for _, m := range misses[key].members {
-					resps[m.idx] = m.p.finish(out[j], false)
+				for _, i := range g.members {
+					resps[i] = plans[i].finish(out[j], false)
 				}
 			}
 		}
-		release()
+		leave()
 	}
 	// Per-position failures return inside a 200, but they still feed the
 	// serving stats: a batch workload going bad must show up in

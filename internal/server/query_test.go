@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -73,48 +72,40 @@ func TestQueryEndpointAllKinds(t *testing.T) {
 	}
 }
 
-// TestQueryEndpointSharesLegacyCache: the POST plane and the deprecated
-// GET shims key the one cache identically - a POST warms the GET and
-// vice versa, including the distance/MSSP sharing.
+// TestQueryEndpointSharesLegacyCache: requests that plan onto the same
+// run key one cache entry - a repeated query, a distance and the
+// single-source MSSP it rewrites to, an auto APSP and the variant it
+// resolves to.
 func TestQueryEndpointSharesLegacyCache(t *testing.T) {
 	_, eng := testEngine(t, 12)
 	ts := newTestServer(t, eng, Config{CacheSize: 16})
 
-	var first api.Response
-	postJSON(t, ts.URL+"/v1/query", `{"kind":"sssp","sssp":{"source":1}}`, http.StatusOK, &first)
+	var first, again api.Response
+	postQuery(t, ts.URL, `{"kind":"sssp","sssp":{"source":1}}`, http.StatusOK, &first)
 	if first.Cached {
 		t.Error("first POST sssp already cached")
 	}
-	var legacy ssspResponse
-	getJSON(t, ts.URL+"/v1/sssp?source=1", http.StatusOK, &legacy)
-	if !legacy.Cached {
-		t.Error("GET after POST missed the shared cache")
+	postQuery(t, ts.URL, `{"kind":"sssp","sssp":{"source":1}}`, http.StatusOK, &again)
+	if !again.Cached {
+		t.Error("repeated sssp missed the cache")
 	}
-	if !reflect.DeepEqual(legacy.Dist, first.SSSP.Dist) {
-		t.Error("legacy shim and query plane disagree")
+	if !reflect.DeepEqual(again.SSSP, first.SSSP) {
+		t.Error("cached answer differs from the run that filled it")
 	}
 
-	// Distance via POST warms the MSSP entry for both planes.
-	var dist api.Response
-	postJSON(t, ts.URL+"/v1/query", `{"kind":"distance","distance":{"from":4,"to":7}}`, http.StatusOK, &dist)
-	var mssp api.Response
-	postJSON(t, ts.URL+"/v1/query", `{"kind":"mssp","mssp":{"sources":[4]}}`, http.StatusOK, &mssp)
+	// A distance query warms the single-source MSSP entry.
+	var dist, mssp api.Response
+	postQuery(t, ts.URL, `{"kind":"distance","distance":{"from":4,"to":7}}`, http.StatusOK, &dist)
+	postQuery(t, ts.URL, `{"kind":"mssp","mssp":{"sources":[4]}}`, http.StatusOK, &mssp)
 	if !mssp.Cached {
 		t.Error("distance POST did not warm the mssp cache entry")
-	}
-	var legacyM msspResponse
-	getJSON(t, ts.URL+"/v1/mssp?sources=4", http.StatusOK, &legacyM)
-	if !legacyM.Cached {
-		t.Error("legacy mssp GET missed the entry a POST distance warmed")
 	}
 
 	// Auto and explicit APSP variants share one entry (auto resolves
 	// before keying).
-	var auto api.Response
-	postJSON(t, ts.URL+"/v1/query", `{"kind":"apsp"}`, http.StatusOK, &auto)
-	explicit := fmt.Sprintf(`{"kind":"apsp","apsp":{"variant":"%s"}}`, auto.APSP.Variant)
-	var resolved api.Response
-	postJSON(t, ts.URL+"/v1/query", explicit, http.StatusOK, &resolved)
+	var auto, resolved api.Response
+	postQuery(t, ts.URL, `{"kind":"apsp"}`, http.StatusOK, &auto)
+	postQuery(t, ts.URL, fmt.Sprintf(`{"kind":"apsp","apsp":{"variant":"%s"}}`, auto.APSP.Variant), http.StatusOK, &resolved)
 	if !resolved.Cached {
 		t.Error("explicit variant missed the entry auto warmed")
 	}
@@ -336,95 +327,5 @@ func TestBatchTimeout(t *testing.T) {
 		// The deadline fired before the engine saw the batch at all.
 	default:
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
-	}
-}
-
-// TestLegacyShimsByteIdentical is the deprecation contract: the GET
-// endpoints render exactly the bytes the pre-plane server rendered - the
-// reference encoding of the legacy structs built from direct Engine
-// calls.
-func TestLegacyShimsByteIdentical(t *testing.T) {
-	_, eng := testEngine(t, 12)
-	ts := newTestServer(t, eng, Config{})
-
-	render := func(v interface{}) []byte {
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(v); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	fetchRaw := func(path string) []byte {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %d: %s", path, resp.StatusCode, raw)
-		}
-		return raw
-	}
-
-	wantS, err := eng.SSSP(context.Background(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist := make([]int64, len(wantS.Dist))
-	for i, d := range wantS.Dist {
-		dist[i] = jsonDist(d)
-	}
-	wantBytes := render(ssspResponse{Source: 3, Dist: dist, Iterations: wantS.Iterations,
-		Stats: statsJSON{TotalRounds: wantS.Stats.TotalRounds, SimRounds: wantS.Stats.SimRounds,
-			Messages: wantS.Stats.Messages, Words: wantS.Stats.Words}})
-	if got := fetchRaw("/v1/sssp?source=3"); !bytes.Equal(got, wantBytes) {
-		t.Errorf("sssp shim bytes differ:\n got %s\nwant %s", got, wantBytes)
-	}
-
-	wantD, err := eng.Diameter(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBytes = render(diameterResponse{Estimate: wantD.Estimate,
-		Stats: statsJSON{TotalRounds: wantD.Stats.TotalRounds, SimRounds: wantD.Stats.SimRounds,
-			Messages: wantD.Stats.Messages, Words: wantD.Stats.Words}})
-	if got := fetchRaw("/v1/diameter"); !bytes.Equal(got, wantBytes) {
-		t.Errorf("diameter shim bytes differ:\n got %s\nwant %s", got, wantBytes)
-	}
-
-	wantM, err := eng.MSSP(context.Background(), []int{2, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mdist := make([][]int64, len(wantM.Dist))
-	for v, row := range wantM.Dist {
-		mdist[v] = make([]int64, len(row))
-		for i, d := range row {
-			mdist[v][i] = jsonDist(d)
-		}
-	}
-	wantBytes = render(msspResponse{Sources: wantM.Sources, Dist: mdist,
-		Stats: statsJSON{TotalRounds: wantM.Stats.TotalRounds, SimRounds: wantM.Stats.SimRounds,
-			Messages: wantM.Stats.Messages, Words: wantM.Stats.Words}})
-	if got := fetchRaw("/v1/mssp?sources=5,2,5"); !bytes.Equal(got, wantBytes) {
-		t.Errorf("mssp shim bytes differ:\n got %s\nwant %s", got, wantBytes)
-	}
-
-	// Error bodies keep the legacy {"error": "..."} string shape.
-	resp, err := http.Get(ts.URL + "/v1/sssp?source=banana")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	wantErr := render(map[string]string{"error": `bad parameter source="banana": not an integer`})
-	if resp.StatusCode != http.StatusBadRequest || !bytes.Equal(raw, wantErr) {
-		t.Errorf("legacy error body: %d %s, want 400 %s", resp.StatusCode, raw, wantErr)
 	}
 }

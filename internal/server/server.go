@@ -34,16 +34,6 @@
 //	                  prober consumes this)
 //	GET  /v1/stats    server, cache, graph and preprocessing stats
 //	GET  /metrics     Prometheus text exposition (internal/telemetry)
-//	GET  /debug/vars  expvar counters (queries, batches, cache, in-flight)
-//
-// Deprecated query-string shims, kept byte-identical for old clients
-// (each is a thin projection of the same plan/execute path the POST
-// endpoints use, sharing one response cache):
-//
-//	GET /v1/sssp?source=S            exact single-source distances
-//	GET /v1/mssp?sources=A,B,...     (1+ε)-approximate multi-source distances
-//	GET /v1/distance?from=U&to=V     one (1+ε)-approximate pair, via MSSP
-//	GET /v1/diameter                 near-3/2 diameter estimate
 //
 // Every query runs under the request context (plus the per-request
 // Config.Timeout): a fired deadline or a dropped client connection stops
@@ -64,14 +54,13 @@
 //	ccsp.ErrInvalidSource      422 Unprocessable Entity
 //	ccsp.ErrInvalidOption      422 Unprocessable Entity
 //	api.ErrMalformed           400 Bad Request
-//	anything else (bad params) 400 Bad Request
+//	anything else              400 Bad Request
 package server
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"net/http"
 	"sort"
@@ -154,8 +143,8 @@ type Server struct {
 	adm      *admission // nil = admission control disabled
 
 	// Serving metrics, owned by the per-server telemetry registry (see
-	// metrics.go); Vars and /v1/stats read through the same values, so
-	// the expvar and Prometheus views can never drift.
+	// metrics.go); /v1/stats reads through the same values /metrics
+	// renders, so the two views can never drift.
 	reg       *telemetry.Registry
 	requests  *telemetry.Counter // every HTTP request hitting a handler
 	errors    *telemetry.Counter // failed queries (non-timeout)
@@ -312,8 +301,8 @@ func (s *Server) defaultEntry() *engineEntry {
 // Handler returns the HTTP handler serving all endpoints. Serving
 // endpoints run under the instrumentation middleware (per-endpoint
 // status-class counters and latency histograms, see metrics.go); the
-// metrics and expvar pages themselves are served bare so scrapes never
-// pollute the request metrics they read.
+// metrics page itself is served bare so scrapes never pollute the request
+// metrics they read. Profiling lives on DebugHandler, never here.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/healthz", s.instrument("healthz", s.handleHealthz))
@@ -326,14 +315,6 @@ func (s *Server) Handler() http.Handler {
 	// Prometheus text exposition: this server's registry plus the
 	// process-global one (engine and cluster metrics).
 	mux.Handle("/metrics", s.metricsHandler())
-	// expvar counters (see Vars); the handler serves the process-global
-	// registry, cmd/ccspd publishes this server's snapshot into it.
-	mux.Handle("/debug/vars", expvar.Handler())
-	// Deprecated query-string shims (see legacy.go).
-	mux.Handle("/v1/sssp", s.instrument("sssp", s.handleSSSP))
-	mux.Handle("/v1/mssp", s.instrument("mssp", s.handleMSSP))
-	mux.Handle("/v1/distance", s.instrument("distance", s.handleDistance))
-	mux.Handle("/v1/diameter", s.instrument("diameter", s.handleDiameter))
 	return mux
 }
 
@@ -424,50 +405,71 @@ func (s *Server) plan(req api.Request) (plan, error) {
 	}
 }
 
-// execute is the shared request path of every query endpoint: plan,
-// consult the cache, run under the request context + timeout, cache and
-// project. Only completed results are cached; cached responses repeat
-// the original run's deterministic stats.
-func (s *Server) execute(ctx context.Context, req api.Request) (api.Response, error) {
-	p, err := s.plan(req)
-	if err != nil {
-		return api.Response{}, err
+// lookup is the first shared step of every query position: plan the
+// request and consult the response cache. A hit is counted and comes back
+// finished (Cached: true); a miss returns the plan to run.
+func (s *Server) lookup(req api.Request) (p plan, resp api.Response, hit bool, err error) {
+	if p, err = s.plan(req); err != nil {
+		return p, resp, false, err
 	}
 	if v, ok := s.cache.Get(p.key); ok {
 		s.queries.Inc()
-		return p.finish(v.(api.Response), true), nil
+		return p, p.finish(v.(api.Response), true), true, nil
 	}
-	// Engine-bound work passes admission control: a saturated daemon
-	// sheds here with a fast typed 503 instead of queueing unboundedly.
-	release, err := s.admit(ctx)
-	if err != nil {
-		return api.Response{}, err
-	}
-	resp, err := s.runQuery(ctx, p.eng, p.run)
-	release()
-	if err != nil {
-		return api.Response{}, err
-	}
-	s.cache.Put(p.key, resp)
-	s.queries.Inc()
-	return p.finish(resp, false), nil
+	return p, resp, false, nil
 }
 
-// runQuery executes one engine query under the request context plus the
-// server timeout, synchronously on the request goroutine: when the
-// context fires, the simulator unwinds at its next barrier and the query
-// returns - no goroutine keeps burning CPU behind an abandoned request.
-func (s *Server) runQuery(ctx context.Context, eng *ccsp.Engine, req api.Request) (api.Response, error) {
+// withTimeout bounds ctx by the per-request Config.Timeout (unbounded
+// when 0).
+func (s *Server) withTimeout(ctx context.Context) (context.Context, context.CancelFunc) {
 	if s.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.timeout)
-		defer cancel()
+		return context.WithTimeout(ctx, s.timeout)
 	}
-	resp, err := eng.Query(ctx, req)
+	return ctx, func() {}
+}
+
+// enter is the gate in front of all engine-bound work: bound the request
+// by the server timeout, then pass admission control - a saturated daemon
+// sheds here with a fast typed 503 instead of queueing unboundedly. The
+// work runs synchronously on the request goroutine under the returned
+// context, so when it fires the run unwinds and the request returns - no
+// goroutine keeps burning CPU behind an abandoned request. leave must be
+// called once the engine work completes.
+func (s *Server) enter(ctx context.Context) (_ context.Context, leave func(), err error) {
+	ctx, cancel := s.withTimeout(ctx)
+	release, err := s.admit(ctx)
+	if err != nil {
+		cancel()
+		return nil, nil, err
+	}
+	return ctx, func() { release(); cancel() }, nil
+}
+
+// store caches one completed engine response under its plan key and
+// counts it. Only completed results are cached; cached responses repeat
+// the original run's deterministic stats.
+func (s *Server) store(key string, resp api.Response) {
+	s.cache.Put(key, resp)
+	s.queries.Inc()
+}
+
+// execute answers one request: lookup, enter, run, store, project.
+func (s *Server) execute(ctx context.Context, req api.Request) (api.Response, error) {
+	p, resp, hit, err := s.lookup(req)
+	if err != nil || hit {
+		return resp, err
+	}
+	ctx, leave, err := s.enter(ctx)
 	if err != nil {
 		return api.Response{}, err
 	}
-	return *resp, nil
+	out, err := p.eng.Query(ctx, p.run)
+	leave()
+	if err != nil {
+		return api.Response{}, err
+	}
+	s.store(p.key, *out)
+	return p.finish(*out, false), nil
 }
 
 // statusClientClosedRequest is nginx's non-standard 499, the
@@ -644,41 +646,10 @@ func engineStats(entry *engineEntry) (graph, options, preprocess map[string]inte
 	return graph, options, preprocess
 }
 
-// Vars returns a point-in-time snapshot of the serving counters in
-// expvar's shape; cmd/ccspd publishes it as the "ccspd" expvar so
-// /debug/vars exposes queries served, batch sizes, cache hit rates and
-// in-flight load without a scrape dependency. It reads through the
-// same telemetry metrics /metrics renders - one source of truth, two
-// views - and its historical keys are a compatibility surface: they
-// only ever gain siblings, never change.
-func (s *Server) Vars() interface{} {
-	entries, hits, misses := s.cache.Stats()
-	return map[string]interface{}{
-		"ready":          s.ready.Load(),
-		"graphs":         len(s.graphIDs()),
-		"requests":       s.requests.Value(),
-		"errors":         s.errors.Value(),
-		"timeouts":       s.timeouts.Value(),
-		"queries":        s.queries.Value(),
-		"batches":        s.batches.Value(),
-		"batch_requests": s.batchReqs.Value(),
-		"shed":           s.shed.Value(),
-		"updates":        s.updates.Value(),
-		"inflight":       s.inflight.Value(),
-		"cache_entries":  entries,
-		"cache_hits":     hits,
-		"cache_misses":   misses,
-	}
-}
-
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v) //nolint:errcheck // the client is gone if this fails
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
 }

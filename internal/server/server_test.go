@@ -10,11 +10,13 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/congestedclique/ccsp"
+	"github.com/congestedclique/ccsp/api"
 )
 
 // jsonDist maps the in-process Unreachable sentinel to the wire's -1,
@@ -83,6 +85,14 @@ func getJSON(t *testing.T, url string, wantCode int, out interface{}) {
 	}
 }
 
+// postQuery POSTs one request body to /v1/query, asserts the status code
+// and decodes the answer into out: an *api.Response on 200, an *errorBody
+// otherwise (nil skips decoding).
+func postQuery(t *testing.T, base, body string, wantCode int, out interface{}) {
+	t.Helper()
+	postJSON(t, base+"/v1/query", body, wantCode, out)
+}
+
 func TestEndpointsMatchEngine(t *testing.T) {
 	gr, eng := testEngine(t, 16)
 	ts := newTestServer(t, eng, Config{})
@@ -102,33 +112,33 @@ func TestEndpointsMatchEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sr ssspResponse
-	getJSON(t, ts.URL+"/v1/sssp?source=3", http.StatusOK, &sr)
-	if sr.Source != 3 || sr.Iterations != want.Iterations || len(sr.Dist) != gr.N() {
-		t.Errorf("sssp shape: %+v", sr)
+	var sr api.Response
+	postQuery(t, ts.URL, `{"kind":"sssp","sssp":{"source":3}}`, http.StatusOK, &sr)
+	if sr.SSSP.Source != 3 || sr.SSSP.Iterations != want.Iterations || len(sr.SSSP.Dist) != gr.N() {
+		t.Errorf("sssp shape: %+v", sr.SSSP)
 	}
 	for v, d := range want.Dist {
-		if sr.Dist[v] != jsonDist(d) {
-			t.Errorf("sssp dist[%d] = %d, want %d", v, sr.Dist[v], jsonDist(d))
+		if sr.SSSP.Dist[v] != jsonDist(d) {
+			t.Errorf("sssp dist[%d] = %d, want %d", v, sr.SSSP.Dist[v], jsonDist(d))
 		}
 	}
 	if sr.Stats.TotalRounds != want.Stats.TotalRounds {
 		t.Errorf("sssp rounds %d, want %d", sr.Stats.TotalRounds, want.Stats.TotalRounds)
 	}
 
-	// MSSP matches, and /v1/distance agrees with the MSSP row.
+	// MSSP matches, and a distance query agrees with the MSSP row.
 	wantM, err := eng.MSSP(context.Background(), []int{2, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mr msspResponse
-	getJSON(t, ts.URL+"/v1/mssp?sources=5,2,5", http.StatusOK, &mr)
-	if !reflect.DeepEqual(mr.Sources, wantM.Sources) {
-		t.Errorf("mssp sources %v, want %v", mr.Sources, wantM.Sources)
+	var mr api.Response
+	postQuery(t, ts.URL, `{"kind":"mssp","mssp":{"sources":[5,2,5]}}`, http.StatusOK, &mr)
+	if !reflect.DeepEqual(mr.MSSP.Sources, wantM.Sources) {
+		t.Errorf("mssp sources %v, want %v", mr.MSSP.Sources, wantM.Sources)
 	}
 	for v := range wantM.Dist {
 		for i := range wantM.Dist[v] {
-			if mr.Dist[v][i] != jsonDist(wantM.Dist[v][i]) {
+			if mr.MSSP.Dist[v][i] != jsonDist(wantM.Dist[v][i]) {
 				t.Errorf("mssp dist[%d][%d] mismatch", v, i)
 			}
 		}
@@ -138,10 +148,10 @@ func TestEndpointsMatchEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dr distanceResponse
-	getJSON(t, ts.URL+"/v1/distance?from=2&to=9", http.StatusOK, &dr)
-	if wd := jsonDist(wantP.Dist[9][0]); dr.Distance != wd || !dr.Reachable {
-		t.Errorf("distance 2->9 = %+v, want %d", dr, wd)
+	var dr api.Response
+	postQuery(t, ts.URL, `{"kind":"distance","distance":{"from":2,"to":9}}`, http.StatusOK, &dr)
+	if wd := jsonDist(wantP.Dist[9][0]); dr.Distance.Distance != wd || !dr.Distance.Reachable {
+		t.Errorf("distance 2->9 = %+v, want %d", dr.Distance, wd)
 	}
 
 	// Diameter matches.
@@ -149,10 +159,10 @@ func TestEndpointsMatchEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var er diameterResponse
-	getJSON(t, ts.URL+"/v1/diameter", http.StatusOK, &er)
-	if er.Estimate != wantD.Estimate {
-		t.Errorf("diameter %d, want %d", er.Estimate, wantD.Estimate)
+	var er api.Response
+	postQuery(t, ts.URL, `{"kind":"diameter"}`, http.StatusOK, &er)
+	if er.Diameter.Estimate != wantD.Estimate {
+		t.Errorf("diameter %d, want %d", er.Diameter.Estimate, wantD.Estimate)
 	}
 
 	// Stats reports the serving state.
@@ -182,22 +192,21 @@ func TestCacheHits(t *testing.T) {
 	_, eng := testEngine(t, 12)
 	ts := newTestServer(t, eng, Config{CacheSize: 8})
 
-	var first, second ssspResponse
-	getJSON(t, ts.URL+"/v1/sssp?source=1", http.StatusOK, &first)
-	getJSON(t, ts.URL+"/v1/sssp?source=1", http.StatusOK, &second)
+	var first, second api.Response
+	postQuery(t, ts.URL, `{"kind":"sssp","sssp":{"source":1}}`, http.StatusOK, &first)
+	postQuery(t, ts.URL, `{"kind":"sssp","sssp":{"source":1}}`, http.StatusOK, &second)
 	if first.Cached || !second.Cached {
 		t.Errorf("cached flags: first=%v second=%v, want false/true", first.Cached, second.Cached)
 	}
-	if !reflect.DeepEqual(first.Dist, second.Dist) {
+	if !reflect.DeepEqual(first.SSSP, second.SSSP) {
 		t.Error("cached response differs")
 	}
 
-	// /v1/distance shares the MSSP cache: an mssp query for the same
+	// A distance query shares the MSSP cache: an mssp query for the same
 	// single source must be a hit.
-	var dr distanceResponse
-	getJSON(t, ts.URL+"/v1/distance?from=4&to=7", http.StatusOK, &dr)
-	var mr msspResponse
-	getJSON(t, ts.URL+"/v1/mssp?sources=4", http.StatusOK, &mr)
+	var dr, mr api.Response
+	postQuery(t, ts.URL, `{"kind":"distance","distance":{"from":4,"to":7}}`, http.StatusOK, &dr)
+	postQuery(t, ts.URL, `{"kind":"mssp","mssp":{"sources":[4]}}`, http.StatusOK, &mr)
 	if dr.Cached || !mr.Cached {
 		t.Errorf("distance/mssp cache sharing: distance.cached=%v mssp.cached=%v", dr.Cached, mr.Cached)
 	}
@@ -207,36 +216,22 @@ func TestBadRequests(t *testing.T) {
 	_, eng := testEngine(t, 10)
 	ts := newTestServer(t, eng, Config{})
 
-	for _, tc := range []struct {
-		url  string
-		code int
-	}{
-		{"/v1/sssp", http.StatusBadRequest},             // missing source
-		{"/v1/sssp?source=x", http.StatusBadRequest},    // not an integer
-		{"/v1/mssp", http.StatusBadRequest},             // missing sources
-		{"/v1/mssp?sources=1,x", http.StatusBadRequest}, // bad list
-		{"/v1/distance?from=0", http.StatusBadRequest},  // missing to
-		// Out-of-range IDs are typed ccsp.ErrInvalidSource → 422.
-		{"/v1/sssp?source=99", http.StatusUnprocessableEntity},
-		{"/v1/mssp?sources=-2", http.StatusUnprocessableEntity},
-		{"/v1/distance?from=0&to=1000", http.StatusUnprocessableEntity},
+	// Out-of-range IDs are typed ccsp.ErrInvalidSource → 422.
+	for _, body := range []string{
+		`{"kind":"sssp","sssp":{"source":99}}`,
+		`{"kind":"mssp","mssp":{"sources":[-2]}}`,
+		`{"kind":"distance","distance":{"from":0,"to":1000}}`,
 	} {
-		var e struct {
-			Error string `json:"error"`
-		}
-		getJSON(t, ts.URL+tc.url, tc.code, &e)
-		if e.Error == "" {
-			t.Errorf("%s: empty error message", tc.url)
+		var e errorBody
+		postQuery(t, ts.URL, body, http.StatusUnprocessableEntity, &e)
+		if e.Error == nil || e.Error.Message == "" {
+			t.Errorf("%s: empty error message", body)
 		}
 	}
 
-	resp, err := http.Post(ts.URL+"/v1/diameter", "text/plain", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST: status %d, want 405", resp.StatusCode)
+	// The query-string routes of the pre-plane server are gone.
+	for _, path := range []string{"/v1/sssp?source=1", "/v1/mssp?sources=1", "/v1/distance?from=0&to=1", "/v1/diameter"} {
+		getJSON(t, ts.URL+path, http.StatusNotFound, nil)
 	}
 }
 
@@ -248,12 +243,10 @@ func TestRequestTimeout(t *testing.T) {
 	// completion filling the cache.
 	ts := newTestServer(t, eng, Config{Timeout: time.Nanosecond})
 	for i := 0; i < 3; i++ {
-		var e struct {
-			Error string `json:"error"`
-		}
-		getJSON(t, ts.URL+"/v1/diameter", http.StatusGatewayTimeout, &e)
-		if e.Error == "" {
-			t.Error("timeout: empty error message")
+		var e errorBody
+		postQuery(t, ts.URL, `{"kind":"diameter"}`, http.StatusGatewayTimeout, &e)
+		if e.Error == nil || e.Error.Code != api.CodeDeadline {
+			t.Errorf("timeout: error %+v, want code %q", e.Error, api.CodeDeadline)
 		}
 	}
 
@@ -280,11 +273,14 @@ func TestCanceledRequestStopsRun(t *testing.T) {
 	// A request whose context is already dead: the run aborts at entry.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	req := httptest.NewRequest(http.MethodGet, "/v1/diameter", nil).WithContext(ctx)
+	req := httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(`{"kind":"diameter"}`)).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != statusClientClosedRequest {
 		t.Fatalf("pre-canceled request: status %d, want %d: %s", rec.Code, statusClientClosedRequest, rec.Body)
+	}
+	if entries, _, _ := s.cache.Stats(); entries != 0 {
+		t.Errorf("canceled request left %d cache entries", entries)
 	}
 
 	// A request canceled mid-run: the handler returns 499 once the
@@ -292,7 +288,7 @@ func TestCanceledRequestStopsRun(t *testing.T) {
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	timer := time.AfterFunc(10*time.Millisecond, cancel2)
 	defer timer.Stop()
-	req2 := httptest.NewRequest(http.MethodGet, "/v1/mssp?sources=1,2,3", nil).WithContext(ctx2)
+	req2 := httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(`{"kind":"mssp","mssp":{"sources":[1,2,3]}}`)).WithContext(ctx2)
 	rec2 := httptest.NewRecorder()
 	h.ServeHTTP(rec2, req2)
 	if rec2.Code != statusClientClosedRequest && rec2.Code != http.StatusOK {
@@ -343,8 +339,8 @@ func TestStatusMapping(t *testing.T) {
 }
 
 // TestConcurrentHandlers is the race-enabled acceptance test for the
-// serving layer: many goroutines hit SSSP/MSSP/distance/diameter/stats
-// endpoints against one shared engine, and every response must match the
+// serving layer: many goroutines send SSSP/MSSP/distance/diameter queries
+// and read /v1/stats against one shared engine, and every response must match the
 // corresponding direct Engine call.
 func TestConcurrentHandlers(t *testing.T) {
 	gr, eng := testEngine(t, 16)
@@ -354,7 +350,7 @@ func TestConcurrentHandlers(t *testing.T) {
 	// the JSON convention (-1 for unreachable).
 	wantSSSP := map[int][]int64{}
 	wantMSSP := map[int][][]int64{}
-	wantPair := map[int][][]int64{} // MSSP(context.Background(), {s}): what /v1/distance?from=s slices
+	wantPair := map[int][][]int64{} // MSSP(context.Background(), {s}): what a distance query from s slices
 	for s := 0; s < 4; s++ {
 		r, err := eng.SSSP(context.Background(), s)
 		if err != nil {
@@ -389,46 +385,46 @@ func TestConcurrentHandlers(t *testing.T) {
 				s := (g + i) % 4
 				switch g % 4 {
 				case 0:
-					var sr ssspResponse
-					if err := fetch(ts.URL+fmt.Sprintf("/v1/sssp?source=%d", s), &sr); err != nil {
+					var sr api.Response
+					if err := fetch(ts.URL+"/v1/query", fmt.Sprintf(`{"kind":"sssp","sssp":{"source":%d}}`, s), &sr); err != nil {
 						errs <- err
 						continue
 					}
-					if !reflect.DeepEqual(sr.Dist, wantSSSP[s]) {
+					if !reflect.DeepEqual(sr.SSSP.Dist, wantSSSP[s]) {
 						errs <- fmt.Errorf("sssp(%d) distances differ from direct engine call", s)
 					}
 				case 1:
-					var mr msspResponse
-					if err := fetch(ts.URL+fmt.Sprintf("/v1/mssp?sources=%d,%d", s, s+4), &mr); err != nil {
+					var mr api.Response
+					if err := fetch(ts.URL+"/v1/query", fmt.Sprintf(`{"kind":"mssp","mssp":{"sources":[%d,%d]}}`, s, s+4), &mr); err != nil {
 						errs <- err
 						continue
 					}
-					if !reflect.DeepEqual(mr.Dist, wantMSSP[s]) {
+					if !reflect.DeepEqual(mr.MSSP.Dist, wantMSSP[s]) {
 						errs <- fmt.Errorf("mssp(%d,%d) distances differ from direct engine call", s, s+4)
 					}
 				case 2:
 					to := (s + 7) % gr.N()
-					var dr distanceResponse
-					if err := fetch(ts.URL+fmt.Sprintf("/v1/distance?from=%d&to=%d", s, to), &dr); err != nil {
+					var dr api.Response
+					if err := fetch(ts.URL+"/v1/query", fmt.Sprintf(`{"kind":"distance","distance":{"from":%d,"to":%d}}`, s, to), &dr); err != nil {
 						errs <- err
 						continue
 					}
-					if want := wantPair[s][to][0]; dr.Distance != want {
-						errs <- fmt.Errorf("distance(%d,%d) = %d, want %d", s, to, dr.Distance, want)
+					if want := wantPair[s][to][0]; dr.Distance.Distance != want {
+						errs <- fmt.Errorf("distance(%d,%d) = %d, want %d", s, to, dr.Distance.Distance, want)
 					}
 				default:
-					var er diameterResponse
-					if err := fetch(ts.URL+"/v1/diameter", &er); err != nil {
+					var er api.Response
+					if err := fetch(ts.URL+"/v1/query", `{"kind":"diameter"}`, &er); err != nil {
 						errs <- err
 						continue
 					}
-					if er.Estimate != wantD.Estimate {
-						errs <- fmt.Errorf("diameter = %d, want %d", er.Estimate, wantD.Estimate)
+					if er.Diameter.Estimate != wantD.Estimate {
+						errs <- fmt.Errorf("diameter = %d, want %d", er.Diameter.Estimate, wantD.Estimate)
 					}
 				}
 				// Interleave stats reads: they take the same locks.
 				if i%3 == 0 {
-					if err := fetch(ts.URL+"/v1/stats", &struct{}{}); err != nil {
+					if err := fetch(ts.URL+"/v1/stats", "", &struct{}{}); err != nil {
 						errs <- err
 					}
 				}
@@ -458,20 +454,29 @@ func jsonMat(dist [][]int64) [][]int64 {
 	return out
 }
 
-// fetch GETs url and decodes JSON into out, returning an error for any
-// non-200.
-func fetch(url string, out interface{}) error {
-	resp, err := http.Get(url)
+// fetch is getJSON / postQuery for worker goroutines, which may not call
+// t.Fatal: it GETs url (POSTs body when there is one) and decodes a 200
+// into out; anything else comes back as an error.
+func fetch(url, body string, out interface{}) error {
+	method := http.MethodGet
+	if body != "" {
+		method = http.MethodPost
+	}
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		return err
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: status %d: %s", url, resp.StatusCode, body)
+		return fmt.Errorf("%s %s: status %d: %s", url, body, resp.StatusCode, raw)
 	}
-	return json.Unmarshal(body, out)
+	return json.Unmarshal(raw, out)
 }

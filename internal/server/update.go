@@ -2,7 +2,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 
@@ -32,16 +31,12 @@ const (
 // one per graph - so it cannot multiply under request pressure the way
 // query work can.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.errors.Inc()
-		writeAPIError(w, http.StatusMethodNotAllowed, api.KindUpdate,
-			&api.Error{Code: api.CodeMalformed, Message: "use POST"})
+	if !s.requirePOST(w, r, api.KindUpdate) {
 		return
 	}
 	ur, err := api.DecodeUpdateRequest(http.MaxBytesReader(w, r.Body, maxUpdateBytes))
 	if err != nil {
-		s.errors.Inc()
-		writeAPIError(w, statusForError(err), api.KindUpdate, ccsp.APIError(err))
+		s.fail(w, api.KindUpdate, err)
 		return
 	}
 	if len(ur.Updates) > maxUpdatesPerBatch {
@@ -53,8 +48,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	entry, err := s.engineFor(ur.Graph)
 	if err != nil {
-		s.errors.Inc()
-		writeAPIError(w, statusForError(err), api.KindUpdate, ccsp.APIError(err))
+		s.fail(w, api.KindUpdate, err)
 		return
 	}
 	if entry.dyn == nil {
@@ -68,15 +62,11 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	for i, u := range ur.Updates {
 		ups[i] = ccsp.EdgeUpdate{U: u.U, V: u.V, W: u.W}
 	}
-	ctx := r.Context()
-	if s.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.timeout)
-		defer cancel()
-	}
+	ctx, cancel := s.withTimeout(r.Context())
+	defer cancel()
 	epoch, err := entry.dyn.ApplyUpdates(ctx, ups)
 	if err != nil {
-		writeAPIError(w, s.countError(err), api.KindUpdate, ccsp.APIError(err))
+		s.fail(w, api.KindUpdate, err)
 		return
 	}
 	s.updates.Inc()
@@ -91,7 +81,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		// failure drops it (503/422 by taxonomy); a fired deadline only
 		// abandons the wait - the rebuild continues and the epoch may
 		// still publish, observable via GET /v1/epoch.
-		writeAPIError(w, s.countError(err), api.KindUpdate, ccsp.APIError(err))
+		s.fail(w, api.KindUpdate, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -103,14 +93,12 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 	graph := r.URL.Query().Get("graph")
 	if err := api.ValidateGraphID(graph); err != nil {
-		s.errors.Inc()
-		writeAPIError(w, statusForError(err), "", ccsp.APIError(err))
+		s.fail(w, "", err)
 		return
 	}
 	entry, err := s.engineFor(graph)
 	if err != nil {
-		s.errors.Inc()
-		writeAPIError(w, statusForError(err), "", ccsp.APIError(err))
+		s.fail(w, "", err)
 		return
 	}
 	resp := api.EpochResponse{Graph: graph, Epoch: entry.current().Epoch()}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/congestedclique/ccsp"
+	"github.com/congestedclique/ccsp/api"
 )
 
 // pathEngine builds the weighted path 0-1-...-(n-1) (every edge weight
@@ -64,9 +65,9 @@ func TestUpdateBumpsEpochAndServesFresh(t *testing.T) {
 
 	// Warm the cache: dist(0,7) on the unit path is exactly 7.
 	var d distResponse
-	getJSON(t, ts.URL+"/v1/distance?from=0&to=7", http.StatusOK, &d)
-	if d.Distance != 7 {
-		t.Fatalf("pre-update distance = %d, want 7", d.Distance)
+	postQuery(t, ts.URL, `{"kind":"distance","distance":{"from":0,"to":7}}`, http.StatusOK, &d)
+	if d.Distance.Distance != 7 {
+		t.Fatalf("pre-update distance = %d, want 7", d.Distance.Distance)
 	}
 
 	// Reweight edge {6,7} to 100: dist(0,7) becomes 106.
@@ -80,9 +81,9 @@ func TestUpdateBumpsEpochAndServesFresh(t *testing.T) {
 	if ep.Epoch != 1 {
 		t.Fatalf("post-update epoch = %d, want 1", ep.Epoch)
 	}
-	getJSON(t, ts.URL+"/v1/distance?from=0&to=7", http.StatusOK, &d)
-	if d.Distance != 106 {
-		t.Fatalf("post-update distance = %d, want 106 (stale cache?)", d.Distance)
+	postQuery(t, ts.URL, `{"kind":"distance","distance":{"from":0,"to":7}}`, http.StatusOK, &d)
+	if d.Distance.Distance != 106 {
+		t.Fatalf("post-update distance = %d, want 106 (stale cache?)", d.Distance.Distance)
 	}
 
 	// Delete the edge: node 7 falls off the path and the wire answers -1.
@@ -90,9 +91,9 @@ func TestUpdateBumpsEpochAndServesFresh(t *testing.T) {
 	if ur.Epoch != 2 {
 		t.Fatalf("second update epoch = %d, want 2", ur.Epoch)
 	}
-	getJSON(t, ts.URL+"/v1/distance?from=0&to=7", http.StatusOK, &d)
-	if d.Distance != -1 {
-		t.Fatalf("post-delete distance = %d, want -1", d.Distance)
+	postQuery(t, ts.URL, `{"kind":"distance","distance":{"from":0,"to":7}}`, http.StatusOK, &d)
+	if d.Distance.Distance != -1 {
+		t.Fatalf("post-delete distance = %d, want -1", d.Distance.Distance)
 	}
 }
 
@@ -128,11 +129,11 @@ func TestUpdateMatchesColdEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sr ssspResponse
-	getJSON(t, ts.URL+"/v1/sssp?source=0", http.StatusOK, &sr)
+	var sr api.Response
+	postQuery(t, ts.URL, `{"kind":"sssp","sssp":{"source":0}}`, http.StatusOK, &sr)
 	for v, wd := range want.Dist {
-		if sr.Dist[v] != jsonDist(wd) {
-			t.Fatalf("dist[%d] = %d over HTTP, cold engine says %d", v, sr.Dist[v], jsonDist(wd))
+		if sr.SSSP.Dist[v] != jsonDist(wd) {
+			t.Fatalf("dist[%d] = %d over HTTP, cold engine says %d", v, sr.SSSP.Dist[v], jsonDist(wd))
 		}
 	}
 }
@@ -234,9 +235,9 @@ func TestAsyncUpdate(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	var d distResponse
-	getJSON(t, ts.URL+"/v1/distance?from=0&to=1", http.StatusOK, &d)
-	if d.Distance != 9 {
-		t.Fatalf("post-async distance = %d, want 9", d.Distance)
+	postQuery(t, ts.URL, `{"kind":"distance","distance":{"from":0,"to":1}}`, http.StatusOK, &d)
+	if d.Distance.Distance != 9 {
+		t.Fatalf("post-async distance = %d, want 9", d.Distance.Distance)
 	}
 }
 
@@ -277,5 +278,7 @@ type updateResponse struct {
 }
 
 type distResponse struct {
-	Distance int64 `json:"distance"`
+	Distance struct {
+		Distance int64 `json:"distance"`
+	} `json:"distance"`
 }

@@ -113,20 +113,6 @@ func (e *Engine) ResolveAPSPVariant(v api.APSPVariant) api.APSPVariant {
 	return v
 }
 
-// apspByVariant dispatches a concrete (non-auto) APSP variant.
-func (e *Engine) apspByVariant(ctx context.Context, v api.APSPVariant) (*APSPResult, error) {
-	switch v {
-	case api.APSPWeighted:
-		return e.APSPWeighted(ctx)
-	case api.APSPWeighted3:
-		return e.APSPWeighted3(ctx)
-	case api.APSPUnweighted:
-		return e.APSPUnweighted(ctx)
-	default:
-		return nil, fmt.Errorf("%w: unknown apsp variant %q", api.ErrMalformed, v)
-	}
-}
-
 // APIError converts an error from the typed taxonomy into its wire form.
 // The context sentinels are checked first (ErrCanceled wraps them): an
 // expired deadline and a canceled caller are different codes, the same

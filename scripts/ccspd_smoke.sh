@@ -2,7 +2,8 @@
 # End-to-end smoke test of the snapshot + serving pipeline (run by CI,
 # runnable locally): build a graph, answer an MSSP query with the one-shot
 # CLI, persist the engine as a snapshot, serve it with ccspd, and assert
-# the daemon's /v1/distance answers match the CLI's distances exactly.
+# the daemon's distance answers (POST /v1/query) match the CLI's distances
+# exactly.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,6 +18,15 @@ cleanup() {
 trap cleanup EXIT
 
 addr=127.0.0.1:8947
+
+# q ADDR BODY: POST one api.Request to the daemon's /v1/query and print the
+# response on one line.
+q() { curl -fs "http://$1/v1/query" -d "$2" | tr -d ' \n'; }
+# dist ADDR FROM TO: the distance the daemon answers for one pair.
+dist() {
+  q "$1" "{\"kind\":\"distance\",\"distance\":{\"from\":$2,\"to\":$3}}" \
+    | grep -o '"distance":-\?[0-9][0-9]*' | cut -d: -f2
+}
 
 cat > "$tmp/g.txt" <<'EOF'
 # smoke graph: a weighted ring with chords
@@ -56,8 +66,7 @@ echo "healthz ok"
 fail=0
 for v in 0 1 2 3 4 5 6 7; do
   cli=$(awk -v v="$v" '$1 == v { print $2 }' "$tmp/cli.out")
-  http=$(curl -fs "http://$addr/v1/distance?from=0&to=$v" \
-    | tr -d ' \n' | grep -o '"distance":-\?[0-9]*' | cut -d: -f2)
+  http=$(dist "$addr" 0 "$v")
   if [ "$cli" != "$http" ]; then
     echo "MISMATCH node $v: cli=$cli http=$http"
     fail=1
@@ -66,13 +75,12 @@ done
 [ "$fail" = 0 ]
 echo "distance agreement ok (8 pairs)"
 
-curl -fs "http://$addr/v1/diameter" | grep -q '"estimate"'
+q "$addr" '{"kind":"diameter"}' | grep -q '"estimate"'
 curl -fs "http://$addr/v1/stats" | grep -q '"preprocess"'
 echo "diameter + stats ok"
 
 echo "== typed query plane: POST /v1/query + mixed /v1/batch"
-curl -fs "http://$addr/v1/query" -d '{"kind":"distance","distance":{"from":0,"to":5}}' \
-  | grep -q '"kind": "distance"'
+q "$addr" '{"kind":"distance","distance":{"from":0,"to":5}}' | grep -q '"kind":"distance"'
 curl -fs "http://$addr/v1/batch" -d '{"requests":[{"kind":"diameter"},{"kind":"sssp","sssp":{"source":0}}]}' \
   | grep -q '"responses"'
 echo "query plane endpoints ok"
@@ -112,7 +120,7 @@ fi
 echo "mixed batch ok (local == remote == sequential CLI)"
 
 echo "== direct-kernel daemon answers match simulated mode"
-# The same graph served with -exec direct: every /v1/distance answer must
+# The same graph served with -exec direct: every distance answer must
 # equal the simulated daemon's (= the CLI's MSSP column) byte for byte -
 # the differential-oracle guarantee, end to end over the serving stack.
 addr2=127.0.0.1:8949
@@ -126,8 +134,7 @@ curl -fs "http://$addr2/healthz" | grep -q '"status": "ok"'
 fail=0
 for v in 0 1 2 3 4 5 6 7; do
   cli=$(awk -v v="$v" '$1 == v { print $2 }' "$tmp/cli.out")
-  http=$(curl -fs "http://$addr2/v1/distance?from=0&to=$v" \
-    | tr -d ' \n' | grep -o '"distance":-\?[0-9]*' | cut -d: -f2)
+  http=$(dist "$addr2" 0 "$v")
   if [ "$cli" != "$http" ]; then
     echo "DIRECT MISMATCH node $v: cli=$cli http=$http"
     fail=1
@@ -144,14 +151,12 @@ echo "== dynamic update plane: POST /v1/update bumps the epoch and changes answe
 # 4-range answer behind, the epoch must tick 0 -> 1, and the mutated
 # daemon must agree with a cold CLI run on the mutated graph - the
 # rebuild-equals-cold-build differential, end to end over HTTP.
-pre=$(curl -fs "http://$addr/v1/distance?from=0&to=5" \
-  | tr -d ' \n' | grep -o '"distance":-\?[0-9]*' | cut -d: -f2)
+pre=$(dist "$addr" 0 5)
 curl -fs "http://$addr/v1/epoch" | grep -q '"epoch": 0'
 curl -fs "http://$addr/v1/update" -d '{"updates":[{"u":1,"v":5,"w":100}]}' \
   | grep -q '"epoch": 1'
 curl -fs "http://$addr/v1/epoch" | grep -q '"epoch": 1'
-post=$(curl -fs "http://$addr/v1/distance?from=0&to=5" \
-  | tr -d ' \n' | grep -o '"distance":-\?[0-9]*' | cut -d: -f2)
+post=$(dist "$addr" 0 5)
 if [ "$pre" = "$post" ]; then
   echo "dist(0,5) unchanged ($pre) after reweighting its shortest path"
   exit 1
@@ -161,8 +166,7 @@ sed 's/^1 5 2$/1 5 100/' "$tmp/g.txt" > "$tmp/g2.txt"
 fail=0
 for v in 0 1 2 3 4 5 6 7; do
   cli=$(awk -v v="$v" '$1 == v { print $2 }' "$tmp/cli2.out")
-  http=$(curl -fs "http://$addr/v1/distance?from=0&to=$v" \
-    | tr -d ' \n' | grep -o '"distance":-\?[0-9]*' | cut -d: -f2)
+  http=$(dist "$addr" 0 "$v")
   if [ "$cli" != "$http" ]; then
     echo "UPDATE MISMATCH node $v: cold-cli=$cli mutated-daemon=$http"
     fail=1
@@ -176,8 +180,7 @@ echo "update differential ok (epoch 1, rebuilt == cold build, 8 pairs)"
 "$tmp/ccsp" -server "http://$addr" -update "0,7,-1" > "$tmp/upd.out"
 grep -q 'epoch 2' "$tmp/upd.out"
 curl -fs "http://$addr/v1/epoch" | grep -q '"epoch": 2'
-post2=$(curl -fs "http://$addr/v1/distance?from=0&to=7" \
-  | tr -d ' \n' | grep -o '"distance":-\?[0-9]*' | cut -d: -f2)
+post2=$(dist "$addr" 0 7)
 if [ "$post2" = "3" ]; then
   echo "dist(0,7) still 3 after deleting the direct edge"
   exit 1

@@ -50,12 +50,15 @@ curl -fs "http://$dbg/metrics" | ./scripts/promlint.sh
 grep -q '^ccspd_requests_total ' "$tmp/metrics.txt"
 grep -q '^ccspd_http_request_seconds_bucket' "$tmp/metrics.txt"
 grep -q '^ccsp_engine_queries_total' "$tmp/metrics.txt"
-# ...and pprof profiles answer on the debug listener only.
+# ...and pprof profiles answer on the debug listener only; the serving
+# port exposes nothing about the process (no pprof, no expvar page).
 curl -fs "http://$dbg/debug/pprof/cmdline" > /dev/null
-if curl -fs "http://$addr/debug/pprof/cmdline" > /dev/null 2>&1; then
-  echo "pprof must not be mounted on the public serving port"
-  exit 1
-fi
+for path in /debug/pprof/cmdline /debug/vars; do
+  if curl -fs "http://$addr$path" > /dev/null 2>&1; then
+    echo "$path must not be mounted on the public serving port"
+    exit 1
+  fi
+done
 echo "metrics + pprof placement ok"
 
 kill -TERM "$pid"
