@@ -155,6 +155,49 @@ type Request struct {
 	SourceDetection *SourceDetectionParams `json:"source_detection,omitempty"`
 }
 
+// SSSP builds an exact single-source request (Theorem 33).
+func SSSP(source int) Request {
+	return Request{Kind: KindSSSP, SSSP: &SSSPParams{Source: source}}
+}
+
+// MSSP builds a (1+ε)-approximate multi-source request (Theorem 3).
+func MSSP(sources ...int) Request {
+	return Request{Kind: KindMSSP, MSSP: &MSSPParams{Sources: sources}}
+}
+
+// APSP builds an all-pairs request; APSPAuto (or "") lets the answering
+// engine pick Theorem 31 on unit weights and Theorem 28 otherwise.
+func APSP(variant APSPVariant) Request {
+	return Request{Kind: KindAPSP, APSP: &APSPParams{Variant: variant}}
+}
+
+// Distance builds a single (1+ε)-approximate pair request.
+func Distance(from, to int) Request {
+	return Request{Kind: KindDistance, Distance: &DistanceParams{From: from, To: to}}
+}
+
+// Diameter builds a near-3/2 diameter request (§7.2).
+func Diameter() Request { return Request{Kind: KindDiameter} }
+
+// KNearest builds an exact k-nearest request (Theorem 18).
+func KNearest(k int) Request {
+	return Request{Kind: KindKNearest, KNearest: &KNearestParams{K: k}}
+}
+
+// SourceDetection builds an (S, d, k)-source-detection request
+// (Theorem 19).
+func SourceDetection(sources []int, d, k int) Request {
+	return Request{Kind: KindSourceDetection,
+		SourceDetection: &SourceDetectionParams{Sources: sources, D: d, K: k}}
+}
+
+// On returns the request addressed to the named graph of a multi-graph
+// daemon or cluster: api.SSSP(0).On("roads").
+func (r Request) On(graph string) Request {
+	r.Graph = graph
+	return r
+}
+
 // payloads returns the union's payload presence by kind; nil marks kinds
 // that carry no payload.
 func (r Request) payloads() map[Kind]bool {
@@ -365,9 +408,10 @@ func DecodeBatchRequest(r io.Reader) (BatchRequest, error) {
 // query kinds.
 const KindUpdate Kind = "update"
 
-// EdgeUpdate is one edge mutation. W >= 0 sets the weight of the
-// undirected edge {U, V} (inserting it if absent, collapsing parallel
-// edges); W < 0 deletes the edge (a no-op if absent).
+// EdgeUpdate is one edge mutation (ccsp.EdgeUpdate is this type). W >= 0
+// sets the weight of the undirected edge {U, V}, inserting it if absent
+// and collapsing any parallel edges to the single new weight; W < 0
+// deletes the edge (a no-op if absent).
 type EdgeUpdate struct {
 	U int   `json:"u"`
 	V int   `json:"v"`
@@ -541,12 +585,19 @@ type DiameterResult struct {
 	Estimate int64 `json:"estimate"`
 }
 
-// Neighbor is one entry of a k-nearest or source-detection list.
+// Neighbor is one entry of a k-nearest or source-detection list
+// (ccsp.Neighbor is this type): an exact distance plus the first hop of
+// a shortest path (the routing witness of §3.1).
 type Neighbor struct {
-	Node     int   `json:"node"`
-	Dist     int64 `json:"dist"`
-	Hops     int   `json:"hops"`
-	FirstHop int   `json:"first_hop"`
+	// Node is the neighbor's ID.
+	Node int `json:"node"`
+	// Dist is the exact distance.
+	Dist int64 `json:"dist"`
+	// Hops is the minimal hop count among shortest paths.
+	Hops int `json:"hops"`
+	// FirstHop is the first edge of such a path (-1 for the self entry,
+	// and throughout source detection, which tracks no witnesses).
+	FirstHop int `json:"first_hop"`
 }
 
 // KNearestResult is the wire form of a k-nearest answer.

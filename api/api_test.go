@@ -1,7 +1,10 @@
 package api
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -170,5 +173,46 @@ func TestResponseErr(t *testing.T) {
 	bad := Response{Kind: KindSSSP, Error: &Error{Code: CodeInvalidSource, Message: "source 99 out of range"}}
 	if err := bad.Err(); err == nil || !strings.Contains(err.Error(), "invalid_source") {
 		t.Errorf("error response Err() = %v", err)
+	}
+}
+
+// TestConstructors: each constructor builds the request the hand-written
+// literal it replaces spelled - it validates, survives the wire through
+// DecodeRequest unchanged, and keys byte-for-byte like the literal.
+func TestConstructors(t *testing.T) {
+	for name, tc := range map[string]struct{ got, literal Request }{
+		"sssp":      {SSSP(3), Request{Kind: KindSSSP, SSSP: &SSSPParams{Source: 3}}},
+		"mssp":      {MSSP(5, 2, 5), Request{Kind: KindMSSP, MSSP: &MSSPParams{Sources: []int{5, 2, 5}}}},
+		"apsp-auto": {APSP(APSPAuto), Request{Kind: KindAPSP}},
+		"apsp-zero": {APSP(""), Request{Kind: KindAPSP, APSP: &APSPParams{}}},
+		"apsp-w3":   {APSP(APSPWeighted3), Request{Kind: KindAPSP, APSP: &APSPParams{Variant: APSPWeighted3}}},
+		"distance":  {Distance(1, 7), Request{Kind: KindDistance, Distance: &DistanceParams{From: 1, To: 7}}},
+		"diameter":  {Diameter(), Request{Kind: KindDiameter}},
+		"knearest":  {KNearest(4), Request{Kind: KindKNearest, KNearest: &KNearestParams{K: 4}}},
+		"source-detection": {SourceDetection([]int{0, 2}, 3, 2),
+			Request{Kind: KindSourceDetection, SourceDetection: &SourceDetectionParams{Sources: []int{0, 2}, D: 3, K: 2}}},
+		"on-graph": {SSSP(3).On("roads"), Request{Kind: KindSSSP, Graph: "roads", SSSP: &SSSPParams{Source: 3}}},
+	} {
+		if err := tc.got.Validate(); err != nil {
+			t.Errorf("%s: Validate() = %v", name, err)
+		}
+		if got, want := tc.got.CacheKeyAt(7), tc.literal.CacheKeyAt(7); got != want {
+			t.Errorf("%s: key %q, the literal keys %q", name, got, want)
+		}
+		body, err := json.Marshal(tc.got)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		back, err := DecodeRequest(bytes.NewReader(body))
+		if err != nil {
+			t.Errorf("%s: DecodeRequest(%s) = %v", name, body, err)
+		} else if !reflect.DeepEqual(back, tc.got) {
+			t.Errorf("%s: wire round trip changed the request: %+v -> %+v", name, tc.got, back)
+		}
+	}
+	// On addresses a copy: the receiver keeps its graph.
+	base := Diameter()
+	if base.On("roads"); base.Graph != "" {
+		t.Errorf("On mutated its receiver: %+v", base)
 	}
 }

@@ -35,8 +35,9 @@ func batchConcurrency(groups int) int {
 // Semantics:
 //
 //   - Responses[i] always answers reqs[i]; the slice has len(reqs).
-//   - Requests with the same canonical encoding (api.Request.CacheKey,
-//     with auto APSP variants resolved) run once and share one response.
+//   - Requests with the same plan (Engine.Plan: auto APSP variants
+//     resolved, a distance rewritten to its one-source MSSP) run once;
+//     each position finishes its own answer out of the shared run.
 //   - Distinct requests run concurrently across a bounded worker group.
 //     Requests needing the same preprocessing artifact still build it
 //     exactly once: concurrent misses coalesce on the in-flight build
@@ -57,58 +58,44 @@ func (e *Engine) Batch(ctx context.Context, reqs []api.Request) ([]api.Response,
 	}
 	resps := make([]api.Response, len(reqs))
 
-	// Group positions by canonical request encoding; each group runs once.
-	type group struct {
-		req     api.Request
-		indices []int
-	}
+	// Group positions by plan key; each group runs once, and every
+	// position keeps its own plan to finish the shared response with.
+	plans := make([]Plan, len(reqs))
 	var order []string
-	groups := make(map[string]*group)
+	groups := make(map[string][]int)
 	for i, req := range reqs {
-		if err := req.Validate(); err != nil {
+		var err error
+		if plans[i], err = e.Plan(req); err != nil {
 			resps[i] = api.Response{Kind: req.Kind, Graph: req.Graph, Error: APIError(err)}
 			continue
 		}
-		key := e.canonicalKey(req)
-		g, ok := groups[key]
-		if !ok {
-			g = &group{req: req}
-			groups[key] = g
+		key := plans[i].Key()
+		if _, ok := groups[key]; !ok {
 			order = append(order, key)
 		}
-		g.indices = append(g.indices, i)
+		groups[key] = append(groups[key], i)
 	}
 
 	sem := make(chan struct{}, batchConcurrency(len(order)))
 	var wg sync.WaitGroup
 	for _, key := range order {
-		g := groups[key]
+		indices := groups[key]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			resp, err := e.Query(ctx, g.req)
+			resp, err := plans[indices[0]].Run(ctx)
 			if err != nil {
-				resp = &api.Response{Kind: g.req.Kind, Graph: g.req.Graph, Error: APIError(err)}
+				resp = &api.Response{Error: APIError(err)}
 			}
-			// Duplicates share the response value (and its read-only
-			// result slices); per-position copies stay independent.
-			for _, i := range g.indices {
-				resps[i] = *resp
+			// Positions of a group share the run's read-only result
+			// slices; the per-position response values stay independent.
+			for _, i := range indices {
+				resps[i] = plans[i].Finish(*resp, false)
 			}
 		}()
 	}
 	wg.Wait()
 	return resps, nil
-}
-
-// canonicalKey is the dedup key of a batch position: the canonical wire
-// encoding with auto APSP variants resolved against the engine's graph,
-// so "apsp" and the explicit variant it resolves to share one run.
-func (e *Engine) canonicalKey(req api.Request) string {
-	if req.Kind == api.KindAPSP {
-		req.APSP = &api.APSPParams{Variant: e.ResolveAPSPVariant(req.Variant())}
-	}
-	return req.CacheKey()
 }

@@ -171,3 +171,38 @@ func TestBatchCanceledContext(t *testing.T) {
 		t.Errorf("dead-context batch error code %q, want canceled", got.Code)
 	}
 }
+
+// TestBatchCoalescesDistanceOntoMSSP: two distance requests from one
+// source and that source's plain MSSP are one plan key, so an in-process
+// batch of the three costs one engine run - what the daemon's batch
+// endpoint always did - and each position still gets its own answer.
+func TestBatchCoalescesDistanceOntoMSSP(t *testing.T) {
+	gr := testGraph(20, 25, 8, 3)
+	ctx := context.Background()
+	eng, err := NewEngine(ctx, gr, Options{Epsilon: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := []api.Request{api.Distance(2, 9), api.Distance(2, 5), api.MSSP(2)}
+	want := make([]api.Response, len(reqs))
+	for i, req := range reqs {
+		resp, err := eng.Query(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = *resp
+	}
+
+	runs := metQueries[ExecSimulated]
+	before := runs.Value()
+	got, err := eng.Batch(ctx, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runs.Value() - before; n != 1 {
+		t.Errorf("batch cost %d engine runs, want 1", n)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("coalesced batch differs from separate queries\n got %+v\nwant %+v", got, want)
+	}
+}

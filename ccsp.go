@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sort"
+
+	"github.com/congestedclique/ccsp/api"
 )
 
 // APSPResult holds all-pairs distance estimates.
@@ -133,18 +135,9 @@ func Diameter(ctx context.Context, gr *Graph, opts Options) (*DiameterResult, er
 		func(r *DiameterResult) *Stats { return &r.Stats })
 }
 
-// Neighbor is one entry of a k-nearest result: an exact distance plus the
-// first hop of a shortest path (the routing witness of §3.1).
-type Neighbor struct {
-	// Node is the neighbor's ID.
-	Node int
-	// Dist is the exact distance.
-	Dist int64
-	// Hops is the minimal hop count among shortest paths.
-	Hops int
-	// FirstHop is the first edge of such a path (-1 for the self entry).
-	FirstHop int
-}
+// Neighbor is one entry of a k-nearest or source-detection list; the
+// in-process and wire forms are one type.
+type Neighbor = api.Neighbor
 
 // KNearestResult holds per-node nearest-neighbor lists.
 type KNearestResult struct {

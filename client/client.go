@@ -1,20 +1,22 @@
 // Package client is the Go client of the ccspd query plane: it speaks
 // POST /v1/query and /v1/batch (the api package's wire schema) and maps
-// HTTP failures back onto the ccsp typed-error taxonomy, so code written
-// against a local ccsp.Engine ports to a remote daemon by swapping the
-// receiver - the method set mirrors the Engine's, errors.Is dispatch
-// included:
+// HTTP failures back onto the ccsp typed-error taxonomy. Requests are
+// built with the api constructors - the same values Engine.Query and
+// Engine.Batch answer in process - so code written against a local
+// ccsp.Engine ports to a remote daemon by swapping the receiver of
+// Query/Batch, errors.Is dispatch included:
 //
 //	c := client.New("http://localhost:8080")
-//	resp, err := c.MSSP(ctx, []int{0, 5, 9})
+//	resp, err := c.Query(ctx, api.MSSP(0, 5, 9))
 //	switch {
 //	case errors.Is(err, ccsp.ErrInvalidSource): // 422 invalid_source
 //	case errors.Is(err, ccsp.ErrCanceled):      // canceled or timed out
 //	}
 //
-// Every method returns the full *api.Response (typed result + run stats
-// + cache flag); Batch returns one response per request with per-request
-// errors in place, exactly like Engine.Batch.
+// On a multi-graph daemon a request names its graph:
+// api.SSSP(0).On("roads"). Query returns the full *api.Response (typed
+// result + run stats + cache flag); Batch returns one response per
+// request with per-request errors in place, exactly like Engine.Batch.
 package client
 
 import (
@@ -27,6 +29,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -139,63 +142,6 @@ func (c *Client) Batch(ctx context.Context, reqs []api.Request) ([]api.Response,
 	return br.Responses, nil
 }
 
-// SSSP mirrors Engine.SSSP: exact single-source distances (Theorem 33).
-func (c *Client) SSSP(ctx context.Context, source int) (*api.Response, error) {
-	return c.Query(ctx, api.Request{Kind: api.KindSSSP, SSSP: &api.SSSPParams{Source: source}})
-}
-
-// MSSP mirrors Engine.MSSP: (1+ε)-approximate multi-source distances
-// (Theorem 3).
-func (c *Client) MSSP(ctx context.Context, sources []int) (*api.Response, error) {
-	return c.Query(ctx, api.Request{Kind: api.KindMSSP, MSSP: &api.MSSPParams{Sources: sources}})
-}
-
-// APSP mirrors Engine.APSP: the auto variant, resolved server-side to
-// the strongest guarantee for the graph.
-func (c *Client) APSP(ctx context.Context) (*api.Response, error) {
-	return c.Query(ctx, api.Request{Kind: api.KindAPSP})
-}
-
-// APSPWeighted mirrors Engine.APSPWeighted (Theorem 28).
-func (c *Client) APSPWeighted(ctx context.Context) (*api.Response, error) {
-	return c.apspVariant(ctx, api.APSPWeighted)
-}
-
-// APSPWeighted3 mirrors Engine.APSPWeighted3 (§6.1).
-func (c *Client) APSPWeighted3(ctx context.Context) (*api.Response, error) {
-	return c.apspVariant(ctx, api.APSPWeighted3)
-}
-
-// APSPUnweighted mirrors Engine.APSPUnweighted (Theorem 31).
-func (c *Client) APSPUnweighted(ctx context.Context) (*api.Response, error) {
-	return c.apspVariant(ctx, api.APSPUnweighted)
-}
-
-func (c *Client) apspVariant(ctx context.Context, v api.APSPVariant) (*api.Response, error) {
-	return c.Query(ctx, api.Request{Kind: api.KindAPSP, APSP: &api.APSPParams{Variant: v}})
-}
-
-// Distance answers one (1+ε)-approximate pair.
-func (c *Client) Distance(ctx context.Context, from, to int) (*api.Response, error) {
-	return c.Query(ctx, api.Request{Kind: api.KindDistance, Distance: &api.DistanceParams{From: from, To: to}})
-}
-
-// Diameter mirrors Engine.Diameter (§7.2).
-func (c *Client) Diameter(ctx context.Context) (*api.Response, error) {
-	return c.Query(ctx, api.Request{Kind: api.KindDiameter})
-}
-
-// KNearest mirrors Engine.KNearest (Theorem 18).
-func (c *Client) KNearest(ctx context.Context, k int) (*api.Response, error) {
-	return c.Query(ctx, api.Request{Kind: api.KindKNearest, KNearest: &api.KNearestParams{K: k}})
-}
-
-// SourceDetection mirrors Engine.SourceDetection (Theorem 19).
-func (c *Client) SourceDetection(ctx context.Context, sources []int, d, k int) (*api.Response, error) {
-	return c.Query(ctx, api.Request{Kind: api.KindSourceDetection,
-		SourceDetection: &api.SourceDetectionParams{Sources: sources, D: d, K: k}})
-}
-
 // Update applies a batch of edge mutations to a dynamic graph via
 // POST /v1/update, blocking until the background rebuild publishes the
 // carrying epoch: on return, queries already reflect the batch.
@@ -225,12 +171,15 @@ func (c *Client) update(ctx context.Context, req api.UpdateRequest) (*api.Update
 // default graph), with the daemon's count of staged-but-unpublished
 // updates.
 func (c *Client) Epoch(ctx context.Context, graph string) (*api.EpochResponse, error) {
-	url := c.base + "/v1/epoch"
+	if err := api.ValidateGraphID(graph); err != nil {
+		return nil, fmt.Errorf("client: /v1/epoch: %w", err)
+	}
+	target := c.base + "/v1/epoch"
 	if graph != "" {
-		url += "?graph=" + graph // the graph ID charset needs no escaping
+		target += "?" + url.Values{"graph": {graph}}.Encode()
 	}
 	var er api.EpochResponse
-	if err := c.get(ctx, "/v1/epoch", url, &er); err != nil {
+	if err := c.get(ctx, "/v1/epoch", target, &er); err != nil {
 		return nil, err
 	}
 	return &er, nil

@@ -133,32 +133,24 @@ func errNoReplica(graph string) error {
 
 // unavailableResponse is errNoReplica in batch-position form.
 func unavailableResponse(req api.Request) api.Response {
-	msg := "no live replica serves the default graph"
-	if req.Graph != "" {
-		msg = fmt.Sprintf("no live replica serves graph %q", req.Graph)
-	}
-	return api.Response{Kind: req.Kind, Graph: req.Graph,
-		Error: &api.Error{Code: api.CodeUnavailable, Message: msg}}
+	return api.Response{Kind: req.Kind, Graph: req.Graph, Error: ccsp.APIError(errNoReplica(req.Graph))}
 }
 
-// Query answers one typed request on the replica owning req.Graph,
-// failing over along the ring on transport failure (the failed replica
-// is marked down so subsequent queries skip it). A replica's typed
-// answer - including typed failures - returns without failover: it is
-// the authoritative answer for that graph.
-func (c *Cluster) Query(ctx context.Context, req api.Request) (*api.Response, error) {
-	candidates := cluster.Route(c.ring, c.prober, req.Graph)
+// tryReplicas runs call against the live replicas holding graph, in ring
+// order, until one answers. A replica's typed answer - success or typed
+// failure - ends the walk: it is the authoritative answer for that
+// graph. Only a transport failure moves on to the next candidate, after
+// marking the failed replica down so subsequent calls skip it.
+func (c *Cluster) tryReplicas(ctx context.Context, graph string, call func(*Client) error) error {
+	candidates := cluster.Route(c.ring, c.prober, graph)
 	if len(candidates) == 0 {
-		return nil, errNoReplica(req.Graph)
+		return errNoReplica(graph)
 	}
 	var lastErr error
 	for _, m := range candidates {
-		resp, err := c.clients[m].Query(ctx, req)
-		if err == nil {
-			return resp, nil
-		}
+		err := call(c.clients[m])
 		if !errors.Is(err, ErrTransport) {
-			return nil, err
+			return err
 		}
 		c.failover(m)
 		lastErr = err
@@ -166,7 +158,18 @@ func (c *Cluster) Query(ctx context.Context, req api.Request) (*api.Response, er
 			break
 		}
 	}
-	return nil, fmt.Errorf("client: %w: every replica for graph %q failed: %w", ccsp.ErrUnavailable, req.Graph, lastErr)
+	return fmt.Errorf("client: %w: every replica for graph %q failed: %w", ccsp.ErrUnavailable, graph, lastErr)
+}
+
+// Query answers one typed request on the replica owning req.Graph,
+// failing over along the ring on transport failure (see tryReplicas).
+func (c *Cluster) Query(ctx context.Context, req api.Request) (*api.Response, error) {
+	var resp *api.Response
+	err := c.tryReplicas(ctx, req.Graph, func(m *Client) (err error) {
+		resp, err = m.Query(ctx, req)
+		return err
+	})
+	return resp, err
 }
 
 // maxBatchRounds bounds Batch's failover loop: each round can only
@@ -255,10 +258,9 @@ func (c *Cluster) Batch(ctx context.Context, reqs []api.Request) ([]api.Response
 	return resps, nil
 }
 
-// Graph returns a view of the cluster scoped to one graph ID. Its
-// method set mirrors *Client (and therefore *ccsp.Engine): each call
-// builds the same typed request with Graph set and routes it through
-// Cluster.Query, so code written against one daemon ports to a sharded
+// Graph returns a view of the cluster scoped to one graph ID: Query and
+// Batch stamp the ID on every request and route it through the cluster,
+// so code written against one single-graph daemon ports to a sharded
 // cluster by swapping the receiver.
 func (c *Cluster) Graph(id string) *GraphView { return &GraphView{c: c, graph: id} }
 
@@ -294,81 +296,15 @@ func (g *GraphView) Batch(ctx context.Context, reqs []api.Request) ([]api.Respon
 	return g.c.Batch(ctx, scoped)
 }
 
-// SSSP mirrors Client.SSSP.
-func (g *GraphView) SSSP(ctx context.Context, source int) (*api.Response, error) {
-	return g.Query(ctx, api.Request{Kind: api.KindSSSP, SSSP: &api.SSSPParams{Source: source}})
-}
-
-// MSSP mirrors Client.MSSP.
-func (g *GraphView) MSSP(ctx context.Context, sources []int) (*api.Response, error) {
-	return g.Query(ctx, api.Request{Kind: api.KindMSSP, MSSP: &api.MSSPParams{Sources: sources}})
-}
-
-// APSP mirrors Client.APSP.
-func (g *GraphView) APSP(ctx context.Context) (*api.Response, error) {
-	return g.Query(ctx, api.Request{Kind: api.KindAPSP})
-}
-
-// APSPWeighted mirrors Client.APSPWeighted.
-func (g *GraphView) APSPWeighted(ctx context.Context) (*api.Response, error) {
-	return g.apspVariant(ctx, api.APSPWeighted)
-}
-
-// APSPWeighted3 mirrors Client.APSPWeighted3.
-func (g *GraphView) APSPWeighted3(ctx context.Context) (*api.Response, error) {
-	return g.apspVariant(ctx, api.APSPWeighted3)
-}
-
-// APSPUnweighted mirrors Client.APSPUnweighted.
-func (g *GraphView) APSPUnweighted(ctx context.Context) (*api.Response, error) {
-	return g.apspVariant(ctx, api.APSPUnweighted)
-}
-
-func (g *GraphView) apspVariant(ctx context.Context, v api.APSPVariant) (*api.Response, error) {
-	return g.Query(ctx, api.Request{Kind: api.KindAPSP, APSP: &api.APSPParams{Variant: v}})
-}
-
-// Distance mirrors Client.Distance.
-func (g *GraphView) Distance(ctx context.Context, from, to int) (*api.Response, error) {
-	return g.Query(ctx, api.Request{Kind: api.KindDistance, Distance: &api.DistanceParams{From: from, To: to}})
-}
-
-// Diameter mirrors Client.Diameter.
-func (g *GraphView) Diameter(ctx context.Context) (*api.Response, error) {
-	return g.Query(ctx, api.Request{Kind: api.KindDiameter})
-}
-
-// KNearest mirrors Client.KNearest.
-func (g *GraphView) KNearest(ctx context.Context, k int) (*api.Response, error) {
-	return g.Query(ctx, api.Request{Kind: api.KindKNearest, KNearest: &api.KNearestParams{K: k}})
-}
-
-// SourceDetection mirrors Client.SourceDetection.
-func (g *GraphView) SourceDetection(ctx context.Context, sources []int, d, k int) (*api.Response, error) {
-	return g.Query(ctx, api.Request{Kind: api.KindSourceDetection,
-		SourceDetection: &api.SourceDetectionParams{Sources: sources, D: d, K: k}})
-}
-
 // Health probes the replica owning the view's graph, failing over like
 // Query. It reports the serving replica's health, which in a cluster
 // describes that replica's default graph shape - use it for liveness,
 // not graph metadata.
 func (g *GraphView) Health(ctx context.Context) (*api.Health, error) {
-	candidates := cluster.Route(g.c.ring, g.c.prober, g.graph)
-	if len(candidates) == 0 {
-		return nil, errNoReplica(g.graph)
-	}
-	var lastErr error
-	for _, m := range candidates {
-		h, err := g.c.clients[m].Health(ctx)
-		if err == nil {
-			return h, nil
-		}
-		if !errors.Is(err, ErrTransport) {
-			return nil, err
-		}
-		g.c.failover(m)
-		lastErr = err
-	}
-	return nil, fmt.Errorf("client: %w: every replica for graph %q failed: %w", ccsp.ErrUnavailable, g.graph, lastErr)
+	var h *api.Health
+	err := g.c.tryReplicas(ctx, g.graph, func(m *Client) (err error) {
+		h, err = m.Health(ctx)
+		return err
+	})
+	return h, err
 }

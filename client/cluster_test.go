@@ -158,18 +158,18 @@ func TestClusterRoutedQueries(t *testing.T) {
 	}
 }
 
-// TestClusterGraphView: the Engine-mirroring facade routes every method
-// to the owning replica.
+// TestClusterGraphView: the single-graph view stamps its graph on every
+// request and routes it to the owning replica.
 func TestClusterGraphView(t *testing.T) {
 	c, engines, _ := testCluster(t, 3, clusterGraphs, nil)
 	ctx := context.Background()
 	v := c.Graph("beta")
 
-	want, err := engines["beta"].Query(ctx, api.Request{Kind: api.KindMSSP, Graph: "beta", MSSP: &api.MSSPParams{Sources: []int{0, 3}}})
+	want, err := engines["beta"].Query(ctx, api.MSSP(0, 3).On("beta"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := v.MSSP(ctx, []int{0, 3})
+	got, err := v.Query(ctx, api.MSSP(0, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,10 +177,10 @@ func TestClusterGraphView(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("view MSSP differs from engine\n got %+v\nwant %+v", got, want)
 	}
-	if resp, err := v.Diameter(ctx); err != nil || resp.Graph != "beta" {
+	if resp, err := v.Query(ctx, api.Diameter()); err != nil || resp.Graph != "beta" {
 		t.Errorf("view Diameter = %+v, %v; want graph echo beta", resp, err)
 	}
-	if _, err := v.Query(ctx, api.Request{Kind: api.KindDiameter, Graph: "alpha"}); !errors.Is(err, ccsp.ErrInvalidOption) {
+	if _, err := v.Query(ctx, api.Diameter().On("alpha")); !errors.Is(err, ccsp.ErrInvalidOption) {
 		t.Errorf("cross-graph request on a view: err = %v, want ErrInvalidOption", err)
 	}
 	if h, err := v.Health(ctx); err != nil || h.Status != "ok" {

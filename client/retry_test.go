@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/congestedclique/ccsp"
+	"github.com/congestedclique/ccsp/api"
 )
 
 // flakyServer answers 503 (the "still loading" status) to the first
@@ -44,7 +45,7 @@ func TestRetryRecoversTransient(t *testing.T) {
 	ts, hits := flakyServer(t, 2, okDiameter())
 
 	bare := New(ts.URL)
-	if _, err := bare.Diameter(context.Background()); !errors.Is(err, ccsp.ErrUnavailable) {
+	if _, err := bare.Query(context.Background(), api.Diameter()); !errors.Is(err, ccsp.ErrUnavailable) {
 		t.Fatalf("retry-less client: err = %v, want ErrUnavailable", err)
 	}
 	if got := hits.Load(); got != 1 {
@@ -54,7 +55,7 @@ func TestRetryRecoversTransient(t *testing.T) {
 	hits.Store(0)
 	ts2, hits2 := flakyServer(t, 2, okDiameter())
 	retrying := New(ts2.URL, WithRetry(3, time.Millisecond))
-	resp, err := retrying.Diameter(context.Background())
+	resp, err := retrying.Query(context.Background(), api.Diameter())
 	if err != nil {
 		t.Fatalf("retrying client: %v", err)
 	}
@@ -71,7 +72,7 @@ func TestRetryRecoversTransient(t *testing.T) {
 func TestRetryExhaustion(t *testing.T) {
 	ts, hits := flakyServer(t, 1<<30, okDiameter())
 	c := New(ts.URL, WithRetry(2, time.Millisecond))
-	if _, err := c.Diameter(context.Background()); !errors.Is(err, ccsp.ErrUnavailable) {
+	if _, err := c.Query(context.Background(), api.Diameter()); !errors.Is(err, ccsp.ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable after exhausted retries", err)
 	}
 	if got := hits.Load(); got != 3 {
@@ -91,7 +92,7 @@ func TestRetrySkipsTypedFailures(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 	c := New(ts.URL, WithRetry(5, time.Millisecond))
-	if _, err := c.SSSP(context.Background(), 999); !errors.Is(err, ccsp.ErrInvalidSource) {
+	if _, err := c.Query(context.Background(), api.SSSP(999)); !errors.Is(err, ccsp.ErrInvalidSource) {
 		t.Fatalf("err = %v, want ErrInvalidSource", err)
 	}
 	if got := hits.Load(); got != 1 {
@@ -103,7 +104,7 @@ func TestRetrySkipsTypedFailures(t *testing.T) {
 // retryable, and exhausting the budget surfaces ErrTransport.
 func TestRetryTransportFailure(t *testing.T) {
 	c := New("http://127.0.0.1:1", WithRetry(1, time.Millisecond))
-	_, err := c.Diameter(context.Background())
+	_, err := c.Query(context.Background(), api.Diameter())
 	if !errors.Is(err, ErrTransport) {
 		t.Fatalf("err = %v, want ErrTransport", err)
 	}
@@ -173,7 +174,7 @@ func TestRetryHonorsRetryAfter(t *testing.T) {
 
 	c := New(ts.URL, WithRetry(1, time.Millisecond))
 	start := time.Now()
-	if _, err := c.Diameter(context.Background()); err != nil {
+	if _, err := c.Query(context.Background(), api.Diameter()); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed < time.Second {
@@ -198,7 +199,7 @@ func TestRetryOverloadedExhaustion(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	c := New(ts.URL, WithRetry(2, time.Millisecond))
-	_, err := c.Diameter(context.Background())
+	_, err := c.Query(context.Background(), api.Diameter())
 	if !errors.Is(err, ccsp.ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
@@ -216,7 +217,7 @@ func TestRetryHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.Diameter(ctx)
+	_, err := c.Query(ctx, api.Diameter())
 	if err == nil {
 		t.Fatal("want error")
 	}

@@ -80,8 +80,8 @@ func TestRoundTripAllKinds(t *testing.T) {
 	}
 }
 
-// TestRoundTripConvenienceMethods: the Engine-mirroring methods build
-// the same requests the Engine answers.
+// TestRoundTripConvenienceMethods: the api constructors build the
+// requests the Engine answers, one per kind over the wire.
 func TestRoundTripConvenienceMethods(t *testing.T) {
 	eng, c := harness(t, 12, server.Config{})
 	ctx := context.Background()
@@ -90,7 +90,7 @@ func TestRoundTripConvenienceMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := c.SSSP(ctx, 2)
+	rs, err := c.Query(ctx, api.SSSP(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestRoundTripConvenienceMethods(t *testing.T) {
 		t.Errorf("iterations %d, want %d", rs.SSSP.Iterations, wantS.Iterations)
 	}
 
-	rm, err := c.MSSP(ctx, []int{1, 4})
+	rm, err := c.Query(ctx, api.MSSP(1, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +115,14 @@ func TestRoundTripConvenienceMethods(t *testing.T) {
 		t.Errorf("mssp sources %v", rm.MSSP.Sources)
 	}
 
-	ra, err := c.APSP(ctx)
+	ra, err := c.Query(ctx, api.APSP(api.APSPAuto))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ra.APSP.Variant != api.APSPWeighted {
 		t.Errorf("auto variant %q on a weighted graph", ra.APSP.Variant)
 	}
-	ra3, err := c.APSPWeighted3(ctx)
+	ra3, err := c.Query(ctx, api.APSP(api.APSPWeighted3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,24 +130,24 @@ func TestRoundTripConvenienceMethods(t *testing.T) {
 		t.Errorf("weighted3 variant %q", ra3.APSP.Variant)
 	}
 
-	rd, err := c.Distance(ctx, 0, 5)
+	rd, err := c.Query(ctx, api.Distance(0, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rd.Distance.From != 0 || rd.Distance.To != 5 {
 		t.Errorf("distance echo %+v", rd.Distance)
 	}
-	if _, err := c.Diameter(ctx); err != nil {
+	if _, err := c.Query(ctx, api.Diameter()); err != nil {
 		t.Fatal(err)
 	}
-	rk, err := c.KNearest(ctx, 2)
+	rk, err := c.Query(ctx, api.KNearest(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rk.KNearest.K != 2 || len(rk.KNearest.Neighbors) != 12 {
 		t.Errorf("knearest shape %+v", rk.KNearest)
 	}
-	rsd, err := c.SourceDetection(ctx, []int{0, 3}, 3, 2)
+	rsd, err := c.Query(ctx, api.SourceDetection([]int{0, 3}, 3, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,16 +171,16 @@ func TestRoundTripTypedErrors(t *testing.T) {
 	_, c := harness(t, 10, server.Config{})
 	ctx := context.Background()
 
-	if _, err := c.SSSP(ctx, 999); !errors.Is(err, ccsp.ErrInvalidSource) {
+	if _, err := c.Query(ctx, api.SSSP(999)); !errors.Is(err, ccsp.ErrInvalidSource) {
 		t.Errorf("remote out-of-range source: %v, want ErrInvalidSource", err)
 	}
-	if _, err := c.MSSP(ctx, nil); !errors.Is(err, ccsp.ErrInvalidSource) {
+	if _, err := c.Query(ctx, api.MSSP()); !errors.Is(err, ccsp.ErrInvalidSource) {
 		t.Errorf("remote empty source set: %v, want ErrInvalidSource", err)
 	}
-	if _, err := c.KNearest(ctx, 0); !errors.Is(err, ccsp.ErrInvalidOption) {
+	if _, err := c.Query(ctx, api.KNearest(0)); !errors.Is(err, ccsp.ErrInvalidOption) {
 		t.Errorf("remote k=0: %v, want ErrInvalidOption", err)
 	}
-	if _, err := c.SourceDetection(ctx, []int{0}, 0, 1); !errors.Is(err, ccsp.ErrInvalidOption) {
+	if _, err := c.Query(ctx, api.SourceDetection([]int{0}, 0, 1)); !errors.Is(err, ccsp.ErrInvalidOption) {
 		t.Errorf("remote d=0: %v, want ErrInvalidOption", err)
 	}
 	if _, err := c.Query(ctx, api.Request{Kind: "bfs"}); !errors.Is(err, api.ErrMalformed) {
@@ -191,7 +191,7 @@ func TestRoundTripTypedErrors(t *testing.T) {
 	// cancellation taxonomy exactly like a local Engine call.
 	canceled, cancel := context.WithCancel(ctx)
 	cancel()
-	_, err := c.Diameter(canceled)
+	_, err := c.Query(canceled, api.Diameter())
 	if !errors.Is(err, ccsp.ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled ctx: %v, want ErrCanceled + context.Canceled", err)
 	}
@@ -220,7 +220,7 @@ func TestSentinelErrorParity(t *testing.T) {
 // local deadline failures dispatch identically.
 func TestRoundTripServerTimeout(t *testing.T) {
 	_, c := harness(t, 24, server.Config{Timeout: time.Nanosecond})
-	_, err := c.Diameter(context.Background())
+	_, err := c.Query(context.Background(), api.Diameter())
 	if !errors.Is(err, ccsp.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("server timeout: %v, want ErrCanceled + context.DeadlineExceeded", err)
 	}
@@ -286,7 +286,7 @@ func TestStatusErrorFallback(t *testing.T) {
 	}))
 	defer ts.Close()
 	c := New(ts.URL)
-	_, err := c.Diameter(context.Background())
+	_, err := c.Query(context.Background(), api.Diameter())
 	if err == nil {
 		t.Fatal("want error")
 	}

@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"errors"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -62,7 +63,7 @@ func TestClientUpdateAndEpoch(t *testing.T) {
 	if got := dyn.Epoch(); got != 1 {
 		t.Fatalf("engine epoch = %d after sync update, want 1", got)
 	}
-	resp, err := c.Distance(ctx, 0, 7)
+	resp, err := c.Query(ctx, api.Distance(0, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +116,14 @@ func TestClientUpdateErrors(t *testing.T) {
 	}
 	if _, err := c.Epoch(ctx, "nope"); err == nil {
 		t.Fatal("unknown-graph epoch succeeded")
+	}
+	// A graph ID outside the charset never reaches the URL: "roads#x"
+	// would silently ask for "roads", "a&graph=b" would send two
+	// parameters.
+	for _, id := range []string{"roads#x", "a&graph=b"} {
+		if _, err := c.Epoch(ctx, id); !errors.Is(err, api.ErrMalformed) {
+			t.Errorf("Epoch(%q): err = %v, want api.ErrMalformed", id, err)
+		}
 	}
 	ep, err := c.Epoch(ctx, "")
 	if err != nil {

@@ -55,84 +55,61 @@ func parseBatchFile(path string) ([]batchQuery, error) {
 	return queries, nil
 }
 
+// querySyntax is the batch-line grammar (and, through requestForAlgo,
+// the -algo one): query name → usage. Every argument is an integer except
+// a leading s1,s2,... source list.
+var querySyntax = map[string]string{
+	"mssp":         "mssp s1,s2,...",
+	"sssp":         "sssp src",
+	"apsp":         "apsp",
+	"apsp3":        "apsp3",
+	"distance":     "distance from to",
+	"diameter":     "diameter",
+	"knearest":     "knearest k",
+	"sourcedetect": "sourcedetect s1,s2,... d k",
+}
+
 // parseQueryLine translates one batch line into a typed request.
 func parseQueryLine(fields []string) (api.Request, error) {
-	switch fields[0] {
+	name := fields[0]
+	usage, ok := querySyntax[name]
+	if !ok {
+		return api.Request{}, fmt.Errorf("unknown query %q", name)
+	}
+	want := strings.Fields(usage)
+	if len(fields) != len(want) {
+		return api.Request{}, fmt.Errorf("want '%s'", usage)
+	}
+	var srcs []int
+	ints := make([]int, len(fields)) // ints[i] is fields[i], where that is an integer
+	for i := 1; i < len(fields); i++ {
+		var err error
+		if want[i] == "s1,s2,..." {
+			srcs, err = parseSources(fields[i])
+		} else {
+			ints[i], err = strconv.Atoi(fields[i])
+		}
+		if err != nil {
+			return api.Request{}, err
+		}
+	}
+	switch name {
 	case "mssp":
-		if len(fields) != 2 {
-			return api.Request{}, fmt.Errorf("want 'mssp s1,s2,...'")
-		}
-		srcs, err := parseSources(fields[1])
-		if err != nil {
-			return api.Request{}, err
-		}
-		return api.Request{Kind: api.KindMSSP, MSSP: &api.MSSPParams{Sources: srcs}}, nil
+		return api.MSSP(srcs...), nil
 	case "sssp":
-		if len(fields) != 2 {
-			return api.Request{}, fmt.Errorf("want 'sssp src'")
-		}
-		s, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return api.Request{}, err
-		}
-		return api.Request{Kind: api.KindSSSP, SSSP: &api.SSSPParams{Source: s}}, nil
+		return api.SSSP(ints[1]), nil
 	case "apsp":
-		if len(fields) != 1 {
-			return api.Request{}, fmt.Errorf("want 'apsp' with no arguments")
-		}
-		return api.Request{Kind: api.KindAPSP}, nil
+		return api.APSP(api.APSPAuto), nil
 	case "apsp3":
-		if len(fields) != 1 {
-			return api.Request{}, fmt.Errorf("want 'apsp3' with no arguments")
-		}
-		return api.Request{Kind: api.KindAPSP, APSP: &api.APSPParams{Variant: api.APSPWeighted3}}, nil
+		return api.APSP(api.APSPWeighted3), nil
 	case "distance":
-		if len(fields) != 3 {
-			return api.Request{}, fmt.Errorf("want 'distance from to'")
-		}
-		from, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return api.Request{}, err
-		}
-		to, err := strconv.Atoi(fields[2])
-		if err != nil {
-			return api.Request{}, err
-		}
-		return api.Request{Kind: api.KindDistance, Distance: &api.DistanceParams{From: from, To: to}}, nil
+		return api.Distance(ints[1], ints[2]), nil
 	case "diameter":
-		if len(fields) != 1 {
-			return api.Request{}, fmt.Errorf("want 'diameter' with no arguments")
-		}
-		return api.Request{Kind: api.KindDiameter}, nil
+		return api.Diameter(), nil
 	case "knearest":
-		if len(fields) != 2 {
-			return api.Request{}, fmt.Errorf("want 'knearest k'")
-		}
-		k, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return api.Request{}, err
-		}
-		return api.Request{Kind: api.KindKNearest, KNearest: &api.KNearestParams{K: k}}, nil
-	case "sourcedetect":
-		if len(fields) != 4 {
-			return api.Request{}, fmt.Errorf("want 'sourcedetect s1,s2,... d k'")
-		}
-		srcs, err := parseSources(fields[1])
-		if err != nil {
-			return api.Request{}, err
-		}
-		d, err := strconv.Atoi(fields[2])
-		if err != nil {
-			return api.Request{}, err
-		}
-		k, err := strconv.Atoi(fields[3])
-		if err != nil {
-			return api.Request{}, err
-		}
-		return api.Request{Kind: api.KindSourceDetection,
-			SourceDetection: &api.SourceDetectionParams{Sources: srcs, D: d, K: k}}, nil
-	default:
-		return api.Request{}, fmt.Errorf("unknown query %q", fields[0])
+		return api.KNearest(ints[1]), nil
+	default: // sourcedetect
+		return api.SourceDetection(srcs, ints[2], ints[3]), nil
 	}
 }
 
@@ -218,8 +195,7 @@ func runBatchRemote(ctx context.Context, rc remote, graphID string, n int, path 
 	}
 	reqs := make([]api.Request, len(queries))
 	for i, q := range queries {
-		reqs[i] = q.req
-		reqs[i].Graph = graphID
+		reqs[i] = q.req.On(graphID)
 	}
 	resps, err := rc.Batch(ctx, reqs)
 	if err != nil {

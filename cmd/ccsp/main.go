@@ -157,11 +157,7 @@ func run() error {
 			c := client.New(*serverURL)
 			rc = c
 			if len(updates) > 0 {
-				ups := make([]api.EdgeUpdate, len(updates))
-				for i, e := range updates {
-					ups[i] = api.EdgeUpdate{U: e.U, V: e.V, W: e.W}
-				}
-				ur, err := c.Update(ctx, *graphID, ups)
+				ur, err := c.Update(ctx, *graphID, updates)
 				if err != nil {
 					return err
 				}
@@ -237,35 +233,17 @@ func run() error {
 	return runOneShot(ctx, g, opts, *algo, *src, *sources, *k, *d, *quiet)
 }
 
-// requestForAlgo translates the -algo flag set into a typed request.
+// requestForAlgo translates the -algo flag set into a typed request: it
+// spells the batch line the flags abbreviate and parses that, so the
+// binary has one query grammar.
 func requestForAlgo(algo string, src int, sources string, k, d int) (api.Request, error) {
-	switch algo {
-	case "apsp":
-		return api.Request{Kind: api.KindAPSP}, nil
-	case "apsp3":
-		return api.Request{Kind: api.KindAPSP, APSP: &api.APSPParams{Variant: api.APSPWeighted3}}, nil
-	case "sssp":
-		return api.Request{Kind: api.KindSSSP, SSSP: &api.SSSPParams{Source: src}}, nil
-	case "mssp":
-		srcList, err := parseSources(sources)
-		if err != nil {
-			return api.Request{}, err
-		}
-		return api.Request{Kind: api.KindMSSP, MSSP: &api.MSSPParams{Sources: srcList}}, nil
-	case "diameter":
-		return api.Request{Kind: api.KindDiameter}, nil
-	case "knearest":
-		return api.Request{Kind: api.KindKNearest, KNearest: &api.KNearestParams{K: k}}, nil
-	case "sourcedetect":
-		srcList, err := parseSources(sources)
-		if err != nil {
-			return api.Request{}, err
-		}
-		return api.Request{Kind: api.KindSourceDetection,
-			SourceDetection: &api.SourceDetectionParams{Sources: srcList, D: d, K: k}}, nil
-	default:
-		return api.Request{}, fmt.Errorf("unknown algorithm %q", algo)
+	args := map[string][]string{
+		"sssp":         {strconv.Itoa(src)},
+		"mssp":         {sources},
+		"knearest":     {strconv.Itoa(k)},
+		"sourcedetect": {sources, strconv.Itoa(d), strconv.Itoa(k)},
 	}
+	return parseQueryLine(append([]string{algo}, args[algo]...))
 }
 
 // runOneShot preserves the historical single-shot semantics: no engine,
@@ -331,7 +309,7 @@ func runOneShot(ctx context.Context, g *ccsp.Graph, opts ccsp.Options, algo stri
 			return err
 		}
 		if !quiet {
-			printNeighborRows(wireLists(res.Neighbors), true)
+			printNeighborRows(res.Neighbors, true)
 		}
 		fmt.Println(res.Stats)
 	case "sourcedetect":
@@ -344,7 +322,7 @@ func runOneShot(ctx context.Context, g *ccsp.Graph, opts ccsp.Options, algo stri
 			return err
 		}
 		if !quiet {
-			printNeighborRows(wireLists(res.Detected), false)
+			printNeighborRows(res.Detected, false)
 		}
 		fmt.Println(res.Stats)
 	default:
@@ -377,8 +355,7 @@ func runRemote(ctx context.Context, rc remote, graphID, algo string, src int, so
 	if err != nil {
 		return err
 	}
-	req.Graph = graphID
-	resp, err := rc.Query(ctx, req)
+	resp, err := rc.Query(ctx, req.On(graphID))
 	if err != nil {
 		return err
 	}

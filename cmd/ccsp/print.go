@@ -69,20 +69,6 @@ func printNeighborRows(lists [][]api.Neighbor, withVia bool) {
 	}
 }
 
-// wireLists converts in-process neighbor lists to the wire type so the
-// one-shot path shares the printers.
-func wireLists(lists [][]ccsp.Neighbor) [][]api.Neighbor {
-	out := make([][]api.Neighbor, len(lists))
-	for v, nbs := range lists {
-		row := make([]api.Neighbor, len(nbs))
-		for i, nb := range nbs {
-			row[i] = api.Neighbor{Node: nb.Node, Dist: nb.Dist, Hops: nb.Hops, FirstHop: nb.FirstHop}
-		}
-		out[v] = row
-	}
-	return out
-}
-
 // statsLine renders wire stats in the ccsp.Stats one-line format (the
 // charged count is rounds minus simulated rounds, so the wire core
 // reconstructs the line exactly).

@@ -66,14 +66,11 @@
 //
 // Engine.Query answers one typed api.Request (the tagged union the
 // serving daemon and the client package speak), and Engine.Batch answers
-// many at once: duplicate requests dedup onto one run, distinct requests
-// run concurrently, shared preprocessing artifacts build once, and
-// failures stay per-request. The api package defines the wire schema,
-// the client package the HTTP client mirroring Engine's method set;
-// DESIGN.md §11 documents the plane.
+// many at once: equivalent requests (Engine.Plan) share one run, distinct
+// requests run concurrently, shared preprocessing artifacts build once,
+// and failures stay per-request. The api package defines the wire schema
+// and one constructor per request kind; the client package answers the
+// same requests over HTTP. DESIGN.md §11 documents the plane.
 //
-//	resps, err := eng.Batch(ctx, []api.Request{
-//		{Kind: api.KindMSSP, MSSP: &api.MSSPParams{Sources: []int{3, 7}}},
-//		{Kind: api.KindDiameter},
-//	})
+//	resps, err := eng.Batch(ctx, []api.Request{api.MSSP(3, 7), api.Diameter()})
 package ccsp

@@ -6,18 +6,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/congestedclique/ccsp/api"
 	"github.com/congestedclique/ccsp/internal/dynamic"
 )
 
-// EdgeUpdate is one edge mutation for a DynamicEngine. W >= 0 sets the
-// weight of the undirected edge {U, V}, inserting it if absent and
-// collapsing any parallel edges to the single new weight; W < 0 deletes
-// the edge (a no-op if absent).
-type EdgeUpdate struct {
-	U int   `json:"u"`
-	V int   `json:"v"`
-	W int64 `json:"w"`
-}
+// EdgeUpdate is one edge mutation for a DynamicEngine; the in-process
+// and wire forms are one type.
+type EdgeUpdate = api.EdgeUpdate
 
 // DynamicEngine serves a mutating graph from an immutable Engine behind
 // an atomic pointer (DESIGN.md §16). Queries read the current engine

@@ -360,3 +360,14 @@ func TestEngineValidation(t *testing.T) {
 		t.Error("accessors wrong")
 	}
 }
+
+// TestNewEngineRejectsOverflowingWeight: an edge too heavy for the
+// semiring's int64 rank is a validation error up front, not a panic inside
+// the preprocessing run.
+func TestNewEngineRejectsOverflowingWeight(t *testing.T) {
+	gr := NewGraph(4)
+	gr.MustAddEdge(0, 1, 1<<62)
+	if _, err := NewEngine(context.Background(), gr, Options{}); err == nil {
+		t.Fatal("NewEngine accepted a weight that overflows the semiring")
+	}
+}

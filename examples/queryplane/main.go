@@ -56,14 +56,14 @@ func run(ctx context.Context) error {
 	// A mixed batch: every request kind, including one deliberate
 	// failure to show per-request error isolation.
 	batch := []api.Request{
-		{Kind: api.KindMSSP, MSSP: &api.MSSPParams{Sources: []int{0, 7, 19}}},
-		{Kind: api.KindSSSP, SSSP: &api.SSSPParams{Source: 3}},
-		{Kind: api.KindDistance, Distance: &api.DistanceParams{From: 0, To: 41}},
-		{Kind: api.KindDiameter},
-		{Kind: api.KindKNearest, KNearest: &api.KNearestParams{K: 4}},
-		{Kind: api.KindSourceDetection, SourceDetection: &api.SourceDetectionParams{Sources: []int{0, 19}, D: 4, K: 2}},
-		{Kind: api.KindAPSP, APSP: &api.APSPParams{Variant: api.APSPWeighted3}},
-		{Kind: api.KindSSSP, SSSP: &api.SSSPParams{Source: 9999}}, // fails alone
+		api.MSSP(0, 7, 19),
+		api.SSSP(3),
+		api.Distance(0, 41),
+		api.Diameter(),
+		api.KNearest(4),
+		api.SourceDetection([]int{0, 19}, 4, 2),
+		api.APSP(api.APSPWeighted3),
+		api.SSSP(9999), // fails alone
 	}
 
 	// Local: Engine.Batch. Distinct requests run concurrently, the

@@ -105,7 +105,7 @@ func run(ctx context.Context) error {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	query, err := json.Marshal(api.Request{Kind: api.KindDistance, Distance: &api.DistanceParams{From: 3, To: 40}})
+	query, err := json.Marshal(api.Distance(3, 40))
 	if err != nil {
 		return err
 	}

@@ -69,6 +69,9 @@ func (gr *Graph) validate() error {
 	if gr.g.N < 1 {
 		return fmt.Errorf("ccsp: empty graph")
 	}
+	if w, limit := gr.g.MaxW(), graph.MaxWeightFor(gr.g.N); w > limit {
+		return fmt.Errorf("ccsp: edge weight %d exceeds the %d a %d-node graph supports", w, limit, gr.g.N)
+	}
 	return nil
 }
 

@@ -89,7 +89,7 @@ func e20(c Config) (*Table, error) {
 				dyn.Close()
 				return nil, err
 			}
-			if _, err := cl.Distance(ctx, 0, n-1); err != nil {
+			if _, err := cl.Query(ctx, api.Distance(0, n-1)); err != nil {
 				ts.Close()
 				dyn.Close()
 				return nil, err
@@ -101,7 +101,7 @@ func e20(c Config) (*Table, error) {
 
 		// Held latency, in-process: the same single-epoch read the server
 		// takes per request (one atomic engine load, then a query).
-		req := api.Request{Kind: api.KindDistance, Distance: &api.DistanceParams{From: 0, To: n - 1}}
+		req := api.Distance(0, n-1)
 		query := func() (time.Duration, error) {
 			e := dyn.Engine()
 			begin := time.Now()

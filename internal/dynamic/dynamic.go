@@ -25,8 +25,9 @@ type Update struct {
 }
 
 // Validate checks every update against an n-node graph: endpoints in
-// range and no self-loops. Weights need no check - any W >= 0 is a
-// valid edge weight and any W < 0 is a delete.
+// range, no self-loops, and no weight past graph.MaxWeightFor(n) - updates
+// arrive from the wire, and a heavier edge would panic the rebuild. Any
+// W < 0 is a delete.
 func Validate(n int, ups []Update) error {
 	if len(ups) == 0 {
 		return fmt.Errorf("dynamic: empty update batch")
@@ -37,6 +38,9 @@ func Validate(n int, ups []Update) error {
 		}
 		if u.U < 0 || u.V < 0 || u.U >= n || u.V >= n {
 			return fmt.Errorf("dynamic: update %d: edge (%d,%d) out of range [0,%d)", i, u.U, u.V, n)
+		}
+		if limit := graph.MaxWeightFor(n); u.W > limit { // n >= 1: the range check passed
+			return fmt.Errorf("dynamic: update %d: weight %d exceeds the %d an %d-node graph supports", i, u.W, limit, n)
 		}
 	}
 	return nil

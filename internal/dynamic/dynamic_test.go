@@ -46,6 +46,8 @@ func TestValidate(t *testing.T) {
 		{[]Update{{U: 0, V: 8, W: 1}}, false},
 		{[]Update{{U: 0, V: 7, W: 0}}, true},
 		{[]Update{{U: 0, V: 7, W: -1}}, true}, // delete
+		{[]Update{{U: 0, V: 7, W: graph.MaxWeightFor(8)}}, true},
+		{[]Update{{U: 0, V: 7, W: graph.MaxWeightFor(8) + 1}}, false}, // would overflow the semiring rank
 	}
 	for i, c := range cases {
 		err := Validate(8, c.ups)

@@ -91,6 +91,14 @@ func (g *Graph) MaxW() int64 {
 	return mx
 }
 
+// MaxWeightFor returns the largest edge weight a graph on n >= 1 nodes may
+// carry: AugSemiring packs path weights up to n·w and hop counts up to n
+// into one int64 rank, and a heavier edge would overflow it
+// (semiring.NewAugMinPlus panics on exactly this bound).
+func MaxWeightFor(n int) int64 {
+	return (semiring.Inf/int64(n+3) - 3) / int64(n)
+}
+
 // MaxDegree returns the maximum node degree.
 func (g *Graph) MaxDegree() int {
 	mx := 0

@@ -145,3 +145,15 @@ func TestWeightMatrixPowerMatchesDijkstra(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxWeightForFitsSemiring: the heaviest weight MaxWeightFor admits
+// still sizes AugSemiring without tripping its overflow panic.
+func TestMaxWeightForFitsSemiring(t *testing.T) {
+	for _, n := range []int{1, 2, 8, 1024, 1 << 20} {
+		g := New(n)
+		if n > 1 {
+			g.MustAddEdge(0, 1, MaxWeightFor(n))
+		}
+		g.AugSemiring() // panics on overflow
+	}
+}

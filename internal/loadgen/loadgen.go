@@ -347,26 +347,27 @@ func (g *gen) update() (string, []api.EdgeUpdate) {
 // reqOf generates one query request of the given kind (never
 // api.KindUpdate - updates are not queries; see update).
 func (g *gen) reqOf(kind api.Kind) api.Request {
-	req := api.Request{Kind: kind, Graph: g.graph()}
-	switch req.Kind {
+	// The graph is drawn before the parameters: the order of draws is the
+	// seeded stream tests and benchmarks replay.
+	graph := g.graph()
+	var req api.Request
+	switch kind {
 	case api.KindSSSP:
-		req.SSSP = &api.SSSPParams{Source: g.node()}
+		req = api.SSSP(g.node())
 	case api.KindMSSP:
-		req.MSSP = &api.MSSPParams{Sources: []int{g.node(), g.node(), g.node()}}
+		req = api.MSSP(g.node(), g.node(), g.node())
 	case api.KindAPSP:
-		req.APSP = &api.APSPParams{}
+		req = api.APSP("")
 	case api.KindDistance:
-		req.Distance = &api.DistanceParams{From: g.node(), To: g.node()}
+		req = api.Distance(g.node(), g.node())
 	case api.KindDiameter:
-		// no parameters
+		req = api.Diameter()
 	case api.KindKNearest:
-		req.KNearest = &api.KNearestParams{K: 1 + g.rng.Intn(4)}
+		req = api.KNearest(1 + g.rng.Intn(4))
 	case api.KindSourceDetection:
-		req.SourceDetection = &api.SourceDetectionParams{
-			Sources: []int{g.node(), g.node()}, D: 4, K: 2,
-		}
+		req = api.SourceDetection([]int{g.node(), g.node()}, 4, 2)
 	}
-	return req
+	return req.On(graph)
 }
 
 // Run drives cfg's workload against target and reports what happened.

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/congestedclique/ccsp"
 	"github.com/congestedclique/ccsp/api"
 )
 
@@ -99,6 +100,83 @@ func FuzzQueryJSON(f *testing.F) {
 			if rec.Code == http.StatusUnprocessableEntity &&
 				e.Error.Code != api.CodeInvalidSource && e.Error.Code != api.CodeInvalidOption {
 				t.Fatalf("422 with code %q: %s", e.Error.Code, rec.Body.Bytes())
+			}
+		default:
+			t.Fatalf("unexpected status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	})
+}
+
+// fuzzBase is the immutable engine every FuzzUpdateJSON input wraps in a
+// DynamicEngine of its own, so each input starts at epoch 0 and a failure
+// reproduces from its corpus entry alone.
+var fuzzBase = struct {
+	once sync.Once
+	eng  *ccsp.Engine
+}{}
+
+// FuzzUpdateJSON is FuzzQueryJSON for the write path: over arbitrary
+// /v1/update bodies the handler never panics, every rejection is a typed
+// 4xx carrying a decodable api.Error, and the epoch only ever moves
+// forward - by exactly the one generation an accepted body stages, and
+// not at all for a rejected one.
+func FuzzUpdateJSON(f *testing.F) {
+	for _, s := range []string{
+		`{"updates":[{"u":0,"v":1,"w":5}]}`,
+		`{"updates":[{"u":0,"v":1,"w":-1}]}`,                    // delete
+		`{"updates":[{"u":0,"v":4,"w":1},{"u":0,"v":4,"w":2}]}`, // reweight twice in one batch
+		`{"updates":[{"u":2,"v":6,"w":0}],"async":true}`,        // staged, answered pending
+		`{"updates":[{"u":3,"v":3,"w":1}]}`,                     // self-loop -> 422
+		`{"updates":[{"u":0,"v":99,"w":1}]}`,                    // out of range -> 422
+		`{"updates":[{"u":0,"v":1,"w":9223372036854775807}]}`,   // weight at the int64 edge
+		`{"updates":[]}`, // empty batch -> 400
+		`{"graph":"nope","updates":[{"u":0,"v":1,"w":1}]}`, // unknown graph -> 404
+		`{"graph":"a b","updates":[{"u":0,"v":1,"w":1}]}`,  // bad graph ID -> 400
+		`{"updates":[{"u":0,"v":1,"w":1}]}{"updates":[]}`,  // trailing garbage
+		`{"updates":`, `[]`, `null`, `0`, `""`, `{"updates":[null]}`, // syntax / wrong types
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		fuzzBase.once.Do(func() { fuzzBase.eng = goldenEngine(t, ccsp.ExecDirect) })
+		dyn := ccsp.NewDynamicEngine(fuzzBase.eng)
+		defer dyn.Close()
+		s, err := New(Config{Deferred: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddDynamicGraph("", dyn); err != nil {
+			t.Fatal(err)
+		}
+		s.SetReady()
+
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/update", strings.NewReader(body))) // must not panic
+		switch rec.Code {
+		case http.StatusOK:
+			var ur api.UpdateResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &ur); err != nil {
+				t.Fatalf("200 with non-JSON body: %v\n%s", err, rec.Body.Bytes())
+			}
+			if ur.Epoch != 1 || ur.Applied < 1 {
+				t.Fatalf("accepted update answered %+v, want epoch 1 and >= 1 applied", ur)
+			}
+			// A synchronous 200 means the generation already serves; an
+			// async one may still be building (or may yet fail and burn
+			// its epoch), but can never have run past it.
+			if got := dyn.Epoch(); got > 1 || (!ur.Pending && got != 1) {
+				t.Fatalf("epoch %d after %+v", got, ur)
+			}
+		case http.StatusBadRequest, http.StatusNotFound, http.StatusUnprocessableEntity:
+			var e errorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+				t.Fatalf("%d with non-JSON body: %v\n%s", rec.Code, err, rec.Body.Bytes())
+			}
+			if e.Error == nil || e.Error.Code == "" || e.Error.Message == "" {
+				t.Fatalf("%d without a typed error: %s", rec.Code, rec.Body.Bytes())
+			}
+			if got := dyn.Epoch(); got != 0 {
+				t.Fatalf("rejected update (%d %s) moved the epoch to %d", rec.Code, e.Error.Code, got)
 			}
 		default:
 			t.Fatalf("unexpected status %d: %s", rec.Code, rec.Body.Bytes())

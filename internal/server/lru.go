@@ -5,11 +5,12 @@ import (
 	"sync"
 )
 
-// lru is a small thread-safe LRU cache for query responses, keyed by the
-// normalized query ("mssp:2,7", "diameter", ...). Repeated source-set
-// queries - the common pattern of a distance-serving workload, where hot
-// landmarks are queried over and over - hit the cache and skip the
-// simulator run entirely.
+// lru is a small thread-safe LRU cache for query responses, keyed by
+// ccsp.Plan.Key: the canonical request encoding, graph- and epoch-
+// qualified ("v1:mssp:sources=2,7", "v1:g=roads:e=3:diameter", ...).
+// Repeated source-set queries - the common pattern of a distance-serving
+// workload, where hot landmarks are queried over and over - hit the cache
+// and skip the engine run entirely.
 //
 // Concurrent misses for the same key may both compute and both store;
 // queries are deterministic, so the duplicated work is a wasted run, not

@@ -112,15 +112,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.batchReqs.Add(int64(len(br.Requests)))
 
 	// Hits and unplannable requests answer in place; the misses group by
-	// canonical key for one engine run each, and the runs by engine for
-	// one Engine.Batch each (keys are graph- and epoch-qualified, so a key
-	// belongs to exactly one engine). Positions sharing a key share the
-	// run but keep their own plans: two distance requests from one source
-	// (or a distance and a plain single-source MSSP) coalesce onto one
-	// run yet project different responses out of it.
+	// plan key for one engine run each - one cache entry to refill, one
+	// batch_engine_runs tick - and the runs by engine for one Engine.Batch
+	// each (keys are graph- and epoch-qualified, so a key belongs to
+	// exactly one engine). Positions sharing a key share the run but keep
+	// their own plans: two distance requests from one source (or a
+	// distance and a plain single-source MSSP) coalesce onto one run yet
+	// finish different responses out of it.
 	type missGroup struct {
-		key     string
-		members []int // positions in br.Requests
+		members []int // positions in br.Requests sharing one plan key
 	}
 	type engineBatch struct {
 		eng    *ccsp.Engine
@@ -128,7 +128,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		groups []*missGroup // groups[j] is answered by runs[j]
 	}
 	resps := make([]api.Response, len(br.Requests))
-	plans := make([]plan, len(br.Requests))
+	plans := make([]ccsp.Plan, len(br.Requests))
 	var batches []*engineBatch
 	byEngine := make(map[*ccsp.Engine]*engineBatch)
 	byKey := make(map[string]*missGroup)
@@ -142,17 +142,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		p := plans[i]
-		g, ok := byKey[p.key]
+		key := p.Key()
+		g, ok := byKey[key]
 		if !ok {
-			g = &missGroup{key: p.key}
-			byKey[p.key] = g
-			b, ok := byEngine[p.eng]
+			g = &missGroup{}
+			byKey[key] = g
+			b, ok := byEngine[p.Engine()]
 			if !ok {
-				b = &engineBatch{eng: p.eng}
-				byEngine[p.eng] = b
+				b = &engineBatch{eng: p.Engine()}
+				byEngine[b.eng] = b
 				batches = append(batches, b)
 			}
-			b.runs = append(b.runs, p.run)
+			b.runs = append(b.runs, p.Request())
 			b.groups = append(b.groups, g)
 		}
 		g.members = append(g.members, i)
@@ -180,10 +181,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			for j, g := range b.groups {
 				if out[j].Error == nil {
-					s.store(g.key, out[j])
+					s.store(plans[g.members[0]], out[j])
 				}
 				for _, i := range g.members {
-					resps[i] = plans[i].finish(out[j], false)
+					resps[i] = plans[i].Finish(out[j], false)
 				}
 			}
 		}

@@ -318,103 +318,31 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// plan is the executable form of one request: the owning engine, the
-// canonical cache key, the request actually handed to the engine, and an
-// optional projection from the executed response to the outward one. Two
-// rewrites happen at planning time so that equivalent requests share
-// cache entries and engine runs: a distance request becomes a
-// single-source MSSP plus a pair projection (so hot-source distance
-// lookups and explicit MSSP queries hit the same entry), and an auto
-// APSP variant resolves to the concrete algorithm the graph selects.
-// Cache keys are graph-qualified (api.Request.CacheKey), so one shared
-// LRU serves every graph without cross-graph aliasing.
-type plan struct {
-	kind    api.Kind // outward kind, echoed on projected/error responses
-	graph   string   // outward graph ID, echoed likewise
-	eng     *ccsp.Engine
-	key     string
-	run     api.Request
-	project func(api.Response) api.Response
-}
-
-// finish stamps the cache flag and applies the projection; error
-// responses (from batch position) skip projection and keep the outward
-// kind.
-func (p plan) finish(resp api.Response, cached bool) api.Response {
-	if resp.Error != nil {
-		return api.Response{Kind: p.kind, Graph: p.graph, Error: resp.Error}
-	}
-	resp.Cached = cached
-	if p.project != nil {
-		resp = p.project(resp)
-	}
-	return resp
-}
-
-// plan validates and rewrites one request. Errors keep the typed
-// taxonomy (api.ErrMalformed for structural problems,
-// ccsp.ErrUnknownGraph for an unregistered graph ID,
-// ccsp.ErrInvalidSource for the distance target check the engine would
-// otherwise only make after the MSSP run).
-func (s *Server) plan(req api.Request) (plan, error) {
-	if err := req.Validate(); err != nil {
-		return plan{}, err
-	}
+// lookup is the first shared step of every query position: resolve the
+// graph, plan the request on its engine (ccsp.Engine.Plan - the one
+// canonicalisation: a distance shares its source's MSSP entry, an auto
+// APSP the entry of the variant it means) and consult the response
+// cache. A hit is counted and comes back finished (Cached: true); a miss
+// returns the plan to run.
+//
+// The engine is taken from the registry once per request: it carries its
+// epoch, so the plan's key, its validation and its run all describe one
+// graph generation even if a dynamic swap lands in between. Keys are
+// graph- and epoch-qualified, so one shared LRU serves every graph and
+// every generation without aliasing.
+func (s *Server) lookup(req api.Request) (p ccsp.Plan, resp api.Response, hit bool, err error) {
 	entry, err := s.engineFor(req.Graph)
 	if err != nil {
-		return plan{}, err
-	}
-	// One engine snapshot per request: the engine carries its epoch, so
-	// the plan's cache key, validation and execution all describe the
-	// same graph generation even if a dynamic swap lands in between. A
-	// cached answer keyed at epoch E can only ever be served to plans
-	// that snapshotted the same E.
-	eng := entry.current()
-	epoch := eng.Epoch()
-	switch req.Kind {
-	case api.KindDistance:
-		n := eng.Graph().N()
-		from, to := req.Distance.From, req.Distance.To
-		if to < 0 || to >= n {
-			return plan{}, fmt.Errorf("%w: node %d out of range [0,%d)", ccsp.ErrInvalidSource, to, n)
-		}
-		inner := api.Request{Kind: api.KindMSSP, Graph: req.Graph, MSSP: &api.MSSPParams{Sources: []int{from}}}
-		return plan{
-			kind:  api.KindDistance,
-			graph: req.Graph,
-			eng:   eng,
-			key:   inner.CacheKeyAt(epoch),
-			run:   inner,
-			project: func(in api.Response) api.Response {
-				d := in.MSSP.Dist[to][0]
-				return api.Response{
-					Kind:     api.KindDistance,
-					Graph:    in.Graph,
-					Distance: &api.DistanceResult{From: from, To: to, Distance: d, Reachable: d != api.Unreachable},
-					Stats:    in.Stats,
-					Cached:   in.Cached,
-				}
-			},
-		}, nil
-	case api.KindAPSP:
-		resolved := api.Request{Kind: api.KindAPSP, Graph: req.Graph,
-			APSP: &api.APSPParams{Variant: eng.ResolveAPSPVariant(req.Variant())}}
-		return plan{kind: api.KindAPSP, graph: req.Graph, eng: eng, key: resolved.CacheKeyAt(epoch), run: resolved}, nil
-	default:
-		return plan{kind: req.Kind, graph: req.Graph, eng: eng, key: req.CacheKeyAt(epoch), run: req}, nil
-	}
-}
-
-// lookup is the first shared step of every query position: plan the
-// request and consult the response cache. A hit is counted and comes back
-// finished (Cached: true); a miss returns the plan to run.
-func (s *Server) lookup(req api.Request) (p plan, resp api.Response, hit bool, err error) {
-	if p, err = s.plan(req); err != nil {
 		return p, resp, false, err
 	}
-	if v, ok := s.cache.Get(p.key); ok {
-		s.queries.Inc()
-		return p, p.finish(v.(api.Response), true), true, nil
+	if p, err = entry.current().Plan(req); err != nil {
+		return p, resp, false, err
+	}
+	if s.cacheCap > 0 { // a disabled cache costs no key
+		if v, ok := s.cache.Get(p.Key()); ok {
+			s.queries.Inc()
+			return p, p.Finish(v.(api.Response), true), true, nil
+		}
 	}
 	return p, resp, false, nil
 }
@@ -448,12 +376,14 @@ func (s *Server) enter(ctx context.Context) (_ context.Context, leave func(), er
 // store caches one completed engine response under its plan key and
 // counts it. Only completed results are cached; cached responses repeat
 // the original run's deterministic stats.
-func (s *Server) store(key string, resp api.Response) {
-	s.cache.Put(key, resp)
+func (s *Server) store(p ccsp.Plan, resp api.Response) {
+	if s.cacheCap > 0 {
+		s.cache.Put(p.Key(), resp)
+	}
 	s.queries.Inc()
 }
 
-// execute answers one request: lookup, enter, run, store, project.
+// execute answers one request: lookup, enter, run, store, finish.
 func (s *Server) execute(ctx context.Context, req api.Request) (api.Response, error) {
 	p, resp, hit, err := s.lookup(req)
 	if err != nil || hit {
@@ -463,13 +393,13 @@ func (s *Server) execute(ctx context.Context, req api.Request) (api.Response, er
 	if err != nil {
 		return api.Response{}, err
 	}
-	out, err := p.eng.Query(ctx, p.run)
+	out, err := p.Run(ctx)
 	leave()
 	if err != nil {
 		return api.Response{}, err
 	}
-	s.store(p.key, *out)
-	return p.finish(*out, false), nil
+	s.store(p, *out)
+	return p.Finish(*out, false), nil
 }
 
 // statusClientClosedRequest is nginx's non-standard 499, the

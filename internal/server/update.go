@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"github.com/congestedclique/ccsp"
 	"github.com/congestedclique/ccsp/api"
 )
 
@@ -58,13 +57,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ups := make([]ccsp.EdgeUpdate, len(ur.Updates))
-	for i, u := range ur.Updates {
-		ups[i] = ccsp.EdgeUpdate{U: u.U, V: u.V, W: u.W}
-	}
 	ctx, cancel := s.withTimeout(r.Context())
 	defer cancel()
-	epoch, err := entry.dyn.ApplyUpdates(ctx, ups)
+	epoch, err := entry.dyn.ApplyUpdates(ctx, ur.Updates)
 	if err != nil {
 		s.fail(w, api.KindUpdate, err)
 		return

@@ -9,25 +9,71 @@ import (
 	"github.com/congestedclique/ccsp/api"
 )
 
-// Query answers one typed api.Request: the single dispatcher behind the
-// serving daemon's POST /v1/query, the client package, and cmd/ccsp. It
-// validates the union, runs the matching Engine method, and converts the
-// result to its wire form (distances use api.Unreachable = -1 for
-// disconnected pairs; everything else is a value-for-value copy).
+// Plan is the executable form of one api.Request on one engine: the
+// request validated and rewritten to its canonical form, so that
+// equivalent requests share a cache entry and an engine run. It is the
+// one canonicalisation under Engine.Query, Engine.Batch and the serving
+// daemon. Two rewrites happen at planning time, both of them the paper's
+// own equivalences:
 //
-// A KindAPSP request with the auto variant resolves against the engine's
-// graph - the response reports the concrete algorithm that ran. A
-// KindDistance request runs a single-source MSSP and projects the pair
-// out, exactly as the /v1/distance endpoint always has.
+//   - a KindDistance request becomes the one-source MSSP on G ∪ H that
+//     answers it (Theorem 3) plus the projection of the pair out of that
+//     answer, so distance(2,9), distance(2,5) and mssp[2] are one run;
+//   - a KindAPSP request with the auto variant resolves to the concrete
+//     algorithm the graph selects (Theorem 31 on unit weights, Theorem 28
+//     otherwise), so "apsp" and the variant it means are one run.
 //
-// Errors keep the typed taxonomy: structural problems wrap
-// api.ErrMalformed, everything else wraps the ccsp sentinels
-// (ErrCanceled, ErrRoundLimit, ErrInvalidSource, ErrInvalidOption), so
-// errors.Is dispatch works identically to the direct Engine methods.
-func (e *Engine) Query(ctx context.Context, req api.Request) (*api.Response, error) {
+// Planning is idempotent: planning a plan's own Request changes nothing.
+// A Plan belongs to the engine that made it - and so to that engine's
+// graph generation; its methods are safe for concurrent use.
+type Plan struct {
+	eng *Engine
+	req api.Request // as asked: Finish answers this
+	run api.Request // as run: the canonical form, what Key encodes
+}
+
+// Plan validates req once and canonicalises it. Errors keep the typed
+// taxonomy: structural problems wrap api.ErrMalformed, and a distance
+// target out of range is ErrInvalidSource here, before any run, where the
+// MSSP would only have range-checked the source.
+func (e *Engine) Plan(req api.Request) (Plan, error) {
 	if err := req.Validate(); err != nil {
-		return nil, err
+		return Plan{}, err
 	}
+	p := Plan{eng: e, req: req, run: req}
+	switch req.Kind {
+	case api.KindDistance:
+		if to := req.Distance.To; to < 0 || to >= e.gr.N() {
+			return Plan{}, fmt.Errorf("%w: node %d out of range [0,%d)", ErrInvalidSource, to, e.gr.N())
+		}
+		p.run = api.MSSP(req.Distance.From).On(req.Graph)
+	case api.KindAPSP:
+		p.run = api.APSP(e.ResolveAPSPVariant(req.Variant())).On(req.Graph)
+	}
+	return p, nil
+}
+
+// Engine returns the engine the plan was made on and runs on.
+func (p Plan) Engine() *Engine { return p.eng }
+
+// Request returns the canonical request the plan runs.
+func (p Plan) Request() api.Request { return p.run }
+
+// Key returns the canonical encoding of the plan's request qualified by
+// the engine's epoch (api.Request.CacheKeyAt): the key response caches
+// and batch dedup share. The epoch is part of the key because the engine
+// is one immutable graph generation - a key made at epoch E can only ever
+// match plans made on that same generation, so an answer never outlives
+// the graph it was computed on.
+func (p Plan) Key() string { return p.run.CacheKeyAt(p.eng.epoch) }
+
+// Run executes the plan's canonical request and returns its response in
+// wire form (distances use api.Unreachable = -1 for disconnected pairs),
+// not yet finished: this is the value a cache stores under Key. Errors
+// wrap the ccsp sentinels (ErrCanceled, ErrRoundLimit, ErrInvalidSource,
+// ErrInvalidOption) exactly as the direct Engine methods do.
+func (p Plan) Run(ctx context.Context) (*api.Response, error) {
+	e, req := p.eng, p.run
 	defer e.observeQuery(time.Now())
 	// The engine serves exactly one graph; the Graph field is a serving-
 	// layer routing concern, echoed back so merged fan-out responses stay
@@ -50,24 +96,11 @@ func (e *Engine) Query(ctx context.Context, req api.Request) (*api.Response, err
 		resp.MSSP = &api.MSSPResult{Sources: res.Sources, Dist: wireMat(res.Dist)}
 		stats = res.Stats
 	case api.KindAPSP:
-		variant := e.ResolveAPSPVariant(req.Variant())
-		res, err := e.apspByVariant(ctx, variant)
+		res, err := e.apspByVariant(ctx, req.APSP.Variant)
 		if err != nil {
 			return nil, err
 		}
-		resp.APSP = &api.APSPResult{Variant: variant, Dist: wireMat(res.Dist)}
-		stats = res.Stats
-	case api.KindDistance:
-		from, to := req.Distance.From, req.Distance.To
-		if to < 0 || to >= e.gr.N() {
-			return nil, fmt.Errorf("%w: node %d out of range [0,%d)", ErrInvalidSource, to, e.gr.N())
-		}
-		res, err := e.MSSP(ctx, []int{from})
-		if err != nil {
-			return nil, err
-		}
-		d := wireDist(res.Dist[to][0])
-		resp.Distance = &api.DistanceResult{From: from, To: to, Distance: d, Reachable: d != api.Unreachable}
+		resp.APSP = &api.APSPResult{Variant: req.APSP.Variant, Dist: wireMat(res.Dist)}
 		stats = res.Stats
 	case api.KindDiameter:
 		res, err := e.Diameter(ctx)
@@ -81,28 +114,61 @@ func (e *Engine) Query(ctx context.Context, req api.Request) (*api.Response, err
 		if err != nil {
 			return nil, err
 		}
-		resp.KNearest = &api.KNearestResult{K: req.KNearest.K, Neighbors: wireNeighborLists(res.Neighbors)}
+		resp.KNearest = &api.KNearestResult{K: req.KNearest.K, Neighbors: res.Neighbors}
 		stats = res.Stats
 	case api.KindSourceDetection:
-		p := req.SourceDetection
-		res, err := e.SourceDetection(ctx, p.Sources, p.D, p.K)
+		q := req.SourceDetection
+		res, err := e.SourceDetection(ctx, q.Sources, q.D, q.K)
 		if err != nil {
 			return nil, err
 		}
-		resp.SourceDetection = &api.SourceDetectionResult{D: p.D, K: p.K, Detected: wireNeighborLists(res.Detected)}
+		resp.SourceDetection = &api.SourceDetectionResult{D: q.D, K: q.K, Detected: res.Detected}
 		stats = res.Stats
-	default:
-		// Validate() guarantees a known kind; this is unreachable.
-		return nil, fmt.Errorf("%w: unknown kind %q", api.ErrMalformed, req.Kind)
 	}
 	resp.Stats = wireStats(stats)
 	return resp, nil
 }
 
+// Finish turns a response to the plan's canonical request - fresh from
+// Run, or from a cache (cached true) - into the answer to the request
+// that was planned: it stamps the cache flag and projects a distance
+// pair out of its MSSP. An error response (a failed batch position)
+// keeps the outward kind and the error.
+func (p Plan) Finish(resp api.Response, cached bool) api.Response {
+	if resp.Error != nil {
+		return api.Response{Kind: p.req.Kind, Graph: p.req.Graph, Error: resp.Error}
+	}
+	resp.Cached = cached
+	if pair := p.req.Distance; pair != nil {
+		d := resp.MSSP.Dist[pair.To][0]
+		resp.Kind, resp.MSSP = api.KindDistance, nil
+		resp.Distance = &api.DistanceResult{From: pair.From, To: pair.To, Distance: d, Reachable: d != api.Unreachable}
+	}
+	return resp
+}
+
+// Query answers one typed api.Request: plan, run, finish. It is the
+// dispatcher behind cmd/ccsp and, through the same three steps, the
+// serving daemon's POST /v1/query and the client package. The response
+// is the wire form of what the matching Engine method returns; a
+// KindAPSP response reports the concrete algorithm that ran.
+func (e *Engine) Query(ctx context.Context, req api.Request) (*api.Response, error) {
+	p, err := e.Plan(req)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := p.Run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	*resp = p.Finish(*resp, false)
+	return resp, nil
+}
+
 // ResolveAPSPVariant maps the auto variant to the concrete algorithm the
 // engine's graph selects (Theorem 31 for unit weights, Theorem 28
-// otherwise); explicit variants pass through. Serving layers use it to
-// key caches by the algorithm that actually runs.
+// otherwise); explicit variants pass through. Engine.Plan uses it so that
+// requests are keyed and run by the algorithm that actually answers them.
 func (e *Engine) ResolveAPSPVariant(v api.APSPVariant) api.APSPVariant {
 	if v == api.APSPAuto || v == "" {
 		if e.gr.Unweighted() {
@@ -166,18 +232,6 @@ func wireMat(dist [][]int64) [][]int64 {
 	out := make([][]int64, len(dist))
 	for i, row := range dist {
 		out[i] = wireVec(row)
-	}
-	return out
-}
-
-func wireNeighborLists(lists [][]Neighbor) [][]api.Neighbor {
-	out := make([][]api.Neighbor, len(lists))
-	for v, nbs := range lists {
-		row := make([]api.Neighbor, len(nbs))
-		for i, nb := range nbs {
-			row[i] = api.Neighbor{Node: nb.Node, Dist: nb.Dist, Hops: nb.Hops, FirstHop: nb.FirstHop}
-		}
-		out[v] = row
 	}
 	return out
 }

@@ -36,7 +36,7 @@ func TestQueryMatchesEngineMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := eng.Query(ctx, api.Request{Kind: api.KindSSSP, SSSP: &api.SSSPParams{Source: 3}})
+	rs, err := eng.Query(ctx, api.SSSP(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestQueryMatchesEngineMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm, err := eng.Query(ctx, api.Request{Kind: api.KindMSSP, MSSP: &api.MSSPParams{Sources: []int{2, 7, 2}}})
+	rm, err := eng.Query(ctx, api.MSSP(2, 7, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestQueryMatchesEngineMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, err := eng.Query(ctx, api.Request{Kind: api.KindAPSP})
+	ra, err := eng.Query(ctx, api.APSP(api.APSPAuto))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestQueryMatchesEngineMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra3, err := eng.Query(ctx, api.Request{Kind: api.KindAPSP, APSP: &api.APSPParams{Variant: api.APSPWeighted3}})
+	ra3, err := eng.Query(ctx, api.APSP(api.APSPWeighted3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestQueryMatchesEngineMethods(t *testing.T) {
 	}
 
 	// Distance projects the single-source MSSP row.
-	rd, err := eng.Query(ctx, api.Request{Kind: api.KindDistance, Distance: &api.DistanceParams{From: 2, To: 9}})
+	rd, err := eng.Query(ctx, api.Distance(2, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestQueryMatchesEngineMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := eng.Query(ctx, api.Request{Kind: api.KindDiameter})
+	rr, err := eng.Query(ctx, api.Diameter())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +120,11 @@ func TestQueryMatchesEngineMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rk, err := eng.Query(ctx, api.Request{Kind: api.KindKNearest, KNearest: &api.KNearestParams{K: 3}})
+	rk, err := eng.Query(ctx, api.KNearest(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rk.KNearest.K != 3 || !reflect.DeepEqual(rk.KNearest.Neighbors, wireNeighborLists(wantK.Neighbors)) {
+	if rk.KNearest.K != 3 || !reflect.DeepEqual(rk.KNearest.Neighbors, wantK.Neighbors) {
 		t.Error("knearest payload differs from direct call")
 	}
 
@@ -133,13 +133,12 @@ func TestQueryMatchesEngineMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsd, err := eng.Query(ctx, api.Request{Kind: api.KindSourceDetection,
-		SourceDetection: &api.SourceDetectionParams{Sources: []int{0, 5}, D: 3, K: 2}})
+	rsd, err := eng.Query(ctx, api.SourceDetection([]int{0, 5}, 3, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rsd.SourceDetection.D != 3 || rsd.SourceDetection.K != 2 ||
-		!reflect.DeepEqual(rsd.SourceDetection.Detected, wireNeighborLists(wantSD.Detected)) {
+		!reflect.DeepEqual(rsd.SourceDetection.Detected, wantSD.Detected) {
 		t.Error("source-detection payload differs from direct call")
 	}
 }
@@ -160,12 +159,12 @@ func TestQueryTypedErrors(t *testing.T) {
 	}{
 		"malformed-union":  {api.Request{Kind: api.KindSSSP}, api.ErrMalformed},
 		"unknown-kind":     {api.Request{Kind: "bfs"}, api.ErrMalformed},
-		"bad-source":       {api.Request{Kind: api.KindSSSP, SSSP: &api.SSSPParams{Source: 99}}, ErrInvalidSource},
-		"bad-mssp-source":  {api.Request{Kind: api.KindMSSP, MSSP: &api.MSSPParams{Sources: []int{-1}}}, ErrInvalidSource},
-		"bad-distance-to":  {api.Request{Kind: api.KindDistance, Distance: &api.DistanceParams{From: 0, To: 88}}, ErrInvalidSource},
-		"bad-knearest-k":   {api.Request{Kind: api.KindKNearest, KNearest: &api.KNearestParams{K: 0}}, ErrInvalidOption},
-		"bad-sourcedet-d":  {api.Request{Kind: api.KindSourceDetection, SourceDetection: &api.SourceDetectionParams{Sources: []int{0}, D: 0, K: 1}}, ErrInvalidOption},
-		"empty-source-set": {api.Request{Kind: api.KindMSSP, MSSP: &api.MSSPParams{Sources: []int{}}}, ErrInvalidSource},
+		"bad-source":       {api.SSSP(99), ErrInvalidSource},
+		"bad-mssp-source":  {api.MSSP(-1), ErrInvalidSource},
+		"bad-distance-to":  {api.Distance(0, 88), ErrInvalidSource},
+		"bad-knearest-k":   {api.KNearest(0), ErrInvalidOption},
+		"bad-sourcedet-d":  {api.SourceDetection([]int{0}, 0, 1), ErrInvalidOption},
+		"empty-source-set": {api.MSSP(), ErrInvalidSource},
 	} {
 		_, err := eng.Query(ctx, tc.req)
 		if !errors.Is(err, tc.want) {
@@ -176,7 +175,7 @@ func TestQueryTypedErrors(t *testing.T) {
 	// A dead context is ErrCanceled, like every entry point.
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.Query(canceled, api.Request{Kind: api.KindDiameter}); !errors.Is(err, ErrCanceled) {
+	if _, err := eng.Query(canceled, api.Diameter()); !errors.Is(err, ErrCanceled) {
 		t.Errorf("canceled ctx: err = %v, want ErrCanceled", err)
 	}
 }
@@ -227,4 +226,46 @@ type wrapErr struct {
 func (w *wrapErr) Error() string { return w.msg }
 func (w *wrapErr) Unwrap() []error {
 	return w.inner
+}
+
+// TestPlanIdempotent: a plan's own request is already canonical - planning
+// it again rewrites nothing and keys identically - for every kind, in both
+// execution modes, on a fresh engine and on a later graph generation.
+func TestPlanIdempotent(t *testing.T) {
+	gr := testGraph(12, 14, 6, 5)
+	reqs := map[string]api.Request{
+		"sssp":             api.SSSP(3),
+		"mssp":             api.MSSP(7, 2, 7),
+		"apsp-auto":        api.APSP(api.APSPAuto),
+		"apsp-weighted3":   api.APSP(api.APSPWeighted3),
+		"distance":         api.Distance(2, 9).On("roads"),
+		"diameter":         api.Diameter(),
+		"knearest":         api.KNearest(3),
+		"source-detection": api.SourceDetection([]int{0, 5}, 3, 2),
+	}
+	for _, exec := range []Execution{ExecSimulated, ExecDirect} {
+		eng, err := NewEngine(context.Background(), gr, Options{Execution: exec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, epoch := range []uint64{0, 7} {
+			eng.epoch = epoch
+			for name, req := range reqs {
+				p, err := eng.Plan(req)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				again, err := eng.Plan(p.Request())
+				if err != nil {
+					t.Fatalf("%s: planning the plan's own request: %v", name, err)
+				}
+				if !reflect.DeepEqual(again.Request(), p.Request()) {
+					t.Errorf("%s/%s/e%d: second planning rewrote %+v to %+v", name, exec, epoch, p.Request(), again.Request())
+				}
+				if again.Key() != p.Key() || p.Key() != p.Request().CacheKeyAt(epoch) {
+					t.Errorf("%s/%s/e%d: keys %q, %q, want %q", name, exec, epoch, p.Key(), again.Key(), p.Request().CacheKeyAt(epoch))
+				}
+			}
+		}
+	}
 }
