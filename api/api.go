@@ -561,15 +561,15 @@ type SSSPResult struct {
 // normalized (ascending, deduplicated) source list; Dist[v][i] is the
 // distance from node v to Sources[i].
 type MSSPResult struct {
-	Sources []int     `json:"sources"`
-	Dist    [][]int64 `json:"dist"`
+	Sources []int  `json:"sources"`
+	Dist    Matrix `json:"dist"`
 }
 
 // APSPResult is the wire form of an all-pairs answer. Variant is the
 // concrete algorithm that ran (never "auto").
 type APSPResult struct {
 	Variant APSPVariant `json:"variant"`
-	Dist    [][]int64   `json:"dist"`
+	Dist    Matrix      `json:"dist"`
 }
 
 // DistanceResult is the wire form of a single-pair answer.

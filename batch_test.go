@@ -52,7 +52,7 @@ func TestBatchAmortizesPreprocessing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(resp.MSSP.Dist, wireMat(direct.Dist)) {
+		if !reflect.DeepEqual([][]int64(resp.MSSP.Dist), wireMat(direct.Dist)) {
 			t.Errorf("request %d: batch answer differs from direct call", i)
 		}
 	}

@@ -1,10 +1,11 @@
 package ccsp
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -373,35 +374,11 @@ func (e *Engine) MSSP(ctx context.Context, sources []int) (*MSSPResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, stats, err := e.exec.mssp(ctx, ent, inS)
+	dist, stats, err := e.exec.mssp(ctx, ent, inS)
 	if err != nil {
 		return nil, wrapRun("MSSP", err)
 	}
-	return &MSSPResult{Sources: srcList, Dist: sourceColumns(rows, srcList), Stats: stats}, nil
-}
-
-// sourceColumns projects detection rows (entries keyed by source ID) onto
-// dense per-node vectors in srcList order, Unreachable where a source was
-// not detected.
-func sourceColumns(rows *matrix.Mat[semiring.WH], srcList []int) [][]int64 {
-	srcIdx := make(map[int32]int, len(srcList))
-	for i, s := range srcList {
-		srcIdx[int32(s)] = i
-	}
-	dist := make([][]int64, len(rows.Rows))
-	for v, det := range rows.Rows {
-		row := make([]int64, len(srcList))
-		for i := range row {
-			row[i] = Unreachable
-		}
-		for _, en := range det {
-			if i, ok := srcIdx[en.Col]; ok {
-				row[i] = en.Val.W
-			}
-		}
-		dist[v] = row
-	}
-	return dist
+	return &MSSPResult{Sources: srcList, Dist: dist, Stats: stats}, nil
 }
 
 // SSSP answers an exact single-source query (Theorem 33). The shortcut
@@ -491,24 +468,39 @@ func (e *Engine) KNearest(ctx context.Context, k int) (*KNearestResult, error) {
 	if err != nil {
 		return nil, wrapRun("k-nearest", err)
 	}
-	out := make([][]Neighbor, len(rows.Rows))
-	for v, row := range rows.Rows {
-		nb := make([]Neighbor, 0, len(row))
-		for _, en := range row {
-			nb = append(nb, Neighbor{Node: int(en.Col), Dist: en.Val.W, Hops: int(en.Val.H), FirstHop: int(en.Val.FH)})
-		}
-		sort.Slice(nb, func(i, j int) bool {
-			if nb[i].Dist != nb[j].Dist {
-				return nb[i].Dist < nb[j].Dist
-			}
-			if nb[i].Hops != nb[j].Hops {
-				return nb[i].Hops < nb[j].Hops
-			}
-			return nb[i].Node < nb[j].Node
-		})
-		out[v] = nb
+	out := neighborLists(rows, func(en matrix.Entry[semiring.WHF]) Neighbor {
+		return Neighbor{Node: int(en.Col), Dist: en.Val.W, Hops: int(en.Val.H), FirstHop: int(en.Val.FH)}
+	})
+	for _, nb := range out {
+		slices.SortFunc(nb, nearestFirst)
 	}
 	return &KNearestResult{Neighbors: out, Stats: stats}, nil
+}
+
+// nearestFirst orders a k-nearest list by (Dist, Hops, Node).
+func nearestFirst(a, b Neighbor) int {
+	return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Hops, b.Hops), cmp.Compare(a.Node, b.Node))
+}
+
+// neighborLists shapes sparse result rows into per-node neighbor lists in
+// row order, all cut from one backing array sized from the row lengths.
+// Each list is capacity-clipped (an append to one cannot write into the
+// next), and an empty one stays non-nil so it still encodes as [].
+func neighborLists[E any](rows *matrix.Mat[E], of func(matrix.Entry[E]) Neighbor) [][]Neighbor {
+	total := 0
+	for _, row := range rows.Rows {
+		total += len(row)
+	}
+	backing := make([]Neighbor, 0, total)
+	out := make([][]Neighbor, len(rows.Rows))
+	for v, row := range rows.Rows {
+		start := len(backing)
+		for _, en := range row {
+			backing = append(backing, of(en))
+		}
+		out[v] = backing[start:len(backing):len(backing)]
+	}
+	return out
 }
 
 // SourceDetection answers an (S, d, k)-source detection query
@@ -529,14 +521,9 @@ func (e *Engine) SourceDetection(ctx context.Context, sources []int, d, k int) (
 	if err != nil {
 		return nil, wrapRun("source detection", err)
 	}
-	out := make([][]Neighbor, len(rows.Rows))
-	for v, row := range rows.Rows {
-		nb := make([]Neighbor, 0, len(row))
-		for _, en := range row {
-			nb = append(nb, Neighbor{Node: int(en.Col), Dist: en.Val.W, Hops: int(en.Val.H), FirstHop: -1})
-		}
-		out[v] = nb
-	}
+	out := neighborLists(rows, func(en matrix.Entry[semiring.WH]) Neighbor {
+		return Neighbor{Node: int(en.Col), Dist: en.Val.W, Hops: int(en.Val.H), FirstHop: -1}
+	})
 	return &SourceDetectionResult{Detected: out, Stats: stats}, nil
 }
 

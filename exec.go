@@ -30,9 +30,11 @@ type executor interface {
 	// build constructs the hopset artifact for key (§4) and, for
 	// artLowDegree, the degree vector that defines G'.
 	build(ctx context.Context, key artifactKey) (*hopset.Artifact, []int64, Stats, error)
-	// mssp runs the β-hop source detection on G ∪ H (Theorem 3): row v
-	// holds (s, d̃(v,s)) for every source s that reaches v.
-	mssp(ctx context.Context, ent *artifactEntry, inS []bool) (*matrix.Mat[semiring.WH], Stats, error)
+	// mssp runs the β-hop source detection on G ∪ H (Theorem 3): the dense
+	// n×|S| answer, row v holding d̃(v,s) for the sources s in ascending
+	// order, Unreachable where s does not reach v. The rows share one
+	// backing array the caller owns (DESIGN.md §13, "the result path").
+	mssp(ctx context.Context, ent *artifactEntry, inS []bool) ([][]int64, Stats, error)
 	// sssp returns exact distances from source and the Bellman-Ford
 	// iteration count (Theorem 33).
 	sssp(ctx context.Context, source int) ([]int64, int, Stats, error)
@@ -88,7 +90,7 @@ func (s *simExec) build(ctx context.Context, key artifactKey) (*hopset.Artifact,
 	return art, degsShared, stats, err
 }
 
-func (s *simExec) mssp(ctx context.Context, ent *artifactEntry, inS []bool) (*matrix.Mat[semiring.WH], Stats, error) {
+func (s *simExec) mssp(ctx context.Context, ent *artifactEntry, inS []bool) ([][]int64, Stats, error) {
 	sr := s.g.AugSemiring()
 	rows := matrix.New[semiring.WH](s.g.N)
 	stats, err := s.run(ctx, func(nd *cc.Node) error {
@@ -99,7 +101,49 @@ func (s *simExec) mssp(ctx context.Context, ent *artifactEntry, inS []bool) (*ma
 		rows.Rows[nd.ID] = res.Dist
 		return nil
 	})
-	return rows, stats, err
+	if err != nil {
+		return nil, stats, err
+	}
+	return sourceColumns(rows, inS), stats, nil
+}
+
+// sourceColumns projects detection rows (entries keyed by source ID) onto
+// the dense answer: per-node vectors over the sources of inS in ascending
+// order, Unreachable where a source was not detected, all rows cut from
+// one backing array.
+func sourceColumns(rows *matrix.Mat[semiring.WH], inS []bool) [][]int64 {
+	col := make([]int32, len(inS))
+	q := 0
+	for v, in := range inS {
+		col[v] = -1
+		if in {
+			col[v] = int32(q)
+			q++
+		}
+	}
+	flat := make([]int64, len(rows.Rows)*q)
+	for i := range flat {
+		flat[i] = Unreachable
+	}
+	for v, det := range rows.Rows {
+		for _, en := range det {
+			if j := col[en.Col]; j >= 0 {
+				flat[v*q+int(j)] = en.Val.W
+			}
+		}
+	}
+	return rowsOver(flat, q)
+}
+
+// rowsOver cuts a row-major panel of q-cell rows into row headers over the
+// panel itself. Each row is capacity-clipped, so an append to one cannot
+// write into the next.
+func rowsOver(flat []int64, q int) [][]int64 {
+	rows := make([][]int64, len(flat)/q)
+	for v := range rows {
+		rows[v] = flat[v*q : (v+1)*q : (v+1)*q]
+	}
+	return rows
 }
 
 func (s *simExec) sssp(ctx context.Context, source int) ([]int64, int, Stats, error) {

@@ -18,20 +18,22 @@ import (
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
 
-// estAll is the dense n×n estimate table: row v mirrors node v's est.
+// estAll is the dense n×n estimate table: row v mirrors node v's est. The
+// rows are capacity-clipped windows of one n×n array, and they are the
+// answer the caller receives.
 type estAll struct {
 	rows [][]int64
 }
 
 func newEstAll(n int) *estAll {
+	flat := make([]int64, n*n)
+	for i := range flat {
+		flat[i] = semiring.Inf
+	}
 	e := &estAll{rows: make([][]int64, n)}
 	for v := 0; v < n; v++ {
-		row := make([]int64, n)
-		for i := range row {
-			row[i] = semiring.Inf
-		}
-		row[v] = 0
-		e.rows[v] = row
+		e.rows[v] = flat[v*n : (v+1)*n : (v+1)*n]
+		e.rows[v][v] = 0
 	}
 	return e
 }
@@ -46,6 +48,17 @@ func (e *estAll) updMatWH(m *matrix.Mat[semiring.WH]) {
 	for v, r := range m.Rows {
 		for _, en := range r {
 			e.upd(v, en.Col, en.Val.W)
+		}
+	}
+}
+
+// updPanel folds an MSSP answer in: δ(v,s) for every source s. A cell at
+// rest (semiring.Inf) never wins the min, so none is skipped.
+func (e *estAll) updPanel(p *disttools.Panel) {
+	q := len(p.Sources)
+	for v := range p.Col {
+		for j, s := range p.Sources {
+			e.upd(v, s, p.W[v*q+j])
 		}
 	}
 }
@@ -89,29 +102,37 @@ func pivotsAll(knear *matrix.Mat[semiring.WH], inA []bool) (pvs []int64, dpvs []
 	return pvs, dpvs
 }
 
+// pivotCols maps every node's pivot to its column of the MSSP panel the
+// pivots were drawn from (-1 for a node without one): δ̃(v, p(u)) is then
+// the panel cell (v, pivotCols[u]), read in place - what the collective
+// version reads out of node v's dense MSSP row.
+func pivotCols(p *disttools.Panel, pvs []int64) []int {
+	cols := make([]int, len(pvs))
+	for v, pv := range pvs {
+		cols[v] = -1
+		if pv >= 0 {
+			cols[v] = int(p.Col[pv])
+		}
+	}
+	return cols
+}
+
 // pivotCombineAll applies the §6.2 line (7) / §6.3 line (10) updates for
-// every pair, mirroring pivotCombine: mssp[v] is node v's dense MSSP row.
-func pivotCombineAll(e *estAll, mssp [][]int64, pvs, dpvs []int64) {
-	n := len(pvs)
+// every pair, mirroring pivotCombine: p is the MSSP answer from the
+// hitting set the pivots belong to.
+func pivotCombineAll(e *estAll, p *disttools.Panel, pvs, dpvs []int64) {
+	n, q := len(pvs), len(p.Sources)
+	pcol := pivotCols(p, pvs)
 	for v := 0; v < n; v++ {
 		for u := 0; u < n; u++ {
-			if pvs[v] >= 0 {
-				e.upd(v, int32(u), addSat(dpvs[v], mssp[u][pvs[v]]))
+			if c := pcol[v]; c >= 0 {
+				e.upd(v, int32(u), addSat(dpvs[v], p.W[u*q+c]))
 			}
-			if pu := pvs[u]; pu >= 0 {
-				e.upd(v, int32(u), addSat(dpvs[u], mssp[v][pu]))
+			if c := pcol[u]; c >= 0 {
+				e.upd(v, int32(u), addSat(dpvs[u], p.W[v*q+c]))
 			}
 		}
 	}
-}
-
-// denseAll converts an augmented result matrix to per-node dense rows.
-func denseAll(m *matrix.Mat[semiring.WH]) [][]int64 {
-	out := make([][]int64, m.N)
-	for v := 0; v < m.N; v++ {
-		out[v] = whToDense(m.N, m.Rows[v])
-	}
-	return out
 }
 
 // colSets extracts each row's column set (the hitting-set inputs).
@@ -141,18 +162,18 @@ func ThreePlusEpsDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh *matr
 		return nil, err
 	}
 	inA := hitting.Greedy(n, colSets(knear))
-	res, err := mssp.RunDirectMerged(ctx, gh, beta, inA, workers)
+	res, err := mssp.RunDirectPanel(ctx, gh, beta, inA, workers)
 	if err != nil {
 		return nil, err
 	}
-	e.updMatWH(res)
-	msspDense := denseAll(res)
+	e.updPanel(res)
 	pvs, dpvs := pivotsAll(knear, inA)
+	pcol, q := pivotCols(res, pvs), len(res.Sources)
 	// The one-sided §6.1 combine: δ(v,u) = min(δ, d(u,p(u)) + δ̃(v, p(u))).
 	for v := 0; v < n; v++ {
 		for u := 0; u < n; u++ {
-			if pu := pvs[u]; pu >= 0 {
-				e.upd(v, int32(u), addSat(dpvs[u], msspDense[v][pu]))
+			if c := pcol[u]; c >= 0 {
+				e.upd(v, int32(u), addSat(dpvs[u], res.W[v*q+c]))
 			}
 		}
 	}
@@ -189,14 +210,14 @@ func TwoPlusEpsWeightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh
 	// Line (4): hitting set A of the N_k sets.
 	inA := hitting.Greedy(n, colSets(knear))
 	// Line (5): (1+ε')-approximate MSSP from A over the prebuilt hopset.
-	res, err := mssp.RunDirectMerged(ctx, gh, beta, inA, workers)
+	res, err := mssp.RunDirectPanel(ctx, gh, beta, inA, workers)
 	if err != nil {
 		return nil, err
 	}
-	e.updMatWH(res)
+	e.updPanel(res)
 	// Lines (6)-(7): pivots and the symmetric combination.
 	pvs, dpvs := pivotsAll(knear, inA)
-	pivotCombineAll(e, denseAll(res), pvs, dpvs)
+	pivotCombineAll(e, res, pvs, dpvs)
 	return e.rows, nil
 }
 
@@ -231,19 +252,15 @@ func TwoPlusEpsUnweightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, 
 	// Line (2): A hits every high-degree neighborhood.
 	inA := hitting.Greedy(n, sets)
 	// Line (3): MSSP from A over the prebuilt G hopset.
-	res, err := mssp.RunDirectMerged(ctx, ghG, betaG, inA, workers)
+	res, err := mssp.RunDirectPanel(ctx, ghG, betaG, inA, workers)
 	if err != nil {
 		return nil, err
 	}
-	e.updMatWH(res)
+	e.updPanel(res)
 	// Line (4): distances through A.
 	aEsts := make([][]disttools.Est, n)
-	for v := 0; v < n; v++ {
-		lst := make([]disttools.Est, 0, len(res.Rows[v]))
-		for _, en := range res.Rows[v] {
-			lst = append(lst, disttools.Est{W: en.Col, To: en.Val.W, From: en.Val.W})
-		}
-		aEsts[v] = lst
+	for v, row := range res.Rows().Rows {
+		aEsts[v] = estsFromRow(row)
 	}
 	dts, err := disttools.DistThroughSetsAll(ctx, plainMinPlus(sr), n, aEsts, workers)
 	if err != nil {
@@ -273,14 +290,14 @@ func TwoPlusEpsUnweightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, 
 	// Line (7): A' hits the N_{k'} sets of G' nodes.
 	inA2 := hitting.Greedy(n, colSets(knearLow))
 	// Line (8): sparse MSSP from A' in G' over the prebuilt G' hopset.
-	res2, err := mssp.RunDirectMerged(ctx, ghLow, betaLow, inA2, workers)
+	res2, err := mssp.RunDirectPanel(ctx, ghLow, betaLow, inA2, workers)
 	if err != nil {
 		return nil, err
 	}
-	e.updMatWH(res2)
+	e.updPanel(res2)
 	// Lines (9)-(10): pivots p'(v) and the symmetric combination.
 	pvs, dpvs := pivotsAll(knearLow, inA2)
-	pivotCombineAll(e, denseAll(res2), pvs, dpvs)
+	pivotCombineAll(e, res2, pvs, dpvs)
 
 	// Lines (11)-(12): the 3-hop triple product M1·M2·M3 over min-plus.
 	pm := plainMinPlus(sr)

@@ -86,14 +86,28 @@ func SourceDetectAll[E any](ctx context.Context, sr semiring.Semiring[E], g *mat
 	return u, nil
 }
 
-// SourceDetectAllRestricted solves (S,d,|S|)-source detection over the
+// Panel is the dense answer of a source-restricted detection: W and H are
+// row-major n×|S| panels, cell v·|S|+j holding node v's (weight, hops) to
+// Sources[j], both semiring.Inf where v does not detect it. Sources is
+// ascending and Col, one entry per node, is its inverse (-1 for a
+// non-source). The panels are
+// the kernel's own buffers, handed over: the caller owns them, and the
+// query path serves W itself as the answer (DESIGN.md §13, "the result
+// path").
+type Panel struct {
+	Sources []int32
+	Col     []int32
+	W, H    []int64
+}
+
+// SourceDetectPanel solves (S,d,|S|)-source detection over the
 // augmented semiring exactly like SourceDetectAll, but propagates only
 // the |S| source columns through the d iterations as a flat n×|S| panel
 // (DESIGN.md §13). The sparse iteration U_i = G·U_{i-1} never grows
 // support beyond the source columns, so restricting the representation
 // to those columns - two struct-of-arrays (weight, hops) panels, one
 // read and one written per step - changes nothing about the result: row
-// v of the output is entry-for-entry identical to SourceDetectAll's,
+// v of Rows() is entry-for-entry identical to SourceDetectAll's,
 // while each step does tight O(nnz(G)·|S|) flat work with zero
 // allocations. The two panel shortcuts mirror the specialized kernel's
 // (matmul/dense.go): products saturating at or above semiring.Inf are
@@ -105,7 +119,7 @@ func SourceDetectAll[E any](ctx context.Context, sr semiring.Semiring[E], g *mat
 // the remaining steps are dead work. Hopset-augmented graphs converge in
 // far fewer than β steps (the hopset's whole point), so this routinely
 // saves most of the d-1 iterations without changing a single entry.
-func SourceDetectAllRestricted(ctx context.Context, g *matrix.Mat[semiring.WH], inS []bool, d, workers int) (*matrix.Mat[semiring.WH], error) {
+func SourceDetectPanel(ctx context.Context, g *matrix.Mat[semiring.WH], inS []bool, d, workers int) (*Panel, error) {
 	n := g.N
 	srcs := make([]int32, 0, n)
 	idx := make([]int32, n)
@@ -116,10 +130,9 @@ func SourceDetectAllRestricted(ctx context.Context, g *matrix.Mat[semiring.WH], 
 			srcs = append(srcs, int32(v))
 		}
 	}
-	out := matrix.New[semiring.WH](n)
 	q := len(srcs)
 	if q == 0 {
-		return out, nil // every per-node row is nil, as in SourceDetect
+		return &Panel{Col: idx}, nil
 	}
 	curW := make([]int64, n*q)
 	curH := make([]int64, n*q)
@@ -188,17 +201,46 @@ func SourceDetectAllRestricted(ctx context.Context, g *matrix.Mat[semiring.WH], 
 			break
 		}
 	}
+	return &Panel{Sources: srcs, Col: idx, W: curW, H: curH}, nil
+}
+
+// Rows is the adapter for callers that consume detection rows rather than
+// the panel (the hopset build, the reference comparison): the sparse
+// matrix over one backing array, row v holding (s, (w, h)) for every
+// source v detects, ascending by s; a row with no entry stays nil, as in
+// SourceDetect.
+func (p *Panel) Rows() *matrix.Mat[semiring.WH] {
+	n, q := len(p.Col), len(p.Sources)
+	out := matrix.New[semiring.WH](n)
+	total := 0
+	for _, w := range p.W {
+		if w < semiring.Inf {
+			total++
+		}
+	}
+	backing := make([]matrix.Entry[semiring.WH], 0, total)
 	for v := 0; v < n; v++ {
-		base := v * q
-		var row matrix.Row[semiring.WH]
-		for j := 0; j < q; j++ {
-			if curW[base+j] < semiring.Inf {
-				row = append(row, matrix.Entry[semiring.WH]{Col: srcs[j], Val: semiring.WH{W: curW[base+j], H: curH[base+j]}})
+		base, start := v*q, len(backing)
+		for j, s := range p.Sources {
+			if w := p.W[base+j]; w < semiring.Inf {
+				backing = append(backing, matrix.Entry[semiring.WH]{Col: s, Val: semiring.WH{W: w, H: p.H[base+j]}})
 			}
 		}
-		out.Rows[v] = row
+		if end := len(backing); end > start {
+			out.Rows[v] = backing[start:end:end]
+		}
 	}
-	return out, nil
+	return out
+}
+
+// SourceDetectAllRestricted is SourceDetectPanel in row form: row v of
+// the result equals what SourceDetect returns at node v.
+func SourceDetectAllRestricted(ctx context.Context, g *matrix.Mat[semiring.WH], inS []bool, d, workers int) (*matrix.Mat[semiring.WH], error) {
+	p, err := SourceDetectPanel(ctx, g, inS, d, workers)
+	if err != nil {
+		return nil, err
+	}
+	return p.Rows(), nil
 }
 
 // SourceDetectKAll solves (S,d,k)-source detection (Theorem 19, first

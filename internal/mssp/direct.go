@@ -25,22 +25,34 @@ func MergeGH(sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], art *hopset.Art
 	return g
 }
 
-// RunDirectMerged is RunDirect against a prebuilt G ∪ H matrix (see
+// RunDirectPanel is RunDirect against a prebuilt G ∪ H matrix (see
 // MergeGH) and the artifact's β: the per-query merge is gone, and the
 // β-hop detection runs the source-restricted panel, which propagates
-// only the |S| source columns. Row v of the result is byte-identical to
-// the Dist row RunWithHopset returns at node v against the same
-// artifact.
-func RunDirectMerged(ctx context.Context, gh *matrix.Mat[semiring.WH], beta int, inS []bool, workers int) (*matrix.Mat[semiring.WH], error) {
+// only the |S| source columns. The panel is the answer itself - cell
+// (v, j) is the weight RunWithHopset's Dist row at node v holds for the
+// j-th source, semiring.Inf where it holds none - and belongs to the
+// caller.
+func RunDirectPanel(ctx context.Context, gh *matrix.Mat[semiring.WH], beta int, inS []bool, workers int) (*disttools.Panel, error) {
 	d := beta
 	if d > gh.N {
 		d = gh.N
 	}
-	dist, err := disttools.SourceDetectAllRestricted(ctx, gh, inS, d, workers)
+	p, err := disttools.SourceDetectPanel(ctx, gh, inS, d, workers)
 	if err != nil {
 		return nil, fmt.Errorf("mssp: source detection: %w", err)
 	}
-	return dist, nil
+	return p, nil
+}
+
+// RunDirectMerged is RunDirectPanel in row form: row v of the result is
+// byte-identical to the Dist row RunWithHopset returns at node v against
+// the same artifact.
+func RunDirectMerged(ctx context.Context, gh *matrix.Mat[semiring.WH], beta int, inS []bool, workers int) (*matrix.Mat[semiring.WH], error) {
+	p, err := RunDirectPanel(ctx, gh, beta, inS, workers)
+	if err != nil {
+		return nil, err
+	}
+	return p.Rows(), nil
 }
 
 // RunDirect is the host-side counterpart of RunWithHopset for every node

@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -51,6 +53,23 @@ func TestGoldenResponses(t *testing.T) {
 	checkGolden(t, goldenGraph(t), false)
 }
 
+// indented reads a response body in the golden files' layout: the compact
+// wire bytes under json.Indent's two-space indent, trailing newline kept.
+// Whitespace is not part of the schema (DESIGN.md §11), so the files pin
+// every other byte and never change when only the layout does.
+func indented(t *testing.T, body io.Reader) []byte {
+	t.Helper()
+	raw, err := io.ReadAll(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, raw, "", "  "); err != nil {
+		t.Fatalf("response is not JSON: %v\n%s", err, raw)
+	}
+	return buf.Bytes()
+}
+
 // statsBlock matches the top-level "stats" object of an indented
 // api.Response.
 var statsBlock = regexp.MustCompile(`(?s)\n  "stats": \{.*?\n  \},`)
@@ -96,19 +115,16 @@ func checkGolden(t *testing.T, eng *ccsp.Engine, stripStats bool) {
 				t.Fatal(err)
 			}
 			defer resp.Body.Close()
-			var buf bytes.Buffer
-			if _, err := buf.ReadFrom(resp.Body); err != nil {
-				t.Fatal(err)
-			}
+			got := indented(t, resp.Body)
 			if resp.StatusCode != tc.code {
-				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.code, buf.Bytes())
+				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.code, got)
 			}
 			path := filepath.Join("testdata", "golden", tc.name+".json")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
 					t.Fatal(err)
 				}
 				return
@@ -117,7 +133,6 @@ func checkGolden(t *testing.T, eng *ccsp.Engine, stripStats bool) {
 			if err != nil {
 				t.Fatalf("missing golden file (run with -update to create): %v", err)
 			}
-			got := buf.Bytes()
 			if stripStats {
 				got, want = statsBlock.ReplaceAll(got, nil), statsBlock.ReplaceAll(want, nil)
 			}
@@ -148,19 +163,16 @@ func TestGoldenUnweighted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
+	got := indented(t, resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, buf.Bytes())
+		t.Fatalf("status %d: %s", resp.StatusCode, got)
 	}
-	if !strings.Contains(buf.String(), `"variant": "unweighted"`) {
-		t.Fatalf("auto on a unit-weight graph must resolve to unweighted: %s", buf.Bytes())
+	if !bytes.Contains(got, []byte(`"variant": "unweighted"`)) {
+		t.Fatalf("auto on a unit-weight graph must resolve to unweighted: %s", got)
 	}
 	path := filepath.Join("testdata", "golden", "apsp_unweighted.json")
 	if *updateGolden {
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -169,7 +181,7 @@ func TestGoldenUnweighted(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden file (run with -update to create): %v", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("response bytes diverged from %s\n got: %s\nwant: %s", path, buf.Bytes(), want)
+	if !bytes.Equal(got, want) {
+		t.Errorf("response bytes diverged from %s\n got: %s\nwant: %s", path, got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/congestedclique/ccsp"
 	"github.com/congestedclique/ccsp/api"
 )
 
@@ -108,6 +110,78 @@ func TestQueryEndpointSharesLegacyCache(t *testing.T) {
 	postQuery(t, ts.URL, fmt.Sprintf(`{"kind":"apsp","apsp":{"variant":"%s"}}`, auto.APSP.Variant), http.StatusOK, &resolved)
 	if !resolved.Cached {
 		t.Error("explicit variant missed the entry auto warmed")
+	}
+}
+
+// TestCacheHitBodyMatchesMiss: the LRU holds the very response Plan.Run
+// rewrote to wire form in place, and every hit re-encodes it - so a hit's
+// body is the miss's body with the cached flag flipped, byte for byte, also
+// while other hits encode it and distance requests project pairs out of it
+// (run under -race: the stored panel must only ever be read). The graph has
+// two components, so the panel holds rewritten sentinels.
+func TestCacheHitBodyMatchesMiss(t *testing.T) {
+	gr := ccsp.NewGraph(8)
+	for _, e := range [][3]int64{{0, 1, 2}, {1, 2, 3}, {2, 3, 1}, {4, 5, 2}, {5, 6, 4}, {6, 7, 1}} {
+		gr.MustAddEdge(int(e[0]), int(e[1]), e[2])
+	}
+	eng, err := ccsp.NewEngine(context.Background(), gr, ccsp.Options{Epsilon: 0.5, Execution: ccsp.ExecDirect})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t, eng, Config{CacheSize: 16})
+	cold := newTestServer(t, eng, Config{CacheSize: -1})
+
+	const msspReq = `{"kind":"mssp","mssp":{"sources":[1]}}`
+	hit := func(miss []byte) []byte {
+		if !bytes.Contains(miss, []byte(`"cached":false`)) {
+			t.Fatalf("miss body carries no cached flag: %s", miss)
+		}
+		return bytes.Replace(miss, []byte(`"cached":false`), []byte(`"cached":true`), 1)
+	}
+	wantMSSP := hit(postJSON(t, ts.URL+"/v1/query", msspReq, http.StatusOK, nil))
+	if !bytes.Contains(wantMSSP, []byte(`[-1]`)) {
+		t.Fatalf("the other component must read -1 on the wire: %s", wantMSSP)
+	}
+	distReq := func(to int) string {
+		return fmt.Sprintf(`{"kind":"distance","distance":{"from":1,"to":%d}}`, to)
+	}
+	wantDist := make([][]byte, gr.N())
+	for to := range wantDist {
+		wantDist[to] = hit(postJSON(t, cold.URL+"/v1/query", distReq(to), http.StatusOK, nil))
+	}
+
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		go func() {
+			for i := 0; i < 20; i++ {
+				req, want := msspReq, wantMSSP
+				if (g+i)%2 == 1 {
+					to := (g + i) % gr.N()
+					req, want = distReq(to), wantDist[to]
+				}
+				resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(req))
+				if err != nil {
+					errs <- err
+					return
+				}
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !bytes.Equal(got, want) {
+					errs <- fmt.Errorf("%s: hit body %s, want %s", req, got, want)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < 8; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }
 

@@ -576,10 +576,11 @@ func engineStats(entry *engineEntry) (graph, options, preprocess map[string]inte
 	return graph, options, preprocess
 }
 
+// writeJSON writes v as one line of compact JSON: whitespace is not part
+// of the wire schema (DESIGN.md §11), and indenting an n×q matrix quadruples
+// its bytes.
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // the client is gone if this fails
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // the client is gone if this fails
 }

@@ -399,7 +399,7 @@ func TestConcurrentHandlers(t *testing.T) {
 						errs <- err
 						continue
 					}
-					if !reflect.DeepEqual(mr.MSSP.Dist, wantMSSP[s]) {
+					if !reflect.DeepEqual([][]int64(mr.MSSP.Dist), wantMSSP[s]) {
 						errs <- fmt.Errorf("mssp(%d,%d) distances differ from direct engine call", s, s+4)
 					}
 				case 2:

@@ -69,7 +69,9 @@ func (p Plan) Key() string { return p.run.CacheKeyAt(p.eng.epoch) }
 
 // Run executes the plan's canonical request and returns its response in
 // wire form (distances use api.Unreachable = -1 for disconnected pairs),
-// not yet finished: this is the value a cache stores under Key. Errors
+// not yet finished: this is the value a cache stores under Key, read-only
+// from here on. Run owns the result the engine method hands it, so the wire
+// sentinels are written into that result in place, not into a copy. Errors
 // wrap the ccsp sentinels (ErrCanceled, ErrRoundLimit, ErrInvalidSource,
 // ErrInvalidOption) exactly as the direct Engine methods do.
 func (p Plan) Run(ctx context.Context) (*api.Response, error) {
@@ -212,28 +214,25 @@ func APIError(err error) *api.Error {
 	return &api.Error{Code: code, Message: err.Error()}
 }
 
-// wireDist maps the in-process Unreachable sentinel to the wire's -1.
-func wireDist(d int64) int64 {
-	if d >= Unreachable {
-		return api.Unreachable
-	}
-	return d
-}
-
+// wireVec rewrites dist to wire form in place - the in-process Unreachable
+// sentinel becomes the wire's -1 - and returns it. Only Plan.Run calls it,
+// on a result the engine method just computed for it and retains no
+// reference to (DESIGN.md §13, "the result path").
 func wireVec(dist []int64) []int64 {
-	out := make([]int64, len(dist))
 	for i, d := range dist {
-		out[i] = wireDist(d)
+		if d >= Unreachable {
+			dist[i] = api.Unreachable
+		}
 	}
-	return out
+	return dist
 }
 
+// wireMat is wireVec for every row.
 func wireMat(dist [][]int64) [][]int64 {
-	out := make([][]int64, len(dist))
-	for i, row := range dist {
-		out[i] = wireVec(row)
+	for _, row := range dist {
+		wireVec(row)
 	}
-	return out
+	return dist
 }
 
 // wireStats converts a run's Stats to the wire core.

@@ -57,7 +57,7 @@ func TestQueryMatchesEngineMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rm.MSSP.Sources, wantM.Sources) || !reflect.DeepEqual(rm.MSSP.Dist, wireMat(wantM.Dist)) {
+	if !reflect.DeepEqual(rm.MSSP.Sources, wantM.Sources) || !reflect.DeepEqual([][]int64(rm.MSSP.Dist), wireMat(wantM.Dist)) {
 		t.Error("mssp payload differs from direct call")
 	}
 	checkStats(api.KindMSSP, rm.Stats, wantM.Stats)
@@ -74,7 +74,7 @@ func TestQueryMatchesEngineMethods(t *testing.T) {
 	if ra.APSP.Variant != api.APSPWeighted {
 		t.Errorf("auto variant resolved to %q, want weighted", ra.APSP.Variant)
 	}
-	if !reflect.DeepEqual(ra.APSP.Dist, wireMat(wantA.Dist)) {
+	if !reflect.DeepEqual([][]int64(ra.APSP.Dist), wireMat(wantA.Dist)) {
 		t.Error("apsp payload differs from direct call")
 	}
 	checkStats(api.KindAPSP, ra.Stats, wantA.Stats)
@@ -88,7 +88,7 @@ func TestQueryMatchesEngineMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ra3.APSP.Variant != api.APSPWeighted3 || !reflect.DeepEqual(ra3.APSP.Dist, wireMat(wantA3.Dist)) {
+	if ra3.APSP.Variant != api.APSPWeighted3 || !reflect.DeepEqual([][]int64(ra3.APSP.Dist), wireMat(wantA3.Dist)) {
 		t.Error("apsp weighted3 payload differs from direct call")
 	}
 

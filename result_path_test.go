@@ -1,0 +1,153 @@
+package ccsp
+
+import (
+	"context"
+	"math"
+	"reflect"
+	"testing"
+
+	"github.com/congestedclique/ccsp/api"
+)
+
+// TestQueryAllocsIndependentOfN pins the result path's O(1) shape
+// (DESIGN.md §13): a warm direct-mode distance or mssp query allocates the
+// kernel's panels, one slice of row headers and the response - nothing per
+// node - so the count is the same small number at n = 128 and n = 512, up
+// to the handful of closures each extra detection sweep costs. Before the
+// one-materialisation rule it was 3n+.
+func TestQueryAllocsIndependentOfN(t *testing.T) {
+	ctx := context.Background()
+	reqs := []api.Request{api.Distance(1, 100), api.MSSP(0, 9, 18, 27, 36, 45, 54, 63)}
+	counts := make(map[api.Kind][]float64)
+	for _, n := range []int{128, 512} {
+		eng, err := NewEngine(ctx, testGraph(n, 3*n, 10, int64(n)), Options{Epsilon: 0.5, Execution: ExecDirect, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, req := range reqs {
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, err := eng.Query(ctx, req); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs >= 100 {
+				t.Errorf("n=%d %s: %v allocs per warm query, want < 100", n, req.Kind, allocs)
+			}
+			counts[req.Kind] = append(counts[req.Kind], allocs)
+		}
+	}
+	for kind, c := range counts {
+		if math.Abs(c[0]-c[1]) > 16 {
+			t.Errorf("%s: %v allocs at n=128 but %v at n=512: the result path allocates per node again", kind, c[0], c[1])
+		}
+	}
+}
+
+// splitGraph is two 4-node paths with no edge between them: every pair
+// across the halves is unreachable.
+func splitGraph() *Graph {
+	gr := NewGraph(8)
+	for _, e := range [][3]int64{{0, 1, 2}, {1, 2, 3}, {2, 3, 1}, {4, 5, 2}, {5, 6, 4}, {6, 7, 1}} {
+		gr.MustAddEdge(int(e[0]), int(e[1]), e[2])
+	}
+	return gr
+}
+
+// TestWireSentinelsNeverLeak pins who may rewrite a result in place: Plan.Run
+// turns Unreachable into the wire's -1 inside the result it just computed
+// and owns; the public Engine methods, asked the same question afterwards,
+// still report Unreachable, in both execution modes.
+func TestWireSentinelsNeverLeak(t *testing.T) {
+	ctx := context.Background()
+	for _, exec := range []Execution{ExecSimulated, ExecDirect} {
+		eng, err := NewEngine(ctx, splitGraph(), Options{Epsilon: 0.5, Execution: exec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, req := range []api.Request{api.MSSP(0, 5), api.SSSP(0), api.APSP(api.APSPAuto), api.Distance(0, 5)} {
+			resp, err := eng.Query(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch req.Kind {
+			case api.KindMSSP:
+				if resp.MSSP.Dist[7][0] != api.Unreachable || resp.MSSP.Dist[0][1] != api.Unreachable {
+					t.Errorf("%s mssp: wire form must carry -1, got %v", exec, resp.MSSP.Dist)
+				}
+			case api.KindSSSP:
+				if resp.SSSP.Dist[4] != api.Unreachable {
+					t.Errorf("%s sssp: wire form must carry -1, got %v", exec, resp.SSSP.Dist)
+				}
+			case api.KindAPSP:
+				if resp.APSP.Dist[0][4] != api.Unreachable {
+					t.Errorf("%s apsp: wire form must carry -1, got %v", exec, resp.APSP.Dist[0])
+				}
+			case api.KindDistance:
+				if resp.Distance.Reachable || resp.Distance.Distance != api.Unreachable {
+					t.Errorf("%s distance: got %+v", exec, resp.Distance)
+				}
+			}
+		}
+		m, err := eng.MSSP(ctx, []int{0, 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Dist[7][0] != Unreachable || m.Dist[0][1] != Unreachable || m.Dist[3][0] != 6 {
+			t.Errorf("%s: Engine.MSSP after Query = %v, want Unreachable across the halves", exec, m.Dist)
+		}
+		s, err := eng.SSSP(ctx, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Dist[4] != Unreachable || s.Dist[3] != 6 {
+			t.Errorf("%s: Engine.SSSP after Query = %v", exec, s.Dist)
+		}
+		a, err := eng.APSP(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Dist[0][4] != Unreachable || a.Dist[7][3] != Unreachable || a.Dist[0][0] != 0 {
+			t.Errorf("%s: Engine.APSP after Query row 0 = %v", exec, a.Dist[0])
+		}
+	}
+}
+
+// TestResultRowsAreCapacityClipped: result rows are windows of one backing
+// array, so each must end at its own capacity - an append to row v
+// reallocates instead of writing into row v+1.
+func TestResultRowsAreCapacityClipped(t *testing.T) {
+	ctx := context.Background()
+	for _, exec := range []Execution{ExecSimulated, ExecDirect} {
+		eng, err := NewEngine(ctx, testGraph(12, 12, 9, 5), Options{Epsilon: 0.5, Execution: exec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := eng.MSSP(ctx, []int{2, 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := append([]int64(nil), m.Dist[4]...)
+		_ = append(m.Dist[3], -7, -7)
+		if !reflect.DeepEqual(m.Dist[4], next) {
+			t.Errorf("%s: append to MSSP row 3 overwrote row 4: %v, want %v", exec, m.Dist[4], next)
+		}
+		a, err := eng.APSP(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next = append([]int64(nil), a.Dist[4]...)
+		_ = append(a.Dist[3], -7)
+		if !reflect.DeepEqual(a.Dist[4], next) {
+			t.Errorf("%s: append to APSP row 3 overwrote row 4", exec)
+		}
+		k, err := eng.KNearest(ctx, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nextNb := append([]Neighbor(nil), k.Neighbors[4]...)
+		_ = append(k.Neighbors[3], Neighbor{Node: -7})
+		if !reflect.DeepEqual(k.Neighbors[4], nextNb) {
+			t.Errorf("%s: append to KNearest list 3 overwrote list 4: %v, want %v", exec, k.Neighbors[4], nextNb)
+		}
+	}
+}

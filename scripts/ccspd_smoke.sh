@@ -58,7 +58,7 @@ for _ in $(seq 50); do
   curl -fs "http://$addr/healthz" >/dev/null 2>&1 && break
   sleep 0.2
 done
-curl -fs "http://$addr/healthz" | grep -q '"status": "ok"'
+curl -fs "http://$addr/healthz" | grep -q '"status": *"ok"'
 echo "healthz ok"
 
 # Every node's distance-to-0 from the daemon must equal the CLI's MSSP
@@ -130,7 +130,7 @@ for _ in $(seq 50); do
   curl -fs "http://$addr2/healthz" >/dev/null 2>&1 && break
   sleep 0.2
 done
-curl -fs "http://$addr2/healthz" | grep -q '"status": "ok"'
+curl -fs "http://$addr2/healthz" | grep -q '"status": *"ok"'
 fail=0
 for v in 0 1 2 3 4 5 6 7; do
   cli=$(awk -v v="$v" '$1 == v { print $2 }' "$tmp/cli.out")
@@ -152,10 +152,10 @@ echo "== dynamic update plane: POST /v1/update bumps the epoch and changes answe
 # daemon must agree with a cold CLI run on the mutated graph - the
 # rebuild-equals-cold-build differential, end to end over HTTP.
 pre=$(dist "$addr" 0 5)
-curl -fs "http://$addr/v1/epoch" | grep -q '"epoch": 0'
+curl -fs "http://$addr/v1/epoch" | grep -q '"epoch": *0'
 curl -fs "http://$addr/v1/update" -d '{"updates":[{"u":1,"v":5,"w":100}]}' \
-  | grep -q '"epoch": 1'
-curl -fs "http://$addr/v1/epoch" | grep -q '"epoch": 1'
+  | grep -q '"epoch": *1'
+curl -fs "http://$addr/v1/epoch" | grep -q '"epoch": *1'
 post=$(dist "$addr" 0 5)
 if [ "$pre" = "$post" ]; then
   echo "dist(0,5) unchanged ($pre) after reweighting its shortest path"
@@ -179,7 +179,7 @@ echo "update differential ok (epoch 1, rebuilt == cold build, 8 pairs)"
 # edge through it and the epoch ticks again.
 "$tmp/ccsp" -server "http://$addr" -update "0,7,-1" > "$tmp/upd.out"
 grep -q 'epoch 2' "$tmp/upd.out"
-curl -fs "http://$addr/v1/epoch" | grep -q '"epoch": 2'
+curl -fs "http://$addr/v1/epoch" | grep -q '"epoch": *2'
 post2=$(dist "$addr" 0 7)
 if [ "$post2" = "3" ]; then
   echo "dist(0,7) still 3 after deleting the direct edge"
@@ -203,7 +203,7 @@ for _ in $(seq 50); do
   curl -fs "http://$addr3/readyz" >/dev/null 2>&1 && break
   sleep 0.2
 done
-curl -fs "http://$addr3/readyz" | grep -q '"ready": true'
+curl -fs "http://$addr3/readyz" | grep -q '"ready": *true'
 
 burst() {
   # shellcheck disable=SC2046
@@ -240,7 +240,7 @@ if grep -vq '^200$' "$tmp/health_during.txt"; then
   exit 1
 fi
 # The shed path is typed end to end: body code + counter both say so.
-curl -s "http://$addr3/v1/stats" | grep -q '"shed": [1-9]'
+curl -s "http://$addr3/v1/stats" | grep -q '"shed": *[1-9]'
 echo "overload ok ($(grep -c '^503' "$tmp/burst.txt") shed of 40, healthz stayed 200)"
 
 kill -TERM "$pid2"

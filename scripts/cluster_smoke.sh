@@ -64,7 +64,7 @@ for port in 9161 9162 9163; do
     curl -fs "http://127.0.0.1:$port/readyz" >/dev/null 2>&1 && break
     sleep 0.2
   done
-  curl -fs "http://127.0.0.1:$port/readyz" | grep -q '"ready": true'
+  curl -fs "http://127.0.0.1:$port/readyz" | grep -q '"ready": *true'
 done
 echo "all replicas ready"
 
