@@ -366,48 +366,5 @@ func statusError(path string, status int, body []byte) error {
 	if err := json.Unmarshal(body, &envelope); err != nil || envelope.Error == nil {
 		return fmt.Errorf("client: %s: status %d: %s", path, status, strings.TrimSpace(string(body)))
 	}
-	return fmt.Errorf("client: %s: %w", path, SentinelError(envelope.Error))
-}
-
-// SentinelError converts a typed api.Error into a Go error wrapping the
-// matching ccsp sentinel, so errors.Is dispatch works identically
-// whether a failure arrived as an HTTP status (surfaced by Query) or
-// in place inside a batch position (Response.Error):
-//
-//	canceled           ErrCanceled (+ context.Canceled)
-//	deadline_exceeded  ErrCanceled (+ context.DeadlineExceeded; a
-//	                   server-side per-request timeout fired)
-//	round_limit        ErrRoundLimit
-//	invalid_source     ErrInvalidSource
-//	invalid_option     ErrInvalidOption
-//	malformed          api.ErrMalformed
-//	unknown_graph      ErrUnknownGraph
-//	unavailable        ErrUnavailable
-//	overloaded         ErrOverloaded (the daemon shed the request under
-//	                   admission control; WithRetry backs off and retries)
-//
-// Unrecognized codes pass through as the *api.Error itself.
-func SentinelError(e *api.Error) error {
-	switch e.Code {
-	case api.CodeCanceled:
-		return fmt.Errorf("%w: %w: %s", ccsp.ErrCanceled, context.Canceled, e.Message)
-	case api.CodeDeadline:
-		return fmt.Errorf("%w: %w: %s", ccsp.ErrCanceled, context.DeadlineExceeded, e.Message)
-	case api.CodeRoundLimit:
-		return fmt.Errorf("%w: %s", ccsp.ErrRoundLimit, e.Message)
-	case api.CodeInvalidSource:
-		return fmt.Errorf("%w: %s", ccsp.ErrInvalidSource, e.Message)
-	case api.CodeInvalidOption:
-		return fmt.Errorf("%w: %s", ccsp.ErrInvalidOption, e.Message)
-	case api.CodeMalformed:
-		return fmt.Errorf("%w: %s", api.ErrMalformed, e.Message)
-	case api.CodeUnknownGraph:
-		return fmt.Errorf("%w: %s", ccsp.ErrUnknownGraph, e.Message)
-	case api.CodeUnavailable:
-		return fmt.Errorf("%w: %s", ccsp.ErrUnavailable, e.Message)
-	case api.CodeOverloaded:
-		return fmt.Errorf("%w: %s", ccsp.ErrOverloaded, e.Message)
-	default:
-		return e
-	}
+	return fmt.Errorf("client: %s: %w", path, ccsp.SentinelError(envelope.Error))
 }

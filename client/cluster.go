@@ -184,7 +184,7 @@ func (c *Cluster) maxBatchRounds() int { return len(c.clients) + 1 }
 // answer in place with typed api.Errors; a dead replica never fails
 // the whole batch. Positions orphaned by a replica dying mid-batch are
 // re-routed to ring successors and, when none holds the graph, answer
-// CodeUnavailable (convert with SentinelError for errors.Is dispatch).
+// CodeUnavailable (convert with ccsp.SentinelError for errors.Is dispatch).
 func (c *Cluster) Batch(ctx context.Context, reqs []api.Request) ([]api.Response, error) {
 	resps := make([]api.Response, len(reqs))
 	pending := make([]int, len(reqs))

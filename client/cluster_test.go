@@ -89,7 +89,7 @@ func testCluster(t *testing.T, nReplicas int, graphs map[string]int, extraHolder
 		if !ok {
 			t.Fatal("empty ring")
 		}
-		if err := servers[owner].AddGraph(g, eng); err != nil {
+		if err := servers[owner].AddDynamicGraph(g, ccsp.NewDynamicEngine(eng)); err != nil {
 			t.Fatal(err)
 		}
 		if extra[g] {
@@ -97,7 +97,7 @@ func testCluster(t *testing.T, nReplicas int, graphs map[string]int, extraHolder
 			if len(succ) < 2 {
 				t.Fatalf("graph %q needs a successor for failover, ring has %d members", g, len(succ))
 			}
-			if err := servers[succ[1]].AddGraph(g, eng); err != nil {
+			if err := servers[succ[1]].AddDynamicGraph(g, ccsp.NewDynamicEngine(eng)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -225,7 +225,7 @@ func TestClusterBatchFanout(t *testing.T) {
 	if dead.Error == nil || dead.Error.Code != api.CodeUnavailable {
 		t.Errorf("unplaced position error = %+v, want unavailable", dead.Error)
 	}
-	if !errors.Is(SentinelError(dead.Error), ccsp.ErrUnavailable) {
+	if !errors.Is(ccsp.SentinelError(dead.Error), ccsp.ErrUnavailable) {
 		t.Error("unplaced position error does not dispatch to ErrUnavailable")
 	}
 	if bad := resps[6]; bad.Error == nil || bad.Error.Code != api.CodeInvalidSource {

@@ -197,24 +197,6 @@ func TestRoundTripTypedErrors(t *testing.T) {
 	}
 }
 
-// TestSentinelErrorParity pins the wire-code → sentinel half of the
-// contract directly, including the overload code the admission layer
-// introduces: a shed request dispatches on ccsp.ErrOverloaded exactly
-// like any other sentinel.
-func TestSentinelErrorParity(t *testing.T) {
-	for code, want := range map[api.ErrorCode]error{
-		api.CodeUnavailable:  ccsp.ErrUnavailable,
-		api.CodeOverloaded:   ccsp.ErrOverloaded,
-		api.CodeUnknownGraph: ccsp.ErrUnknownGraph,
-		api.CodeRoundLimit:   ccsp.ErrRoundLimit,
-	} {
-		err := SentinelError(&api.Error{Code: code, Message: "x"})
-		if !errors.Is(err, want) {
-			t.Errorf("code %q: %v, want errors.Is %v", code, err, want)
-		}
-	}
-}
-
 // TestRoundTripServerTimeout: the server's per-request deadline comes
 // back as ErrCanceled wrapping context.DeadlineExceeded - remote and
 // local deadline failures dispatch identically.

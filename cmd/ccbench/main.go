@@ -17,8 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -46,13 +44,11 @@ type jsonTable struct {
 
 func run() error {
 	var (
-		exp        = flag.String("exp", "all", "experiment ID (E1..E18, A1..A4), comma-separated set, or 'all'")
-		scale      = flag.String("scale", "quick", "quick | full")
-		format     = flag.String("format", "md", "md | json")
-		workers    = flag.Int("workers", 0, "engine worker-pool size (0 = GOMAXPROCS, 1 = serial)")
-		list       = flag.Bool("list", false, "list experiments and exit")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
+		exp     = flag.String("exp", "all", "experiment ID (E1..E14, A1..A4), comma-separated set, or 'all'")
+		scale   = flag.String("scale", "quick", "quick | full")
+		format  = flag.String("format", "md", "md | json")
+		workers = flag.Int("workers", 0, "engine worker-pool size (0 = GOMAXPROCS, 1 = serial)")
+		list    = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
 
@@ -78,31 +74,6 @@ func run() error {
 		return fmt.Errorf("negative -workers %d", *workers)
 	}
 	cfg := bench.Config{Scale: s, Workers: *workers}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			return fmt.Errorf("-memprofile: %w", err)
-		}
-		defer func() {
-			runtime.GC() // settle the heap so the profile shows live data
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "ccbench: -memprofile:", err)
-			}
-			f.Close()
-		}()
-	}
 
 	var ids []string
 	if *exp == "all" {

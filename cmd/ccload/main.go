@@ -12,7 +12,6 @@
 //	ccload -targets http://a:8080,http://b:8080 -graphs g1,g2    # drive a sharded cluster
 //	ccload -targets ... -mix distance=70,sssp=20,mssp=10 -dist zipf -batch 16
 //	ccload -targets ... -mix distance=90,update=10 -update-maxw 9   # mixed read/write traffic
-//	ccload -targets ... -format bench -label "overload 2x"       # BENCH-compatible JSON row
 //
 // The node-ID space is discovered from the first target's /healthz
 // (override with -n). Closed loop runs -concurrency workers
@@ -59,8 +58,7 @@ func run() error {
 		retries     = flag.Int("retries", 0, "client retries per request (0 = none: shed load is counted, not hidden)")
 		retryBase   = flag.Duration("retry-base", 100*time.Millisecond, "retry backoff base (with -retries)")
 		wait        = flag.Duration("wait", 10*time.Second, "how long to wait for the first target to become healthy")
-		format      = flag.String("format", "text", "output: text | json | bench")
-		label       = flag.String("label", "", "row label for -format bench (default: workload description)")
+		format      = flag.String("format", "text", "output: text | json")
 	)
 	flag.Parse()
 
@@ -76,8 +74,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if *format != "text" && *format != "json" && *format != "bench" {
-		return fmt.Errorf("unknown format %q (text | json | bench)", *format)
+	if *format != "text" && *format != "json" {
+		return fmt.Errorf("unknown format %q (text | json)", *format)
 	}
 
 	var copts []client.Option
@@ -120,33 +118,12 @@ func run() error {
 		return err
 	}
 
-	switch *format {
-	case "text":
-		rep.Fprint(os.Stdout)
-	case "json":
+	if *format == "json" {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(rep)
-	case "bench":
-		// The jsonTable shape of ccbench -format json, so load rows can
-		// sit next to experiment snapshots in BENCH_*.json files.
-		table := []struct {
-			ID             string     `json:"id"`
-			Title          string     `json:"title"`
-			Columns        []string   `json:"columns"`
-			Rows           [][]string `json:"rows"`
-			ElapsedSeconds float64    `json:"elapsed_seconds"`
-		}{{
-			ID:             "LOAD",
-			Title:          "ccload workload replay",
-			Columns:        loadgen.BenchColumns(),
-			Rows:           [][]string{rep.BenchRow(*label)},
-			ElapsedSeconds: rep.Seconds,
-		}}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(table)
 	}
+	rep.Fprint(os.Stdout)
 	return nil
 }
 

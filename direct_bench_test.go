@@ -17,8 +17,9 @@ import (
 
 var benchEngines sync.Map // n -> *Engine (ExecDirect, eps 0.5)
 
-// benchEngine returns a preprocessed direct-mode engine over the E17/E18
-// graph family at size n, built once per process.
+// benchEngine returns a preprocessed direct-mode engine over a seeded
+// connected graph (m ≈ 4n, weights <= 10) at size n, built once per
+// process.
 func benchEngine(b *testing.B, n int) *Engine {
 	b.Helper()
 	if e, ok := benchEngines.Load(n); ok {
@@ -44,7 +45,8 @@ func benchEngine(b *testing.B, n int) *Engine {
 }
 
 // BenchmarkDirectQuery measures warm MSSP latency at q sources per query
-// (the E18 workload; run with -benchmem for allocs/op).
+// (the workload of DESIGN.md §13's historical table; run with -benchmem
+// for allocs/op, -cpuprofile to profile the kernels).
 func BenchmarkDirectQuery(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		for _, q := range []int{1, 8} {
@@ -67,8 +69,8 @@ func BenchmarkDirectQuery(b *testing.B) {
 }
 
 // BenchmarkBuildDirect measures one cold §4 hopset build on the host -
-// what NewEngine and every dynamic rebuild pay - on the E17 graph family
-// (m ≈ 4n, ε = 0.5, default worker pool).
+// what NewEngine and every dynamic rebuild pay - on benchEngine's graph
+// family (m ≈ 4n, ε = 0.5, default worker pool).
 func BenchmarkBuildDirect(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 
+	"github.com/congestedclique/ccsp/api"
 	"github.com/congestedclique/ccsp/internal/cc"
 )
 
@@ -56,6 +58,81 @@ var (
 	// WithRetry honors it. Maps to api.CodeOverloaded.
 	ErrOverloaded = errors.New("ccsp: overloaded")
 )
+
+// statusClientClosedRequest is nginx's non-standard 499, the
+// conventional status for "the client went away before we could answer".
+const statusClientClosedRequest = 499
+
+// errorTable is the one statement of which sentinel is which wire code
+// and which HTTP status; APIError, HTTPStatus and SentinelError are its
+// only readers. Rows are tried in order and the first errors.Is match
+// wins. The context sentinels come first because ErrCanceled wraps
+// them: whether the deadline fired (504) or the caller went away (499)
+// is the distinction that matters to proxies, logs and retry policies.
+// An error no row claims is api.CodeInternal / 400.
+var errorTable = []struct {
+	match  error
+	code   api.ErrorCode
+	status int
+}{
+	{context.DeadlineExceeded, api.CodeDeadline, http.StatusGatewayTimeout},
+	{context.Canceled, api.CodeCanceled, statusClientClosedRequest},
+	{ErrCanceled, api.CodeCanceled, statusClientClosedRequest},
+	{ErrRoundLimit, api.CodeRoundLimit, http.StatusServiceUnavailable},
+	{ErrInvalidSource, api.CodeInvalidSource, http.StatusUnprocessableEntity},
+	{ErrInvalidOption, api.CodeInvalidOption, http.StatusUnprocessableEntity},
+	{ErrUnknownGraph, api.CodeUnknownGraph, http.StatusNotFound},
+	{ErrOverloaded, api.CodeOverloaded, http.StatusServiceUnavailable},
+	{ErrUnavailable, api.CodeUnavailable, http.StatusServiceUnavailable},
+	{api.ErrMalformed, api.CodeMalformed, http.StatusBadRequest},
+}
+
+// classify returns err's row of errorTable.
+func classify(err error) (api.ErrorCode, int) {
+	for _, r := range errorTable {
+		if errors.Is(err, r.match) {
+			return r.code, r.status
+		}
+	}
+	return api.CodeInternal, http.StatusBadRequest
+}
+
+// APIError converts an error from the typed taxonomy into its wire form
+// (nil stays nil).
+func APIError(err error) *api.Error {
+	if err == nil {
+		return nil
+	}
+	code, _ := classify(err)
+	return &api.Error{Code: code, Message: err.Error()}
+}
+
+// HTTPStatus is the status the serving layer answers err with.
+func HTTPStatus(err error) int {
+	_, status := classify(err)
+	return status
+}
+
+// SentinelError is APIError's inverse: it converts a typed api.Error
+// into a Go error wrapping the matching sentinel, so errors.Is dispatch
+// works identically whether a failure was returned by an Engine method,
+// arrived as an HTTP status (surfaced by client.Query) or sits in place
+// inside a batch position (Response.Error). The two context codes come
+// back the way wrapRun and ctxErr produce them, under ErrCanceled.
+// Codes no row carries (api.CodeInternal, codes from a newer daemon)
+// pass through as the *api.Error itself.
+func SentinelError(e *api.Error) error {
+	for _, r := range errorTable {
+		if r.code != e.Code {
+			continue
+		}
+		if r.match == context.DeadlineExceeded || r.match == context.Canceled {
+			return fmt.Errorf("%w: %w: %s", ErrCanceled, r.match, e.Message)
+		}
+		return fmt.Errorf("%w: %s", r.match, e.Message)
+	}
+	return e
+}
 
 // wrapRun translates an executor error into the public error taxonomy,
 // prefixed with the failing operation. The simulator reports cancellation

@@ -4,13 +4,98 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"net/http"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/congestedclique/ccsp/api"
 	"github.com/congestedclique/ccsp/internal/cc"
 )
+
+// TestErrorTableParity walks every api.ErrorCode through the one table
+// of errors.go in all three directions: a wrapped sentinel becomes its
+// wire code (APIError) and its HTTP status (HTTPStatus - the table in
+// internal/server's package comment), and the wire error comes back
+// (SentinelError) as something errors.Is-equal to where it started and
+// classified exactly the same.
+func TestErrorTableParity(t *testing.T) {
+	cases := []struct {
+		code   api.ErrorCode
+		chain  []error // what the error wraps, outermost first
+		status int
+	}{
+		{api.CodeDeadline, []error{ErrCanceled, context.DeadlineExceeded}, http.StatusGatewayTimeout},
+		{api.CodeCanceled, []error{ErrCanceled, context.Canceled}, 499},
+		{api.CodeRoundLimit, []error{ErrRoundLimit}, http.StatusServiceUnavailable},
+		{api.CodeInvalidSource, []error{ErrInvalidSource}, http.StatusUnprocessableEntity},
+		{api.CodeInvalidOption, []error{ErrInvalidOption}, http.StatusUnprocessableEntity},
+		{api.CodeMalformed, []error{api.ErrMalformed}, http.StatusBadRequest},
+		{api.CodeUnknownGraph, []error{ErrUnknownGraph}, http.StatusNotFound},
+		{api.CodeUnavailable, []error{ErrUnavailable}, http.StatusServiceUnavailable},
+		{api.CodeOverloaded, []error{ErrOverloaded}, http.StatusServiceUnavailable},
+		{api.CodeInternal, nil, http.StatusBadRequest},
+	}
+	covered := map[api.ErrorCode]bool{}
+	for _, tc := range cases {
+		covered[tc.code] = true
+		err := &wrapErr{msg: "op failed", inner: tc.chain}
+		wire := APIError(err)
+		if wire.Code != tc.code || wire.Message != "op failed" {
+			t.Errorf("%s: APIError = %+v", tc.code, wire)
+		}
+		if got := HTTPStatus(err); got != tc.status {
+			t.Errorf("%s: HTTPStatus = %d, want %d", tc.code, got, tc.status)
+		}
+		back := SentinelError(wire)
+		for _, want := range tc.chain {
+			if !errors.Is(back, want) {
+				t.Errorf("%s: SentinelError = %v, want errors.Is %v", tc.code, back, want)
+			}
+		}
+		if tc.chain == nil && back != error(wire) {
+			t.Errorf("%s: SentinelError = %v, want the *api.Error itself", tc.code, back)
+		}
+		if got := APIError(back).Code; got != tc.code {
+			t.Errorf("%s: second trip code %q", tc.code, got)
+		}
+		if got := HTTPStatus(back); got != tc.status {
+			t.Errorf("%s: second trip status %d, want %d", tc.code, got, tc.status)
+		}
+	}
+	for _, r := range errorTable {
+		if !covered[r.code] {
+			t.Errorf("errorTable code %q has no parity case", r.code)
+		}
+	}
+
+	// The canceled family beyond the two canonical chains: a bare
+	// ErrCanceled and the raw context sentinels (the update handler's
+	// Wait returns ctx.Err() unwrapped) classify like the wrapped forms,
+	// and a deadline wins over everything it is wrapped with.
+	for _, tc := range []struct {
+		err    error
+		code   api.ErrorCode
+		status int
+	}{
+		{ErrCanceled, api.CodeCanceled, 499},
+		{context.Canceled, api.CodeCanceled, 499},
+		{context.DeadlineExceeded, api.CodeDeadline, http.StatusGatewayTimeout},
+		{fmt.Errorf("%w: every replica failed: %w: %w", ErrUnavailable, ErrCanceled, context.DeadlineExceeded),
+			api.CodeDeadline, http.StatusGatewayTimeout},
+		{fmt.Errorf("%w: every replica failed: %w", ErrUnavailable, ErrOverloaded),
+			api.CodeOverloaded, http.StatusServiceUnavailable},
+	} {
+		if got := APIError(tc.err).Code; got != tc.code {
+			t.Errorf("%v: code %q, want %q", tc.err, got, tc.code)
+		}
+		if got := HTTPStatus(tc.err); got != tc.status {
+			t.Errorf("%v: status %d, want %d", tc.err, got, tc.status)
+		}
+	}
+}
 
 // TestTypedErrorsValidation: every validation failure wraps the right
 // sentinel, from both the one-shot wrappers and Engine methods.

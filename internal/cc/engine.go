@@ -135,7 +135,7 @@ type engine struct {
 // accumulated so far (a consistent partial prefix of the run) together with
 // an error wrapping both ErrCanceled and the context's own sentinel.
 // Barrier granularity bounds the cancellation latency: one in-flight
-// collective may complete before the check fires (EXPERIMENTS.md E16).
+// collective may complete before the check fires (DESIGN.md §10).
 // A run that completes without ctx firing is byte-identical - results and
 // all deterministic Stats fields - to one launched with context.Background.
 func Run(ctx context.Context, cfg Config, prog Program) (Stats, error) {

@@ -240,7 +240,7 @@ func TestMultiProcessCluster(t *testing.T) {
 				t.Errorf("dead graph %s: response echo = (%q, %q)", g, resp.Graph, resp.Kind)
 			}
 			// errors.Is parity with the single-call path's sentinels.
-			if !errors.Is(client.SentinelError(resp.Error), ccsp.ErrUnavailable) {
+			if !errors.Is(ccsp.SentinelError(resp.Error), ccsp.ErrUnavailable) {
 				t.Errorf("dead graph %s: SentinelError not ErrUnavailable", g)
 			}
 			continue

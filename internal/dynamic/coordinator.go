@@ -49,6 +49,7 @@ type Coordinator struct {
 	seq          uint64 // last epoch ever assigned (monotone, never reused)
 	published    uint64 // last epoch whose build succeeded
 	building     bool   // a builder goroutine is alive
+	inBuild      int    // updates in the generation the builder is on right now
 	fails        []failure
 	change       chan struct{} // closed and replaced at every publish/fail/Close
 	closed       bool
@@ -105,11 +106,13 @@ func (c *Coordinator) run() {
 		epoch := c.pendingEpoch
 		c.pending = nil
 		c.pendingEpoch = 0
+		c.inBuild = len(ups)
 		c.mu.Unlock()
 
 		err := c.build(c.ctx, epoch, ups)
 
 		c.mu.Lock()
+		c.inBuild = 0
 		if err != nil {
 			c.fails = append(c.fails, failure{epoch: epoch, err: err})
 			if len(c.fails) > maxFailures {
@@ -166,12 +169,13 @@ func (c *Coordinator) Published() uint64 {
 	return c.published
 }
 
-// Pending reports how many updates are staged for the next generation
-// (including one currently being built, until it completes).
+// Pending reports how many staged updates are not yet visible: those
+// waiting for the next generation plus those in the generation being
+// built, until it publishes or fails.
 func (c *Coordinator) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.pending)
+	return len(c.pending) + c.inBuild
 }
 
 // Close rejects further staging and cancels the in-flight build (which

@@ -128,6 +128,7 @@ func TestCoordinatorPublishAndWait(t *testing.T) {
 func TestCoordinatorCoalesces(t *testing.T) {
 	// A build that blocks until released; updates staged meanwhile must
 	// coalesce into ONE next generation.
+	started := make(chan struct{})
 	release := make(chan struct{})
 	var mu sync.Mutex
 	var gens [][]Update
@@ -137,6 +138,7 @@ func TestCoordinatorCoalesces(t *testing.T) {
 		first := len(gens) == 1
 		mu.Unlock()
 		if first {
+			close(started)
 			<-release
 		}
 		return nil
@@ -144,18 +146,25 @@ func TestCoordinatorCoalesces(t *testing.T) {
 	defer c.Close()
 
 	ep1, _ := c.Stage([]Update{{U: 0, V: 1, W: 1}})
-	// Give the builder a moment to take generation 1.
-	for c.Pending() != 0 {
-		time.Sleep(time.Millisecond)
+	<-started // the builder took generation 1 and is blocked inside it
+	// An update in a running build is not visible yet, so it still counts.
+	if got := c.Pending(); got != 1 {
+		t.Fatalf("Pending during the first build = %d, want 1", got)
 	}
 	ep2, _ := c.Stage([]Update{{U: 1, V: 2, W: 2}})
 	ep3, _ := c.Stage([]Update{{U: 2, V: 3, W: 3}})
 	if ep1 != 1 || ep2 != 2 || ep3 != 2 {
 		t.Fatalf("epochs = %d,%d,%d, want 1,2,2 (coalesced)", ep1, ep2, ep3)
 	}
+	if got := c.Pending(); got != 3 {
+		t.Fatalf("Pending with one build running and two staged = %d, want 3", got)
+	}
 	close(release)
 	if err := c.Wait(context.Background(), ep3); err != nil {
 		t.Fatal(err)
+	}
+	if got := c.Pending(); got != 0 {
+		t.Fatalf("Pending after the last publish = %d, want 0", got)
 	}
 	mu.Lock()
 	defer mu.Unlock()

@@ -15,8 +15,8 @@
 // Runs are deterministic for a fixed Config.Seed apart from wall-clock
 // jitter: the request sequence each worker generates is seeded.
 //
-// cmd/ccload is the CLI wrapper; experiment E19 (internal/bench) runs
-// the same harness in-process against httptest daemons.
+// cmd/ccload is the CLI wrapper; the package's tests run the same
+// harness in-process against httptest daemons.
 package loadgen
 
 import (
@@ -259,30 +259,14 @@ func newTally() *tally {
 // errCode maps a failure onto its api.ErrorCode string via the sentinel
 // taxonomy; anything untyped (socket errors, proxy pages) is "transport".
 func errCode(err error) string {
-	switch {
-	case errors.Is(err, ccsp.ErrOverloaded):
-		return string(api.CodeOverloaded)
-	case errors.Is(err, ccsp.ErrUnavailable):
-		return string(api.CodeUnavailable)
-	case errors.Is(err, ccsp.ErrUnknownGraph):
-		return string(api.CodeUnknownGraph)
-	case errors.Is(err, ccsp.ErrRoundLimit):
-		return string(api.CodeRoundLimit)
-	case errors.Is(err, ccsp.ErrInvalidSource):
-		return string(api.CodeInvalidSource)
-	case errors.Is(err, ccsp.ErrInvalidOption):
-		return string(api.CodeInvalidOption)
-	case errors.Is(err, api.ErrMalformed):
-		return string(api.CodeMalformed)
-	case errors.Is(err, ccsp.ErrCanceled):
-		return string(api.CodeCanceled)
-	default:
-		var apiErr *api.Error
-		if errors.As(err, &apiErr) {
-			return string(apiErr.Code)
-		}
-		return "transport"
+	if e := ccsp.APIError(err); e.Code != api.CodeInternal {
+		return string(e.Code)
 	}
+	var apiErr *api.Error
+	if errors.As(err, &apiErr) {
+		return string(apiErr.Code)
+	}
+	return "transport"
 }
 
 // gen produces the deterministic request stream for one worker.
@@ -655,31 +639,4 @@ func (r *Report) Fprint(w io.Writer) {
 		}
 	}
 	fmt.Fprintf(w, "by kind:   %s\n", strings.Join(kinds, "  "))
-}
-
-// BenchColumns is the shared BENCH row shape emitted by both
-// `ccload -format bench` and experiment E19.
-func BenchColumns() []string {
-	return []string{"workload", "ops", "requests", "qps", "p50 ms", "p95 ms", "p99 ms", "ok", "shed", "other errors"}
-}
-
-// BenchRow renders the report as one BENCH table row under
-// BenchColumns; label overrides the workload description when non-empty.
-func (r *Report) BenchRow(label string) []string {
-	if label == "" {
-		label = r.Workload
-	}
-	shed := r.ErrorsByCode[string(api.CodeOverloaded)]
-	return []string{
-		label,
-		fmt.Sprintf("%d", r.Ops),
-		fmt.Sprintf("%d", r.Requests),
-		fmt.Sprintf("%.1f", r.QPS),
-		fmt.Sprintf("%.2f", r.P50Millis),
-		fmt.Sprintf("%.2f", r.P95Millis),
-		fmt.Sprintf("%.2f", r.P99Millis),
-		fmt.Sprintf("%d", r.OK),
-		fmt.Sprintf("%d", shed),
-		fmt.Sprintf("%d", r.Errors()-shed),
-	}
 }

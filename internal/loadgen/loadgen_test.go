@@ -349,14 +349,3 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("negative BatchSize accepted")
 	}
 }
-
-func TestBenchRowShape(t *testing.T) {
-	r := &Report{Workload: "w", ErrorsByCode: map[string]int64{"overloaded": 3, "transport": 1}}
-	row := r.BenchRow("")
-	if len(row) != len(BenchColumns()) {
-		t.Fatalf("row has %d cells, columns %d", len(row), len(BenchColumns()))
-	}
-	if row[0] != "w" || row[8] != "3" || row[9] != "1" {
-		t.Fatalf("unexpected row %v", row)
-	}
-}

@@ -20,12 +20,14 @@ func multiGraphServer(t *testing.T) (*httptest.Server, map[string]*ccsp.Engine) 
 	_, engines[""] = testEngine(t, 8)
 	_, engines["ring"] = testEngine(t, 10)
 	_, engines["web"] = testEngine(t, 12)
-	s, err := New(Config{
-		Engine:  engines[""],
-		Engines: map[string]*ccsp.Engine{"ring": engines["ring"], "web": engines["web"]},
-	})
+	s, err := New(Config{Engine: engines[""]})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, name := range []string{"ring", "web"} {
+		if err := s.AddDynamicGraph(name, ccsp.NewDynamicEngine(engines[name])); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -189,13 +191,14 @@ func TestDeferredStartup(t *testing.T) {
 	}
 
 	_, eng := testEngine(t, 8)
-	if err := s.AddGraph("", eng); err != nil {
+	dyn := ccsp.NewDynamicEngine(eng)
+	if err := s.AddDynamicGraph("", dyn); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddGraph("", eng); err == nil {
+	if err := s.AddDynamicGraph("", dyn); err == nil {
 		t.Error("duplicate graph registration accepted")
 	}
-	if err := s.AddGraph("no:colons", eng); err == nil {
+	if err := s.AddDynamicGraph("no:colons", dyn); err == nil {
 		t.Error("malformed graph ID accepted")
 	}
 	s.SetReady()

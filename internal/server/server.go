@@ -5,14 +5,15 @@
 // every HTTP request is a cheap query-only run, optionally
 // short-circuited by a small LRU cache of repeated queries.
 //
-// A server holds a registry of engines keyed by graph ID: the default
-// graph (the empty ID, the only one a pre-cluster daemon had) plus any
-// number of named graphs. Requests select a graph with the api.Request
-// Graph field; requests without one hit the default engine, byte-for-
-// byte compatible with the single-graph wire protocol. A request naming
-// a graph the registry does not hold gets a typed 404
-// (api.CodeUnknownGraph) - in a cluster, that means the ring routed it
-// to the wrong replica.
+// A server holds a registry of ccsp.DynamicEngines keyed by graph ID:
+// the default graph (the empty ID, the only one a pre-cluster daemon
+// had) plus any number of named graphs. Every served graph accepts
+// POST /v1/update; an engine handed over as Config.Engine is wrapped.
+// Requests select a graph with the api.Request Graph field; requests
+// without one hit the default engine, byte-for-byte compatible with the
+// single-graph wire protocol. A request naming a graph the registry
+// does not hold gets a typed 404 (api.CodeUnknownGraph) - in a cluster,
+// that means the ring routed it to the wrong replica.
 //
 // The serving surface is the typed query plane of the api package
 // (DESIGN.md §11, §14). Primary endpoints (JSON bodies; distances use
@@ -23,9 +24,9 @@
 //	POST /v1/batch    api.BatchRequest: many requests, one engine batch
 //	                  per target graph with per-request errors and
 //	                  shared deduped runs
-//	POST /v1/update   api.UpdateRequest: one batch of edge mutations on
-//	                  a dynamic graph, applied atomically by a
-//	                  background rebuild + hot engine swap (update.go)
+//	POST /v1/update   api.UpdateRequest: one batch of edge mutations,
+//	                  applied atomically by a background rebuild + hot
+//	                  engine swap (update.go)
 //	GET  /v1/epoch    the serving epoch of one graph (?graph=ID), for
 //	                  freshness assertions and async-update polling
 //	GET  /healthz     liveness + default graph shape (503 until ready)
@@ -43,16 +44,17 @@
 // in-flight limit plus a short wait queue, see admission.go): a
 // saturated daemon sheds the excess with fast typed 503s instead of
 // letting every request's latency collapse together. Errors map to
-// statuses through the ccsp typed-error taxonomy:
+// wire codes and statuses through the one table in the root package's
+// errors.go (ccsp.APIError, ccsp.HTTPStatus), first match wins:
 //
 //	context.DeadlineExceeded   504 Gateway Timeout
-//	context.Canceled           499 (client closed request)
+//	ccsp.ErrCanceled           499 (client closed request)
 //	ccsp.ErrRoundLimit         503 Service Unavailable
-//	ccsp.ErrUnavailable        503 Service Unavailable (still loading)
-//	ccsp.ErrOverloaded         503 Service Unavailable + Retry-After (shed)
-//	ccsp.ErrUnknownGraph       404 Not Found
 //	ccsp.ErrInvalidSource      422 Unprocessable Entity
 //	ccsp.ErrInvalidOption      422 Unprocessable Entity
+//	ccsp.ErrUnknownGraph       404 Not Found
+//	ccsp.ErrOverloaded         503 Service Unavailable + Retry-After (shed)
+//	ccsp.ErrUnavailable        503 Service Unavailable (still loading)
 //	api.ErrMalformed           400 Bad Request
 //	anything else              400 Bad Request
 package server
@@ -76,17 +78,15 @@ import (
 // Config configures a Server.
 type Config struct {
 	// Engine serves requests without a graph ID (the default graph).
-	// Required unless Engines or Deferred is set.
+	// The server wraps it in a ccsp.DynamicEngine, so it accepts
+	// updates like any graph registered with AddDynamicGraph. Required
+	// unless Deferred is set.
 	Engine *ccsp.Engine
-	// Engines maps graph IDs to their engines (multi-graph serving). IDs
-	// must satisfy api.ValidateGraphID and be non-empty (the default
-	// graph goes in Engine).
-	Engines map[string]*ccsp.Engine
 	// Deferred starts the server with no engines and not ready: the
-	// daemon binds its listener first, registers engines with AddGraph as
-	// snapshots load, then flips SetReady. Until then /readyz (and every
-	// query) answers 503, which is how a cluster prober distinguishes
-	// "replica restarting" from "replica gone".
+	// daemon binds its listener first, registers engines with
+	// AddDynamicGraph as snapshots load, then flips SetReady. Until then
+	// /readyz (and every query) answers 503, which is how a cluster
+	// prober distinguishes "replica restarting" from "replica gone".
 	Deferred bool
 	// Timeout bounds each request's query (a /v1/batch body counts as one
 	// request: the timeout covers the whole batch); 0 means no timeout.
@@ -111,29 +111,10 @@ type Config struct {
 	QueueWait time.Duration
 }
 
-// engineEntry is one registered graph: either a static engine (eng) or
-// a dynamic one (dyn) accepting POST /v1/update mutations. Exactly one
-// of the two is set.
-type engineEntry struct {
-	eng *ccsp.Engine
-	dyn *ccsp.DynamicEngine
-}
-
-// current resolves the engine serving this graph right now. For a
-// dynamic graph this is one atomic load; callers take the engine once
-// per request so planning, cache keying and execution all see a single
-// (engine, epoch) pair even if a swap lands mid-request.
-func (e *engineEntry) current() *ccsp.Engine {
-	if e.dyn != nil {
-		return e.dyn.Engine()
-	}
-	return e.eng
-}
-
 // Server holds the engine registry and per-process serving state.
 type Server struct {
 	mu      sync.RWMutex
-	engines map[string]*engineEntry // key "" = default graph
+	engines map[string]*ccsp.DynamicEngine // key "" = default graph
 
 	ready    atomic.Bool
 	timeout  time.Duration
@@ -168,7 +149,7 @@ func New(cfg Config) (*Server, error) {
 		size = 0
 	}
 	s := &Server{
-		engines:  make(map[string]*engineEntry),
+		engines:  make(map[string]*ccsp.DynamicEngine),
 		timeout:  cfg.Timeout,
 		cache:    newLRU(size),
 		cacheCap: size,
@@ -176,40 +157,26 @@ func New(cfg Config) (*Server, error) {
 		adm:      newAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait),
 	}
 	s.initMetrics()
-	if cfg.Engine != nil {
-		s.addEntry("", cfg.Engine)
-	}
-	for name, eng := range cfg.Engines {
-		if err := s.AddGraph(name, eng); err != nil {
-			return nil, err
-		}
-	}
-	if len(s.engines) == 0 {
+	if cfg.Engine == nil {
 		if !cfg.Deferred {
-			return nil, fmt.Errorf("server: no engine (set Engine, Engines, or Deferred)")
+			return nil, fmt.Errorf("server: no engine (set Engine or Deferred)")
 		}
 		return s, nil // not ready until SetReady
+	}
+	// Wrapping starts no goroutine: the coordinator spawns its builder
+	// on the first staged update.
+	if err := s.AddDynamicGraph("", ccsp.NewDynamicEngine(cfg.Engine)); err != nil {
+		return nil, err
 	}
 	s.ready.Store(true)
 	return s, nil
 }
 
-// AddGraph registers eng under the graph ID name ("" = default graph).
-// Safe to call while serving (a Deferred daemon registers snapshots as
-// they load); duplicate and malformed IDs are rejected.
-func (s *Server) AddGraph(name string, eng *ccsp.Engine) error {
-	if eng == nil {
-		return fmt.Errorf("server: nil engine for graph %q", name)
-	}
-	if err := api.ValidateGraphID(name); err != nil {
-		return fmt.Errorf("server: %w", err)
-	}
-	return s.register(name, &engineEntry{eng: eng})
-}
-
-// AddDynamicGraph registers a mutable graph: queries resolve the
-// wrapper's current engine per request, and POST /v1/update routes its
-// mutations here. Like AddGraph, safe to call while serving.
+// AddDynamicGraph registers dyn under the graph ID name ("" = default
+// graph) with its per-graph epoch gauge: queries resolve the wrapper's
+// current engine per request, and POST /v1/update routes its mutations
+// here. Safe to call while serving (a Deferred daemon registers
+// snapshots as they load); duplicate and malformed IDs are rejected.
 func (s *Server) AddDynamicGraph(name string, dyn *ccsp.DynamicEngine) error {
 	if dyn == nil {
 		return fmt.Errorf("server: nil dynamic engine for graph %q", name)
@@ -217,31 +184,20 @@ func (s *Server) AddDynamicGraph(name string, dyn *ccsp.DynamicEngine) error {
 	if err := api.ValidateGraphID(name); err != nil {
 		return fmt.Errorf("server: %w", err)
 	}
-	return s.register(name, &engineEntry{dyn: dyn})
-}
-
-// register installs a validated entry and its per-graph epoch gauge.
-func (s *Server) register(name string, entry *engineEntry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.engines[name]; dup {
 		return fmt.Errorf("server: graph %q registered twice", name)
 	}
-	s.engines[name] = entry
-	// The gauge captures the entry, not the server: reading it takes no
+	s.engines[name] = dyn
+	// The gauge captures the engine, not the server: reading it takes no
 	// server lock, so a /metrics scrape can never contend with (or
 	// deadlock against) the registry mutation paths.
 	s.reg.GaugeFunc("ccspd_graph_epoch",
 		"Serving epoch of each registered graph (0 = never mutated).",
-		func() float64 { return float64(entry.current().Epoch()) },
+		func() float64 { return float64(dyn.Epoch()) },
 		telemetry.L("graph", name))
 	return nil
-}
-
-// addEntry is AddGraph without validation, for the constructor's default
-// engine (registered before any concurrent access exists).
-func (s *Server) addEntry(name string, eng *ccsp.Engine) {
-	s.register(name, &engineEntry{eng: eng}) //nolint:errcheck // no duplicates at construction
 }
 
 // SetReady marks the server ready: every snapshot is loaded and queries
@@ -253,7 +209,7 @@ func (s *Server) SetReady() { s.ready.Store(true) }
 func (s *Server) Ready() bool { return s.ready.Load() }
 
 // engineFor resolves a request's graph ID against the registry.
-func (s *Server) engineFor(graph string) (*engineEntry, error) {
+func (s *Server) engineFor(graph string) (*ccsp.DynamicEngine, error) {
 	if !s.ready.Load() {
 		return nil, fmt.Errorf("%w: snapshots still loading", ccsp.ErrUnavailable)
 	}
@@ -291,8 +247,8 @@ func (s *Server) namedGraphIDs() []string {
 	return ids
 }
 
-// defaultEntry returns the default graph's entry, or nil.
-func (s *Server) defaultEntry() *engineEntry {
+// defaultEntry returns the default graph's engine, or nil.
+func (s *Server) defaultEntry() *ccsp.DynamicEngine {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.engines[""]
@@ -325,17 +281,17 @@ func (s *Server) Handler() http.Handler {
 // cache. A hit is counted and comes back finished (Cached: true); a miss
 // returns the plan to run.
 //
-// The engine is taken from the registry once per request: it carries its
-// epoch, so the plan's key, its validation and its run all describe one
-// graph generation even if a dynamic swap lands in between. Keys are
-// graph- and epoch-qualified, so one shared LRU serves every graph and
-// every generation without aliasing.
+// The serving engine is taken from the registry once per request (one
+// atomic load): it carries its epoch, so the plan's key, its validation
+// and its run all describe one graph generation even if a swap lands in
+// between. Keys are graph- and epoch-qualified, so one shared LRU serves
+// every graph and every generation without aliasing.
 func (s *Server) lookup(req api.Request) (p ccsp.Plan, resp api.Response, hit bool, err error) {
-	entry, err := s.engineFor(req.Graph)
+	dyn, err := s.engineFor(req.Graph)
 	if err != nil {
 		return p, resp, false, err
 	}
-	if p, err = entry.current().Plan(req); err != nil {
+	if p, err = dyn.Engine().Plan(req); err != nil {
 		return p, resp, false, err
 	}
 	if s.cacheCap > 0 { // a disabled cache costs no key
@@ -402,37 +358,10 @@ func (s *Server) execute(ctx context.Context, req api.Request) (api.Response, er
 	return p.Finish(*out, false), nil
 }
 
-// statusClientClosedRequest is nginx's non-standard 499, the
-// conventional status for "the client went away before we could answer".
-const statusClientClosedRequest = 499
-
-// statusForError is the typed-error → HTTP status table. The context
-// sentinels are checked first: ccsp.ErrCanceled wraps them, and whether
-// the deadline fired (504) or the client went away (499) is the
-// distinction that matters to proxies and logs.
-func statusForError(err error) int {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return statusClientClosedRequest
-	case errors.Is(err, ccsp.ErrRoundLimit), errors.Is(err, ccsp.ErrUnavailable),
-		errors.Is(err, ccsp.ErrOverloaded):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, ccsp.ErrUnknownGraph):
-		return http.StatusNotFound
-	case errors.Is(err, ccsp.ErrInvalidSource), errors.Is(err, ccsp.ErrInvalidOption):
-		return http.StatusUnprocessableEntity
-	default:
-		// api.ErrMalformed and unclassified parse errors.
-		return http.StatusBadRequest
-	}
-}
-
 // countError bumps the right per-class counter for a failed query and
 // returns its status code.
 func (s *Server) countError(err error) int {
-	code := statusForError(err)
+	code := ccsp.HTTPStatus(err)
 	if code == http.StatusGatewayTimeout {
 		s.timeouts.Inc()
 	} else {
@@ -460,7 +389,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	h := api.Health{Status: "ok", Graphs: s.namedGraphIDs()}
 	if def := s.defaultEntry(); def != nil {
-		gr := def.current().Graph()
+		gr := def.Engine().Graph()
 		h.Nodes = gr.N()
 		h.Edges = gr.M()
 	}
@@ -525,11 +454,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if named := s.namedGraphIDs(); len(named) > 0 {
 		graphs := make(map[string]interface{}, len(named))
 		for _, name := range named {
-			entry, err := s.engineFor(name)
+			dyn, err := s.engineFor(name)
 			if err != nil {
 				continue // racing an unregister; nothing does that today
 			}
-			g, o, p := engineStats(entry)
+			g, o, p := engineStats(dyn)
 			graphs[name] = map[string]interface{}{"graph": g, "options": o, "preprocess": p}
 		}
 		body["graphs"] = graphs
@@ -538,10 +467,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // engineStats renders one engine's graph/options/preprocess stat blocks.
-// It snapshots the entry's current engine once, so a dynamic graph's
-// stats describe one consistent (graph, epoch) pair.
-func engineStats(entry *engineEntry) (graph, options, preprocess map[string]interface{}) {
-	eng := entry.current()
+// It snapshots the serving engine once, so the stats describe one
+// consistent (graph, epoch) pair.
+func engineStats(dyn *ccsp.DynamicEngine) (graph, options, preprocess map[string]interface{}) {
+	eng := dyn.Engine()
 	pre := eng.PreprocessStats()
 	builds := make([]map[string]interface{}, 0, len(pre.Builds))
 	for _, b := range pre.Builds {
@@ -555,15 +484,12 @@ func engineStats(entry *engineEntry) (graph, options, preprocess map[string]inte
 	}
 	gr := eng.Graph()
 	graph = map[string]interface{}{
-		"nodes":      gr.N(),
-		"edges":      gr.M(),
-		"max_weight": gr.MaxWeight(),
-		"unweighted": gr.Unweighted(),
-		"epoch":      eng.Epoch(),
-		"dynamic":    entry.dyn != nil,
-	}
-	if entry.dyn != nil {
-		graph["pending_updates"] = entry.dyn.Pending()
+		"nodes":           gr.N(),
+		"edges":           gr.M(),
+		"max_weight":      gr.MaxWeight(),
+		"unweighted":      gr.Unweighted(),
+		"epoch":           eng.Epoch(),
+		"pending_updates": dyn.Pending(),
 	}
 	options = map[string]interface{}{
 		"epsilon": eng.Options().Epsilon,

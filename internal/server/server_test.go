@@ -311,9 +311,13 @@ func TestCanceledRequestStopsRun(t *testing.T) {
 	}
 }
 
-// TestStatusMapping pins the typed-error → HTTP status table, both as a
-// unit table over statusForError and end-to-end through a handler whose
-// engine is configured to trip each error class.
+// statusClientClosedRequest is nginx's non-standard 499, the
+// conventional status for "the client went away before we could answer".
+const statusClientClosedRequest = 499
+
+// TestStatusMapping pins the statuses the handlers answer wrapped errors
+// with (the table itself is the root package's; TestErrorTableParity
+// walks every code).
 func TestStatusMapping(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -327,8 +331,8 @@ func TestStatusMapping(t *testing.T) {
 		{"invalid-option", fmt.Errorf("q: %w", ccsp.ErrInvalidOption), http.StatusUnprocessableEntity},
 		{"plain", fmt.Errorf("missing parameter"), http.StatusBadRequest},
 	} {
-		if got := statusForError(tc.err); got != tc.want {
-			t.Errorf("%s: statusForError = %d, want %d", tc.name, got, tc.want)
+		if got := ccsp.HTTPStatus(tc.err); got != tc.want {
+			t.Errorf("%s: HTTPStatus = %d, want %d", tc.name, got, tc.want)
 		}
 	}
 

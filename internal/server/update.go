@@ -19,7 +19,7 @@ const (
 )
 
 // handleUpdate serves POST /v1/update: one api.UpdateRequest staged as
-// a single graph generation on the target dynamic graph. By default
+// a single graph generation on the target graph. By default
 // the handler blocks (under the request context plus the server
 // timeout) until the background rebuild publishes the generation, so a
 // 200 means queries already reflect the batch; Async requests answer
@@ -45,21 +45,15 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 				Message: fmt.Sprintf("batch of %d updates exceeds the %d-update limit", len(ur.Updates), maxUpdatesPerBatch)})
 		return
 	}
-	entry, err := s.engineFor(ur.Graph)
+	dyn, err := s.engineFor(ur.Graph)
 	if err != nil {
 		s.fail(w, api.KindUpdate, err)
-		return
-	}
-	if entry.dyn == nil {
-		s.errors.Inc()
-		writeAPIError(w, http.StatusUnprocessableEntity, api.KindUpdate,
-			&api.Error{Code: api.CodeInvalidOption, Message: "graph is static: this daemon did not register it for updates"})
 		return
 	}
 
 	ctx, cancel := s.withTimeout(r.Context())
 	defer cancel()
-	epoch, err := entry.dyn.ApplyUpdates(ctx, ur.Updates)
+	epoch, err := dyn.ApplyUpdates(ctx, ur.Updates)
 	if err != nil {
 		s.fail(w, api.KindUpdate, err)
 		return
@@ -71,7 +65,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	if err := entry.dyn.Wait(ctx, epoch); err != nil {
+	if err := dyn.Wait(ctx, epoch); err != nil {
 		// The generation did not publish within this request: rebuild
 		// failure drops it (503/422 by taxonomy); a fired deadline only
 		// abandons the wait - the rebuild continues and the epoch may
@@ -91,14 +85,10 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "", err)
 		return
 	}
-	entry, err := s.engineFor(graph)
+	dyn, err := s.engineFor(graph)
 	if err != nil {
 		s.fail(w, "", err)
 		return
 	}
-	resp := api.EpochResponse{Graph: graph, Epoch: entry.current().Epoch()}
-	if entry.dyn != nil {
-		resp.Pending = entry.dyn.Pending()
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, api.EpochResponse{Graph: graph, Epoch: dyn.Epoch(), Pending: dyn.Pending()})
 }

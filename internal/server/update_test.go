@@ -138,15 +138,37 @@ func TestUpdateMatchesColdEngine(t *testing.T) {
 	}
 }
 
-// TestUpdateStaticGraphRejected: a graph registered with AddGraph has no
-// mutation path; the daemon must say so with a typed 422, not a 500.
-func TestUpdateStaticGraphRejected(t *testing.T) {
-	_, eng := testEngine(t, 8)
+// TestUpdateConfigEngineGraph: there is one kind of served graph. An
+// engine handed to the server as Config.Engine is wrapped, so it takes
+// an update, serves epoch 1 and reports pending_updates like a graph
+// registered with AddDynamicGraph.
+func TestUpdateConfigEngineGraph(t *testing.T) {
+	_, eng := pathEngine(t, 8, 1)
 	ts := newTestServer(t, eng, Config{})
-	body := postJSON(t, ts.URL+"/v1/update", `{"updates":[{"u":0,"v":1,"w":5}]}`,
-		http.StatusUnprocessableEntity, nil)
-	if !strings.Contains(string(body), "invalid_option") || !strings.Contains(string(body), "static") {
-		t.Fatalf("static-graph rejection body = %s", body)
+
+	var ur updateResponse
+	postJSON(t, ts.URL+"/v1/update", `{"updates":[{"u":6,"v":7,"w":100}]}`, http.StatusOK, &ur)
+	if ur.Epoch != 1 || ur.Applied != 1 || ur.Pending {
+		t.Fatalf("update response = %+v, want epoch 1, applied 1, not pending", ur)
+	}
+	var d distResponse
+	postQuery(t, ts.URL, `{"kind":"distance","distance":{"from":0,"to":7}}`, http.StatusOK, &d)
+	if d.Distance.Distance != 106 {
+		t.Fatalf("post-update distance = %d, want 106", d.Distance.Distance)
+	}
+
+	var stats struct {
+		Graph map[string]interface{} `json:"graph"`
+	}
+	getJSON(t, ts.URL+"/v1/stats", http.StatusOK, &stats)
+	if got, ok := stats.Graph["pending_updates"]; !ok || got != float64(0) {
+		t.Errorf("stats graph block = %v, want pending_updates 0", stats.Graph)
+	}
+	if got := stats.Graph["epoch"]; got != float64(1) {
+		t.Errorf("stats epoch = %v, want 1", got)
+	}
+	if _, ok := stats.Graph["dynamic"]; ok {
+		t.Errorf("stats still carries the static/dynamic flag: %v", stats.Graph)
 	}
 }
 
@@ -241,8 +263,8 @@ func TestAsyncUpdate(t *testing.T) {
 	}
 }
 
-// TestEpochEndpointRouting: named graphs resolve, unknown graphs 404,
-// and static graphs report their (fixed) epoch with no pending count.
+// TestEpochEndpointRouting: the default graph resolves with a fresh
+// 0/0 epoch and pending count, unknown graphs 404.
 func TestEpochEndpointRouting(t *testing.T) {
 	_, eng := testEngine(t, 8)
 	ts := newTestServer(t, eng, Config{})
@@ -250,7 +272,7 @@ func TestEpochEndpointRouting(t *testing.T) {
 	var ep epochResponse
 	getJSON(t, ts.URL+"/v1/epoch", http.StatusOK, &ep)
 	if ep.Epoch != 0 || ep.Pending != 0 {
-		t.Fatalf("static epoch = %+v, want 0/0", ep)
+		t.Fatalf("fresh epoch = %+v, want 0/0", ep)
 	}
 	resp, err := http.Get(ts.URL + "/v1/epoch?graph=nope")
 	if err != nil {

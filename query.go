@@ -2,7 +2,6 @@ package ccsp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -179,39 +178,6 @@ func (e *Engine) ResolveAPSPVariant(v api.APSPVariant) api.APSPVariant {
 		return api.APSPWeighted
 	}
 	return v
-}
-
-// APIError converts an error from the typed taxonomy into its wire form.
-// The context sentinels are checked first (ErrCanceled wraps them): an
-// expired deadline and a canceled caller are different codes, the same
-// distinction the HTTP layer draws between 504 and 499. Unclassified
-// errors map to CodeInternal.
-func APIError(err error) *api.Error {
-	if err == nil {
-		return nil
-	}
-	code := api.CodeInternal
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		code = api.CodeDeadline
-	case errors.Is(err, context.Canceled), errors.Is(err, ErrCanceled):
-		code = api.CodeCanceled
-	case errors.Is(err, ErrRoundLimit):
-		code = api.CodeRoundLimit
-	case errors.Is(err, ErrInvalidSource):
-		code = api.CodeInvalidSource
-	case errors.Is(err, ErrInvalidOption):
-		code = api.CodeInvalidOption
-	case errors.Is(err, ErrUnknownGraph):
-		code = api.CodeUnknownGraph
-	case errors.Is(err, ErrOverloaded):
-		code = api.CodeOverloaded
-	case errors.Is(err, ErrUnavailable):
-		code = api.CodeUnavailable
-	case errors.Is(err, api.ErrMalformed):
-		code = api.CodeMalformed
-	}
-	return &api.Error{Code: code, Message: err.Error()}
 }
 
 // wireVec rewrites dist to wire form in place - the in-process Unreachable

@@ -249,7 +249,7 @@ pid2=""
 
 echo "== SIGINT mid-preprocess must not leave a (partial) snapshot"
 # A clique large enough that the hopset build takes many seconds (n=256
-# takes ~57s, E15); the INT lands while the build is in flight and the
+# takes ~57s, DESIGN.md §9); the INT lands while the build is in flight and the
 # daemon must unwind at the next simulator barrier, exit cleanly, and
 # never create the -save target (the atomic temp-file+rename write only
 # runs after a *completed* build).
