@@ -89,7 +89,9 @@ func BenchmarkBuildDirect(b *testing.B) {
 
 // BenchmarkDirectKNearest is the knearestDirect regression benchmark:
 // the routed weight matrix must be built once per engine, not per query,
-// so allocs/op must stay flat in the matrix size.
+// and the filtered squarings own their rows per worker, not per row, so
+// allocs/op must stay flat in the matrix size -
+// TestQueryAllocsIndependentOfN holds it to that.
 func BenchmarkDirectKNearest(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

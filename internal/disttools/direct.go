@@ -32,10 +32,7 @@ func KNearestAll[E any](ctx context.Context, sr semiring.Ordered[E], w *matrix.M
 	if k > n {
 		k = n
 	}
-	cur := matrix.New[E](n)
-	for v := 0; v < n; v++ {
-		cur.Rows[v] = matrix.FilterRow(sr, w.Rows[v], k)
-	}
+	cur := matmul.FilterCols(sr, w, nil, k)
 	iters := bits.Len(uint(k - 1)) // ceil(log2 k), as in KNearest
 	for t := 0; t < iters; t++ {
 		if err := ctx.Err(); err != nil {
@@ -255,16 +252,7 @@ func SourceDetectKAll[E any](ctx context.Context, sr semiring.Ordered[E], w *mat
 	if k > n {
 		k = n
 	}
-	u := matrix.New[E](n)
-	for v := 0; v < n; v++ {
-		row := make(matrix.Row[E], 0, k)
-		for _, e := range w.Rows[v] {
-			if inS[e.Col] {
-				row = append(row, e)
-			}
-		}
-		u.Rows[v] = matrix.FilterRow(sr, row, k)
-	}
+	u := matmul.FilterCols(sr, w, inS, k)
 	for i := 1; i < d; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -287,15 +275,32 @@ func DistThroughSetsAll(ctx context.Context, sr semiring.MinPlus, n int, ests []
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// Both matrices hold one entry per estimate: count, then fill one
+	// backing array each (as Mat.Transpose does).
+	total := 0
+	count := make([]int, n)
+	for _, es := range ests {
+		total += len(es)
+		for _, e := range es {
+			count[e.W]++
+		}
+	}
+	back1 := make([]matrix.Entry[int64], 0, total)
+	back2 := make([]matrix.Entry[int64], total)
 	w1 := matrix.New[int64](n)
 	w2 := matrix.New[int64](n)
+	off := 0
+	for u, c := range count {
+		w2.Rows[u] = back2[off : off : off+c]
+		off += c
+	}
 	for v := 0; v < n; v++ {
-		row := make(matrix.Row[int64], 0, len(ests[v]))
+		start := len(back1)
 		for _, e := range ests[v] {
-			row = append(row, matrix.Entry[int64]{Col: e.W, Val: e.To})
+			back1 = append(back1, matrix.Entry[int64]{Col: e.W, Val: e.To})
 			w2.Rows[e.W] = append(w2.Rows[e.W], matrix.Entry[int64]{Col: int32(v), Val: e.From})
 		}
-		w1.Rows[v] = matrix.SortRow(row)
+		w1.Rows[v] = matrix.SortRow(back1[start:len(back1):len(back1)])
 	}
 	return matmul.KernelMul(sr, w1, w2, workers), nil
 }

@@ -71,17 +71,29 @@ func Greedy(n int, sets [][]int32) []bool {
 	inA := make([]bool, n)
 	covered := make([]bool, len(sets))
 	count := make([]int64, n)
-	// Inverted index: elem -> set indices.
-	where := make([][]int32, n)
-	remaining := 0
+	remaining, total := 0, 0
 	for si, s := range sets {
 		if len(s) == 0 {
 			covered[si] = true
 			continue
 		}
 		remaining++
+		total += len(s)
 		for _, u := range s {
 			count[u]++
+		}
+	}
+	// Inverted index: elem -> set indices, ascending. count[u] is the
+	// exact length of where[u], so the lists share one backing array.
+	where := make([][]int32, n)
+	backing := make([]int32, total)
+	off := 0
+	for u, c := range count {
+		where[u] = backing[off : off : off+int(c)]
+		off += int(c)
+	}
+	for si, s := range sets {
+		for _, u := range s {
 			where[u] = append(where[u], int32(si))
 		}
 	}

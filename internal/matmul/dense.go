@@ -27,65 +27,51 @@
 // reach quickly - the O(n) ordered scan is cheaper than touch
 // bookkeeping plus a sort. Both paths produce identical rows, so the
 // selection is invisible to callers and to the differential oracle.
+//
+// KernelMulFilteredWH adds a third row path, the bounded product: when
+// some row of T holds at least ρ entries, T's rows are re-laid out once,
+// ascending by weight, and each output row i first derives a weight
+// bound τ_i - the least s.W plus the ρ-th lightest weight of T_j over
+// the (j, s) of S_i whose T_j reaches ρ entries, each of which proves ρ
+// distinct columns end at or below that weight - and then scans every
+// T_j only up to weight τ_i − s.W. Rank is lexicographic in (W, H), so
+// the filter keeps nothing heavier than τ_i and the row restricted to
+// W ≤ τ_i has the same ρ smallest (rank, column) entries as the full
+// one (DESIGN.md §13, "the fast build path"). When no row of T reaches
+// ρ no bound exists and rows take the first two paths.
 package matmul
 
 import (
+	"cmp"
+	"math/bits"
 	"slices"
 
 	"github.com/congestedclique/ccsp/internal/matrix"
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
 
-// arenaChunkEntries is the row-arena chunk size: large enough that row
-// allocation cost is amortized over hundreds of rows, small enough that
-// an almost-unused final chunk wastes little.
-const arenaChunkEntries = 1 << 14
-
-// rowArena carves output rows out of large shared chunks, replacing the
-// per-row make of the generic kernel. Rows are handed out with full
-// slice expressions (len == cap), so a later append by a caller can
-// never clobber a neighboring row; chunks stay alive exactly as long as
-// the rows placed in them.
-type rowArena struct {
-	free []matrix.Entry[semiring.WH]
-}
-
-// place copies src into arena-backed storage and returns it; an empty
-// src returns nil (an all-zero row).
-func (a *rowArena) place(src []matrix.Entry[semiring.WH]) matrix.Row[semiring.WH] {
-	if len(src) == 0 {
-		return nil
-	}
-	if len(a.free) < len(src) {
-		size := arenaChunkEntries
-		if size < len(src) {
-			size = len(src)
-		}
-		a.free = make([]matrix.Entry[semiring.WH], size)
-	}
-	out := a.free[:len(src):len(src)]
-	a.free = a.free[len(src):]
-	copy(out, src)
-	return out
-}
-
 // whWorker is one kernel worker's reusable scratch: flat weight/hop
 // accumulators (rest state (Inf, Inf) everywhere), the touched-column
-// list of the sparse path, a reusable row build buffer, and the arena
-// the finished rows are placed in.
+// list of the sparse path and the touched-column bitmap of the bounded
+// one, a reusable row build buffer, the filter's rank scratch, and the
+// arena the finished rows are placed in.
 type whWorker struct {
 	accW, accH []int64
 	touched    []int32
 	rowBuf     []matrix.Entry[semiring.WH]
-	arena      rowArena
+	mark       []uint64
+	ranks      []int64
+	arena      rowArena[semiring.WH]
 }
 
-func newWHWorker(n int) *whWorker {
+func newWHWorker(n, perRow int) *whWorker {
 	w := &whWorker{
 		accW:    make([]int64, n),
 		accH:    make([]int64, n),
 		touched: make([]int32, 0, n),
 		rowBuf:  make([]matrix.Entry[semiring.WH], 0, n),
+		mark:    make([]uint64, (n+63)/64),
+		arena:   newRowArena[semiring.WH](n, perRow),
 	}
 	for j := 0; j < n; j++ {
 		w.accW[j] = semiring.Inf
@@ -104,6 +90,7 @@ func (wk *whWorker) mulRow(srow matrix.Row[semiring.WH], t *matrix.Mat[semiring.
 	for _, es := range srow {
 		products += len(t.Rows[es.Col])
 	}
+	productsAccumulated.Add(int64(products))
 	accW, accH := wk.accW, wk.accH
 	buf := wk.rowBuf[:0]
 
@@ -172,6 +159,111 @@ func (wk *whWorker) mulRow(srow matrix.Row[semiring.WH], t *matrix.Mat[semiring.
 	return buf
 }
 
+// whByWeight is T re-laid out for the bounded product: row j occupies
+// [off[j], off[j+1]) of three parallel arrays, ascending by weight, and
+// kth[j] is the weight of its rho-th lightest entry (semiring.Inf when it
+// holds fewer than rho).
+type whByWeight struct {
+	off  []int
+	col  []int32
+	w, h []int64
+	kth  []int64
+}
+
+// sortByWeight builds the bounded product's view of t, or returns nil
+// when no row of t holds rho entries: no output row then has a bound, and
+// one O(n) look at the row lengths finds that out before anything is
+// allocated or sorted.
+func sortByWeight(t *matrix.Mat[semiring.WH], rho, workers int) *whByWeight {
+	if !slices.ContainsFunc(t.Rows, func(row matrix.Row[semiring.WH]) bool { return len(row) >= rho }) {
+		return nil
+	}
+	n := t.N
+	off := make([]int, n+1)
+	for j, row := range t.Rows {
+		off[j+1] = off[j] + len(row)
+	}
+	v := &whByWeight{
+		off: off,
+		col: make([]int32, off[n]),
+		w:   make([]int64, off[n]),
+		h:   make([]int64, off[n]),
+		kth: make([]int64, n),
+	}
+	runRows(n, workers, func() func(int) {
+		var tmp []matrix.Entry[semiring.WH]
+		return func(j int) {
+			tmp = append(tmp[:0], t.Rows[j]...)
+			slices.SortFunc(tmp, func(a, b matrix.Entry[semiring.WH]) int { return cmp.Compare(a.Val.W, b.Val.W) })
+			lo := off[j]
+			for p, e := range tmp {
+				v.col[lo+p], v.w[lo+p], v.h[lo+p] = e.Col, e.Val.W, e.Val.H
+			}
+			v.kth[j] = semiring.Inf
+			if len(tmp) >= rho {
+				v.kth[j] = tmp[rho-1].Val.W
+			}
+		}
+	})
+	return v
+}
+
+// mulRowBounded computes the entries of row srow · T that a rho-filter
+// can keep - those of weight at most the row's bound τ - and returns them
+// like mulRow does. Each scan of a T row stops at the first entry heavier
+// than τ − s.W; entries at exactly τ are still accumulated, so the
+// filter's lowest-column rule among rank ties sees every candidate. With
+// no bound τ is Inf−1, and the break is the saturation skip of mulRow:
+// past it every product reaches semiring.Inf.
+func (wk *whWorker) mulRowBounded(srow matrix.Row[semiring.WH], t *whByWeight) []matrix.Entry[semiring.WH] {
+	tau := semiring.Inf - 1
+	for _, es := range srow {
+		// kth is Inf for a short row and the sum reaches Inf when the
+		// rho-th product saturates: neither proves rho columns.
+		if b := es.Val.W + t.kth[es.Col]; b < tau {
+			tau = b
+		}
+	}
+	accW, accH, mark := wk.accW, wk.accH, wk.mark
+	products := 0
+	for _, es := range srow {
+		ew, eh := es.Val.W, es.Val.H
+		lo, hi := t.off[es.Col], t.off[es.Col+1]
+		ws, hs, cols := t.w[lo:hi], t.h[lo:hi], t.col[lo:hi]
+		lim := tau - ew
+		for p, tw := range ws {
+			if tw > lim {
+				break
+			}
+			products++
+			j := cols[p]
+			w := ew + tw
+			aw := accW[j]
+			if w > aw {
+				continue
+			}
+			h := eh + hs[p]
+			if w < aw || h < accH[j] {
+				accW[j], accH[j] = w, h
+				mark[j>>6] |= 1 << (uint(j) & 63)
+			}
+		}
+	}
+	productsAccumulated.Add(int64(products))
+	buf := wk.rowBuf[:0]
+	for wi, word := range mark {
+		for ; word != 0; word &= word - 1 {
+			j := wi<<6 | bits.TrailingZeros64(word)
+			buf = append(buf, matrix.Entry[semiring.WH]{Col: int32(j), Val: semiring.WH{W: accW[j], H: accH[j]}})
+			accW[j] = semiring.Inf
+			accH[j] = semiring.Inf
+		}
+		mark[wi] = 0
+	}
+	wk.rowBuf = buf
+	return buf
+}
+
 // KernelMulWH computes P = S·T over the augmented min-plus semiring with
 // the specialized flat kernel. The result equals
 // KernelMulGeneric(semiring.AugMinPlus{...}, s, t, workers) - and
@@ -182,7 +274,7 @@ func KernelMulWH(s, t *matrix.Mat[semiring.WH], workers int) *matrix.Mat[semirin
 	n := s.N
 	p := matrix.New[semiring.WH](n)
 	runRows(n, workers, func() func(int) {
-		wk := newWHWorker(n)
+		wk := newWHWorker(n, n)
 		return func(i int) {
 			p.Rows[i] = wk.arena.place(wk.mulRow(s.Rows[i], t))
 		}
@@ -191,17 +283,28 @@ func KernelMulWH(s, t *matrix.Mat[semiring.WH], workers int) *matrix.Mat[semirin
 }
 
 // KernelMulFilteredWH computes the ρ-filtered product Filter(S·T, rho)
-// with the specialized kernel: the full row accumulates in reusable
-// scratch, only the ρ surviving entries are copied into the arena. sr is
-// needed for the (Rank, column) filter order of §2.2.
+// with the specialized kernel: the row - bounded when t gives a bound,
+// full otherwise - accumulates in reusable scratch and is filtered there
+// in place; only the ρ surviving entries are copied into the arena. sr
+// supplies the (Rank, column) filter order of §2.2 and must rank by
+// (W, H) lexicographically, as semiring.AugMinPlus does.
 func KernelMulFilteredWH(sr semiring.Ordered[semiring.WH], s, t *matrix.Mat[semiring.WH], rho, workers int) *matrix.Mat[semiring.WH] {
 	n := s.N
 	p := matrix.New[semiring.WH](n)
+	if rho < 1 {
+		return p // the filter keeps nothing
+	}
+	byWeight := sortByWeight(t, rho, workers)
 	runRows(n, workers, func() func(int) {
-		wk := newWHWorker(n)
+		wk := newWHWorker(n, rho)
 		return func(i int) {
-			row := matrix.FilterRow(sr, wk.mulRow(s.Rows[i], t), rho)
-			p.Rows[i] = wk.arena.place(row)
+			var row []matrix.Entry[semiring.WH]
+			if byWeight != nil {
+				row = wk.mulRowBounded(s.Rows[i], byWeight)
+			} else {
+				row = wk.mulRow(s.Rows[i], t)
+			}
+			p.Rows[i] = wk.arena.place(matrix.FilterRowAppend(sr, row[:0], row, rho, &wk.ranks))
 		}
 	})
 	return p

@@ -13,6 +13,7 @@ package matmul
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -85,13 +86,78 @@ func runRows(n, workers int, newWorker func() func(row int)) {
 	wg.Wait()
 }
 
-// kernelMulRow computes row i of S·T into the caller's scratch, exactly
-// like the inner loop of matrix.MulRef: accumulate products column-wise,
-// drop semiring zeros, sort by column.
-func kernelMulRow[E any](sr semiring.Semiring[E], srow matrix.Row[E], t *matrix.Mat[E], acc []E, hit []bool, touched *[]int32) matrix.Row[E] {
-	tch := (*touched)[:0]
+// arenaChunkEntries caps the row-arena chunk size: large enough that row
+// allocation cost is amortized over hundreds of rows, small enough that
+// an almost-unused final chunk wastes little.
+const arenaChunkEntries = 1 << 14
+
+// rowArena carves output rows out of large shared chunks, replacing a
+// per-row make. Rows are handed out with full slice expressions
+// (len == cap), so a later append by a caller can never clobber a
+// neighboring row; chunks stay alive exactly as long as the rows placed
+// in them.
+type rowArena[E any] struct {
+	free  []matrix.Entry[E]
+	chunk int
+}
+
+// newRowArena sizes chunks for a product of n rows of at most perRow
+// entries: never more than the whole output, so a small product does not
+// pay a full chunk per worker.
+func newRowArena[E any](n, perRow int) rowArena[E] {
+	return rowArena[E]{chunk: max(1, min(arenaChunkEntries, n*min(perRow, n)))}
+}
+
+// place copies src into arena-backed storage and returns it; an empty
+// src returns nil (an all-zero row).
+func (a *rowArena[E]) place(src []matrix.Entry[E]) matrix.Row[E] {
+	if len(src) == 0 {
+		return nil
+	}
+	if len(a.free) < len(src) {
+		a.free = make([]matrix.Entry[E], max(a.chunk, len(src)))
+	}
+	out := a.free[:len(src):len(src)]
+	a.free = a.free[len(src):]
+	copy(out, src)
+	return out
+}
+
+// genWorker is one generic-kernel worker's reusable scratch: MulRef's
+// column accumulators and first-touch list, the row build buffer the
+// product row (and its in-place filter) lives in, the filter's rank
+// scratch, and the arena finished rows are placed in.
+type genWorker[E any] struct {
+	acc     []E
+	hit     []bool
+	touched []int32
+	rowBuf  []matrix.Entry[E]
+	ranks   []int64
+	arena   rowArena[E]
+}
+
+func newGenWorker[E any](n, perRow int) *genWorker[E] {
+	return &genWorker[E]{
+		acc:     make([]E, n),
+		hit:     make([]bool, n),
+		touched: make([]int32, 0, n),
+		rowBuf:  make([]matrix.Entry[E], 0, n),
+		arena:   newRowArena[E](n, perRow),
+	}
+}
+
+// mulRow computes row srow · T into the worker's scratch, exactly like
+// the inner loop of matrix.MulRef: accumulate products column-wise, drop
+// semiring zeros, emit by ascending column. The row is returned in rowBuf
+// (valid until the next call; callers copy it out via arena.place).
+func (wk *genWorker[E]) mulRow(sr semiring.Semiring[E], srow matrix.Row[E], t *matrix.Mat[E]) []matrix.Entry[E] {
+	acc, hit := wk.acc, wk.hit
+	tch := wk.touched[:0]
+	products := 0
 	for _, es := range srow {
-		for _, et := range t.Rows[es.Col] {
+		trow := t.Rows[es.Col]
+		products += len(trow)
+		for _, et := range trow {
 			prod := sr.Mul(es.Val, et.Val)
 			if hit[et.Col] {
 				acc[et.Col] = sr.Add(acc[et.Col], prod)
@@ -102,16 +168,29 @@ func kernelMulRow[E any](sr semiring.Semiring[E], srow matrix.Row[E], t *matrix.
 			}
 		}
 	}
-	row := make(matrix.Row[E], 0, len(tch))
+	productsAccumulated.Add(int64(products))
+	slices.Sort(tch)
+	buf := wk.rowBuf[:0]
 	for _, j := range tch {
 		if !sr.IsZero(acc[j]) {
-			row = append(row, matrix.Entry[E]{Col: j, Val: acc[j]})
+			buf = append(buf, matrix.Entry[E]{Col: j, Val: acc[j]})
 		}
 		hit[j] = false
 	}
-	*touched = tch
-	return matrix.SortRow(row)
+	wk.touched, wk.rowBuf = tch, buf
+	return buf
 }
+
+// productsAccumulated counts the semiring products the host-side kernels
+// (this file and dense.go) have accumulated since process start.
+var productsAccumulated atomic.Int64
+
+// ProductsAccumulated reads the process-wide product counter. It is
+// monotone and shared by every concurrent product, so only a delta taken
+// around a call with nothing else running means anything: the use of
+// benchmarks (BenchmarkKNearestAll) and of DESIGN.md §13's
+// products-per-squaring table.
+func ProductsAccumulated() int64 { return productsAccumulated.Load() }
 
 // KernelMul computes P = S·T over sr on the host, parallel over
 // cache-sized row blocks. The result equals matrix.MulRef(sr, s, t)
@@ -135,11 +214,9 @@ func KernelMulGeneric[E any](sr semiring.Semiring[E], s, t *matrix.Mat[E], worke
 	n := s.N
 	p := matrix.New[E](n)
 	runRows(n, workers, func() func(int) {
-		acc := make([]E, n)
-		hit := make([]bool, n)
-		touched := make([]int32, 0, n)
+		wk := newGenWorker[E](n, n)
 		return func(i int) {
-			p.Rows[i] = kernelMulRow(sr, s.Rows[i], t, acc, hit, &touched)
+			p.Rows[i] = wk.arena.place(wk.mulRow(sr, s.Rows[i], t))
 		}
 	})
 	return p
@@ -160,17 +237,48 @@ func KernelMulFiltered[E any](sr semiring.Ordered[E], s, t *matrix.Mat[E], rho, 
 }
 
 // KernelMulFilteredGeneric is the generic reference filtered kernel; see
-// KernelMulGeneric.
+// KernelMulGeneric. The full row is filtered in place in the worker's
+// row buffer and only the survivors are copied out.
 func KernelMulFilteredGeneric[E any](sr semiring.Ordered[E], s, t *matrix.Mat[E], rho, workers int) *matrix.Mat[E] {
 	n := s.N
 	p := matrix.New[E](n)
 	runRows(n, workers, func() func(int) {
-		acc := make([]E, n)
-		hit := make([]bool, n)
-		touched := make([]int32, 0, n)
+		wk := newGenWorker[E](n, rho)
 		return func(i int) {
-			p.Rows[i] = matrix.FilterRow(sr, kernelMulRow(sr, s.Rows[i], t, acc, hit, &touched), rho)
+			row := wk.mulRow(sr, s.Rows[i], t)
+			p.Rows[i] = wk.arena.place(matrix.FilterRowAppend(sr, row[:0], row, rho, &wk.ranks))
 		}
 	})
 	return p
+}
+
+// FilterCols returns Filter(M restricted to the columns marked in cols,
+// rho), the first iterate of both direct detection loops (KNearestAll,
+// SourceDetectKAll); a nil cols keeps every column. Rows are built in one
+// reusable buffer and placed in one arena, like a filtered product's; a
+// row that needs neither restricting nor filtering is shared with m.
+func FilterCols[E any](sr semiring.Ordered[E], m *matrix.Mat[E], cols []bool, rho int) *matrix.Mat[E] {
+	n := m.N
+	out := matrix.New[E](n)
+	arena := newRowArena[E](n, rho)
+	var buf matrix.Row[E]
+	var ranks []int64
+	for v, row := range m.Rows {
+		if cols == nil && len(row) <= rho {
+			out.Rows[v] = row
+			continue
+		}
+		if cols != nil {
+			buf = buf[:0]
+			for _, e := range row {
+				if cols[e.Col] {
+					buf = append(buf, e)
+				}
+			}
+			row = buf
+		}
+		buf = matrix.FilterRowAppend(sr, buf[:0], row, rho, &ranks)
+		out.Rows[v] = arena.place(buf)
+	}
+	return out
 }

@@ -88,41 +88,58 @@ func popcount(x uint64) int {
 }
 
 // FilterRow returns the ρ-filtered version of a row per §2.2: the ρ
-// smallest entries under the order (Rank(value), column). That is what a
-// Lemma 15 cutoff keeps: every entry ranked below the ρ-th smallest rank,
-// then the lowest-column entries of exactly that rank up to ρ in total.
-// The cutoff rank is selected, not sorted for, and one pass over r -
-// column-sorted by the Row invariant - emits the kept entries in order.
-// The input row is not modified.
+// smallest entries under the order (Rank(value), column). The input row is
+// not modified; a row that already fits is returned as is.
 func FilterRow[E any](sr semiring.Ordered[E], r Row[E], rho int) Row[E] {
 	if len(r) <= rho {
 		return r
 	}
+	var ranks []int64 // sized by r's capacity below: clip it to the row
+	return FilterRowAppend(sr, make(Row[E], 0, max(rho, 0)), r[:len(r):len(r)], rho, &ranks)
+}
+
+// FilterRowAppend appends the ρ-filtered version of r to dst and returns
+// it. That is what a Lemma 15 cutoff keeps: every entry ranked below the
+// ρ-th smallest rank, then the lowest-column entries of exactly that rank
+// up to ρ in total. The cutoff rank is selected, not sorted for, and one
+// pass over r - column-sorted by the Row invariant - emits the kept
+// entries in order. dst may be r[:0], which filters r in place: the write
+// position never passes the read position. ranks is the caller's scratch,
+// grown here to r's capacity, so a kernel worker filtering many rows out
+// of one buffer allocates it once.
+func FilterRowAppend[E any](sr semiring.Ordered[E], dst, r Row[E], rho int, ranks *[]int64) Row[E] {
+	m := len(r)
+	if m <= rho {
+		return append(dst, r...)
+	}
 	if rho < 1 {
-		return Row[E]{}
+		return dst
 	}
-	ranks := make([]int64, len(r))
+	if cap(*ranks) < 2*m {
+		*ranks = make([]int64, 2*cap(r)) // a reused row buffer's longest row
+	}
+	rank, sel := (*ranks)[:m], (*ranks)[m:2*m]
 	for i, e := range r {
-		ranks[i] = sr.Rank(e.Val)
+		rank[i] = sr.Rank(e.Val)
 	}
-	selectNth(ranks, rho-1)
-	cut := ranks[rho-1]
+	copy(sel, rank)
+	selectNth(sel, rho-1)
+	cut := sel[rho-1]
 	ties := rho // entries ranked exactly cut that still fit
-	for _, rk := range ranks[:rho-1] {
+	for _, rk := range sel[:rho-1] {
 		if rk < cut {
 			ties--
 		}
 	}
-	out := make(Row[E], 0, rho)
-	for _, e := range r {
-		if rk := sr.Rank(e.Val); rk < cut {
-			out = append(out, e)
+	for i, rk := range rank {
+		if rk < cut {
+			dst = append(dst, r[i])
 		} else if rk == cut && ties > 0 {
-			out = append(out, e)
+			dst = append(dst, r[i])
 			ties--
 		}
 	}
-	return out
+	return dst
 }
 
 // selectNth permutes a so that a[k] is what sorting a would put there,
