@@ -9,7 +9,7 @@ import (
 	"github.com/congestedclique/ccsp/api"
 )
 
-// batchConcurrency bounds the worker group a Batch call fans queries out
+// batchConcurrency bounds the worker group a RunPlans call fans its runs out
 // over. Each query is itself a parallel simulator run (Options.Workers),
 // so the bound stays modest: enough to overlap lazy artifact builds with
 // independent queries without oversubscribing the host.
@@ -53,49 +53,72 @@ func batchConcurrency(groups int) int {
 // PreprocessStats for end-to-end accounting, exactly as for direct
 // Engine calls.
 func (e *Engine) Batch(ctx context.Context, reqs []api.Request) ([]api.Response, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, fmt.Errorf("ccsp: batch: %w", err)
-	}
 	resps := make([]api.Response, len(reqs))
-
-	// Group positions by plan key; each group runs once, and every
-	// position keeps its own plan to finish the shared response with.
-	plans := make([]Plan, len(reqs))
-	var order []string
-	groups := make(map[string][]int)
+	plans := make([]Plan, 0, len(reqs))
+	at := make([]int, 0, len(reqs)) // plans[j] answers reqs[at[j]]
 	for i, req := range reqs {
-		var err error
-		if plans[i], err = e.Plan(req); err != nil {
+		p, err := e.Plan(req)
+		if err != nil {
 			resps[i] = api.Response{Kind: req.Kind, Graph: req.Graph, Error: APIError(err)}
 			continue
 		}
-		key := plans[i].Key()
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
+		plans, at = append(plans, p), append(at, i)
+	}
+	out, _, err := RunPlans(ctx, plans)
+	if err != nil {
+		return nil, err
+	}
+	for j, i := range at {
+		resps[i] = plans[j].Finish(out[j], false)
+	}
+	return resps, nil
+}
+
+// RunPlans runs every distinct plan once: positions are grouped by
+// Plan.Key, each group runs on a bounded worker group, and every position
+// receives its group's response as Plan.Run returned it - unfinished, the
+// value a cache stores under the key; the caller finishes each with its
+// own plan - or the run's typed error (Response.Error; Finish keeps it).
+// Keys are graph- and epoch-qualified, so plans made on different engines
+// may ride one call. runs is the number of engine runs made. The error is
+// non-nil only when ctx is already dead on entry and nothing ran.
+func RunPlans(ctx context.Context, plans []Plan) (resps []api.Response, runs int, err error) {
+	if err := ctxErr(ctx); err != nil {
+		return nil, 0, fmt.Errorf("ccsp: batch: %w", err)
+	}
+	var groups [][]int // positions sharing one key, in first-seen order
+	byKey := make(map[string]int)
+	for i, p := range plans {
+		key := p.Key()
+		g, ok := byKey[key]
+		if !ok {
+			g = len(groups)
+			byKey[key] = g
+			groups = append(groups, nil)
 		}
-		groups[key] = append(groups[key], i)
+		groups[g] = append(groups[g], i)
 	}
 
-	sem := make(chan struct{}, batchConcurrency(len(order)))
+	resps = make([]api.Response, len(plans))
+	sem := make(chan struct{}, batchConcurrency(len(groups)))
 	var wg sync.WaitGroup
-	for _, key := range order {
-		indices := groups[key]
+	for _, members := range groups {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			resp, err := plans[indices[0]].Run(ctx)
+			resp, err := plans[members[0]].Run(ctx)
 			if err != nil {
 				resp = &api.Response{Error: APIError(err)}
 			}
 			// Positions of a group share the run's read-only result
 			// slices; the per-position response values stay independent.
-			for _, i := range indices {
-				resps[i] = plans[i].Finish(*resp, false)
+			for _, i := range members {
+				resps[i] = *resp
 			}
 		}()
 	}
 	wg.Wait()
-	return resps, nil
+	return resps, len(groups), nil
 }

@@ -25,23 +25,23 @@ func (r *APSPResult) Distance(u, v int) int64 { return r.Dist[u][v] }
 // on weighted inputs the estimates are still sound upper bounds but only
 // the weighted guarantee of APSPWeighted applies.
 func APSPUnweighted(ctx context.Context, gr *Graph, opts Options) (*APSPResult, error) {
-	return oneShot(ctx, gr, opts, (*Engine).APSPUnweighted, apspStats)
+	return oneShot(ctx, gr, opts, (*Engine).APSPUnweighted, foldAPSP)
 }
 
 // APSPWeighted computes (2+ε, (1+ε)W)-approximate APSP on a weighted graph
 // (Theorem 28): each estimate is at most (2+ε)·d(u,v) + (1+ε)·W, where W
 // is the heaviest edge on a shortest u-v path.
 func APSPWeighted(ctx context.Context, gr *Graph, opts Options) (*APSPResult, error) {
-	return oneShot(ctx, gr, opts, (*Engine).APSPWeighted, apspStats)
+	return oneShot(ctx, gr, opts, (*Engine).APSPWeighted, foldAPSP)
 }
 
 // APSPWeighted3 computes the simpler (3+ε)-approximate weighted APSP of
 // §6.1 (fewer phases; kept for ablation against APSPWeighted).
 func APSPWeighted3(ctx context.Context, gr *Graph, opts Options) (*APSPResult, error) {
-	return oneShot(ctx, gr, opts, (*Engine).APSPWeighted3, apspStats)
+	return oneShot(ctx, gr, opts, (*Engine).APSPWeighted3, foldAPSP)
 }
 
-func apspStats(r *APSPResult) *Stats { return &r.Stats }
+func foldAPSP(r *APSPResult, pre Stats) { r.Stats = pre.Merge(r.Stats) }
 
 // MSSPResult holds multi-source distance estimates.
 type MSSPResult struct {
@@ -68,7 +68,7 @@ func (r *MSSPResult) Distance(v, s int) (int64, error) {
 // source (Theorem 3): polylogarithmic rounds for |sources| up to ~√n.
 func MSSP(ctx context.Context, gr *Graph, sources []int, opts Options) (*MSSPResult, error) {
 	return oneShot(ctx, gr, opts, func(e *Engine, ctx context.Context) (*MSSPResult, error) { return e.MSSP(ctx, sources) },
-		func(r *MSSPResult) *Stats { return &r.Stats })
+		func(r *MSSPResult, pre Stats) { r.Stats = pre.Merge(r.Stats) })
 }
 
 // SSSPResult holds exact single-source distances.
@@ -116,7 +116,7 @@ func (r *SSSPResult) PathTo(gr *Graph, v int) []int {
 // O~(n^{1/6}) rounds via the n^{5/6}-shortcut graph and Bellman-Ford.
 func SSSP(ctx context.Context, gr *Graph, source int, opts Options) (*SSSPResult, error) {
 	return oneShot(ctx, gr, opts, func(e *Engine, ctx context.Context) (*SSSPResult, error) { return e.SSSP(ctx, source) },
-		func(r *SSSPResult) *Stats { return &r.Stats })
+		func(r *SSSPResult, pre Stats) { r.Stats = pre.Merge(r.Stats) })
 }
 
 // DiameterResult holds the diameter estimate.
@@ -132,7 +132,7 @@ type DiameterResult struct {
 // Diameter computes the near-3/2 diameter approximation of §7.2.
 func Diameter(ctx context.Context, gr *Graph, opts Options) (*DiameterResult, error) {
 	return oneShot(ctx, gr, opts, (*Engine).Diameter,
-		func(r *DiameterResult) *Stats { return &r.Stats })
+		func(r *DiameterResult, pre Stats) { r.Stats = pre.Merge(r.Stats) })
 }
 
 // Neighbor is one entry of a k-nearest or source-detection list; the
@@ -152,7 +152,7 @@ type KNearestResult struct {
 // to its k closest nodes (Theorem 18 over the witness-tracking semiring).
 func KNearest(ctx context.Context, gr *Graph, k int, opts Options) (*KNearestResult, error) {
 	return oneShot(ctx, gr, opts, func(e *Engine, ctx context.Context) (*KNearestResult, error) { return e.KNearest(ctx, k) },
-		func(r *KNearestResult) *Stats { return &r.Stats })
+		func(r *KNearestResult, pre Stats) { r.Stats = pre.Merge(r.Stats) })
 }
 
 // SourceDetectionResult holds hop-limited nearest-source lists.
@@ -170,5 +170,20 @@ func SourceDetection(ctx context.Context, gr *Graph, sources []int, d, k int, op
 	return oneShot(ctx, gr, opts, func(e *Engine, ctx context.Context) (*SourceDetectionResult, error) {
 		return e.SourceDetection(ctx, sources, d, k)
 	},
-		func(r *SourceDetectionResult) *Stats { return &r.Stats })
+		func(r *SourceDetectionResult, pre Stats) { r.Stats = pre.Merge(r.Stats) })
+}
+
+// Query answers one typed api.Request on gr without keeping an engine:
+// the one-shot form of Engine.Query, as the typed functions above are of
+// the Engine methods. The engine is lazy, so a request that needs no
+// hopset (sssp, knearest, sourcedetect) builds none, and the
+// preprocessing a request did pay is folded into the response's Stats.
+func Query(ctx context.Context, gr *Graph, req api.Request, opts Options) (*api.Response, error) {
+	return oneShot(ctx, gr, opts, func(e *Engine, ctx context.Context) (*api.Response, error) { return e.Query(ctx, req) },
+		func(r *api.Response, pre Stats) {
+			r.Stats.TotalRounds += pre.TotalRounds
+			r.Stats.SimRounds += pre.SimRounds
+			r.Stats.Messages += pre.Messages
+			r.Stats.Words += pre.Words
+		})
 }

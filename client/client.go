@@ -17,6 +17,9 @@
 // api.SSSP(0).On("roads"). Query returns the full *api.Response (typed
 // result + run stats + cache flag); Batch returns one response per
 // request with per-request errors in place, exactly like Engine.Batch.
+// Cluster (NewCluster) is the same pair over a sharded replica set: each
+// request routes by the graph it names, so the port from one daemon to a
+// cluster is again a swap of the receiver.
 package client
 
 import (

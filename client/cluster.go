@@ -37,18 +37,9 @@ type Cluster struct {
 type ClusterOption func(*clusterOptions)
 
 type clusterOptions struct {
-	vnodes     int
 	interval   time.Duration
 	threshold  int
-	timeout    time.Duration
 	clientOpts []Option
-}
-
-// WithVirtualNodes overrides the ring's virtual-node count. Every
-// participant (daemons' placement tooling and clients) must agree on
-// it, or they will disagree on which replica owns which graph.
-func WithVirtualNodes(n int) ClusterOption {
-	return func(o *clusterOptions) { o.vnodes = n }
 }
 
 // WithProbeInterval overrides the health-probe period.
@@ -60,11 +51,6 @@ func WithProbeInterval(d time.Duration) ClusterOption {
 // which a replica is marked down.
 func WithProbeThreshold(n int) ClusterOption {
 	return func(o *clusterOptions) { o.threshold = n }
-}
-
-// WithProbeTimeout overrides the per-probe deadline.
-func WithProbeTimeout(d time.Duration) ClusterOption {
-	return func(o *clusterOptions) { o.timeout = d }
 }
 
 // WithClientOptions applies per-replica Client options (WithRetry,
@@ -83,7 +69,7 @@ func NewCluster(members []string, opts ...ClusterOption) *Cluster {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	ring := cluster.NewRing(members, o.vnodes)
+	ring := cluster.NewRing(members)
 	clients := make(map[string]*Client, len(ring.Members()))
 	for _, m := range ring.Members() {
 		clients[m] = New(m, o.clientOpts...)
@@ -96,7 +82,6 @@ func NewCluster(members []string, opts ...ClusterOption) *Cluster {
 	prober := cluster.NewProber(ring.Members(), cluster.Config{
 		Interval:  o.interval,
 		Threshold: o.threshold,
-		Timeout:   o.timeout,
 		Probe:     cluster.HTTPProbe(probeHTTP),
 	})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -258,51 +243,13 @@ func (c *Cluster) Batch(ctx context.Context, reqs []api.Request) ([]api.Response
 	return resps, nil
 }
 
-// Graph returns a view of the cluster scoped to one graph ID: Query and
-// Batch stamp the ID on every request and route it through the cluster,
-// so code written against one single-graph daemon ports to a sharded
-// cluster by swapping the receiver.
-func (c *Cluster) Graph(id string) *GraphView { return &GraphView{c: c, graph: id} }
-
-// GraphView is a single-graph facade over a Cluster; see Cluster.Graph.
-type GraphView struct {
-	c     *Cluster
-	graph string
-}
-
-// Query answers one typed request against the view's graph. A request
-// naming a different graph is rejected rather than silently rewritten.
-func (g *GraphView) Query(ctx context.Context, req api.Request) (*api.Response, error) {
-	if req.Graph != "" && req.Graph != g.graph {
-		return nil, fmt.Errorf("client: %w: request names graph %q on a view of %q",
-			ccsp.ErrInvalidOption, req.Graph, g.graph)
-	}
-	req.Graph = g.graph
-	return g.c.Query(ctx, req)
-}
-
-// Batch answers many requests against the view's graph; see
-// Cluster.Batch for the fan-out and error contract.
-func (g *GraphView) Batch(ctx context.Context, reqs []api.Request) ([]api.Response, error) {
-	scoped := make([]api.Request, len(reqs))
-	for i, req := range reqs {
-		if req.Graph != "" && req.Graph != g.graph {
-			return nil, fmt.Errorf("client: %w: batch position %d names graph %q on a view of %q",
-				ccsp.ErrInvalidOption, i, req.Graph, g.graph)
-		}
-		req.Graph = g.graph
-		scoped[i] = req
-	}
-	return g.c.Batch(ctx, scoped)
-}
-
-// Health probes the replica owning the view's graph, failing over like
-// Query. It reports the serving replica's health, which in a cluster
-// describes that replica's default graph shape - use it for liveness,
-// not graph metadata.
-func (g *GraphView) Health(ctx context.Context) (*api.Health, error) {
+// Health probes the replica owning graph, failing over like Query. It
+// reports the serving replica's health, which in a cluster describes
+// that replica's default graph shape - use it for liveness, not graph
+// metadata.
+func (c *Cluster) Health(ctx context.Context, graph string) (*api.Health, error) {
 	var h *api.Health
-	err := g.c.tryReplicas(ctx, g.graph, func(m *Client) (err error) {
+	err := c.tryReplicas(ctx, graph, func(m *Client) (err error) {
 		h, err = m.Health(ctx)
 		return err
 	})

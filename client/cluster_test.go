@@ -76,7 +76,7 @@ func testCluster(t *testing.T, nReplicas int, graphs map[string]int, extraHolder
 	}}
 	t.Cleanup(tr.CloseIdleConnections)
 
-	ring := cluster.NewRing(members, 0)
+	ring := cluster.NewRing(members)
 	extra := make(map[string]bool, len(extraHolders))
 	for _, g := range extraHolders {
 		extra[g] = true
@@ -158,33 +158,33 @@ func TestClusterRoutedQueries(t *testing.T) {
 	}
 }
 
-// TestClusterGraphView: the single-graph view stamps its graph on every
-// request and routes it to the owning replica.
-func TestClusterGraphView(t *testing.T) {
+// TestClusterNamedGraph: a request stamped with its graph (Request.On)
+// routes to the owning replica and echoes the graph, and Health probes
+// that graph's replica.
+func TestClusterNamedGraph(t *testing.T) {
 	c, engines, _ := testCluster(t, 3, clusterGraphs, nil)
 	ctx := context.Background()
-	v := c.Graph("beta")
 
 	want, err := engines["beta"].Query(ctx, api.MSSP(0, 3).On("beta"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := v.Query(ctx, api.MSSP(0, 3))
+	got, err := c.Query(ctx, api.MSSP(0, 3).On("beta"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	got.Cached = want.Cached
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("view MSSP differs from engine\n got %+v\nwant %+v", got, want)
+		t.Errorf("cluster MSSP differs from engine\n got %+v\nwant %+v", got, want)
 	}
-	if resp, err := v.Query(ctx, api.Diameter()); err != nil || resp.Graph != "beta" {
-		t.Errorf("view Diameter = %+v, %v; want graph echo beta", resp, err)
+	if resp, err := c.Query(ctx, api.Diameter().On("beta")); err != nil || resp.Graph != "beta" {
+		t.Errorf("cluster Diameter = %+v, %v; want graph echo beta", resp, err)
 	}
-	if _, err := v.Query(ctx, api.Diameter().On("alpha")); !errors.Is(err, ccsp.ErrInvalidOption) {
-		t.Errorf("cross-graph request on a view: err = %v, want ErrInvalidOption", err)
+	if h, err := c.Health(ctx, "beta"); err != nil || h.Status != "ok" {
+		t.Errorf("cluster Health = %+v, %v", h, err)
 	}
-	if h, err := v.Health(ctx); err != nil || h.Status != "ok" {
-		t.Errorf("view Health = %+v, %v", h, err)
+	if _, err := c.Health(ctx, "nowhere"); !errors.Is(err, ccsp.ErrUnavailable) {
+		t.Errorf("Health of an unplaced graph: err = %v, want ErrUnavailable", err)
 	}
 }
 

@@ -14,9 +14,6 @@
 //
 //	$ ccring -members ... -succ 2 roads
 //	roads	http://b:8080	http://c:8080
-//
-// All participants must agree on -vnodes (clients default to the same
-// value), or placement diverges.
 package main
 
 import (
@@ -39,7 +36,6 @@ func main() {
 func run() error {
 	var (
 		members = flag.String("members", "", "comma-separated replica base URLs (required)")
-		vnodes  = flag.Int("vnodes", cluster.DefaultVirtualNodes, "virtual nodes per member (all participants must agree)")
 		succ    = flag.Int("succ", 1, "members to print per graph: the owner plus succ-1 ring successors")
 	)
 	flag.Parse()
@@ -62,7 +58,7 @@ func run() error {
 	if len(graphs) == 0 {
 		return fmt.Errorf("no graph IDs given (pass them as arguments)")
 	}
-	ring := cluster.NewRing(ms, *vnodes)
+	ring := cluster.NewRing(ms)
 	for _, g := range graphs {
 		if err := api.ValidateGraphID(g); err != nil {
 			return err

@@ -1,18 +1,19 @@
 // Batch mode: parse a query file into typed api.Requests and answer the
-// whole set through the query plane - Engine.Batch locally (one
-// preprocessing for the entire batch, the paper's amortization claim) or
-// client.Batch against a daemon (one POST /v1/batch).
+// whole set through the querier's Batch - Engine.Batch locally (one
+// preprocessing for the entire batch, the paper's amortization claim),
+// one POST /v1/batch against a daemon, one sub-batch per owning shard
+// against a cluster.
 package main
 
 import (
 	"bufio"
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
-	"github.com/congestedclique/ccsp"
 	"github.com/congestedclique/ccsp/api"
 )
 
@@ -113,99 +114,41 @@ func parseQueryLine(fields []string) (api.Request, error) {
 	}
 }
 
-// printBatchResponses renders each answer in input order and returns the
-// summed query rounds. The first failed response aborts with its source
-// line, after every answer before it has printed.
-func printBatchResponses(path string, queries []batchQuery, resps []api.Response, n int, quiet bool) (int, error) {
+// answerBatch asks q the whole batch, renders each answer in input order
+// and returns the summed query rounds. The first failed response aborts
+// with its source line, after every answer before it has printed.
+func answerBatch(ctx context.Context, w io.Writer, q querier, path string, queries []batchQuery, graphID string, n int, quiet bool) (int, error) {
+	reqs := make([]api.Request, len(queries))
+	for i, bq := range queries {
+		reqs[i] = bq.req.On(graphID)
+	}
+	resps, err := q.Batch(ctx, reqs)
+	if err != nil {
+		return 0, err
+	}
 	// Graph-scoped answers may come from a graph of a different size
 	// than the daemon's default (whose shape is all /healthz reports),
 	// so prefer a node count derived from the batch's own per-node
 	// vectors; n stays the last-resort fallback for batches made up
 	// entirely of kinds that carry none (distance, diameter).
-	batchN := n
 	for i := range resps {
-		if rn := responseNodes(&resps[i]); rn != 0 {
-			batchN = rn
+		if rn := responseNodes(&resps[i], 0); rn != 0 {
+			n = rn
 			break
 		}
 	}
 	queryRounds := 0
-	for i, q := range queries {
+	for i, bq := range queries {
 		resp := resps[i]
 		if resp.Error != nil {
-			return 0, fmt.Errorf("%s:%d: %s", path, q.line, resp.Error)
+			return 0, fmt.Errorf("%s:%d: %s", path, bq.line, resp.Error)
 		}
-		rn := responseNodes(&resp)
-		if rn == 0 {
-			rn = batchN
-		}
-		printResponse(&resp, rn, quiet)
-		fmt.Printf("query %q: %s\n", q.text, statsLine(resp.Stats, rn))
+		rn := responseNodes(&resp, n)
+		printResponse(w, &resp, rn, quiet)
+		fmt.Fprintf(w, "query %q: %s\n", bq.text, statsLine(resp.Stats, rn))
 		if resp.Stats != nil {
 			queryRounds += resp.Stats.TotalRounds
 		}
 	}
 	return queryRounds, nil
-}
-
-// runBatchLocal preprocesses the graph once (or reuses a -load'ed
-// engine) and answers every query line through Engine.Batch, reporting
-// per-query stats and the amortization summary: total rounds actually
-// paid vs what one-shot calls would have cost.
-func runBatchLocal(ctx context.Context, g *ccsp.Graph, eng *ccsp.Engine, opts ccsp.Options, path string, quiet bool, savePath string) error {
-	queries, err := parseBatchFile(path)
-	if err != nil {
-		return err
-	}
-	if eng == nil {
-		if eng, err = ccsp.NewEngine(ctx, g, opts); err != nil {
-			return err
-		}
-	}
-	pre := eng.PreprocessStats()
-	fmt.Printf("preprocess: %s\n", pre.Total)
-	for _, b := range pre.Builds {
-		fmt.Printf("  %s eps=%g beta=%d edges=%d: %s\n", b.Kind, b.Eps, b.Beta, b.Edges, b.Stats)
-	}
-
-	reqs := make([]api.Request, len(queries))
-	for i, q := range queries {
-		reqs[i] = q.req
-	}
-	resps, err := eng.Batch(ctx, reqs)
-	if err != nil {
-		return err
-	}
-	queryRounds, err := printBatchResponses(path, queries, resps, g.N(), quiet)
-	if err != nil {
-		return err
-	}
-	pre = eng.PreprocessStats() // lazy artifacts may have been added
-	fmt.Printf("batch: %d queries, %d preprocessing rounds (%d builds) + %d query rounds = %d total\n",
-		len(queries), pre.Total.TotalRounds, len(pre.Builds), queryRounds, pre.Total.TotalRounds+queryRounds)
-	return saveEngine(eng, savePath, false)
-}
-
-// runBatchRemote ships the whole batch to a daemon (one POST /v1/batch)
-// or a cluster (one sub-batch per owning shard, merged in order).
-func runBatchRemote(ctx context.Context, rc remote, graphID string, n int, path string, quiet bool) error {
-	queries, err := parseBatchFile(path)
-	if err != nil {
-		return err
-	}
-	reqs := make([]api.Request, len(queries))
-	for i, q := range queries {
-		reqs[i] = q.req.On(graphID)
-	}
-	resps, err := rc.Batch(ctx, reqs)
-	if err != nil {
-		return err
-	}
-	queryRounds, err := printBatchResponses(path, queries, resps, n, quiet)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("batch: %d queries, %d query rounds (preprocessing amortized server-side)\n",
-		len(queries), queryRounds)
-	return nil
 }

@@ -27,10 +27,20 @@
 //	ccsp -server http://localhost:8080 -update 1,5,100 -algo sssp -src 0  # POST /v1/update, then query
 //	ccsp -cluster http://a:8080,http://b:8080 -graphid roads -algo sssp -src 0  # route through a sharded cluster
 //
+// Every mode answers the same way: the flags resolve to one querier -
+// the Query/Batch pair *ccsp.Engine (-load, -save, -update, -batch),
+// *client.Client (-server) and *client.Cluster (-cluster) share - and
+// -algo, or each batch line, becomes one typed api.Request asked through
+// it and printed by one function, so answer rows diff line for line
+// across modes. A bare "ccsp -algo X graph" keeps no engine: the one-shot
+// ccsp.Query builds only what X needs and folds that preprocessing into
+// the stats line - the same wire-form line every other mode prints, so
+// under -exec direct it reads "rounds=0 (sim=0 charged=0) msgs=0 words=0".
+//
 // With -save or -load, queries run through a persistent ccsp.Engine
 // snapshot (the format cmd/ccspd serves from): -save builds the engine
-// and writes it after answering, -load restores one and pays no
-// preprocessing; the reported stats then cover the query run only, with
+// and writes it (atomically) after answering, -load restores one and pays
+// no preprocessing; the reported stats then cover the query run only, with
 // the preprocessing cost printed separately.
 //
 // With -server, queries are sent to a running ccspd daemon over the
@@ -44,7 +54,7 @@
 //
 // Batch mode loads the graph once, preprocesses it into a reusable
 // hopset artifact (ccsp.Engine), and answers one query per line of the
-// batch file ("-" for stdin) through Engine.Batch, paying the hopset
+// batch file ("-" for stdin) through Batch, paying the hopset
 // construction once for the whole batch. Query lines ('#' comments and
 // blank lines skipped):
 //
@@ -63,6 +73,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -75,8 +86,10 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		switch {
+		case errors.Is(err, errBadFlags):
+			os.Exit(2) // the flag set has already printed the message and usage
 		case errors.Is(err, context.DeadlineExceeded):
 			// -timeout expired: exit 124 like timeout(1), distinct from
 			// an operator Ctrl-C.
@@ -91,33 +104,63 @@ func main() {
 	}
 }
 
-func run() error {
+var errBadFlags = errors.New("bad flags")
+
+// querier is the one way to ask: *ccsp.Engine, *client.Client and
+// *client.Cluster all answer typed requests through this pair.
+type querier interface {
+	Query(ctx context.Context, req api.Request) (*api.Response, error)
+	Batch(ctx context.Context, reqs []api.Request) ([]api.Response, error)
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("ccsp", flag.ContinueOnError)
 	var (
-		algo       = flag.String("algo", "apsp", "apsp | apsp3 | sssp | mssp | diameter | knearest | sourcedetect")
-		eps        = flag.Float64("eps", 0.5, "approximation parameter ε")
-		src        = flag.Int("src", 0, "source for sssp")
-		sources    = flag.String("sources", "0", "comma-separated sources for mssp/sourcedetect")
-		k          = flag.Int("k", 4, "k for knearest/sourcedetect")
-		d          = flag.Int("d", 4, "hop bound d for sourcedetect")
-		batch      = flag.String("batch", "", "batch query file ('-' for stdin): preprocess once, answer every line")
-		quiet      = flag.Bool("quiet", false, "print only the stats line")
-		graphPath  = flag.String("graph", "", "graph file (edge list or DIMACS .gr); alternative to the positional argument")
-		savePath   = flag.String("save", "", "write the preprocessed engine snapshot here after answering")
-		loadPath   = flag.String("load", "", "restore a preprocessed engine snapshot instead of building one")
-		serverURL  = flag.String("server", "", "base URL of a running ccspd daemon: query it instead of simulating locally")
-		clusterCSV = flag.String("cluster", "", "comma-separated ccspd replica base URLs: route queries through the consistent-hash ring")
-		graphID    = flag.String("graphid", "", "graph ID to query on a multi-graph daemon or cluster (empty = the default graph)")
-		timeout    = flag.Duration("timeout", 0, "abort preprocessing+queries after this long (0 = no limit)")
-		execMode   = flag.String("exec", "simulated", "execution mode: simulated (round accounting) | direct (kernel, identical answers, no rounds)")
+		algo       = fs.String("algo", "apsp", "apsp | apsp3 | sssp | mssp | diameter | knearest | sourcedetect")
+		eps        = fs.Float64("eps", 0.5, "approximation parameter ε")
+		src        = fs.Int("src", 0, "source for sssp")
+		sources    = fs.String("sources", "0", "comma-separated sources for mssp/sourcedetect")
+		k          = fs.Int("k", 4, "k for knearest/sourcedetect")
+		d          = fs.Int("d", 4, "hop bound d for sourcedetect")
+		batch      = fs.String("batch", "", "batch query file ('-' for stdin): preprocess once, answer every line")
+		quiet      = fs.Bool("quiet", false, "print only the stats line")
+		graphPath  = fs.String("graph", "", "graph file (edge list or DIMACS .gr); alternative to the positional argument")
+		savePath   = fs.String("save", "", "write the preprocessed engine snapshot here after answering")
+		loadPath   = fs.String("load", "", "restore a preprocessed engine snapshot instead of building one")
+		serverURL  = fs.String("server", "", "base URL of a running ccspd daemon: query it instead of simulating locally")
+		clusterCSV = fs.String("cluster", "", "comma-separated ccspd replica base URLs: route queries through the consistent-hash ring")
+		graphID    = fs.String("graphid", "", "graph ID to query on a multi-graph daemon or cluster (empty = the default graph)")
+		timeout    = fs.Duration("timeout", 0, "abort preprocessing+queries after this long (0 = no limit)")
+		execMode   = fs.String("exec", "simulated", "execution mode: simulated (round accounting) | direct (kernel, identical answers, no rounds)")
 	)
 	var updates updateFlags
-	flag.Var(&updates, "update", `edge update "u,v,w" applied before answering; w=-1 deletes {u,v} (repeatable)`)
-	flag.Parse()
+	fs.Var(&updates, "update", `edge update "u,v,w" applied before answering; w=-1 deletes {u,v} (repeatable)`)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errBadFlags
+	}
 	exec, err := ccsp.ParseExecution(*execMode)
 	if err != nil {
 		return err
 	}
 	opts := ccsp.Options{Epsilon: *eps, Execution: exec}
+
+	// What is asked parses before anything expensive runs: -algo and its
+	// flags, or every line of the -batch file.
+	var (
+		req     api.Request
+		queries []batchQuery
+	)
+	if *batch != "" {
+		queries, err = parseBatchFile(*batch)
+	} else {
+		req, err = requestForAlgo(*algo, *src, *sources, *k, *d)
+	}
+	if err != nil {
+		return err
+	}
 
 	// Ctrl-C (or -timeout) cancels the context; the simulator unwinds at
 	// its next barrier and the run exits cleanly instead of burning CPU.
@@ -129,14 +172,23 @@ func run() error {
 		defer cancel()
 	}
 
+	// Resolve the flags to the one querier that answers (nil only for a
+	// single local query with no engine to keep) and the node count to
+	// print when an answer carries no per-node vector.
+	var (
+		q   querier
+		n   int
+		g   *ccsp.Graph
+		eng *ccsp.Engine // the local engine behind q: its ledger prints, -save persists it
+	)
 	if *serverURL != "" || *clusterCSV != "" {
-		if *graphPath != "" || *loadPath != "" || *savePath != "" || flag.NArg() != 0 {
+		if *graphPath != "" || *loadPath != "" || *savePath != "" || fs.NArg() != 0 {
 			return fmt.Errorf("-server/-cluster query remote daemons; drop -graph/-load/-save and the graph argument")
 		}
 		if *serverURL != "" && *clusterCSV != "" {
 			return fmt.Errorf("use -server (one daemon) or -cluster (a replica set), not both")
 		}
-		var rc remote
+		var h *api.Health
 		if *clusterCSV != "" {
 			var members []string
 			for _, m := range strings.Split(*clusterCSV, ",") {
@@ -147,90 +199,114 @@ func run() error {
 			if len(members) == 0 {
 				return fmt.Errorf("-cluster is empty")
 			}
-			cl := client.NewCluster(members)
-			defer cl.Close()
-			rc = cl.Graph(*graphID)
 			if len(updates) > 0 {
 				return fmt.Errorf("-update needs -server (send updates to the replica owning the graph directly)")
 			}
+			cl := client.NewCluster(members)
+			defer cl.Close()
+			q = cl
+			h, err = cl.Health(ctx, *graphID)
 		} else {
 			c := client.New(*serverURL)
-			rc = c
+			q = c
 			if len(updates) > 0 {
 				ur, err := c.Update(ctx, *graphID, updates)
 				if err != nil {
 					return err
 				}
 				if !*quiet {
-					fmt.Printf("applied %d update(s); graph epoch %d\n", ur.Applied, ur.Epoch)
+					fmt.Fprintf(stdout, "applied %d update(s); graph epoch %d\n", ur.Applied, ur.Epoch)
 				}
 			}
+			h, err = c.Health(ctx)
 		}
-		return runRemote(ctx, rc, *graphID, *algo, *src, *sources, *k, *d, *batch, *quiet)
-	}
-	if *graphID != "" {
-		return fmt.Errorf("-graphid needs -server or -cluster (local graphs are unnamed)")
-	}
-
-	g, eng, err := loadInput(ctx, *graphPath, *loadPath)
-	if err != nil {
-		return err
-	}
-
-	// -update mutates the graph before any answering: build (or reuse)
-	// the engine, run the updates through a DynamicEngine - the same
-	// validate/apply/rebuild path the daemon uses - and continue with
-	// the published generation. -save then persists the new epoch.
-	if len(updates) > 0 {
-		if eng == nil {
+		if err != nil {
+			return err
+		}
+		n = h.Nodes
+	} else {
+		if *graphID != "" {
+			return fmt.Errorf("-graphid needs -server or -cluster (local graphs are unnamed)")
+		}
+		if g, eng, err = loadInput(ctx, *graphPath, *loadPath, fs.Args()); err != nil {
+			return err
+		}
+		// -update, -batch and -save need an engine even when -load didn't
+		// provide one; building it up front also moves the preprocessing
+		// cost out of the query stats, which is the point of the snapshot.
+		if eng == nil && (len(updates) > 0 || *batch != "" || *savePath != "") {
 			if eng, err = ccsp.NewEngine(ctx, g, opts); err != nil {
 				return err
 			}
 		}
-		dyn := ccsp.NewDynamicEngine(eng)
-		epoch, err := dyn.Update(ctx, updates)
-		dyn.Close()
-		if err != nil {
-			return err
+		// -update mutates the graph before any answering: run the updates
+		// through a DynamicEngine - the same validate/apply/rebuild path
+		// the daemon uses - and continue with the published generation.
+		// -save then persists the new epoch.
+		if len(updates) > 0 {
+			dyn := ccsp.NewDynamicEngine(eng)
+			epoch, err := dyn.Update(ctx, updates)
+			dyn.Close()
+			if err != nil {
+				return err
+			}
+			eng = dyn.Engine()
+			g = eng.Graph()
+			if !*quiet {
+				fmt.Fprintf(stdout, "applied %d update(s); graph epoch %d\n", len(updates), epoch)
+			}
 		}
-		eng = dyn.Engine()
-		g = eng.Graph()
-		if !*quiet {
-			fmt.Printf("applied %d update(s); graph epoch %d\n", len(updates), epoch)
+		if eng != nil {
+			q = eng
 		}
+		n = g.N()
 	}
 
+	// One batch function and one single-query function over q; what is
+	// local-only - the preprocessing ledger, the amortization summary,
+	// -save - stays here, around the shared call.
 	if *batch != "" {
-		return runBatchLocal(ctx, g, eng, opts, *batch, *quiet, *savePath)
-	}
-	// -save needs an engine even when -load didn't provide one; building
-	// it up front also moves the preprocessing cost out of the query
-	// stats, which is the point of the snapshot.
-	if eng == nil && *savePath != "" {
-		if eng, err = ccsp.NewEngine(ctx, g, opts); err != nil {
-			return err
+		if eng != nil {
+			pre := eng.PreprocessStats()
+			fmt.Fprintf(stdout, "preprocess: %s\n", pre.Total)
+			for _, b := range pre.Builds {
+				fmt.Fprintf(stdout, "  %s eps=%g beta=%d edges=%d: %s\n", b.Kind, b.Eps, b.Beta, b.Edges, b.Stats)
+			}
 		}
-	}
-
-	if eng != nil {
-		// Engine mode answers through the typed query plane: the same
-		// api.Request the daemon and client speak, printed identically to
-		// the historical per-algorithm output.
-		req, err := requestForAlgo(*algo, *src, *sources, *k, *d)
+		queryRounds, err := answerBatch(ctx, stdout, q, *batch, queries, *graphID, n, *quiet)
 		if err != nil {
 			return err
 		}
-		resp, err := eng.Query(ctx, req)
-		if err != nil {
-			return err
+		if eng == nil {
+			fmt.Fprintf(stdout, "batch: %d queries, %d query rounds (preprocessing amortized server-side)\n",
+				len(queries), queryRounds)
+			return nil
 		}
-		printResponse(resp, g.N(), *quiet)
-		if !*quiet {
-			fmt.Printf("preprocess (not in the stats line above): %s\n", eng.PreprocessStats().Total)
-		}
-		return saveEngine(eng, *savePath, *quiet)
+		// Total rounds actually paid vs what one-shot calls would have cost.
+		pre := eng.PreprocessStats() // lazy artifacts may have been added
+		fmt.Fprintf(stdout, "batch: %d queries, %d preprocessing rounds (%d builds) + %d query rounds = %d total\n",
+			len(queries), pre.Total.TotalRounds, len(pre.Builds), queryRounds, pre.Total.TotalRounds+queryRounds)
+		return saveEngine(stdout, eng, *savePath, false)
 	}
-	return runOneShot(ctx, g, opts, *algo, *src, *sources, *k, *d, *quiet)
+	// With no engine to keep, a single local query is asked one-shot:
+	// ccsp.Query builds only what the request needs on g and folds that
+	// preprocessing into the stats line.
+	ask := func(ctx context.Context, req api.Request) (*api.Response, error) {
+		return ccsp.Query(ctx, g, req, opts)
+	}
+	if q != nil {
+		ask = q.Query
+	}
+	if err := answerOne(ctx, stdout, ask, req.On(*graphID), n, *quiet); err != nil {
+		return err
+	}
+	if eng == nil {
+		return nil
+	}
+	if !*quiet {
+		fmt.Fprintf(stdout, "preprocess (not in the stats line above): %s\n", eng.PreprocessStats().Total)
+	}
+	return saveEngine(stdout, eng, *savePath, *quiet)
 }
 
 // requestForAlgo translates the -algo flag set into a typed request: it
@@ -246,135 +322,24 @@ func requestForAlgo(algo string, src int, sources string, k, d int) (api.Request
 	return parseQueryLine(append([]string{algo}, args[algo]...))
 }
 
-// runOneShot preserves the historical single-shot semantics: no engine,
-// stats include the preprocessing (the one-shot functions fold it in).
-func runOneShot(ctx context.Context, g *ccsp.Graph, opts ccsp.Options, algo string, src int, sources string, k, d int, quiet bool) error {
-	switch algo {
-	case "apsp":
-		var res *ccsp.APSPResult
-		var err error
-		if g.Unweighted() {
-			res, err = ccsp.APSPUnweighted(ctx, g, opts)
-		} else {
-			res, err = ccsp.APSPWeighted(ctx, g, opts)
-		}
-		if err != nil {
-			return err
-		}
-		if !quiet {
-			printMatrix(res.Dist)
-		}
-		fmt.Println(res.Stats)
-	case "apsp3":
-		res, err := ccsp.APSPWeighted3(ctx, g, opts)
-		if err != nil {
-			return err
-		}
-		if !quiet {
-			printMatrix(res.Dist)
-		}
-		fmt.Println(res.Stats)
-	case "sssp":
-		res, err := ccsp.SSSP(ctx, g, src, opts)
-		if err != nil {
-			return err
-		}
-		if !quiet {
-			printVector(res.Dist)
-		}
-		fmt.Println(res.Stats)
-	case "mssp":
-		srcList, err := parseSources(sources)
-		if err != nil {
-			return err
-		}
-		res, err := ccsp.MSSP(ctx, g, srcList, opts)
-		if err != nil {
-			return err
-		}
-		if !quiet {
-			printIndexedMatrix(res.Dist) // rows are nodes, columns the sorted sources
-		}
-		fmt.Println(res.Stats)
-	case "diameter":
-		res, err := ccsp.Diameter(ctx, g, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("diameter estimate: %d\n", res.Estimate)
-		fmt.Println(res.Stats)
-	case "knearest":
-		res, err := ccsp.KNearest(ctx, g, k, opts)
-		if err != nil {
-			return err
-		}
-		if !quiet {
-			printNeighborRows(res.Neighbors, true)
-		}
-		fmt.Println(res.Stats)
-	case "sourcedetect":
-		srcList, err := parseSources(sources)
-		if err != nil {
-			return err
-		}
-		res, err := ccsp.SourceDetection(ctx, g, srcList, d, k, opts)
-		if err != nil {
-			return err
-		}
-		if !quiet {
-			printNeighborRows(res.Detected, false)
-		}
-		fmt.Println(res.Stats)
-	default:
-		return fmt.Errorf("unknown algorithm %q", algo)
-	}
-	return nil
-}
-
-// remote is what runRemote needs from a remote query plane; both
-// *client.Client (one daemon) and *client.GraphView (a cluster scoped
-// to one graph) satisfy it.
-type remote interface {
-	Query(ctx context.Context, req api.Request) (*api.Response, error)
-	Batch(ctx context.Context, reqs []api.Request) ([]api.Response, error)
-	Health(ctx context.Context) (*api.Health, error)
-}
-
-// runRemote answers through a ccspd daemon or cluster: -batch becomes
-// one POST /v1/batch (fanned out per shard under -cluster), single
-// queries one POST /v1/query.
-func runRemote(ctx context.Context, rc remote, graphID, algo string, src int, sources string, k, d int, batch string, quiet bool) error {
-	h, err := rc.Health(ctx)
+// answerOne asks one request and prints the answer.
+func answerOne(ctx context.Context, w io.Writer, ask func(context.Context, api.Request) (*api.Response, error), req api.Request, n int, quiet bool) error {
+	resp, err := ask(ctx, req)
 	if err != nil {
 		return err
 	}
-	if batch != "" {
-		return runBatchRemote(ctx, rc, graphID, h.Nodes, batch, quiet)
-	}
-	req, err := requestForAlgo(algo, src, sources, k, d)
-	if err != nil {
-		return err
-	}
-	resp, err := rc.Query(ctx, req.On(graphID))
-	if err != nil {
-		return err
-	}
-	// Health reports the answering replica's default graph; for named
-	// graphs the response's own vector lengths are the honest n.
-	n := responseNodes(resp)
-	if n == 0 {
-		n = h.Nodes
-	}
-	printResponse(resp, n, quiet)
+	// A daemon's /healthz reports its default graph; for named graphs the
+	// response's own vector lengths are the honest n.
+	printResponse(w, resp, responseNodes(resp, n), quiet)
 	return nil
 }
 
 // loadInput resolves the graph source: a snapshot (-load, which carries
-// its graph and a warm engine) or a graph file (-graph or the positional
-// argument).
-func loadInput(ctx context.Context, graphPath, loadPath string) (*ccsp.Graph, *ccsp.Engine, error) {
+// its graph and a warm engine) or a graph file (-graph or the one
+// positional argument).
+func loadInput(ctx context.Context, graphPath, loadPath string, args []string) (*ccsp.Graph, *ccsp.Engine, error) {
 	if loadPath != "" {
-		if graphPath != "" || flag.NArg() != 0 {
+		if graphPath != "" || len(args) != 0 {
 			return nil, nil, fmt.Errorf("-load restores the snapshot's own graph; drop the graph argument")
 		}
 		f, err := os.Open(loadPath)
@@ -389,9 +354,9 @@ func loadInput(ctx context.Context, graphPath, loadPath string) (*ccsp.Graph, *c
 		return eng.Graph(), eng, nil
 	}
 	switch {
-	case graphPath != "" && flag.NArg() == 0:
-	case graphPath == "" && flag.NArg() == 1:
-		graphPath = flag.Arg(0)
+	case graphPath != "" && len(args) == 0:
+	case graphPath == "" && len(args) == 1:
+		graphPath = args[0]
 	default:
 		return nil, nil, fmt.Errorf("usage: ccsp [flags] <graph-file> (or -graph/-load/-server)")
 	}
@@ -404,26 +369,15 @@ func loadInput(ctx context.Context, graphPath, loadPath string) (*ccsp.Graph, *c
 
 // saveEngine writes the engine snapshot to path (no-op for empty path);
 // quiet suppresses the confirmation line.
-func saveEngine(eng *ccsp.Engine, path string, quiet bool) error {
+func saveEngine(w io.Writer, eng *ccsp.Engine, path string, quiet bool) error {
 	if path == "" {
 		return nil
 	}
-	if eng == nil {
-		return fmt.Errorf("internal: -save without an engine")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := eng.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := eng.SaveFile(path); err != nil {
 		return err
 	}
 	if !quiet {
-		fmt.Printf("saved engine snapshot to %s\n", path)
+		fmt.Fprintf(w, "saved engine snapshot to %s\n", path)
 	}
 	return nil
 }

@@ -1,12 +1,13 @@
-// Output rendering shared by the local and remote query paths. The
-// formats are the historical ones (node-indexed rows for sssp/mssp,
-// bare rows for apsp, "v: n(d=..,via=..)" neighbor lists), so local
-// engine runs, snapshot runs and -server runs print identically and
-// can be diffed line for line.
+// Output rendering shared by every mode. The formats are the historical
+// ones (node-indexed rows for sssp/mssp, bare rows for apsp,
+// "v: n(d=..,via=..)" neighbor lists), so one-shot runs, snapshot runs
+// and -server/-cluster runs print identically and can be diffed line for
+// line.
 package main
 
 import (
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 
@@ -14,58 +15,36 @@ import (
 	"github.com/congestedclique/ccsp/api"
 )
 
-// distStr renders one distance, accepting both conventions: the
-// in-process ccsp.Unreachable sentinel and the wire's -1.
+// distStr renders one wire distance (api.Unreachable = -1 prints "inf").
 func distStr(d int64) string {
-	if d < 0 || d >= ccsp.Unreachable {
+	if d < 0 {
 		return "inf"
 	}
 	return strconv.FormatInt(d, 10)
 }
 
-// printVector prints "v<TAB>dist" rows (sssp).
-func printVector(dist []int64) {
-	for v, d := range dist {
-		fmt.Printf("%d\t%s\n", v, distStr(d))
+// distRow renders one tab-joined row of distances.
+func distRow(row []int64) string {
+	parts := make([]string, len(row))
+	for i, d := range row {
+		parts[i] = distStr(d)
 	}
-}
-
-// printIndexedMatrix prints "v<TAB>d1<TAB>d2..." rows (mssp: one column
-// per sorted source).
-func printIndexedMatrix(dist [][]int64) {
-	for v, row := range dist {
-		parts := make([]string, len(row))
-		for i, d := range row {
-			parts[i] = distStr(d)
-		}
-		fmt.Printf("%d\t%s\n", v, strings.Join(parts, "\t"))
-	}
-}
-
-// printMatrix prints bare tab-joined rows (apsp).
-func printMatrix(dist [][]int64) {
-	for _, row := range dist {
-		parts := make([]string, len(row))
-		for i, d := range row {
-			parts[i] = distStr(d)
-		}
-		fmt.Println(strings.Join(parts, "\t"))
-	}
+	return strings.Join(parts, "\t")
 }
 
 // printNeighborRows prints "v: n(d=..,via=..)" lists (knearest) or
 // "v: n(d=..,hops=..)" (sourcedetect, which tracks no witnesses).
-func printNeighborRows(lists [][]api.Neighbor, withVia bool) {
+func printNeighborRows(w io.Writer, lists [][]api.Neighbor, withVia bool) {
 	for v, nbs := range lists {
-		fmt.Printf("%d:", v)
+		fmt.Fprintf(w, "%d:", v)
 		for _, e := range nbs {
 			if withVia {
-				fmt.Printf(" %d(d=%d,via=%d)", e.Node, e.Dist, e.FirstHop)
+				fmt.Fprintf(w, " %d(d=%d,via=%d)", e.Node, e.Dist, e.FirstHop)
 			} else {
-				fmt.Printf(" %d(d=%d,hops=%d)", e.Node, e.Dist, e.Hops)
+				fmt.Fprintf(w, " %d(d=%d,hops=%d)", e.Node, e.Dist, e.Hops)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }
 
@@ -81,64 +60,60 @@ func statsLine(s *api.Stats, n int) string {
 }
 
 // responseNodes derives the answering graph's node count from a
-// response's own per-node vectors; 0 when the kind carries none
-// (distance, diameter) and the caller must fall back to /healthz.
-func responseNodes(resp *api.Response) int {
-	switch resp.Kind {
-	case api.KindSSSP:
-		if resp.SSSP != nil {
-			return len(resp.SSSP.Dist)
-		}
-	case api.KindMSSP:
-		if resp.MSSP != nil {
-			return len(resp.MSSP.Dist)
-		}
-	case api.KindAPSP:
-		if resp.APSP != nil {
-			return len(resp.APSP.Dist)
-		}
-	case api.KindKNearest:
-		if resp.KNearest != nil {
-			return len(resp.KNearest.Neighbors)
-		}
-	case api.KindSourceDetection:
-		if resp.SourceDetection != nil {
-			return len(resp.SourceDetection.Detected)
-		}
+// response's own per-node vectors; fallback (what /healthz or the local
+// graph reports) when the kind carries none (distance, diameter).
+func responseNodes(resp *api.Response, fallback int) int {
+	switch {
+	case resp.SSSP != nil:
+		return len(resp.SSSP.Dist)
+	case resp.MSSP != nil:
+		return len(resp.MSSP.Dist)
+	case resp.APSP != nil:
+		return len(resp.APSP.Dist)
+	case resp.KNearest != nil:
+		return len(resp.KNearest.Neighbors)
+	case resp.SourceDetection != nil:
+		return len(resp.SourceDetection.Detected)
 	}
-	return 0
+	return fallback
 }
 
 // printResponse renders one api.Response in the historical per-algorithm
 // format: result rows (suppressed by -quiet, except the one-line
 // diameter/distance answers), then the stats line.
-func printResponse(resp *api.Response, n int, quiet bool) {
+func printResponse(w io.Writer, resp *api.Response, n int, quiet bool) {
 	switch resp.Kind {
-	case api.KindSSSP:
+	case api.KindSSSP: // "v<TAB>dist" rows
 		if !quiet {
-			printVector(resp.SSSP.Dist)
+			for v, d := range resp.SSSP.Dist {
+				fmt.Fprintf(w, "%d\t%s\n", v, distStr(d))
+			}
 		}
-	case api.KindMSSP:
+	case api.KindMSSP: // "v<TAB>d1<TAB>d2..." rows, one column per sorted source
 		if !quiet {
-			printIndexedMatrix(resp.MSSP.Dist)
+			for v, row := range resp.MSSP.Dist {
+				fmt.Fprintf(w, "%d\t%s\n", v, distRow(row))
+			}
 		}
-	case api.KindAPSP:
+	case api.KindAPSP: // bare tab-joined rows
 		if !quiet {
-			printMatrix(resp.APSP.Dist)
+			for _, row := range resp.APSP.Dist {
+				fmt.Fprintln(w, distRow(row))
+			}
 		}
 	case api.KindDistance:
 		d := resp.Distance
-		fmt.Printf("distance %d -> %d: %s\n", d.From, d.To, distStr(d.Distance))
+		fmt.Fprintf(w, "distance %d -> %d: %s\n", d.From, d.To, distStr(d.Distance))
 	case api.KindDiameter:
-		fmt.Printf("diameter estimate: %d\n", resp.Diameter.Estimate)
+		fmt.Fprintf(w, "diameter estimate: %d\n", resp.Diameter.Estimate)
 	case api.KindKNearest:
 		if !quiet {
-			printNeighborRows(resp.KNearest.Neighbors, true)
+			printNeighborRows(w, resp.KNearest.Neighbors, true)
 		}
 	case api.KindSourceDetection:
 		if !quiet {
-			printNeighborRows(resp.SourceDetection.Detected, false)
+			printNeighborRows(w, resp.SourceDetection.Detected, false)
 		}
 	}
-	fmt.Println(statsLine(resp.Stats, n))
+	fmt.Fprintln(w, statsLine(resp.Stats, n))
 }

@@ -355,7 +355,7 @@ func loadSource(ctx context.Context, src source, opts ccsp.Options) (*ccsp.Engin
 		log.Printf("ccspd: [%s] preprocessed %s in %v (%d rounds)",
 			label, src.path, time.Since(start).Round(time.Millisecond), eng.PreprocessStats().Total.TotalRounds)
 		if src.savePath != "" {
-			if err := saveSnapshot(eng, src.savePath); err != nil {
+			if err := eng.SaveFile(src.savePath); err != nil {
 				return nil, err
 			}
 			log.Printf("ccspd: [%s] saved snapshot to %s", label, src.savePath)
@@ -376,23 +376,4 @@ func loadSource(ctx context.Context, src source, opts ccsp.Options) (*ccsp.Engin
 		label, src.path, time.Since(start).Round(time.Millisecond),
 		len(eng.PreprocessStats().Builds), eng.PreprocessStats().Total.TotalRounds)
 	return eng, nil
-}
-
-// saveSnapshot writes atomically: temp file + rename, so a crash mid-save
-// never leaves a truncated snapshot at the target path (the decoder would
-// reject it anyway, but the previous good snapshot should survive).
-func saveSnapshot(eng *ccsp.Engine, path string) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".ccspd-snap-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := eng.Save(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

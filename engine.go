@@ -527,10 +527,10 @@ func (e *Engine) SourceDetection(ctx context.Context, sources []int, d, k int) (
 	return &SourceDetectionResult{Detected: out, Stats: stats}, nil
 }
 
-// oneShot runs a single query on a fresh lazy Engine and folds the
-// preprocessing cost into the returned Stats, preserving the historical
+// oneShot runs a single query on a fresh lazy Engine and has fold add the
+// preprocessing cost into the result's stats, preserving the historical
 // one-shot accounting (preprocess + query = the single-run totals).
-func oneShot[R any](ctx context.Context, gr *Graph, opts Options, query func(*Engine, context.Context) (R, error), stats func(R) *Stats) (R, error) {
+func oneShot[R any](ctx context.Context, gr *Graph, opts Options, query func(*Engine, context.Context) (R, error), fold func(res R, pre Stats)) (R, error) {
 	var zero R
 	eng, err := newEngine(gr, opts)
 	if err != nil {
@@ -540,7 +540,6 @@ func oneShot[R any](ctx context.Context, gr *Graph, opts Options, query func(*En
 	if err != nil {
 		return zero, err
 	}
-	st := stats(res)
-	*st = eng.PreprocessStats().Total.Merge(*st)
+	fold(res, eng.PreprocessStats().Total)
 	return res, nil
 }

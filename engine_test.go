@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/congestedclique/ccsp/api"
 )
 
 // statsEqual compares the deterministic fields of two Stats (wall-clock
@@ -40,6 +42,36 @@ func TestEngineMatchesOneShot(t *testing.T) {
 	oneD, err := Diameter(context.Background(), gr, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	// The typed-request one-shot answers and accounts exactly as the typed
+	// functions do: same wire payload, same preprocess-folded counters
+	// (and, for sssp, no hopset built at all).
+	oneS, err := SSSP(context.Background(), gr, 3, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		req   api.Request
+		stats Stats
+		want  interface{}
+		got   func(*api.Response) interface{}
+	}{
+		{api.MSSP(sources...), oneM.Stats, api.Matrix(oneM.Dist), func(r *api.Response) interface{} { return r.MSSP.Dist }},
+		{api.APSP(api.APSPAuto), oneA.Stats, api.Matrix(oneA.Dist), func(r *api.Response) interface{} { return r.APSP.Dist }},
+		{api.Diameter(), oneD.Stats, oneD.Estimate, func(r *api.Response) interface{} { return r.Diameter.Estimate }},
+		{api.SSSP(3), oneS.Stats, oneS.Dist, func(r *api.Response) interface{} { return r.SSSP.Dist }},
+	} {
+		resp, err := Query(context.Background(), gr, c.req, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.got(resp); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("one-shot Query %s payload differs from the typed one-shot", c.req.Kind)
+		}
+		if *resp.Stats != *wireStats(c.stats) {
+			t.Errorf("one-shot Query %s stats %+v, want %+v", c.req.Kind, *resp.Stats, *wireStats(c.stats))
+		}
 	}
 
 	eng, err := NewEngine(context.Background(), gr, opts)

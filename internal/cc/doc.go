@@ -45,8 +45,7 @@
 // # Determinism
 //
 // Node programs are expected to be deterministic. Message delivery order is
-// normalized (inboxes sorted by sender), global sorts break ties by sender
-// and submission index, and per-node randomness (used only by explicitly
-// seeded baseline algorithms) comes from PRNGs seeded by (run seed, node ID).
-// Two runs with equal seeds produce identical transcripts and Stats.
+// normalized (inboxes sorted by sender) and global sorts break ties by
+// sender and submission index, so two runs of one program produce
+// identical transcripts and Stats.
 package cc

@@ -18,9 +18,6 @@ const DefaultMaxRounds = 1 << 21
 type Config struct {
 	// N is the number of nodes. Must be >= 1.
 	N int
-	// Seed seeds per-node PRNGs (used only by explicitly randomized
-	// algorithms; the paper's algorithms are deterministic).
-	Seed int64
 	// MaxRounds bounds total rounds; 0 means DefaultMaxRounds.
 	MaxRounds int
 	// Workers sizes the worker pool that executes collectives. 0 means

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
 	"strings"
@@ -390,8 +391,8 @@ func TestDeterminism(t *testing.T) {
 	run := func() (Stats, [][]int64) {
 		const n = 10
 		out := make([][]int64, n)
-		stats, err := Run(context.Background(), Config{N: n, Seed: 42}, func(nd *Node) error {
-			r := nd.Rand()
+		stats, err := Run(context.Background(), Config{N: n}, func(nd *Node) error {
+			r := rand.New(rand.NewSource(42 + int64(nd.ID)))
 			var pkts []Packet
 			for i := 0; i < n; i++ {
 				pkts = append(pkts, Packet{Dst: int32(i), M: Msg{A: r.Int63n(1000)}})

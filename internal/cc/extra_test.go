@@ -132,33 +132,3 @@ func TestSingleNodeClique(t *testing.T) {
 		t.Errorf("SimRounds=%d, want 2", stats.SimRounds)
 	}
 }
-
-func TestRandDeterministicPerSeed(t *testing.T) {
-	draw := func(seed int64) []int64 {
-		out := make([]int64, 4)
-		_, err := Run(context.Background(), Config{N: 4, Seed: seed}, func(nd *Node) error {
-			out[nd.ID] = nd.Rand().Int63()
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	a, b := draw(5), draw(5)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("same seed produced different node randomness")
-		}
-	}
-	c := draw(6)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical node randomness")
-	}
-}

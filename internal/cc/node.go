@@ -1,9 +1,5 @@
 package cc
 
-import (
-	"math/rand"
-)
-
 // Node is the handle a node program uses to communicate. All methods that
 // move data are collectives: every node must call the same method (with a
 // consistent tag) in the same order, mirroring the globally synchronous
@@ -17,7 +13,6 @@ type Node struct {
 	N int
 
 	eng *engine
-	rng *rand.Rand
 }
 
 func (nd *Node) do(r *request) response {
@@ -93,15 +88,4 @@ func (nd *Node) Charge(tag string, rounds int) {
 // costs no rounds.
 func (nd *Node) Phase(label string) {
 	nd.do(&request{kind: reqPhase, tag: label})
-}
-
-// Rand returns this node's deterministic PRNG, seeded by (run seed, node
-// ID). The paper's algorithms are deterministic and do not use it; seeded
-// baselines (e.g. Baswana-Sen spanners) do.
-func (nd *Node) Rand() *rand.Rand {
-	if nd.rng == nil {
-		seed := nd.eng.cfg.Seed*0x7F4A7C15 + int64(nd.ID)*0x1CE4E5B9 + 1
-		nd.rng = rand.New(rand.NewSource(seed))
-	}
-	return nd.rng
 }

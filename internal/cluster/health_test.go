@@ -148,7 +148,7 @@ func TestMarkDown(t *testing.T) {
 // through dead members, skip members that do not hold the graph, empty
 // when no live holder exists.
 func TestRoute(t *testing.T) {
-	r := NewRing(testMembers, 0)
+	r := NewRing(testMembers)
 	f := &fakeProbe{}
 	p := newTestProber(testMembers, f, 1)
 	ctx := context.Background()

@@ -109,7 +109,7 @@ func TestMultiProcessCluster(t *testing.T) {
 	for i, a := range addrs {
 		members[i] = "http://" + a
 	}
-	ring := cluster.NewRing(members, 0)
+	ring := cluster.NewRing(members)
 
 	// Build each graph's engine in-process and save its snapshot into
 	// the owner's load list - owner-only placement, no failover copies,

@@ -9,15 +9,16 @@ import (
 // DefaultVirtualNodes is the per-member virtual-node count. 128 points
 // per member keeps the expected load imbalance across a handful of
 // replicas within a few percent while the whole ring stays a few KiB.
+// It is a constant, not a parameter: placement is a deployment contract,
+// and every participant must compute the same owners.
 const DefaultVirtualNodes = 128
 
 // Ring is an immutable consistent-hash ring: members (replica base
-// URLs) each project VirtualNodes points onto a 64-bit circle, and a
+// URLs) each project DefaultVirtualNodes points onto a 64-bit circle, and a
 // key (a graph ID) is owned by the member of the first point at or
 // after the key's hash. Construction is deterministic - member order,
 // duplicates and process identity do not affect placement.
 type Ring struct {
-	vnodes  int
 	members []string // sorted, deduplicated
 	points  []point  // sorted by (hash, member index, replica index)
 }
@@ -27,13 +28,9 @@ type point struct {
 	member int // index into members
 }
 
-// NewRing builds a ring over members with vnodes virtual nodes per
-// member (<= 0 picks DefaultVirtualNodes). Members are deduplicated;
-// an empty member set yields a ring whose lookups report no owner.
-func NewRing(members []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
+// NewRing builds a ring over members. Members are deduplicated; an
+// empty member set yields a ring whose lookups report no owner.
+func NewRing(members []string) *Ring {
 	sorted := append([]string(nil), members...)
 	sort.Strings(sorted)
 	uniq := sorted[:0]
@@ -43,10 +40,10 @@ func NewRing(members []string, vnodes int) *Ring {
 		}
 		uniq = append(uniq, m)
 	}
-	r := &Ring{vnodes: vnodes, members: append([]string(nil), uniq...)}
-	r.points = make([]point, 0, len(r.members)*vnodes)
+	r := &Ring{members: append([]string(nil), uniq...)}
+	r.points = make([]point, 0, len(r.members)*DefaultVirtualNodes)
 	for mi, m := range r.members {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < DefaultVirtualNodes; v++ {
 			r.points = append(r.points, point{hash: hash64(m + "#" + strconv.Itoa(v)), member: mi})
 		}
 	}

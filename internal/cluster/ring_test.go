@@ -25,8 +25,8 @@ func graphIDs(n int) []string {
 // set yields identical placement regardless of input order, vnode
 // construction run, or which Ring instance answers.
 func TestRingDeterministic(t *testing.T) {
-	a := NewRing(testMembers, 0)
-	b := NewRing([]string{testMembers[2], testMembers[0], testMembers[1], testMembers[0]}, 0)
+	a := NewRing(testMembers)
+	b := NewRing([]string{testMembers[2], testMembers[0], testMembers[1], testMembers[0]})
 	if !reflect.DeepEqual(a.Members(), b.Members()) {
 		t.Fatalf("member normalization differs: %v vs %v", a.Members(), b.Members())
 	}
@@ -45,7 +45,7 @@ func TestRingDeterministic(t *testing.T) {
 // TestRingSpreads checks the virtual nodes actually spread load: with
 // 200 graphs on 3 members, every member owns a nontrivial share.
 func TestRingSpreads(t *testing.T) {
-	r := NewRing(testMembers, 0)
+	r := NewRing(testMembers)
 	counts := make(map[string]int)
 	for _, g := range graphIDs(200) {
 		o, _ := r.Owner(g)
@@ -62,7 +62,7 @@ func TestRingSpreads(t *testing.T) {
 // removing one member only remaps the graphs that member owned; every
 // other graph keeps its owner.
 func TestRingBoundedDisruption(t *testing.T) {
-	full := NewRing(testMembers, 0)
+	full := NewRing(testMembers)
 	for _, removed := range testMembers {
 		var rest []string
 		for _, m := range testMembers {
@@ -70,7 +70,7 @@ func TestRingBoundedDisruption(t *testing.T) {
 				rest = append(rest, m)
 			}
 		}
-		shrunk := NewRing(rest, 0)
+		shrunk := NewRing(rest)
 		moved, kept := 0, 0
 		for _, g := range graphIDs(500) {
 			before, _ := full.Owner(g)
@@ -96,7 +96,7 @@ func TestRingBoundedDisruption(t *testing.T) {
 // TestRingSuccessorsDistinct pins that the failover chain visits each
 // member exactly once, covering the whole cluster.
 func TestRingSuccessorsDistinct(t *testing.T) {
-	r := NewRing(testMembers, 0)
+	r := NewRing(testMembers)
 	for _, g := range graphIDs(50) {
 		succ := r.Successors(g)
 		if len(succ) != len(testMembers) {
@@ -114,14 +114,14 @@ func TestRingSuccessorsDistinct(t *testing.T) {
 
 // TestRingEmpty pins the no-member edge cases.
 func TestRingEmpty(t *testing.T) {
-	r := NewRing(nil, 0)
+	r := NewRing(nil)
 	if o, ok := r.Owner("g"); ok {
 		t.Errorf("empty ring produced owner %q", o)
 	}
 	if succ := r.Successors("g"); succ != nil {
 		t.Errorf("empty ring produced successors %v", succ)
 	}
-	single := NewRing([]string{"http://one"}, 4)
+	single := NewRing([]string{"http://one"})
 	if o, ok := single.Owner("g"); !ok || o != "http://one" {
 		t.Errorf("single-member ring: Owner = %q, %v", o, ok)
 	}

@@ -131,10 +131,3 @@ func DistThroughSets(nd *cc.Node, sr semiring.MinPlus, ests []Est) (matrix.Row[i
 	}
 	return matmul.Multiply(nd, sr, w1, w2, nd.N)
 }
-
-// Square computes one augmented distance-product squaring A ⋆ A with
-// automatic output-density discovery, a §3.1 building block used by the
-// dense-baseline APSP.
-func Square(nd *cc.Node, sr semiring.AugMinPlus, arow matrix.Row[semiring.WH]) matrix.Row[semiring.WH] {
-	return matmul.MultiplyAuto(nd, sr, arow, arow)
-}

@@ -25,13 +25,14 @@ func MergeGH(sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], art *hopset.Art
 	return g
 }
 
-// RunDirectPanel is RunDirect against a prebuilt G ∪ H matrix (see
-// MergeGH) and the artifact's β: the per-query merge is gone, and the
-// β-hop detection runs the source-restricted panel, which propagates
-// only the |S| source columns. The panel is the answer itself - cell
-// (v, j) is the weight RunWithHopset's Dist row at node v holds for the
-// j-th source, semiring.Inf where it holds none - and belongs to the
-// caller.
+// RunDirectPanel is the host-side counterpart of RunWithHopset for every
+// node at once (DESIGN.md §12), against a prebuilt G ∪ H matrix (see
+// MergeGH) and the artifact's β: β-hop source detection computed with the
+// matmul kernels over the source-restricted panel, which propagates only
+// the |S| source columns. workers sizes the kernel pool (<= 0 means
+// GOMAXPROCS). The panel is the answer itself - cell (v, j) is the weight
+// RunWithHopset's Dist row at node v holds for the j-th source,
+// semiring.Inf where it holds none - and belongs to the caller.
 func RunDirectPanel(ctx context.Context, gh *matrix.Mat[semiring.WH], beta int, inS []bool, workers int) (*disttools.Panel, error) {
 	d := beta
 	if d > gh.N {
@@ -53,14 +54,4 @@ func RunDirectMerged(ctx context.Context, gh *matrix.Mat[semiring.WH], beta int,
 		return nil, err
 	}
 	return p.Rows(), nil
-}
-
-// RunDirect is the host-side counterpart of RunWithHopset for every node
-// at once (DESIGN.md §12): β-hop source detection on G ∪ H computed with
-// the matmul kernels. Row v of the result is byte-identical to the Dist
-// row RunWithHopset returns at node v against the same artifact. w is
-// the full augmented weight matrix of the graph the artifact was built
-// on; workers sizes the kernel pool (<= 0 means GOMAXPROCS).
-func RunDirect(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], inS []bool, art *hopset.Artifact, workers int) (*matrix.Mat[semiring.WH], error) {
-	return RunDirectMerged(ctx, MergeGH(sr, w, art), art.Beta, inS, workers)
 }

@@ -73,8 +73,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleBatch serves POST /v1/batch: many requests, one bounded engine
-// batch. Per-request failures (malformed unions, out-of-range nodes,
+// handleBatch serves POST /v1/batch: many requests, one bounded set of
+// engine runs. Per-request failures (malformed unions, out-of-range nodes,
 // round-limit trips) answer in place with typed api.Errors - the batch
 // itself still returns 200. The whole batch runs under one request
 // timeout; a top-level error (unreadable body, oversized batch, context
@@ -111,84 +111,54 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.batches.Inc()
 	s.batchReqs.Add(int64(len(br.Requests)))
 
-	// Hits and unplannable requests answer in place; the misses group by
-	// plan key for one engine run each - one cache entry to refill, one
-	// batch_engine_runs tick - and the runs by engine for one Engine.Batch
-	// each (keys are graph- and epoch-qualified, so a key belongs to
-	// exactly one engine). Positions sharing a key share the run but keep
-	// their own plans: two distance requests from one source (or a
-	// distance and a plain single-source MSSP) coalesce onto one run yet
-	// finish different responses out of it.
-	type missGroup struct {
-		members []int // positions in br.Requests sharing one plan key
-	}
-	type engineBatch struct {
-		eng    *ccsp.Engine
-		runs   []api.Request
-		groups []*missGroup // groups[j] is answered by runs[j]
-	}
+	// Hits and unplannable requests answer in place; the misses go to
+	// ccsp.RunPlans, which runs each distinct plan once (keys are graph-
+	// and epoch-qualified, so plans made on different engines ride the
+	// one call). Positions sharing a run keep their own plans: two
+	// distance requests from one source (or a distance and a plain
+	// single-source MSSP) coalesce onto one run yet finish different
+	// responses out of it.
 	resps := make([]api.Response, len(br.Requests))
-	plans := make([]ccsp.Plan, len(br.Requests))
-	var batches []*engineBatch
-	byEngine := make(map[*ccsp.Engine]*engineBatch)
-	byKey := make(map[string]*missGroup)
+	var (
+		plans []ccsp.Plan
+		at    []int // plans[j] answers br.Requests[at[j]]
+	)
 	for i, req := range br.Requests {
-		var hit bool
-		plans[i], resps[i], hit, err = s.lookup(req)
-		if err != nil {
+		p, resp, hit, err := s.lookup(req)
+		switch {
+		case err != nil:
 			resps[i] = api.Response{Kind: req.Kind, Graph: req.Graph, Error: ccsp.APIError(err)}
+		case hit:
+			resps[i] = resp
+		default:
+			plans, at = append(plans, p), append(at, i)
 		}
-		if err != nil || hit {
-			continue
-		}
-		p := plans[i]
-		key := p.Key()
-		g, ok := byKey[key]
-		if !ok {
-			g = &missGroup{}
-			byKey[key] = g
-			b, ok := byEngine[p.Engine()]
-			if !ok {
-				b = &engineBatch{eng: p.Engine()}
-				byEngine[b.eng] = b
-				batches = append(batches, b)
-			}
-			b.runs = append(b.runs, p.Request())
-			b.groups = append(b.groups, g)
-		}
-		g.members = append(g.members, i)
 	}
 
-	if len(batches) > 0 {
+	if len(plans) > 0 {
 		// The whole batch runs under one timeout and takes one admission
-		// slot: its engines run one after another (each Engine.Batch
-		// still fans out over its own bounded worker group), so it
-		// occupies one engine's worth of CPU however many positions it
-		// carries.
+		// slot: its runs share RunPlans' one bounded worker group, so it
+		// occupies one engine's worth of CPU however many positions and
+		// graphs it carries.
 		ctx, leave, err := s.enter(r.Context())
 		if err != nil {
 			s.fail(w, "", err)
 			return
 		}
-		s.batchRuns.Add(int64(len(byKey)))
-		for _, b := range batches {
-			out, err := b.eng.Batch(ctx, b.runs)
-			if err != nil {
-				// Only "the batch never ran" (context dead on entry) lands here.
-				leave()
-				s.fail(w, "", err)
-				return
-			}
-			for j, g := range b.groups {
-				if out[j].Error == nil {
-					s.store(plans[g.members[0]], out[j])
-				}
-				for _, i := range g.members {
-					resps[i] = plans[i].Finish(out[j], false)
-				}
-			}
-		}
+		out, runs, err := ccsp.RunPlans(ctx, plans)
 		leave()
+		if err != nil {
+			// Only "the batch never ran" (context dead on entry) lands here.
+			s.fail(w, "", err)
+			return
+		}
+		s.batchRuns.Add(int64(runs))
+		for j, i := range at {
+			if out[j].Error == nil {
+				s.store(plans[j], out[j])
+			}
+			resps[i] = plans[j].Finish(out[j], false)
+		}
 	}
 	// Per-position failures return inside a 200, but they still feed the
 	// serving stats: a batch workload going bad must show up in

@@ -316,10 +316,21 @@ func TestBatchSharedRunDistinctProjections(t *testing.T) {
 		{"kind":"distance","distance":{"from":2,"to":9}},
 		{"kind":"mssp","mssp":{"sources":[2]}}
 	]}`
+	var before, after struct {
+		Requests map[string]int64 `json:"requests"`
+	}
+	getJSON(t, ts.URL+"/v1/stats", http.StatusOK, &before)
 	var br api.BatchResponse
 	postJSON(t, ts.URL+"/v1/batch", body, http.StatusOK, &br)
 	if len(br.Responses) != 3 {
 		t.Fatalf("%d responses, want 3", len(br.Responses))
+	}
+	// Three answered positions, one engine run: queries counts positions.
+	getJSON(t, ts.URL+"/v1/stats", http.StatusOK, &after)
+	for key, want := range map[string]int64{"queries": 3, "batch_requests": 3, "batch_engine_runs": 1} {
+		if got := after.Requests[key] - before.Requests[key]; got != want {
+			t.Errorf("stats %s moved by %d over the batch, want %d", key, got, want)
+		}
 	}
 	want, err := eng.Query(context.Background(), api.Request{Kind: api.KindMSSP, MSSP: &api.MSSPParams{Sources: []int{2}}})
 	if err != nil {

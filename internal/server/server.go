@@ -330,8 +330,10 @@ func (s *Server) enter(ctx context.Context) (_ context.Context, leave func(), er
 }
 
 // store caches one completed engine response under its plan key and
-// counts it. Only completed results are cached; cached responses repeat
-// the original run's deterministic stats.
+// counts the position it answers. Only completed results are cached;
+// cached responses repeat the original run's deterministic stats. A batch
+// calls it for every position of a shared run: the write is idempotent,
+// and ccspd_queries_total counts answered positions, not runs.
 func (s *Server) store(p ccsp.Plan, resp api.Response) {
 	if s.cacheCap > 0 {
 		s.cache.Put(p.Key(), resp)

@@ -64,15 +64,12 @@ func ParseExecution(s string) (Execution, error) {
 }
 
 // Options configures a run. The zero value is valid: ε = 0.5, the
-// practical preset, seed 0, simulated execution.
+// practical preset, simulated execution.
 type Options struct {
 	// Epsilon is the approximation parameter ε ∈ (0, 1]; 0 means 0.5.
 	Epsilon float64
 	// Preset selects hopset constants.
 	Preset Preset
-	// Seed seeds the randomized baselines; the paper's algorithms are
-	// deterministic and ignore it.
-	Seed int64
 	// MaxRounds overrides the simulator's round guard; 0 keeps the
 	// default. The guard applies to each simulator run individually: a
 	// call that preprocesses and queries (or an Engine serving several
@@ -124,7 +121,7 @@ func (o Options) hopsetParams() hopset.Params {
 }
 
 func (o Options) config(n int) cc.Config {
-	return cc.Config{N: n, Seed: o.Seed, MaxRounds: o.MaxRounds, Workers: o.Workers}
+	return cc.Config{N: n, MaxRounds: o.MaxRounds, Workers: o.Workers}
 }
 
 // prepare validates the graph and normalizes the options - the

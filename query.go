@@ -52,9 +52,6 @@ func (e *Engine) Plan(req api.Request) (Plan, error) {
 	return p, nil
 }
 
-// Engine returns the engine the plan was made on and runs on.
-func (p Plan) Engine() *Engine { return p.eng }
-
 // Request returns the canonical request the plan runs.
 func (p Plan) Request() api.Request { return p.run }
 

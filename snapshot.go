@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"time"
 
 	"github.com/congestedclique/ccsp/internal/snapshot"
@@ -25,7 +27,6 @@ func (e *Engine) Save(w io.Writer) error {
 		Opts: snapshot.Options{
 			Epsilon:   e.opts.Epsilon,
 			Preset:    uint8(e.opts.Preset),
-			Seed:      e.opts.Seed,
 			MaxRounds: e.opts.MaxRounds,
 			Workers:   e.opts.Workers,
 			Exec:      uint8(e.opts.Execution),
@@ -45,6 +46,26 @@ func (e *Engine) Save(w io.Writer) error {
 	}
 	e.pre.mu.Unlock()
 	return snap.Encode(w)
+}
+
+// SaveFile writes the snapshot Save produces to path atomically: a temp
+// file in path's directory, then a rename over path. A failed or
+// interrupted save leaves the previous file at path untouched and no temp
+// file behind.
+func (e *Engine) SaveFile(path string) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".ccsp-snap-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // a no-op once the rename has moved it
+	if err := e.Save(tmp); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
 }
 
 // LoadEngine reconstructs an Engine from a snapshot written by Save: the
@@ -79,7 +100,6 @@ func LoadEngine(ctx context.Context, r io.Reader) (*Engine, error) {
 	opts := Options{
 		Epsilon:   snap.Opts.Epsilon,
 		Preset:    Preset(snap.Opts.Preset),
-		Seed:      snap.Opts.Seed,
 		MaxRounds: snap.Opts.MaxRounds,
 		Workers:   snap.Opts.Workers,
 		Execution: Execution(snap.Opts.Exec),

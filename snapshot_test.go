@@ -3,6 +3,8 @@ package ccsp
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -361,5 +363,78 @@ func TestLoadEngineRejectsBadInput(t *testing.T) {
 	}
 	if _, err := LoadEngine(context.Background(), bytes.NewReader(nil)); err == nil {
 		t.Error("empty input loaded without error")
+	}
+}
+
+// TestSaveFileAtomic: SaveFile replaces the target by rename, so a good
+// save leaves exactly the snapshot and a save that cannot complete leaves
+// the previous target untouched and no temp file behind.
+func TestSaveFileAtomic(t *testing.T) {
+	ctx := context.Background()
+	eng, err := NewEngine(ctx, testGraph(16, 20, 6, 3), Options{Epsilon: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := eng.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	names := func(dir string) []string {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, e := range ents {
+			out = append(out, e.Name())
+		}
+		return out
+	}
+
+	// Over an existing snapshot: one file, and it loads to the same bytes.
+	dir := t.TempDir()
+	path := filepath.Join(dir, "warm.snap")
+	if err := os.WriteFile(path, []byte("the previous snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if got := names(dir); !reflect.DeepEqual(got, []string{"warm.snap"}) {
+		t.Errorf("directory after SaveFile holds %v, want only warm.snap", got)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	loaded, err := LoadEngine(ctx, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := loaded.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Error("SaveFile → LoadEngine → Save is not byte-identical to Save")
+	}
+
+	// The target is a non-empty directory: the temp file is written in
+	// full, the rename fails, and nothing is left behind or disturbed.
+	dir = t.TempDir()
+	target := filepath.Join(dir, "taken")
+	if err := os.MkdirAll(filepath.Join(target, "keep"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SaveFile(target); err == nil {
+		t.Fatal("SaveFile over a non-empty directory succeeded")
+	}
+	if got := names(dir); !reflect.DeepEqual(got, []string{"taken"}) {
+		t.Errorf("directory after a failed SaveFile holds %v, want only the target", got)
+	}
+	if got := names(target); !reflect.DeepEqual(got, []string{"keep"}) {
+		t.Errorf("failed SaveFile disturbed its target: %v", got)
 	}
 }
