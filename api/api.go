@@ -602,17 +602,17 @@ type Neighbor struct {
 
 // KNearestResult is the wire form of a k-nearest answer.
 type KNearestResult struct {
-	K         int          `json:"k"`
-	Neighbors [][]Neighbor `json:"neighbors"`
+	K         int           `json:"k"`
+	Neighbors NeighborLists `json:"neighbors"`
 }
 
 // SourceDetectionResult is the wire form of an (S, d, k)-source-detection
 // answer. Detected[v] lists node v's up-to-k nearest sources within d
 // hops (FirstHop is -1: this query tracks no routing witnesses).
 type SourceDetectionResult struct {
-	D        int          `json:"d"`
-	K        int          `json:"k"`
-	Detected [][]Neighbor `json:"detected"`
+	D        int           `json:"d"`
+	K        int           `json:"k"`
+	Detected NeighborLists `json:"detected"`
 }
 
 // Response is the typed outcome of one Request: Kind echoes the request,

@@ -1,0 +1,227 @@
+package api
+
+import (
+	"encoding/json"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+)
+
+// FuzzResponseJSON holds Response's decoder to encoding/json decoding the
+// same bytes into plainResponse (Response with no decoder of its own): the
+// same inputs accepted, the same value held - called bare, the way the
+// client calls it, through json.Unmarshal, and as an element of a batch.
+func FuzzResponseJSON(f *testing.F) {
+	golden, err := filepath.Glob("../internal/server/testdata/golden/*.json")
+	if err != nil || len(golden) == 0 {
+		f.Fatalf("no golden responses to seed from (%v)", err)
+	}
+	for _, name := range golden {
+		body, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+		f.Add(body[:len(body)/2])
+		f.Add(body[:len(body)-2])
+	}
+	for _, seed := range []string{
+		`null`, `{}`, ` { } `, `[]`, ``,
+		`{"kind":"apsp","apsp":{"variant":"weighted","dist":[[0,4],[4,0]]},"stats":{"total_rounds":3},"cached":false}`,
+		"{ \"kind\" : \"mssp\" ,\n\t\"mssp\" : { \"sources\" : [ 0 , 1 ] , \"dist\" : [ [ 0 , -1 ] ,\r\n[ -1 , 0 ] ] } , \"cached\" : true }\n",
+		`{"kind":"sssp","sssp":{"source":0,"dist":[0,3,-1],"iterations":2},"cached":false}`,
+		`{"kind":"knearest","knearest":{"k":1,"neighbors":[[{"node":0,"dist":0,"hops":0,"first_hop":-1}],[]]},"cached":false}`,
+		`{"kind":"source_detection","source_detection":{"d":2,"k":1,"detected":[[],[{"node":0,"dist":3,"hops":1,"first_hop":-1}]]}}`,
+		// The array's key where it is not the array's key.
+		`{"graph":"\"dist\":[[","apsp":{"variant":"\"dist\":[[1]]","dist":[[1]]}}`,
+		`{"stats":{"dist":[[1]]},"error":{"code":"internal","message":"apsp\":{\"dist\":[[2]]}"}}`,
+		`{"apsp":{"dist":[[1]],"dist":"x\\"}}`,
+		// Duplicate keys: encoding/json merges objects, the last value wins.
+		`{"apsp":{"dist":[[1]]},"apsp":{"dist":[[2]]}}`,
+		`{"apsp":{"variant":"a"},"apsp":{"dist":[[1]]}}`,
+		`{"apsp":{"dist":[[1]]},"apsp":{"variant":"b"}}`,
+		`{"apsp":{"dist":[[1]]},"apsp":null}`,
+		`{"apsp":{"dist":[[1]],"dist":[[2]]}}`,
+		`{"apsp":{"dist":null,"dist":[[2]]}}`,
+		`{"apsp":{"dist":[[1]]},"mssp":{"dist":[[2]],"sources":[0]}}`,
+		// Keys encoding/json folds onto a field.
+		`{"apsp":{"dist":[[1]],"DIST":[[2]]}}`, `{"apsp":{"dist":[[1]]},"APSP":{"dist":[[2]]}}`,
+		`{"APSP":{"Dist":[[1]]}}`, `{"apsp":{"dist":[[1]]}}`, `{"apſp":{"dist":[[1]]}}`,
+		// null results, an error envelope, the array in another form.
+		`{"kind":"apsp","apsp":null,"mssp":null,"stats":null,"cached":false}`,
+		`{"kind":"mssp","error":{"code":"invalid_source","message":"node 99 out of range"},"cached":false}`,
+		`{"apsp":{"dist":null}}`, `{"apsp":{"dist":[]}}`, `{"apsp":{"dist":[[1.5]]}}`, `{"apsp":{"dist":[[1],null]}}`,
+		`{"apsp":{"dist":[1]}}`, `{"sssp":{"dist":[[1]]}}`, `{"sssp":{"dist":[1,null]}}`, `{"apsp":{"dist":{"a":[1]}}}`,
+		`{"knearest":{"neighbors":[[{"dist":1,"node":2}]]}}`, `{"knearest":{"neighbors":[[{"node":1,"dist":2,"hops":3,"first_hop":4}]],"k":"x"}}`,
+		// Broken around a sound array.
+		`{"apsp":{"dist":[[1]]}`, `{"apsp":{"dist":[[1]]}}}`, `{"apsp":{"dist":[[1]]}} x`, `{"apsp":{"dist":[[1]]},}`,
+		`{"apsp":{"dist":[[1]],"variant":tru}}`, `{"kind":7,"apsp":{"dist":[[1]]}}`, `{"apsp":{"dist":[[1]]},"cached":"no"}`,
+		`{"apsp":{"dist":[[1]]"variant":"x"}}`, `{"apsp" {"dist":[[1]]}}`, `{"apsp":{"dist":[[1]]},"graph":"\u12"}`,
+		`{"a":[}],"apsp":{"dist":[[1]]}}`, `{"a":{"b":[{"c":"]}"}]},"apsp":{"dist":[[1]]}}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var want plainResponse
+		wantErr := json.Unmarshal(data, &want)
+
+		var bare Response
+		if err := bare.UnmarshalJSON(data); (err == nil) != (wantErr == nil) {
+			t.Fatalf("bare UnmarshalJSON: %v, encoding/json: %v", err, wantErr)
+		}
+		var got Response
+		if err := json.Unmarshal(data, &got); (err == nil) != (wantErr == nil) {
+			t.Fatalf("Response: %v, encoding/json: %v", err, wantErr)
+		}
+		if wantErr == nil {
+			if !reflect.DeepEqual(plainResponse(bare), want) {
+				t.Fatalf("bare UnmarshalJSON holds %s, encoding/json holds %s", dump(bare), dump(want))
+			}
+			if !reflect.DeepEqual(plainResponse(got), want) {
+				t.Fatalf("Response holds %s, encoding/json holds %s", dump(got), dump(want))
+			}
+		}
+
+		batch := append(append(append(append([]byte(`{"responses":[`), data...), ','), data...), `]}`...)
+		var wantIn struct{ Responses []plainResponse }
+		var gotIn BatchResponse
+		wantErr = json.Unmarshal(batch, &wantIn)
+		if err := json.Unmarshal(batch, &gotIn); (err == nil) != (wantErr == nil) {
+			t.Fatalf("in a batch: Response: %v, encoding/json: %v", err, wantErr)
+		}
+		if wantErr == nil {
+			for i := range wantIn.Responses {
+				if !reflect.DeepEqual(plainResponse(gotIn.Responses[i]), wantIn.Responses[i]) {
+					t.Fatalf("in a batch: Response holds %s, encoding/json holds %s", dump(gotIn.Responses[i]), dump(wantIn.Responses[i]))
+				}
+			}
+		}
+	})
+}
+
+// dump renders a decoded response for a failure message; pointers print as
+// what they point to.
+func dump(v interface{}) string {
+	out, err := json.Marshal(v)
+	if err != nil {
+		return err.Error()
+	}
+	return string(out)
+}
+
+// neighborAnswer is n lists of k neighbours each.
+func neighborAnswer(n, k int) NeighborLists {
+	lists := make(NeighborLists, n)
+	for v := range lists {
+		lists[v] = make([]Neighbor, k)
+		for j := range lists[v] {
+			lists[v][j] = Neighbor{Node: (v + j) % n, Dist: int64(3 * j), Hops: j, FirstHop: j - 1}
+		}
+	}
+	return lists
+}
+
+// matrixAnswer is an n×n matrix with an unreachable cell in every row.
+func matrixAnswer(n int) Matrix {
+	m := make(Matrix, n)
+	for u := range m {
+		m[u] = make([]int64, n)
+		for v := range m[u] {
+			m[u][v] = int64(u*v%97) - 1
+		}
+	}
+	return m
+}
+
+// TestResponseDecodeOnePass pins the decoder's shape: whatever n is, a
+// large answer costs the two allocations of its flat array plus the same
+// small envelope - nothing per row or per list - and holds what
+// encoding/json would have held.
+func TestResponseDecodeOnePass(t *testing.T) {
+	answers := map[Kind]func(n int) Response{
+		KindAPSP: func(n int) Response {
+			return Response{Kind: KindAPSP, APSP: &APSPResult{Variant: APSPWeighted, Dist: matrixAnswer(n)}, Stats: &Stats{TotalRounds: 9}}
+		},
+		KindMSSP: func(n int) Response {
+			return Response{Kind: KindMSSP, Graph: "roads", MSSP: &MSSPResult{Sources: []int{0, 1}, Dist: matrixAnswer(n)}, Cached: true}
+		},
+		KindSSSP: func(n int) Response {
+			return Response{Kind: KindSSSP, SSSP: &SSSPResult{Source: 1, Dist: matrixAnswer(n)[1], Iterations: 4}}
+		},
+		KindKNearest: func(n int) Response {
+			return Response{Kind: KindKNearest, KNearest: &KNearestResult{K: 4, Neighbors: neighborAnswer(n, 4)}, Stats: &Stats{Words: 7}}
+		},
+		KindSourceDetection: func(n int) Response {
+			return Response{Kind: KindSourceDetection, SourceDetection: &SourceDetectionResult{D: 3, K: 2, Detected: neighborAnswer(n, 2)}}
+		},
+	}
+	for kind, answer := range answers {
+		var allocs []float64
+		for _, n := range []int{16, 128} {
+			sent := answer(n)
+			body, err := json.Marshal(sent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got Response
+			allocs = append(allocs, testing.AllocsPerRun(5, func() {
+				got = Response{}
+				if err := got.UnmarshalJSON(body); err != nil {
+					t.Fatal(err)
+				}
+			}))
+			if !reflect.DeepEqual(got, sent) {
+				t.Errorf("%s n=%d: decoded %s, sent %s", kind, n, dump(got), dump(sent))
+			}
+			var want plainResponse
+			if err := json.Unmarshal(body, &want); err != nil || !reflect.DeepEqual(plainResponse(got), want) {
+				t.Errorf("%s n=%d: decoded %s, encoding/json holds %s (%v)", kind, n, dump(got), dump(want), err)
+			}
+		}
+		if allocs[0] > 40 || math.Abs(allocs[0]-allocs[1]) > 2 {
+			t.Errorf("%s: %v allocations at n=16, %v at n=128: want a small envelope and nothing per row", kind, allocs[0], allocs[1])
+		}
+	}
+}
+
+// TestBatchDecodeUsesFastPath: a batch reaches the same decoder position by
+// position - large answers flat, an error position in place - and holds
+// what encoding/json alone would have held.
+func TestBatchDecodeUsesFastPath(t *testing.T) {
+	var allocs []float64
+	for _, n := range []int{16, 128} {
+		sent := BatchResponse{Responses: []Response{
+			{Kind: KindAPSP, APSP: &APSPResult{Variant: APSPUnweighted, Dist: matrixAnswer(n)}, Stats: &Stats{TotalRounds: 5, Messages: 11}},
+			{Kind: KindKNearest, Graph: "g", KNearest: &KNearestResult{K: 3, Neighbors: neighborAnswer(n, 3)}, Cached: true},
+			{Kind: KindMSSP, Error: &Error{Code: CodeInvalidSource, Message: "node 99 out of range"}},
+		}}
+		body, err := json.Marshal(sent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got BatchResponse
+		allocs = append(allocs, testing.AllocsPerRun(5, func() {
+			got = BatchResponse{}
+			if err := json.Unmarshal(body, &got); err != nil {
+				t.Fatal(err)
+			}
+		}))
+		if !reflect.DeepEqual(got, sent) {
+			t.Errorf("n=%d: decoded %s, sent %s", n, dump(got), dump(sent))
+		}
+		var want struct{ Responses []plainResponse }
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Responses {
+			if !reflect.DeepEqual(plainResponse(got.Responses[i]), want.Responses[i]) {
+				t.Errorf("n=%d position %d: decoded %s, encoding/json holds %s", n, i, dump(got.Responses[i]), dump(want.Responses[i]))
+			}
+		}
+	}
+	if math.Abs(allocs[0]-allocs[1]) > 4 {
+		t.Errorf("%v allocations at n=16, %v at n=128: a batch position decodes per row again", allocs[0], allocs[1])
+	}
+}

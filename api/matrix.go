@@ -18,61 +18,86 @@ type Matrix [][]int64
 
 // UnmarshalJSON decodes the canonical form - nothing but brackets,
 // commas, whitespace and integer literals that fit an int64 - in two
-// steps: count, then parse into arrays sized from the counts. In that form
-// every '[' after the first opens a row and every cell after the first
-// follows a comma, so two byte counts give the number of rows exactly and
-// the number of cells exactly when no row is empty (one spare cell per
-// empty row, or for the empty matrix, otherwise). Every other input (null,
-// a null row or cell, a fraction or exponent, a string, an overflow,
-// invalid syntax) is handed to encoding/json's [][]int64 decoder, so what
-// Matrix accepts, what it then holds and what it reports are that
+// steps: count, then parse into arrays sized from the counts. Every other
+// input (null, a null row or cell, a fraction or exponent, a string, an
+// overflow, invalid syntax) is handed to encoding/json's [][]int64 decoder,
+// so what Matrix accepts, what it then holds and what it reports are that
 // decoder's by construction (FuzzMatrixJSON).
 func (m *Matrix) UnmarshalJSON(data []byte) error {
-	rows := make(Matrix, max(bytes.Count(data, []byte{'['})-1, 0))
-	cells := make([]int64, bytes.Count(data, []byte{','})+1)
-	if parseMatrix(data, rows, cells) {
+	if rows, end, ok := decodeMatrix(data, 0); ok && skipSpace(data, end) == len(data) {
 		*m = rows
 		return nil
 	}
 	return json.Unmarshal(data, (*[][]int64)(m))
 }
 
-// parseMatrix parses data as a canonical matrix into rows, row r a
-// capacity-clipped window of cells, and reports false on the first byte
-// outside that grammar. rows and cells are sized by UnmarshalJSON's counts,
-// which bound what any prefix of the grammar can hold.
-func parseMatrix(data []byte, rows Matrix, cells []int64) bool {
-	var ok bool
-	nr, nc := 0, 0
-	i := skipSpace(data, 0)
-	if i == len(data) || data[i] != '[' {
-		return false
+// decodeMatrix decodes the canonical matrix that starts at data[i] and
+// returns it with the index after its closing bracket; whatever follows is
+// the caller's. In the canonical form every '[' after the first opens a row
+// and every cell after the first follows a comma, so two byte counts over
+// data[i:] bound the rows and the cells: exactly when the matrix is all of
+// it and no row is empty, by the few brackets and commas of a response's
+// tail (Response.UnmarshalJSON) otherwise.
+func decodeMatrix(data []byte, i int) (Matrix, int, bool) {
+	rows := make(Matrix, max(bytes.Count(data[i:], []byte{'['})-1, 0))
+	cells := make([]int64, bytes.Count(data[i:], []byte{','})+1)
+	nr, end, ok := parseLists(data, i, rows, cells, parseCell)
+	return rows[:nr:nr], end, ok
+}
+
+// decodeVector is decodeMatrix for one row: the []int64 of an sssp answer.
+func decodeVector(data []byte, i int) ([]int64, int, bool) {
+	cells := make([]int64, bytes.Count(data[i:], []byte{','})+1)
+	n, end, ok := parseList(data, i, cells, 0, parseCell)
+	return cells[:n:n], end, ok
+}
+
+// parseLists parses the array of arrays of elements at data[i] into rows,
+// row r a capacity-clipped window of cells, and returns the number of rows
+// and the index after the closing bracket; ok is false from the first byte
+// outside that grammar. The caller sizes rows and cells to bound what any
+// prefix of the grammar can hold.
+func parseLists[T any](data []byte, i int, rows [][]T, cells []T, elem func([]byte, int) (T, int, bool)) (nr, end int, ok bool) {
+	if i >= len(data) || data[i] != '[' {
+		return 0, i, false
 	}
+	nc := 0
 	i = skipSpace(data, i+1)
-	for moreRows := i == len(data) || data[i] != ']'; moreRows; {
-		if i == len(data) || data[i] != '[' {
-			return false
-		}
-		i = skipSpace(data, i+1)
+	for more := i == len(data) || data[i] != ']'; more; {
 		start := nc
-		for moreCells := i == len(data) || data[i] != ']'; moreCells; {
-			if cells[nc], i, ok = parseCell(data, i); !ok {
-				return false
-			}
-			nc++
-			if i, moreCells, ok = separator(data, i); !ok {
-				return false
-			}
+		if nc, i, ok = parseList(data, i, cells, nc, elem); !ok {
+			return nr, i, false
 		}
 		rows[nr] = cells[start:nc:nc]
 		nr++
-		// i is on the row's closing bracket.
-		if i, moreRows, ok = separator(data, i+1); !ok {
-			return false
+		if i, more, ok = separator(data, i); !ok {
+			return nr, i, false
 		}
 	}
-	// i is on the matrix's closing bracket.
-	return skipSpace(data, i+1) == len(data)
+	// i is on the closing bracket.
+	return nr, i + 1, true
+}
+
+// parseList parses the array of elements at data[i] into cells[nc:] and
+// returns the next free cell and the index after the closing bracket.
+func parseList[T any](data []byte, i int, cells []T, nc int, elem func([]byte, int) (T, int, bool)) (int, int, bool) {
+	if i >= len(data) || data[i] != '[' {
+		return nc, i, false
+	}
+	i = skipSpace(data, i+1)
+	for more := i == len(data) || data[i] != ']'; more; {
+		v, next, ok := elem(data, i)
+		if !ok {
+			return nc, next, false
+		}
+		cells[nc] = v
+		nc++
+		i = next
+		if i, more, ok = separator(data, i); !ok {
+			return nc, i, false
+		}
+	}
+	return nc, i + 1, true
 }
 
 // skipSpace returns the index of the first byte at or after i that is not

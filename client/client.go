@@ -35,6 +35,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/congestedclique/ccsp"
@@ -47,6 +48,7 @@ type Client struct {
 	hc        *http.Client
 	retries   int
 	retryBase time.Duration
+	maxBody   int64 // maxResponseBytes; tests lower it
 }
 
 // Option configures a Client.
@@ -114,6 +116,7 @@ func New(baseURL string, opts ...Option) *Client {
 		base:      strings.TrimRight(baseURL, "/"),
 		hc:        defaultHTTPClient(),
 		retryBase: defaultRetryBase,
+		maxBody:   maxResponseBytes,
 	}
 	for _, o := range opts {
 		o(c)
@@ -206,28 +209,9 @@ func (c *Client) get(ctx context.Context, name, url string, out interface{}) err
 	if err != nil {
 		return fmt.Errorf("client: %w", err)
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return transportError(ctx, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
-	if err != nil {
-		return transportError(ctx, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return statusError(name, resp.StatusCode, body)
-	}
-	if err := json.Unmarshal(body, out); err != nil {
-		return fmt.Errorf("client: %s: bad JSON: %w", name, err)
-	}
-	return nil
+	_, _, err = c.do(ctx, req, name, out)
+	return err
 }
-
-// maxResponseBytes caps decoded response bodies. All-pairs matrices grow
-// with n²; 1 GiB admits n ≈ 10⁴ with room to spare while still bounding
-// a misbehaving endpoint.
-const maxResponseBytes = 1 << 30
 
 // post sends one JSON body and decodes the response, translating
 // non-200 statuses through the typed-error taxonomy and retrying
@@ -251,37 +235,127 @@ func (c *Client) post(ctx context.Context, path string, in, out interface{}) err
 	}
 }
 
-// postOnce runs one round trip. The bool classifies a failure as
-// transient - a transport error, or a 502/503 status (a daemon still
-// loading snapshots, shedding under admission control, or a proxy whose
-// upstream died) - and therefore eligible for retry; typed query
-// failures are final. On a retryable status the returned duration
-// carries the server's Retry-After hint (0 when absent).
+// postOnce runs one POST round trip through do.
 func (c *Client) postOnce(ctx context.Context, path string, payload []byte, out interface{}) (bool, time.Duration, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(payload))
 	if err != nil {
 		return false, 0, fmt.Errorf("client: %w", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
+	return c.do(ctx, req, path, out)
+}
+
+// do runs one round trip and decodes a 200 into out; name labels the
+// endpoint in errors. The bool classifies a failure as transient - a
+// transport error, or a 502/503 status (a daemon still loading snapshots,
+// shedding under admission control, or a proxy whose upstream died) - and
+// therefore eligible for retry; typed query failures are final. On a
+// retryable status the returned duration carries the server's Retry-After
+// hint (0 when absent).
+//
+// The body is read once, into one buffer (readBody), and scanned once: an
+// api.Response decodes itself from the whole body (its UnmarshalJSON), so
+// encoding/json's validating pre-scan and its search for the value's end
+// do not run over a multi-megabyte answer; the small bodies of the other
+// endpoints stay on json.Unmarshal. Nothing decoded points into the buffer,
+// so it goes back to the pool on return.
+func (c *Client) do(ctx context.Context, req *http.Request, name string, out interface{}) (bool, time.Duration, error) {
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		terr := transportError(ctx, err)
 		return errors.Is(terr, ErrTransport), 0, terr
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
+	buf := bodyPool.Get().(*[]byte)
+	defer bodyPool.Put(buf)
+	body, err := readBody(resp.Body, resp.ContentLength, c.maxBody, (*buf)[:0])
+	if cap(body) <= maxPooledBody {
+		*buf = body
+	}
+	if errors.Is(err, errBodyTooLarge) {
+		return false, 0, fmt.Errorf("client: %s: %w", name, err)
+	}
 	if err != nil {
 		terr := transportError(ctx, err)
 		return errors.Is(terr, ErrTransport), 0, terr
 	}
 	if resp.StatusCode != http.StatusOK {
 		retryable := resp.StatusCode == http.StatusBadGateway || resp.StatusCode == http.StatusServiceUnavailable
-		return retryable, parseRetryAfter(resp.Header.Get("Retry-After")), statusError(path, resp.StatusCode, body)
+		return retryable, parseRetryAfter(resp.Header.Get("Retry-After")), statusError(name, resp.StatusCode, body)
 	}
-	if err := json.Unmarshal(body, out); err != nil {
-		return false, 0, fmt.Errorf("client: %s: bad JSON response: %w", path, err)
+	if u, ok := out.(json.Unmarshaler); ok {
+		err = u.UnmarshalJSON(body)
+	} else {
+		err = json.Unmarshal(body, out)
+	}
+	if err != nil {
+		return false, 0, fmt.Errorf("client: %s: bad JSON response: %w", name, err)
 	}
 	return false, 0, nil
+}
+
+// maxResponseBytes caps response bodies. All-pairs matrices grow with n²;
+// 1 GiB admits n ≈ 10⁴ with room to spare while still bounding a
+// misbehaving endpoint.
+const maxResponseBytes = 1 << 30
+
+const (
+	// maxPresize caps the buffer allocated on the word of a Content-Length
+	// header before any of the body has arrived: an n=1024 all-pairs answer
+	// (3.9 MB) is read into exactly one allocation, and a header that lies
+	// costs this much at most.
+	maxPresize = 8 << 20
+	// maxPooledBody is the largest buffer kept for the next response. Point
+	// answers reuse one buffer for ever; a matrix's buffer is garbage as
+	// soon as it is decoded, so the pool never pins megabytes.
+	maxPooledBody = 64 << 10
+	// minBodyBuffer is the first buffer of a body of unknown length.
+	minBodyBuffer = 4 << 10
+)
+
+// bodyPool recycles response buffers of at most maxPooledBody bytes.
+var bodyPool = sync.Pool{New: func() interface{} { return new([]byte) }}
+
+// errBodyTooLarge is not a transport failure: the daemon answered, and
+// asking again (a retry, another replica) would fetch the same bytes.
+var errBodyTooLarge = errors.New("response body exceeds the client's limit")
+
+// readBody reads a whole response body of at most limit bytes into buf,
+// growing it at most once when Content-Length is known and honest: the
+// buffer is sized from the header (one spare byte, so the read that reports
+// EOF has room), capped at maxPresize because the header is a claim, not
+// data. Past that, and when the length is unknown (chunked, behind a
+// proxy), the buffer doubles - to the announced length as soon as doubling
+// reaches it. A body longer than limit fails with errBodyTooLarge rather
+// than being cut there; a Content-Length above limit fails before a byte
+// is read.
+func readBody(r io.Reader, contentLength, limit int64, buf []byte) ([]byte, error) {
+	if contentLength > limit {
+		return buf, fmt.Errorf("%w: Content-Length %d, limit %d bytes", errBodyTooLarge, contentLength, limit)
+	}
+	if want := int(min(contentLength, maxPresize)) + 1; want > cap(buf) {
+		buf = make([]byte, 0, max(want, minBodyBuffer))
+	}
+	for {
+		if len(buf) == cap(buf) {
+			size := max(2*cap(buf), minBodyBuffer)
+			if announced := int(contentLength) + 1; cap(buf) < announced && announced < size {
+				size = announced
+			}
+			buf = append(make([]byte, 0, size), buf...)
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if int64(len(buf)) > limit {
+			return buf, fmt.Errorf("%w: limit %d bytes", errBodyTooLarge, limit)
+		}
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }
 
 // parseRetryAfter reads an integer-seconds Retry-After hint (the only

@@ -3,12 +3,15 @@ package client
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/congestedclique/ccsp"
 	"github.com/congestedclique/ccsp/api"
@@ -18,6 +21,11 @@ import (
 // harness spins a real HTTP server over a warm engine and a client
 // pointed at it - the full wire round trip, in process.
 func harness(t testing.TB, n int, cfg server.Config) (*ccsp.Engine, *Client) {
+	t.Helper()
+	return harnessWith(t, n, cfg, ccsp.Options{Epsilon: 0.5})
+}
+
+func harnessWith(t testing.TB, n int, cfg server.Config, opts ccsp.Options) (*ccsp.Engine, *Client) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(n) + 5))
 	gr := ccsp.NewGraph(n)
@@ -30,7 +38,7 @@ func harness(t testing.TB, n int, cfg server.Config) (*ccsp.Engine, *Client) {
 			gr.MustAddEdge(u, v, rng.Int63n(9)+1)
 		}
 	}
-	eng, err := ccsp.NewEngine(context.Background(), gr, ccsp.Options{Epsilon: 0.5})
+	eng, err := ccsp.NewEngine(context.Background(), gr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,6 +283,73 @@ func TestStatusErrorFallback(t *testing.T) {
 	for _, sentinel := range []error{ccsp.ErrCanceled, ccsp.ErrRoundLimit, ccsp.ErrInvalidSource, ccsp.ErrInvalidOption, api.ErrMalformed} {
 		if errors.Is(err, sentinel) {
 			t.Errorf("untyped 502 misclassified as %v", sentinel)
+		}
+	}
+}
+
+// TestQueryAllocsIndependentOfN is the wire half of the root package's test
+// of that name (DESIGN.md §13): a warm client Query of a large answer - the
+// daemon's cache-hit path, Content-Length, one read, one decode - allocates
+// a number of objects that does not depend on n, and no more bytes than the
+// body, the decoded answer and a stated slack (a quarter of the body, plus
+// 128 KiB for both ends' net/http). io.ReadAll's append growth was ~4 extra
+// bodies, the reflective [][]Neighbor decode ~4 objects per node, and a body
+// sent chunked cannot be read into one buffer at all.
+func TestQueryAllocsIndependentOfN(t *testing.T) {
+	ctx := context.Background()
+	reqs := []api.Request{api.KNearest(8), api.APSP(api.APSPAuto)}
+	mallocs := make(map[api.Kind][]uint64)
+	for _, n := range []int{128, 512} {
+		_, c := harnessWith(t, n, server.Config{}, ccsp.Options{Epsilon: 0.5, Execution: ccsp.ExecDirect})
+		var body struct{ n int64 } // Content-Length of the last response
+		c.hc = &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
+			resp, err := http.DefaultTransport.RoundTrip(req)
+			if err == nil {
+				body.n = resp.ContentLength
+			}
+			return resp, err
+		})}
+		for _, req := range reqs {
+			// The least of several runs: a GC between two of them empties
+			// encoding/json's buffer pool and the daemon regrows its own.
+			var objects, bytes uint64 = math.MaxUint64, math.MaxUint64
+			var resp *api.Response
+			for run := 0; run < 6; run++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				var err error
+				if resp, err = c.Query(ctx, req); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				if run > 0 { // run 0 is the cache miss
+					objects = min(objects, after.Mallocs-before.Mallocs)
+					bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+				}
+			}
+			if !resp.Cached || body.n <= 0 {
+				t.Fatalf("n=%d %s: want cache hits of announced length, got cached=%v, Content-Length %d", n, req.Kind, resp.Cached, body.n)
+			}
+			decoded := uint64(n * 24) // row headers
+			if req.Kind == api.KindAPSP {
+				decoded += uint64(len(resp.APSP.Dist) * n * 8)
+			} else {
+				decoded += uint64(n * req.KNearest.K * int(unsafe.Sizeof(api.Neighbor{})))
+			}
+			t.Logf("n=%d %s: %d objects, %d bytes for a %d-byte body and a %d-byte answer", n, req.Kind, objects, bytes, body.n, decoded)
+			if budget := uint64(body.n) + decoded + uint64(body.n)/4 + 128<<10; bytes > budget {
+				t.Errorf("n=%d %s: a warm query allocates %d bytes, want <= %d (a %d-byte body, a %d-byte answer)",
+					n, req.Kind, bytes, budget, body.n, decoded)
+			}
+			if objects > 400 {
+				t.Errorf("n=%d %s: a warm query allocates %d objects, want a few hundred at most", n, req.Kind, objects)
+			}
+			mallocs[req.Kind] = append(mallocs[req.Kind], objects)
+		}
+	}
+	for kind, m := range mallocs {
+		if diff := int64(m[1]) - int64(m[0]); diff > 24 || diff < -24 {
+			t.Errorf("%s: %d objects at n=128 but %d at n=512: the wire path allocates per node again", kind, m[0], m[1])
 		}
 	}
 }

@@ -66,6 +66,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -506,9 +507,59 @@ func engineStats(dyn *ccsp.DynamicEngine) (graph, options, preprocess map[string
 
 // writeJSON writes v as one line of compact JSON: whitespace is not part
 // of the wire schema (DESIGN.md §11), and indenting an n×q matrix quadruples
-// its bytes.
+// its bytes. The document is complete before the status line goes out, so a
+// value that cannot be encoded is a typed 500, not a 200 cut short, and a
+// large body carries its Content-Length, which is what lets the client read
+// it into one buffer of the right size (client.readBody).
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // the client is gone if this fails
+	bw := bodyWriters.Get().(*bodyWriter)
+	bw.w, bw.code, bw.started = w, code, false
+	err := bw.enc.Encode(v)
+	if err != nil && bw.started {
+		// The client is gone, and the encoder keeps a failed Write's error
+		// for good: this writer is not reused.
+		return
+	}
+	bw.w = nil
+	bodyWriters.Put(bw)
+	if err != nil {
+		writeAPIError(w, http.StatusInternalServerError, "",
+			&api.Error{Code: api.CodeInternal, Message: "encode response: " + err.Error()})
+	}
+}
+
+// bodyWriter is where a json.Encoder, made once and pooled with it, sends
+// its document. Encoder.Encode marshals into encoding/json's own recycled
+// buffer and hands all of it to one Write; that Write is the first moment
+// the length is known and the last before the header is sent, so it
+// announces the one and forwards the other - no second copy of a
+// multi-megabyte answer just to measure it.
+type bodyWriter struct {
+	enc     *json.Encoder
+	w       http.ResponseWriter
+	code    int
+	started bool // the header has gone out
+}
+
+var bodyWriters = sync.Pool{New: func() interface{} {
+	bw := new(bodyWriter)
+	bw.enc = json.NewEncoder(bw)
+	return bw
+}}
+
+// chunkingThreshold is the body size from which net/http, not told a
+// length, switches to chunked encoding; anything smaller it buffers whole
+// and labels itself, so spelling the header out there would only allocate.
+const chunkingThreshold = 2048
+
+func (bw *bodyWriter) Write(p []byte) (int, error) {
+	if !bw.started {
+		bw.started = true
+		if len(p) >= chunkingThreshold {
+			bw.w.Header().Set("Content-Length", strconv.Itoa(len(p)))
+		}
+		bw.w.WriteHeader(bw.code)
+	}
+	return bw.w.Write(p)
 }

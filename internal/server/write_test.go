@@ -1,0 +1,107 @@
+package server
+
+import (
+	"encoding/json"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"testing"
+
+	"github.com/congestedclique/ccsp/api"
+)
+
+// headerWriter is a ResponseWriter that keeps only what writeJSON decides:
+// the headers, the status, the body.
+type headerWriter struct {
+	h    http.Header
+	code int
+	body []byte
+}
+
+func (w *headerWriter) Header() http.Header  { return w.h }
+func (w *headerWriter) WriteHeader(code int) { w.code = code }
+func (w *headerWriter) Write(p []byte) (int, error) {
+	w.body = append(w.body[:0], p...)
+	return len(p), nil
+}
+
+// TestWriteJSONSmallBodyAllocs: net/http labels a body under its chunking
+// threshold with a Content-Length on its own, so a point answer must not
+// pay for the header large answers get - two allocations (the boxed value,
+// the Content-Type slice), what writeJSON cost before it knew lengths.
+func TestWriteJSONSmallBodyAllocs(t *testing.T) {
+	resp := api.Response{Kind: api.KindDistance,
+		Distance: &api.DistanceResult{From: 1, To: 100, Distance: 42, Reachable: true},
+		Stats:    &api.Stats{TotalRounds: 3, SimRounds: 1, Messages: 100, Words: 200}}
+	w := &headerWriter{h: make(http.Header), body: make([]byte, 0, 512)}
+	// The least of many runs: the writer comes from a sync.Pool, which a GC
+	// empties and the race detector makes forgetful on purpose.
+	allocs := uint64(math.MaxUint64)
+	for run := 0; run < 100; run++ {
+		var before, after runtime.MemStats
+		delete(w.h, "Content-Type")
+		runtime.ReadMemStats(&before)
+		writeJSON(w, http.StatusOK, resp)
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, after.Mallocs-before.Mallocs)
+	}
+	if allocs > 2 {
+		t.Errorf("writeJSON of a distance response allocates %d times, want <= 2", allocs)
+	}
+	if w.code != http.StatusOK || w.h.Get("Content-Length") != "" || !strings.HasPrefix(string(w.body), `{"kind":"distance"`) {
+		t.Errorf("small body: status %d, Content-Length %q, body %s", w.code, w.h.Get("Content-Length"), w.body)
+	}
+}
+
+// TestWriteJSONAnnouncesLength: over real HTTP every body arrives with its
+// length - large ones because writeJSON says so, small ones because
+// net/http does - and never chunked.
+func TestWriteJSONAnnouncesLength(t *testing.T) {
+	large := api.Response{Kind: api.KindSSSP, SSSP: &api.SSSPResult{Dist: make([]int64, 4*chunkingThreshold)}}
+	small := api.Health{Status: "ok", Nodes: 3}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/large" {
+			writeJSON(w, http.StatusOK, large)
+			return
+		}
+		writeJSON(w, http.StatusOK, small)
+	}))
+	defer ts.Close()
+	for _, path := range []string{"/large", "/small", "/large"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v for a %d-byte body", path, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		if !json.Valid(body) || body[len(body)-1] != '\n' {
+			t.Errorf("%s: body is not one line of JSON: %.80s", path, body)
+		}
+	}
+}
+
+// TestWriteJSONEncodeFailure: a value encoding/json refuses becomes a typed
+// 500 - nothing of a 200 has gone out by then - and the pooled writer that
+// met it serves the next response.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	w := &headerWriter{h: make(http.Header)}
+	writeJSON(w, http.StatusOK, map[string]float64{"uptime_seconds": math.NaN()})
+	var e errorBody
+	if err := json.Unmarshal(w.body, &e); err != nil || w.code != http.StatusInternalServerError ||
+		e.Error == nil || e.Error.Code != api.CodeInternal || !strings.Contains(e.Error.Message, "NaN") {
+		t.Errorf("unencodable value: status %d, body %s (%v)", w.code, w.body, err)
+	}
+	writeJSON(w, http.StatusOK, api.Health{Status: "ok"})
+	if w.code != http.StatusOK || !strings.HasPrefix(string(w.body), `{"status":"ok"`) {
+		t.Errorf("after a failed encode: status %d, body %s", w.code, w.body)
+	}
+}

@@ -124,7 +124,7 @@ func TestQueryMatchesEngineMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rk.KNearest.K != 3 || !reflect.DeepEqual(rk.KNearest.Neighbors, wantK.Neighbors) {
+	if rk.KNearest.K != 3 || !reflect.DeepEqual([][]Neighbor(rk.KNearest.Neighbors), wantK.Neighbors) {
 		t.Error("knearest payload differs from direct call")
 	}
 
@@ -138,7 +138,7 @@ func TestQueryMatchesEngineMethods(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rsd.SourceDetection.D != 3 || rsd.SourceDetection.K != 2 ||
-		!reflect.DeepEqual(rsd.SourceDetection.Detected, wantSD.Detected) {
+		!reflect.DeepEqual([][]Neighbor(rsd.SourceDetection.Detected), wantSD.Detected) {
 		t.Error("source-detection payload differs from direct call")
 	}
 }
