@@ -45,11 +45,13 @@ func benchEngine(b *testing.B, n int) *Engine {
 }
 
 // BenchmarkDirectQuery measures warm MSSP latency at q sources per query
-// (the workload of DESIGN.md §13's historical table; run with -benchmem
-// for allocs/op, -cpuprofile to profile the kernels).
+// (the workload of DESIGN.md §13's tables; run with -benchmem for B/op
+// and allocs/op, -cpuprofile to profile the kernels). q = 1 and 8 are
+// what the daemon serves; q = 64 and 128 are the size of APSP's
+// hitting-set panel, 0.5-1 MB a plane at n = 1024.
 func BenchmarkDirectQuery(b *testing.B) {
 	for _, n := range []int{256, 1024} {
-		for _, q := range []int{1, 8} {
+		for _, q := range []int{1, 8, 64, 128} {
 			b.Run(fmt.Sprintf("n=%d/q=%d", n, q), func(b *testing.B) {
 				eng := benchEngine(b, n)
 				sources := make([]int, 0, q)

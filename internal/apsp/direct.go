@@ -56,7 +56,7 @@ func (e *estAll) updMatWH(m *matrix.Mat[semiring.WH]) {
 // rest (semiring.Inf) never wins the min, so none is skipped.
 func (e *estAll) updPanel(p *disttools.Panel) {
 	q := len(p.Sources)
-	for v := range p.Col {
+	for v := 0; v < p.N; v++ {
 		for j, s := range p.Sources {
 			e.upd(v, s, p.W[v*q+j])
 		}
@@ -111,7 +111,7 @@ func pivotCols(p *disttools.Panel, pvs []int64) []int {
 	for v, pv := range pvs {
 		cols[v] = -1
 		if pv >= 0 {
-			cols[v] = int(p.Col[pv])
+			cols[v] = p.Col(int32(pv))
 		}
 	}
 	return cols
@@ -177,6 +177,7 @@ func ThreePlusEpsDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh *matr
 			}
 		}
 	}
+	res.Release()
 	return e.rows, nil
 }
 
@@ -218,6 +219,7 @@ func TwoPlusEpsWeightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh
 	// Lines (6)-(7): pivots and the symmetric combination.
 	pvs, dpvs := pivotsAll(knear, inA)
 	pivotCombineAll(e, res, pvs, dpvs)
+	res.Release()
 	return e.rows, nil
 }
 
@@ -260,8 +262,12 @@ func TwoPlusEpsUnweightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, 
 	// Line (4): distances through A.
 	aEsts := make([][]disttools.Est, n)
 	for v, row := range res.Rows().Rows {
-		aEsts[v] = estsFromRow(row)
+		aEsts[v] = make([]disttools.Est, 0, len(row))
+		for _, en := range row {
+			aEsts[v] = append(aEsts[v], disttools.Est{W: en.Col, To: en.Val, From: en.Val})
+		}
 	}
+	res.Release()
 	dts, err := disttools.DistThroughSetsAll(ctx, plainMinPlus(sr), n, aEsts, workers)
 	if err != nil {
 		return nil, err
@@ -298,6 +304,7 @@ func TwoPlusEpsUnweightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, 
 	// Lines (9)-(10): pivots p'(v) and the symmetric combination.
 	pvs, dpvs := pivotsAll(knearLow, inA2)
 	pivotCombineAll(e, res2, pvs, dpvs)
+	res2.Release()
 
 	// Lines (11)-(12): the 3-hop triple product M1·M2·M3 over min-plus.
 	pm := plainMinPlus(sr)

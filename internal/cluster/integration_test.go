@@ -84,6 +84,37 @@ func reservePorts(t *testing.T, n int) []string {
 	return addrs
 }
 
+// spreadPlacement reserves n member addresses whose ring spreads the
+// fixture graphs over at least two owners. Member names carry ephemeral
+// ports, so where the ring hashes them is a fresh draw per reservation and
+// now and then puts every fixture on one owner; such a draw is discarded
+// and the ports reserved again, and only a run of them fails the test.
+func spreadPlacement(t *testing.T, n int) (addrs, members []string, ring *cluster.Ring) {
+	t.Helper()
+	const attempts = 20
+	for try := 0; try < attempts; try++ {
+		addrs = reservePorts(t, n)
+		members = make([]string, n)
+		for i, a := range addrs {
+			members[i] = "http://" + a
+		}
+		ring = cluster.NewRing(members)
+		owners := make(map[string]bool)
+		for g := range integrationGraphs {
+			o, ok := ring.Owner(g)
+			if !ok {
+				t.Fatal("empty ring")
+			}
+			owners[o] = true
+		}
+		if len(owners) >= 2 {
+			return addrs, members, ring
+		}
+	}
+	t.Fatalf("no placement in %d port reservations spread the fixtures over >= 2 replicas", attempts)
+	return nil, nil, nil
+}
+
 // daemon is one spawned ccspd process.
 type daemon struct {
 	cmd *exec.Cmd
@@ -104,12 +135,7 @@ func TestMultiProcessCluster(t *testing.T) {
 		t.Fatalf("go build ccspd: %v\n%s", err, out)
 	}
 
-	addrs := reservePorts(t, 3)
-	members := make([]string, len(addrs))
-	for i, a := range addrs {
-		members[i] = "http://" + a
-	}
-	ring := cluster.NewRing(members)
+	addrs, members, ring := spreadPlacement(t, 3)
 
 	// Build each graph's engine in-process and save its snapshot into
 	// the owner's load list - owner-only placement, no failover copies,
@@ -130,19 +156,8 @@ func TestMultiProcessCluster(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
-		owner, ok := ring.Owner(g)
-		if !ok {
-			t.Fatal("empty ring")
-		}
+		owner, _ := ring.Owner(g)
 		loads[owner] = append(loads[owner], "-load", g+"="+snap)
-	}
-	owners := make(map[string]bool)
-	for g := range integrationGraphs {
-		o, _ := ring.Owner(g)
-		owners[o] = true
-	}
-	if len(owners) < 2 {
-		t.Fatalf("placement spans %d replicas; fixtures must spread over >= 2", len(owners))
 	}
 
 	// Spawn a daemon per member that owns at least one graph (ccspd

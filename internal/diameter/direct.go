@@ -80,11 +80,11 @@ func ApproxDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh *matrix.Mat
 	}
 	// Line (6): the estimate is the maximum finite distance in either MSSP.
 	var best int64
-	for _, m := range []*matrix.Mat[semiring.WH]{res, res2} {
+	for _, m := range []*matrix.Mat[int64]{res, res2} {
 		for v := 0; v < n; v++ {
 			for _, e := range m.Rows[v] {
-				if e.Val.W < semiring.Inf && e.Val.W > best {
-					best = e.Val.W
+				if e.Val < semiring.Inf && e.Val > best {
+					best = e.Val
 				}
 			}
 		}

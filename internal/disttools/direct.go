@@ -11,6 +11,7 @@ package disttools
 import (
 	"context"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"github.com/congestedclique/ccsp/internal/matmul"
@@ -83,43 +84,76 @@ func SourceDetectAll[E any](ctx context.Context, sr semiring.Semiring[E], g *mat
 	return u, nil
 }
 
-// Panel is the dense answer of a source-restricted detection: W and H are
-// row-major n×|S| panels, cell v·|S|+j holding node v's (weight, hops) to
-// Sources[j], both semiring.Inf where v does not detect it. Sources is
-// ascending and Col, one entry per node, is its inverse (-1 for a
-// non-source). The panels are
-// the kernel's own buffers, handed over: the caller owns them, and the
-// query path serves W itself as the answer (DESIGN.md §13, "the result
-// path").
+// Panel is the dense answer of a source-restricted detection: W is the
+// row-major N×|S| weight plane, cell v·|S|+j holding node v's distance to
+// Sources[j], semiring.Inf where v does not detect it. Sources is
+// ascending. Hop counts are not an output: with k = |S| nothing is
+// filtered, so no weight ever depends on one, and no caller reads them
+// (DESIGN.md §13, "source-restricted detection").
+//
+// W is the kernel's own buffer, handed over: the caller owns it. The
+// query path serves it as the answer and never gives it back (DESIGN.md
+// §13, "the result path"); a caller that only reads the panel calls
+// Release when its last reader is done.
 type Panel struct {
+	N       int
 	Sources []int32
-	Col     []int32
-	W, H    []int64
+	W       []int64
+}
+
+// Col is the panel column of source s, -1 when s is not a source.
+func (p *Panel) Col(s int32) int {
+	if j, ok := slices.BinarySearch(p.Sources, s); ok {
+		return j
+	}
+	return -1
+}
+
+// Release recycles W as a later detection's plane. The panel, and every
+// slice of W, is dead afterwards.
+func (p *Panel) Release() {
+	planes.put(p.W)
+	p.W = nil
 }
 
 // SourceDetectPanel solves (S,d,|S|)-source detection over the
-// augmented semiring exactly like SourceDetectAll, but propagates only
-// the |S| source columns through the d iterations as a flat n×|S| panel
-// (DESIGN.md §13). The sparse iteration U_i = G·U_{i-1} never grows
-// support beyond the source columns, so restricting the representation
-// to those columns - two struct-of-arrays (weight, hops) panels, one
-// read and one written per step - changes nothing about the result: row
-// v of Rows() is entry-for-entry identical to SourceDetectAll's,
-// while each step does tight O(nnz(G)·|S|) flat work with zero
-// allocations. The two panel shortcuts mirror the specialized kernel's
-// (matmul/dense.go): products saturating at or above semiring.Inf are
-// skipped (the sparse path drops them at every per-step emit), and the
-// (Inf, Inf) rest state doubles as "no entry".
+// augmented semiring like SourceDetectAll, but propagates only the |S|
+// source columns through the d iterations, and only their weights, as a
+// flat n×|S| plane (DESIGN.md §13). The sparse iteration U_i = G·U_{i-1}
+// never grows support beyond the source columns, and without a filter
+// the weight of an entry of U_i is a function of the weights of U_{i-1}
+// alone - the hop component only breaks ties between equal weights - so
+// one weight plane read and one written per step reproduce the support
+// and the weights of SourceDetectAll's rows exactly, while each step
+// does tight O(nnz(G)·|S|) flat work. semiring.Inf = 2^60 is both the
+// rest state ("no entry") and the saturation test: Inf plus a weight
+// never undercuts a cell and cannot overflow, which is how the sparse
+// path's dropping of saturated products comes out of the one comparison.
 //
-// The iteration also stops at its fixed point: U_i = G·U_{i-1}, so an
-// iteration that changes no cell makes every later iterate identical and
-// the remaining steps are dead work. Hopset-augmented graphs converge in
-// far fewer than β steps (the hopset's whole point), so this routinely
-// saves most of the d-1 iterations without changing a single entry.
+// The iteration also stops at its fixed point: an iteration that changes
+// no weight makes every later iterate identical and the remaining steps
+// are dead work. Hopset-augmented graphs converge in far fewer than β
+// steps (the hopset's whole point), so this routinely saves most of the
+// d-1 iterations without changing a single entry. The weights settle no
+// later than the (weight, hops) pairs do.
+//
+// Of the two planes one leaves as the answer; the other, and the n-sized
+// column index, are scratch and go back to the pool on every return,
+// cancellation included. A warm call allocates the answer plane, the |S|
+// source IDs and nothing that grows with n besides.
 func SourceDetectPanel(ctx context.Context, g *matrix.Mat[semiring.WH], inS []bool, d, workers int) (*Panel, error) {
 	n := g.N
-	srcs := make([]int32, 0, n)
-	idx := make([]int32, n)
+	q := 0
+	for v := 0; v < n; v++ {
+		if inS[v] {
+			q++
+		}
+	}
+	if q == 0 {
+		return &Panel{N: n}, nil
+	}
+	srcs := make([]int32, 0, q)
+	idx := indices.get(n)
 	for v := 0; v < n; v++ {
 		idx[v] = -1
 		if inS[v] {
@@ -127,100 +161,78 @@ func SourceDetectPanel(ctx context.Context, g *matrix.Mat[semiring.WH], inS []bo
 			srcs = append(srcs, int32(v))
 		}
 	}
-	q := len(srcs)
-	if q == 0 {
-		return &Panel{Col: idx}, nil
+	cur, next := planes.get(n*q), planes.get(n*q)
+	for i := range cur {
+		cur[i] = semiring.Inf
 	}
-	curW := make([]int64, n*q)
-	curH := make([]int64, n*q)
-	nextW := make([]int64, n*q)
-	nextH := make([]int64, n*q)
-	for i := range curW {
-		curW[i] = semiring.Inf
-		curH[i] = semiring.Inf
-	}
-	// U_1: row v of G restricted to source columns (self-distance (0,0)
+	// U_1: row v of G restricted to source columns (self-distance 0
 	// included for sources via the diagonal of G).
 	for v := 0; v < n; v++ {
 		base := v * q
 		for _, e := range g.Rows[v] {
 			if j := idx[e.Col]; j >= 0 {
-				curW[base+int(j)] = e.Val.W
-				curH[base+int(j)] = e.Val.H
+				cur[base+int(j)] = e.Val.W
 			}
 		}
 	}
+	indices.put(idx)
 	for i := 1; i < d; i++ {
 		if err := ctx.Err(); err != nil {
+			planes.put(cur)
+			planes.put(next)
 			return nil, err
 		}
 		var changed atomic.Bool
 		matmul.RunRows(n, workers, func() func(int) {
 			return func(v int) {
 				base := v * q
-				rw := nextW[base : base+q]
-				rh := nextH[base : base+q]
+				rw := next[base : base+q]
 				for j := range rw {
 					rw[j] = semiring.Inf
-					rh[j] = semiring.Inf
 				}
 				for _, es := range g.Rows[v] {
-					tb := int(es.Col) * q
-					ew, eh := es.Val.W, es.Val.H
-					for j := 0; j < q; j++ {
-						cw := curW[tb+j]
-						if cw >= semiring.Inf {
-							continue
-						}
-						w := ew + cw
-						if w >= semiring.Inf || w > rw[j] {
-							continue
-						}
-						h := eh + curH[tb+j]
-						if w < rw[j] || h < rh[j] {
-							rw[j], rh[j] = w, h
+					ew := es.Val.W
+					cw := cur[int(es.Col)*q:][:len(rw)]
+					for j, c := range cw {
+						if w := ew + c; w < rw[j] {
+							rw[j] = w
 						}
 					}
 				}
-				if !changed.Load() {
-					for j := 0; j < q; j++ {
-						if rw[j] != curW[base+j] || rh[j] != curH[base+j] {
-							changed.Store(true)
-							break
-						}
-					}
+				if !changed.Load() && !slices.Equal(rw, cur[base:base+q]) {
+					changed.Store(true)
 				}
 			}
 		})
-		curW, nextW = nextW, curW
-		curH, nextH = nextH, curH
+		cur, next = next, cur
 		if !changed.Load() {
 			break
 		}
 	}
-	return &Panel{Sources: srcs, Col: idx, W: curW, H: curH}, nil
+	planes.put(next)
+	return &Panel{N: n, Sources: srcs, W: cur}, nil
 }
 
 // Rows is the adapter for callers that consume detection rows rather than
 // the panel (the hopset build, the reference comparison): the sparse
-// matrix over one backing array, row v holding (s, (w, h)) for every
-// source v detects, ascending by s; a row with no entry stays nil, as in
+// matrix over one backing array, row v holding (s, w) for every source v
+// detects, ascending by s; a row with no entry stays nil, as in
 // SourceDetect.
-func (p *Panel) Rows() *matrix.Mat[semiring.WH] {
-	n, q := len(p.Col), len(p.Sources)
-	out := matrix.New[semiring.WH](n)
+func (p *Panel) Rows() *matrix.Mat[int64] {
+	q := len(p.Sources)
+	out := matrix.New[int64](p.N)
 	total := 0
 	for _, w := range p.W {
 		if w < semiring.Inf {
 			total++
 		}
 	}
-	backing := make([]matrix.Entry[semiring.WH], 0, total)
-	for v := 0; v < n; v++ {
+	backing := make([]matrix.Entry[int64], 0, total)
+	for v := 0; v < p.N; v++ {
 		base, start := v*q, len(backing)
 		for j, s := range p.Sources {
 			if w := p.W[base+j]; w < semiring.Inf {
-				backing = append(backing, matrix.Entry[semiring.WH]{Col: s, Val: semiring.WH{W: w, H: p.H[base+j]}})
+				backing = append(backing, matrix.Entry[int64]{Col: s, Val: w})
 			}
 		}
 		if end := len(backing); end > start {
@@ -231,12 +243,14 @@ func (p *Panel) Rows() *matrix.Mat[semiring.WH] {
 }
 
 // SourceDetectAllRestricted is SourceDetectPanel in row form: row v of
-// the result equals what SourceDetect returns at node v.
-func SourceDetectAllRestricted(ctx context.Context, g *matrix.Mat[semiring.WH], inS []bool, d, workers int) (*matrix.Mat[semiring.WH], error) {
+// the result holds the sources SourceDetect returns at node v with their
+// weights.
+func SourceDetectAllRestricted(ctx context.Context, g *matrix.Mat[semiring.WH], inS []bool, d, workers int) (*matrix.Mat[int64], error) {
 	p, err := SourceDetectPanel(ctx, g, inS, d, workers)
 	if err != nil {
 		return nil, err
 	}
+	defer p.Release()
 	return p.Rows(), nil
 }
 

@@ -32,7 +32,8 @@ func MergeGH(sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], art *hopset.Art
 // the |S| source columns. workers sizes the kernel pool (<= 0 means
 // GOMAXPROCS). The panel is the answer itself - cell (v, j) is the weight
 // RunWithHopset's Dist row at node v holds for the j-th source,
-// semiring.Inf where it holds none - and belongs to the caller.
+// semiring.Inf where it holds none - and belongs to the caller, who serves
+// it or Releases it.
 func RunDirectPanel(ctx context.Context, gh *matrix.Mat[semiring.WH], beta int, inS []bool, workers int) (*disttools.Panel, error) {
 	d := beta
 	if d > gh.N {
@@ -45,13 +46,15 @@ func RunDirectPanel(ctx context.Context, gh *matrix.Mat[semiring.WH], beta int, 
 	return p, nil
 }
 
-// RunDirectMerged is RunDirectPanel in row form: row v of the result is
-// byte-identical to the Dist row RunWithHopset returns at node v against
-// the same artifact.
-func RunDirectMerged(ctx context.Context, gh *matrix.Mat[semiring.WH], beta int, inS []bool, workers int) (*matrix.Mat[semiring.WH], error) {
+// RunDirectMerged is RunDirectPanel in row form: row v of the result holds
+// (s, w) for every entry (s, (w, h)) of the Dist row RunWithHopset returns
+// at node v against the same artifact, in the same order. Hop counts are
+// not an output of the direct path.
+func RunDirectMerged(ctx context.Context, gh *matrix.Mat[semiring.WH], beta int, inS []bool, workers int) (*matrix.Mat[int64], error) {
 	p, err := RunDirectPanel(ctx, gh, beta, inS, workers)
 	if err != nil {
 		return nil, err
 	}
+	defer p.Release()
 	return p.Rows(), nil
 }

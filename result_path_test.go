@@ -2,8 +2,11 @@ package ccsp
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"github.com/congestedclique/ccsp/api"
@@ -11,9 +14,10 @@ import (
 
 // TestQueryAllocsIndependentOfN pins the result path's O(1) shape
 // (DESIGN.md §13): a warm direct-mode distance or mssp query allocates the
-// kernel's panels, one slice of row headers and the response - nothing per
-// node - so the count is the same small number at n = 128 and n = 512, up
-// to the handful of closures each extra detection sweep costs. Before the
+// kernel's answer plane, one slice of row headers and the response -
+// nothing per node - so the count is the same small number at n = 128 and
+// n = 512, up to the handful of closures each extra detection sweep costs
+// (TestMSSPKernelBytes below holds the bytes). Before the
 // one-materialisation rule it was 3n+. A knearest query is ⌈log₂ k⌉
 // filtered squarings on the generic kernel, each a worker's scratch, one
 // arena chunk and the row headers: 8 allocations per node before the
@@ -47,6 +51,112 @@ func TestQueryAllocsIndependentOfN(t *testing.T) {
 	for kind, c := range counts {
 		if math.Abs(c[0]-c[1]) > budget[kind][1] {
 			t.Errorf("%s: %v allocs at n=128 but %v at n=512: the result path allocates per node again", kind, c[0], c[1])
+		}
+	}
+}
+
+// TestMSSPKernelBytes pins what a warm direct-mode MSSP allocates in
+// bytes (DESIGN.md §13, "who owns which buffer"): the n·q·8-byte answer
+// plane, the n row headers over it (24 bytes each, plus the up to 1/8 the
+// allocator's size classes round a slice of that size up by), the
+// engine's n-byte membership vector, and a slack of 2 KiB for everything
+// that does not grow with n - the q source IDs, the result and its Stats,
+// the sweeps' closures. A second plane (n·q·8) coming back into the
+// kernel breaks it at every size below, an n-sized index or source vector
+// (n·4) at n = 1024.
+func TestMSSPKernelBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector: the scratch plane is not reliably warm")
+	}
+	const slack = 2 << 10
+	ctx := context.Background()
+	for _, n := range []int{256, 1024} {
+		eng, err := NewEngine(ctx, testGraph(n, 3*n, 10, int64(n)), Options{Epsilon: 0.5, Execution: ExecDirect, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []int{1, 8} {
+			sources := make([]int, q)
+			for i := range sources {
+				sources[i] = (i*n/q + 1) % n
+			}
+			query := func() {
+				if _, err := eng.MSSP(ctx, sources); err != nil {
+					t.Fatal(err)
+				}
+			}
+			query() // warm: artifact mats merged, scratch pooled
+			const runs = 20
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				query()
+			}
+			runtime.ReadMemStats(&after)
+			got := (after.TotalAlloc - before.TotalAlloc) / runs
+			if budget := uint64(n*q*8 + n*27 + n + slack); got > budget {
+				t.Errorf("n=%d q=%d: a warm MSSP allocates %d bytes, want <= %d (answer %d + row headers %d + membership %d + slack %d)",
+					n, q, got, budget, n*q*8, n*27, n, slack)
+			}
+		}
+	}
+}
+
+// pollCtx is a context whose Err turns context.Canceled from its k-th call
+// on and counts the calls.
+type pollCtx struct {
+	context.Context
+	k     int64
+	calls atomic.Int64
+}
+
+func (c *pollCtx) Err() error {
+	if c.calls.Add(1) >= c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestDirectMSSPCancel: a direct-mode MSSP whose context dies at any of
+// its polls - on entry, before any detection sweep - returns ErrCanceled
+// over context.Canceled, and the buffers the aborted sweep hands back do
+// not poison the kernel's pool: the next query on the same engine answers
+// exactly what a cold engine does.
+func TestDirectMSSPCancel(t *testing.T) {
+	bg := context.Background()
+	opts := Options{Epsilon: 0.5, Execution: ExecDirect}
+	sources := []int{0, 17, 40}
+	newEng := func() *Engine {
+		eng, err := NewEngine(bg, testGraph(96, 120, 10, 23), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	cold, err := newEng().MSSP(bg, sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := newEng()
+	full := &pollCtx{Context: bg, k: math.MaxInt64}
+	if _, err := eng.MSSP(full, sources); err != nil {
+		t.Fatal(err)
+	}
+	polls := full.calls.Load()
+	if polls < 3 {
+		t.Fatalf("a full query polled ctx only %d times: no sweep was covered", polls)
+	}
+	for k := int64(1); k <= polls; k++ {
+		res, err := eng.MSSP(&pollCtx{Context: bg, k: k}, sources)
+		if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("canceled at poll %d of %d: got (%v, %v), want ErrCanceled", k, polls, res, err)
+		}
+		next, err := eng.MSSP(bg, sources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(next.Dist, cold.Dist) {
+			t.Fatalf("the query after a cancel at poll %d differs from a cold engine's", k)
 		}
 	}
 }
