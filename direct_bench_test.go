@@ -89,19 +89,42 @@ func BenchmarkBuildDirect(b *testing.B) {
 	}
 }
 
-// BenchmarkDirectKNearest is the knearestDirect regression benchmark:
-// the routed weight matrix must be built once per engine, not per query,
-// and the filtered squarings own their rows per worker, not per row, so
-// allocs/op must stay flat in the matrix size -
-// TestQueryAllocsIndependentOfN holds it to that.
+// BenchmarkDirectKNearest measures a warm k-nearest query: ⌈log₂ k⌉
+// filtered squarings of the routed weight matrix on the generic row path,
+// k = 4, 8 and 11 being what the serve-bulk workload asks for. The routed
+// matrix is built once per engine, not per query, and the squarings share
+// their scratch and two output slabs, so allocs/op stays flat in the
+// matrix size (TestQueryAllocsIndependentOfN) and B/op near the answer
+// plus the two slabs (TestKNearestKernelBytes).
 func BenchmarkDirectKNearest(b *testing.B) {
+	for _, n := range []int{256, 1024} {
+		for _, k := range []int{4, 8, 11} {
+			b.Run(fmt.Sprintf("n=%d/k=%d", n, k), func(b *testing.B) {
+				eng := benchEngine(b, n)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := eng.KNearest(context.Background(), k); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkDirectAPSP measures a warm (2+ε) weighted APSP (Theorem 28):
+// k-nearest, the through-sets fold, one MSSP and the pivot combine, all
+// into the n×n table that is the answer (TestAPSPKernelBytes holds B/op
+// to that table plus O(n·√n)).
+func BenchmarkDirectAPSP(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			eng := benchEngine(b, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.KNearest(context.Background(), 4); err != nil {
+				if _, err := eng.APSP(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -63,13 +63,10 @@ func (e *estAll) updPanel(p *disttools.Panel) {
 	}
 }
 
-func (e *estAll) updMat(m *matrix.Mat[int64]) {
-	for v, r := range m.Rows {
-		for _, en := range r {
-			e.upd(v, en.Col, en.Val)
-		}
-	}
-}
+// whWeight and plainWeight read an entry's distance for the min-plus
+// folds into the table.
+func whWeight(v semiring.WH) int64 { return v.W }
+func plainWeight(v int64) int64    { return v }
 
 // exactKNearestAll mirrors exactKNearest for all nodes: k-nearest rows
 // plus the symmetric update (u learns d(v,u) for v with u ∈ N_k(v)).
@@ -135,13 +132,40 @@ func pivotCombineAll(e *estAll, p *disttools.Panel, pvs, dpvs []int64) {
 	}
 }
 
-// colSets extracts each row's column set (the hitting-set inputs).
-func colSets(m *matrix.Mat[semiring.WH]) [][]int32 {
+// colSets extracts the column set of every row that holds at least
+// minLen entries (the hitting-set inputs; a shorter row gives the empty
+// set), all cut from one backing array.
+func colSets(m *matrix.Mat[semiring.WH], minLen int) [][]int32 {
 	sets := make([][]int32, m.N)
-	for v := 0; v < m.N; v++ {
-		sets[v] = colsOf(m.Rows[v])
+	backing := make([]int32, 0, m.NNZ())
+	for v, row := range m.Rows {
+		start := len(backing)
+		if len(row) >= minLen {
+			for _, e := range row {
+				backing = append(backing, e.Col)
+			}
+		}
+		sets[v] = backing[start:len(backing):len(backing)]
 	}
 	return sets
+}
+
+// plainWeights is m over the plain min-plus semiring - the weights
+// without the hop counts - minus the diagonal if asked, all rows cut from
+// one backing array.
+func plainWeights(m *matrix.Mat[semiring.WH], dropDiagonal bool) *matrix.Mat[int64] {
+	out := matrix.New[int64](m.N)
+	backing := make([]matrix.Entry[int64], 0, m.NNZ())
+	for v, row := range m.Rows {
+		start := len(backing)
+		for _, en := range row {
+			if !dropDiagonal || int(en.Col) != v {
+				backing = append(backing, matrix.Entry[int64]{Col: en.Col, Val: en.Val.W})
+			}
+		}
+		out.Rows[v] = backing[start:len(backing):len(backing)]
+	}
+	return out
 }
 
 // ThreePlusEpsDirect is the host-side counterpart of
@@ -161,7 +185,7 @@ func ThreePlusEpsDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh *matr
 	if err != nil {
 		return nil, err
 	}
-	inA := hitting.Greedy(n, colSets(knear))
+	inA := hitting.Greedy(n, colSets(knear, 0))
 	res, err := mssp.RunDirectPanel(ctx, gh, beta, inA, workers)
 	if err != nil {
 		return nil, err
@@ -199,17 +223,11 @@ func TwoPlusEpsWeightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh
 		return nil, err
 	}
 	// Line (3): distances through N_k(u) ∩ N_k(v).
-	ests := make([][]disttools.Est, n)
-	for v := 0; v < n; v++ {
-		ests[v] = estsFromRow(knear.Rows[v])
-	}
-	dts, err := disttools.DistThroughSetsAll(ctx, plainMinPlus(sr), n, ests, workers)
-	if err != nil {
+	if err := disttools.FoldThroughSets(ctx, e.rows, knear, whWeight, workers); err != nil {
 		return nil, err
 	}
-	e.updMat(dts)
 	// Line (4): hitting set A of the N_k sets.
-	inA := hitting.Greedy(n, colSets(knear))
+	inA := hitting.Greedy(n, colSets(knear, 0))
 	// Line (5): (1+ε')-approximate MSSP from A over the prebuilt hopset.
 	res, err := mssp.RunDirectPanel(ctx, gh, beta, inA, workers)
 	if err != nil {
@@ -242,17 +260,9 @@ func TwoPlusEpsUnweightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, 
 
 	// --- First phase: shortest paths with a high-degree node. ---
 
-	k := DegreeThreshold(n)
-	sets := make([][]int32, n)
-	for v := 0; v < n; v++ {
-		if len(w.Rows[v]) >= k { // the row includes the diagonal: |N(v)|
-			sets[v] = colsOf(w.Rows[v])
-		} else {
-			sets[v] = make([]int32, 0)
-		}
-	}
-	// Line (2): A hits every high-degree neighborhood.
-	inA := hitting.Greedy(n, sets)
+	// Line (2): A hits every high-degree neighborhood (a row includes the
+	// diagonal: its length is |N(v)|).
+	inA := hitting.Greedy(n, colSets(w, DegreeThreshold(n)))
 	// Line (3): MSSP from A over the prebuilt G hopset.
 	res, err := mssp.RunDirectPanel(ctx, ghG, betaG, inA, workers)
 	if err != nil {
@@ -260,19 +270,11 @@ func TwoPlusEpsUnweightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, 
 	}
 	e.updPanel(res)
 	// Line (4): distances through A.
-	aEsts := make([][]disttools.Est, n)
-	for v, row := range res.Rows().Rows {
-		aEsts[v] = make([]disttools.Est, 0, len(row))
-		for _, en := range row {
-			aEsts[v] = append(aEsts[v], disttools.Est{W: en.Col, To: en.Val, From: en.Val})
-		}
-	}
+	aRows := res.Rows()
 	res.Release()
-	dts, err := disttools.DistThroughSetsAll(ctx, plainMinPlus(sr), n, aEsts, workers)
-	if err != nil {
+	if err := disttools.FoldThroughSets(ctx, e.rows, aRows, plainWeight, workers); err != nil {
 		return nil, err
 	}
-	e.updMat(dts)
 
 	// --- Second phase: shortest paths among low-degree nodes only. ---
 
@@ -284,17 +286,11 @@ func TwoPlusEpsUnweightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, 
 	}
 	e.updMatWH(knearLow)
 	// Line (6): distances through N_{k'}(u) ∩ N_{k'}(v).
-	ests2 := make([][]disttools.Est, n)
-	for v := 0; v < n; v++ {
-		ests2[v] = estsFromRow(knearLow.Rows[v])
-	}
-	dts2, err := disttools.DistThroughSetsAll(ctx, plainMinPlus(sr), n, ests2, workers)
-	if err != nil {
+	if err := disttools.FoldThroughSets(ctx, e.rows, knearLow, whWeight, workers); err != nil {
 		return nil, err
 	}
-	e.updMat(dts2)
 	// Line (7): A' hits the N_{k'} sets of G' nodes.
-	inA2 := hitting.Greedy(n, colSets(knearLow))
+	inA2 := hitting.Greedy(n, colSets(knearLow, 0))
 	// Line (8): sparse MSSP from A' in G' over the prebuilt G' hopset.
 	res2, err := mssp.RunDirectPanel(ctx, ghLow, betaLow, inA2, workers)
 	if err != nil {
@@ -306,25 +302,10 @@ func TwoPlusEpsUnweightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, 
 	pivotCombineAll(e, res2, pvs, dpvs)
 	res2.Release()
 
-	// Lines (11)-(12): the 3-hop triple product M1·M2·M3 over min-plus.
-	pm := plainMinPlus(sr)
-	m1 := matrix.New[int64](n)
-	m2 := matrix.New[int64](n)
-	for v := 0; v < n; v++ {
-		r1 := make(matrix.Row[int64], 0, len(knearLow.Rows[v]))
-		for _, en := range knearLow.Rows[v] {
-			r1 = append(r1, matrix.Entry[int64]{Col: en.Col, Val: en.Val.W})
-		}
-		m1.Rows[v] = r1
-		for _, en := range low.Rows[v] {
-			if int(en.Col) != v {
-				m2.Rows[v] = append(m2.Rows[v], matrix.Entry[int64]{Col: en.Col, Val: en.Val.W})
-			}
-		}
-	}
-	m3 := m1.Transpose()
-	p1 := matmul.KernelMul[int64](pm, m1, m2, workers)
-	p2 := matmul.KernelMul[int64](pm, p1, m3, workers)
-	e.updMat(p2)
+	// Lines (11)-(12): the 3-hop triple product M1·M2·M3 over min-plus,
+	// its last factor folded straight into the table.
+	m1, m2 := plainWeights(knearLow, false), plainWeights(low, true)
+	p1 := matmul.KernelMul[int64](plainMinPlus(sr), m1, m2, workers)
+	matmul.FoldMinPlus(e.rows, p1, plainWeight, m1.Transpose(), workers)
 	return e.rows, nil
 }

@@ -33,13 +33,16 @@ func KNearestAll[E any](ctx context.Context, sr semiring.Ordered[E], w *matrix.M
 	if k > n {
 		k = n
 	}
-	cur := matmul.FilterCols(sr, w, nil, k)
+	// cur and next are the two slabs of one Filtered; the result is one of
+	// them, and nobody writes to it once this call has returned.
+	f := matmul.NewFiltered(sr, n, k, workers)
+	cur := f.FilterCols(w, nil)
 	iters := bits.Len(uint(k - 1)) // ceil(log2 k), as in KNearest
 	for t := 0; t < iters; t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		next := matmul.KernelMulFiltered(sr, cur, cur, k, workers)
+		next := f.Mul(cur, cur)
 		if matrix.Equal[E](sr, next, cur) {
 			break
 		}
@@ -266,12 +269,15 @@ func SourceDetectKAll[E any](ctx context.Context, sr semiring.Ordered[E], w *mat
 	if k > n {
 		k = n
 	}
-	u := matmul.FilterCols(sr, w, inS, k)
+	// No iterate has an entry outside the source columns, so FilterCols
+	// gives rows room for the smaller of k and |S|, whatever k was asked.
+	f := matmul.NewFiltered(sr, n, k, workers)
+	u := f.FilterCols(w, inS)
 	for i := 1; i < d; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		next := matmul.KernelMulFiltered(sr, w, u, k, workers)
+		next := f.Mul(w, u)
 		if matrix.Equal[E](sr, next, u) {
 			break
 		}
@@ -280,41 +286,46 @@ func SourceDetectKAll[E any](ctx context.Context, sr semiring.Ordered[E], w *mat
 	return u, nil
 }
 
-// DistThroughSetsAll solves distance-through-sets (Theorem 20) for every
-// node at once: ests[v] is node v's estimate list, and row v of the
-// result equals what DistThroughSets returns at node v. W2 rows are
-// assembled in ascending sender order, matching the Sync inbox ordering
-// of the collective version.
-func DistThroughSetsAll(ctx context.Context, sr semiring.MinPlus, n int, ests [][]Est, workers int) (*matrix.Mat[int64], error) {
+// FoldThroughSets solves distance-through-sets (Theorem 20) for every
+// node at once and folds the answer into the dense estimate rows instead
+// of returning it: rows[v][u] = min(rows[v][u], δ(v,w) + δ(w,u)) over the
+// w in W_v ∩ W_u. Row v of sets is W_v with v's estimates, read through
+// weight; estimates are symmetric (δ(v,w) = δ(w,v), as between the nodes
+// of an undirected graph), so W_1 is sets itself and W_2 its by-member
+// transpose, built once. Afterwards a table that started at rest holds
+// exactly what DistThroughSets returns at each node, semiring.Inf where
+// that row has no entry. ctx is polled once, before the product.
+func FoldThroughSets[E any](ctx context.Context, rows [][]int64, sets *matrix.Mat[E], weight func(E) int64, workers int) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	// Both matrices hold one entry per estimate: count, then fill one
-	// backing array each (as Mat.Transpose does).
-	total := 0
-	count := make([]int, n)
-	for _, es := range ests {
-		total += len(es)
-		for _, e := range es {
-			count[e.W]++
+	matmul.FoldMinPlus(rows, sets, weight, transposeWeights(sets, weight), workers)
+	return nil
+}
+
+// transposeWeights returns W_2 of Theorem 20: row w holds (v, δ(v,w)) for
+// every v with w in W_v, ascending by v - the Sync inbox order of the
+// collective version - all rows cut from one backing array.
+func transposeWeights[E any](sets *matrix.Mat[E], weight func(E) int64) *matrix.Mat[int64] {
+	n := sets.N
+	count, total := make([]int, n), 0
+	for _, row := range sets.Rows {
+		total += len(row)
+		for _, e := range row {
+			count[e.Col]++
 		}
 	}
-	back1 := make([]matrix.Entry[int64], 0, total)
-	back2 := make([]matrix.Entry[int64], total)
-	w1 := matrix.New[int64](n)
 	w2 := matrix.New[int64](n)
+	backing := make([]matrix.Entry[int64], total)
 	off := 0
 	for u, c := range count {
-		w2.Rows[u] = back2[off : off : off+c]
+		w2.Rows[u] = backing[off : off : off+c]
 		off += c
 	}
-	for v := 0; v < n; v++ {
-		start := len(back1)
-		for _, e := range ests[v] {
-			back1 = append(back1, matrix.Entry[int64]{Col: e.W, Val: e.To})
-			w2.Rows[e.W] = append(w2.Rows[e.W], matrix.Entry[int64]{Col: int32(v), Val: e.From})
+	for v, row := range sets.Rows {
+		for _, e := range row {
+			w2.Rows[e.Col] = append(w2.Rows[e.Col], matrix.Entry[int64]{Col: int32(v), Val: weight(e.Val)})
 		}
-		w1.Rows[v] = matrix.SortRow(back1[start:len(back1):len(back1)])
 	}
-	return matmul.KernelMul(sr, w1, w2, workers), nil
+	return w2
 }

@@ -1,0 +1,169 @@
+package disttools
+
+import (
+	"context"
+	"errors"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+
+	"github.com/congestedclique/ccsp/internal/cc"
+	"github.com/congestedclique/ccsp/internal/matrix"
+	"github.com/congestedclique/ccsp/internal/semiring"
+)
+
+// checkThroughSets folds the through-sets of a sets matrix into a table at
+// rest at every worker count and compares it, row for row, with what the
+// simulated DistThroughSets returns at each node of a clique: the row's
+// entries where it has them, semiring.Inf everywhere else.
+func checkThroughSets[E any](t *testing.T, name string, sets *matrix.Mat[E], weight func(E) int64) {
+	t.Helper()
+	n := sets.N
+	sr := semiring.NewMinPlus(1 << 40)
+	want := matrix.New[int64](n)
+	_, err := cc.Run(context.Background(), cc.Config{N: n}, func(nd *cc.Node) error {
+		var ests []Est
+		for _, e := range sets.Rows[nd.ID] {
+			ests = append(ests, Est{W: e.Col, To: weight(e.Val), From: weight(e.Val)})
+		}
+		row, err := DistThroughSets(nd, sr, ests)
+		want.Rows[nd.ID] = row
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4, 0} {
+		table := make([][]int64, n)
+		for v := range table {
+			table[v] = make([]int64, n)
+			for u := range table[v] {
+				table[v][u] = semiring.Inf
+			}
+		}
+		if err := FoldThroughSets(context.Background(), table, sets, weight, workers); err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < n; v++ {
+			row := make([]int64, n)
+			for u := range row {
+				row[u] = semiring.Inf
+			}
+			for _, e := range want.Rows[v] {
+				row[e.Col] = e.Val
+			}
+			if !slices.Equal(table[v], row) {
+				t.Fatalf("%s workers=%d: node %d folds to %v, the simulated row is %v", name, workers, v, table[v], want.Rows[v])
+			}
+		}
+	}
+}
+
+// TestFoldThroughSetsMatchesSimulated anchors the direct through-sets
+// step to the collective one on the two shapes the APSP variants feed it:
+// k-nearest rows over the augmented semiring (weighted line 3, unweighted
+// line 6) and arbitrary plain-weight sets with empty and singleton members
+// (unweighted line 4's hitting-set rows).
+func TestFoldThroughSetsMatchesSimulated(t *testing.T) {
+	g := randGraph(40, 60, 9, 11)
+	knear, err := KNearestAll[semiring.WH](context.Background(), g.AugSemiring(), g.WeightMatrix(), 7, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkThroughSets(t, "k-nearest rows", knear, func(v semiring.WH) int64 { return v.W })
+
+	rng := rand.New(rand.NewSource(5))
+	n := 36
+	sets := matrix.New[int64](n)
+	mp := semiring.NewMinPlus(1 << 40)
+	for v := 0; v < n; v++ {
+		for c := 0; c < v%5; c++ { // every fifth node has an empty set
+			sets.Set(mp, v, rng.Intn(n), rng.Int63n(50)+1)
+		}
+	}
+	checkThroughSets(t, "random sets", sets, func(v int64) int64 { return v })
+}
+
+// TestFoldThroughSetsCancel: the fold keeps the one poll DistThroughSetsAll
+// had, before anything is built, and a dead context leaves the table alone.
+func TestFoldThroughSetsCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sets := matrix.New[int64](2)
+	sets.Rows[0] = matrix.Row[int64]{{Col: 1, Val: 1}}
+	sets.Rows[1] = matrix.Row[int64]{{Col: 1, Val: 1}}
+	table := [][]int64{{semiring.Inf, semiring.Inf}, {semiring.Inf, semiring.Inf}}
+	if err := FoldThroughSets(ctx, table, sets, func(v int64) int64 { return v }, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if table[0][1] != semiring.Inf {
+		t.Error("a canceled fold wrote to the table")
+	}
+}
+
+// allocatedBy is the bytes one call of fn allocates.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSourceDetectKAllBytesFollowSources pins the slab width rule on the
+// one kind whose k arrives over the wire: rows are as wide as the smaller
+// of k and |S|, so a detection with k = n and two sources allocates
+// O(n·|S|) - two slabs of at most n·2 entries, their row headers, one
+// worker's n-sized scratch - and not two slabs with a window per product
+// of every row (|S| per neighbor: 0.8 MB at this n and degree), which is
+// all that k alone would promise.
+func TestSourceDetectKAllBytesFollowSources(t *testing.T) {
+	const n = 512
+	g := randGraph(n, 3*n, 10, 9)
+	sr, w := g.AugSemiring(), g.WeightMatrix()
+	inS := make([]bool, n)
+	inS[3], inS[400] = true, true
+	var got *matrix.Mat[semiring.WH]
+	bytes := allocatedBy(func() {
+		var err error
+		if got, err = SourceDetectKAll[semiring.WH](context.Background(), sr, w, inS, 6, n, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// 2 slabs · n·2 entries · 24 B + 2 · n headers · 24 B + scratch
+	// (accumulators, touched list, row buffer, rank scratch: ~70 B · n).
+	if budget := uint64(2*n*2*24 + 2*n*24 + 96*n + 4<<10); bytes > budget {
+		t.Errorf("k=n, |S|=2 at n=%d allocates %d bytes, want <= %d: the slabs follow k, not the sources", n, bytes, budget)
+	}
+	sameRows(t, "k=n, |S|=2", got, sourceDetectKAllRef[semiring.WH](sr, w, inS, 6, n))
+}
+
+// TestKNearestAllResultIsNotReused: the matrix KNearestAll returns lives
+// in a slab of that call's own products, so a later call - same inputs or
+// not, any worker count - never writes to it, and its rows end at their
+// own capacity: an append to one cannot reach the next. Run under -race.
+func TestKNearestAllResultIsNotReused(t *testing.T) {
+	g := randGraph(100, 150, 9, 21)
+	sr, w := g.RoutedSemiring(), routedMatrix(g)
+	for _, workers := range []int{1, 2, 4, 0} {
+		first, err := KNearestAll(context.Background(), sr, w, 6, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := matrix.New[semiring.WHF](first.N)
+		for v, r := range first.Rows {
+			held.Rows[v] = slices.Clone(r)
+		}
+		for _, k := range []int{6, 3, 9} {
+			if _, err := KNearestAll(context.Background(), sr, w, k, workers); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sameRows(t, "held result after later calls", first, held)
+		for v := 0; v+1 < first.N; v++ {
+			_ = append(first.Rows[v], matrix.Entry[semiring.WHF]{Col: -7})
+		}
+		sameRows(t, "held result after appends to its rows", first, held)
+	}
+}

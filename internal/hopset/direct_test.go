@@ -71,7 +71,7 @@ func buildDirectRef(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[s
 	// fixpoint exit.
 	knear := matrix.Filter[semiring.WH](sr, w, k)
 	for t := 0; t < bits.Len(uint(k-1)); t++ {
-		knear = matmul.KernelMulFiltered[semiring.WH](sr, knear, knear, k, workers)
+		knear = matmul.NewFiltered[semiring.WH](sr, knear.N, k, workers).Mul(knear, knear)
 	}
 	sets := make([][]int32, n)
 	for v := 0; v < n; v++ {

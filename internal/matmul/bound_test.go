@@ -156,9 +156,47 @@ func sameFiltered[E comparable](sr semiring.Ordered[E], s, t *matrix.Mat[E], rho
 	return nil
 }
 
+// sameShared runs three successive products through one shared Filtered -
+// a = Filter(S·T), b = Filter(T·a), c = Filter(b·b), so the view is laid
+// out for three different right operands (bounded or not as each falls)
+// and the third product writes the slab the first one left - and compares
+// each with the one-shot kernel on copies of the same operands. a is
+// compared again after b exists: the product in between must not touch it.
+func sameShared[E comparable](sr semiring.Ordered[E], s, t *matrix.Mat[E], rho int) error {
+	for _, in := range [][2]*matrix.Mat[E]{{s, t}, {tiled(s), tiled(t)}} {
+		for _, workers := range []int{1, 3} {
+			f := NewFiltered(sr, in[0].N, rho, workers)
+			check := func(what string, got, want *matrix.Mat[E]) error {
+				for v := range want.Rows {
+					if !slices.Equal(got.Rows[v], want.Rows[v]) {
+						return fmt.Errorf("shared %s n=%d rho=%d workers=%d row %d = %v, want %v", what, in[0].N, rho, workers, v, got.Rows[v], want.Rows[v])
+					}
+				}
+				return nil
+			}
+			a, wantA := f.Mul(in[0], in[1]), NewFiltered(sr, in[0].N, rho, workers).Mul(in[0], in[1])
+			if err := check("S·T", a, wantA); err != nil {
+				return err
+			}
+			b, wantB := f.Mul(in[1], a), NewFiltered(sr, in[1].N, rho, workers).Mul(in[1], wantA)
+			if err := check("T·a", b, wantB); err != nil {
+				return err
+			}
+			if err := check("S·T after T·a", a, wantA); err != nil {
+				return err
+			}
+			if err := check("b·b", f.Mul(b, b), NewFiltered(sr, wantB.N, rho, workers).Mul(wantB, wantB)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // checkBoundCase runs both filtered kernels on one decoded case: the
-// specialized one over WH (through the dispatching entry point too) and
-// the generic one over the same matrices with witnesses.
+// specialized one over WH (through NewFiltered's dispatch too) and
+// the generic one over the same matrices with witnesses, each as one-shot
+// products and as successive products of one shared Filtered.
 func checkBoundCase(s, t *matrix.Mat[semiring.WH], rho int) error {
 	aug := semiring.AugMinPlus{MaxW: semiring.Inf, MaxH: 4}
 	if err := sameFiltered[semiring.WH](aug, s, t, rho, func(s, t *matrix.Mat[semiring.WH], workers int) *matrix.Mat[semiring.WH] {
@@ -167,14 +205,20 @@ func checkBoundCase(s, t *matrix.Mat[semiring.WH], rho int) error {
 		return fmt.Errorf("WH: %w", err)
 	}
 	if err := sameFiltered[semiring.WH](aug, s, t, rho, func(s, t *matrix.Mat[semiring.WH], workers int) *matrix.Mat[semiring.WH] {
-		return KernelMulFiltered[semiring.WH](aug, s, t, rho, workers)
+		return NewFiltered[semiring.WH](aug, s.N, rho, workers).Mul(s, t)
 	}); err != nil {
 		return fmt.Errorf("WH dispatch: %w", err)
 	}
 	rt := semiring.RoutedMinPlus{MaxW: semiring.Inf, MaxH: 4}
 	if err := sameFiltered[semiring.WHF](rt, routed(s, 0), routed(t, 1), rho, func(s, t *matrix.Mat[semiring.WHF], workers int) *matrix.Mat[semiring.WHF] {
-		return KernelMulFiltered[semiring.WHF](rt, s, t, rho, workers)
+		return NewFiltered[semiring.WHF](rt, s.N, rho, workers).Mul(s, t)
 	}); err != nil {
+		return fmt.Errorf("WHF: %w", err)
+	}
+	if err := sameShared[semiring.WH](aug, s, t, rho); err != nil {
+		return fmt.Errorf("WH: %w", err)
+	}
+	if err := sameShared[semiring.WHF](rt, routed(s, 0), routed(t, 1), rho); err != nil {
 		return fmt.Errorf("WHF: %w", err)
 	}
 	return nil
@@ -203,15 +247,21 @@ func TestKernelMulFilteredOnTheBound(t *testing.T) {
 // under τ = 6 and none of the heavier ones.
 func TestBoundedPathTaken(t *testing.T) {
 	s, tm, rho := boundCase(boundCases()["ties-at-tau"])
-	if sortByWeight(tm, rho+1, 1) != nil {
+	aug := semiring.AugMinPlus{MaxW: semiring.Inf, MaxH: 4}
+	begun := func(rho int) *whKernel {
+		f := newFiltered[semiring.WH](aug, s.N, rho, 1, true)
+		f.kernel.begin(tm, 0, f.run)
+		return f.kernel.(*whKernel)
+	}
+	if begun(rho + 1).bounded {
 		t.Errorf("no row of T has %d entries, yet a bounded view was built", rho+1)
 	}
-	view := sortByWeight(tm, rho, 1)
-	if view == nil {
+	k := begun(rho)
+	if !k.bounded {
 		t.Fatalf("T_0 has %d entries: the product must take the bounded path", rho)
 	}
 	before := ProductsAccumulated()
-	row := newWHWorker(s.N, rho).mulRowBounded(s.Rows[0], view)
+	row := k.worker(0).mulRowBounded(s.Rows[0], &k.view)
 	if got := ProductsAccumulated() - before; got != 6 {
 		t.Errorf("row 0 accumulated %d products, want 6 of its 7 (the one at W = 7 is past τ)", got)
 	}
@@ -223,7 +273,8 @@ func TestBoundedPathTaken(t *testing.T) {
 }
 
 // FuzzKernelMulFiltered fuzzes both filtered kernels against
-// Filter ∘ MulRef from the adversarial cases.
+// Filter ∘ MulRef from the adversarial cases, and three successive products
+// of one shared Filtered against the one-shot kernels.
 func FuzzKernelMulFiltered(f *testing.F) {
 	for _, data := range boundCases() {
 		f.Add(data)

@@ -28,7 +28,8 @@
 // bookkeeping plus a sort. Both paths produce identical rows, so the
 // selection is invisible to callers and to the differential oracle.
 //
-// KernelMulFilteredWH adds a third row path, the bounded product: when
+// The ρ-filtered product (whKernel: KernelMulFilteredWH and every
+// Filtered over WH) adds a third row path, the bounded product: when
 // some row of T holds at least ρ entries, T's rows are re-laid out once,
 // ascending by weight, and each output row i first derives a weight
 // bound τ_i - the least s.W plus the ρ-th lightest weight of T_j over
@@ -53,25 +54,23 @@ import (
 // whWorker is one kernel worker's reusable scratch: flat weight/hop
 // accumulators (rest state (Inf, Inf) everywhere), the touched-column
 // list of the sparse path and the touched-column bitmap of the bounded
-// one, a reusable row build buffer, the filter's rank scratch, and the
-// arena the finished rows are placed in.
+// one, a reusable row build buffer (also the by-weight view's sort
+// buffer, between products) and the filter's rank scratch.
 type whWorker struct {
 	accW, accH []int64
 	touched    []int32
 	rowBuf     []matrix.Entry[semiring.WH]
 	mark       []uint64
 	ranks      []int64
-	arena      rowArena[semiring.WH]
 }
 
-func newWHWorker(n, perRow int) *whWorker {
+func newWHWorker(n int) *whWorker {
 	w := &whWorker{
 		accW:    make([]int64, n),
 		accH:    make([]int64, n),
 		touched: make([]int32, 0, n),
 		rowBuf:  make([]matrix.Entry[semiring.WH], 0, n),
 		mark:    make([]uint64, (n+63)/64),
-		arena:   newRowArena[semiring.WH](n, perRow),
 	}
 	for j := 0; j < n; j++ {
 		w.accW[j] = semiring.Inf
@@ -81,9 +80,9 @@ func newWHWorker(n, perRow int) *whWorker {
 }
 
 // mulRow computes row srow · T into the worker's scratch and returns the
-// finished row in rowBuf (valid until the next call; callers must copy
-// it out, e.g. via arena.place). The accumulators are restored to their
-// (Inf, Inf) rest state before returning.
+// finished row in rowBuf (valid until the next call; callers copy or
+// filter it out). The accumulators are restored to their (Inf, Inf) rest
+// state before returning.
 func (wk *whWorker) mulRow(srow matrix.Row[semiring.WH], t *matrix.Mat[semiring.WH]) []matrix.Entry[semiring.WH] {
 	n := t.N
 	products := 0
@@ -162,7 +161,8 @@ func (wk *whWorker) mulRow(srow matrix.Row[semiring.WH], t *matrix.Mat[semiring.
 // whByWeight is T re-laid out for the bounded product: row j occupies
 // [off[j], off[j+1]) of three parallel arrays, ascending by weight, and
 // kth[j] is the weight of its rho-th lightest entry (semiring.Inf when it
-// holds fewer than rho).
+// holds fewer than rho). The arrays belong to the whKernel running the
+// products, which lays them out again for each new T.
 type whByWeight struct {
 	off  []int
 	col  []int32
@@ -170,42 +170,78 @@ type whByWeight struct {
 	kth  []int64
 }
 
-// sortByWeight builds the bounded product's view of t, or returns nil
-// when no row of t holds rho entries: no output row then has a bound, and
-// one O(n) look at the row lengths finds that out before anything is
-// allocated or sorted.
-func sortByWeight(t *matrix.Mat[semiring.WH], rho, workers int) *whByWeight {
-	if !slices.ContainsFunc(t.Rows, func(row matrix.Row[semiring.WH]) bool { return len(row) >= rho }) {
-		return nil
+// whKernel computes the rows of successive ρ-filtered products over
+// semiring.WH for a Filtered (kernel_filtered.go): bounded when t gives a
+// weight bound, dense-tile or sparse otherwise. It owns the scratch of
+// every pass worker and the by-weight view, and keeps both from one
+// product to the next.
+type whKernel struct {
+	sr      semiring.Ordered[semiring.WH]
+	n, rho  int
+	ws      []*whWorker
+	view    whByWeight
+	bounded bool // the view holds the current t
+}
+
+func (k *whKernel) worker(w int) *whWorker {
+	if k.ws[w] == nil {
+		k.ws[w] = newWHWorker(k.n)
+	}
+	return k.ws[w]
+}
+
+// begin lays the view out for t, or finds that no row of t holds rho
+// entries: no output row then has a bound, and one O(n) look at the row
+// lengths finds that out before anything is allocated or sorted. The
+// entry arrays grow to the larger of t's entries and reserve, so a run of
+// products allocates them once; each row is sorted in its pass worker's
+// row buffer.
+func (k *whKernel) begin(t *matrix.Mat[semiring.WH], reserve int, run func(func(worker, row int))) {
+	rho, v := k.rho, &k.view
+	k.bounded = slices.ContainsFunc(t.Rows, func(row matrix.Row[semiring.WH]) bool { return len(row) >= rho })
+	if !k.bounded {
+		return
 	}
 	n := t.N
-	off := make([]int, n+1)
+	if v.off == nil {
+		v.off, v.kth = make([]int, n+1), make([]int64, n)
+	}
+	off := v.off
 	for j, row := range t.Rows {
 		off[j+1] = off[j] + len(row)
 	}
-	v := &whByWeight{
-		off: off,
-		col: make([]int32, off[n]),
-		w:   make([]int64, off[n]),
-		h:   make([]int64, off[n]),
-		kth: make([]int64, n),
+	if total := off[n]; cap(v.col) < total {
+		c := max(total, reserve)
+		v.col, v.w, v.h = make([]int32, c), make([]int64, c), make([]int64, c)
 	}
-	runRows(n, workers, func() func(int) {
-		var tmp []matrix.Entry[semiring.WH]
-		return func(j int) {
-			tmp = append(tmp[:0], t.Rows[j]...)
-			slices.SortFunc(tmp, func(a, b matrix.Entry[semiring.WH]) int { return cmp.Compare(a.Val.W, b.Val.W) })
-			lo := off[j]
-			for p, e := range tmp {
-				v.col[lo+p], v.w[lo+p], v.h[lo+p] = e.Col, e.Val.W, e.Val.H
-			}
-			v.kth[j] = semiring.Inf
-			if len(tmp) >= rho {
-				v.kth[j] = tmp[rho-1].Val.W
-			}
+	run(func(wi, j int) {
+		wk := k.worker(wi)
+		tmp := append(wk.rowBuf[:0], t.Rows[j]...)
+		slices.SortFunc(tmp, func(a, b matrix.Entry[semiring.WH]) int { return cmp.Compare(a.Val.W, b.Val.W) })
+		lo := off[j]
+		for p, e := range tmp {
+			v.col[lo+p], v.w[lo+p], v.h[lo+p] = e.Col, e.Val.W, e.Val.H
 		}
+		v.kth[j] = semiring.Inf
+		if len(tmp) >= rho {
+			v.kth[j] = tmp[rho-1].Val.W
+		}
+		wk.rowBuf = tmp
 	})
-	return v
+}
+
+// row appends the filtered product row srow·T to dst: the row - bounded
+// when begin found a bound, full otherwise - accumulates in the worker's
+// scratch and only its ρ surviving entries are written out.
+func (k *whKernel) row(w int, srow matrix.Row[semiring.WH], t *matrix.Mat[semiring.WH], dst matrix.Row[semiring.WH]) matrix.Row[semiring.WH] {
+	wk := k.worker(w)
+	var row []matrix.Entry[semiring.WH]
+	if k.bounded {
+		row = wk.mulRowBounded(srow, &k.view)
+	} else {
+		row = wk.mulRow(srow, t)
+	}
+	return matrix.FilterRowAppend(k.sr, dst, row, k.rho, &wk.ranks)
 }
 
 // mulRowBounded computes the entries of row srow · T that a rho-filter
@@ -274,38 +310,20 @@ func KernelMulWH(s, t *matrix.Mat[semiring.WH], workers int) *matrix.Mat[semirin
 	n := s.N
 	p := matrix.New[semiring.WH](n)
 	runRows(n, workers, func() func(int) {
-		wk := newWHWorker(n, n)
+		wk, arena := newWHWorker(n), newRowArena[semiring.WH](n, n)
 		return func(i int) {
-			p.Rows[i] = wk.arena.place(wk.mulRow(s.Rows[i], t))
+			p.Rows[i] = arena.place(wk.mulRow(s.Rows[i], t))
 		}
 	})
 	return p
 }
 
 // KernelMulFilteredWH computes the ρ-filtered product Filter(S·T, rho)
-// with the specialized kernel: the row - bounded when t gives a bound,
-// full otherwise - accumulates in reusable scratch and is filtered there
-// in place; only the ρ surviving entries are copied into the arena. sr
+// with the specialized row paths, as one product on a fresh Filtered: the
+// row - bounded when t gives a bound, full otherwise - accumulates in
+// reusable scratch and only its ρ surviving entries are written out. sr
 // supplies the (Rank, column) filter order of §2.2 and must rank by
 // (W, H) lexicographically, as semiring.AugMinPlus does.
 func KernelMulFilteredWH(sr semiring.Ordered[semiring.WH], s, t *matrix.Mat[semiring.WH], rho, workers int) *matrix.Mat[semiring.WH] {
-	n := s.N
-	p := matrix.New[semiring.WH](n)
-	if rho < 1 {
-		return p // the filter keeps nothing
-	}
-	byWeight := sortByWeight(t, rho, workers)
-	runRows(n, workers, func() func(int) {
-		wk := newWHWorker(n, rho)
-		return func(i int) {
-			var row []matrix.Entry[semiring.WH]
-			if byWeight != nil {
-				row = wk.mulRowBounded(s.Rows[i], byWeight)
-			} else {
-				row = wk.mulRow(s.Rows[i], t)
-			}
-			p.Rows[i] = wk.arena.place(matrix.FilterRowAppend(sr, row[:0], row, rho, &wk.ranks))
-		}
-	})
-	return p
+	return newFiltered(sr, s.N, rho, workers, true).Mul(s, t)
 }

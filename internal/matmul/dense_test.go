@@ -132,7 +132,7 @@ func TestKernelMulFilteredWHEquivalence(t *testing.T) {
 				t.Logf("workers=%d differs (n=%d rho=%d)", workers, n, rho)
 				return false
 			}
-			if !sameMatWH(t, KernelMulFiltered[semiring.WH](sr, s, tm, rho, workers), want, "filtered dispatch") {
+			if !sameMatWH(t, NewFiltered[semiring.WH](sr, s.N, rho, workers).Mul(s, tm), want, "filtered dispatch") {
 				t.Logf("dispatch workers=%d differs (n=%d rho=%d)", workers, n, rho)
 				return false
 			}

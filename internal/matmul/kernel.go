@@ -4,8 +4,8 @@
 // direct execution mode of DESIGN.md §12 - the same products can be
 // computed on flat, cache-blocked matrices with a worker pool and zero
 // message construction. KernelMul is row-for-row equal to matrix.MulRef
-// (and therefore to the distributed Multiply), and KernelMulFiltered
-// equals matrix.Filter ∘ matrix.MulRef (and therefore MultiplyFiltered):
+// (and therefore to the distributed Multiply), and Filtered.Mul equals
+// matrix.Filter ∘ matrix.MulRef (and therefore MultiplyFiltered):
 // rows are independent, the scratch accumulators replicate MulRef's
 // accumulation exactly, and semiring addition is commutative, so the
 // output is byte-identical for every worker count.
@@ -125,31 +125,28 @@ func (a *rowArena[E]) place(src []matrix.Entry[E]) matrix.Row[E] {
 
 // genWorker is one generic-kernel worker's reusable scratch: MulRef's
 // column accumulators and first-touch list, the row build buffer the
-// product row (and its in-place filter) lives in, the filter's rank
-// scratch, and the arena finished rows are placed in.
+// product row lives in, and the filter's rank scratch.
 type genWorker[E any] struct {
 	acc     []E
 	hit     []bool
 	touched []int32
 	rowBuf  []matrix.Entry[E]
 	ranks   []int64
-	arena   rowArena[E]
 }
 
-func newGenWorker[E any](n, perRow int) *genWorker[E] {
+func newGenWorker[E any](n int) *genWorker[E] {
 	return &genWorker[E]{
 		acc:     make([]E, n),
 		hit:     make([]bool, n),
 		touched: make([]int32, 0, n),
 		rowBuf:  make([]matrix.Entry[E], 0, n),
-		arena:   newRowArena[E](n, perRow),
 	}
 }
 
 // mulRow computes row srow · T into the worker's scratch, exactly like
 // the inner loop of matrix.MulRef: accumulate products column-wise, drop
 // semiring zeros, emit by ascending column. The row is returned in rowBuf
-// (valid until the next call; callers copy it out via arena.place).
+// (valid until the next call; callers copy or filter it out).
 func (wk *genWorker[E]) mulRow(sr semiring.Semiring[E], srow matrix.Row[E], t *matrix.Mat[E]) []matrix.Entry[E] {
 	acc, hit := wk.acc, wk.hit
 	tch := wk.touched[:0]
@@ -179,6 +176,25 @@ func (wk *genWorker[E]) mulRow(sr semiring.Semiring[E], srow matrix.Row[E], t *m
 	}
 	wk.touched, wk.rowBuf = tch, buf
 	return buf
+}
+
+// genKernel computes the rows of successive ρ-filtered products for a
+// Filtered (kernel_filtered.go) with the generic reference accumulation,
+// keeping every pass worker's scratch from one product to the next.
+type genKernel[E any] struct {
+	sr     semiring.Ordered[E]
+	n, rho int
+	ws     []*genWorker[E]
+}
+
+func (k *genKernel[E]) begin(*matrix.Mat[E], int, func(func(worker, row int))) {}
+
+func (k *genKernel[E]) row(w int, srow matrix.Row[E], t *matrix.Mat[E], dst matrix.Row[E]) matrix.Row[E] {
+	if k.ws[w] == nil {
+		k.ws[w] = newGenWorker[E](k.n)
+	}
+	wk := k.ws[w]
+	return matrix.FilterRowAppend(k.sr, dst, wk.mulRow(k.sr, srow, t), k.rho, &wk.ranks)
 }
 
 // productsAccumulated counts the semiring products the host-side kernels
@@ -214,71 +230,48 @@ func KernelMulGeneric[E any](sr semiring.Semiring[E], s, t *matrix.Mat[E], worke
 	n := s.N
 	p := matrix.New[E](n)
 	runRows(n, workers, func() func(int) {
-		wk := newGenWorker[E](n, n)
+		wk, arena := newGenWorker[E](n), newRowArena[E](n, n)
 		return func(i int) {
-			p.Rows[i] = wk.arena.place(wk.mulRow(sr, s.Rows[i], t))
+			p.Rows[i] = arena.place(wk.mulRow(sr, s.Rows[i], t))
 		}
 	})
 	return p
 }
 
-// KernelMulFiltered computes the ρ-filtered product Filter(S·T, rho) on
-// the host: each output row keeps its rho smallest entries under the
-// (Rank, column) order of §2.2. It equals
-// matrix.Filter(sr, matrix.MulRef(sr, s, t), rho) - and therefore the
-// distributed MultiplyFiltered - at every worker count. Augmented
-// min-plus products dispatch to the specialized flat kernel (dense.go).
-func KernelMulFiltered[E any](sr semiring.Ordered[E], s, t *matrix.Mat[E], rho, workers int) *matrix.Mat[E] {
-	if aug, ok := any(sr).(semiring.AugMinPlus); ok {
-		p := KernelMulFilteredWH(aug, any(s).(*matrix.Mat[semiring.WH]), any(t).(*matrix.Mat[semiring.WH]), rho, workers)
-		return any(p).(*matrix.Mat[E])
-	}
-	return KernelMulFilteredGeneric(sr, s, t, rho, workers)
+// FoldMinPlus folds the min-plus product S·T into dense rows without
+// materializing it: rows[i][j] = min(rows[i][j], w(S[i][k]) + T[k][j])
+// over every k, where w reads the weight of an entry of S. Row i of the
+// table is written by the one worker that owns row i, straight from the
+// products: no accumulator, no touched list, no sort, no output matrix.
+// A product at or above semiring.Inf never undercuts a cell, which is
+// MinPlus.Mul's saturation and the generic kernel's drop of zero entries
+// in the one comparison; min is monotone and commutative, so a table whose
+// cells are at most Inf ends up exactly as if KernelMul(S, T) had been
+// computed and min-ed in cell by cell, at every worker count. Operands are
+// at most Inf = 2^60, so a sum cannot overflow.
+func FoldMinPlus[E any](rows [][]int64, s *matrix.Mat[E], w func(E) int64, t *matrix.Mat[int64], workers int) {
+	runRows(s.N, workers, func() func(int) {
+		return func(i int) {
+			row := rows[i]
+			products := 0
+			for _, es := range s.Rows[i] {
+				ew, trow := w(es.Val), t.Rows[es.Col]
+				products += len(trow)
+				for _, et := range trow {
+					if x := ew + et.Val; x < row[et.Col] {
+						row[et.Col] = x
+					}
+				}
+			}
+			productsAccumulated.Add(int64(products))
+		}
+	})
 }
 
 // KernelMulFilteredGeneric is the generic reference filtered kernel; see
-// KernelMulGeneric. The full row is filtered in place in the worker's
-// row buffer and only the survivors are copied out.
+// KernelMulGeneric. It is one product on a fresh Filtered
+// (kernel_filtered.go) held to the generic row path over every semiring,
+// the augmented one included.
 func KernelMulFilteredGeneric[E any](sr semiring.Ordered[E], s, t *matrix.Mat[E], rho, workers int) *matrix.Mat[E] {
-	n := s.N
-	p := matrix.New[E](n)
-	runRows(n, workers, func() func(int) {
-		wk := newGenWorker[E](n, rho)
-		return func(i int) {
-			row := wk.mulRow(sr, s.Rows[i], t)
-			p.Rows[i] = wk.arena.place(matrix.FilterRowAppend(sr, row[:0], row, rho, &wk.ranks))
-		}
-	})
-	return p
-}
-
-// FilterCols returns Filter(M restricted to the columns marked in cols,
-// rho), the first iterate of both direct detection loops (KNearestAll,
-// SourceDetectKAll); a nil cols keeps every column. Rows are built in one
-// reusable buffer and placed in one arena, like a filtered product's; a
-// row that needs neither restricting nor filtering is shared with m.
-func FilterCols[E any](sr semiring.Ordered[E], m *matrix.Mat[E], cols []bool, rho int) *matrix.Mat[E] {
-	n := m.N
-	out := matrix.New[E](n)
-	arena := newRowArena[E](n, rho)
-	var buf matrix.Row[E]
-	var ranks []int64
-	for v, row := range m.Rows {
-		if cols == nil && len(row) <= rho {
-			out.Rows[v] = row
-			continue
-		}
-		if cols != nil {
-			buf = buf[:0]
-			for _, e := range row {
-				if cols[e.Col] {
-					buf = append(buf, e)
-				}
-			}
-			row = buf
-		}
-		buf = matrix.FilterRowAppend(sr, buf[:0], row, rho, &ranks)
-		out.Rows[v] = arena.place(buf)
-	}
-	return out
+	return newFiltered(sr, s.N, rho, workers, false).Mul(s, t)
 }

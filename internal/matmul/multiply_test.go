@@ -232,10 +232,3 @@ func isqrt(n int) int {
 	}
 	return r
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -216,7 +216,7 @@ func TestKernelMulFilteredEquivalence(t *testing.T) {
 		tm := randMat(n, d, seed+501)
 		want := matrix.Filter[int64](sr, matrix.MulRef[int64](sr, s, tm), rho)
 		for _, workers := range []int{1, 3, 8} {
-			if !matrix.Equal[int64](sr, KernelMulFiltered[int64](sr, s, tm, rho, workers), want) {
+			if !matrix.Equal[int64](sr, NewFiltered[int64](sr, s.N, rho, workers).Mul(s, tm), want) {
 				t.Logf("workers=%d differs (n=%d rho=%d)", workers, n, rho)
 				return false
 			}

@@ -19,16 +19,20 @@ import (
 // n = 512, up to the handful of closures each extra detection sweep costs
 // (TestMSSPKernelBytes below holds the bytes). Before the
 // one-materialisation rule it was 3n+. A knearest query is ⌈log₂ k⌉
-// filtered squarings on the generic kernel, each a worker's scratch, one
-// arena chunk and the row headers: 8 allocations per node before the
-// kernels owned their rows.
+// filtered squarings on the generic kernel that share one worker's
+// scratch, two output slabs and two sets of row headers, then one backing
+// array of neighbors; an apsp adds the estimate table, the by-weight view,
+// the through-sets transpose, the hitting-set inputs and an MSSP, each one
+// backing array and one set of headers - 2n+ allocations before the
+// kernels stopped building anything per node.
 func TestQueryAllocsIndependentOfN(t *testing.T) {
 	ctx := context.Background()
-	reqs := []api.Request{api.Distance(1, 100), api.MSSP(0, 9, 18, 27, 36, 45, 54, 63), api.KNearest(8)}
+	reqs := []api.Request{api.Distance(1, 100), api.MSSP(0, 9, 18, 27, 36, 45, 54, 63), api.KNearest(8), api.APSP(api.APSPWeighted)}
 	budget := map[api.Kind][2]float64{ // allocations per query, spread between the two sizes
 		api.KindDistance: {100, 16},
 		api.KindMSSP:     {100, 16},
-		api.KindKNearest: {200, 32},
+		api.KindKNearest: {64, 16},
+		api.KindAPSP:     {200, 32},
 	}
 	counts := make(map[api.Kind][]float64)
 	for _, n := range []int{128, 512} {
@@ -102,6 +106,91 @@ func TestMSSPKernelBytes(t *testing.T) {
 	}
 }
 
+// warmBytes is what one warm call of query allocates, for the two
+// large-answer pins below: the least of runs calls. An APSP allocates more
+// than the live heap per call, so the collector runs inside most calls and
+// now and then empties the pool its MSSP stage takes its planes from; such
+// a call reads n·|A|·8 high and says nothing about the kernels pinned
+// here. (TestMSSPKernelBytes, whose calls are small, holds the mean.)
+func warmBytes(runs int, query func()) uint64 {
+	query() // warm: artifact mats merged, scratch pooled
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < runs; i++ {
+		runtime.ReadMemStats(&before)
+		query()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestAPSPKernelBytes pins what a warm direct-mode (2+ε) weighted APSP
+// allocates (DESIGN.md §13, "large answers allocate the answer"): the
+// n²·8-byte table that is the answer, plus c·n·⌈√n⌉ for what is sized by
+// the k = ⌈√n⌉ nearest of every node, c = 96 bytes: the two slabs the
+// filtered squarings alternate between (2 × 24 per entry), the by-weight
+// view of the bounded product (4 + 8 + 8), the through-sets transpose W₂
+// (16) and the hitting set's column sets and inverted index (4 + 4) make
+// 92, the allocator's size classes the rest. 560·n covers every n-sized
+// vector (~150·n of row headers - table, slabs, W₂, both set lists; ~85·n
+// of one worker's scratch, window offsets and view index; ~40·n of pivots,
+// counts and memberships) and the small slab the first iterate gets while
+// w's rows are still short (24·nnz(w), ~220·n here); 8 KiB what does not
+// grow. The MSSP planes are pooled and warm. A third slab (24 per entry), a
+// second W₂ or a materialised through-sets product (16 bytes per touched
+// cell, ~n² of them) breaks it at n = 1024.
+func TestAPSPKernelBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector: the MSSP planes are not reliably warm")
+	}
+	ctx := context.Background()
+	for _, n := range []int{256, 1024} {
+		eng, err := NewEngine(ctx, testGraph(n, 3*n, 10, int64(n)), Options{Epsilon: 0.5, Execution: ExecDirect, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := warmBytes(5, func() {
+			if _, err := eng.APSPWeighted(ctx); err != nil {
+				t.Fatal(err)
+			}
+		})
+		k := int(math.Ceil(math.Sqrt(float64(n))))
+		if budget := uint64(n*n*8 + 96*n*k + 560*n + 8<<10); got > budget {
+			t.Errorf("n=%d: a warm APSP allocates %d bytes, want <= %d (table %d + 96·n·√n %d + 560·n %d + 8 KiB)",
+				n, got, budget, n*n*8, 96*n*k, 560*n)
+		}
+	}
+}
+
+// TestKNearestKernelBytes pins what a warm direct-mode k-nearest query
+// allocates: 96 bytes per answer entry - the two slabs its squarings
+// alternate between (2 × 32 per routed entry) and the answer's own
+// backing array (32 per Neighbor) - plus 192·n for the three sets of row
+// headers, the window offsets and one worker's scratch (accumulator 24,
+// row buffer 32, rank scratch 16, touched list 4, hit flags 1), plus
+// 4 KiB. Per-product arenas, scratch or a third slab break it.
+func TestKNearestKernelBytes(t *testing.T) {
+	ctx := context.Background()
+	for _, n := range []int{256, 1024} {
+		eng, err := NewEngine(ctx, testGraph(n, 3*n, 10, int64(n)), Options{Epsilon: 0.5, Execution: ExecDirect, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{4, 11} {
+			got := warmBytes(10, func() {
+				if _, err := eng.KNearest(ctx, k); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if budget := uint64(96*n*k + 192*n + 4<<10); got > budget {
+				t.Errorf("n=%d k=%d: a warm k-nearest allocates %d bytes, want <= %d (96·n·k %d + 192·n %d + 4 KiB)",
+					n, k, got, budget, 96*n*k, 192*n)
+			}
+		}
+	}
+}
+
 // pollCtx is a context whose Err turns context.Canceled from its k-th call
 // on and counts the calls.
 type pollCtx struct {
@@ -117,48 +206,92 @@ func (c *pollCtx) Err() error {
 	return nil
 }
 
-// TestDirectMSSPCancel: a direct-mode MSSP whose context dies at any of
-// its polls - on entry, before any detection sweep - returns ErrCanceled
-// over context.Canceled, and the buffers the aborted sweep hands back do
-// not poison the kernel's pool: the next query on the same engine answers
-// exactly what a cold engine does.
-func TestDirectMSSPCancel(t *testing.T) {
+// cancelAtEveryPoll runs ask on a warm direct-mode engine under a context
+// that dies at its k-th poll, for every k a full run reaches: each run must
+// return ErrCanceled over context.Canceled and no answer, and the query
+// after it must answer exactly what a cold engine does - nothing an aborted
+// run left behind (a pooled plane, a half-written slab) is ever served.
+func cancelAtEveryPoll[R any](t *testing.T, minPolls int64, ask func(context.Context, *Engine) (R, error)) {
+	t.Helper()
 	bg := context.Background()
-	opts := Options{Epsilon: 0.5, Execution: ExecDirect}
-	sources := []int{0, 17, 40}
 	newEng := func() *Engine {
-		eng, err := NewEngine(bg, testGraph(96, 120, 10, 23), opts)
+		eng, err := NewEngine(bg, testGraph(96, 120, 10, 23), Options{Epsilon: 0.5, Execution: ExecDirect})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return eng
 	}
-	cold, err := newEng().MSSP(bg, sources)
+	cold, err := ask(bg, newEng())
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := newEng()
+	if _, err := ask(bg, eng); err != nil { // builds whatever artifact ask needs
+		t.Fatal(err)
+	}
 	full := &pollCtx{Context: bg, k: math.MaxInt64}
-	if _, err := eng.MSSP(full, sources); err != nil {
+	if _, err := ask(full, eng); err != nil {
 		t.Fatal(err)
 	}
 	polls := full.calls.Load()
-	if polls < 3 {
-		t.Fatalf("a full query polled ctx only %d times: no sweep was covered", polls)
+	if polls < minPolls {
+		t.Fatalf("a full query polled ctx only %d times, want >= %d: a kernel loop is not covered", polls, minPolls)
 	}
+	var zero R
 	for k := int64(1); k <= polls; k++ {
-		res, err := eng.MSSP(&pollCtx{Context: bg, k: k}, sources)
-		if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) || res != nil {
+		res, err := ask(&pollCtx{Context: bg, k: k}, eng)
+		if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) || !reflect.DeepEqual(res, zero) {
 			t.Fatalf("canceled at poll %d of %d: got (%v, %v), want ErrCanceled", k, polls, res, err)
 		}
-		next, err := eng.MSSP(bg, sources)
+		next, err := ask(bg, eng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(next.Dist, cold.Dist) {
+		if !reflect.DeepEqual(next, cold) {
 			t.Fatalf("the query after a cancel at poll %d differs from a cold engine's", k)
 		}
 	}
+}
+
+// TestDirectMSSPCancel: a direct-mode MSSP whose context dies at any of
+// its polls - on entry, before any detection sweep - is canceled cleanly,
+// and the buffers the aborted sweep hands back do not poison the kernel's
+// pool.
+func TestDirectMSSPCancel(t *testing.T) {
+	cancelAtEveryPoll(t, 3, func(ctx context.Context, eng *Engine) ([][]int64, error) {
+		res, err := eng.MSSP(ctx, []int{0, 17, 40})
+		if err != nil {
+			return nil, err
+		}
+		return res.Dist, nil
+	})
+}
+
+// TestDirectKNearestCancel: the squaring loop polls once per product, and
+// a k-nearest query canceled at any of them hands out neither of its
+// slabs.
+func TestDirectKNearestCancel(t *testing.T) {
+	cancelAtEveryPoll(t, 3, func(ctx context.Context, eng *Engine) ([][]Neighbor, error) {
+		res, err := eng.KNearest(ctx, 9)
+		if err != nil {
+			return nil, err
+		}
+		return res.Neighbors, nil
+	})
+}
+
+// TestDirectAPSPCancel: an APSP polls on entry, once per squaring, once
+// before the through-sets fold and once per MSSP sweep; canceled at any of
+// them it returns no table, releases the planes it took, and the next
+// APSP is a cold engine's.
+func TestDirectAPSPCancel(t *testing.T) {
+	cancelAtEveryPoll(t, 6, func(ctx context.Context, eng *Engine) ([][]int64, error) {
+		res, err := eng.APSPWeighted(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return res.Dist, nil
+	})
 }
 
 // splitGraph is two 4-node paths with no edge between them: every pair
