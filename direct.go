@@ -103,7 +103,7 @@ func direct[T any](ctx context.Context, d *directExec, kernel func() (T, error))
 	}, err
 }
 
-func (d *directExec) build(ctx context.Context, key artifactKey) (*hopset.Artifact, []int64, Stats, error) {
+func (d *directExec) build(ctx context.Context, key artifactKey, sib *hopset.Artifact) (*hopset.Artifact, []int64, Stats, error) {
 	var degs []int64
 	art, stats, err := direct(ctx, d, func() (*hopset.Artifact, error) {
 		w := d.weightMat()
@@ -114,7 +114,7 @@ func (d *directExec) build(ctx context.Context, key artifactKey) (*hopset.Artifa
 			}
 			w = lowDegree(w, degs)
 		}
-		return hopset.BuildDirect(ctx, d.g.AugSemiring(), w, key.params, d.workers)
+		return hopset.BuildDirectFrom(ctx, d.g.AugSemiring(), w, key.params, sib, d.workers)
 	})
 	return art, degs, stats, err
 }

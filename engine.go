@@ -261,13 +261,32 @@ func (e *Engine) build(ctx context.Context, key artifactKey, call *buildCall) {
 // buildArtifact runs the preprocessing for one artifact: the hopset
 // construction of §4 (plus, for the low-degree variant, the degree vector
 // that defines G'). The entry is byte-identical whichever executor built
-// it; only its stats differ (rounds, or wall-clock for the kernels).
+// it, and whether or not it had a sibling; only its stats differ (rounds,
+// or wall-clock for the kernels).
 func (e *Engine) buildArtifact(ctx context.Context, key artifactKey) (*artifactEntry, error) {
-	art, degs, stats, err := e.exec.build(ctx, key)
+	art, degs, stats, err := e.exec.build(ctx, key, e.sibling(key))
 	if err != nil {
 		return nil, wrapRun(fmt.Sprintf("preprocess (%s)", key.variant), err)
 	}
 	return &artifactEntry{art: art, degs: degs, stats: stats}, nil
+}
+
+// sibling returns a completed artifact of key's variant whose params differ
+// from key's only in ε, or nil. Its bunch stage depends on the graph and k
+// alone, so key's build can skip it (DESIGN.md §13, "One bunch stage per
+// graph"). Only completed entries count: a build in flight is never waited
+// for, and key then builds cold.
+func (e *Engine) sibling(key artifactKey) *hopset.Artifact {
+	e.pre.mu.Lock()
+	defer e.pre.mu.Unlock()
+	for _, k := range e.pre.order {
+		p := k.params
+		p.Eps = key.params.Eps
+		if k.variant == key.variant && p == key.params {
+			return e.pre.arts[k].art
+		}
+	}
+	return nil
 }
 
 // ArtifactBuild describes one preprocessing run.

@@ -28,8 +28,11 @@ import (
 // seam. newEngine picks the implementation from Options.Execution.
 type executor interface {
 	// build constructs the hopset artifact for key (§4) and, for
-	// artLowDegree, the degree vector that defines G'.
-	build(ctx context.Context, key artifactKey) (*hopset.Artifact, []int64, Stats, error)
+	// artLowDegree, the degree vector that defines G'. sib, if not nil, is
+	// a completed artifact of key's variant whose params differ from key's
+	// only in ε: directExec runs only the level loop over its bunch stage;
+	// simExec builds in full, because its Stats are the paper's rounds.
+	build(ctx context.Context, key artifactKey, sib *hopset.Artifact) (*hopset.Artifact, []int64, Stats, error)
 	// mssp runs the β-hop source detection on G ∪ H (Theorem 3): the dense
 	// n×|S| answer, row v holding d̃(v,s) for the sources s in ascending
 	// order, Unreachable where s does not reach v. The rows share one
@@ -64,7 +67,7 @@ func (s *simExec) run(ctx context.Context, prog cc.Program) (Stats, error) {
 	return statsFrom(stats), err
 }
 
-func (s *simExec) build(ctx context.Context, key artifactKey) (*hopset.Artifact, []int64, Stats, error) {
+func (s *simExec) build(ctx context.Context, key artifactKey, _ *hopset.Artifact) (*hopset.Artifact, []int64, Stats, error) {
 	n := s.g.N
 	sr := s.g.AugSemiring()
 	board := hitting.NewBoard(n)

@@ -3,8 +3,6 @@ package hopset
 import (
 	"context"
 	"fmt"
-	"math"
-	"math/bits"
 	"slices"
 
 	"github.com/congestedclique/ccsp/internal/disttools"
@@ -27,49 +25,40 @@ import (
 // result is identical for every value. ctx is checked between product
 // iterations, so a canceled build unwinds within one multiply.
 func BuildDirect(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], p Params, workers int) (*Artifact, error) {
-	n := w.N
-	if p.Eps <= 0 || p.Eps > 1 {
-		return nil, fmt.Errorf("hopset: invalid eps %v", p.Eps)
-	}
-	// Parameter derivation, identical to Build.
-	k := p.K
-	if k == 0 {
-		k = int(math.Ceil(math.Sqrt(float64(n)) * math.Log2(float64(n)+1)))
-	}
-	if k > n {
-		k = n
-	}
-	if k < 1 {
-		k = 1
-	}
-	levels := p.Levels
-	if levels == 0 {
-		levels = bits.Len(uint(n - 1)) // ceil(log2 n)
-	}
-	if levels < 1 {
-		levels = 1
-	}
-	bf := p.BetaFactor
-	if bf == 0 {
-		bf = 12
-	}
-	beta := int(math.Ceil(bf * float64(levels) / p.Eps))
-	if beta < 3 {
-		beta = 3
-	}
-	hopCap := p.HopCap
-	if hopCap == 0 {
-		hopCap = n
-	}
-	d := 4 * beta
-	if d > hopCap {
-		d = hopCap
-	}
-	if d < 1 {
-		d = 1
-	}
+	return BuildDirectFrom(ctx, sr, w, p, nil, workers)
+}
 
-	// Bunch computation via k-nearest (§4.2.1), all rows at once.
+// BuildDirectFrom is BuildDirect given a sibling: a completed artifact
+// built on the same w whose params differ from p at most in Eps. The bunch
+// stage - k-nearest, the hitting set A_1, the pivots and H_0 - depends on
+// (w, k) alone, so when sib was built for the same N and K it is read back
+// out of sib and only the ε-dependent level loop runs; any other sib
+// (including nil) takes the cold path. The result is byte-identical to
+// BuildDirect's either way (DESIGN.md §13, "One bunch stage per graph")
+// and shares sib's read-only InA1, PV and DPV.
+func BuildDirectFrom(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], p Params, sib *Artifact, workers int) (*Artifact, error) {
+	sh, err := p.shape(w.N)
+	if err != nil {
+		return nil, err
+	}
+	var art *Artifact
+	if sib != nil && sib.N == w.N && sib.K == sh.k {
+		art = bunchesOf(sib)
+	} else if art, err = bunchStage(ctx, sr, w, sh.k, workers); err != nil {
+		return nil, err
+	}
+	art.Beta = sh.beta
+	if err := runLevels(ctx, sr, w, art, sh.levels, sh.d, workers); err != nil {
+		return nil, err
+	}
+	return art, nil
+}
+
+// bunchStage is the first stage of §4.2.1: k-nearest for all rows at once,
+// the greedy hitting set, the pivots and the bunch edges H_0. It returns
+// an artifact whose Rows are H_0 and whose level loop has not run.
+func bunchStage(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], k, workers int) (*Artifact, error) {
+	n := w.N
 	knear, err := disttools.KNearestAll[semiring.WH](ctx, sr, w, k, workers)
 	if err != nil {
 		return nil, fmt.Errorf("hopset: k-nearest: %w", err)
@@ -86,7 +75,6 @@ func BuildDirect(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semi
 
 	art := &Artifact{
 		N:    n,
-		Beta: beta,
 		K:    k,
 		InA1: inA1,
 		Rows: make([]matrix.Row[semiring.WH], n),
@@ -108,7 +96,7 @@ func BuildDirect(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semi
 	// endpoints (the collective version routes each edge to its other
 	// end; here we append to both rows directly - MergeRows makes the
 	// accumulation order irrelevant).
-	h0 := make([]matrix.Row[semiring.WH], n)
+	h0 := art.Rows
 	for v := 0; v < n; v++ {
 		if inA1[v] || art.PV[v] < 0 {
 			continue
@@ -126,14 +114,35 @@ func BuildDirect(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semi
 	for v := 0; v < n; v++ {
 		h0[v] = matrix.MergeRows(sr, h0[v])
 	}
+	return art, nil
+}
 
-	// Iterated bounded hopsets (§4.2.1): level ℓ computes d-hop distances
-	// between A_1 nodes in G ∪ H^{ℓ-1} and replaces the A_1 clique edges
-	// with the improved estimates, exactly like the collective loop. Only
-	// A_1 rows carry clique edges, so a level re-merges just the rows whose
-	// clique edges it changed; one that changes none leaves every later
-	// level's input, hence output, identical and ends the loop (DESIGN.md
-	// §13, "the fast build path").
+// bunchesOf reads the bunch stage back out of a completed artifact. Its
+// Rows are H_0 merged with the level loop's clique rows, and the two never
+// share an entry: a clique edge joins two A_1 nodes (detection runs from
+// A_1 sources only), while every bunch edge (u, c) has u outside A_1 (it
+// reaches A_1 only at c = p(u)). So dropping the A_1×A_1 entries leaves
+// exactly H_0, already merged; rows outside A_1 hold nothing else.
+func bunchesOf(sib *Artifact) *Artifact {
+	h0 := slices.Clone(sib.Rows)
+	for v, in := range sib.InA1 {
+		if in {
+			h0[v] = slices.DeleteFunc(slices.Clone(h0[v]), func(e matrix.Entry[semiring.WH]) bool { return sib.InA1[e.Col] })
+		}
+	}
+	return &Artifact{N: sib.N, K: sib.K, InA1: sib.InA1, Rows: h0, PV: sib.PV, DPV: sib.DPV}
+}
+
+// runLevels is the second, ε-dependent stage: iterated bounded hopsets
+// (§4.2.1) over the bunch stage in art. Level ℓ computes d-hop distances
+// between A_1 nodes in G ∪ H^{ℓ-1} and replaces the A_1 clique edges with
+// the improved estimates, exactly like the collective loop. Only A_1 rows
+// carry clique edges, so a level re-merges just the rows whose clique
+// edges it changed; one that changes none leaves every later level's
+// input, hence output, identical and ends the loop (DESIGN.md §13, "the
+// fast build path"). art.Rows goes in as H_0 and comes out as H_0 ∪ H_ℓ.
+func runLevels(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], art *Artifact, levels, d, workers int) error {
+	n, inA1, h0 := art.N, art.InA1, art.Rows
 	aRows := make([]matrix.Row[semiring.WH], n)
 	g := matrix.New[semiring.WH](n)
 	for v := 0; v < n; v++ {
@@ -142,7 +151,7 @@ func BuildDirect(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semi
 	for level := 0; level < levels; level++ {
 		det, err := disttools.SourceDetectAllRestricted(ctx, g, inA1, d, workers)
 		if err != nil {
-			return nil, fmt.Errorf("hopset: level %d source detection: %w", level, err)
+			return fmt.Errorf("hopset: level %d source detection: %w", level, err)
 		}
 		fresh := make([]matrix.Row[semiring.WH], n)
 		for v := 0; v < n; v++ {
@@ -172,8 +181,10 @@ func BuildDirect(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semi
 		}
 	}
 
+	rows := make([]matrix.Row[semiring.WH], n)
 	for v := 0; v < n; v++ {
-		art.Rows[v] = matrix.MergeRows(sr, h0[v], aRows[v])
+		rows[v] = matrix.MergeRows(sr, h0[v], aRows[v])
 	}
-	return art, nil
+	art.Rows = rows
+	return nil
 }

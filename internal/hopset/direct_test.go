@@ -169,14 +169,12 @@ func encoded(a *Artifact) []byte {
 	return w.Bytes()
 }
 
-// TestBuildDirectMatchesUnrestrictedReference: restricted per-level
-// detection, the changed-rows-only re-merge and the three fixpoint exits
-// leave the encoded artifact byte-identical to the old full loop, on both
-// presets (Paper runs the level loop at d = n, Practical well below it)
-// and with a hop cap that makes each level build on the last, serial and
-// pooled, across weighted, unit-weight, tree, path and
-// disconnected graphs.
-func TestBuildDirectMatchesUnrestrictedReference(t *testing.T) {
+// buildCases are the graphs and presets the build oracles run over:
+// weighted, unit-weight, tree, path and disconnected graphs; Paper runs
+// the level loop at d = n, Practical well below it, a small K makes A_1
+// large, a hop cap makes each level build on the last and one shallow
+// level makes the clique edges depend on ε.
+func buildCases() (map[string]*graph.Graph, map[string]Params) {
 	split := graph.New(30) // two components: A_1 clique edges never span them
 	for v := 1; v < 30; v++ {
 		if v != 15 {
@@ -198,7 +196,95 @@ func TestBuildDirectMatchesUnrestrictedReference(t *testing.T) {
 		// d = 3: a level reaches only A_1 nodes three hops away, so every
 		// level's clique edges feed the next and the re-merge matters.
 		"hop-capped": {Eps: 0.5, BetaFactor: 2, K: 3, HopCap: 3},
+		// One level at d = 4β = 16 < n, and β follows ε: builds at another
+		// ε see other clique edges (everywhere else d reaches n).
+		"shallow": {Eps: 0.5, BetaFactor: 2, Levels: 1, K: 3},
 	}
+	return graphs, presets
+}
+
+// derived reports whether art took its bunch stage from sib: a derived
+// build shares the sibling's read-only InA1, a cold one has its own.
+func derived(art, sib *Artifact) bool { return &art.InA1[0] == &sib.InA1[0] }
+
+// TestBuildDirectFromSiblingMatchesCold: the level loop run over a bunch
+// stage read back out of a sibling gives the encoded artifact a cold
+// BuildDirect gives, at a smaller ε′ and a larger one, serial and pooled;
+// a sibling built for another K or another N is not read back.
+func TestBuildDirectFromSiblingMatchesCold(t *testing.T) {
+	ctx := context.Background()
+	graphs, presets := buildCases()
+	for gname, g := range graphs {
+		sr, w := g.AugSemiring(), g.WeightMatrix()
+		for pname, p := range presets {
+			sib, err := BuildDirect(ctx, sr, w, p, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, eps := range []float64{p.Eps / 2, p.Eps / 4, 1} {
+				q := p
+				q.Eps = eps
+				want, err := BuildDirect(ctx, sr, w, q, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, workers := range []int{1, 0} {
+					got, err := BuildDirectFrom(ctx, sr, w, q, sib, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !derived(got, sib) {
+						t.Fatalf("%s/%s ε′=%g: the sibling's bunch stage was not reused", gname, pname, eps)
+					}
+					if !bytes.Equal(encoded(got), encoded(want)) {
+						t.Errorf("%s/%s ε′=%g workers=%d: derived artifact differs from a cold build (edges %d vs %d)",
+							gname, pname, eps, workers, got.Edges(), want.Edges())
+					}
+				}
+			}
+		}
+	}
+
+	// Another K or another N: the sibling's bunch stage is not this one's.
+	g := randGraph(48, 24, 20, 71)
+	sr, w := g.AugSemiring(), g.WeightMatrix()
+	p := Params{Eps: 0.25, BetaFactor: 2, K: 5}
+	want, err := BuildDirect(ctx, sr, w, p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherK, err := BuildDirect(ctx, sr, w, Params{Eps: 0.5, BetaFactor: 2, K: 3}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := randGraph(47, 24, 20, 71)
+	otherN, err := BuildDirect(ctx, small.AugSemiring(), small.WeightMatrix(), Params{Eps: 0.5, BetaFactor: 2, K: 5}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, sib := range map[string]*Artifact{"K": otherK, "N": otherN} {
+		got, err := BuildDirectFrom(ctx, sr, w, p, sib, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if derived(got, sib) {
+			t.Errorf("a sibling with another %s was read back", name)
+		}
+		if !bytes.Equal(encoded(got), encoded(want)) {
+			t.Errorf("sibling with another %s: artifact differs from a cold build", name)
+		}
+	}
+}
+
+// TestBuildDirectMatchesUnrestrictedReference: restricted per-level
+// detection, the changed-rows-only re-merge and the three fixpoint exits
+// leave the encoded artifact byte-identical to the old full loop, on both
+// presets (Paper runs the level loop at d = n, Practical well below it)
+// and with a hop cap that makes each level build on the last, serial and
+// pooled, across weighted, unit-weight, tree, path and
+// disconnected graphs.
+func TestBuildDirectMatchesUnrestrictedReference(t *testing.T) {
+	graphs, presets := buildCases()
 	for gname, g := range graphs {
 		sr, w := g.AugSemiring(), g.WeightMatrix()
 		for pname, p := range presets {

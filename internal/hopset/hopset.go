@@ -61,50 +61,46 @@ type Result struct {
 	DPV semiring.WH
 }
 
-// Build constructs the hopset collectively (all nodes call it with
-// identical params). wrow is row nd.ID of the augmented weight matrix of G;
-// board is a fresh hitting-set board shared by all nodes.
-func Build(nd *cc.Node, sr semiring.AugMinPlus, wrow matrix.Row[semiring.WH], board *hitting.Board, p Params) (*Result, error) {
-	n := nd.N
+// shape is what Params derive to on n nodes, identically for Build and
+// BuildDirect: the bunch size k (the only parameter the bunch stage reads),
+// the level count, the hop bound β and the per-level detection depth d.
+type shape struct{ k, levels, beta, d int }
+
+func (p Params) shape(n int) (shape, error) {
 	if p.Eps <= 0 || p.Eps > 1 {
-		return nil, fmt.Errorf("hopset: invalid eps %v", p.Eps)
+		return shape{}, fmt.Errorf("hopset: invalid eps %v", p.Eps)
 	}
 	k := p.K
 	if k == 0 {
 		k = int(math.Ceil(math.Sqrt(float64(n)) * math.Log2(float64(n)+1)))
 	}
-	if k > n {
-		k = n
-	}
-	if k < 1 {
-		k = 1
-	}
+	k = max(min(k, n), 1)
 	levels := p.Levels
 	if levels == 0 {
 		levels = bits.Len(uint(n - 1)) // ceil(log2 n)
 	}
-	if levels < 1 {
-		levels = 1
-	}
+	levels = max(levels, 1)
 	bf := p.BetaFactor
 	if bf == 0 {
 		bf = 12
 	}
-	beta := int(math.Ceil(bf * float64(levels) / p.Eps))
-	if beta < 3 {
-		beta = 3
-	}
+	beta := max(int(math.Ceil(bf*float64(levels)/p.Eps)), 3)
 	hopCap := p.HopCap
 	if hopCap == 0 {
 		hopCap = n
 	}
-	d := 4 * beta
-	if d > hopCap {
-		d = hopCap
+	return shape{k: k, levels: levels, beta: beta, d: max(min(4*beta, hopCap), 1)}, nil
+}
+
+// Build constructs the hopset collectively (all nodes call it with
+// identical params). wrow is row nd.ID of the augmented weight matrix of G;
+// board is a fresh hitting-set board shared by all nodes.
+func Build(nd *cc.Node, sr semiring.AugMinPlus, wrow matrix.Row[semiring.WH], board *hitting.Board, p Params) (*Result, error) {
+	sh, err := p.shape(nd.N)
+	if err != nil {
+		return nil, err
 	}
-	if d < 1 {
-		d = 1
-	}
+	k, levels, beta, d := sh.k, sh.levels, sh.beta, sh.d
 
 	// Bunch computation via k-nearest (§4.2.1): each node learns exact
 	// distances to its k closest nodes.
