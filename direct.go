@@ -119,17 +119,17 @@ func (d *directExec) build(ctx context.Context, key artifactKey, sib *hopset.Art
 	return art, degs, stats, err
 }
 
-// mssp hands back the kernel's own weight panel under row headers: its
-// rest state semiring.Inf is Unreachable, so the panel is the answer and no
-// cell is copied.
-func (d *directExec) mssp(ctx context.Context, ent *artifactEntry, inS []bool) ([][]int64, Stats, error) {
-	return direct(ctx, d, func() ([][]int64, error) {
+// mssp hands back the kernel's own weight plane: its rest state
+// semiring.Inf is Unreachable, so the plane is the answer and no cell is
+// copied.
+func (d *directExec) mssp(ctx context.Context, ent *artifactEntry, inS []bool) ([]int64, Stats, error) {
+	return direct(ctx, d, func() ([]int64, error) {
 		_, gh := d.artifactMats(artFull, ent)
 		p, err := mssp.RunDirectPanel(ctx, gh, ent.art.Beta, inS, d.workers)
 		if err != nil {
 			return nil, err
 		}
-		return rowsOver(p.W, len(p.Sources)), nil
+		return p.W, nil
 	})
 }
 

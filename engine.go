@@ -11,6 +11,7 @@ import (
 
 	"github.com/congestedclique/ccsp/api"
 	"github.com/congestedclique/ccsp/internal/apsp"
+	"github.com/congestedclique/ccsp/internal/disttools"
 	"github.com/congestedclique/ccsp/internal/hopset"
 	"github.com/congestedclique/ccsp/internal/matrix"
 	"github.com/congestedclique/ccsp/internal/semiring"
@@ -389,15 +390,56 @@ func (e *Engine) MSSP(ctx context.Context, sources []int) (*MSSPResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ent, err := e.artifact(ctx, e.baseKey())
+	plane, stats, err := e.detect(ctx, inS)
 	if err != nil {
 		return nil, err
 	}
-	dist, stats, err := e.exec.mssp(ctx, ent, inS)
+	return &MSSPResult{Sources: srcList, Dist: rowsOver(plane, len(srcList)), Stats: stats}, nil
+}
+
+// distance is MSSP from the one source from, read at the one node to
+// (Theorem 3 with |S| = 1): the cell d̃(to, from), Unreachable if from does
+// not reach to, with the run's Stats. Nothing keeps the plane, so it goes
+// back to the detection kernel's pool - the one engine-level point that
+// releases a plane (DESIGN.md §13, "a point answer reads one cell"). to
+// must be in range; Engine.Plan checks it.
+func (e *Engine) distance(ctx context.Context, from, to int) (int64, Stats, error) {
+	inS, err := sourceSet(e.gr.N(), []int{from})
 	if err != nil {
-		return nil, wrapRun("MSSP", err)
+		return 0, Stats{}, err
 	}
-	return &MSSPResult{Sources: srcList, Dist: dist, Stats: stats}, nil
+	plane, stats, err := e.detect(ctx, inS)
+	if err != nil {
+		return 0, Stats{}, err
+	}
+	d := plane[to]
+	disttools.ReleasePlane(plane)
+	return d, stats, nil
+}
+
+// detect runs the β-hop detection from inS on the base hopset and returns
+// the executor's flat n×|S| plane, which the caller owns.
+func (e *Engine) detect(ctx context.Context, inS []bool) ([]int64, Stats, error) {
+	ent, err := e.artifact(ctx, e.baseKey())
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	plane, stats, err := e.exec.mssp(ctx, ent, inS)
+	if err != nil {
+		return nil, Stats{}, wrapRun("MSSP", err)
+	}
+	return plane, stats, nil
+}
+
+// rowsOver cuts a row-major plane of q-cell rows into row headers over the
+// plane itself. Each row is capacity-clipped, so an append to one cannot
+// write into the next.
+func rowsOver(flat []int64, q int) [][]int64 {
+	rows := make([][]int64, len(flat)/q)
+	for v := range rows {
+		rows[v] = flat[v*q : (v+1)*q : (v+1)*q]
+	}
+	return rows
 }
 
 // SSSP answers an exact single-source query (Theorem 33). The shortcut

@@ -33,11 +33,13 @@ type executor interface {
 	// only in ε: directExec runs only the level loop over its bunch stage;
 	// simExec builds in full, because its Stats are the paper's rounds.
 	build(ctx context.Context, key artifactKey, sib *hopset.Artifact) (*hopset.Artifact, []int64, Stats, error)
-	// mssp runs the β-hop source detection on G ∪ H (Theorem 3): the dense
-	// n×|S| answer, row v holding d̃(v,s) for the sources s in ascending
-	// order, Unreachable where s does not reach v. The rows share one
-	// backing array the caller owns (DESIGN.md §13, "the result path").
-	mssp(ctx context.Context, ent *artifactEntry, inS []bool) ([][]int64, Stats, error)
+	// mssp runs the β-hop source detection on G ∪ H (Theorem 3): the flat
+	// row-major n×|S| plane, cell v·|S|+j holding d̃(v,s) for the j-th
+	// source s in ascending order, Unreachable where s does not reach v.
+	// The caller owns the plane: Engine.MSSP serves it under row headers,
+	// Engine.distance reads one cell and releases it (DESIGN.md §13, "the
+	// result path").
+	mssp(ctx context.Context, ent *artifactEntry, inS []bool) ([]int64, Stats, error)
 	// sssp returns exact distances from source and the Bellman-Ford
 	// iteration count (Theorem 33).
 	sssp(ctx context.Context, source int) ([]int64, int, Stats, error)
@@ -93,7 +95,7 @@ func (s *simExec) build(ctx context.Context, key artifactKey, _ *hopset.Artifact
 	return art, degsShared, stats, err
 }
 
-func (s *simExec) mssp(ctx context.Context, ent *artifactEntry, inS []bool) ([][]int64, Stats, error) {
+func (s *simExec) mssp(ctx context.Context, ent *artifactEntry, inS []bool) ([]int64, Stats, error) {
 	sr := s.g.AugSemiring()
 	rows := matrix.New[semiring.WH](s.g.N)
 	stats, err := s.run(ctx, func(nd *cc.Node) error {
@@ -111,10 +113,9 @@ func (s *simExec) mssp(ctx context.Context, ent *artifactEntry, inS []bool) ([][
 }
 
 // sourceColumns projects detection rows (entries keyed by source ID) onto
-// the dense answer: per-node vectors over the sources of inS in ascending
-// order, Unreachable where a source was not detected, all rows cut from
-// one backing array.
-func sourceColumns(rows *matrix.Mat[semiring.WH], inS []bool) [][]int64 {
+// the flat answer plane: row-major, a column per source of inS in
+// ascending order, Unreachable where a source was not detected.
+func sourceColumns(rows *matrix.Mat[semiring.WH], inS []bool) []int64 {
 	col := make([]int32, len(inS))
 	q := 0
 	for v, in := range inS {
@@ -135,18 +136,7 @@ func sourceColumns(rows *matrix.Mat[semiring.WH], inS []bool) [][]int64 {
 			}
 		}
 	}
-	return rowsOver(flat, q)
-}
-
-// rowsOver cuts a row-major panel of q-cell rows into row headers over the
-// panel itself. Each row is capacity-clipped, so an append to one cannot
-// write into the next.
-func rowsOver(flat []int64, q int) [][]int64 {
-	rows := make([][]int64, len(flat)/q)
-	for v := range rows {
-		rows[v] = flat[v*q : (v+1)*q : (v+1)*q]
-	}
-	return rows
+	return flat
 }
 
 func (s *simExec) sssp(ctx context.Context, source int) ([]int64, int, Stats, error) {

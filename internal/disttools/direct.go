@@ -94,10 +94,10 @@ func SourceDetectAll[E any](ctx context.Context, sr semiring.Semiring[E], g *mat
 // filtered, so no weight ever depends on one, and no caller reads them
 // (DESIGN.md §13, "source-restricted detection").
 //
-// W is the kernel's own buffer, handed over: the caller owns it. The
-// query path serves it as the answer and never gives it back (DESIGN.md
-// §13, "the result path"); a caller that only reads the panel calls
-// Release when its last reader is done.
+// W is the kernel's own buffer, handed over: the caller owns it. An MSSP
+// query serves it as the answer and never gives it back (DESIGN.md §13,
+// "the result path"); a caller that only reads the panel calls Release
+// when its last reader is done, or ReleasePlane if it kept only W.
 type Panel struct {
 	N       int
 	Sources []int32

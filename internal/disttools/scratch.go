@@ -38,3 +38,8 @@ var (
 	planes  scratch[int64] // n×|S| weight planes
 	indices scratch[int32] // n-sized column indices
 )
+
+// ReleasePlane is Panel.Release for a caller that holds a panel's plane
+// without the panel: the engine's one-cell distance read, once it has the
+// cell. The plane, and every slice of it, is dead afterwards.
+func ReleasePlane(w []int64) { planes.put(w) }

@@ -3,12 +3,12 @@
 // size O(n log n / k) hitting every S_v, deterministically, charged at
 // O((log log n)^3) rounds.
 //
-// Substitution note (see DESIGN.md §1.3): re-deriving [52]'s derandomized
-// sampler is out of scope; we substitute the classical deterministic greedy
-// hitting set, which achieves the same O(n log n / k) size bound (greedy set
-// cover against the fractional optimum n/k), computed identically by every
-// node from the exchanged sets, and charge Lemma 4's round bound through the
-// engine's accounting. A seeded sampling variant is provided for ablations.
+// Substitution note: re-deriving [52]'s derandomized sampler is out of
+// scope; we substitute the classical deterministic greedy hitting set, which
+// achieves the same O(n log n / k) size bound (greedy set cover against the
+// fractional optimum n/k), computed identically by every node from the
+// exchanged sets, and charge Lemma 4's round bound through the engine's
+// accounting. A seeded sampling variant is provided for ablations.
 package hitting
 
 import (

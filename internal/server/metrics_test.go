@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -66,6 +67,72 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("metrics page missing %q", want)
 		}
 	}
+}
+
+// TestQueryCountersCacheOff: a query a cache-off daemon answers through
+// Plan.Answer - a distance's one-cell read, an mssp's run - is counted
+// exactly like one a cache-on daemon runs and stores: ccspd_queries_total,
+// the ccsp_engine_query_seconds count and /v1/stats' requests.queries each
+// move by one per query, never zero and never two.
+func TestQueryCountersCacheOff(t *testing.T) {
+	_, eng := testEngine(t, 12)
+	for _, size := range []int{-1, 16} {
+		ts := newTestServer(t, eng, Config{CacheSize: size})
+		for _, body := range []string{
+			`{"kind":"distance","distance":{"from":1,"to":7}}`,
+			`{"kind":"distance","distance":{"from":2,"to":2}}`,
+			`{"kind":"mssp","mssp":{"sources":[3]}}`,
+		} {
+			before := queryCounters(t, ts.URL)
+			postJSON(t, ts.URL+"/v1/query", body, http.StatusOK, nil)
+			after := queryCounters(t, ts.URL)
+			for name, v := range before {
+				if d := after[name] - v; d != 1 {
+					t.Errorf("cache size %d, %s: %s moved by %v, want 1", size, body, name, d)
+				}
+			}
+		}
+	}
+}
+
+// queryCounters reads the three per-query counters of a daemon: two off
+// its /metrics page (the engine histogram summed over execution modes),
+// one off /v1/stats.
+func queryCounters(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]float64)
+	for _, line := range strings.Split(string(page), "\n") {
+		series, value, _ := strings.Cut(line, " ")
+		name, _, _ := strings.Cut(series, "{")
+		if name != "ccspd_queries_total" && name != "ccsp_engine_query_seconds_count" {
+			continue
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("metrics line %q: %v", line, err)
+		}
+		out[name] += v
+	}
+	if len(out) != 2 {
+		t.Fatalf("metrics page carries %v, want both query counters", out)
+	}
+	var stats struct {
+		Requests struct {
+			Queries float64 `json:"queries"`
+		} `json:"requests"`
+	}
+	getJSON(t, base+"/v1/stats", http.StatusOK, &stats)
+	out["/v1/stats requests.queries"] = stats.Requests.Queries
+	return out
 }
 
 // TestDebugHandler: the opt-in debug mux serves pprof and the metrics

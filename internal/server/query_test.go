@@ -185,6 +185,50 @@ func TestCacheHitBodyMatchesMiss(t *testing.T) {
 	}
 }
 
+// TestDistanceBodyCacheOffMatchesOn: with the cache off a daemon answers a
+// distance by Plan.Answer's one-cell read, with it on by run, store and
+// finish - and the two give the same bytes, the cached flag of a hit
+// aside: for every pair of a two-component graph (from == to and the
+// unreachable pairs included), in both execution modes, for the miss that
+// fills the entry and the hit that reads it, and for a request that fails.
+func TestDistanceBodyCacheOffMatchesOn(t *testing.T) {
+	gr := ccsp.NewGraph(8)
+	for _, e := range [][3]int64{{0, 1, 2}, {1, 2, 3}, {2, 3, 1}, {4, 5, 2}, {5, 6, 4}, {6, 7, 1}} {
+		gr.MustAddEdge(int(e[0]), int(e[1]), e[2])
+	}
+	for _, exec := range []ccsp.Execution{ccsp.ExecSimulated, ccsp.ExecDirect} {
+		eng, err := ccsp.NewEngine(context.Background(), gr, ccsp.Options{Epsilon: 0.5, Execution: exec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := newTestServer(t, eng, Config{CacheSize: -1})
+		for from := 0; from < gr.N(); from++ {
+			for to := 0; to < gr.N(); to++ {
+				on := newTestServer(t, eng, Config{CacheSize: 16})
+				req := fmt.Sprintf(`{"kind":"distance","distance":{"from":%d,"to":%d}}`, from, to)
+				want := postJSON(t, off.URL+"/v1/query", req, http.StatusOK, nil)
+				if across := (from < 4) != (to < 4); across != bytes.Contains(want, []byte(`"distance":-1,"reachable":false`)) {
+					t.Fatalf("%s (%s): %s", req, exec, want)
+				}
+				if miss := postJSON(t, on.URL+"/v1/query", req, http.StatusOK, nil); !bytes.Equal(miss, want) {
+					t.Errorf("%s (%s): cache-on miss %s, cache-off %s", req, exec, miss, want)
+				}
+				hit := postJSON(t, on.URL+"/v1/query", req, http.StatusOK, nil)
+				if !bytes.Equal(bytes.Replace(hit, []byte(`"cached":true`), []byte(`"cached":false`), 1), want) {
+					t.Errorf("%s (%s): cache-on hit %s, cache-off %s", req, exec, hit, want)
+				}
+				on.Close()
+			}
+		}
+		on := newTestServer(t, eng, Config{CacheSize: 16})
+		bad := `{"kind":"distance","distance":{"from":9,"to":0}}`
+		if got, want := postJSON(t, on.URL+"/v1/query", bad, http.StatusUnprocessableEntity, nil),
+			postJSON(t, off.URL+"/v1/query", bad, http.StatusUnprocessableEntity, nil); !bytes.Equal(got, want) {
+			t.Errorf("%s (%s): cache-on %s, cache-off %s", bad, exec, got, want)
+		}
+	}
+}
+
 // TestQueryEndpointErrors pins the typed 400/422 (and 405) behavior of
 // the POST plane: structural problems are 400 CodeMalformed, semantic
 // ones 422 with the engine's code.

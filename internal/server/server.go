@@ -342,7 +342,9 @@ func (s *Server) store(p ccsp.Plan, resp api.Response) {
 	s.queries.Inc()
 }
 
-// execute answers one request: lookup, enter, run, store, finish.
+// execute answers one request: lookup, enter, run, store, finish. With the
+// cache off nothing keeps the canonical run, so the plan answers directly
+// (Plan.Answer: a distance reads its one cell) and only the count is kept.
 func (s *Server) execute(ctx context.Context, req api.Request) (api.Response, error) {
 	p, resp, hit, err := s.lookup(req)
 	if err != nil || hit {
@@ -351,6 +353,15 @@ func (s *Server) execute(ctx context.Context, req api.Request) (api.Response, er
 	ctx, leave, err := s.enter(ctx)
 	if err != nil {
 		return api.Response{}, err
+	}
+	if s.cacheCap == 0 {
+		out, err := p.Answer(ctx)
+		leave()
+		if err != nil {
+			return api.Response{}, err
+		}
+		s.queries.Inc()
+		return *out, nil
 	}
 	out, err := p.Run(ctx)
 	leave()

@@ -138,29 +138,56 @@ func (p Plan) Finish(resp api.Response, cached bool) api.Response {
 	}
 	resp.Cached = cached
 	if pair := p.req.Distance; pair != nil {
-		d := resp.MSSP.Dist[pair.To][0]
-		resp.Kind, resp.MSSP = api.KindDistance, nil
-		resp.Distance = &api.DistanceResult{From: pair.From, To: pair.To, Distance: d, Reachable: d != api.Unreachable}
+		resp.Kind, resp.Distance = api.KindDistance, distanceResult(pair, resp.MSSP.Dist[pair.To][0])
+		resp.MSSP = nil
 	}
 	return resp
 }
 
-// Query answers one typed api.Request: plan, run, finish. It is the
-// dispatcher behind cmd/ccsp and, through the same three steps, the
-// serving daemon's POST /v1/query and the client package. The response
-// is the wire form of what the matching Engine method returns; a
-// KindAPSP response reports the concrete algorithm that ran.
+// Answer is Finish(Run, false) for a caller that keeps nothing but the
+// answer: the same response, byte for byte, and the same errors. Only a
+// distance takes another way - Run would shape the whole n×1 MSSP that a
+// cache stores under Key for Finish to read one cell of, so Answer reads
+// that cell straight from the detection plane and hands the plane back
+// (Engine.distance). A caller that stores the canonical run (a response
+// cache) keeps calling Run and Finish.
+func (p Plan) Answer(ctx context.Context) (*api.Response, error) {
+	pair := p.req.Distance
+	if pair == nil {
+		resp, err := p.Run(ctx)
+		if err != nil {
+			return nil, err
+		}
+		*resp = p.Finish(*resp, false)
+		return resp, nil
+	}
+	defer p.eng.observeQuery(time.Now())
+	d, stats, err := p.eng.distance(ctx, pair.From, pair.To)
+	if err != nil {
+		return nil, err
+	}
+	if d >= Unreachable {
+		d = api.Unreachable
+	}
+	return &api.Response{Kind: api.KindDistance, Graph: p.req.Graph, Distance: distanceResult(pair, d), Stats: wireStats(stats)}, nil
+}
+
+// distanceResult is the answer to pair at wire distance d.
+func distanceResult(pair *api.DistanceParams, d int64) *api.DistanceResult {
+	return &api.DistanceResult{From: pair.From, To: pair.To, Distance: d, Reachable: d != api.Unreachable}
+}
+
+// Query answers one typed api.Request: plan, then answer. It is the
+// dispatcher behind cmd/ccsp and, through the same steps, the serving
+// daemon's POST /v1/query and the client package. The response is the
+// wire form of what the matching Engine method returns; a KindAPSP
+// response reports the concrete algorithm that ran.
 func (e *Engine) Query(ctx context.Context, req api.Request) (*api.Response, error) {
 	p, err := e.Plan(req)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := p.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	*resp = p.Finish(*resp, false)
-	return resp, nil
+	return p.Answer(ctx)
 }
 
 // ResolveAPSPVariant maps the auto variant to the concrete algorithm the

@@ -1,7 +1,9 @@
 package ccsp
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -226,6 +228,84 @@ type wrapErr struct {
 func (w *wrapErr) Error() string { return w.msg }
 func (w *wrapErr) Unwrap() []error {
 	return w.inner
+}
+
+// TestAnswerMatchesRunFinish: Plan.Answer is Finish(Run, false) byte for
+// byte - every request kind on every graph family of the differential
+// oracle plus the two-component splitGraph, in both execution modes and at
+// both worker counts, a distance from a node to itself and one across
+// components included - and when the run fails (a source out of range, a
+// dead context) it fails with the same wire code and message.
+func TestAnswerMatchesRunFinish(t *testing.T) {
+	families := append(diffFamilies(), struct {
+		name string
+		gr   *Graph
+	}{"split", splitGraph()})
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, fam := range families {
+		fam := fam
+		t.Run(fam.name, func(t *testing.T) {
+			t.Parallel()
+			ctx := context.Background()
+			n := fam.gr.N()
+			reqs := append(diffRequests(n), api.Distance(0, 0), api.Distance(n-1, n-1), api.Distance(n-1, 0), api.Distance(0, n/2+1))
+			opts := []Options{{Epsilon: 0.5}}
+			for _, w := range diffWorkerCounts(t) {
+				opts = append(opts, Options{Epsilon: 0.5, Execution: ExecDirect, Workers: w})
+			}
+			for _, o := range opts {
+				eng, err := NewEngine(ctx, fam.gr, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, req := range reqs {
+					p, err := eng.Plan(req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					run, err := p.Run(ctx)
+					if err != nil {
+						t.Fatalf("%s %+v: %v", o.Execution, req, err)
+					}
+					want, err := json.Marshal(p.Finish(*run, false))
+					if err != nil {
+						t.Fatal(err)
+					}
+					answer, err := p.Answer(ctx)
+					if err != nil {
+						t.Fatalf("%s %+v: Answer: %v", o.Execution, req, err)
+					}
+					got, err := json.Marshal(answer)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("%s workers=%d %+v:\nAnswer          %s\nFinish(Run) %s", o.Execution, o.Workers, req, got, want)
+					}
+					if fam.name == "split" && req.Kind == api.KindDistance && (req.Distance.From < 4) != (req.Distance.To < 4) {
+						if d := answer.Distance; d.Reachable || d.Distance != api.Unreachable {
+							t.Errorf("%s %+v across the halves: %+v, want -1 and not reachable", o.Execution, req, d)
+						}
+					}
+				}
+				for _, bad := range []struct {
+					ctx context.Context
+					req api.Request
+				}{{ctx, api.Distance(n+3, 0)}, {ctx, api.Distance(-1, 0)}, {canceled, api.Distance(1, 0)}, {canceled, api.MSSP(1)}} {
+					p, err := eng.Plan(bad.req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, runErr := p.Run(bad.ctx)
+					_, ansErr := p.Answer(bad.ctx)
+					if runErr == nil || !reflect.DeepEqual(APIError(ansErr), APIError(runErr)) {
+						t.Errorf("%s %+v: Answer fails with %v, Run with %v", o.Execution, bad.req, APIError(ansErr), APIError(runErr))
+					}
+				}
+			}
+		})
+	}
 }
 
 // TestPlanIdempotent: a plan's own request is already canonical - planning

@@ -3,10 +3,12 @@ package ccsp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -14,11 +16,12 @@ import (
 )
 
 // TestQueryAllocsIndependentOfN pins the result path's O(1) shape
-// (DESIGN.md §13): a warm direct-mode distance or mssp query allocates the
-// kernel's answer plane, one slice of row headers and the response -
-// nothing per node - so the count is the same small number at n = 128 and
-// n = 512, up to the handful of closures each extra detection sweep costs
-// (TestMSSPKernelBytes below holds the bytes). Before the
+// (DESIGN.md §13): a warm direct-mode mssp query allocates the kernel's
+// answer plane, one slice of row headers and the response, a distance only
+// the response - nothing per node - so the count is the same small number
+// at n = 128 and n = 512, up to the handful of closures each extra
+// detection sweep costs (TestMSSPKernelBytes and TestDistanceKernelBytes
+// below hold the bytes). Before the
 // one-materialisation rule it was 3n+. A knearest query is ⌈log₂ k⌉
 // filtered squarings on the generic kernel that share one worker's
 // scratch, two output slabs and two sets of row headers, then one backing
@@ -118,6 +121,168 @@ func TestMSSPKernelBytes(t *testing.T) {
 				t.Errorf("n=%d q=%d: a warm MSSP allocates %d bytes, want <= %d (answer %d + row headers %d + membership %d + slack %d)",
 					n, q, got, budget, n*q*8, n*27, n, slack)
 			}
+		}
+	}
+}
+
+// TestDistanceKernelBytes pins what a warm direct-mode distance allocates
+// in bytes (DESIGN.md §13, "a point answer reads one cell"): the engine's
+// n-byte membership vector and 4 KiB for everything that does not grow
+// with n - the plan, the response, the Stats, the sweeps' closures. The
+// detection plane goes back to the pool once its one cell is read, so a
+// warm call takes both its planes from there; shaping the n×1 answer (an
+// 8·n plane kept plus 24·n of row headers, as before the one-cell read)
+// breaks it at both sizes. Same harness as TestMSSPKernelBytes: one P,
+// collector off, the mean of 20 calls.
+func TestDistanceKernelBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector: the detection planes are not reliably warm")
+	}
+	procs := runtime.GOMAXPROCS(1)
+	gc := debug.SetGCPercent(-1)
+	t.Cleanup(func() {
+		runtime.GOMAXPROCS(procs)
+		debug.SetGCPercent(gc)
+	})
+	const slack = 4 << 10
+	ctx := context.Background()
+	for _, n := range []int{256, 1024} {
+		eng, err := NewEngine(ctx, testGraph(n, 3*n, 10, int64(n)), Options{Epsilon: 0.5, Execution: ExecDirect, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		req := api.Distance(1, n/2+3)
+		query := func() {
+			if _, err := eng.Query(ctx, req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		query() // warm: artifact mats merged, scratch pooled
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			query()
+		}
+		runtime.ReadMemStats(&after)
+		got := (after.TotalAlloc - before.TotalAlloc) / runs
+		if budget := uint64(n + slack); got > budget {
+			t.Errorf("n=%d: a warm distance allocates %d bytes, want <= %d (membership %d + slack %d)", n, got, budget, n, slack)
+		}
+	}
+}
+
+// TestDistancePlaneRecycled is TestPanelAnswerNotRecycled lifted to the
+// engine: while 400 distance queries hand their planes back to the pool,
+// concurrent mssp (q = 1 and 8) and apsp queries on the same direct engine
+// take planes from it. Every MSSP answer held across all of that - the
+// ones taken before and the ones taken during - still equals a cold
+// engine's, and so does every distance and APSP answer.
+func TestDistancePlaneRecycled(t *testing.T) {
+	ctx := context.Background()
+	gr := testGraph(64, 96, 10, 17)
+	opts := Options{Epsilon: 0.5, Execution: ExecDirect}
+	cold, err := NewEngine(ctx, gr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(ctx, gr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := gr.N()
+	sources := [][]int{{5}, {0, 9, 18, 27, 36, 45, 54, 63}}
+	wantMSSP := make([][][]int64, len(sources))
+	for i, s := range sources {
+		res, err := cold.MSSP(ctx, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantMSSP[i] = res.Dist
+	}
+	wantAPSP, err := cold.APSP(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair := func(i int) api.Request { return api.Distance(i%n, (i*7+3)%n) }
+	wantDist := make([]*api.Response, n)
+	for i := range wantDist {
+		if wantDist[i], err = cold.Query(ctx, pair(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	type held struct {
+		i    int
+		dist [][]int64
+	}
+	var mu sync.Mutex
+	var kept []held
+	keep := func(i int) error {
+		res, err := eng.MSSP(ctx, sources[i])
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		kept = append(kept, held{i, res.Dist})
+		mu.Unlock()
+		return nil
+	}
+	for i := range sources {
+		if err := keep(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const distances, goroutines = 400, 4
+	errs := make(chan error, 2*goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(2)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < distances; i += goroutines {
+				got, err := eng.Query(ctx, pair(i))
+				if err != nil {
+					errs <- err
+					return
+				}
+				if want := wantDist[i%n]; !reflect.DeepEqual(got, want) {
+					errs <- fmt.Errorf("distance %d: %+v, want %+v", i, got.Distance, want.Distance)
+					return
+				}
+			}
+		}(g)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				if g == 0 && i%3 == 0 {
+					a, err := eng.APSP(ctx)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if !reflect.DeepEqual(a.Dist, wantAPSP.Dist) {
+						errs <- fmt.Errorf("apsp %d differs from a cold engine's", i)
+						return
+					}
+					continue
+				}
+				if err := keep((g + i) % len(sources)); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for _, h := range kept {
+		if !reflect.DeepEqual(h.dist, wantMSSP[h.i]) {
+			t.Errorf("a held mssp answer from %v changed after %d recycled distance planes", sources[h.i], distances)
 		}
 	}
 }
@@ -313,6 +478,57 @@ func TestDirectAPSPCancel(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestDirectSSSPCancel: an exact SSSP polls on entry and once per
+// k-nearest squaring (the Bellman-Ford rounds that follow are not
+// polled); canceled at any of them it returns no distances.
+func TestDirectSSSPCancel(t *testing.T) {
+	cancelAtEveryPoll(t, 4, func(ctx context.Context, eng *Engine) (*SSSPResult, error) {
+		res, err := eng.SSSP(ctx, 7)
+		if err != nil {
+			return nil, err
+		}
+		res.Stats = Stats{}
+		return res, nil
+	})
+}
+
+// TestDirectSourceDetectionCancel: (S, d, k)-detection polls on entry and
+// once per filtered product; canceled at any of them it hands out neither
+// slab.
+func TestDirectSourceDetectionCancel(t *testing.T) {
+	cancelAtEveryPoll(t, 6, func(ctx context.Context, eng *Engine) ([][]Neighbor, error) {
+		res, err := eng.SourceDetection(ctx, []int{0, 17, 40, 77}, 12, 3)
+		if err != nil {
+			return nil, err
+		}
+		return res.Detected, nil
+	})
+}
+
+// TestDirectDiameterCancel: the §7.2 estimate polls on entry, once per
+// k-nearest squaring and once per sweep of each of its two MSSP stages;
+// canceled at any of them it returns no estimate and releases the stages'
+// planes.
+func TestDirectDiameterCancel(t *testing.T) {
+	cancelAtEveryPoll(t, 6, func(ctx context.Context, eng *Engine) (int64, error) {
+		res, err := eng.Diameter(ctx)
+		if err != nil {
+			return 0, err
+		}
+		return res.Estimate, nil
+	})
+}
+
+// TestDirectDistanceCancel: a distance answered by Plan.Answer - the
+// one-cell read that hands its plane back to the pool - canceled at any
+// poll returns ErrCanceled, and the next answer is a cold engine's, so a
+// half-swept plane is neither served nor read.
+func TestDirectDistanceCancel(t *testing.T) {
+	cancelAtEveryPoll(t, 3, func(ctx context.Context, eng *Engine) (*api.Response, error) {
+		return eng.Query(ctx, api.Distance(17, 58))
+	})
 }
 
 // splitGraph is two 4-node paths with no edge between them: every pair
