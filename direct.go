@@ -142,8 +142,10 @@ func (d *directExec) sssp(ctx context.Context, source int) ([]int64, int, Stats,
 	return dist, iters, stats, err
 }
 
-func (d *directExec) apsp(ctx context.Context, v api.APSPVariant, entG, entLow *artifactEntry) ([][]int64, Stats, error) {
-	return direct(ctx, d, func() ([][]int64, error) {
+// apsp hands back the kernel's own estimate table, rest state
+// semiring.Inf, so - as for mssp's plane - no cell is copied.
+func (d *directExec) apsp(ctx context.Context, v api.APSPVariant, entG, entLow *artifactEntry) ([]int64, Stats, error) {
+	return direct(ctx, d, func() ([]int64, error) {
 		sr, w := d.g.AugSemiring(), d.weightMat()
 		_, ghG := d.artifactMats(artFull, entG)
 		switch v {

@@ -386,23 +386,31 @@ func sourceSet(n int, sources []int) ([]bool, error) {
 // construction. Safe to call concurrently; canceling ctx aborts the query
 // run at its next barrier.
 func (e *Engine) MSSP(ctx context.Context, sources []int) (*MSSPResult, error) {
+	res, _, err := e.mssp(ctx, sources)
+	return res, err
+}
+
+// mssp is MSSP plus the plane its Dist rows are cut from, for Plan.Run: a
+// caller that keeps nothing after writing the answer may hand the plane
+// back (Plan.Answer's release; DESIGN.md §13, "the result path").
+func (e *Engine) mssp(ctx context.Context, sources []int) (*MSSPResult, []int64, error) {
 	inS, srcList, err := normalizeSources(e.gr.N(), sources)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	plane, stats, err := e.detect(ctx, inS)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &MSSPResult{Sources: srcList, Dist: rowsOver(plane, len(srcList)), Stats: stats}, nil
+	return &MSSPResult{Sources: srcList, Dist: rowsOver(plane, len(srcList)), Stats: stats}, plane, nil
 }
 
 // distance is MSSP from the one source from, read at the one node to
 // (Theorem 3 with |S| = 1): the cell d̃(to, from), Unreachable if from does
 // not reach to, with the run's Stats. Nothing keeps the plane, so it goes
-// back to the detection kernel's pool - the one engine-level point that
-// releases a plane (DESIGN.md §13, "a point answer reads one cell"). to
-// must be in range; Engine.Plan checks it.
+// back to the detection kernel's pool here, before anyone else sees it
+// (DESIGN.md §13, "a point answer reads one cell"). to must be in range;
+// Engine.Plan checks it.
 func (e *Engine) distance(ctx context.Context, from, to int) (int64, Stats, error) {
 	inS, err := sourceSet(e.gr.N(), []int{from})
 	if err != nil {
@@ -485,24 +493,31 @@ func (e *Engine) APSPUnweighted(ctx context.Context) (*APSPResult, error) {
 // apspByVariant answers one concrete (non-auto) APSP variant from the ε/2
 // hopset on G, plus - for the unweighted algorithm only - the one on G'.
 func (e *Engine) apspByVariant(ctx context.Context, v api.APSPVariant) (*APSPResult, error) {
+	res, _, err := e.apsp(ctx, v)
+	return res, err
+}
+
+// apsp is apspByVariant plus the n×n table its Dist rows are cut from, for
+// Plan.Run to lend as mssp's plane is lent.
+func (e *Engine) apsp(ctx context.Context, v api.APSPVariant) (*APSPResult, []int64, error) {
 	if v != api.APSPWeighted && v != api.APSPWeighted3 && v != api.APSPUnweighted {
-		return nil, fmt.Errorf("%w: unknown apsp variant %q", api.ErrMalformed, v)
+		return nil, nil, fmt.Errorf("%w: unknown apsp variant %q", api.ErrMalformed, v)
 	}
 	entG, err := e.artifact(ctx, e.apspKey())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var entLow *artifactEntry
 	if v == api.APSPUnweighted {
 		if entLow, err = e.artifact(ctx, e.apspLowKey()); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	dist, stats, err := e.exec.apsp(ctx, v, entG, entLow)
+	table, stats, err := e.exec.apsp(ctx, v, entG, entLow)
 	if err != nil {
-		return nil, wrapRun(string(v)+" APSP", err)
+		return nil, nil, wrapRun(string(v)+" APSP", err)
 	}
-	return &APSPResult{Dist: dist, Stats: stats}, nil
+	return &APSPResult{Dist: rowsOver(table, e.gr.N()), Stats: stats}, table, nil
 }
 
 // Diameter answers a near-3/2 diameter query (§7.2) from the cached base

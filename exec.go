@@ -44,8 +44,9 @@ type executor interface {
 	// iteration count (Theorem 33).
 	sssp(ctx context.Context, source int) ([]int64, int, Stats, error)
 	// apsp runs one concrete §6 variant from the ε/2 hopset on G (and, for
-	// the unweighted algorithm, the one on G'); dense n×n estimates.
-	apsp(ctx context.Context, v api.APSPVariant, entG, entLow *artifactEntry) ([][]int64, Stats, error)
+	// the unweighted algorithm, the one on G'): the flat row-major n×n
+	// estimate table, owned by the caller like mssp's plane.
+	apsp(ctx context.Context, v api.APSPVariant, entG, entLow *artifactEntry) ([]int64, Stats, error)
 	// diameter returns the §7.2 estimate from the base hopset.
 	diameter(ctx context.Context, ent *artifactEntry) (int64, Stats, error)
 	// knearest returns every node's k closest nodes over the routed
@@ -154,24 +155,30 @@ func (s *simExec) sssp(ctx context.Context, source int) ([]int64, int, Stats, er
 	return dist, iters, stats, err
 }
 
-func (s *simExec) apsp(ctx context.Context, v api.APSPVariant, entG, entLow *artifactEntry) ([][]int64, Stats, error) {
+// apsp has every node write its estimate row into its own row of one
+// flat table (disjoint writes), so the answer crosses the seam in the
+// direct backend's form.
+func (s *simExec) apsp(ctx context.Context, v api.APSPVariant, entG, entLow *artifactEntry) ([]int64, Stats, error) {
+	n := s.g.N
 	sr := s.g.AugSemiring()
 	eps := s.opts.Epsilon
-	boards := hitting.NewBoardSeq(s.g.N)
-	dist := make([][]int64, s.g.N)
+	boards := hitting.NewBoardSeq(n)
+	table := make([]int64, n*n)
 	stats, err := s.run(ctx, func(nd *cc.Node) (err error) {
+		var est []int64
 		wrow := s.g.WeightRow(nd.ID)
 		switch v {
 		case api.APSPWeighted:
-			dist[nd.ID], err = apsp.TwoPlusEpsWeightedWithHopset(nd, sr, wrow, eps, boards, entG.art.At(nd.ID))
+			est, err = apsp.TwoPlusEpsWeightedWithHopset(nd, sr, wrow, eps, boards, entG.art.At(nd.ID))
 		case api.APSPWeighted3:
-			dist[nd.ID], err = apsp.ThreePlusEpsWithHopset(nd, sr, wrow, eps, boards, entG.art.At(nd.ID))
+			est, err = apsp.ThreePlusEpsWithHopset(nd, sr, wrow, eps, boards, entG.art.At(nd.ID))
 		default:
-			dist[nd.ID], err = apsp.TwoPlusEpsUnweightedWithHopsets(nd, sr, wrow, eps, boards, entLow.degs, entG.art.At(nd.ID), entLow.art.At(nd.ID))
+			est, err = apsp.TwoPlusEpsUnweightedWithHopsets(nd, sr, wrow, eps, boards, entLow.degs, entG.art.At(nd.ID), entLow.art.At(nd.ID))
 		}
+		copy(table[nd.ID*n:], est)
 		return err
 	})
-	return dist, stats, err
+	return table, stats, err
 }
 
 func (s *simExec) diameter(ctx context.Context, ent *artifactEntry) (int64, Stats, error) {

@@ -19,18 +19,22 @@ import (
 )
 
 // estAll is the dense n×n estimate table: row v mirrors node v's est. The
-// rows are capacity-clipped windows of one n×n array, and they are the
-// answer the caller receives.
+// rows are capacity-clipped windows of one row-major n×n array, flat, and
+// flat is the answer the caller receives. It comes from the detection
+// planes' pool, so a caller that lends the answer and hands it back
+// (disttools.ReleasePlane) lets the next table reuse it (DESIGN.md §13,
+// "the result path").
 type estAll struct {
+	flat []int64
 	rows [][]int64
 }
 
 func newEstAll(n int) *estAll {
-	flat := make([]int64, n*n)
+	flat := disttools.TakePlane(n * n)
 	for i := range flat {
 		flat[i] = semiring.Inf
 	}
-	e := &estAll{rows: make([][]int64, n)}
+	e := &estAll{flat: flat, rows: make([][]int64, n)}
 	for v := 0; v < n; v++ {
 		e.rows[v] = flat[v*n : (v+1)*n : (v+1)*n]
 		e.rows[v][v] = 0
@@ -171,9 +175,10 @@ func plainWeights(m *matrix.Mat[semiring.WH], dropDiagonal bool) *matrix.Mat[int
 // ThreePlusEpsDirect is the host-side counterpart of
 // ThreePlusEpsWithHopset for all nodes. gh and beta come from the eps/2
 // artifact on G (gh = mssp.MergeGH(sr, w, art), beta = art.Beta);
-// callers serving many queries pass a cached merge (DESIGN.md §13). Row
-// v of the result is byte-identical to node v's collective output.
-func ThreePlusEpsDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh *matrix.Mat[semiring.WH], beta, workers int) ([][]int64, error) {
+// callers serving many queries pass a cached merge (DESIGN.md §13). The
+// result is the row-major n×n table, and its row v (cells v·n to v·n+n−1)
+// is byte-identical to node v's collective output.
+func ThreePlusEpsDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh *matrix.Mat[semiring.WH], beta, workers int) ([]int64, error) {
 	n := w.N
 	e := newEstAll(n)
 	for v := 0; v < n; v++ {
@@ -202,13 +207,14 @@ func ThreePlusEpsDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh *matr
 		}
 	}
 	res.Release()
-	return e.rows, nil
+	return e.flat, nil
 }
 
 // TwoPlusEpsWeightedDirect is the host-side counterpart of
 // TwoPlusEpsWeightedWithHopset for all nodes. gh and beta come from the
-// eps/2 artifact on G, as in ThreePlusEpsDirect.
-func TwoPlusEpsWeightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh *matrix.Mat[semiring.WH], beta, workers int) ([][]int64, error) {
+// eps/2 artifact on G, and the result is the flat table, as in
+// ThreePlusEpsDirect.
+func TwoPlusEpsWeightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh *matrix.Mat[semiring.WH], beta, workers int) ([]int64, error) {
 	n := w.N
 	// Line (1): edge estimates.
 	e := newEstAll(n)
@@ -238,7 +244,7 @@ func TwoPlusEpsWeightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh
 	pvs, dpvs := pivotsAll(knear, inA)
 	pivotCombineAll(e, res, pvs, dpvs)
 	res.Release()
-	return e.rows, nil
+	return e.flat, nil
 }
 
 // TwoPlusEpsUnweightedDirect is the host-side counterpart of
@@ -246,8 +252,9 @@ func TwoPlusEpsWeightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh
 // eps/2 hopset on G and ghLow/betaLow from the eps/2 hopset on the
 // low-degree subgraph G', whose weight matrix low the caller builds with
 // LowDegreeRow from the preprocessing's |N(v)| vector (and can cache
-// across queries, DESIGN.md §13).
-func TwoPlusEpsUnweightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, ghG *matrix.Mat[semiring.WH], betaG int, low, ghLow *matrix.Mat[semiring.WH], betaLow, workers int) ([][]int64, error) {
+// across queries, DESIGN.md §13). The result is the flat table, as in
+// ThreePlusEpsDirect.
+func TwoPlusEpsUnweightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, ghG *matrix.Mat[semiring.WH], betaG int, low, ghLow *matrix.Mat[semiring.WH], betaLow, workers int) ([]int64, error) {
 	n := w.N
 
 	// Line (1): edge estimates.
@@ -307,5 +314,5 @@ func TwoPlusEpsUnweightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, 
 	m1, m2 := plainWeights(knearLow, false), plainWeights(low, true)
 	p1 := matmul.KernelMul[int64](plainMinPlus(sr), m1, m2, workers)
 	matmul.FoldMinPlus(e.rows, p1, plainWeight, m1.Transpose(), workers)
-	return e.rows, nil
+	return e.flat, nil
 }

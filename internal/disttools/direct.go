@@ -95,9 +95,11 @@ func SourceDetectAll[E any](ctx context.Context, sr semiring.Semiring[E], g *mat
 // (DESIGN.md §13, "source-restricted detection").
 //
 // W is the kernel's own buffer, handed over: the caller owns it. An MSSP
-// query serves it as the answer and never gives it back (DESIGN.md §13,
-// "the result path"); a caller that only reads the panel calls Release
-// when its last reader is done, or ReleasePlane if it kept only W.
+// query serves it as the answer, and gives it back through ReleasePlane
+// only where the answer is lent - once the one caller that reads it has
+// written it out (DESIGN.md §13, "the result path"); a caller that only
+// reads the panel calls Release when its last reader is done, or
+// ReleasePlane if it kept only W.
 type Panel struct {
 	N       int
 	Sources []int32

@@ -39,7 +39,15 @@ var (
 	indices scratch[int32] // n-sized column indices
 )
 
-// ReleasePlane is Panel.Release for a caller that holds a panel's plane
-// without the panel: the engine's one-cell distance read, once it has the
-// cell. The plane, and every slice of it, is dead afterwards.
+// TakePlane returns a plane of n cells from the pool detection planes
+// share, allocated exactly when none is there. Its cells are arbitrary:
+// the caller writes every one before reading it. APSP's estimate table is
+// the one taker outside the kernel (DESIGN.md §13, "who owns which
+// buffer").
+func TakePlane(n int) []int64 { return planes.get(n) }
+
+// ReleasePlane is Panel.Release for a caller that holds a plane without
+// the panel: the engine's one-cell distance read once it has the cell, a
+// lent MSSP plane or APSP table once its answer is written. The plane, and
+// every slice of it, is dead afterwards.
 func ReleasePlane(w []int64) { planes.put(w) }

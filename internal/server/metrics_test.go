@@ -70,10 +70,11 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestQueryCountersCacheOff: a query a cache-off daemon answers through
-// Plan.Answer - a distance's one-cell read, an mssp's run - is counted
-// exactly like one a cache-on daemon runs and stores: ccspd_queries_total,
-// the ccsp_engine_query_seconds count and /v1/stats' requests.queries each
-// move by one per query, never zero and never two.
+// Plan.Answer - a distance's one-cell read, an mssp or apsp answer lent and
+// given back - is counted exactly like one a cache-on daemon runs and
+// stores: ccspd_queries_total, the ccsp_engine_query_seconds count and
+// /v1/stats' requests.queries each move by one per query, never zero and
+// never two.
 func TestQueryCountersCacheOff(t *testing.T) {
 	_, eng := testEngine(t, 12)
 	for _, size := range []int{-1, 16} {
@@ -82,6 +83,9 @@ func TestQueryCountersCacheOff(t *testing.T) {
 			`{"kind":"distance","distance":{"from":1,"to":7}}`,
 			`{"kind":"distance","distance":{"from":2,"to":2}}`,
 			`{"kind":"mssp","mssp":{"sources":[3]}}`,
+			`{"kind":"mssp","mssp":{"sources":[0,2,4,6,8,10,11,1]}}`,
+			`{"kind":"apsp"}`,
+			`{"kind":"apsp","apsp":{"variant":"weighted3"}}`,
 		} {
 			before := queryCounters(t, ts.URL)
 			postJSON(t, ts.URL+"/v1/query", body, http.StatusOK, nil)

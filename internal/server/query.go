@@ -55,7 +55,10 @@ func (s *Server) fail(w http.ResponseWriter, kind api.Kind, err error) {
 
 // handleQuery serves POST /v1/query: one api.Request in, one
 // api.Response out (a distance request shares the single-source MSSP
-// cache entry, an auto APSP variant resolves before keying).
+// cache entry, an auto APSP variant resolves before keying). A lent
+// answer goes back only after writeJSON returns: by then the whole body
+// has been encoded and handed to the connection, and nothing reads the
+// answer again.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.requirePOST(w, r, "") {
 		return
@@ -65,12 +68,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, req.Kind, err)
 		return
 	}
-	resp, err := s.execute(r.Context(), req)
+	resp, release, err := s.execute(r.Context(), req)
 	if err != nil {
 		s.fail(w, req.Kind, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
+	release()
 }
 
 // handleBatch serves POST /v1/batch: many requests, one bounded set of

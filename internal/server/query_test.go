@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -185,12 +186,14 @@ func TestCacheHitBodyMatchesMiss(t *testing.T) {
 	}
 }
 
-// TestDistanceBodyCacheOffMatchesOn: with the cache off a daemon answers a
-// distance by Plan.Answer's one-cell read, with it on by run, store and
-// finish - and the two give the same bytes, the cached flag of a hit
-// aside: for every pair of a two-component graph (from == to and the
-// unreachable pairs included), in both execution modes, for the miss that
-// fills the entry and the hit that reads it, and for a request that fails.
+// TestDistanceBodyCacheOffMatchesOn: with the cache off a daemon answers
+// through Plan.Answer - a distance by its one-cell read, an mssp or apsp
+// lent and given back after the write - with it on by run, store and
+// finish, and the two give the same bytes, the cached flag of a hit aside:
+// for every distance pair of a two-component graph (from == to and the
+// unreachable pairs included), an mssp at q = 1 and 8 and all three apsp
+// variants, in both execution modes, for the miss that fills the entry and
+// the hit that reads it, and for a request that fails.
 func TestDistanceBodyCacheOffMatchesOn(t *testing.T) {
 	gr := ccsp.NewGraph(8)
 	for _, e := range [][3]int64{{0, 1, 2}, {1, 2, 3}, {2, 3, 1}, {4, 5, 2}, {5, 6, 4}, {6, 7, 1}} {
@@ -202,22 +205,38 @@ func TestDistanceBodyCacheOffMatchesOn(t *testing.T) {
 			t.Fatal(err)
 		}
 		off := newTestServer(t, eng, Config{CacheSize: -1})
+		// same is the cache-off body of req, checked against a fresh
+		// cache-on daemon's miss and hit.
+		same := func(req string) []byte {
+			on := newTestServer(t, eng, Config{CacheSize: 16})
+			defer on.Close()
+			want := postJSON(t, off.URL+"/v1/query", req, http.StatusOK, nil)
+			if miss := postJSON(t, on.URL+"/v1/query", req, http.StatusOK, nil); !bytes.Equal(miss, want) {
+				t.Errorf("%s (%s): cache-on miss %s, cache-off %s", req, exec, miss, want)
+			}
+			hit := postJSON(t, on.URL+"/v1/query", req, http.StatusOK, nil)
+			if !bytes.Equal(bytes.Replace(hit, []byte(`"cached":true`), []byte(`"cached":false`), 1), want) {
+				t.Errorf("%s (%s): cache-on hit %s, cache-off %s", req, exec, hit, want)
+			}
+			return want
+		}
 		for from := 0; from < gr.N(); from++ {
 			for to := 0; to < gr.N(); to++ {
-				on := newTestServer(t, eng, Config{CacheSize: 16})
 				req := fmt.Sprintf(`{"kind":"distance","distance":{"from":%d,"to":%d}}`, from, to)
-				want := postJSON(t, off.URL+"/v1/query", req, http.StatusOK, nil)
-				if across := (from < 4) != (to < 4); across != bytes.Contains(want, []byte(`"distance":-1,"reachable":false`)) {
-					t.Fatalf("%s (%s): %s", req, exec, want)
+				if across := (from < 4) != (to < 4); across != bytes.Contains(same(req), []byte(`"distance":-1,"reachable":false`)) {
+					t.Fatalf("%s (%s): reachability wrong", req, exec)
 				}
-				if miss := postJSON(t, on.URL+"/v1/query", req, http.StatusOK, nil); !bytes.Equal(miss, want) {
-					t.Errorf("%s (%s): cache-on miss %s, cache-off %s", req, exec, miss, want)
-				}
-				hit := postJSON(t, on.URL+"/v1/query", req, http.StatusOK, nil)
-				if !bytes.Equal(bytes.Replace(hit, []byte(`"cached":true`), []byte(`"cached":false`), 1), want) {
-					t.Errorf("%s (%s): cache-on hit %s, cache-off %s", req, exec, hit, want)
-				}
-				on.Close()
+			}
+		}
+		for _, req := range []string{
+			`{"kind":"mssp","mssp":{"sources":[5]}}`,
+			`{"kind":"mssp","mssp":{"sources":[0,1,2,3,4,5,6,7]}}`,
+			`{"kind":"apsp","apsp":{"variant":"weighted"}}`,
+			`{"kind":"apsp","apsp":{"variant":"weighted3"}}`,
+			`{"kind":"apsp","apsp":{"variant":"unweighted"}}`,
+		} {
+			if !bytes.Contains(same(req), []byte(`-1`)) {
+				t.Errorf("%s (%s): no unreachable cell across the two components", req, exec)
 			}
 		}
 		on := newTestServer(t, eng, Config{CacheSize: 16})
@@ -225,6 +244,115 @@ func TestDistanceBodyCacheOffMatchesOn(t *testing.T) {
 		if got, want := postJSON(t, on.URL+"/v1/query", bad, http.StatusUnprocessableEntity, nil),
 			postJSON(t, off.URL+"/v1/query", bad, http.StatusUnprocessableEntity, nil); !bytes.Equal(got, want) {
 			t.Errorf("%s (%s): cache-on %s, cache-off %s", bad, exec, got, want)
+		}
+	}
+}
+
+// TestLentAnswerRecycled: a cache-off daemon lends every mssp plane and
+// apsp table it answers and takes it back once writeJSON has returned.
+// Four clients post mssp (q = 1, 8 and n - the last a plane the size of
+// the n×n table), all three apsp variants and a distance at once to one
+// direct engine, while one of them also takes and holds that engine's own
+// Engine.MSSP and Engine.APSP answers: every body equals a cold engine's
+// answer, and so does every held answer once all the bodies are in. A
+// release before the write hands the plane to the next query while its
+// body is still being encoded, and fails this test.
+func TestLentAnswerRecycled(t *testing.T) {
+	ctx := context.Background()
+	gr := randomGraph(64)
+	opts := ccsp.Options{Epsilon: 0.5, Execution: ccsp.ExecDirect}
+	cold, err := ccsp.NewEngine(ctx, gr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := ccsp.NewEngine(ctx, gr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t, eng, Config{CacheSize: -1})
+	n := gr.N()
+	all := make([]int, n)
+	for v := range all {
+		all[v] = v
+	}
+	reqs := []api.Request{api.MSSP(5), api.MSSP(0, 9, 18, 27, 36, 45, 54, 63), api.MSSP(all...),
+		api.APSP(api.APSPWeighted), api.APSP(api.APSPWeighted3), api.APSP(api.APSPUnweighted), api.Distance(3, 40)}
+	bodies := make([]string, len(reqs))
+	want := make([][]byte, len(reqs))
+	for i, req := range reqs {
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = string(b)
+		resp, err := cold.Query(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = json.Marshal(resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantMSSP, err := cold.MSSP(ctx, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAPSP, err := cold.APSP(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var kept [][2][][]int64 // owned mssp and apsp answers, touched by client 0 alone until Wait
+	keep := func() error {
+		m, err := eng.MSSP(ctx, all)
+		if err != nil {
+			return err
+		}
+		a, err := eng.APSP(ctx)
+		if err != nil {
+			return err
+		}
+		kept = append(kept, [2][][]int64{m.Dist, a.Dist})
+		return nil
+	}
+	if err := keep(); err != nil {
+		t.Fatal(err)
+	}
+	const answers, clients = 96 * 7, 4
+	errs := make(chan error, clients)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < answers; i += clients {
+				if c == 0 && i%len(reqs) == 0 {
+					if err := keep(); err != nil {
+						errs <- err
+						return
+					}
+				}
+				j := i % len(reqs)
+				var got json.RawMessage
+				if err := fetch(ts.URL+"/v1/query", bodies[j], &got); err != nil {
+					errs <- err
+					return
+				}
+				if !bytes.Equal(got, want[j]) {
+					errs <- fmt.Errorf("body %d for %s differs from a cold engine's answer", i, bodies[j])
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for i, h := range kept {
+		if !reflect.DeepEqual(h[0], wantMSSP.Dist) || !reflect.DeepEqual(h[1], wantAPSP.Dist) {
+			t.Errorf("held answers %d changed after %d lent answers were given back", i, answers)
 		}
 	}
 }

@@ -344,33 +344,38 @@ func (s *Server) store(p ccsp.Plan, resp api.Response) {
 
 // execute answers one request: lookup, enter, run, store, finish. With the
 // cache off nothing keeps the canonical run, so the plan answers directly
-// (Plan.Answer: a distance reads its one cell) and only the count is kept.
-func (s *Server) execute(ctx context.Context, req api.Request) (api.Response, error) {
+// (Plan.Answer: a distance reads its one cell) and only the count is kept;
+// the answer is lent, and release - a no-op on every other path - hands
+// its plane or table back once the caller has written the body.
+func (s *Server) execute(ctx context.Context, req api.Request) (_ api.Response, release func(), _ error) {
 	p, resp, hit, err := s.lookup(req)
 	if err != nil || hit {
-		return resp, err
+		return resp, keepAll, err
 	}
 	ctx, leave, err := s.enter(ctx)
 	if err != nil {
-		return api.Response{}, err
+		return api.Response{}, keepAll, err
 	}
 	if s.cacheCap == 0 {
-		out, err := p.Answer(ctx)
+		out, release, err := p.Answer(ctx)
 		leave()
 		if err != nil {
-			return api.Response{}, err
+			return api.Response{}, keepAll, err
 		}
 		s.queries.Inc()
-		return *out, nil
+		return *out, release, nil
 	}
 	out, err := p.Run(ctx)
 	leave()
 	if err != nil {
-		return api.Response{}, err
+		return api.Response{}, keepAll, err
 	}
 	s.store(p, *out)
-	return p.Finish(*out, false), nil
+	return p.Finish(*out, false), keepAll, nil
 }
+
+// keepAll is the release of an answer that is not lent.
+func keepAll() {}
 
 // countError bumps the right per-class counter for a failed query and
 // returns its status code.

@@ -32,6 +32,17 @@ func jsonDist(d int64) int64 {
 // testEngine builds a small connected weighted graph and a warm engine.
 func testEngine(t testing.TB, n int) (*ccsp.Graph, *ccsp.Engine) {
 	t.Helper()
+	gr := randomGraph(n)
+	eng, err := ccsp.NewEngine(context.Background(), gr, ccsp.Options{Epsilon: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gr, eng
+}
+
+// randomGraph is a connected weighted graph on n nodes: a random tree plus
+// up to n random edges, the same graph for the same n.
+func randomGraph(n int) *ccsp.Graph {
 	rng := rand.New(rand.NewSource(int64(n) + 5))
 	gr := ccsp.NewGraph(n)
 	for v := 1; v < n; v++ {
@@ -43,11 +54,7 @@ func testEngine(t testing.TB, n int) (*ccsp.Graph, *ccsp.Engine) {
 			gr.MustAddEdge(u, v, rng.Int63n(9)+1)
 		}
 	}
-	eng, err := ccsp.NewEngine(context.Background(), gr, ccsp.Options{Epsilon: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return gr, eng
+	return gr
 }
 
 func newTestServer(t testing.TB, eng *ccsp.Engine, cfg Config) *httptest.Server {

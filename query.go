@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/congestedclique/ccsp/api"
+	"github.com/congestedclique/ccsp/internal/disttools"
 )
 
 // Plan is the executable form of one api.Request on one engine: the
@@ -71,6 +72,16 @@ func (p Plan) Key() string { return p.run.CacheKeyAt(p.eng.epoch) }
 // wrap the ccsp sentinels (ErrCanceled, ErrRoundLimit, ErrInvalidSource,
 // ErrInvalidOption) exactly as the direct Engine methods do.
 func (p Plan) Run(ctx context.Context) (*api.Response, error) {
+	resp, _, err := p.runLent(ctx)
+	return resp, err
+}
+
+// runLent is Run plus the flat buffer an mssp or apsp response's Dist rows
+// are cut from - the detection plane, the estimate table - and nil for
+// every other kind. Nobody else holds it, so a caller that keeps nothing
+// once the response is written may hand it back to the kernels' pool
+// (Answer's release).
+func (p Plan) runLent(ctx context.Context) (*api.Response, []int64, error) {
 	e, req := p.eng, p.run
 	defer e.observeQuery(time.Now())
 	// The engine serves exactly one graph; the Graph field is a serving-
@@ -78,39 +89,40 @@ func (p Plan) Run(ctx context.Context) (*api.Response, error) {
 	// attributable.
 	resp := &api.Response{Kind: req.Kind, Graph: req.Graph}
 	var stats Stats
+	var lent []int64
 	switch req.Kind {
 	case api.KindSSSP:
 		res, err := e.SSSP(ctx, req.SSSP.Source)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		resp.SSSP = &api.SSSPResult{Source: res.Source, Dist: wireVec(res.Dist), Iterations: res.Iterations}
 		stats = res.Stats
 	case api.KindMSSP:
-		res, err := e.MSSP(ctx, req.MSSP.Sources)
+		res, plane, err := e.mssp(ctx, req.MSSP.Sources)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		resp.MSSP = &api.MSSPResult{Sources: res.Sources, Dist: wireMat(res.Dist)}
-		stats = res.Stats
+		stats, lent = res.Stats, plane
 	case api.KindAPSP:
-		res, err := e.apspByVariant(ctx, req.APSP.Variant)
+		res, table, err := e.apsp(ctx, req.APSP.Variant)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		resp.APSP = &api.APSPResult{Variant: req.APSP.Variant, Dist: wireMat(res.Dist)}
-		stats = res.Stats
+		stats, lent = res.Stats, table
 	case api.KindDiameter:
 		res, err := e.Diameter(ctx)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		resp.Diameter = &api.DiameterResult{Estimate: res.Estimate}
 		stats = res.Stats
 	case api.KindKNearest:
 		res, err := e.KNearest(ctx, req.KNearest.K)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		resp.KNearest = &api.KNearestResult{K: req.KNearest.K, Neighbors: res.Neighbors}
 		stats = res.Stats
@@ -118,13 +130,13 @@ func (p Plan) Run(ctx context.Context) (*api.Response, error) {
 		q := req.SourceDetection
 		res, err := e.SourceDetection(ctx, q.Sources, q.D, q.K)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		resp.SourceDetection = &api.SourceDetectionResult{D: q.D, K: q.K, Detected: res.Detected}
 		stats = res.Stats
 	}
 	resp.Stats = wireStats(stats)
-	return resp, nil
+	return resp, lent, nil
 }
 
 // Finish turns a response to the plan's canonical request - fresh from
@@ -151,26 +163,39 @@ func (p Plan) Finish(resp api.Response, cached bool) api.Response {
 // that cell straight from the detection plane and hands the plane back
 // (Engine.distance). A caller that stores the canonical run (a response
 // cache) keeps calling Run and Finish.
-func (p Plan) Answer(ctx context.Context) (*api.Response, error) {
+//
+// The answer is lent: release, nil exactly when err is not, hands an mssp
+// answer's detection plane or an apsp answer's estimate table back to the
+// kernels' pool, and does nothing for the other kinds. Call it at most
+// once, after the last read of the response - from then on its Dist rows
+// are another query's scratch. Not calling it is always safe: the answer
+// is then owned like any Engine result (Engine.Query does not call it).
+func (p Plan) Answer(ctx context.Context) (resp *api.Response, release func(), err error) {
 	pair := p.req.Distance
 	if pair == nil {
-		resp, err := p.Run(ctx)
+		resp, lent, err := p.runLent(ctx)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		*resp = p.Finish(*resp, false)
-		return resp, nil
+		if lent == nil {
+			return resp, keepAll, nil
+		}
+		return resp, func() { disttools.ReleasePlane(lent) }, nil
 	}
 	defer p.eng.observeQuery(time.Now())
 	d, stats, err := p.eng.distance(ctx, pair.From, pair.To)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if d >= Unreachable {
 		d = api.Unreachable
 	}
-	return &api.Response{Kind: api.KindDistance, Graph: p.req.Graph, Distance: distanceResult(pair, d), Stats: wireStats(stats)}, nil
+	return &api.Response{Kind: api.KindDistance, Graph: p.req.Graph, Distance: distanceResult(pair, d), Stats: wireStats(stats)}, keepAll, nil
 }
+
+// keepAll is the release of an answer that lends nothing.
+func keepAll() {}
 
 // distanceResult is the answer to pair at wire distance d.
 func distanceResult(pair *api.DistanceParams, d int64) *api.DistanceResult {
@@ -181,13 +206,15 @@ func distanceResult(pair *api.DistanceParams, d int64) *api.DistanceResult {
 // dispatcher behind cmd/ccsp and, through the same steps, the serving
 // daemon's POST /v1/query and the client package. The response is the
 // wire form of what the matching Engine method returns; a KindAPSP
-// response reports the concrete algorithm that ran.
+// response reports the concrete algorithm that ran. It is the caller's to
+// keep: Query never releases what Answer lends.
 func (e *Engine) Query(ctx context.Context, req api.Request) (*api.Response, error) {
 	p, err := e.Plan(req)
 	if err != nil {
 		return nil, err
 	}
-	return p.Answer(ctx)
+	resp, _, err := p.Answer(ctx)
+	return resp, err
 }
 
 // ResolveAPSPVariant maps the auto variant to the concrete algorithm the
@@ -205,9 +232,9 @@ func (e *Engine) ResolveAPSPVariant(v api.APSPVariant) api.APSPVariant {
 }
 
 // wireVec rewrites dist to wire form in place - the in-process Unreachable
-// sentinel becomes the wire's -1 - and returns it. Only Plan.Run calls it,
-// on a result the engine method just computed for it and retains no
-// reference to (DESIGN.md §13, "the result path").
+// sentinel becomes the wire's -1 - and returns it. Only Plan.Run's body
+// (runLent) calls it, on a result the engine method just computed for it
+// and retains no reference to (DESIGN.md §13, "the result path").
 func wireVec(dist []int64) []int64 {
 	for i, d := range dist {
 		if d >= Unreachable {

@@ -1,7 +1,9 @@
 package ccsp
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -84,12 +86,7 @@ func TestMSSPKernelBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector: the scratch plane is not reliably warm")
 	}
-	procs := runtime.GOMAXPROCS(1)
-	gc := debug.SetGCPercent(-1)
-	t.Cleanup(func() {
-		runtime.GOMAXPROCS(procs)
-		debug.SetGCPercent(gc)
-	})
+	onePNoGC(t)
 	const slack = 2 << 10
 	ctx := context.Background()
 	for _, n := range []int{256, 1024} {
@@ -99,30 +96,53 @@ func TestMSSPKernelBytes(t *testing.T) {
 		}
 		runtime.GC()
 		for _, q := range []int{1, 8} {
-			sources := make([]int, q)
-			for i := range sources {
-				sources[i] = (i*n/q + 1) % n
-			}
-			query := func() {
+			sources := spreadSources(n, q)
+			got := meanWarmBytes(func() {
 				if _, err := eng.MSSP(ctx, sources); err != nil {
 					t.Fatal(err)
 				}
-			}
-			query() // warm: artifact mats merged, scratch pooled
-			const runs = 20
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := 0; i < runs; i++ {
-				query()
-			}
-			runtime.ReadMemStats(&after)
-			got := (after.TotalAlloc - before.TotalAlloc) / runs
+			})
 			if budget := uint64(n*q*8 + n*27 + n + slack); got > budget {
 				t.Errorf("n=%d q=%d: a warm MSSP allocates %d bytes, want <= %d (answer %d + row headers %d + membership %d + slack %d)",
 					n, q, got, budget, n*q*8, n*27, n, slack)
 			}
 		}
 	}
+}
+
+// onePNoGC runs the rest of the test on one P with the collector off, both
+// restored on cleanup: the byte pins' harness (TestMSSPKernelBytes says
+// why).
+func onePNoGC(t *testing.T) {
+	procs := runtime.GOMAXPROCS(1)
+	gc := debug.SetGCPercent(-1)
+	t.Cleanup(func() {
+		runtime.GOMAXPROCS(procs)
+		debug.SetGCPercent(gc)
+	})
+}
+
+// meanWarmBytes is what one warm call of query allocates: the mean of 20
+// calls after one that merges the artifact mats and fills the pools.
+func meanWarmBytes(query func()) uint64 {
+	query()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		query()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// spreadSources is q sources spread evenly over n nodes.
+func spreadSources(n, q int) []int {
+	sources := make([]int, q)
+	for i := range sources {
+		sources[i] = (i*n/q + 1) % n
+	}
+	return sources
 }
 
 // TestDistanceKernelBytes pins what a warm direct-mode distance allocates
@@ -138,12 +158,7 @@ func TestDistanceKernelBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector: the detection planes are not reliably warm")
 	}
-	procs := runtime.GOMAXPROCS(1)
-	gc := debug.SetGCPercent(-1)
-	t.Cleanup(func() {
-		runtime.GOMAXPROCS(procs)
-		debug.SetGCPercent(gc)
-	})
+	onePNoGC(t)
 	const slack = 4 << 10
 	ctx := context.Background()
 	for _, n := range []int{256, 1024} {
@@ -153,20 +168,11 @@ func TestDistanceKernelBytes(t *testing.T) {
 		}
 		runtime.GC()
 		req := api.Distance(1, n/2+3)
-		query := func() {
+		got := meanWarmBytes(func() {
 			if _, err := eng.Query(ctx, req); err != nil {
 				t.Fatal(err)
 			}
-		}
-		query() // warm: artifact mats merged, scratch pooled
-		const runs = 20
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			query()
-		}
-		runtime.ReadMemStats(&after)
-		got := (after.TotalAlloc - before.TotalAlloc) / runs
+		})
 		if budget := uint64(n + slack); got > budget {
 			t.Errorf("n=%d: a warm distance allocates %d bytes, want <= %d (membership %d + slack %d)", n, got, budget, n, slack)
 		}
@@ -287,6 +293,111 @@ func TestDistancePlaneRecycled(t *testing.T) {
 	}
 }
 
+// TestLentAnswerRecycled is TestDistancePlaneRecycled for lent answers:
+// four goroutines answer mssp (q = 1, 8 and n - the last a plane the size
+// of the n×n table), all three apsp variants and a distance through
+// Plan.Answer on one direct engine, each read before its release, while
+// one of them also takes and holds owned Engine.MSSP and Engine.APSP
+// answers. Every lent answer equals a cold engine's, and so does every
+// held answer after all the releases. internal/server has its namesake
+// for the daemon's release point.
+func TestLentAnswerRecycled(t *testing.T) {
+	ctx := context.Background()
+	gr := testGraph(64, 96, 10, 17)
+	opts := Options{Epsilon: 0.5, Execution: ExecDirect}
+	cold, err := NewEngine(ctx, gr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(ctx, gr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := gr.N()
+	all := spreadSources(n, n)
+	reqs := []api.Request{api.MSSP(5), api.MSSP(spreadSources(n, 8)...), api.MSSP(all...),
+		api.APSP(api.APSPWeighted), api.APSP(api.APSPWeighted3), api.APSP(api.APSPUnweighted), api.Distance(3, 40)}
+	want := make([][]byte, len(reqs))
+	for i, req := range reqs {
+		resp, err := cold.Query(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = json.Marshal(resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantMSSP, err := cold.MSSP(ctx, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAPSP, err := cold.APSP(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var kept [][2][][]int64 // owned mssp and apsp answers, touched by goroutine 0 alone until Wait
+	keep := func() error {
+		m, err := eng.MSSP(ctx, all)
+		if err != nil {
+			return err
+		}
+		a, err := eng.APSP(ctx)
+		if err != nil {
+			return err
+		}
+		kept = append(kept, [2][][]int64{m.Dist, a.Dist})
+		return nil
+	}
+	if err := keep(); err != nil {
+		t.Fatal(err)
+	}
+	const answers, goroutines = 24 * 7, 4
+	errs := make(chan error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < answers; i += goroutines {
+				if g == 0 && i%len(reqs) == 0 {
+					if err := keep(); err != nil {
+						errs <- err
+						return
+					}
+				}
+				j := i % len(reqs)
+				p, err := eng.Plan(reqs[j])
+				if err != nil {
+					errs <- err
+					return
+				}
+				resp, release, err := p.Answer(ctx)
+				if err != nil {
+					errs <- err
+					return
+				}
+				got, err := json.Marshal(resp)
+				release()
+				if err != nil || !bytes.Equal(got, want[j]) {
+					errs <- fmt.Errorf("lent answer %d to %+v differs from a cold engine's (%v)", i, reqs[j], err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for i, h := range kept {
+		if !reflect.DeepEqual(h[0], wantMSSP.Dist) || !reflect.DeepEqual(h[1], wantAPSP.Dist) {
+			t.Errorf("held answers %d changed after %d lent answers were released", i, answers)
+		}
+	}
+}
+
 // warmBytes is what one warm call of query allocates, for the two
 // large-answer pins below: the least of runs calls. An APSP allocates more
 // than the live heap per call, so the collector runs inside most calls and
@@ -336,10 +447,60 @@ func TestAPSPKernelBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		k := int(math.Ceil(math.Sqrt(float64(n))))
-		if budget := uint64(n*n*8 + 96*n*k + 560*n + 8<<10); got > budget {
-			t.Errorf("n=%d: a warm APSP allocates %d bytes, want <= %d (table %d + 96·n·√n %d + 560·n %d + 8 KiB)",
-				n, got, budget, n*n*8, 96*n*k, 560*n)
+		if budget := uint64(n*n*8) + apspScratchBudget(n); got > budget {
+			t.Errorf("n=%d: a warm APSP allocates %d bytes, want <= %d (table %d + 96·n·√n + 560·n + 8 KiB)",
+				n, got, budget, n*n*8)
+		}
+	}
+}
+
+// apspScratchBudget is what a warm weighted APSP may allocate besides its
+// n²·8-byte table: 96·n·⌈√n⌉ + 560·n + 8 KiB (TestAPSPKernelBytes).
+func apspScratchBudget(n int) uint64 {
+	k := int(math.Ceil(math.Sqrt(float64(n))))
+	return uint64(96*n*k + 560*n + 8<<10)
+}
+
+// TestLentAnswerBytes pins what lending saves (DESIGN.md §13, "the result
+// path"): a warm Plan.Answer followed by its release allocates neither a
+// plane nor a table. An mssp at q = 8 allocates the n row headers over its
+// plane (24 bytes each, plus the size-class rounding TestMSSPKernelBytes
+// allows: n·27), the engine's n-byte membership vector and 4 KiB for what
+// does not grow with n - the response, the source list, the sweeps'
+// closures, the release - measured as TestMSSPKernelBytes does; a
+// weighted apsp allocates TestAPSPKernelBytes' budget less the n²·8-byte
+// table, the least of five calls (warmBytes). An answer that is not given
+// back breaks both, the mssp by its n·q·8-byte plane.
+func TestLentAnswerBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector: a released buffer is not reliably pooled")
+	}
+	onePNoGC(t)
+	ctx := context.Background()
+	for _, n := range []int{256, 1024} {
+		eng, err := NewEngine(ctx, testGraph(n, 3*n, 10, int64(n)), Options{Epsilon: 0.5, Execution: ExecDirect, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		answer := func(req api.Request) func() {
+			p, err := eng.Plan(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func() {
+				_, release, err := p.Answer(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				release()
+			}
+		}
+		if got, budget := meanWarmBytes(answer(api.MSSP(spreadSources(n, 8)...))), uint64(n*27+n+4<<10); got > budget {
+			t.Errorf("n=%d: a warm lent mssp q=8 allocates %d bytes, want <= %d (row headers %d + membership %d + 4 KiB)", n, got, budget, n*27, n)
+		}
+		if got, budget := warmBytes(5, answer(api.APSP(api.APSPWeighted))), apspScratchBudget(n); got > budget {
+			t.Errorf("n=%d: a warm lent apsp allocates %d bytes, want <= %d (TestAPSPKernelBytes' budget without the %d-byte table)", n, got, budget, n*n*8)
 		}
 	}
 }
