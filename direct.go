@@ -167,14 +167,22 @@ func (d *directExec) diameter(ctx context.Context, ent *artifactEntry) (int64, S
 	})
 }
 
-func (d *directExec) knearest(ctx context.Context, k int) (*matrix.Mat[semiring.WHF], Stats, error) {
-	return direct(ctx, d, func() (*matrix.Mat[semiring.WHF], error) {
-		return disttools.KNearestAll[semiring.WHF](ctx, d.g.RoutedSemiring(), d.routedMat(), k, d.workers)
+// knearest lends the k-nearest loop's own slab; release hands its
+// matmul.Filtered back.
+func (d *directExec) knearest(ctx context.Context, k int) (*matrix.Mat[semiring.WHF], func(), Stats, error) {
+	var release func()
+	rows, stats, err := direct(ctx, d, func() (rows *matrix.Mat[semiring.WHF], err error) {
+		rows, release, err = disttools.KNearestLent[semiring.WHF](ctx, d.g.RoutedSemiring(), d.routedMat(), k, d.workers)
+		return rows, err
 	})
+	return rows, release, stats, err
 }
 
-func (d *directExec) sourceDetect(ctx context.Context, inS []bool, dHops, k int) (*matrix.Mat[semiring.WH], Stats, error) {
-	return direct(ctx, d, func() (*matrix.Mat[semiring.WH], error) {
-		return disttools.SourceDetectKAll[semiring.WH](ctx, d.g.AugSemiring(), d.weightMat(), inS, dHops, k, d.workers)
+func (d *directExec) sourceDetect(ctx context.Context, inS []bool, dHops, k int) (*matrix.Mat[semiring.WH], func(), Stats, error) {
+	var release func()
+	rows, stats, err := direct(ctx, d, func() (rows *matrix.Mat[semiring.WH], err error) {
+		rows, release, err = disttools.SourceDetectKLent[semiring.WH](ctx, d.g.AugSemiring(), d.weightMat(), inS, dHops, k, d.workers)
+		return rows, err
 	})
+	return rows, release, stats, err
 }

@@ -537,20 +537,31 @@ func (e *Engine) Diameter(ctx context.Context) (*DiameterResult, error) {
 // KNearest answers a k-nearest query (Theorem 18 over the
 // witness-tracking semiring). It needs no preprocessing artifacts.
 func (e *Engine) KNearest(ctx context.Context, k int) (*KNearestResult, error) {
+	res, _, err := e.knearest(ctx, k, false)
+	return res, err
+}
+
+// knearest is KNearest plus the backing its lists are cut from, for
+// Plan.Answer to lend as mssp's plane is lent: with lend set the backing
+// comes from neighborBackings, else it is allocated to size for an owned
+// answer. The kernel's rows go back to the kernel as soon as the lists
+// hold their copy.
+func (e *Engine) knearest(ctx context.Context, k int, lend bool) (*KNearestResult, []Neighbor, error) {
 	if k < 1 {
-		return nil, fmt.Errorf("%w: k must be positive, got %d", ErrInvalidOption, k)
+		return nil, nil, fmt.Errorf("%w: k must be positive, got %d", ErrInvalidOption, k)
 	}
-	rows, stats, err := e.exec.knearest(ctx, k)
+	rows, release, stats, err := e.exec.knearest(ctx, k)
 	if err != nil {
-		return nil, wrapRun("k-nearest", err)
+		return nil, nil, wrapRun("k-nearest", err)
 	}
-	out := neighborLists(rows, func(en matrix.Entry[semiring.WHF]) Neighbor {
+	out, backing := neighborLists(rows, lend, func(en matrix.Entry[semiring.WHF]) Neighbor {
 		return Neighbor{Node: int(en.Col), Dist: en.Val.W, Hops: int(en.Val.H), FirstHop: int(en.Val.FH)}
 	})
+	release()
 	for _, nb := range out {
 		slices.SortFunc(nb, nearestFirst)
 	}
-	return &KNearestResult{Neighbors: out, Stats: stats}, nil
+	return &KNearestResult{Neighbors: out, Stats: stats}, backing, nil
 }
 
 // nearestFirst orders a k-nearest list by (Dist, Hops, Node).
@@ -558,16 +569,28 @@ func nearestFirst(a, b Neighbor) int {
 	return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Hops, b.Hops), cmp.Compare(a.Node, b.Node))
 }
 
+// neighborBackings recycles the backing arrays of neighbor-list answers
+// that were lent and given back (Plan.Answer's release).
+var neighborBackings disttools.Scratch[Neighbor]
+
 // neighborLists shapes sparse result rows into per-node neighbor lists in
-// row order, all cut from one backing array sized from the row lengths.
-// Each list is capacity-clipped (an append to one cannot write into the
-// next), and an empty one stays non-nil so it still encodes as [].
-func neighborLists[E any](rows *matrix.Mat[E], of func(matrix.Entry[E]) Neighbor) [][]Neighbor {
+// row order, all cut from one backing array sized from the row lengths -
+// taken from neighborBackings when the answer is to be lent, allocated to
+// exactly that size when it is to be owned - and returns the lists and that
+// backing. Each list is capacity-clipped (an append to one cannot write
+// into the next), and an empty one stays non-nil so it still encodes as [].
+func neighborLists[E any](rows *matrix.Mat[E], lend bool, of func(matrix.Entry[E]) Neighbor) ([][]Neighbor, []Neighbor) {
 	total := 0
 	for _, row := range rows.Rows {
 		total += len(row)
 	}
-	backing := make([]Neighbor, 0, total)
+	var backing []Neighbor
+	if lend {
+		backing = neighborBackings.Get(total)[:0]
+	}
+	if backing == nil {
+		backing = make([]Neighbor, 0, total)
+	}
 	out := make([][]Neighbor, len(rows.Rows))
 	for v, row := range rows.Rows {
 		start := len(backing)
@@ -576,7 +599,7 @@ func neighborLists[E any](rows *matrix.Mat[E], of func(matrix.Entry[E]) Neighbor
 		}
 		out[v] = backing[start:len(backing):len(backing)]
 	}
-	return out
+	return out, backing
 }
 
 // SourceDetection answers an (S, d, k)-source detection query
@@ -585,22 +608,30 @@ func neighborLists[E any](rows *matrix.Mat[E], of func(matrix.Entry[E]) Neighbor
 // answers are identical and the run does not pay for dead iterations (nor
 // can a wire-supplied d drive unbounded work).
 func (e *Engine) SourceDetection(ctx context.Context, sources []int, d, k int) (*SourceDetectionResult, error) {
+	res, _, err := e.sourceDetection(ctx, sources, d, k, false)
+	return res, err
+}
+
+// sourceDetection is SourceDetection plus the backing its lists are cut
+// from, taken and lent as knearest's.
+func (e *Engine) sourceDetection(ctx context.Context, sources []int, d, k int, lend bool) (*SourceDetectionResult, []Neighbor, error) {
 	if d < 1 || k < 1 {
-		return nil, fmt.Errorf("%w: d and k must be positive (d=%d, k=%d)", ErrInvalidOption, d, k)
+		return nil, nil, fmt.Errorf("%w: d and k must be positive (d=%d, k=%d)", ErrInvalidOption, d, k)
 	}
 	n := e.gr.N()
 	inS, err := sourceSet(n, sources)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	rows, stats, err := e.exec.sourceDetect(ctx, inS, min(d, n), k)
+	rows, release, stats, err := e.exec.sourceDetect(ctx, inS, min(d, n), k)
 	if err != nil {
-		return nil, wrapRun("source detection", err)
+		return nil, nil, wrapRun("source detection", err)
 	}
-	out := neighborLists(rows, func(en matrix.Entry[semiring.WH]) Neighbor {
+	out, backing := neighborLists(rows, lend, func(en matrix.Entry[semiring.WH]) Neighbor {
 		return Neighbor{Node: int(en.Col), Dist: en.Val.W, Hops: int(en.Val.H), FirstHop: -1}
 	})
-	return &SourceDetectionResult{Detected: out, Stats: stats}, nil
+	release()
+	return &SourceDetectionResult{Detected: out, Stats: stats}, backing, nil
 }
 
 // oneShot runs a single query on a fresh lazy Engine and has fold add the

@@ -50,10 +50,14 @@ type executor interface {
 	// diameter returns the §7.2 estimate from the base hopset.
 	diameter(ctx context.Context, ent *artifactEntry) (int64, Stats, error)
 	// knearest returns every node's k closest nodes over the routed
-	// semiring (Theorem 18), rows in column order.
-	knearest(ctx context.Context, k int) (*matrix.Mat[semiring.WHF], Stats, error)
-	// sourceDetect solves (S, d, k)-source detection (Theorem 19).
-	sourceDetect(ctx context.Context, inS []bool, d, k int) (*matrix.Mat[semiring.WH], Stats, error)
+	// semiring (Theorem 18), rows in column order. The rows are lent: after
+	// a successful call, release gives them back once the caller has copied
+	// them out (directExec: their matmul.Filtered; simExec: keepAll, the
+	// rows are nobody else's).
+	knearest(ctx context.Context, k int) (*matrix.Mat[semiring.WHF], func(), Stats, error)
+	// sourceDetect solves (S, d, k)-source detection (Theorem 19), its rows
+	// lent like knearest's.
+	sourceDetect(ctx context.Context, inS []bool, d, k int) (*matrix.Mat[semiring.WH], func(), Stats, error)
 }
 
 // simExec is the round-accurate backend: every step is one cc.Run of the
@@ -195,22 +199,22 @@ func (s *simExec) diameter(ctx context.Context, ent *artifactEntry) (int64, Stat
 	return estimate, stats, err
 }
 
-func (s *simExec) knearest(ctx context.Context, k int) (*matrix.Mat[semiring.WHF], Stats, error) {
+func (s *simExec) knearest(ctx context.Context, k int) (*matrix.Mat[semiring.WHF], func(), Stats, error) {
 	sr := s.g.RoutedSemiring()
 	rows := matrix.New[semiring.WHF](s.g.N)
 	stats, err := s.run(ctx, func(nd *cc.Node) error {
 		rows.Rows[nd.ID] = disttools.KNearest[semiring.WHF](nd, sr, s.g.WeightRowRouted(nd.ID), k)
 		return nil
 	})
-	return rows, stats, err
+	return rows, keepAll, stats, err
 }
 
-func (s *simExec) sourceDetect(ctx context.Context, inS []bool, d, k int) (*matrix.Mat[semiring.WH], Stats, error) {
+func (s *simExec) sourceDetect(ctx context.Context, inS []bool, d, k int) (*matrix.Mat[semiring.WH], func(), Stats, error) {
 	sr := s.g.AugSemiring()
 	rows := matrix.New[semiring.WH](s.g.N)
 	stats, err := s.run(ctx, func(nd *cc.Node) error {
 		rows.Rows[nd.ID] = disttools.SourceDetectK[semiring.WH](nd, sr, s.g.WeightRow(nd.ID), inS, d, k)
 		return nil
 	})
-	return rows, stats, err
+	return rows, keepAll, stats, err
 }

@@ -73,11 +73,13 @@ func whWeight(v semiring.WH) int64 { return v.W }
 func plainWeight(v int64) int64    { return v }
 
 // exactKNearestAll mirrors exactKNearest for all nodes: k-nearest rows
-// plus the symmetric update (u learns d(v,u) for v with u ∈ N_k(v)).
-func exactKNearestAll(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], k, workers int, e *estAll) (*matrix.Mat[semiring.WH], error) {
-	knear, err := disttools.KNearestAll[semiring.WH](ctx, sr, w, k, workers)
+// plus the symmetric update (u learns d(v,u) for v with u ∈ N_k(v)). The
+// rows are lent (disttools.KNearestLent): the caller releases them once
+// its last stage has read them.
+func exactKNearestAll(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], k, workers int, e *estAll) (*matrix.Mat[semiring.WH], func(), error) {
+	knear, release, err := disttools.KNearestLent[semiring.WH](ctx, sr, w, k, workers)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for v, r := range knear.Rows {
 		for _, en := range r {
@@ -87,7 +89,7 @@ func exactKNearestAll(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat
 			}
 		}
 	}
-	return knear, nil
+	return knear, release, nil
 }
 
 // pivotsAll mirrors pivotOf for all nodes.
@@ -186,10 +188,11 @@ func ThreePlusEpsDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh *matr
 			e.upd(v, en.Col, en.Val.W)
 		}
 	}
-	knear, err := exactKNearestAll(ctx, sr, w, sqrtCeil(n), workers, e)
+	knear, release, err := exactKNearestAll(ctx, sr, w, sqrtCeil(n), workers, e)
 	if err != nil {
 		return nil, err
 	}
+	defer release()
 	inA := hitting.Greedy(n, colSets(knear, 0))
 	res, err := mssp.RunDirectPanel(ctx, gh, beta, inA, workers)
 	if err != nil {
@@ -224,10 +227,11 @@ func TwoPlusEpsWeightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh
 		}
 	}
 	// Line (2): exact distances to the √n nearest (both directions).
-	knear, err := exactKNearestAll(ctx, sr, w, sqrtCeil(n), workers, e)
+	knear, release, err := exactKNearestAll(ctx, sr, w, sqrtCeil(n), workers, e)
 	if err != nil {
 		return nil, err
 	}
+	defer release()
 	// Line (3): distances through N_k(u) ∩ N_k(v).
 	if err := disttools.FoldThroughSets(ctx, e.rows, knear, whWeight, workers); err != nil {
 		return nil, err
@@ -287,10 +291,11 @@ func TwoPlusEpsUnweightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, 
 
 	// Line (5): n^{1/4}-nearest in G'.
 	kq := int(math.Ceil(math.Pow(float64(n), 0.25)))
-	knearLow, err := disttools.KNearestAll[semiring.WH](ctx, sr, low, kq, workers)
+	knearLow, release, err := disttools.KNearestLent[semiring.WH](ctx, sr, low, kq, workers)
 	if err != nil {
 		return nil, err
 	}
+	defer release()
 	e.updMatWH(knearLow)
 	// Line (6): distances through N_{k'}(u) ∩ N_{k'}(v).
 	if err := disttools.FoldThroughSets(ctx, e.rows, knearLow, whWeight, workers); err != nil {

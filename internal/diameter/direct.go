@@ -29,10 +29,11 @@ func ApproxDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh *matrix.Mat
 	if k > n {
 		k = n
 	}
-	knear, err := disttools.KNearestAll[semiring.WH](ctx, sr, w, k, workers)
+	knear, release, err := disttools.KNearestLent[semiring.WH](ctx, sr, w, k, workers)
 	if err != nil {
 		return 0, fmt.Errorf("diameter: %w", err)
 	}
+	defer release()
 	sets := make([][]int32, n)
 	for v := 0; v < n; v++ {
 		sv := make([]int32, 0, len(knear.Rows[v]))

@@ -25,7 +25,24 @@ import (
 // cur ← Filter(cur·cur, k) depends on cur alone, so the first squaring
 // that returns its input proves the remaining ones identical and ends
 // the loop (DESIGN.md §13, "the fast build path").
+//
+// The caller owns the result: it is a slab of a matmul.Filtered that is
+// never released, so nobody writes to it once this call has returned. A
+// caller that is done with the rows before it returns, and runs often
+// enough for a later loop to take the slabs over, takes KNearestLent
+// instead and gives them back.
 func KNearestAll[E any](ctx context.Context, sr semiring.Ordered[E], w *matrix.Mat[E], k, workers int) (*matrix.Mat[E], error) {
+	knear, _, err := KNearestLent(ctx, sr, w, k, workers)
+	return knear, err
+}
+
+// KNearestLent is KNearestAll lending its answer: the rows are one of the
+// two slabs of a recycled matmul.Filtered, and release hands the whole
+// Filtered back for the next product loop to take over (DESIGN.md §13,
+// "who owns which slab, and for how long"). Call release at most once,
+// after the last read of the rows; it is nil exactly when err is not, and
+// a canceled loop has given everything back before it returns.
+func KNearestLent[E any](ctx context.Context, sr semiring.Ordered[E], w *matrix.Mat[E], k, workers int) (_ *matrix.Mat[E], release func(), _ error) {
 	n := w.N
 	if k < 1 {
 		k = 1
@@ -34,13 +51,14 @@ func KNearestAll[E any](ctx context.Context, sr semiring.Ordered[E], w *matrix.M
 		k = n
 	}
 	// cur and next are the two slabs of one Filtered; the result is one of
-	// them, and nobody writes to it once this call has returned.
+	// them.
 	f := matmul.NewFiltered(sr, n, k, workers)
 	cur := f.FilterCols(w, nil)
 	iters := bits.Len(uint(k - 1)) // ceil(log2 k), as in KNearest
 	for t := 0; t < iters; t++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			f.Release()
+			return nil, nil, err
 		}
 		next := f.Mul(cur, cur)
 		if matrix.Equal[E](sr, next, cur) {
@@ -48,7 +66,7 @@ func KNearestAll[E any](ctx context.Context, sr semiring.Ordered[E], w *matrix.M
 		}
 		cur = next
 	}
-	return cur, nil
+	return cur, f.Release, nil
 }
 
 // SourceDetectAll solves (S,d,|S|)-source detection (Theorem 19, second
@@ -117,7 +135,7 @@ func (p *Panel) Col(s int32) int {
 // Release recycles W as a later detection's plane. The panel, and every
 // slice of W, is dead afterwards.
 func (p *Panel) Release() {
-	planes.put(p.W)
+	planes.Put(p.W)
 	p.W = nil
 }
 
@@ -158,7 +176,7 @@ func SourceDetectPanel(ctx context.Context, g *matrix.Mat[semiring.WH], inS []bo
 		return &Panel{N: n}, nil
 	}
 	srcs := make([]int32, 0, q)
-	idx := indices.get(n)
+	idx := indices.Get(n)
 	for v := 0; v < n; v++ {
 		idx[v] = -1
 		if inS[v] {
@@ -166,7 +184,7 @@ func SourceDetectPanel(ctx context.Context, g *matrix.Mat[semiring.WH], inS []bo
 			srcs = append(srcs, int32(v))
 		}
 	}
-	cur, next := planes.get(n*q), planes.get(n*q)
+	cur, next := planes.Get(n*q), planes.Get(n*q)
 	for i := range cur {
 		cur[i] = semiring.Inf
 	}
@@ -180,11 +198,11 @@ func SourceDetectPanel(ctx context.Context, g *matrix.Mat[semiring.WH], inS []bo
 			}
 		}
 	}
-	indices.put(idx)
+	indices.Put(idx)
 	for i := 1; i < d; i++ {
 		if err := ctx.Err(); err != nil {
-			planes.put(cur)
-			planes.put(next)
+			planes.Put(cur)
+			planes.Put(next)
 			return nil, err
 		}
 		var changed atomic.Bool
@@ -214,7 +232,7 @@ func SourceDetectPanel(ctx context.Context, g *matrix.Mat[semiring.WH], inS []bo
 			break
 		}
 	}
-	planes.put(next)
+	planes.Put(next)
 	return &Panel{N: n, Sources: srcs, W: cur}, nil
 }
 
@@ -259,11 +277,13 @@ func SourceDetectAllRestricted(ctx context.Context, g *matrix.Mat[semiring.WH], 
 	return p.Rows(), nil
 }
 
-// SourceDetectKAll solves (S,d,k)-source detection (Theorem 19, first
+// SourceDetectKLent solves (S,d,k)-source detection (Theorem 19, first
 // variant) for every node at once: row v equals what SourceDetectK
 // returns at node v. Like KNearestAll it stops at the first fixed point
-// of u ← Filter(w·u, k), since w and k never change between steps.
-func SourceDetectKAll[E any](ctx context.Context, sr semiring.Ordered[E], w *matrix.Mat[E], inS []bool, d, k, workers int) (*matrix.Mat[E], error) {
+// of u ← Filter(w·u, k), since w and k never change between steps. The
+// answer is lent, with KNearestLent's release; a caller that never calls
+// release owns the rows.
+func SourceDetectKLent[E any](ctx context.Context, sr semiring.Ordered[E], w *matrix.Mat[E], inS []bool, d, k, workers int) (_ *matrix.Mat[E], release func(), _ error) {
 	n := w.N
 	if k < 1 {
 		k = 1
@@ -277,7 +297,8 @@ func SourceDetectKAll[E any](ctx context.Context, sr semiring.Ordered[E], w *mat
 	u := f.FilterCols(w, inS)
 	for i := 1; i < d; i++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			f.Release()
+			return nil, nil, err
 		}
 		next := f.Mul(w, u)
 		if matrix.Equal[E](sr, next, u) {
@@ -285,7 +306,7 @@ func SourceDetectKAll[E any](ctx context.Context, sr semiring.Ordered[E], w *mat
 		}
 		u = next
 	}
-	return u, nil
+	return u, f.Release, nil
 }
 
 // FoldThroughSets solves distance-through-sets (Theorem 20) for every

@@ -101,7 +101,7 @@ func TestKNearestAllFixpointEquivalence(t *testing.T) {
 	}
 }
 
-// sourceDetectKAllRef is SourceDetectKAll without the fixpoint exit: all
+// sourceDetectKAllRef is SourceDetectKLent without the fixpoint exit: all
 // d-1 filtered products of Theorem 19, on the generic reference kernel.
 func sourceDetectKAllRef[E any](sr semiring.Ordered[E], w *matrix.Mat[E], inS []bool, d, k int) *matrix.Mat[E] {
 	k = max(1, min(k, w.N))
@@ -137,11 +137,12 @@ func TestSourceDetectKAllFixpointEquivalence(t *testing.T) {
 				for _, k := range []int{1, 3, g.N} {
 					want := sourceDetectKAllRef[semiring.WH](sr, w, inS, d, k)
 					for _, workers := range []int{1, 0} {
-						got, err := SourceDetectKAll[semiring.WH](context.Background(), sr, w, inS, d, k, workers)
+						got, release, err := SourceDetectKLent[semiring.WH](context.Background(), sr, w, inS, d, k, workers)
 						if err != nil {
 							t.Fatal(err)
 						}
 						sameRows(t, fmt.Sprintf("%s |S|=%d d=%d k=%d workers=%d", name, nS, d, k, workers), got, want)
+						release()
 					}
 				}
 			}

@@ -5,19 +5,23 @@ import (
 	"sync"
 )
 
-// scratch recycles the flat buffers a restricted detection needs only
-// while it runs (DESIGN.md §13, "who owns which buffer"). Class c holds
-// slices whose capacity lies in [2^c, 2^(c+1)); get allocates exactly n
-// on a miss, so a buffer that leaves as an answer carries no slack, and a
-// pooled one too small for the request is dropped rather than put back,
-// which moves a class towards the sizes actually asked for. The classes
-// are sync.Pools: a collection empties them, so nothing here counts
-// against the live heap.
-type scratch[T any] struct {
+// Scratch recycles flat buffers that are needed only for a while
+// (DESIGN.md §13, "who owns which buffer"): the planes a restricted
+// detection sweeps and, above the engine seam, the backing of a lent
+// neighbor-list answer. Class c holds slices whose capacity lies in
+// [2^c, 2^(c+1)); Get allocates exactly n on a miss, hands out a pooled
+// buffer with less than twice the capacity asked for on a hit, and drops a
+// pooled one too small for the request rather than putting it back, which
+// moves a class towards the sizes actually asked for. The classes are sync.Pools: a collection
+// empties them, so nothing here counts against the live heap. The zero
+// value is ready to use.
+type Scratch[T any] struct {
 	classes [bits.UintSize]sync.Pool
 }
 
-func (s *scratch[T]) get(n int) []T {
+// Get returns a buffer of length n whose elements are arbitrary: the
+// caller writes every one before reading it.
+func (s *Scratch[T]) Get(n int) []T {
 	if n == 0 {
 		return nil
 	}
@@ -27,7 +31,8 @@ func (s *scratch[T]) get(n int) []T {
 	return make([]T, n)
 }
 
-func (s *scratch[T]) put(b []T) {
+// Put hands b back. b, and every slice of it, is dead afterwards.
+func (s *Scratch[T]) Put(b []T) {
 	if cap(b) == 0 {
 		return
 	}
@@ -35,8 +40,8 @@ func (s *scratch[T]) put(b []T) {
 }
 
 var (
-	planes  scratch[int64] // n×|S| weight planes
-	indices scratch[int32] // n-sized column indices
+	planes  Scratch[int64] // n×|S| weight planes
+	indices Scratch[int32] // n-sized column indices
 )
 
 // TakePlane returns a plane of n cells from the pool detection planes
@@ -44,10 +49,10 @@ var (
 // the caller writes every one before reading it. APSP's estimate table is
 // the one taker outside the kernel (DESIGN.md §13, "who owns which
 // buffer").
-func TakePlane(n int) []int64 { return planes.get(n) }
+func TakePlane(n int) []int64 { return planes.Get(n) }
 
 // ReleasePlane is Panel.Release for a caller that holds a plane without
 // the panel: the engine's one-cell distance read once it has the cell, a
 // lent MSSP plane or APSP table once its answer is written. The plane, and
 // every slice of it, is dead afterwards.
-func ReleasePlane(w []int64) { planes.put(w) }
+func ReleasePlane(w []int64) { planes.Put(w) }

@@ -127,7 +127,7 @@ func TestSourceDetectKAllBytesFollowSources(t *testing.T) {
 	var got *matrix.Mat[semiring.WH]
 	bytes := allocatedBy(func() {
 		var err error
-		if got, err = SourceDetectKAll[semiring.WH](context.Background(), sr, w, inS, 6, n, 1); err != nil {
+		if got, _, err = SourceDetectKLent[semiring.WH](context.Background(), sr, w, inS, 6, n, 1); err != nil {
 			t.Fatal(err)
 		}
 	})

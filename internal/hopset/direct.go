@@ -57,6 +57,13 @@ func BuildDirectFrom(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[
 // bunchStage is the first stage of §4.2.1: k-nearest for all rows at once,
 // the greedy hitting set, the pivots and the bunch edges H_0. It returns
 // an artifact whose Rows are H_0 and whose level loop has not run.
+//
+// Nothing in the artifact points into the k-nearest rows, yet the stage
+// owns them rather than lending them back: it runs once per engine, so the
+// only loop its slabs could feed is the next build's bunch stage, and
+// whether they survive the collections in between is timing. A rebuild
+// then costs the same bytes every time (DESIGN.md §13, "who owns which
+// slab, and for how long").
 func bunchStage(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], k, workers int) (*Artifact, error) {
 	n := w.N
 	knear, err := disttools.KNearestAll[semiring.WH](ctx, sr, w, k, workers)

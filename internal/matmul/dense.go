@@ -174,13 +174,18 @@ type whByWeight struct {
 // semiring.WH for a Filtered (kernel_filtered.go): bounded when t gives a
 // weight bound, dense-tile or sparse otherwise. It owns the scratch of
 // every pass worker and the by-weight view, and keeps both from one
-// product to the next.
+// product to the next - and, recycled with its Filtered, from one run to
+// the next.
 type whKernel struct {
 	sr      semiring.Ordered[semiring.WH]
 	n, rho  int
 	ws      []*whWorker
 	view    whByWeight
 	bounded bool // the view holds the current t
+}
+
+func (k *whKernel) reset(sr semiring.Ordered[semiring.WH], rho int) {
+	k.sr, k.rho, k.bounded = sr, rho, false
 }
 
 func (k *whKernel) worker(w int) *whWorker {
@@ -319,7 +324,8 @@ func KernelMulWH(s, t *matrix.Mat[semiring.WH], workers int) *matrix.Mat[semirin
 }
 
 // KernelMulFilteredWH computes the ρ-filtered product Filter(S·T, rho)
-// with the specialized row paths, as one product on a fresh Filtered: the
+// with the specialized row paths, as one product on a Filtered it never
+// releases, so the caller owns the result: the
 // row - bounded when t gives a bound, full otherwise - accumulates in
 // reusable scratch and only its ρ surviving entries are written out. sr
 // supplies the (Rank, column) filter order of §2.2 and must rank by

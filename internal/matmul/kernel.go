@@ -189,6 +189,8 @@ type genKernel[E any] struct {
 
 func (k *genKernel[E]) begin(*matrix.Mat[E], int, func(func(worker, row int))) {}
 
+func (k *genKernel[E]) reset(sr semiring.Ordered[E], rho int) { k.sr, k.rho = sr, rho }
+
 func (k *genKernel[E]) row(w int, srow matrix.Row[E], t *matrix.Mat[E], dst matrix.Row[E]) matrix.Row[E] {
 	if k.ws[w] == nil {
 		k.ws[w] = newGenWorker[E](k.n)
@@ -269,7 +271,7 @@ func FoldMinPlus[E any](rows [][]int64, s *matrix.Mat[E], w func(E) int64, t *ma
 }
 
 // KernelMulFilteredGeneric is the generic reference filtered kernel; see
-// KernelMulGeneric. It is one product on a fresh Filtered
+// KernelMulGeneric. It is one product on an unreleased Filtered
 // (kernel_filtered.go) held to the generic row path over every semiring,
 // the augmented one included.
 func KernelMulFilteredGeneric[E any](sr semiring.Ordered[E], s, t *matrix.Mat[E], rho, workers int) *matrix.Mat[E] {

@@ -1,6 +1,7 @@
 package matmul
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"github.com/congestedclique/ccsp/internal/matrix"
@@ -19,8 +20,15 @@ import (
 // Outputs alternate between the two slabs, so the matrix a call returns
 // stays intact through the next call and is overwritten by the one after:
 // a loop cur ← Filter(cur·cur) or u ← Filter(w·u) holds exactly its
-// current and its next iterate. A Filtered serves one caller at a time and
-// nothing it allocated outlives it except the matrices it handed out.
+// current and its next iterate. A Filtered serves one caller at a time.
+//
+// A caller that is done with every matrix it was handed gives the whole
+// Filtered back with Release, and a later NewFiltered of the same n,
+// worker count and row kernel takes it over - slabs, headers, scratch and
+// view - instead of allocating them (DESIGN.md §13, "who owns which slab,
+// and for how long"). The recycled ones wait in a sync.Pool per element
+// type, so a collection empties it and nothing stays resident. A caller
+// that never releases owns the matrices it was handed.
 //
 // width bounds how many entries a filtered row is given room for: ρ, or
 // the number of columns FilterCols kept when that is fewer - the iterates
@@ -52,6 +60,9 @@ type rowKernel[E any] interface {
 	begin(t *matrix.Mat[E], reserve int, run func(func(worker, row int)))
 	// row appends the filtered product row srow·T to dst.
 	row(worker int, srow matrix.Row[E], t *matrix.Mat[E], dst matrix.Row[E]) matrix.Row[E]
+	// reset readies the kernel for products over sr filtered to rho; a
+	// recycled one keeps its scratch.
+	reset(sr semiring.Ordered[E], rho int)
 }
 
 // NewFiltered returns the shared state for ρ-filtered products of n×n
@@ -63,30 +74,50 @@ func NewFiltered[E any](sr semiring.Ordered[E], n, rho, workers int) *Filtered[E
 	return newFiltered(sr, n, rho, workers, wh)
 }
 
+// poolKey keys the pool of released Filtered[E] in filteredPools.
+type poolKey[E any] struct{}
+
+var filteredPools sync.Map // poolKey[E] → *sync.Pool of *Filtered[E]
+
+func filteredPool[E any]() *sync.Pool {
+	if p, ok := filteredPools.Load(poolKey[E]{}); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := filteredPools.LoadOrStore(poolKey[E]{}, new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
 // newFiltered picks the row kernel explicitly: wh requires E to be
-// semiring.WH and sr to rank by (W, H) lexicographically.
+// semiring.WH and sr to rank by (W, H) lexicographically. A released
+// Filtered of the same n, worker count and kernel is taken over; one that
+// differs is dropped.
 func newFiltered[E any](sr semiring.Ordered[E], n, rho, workers int, wh bool) *Filtered[E] {
-	f := &Filtered[E]{
-		sr:      sr,
-		n:       n,
-		rho:     rho,
-		width:   max(0, min(rho, n)),
-		workers: kernelWorkers(workers, n),
-		off:     make([]int, n+1),
+	workers = kernelWorkers(workers, n)
+	f, _ := filteredPool[E]().Get().(*Filtered[E])
+	if f == nil || f.n != n || f.workers != workers || f.wh() != wh {
+		f = &Filtered[E]{n: n, workers: workers, off: make([]int, n+1)}
+		if wh {
+			f.kernel = any(&whKernel{n: n, ws: make([]*whWorker, workers)}).(rowKernel[E])
+		} else {
+			f.kernel = &genKernel[E]{n: n, ws: make([]*genWorker[E], workers)}
+		}
 	}
-	if wh {
-		// Boxed once here: converting per row would allocate per row.
-		f.kernel = any(&whKernel{
-			sr:  any(sr).(semiring.Ordered[semiring.WH]),
-			n:   n,
-			rho: rho,
-			ws:  make([]*whWorker, f.workers),
-		}).(rowKernel[E])
-	} else {
-		f.kernel = &genKernel[E]{sr: sr, n: n, rho: rho, ws: make([]*genWorker[E], f.workers)}
-	}
+	f.sr, f.rho, f.width, f.turn = sr, rho, max(0, min(rho, n)), 0
+	f.kernel.reset(sr, rho)
 	return f
 }
+
+// wh reports whether f runs the specialized row kernel.
+func (f *Filtered[E]) wh() bool {
+	_, ok := any(f.kernel).(*whKernel)
+	return ok
+}
+
+// Release gives f back for a later NewFiltered to take over. Every matrix
+// f returned is dead from then on - its rows are the next taker's slabs -
+// and so is f. Call it at most once, after the last read of the last
+// matrix.
+func (f *Filtered[E]) Release() { filteredPool[E]().Put(f) }
 
 // run is one row pass over [0, n): fn gets, beside the row, the index of
 // the pass worker calling it, stable within the pass and below workers.
@@ -154,7 +185,8 @@ func (f *Filtered[E]) Mul(s, t *matrix.Mat[E]) *matrix.Mat[E] {
 	f.off[f.n] = need
 	out, slab := f.output()
 	if f.rho < 1 {
-		return out // the filter keeps nothing
+		clear(out.Rows) // the filter keeps nothing; a recycled header still holds rows
+		return out
 	}
 	f.kernel.begin(t, f.n*f.width, f.run)
 	f.run(func(w, i int) {
@@ -165,7 +197,7 @@ func (f *Filtered[E]) Mul(s, t *matrix.Mat[E]) *matrix.Mat[E] {
 
 // FilterCols computes Filter(M restricted to the columns marked in cols,
 // ρ) into the next slab - the first iterate of both direct detection
-// loops (KNearestAll, SourceDetectKAll); a nil cols keeps every column.
+// loops (KNearestLent, SourceDetectKLent); a nil cols keeps every column.
 // From here on rows get room for no more entries than columns were kept.
 func (f *Filtered[E]) FilterCols(m *matrix.Mat[E], cols []bool) *matrix.Mat[E] {
 	if cols != nil {

@@ -192,6 +192,70 @@ func TestFilteredSlabLifetime(t *testing.T) {
 	}
 }
 
+// TestFilteredRecycled: a Filtered given back with Release and taken over
+// by the next NewFiltered of its shape works exactly like a fresh one. One
+// instance goes round through ρ ∈ {n, 3, 1, 0, 3, n}, each step a first
+// iterate over two columns and then over all of them, for both row kernels
+// at workers {1, 2, 4, 0}. At every step it runs FilterCols, a squaring
+// and a product with w next to a fresh instance, and each output must equal
+// the fresh one's (matrix.Equal), sit in the same windows - the width the
+// last user narrowed does not stay narrowed - and keep its rows
+// capacity-clipped; a ρ = 0 product written over a recycled header holds
+// none of the last user's rows. Only the instance under test is ever
+// released here, so while it is taken the pool is empty and the reference
+// is fresh. A kernel or worker count that does not match is not taken over.
+// Run under -race: the rows of one pass are written by several workers.
+func TestFilteredRecycled(t *testing.T) {
+	sr := semiring.AugMinPlus{MaxW: semiring.Inf, MaxH: 1 << 20}
+	n := 3*kernelBlock + 5
+	w := randWHMat(n, 4, 11)
+	narrow := make([]bool, n)
+	narrow[1], narrow[n/2] = true, true
+	var last *Filtered[semiring.WH]
+	for _, wh := range []bool{true, false} {
+		for _, workers := range []int{1, 2, 4, 0} {
+			reused := 0
+			for _, rho := range []int{n, 3, 1, 0, 3, n} {
+				for _, cols := range [][]bool{narrow, nil} {
+					f := newFiltered[semiring.WH](sr, n, rho, workers, wh)
+					if f == last {
+						reused++
+					}
+					if f.wh() != wh || f.workers != kernelWorkers(workers, n) {
+						t.Fatalf("wh=%v workers=%d: took over a Filtered of another kernel or worker count", wh, workers)
+					}
+					fresh := newFiltered[semiring.WH](sr, n, rho, workers, wh)
+					step := fmt.Sprintf("wh=%v workers=%d rho=%d narrow=%v", wh, workers, rho, cols != nil)
+					same := func(what string, got, want *matrix.Mat[semiring.WH]) {
+						t.Helper()
+						if !matrix.Equal[semiring.WH](sr, got, want) {
+							t.Fatalf("%s: %s on a recycled Filtered differs from a fresh one's", step, what)
+						}
+						if f.width != fresh.width || !slices.Equal(f.off, fresh.off) {
+							t.Fatalf("%s: %s laid out in windows of width %d, a fresh one's are %d wide", step, what, f.width, fresh.width)
+						}
+						for i, row := range got.Rows {
+							if cap(row) != len(row) {
+								t.Fatalf("%s: %s row %d has capacity %d past its %d entries", step, what, i, cap(row), len(row))
+							}
+						}
+					}
+					first, wantFirst := f.FilterCols(w, cols), fresh.FilterCols(w, cols)
+					same("FilterCols", first, wantFirst)
+					sq, wantSq := f.Mul(first, first), fresh.Mul(wantFirst, wantFirst)
+					same("first·first", sq, wantSq)
+					same("w·sq", f.Mul(w, sq), fresh.Mul(w, wantSq))
+					f.Release()
+					last = f
+				}
+			}
+			if reused == 0 {
+				t.Errorf("wh=%v workers=%d: no NewFiltered took over the released instance", wh, workers)
+			}
+		}
+	}
+}
+
 // TestFilteredRowOutgrowsWindow: windows narrower than what the rows need
 // cost an allocation, not an entry - the row leaves the slab and the
 // product stays the reference's. FilterCols over two columns narrows the

@@ -70,11 +70,11 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestQueryCountersCacheOff: a query a cache-off daemon answers through
-// Plan.Answer - a distance's one-cell read, an mssp or apsp answer lent and
-// given back - is counted exactly like one a cache-on daemon runs and
-// stores: ccspd_queries_total, the ccsp_engine_query_seconds count and
-// /v1/stats' requests.queries each move by one per query, never zero and
-// never two.
+// Plan.Answer - a distance's one-cell read, an mssp, apsp or knearest
+// answer lent and given back - is counted exactly like one a cache-on
+// daemon runs and stores: ccspd_queries_total, the
+// ccsp_engine_query_seconds count and /v1/stats' requests.queries each
+// move by one per query, never zero and never two.
 func TestQueryCountersCacheOff(t *testing.T) {
 	_, eng := testEngine(t, 12)
 	for _, size := range []int{-1, 16} {
@@ -86,6 +86,7 @@ func TestQueryCountersCacheOff(t *testing.T) {
 			`{"kind":"mssp","mssp":{"sources":[0,2,4,6,8,10,11,1]}}`,
 			`{"kind":"apsp"}`,
 			`{"kind":"apsp","apsp":{"variant":"weighted3"}}`,
+			`{"kind":"knearest","knearest":{"k":4}}`,
 		} {
 			before := queryCounters(t, ts.URL)
 			postJSON(t, ts.URL+"/v1/query", body, http.StatusOK, nil)

@@ -187,13 +187,14 @@ func TestCacheHitBodyMatchesMiss(t *testing.T) {
 }
 
 // TestDistanceBodyCacheOffMatchesOn: with the cache off a daemon answers
-// through Plan.Answer - a distance by its one-cell read, an mssp or apsp
-// lent and given back after the write - with it on by run, store and
-// finish, and the two give the same bytes, the cached flag of a hit aside:
-// for every distance pair of a two-component graph (from == to and the
-// unreachable pairs included), an mssp at q = 1 and 8 and all three apsp
-// variants, in both execution modes, for the miss that fills the entry and
-// the hit that reads it, and for a request that fails.
+// through Plan.Answer - a distance by its one-cell read, an mssp, apsp,
+// knearest or source detection lent and given back after the write - with
+// it on by run, store and finish, and the two give the same bytes, the
+// cached flag of a hit aside: for every distance pair of a two-component
+// graph (from == to and the unreachable pairs included), an mssp at q = 1
+// and 8, all three apsp variants, knearest at k = 4 and 11 (past n) and a
+// source detection, in both execution modes, for the miss that fills the
+// entry and the hit that reads it, and for a request that fails.
 func TestDistanceBodyCacheOffMatchesOn(t *testing.T) {
 	gr := ccsp.NewGraph(8)
 	for _, e := range [][3]int64{{0, 1, 2}, {1, 2, 3}, {2, 3, 1}, {4, 5, 2}, {5, 6, 4}, {6, 7, 1}} {
@@ -239,6 +240,13 @@ func TestDistanceBodyCacheOffMatchesOn(t *testing.T) {
 				t.Errorf("%s (%s): no unreachable cell across the two components", req, exec)
 			}
 		}
+		for _, req := range []string{
+			`{"kind":"knearest","knearest":{"k":4}}`,
+			`{"kind":"knearest","knearest":{"k":11}}`,
+			`{"kind":"source_detection","source_detection":{"sources":[0,5,6],"d":3,"k":2}}`,
+		} {
+			same(req)
+		}
 		on := newTestServer(t, eng, Config{CacheSize: 16})
 		bad := `{"kind":"distance","distance":{"from":9,"to":0}}`
 		if got, want := postJSON(t, on.URL+"/v1/query", bad, http.StatusUnprocessableEntity, nil),
@@ -248,14 +256,16 @@ func TestDistanceBodyCacheOffMatchesOn(t *testing.T) {
 	}
 }
 
-// TestLentAnswerRecycled: a cache-off daemon lends every mssp plane and
-// apsp table it answers and takes it back once writeJSON has returned.
-// Four clients post mssp (q = 1, 8 and n - the last a plane the size of
-// the n×n table), all three apsp variants and a distance at once to one
-// direct engine, while one of them also takes and holds that engine's own
-// Engine.MSSP and Engine.APSP answers: every body equals a cold engine's
+// TestLentAnswerRecycled: a cache-off daemon lends every mssp plane, apsp
+// table and knearest or source-detection neighbor backing it answers and
+// takes it back once writeJSON has returned. Four clients post mssp (q = 1,
+// 8 and n - the last a plane the size of the n×n table), all three apsp
+// variants, a distance, knearest at k = 4…11 and a source detection at once
+// to one direct engine, while one of them also takes and holds that
+// engine's own Engine.MSSP, Engine.APSP, Engine.KNearest and
+// Engine.SourceDetection answers: every body equals a cold engine's
 // answer, and so does every held answer once all the bodies are in. A
-// release before the write hands the plane to the next query while its
+// release before the write hands the buffer to the next query while its
 // body is still being encoded, and fails this test.
 func TestLentAnswerRecycled(t *testing.T) {
 	ctx := context.Background()
@@ -275,8 +285,13 @@ func TestLentAnswerRecycled(t *testing.T) {
 	for v := range all {
 		all[v] = v
 	}
+	detectFrom := []int{1, 14, 27, 40, 53}
 	reqs := []api.Request{api.MSSP(5), api.MSSP(0, 9, 18, 27, 36, 45, 54, 63), api.MSSP(all...),
-		api.APSP(api.APSPWeighted), api.APSP(api.APSPWeighted3), api.APSP(api.APSPUnweighted), api.Distance(3, 40)}
+		api.APSP(api.APSPWeighted), api.APSP(api.APSPWeighted3), api.APSP(api.APSPUnweighted), api.Distance(3, 40),
+		api.SourceDetection(detectFrom, 6, 3)}
+	for k := 4; k <= 11; k++ {
+		reqs = append(reqs, api.KNearest(k))
+	}
 	bodies := make([]string, len(reqs))
 	want := make([][]byte, len(reqs))
 	for i, req := range reqs {
@@ -293,32 +308,49 @@ func TestLentAnswerRecycled(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wantMSSP, err := cold.MSSP(ctx, all)
-	if err != nil {
-		t.Fatal(err)
+	type held struct {
+		mssp, apsp      [][]int64
+		knear, detected [][]ccsp.Neighbor
 	}
-	wantAPSP, err := cold.APSP(ctx)
+	// ask takes one set of owned answers from e.
+	ask := func(e *ccsp.Engine) (h held, err error) {
+		m, err := e.MSSP(ctx, all)
+		if err != nil {
+			return h, err
+		}
+		a, err := e.APSP(ctx)
+		if err != nil {
+			return h, err
+		}
+		kn, err := e.KNearest(ctx, 11)
+		if err != nil {
+			return h, err
+		}
+		sd, err := e.SourceDetection(ctx, detectFrom, 6, 3)
+		if err != nil {
+			return h, err
+		}
+		return held{m.Dist, a.Dist, kn.Neighbors, sd.Detected}, nil
+	}
+	wantHeld, err := ask(cold)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	var kept [][2][][]int64 // owned mssp and apsp answers, touched by client 0 alone until Wait
+	var kept []held // touched by client 0 alone until Wait
 	keep := func() error {
-		m, err := eng.MSSP(ctx, all)
-		if err != nil {
-			return err
+		h, err := ask(eng)
+		if err == nil {
+			kept = append(kept, h)
 		}
-		a, err := eng.APSP(ctx)
-		if err != nil {
-			return err
-		}
-		kept = append(kept, [2][][]int64{m.Dist, a.Dist})
-		return nil
+		return err
 	}
 	if err := keep(); err != nil {
 		t.Fatal(err)
 	}
-	const answers, clients = 96 * 7, 4
+	// 192 rounds of the 16 requests: at 96 a release before the write went
+	// unseen in 3 of 10 runs without -race.
+	const answers, clients = 192 * 16, 4
 	errs := make(chan error, clients)
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -351,7 +383,7 @@ func TestLentAnswerRecycled(t *testing.T) {
 		t.Error(err)
 	}
 	for i, h := range kept {
-		if !reflect.DeepEqual(h[0], wantMSSP.Dist) || !reflect.DeepEqual(h[1], wantAPSP.Dist) {
+		if !reflect.DeepEqual(h, wantHeld) {
 			t.Errorf("held answers %d changed after %d lent answers were given back", i, answers)
 		}
 	}

@@ -68,10 +68,11 @@ func ExactDirect(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semi
 	if k > n {
 		k = n
 	}
-	knear, err := disttools.KNearestAll[semiring.WH](ctx, sr, w, k, workers)
+	knear, release, err := disttools.KNearestLent[semiring.WH](ctx, sr, w, k, workers)
 	if err != nil {
 		return nil, 0, err
 	}
+	defer release() // the shortcut rows copy what they need
 
 	// Shortcut edges {v, u} for u ∈ N_k(v), symmetrized at both endpoints
 	// (the collective version routes each edge to its other end).

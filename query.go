@@ -72,16 +72,19 @@ func (p Plan) Key() string { return p.run.CacheKeyAt(p.eng.epoch) }
 // wrap the ccsp sentinels (ErrCanceled, ErrRoundLimit, ErrInvalidSource,
 // ErrInvalidOption) exactly as the direct Engine methods do.
 func (p Plan) Run(ctx context.Context) (*api.Response, error) {
-	resp, _, err := p.runLent(ctx)
+	resp, _, err := p.runLent(ctx, false)
 	return resp, err
 }
 
-// runLent is Run plus the flat buffer an mssp or apsp response's Dist rows
-// are cut from - the detection plane, the estimate table - and nil for
-// every other kind. Nobody else holds it, so a caller that keeps nothing
-// once the response is written may hand it back to the kernels' pool
-// (Answer's release).
-func (p Plan) runLent(ctx context.Context) (*api.Response, []int64, error) {
+// runLent is Run plus the release of the buffer the response's one large
+// field is cut from: an mssp or apsp answer's detection plane or estimate
+// table goes back to the kernels' pool, a knearest or source_detection
+// answer's neighbor backing to neighborBackings, and every other kind has
+// nothing to give (keepAll). Nobody else holds the buffer, so a caller that
+// keeps nothing once the response is written may call it (Answer's
+// release). lend says whether it will: a neighbor backing is taken from
+// neighborBackings only then, and allocated to size for an owned answer.
+func (p Plan) runLent(ctx context.Context, lend bool) (*api.Response, func(), error) {
 	e, req := p.eng, p.run
 	defer e.observeQuery(time.Now())
 	// The engine serves exactly one graph; the Graph field is a serving-
@@ -89,7 +92,7 @@ func (p Plan) runLent(ctx context.Context) (*api.Response, []int64, error) {
 	// attributable.
 	resp := &api.Response{Kind: req.Kind, Graph: req.Graph}
 	var stats Stats
-	var lent []int64
+	release := keepAll
 	switch req.Kind {
 	case api.KindSSSP:
 		res, err := e.SSSP(ctx, req.SSSP.Source)
@@ -104,14 +107,14 @@ func (p Plan) runLent(ctx context.Context) (*api.Response, []int64, error) {
 			return nil, nil, err
 		}
 		resp.MSSP = &api.MSSPResult{Sources: res.Sources, Dist: wireMat(res.Dist)}
-		stats, lent = res.Stats, plane
+		stats, release = res.Stats, func() { disttools.ReleasePlane(plane) }
 	case api.KindAPSP:
 		res, table, err := e.apsp(ctx, req.APSP.Variant)
 		if err != nil {
 			return nil, nil, err
 		}
 		resp.APSP = &api.APSPResult{Variant: req.APSP.Variant, Dist: wireMat(res.Dist)}
-		stats, lent = res.Stats, table
+		stats, release = res.Stats, func() { disttools.ReleasePlane(table) }
 	case api.KindDiameter:
 		res, err := e.Diameter(ctx)
 		if err != nil {
@@ -120,23 +123,23 @@ func (p Plan) runLent(ctx context.Context) (*api.Response, []int64, error) {
 		resp.Diameter = &api.DiameterResult{Estimate: res.Estimate}
 		stats = res.Stats
 	case api.KindKNearest:
-		res, err := e.KNearest(ctx, req.KNearest.K)
+		res, backing, err := e.knearest(ctx, req.KNearest.K, lend)
 		if err != nil {
 			return nil, nil, err
 		}
 		resp.KNearest = &api.KNearestResult{K: req.KNearest.K, Neighbors: res.Neighbors}
-		stats = res.Stats
+		stats, release = res.Stats, func() { neighborBackings.Put(backing) }
 	case api.KindSourceDetection:
 		q := req.SourceDetection
-		res, err := e.SourceDetection(ctx, q.Sources, q.D, q.K)
+		res, backing, err := e.sourceDetection(ctx, q.Sources, q.D, q.K, lend)
 		if err != nil {
 			return nil, nil, err
 		}
 		resp.SourceDetection = &api.SourceDetectionResult{D: q.D, K: q.K, Detected: res.Detected}
-		stats = res.Stats
+		stats, release = res.Stats, func() { neighborBackings.Put(backing) }
 	}
 	resp.Stats = wireStats(stats)
-	return resp, lent, nil
+	return resp, release, nil
 }
 
 // Finish turns a response to the plan's canonical request - fresh from
@@ -166,22 +169,28 @@ func (p Plan) Finish(resp api.Response, cached bool) api.Response {
 //
 // The answer is lent: release, nil exactly when err is not, hands an mssp
 // answer's detection plane or an apsp answer's estimate table back to the
-// kernels' pool, and does nothing for the other kinds. Call it at most
-// once, after the last read of the response - from then on its Dist rows
-// are another query's scratch. Not calling it is always safe: the answer
-// is then owned like any Engine result (Engine.Query does not call it).
+// kernels' pool and a knearest or source_detection answer's neighbor
+// backing back to the engine's, and does nothing for the other kinds. Call
+// it at most once, after the last read of the response - from then on its
+// rows are another query's scratch. Not calling it is always safe: the
+// answer is then owned like any Engine result, though a neighbor backing
+// taken from the pool may be up to twice as large as the lists need
+// (Engine.Query goes through answer, which takes nothing from the pool).
 func (p Plan) Answer(ctx context.Context) (resp *api.Response, release func(), err error) {
+	return p.answer(ctx, true)
+}
+
+// answer is Answer, with lend as runLent's: false for a caller that keeps
+// the answer (Engine.Query).
+func (p Plan) answer(ctx context.Context, lend bool) (*api.Response, func(), error) {
 	pair := p.req.Distance
 	if pair == nil {
-		resp, lent, err := p.runLent(ctx)
+		resp, release, err := p.runLent(ctx, lend)
 		if err != nil {
 			return nil, nil, err
 		}
 		*resp = p.Finish(*resp, false)
-		if lent == nil {
-			return resp, keepAll, nil
-		}
-		return resp, func() { disttools.ReleasePlane(lent) }, nil
+		return resp, release, nil
 	}
 	defer p.eng.observeQuery(time.Now())
 	d, stats, err := p.eng.distance(ctx, pair.From, pair.To)
@@ -213,7 +222,7 @@ func (e *Engine) Query(ctx context.Context, req api.Request) (*api.Response, err
 	if err != nil {
 		return nil, err
 	}
-	resp, _, err := p.Answer(ctx)
+	resp, _, err := p.answer(ctx, false)
 	return resp, err
 }
 

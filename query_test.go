@@ -237,8 +237,10 @@ func (w *wrapErr) Unwrap() []error {
 // components included - and when the run fails (a source out of range, a
 // dead context) it fails with the same wire code and message. The answer is
 // read before its release and released before the next request is
-// answered, so the mssp plane and apsp table one lends are the ones the
-// next takes from the pool; asked twice, every answer reads the same.
+// answered, so the mssp plane, apsp table and knearest or source-detection
+// neighbor backing one lends are the ones the next takes from the pool (the
+// k-nearest slabs go back inside the engine, before the answer is shaped);
+// asked twice, every answer reads the same.
 func TestAnswerMatchesRunFinish(t *testing.T) {
 	families := append(diffFamilies(), struct {
 		name string
@@ -252,7 +254,7 @@ func TestAnswerMatchesRunFinish(t *testing.T) {
 			t.Parallel()
 			ctx := context.Background()
 			n := fam.gr.N()
-			reqs := append(diffRequests(n), api.Distance(0, 0), api.Distance(n-1, n-1), api.Distance(n-1, 0), api.Distance(0, n/2+1))
+			reqs := append(diffRequests(n), api.Distance(0, 0), api.Distance(n-1, n-1), api.Distance(n-1, 0), api.Distance(0, n/2+1), api.KNearest(n/2+1))
 			opts := []Options{{Epsilon: 0.5}}
 			for _, w := range diffWorkerCounts(t) {
 				opts = append(opts, Options{Epsilon: 0.5, Execution: ExecDirect, Workers: w})

@@ -25,12 +25,12 @@ import (
 // detection sweep costs (TestMSSPKernelBytes and TestDistanceKernelBytes
 // below hold the bytes). Before the
 // one-materialisation rule it was 3n+. A knearest query is ⌈log₂ k⌉
-// filtered squarings on the generic kernel that share one worker's
-// scratch, two output slabs and two sets of row headers, then one backing
-// array of neighbors; an apsp adds the estimate table, the by-weight view,
-// the through-sets transpose, the hitting-set inputs and an MSSP, each one
-// backing array and one set of headers - 2n+ allocations before the
-// kernels stopped building anything per node.
+// filtered squarings on the generic kernel in a recycled matmul.Filtered
+// (one worker's scratch, two output slabs and two sets of row headers,
+// allocated once per pool), then one backing array of neighbors; an apsp
+// adds the estimate table, the through-sets transpose, the hitting-set
+// inputs and an MSSP, each one backing array and one set of headers - 2n+
+// allocations before the kernels stopped building anything per node.
 func TestQueryAllocsIndependentOfN(t *testing.T) {
 	ctx := context.Background()
 	reqs := []api.Request{api.Distance(1, 100), api.MSSP(0, 9, 18, 27, 36, 45, 54, 63), api.KNearest(8), api.APSP(api.APSPWeighted)}
@@ -295,12 +295,13 @@ func TestDistancePlaneRecycled(t *testing.T) {
 
 // TestLentAnswerRecycled is TestDistancePlaneRecycled for lent answers:
 // four goroutines answer mssp (q = 1, 8 and n - the last a plane the size
-// of the n×n table), all three apsp variants and a distance through
-// Plan.Answer on one direct engine, each read before its release, while
-// one of them also takes and holds owned Engine.MSSP and Engine.APSP
-// answers. Every lent answer equals a cold engine's, and so does every
-// held answer after all the releases. internal/server has its namesake
-// for the daemon's release point.
+// of the n×n table), all three apsp variants, a distance, knearest at
+// k = 4…11 and a source detection through Plan.Answer on one direct
+// engine, each read before its release, while one of them also takes and
+// holds owned Engine.MSSP, Engine.APSP, Engine.KNearest and
+// Engine.SourceDetection answers. Every lent answer equals a cold
+// engine's, and so does every held answer after all the releases.
+// internal/server has its namesake for the daemon's release point.
 func TestLentAnswerRecycled(t *testing.T) {
 	ctx := context.Background()
 	gr := testGraph(64, 96, 10, 17)
@@ -314,9 +315,13 @@ func TestLentAnswerRecycled(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := gr.N()
-	all := spreadSources(n, n)
+	all, detectFrom := spreadSources(n, n), spreadSources(n, 5)
 	reqs := []api.Request{api.MSSP(5), api.MSSP(spreadSources(n, 8)...), api.MSSP(all...),
-		api.APSP(api.APSPWeighted), api.APSP(api.APSPWeighted3), api.APSP(api.APSPUnweighted), api.Distance(3, 40)}
+		api.APSP(api.APSPWeighted), api.APSP(api.APSPWeighted3), api.APSP(api.APSPUnweighted), api.Distance(3, 40),
+		api.SourceDetection(detectFrom, 6, 3)}
+	for k := 4; k <= 11; k++ {
+		reqs = append(reqs, api.KNearest(k))
+	}
 	want := make([][]byte, len(reqs))
 	for i, req := range reqs {
 		resp, err := cold.Query(ctx, req)
@@ -327,32 +332,47 @@ func TestLentAnswerRecycled(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wantMSSP, err := cold.MSSP(ctx, all)
-	if err != nil {
-		t.Fatal(err)
+	type held struct {
+		mssp, apsp      [][]int64
+		knear, detected [][]Neighbor
 	}
-	wantAPSP, err := cold.APSP(ctx)
+	// ask takes one set of owned answers from e.
+	ask := func(e *Engine) (h held, err error) {
+		m, err := e.MSSP(ctx, all)
+		if err != nil {
+			return h, err
+		}
+		a, err := e.APSP(ctx)
+		if err != nil {
+			return h, err
+		}
+		kn, err := e.KNearest(ctx, 11)
+		if err != nil {
+			return h, err
+		}
+		sd, err := e.SourceDetection(ctx, detectFrom, 6, 3)
+		if err != nil {
+			return h, err
+		}
+		return held{m.Dist, a.Dist, kn.Neighbors, sd.Detected}, nil
+	}
+	wantHeld, err := ask(cold)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	var kept [][2][][]int64 // owned mssp and apsp answers, touched by goroutine 0 alone until Wait
+	var kept []held // touched by goroutine 0 alone until Wait
 	keep := func() error {
-		m, err := eng.MSSP(ctx, all)
-		if err != nil {
-			return err
+		h, err := ask(eng)
+		if err == nil {
+			kept = append(kept, h)
 		}
-		a, err := eng.APSP(ctx)
-		if err != nil {
-			return err
-		}
-		kept = append(kept, [2][][]int64{m.Dist, a.Dist})
-		return nil
+		return err
 	}
 	if err := keep(); err != nil {
 		t.Fatal(err)
 	}
-	const answers, goroutines = 24 * 7, 4
+	const answers, goroutines = 24 * 16, 4
 	errs := make(chan error, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -392,7 +412,7 @@ func TestLentAnswerRecycled(t *testing.T) {
 		t.Error(err)
 	}
 	for i, h := range kept {
-		if !reflect.DeepEqual(h[0], wantMSSP.Dist) || !reflect.DeepEqual(h[1], wantAPSP.Dist) {
+		if !reflect.DeepEqual(h, wantHeld) {
 			t.Errorf("held answers %d changed after %d lent answers were released", i, answers)
 		}
 	}
@@ -420,21 +440,22 @@ func warmBytes(runs int, query func()) uint64 {
 // TestAPSPKernelBytes pins what a warm direct-mode (2+ε) weighted APSP
 // allocates (DESIGN.md §13, "large answers allocate the answer"): the
 // n²·8-byte table that is the answer, plus c·n·⌈√n⌉ for what is sized by
-// the k = ⌈√n⌉ nearest of every node, c = 96 bytes: the two slabs the
-// filtered squarings alternate between (2 × 24 per entry), the by-weight
-// view of the bounded product (4 + 8 + 8), the through-sets transpose W₂
-// (16) and the hitting set's column sets and inverted index (4 + 4) make
-// 92, the allocator's size classes the rest. 560·n covers every n-sized
-// vector (~150·n of row headers - table, slabs, W₂, both set lists; ~85·n
-// of one worker's scratch, window offsets and view index; ~40·n of pivots,
-// counts and memberships) and the small slab the first iterate gets while
-// w's rows are still short (24·nnz(w), ~220·n here); 8 KiB what does not
-// grow. The MSSP planes are pooled and warm. A third slab (24 per entry), a
-// second W₂ or a materialised through-sets product (16 bytes per touched
-// cell, ~n² of them) breaks it at n = 1024.
+// the k = ⌈√n⌉ nearest of every node, c = 28 bytes: the through-sets
+// transpose W₂ (16 per entry) and the hitting set's column sets and
+// inverted index (4 + 4) make 24, the allocator's size classes the rest.
+// 224·n covers every n-sized vector (~80·n of row headers - table, W₂, both
+// set lists; ~40·n of pivots, counts and memberships; the hitting set's
+// own), 8 KiB what does not grow. The filtered squarings' two slabs, their
+// row headers, the worker scratch and the by-weight view come from a
+// recycled matmul.Filtered, and the MSSP planes from their pool, all warm.
+// Measured (least of five): 144 864 B besides the table at n = 256 and
+// 968 352 at n = 1024, which is 23.7·n·⌈√n⌉ + 187·n. A Filtered not given
+// back (two slabs at 24 per entry, a view at 20), a second W₂ or a
+// materialised through-sets product (16 bytes per touched cell, ~n² of
+// them) breaks it at n = 1024.
 func TestAPSPKernelBytes(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under the race detector: the MSSP planes are not reliably warm")
+		t.Skip("sync.Pool drops Puts under the race detector: the MSSP planes and the Filtered are not reliably warm")
 	}
 	ctx := context.Background()
 	for _, n := range []int{256, 1024} {
@@ -448,17 +469,17 @@ func TestAPSPKernelBytes(t *testing.T) {
 			}
 		})
 		if budget := uint64(n*n*8) + apspScratchBudget(n); got > budget {
-			t.Errorf("n=%d: a warm APSP allocates %d bytes, want <= %d (table %d + 96·n·√n + 560·n + 8 KiB)",
+			t.Errorf("n=%d: a warm APSP allocates %d bytes, want <= %d (table %d + 28·n·√n + 224·n + 8 KiB)",
 				n, got, budget, n*n*8)
 		}
 	}
 }
 
 // apspScratchBudget is what a warm weighted APSP may allocate besides its
-// n²·8-byte table: 96·n·⌈√n⌉ + 560·n + 8 KiB (TestAPSPKernelBytes).
+// n²·8-byte table: 28·n·⌈√n⌉ + 224·n + 8 KiB (TestAPSPKernelBytes).
 func apspScratchBudget(n int) uint64 {
 	k := int(math.Ceil(math.Sqrt(float64(n))))
-	return uint64(96*n*k + 560*n + 8<<10)
+	return uint64(28*n*k + 224*n + 8<<10)
 }
 
 // TestLentAnswerBytes pins what lending saves (DESIGN.md §13, "the result
@@ -469,8 +490,11 @@ func apspScratchBudget(n int) uint64 {
 // does not grow with n - the response, the source list, the sweeps'
 // closures, the release - measured as TestMSSPKernelBytes does; a
 // weighted apsp allocates TestAPSPKernelBytes' budget less the n²·8-byte
-// table, the least of five calls (warmBytes). An answer that is not given
-// back breaks both, the mssp by its n·q·8-byte plane.
+// table, the least of five calls (warmBytes); a knearest at k = 4 and 11
+// allocates its n list headers (n·27) and 4 KiB, measured as the mssp:
+// 28 976 bytes at n = 1024, k = 11, against 389 192 owned. An answer that
+// is not given back breaks all three, the mssp by its n·q·8-byte plane, the
+// knearest by its 32·n·k-byte neighbor backing.
 func TestLentAnswerBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector: a released buffer is not reliably pooled")
@@ -502,17 +526,27 @@ func TestLentAnswerBytes(t *testing.T) {
 		if got, budget := warmBytes(5, answer(api.APSP(api.APSPWeighted))), apspScratchBudget(n); got > budget {
 			t.Errorf("n=%d: a warm lent apsp allocates %d bytes, want <= %d (TestAPSPKernelBytes' budget without the %d-byte table)", n, got, budget, n*n*8)
 		}
+		for _, k := range []int{4, 11} {
+			if got, budget := meanWarmBytes(answer(api.KNearest(k))), uint64(n*27+4<<10); got > budget {
+				t.Errorf("n=%d: a warm lent knearest k=%d allocates %d bytes, want <= %d (list headers %d + 4 KiB)", n, k, got, budget, n*27)
+			}
+		}
 	}
 }
 
 // TestKNearestKernelBytes pins what a warm direct-mode k-nearest query
-// allocates: 96 bytes per answer entry - the two slabs its squarings
-// alternate between (2 × 32 per routed entry) and the answer's own
-// backing array (32 per Neighbor) - plus 192·n for the three sets of row
-// headers, the window offsets and one worker's scratch (accumulator 24,
-// row buffer 32, rank scratch 16, touched list 4, hit flags 1), plus
-// 4 KiB. Per-product arenas, scratch or a third slab break it.
+// allocates: the answer's own backing array (32 bytes per Neighbor, at most
+// n·k of them), its n list headers (n·27, as TestMSSPKernelBytes counts
+// them) and 4 KiB for what does not grow with n - measured, 389 192 bytes
+// at n = 1024, k = 11 against a budget of 392 192. The squarings' two
+// slabs, their row headers, the window offsets and the worker scratch come
+// from a recycled matmul.Filtered; one that is not given back (two slabs of
+// 32-byte routed entries, 64·n·k) breaks it, and so do per-product arenas,
+// scratch or a third slab.
 func TestKNearestKernelBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector: the Filtered is not reliably warm")
+	}
 	ctx := context.Background()
 	for _, n := range []int{256, 1024} {
 		eng, err := NewEngine(ctx, testGraph(n, 3*n, 10, int64(n)), Options{Epsilon: 0.5, Execution: ExecDirect, Workers: 1})
@@ -525,9 +559,9 @@ func TestKNearestKernelBytes(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if budget := uint64(96*n*k + 192*n + 4<<10); got > budget {
-				t.Errorf("n=%d k=%d: a warm k-nearest allocates %d bytes, want <= %d (96·n·k %d + 192·n %d + 4 KiB)",
-					n, k, got, budget, 96*n*k, 192*n)
+			if budget := uint64(32*n*k + 27*n + 4<<10); got > budget {
+				t.Errorf("n=%d k=%d: a warm k-nearest allocates %d bytes, want <= %d (answer 32·n·k %d + list headers %d + 4 KiB)",
+					n, k, got, budget, 32*n*k, 27*n)
 			}
 		}
 	}
