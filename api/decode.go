@@ -78,23 +78,53 @@ func findLargeArray(data []byte) (set func(*Response), start, end int) {
 	return set, start, end
 }
 
+// largeArray names a field that carries an answer's large array.
+type largeArray uint8
+
+const (
+	noArray largeArray = iota
+	ssspDist
+	msspDist
+	apspDist
+	knearestNeighbors
+	detectedSources
+)
+
+// largeArrayAt reports which large array the member key of the result key
+// holds, noArray when it holds none.
+func largeArrayAt(result, member []byte) largeArray {
+	switch {
+	case string(result) == "sssp" && string(member) == "dist":
+		return ssspDist
+	case string(result) == "mssp" && string(member) == "dist":
+		return msspDist
+	case string(result) == "apsp" && string(member) == "dist":
+		return apspDist
+	case string(result) == "knearest" && string(member) == "neighbors":
+		return knearestNeighbors
+	case string(result) == "source_detection" && string(member) == "detected":
+		return detectedSources
+	}
+	return noArray
+}
+
 // decodeLargeArray decodes the array at data[i] when result.member is a
 // field that carries an answer's large array; set is nil when it is not.
 func decodeLargeArray(result, member, data []byte, i int) (set func(*Response), end int, ok bool) {
-	switch {
-	case string(result) == "sssp" && string(member) == "dist":
+	switch largeArrayAt(result, member) {
+	case ssspDist:
 		v, end, ok := decodeVector(data, i)
 		return func(r *Response) { r.SSSP.Dist = v }, end, ok
-	case string(result) == "mssp" && string(member) == "dist":
+	case msspDist:
 		m, end, ok := decodeMatrix(data, i)
 		return func(r *Response) { r.MSSP.Dist = m }, end, ok
-	case string(result) == "apsp" && string(member) == "dist":
+	case apspDist:
 		m, end, ok := decodeMatrix(data, i)
 		return func(r *Response) { r.APSP.Dist = m }, end, ok
-	case string(result) == "knearest" && string(member) == "neighbors":
+	case knearestNeighbors:
 		l, end, ok := decodeNeighborLists(data, i)
 		return func(r *Response) { r.KNearest.Neighbors = l }, end, ok
-	case string(result) == "source_detection" && string(member) == "detected":
+	case detectedSources:
 		l, end, ok := decodeNeighborLists(data, i)
 		return func(r *Response) { r.SourceDetection.Detected = l }, end, ok
 	}

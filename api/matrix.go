@@ -13,7 +13,9 @@ import (
 // answer lands in one backing array behind one slice of row headers, two
 // allocations where the reflective decoder append-grows every row
 // (DESIGN.md §11). Rows are capacity-clipped, so appending to one never
-// writes into the next. Encoding is encoding/json's own.
+// writes into the next. It has no encoder of its own: json.Marshal writes
+// it reflectively, and Response.AppendJSON writes the same bytes with
+// strconv.
 type Matrix [][]int64
 
 // UnmarshalJSON decodes the canonical form - nothing but brackets,

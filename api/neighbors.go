@@ -11,7 +11,8 @@ import (
 // passing it where a [][]Neighbor is wanted are unchanged - and exists for
 // its decoder: every list lands in one capacity-clipped backing array, two
 // allocations where the reflective decoder append-grows each list
-// (DESIGN.md §11). Encoding is encoding/json's own.
+// (DESIGN.md §11). Like Matrix it has no encoder of its own:
+// Response.AppendJSON writes json.Marshal's bytes for it with strconv.
 type NeighborLists [][]Neighbor
 
 // UnmarshalJSON decodes the canonical form - an array of arrays of

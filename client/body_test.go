@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -255,3 +256,127 @@ func TestNoContentLength(t *testing.T) {
 type roundTripFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// knearestBody is an encoded knearest answer of n lists of k neighbours.
+func knearestBody(t testing.TB, n, k int) []byte {
+	t.Helper()
+	lists := make(api.NeighborLists, n)
+	for v := range lists {
+		lists[v] = make([]api.Neighbor, k)
+		for j := range lists[v] {
+			lists[v][j] = api.Neighbor{Node: (v*7 + j*13) % n, Dist: int64(v%10 + 3*j), Hops: j, FirstHop: (v+1)%n - j%2}
+		}
+	}
+	body, err := json.Marshal(api.Response{Kind: api.KindKNearest, KNearest: &api.KNearestResult{K: k, Neighbors: lists}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(body, '\n')
+}
+
+// largeBodyServer answers apsp with the n×n apspBody and knearest(k) with
+// knearestBody(n, k), each under its Content-Length; bodies holds them by
+// the request's cache key.
+func largeBodyServer(t testing.TB, n int) (url string, bodies map[string][]byte) {
+	t.Helper()
+	bodies = map[string][]byte{}
+	bodies[api.APSP(api.APSPAuto).CacheKey()], _ = apspBody(t, n)
+	for k := 4; k <= 11; k++ {
+		bodies[api.KNearest(k).CacheKey()] = knearestBody(t, n, k)
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		req, err := api.DecodeRequest(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		body := bodies[req.CacheKey()]
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.Write(body) //nolint:errcheck
+	}))
+	t.Cleanup(ts.Close)
+	return ts.URL, bodies
+}
+
+// TestLargeBodyRecycled: a body over maxPooledBody is read into a buffer of
+// largeBodies that goes back once the body is decoded, so nothing decoded
+// may point into it. Four clients ask apsp and knearest (k = 4…11, bodies
+// growing inside one size class) in turn and hold every answer while later
+// queries reuse the buffers; each held answer must still equal a fresh
+// decode of its body.
+func TestLargeBodyRecycled(t *testing.T) {
+	url, bodies := largeBodyServer(t, 300)
+	c := New(url)
+	type held struct {
+		req  api.Request
+		resp *api.Response
+	}
+	answers := make([][]held, 4)
+	errs := make(chan error, len(answers))
+	for g := range answers {
+		go func() {
+			for round := 0; round < 2; round++ {
+				for k := 4; k <= 11; k++ {
+					for _, req := range []api.Request{api.APSP(api.APSPAuto), api.KNearest(k)} {
+						resp, err := c.Query(context.Background(), req)
+						if err != nil {
+							errs <- err
+							return
+						}
+						answers[g] = append(answers[g], held{req, resp})
+					}
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range answers {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, held := range answers {
+		for _, h := range held {
+			var want api.Response
+			if err := json.Unmarshal(bodies[h.req.CacheKey()], &want); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(*h.resp, want) {
+				t.Fatalf("a held %s answer changed after its body's buffer was reused", h.req.CacheKey())
+			}
+		}
+	}
+}
+
+// TestWarmAPSPBodyBytes: a warm apsp query allocates its decoded answer and
+// not its body, which is read into a recycled buffer - at most the answer
+// plus 128 KiB for both ends' net/http and the envelope. A 360 KB body
+// read into a fresh buffer would not fit. Skipped under -race, where
+// sync.Pool drops a share of its Puts.
+func TestWarmAPSPBodyBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under -race")
+	}
+	const n = 300
+	url, bodies := largeBodyServer(t, n)
+	c := New(url)
+	ctx := context.Background()
+	bytes := uint64(math.MaxUint64)
+	for run := 0; run < 6; run++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := c.Query(ctx, api.APSP(api.APSPAuto)); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if run > 0 { // run 0 fills the pool
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+	}
+	answer := uint64(n*n*8 + n*27) // cells and row headers
+	body := len(bodies[api.APSP(api.APSPAuto).CacheKey()])
+	t.Logf("a warm apsp query allocates %d bytes for a %d-byte answer and a %d-byte body", bytes, answer, body)
+	if budget := answer + 128<<10; bytes > budget {
+		t.Errorf("a warm apsp query allocates %d bytes, want <= %d (a %d-byte answer; the %d-byte body is recycled)", bytes, budget, answer, body)
+	}
+}

@@ -40,6 +40,7 @@ import (
 
 	"github.com/congestedclique/ccsp"
 	"github.com/congestedclique/ccsp/api"
+	"github.com/congestedclique/ccsp/internal/pool"
 )
 
 // Client talks to one ccspd daemon. It is safe for concurrent use.
@@ -258,7 +259,8 @@ func (c *Client) postOnce(ctx context.Context, path string, payload []byte, out 
 // encoding/json's validating pre-scan and its search for the value's end
 // do not run over a multi-megabyte answer; the small bodies of the other
 // endpoints stay on json.Unmarshal. Nothing decoded points into the buffer,
-// so it goes back to the pool on return.
+// so it goes back to its pool on return: smallBodies up to maxPooledBody,
+// largeBodies above.
 func (c *Client) do(ctx context.Context, req *http.Request, name string, out interface{}) (bool, time.Duration, error) {
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -266,11 +268,18 @@ func (c *Client) do(ctx context.Context, req *http.Request, name string, out int
 		return errors.Is(terr, ErrTransport), 0, terr
 	}
 	defer resp.Body.Close()
-	buf := bodyPool.Get().(*[]byte)
-	defer bodyPool.Put(buf)
-	body, err := readBody(resp.Body, resp.ContentLength, c.maxBody, (*buf)[:0])
-	if cap(body) <= maxPooledBody {
-		*buf = body
+	small := smallBodies.Get().(*[]byte)
+	defer smallBodies.Put(small)
+	buf := (*small)[:0]
+	if resp.ContentLength > maxPooledBody {
+		buf = largeBody(resp.ContentLength)
+	}
+	body, err := readBody(resp.Body, resp.ContentLength, c.maxBody, buf)
+	switch {
+	case cap(body) <= maxPooledBody:
+		*small = body
+	case cap(body) <= maxPresize+1: // not grown past what largeBody hands out
+		defer largeBodies.Put(body)
 	}
 	if errors.Is(err, errBodyTooLarge) {
 		return false, 0, fmt.Errorf("client: %s: %w", name, err)
@@ -305,16 +314,33 @@ const (
 	// (3.9 MB) is read into exactly one allocation, and a header that lies
 	// costs this much at most.
 	maxPresize = 8 << 20
-	// maxPooledBody is the largest buffer kept for the next response. Point
-	// answers reuse one buffer for ever; a matrix's buffer is garbage as
-	// soon as it is decoded, so the pool never pins megabytes.
+	// maxPooledBody is the largest buffer kept in smallBodies: point answers
+	// reuse one buffer for ever. A larger body is read into a buffer of
+	// largeBodies.
 	maxPooledBody = 64 << 10
 	// minBodyBuffer is the first buffer of a body of unknown length.
 	minBodyBuffer = 4 << 10
 )
 
-// bodyPool recycles response buffers of at most maxPooledBody bytes.
-var bodyPool = sync.Pool{New: func() interface{} { return new([]byte) }}
+var (
+	// smallBodies recycles response buffers of at most maxPooledBody bytes.
+	smallBodies = sync.Pool{New: func() interface{} { return new([]byte) }}
+	// largeBodies recycles the buffers of bodies over maxPooledBody, one
+	// size class per power of two (DESIGN.md §13, "who owns which buffer").
+	// Its classes are sync.Pools, so a collection empties them and a
+	// decoded matrix's buffer never pins megabytes.
+	largeBodies pool.Scratch[byte]
+)
+
+// largeBody returns an empty buffer to read an announced body over
+// maxPooledBody into: the top of the length's size class, capped at
+// maxPresize+1 (what readBody would allocate). The k-nearest answers at
+// k = 4…11 grow in order inside one class, and a pooled buffer of exactly
+// the previous length would fit none of the next.
+func largeBody(contentLength int64) []byte {
+	n := int(min(contentLength, maxPresize)) + 1
+	return largeBodies.Get(min(pool.Ceiling(n), maxPresize+1))[:0]
+}
 
 // errBodyTooLarge is not a transport failure: the daemon answered, and
 // asking again (a retry, another replica) would fetch the same bytes.

@@ -14,6 +14,7 @@ import (
 	"github.com/congestedclique/ccsp/internal/disttools"
 	"github.com/congestedclique/ccsp/internal/hopset"
 	"github.com/congestedclique/ccsp/internal/matrix"
+	"github.com/congestedclique/ccsp/internal/pool"
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
 
@@ -571,7 +572,7 @@ func nearestFirst(a, b Neighbor) int {
 
 // neighborBackings recycles the backing arrays of neighbor-list answers
 // that were lent and given back (Plan.Answer's release).
-var neighborBackings disttools.Scratch[Neighbor]
+var neighborBackings pool.Scratch[Neighbor]
 
 // neighborLists shapes sparse result rows into per-node neighbor lists in
 // row order, all cut from one backing array sized from the row lengths -

@@ -232,3 +232,18 @@ func isqrt(n int) int {
 	}
 	return r
 }
+
+// TestPkDecomposition (Figure 2 claim): summing the layer matrices P_k
+// equals the product P - verified end to end by comparing the distributed
+// output with the reference product.
+func TestPkDecomposition(t *testing.T) {
+	sr := semiring.NewMinPlus(1 << 30)
+	n := 16
+	s := randMat(n, 4, 83)
+	tm := randMat(n, 4, 84)
+	want := matrix.MulRef[int64](sr, s, tm)
+	got, _ := runMultiply[int64](t, sr, s, tm, matrix.SupportDensity[int64](s, tm))
+	if !matrix.Equal[int64](sr, got, want) {
+		t.Error("sum of subtask layers differs from the true product")
+	}
+}

@@ -1,0 +1,52 @@
+// Package pool holds Scratch, the size-classed buffer pool every layer that
+// recycles a large flat buffer shares: the detection planes of disttools,
+// the engine's lent neighbor backings, the client's large response bodies
+// and the daemon's encode buffers (DESIGN.md §13, "who owns which buffer").
+package pool
+
+import (
+	"math/bits"
+	"sync"
+)
+
+// Scratch recycles flat buffers that are needed only for a while. Class c
+// holds slices whose capacity lies in [2^c, 2^(c+1)); Get allocates exactly
+// n on a miss, hands out a pooled buffer with less than twice the capacity
+// asked for on a hit, and drops a pooled one too small for the request
+// rather than putting it back, which moves a class towards the sizes
+// actually asked for. The classes are sync.Pools: a collection empties
+// them, so nothing here counts against the live heap. The zero value is
+// ready to use.
+type Scratch[T any] struct {
+	classes [bits.UintSize]sync.Pool
+}
+
+// Get returns a buffer of length n whose elements are arbitrary: the
+// caller writes every one before reading it.
+func (s *Scratch[T]) Get(n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if b, _ := s.classes[bits.Len(uint(n))-1].Get().(*[]T); b != nil && cap(*b) >= n {
+		return (*b)[:n]
+	}
+	return make([]T, n)
+}
+
+// Put hands b back. b, and every slice of it, is dead afterwards.
+func (s *Scratch[T]) Put(b []T) {
+	if cap(b) == 0 {
+		return
+	}
+	s.classes[bits.Len(uint(cap(b)))-1].Put(&b)
+}
+
+// Ceiling is the largest length of n's class, 2^(⌊log₂ n⌋+1) − 1: a caller
+// whose sizes wander inside a class asks for this instead of n, so every
+// buffer the class holds fits every later request.
+func Ceiling(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	return 1<<bits.Len(uint(n)) - 1
+}

@@ -73,6 +73,7 @@ import (
 
 	"github.com/congestedclique/ccsp"
 	"github.com/congestedclique/ccsp/api"
+	"github.com/congestedclique/ccsp/internal/pool"
 	"github.com/congestedclique/ccsp/internal/telemetry"
 )
 
@@ -527,8 +528,41 @@ func engineStats(dyn *ccsp.DynamicEngine) (graph, options, preprocess map[string
 // value that cannot be encoded is a typed 500, not a 200 cut short, and a
 // large body carries its Content-Length, which is what lets the client read
 // it into one buffer of the right size (client.readBody).
+//
+// An answer that carries a large array, alone or in a batch, is appended
+// into a pooled buffer JSONLen sized (api.Response.AppendJSON: the bytes
+// encoding/json would write, without its reflective walk over the array);
+// the buffer goes back once the connection has taken the bytes. Everything
+// else goes through encoding/json.
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
+	switch v := v.(type) {
+	case api.Response:
+		if carriesArray(&v) {
+			buf := encodeBufs.Get(v.JSONLen() + 1)
+			send(w, code, append(v.AppendJSON(buf[:0]), '\n'))
+			encodeBufs.Put(buf)
+			return
+		}
+	case api.BatchResponse:
+		if v.Responses != nil {
+			n := len(`{"responses":[]}`+"\n") + max(len(v.Responses)-1, 0)
+			for i := range v.Responses {
+				n += v.Responses[i].JSONLen()
+			}
+			buf := encodeBufs.Get(n)
+			b := append(buf[:0], `{"responses":[`...)
+			for i := range v.Responses {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = v.Responses[i].AppendJSON(b)
+			}
+			send(w, code, append(b, "]}\n"...))
+			encodeBufs.Put(buf)
+			return
+		}
+	}
 	bw := bodyWriters.Get().(*bodyWriter)
 	bw.w, bw.code, bw.started = w, code, false
 	err := bw.enc.Encode(v)
@@ -543,6 +577,24 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 		writeAPIError(w, http.StatusInternalServerError, "",
 			&api.Error{Code: api.CodeInternal, Message: "encode response: " + err.Error()})
 	}
+}
+
+// carriesArray reports whether r holds a result with one of the large
+// arrays AppendJSON writes by hand. A point answer (distance, diameter, an
+// error) stays on encoding/json, whose pooled writer costs it nothing.
+func carriesArray(r *api.Response) bool {
+	return r.SSSP != nil || r.MSSP != nil || r.APSP != nil || r.KNearest != nil || r.SourceDetection != nil
+}
+
+// encodeBufs recycles the buffers writeJSON appends large answers into
+// (DESIGN.md §13, "who owns which buffer").
+var encodeBufs pool.Scratch[byte]
+
+// send writes a whole body under its status, with the length announced as
+// bodyWriter announces it. A failed write is a client that left.
+func send(w http.ResponseWriter, code int, body []byte) {
+	announce(w, code, len(body))
+	w.Write(body)
 }
 
 // bodyWriter is where a json.Encoder, made once and pooled with it, sends
@@ -569,13 +621,19 @@ var bodyWriters = sync.Pool{New: func() interface{} {
 // and labels itself, so spelling the header out there would only allocate.
 const chunkingThreshold = 2048
 
+// announce sends the status line of an n-byte body, with its
+// Content-Length from chunkingThreshold up.
+func announce(w http.ResponseWriter, code, n int) {
+	if n >= chunkingThreshold {
+		w.Header().Set("Content-Length", strconv.Itoa(n))
+	}
+	w.WriteHeader(code)
+}
+
 func (bw *bodyWriter) Write(p []byte) (int, error) {
 	if !bw.started {
 		bw.started = true
-		if len(p) >= chunkingThreshold {
-			bw.w.Header().Set("Content-Length", strconv.Itoa(len(p)))
-		}
-		bw.w.WriteHeader(bw.code)
+		announce(bw.w, bw.code, len(p))
 	}
 	return bw.w.Write(p)
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -103,5 +104,48 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 	writeJSON(w, http.StatusOK, api.Health{Status: "ok"})
 	if w.code != http.StatusOK || !strings.HasPrefix(string(w.body), `{"status":"ok"`) {
 		t.Errorf("after a failed encode: status %d, body %s", w.code, w.body)
+	}
+}
+
+// TestWriteJSONAppendedMatchesEncoder: an answer with a large array, alone
+// or in a batch, is appended rather than encoded (api.Response.AppendJSON),
+// and goes out as the bytes encoding/json writes, newline included, under
+// the Content-Length they have.
+func TestWriteJSONAppendedMatchesEncoder(t *testing.T) {
+	dist := make(api.Matrix, 40)
+	for u := range dist {
+		dist[u] = make([]int64, 40)
+		for v := range dist[u] {
+			dist[u][v] = int64(u*v%13) - 1
+		}
+	}
+	apsp := api.Response{Kind: api.KindAPSP, APSP: &api.APSPResult{Variant: api.APSPWeighted, Dist: dist}, Stats: &api.Stats{TotalRounds: 2}}
+	knear := api.Response{Kind: api.KindKNearest, KNearest: &api.KNearestResult{K: 1,
+		Neighbors: api.NeighborLists{{{Node: 0, Dist: 0, Hops: 0, FirstHop: -1}}, {}}}}
+	small := api.Response{Kind: api.KindSSSP, SSSP: &api.SSSPResult{Source: 0, Dist: []int64{0, 4, -1}}}
+	failed := api.Response{Kind: api.KindMSSP, Error: &api.Error{Code: api.CodeInvalidSource, Message: "node 99 out of range"}}
+	for name, v := range map[string]interface{}{
+		"apsp":     apsp,
+		"knearest": knear,
+		"small":    small,
+		"batch":    api.BatchResponse{Responses: []api.Response{apsp, failed, knear, small}},
+		"empty":    api.BatchResponse{Responses: []api.Response{}},
+	} {
+		var want strings.Builder
+		if err := json.NewEncoder(&want).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		w := &headerWriter{h: make(http.Header)}
+		writeJSON(w, http.StatusOK, v)
+		if string(w.body) != want.String() {
+			t.Errorf("%s: wrote\n%s\nencoding/json writes\n%s", name, w.body, want.String())
+		}
+		wantLength := ""
+		if want.Len() >= chunkingThreshold {
+			wantLength = strconv.Itoa(want.Len())
+		}
+		if w.code != http.StatusOK || w.h.Get("Content-Length") != wantLength {
+			t.Errorf("%s: status %d, Content-Length %q, want 200 and %q", name, w.code, w.h.Get("Content-Length"), wantLength)
+		}
 	}
 }
