@@ -38,6 +38,15 @@ func diffFamilies() []struct {
 	}
 	// Nodes 12 and 13 stay isolated.
 
+	// Edges of weight 0, 1 and 2: a lighter node can sit more hops away
+	// than a heavier one, which the k-nearest hop certificate must allow.
+	zero := NewGraph(15)
+	for v := 1; v < 15; v++ {
+		zero.MustAddEdge(v, (5*v+3)%v, int64(v%3))
+	}
+	zero.MustAddEdge(3, 11, 0)
+	zero.MustAddEdge(5, 14, 2)
+
 	return []struct {
 		name string
 		gr   *Graph
@@ -48,6 +57,7 @@ func diffFamilies() []struct {
 		{"clique", clique},
 		{"disconnected", disconnected},
 		{"unweighted", unweighted},
+		{"zero-weight", zero},
 	}
 }
 

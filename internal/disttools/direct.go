@@ -24,7 +24,9 @@ import (
 // node v. w is the full augmented weight matrix (diagonal included).
 // cur ← Filter(cur·cur, k) depends on cur alone, so the first squaring
 // that returns its input proves the remaining ones identical and ends
-// the loop (DESIGN.md §13, "the fast build path").
+// the loop; over semiring.AugMinPlus a row whose own hop counts prove it
+// final is copied instead of computed, and the loop also ends once every
+// row is (DESIGN.md §13, "the fast build path").
 //
 // The caller owns the result: it is a slab of a matmul.Filtered that is
 // never released, so nobody writes to it once this call has returned. A
@@ -54,11 +56,15 @@ func KNearestLent[E any](ctx context.Context, sr semiring.Ordered[E], w *matrix.
 	// them.
 	f := matmul.NewFiltered(sr, n, k, workers)
 	cur := f.FilterCols(w, nil)
+	_, certify := any(sr).(semiring.AugMinPlus)
 	iters := bits.Len(uint(k - 1)) // ceil(log2 k), as in KNearest
 	for t := 0; t < iters; t++ {
 		if err := ctx.Err(); err != nil {
 			f.Release()
 			return nil, nil, err
+		}
+		if certify && settle(any(cur).(*matrix.Mat[semiring.WH]), f.Final(), 1<<t) {
+			break
 		}
 		next := f.Mul(cur, cur)
 		if matrix.Equal[E](sr, next, cur) {
@@ -67,6 +73,27 @@ func KNearestLent[E any](ctx context.Context, sr semiring.Ordered[E], w *matrix.
 		cur = next
 	}
 	return cur, f.Release, nil
+}
+
+// settle is the hop certificate of the k-nearest loop over
+// semiring.AugMinPlus (DESIGN.md §13, "the fast build path", exit 5). cur
+// is S_t = Filter_k(D_h), h = 2^t, where D_h is the lexicographic min
+// over walks of at most h hops. A node u that Filter_k(D_2h) keeps in
+// row v but reaches only in more than h hops has, at hop h of its path,
+// a node y with W_y <= W_u and H_y = h < H_u: y ranks strictly before u,
+// so S_t[v] holds y with H = h. A row of S_t whose hop counts are all
+// below h therefore reaches every kept node within h hops, and every
+// later squaring returns it unchanged. settle marks each such row final
+// and reports whether every row is.
+func settle(cur *matrix.Mat[semiring.WH], final []bool, h int64) bool {
+	all := true
+	for v, row := range cur.Rows {
+		if !final[v] {
+			final[v] = !slices.ContainsFunc(row, func(e matrix.Entry[semiring.WH]) bool { return e.Val.H >= h })
+			all = all && final[v]
+		}
+	}
+	return all
 }
 
 // SourceDetectAll solves (S,d,|S|)-source detection (Theorem 19, second

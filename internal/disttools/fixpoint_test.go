@@ -14,10 +14,13 @@ import (
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
 
-// fixpointGraphs are the families the fixpoint exits are pinned on:
-// weighted and unit-weight (rank ties everywhere), sparse and dense, a
-// long path (converges late) and a disconnected graph (rows that never
-// fill up to k).
+// fixpointGraphs are the families the fixpoint exits and the hop
+// certificate are pinned on: weighted and unit-weight (rank ties
+// everywhere; a unit clique ties every row at every rank), sparse and
+// dense, a long path (converges late), a disconnected graph (rows that
+// never fill up to k), zero-weight edges (a lighter node can sit more
+// hops away) and paths and a star whose every edge is the heaviest the
+// engine admits (keys at the top of the packed range).
 func fixpointGraphs() map[string]*graph.Graph {
 	path := graph.New(33)
 	for v := 1; v < path.N; v++ {
@@ -35,14 +38,56 @@ func fixpointGraphs() map[string]*graph.Graph {
 		}
 		split.MustAddEdge(v, lo+rng.Intn(v-lo), rng.Int63n(9)+1)
 	}
-	return map[string]*graph.Graph{
+	zero := graph.New(30)
+	for v := 1; v < zero.N; v++ {
+		zero.MustAddEdge(v, rng.Intn(v), rng.Int63n(3)) // a third of them weigh 0
+	}
+	for e := 0; e < 20; e++ {
+		if u, v := rng.Intn(zero.N), rng.Intn(zero.N); u != v {
+			zero.MustAddEdge(u, v, rng.Int63n(3))
+		}
+	}
+	clique := graph.New(16)
+	for v := 0; v < clique.N; v++ {
+		for u := v + 1; u < clique.N; u++ {
+			clique.MustAddEdge(v, u, 1)
+		}
+	}
+	graphs := map[string]*graph.Graph{
 		"sparse":       randGraph(32, 16, 20, 41),
 		"dense":        randGraph(24, 120, 50, 42),
 		"tree":         randGraph(28, 0, 20, 43),
 		"unit-weight":  randGraph(32, 40, 1, 45),
+		"unit-clique":  clique,
 		"unit-path":    path,
 		"disconnected": split,
+		"zero-weight":  zero,
+		"max-star-8":   maxWeightStar(8),
 	}
+	for _, n := range []int{3, 8, 64} {
+		graphs[fmt.Sprintf("max-path-%d", n)] = maxWeightPath(n)
+	}
+	return graphs
+}
+
+// maxWeightPath is the path on n nodes with every edge at
+// graph.MaxWeightFor(n).
+func maxWeightPath(n int) *graph.Graph {
+	g := graph.New(n)
+	for v := 1; v < n; v++ {
+		g.MustAddEdge(v-1, v, graph.MaxWeightFor(n))
+	}
+	return g
+}
+
+// maxWeightStar is the star on n nodes, center 0, with every edge at
+// graph.MaxWeightFor(n).
+func maxWeightStar(n int) *graph.Graph {
+	g := graph.New(n)
+	for v := 1; v < n; v++ {
+		g.MustAddEdge(0, v, graph.MaxWeightFor(n))
+	}
+	return g
 }
 
 // routedMatrix is the routed (first-hop witness) weight matrix of g.
@@ -78,7 +123,7 @@ func knearestAllRef[E any](sr semiring.Ordered[E], w *matrix.Mat[E], k int) *mat
 
 func checkKNearestFixpoint[E comparable](t *testing.T, name string, sr semiring.Ordered[E], w *matrix.Mat[E]) {
 	t.Helper()
-	for _, k := range []int{1, 2, 7, w.N} {
+	for _, k := range []int{1, 2, 5, 7, 17, w.N} {
 		want := knearestAllRef(sr, w, k)
 		for _, workers := range []int{1, 2, 4, 0} {
 			got, err := KNearestAll(context.Background(), sr, w, k, workers)
@@ -91,9 +136,11 @@ func checkKNearestFixpoint[E comparable](t *testing.T, name string, sr semiring.
 }
 
 // TestKNearestAllFixpointEquivalence: stopping at the first unchanged
-// squaring returns exactly what all ⌈log₂ k⌉ squarings return, over both
-// the augmented semiring (specialized kernel) and the routed one (generic
-// kernel, witnesses included in the comparison).
+// squaring, and copying the rows the hop certificate settles, returns
+// exactly what all ⌈log₂ k⌉ squarings on the generic kernel return, over
+// both the augmented semiring (packed kernel and certificate) and the
+// routed one (generic kernel, fixpoint exit only, witnesses included in
+// the comparison).
 func TestKNearestAllFixpointEquivalence(t *testing.T) {
 	for name, g := range fixpointGraphs() {
 		checkKNearestFixpoint[semiring.WH](t, name+"/WH", g.AugSemiring(), g.WeightMatrix())
@@ -130,7 +177,7 @@ func TestSourceDetectKAllFixpointEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(g.N)))
 		for _, nS := range []int{0, 1, 5, g.N} {
 			inS := make([]bool, g.N)
-			for _, v := range rng.Perm(g.N)[:nS] {
+			for _, v := range rng.Perm(g.N)[:min(nS, g.N)] {
 				inS[v] = true
 			}
 			for _, d := range []int{1, 2, 6, g.N} {

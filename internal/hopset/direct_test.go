@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 
@@ -67,11 +68,12 @@ func buildDirectRef(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[s
 	}
 
 	// Bunch computation via k-nearest (§4.2.1), all rows at once.
-	// All ⌈log₂ k⌉ squarings, as KNearestAll ran them before its
-	// fixpoint exit.
+	// All ⌈log₂ k⌉ squarings on the generic kernel, as KNearestAll ran
+	// them before its fixpoint exit, its hop certificate and its packed
+	// kernel.
 	knear := matrix.Filter[semiring.WH](sr, w, k)
 	for t := 0; t < bits.Len(uint(k-1)); t++ {
-		knear = matmul.NewFiltered[semiring.WH](sr, knear.N, k, workers).Mul(knear, knear)
+		knear = matmul.KernelMulFilteredGeneric[semiring.WH](sr, knear, knear, k, workers)
 	}
 	sets := make([][]int32, n)
 	for v := 0; v < n; v++ {
@@ -170,7 +172,9 @@ func encoded(a *Artifact) []byte {
 }
 
 // buildCases are the graphs and presets the build oracles run over:
-// weighted, unit-weight, tree, path and disconnected graphs; Paper runs
+// weighted, unit-weight, tree, path and disconnected graphs, zero-weight
+// edges and a path whose every edge is the heaviest graph.MaxWeightFor
+// admits (packed keys at the top of their range); Paper runs
 // the level loop at d = n, Practical well below it, a small K makes A_1
 // large, a hop cap makes each level build on the last and one shallow
 // level makes the clique edges depend on ε.
@@ -181,7 +185,19 @@ func buildCases() (map[string]*graph.Graph, map[string]Params) {
 			split.MustAddEdge(v-1, v, int64(v%4)+1)
 		}
 	}
+	zero := graph.New(36)
+	rng := rand.New(rand.NewSource(75))
+	for v := 1; v < zero.N; v++ {
+		zero.MustAddEdge(v, rng.Intn(v), rng.Int63n(3)) // a third of them weigh 0
+	}
+	for e := 0; e < 30; e++ {
+		if u, v := rng.Intn(zero.N), rng.Intn(zero.N); u != v {
+			zero.MustAddEdge(u, v, rng.Int63n(3))
+		}
+	}
 	graphs := map[string]*graph.Graph{
+		"zero-weight":  zero,
+		"max-weight":   lineGraph(24, graph.MaxWeightFor(24)),
 		"sparse":       randGraph(48, 24, 20, 71),
 		"dense":        randGraph(32, 200, 50, 72),
 		"tree":         randGraph(40, 0, 9, 73),

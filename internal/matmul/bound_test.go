@@ -16,6 +16,16 @@ import (
 // addition away from semiring.Inf. A case is a byte string, so the table
 // test and FuzzKernelMulFiltered's seed corpus are the same cases.
 
+// The semirings the cases run over. augInf's box (MaxW = Inf) does not
+// pack, so it takes the generic row path, near-Inf weights included.
+// augPacked's box holds every weight and hop count of a case without
+// near-Inf weights and of the products sameShared forms from one (hops
+// up to 6, weights up to 45), so it takes the packed WH kernel.
+var (
+	augInf    = semiring.AugMinPlus{MaxW: semiring.Inf, MaxH: 4}
+	augPacked = semiring.AugMinPlus{MaxW: 1 << 20, MaxH: 8}
+)
+
 // boundCase decodes data into a pair of n×n matrices and a filter size.
 // Byte 0 picks n in 2..10, byte 1 picks rho in -1..n+1, and every four
 // bytes after that set one entry: (matrix and row, column, weight, hops).
@@ -27,7 +37,6 @@ func boundCase(data []byte) (s, t *matrix.Mat[semiring.WH], rho int) {
 	n := 2 + int(data[0])%9
 	rho = int(data[1])%(n+3) - 1
 	s, t = matrix.New[semiring.WH](n), matrix.New[semiring.WH](n)
-	sr := semiring.AugMinPlus{MaxW: semiring.Inf, MaxH: 4}
 	for i := 2; i+3 < len(data); i += 4 {
 		m := s
 		if data[i]&0x80 != 0 {
@@ -37,7 +46,7 @@ func boundCase(data []byte) (s, t *matrix.Mat[semiring.WH], rho int) {
 		if data[i+2] >= 240 {
 			w = semiring.Inf - 256 + int64(data[i+2])
 		}
-		m.Set(sr, int(data[i]&0x7f)%n, int(data[i+1])%n, semiring.WH{W: w, H: int64(data[i+3]) % 3})
+		m.Set(augInf, int(data[i]&0x7f)%n, int(data[i+1])%n, semiring.WH{W: w, H: int64(data[i+3]) % 3})
 	}
 	return s, t, rho
 }
@@ -193,30 +202,50 @@ func sameShared[E comparable](sr semiring.Ordered[E], s, t *matrix.Mat[E], rho i
 	return nil
 }
 
-// checkBoundCase runs both filtered kernels on one decoded case: the
-// specialized one over WH (through NewFiltered's dispatch too) and
-// the generic one over the same matrices with witnesses, each as one-shot
-// products and as successive products of one shared Filtered.
-func checkBoundCase(s, t *matrix.Mat[semiring.WH], rho int) error {
-	aug := semiring.AugMinPlus{MaxW: semiring.Inf, MaxH: 4}
-	if err := sameFiltered[semiring.WH](aug, s, t, rho, func(s, t *matrix.Mat[semiring.WH], workers int) *matrix.Mat[semiring.WH] {
-		return KernelMulFilteredWH(aug, s, t, rho, workers)
-	}); err != nil {
-		return fmt.Errorf("WH: %w", err)
+// inBox reports whether every weight of s and t is one of the small ones
+// (no near-Inf weight), which puts the case in augPacked's box.
+func inBox(s, t *matrix.Mat[semiring.WH]) bool {
+	for _, m := range []*matrix.Mat[semiring.WH]{s, t} {
+		for _, row := range m.Rows {
+			if slices.ContainsFunc(row, func(e matrix.Entry[semiring.WH]) bool { return e.Val.W >= 16 }) {
+				return false
+			}
+		}
 	}
-	if err := sameFiltered[semiring.WH](aug, s, t, rho, func(s, t *matrix.Mat[semiring.WH], workers int) *matrix.Mat[semiring.WH] {
-		return NewFiltered[semiring.WH](aug, s.N, rho, workers).Mul(s, t)
-	}); err != nil {
-		return fmt.Errorf("WH dispatch: %w", err)
+	return true
+}
+
+// checkBoundCase runs both filtered kernels on one decoded case: over WH
+// (KernelMulFilteredWH and NewFiltered's dispatch) at augInf, which takes
+// the generic row path, and at augPacked, which takes the packed one, when
+// the case lies in its box; and the generic one over the same matrices
+// with witnesses. Each runs as one-shot products and as successive
+// products of one shared Filtered.
+func checkBoundCase(s, t *matrix.Mat[semiring.WH], rho int) error {
+	augs := []semiring.AugMinPlus{augInf}
+	if inBox(s, t) {
+		augs = append(augs, augPacked)
+	}
+	for _, aug := range augs {
+		if err := sameFiltered[semiring.WH](aug, s, t, rho, func(s, t *matrix.Mat[semiring.WH], workers int) *matrix.Mat[semiring.WH] {
+			return KernelMulFilteredWH(aug, s, t, rho, workers)
+		}); err != nil {
+			return fmt.Errorf("WH MaxW=%d: %w", aug.MaxW, err)
+		}
+		if err := sameFiltered[semiring.WH](aug, s, t, rho, func(s, t *matrix.Mat[semiring.WH], workers int) *matrix.Mat[semiring.WH] {
+			return NewFiltered[semiring.WH](aug, s.N, rho, workers).Mul(s, t)
+		}); err != nil {
+			return fmt.Errorf("WH dispatch MaxW=%d: %w", aug.MaxW, err)
+		}
+		if err := sameShared[semiring.WH](aug, s, t, rho); err != nil {
+			return fmt.Errorf("WH MaxW=%d: %w", aug.MaxW, err)
+		}
 	}
 	rt := semiring.RoutedMinPlus{MaxW: semiring.Inf, MaxH: 4}
 	if err := sameFiltered[semiring.WHF](rt, routed(s, 0), routed(t, 1), rho, func(s, t *matrix.Mat[semiring.WHF], workers int) *matrix.Mat[semiring.WHF] {
 		return NewFiltered[semiring.WHF](rt, s.N, rho, workers).Mul(s, t)
 	}); err != nil {
 		return fmt.Errorf("WHF: %w", err)
-	}
-	if err := sameShared[semiring.WH](aug, s, t, rho); err != nil {
-		return fmt.Errorf("WH: %w", err)
 	}
 	if err := sameShared[semiring.WHF](rt, routed(s, 0), routed(t, 1), rho); err != nil {
 		return fmt.Errorf("WHF: %w", err)
@@ -247,9 +276,8 @@ func TestKernelMulFilteredOnTheBound(t *testing.T) {
 // under τ = 6 and none of the heavier ones.
 func TestBoundedPathTaken(t *testing.T) {
 	s, tm, rho := boundCase(boundCases()["ties-at-tau"])
-	aug := semiring.AugMinPlus{MaxW: semiring.Inf, MaxH: 4}
 	begun := func(rho int) *whKernel {
-		f := newFiltered[semiring.WH](aug, s.N, rho, 1, true)
+		f := NewFiltered[semiring.WH](augPacked, s.N, rho, 1)
 		f.kernel.begin(tm, 0, f.run)
 		return f.kernel.(*whKernel)
 	}
@@ -261,7 +289,9 @@ func TestBoundedPathTaken(t *testing.T) {
 		t.Fatalf("T_0 has %d entries: the product must take the bounded path", rho)
 	}
 	before := ProductsAccumulated()
-	row := k.worker(0).mulRowBounded(s.Rows[0], &k.view)
+	wk := k.worker(0)
+	wk.mulRowBounded(s.Rows[0], &k.view, k.m)
+	row := wk.emit(k.m)
 	if got := ProductsAccumulated() - before; got != 6 {
 		t.Errorf("row 0 accumulated %d products, want 6 of its 7 (the one at W = 7 is past τ)", got)
 	}
@@ -272,9 +302,42 @@ func TestBoundedPathTaken(t *testing.T) {
 	}
 }
 
+// TestPackedKeysAtTheBoxEdge holds the packed kernel to Filter ∘ MulRef
+// on factors at the corners of augPacked's box, which the byte-decoded
+// cases never reach: hop counts at MaxH, whose products reach 2·MaxH, and
+// weights at MaxW. Row 0 reaches column 3 as (0, 2·MaxH) through column 1
+// and as (1, 0) through column 2; the first is the lexicographic min, and
+// it stays the smaller key only while a product's hop count stays below
+// the key multiplier.
+func TestPackedKeysAtTheBoxEdge(t *testing.T) {
+	h, w := augPacked.MaxH, augPacked.MaxW
+	s, tm := matrix.New[semiring.WH](5), matrix.New[semiring.WH](5)
+	s.Set(augPacked, 0, 1, semiring.WH{W: 0, H: h})
+	s.Set(augPacked, 0, 2, semiring.WH{W: 1, H: 0})
+	s.Set(augPacked, 1, 4, semiring.WH{W: w, H: h})
+	tm.Set(augPacked, 1, 3, semiring.WH{W: 0, H: h})
+	tm.Set(augPacked, 2, 3, semiring.WH{W: 0, H: 0})
+	tm.Set(augPacked, 4, 0, semiring.WH{W: w, H: h})
+	tm.Set(augPacked, 4, 4, semiring.WH{W: w, H: 0})
+	if !NewFiltered[semiring.WH](augPacked, s.N, 1, 1).wh() {
+		t.Fatal("augPacked does not take the packed kernel")
+	}
+	for rho := 1; rho <= s.N; rho++ {
+		for _, in := range [][2]*matrix.Mat[semiring.WH]{{s, tm}, {tm, tm}} {
+			if err := sameFiltered[semiring.WH](augPacked, in[0], in[1], rho, func(s, t *matrix.Mat[semiring.WH], workers int) *matrix.Mat[semiring.WH] {
+				return NewFiltered[semiring.WH](augPacked, s.N, rho, workers).Mul(s, t)
+			}); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+}
+
 // FuzzKernelMulFiltered fuzzes both filtered kernels against
 // Filter ∘ MulRef from the adversarial cases, and three successive products
-// of one shared Filtered against the one-shot kernels.
+// of one shared Filtered against the one-shot kernels. Every seed but
+// "saturation" lies in augPacked's box, so the packed kernel is fuzzed
+// beside the generic fallback.
 func FuzzKernelMulFiltered(f *testing.F) {
 	for _, data := range boundCases() {
 		f.Add(data)

@@ -28,22 +28,31 @@
 // bookkeeping plus a sort. Both paths produce identical rows, so the
 // selection is invisible to callers and to the differential oracle.
 //
-// The ρ-filtered product (whKernel: KernelMulFilteredWH and every
-// Filtered over WH) adds a third row path, the bounded product: when
-// some row of T holds at least ρ entries, T's rows are re-laid out once,
-// ascending by weight, and each output row i first derives a weight
-// bound τ_i - the least s.W plus the ρ-th lightest weight of T_j over
-// the (j, s) of S_i whose T_j reaches ρ entries, each of which proves ρ
-// distinct columns end at or below that weight - and then scans every
-// T_j only up to weight τ_i − s.W. Rank is lexicographic in (W, H), so
-// the filter keeps nothing heavier than τ_i and the row restricted to
-// W ≤ τ_i has the same ρ smallest (rank, column) entries as the full
-// one (DESIGN.md §13, "the fast build path"). When no row of T reaches
-// ρ no bound exists and rows take the first two paths.
+// The ρ-filtered product (whKernel: every Filtered over an AugMinPlus
+// whose box packs) accumulates packed keys instead of (W, H) pairs. With
+// factors in the box a product's hop count stays below M = 2·MaxH + 1,
+// so the key W·M + H of a product is the sum of its factors' keys and
+// orders products exactly as the lexicographic min does: one accumulator
+// array, one integer min, no tie branch, and a bitmap of touched columns
+// that emits in column order, decoding each key back to (W, H). The keys
+// of two factors in the box sum to below 2^62 (keyBase); any other
+// semiring takes the generic row path. The product adds a second row
+// path, the bounded product: when some row of T holds at least ρ
+// entries, T's rows are re-laid out once as keyed entries, ascending by
+// key, and each output row i first derives a weight bound τ_i - the
+// least s.W plus the ρ-th lightest weight of T_j over the (j, s) of S_i
+// whose T_j reaches ρ entries, each of which proves ρ distinct columns
+// end at or below that weight - and then scans every T_j only up to
+// weight τ_i − s.W. Rank is lexicographic in (W, H), so the filter keeps
+// nothing heavier than τ_i and the row restricted to W ≤ τ_i has the
+// same ρ smallest (rank, column) entries as the full one (DESIGN.md §13,
+// "the fast build path"). When no row of T reaches ρ no bound exists and
+// rows scan T's rows in full.
 package matmul
 
 import (
 	"cmp"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -51,17 +60,13 @@ import (
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
 
-// whWorker is one kernel worker's reusable scratch: flat weight/hop
-// accumulators (rest state (Inf, Inf) everywhere), the touched-column
-// list of the sparse path and the touched-column bitmap of the bounded
-// one, a reusable row build buffer (also the by-weight view's sort
-// buffer, between products) and the filter's rank scratch.
+// whWorker is one KernelMulWH worker's reusable scratch: flat
+// weight/hop accumulators (rest state (Inf, Inf) everywhere), the
+// touched-column list of the sparse path and a reusable row build buffer.
 type whWorker struct {
 	accW, accH []int64
 	touched    []int32
 	rowBuf     []matrix.Entry[semiring.WH]
-	mark       []uint64
-	ranks      []int64
 }
 
 func newWHWorker(n int) *whWorker {
@@ -70,7 +75,6 @@ func newWHWorker(n int) *whWorker {
 		accH:    make([]int64, n),
 		touched: make([]int32, 0, n),
 		rowBuf:  make([]matrix.Entry[semiring.WH], 0, n),
-		mark:    make([]uint64, (n+63)/64),
 	}
 	for j := 0; j < n; j++ {
 		w.accW[j] = semiring.Inf
@@ -158,39 +162,91 @@ func (wk *whWorker) mulRow(srow matrix.Row[semiring.WH], t *matrix.Mat[semiring.
 	return buf
 }
 
+// keyed is one entry of the by-weight view: a T entry's column and its
+// packed key W·M + H.
+type keyed struct {
+	key int64
+	col int32
+}
+
 // whByWeight is T re-laid out for the bounded product: row j occupies
-// [off[j], off[j+1]) of three parallel arrays, ascending by weight, and
-// kth[j] is the weight of its rho-th lightest entry (semiring.Inf when it
-// holds fewer than rho). The arrays belong to the whKernel running the
+// [off[j], off[j+1]) of ent, ascending by key (so by weight), and kth[j]
+// is the weight of its rho-th lightest entry (semiring.Inf when it holds
+// fewer than rho). The arrays belong to the whKernel running the
 // products, which lays them out again for each new T.
 type whByWeight struct {
-	off  []int
-	col  []int32
-	w, h []int64
-	kth  []int64
+	off []int
+	ent []keyed
+	kth []int64
+}
+
+// noKey is the accumulator's rest state: every packed key is below it.
+const noKey = math.MaxInt64
+
+// keyWorker is one filtered-kernel worker's reusable scratch: the packed
+// accumulator (rest state noKey everywhere), the touched-column bitmap,
+// the row build buffer and the filter's rank scratch.
+type keyWorker struct {
+	acc    []int64
+	mark   []uint64
+	rowBuf []matrix.Entry[semiring.WH]
+	ranks  []int64
+}
+
+func newKeyWorker(n int) *keyWorker {
+	w := &keyWorker{
+		acc:    make([]int64, n),
+		mark:   make([]uint64, (n+63)/64),
+		rowBuf: make([]matrix.Entry[semiring.WH], 0, n),
+	}
+	for j := range w.acc {
+		w.acc[j] = noKey
+	}
+	return w
+}
+
+// keyBase returns the multiplier M = 2·MaxH + 1 of the packed keys
+// W·M + H over sr and whether they fit. A factor of a product lies in
+// sr's box [0, MaxW] × [0, MaxH], so a product's hop count stays below M
+// and its key is the sum of its factors' keys; the keys fit when that
+// sum stays below 2^62 and a product's weight below semiring.Inf, which
+// holds for every semiring semiring.NewAugMinPlus admits. Any other
+// semiring, AugMinPlus or not, does not pack.
+func keyBase(sr any) (int64, bool) {
+	a, ok := sr.(semiring.AugMinPlus)
+	if !ok || a.MaxW < 0 || a.MaxH < 0 || a.MaxH >= 1<<59 || a.MaxW >= semiring.Inf/2 {
+		return 0, false
+	}
+	m := 2*a.MaxH + 1
+	return m, a.MaxW <= (1<<61-1-a.MaxH)/m
 }
 
 // whKernel computes the rows of successive ρ-filtered products over
-// semiring.WH for a Filtered (kernel_filtered.go): bounded when t gives a
-// weight bound, dense-tile or sparse otherwise. It owns the scratch of
-// every pass worker and the by-weight view, and keeps both from one
-// product to the next - and, recycled with its Filtered, from one run to
-// the next.
+// semiring.WH for a Filtered (kernel_filtered.go) whose semiring packs
+// (keyBase): bounded when t gives a weight bound, unbounded otherwise. It
+// owns the scratch of every pass worker and the by-weight view, and keeps
+// both from one product to the next - and, recycled with its Filtered,
+// from one run to the next.
 type whKernel struct {
 	sr      semiring.Ordered[semiring.WH]
+	m       int64 // the key multiplier of sr
 	n, rho  int
-	ws      []*whWorker
+	ws      []*keyWorker
 	view    whByWeight
 	bounded bool // the view holds the current t
 }
 
 func (k *whKernel) reset(sr semiring.Ordered[semiring.WH], rho int) {
-	k.sr, k.rho, k.bounded = sr, rho, false
+	m, ok := keyBase(sr)
+	if !ok {
+		panic("matmul: packed kernel over a semiring whose keys do not fit")
+	}
+	k.sr, k.m, k.rho, k.bounded = sr, m, rho, false
 }
 
-func (k *whKernel) worker(w int) *whWorker {
+func (k *whKernel) worker(w int) *keyWorker {
 	if k.ws[w] == nil {
-		k.ws[w] = newWHWorker(k.n)
+		k.ws[w] = newKeyWorker(k.n)
 	}
 	return k.ws[w]
 }
@@ -198,11 +254,11 @@ func (k *whKernel) worker(w int) *whWorker {
 // begin lays the view out for t, or finds that no row of t holds rho
 // entries: no output row then has a bound, and one O(n) look at the row
 // lengths finds that out before anything is allocated or sorted. The
-// entry arrays grow to the larger of t's entries and reserve, so a run of
-// products allocates them once; each row is sorted in its pass worker's
-// row buffer.
+// entry array grows to the larger of t's entries and reserve, so a run of
+// products allocates it once; each row is keyed and sorted in place by a
+// pass worker.
 func (k *whKernel) begin(t *matrix.Mat[semiring.WH], reserve int, run func(func(worker, row int))) {
-	rho, v := k.rho, &k.view
+	rho, m, v := k.rho, k.m, &k.view
 	k.bounded = slices.ContainsFunc(t.Rows, func(row matrix.Row[semiring.WH]) bool { return len(row) >= rho })
 	if !k.bounded {
 		return
@@ -215,23 +271,19 @@ func (k *whKernel) begin(t *matrix.Mat[semiring.WH], reserve int, run func(func(
 	for j, row := range t.Rows {
 		off[j+1] = off[j] + len(row)
 	}
-	if total := off[n]; cap(v.col) < total {
-		c := max(total, reserve)
-		v.col, v.w, v.h = make([]int32, c), make([]int64, c), make([]int64, c)
+	if total := off[n]; cap(v.ent) < total {
+		v.ent = make([]keyed, max(total, reserve))
 	}
-	run(func(wi, j int) {
-		wk := k.worker(wi)
-		tmp := append(wk.rowBuf[:0], t.Rows[j]...)
-		slices.SortFunc(tmp, func(a, b matrix.Entry[semiring.WH]) int { return cmp.Compare(a.Val.W, b.Val.W) })
-		lo := off[j]
-		for p, e := range tmp {
-			v.col[lo+p], v.w[lo+p], v.h[lo+p] = e.Col, e.Val.W, e.Val.H
+	run(func(_, j int) {
+		ents := v.ent[off[j]:off[j+1]]
+		for p, e := range t.Rows[j] {
+			ents[p] = keyed{key: e.Val.W*m + e.Val.H, col: e.Col}
 		}
+		slices.SortFunc(ents, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
 		v.kth[j] = semiring.Inf
-		if len(tmp) >= rho {
-			v.kth[j] = tmp[rho-1].Val.W
+		if len(ents) >= rho {
+			v.kth[j] = ents[rho-1].key / m
 		}
-		wk.rowBuf = tmp
 	})
 }
 
@@ -240,66 +292,82 @@ func (k *whKernel) begin(t *matrix.Mat[semiring.WH], reserve int, run func(func(
 // scratch and only its ρ surviving entries are written out.
 func (k *whKernel) row(w int, srow matrix.Row[semiring.WH], t *matrix.Mat[semiring.WH], dst matrix.Row[semiring.WH]) matrix.Row[semiring.WH] {
 	wk := k.worker(w)
-	var row []matrix.Entry[semiring.WH]
 	if k.bounded {
-		row = wk.mulRowBounded(srow, &k.view)
+		wk.mulRowBounded(srow, &k.view, k.m)
 	} else {
-		row = wk.mulRow(srow, t)
+		wk.mulRowKeyed(srow, t, k.m)
 	}
-	return matrix.FilterRowAppend(k.sr, dst, row, k.rho, &wk.ranks)
+	return matrix.FilterRowAppend(k.sr, dst, wk.emit(k.m), k.rho, &wk.ranks)
 }
 
-// mulRowBounded computes the entries of row srow · T that a rho-filter
-// can keep - those of weight at most the row's bound τ - and returns them
-// like mulRow does. Each scan of a T row stops at the first entry heavier
-// than τ − s.W; entries at exactly τ are still accumulated, so the
-// filter's lowest-column rule among rank ties sees every candidate. With
-// no bound τ is Inf−1, and the break is the saturation skip of mulRow:
-// past it every product reaches semiring.Inf.
-func (wk *whWorker) mulRowBounded(srow matrix.Row[semiring.WH], t *whByWeight) []matrix.Entry[semiring.WH] {
-	tau := semiring.Inf - 1
-	for _, es := range srow {
-		// kth is Inf for a short row and the sum reaches Inf when the
-		// rho-th product saturates: neither proves rho columns.
-		if b := es.Val.W + t.kth[es.Col]; b < tau {
-			tau = b
-		}
-	}
-	accW, accH, mark := wk.accW, wk.accH, wk.mark
+// mulRowKeyed accumulates row srow · T, every product of it, as packed
+// keys: the (W, H)-lexicographic min of two products is the min of their
+// keys.
+func (wk *keyWorker) mulRowKeyed(srow matrix.Row[semiring.WH], t *matrix.Mat[semiring.WH], m int64) {
+	acc, mark := wk.acc, wk.mark
 	products := 0
 	for _, es := range srow {
-		ew, eh := es.Val.W, es.Val.H
-		lo, hi := t.off[es.Col], t.off[es.Col+1]
-		ws, hs, cols := t.w[lo:hi], t.h[lo:hi], t.col[lo:hi]
-		lim := tau - ew
-		for p, tw := range ws {
-			if tw > lim {
-				break
-			}
-			products++
-			j := cols[p]
-			w := ew + tw
-			aw := accW[j]
-			if w > aw {
-				continue
-			}
-			h := eh + hs[p]
-			if w < aw || h < accH[j] {
-				accW[j], accH[j] = w, h
-				mark[j>>6] |= 1 << (uint(j) & 63)
-			}
+		ek := es.Val.W*m + es.Val.H
+		trow := t.Rows[es.Col]
+		products += len(trow)
+		for _, et := range trow {
+			j := et.Col
+			acc[j] = min(acc[j], ek+et.Val.W*m+et.Val.H)
+			mark[j>>6] |= 1 << (uint32(j) & 63)
 		}
 	}
 	productsAccumulated.Add(int64(products))
-	buf := wk.rowBuf[:0]
-	for wi, word := range mark {
+}
+
+// mulRowBounded accumulates the products of row srow · T that a
+// rho-filter can keep - those of weight at most the row's bound τ - like
+// mulRowKeyed does. Each scan of a T row stops at the first entry heavier
+// than τ − s.W, that is at a key above (τ − s.W)·M + M − 1: entries at
+// exactly τ are still accumulated, whatever their hops, so the filter's
+// lowest-column rule among rank ties sees every candidate. A row with no
+// bound scans every entry.
+func (wk *keyWorker) mulRowBounded(srow matrix.Row[semiring.WH], t *whByWeight, m int64) {
+	tau := int64(semiring.Inf)
+	for _, es := range srow {
+		// kth is Inf for a short row: it proves no rho columns.
+		tau = min(tau, es.Val.W+t.kth[es.Col])
+	}
+	acc, mark := wk.acc, wk.mark
+	products := 0
+	for _, es := range srow {
+		ek := es.Val.W*m + es.Val.H
+		lim := int64(noKey)
+		if tau < semiring.Inf {
+			lim = (tau-es.Val.W)*m + m - 1
+		}
+		ents := t.ent[t.off[es.Col]:t.off[es.Col+1]]
+		scanned := len(ents)
+		for p, e := range ents {
+			if e.key > lim {
+				scanned = p
+				break
+			}
+			acc[e.col] = min(acc[e.col], ek+e.key)
+			mark[e.col>>6] |= 1 << (uint32(e.col) & 63)
+		}
+		products += scanned
+	}
+	productsAccumulated.Add(int64(products))
+}
+
+// emit returns the accumulated row in rowBuf, in column order and decoded
+// to (W, H) (valid until the next call; callers filter it out), and puts
+// the accumulator and the bitmap back to rest.
+func (wk *keyWorker) emit(m int64) []matrix.Entry[semiring.WH] {
+	acc, buf := wk.acc, wk.rowBuf[:0]
+	for wi, word := range wk.mark {
 		for ; word != 0; word &= word - 1 {
 			j := wi<<6 | bits.TrailingZeros64(word)
-			buf = append(buf, matrix.Entry[semiring.WH]{Col: int32(j), Val: semiring.WH{W: accW[j], H: accH[j]}})
-			accW[j] = semiring.Inf
-			accH[j] = semiring.Inf
+			w := acc[j] / m
+			buf = append(buf, matrix.Entry[semiring.WH]{Col: int32(j), Val: semiring.WH{W: w, H: acc[j] - w*m}})
+			acc[j] = noKey
 		}
-		mark[wi] = 0
+		wk.mark[wi] = 0
 	}
 	wk.rowBuf = buf
 	return buf
@@ -324,12 +392,12 @@ func KernelMulWH(s, t *matrix.Mat[semiring.WH], workers int) *matrix.Mat[semirin
 }
 
 // KernelMulFilteredWH computes the ρ-filtered product Filter(S·T, rho)
-// with the specialized row paths, as one product on a Filtered it never
-// releases, so the caller owns the result: the
-// row - bounded when t gives a bound, full otherwise - accumulates in
-// reusable scratch and only its ρ surviving entries are written out. sr
-// supplies the (Rank, column) filter order of §2.2 and must rank by
-// (W, H) lexicographically, as semiring.AugMinPlus does.
+// as one product on a Filtered it never releases, so the caller owns the
+// result: over a semiring whose keys pack the row - bounded when t gives
+// a bound, full otherwise - accumulates packed keys in reusable scratch
+// and only its ρ surviving entries are written out; over any other the
+// generic row path runs. sr supplies the (Rank, column) filter order of
+// §2.2.
 func KernelMulFilteredWH(sr semiring.Ordered[semiring.WH], s, t *matrix.Mat[semiring.WH], rho, workers int) *matrix.Mat[semiring.WH] {
-	return newFiltered(sr, s.N, rho, workers, true).Mul(s, t)
+	return NewFiltered(sr, s.N, rho, workers).Mul(s, t)
 }

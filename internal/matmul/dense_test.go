@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/congestedclique/ccsp/internal/graph"
 	"github.com/congestedclique/ccsp/internal/matrix"
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
@@ -169,5 +170,47 @@ func TestKernelMulWHSaturation(t *testing.T) {
 	want := KernelMulGeneric[semiring.WH](sr, s, tm, 1)
 	if !sameMatWH(t, KernelMulWH(s, tm, 1), want, "saturation") {
 		t.Fatal("saturating products handled differently from generic kernel")
+	}
+}
+
+// TestAugSemiringPacks: the packed keys of the filtered kernel fit every
+// semiring the engine sizes - graph.AugSemiring of a graph on n nodes
+// whose heaviest edge is graph.MaxWeightFor(n) - at n = 1…64 and every
+// power of two up to 2^20 (1024 among them), and every semiring
+// semiring.NewAugMinPlus admits at its largest weight; so their products
+// take the packed kernel. A box too large to pack - MaxW = Inf, the
+// saturation cases of TestKernelMulFilteredOnTheBound - takes the generic
+// one.
+func TestAugSemiringPacks(t *testing.T) {
+	var sizes []int
+	for n := 1; n <= 64; n++ {
+		sizes = append(sizes, n)
+	}
+	for n := 128; n <= 1<<20; n *= 2 {
+		sizes = append(sizes, n)
+	}
+	var srs []semiring.AugMinPlus
+	for _, n := range sizes {
+		// AugSemiring reads only N and the heaviest edge.
+		g := &graph.Graph{N: n, Adj: [][]graph.Edge{{{W: graph.MaxWeightFor(n)}}}}
+		srs = append(srs, g.AugSemiring())
+	}
+	for _, maxH := range []int64{1, 2, 3, 8, 1000, 1 << 20, 1 << 40} {
+		srs = append(srs, semiring.NewAugMinPlus(semiring.Inf/(maxH+2)-2, maxH))
+	}
+	for _, sr := range srs {
+		m, ok := keyBase(sr)
+		if !ok || m != 2*sr.MaxH+1 {
+			t.Fatalf("MaxW=%d MaxH=%d: keys do not pack (M=%d, ok=%v)", sr.MaxW, sr.MaxH, m, ok)
+		}
+		if top := sr.MaxW*m + sr.MaxH; top > (1<<62-1)/2 || 2*sr.MaxW >= semiring.Inf {
+			t.Fatalf("MaxW=%d MaxH=%d: two keys of the box sum past 2^62 or to a weight of Inf", sr.MaxW, sr.MaxH)
+		}
+	}
+	if !NewFiltered[semiring.WH](srs[len(sizes)-1], 8, 3, 1).wh() {
+		t.Error("the semiring of n = 2^20 at its heaviest weight does not take the packed kernel")
+	}
+	if NewFiltered[semiring.WH](semiring.AugMinPlus{MaxW: semiring.Inf, MaxH: 4}, 8, 3, 1).wh() {
+		t.Error("AugMinPlus{MaxW: Inf} takes the packed kernel: its keys do not fit")
 	}
 }

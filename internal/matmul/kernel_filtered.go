@@ -44,14 +44,15 @@ type Filtered[E any] struct {
 	kernel rowKernel[E]
 	next   atomic.Int32 // scratch handed out in the running pass
 
-	out  [2]*matrix.Mat[E]
-	slab [2][]matrix.Entry[E]
-	turn int   // the slab the next output goes to
-	off  []int // the windows of the output being written: row i is [off[i], off[i+1])
+	out   [2]*matrix.Mat[E]
+	slab  [2][]matrix.Entry[E]
+	turn  int    // the slab the next output goes to
+	off   []int  // the windows of the output being written: row i is [off[i], off[i+1])
+	final []bool // rows Mul copies from its left operand (Final)
 }
 
 // rowKernel is one way of computing the rows of a filtered product: the
-// specialized paths over semiring.WH (whKernel) or the reference
+// packed paths over semiring.WH (whKernel) or the reference
 // accumulation over any ordered semiring (genKernel). worker indexes the
 // pass worker whose scratch the call may use.
 type rowKernel[E any] interface {
@@ -66,11 +67,12 @@ type rowKernel[E any] interface {
 }
 
 // NewFiltered returns the shared state for ρ-filtered products of n×n
-// matrices over sr. Augmented min-plus products take the specialized row
-// paths (dense.go), every other semiring the generic one. workers <= 0
-// means GOMAXPROCS.
+// matrices over sr. Augmented min-plus products whose keys pack (keyBase)
+// take the packed row paths (dense.go), every other semiring - an
+// AugMinPlus with a box too large to pack among them - the generic one.
+// workers <= 0 means GOMAXPROCS.
 func NewFiltered[E any](sr semiring.Ordered[E], n, rho, workers int) *Filtered[E] {
-	_, wh := any(sr).(semiring.AugMinPlus)
+	_, wh := keyBase(sr)
 	return newFiltered(sr, n, rho, workers, wh)
 }
 
@@ -88,26 +90,27 @@ func filteredPool[E any]() *sync.Pool {
 }
 
 // newFiltered picks the row kernel explicitly: wh requires E to be
-// semiring.WH and sr to rank by (W, H) lexicographically. A released
-// Filtered of the same n, worker count and kernel is taken over; one that
-// differs is dropped.
+// semiring.WH and sr an AugMinPlus whose keys pack. A released Filtered
+// of the same n, worker count and kernel is taken over; one that differs
+// is dropped.
 func newFiltered[E any](sr semiring.Ordered[E], n, rho, workers int, wh bool) *Filtered[E] {
 	workers = kernelWorkers(workers, n)
 	f, _ := filteredPool[E]().Get().(*Filtered[E])
 	if f == nil || f.n != n || f.workers != workers || f.wh() != wh {
 		f = &Filtered[E]{n: n, workers: workers, off: make([]int, n+1)}
 		if wh {
-			f.kernel = any(&whKernel{n: n, ws: make([]*whWorker, workers)}).(rowKernel[E])
+			f.kernel = any(&whKernel{n: n, ws: make([]*keyWorker, workers)}).(rowKernel[E])
 		} else {
 			f.kernel = &genKernel[E]{n: n, ws: make([]*genWorker[E], workers)}
 		}
 	}
 	f.sr, f.rho, f.width, f.turn = sr, rho, max(0, min(rho, n)), 0
+	clear(f.final)
 	f.kernel.reset(sr, rho)
 	return f
 }
 
-// wh reports whether f runs the specialized row kernel.
+// wh reports whether f runs the packed row kernel.
 func (f *Filtered[E]) wh() bool {
 	_, ok := any(f.kernel).(*whKernel)
 	return ok
@@ -166,16 +169,35 @@ func clipped[E any](row matrix.Row[E]) matrix.Row[E] {
 	return row[:len(row):len(row)]
 }
 
+// Final is the set of rows every later Mul copies from its left operand
+// instead of computing: a caller sets final[i] once it has proved that
+// row i of every later product equals row i of the operand, as
+// KNearestLent's hop certificate does. Every NewFiltered starts with no
+// row final.
+func (f *Filtered[E]) Final() []bool {
+	if f.final == nil {
+		f.final = make([]bool, f.n)
+	}
+	return f.final
+}
+
+// isFinal reports whether row i is in Final.
+func (f *Filtered[E]) isFinal(i int) bool { return f.final != nil && f.final[i] }
+
 // Mul computes the ρ-filtered product Filter(S·T, ρ) into the next slab:
 // each output row keeps its ρ smallest entries under the (Rank, column)
 // order of §2.2. It equals matrix.Filter(sr, matrix.MulRef(sr, s, t), ρ) -
-// and therefore the distributed MultiplyFiltered - at every worker count.
-// Neither operand may be the output before last, whose slab this product
-// overwrites.
+// and therefore the distributed MultiplyFiltered - at every worker count,
+// except that a Final row is a copy of its row of s. Neither operand may
+// be the output before last, whose slab this product overwrites.
 func (f *Filtered[E]) Mul(s, t *matrix.Mat[E]) *matrix.Mat[E] {
 	need := 0
 	for i, srow := range s.Rows {
 		f.off[i] = need
+		if f.isFinal(i) {
+			need += len(srow)
+			continue
+		}
 		products := 0
 		for _, e := range srow {
 			products += len(t.Rows[e.Col])
@@ -190,6 +212,10 @@ func (f *Filtered[E]) Mul(s, t *matrix.Mat[E]) *matrix.Mat[E] {
 	}
 	f.kernel.begin(t, f.n*f.width, f.run)
 	f.run(func(w, i int) {
+		if f.isFinal(i) {
+			out.Rows[i] = clipped(append(f.window(slab, i), s.Rows[i]...))
+			return
+		}
 		out.Rows[i] = clipped(f.kernel.row(w, s.Rows[i], t, f.window(slab, i)))
 	})
 	return out

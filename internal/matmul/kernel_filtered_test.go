@@ -146,7 +146,7 @@ func sameRows[E comparable](m *matrix.Mat[E], rows []matrix.Row[E]) bool {
 // own capacity, so an append to one cannot reach the next. Run under
 // -race: the rows of one pass are written by several workers.
 func TestFilteredSlabLifetime(t *testing.T) {
-	sr := semiring.AugMinPlus{MaxW: semiring.Inf, MaxH: 1 << 20}
+	sr := semiring.AugMinPlus{MaxW: 1 << 30, MaxH: 1 << 20}
 	n, rho := 3*kernelBlock+5, 6
 	w := randWHMat(n, 4, 7)
 	for _, workers := range []int{1, 2, 4, 0} {
@@ -206,7 +206,7 @@ func TestFilteredSlabLifetime(t *testing.T) {
 // is fresh. A kernel or worker count that does not match is not taken over.
 // Run under -race: the rows of one pass are written by several workers.
 func TestFilteredRecycled(t *testing.T) {
-	sr := semiring.AugMinPlus{MaxW: semiring.Inf, MaxH: 1 << 20}
+	sr := semiring.AugMinPlus{MaxW: 1 << 30, MaxH: 1 << 20}
 	n := 3*kernelBlock + 5
 	w := randWHMat(n, 4, 11)
 	narrow := make([]bool, n)
@@ -261,7 +261,7 @@ func TestFilteredRecycled(t *testing.T) {
 // product stays the reference's. FilterCols over two columns narrows the
 // windows to two entries; the product after it fills ρ = 5.
 func TestFilteredRowOutgrowsWindow(t *testing.T) {
-	sr := semiring.AugMinPlus{MaxW: semiring.Inf, MaxH: 1 << 20}
+	sr := semiring.AugMinPlus{MaxW: 1 << 30, MaxH: 1 << 20}
 	n, rho := 40, 5
 	w := randWHMat(n, 4, 3)
 	want := matrix.Filter[semiring.WH](sr, matrix.MulRef[semiring.WH](sr, w, w), rho)
@@ -282,7 +282,7 @@ func TestFilteredRowOutgrowsWindow(t *testing.T) {
 // (ρ = n) allocates for the entries it can produce - one per product at
 // most - and not n·ρ of them (6 MiB at n = 512).
 func TestFilteredWindowsFollowProducts(t *testing.T) {
-	sr := semiring.AugMinPlus{MaxW: semiring.Inf, MaxH: 1 << 20}
+	sr := semiring.AugMinPlus{MaxW: 1 << 30, MaxH: 1 << 20}
 	const n = 512
 	w := randWHMat(n, 4, 5)
 	products := 0
@@ -308,7 +308,7 @@ func TestFilteredWindowsFollowProducts(t *testing.T) {
 // diagonal and about perRow more entries a row; weights tie often.
 func randWHMat(n, perRow int, seed int64) *matrix.Mat[semiring.WH] {
 	rng := rand.New(rand.NewSource(seed))
-	sr := semiring.AugMinPlus{MaxW: semiring.Inf, MaxH: 1 << 20}
+	sr := semiring.AugMinPlus{MaxW: 1 << 30, MaxH: 1 << 20}
 	m := matrix.New[semiring.WH](n)
 	for i := 0; i < n; i++ {
 		m.Set(sr, i, i, semiring.WH{})
