@@ -66,8 +66,12 @@ func FuzzAppendJSON(f *testing.F) {
 }
 
 // TestAppendJSONAllocs: a warm encode into a buffer JSONLen sized allocates
-// nothing, whatever the answer's size.
+// nothing, whatever the answer's size. It skips under -race, whose
+// instrumentation allocates.
 func TestAppendJSONAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
 	for _, r := range []Response{
 		{Kind: KindAPSP, APSP: &APSPResult{Variant: APSPWeighted, Dist: matrixAnswer(64)}, Stats: &Stats{TotalRounds: 7}},
 		{Kind: KindKNearest, KNearest: &KNearestResult{K: 8, Neighbors: neighborAnswer(64, 8)}},

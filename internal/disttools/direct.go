@@ -226,34 +226,37 @@ func SourceDetectPanel(ctx context.Context, g *matrix.Mat[semiring.WH], inS []bo
 		}
 	}
 	indices.Put(idx)
+	// One row function serves every sweep and every pass worker (it keeps
+	// no scratch), so a serial sweep allocates nothing.
+	var changed atomic.Bool
+	sweep := func(v int) {
+		base := v * q
+		rw := next[base : base+q]
+		for j := range rw {
+			rw[j] = semiring.Inf
+		}
+		for _, es := range g.Rows[v] {
+			ew := es.Val.W
+			cw := cur[int(es.Col)*q:][:len(rw)]
+			for j, c := range cw {
+				if w := ew + c; w < rw[j] {
+					rw[j] = w
+				}
+			}
+		}
+		if !changed.Load() && !slices.Equal(rw, cur[base:base+q]) {
+			changed.Store(true)
+		}
+	}
+	worker := func() func(int) { return sweep }
 	for i := 1; i < d; i++ {
 		if err := ctx.Err(); err != nil {
 			planes.Put(cur)
 			planes.Put(next)
 			return nil, err
 		}
-		var changed atomic.Bool
-		matmul.RunRows(n, workers, func() func(int) {
-			return func(v int) {
-				base := v * q
-				rw := next[base : base+q]
-				for j := range rw {
-					rw[j] = semiring.Inf
-				}
-				for _, es := range g.Rows[v] {
-					ew := es.Val.W
-					cw := cur[int(es.Col)*q:][:len(rw)]
-					for j, c := range cw {
-						if w := ew + c; w < rw[j] {
-							rw[j] = w
-						}
-					}
-				}
-				if !changed.Load() && !slices.Equal(rw, cur[base:base+q]) {
-					changed.Store(true)
-				}
-			}
-		})
+		changed.Store(false)
+		matmul.RunRows(n, workers, worker)
 		cur, next = next, cur
 		if !changed.Load() {
 			break

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/congestedclique/ccsp/internal/cc"
+	"github.com/congestedclique/ccsp/internal/matmul"
 	"github.com/congestedclique/ccsp/internal/matrix"
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
@@ -128,6 +129,77 @@ func TestSourceDetectAllRestrictedEquivalence(t *testing.T) {
 			}
 			sameRows(t, tc.name+": restricted vs SourceDetectAll weights", got, want)
 		}
+	}
+}
+
+// TestSourceDetectAllRestrictedInHeldPass: while another row pass runs, a
+// sweep starts at most GOMAXPROCS/2 goroutines (matmul.RunRows), and the
+// restricted detection still has SourceDetectAll's weights at every worker
+// count - over TestSourceDetectAllRestrictedEquivalence's cases and one
+// wide enough (n = 256, eight row blocks) for the width to matter.
+func TestSourceDetectAllRestrictedInHeldPass(t *testing.T) {
+	ctx := context.Background()
+	cases := restrictedCases()
+	g := randGraph(256, 200, 20, 21)
+	inS := make([]bool, g.N)
+	for v := 0; v < g.N; v += 9 {
+		inS[v] = true
+	}
+	cases = append(cases, restrictedCase{"wide", g.AugSemiring(), g.WeightMatrix(), inS, 12})
+	want := make([]*matrix.Mat[int64], len(cases))
+	for c, tc := range cases {
+		ref, err := SourceDetectAll[semiring.WH](ctx, tc.sr, tc.w, tc.inS, tc.d, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[c] = weightsOf(ref)
+	}
+	// A one-row serial pass runs its row on this goroutine and counts as
+	// running for as long as the row takes.
+	matmul.RunRows(1, 1, func() func(int) {
+		return func(int) {
+			for c, tc := range cases {
+				for _, workers := range []int{1, 2, 4, 0} {
+					got, err := SourceDetectAllRestricted(ctx, tc.w, tc.inS, tc.d, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameRows(t, tc.name+": restricted in a held pass vs SourceDetectAll weights", got, want[c])
+				}
+			}
+		}
+	})
+}
+
+// TestSourceDetectPanelSerialSweepAllocs: a serial sweep allocates
+// nothing, so a warm serial detection allocates as many objects over 39
+// sweeps as over one. The path 0-1-…-63 from source 0 keeps changing
+// through all 39 sweeps of d = 40. Skips under -race, where sync.Pool
+// drops a share of its Puts.
+func TestSourceDetectPanelSerialSweepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	const n = 64
+	var edges [][4]int64
+	for v := int64(1); v < n; v++ {
+		edges = append(edges, [4]int64{v - 1, v, 1, 1})
+	}
+	w := handMatrix(n, edges...)
+	inS := make([]bool, n)
+	inS[0] = true
+	ctx := context.Background()
+	allocs := func(d int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			p, err := SourceDetectPanel(ctx, w, inS, d, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Release()
+		})
+	}
+	if short, long := allocs(2), allocs(40); short != long {
+		t.Errorf("a warm serial detection allocates %v objects at d = 2 and %v at d = 40, want the same", short, long)
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 // Build exactly, and each underlying kernel equals its distributed
 // counterpart entry-for-entry.
 //
-// workers sizes the kernel worker pool (<= 0 means GOMAXPROCS); the
+// workers bounds the kernel worker pool (<= 0 means GOMAXPROCS); the
 // result is identical for every value. ctx is checked between product
 // iterations, so a canceled build unwinds within one multiply.
 func BuildDirect(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], p Params, workers int) (*Artifact, error) {

@@ -244,6 +244,8 @@ func (k *whKernel) reset(sr semiring.Ordered[semiring.WH], rho int) {
 	k.sr, k.m, k.rho, k.bounded = sr, m, rho, false
 }
 
+func (k *whKernel) fit(workers int) { k.ws = fitSlots(k.ws, workers) }
+
 func (k *whKernel) worker(w int) *keyWorker {
 	if k.ws[w] == nil {
 		k.ws[w] = newKeyWorker(k.n)

@@ -46,17 +46,28 @@ func kernelWorkers(workers, n int) int {
 // partitioning to sibling packages (the restricted source-detection
 // panel of internal/disttools iterates it per product step): each row is
 // computed by exactly one worker, so any per-row function whose output
-// depends only on its row index runs identically at every worker count.
+// depends only on its row index runs identically at every worker count -
+// and at whatever width runRows picks under load.
 func RunRows(n, workers int, newWorker func() func(row int)) {
 	runRows(n, workers, newWorker)
 }
 
+// passes counts the row passes running in the process, serial ones
+// included: each holds at least one core.
+var passes atomic.Int32
+
 // runRows executes a per-row function over rows [0, n), block-partitioned
-// across workers. newWorker is called once per worker to allocate its
-// private scratch state and returns the row function; with one worker the
-// loop runs inline with no goroutines (the serial engine analogue).
+// across at most workers goroutines. A pass that starts while r-1 others
+// run takes only its share of the cores, GOMAXPROCS/r of them and at least
+// one (DESIGN.md §13, "a pass fans out only into idle cores"), so a lone
+// pass fans out fully and concurrent queries do not fork onto busy cores.
+// newWorker is called once per goroutine the pass starts to allocate its
+// private scratch state and returns the row function; with one the loop
+// runs inline with no goroutines (the serial engine analogue).
 func runRows(n, workers int, newWorker func() func(row int)) {
-	w := kernelWorkers(workers, n)
+	r := int(passes.Add(1))
+	defer passes.Add(-1)
+	w := min(kernelWorkers(workers, n), max(1, runtime.GOMAXPROCS(0)/r))
 	if w == 1 {
 		fn := newWorker()
 		for i := 0; i < n; i++ {
@@ -191,12 +202,23 @@ func (k *genKernel[E]) begin(*matrix.Mat[E], int, func(func(worker, row int))) {
 
 func (k *genKernel[E]) reset(sr semiring.Ordered[E], rho int) { k.sr, k.rho = sr, rho }
 
+func (k *genKernel[E]) fit(workers int) { k.ws = fitSlots(k.ws, workers) }
+
 func (k *genKernel[E]) row(w int, srow matrix.Row[E], t *matrix.Mat[E], dst matrix.Row[E]) matrix.Row[E] {
 	if k.ws[w] == nil {
 		k.ws[w] = newGenWorker[E](k.n)
 	}
 	wk := k.ws[w]
 	return matrix.FilterRowAppend(k.sr, dst, wk.mulRow(k.sr, srow, t), k.rho, &wk.ranks)
+}
+
+// fitSlots grows a kernel's per-worker scratch slots to workers, keeping
+// the ones it has.
+func fitSlots[W any](ws []*W, workers int) []*W {
+	if len(ws) < workers {
+		ws = append(ws, make([]*W, workers-len(ws))...)
+	}
+	return ws
 }
 
 // productsAccumulated counts the semiring products the host-side kernels

@@ -23,12 +23,12 @@ import (
 // current and its next iterate. A Filtered serves one caller at a time.
 //
 // A caller that is done with every matrix it was handed gives the whole
-// Filtered back with Release, and a later NewFiltered of the same n,
-// worker count and row kernel takes it over - slabs, headers, scratch and
-// view - instead of allocating them (DESIGN.md §13, "who owns which slab,
-// and for how long"). The recycled ones wait in a sync.Pool per element
-// type, so a collection empties it and nothing stays resident. A caller
-// that never releases owns the matrices it was handed.
+// Filtered back with Release, and a later NewFiltered of the same n and
+// row kernel takes it over, at any worker count - slabs, headers, scratch
+// and view - instead of allocating them (DESIGN.md §13, "who owns which
+// slab, and for how long"). The recycled ones wait in a sync.Pool per
+// element type, so a collection empties it and nothing stays resident. A
+// caller that never releases owns the matrices it was handed.
 //
 // width bounds how many entries a filtered row is given room for: ρ, or
 // the number of columns FilterCols kept when that is fewer - the iterates
@@ -39,7 +39,7 @@ type Filtered[E any] struct {
 	sr      semiring.Ordered[E]
 	n, rho  int
 	width   int // min(ρ, n) until FilterCols narrows it
-	workers int // resolved once: every pass runs this many
+	workers int // resolved once: no pass runs more (runRows may run fewer)
 
 	kernel rowKernel[E]
 	next   atomic.Int32 // scratch handed out in the running pass
@@ -64,6 +64,9 @@ type rowKernel[E any] interface {
 	// reset readies the kernel for products over sr filtered to rho; a
 	// recycled one keeps its scratch.
 	reset(sr semiring.Ordered[E], rho int)
+	// fit gives the kernel scratch slots for passes of up to workers
+	// goroutines; the slots it has are kept.
+	fit(workers int)
 }
 
 // NewFiltered returns the shared state for ρ-filtered products of n×n
@@ -91,19 +94,21 @@ func filteredPool[E any]() *sync.Pool {
 
 // newFiltered picks the row kernel explicitly: wh requires E to be
 // semiring.WH and sr an AugMinPlus whose keys pack. A released Filtered
-// of the same n, worker count and kernel is taken over; one that differs
-// is dropped.
+// of the same n and kernel is taken over whatever worker count it ran
+// at - the width of a pass follows load anyway (runRows) - and one that
+// differs is dropped.
 func newFiltered[E any](sr semiring.Ordered[E], n, rho, workers int, wh bool) *Filtered[E] {
-	workers = kernelWorkers(workers, n)
 	f, _ := filteredPool[E]().Get().(*Filtered[E])
-	if f == nil || f.n != n || f.workers != workers || f.wh() != wh {
-		f = &Filtered[E]{n: n, workers: workers, off: make([]int, n+1)}
+	if f == nil || f.n != n || f.wh() != wh {
+		f = &Filtered[E]{n: n, off: make([]int, n+1)}
 		if wh {
-			f.kernel = any(&whKernel{n: n, ws: make([]*keyWorker, workers)}).(rowKernel[E])
+			f.kernel = any(&whKernel{n: n}).(rowKernel[E])
 		} else {
-			f.kernel = &genKernel[E]{n: n, ws: make([]*genWorker[E], workers)}
+			f.kernel = &genKernel[E]{n: n}
 		}
 	}
+	f.workers = kernelWorkers(workers, n)
+	f.kernel.fit(f.workers)
 	f.sr, f.rho, f.width, f.turn = sr, rho, max(0, min(rho, n)), 0
 	clear(f.final)
 	f.kernel.reset(sr, rho)
@@ -123,7 +128,8 @@ func (f *Filtered[E]) wh() bool {
 func (f *Filtered[E]) Release() { filteredPool[E]().Put(f) }
 
 // run is one row pass over [0, n): fn gets, beside the row, the index of
-// the pass worker calling it, stable within the pass and below workers.
+// the pass worker calling it, stable within the pass and below the number
+// of goroutines the pass started, so below workers.
 func (f *Filtered[E]) run(fn func(worker, row int)) {
 	f.next.Store(0)
 	runRows(f.n, f.workers, func() func(int) {

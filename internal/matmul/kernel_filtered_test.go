@@ -203,7 +203,9 @@ func TestFilteredSlabLifetime(t *testing.T) {
 // capacity-clipped; a ρ = 0 product written over a recycled header holds
 // none of the last user's rows. Only the instance under test is ever
 // released here, so while it is taken the pool is empty and the reference
-// is fresh. A kernel or worker count that does not match is not taken over.
+// is fresh. A kernel that does not match is not taken over; a worker count
+// that does not match is: an instance released at workers 4 is taken over
+// at 1 and one released at 1 at 4, and the taker runs at its own count.
 // Run under -race: the rows of one pass are written by several workers.
 func TestFilteredRecycled(t *testing.T) {
 	sr := semiring.AugMinPlus{MaxW: 1 << 30, MaxH: 1 << 20}
@@ -212,6 +214,37 @@ func TestFilteredRecycled(t *testing.T) {
 	narrow := make([]bool, n)
 	narrow[1], narrow[n/2] = true, true
 	var last *Filtered[semiring.WH]
+	// check runs f next to a fresh instance through rho and cols and
+	// releases f.
+	check := func(f *Filtered[semiring.WH], wh bool, workers, rho int, cols []bool) {
+		t.Helper()
+		if f.wh() != wh || f.workers != kernelWorkers(workers, n) {
+			t.Fatalf("wh=%v workers=%d: took over a Filtered of another kernel, or kept another worker count", wh, workers)
+		}
+		fresh := newFiltered[semiring.WH](sr, n, rho, workers, wh)
+		step := fmt.Sprintf("wh=%v workers=%d rho=%d narrow=%v", wh, workers, rho, cols != nil)
+		same := func(what string, got, want *matrix.Mat[semiring.WH]) {
+			t.Helper()
+			if !matrix.Equal[semiring.WH](sr, got, want) {
+				t.Fatalf("%s: %s on a recycled Filtered differs from a fresh one's", step, what)
+			}
+			if f.width != fresh.width || !slices.Equal(f.off, fresh.off) {
+				t.Fatalf("%s: %s laid out in windows of width %d, a fresh one's are %d wide", step, what, f.width, fresh.width)
+			}
+			for i, row := range got.Rows {
+				if cap(row) != len(row) {
+					t.Fatalf("%s: %s row %d has capacity %d past its %d entries", step, what, i, cap(row), len(row))
+				}
+			}
+		}
+		first, wantFirst := f.FilterCols(w, cols), fresh.FilterCols(w, cols)
+		same("FilterCols", first, wantFirst)
+		sq, wantSq := f.Mul(first, first), fresh.Mul(wantFirst, wantFirst)
+		same("first·first", sq, wantSq)
+		same("w·sq", f.Mul(w, sq), fresh.Mul(w, wantSq))
+		f.Release()
+		last = f
+	}
 	for _, wh := range []bool{true, false} {
 		for _, workers := range []int{1, 2, 4, 0} {
 			reused := 0
@@ -221,36 +254,26 @@ func TestFilteredRecycled(t *testing.T) {
 					if f == last {
 						reused++
 					}
-					if f.wh() != wh || f.workers != kernelWorkers(workers, n) {
-						t.Fatalf("wh=%v workers=%d: took over a Filtered of another kernel or worker count", wh, workers)
-					}
-					fresh := newFiltered[semiring.WH](sr, n, rho, workers, wh)
-					step := fmt.Sprintf("wh=%v workers=%d rho=%d narrow=%v", wh, workers, rho, cols != nil)
-					same := func(what string, got, want *matrix.Mat[semiring.WH]) {
-						t.Helper()
-						if !matrix.Equal[semiring.WH](sr, got, want) {
-							t.Fatalf("%s: %s on a recycled Filtered differs from a fresh one's", step, what)
-						}
-						if f.width != fresh.width || !slices.Equal(f.off, fresh.off) {
-							t.Fatalf("%s: %s laid out in windows of width %d, a fresh one's are %d wide", step, what, f.width, fresh.width)
-						}
-						for i, row := range got.Rows {
-							if cap(row) != len(row) {
-								t.Fatalf("%s: %s row %d has capacity %d past its %d entries", step, what, i, cap(row), len(row))
-							}
-						}
-					}
-					first, wantFirst := f.FilterCols(w, cols), fresh.FilterCols(w, cols)
-					same("FilterCols", first, wantFirst)
-					sq, wantSq := f.Mul(first, first), fresh.Mul(wantFirst, wantFirst)
-					same("first·first", sq, wantSq)
-					same("w·sq", f.Mul(w, sq), fresh.Mul(w, wantSq))
-					f.Release()
-					last = f
+					check(f, wh, workers, rho, cols)
 				}
 			}
 			if reused == 0 {
 				t.Errorf("wh=%v workers=%d: no NewFiltered took over the released instance", wh, workers)
+			}
+		}
+		// Across worker counts. The pool may miss a Put (under -race it
+		// drops a share of them), so each hand-over gets a few tries.
+		for _, counts := range [][2]int{{4, 1}, {1, 4}} {
+			taken := false
+			for try := 0; try < 20 && !taken; try++ {
+				check(newFiltered[semiring.WH](sr, n, 3, counts[0], wh), wh, counts[0], 3, nil)
+				released := last
+				f := newFiltered[semiring.WH](sr, n, 3, counts[1], wh)
+				taken = f == released
+				check(f, wh, counts[1], 3, nil)
+			}
+			if !taken {
+				t.Errorf("wh=%v: no NewFiltered at workers %d took over an instance released at %d", wh, counts[1], counts[0])
 			}
 		}
 	}

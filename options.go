@@ -80,7 +80,10 @@ type Options struct {
 	// runtime.GOMAXPROCS(0); 1 forces the serial engine. Results and all
 	// deterministic statistics are identical for every value - only
 	// wall-clock time (and the observational Stats.CollectiveTime)
-	// changes. In direct mode the same knob sizes the kernel worker pool.
+	// changes. In direct mode the same knob bounds the kernel worker
+	// pool: a row pass starts at most this many goroutines, and fewer
+	// while other passes hold the cores (DESIGN.md §13, "A pass fans out
+	// only into idle cores").
 	Workers int
 	// Execution selects the execution mode: ExecSimulated (default) runs
 	// the round-synchronous simulator, ExecDirect computes the identical
