@@ -121,7 +121,7 @@ func run() error {
 		savePath  = flag.String("save", "", "write the preprocessed engine to this snapshot file after building (with -graph)")
 		graphsDir = flag.String("graphs", "", "directory of NAME.snap snapshots to serve as named graphs")
 		eps       = flag.Float64("eps", 0.5, "approximation parameter ε (ignored with -load: the snapshot pins it)")
-		workers   = flag.Int("workers", 0, "simulator worker-pool size (0 = GOMAXPROCS; ignored with -load)")
+		workers   = flag.Int("workers", 0, "simulator worker-pool size and upper bound on direct row-pass goroutines (0 = GOMAXPROCS; ignored with -load)")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-request query timeout (0 = none)")
 		cacheSize = flag.Int("cache", 128, "response cache capacity in entries (negative = disabled)")
 		execMode  = flag.String("exec", "simulated", "execution mode: simulated (round accounting) | direct (kernel, identical answers, fast startup; ignored with -load)")

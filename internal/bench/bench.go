@@ -21,7 +21,7 @@ type Config struct {
 	Scale Scale
 	// Workers is the engine worker-pool size experiments use when
 	// building simulator configs; 0 keeps the engine default (GOMAXPROCS,
-	// serial for small cliques). E13 ignores it: that experiment sweeps
+	// one shard for small cliques). E13 ignores it: that experiment sweeps
 	// worker counts itself.
 	Workers int
 }

@@ -40,9 +40,9 @@ func scalingWorkload(rounds int) cc.Program {
 }
 
 // e13 measures the worker pool of internal/cc (DESIGN.md §5): the same
-// workload runs with the serial engine (workers=1) and the sharded pool
-// (workers=P), reporting wall-clock per collective kind and verifying that
-// the deterministic statistics are identical.
+// workload runs on one shard (workers=1) and on P shards (workers=P),
+// reporting wall-clock per collective kind and verifying that the
+// deterministic statistics are identical.
 func e13(c Config) (*Table, error) {
 	t := &Table{
 		ID:      "E13",
@@ -51,11 +51,11 @@ func e13(c Config) (*Table, error) {
 	}
 	p := runtime.GOMAXPROCS(0)
 	if p < 2 {
-		p = 2 // still exercises the sharded path; no speedup on one core
+		p = 2 // still exercises the pool; no speedup on one core
 	}
 	const rounds = 4
 	for _, n := range sizes(c.Scale, []int{64, 128}, []int{256, 512}) {
-		var serial cc.Stats
+		var one cc.Stats
 		for _, w := range []int{1, p} {
 			stats, err := cc.Run(context.Background(), cc.Config{N: n, Workers: w}, scalingWorkload(rounds))
 			if err != nil {
@@ -64,17 +64,17 @@ func e13(c Config) (*Table, error) {
 			exec := stats.ExecTime()
 			speedup, equal := "-", "-"
 			if w == 1 {
-				serial = stats
+				one = stats
 			} else {
-				speedup = fmt.Sprintf("%.2f", float64(serial.ExecTime())/float64(exec))
-				equal = fmt.Sprintf("%t", statsEqual(&serial, &stats))
+				speedup = fmt.Sprintf("%.2f", float64(one.ExecTime())/float64(exec))
+				equal = fmt.Sprintf("%t", statsEqual(&one, &stats))
 			}
 			t.Add(n, w,
 				ms(stats.CollectiveTime["route"]), ms(stats.CollectiveTime["sort"]), ms(stats.CollectiveTime["broadcast"]),
 				ms(exec), speedup, equal)
 		}
 	}
-	t.Note("P=%d (runtime.GOMAXPROCS); speedup = serial exec time / parallel exec time. Single-core hosts show <=1.", p)
+	t.Note("P=%d (runtime.GOMAXPROCS); speedup = one-shard exec time / P-shard exec time. Single-core hosts show <=1.", p)
 	t.Note("'stats equal' asserts rounds, messages and words are byte-identical across worker counts.")
 	return t, nil
 }

@@ -40,31 +40,62 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
+// shuffleProgram is spinProgram's route/sort-heavy counterpart: every
+// round each node routes one packet to every node and sorts n records, so
+// a cancel can land between the stages of the scatter and sort bodies as
+// well as at the barrier.
+func shuffleProgram(rounds int) Program {
+	return func(nd *Node) error {
+		pkts := make([]Packet, nd.N)
+		recs := make([]Rec, nd.N)
+		for i := range pkts {
+			pkts[i] = Packet{Dst: int32(i)}
+			recs[i] = Rec{Key: int64((nd.ID*31 + i*17) % nd.N)}
+		}
+		for i := 0; i < rounds; i++ {
+			nd.Route(pkts)
+			nd.Sort(recs)
+		}
+		return nil
+	}
+}
+
 // TestRunCanceledMidRun: canceling mid-run unwinds every node, returns the
 // partial stats accumulated so far, and matches both cc and context
-// sentinels via errors.Is.
+// sentinels via errors.Is - at one shard and at four, on a sync ring and
+// on a route/sort shuffle.
 func TestRunCanceledMidRun(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		base := runtime.NumGoroutine()
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			time.Sleep(30 * time.Millisecond)
-			cancel()
-		}()
-		stats, err := Run(ctx, Config{N: 4, MaxRounds: 1 << 30, Workers: workers}, spinProgram(spinForever))
-		if err == nil {
-			t.Fatalf("workers=%d: canceled run returned nil error", workers)
+	programs := []struct {
+		name string
+		n    int
+		prog Program
+	}{
+		{"sync", 4, spinProgram(spinForever)},
+		{"route+sort", 64, shuffleProgram(spinForever)},
+	}
+	for _, pc := range programs {
+		for _, workers := range []int{1, 4} {
+			base := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				time.Sleep(30 * time.Millisecond)
+				cancel()
+			}()
+			stats, err := Run(ctx, Config{N: pc.n, MaxRounds: 1 << 30, Workers: workers}, pc.prog)
+			if err == nil {
+				t.Fatalf("%s workers=%d: canceled run returned nil error", pc.name, workers)
+			}
+			if !errors.Is(err, ErrCanceled) {
+				t.Errorf("%s workers=%d: errors.Is(err, ErrCanceled) = false for %v", pc.name, workers, err)
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s workers=%d: errors.Is(err, context.Canceled) = false for %v", pc.name, workers, err)
+			}
+			if stats.TotalRounds() == 0 {
+				t.Errorf("%s workers=%d: partial stats lost: %+v", pc.name, workers, stats)
+			}
+			waitGoroutines(t, base)
 		}
-		if !errors.Is(err, ErrCanceled) {
-			t.Errorf("workers=%d: errors.Is(err, ErrCanceled) = false for %v", workers, err)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d: errors.Is(err, context.Canceled) = false for %v", workers, err)
-		}
-		if stats.SimRounds == 0 {
-			t.Errorf("workers=%d: partial stats lost: %+v", workers, stats)
-		}
-		waitGoroutines(t, base)
 	}
 }
 
@@ -111,7 +142,7 @@ func TestRunRoundLimitSentinel(t *testing.T) {
 // TestRunNonFiringDeadlineIsInvisible is the determinism guard at the
 // simulator level: a run that completes before its deadline returns
 // byte-identical results and identical deterministic Stats whether or not
-// a context deadline was attached, for serial and pooled execution alike.
+// a context deadline was attached, at one shard and at four.
 func TestRunNonFiringDeadlineIsInvisible(t *testing.T) {
 	const n = 8
 	workload := func(out []int64) Program {

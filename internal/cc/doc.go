@@ -26,10 +26,10 @@
 // DESIGN.md §5): because the model is round-synchronous, the engine holds
 // every node's request before executing a collective, so delivery can be
 // partitioned by destination (and gathering by sender) across
-// runtime.GOMAXPROCS workers. Workers=1 reproduces the serial engine
-// bit-for-bit; every worker count yields identical results and identical
-// deterministic Stats, with wall-clock per collective kind reported in
-// Stats.CollectiveTime.
+// runtime.GOMAXPROCS workers. Each collective has one body; Workers=1 runs
+// it as a single shard on the coordinator goroutine. Every worker count
+// yields identical results and identical deterministic Stats, with
+// wall-clock per collective kind reported in Stats.CollectiveTime.
 //
 // # Round accounting
 //

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"time"
 )
@@ -20,13 +19,14 @@ type Config struct {
 	N int
 	// MaxRounds bounds total rounds; 0 means DefaultMaxRounds.
 	MaxRounds int
-	// Workers sizes the worker pool that executes collectives. 0 means
-	// runtime.GOMAXPROCS(0) (falling back to serial execution for cliques
-	// smaller than autoParMinN, where fan-out overhead dominates); 1
-	// forces the serial engine. Every value produces identical results and
-	// identical deterministic statistics - only wall-clock time (and the
-	// observational Stats.CollectiveTime) changes. Negative values are
-	// rejected.
+	// Workers is the number of shards each collective body is split
+	// into, each run on its own pool goroutine. 0 means
+	// runtime.GOMAXPROCS(0) (falling back to one shard for cliques smaller
+	// than autoParMinN, where fan-out overhead dominates); 1 runs every
+	// body as one shard on the coordinator goroutine. Every value produces
+	// identical results and identical deterministic statistics - only
+	// wall-clock time (and the observational Stats.CollectiveTime)
+	// changes. Negative values are rejected.
 	Workers int
 }
 
@@ -125,12 +125,13 @@ type engine struct {
 // operations on *Node; outputs are typically written to caller-owned slices
 // indexed by node ID (disjoint writes, so no synchronization is needed).
 //
-// Cancellation: ctx is checked at every barrier step (each completed
-// collective, in both the serial and worker-pool execution paths). When ctx
-// is canceled or its deadline expires, the run tears down cleanly - every
-// node program unwinds, all goroutines exit - and Run returns the Stats
-// accumulated so far (a consistent partial prefix of the run) together with
-// an error wrapping both ErrCanceled and the context's own sentinel.
+// Cancellation: ctx is checked at every barrier step (before each
+// collective executes) and between the stages of the sync, route and sort
+// bodies, at every worker count. When ctx is canceled or its deadline
+// expires, the run tears down cleanly - every node program unwinds, all
+// goroutines exit - and Run returns the Stats accumulated so far (a
+// consistent partial prefix of the run) together with an error wrapping
+// both ErrCanceled and the context's own sentinel.
 // Barrier granularity bounds the cancellation latency: one in-flight
 // collective may complete before the check fires (DESIGN.md §10).
 // A run that completes without ctx firing is byte-identical - results and
@@ -216,8 +217,8 @@ type abortSignal struct{ err error }
 // ctx.Done(), and a fired context becomes the run's failure exactly like a
 // node error - pending collectives are failed, every subsequent request is
 // answered with the abort, and the loop drains until all node goroutines
-// have unwound. The serial barrier-step check lives in execute; the
-// worker-pool paths check again inside scatter/sort (parallel.go).
+// have unwound. The barrier-step check lives in execute; the collective
+// bodies check again between their stages (ctxStep, parallel.go).
 func (e *engine) coordinate() error {
 	live := e.n
 	var failure error
@@ -312,41 +313,24 @@ func (e *engine) execute() error {
 				first.node, first.kind, first.tag, r.node, r.kind, r.tag)
 		}
 	}
-	// Barrier-step cancellation check (serial path; the pool-sharded
-	// bodies re-check between their stages): a fired context aborts before
-	// the collective executes, so the stats prefix stays consistent.
+	// Barrier-step cancellation check (the bodies re-check between their
+	// stages): a fired context aborts before the collective executes, so
+	// the stats prefix stays consistent.
 	if e.ctx.Err() != nil {
 		return canceled(e.ctx)
 	}
 	before := e.stats.TotalRounds()
 	start := time.Now()
-	par := e.pool.size > 1
 	var err error
 	switch first.kind {
 	case reqSync:
-		if par {
-			err = e.execSyncPar()
-		} else {
-			err = e.execSync()
-		}
+		err = e.execSync()
 	case reqBcast:
-		if par {
-			err = e.execBcastPar()
-		} else {
-			err = e.execBcast()
-		}
+		err = e.execBcast()
 	case reqRoute:
-		if par {
-			err = e.execRoutePar()
-		} else {
-			err = e.execRoute()
-		}
+		err = e.execRoute()
 	case reqSort:
-		if par {
-			err = e.execSortPar()
-		} else {
-			err = e.execSort()
-		}
+		err = e.execSort()
 	case reqCharge:
 		err = e.execCharge()
 	case reqPhase:
@@ -388,160 +372,6 @@ func (e *engine) respond(mk func(v int) response) {
 		e.batchSize--
 		e.resps[v] <- mk(v)
 	}
-}
-
-// execSync performs one synchronous round: each node sends at most one
-// message per destination. Inboxes are sorted by sender.
-func (e *engine) execSync() error {
-	inbox := make([][]Msg, e.n)
-	var msgs int64
-	// Iterate senders in ID order so inboxes come out sorted by Src.
-	for v, r := range e.batch {
-		if r == nil {
-			continue
-		}
-		seen := make(map[int32]struct{}, len(r.packets))
-		for _, p := range r.packets {
-			if p.Dst < 0 || int(p.Dst) >= e.n {
-				return fmt.Errorf("cc: node %d sent to invalid destination %d", v, p.Dst)
-			}
-			if _, dup := seen[p.Dst]; dup {
-				return fmt.Errorf("cc: node %d sent two messages to node %d in one round (link capacity is one message per round)", v, p.Dst)
-			}
-			seen[p.Dst] = struct{}{}
-			m := p.M
-			m.Src = int32(v)
-			inbox[p.Dst] = append(inbox[p.Dst], m)
-			msgs++
-		}
-	}
-	e.stats.SimRounds++
-	e.stats.Messages += msgs
-	e.respond(func(v int) response { return response{msgs: inbox[v]} })
-	return nil
-}
-
-// execBcast performs one broadcast round: each node announces one word to
-// everyone. The result slice (indexed by sender) is shared read-only by all
-// nodes, which keeps the simulation at O(n) memory for an O(n^2)-message
-// round; node programs must not mutate it.
-func (e *engine) execBcast() error {
-	vals := make([]int64, e.n)
-	for v, r := range e.batch {
-		if r != nil {
-			vals[v] = r.bval
-		}
-	}
-	e.stats.SimRounds++
-	e.stats.Messages += int64(e.n) * int64(e.n-1)
-	e.respond(func(int) response { return response{vals: vals} })
-	return nil
-}
-
-// execRoute implements the semantics of Lenzen's routing scheme [43]: an
-// arbitrary message set is delivered, and the run is charged
-// ceil(maxSend/n) + ceil(maxRecv/n) rounds, which is O(1) when every node
-// sends and receives at most n messages - exactly the guarantee of [43] that
-// the paper uses as a black-box primitive (§1.5).
-func (e *engine) execRoute() error {
-	inbox := make([][]Msg, e.n)
-	maxSend := 0
-	var msgs int64
-	for v, r := range e.batch {
-		if r == nil {
-			continue
-		}
-		if len(r.packets) > maxSend {
-			maxSend = len(r.packets)
-		}
-		for _, p := range r.packets {
-			if p.Dst < 0 || int(p.Dst) >= e.n {
-				return fmt.Errorf("cc: node %d routed to invalid destination %d", v, p.Dst)
-			}
-			m := p.M
-			m.Src = int32(v)
-			inbox[p.Dst] = append(inbox[p.Dst], m)
-			msgs++
-		}
-	}
-	maxRecv := 0
-	for _, in := range inbox {
-		if len(in) > maxRecv {
-			maxRecv = len(in)
-		}
-	}
-	if msgs > 0 {
-		e.stats.Charged["route"] += ceilDiv(maxSend, e.n) + ceilDiv(maxRecv, e.n)
-		e.stats.Messages += msgs
-	}
-	e.respond(func(v int) response { return response{msgs: inbox[v]} })
-	return nil
-}
-
-// execSort implements the semantics of Lenzen's sorting scheme [43]: the
-// union of all submitted records is sorted globally by (Key, sender,
-// submission index) and node i receives the i-th batch of the global order.
-// The charge is 3 rounds per ceil(maxInput/n) "load unit", constant when
-// every node submits at most n records, per [43].
-func (e *engine) execSort() error {
-	total := 0
-	maxIn := 0
-	for _, r := range e.batch {
-		if r == nil {
-			continue
-		}
-		total += len(r.recs)
-		if len(r.recs) > maxIn {
-			maxIn = len(r.recs)
-		}
-	}
-	all := make([]sortItem, 0, total)
-	for v, r := range e.batch {
-		if r == nil {
-			continue
-		}
-		for i, rec := range r.recs {
-			m := rec.M
-			m.Src = int32(v)
-			all = append(all, sortItem{key: rec.Key, src: int32(v), idx: int32(i), m: m})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].key != all[j].key {
-			return all[i].key < all[j].key
-		}
-		if all[i].src != all[j].src {
-			return all[i].src < all[j].src
-		}
-		return all[i].idx < all[j].idx
-	})
-	batchSize := ceilDiv(total, e.n)
-	if total > 0 {
-		e.stats.Charged["sort"] += 3 * ceilDiv(maxIn, e.n)
-		e.stats.Messages += int64(total)
-	}
-	e.respond(func(v int) response {
-		lo := v * batchSize
-		hi := lo + batchSize
-		if lo > total {
-			lo = total
-		}
-		if hi > total {
-			hi = total
-		}
-		out := make([]Rec, hi-lo)
-		for i := lo; i < hi; i++ {
-			out[i-lo] = Rec{Key: all[i].key, M: all[i].m}
-		}
-		return response{recs: out, batchSize: batchSize, total: total}
-	})
-	return nil
-}
-
-type sortItem struct {
-	key      int64
-	src, idx int32
-	m        Msg
 }
 
 // execCharge charges rounds for a primitive used as a black box with a cited

@@ -1,15 +1,16 @@
 package cc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
-// ctxStep is the worker-pool counterpart of the serial barrier-step check:
-// the sharded collective bodies call it between their stages so a fired
-// context.Context aborts a large collective between pool fan-outs instead
-// of only at the next barrier. It returns nil while the context is live.
+// ctxStep is the cancellation check the collective bodies make between
+// their stages, at every pool width: a fired context.Context aborts a large
+// collective between pool fan-outs instead of only at the next barrier
+// (execute's check). It returns nil while the context is live.
 func (e *engine) ctxStep() error {
 	if e.ctx.Err() != nil {
 		return canceled(e.ctx)
@@ -18,7 +19,7 @@ func (e *engine) ctxStep() error {
 }
 
 // autoParMinN is the clique size below which a default (Workers=0) run
-// stays serial: collective bodies on tiny cliques are too small to
+// uses one shard: collective bodies on tiny cliques are too small to
 // amortize the fan-out cost of the pool. An explicit Workers>1 always
 // uses the pool, whatever the size.
 const autoParMinN = 64
@@ -27,8 +28,8 @@ const autoParMinN = 64
 // parallel across destination (and sender) nodes because the model is
 // round-synchronous: by the time the coordinator executes a collective it
 // holds every node's request, so the body can be partitioned into disjoint
-// shards with no locking. A pool of size 1 executes everything inline on
-// the coordinator goroutine, reproducing the serial engine exactly.
+// shards with no locking. Every collective has one body; a pool of size 1
+// runs it as a single shard, inline on the coordinator goroutine.
 type pool struct {
 	size int
 	jobs chan func()
@@ -68,7 +69,6 @@ func (p *pool) run(tasks []func()) {
 	var wg sync.WaitGroup
 	wg.Add(len(tasks))
 	for _, t := range tasks {
-		t := t
 		p.jobs <- func() {
 			defer wg.Done()
 			t()
@@ -117,44 +117,41 @@ func (s spans) of(x int) int {
 func (e *engine) forShards(sp spans, fn func(shard, lo, hi int)) {
 	tasks := make([]func(), sp.k)
 	for i := 0; i < sp.k; i++ {
-		i := i
 		lo, hi := sp.bounds(i)
 		tasks[i] = func() { fn(i, lo, hi) }
 	}
 	e.pool.run(tasks)
 }
 
-// routedPkt is a packet that has been stamped with its sender and bucketed
-// by destination shard during the scatter's first stage.
-type routedPkt struct {
-	dst int32
-	m   Msg
-}
+// pktRef locates one packet of the batch, by sender and submission index,
+// together with its destination.
+type pktRef struct{ dst, src, idx int32 }
 
 // scatter builds the per-destination inboxes for a sync or route collective
 // with a two-stage shuffle over the pool:
 //
 //   - stage 1 partitions senders into contiguous ID ranges; each shard
-//     validates its senders' packets and buckets them by destination shard,
-//     preserving sender order (and submission order within one sender);
-//   - stage 2 partitions destinations; each shard concatenates the buckets
-//     addressed to it, walking sender shards in ascending order so inboxes
-//     come out sorted by Src exactly like the serial engine's.
+//     validates its senders' packets while counting them per destination
+//     shard, then fills one exactly sized bucket of pktRefs per
+//     destination shard, preserving sender order (and submission order
+//     within one sender);
+//   - stage 2 partitions destinations; each shard sizes its inboxes from
+//     the buckets addressed to it, then fills them with the referenced
+//     messages, stamped with their sender, walking sender shards in
+//     ascending order so inboxes come out sorted by Src.
 //
-// Each packet is touched twice regardless of pool size, so the work (and
-// every byte of the result) is identical to the serial path; only the
-// wall-clock changes.
+// The work per packet is the same whatever the shard count, and every
+// byte of the result is independent of it; only the wall-clock changes.
 func (e *engine) scatter(kind reqKind) (inbox [][]Msg, maxSend int, msgs int64, err error) {
 	n := e.n
 	sp := makeSpans(n, e.pool.size)
 	k := sp.k
 	dupCheck := kind == reqSync
-	buckets := make([][][]routedPkt, k)
+	buckets := make([][][]pktRef, k)
 	errs := make([]error, k)
 	counts := make([]int64, k)
 	sendMax := make([]int, k)
 	e.forShards(sp, func(s, lo, hi int) {
-		bk := make([][]routedPkt, k)
 		var seen []int32 // last sender stamped per destination (dup detection)
 		if dupCheck {
 			seen = make([]int32, n)
@@ -162,14 +159,13 @@ func (e *engine) scatter(kind reqKind) (inbox [][]Msg, maxSend int, msgs int64, 
 				seen[i] = -1
 			}
 		}
+		size := make([]int, k)
 		for v := lo; v < hi; v++ {
 			r := e.batch[v]
 			if r == nil {
 				continue
 			}
-			if len(r.packets) > sendMax[s] {
-				sendMax[s] = len(r.packets)
-			}
+			sendMax[s] = max(sendMax[s], len(r.packets))
 			for _, p := range r.packets {
 				if p.Dst < 0 || int(p.Dst) >= n {
 					verb := "routed"
@@ -186,18 +182,30 @@ func (e *engine) scatter(kind reqKind) (inbox [][]Msg, maxSend int, msgs int64, 
 					}
 					seen[p.Dst] = int32(v)
 				}
-				m := p.M
-				m.Src = int32(v)
-				d := sp.of(int(p.Dst))
-				bk[d] = append(bk[d], routedPkt{dst: p.Dst, m: m})
+				size[sp.of(int(p.Dst))]++
 			}
 			counts[s] += int64(len(r.packets))
+		}
+		bk := make([][]pktRef, k)
+		for d, c := range size {
+			if c > 0 {
+				bk[d] = make([]pktRef, 0, c)
+			}
+		}
+		for v := lo; v < hi; v++ {
+			r := e.batch[v]
+			if r == nil {
+				continue
+			}
+			for i, p := range r.packets {
+				d := sp.of(int(p.Dst))
+				bk[d] = append(bk[d], pktRef{dst: p.Dst, src: int32(v), idx: int32(i)})
+			}
 		}
 		buckets[s] = bk
 	})
 	// Report the error of the lowest sender shard: shards scan senders in
-	// ascending ID order, so this is the same violation the serial engine
-	// would have reported first.
+	// ascending ID order, so this is the first violation in sender order.
 	for _, shardErr := range errs {
 		if shardErr != nil {
 			return nil, 0, 0, shardErr
@@ -221,21 +229,22 @@ func (e *engine) scatter(kind reqKind) (inbox [][]Msg, maxSend int, msgs int64, 
 		}
 		for s := 0; s < k; s++ {
 			for _, p := range buckets[s][d] {
-				inbox[p.dst] = append(inbox[p.dst], p.m)
+				m := e.batch[p.src].packets[p.idx].M
+				m.Src = p.src
+				inbox[p.dst] = append(inbox[p.dst], m)
 			}
 		}
 	})
 	for s := 0; s < k; s++ {
 		msgs += counts[s]
-		if sendMax[s] > maxSend {
-			maxSend = sendMax[s]
-		}
+		maxSend = max(maxSend, sendMax[s])
 	}
 	return inbox, maxSend, msgs, nil
 }
 
-// execSyncPar is the pool-sharded counterpart of execSync.
-func (e *engine) execSyncPar() error {
+// execSync performs one synchronous round: each node sends at most one
+// message per destination. Inboxes are sorted by sender.
+func (e *engine) execSync() error {
 	inbox, _, msgs, err := e.scatter(reqSync)
 	if err != nil {
 		return err
@@ -246,17 +255,19 @@ func (e *engine) execSyncPar() error {
 	return nil
 }
 
-// execRoutePar is the pool-sharded counterpart of execRoute.
-func (e *engine) execRoutePar() error {
+// execRoute implements the semantics of Lenzen's routing scheme [43]: an
+// arbitrary message set is delivered, and the run is charged
+// ceil(maxSend/n) + ceil(maxRecv/n) rounds, which is O(1) when every node
+// sends and receives at most n messages - exactly the guarantee of [43] that
+// the paper uses as a black-box primitive (§1.5).
+func (e *engine) execRoute() error {
 	inbox, maxSend, msgs, err := e.scatter(reqRoute)
 	if err != nil {
 		return err
 	}
 	maxRecv := 0
 	for _, in := range inbox {
-		if len(in) > maxRecv {
-			maxRecv = len(in)
-		}
+		maxRecv = max(maxRecv, len(in))
 	}
 	if msgs > 0 {
 		e.stats.Charged["route"] += ceilDiv(maxSend, e.n) + ceilDiv(maxRecv, e.n)
@@ -267,14 +278,16 @@ func (e *engine) execRoutePar() error {
 }
 
 // bcastChunkMinN is the clique size below which the broadcast gather runs
-// inline: copying one word per node is so cheap that pool dispatch costs
-// more than it saves.
+// on one shard: copying one word per node is so cheap that pool dispatch
+// costs more than it saves.
 const bcastChunkMinN = 4096
 
-// execBcastPar is the pool-sharded counterpart of execBcast: the gather of
-// one announced word per node is chunked across the pool (for cliques
-// large enough to amortize the fan-out).
-func (e *engine) execBcastPar() error {
+// execBcast performs one broadcast round: each node announces one word to
+// everyone. The gather is chunked across the pool for cliques large enough
+// to amortize the fan-out. The result slice (indexed by sender) is shared
+// read-only by all nodes, which keeps the simulation at O(n) memory for an
+// O(n^2)-message round; node programs must not mutate it.
+func (e *engine) execBcast() error {
 	workers := e.pool.size
 	if e.n < bcastChunkMinN {
 		workers = 1
@@ -293,50 +306,65 @@ func (e *engine) execBcastPar() error {
 	return nil
 }
 
-// execSortPar is the pool-sharded counterpart of execSort: per-node runs
-// are sorted in parallel (sharded by sender), combined by a parallel
-// pairwise merge tree under the full (Key, sender, index) order, and the
-// output batches are materialized in parallel (sharded by destination).
-// The comparator is a strict total order - (sender, index) pairs are
-// unique - so the merged order is exactly the serial sort.Slice order.
-func (e *engine) execSortPar() error {
+// sortItem is one record of a global sort: its key, and its sender and
+// index in the sender's submission, which also locate its payload.
+type sortItem struct {
+	key      int64
+	src, idx int32
+}
+
+// itemCmp is the global sort order: (key, sender, submission index). It is
+// a strict total order because (sender, index) pairs are unique.
+func itemCmp(a, b sortItem) int {
+	if a.key != b.key {
+		return cmp.Compare(a.key, b.key)
+	}
+	if a.src != b.src {
+		return cmp.Compare(a.src, b.src)
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// execSort implements the semantics of Lenzen's sorting scheme [43]: the
+// union of all submitted records is sorted globally by (Key, sender,
+// submission index) and node i receives the i-th batch of the global order.
+// The charge is 3 rounds per ceil(maxInput/n) "load unit", constant when
+// every node submits at most n records, per [43].
+//
+// Each sender shard collects its senders' records into one run and sorts
+// it under itemCmp; mergeRunTree merges the shard runs, and the output
+// batches are materialized sharded by destination. itemCmp is a strict
+// total order, so the result does not depend on the shard count.
+func (e *engine) execSort() error {
 	n := e.n
 	sp := makeSpans(n, e.pool.size)
-	runs := make([][]sortItem, n)
+	runs := make([][]sortItem, sp.k)
 	maxInShard := make([]int, sp.k)
 	e.forShards(sp, func(s, lo, hi int) {
+		size := 0
+		for v := lo; v < hi; v++ {
+			if r := e.batch[v]; r != nil {
+				size += len(r.recs)
+				maxInShard[s] = max(maxInShard[s], len(r.recs))
+			}
+		}
+		run := make([]sortItem, 0, size)
 		for v := lo; v < hi; v++ {
 			r := e.batch[v]
-			if r == nil || len(r.recs) == 0 {
+			if r == nil {
 				continue
 			}
-			if len(r.recs) > maxInShard[s] {
-				maxInShard[s] = len(r.recs)
-			}
-			run := make([]sortItem, len(r.recs))
 			for i, rec := range r.recs {
-				m := rec.M
-				m.Src = int32(v)
-				run[i] = sortItem{key: rec.Key, src: int32(v), idx: int32(i), m: m}
+				run = append(run, sortItem{key: rec.Key, src: int32(v), idx: int32(i)})
 			}
-			sort.Slice(run, func(i, j int) bool {
-				if run[i].key != run[j].key {
-					return run[i].key < run[j].key
-				}
-				return run[i].idx < run[j].idx // src is constant within a run
-			})
-			runs[v] = run
 		}
+		slices.SortFunc(run, itemCmp)
+		runs[s] = run
 	})
-	total := 0
-	for _, run := range runs {
+	total, maxIn := 0, 0
+	for s, run := range runs {
 		total += len(run)
-	}
-	maxIn := 0
-	for _, m := range maxInShard {
-		if m > maxIn {
-			maxIn = m
-		}
+		maxIn = max(maxIn, maxInShard[s])
 	}
 	if err := e.ctxStep(); err != nil {
 		return err
@@ -350,16 +378,13 @@ func (e *engine) execSortPar() error {
 	outs := make([][]Rec, n)
 	e.forShards(sp, func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
-			bLo, bHi := v*batchSize, v*batchSize+batchSize
-			if bLo > total {
-				bLo = total
-			}
-			if bHi > total {
-				bHi = total
-			}
+			bLo := min(v*batchSize, total)
+			bHi := min(bLo+batchSize, total)
 			out := make([]Rec, bHi-bLo)
-			for i := bLo; i < bHi; i++ {
-				out[i-bLo] = Rec{Key: all[i].key, M: all[i].m}
+			for i, it := range all[bLo:bHi] {
+				m := e.batch[it.src].recs[it.idx].M
+				m.Src = it.src
+				out[i] = Rec{Key: it.key, M: m}
 			}
 			outs[v] = out
 		}
@@ -370,7 +395,7 @@ func (e *engine) execSortPar() error {
 
 // mergeRunTree merges pre-sorted runs into one globally sorted slice with a
 // pairwise merge tree; merges within one level run concurrently on the
-// pool. The order is independent of the merge shape because itemLess is a
+// pool. The order is independent of the merge shape because itemCmp is a
 // strict total order.
 func (e *engine) mergeRunTree(runs [][]sortItem) []sortItem {
 	cur := make([][]sortItem, 0, len(runs))
@@ -387,7 +412,6 @@ func (e *engine) mergeRunTree(runs [][]sortItem) []sortItem {
 		next := make([][]sortItem, (len(cur)+1)/2)
 		tasks := make([]func(), pairs)
 		for i := 0; i < pairs; i++ {
-			i := i
 			a, b := cur[2*i], cur[2*i+1]
 			tasks[i] = func() { next[i] = mergeRuns(a, b) }
 		}
@@ -400,20 +424,10 @@ func (e *engine) mergeRunTree(runs [][]sortItem) []sortItem {
 	return cur[0]
 }
 
-func itemLess(a, b sortItem) bool {
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	return a.idx < b.idx
-}
-
 func mergeRuns(a, b []sortItem) []sortItem {
 	out := make([]sortItem, 0, len(a)+len(b))
 	for len(a) > 0 && len(b) > 0 {
-		if itemLess(a[0], b[0]) {
+		if itemCmp(a[0], b[0]) < 0 {
 			out = append(out, a[0])
 			a = a[1:]
 		} else {

@@ -68,7 +68,9 @@ func clearTime(s Stats) Stats {
 
 // TestWorkersProduceIdenticalRuns: for several clique sizes, every worker
 // count must yield byte-identical outputs and deterministic statistics -
-// the engine's core parallelism contract.
+// the engine's core parallelism contract. The workers=1 reference is the
+// same body at one shard; TestEngineMatchesModel checks it against an
+// independent sequential model.
 func TestWorkersProduceIdenticalRuns(t *testing.T) {
 	for _, n := range []int{3, 5, 16, 33, 64} {
 		var refStats Stats
@@ -84,17 +86,17 @@ func TestWorkersProduceIdenticalRuns(t *testing.T) {
 				continue
 			}
 			if !reflect.DeepEqual(clearTime(stats), clearTime(refStats)) {
-				t.Errorf("n=%d workers=%d: stats differ from serial:\n%+v\nvs\n%+v", n, w, clearTime(stats), clearTime(refStats))
+				t.Errorf("n=%d workers=%d: stats differ from workers=1:\n%+v\nvs\n%+v", n, w, clearTime(stats), clearTime(refStats))
 			}
 			if !reflect.DeepEqual(out, refOut) {
-				t.Errorf("n=%d workers=%d: outputs differ from serial", n, w)
+				t.Errorf("n=%d workers=%d: outputs differ from workers=1", n, w)
 			}
 		}
 	}
 }
 
-// TestParallelSortProperty mirrors TestSortPropertyRandom on the parallel
-// path: concatenated batches must be the sorted global multiset.
+// TestParallelSortProperty mirrors TestSortPropertyRandom on a four-shard
+// pool: concatenated batches must be the sorted global multiset.
 func TestParallelSortProperty(t *testing.T) {
 	prop := func(raw []int16, nRaw uint8) bool {
 		n := int(nRaw)%7 + 2
@@ -134,8 +136,8 @@ func TestParallelSortProperty(t *testing.T) {
 	}
 }
 
-// TestParallelValidation: model violations must be caught on the parallel
-// path with the same error text as the serial engine.
+// TestParallelValidation: model violations must be caught on a four-shard
+// pool with the error text the sequential model (model_test.go) reports.
 func TestParallelValidation(t *testing.T) {
 	_, err := Run(context.Background(), Config{N: 4, Workers: 4}, func(nd *Node) error {
 		nd.Sync([]Packet{{Dst: 1, M: Msg{A: 1}}, {Dst: 1, M: Msg{A: 2}}})

@@ -77,7 +77,8 @@ type Options struct {
 	MaxRounds int
 	// Workers sizes the simulator's worker pool, which executes each
 	// collective sharded across destination nodes (DESIGN.md §5). 0 uses
-	// runtime.GOMAXPROCS(0); 1 forces the serial engine. Results and all
+	// runtime.GOMAXPROCS(0); 1 runs every collective as one shard on the
+	// coordinator goroutine. Results and all
 	// deterministic statistics are identical for every value - only
 	// wall-clock time (and the observational Stats.CollectiveTime)
 	// changes. In direct mode the same knob bounds the kernel worker
