@@ -77,7 +77,7 @@ func (d *directExec) artifactMats(variant artVariant, ent *artifactEntry) (base,
 		if variant == artLowDegree {
 			ent.base = lowDegree(ent.base, ent.degs)
 		}
-		ent.gh = mssp.MergeGH(d.g.AugSemiring(), ent.base, ent.art)
+		ent.gh = mssp.MergeGHWorkers(d.g.AugSemiring(), ent.base, ent.art, d.workers)
 	})
 	return ent.base, ent.gh
 }
@@ -167,8 +167,8 @@ func (d *directExec) diameter(ctx context.Context, ent *artifactEntry) (int64, S
 	})
 }
 
-// knearest lends the k-nearest loop's own slab; release hands its
-// matmul.Filtered back.
+// knearest lends the k-nearest search's own slab; release hands its
+// search state back.
 func (d *directExec) knearest(ctx context.Context, k int) (*matrix.Mat[semiring.WHF], func(), Stats, error) {
 	var release func()
 	rows, stats, err := direct(ctx, d, func() (rows *matrix.Mat[semiring.WHF], err error) {

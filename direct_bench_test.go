@@ -89,13 +89,13 @@ func BenchmarkBuildDirect(b *testing.B) {
 	}
 }
 
-// BenchmarkDirectKNearest measures a warm k-nearest query: ⌈log₂ k⌉
-// filtered squarings of the routed weight matrix on the generic row path,
-// k = 4, 8 and 11 being what the serve-bulk workload asks for. The routed
-// matrix is built once per engine, not per query, and the squarings share
-// their scratch and two output slabs, so allocs/op stays flat in the
-// matrix size (TestQueryAllocsIndependentOfN) and B/op near the answer
-// plus the two slabs (TestKNearestKernelBytes).
+// BenchmarkDirectKNearest measures a warm k-nearest query: one truncated
+// lexicographic Dijkstra per row of the routed weight matrix, k = 4, 8
+// and 11 being what the serve-bulk workload asks for. The routed matrix
+// is built once per engine, not per query, and the searches take their
+// scratch and answer slab from a recycled search state, so allocs/op
+// stays flat in the matrix size (TestQueryAllocsIndependentOfN) and B/op
+// near the answer (TestKNearestKernelBytes).
 func BenchmarkDirectKNearest(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		for _, k := range []int{4, 8, 11} {

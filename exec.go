@@ -52,8 +52,8 @@ type executor interface {
 	// knearest returns every node's k closest nodes over the routed
 	// semiring (Theorem 18), rows in column order. The rows are lent: after
 	// a successful call, release gives them back once the caller has copied
-	// them out (directExec: their matmul.Filtered; simExec: keepAll, the
-	// rows are nobody else's).
+	// them out (directExec: their disttools search state; simExec: keepAll,
+	// the rows are nobody else's).
 	knearest(ctx context.Context, k int) (*matrix.Mat[semiring.WHF], func(), Stats, error)
 	// sourceDetect solves (S, d, k)-source detection (Theorem 19), its rows
 	// lent like knearest's.

@@ -1,16 +1,21 @@
 // Direct (host-side) counterparts of the distance tools: the same §3
 // algebra computed on whole matrices with the matmul kernels instead of
-// per-node collectives. Each function mirrors its distributed sibling
-// step by step - same clamping, same iteration counts, same filter
-// orders - so the outputs are byte-identical rows for every node (the
-// oracle-equivalence guarantee of DESIGN.md §12). The ctx parameter is
-// checked between product iterations: these are the long loops of direct
-// preprocessing, and a canceled caller unwinds within one multiply.
+// per-node collectives, so the outputs are byte-identical rows for every
+// node (the oracle-equivalence guarantee of DESIGN.md §12). Detection and
+// distance through sets mirror their distributed siblings step by step -
+// same clamping, same iteration counts, same filter orders. k-nearest is
+// the one tool computed by another algorithm: ⌈log₂ k⌉ filtered squarings
+// return each row's k least entries over all walks, and a truncated
+// lexicographic Dijkstra per row returns exactly those (nearest.go;
+// DESIGN.md §13, "the fast build path", exit 5). The ctx parameter is
+// checked between product iterations, and between row blocks of a
+// search: these are the long loops of direct preprocessing, and a
+// canceled caller unwinds within one multiply or one block.
+
 package disttools
 
 import (
 	"context"
-	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -21,79 +26,45 @@ import (
 
 // KNearestAll solves the k-nearest problem (Theorem 18) for every node at
 // once on the host: row v of the result equals what KNearest returns at
-// node v. w is the full augmented weight matrix (diagonal included).
-// cur ← Filter(cur·cur, k) depends on cur alone, so the first squaring
-// that returns its input proves the remaining ones identical and ends
-// the loop; over semiring.AugMinPlus a row whose own hop counts prove it
-// final is copied instead of computed, and the loop also ends once every
-// row is (DESIGN.md §13, "the fast build path").
+// node v. w is an augmented weight matrix whose every non-empty row holds
+// its (0, 0) and whose every off-diagonal entry has H >= 1 - a graph's, a
+// graph merged with a hopset, or the §6.3 subgraph G', whose high-degree
+// rows are nil. ⌈log₂ k⌉ filtered squarings return Filter_k(D_∞), the
+// least k entries of every row's walks under the (Rank, column) order, so
+// a row is computed as such: by a lexicographic Dijkstra from its source
+// that settles k nodes (DESIGN.md §13, "the fast build path", exit 5).
+// Rows run on a row pass and ctx is polled once per block of rows.
 //
-// The caller owns the result: it is a slab of a matmul.Filtered that is
-// never released, so nobody writes to it once this call has returned. A
-// caller that is done with the rows before it returns, and runs often
-// enough for a later loop to take the slabs over, takes KNearestLent
-// instead and gives them back.
+// The caller owns the result: the search state gives its scratch back
+// but not the slab and header the rows live in, so nobody writes to them
+// once this call has returned. A caller that is done with the rows before
+// it returns, and runs often enough for a later search to take the slab
+// over, takes KNearestLent instead and gives it back.
 func KNearestAll[E any](ctx context.Context, sr semiring.Ordered[E], w *matrix.Mat[E], k, workers int) (*matrix.Mat[E], error) {
-	knear, _, err := KNearestLent(ctx, sr, w, k, workers)
+	nb := takeNearest[E](w.N)
+	defer nb.release()
+	knear, err := nb.knearest(ctx, sr, w, max(1, min(k, w.N)), workers)
+	if err == nil {
+		nb.out, nb.slab = nil, nil // handed over: only the scratch goes back
+	}
 	return knear, err
 }
 
-// KNearestLent is KNearestAll lending its answer: the rows are one of the
-// two slabs of a recycled matmul.Filtered, and release hands the whole
-// Filtered back for the next product loop to take over (DESIGN.md §13,
-// "who owns which slab, and for how long"). Call release at most once,
-// after the last read of the rows; it is nil exactly when err is not, and
-// a canceled loop has given everything back before it returns.
+// KNearestLent is KNearestAll lending its answer: the rows are the slab of
+// a recycled search state, and release hands the whole state - slab,
+// header and per-worker scratch - back for the next search to take over
+// (DESIGN.md §13, "who owns which slab, and for how long"). Call release
+// at most once, after the last read of the rows; it is nil exactly when
+// err is not, and a canceled search has given everything back before it
+// returns.
 func KNearestLent[E any](ctx context.Context, sr semiring.Ordered[E], w *matrix.Mat[E], k, workers int) (_ *matrix.Mat[E], release func(), _ error) {
-	n := w.N
-	if k < 1 {
-		k = 1
+	nb := takeNearest[E](w.N)
+	knear, err := nb.knearest(ctx, sr, w, max(1, min(k, w.N)), workers)
+	if err != nil {
+		nb.release()
+		return nil, nil, err
 	}
-	if k > n {
-		k = n
-	}
-	// cur and next are the two slabs of one Filtered; the result is one of
-	// them.
-	f := matmul.NewFiltered(sr, n, k, workers)
-	cur := f.FilterCols(w, nil)
-	_, certify := any(sr).(semiring.AugMinPlus)
-	iters := bits.Len(uint(k - 1)) // ceil(log2 k), as in KNearest
-	for t := 0; t < iters; t++ {
-		if err := ctx.Err(); err != nil {
-			f.Release()
-			return nil, nil, err
-		}
-		if certify && settle(any(cur).(*matrix.Mat[semiring.WH]), f.Final(), 1<<t) {
-			break
-		}
-		next := f.Mul(cur, cur)
-		if matrix.Equal[E](sr, next, cur) {
-			break
-		}
-		cur = next
-	}
-	return cur, f.Release, nil
-}
-
-// settle is the hop certificate of the k-nearest loop over
-// semiring.AugMinPlus (DESIGN.md §13, "the fast build path", exit 5). cur
-// is S_t = Filter_k(D_h), h = 2^t, where D_h is the lexicographic min
-// over walks of at most h hops. A node u that Filter_k(D_2h) keeps in
-// row v but reaches only in more than h hops has, at hop h of its path,
-// a node y with W_y <= W_u and H_y = h < H_u: y ranks strictly before u,
-// so S_t[v] holds y with H = h. A row of S_t whose hop counts are all
-// below h therefore reaches every kept node within h hops, and every
-// later squaring returns it unchanged. settle marks each such row final
-// and reports whether every row is.
-func settle(cur *matrix.Mat[semiring.WH], final []bool, h int64) bool {
-	all := true
-	for v, row := range cur.Rows {
-		if !final[v] {
-			final[v] = !slices.ContainsFunc(row, func(e matrix.Entry[semiring.WH]) bool { return e.Val.H >= h })
-			all = all && final[v]
-		}
-	}
-	return all
+	return knear, nb.release, nil
 }
 
 // SourceDetectAll solves (S,d,|S|)-source detection (Theorem 19, second
@@ -309,10 +280,10 @@ func SourceDetectAllRestricted(ctx context.Context, g *matrix.Mat[semiring.WH], 
 
 // SourceDetectKLent solves (S,d,k)-source detection (Theorem 19, first
 // variant) for every node at once: row v equals what SourceDetectK
-// returns at node v. Like KNearestAll it stops at the first fixed point
-// of u ← Filter(w·u, k), since w and k never change between steps. The
-// answer is lent, with KNearestLent's release; a caller that never calls
-// release owns the rows.
+// returns at node v. It stops at the first fixed point of
+// u ← Filter(w·u, k), since w and k never change between steps. The
+// answer is lent, with a release like KNearestLent's; a caller that never
+// calls release owns the rows.
 func SourceDetectKLent[E any](ctx context.Context, sr semiring.Ordered[E], w *matrix.Mat[E], inS []bool, d, k, workers int) (_ *matrix.Mat[E], release func(), _ error) {
 	n := w.N
 	if k < 1 {

@@ -2,8 +2,13 @@
 // on top of the sparse matrix multiplication machinery: augmented distance
 // products (§3.1), k-nearest neighbors (Theorem 18), (S,d,k)-source
 // detection in both variants (Theorem 19), and distance through node sets
-// (Theorem 20). All functions are collectives: they run inside cc node
-// programs, with node v holding row v of the relevant matrices.
+// (Theorem 20). The functions of this file are collectives: they run
+// inside cc node programs, with node v holding row v of the relevant
+// matrices. direct.go computes the same answers for every node at once on
+// the host (DESIGN.md §12), detection by the same products and k-nearest
+// by a truncated lexicographic Dijkstra per row (nearest.go), which
+// returns exactly what the filtered squarings do (DESIGN.md §13, "the fast
+// build path", exit 5).
 package disttools
 
 import (

@@ -14,13 +14,16 @@ import (
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
 
-// fixpointGraphs are the families the fixpoint exits and the hop
-// certificate are pinned on: weighted and unit-weight (rank ties
-// everywhere; a unit clique ties every row at every rank), sparse and
-// dense, a long path (converges late), a disconnected graph (rows that
-// never fill up to k), zero-weight edges (a lighter node can sit more
-// hops away) and paths and a star whose every edge is the heaviest the
-// engine admits (keys at the top of the packed range).
+// fixpointGraphs are the families the fixpoint exits and the k-nearest
+// search are pinned on: weighted and unit-weight (rank ties everywhere; a
+// unit clique ties every row at every rank), layers of unit-weight
+// bicliques under shuffled labels (a run of tied ranks straddles the k-th
+// place at every k, and the lowest columns are not the first reached),
+// sparse and dense, a long path (converges late), a disconnected graph
+// (rows that never fill up to k), zero-weight edges (a lighter node can
+// sit more hops away) and paths and a star whose every edge is the
+// heaviest the engine admits (keys at the top of the packed range).
+// TestKNearestAllFixpointEquivalence adds the §6.3 subgraph G' of each.
 func fixpointGraphs() map[string]*graph.Graph {
 	path := graph.New(33)
 	for v := 1; v < path.N; v++ {
@@ -54,9 +57,11 @@ func fixpointGraphs() map[string]*graph.Graph {
 		}
 	}
 	graphs := map[string]*graph.Graph{
+		"ties":         layeredBicliques(rng, 3, 5, 12, 20),
 		"sparse":       randGraph(32, 16, 20, 41),
 		"dense":        randGraph(24, 120, 50, 42),
 		"tree":         randGraph(28, 0, 20, 43),
+		"wide":         randGraph(150, 75, 20, 46), // rows whose few kept columns span more words than they hold
 		"unit-weight":  randGraph(32, 40, 1, 45),
 		"unit-clique":  clique,
 		"unit-path":    path,
@@ -68,6 +73,27 @@ func fixpointGraphs() map[string]*graph.Graph {
 		graphs[fmt.Sprintf("max-path-%d", n)] = maxWeightPath(n)
 	}
 	return graphs
+}
+
+// layeredBicliques joins every node of each layer to every node of the
+// next by a unit-weight edge, the layers of the given sizes, and labels
+// the nodes in a random order.
+func layeredBicliques(rng *rand.Rand, sizes ...int) *graph.Graph {
+	n := 0
+	for _, s := range sizes {
+		n += s
+	}
+	g, label, first := graph.New(n), rng.Perm(n), 0
+	for i := 1; i < len(sizes); i++ {
+		prev := first
+		first += sizes[i-1]
+		for a := prev; a < first; a++ {
+			for b := first; b < first+sizes[i]; b++ {
+				g.MustAddEdge(label[a], label[b], 1)
+			}
+		}
+	}
+	return g
 }
 
 // maxWeightPath is the path on n nodes with every edge at
@@ -110,8 +136,8 @@ func sameRows[E comparable](t *testing.T, what string, got, want *matrix.Mat[E])
 	}
 }
 
-// knearestAllRef is KNearestAll without the fixpoint exit: all ⌈log₂ k⌉
-// filtered squarings of Theorem 18, on the generic reference kernel.
+// knearestAllRef is Theorem 18 as the collective KNearest computes it: all
+// ⌈log₂ k⌉ filtered squarings, on the generic reference kernel.
 func knearestAllRef[E any](sr semiring.Ordered[E], w *matrix.Mat[E], k int) *matrix.Mat[E] {
 	k = max(1, min(k, w.N))
 	cur := matrix.Filter(sr, w, k)
@@ -119,33 +145,6 @@ func knearestAllRef[E any](sr semiring.Ordered[E], w *matrix.Mat[E], k int) *mat
 		cur = matmul.KernelMulFilteredGeneric(sr, cur, cur, k, 1)
 	}
 	return cur
-}
-
-func checkKNearestFixpoint[E comparable](t *testing.T, name string, sr semiring.Ordered[E], w *matrix.Mat[E]) {
-	t.Helper()
-	for _, k := range []int{1, 2, 5, 7, 17, w.N} {
-		want := knearestAllRef(sr, w, k)
-		for _, workers := range []int{1, 2, 4, 0} {
-			got, err := KNearestAll(context.Background(), sr, w, k, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameRows(t, fmt.Sprintf("%s k=%d workers=%d", name, k, workers), got, want)
-		}
-	}
-}
-
-// TestKNearestAllFixpointEquivalence: stopping at the first unchanged
-// squaring, and copying the rows the hop certificate settles, returns
-// exactly what all ⌈log₂ k⌉ squarings on the generic kernel return, over
-// both the augmented semiring (packed kernel and certificate) and the
-// routed one (generic kernel, fixpoint exit only, witnesses included in
-// the comparison).
-func TestKNearestAllFixpointEquivalence(t *testing.T) {
-	for name, g := range fixpointGraphs() {
-		checkKNearestFixpoint[semiring.WH](t, name+"/WH", g.AugSemiring(), g.WeightMatrix())
-		checkKNearestFixpoint[semiring.WHF](t, name+"/WHF", g.RoutedSemiring(), routedMatrix(g))
-	}
 }
 
 // sourceDetectKAllRef is SourceDetectKLent without the fixpoint exit: all
@@ -195,4 +194,61 @@ func TestSourceDetectKAllFixpointEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzKNearest holds the k-nearest search to all ⌈log₂ k⌉ squarings on
+// random small graphs over both semirings: weights drawn from {0, 1, 2}
+// (zero-weight edges: a lighter node can sit more hops away), from 1..9,
+// or all graph.MaxWeightFor(n) (keys at the top of the range), and a
+// random set of rows dropped to nil, as G' drops its high-degree rows
+// while other rows still reach them.
+func FuzzKNearest(f *testing.F) {
+	for _, seed := range []struct {
+		seed          int64
+		n, k, weights uint8
+		drop          uint16
+	}{
+		{1, 12, 4, 0, 0}, {2, 20, 7, 1, 0x0f0f}, {3, 9, 9, 2, 0x0003}, {4, 30, 2, 0, 0x8421}, {5, 1, 1, 1, 1}, {6, 40, 17, 1, 0xffff},
+	} {
+		f.Add(seed.seed, seed.n, seed.k, seed.weights, seed.drop)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n, k, weights uint8, drop uint16) {
+		size := int(n)%48 + 1
+		rng := rand.New(rand.NewSource(seed))
+		g := graph.New(size)
+		weight := func() int64 {
+			switch weights % 3 {
+			case 0:
+				return rng.Int63n(3)
+			case 1:
+				return rng.Int63n(9) + 1
+			default:
+				return graph.MaxWeightFor(size)
+			}
+		}
+		for e := rng.Intn(3 * size); e > 0; e-- {
+			if u, v := rng.Intn(size), rng.Intn(size); u != v {
+				g.MustAddEdge(u, v, weight())
+			}
+		}
+		w, wr := g.WeightMatrix(), routedMatrix(g)
+		for v := 0; v < size; v++ {
+			if drop&(1<<(v%16)) != 0 && rng.Intn(2) == 0 {
+				w.Rows[v], wr.Rows[v] = nil, nil
+			}
+		}
+		kk := int(k)%(size+1) + 1
+		for _, workers := range []int{1, 0} {
+			got, err := KNearestAll(context.Background(), g.AugSemiring(), w, kk, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRows(t, fmt.Sprintf("WH k=%d workers=%d", kk, workers), got, knearestAllRef[semiring.WH](g.AugSemiring(), w, kk))
+			gotR, err := KNearestAll(context.Background(), g.RoutedSemiring(), wr, kk, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRows(t, fmt.Sprintf("WHF k=%d workers=%d", kk, workers), gotR, knearestAllRef[semiring.WHF](g.RoutedSemiring(), wr, kk))
+		}
+	})
 }

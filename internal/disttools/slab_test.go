@@ -3,10 +3,14 @@ package disttools
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"github.com/congestedclique/ccsp/internal/cc"
 	"github.com/congestedclique/ccsp/internal/matrix"
@@ -165,5 +169,78 @@ func TestKNearestAllResultIsNotReused(t *testing.T) {
 			_ = append(first.Rows[v], matrix.Entry[semiring.WHF]{Col: -7})
 		}
 		sameRows(t, "held result after appends to its rows", first, held)
+	}
+}
+
+// pollCtx is a context whose Err turns context.Canceled from its k-th call
+// on and counts the calls.
+type pollCtx struct {
+	context.Context
+	k     int64
+	calls atomic.Int64
+}
+
+func (c *pollCtx) Err() error {
+	if c.calls.Add(1) >= c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestKNearestLentCancel: a search polls once before its pass and once
+// per block of rows, and canceled at any of those polls it polls no more,
+// returns context.Canceled with neither rows nor release, and has given
+// its state back - the next search takes a state over instead of
+// allocating a slab - and answers exactly what a cold search does. The
+// pool may hold other released states, some without a slab (KNearestAll
+// keeps its own), so the hand-over gets a few tries; a search that kept
+// its state drains the pool and fails every one. The bytes are checked
+// without -race, where the pool keeps what it is given. Run under -race
+// too.
+func TestKNearestLentCancel(t *testing.T) {
+	g := randGraph(100, 150, 9, 31)
+	checkKNearestLentCancel[semiring.WH](t, "WH", g.AugSemiring(), g.WeightMatrix(), 7)
+	checkKNearestLentCancel[semiring.WHF](t, "WHF", g.RoutedSemiring(), routedMatrix(g), 7)
+}
+
+func checkKNearestLentCancel[E comparable](t *testing.T, name string, sr semiring.Ordered[E], w *matrix.Mat[E], k int) {
+	t.Helper()
+	cold := knearestAllRef(sr, w, k)
+	slab := uint64(w.N*k) * uint64(unsafe.Sizeof(matrix.Entry[E]{}))
+	for _, workers := range []int{1, 0} {
+		full := &pollCtx{Context: context.Background(), k: math.MaxInt64}
+		_, release, err := KNearestLent(full, sr, w, k, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+		polls := full.calls.Load()
+		if want := int64(1 + (w.N+pollRows-1)/pollRows); polls != want {
+			t.Fatalf("%s workers=%d: a full search polled %d times, want %d (once, then once per block)", name, workers, polls, want)
+		}
+		for p := int64(1); p <= polls; p++ {
+			var bytes uint64
+			for try := 0; try < 4 && (try == 0 || bytes >= slab); try++ {
+				ctx := &pollCtx{Context: context.Background(), k: p}
+				rows, release, err := KNearestLent(ctx, sr, w, k, workers)
+				if !errors.Is(err, context.Canceled) || rows != nil || release != nil {
+					t.Fatalf("%s workers=%d: canceled at poll %d of %d: got (%v, %v), want context.Canceled and nothing else", name, workers, p, polls, rows != nil, err)
+				}
+				if c := ctx.calls.Load(); c != p {
+					t.Fatalf("%s workers=%d: canceled at poll %d of %d, the search polled %d times", name, workers, p, polls, c)
+				}
+				var next *matrix.Mat[E]
+				bytes = allocatedBy(func() {
+					if next, release, err = KNearestLent(context.Background(), sr, w, k, workers); err != nil {
+						t.Fatal(err)
+					}
+				})
+				sameRows(t, fmt.Sprintf("%s workers=%d after a cancel at poll %d", name, workers, p), next, cold)
+				release()
+			}
+			if !raceEnabled && bytes >= slab {
+				t.Errorf("%s workers=%d: every search after a cancel at poll %d allocated a slab (%d bytes, a slab is %d): the canceled ones kept their state", name, workers, p, bytes, slab)
+			}
+		}
 	}
 }

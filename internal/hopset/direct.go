@@ -7,6 +7,7 @@ import (
 
 	"github.com/congestedclique/ccsp/internal/disttools"
 	"github.com/congestedclique/ccsp/internal/hitting"
+	"github.com/congestedclique/ccsp/internal/matmul"
 	"github.com/congestedclique/ccsp/internal/matrix"
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
@@ -60,10 +61,12 @@ func BuildDirectFrom(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[
 //
 // Nothing in the artifact points into the k-nearest rows, yet the stage
 // owns them rather than lending them back: it runs once per engine, so the
-// only loop its slabs could feed is the next build's bunch stage, and
-// whether they survive the collections in between is timing. A rebuild
-// then costs the same bytes every time (DESIGN.md §13, "who owns which
-// slab, and for how long").
+// only search their n·k slab could feed is the next build's bunch stage,
+// and whether it survives the collections in between is timing. So the
+// stage takes KNearestAll, which keeps the slab for it and hands only the
+// search's scratch back, and a rebuild costs the same slab bytes every
+// time (DESIGN.md §13, "who owns which slab, and for how long"). The row
+// merges that follow run on a row pass, like the search.
 func bunchStage(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], k, workers int) (*Artifact, error) {
 	n := w.N
 	knear, err := disttools.KNearestAll[semiring.WH](ctx, sr, w, k, workers)
@@ -118,9 +121,9 @@ func bunchStage(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semir
 			}
 		}
 	}
-	for v := 0; v < n; v++ {
-		h0[v] = matrix.MergeRows(sr, h0[v])
-	}
+	matmul.RunRows(n, workers, func() func(int) {
+		return func(v int) { h0[v] = matrix.MergeRows(sr, h0[v]) }
+	})
 	return art, nil
 }
 
@@ -152,9 +155,9 @@ func runLevels(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiri
 	n, inA1, h0 := art.N, art.InA1, art.Rows
 	aRows := make([]matrix.Row[semiring.WH], n)
 	g := matrix.New[semiring.WH](n)
-	for v := 0; v < n; v++ {
-		g.Rows[v] = matrix.MergeRows(sr, w.Rows[v], h0[v])
-	}
+	matmul.RunRows(n, workers, func() func(int) {
+		return func(v int) { g.Rows[v] = matrix.MergeRows(sr, w.Rows[v], h0[v]) }
+	})
 	for level := 0; level < levels; level++ {
 		det, err := disttools.SourceDetectAllRestricted(ctx, g, inA1, d, workers)
 		if err != nil {
@@ -189,9 +192,9 @@ func runLevels(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiri
 	}
 
 	rows := make([]matrix.Row[semiring.WH], n)
-	for v := 0; v < n; v++ {
-		rows[v] = matrix.MergeRows(sr, h0[v], aRows[v])
-	}
+	matmul.RunRows(n, workers, func() func(int) {
+		return func(v int) { rows[v] = matrix.MergeRows(sr, h0[v], aRows[v]) }
+	})
 	art.Rows = rows
 	return nil
 }

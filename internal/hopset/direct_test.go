@@ -68,9 +68,9 @@ func buildDirectRef(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[s
 	}
 
 	// Bunch computation via k-nearest (§4.2.1), all rows at once.
-	// All ⌈log₂ k⌉ squarings on the generic kernel, as KNearestAll ran
-	// them before its fixpoint exit, its hop certificate and its packed
-	// kernel.
+	// All ⌈log₂ k⌉ squarings on the generic kernel, as the collective
+	// KNearest runs them, where KNearestAll runs one truncated
+	// lexicographic Dijkstra per row.
 	knear := matrix.Filter[semiring.WH](sr, w, k)
 	for t := 0; t < bits.Len(uint(k-1)); t++ {
 		knear = matmul.KernelMulFilteredGeneric[semiring.WH](sr, knear, knear, k, workers)

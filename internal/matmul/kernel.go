@@ -228,8 +228,7 @@ var productsAccumulated atomic.Int64
 // ProductsAccumulated reads the process-wide product counter. It is
 // monotone and shared by every concurrent product, so only a delta taken
 // around a call with nothing else running means anything: the use of
-// benchmarks (BenchmarkKNearestAll) and of DESIGN.md §13's
-// products-per-squaring table.
+// benchmarks and of DESIGN.md §13's products-per-product tables.
 func ProductsAccumulated() int64 { return productsAccumulated.Load() }
 
 // KernelMul computes P = S·T over sr on the host, parallel over

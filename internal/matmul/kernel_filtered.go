@@ -19,8 +19,7 @@ import (
 //
 // Outputs alternate between the two slabs, so the matrix a call returns
 // stays intact through the next call and is overwritten by the one after:
-// a loop cur ← Filter(cur·cur) or u ← Filter(w·u) holds exactly its
-// current and its next iterate. A Filtered serves one caller at a time.
+// a loop u ← Filter(w·u) holds exactly its current and its next iterate. A Filtered serves one caller at a time.
 //
 // A caller that is done with every matrix it was handed gives the whole
 // Filtered back with Release, and a later NewFiltered of the same n and
@@ -44,11 +43,10 @@ type Filtered[E any] struct {
 	kernel rowKernel[E]
 	next   atomic.Int32 // scratch handed out in the running pass
 
-	out   [2]*matrix.Mat[E]
-	slab  [2][]matrix.Entry[E]
-	turn  int    // the slab the next output goes to
-	off   []int  // the windows of the output being written: row i is [off[i], off[i+1])
-	final []bool // rows Mul copies from its left operand (Final)
+	out  [2]*matrix.Mat[E]
+	slab [2][]matrix.Entry[E]
+	turn int   // the slab the next output goes to
+	off  []int // the windows of the output being written: row i is [off[i], off[i+1])
 }
 
 // rowKernel is one way of computing the rows of a filtered product: the
@@ -110,7 +108,6 @@ func newFiltered[E any](sr semiring.Ordered[E], n, rho, workers int, wh bool) *F
 	f.workers = kernelWorkers(workers, n)
 	f.kernel.fit(f.workers)
 	f.sr, f.rho, f.width, f.turn = sr, rho, max(0, min(rho, n)), 0
-	clear(f.final)
 	f.kernel.reset(sr, rho)
 	return f
 }
@@ -143,7 +140,7 @@ func (f *Filtered[E]) run(fn func(worker, row int)) {
 // is replaced - by a whole one, n·width entries, when the windows already
 // take half of that: the rows of a loop's iterates fill up, and a slab that
 // starts out nearly whole would be outgrown by the next product written to
-// it (cut to the windows every time, a k-nearest loop at n = 1024 allocates
+// it (cut to the windows every time, a squaring loop at n = 1024 allocated
 // a third and a fourth slab: +20 to +50 % bytes per query).
 func (f *Filtered[E]) output() (*matrix.Mat[E], []matrix.Entry[E]) {
 	b := f.turn
@@ -175,35 +172,16 @@ func clipped[E any](row matrix.Row[E]) matrix.Row[E] {
 	return row[:len(row):len(row)]
 }
 
-// Final is the set of rows every later Mul copies from its left operand
-// instead of computing: a caller sets final[i] once it has proved that
-// row i of every later product equals row i of the operand, as
-// KNearestLent's hop certificate does. Every NewFiltered starts with no
-// row final.
-func (f *Filtered[E]) Final() []bool {
-	if f.final == nil {
-		f.final = make([]bool, f.n)
-	}
-	return f.final
-}
-
-// isFinal reports whether row i is in Final.
-func (f *Filtered[E]) isFinal(i int) bool { return f.final != nil && f.final[i] }
-
 // Mul computes the ρ-filtered product Filter(S·T, ρ) into the next slab:
 // each output row keeps its ρ smallest entries under the (Rank, column)
 // order of §2.2. It equals matrix.Filter(sr, matrix.MulRef(sr, s, t), ρ) -
-// and therefore the distributed MultiplyFiltered - at every worker count,
-// except that a Final row is a copy of its row of s. Neither operand may
-// be the output before last, whose slab this product overwrites.
+// and therefore the distributed MultiplyFiltered - at every worker count.
+// Neither operand may be the output before last, whose slab this product
+// overwrites.
 func (f *Filtered[E]) Mul(s, t *matrix.Mat[E]) *matrix.Mat[E] {
 	need := 0
 	for i, srow := range s.Rows {
 		f.off[i] = need
-		if f.isFinal(i) {
-			need += len(srow)
-			continue
-		}
 		products := 0
 		for _, e := range srow {
 			products += len(t.Rows[e.Col])
@@ -218,18 +196,14 @@ func (f *Filtered[E]) Mul(s, t *matrix.Mat[E]) *matrix.Mat[E] {
 	}
 	f.kernel.begin(t, f.n*f.width, f.run)
 	f.run(func(w, i int) {
-		if f.isFinal(i) {
-			out.Rows[i] = clipped(append(f.window(slab, i), s.Rows[i]...))
-			return
-		}
 		out.Rows[i] = clipped(f.kernel.row(w, s.Rows[i], t, f.window(slab, i)))
 	})
 	return out
 }
 
 // FilterCols computes Filter(M restricted to the columns marked in cols,
-// ρ) into the next slab - the first iterate of both direct detection
-// loops (KNearestLent, SourceDetectKLent); a nil cols keeps every column.
+// ρ) into the next slab - the first iterate of the direct (S,d,k)
+// detection loop (SourceDetectKLent); a nil cols keeps every column.
 // From here on rows get room for no more entries than columns were kept.
 func (f *Filtered[E]) FilterCols(m *matrix.Mat[E], cols []bool) *matrix.Mat[E] {
 	if cols != nil {

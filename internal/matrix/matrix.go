@@ -184,26 +184,58 @@ func (m *Mat[E]) Check(sr semiring.Semiring[E]) error {
 // merge or reject duplicate columns: callers either append each column at
 // most once or combine duplicates afterwards (MergeRows).
 func SortRow[E any](r Row[E]) Row[E] {
-	slices.SortFunc(r, func(a, b Entry[E]) int { return cmp.Compare(a.Col, b.Col) })
+	slices.SortFunc(r, byCol[E])
 	return r
 }
 
 // MergeRows combines rows by semiring addition on overlapping columns
 // (for min-plus: the lightest entry wins), e.g. to form a row of G ∪ H
-// from graph and hopset rows.
+// from graph and hopset rows. Up to four rows already in column order -
+// rows of matrices, as every merge of G ∪ H has them - are merged in one
+// pass; any others are concatenated and sorted. Addition is commutative,
+// so the result is the same either way. Rows with no entry merge to nil.
 func MergeRows[E any](sr semiring.Semiring[E], rows ...Row[E]) Row[E] {
-	var all Row[E]
+	total, sorted := 0, len(rows) <= 4
 	for _, r := range rows {
-		all = append(all, r...)
+		total += len(r)
+		sorted = sorted && slices.IsSortedFunc(r, byCol[E])
 	}
-	SortRow(all)
-	out := all[:0]
-	for _, e := range all {
-		if len(out) > 0 && out[len(out)-1].Col == e.Col {
-			out[len(out)-1].Val = sr.Add(out[len(out)-1].Val, e.Val)
-			continue
+	if total == 0 {
+		return nil
+	}
+	out := make(Row[E], 0, total)
+	add := func(e Entry[E]) {
+		if n := len(out); n > 0 && out[n-1].Col == e.Col {
+			out[n-1].Val = sr.Add(out[n-1].Val, e.Val)
+			return
 		}
 		out = append(out, e)
 	}
-	return out
+	if !sorted {
+		for _, r := range rows {
+			out = append(out, r...)
+		}
+		all := SortRow(out)
+		out = out[:0]
+		for _, e := range all {
+			add(e)
+		}
+		return out
+	}
+	var next [4]int
+	for {
+		best := -1
+		for i, r := range rows {
+			if next[i] < len(r) && (best < 0 || r[next[i]].Col < rows[best][next[best]].Col) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return out
+		}
+		add(rows[best][next[best]])
+		next[best]++
+	}
 }
+
+func byCol[E any](a, b Entry[E]) int { return cmp.Compare(a.Col, b.Col) }

@@ -369,3 +369,61 @@ func TestFilterRowMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeRows: merging rows in column order in one pass gives what
+// concatenating, sorting and summing duplicate columns gives - the same
+// rows shuffled, or more than four of them, take that path - over the
+// routed semiring, whose sum of tied (W, H) keeps the least witness; rows
+// with no entry merge to nil.
+func TestMergeRows(t *testing.T) {
+	sr := semiring.NewRoutedMinPlus(100, 100)
+	rng := rand.New(rand.NewSource(9))
+	row := func() Row[semiring.WHF] {
+		var r Row[semiring.WHF]
+		for c := int32(0); c < 24; c++ {
+			if rng.Intn(3) == 0 {
+				r = append(r, Entry[semiring.WHF]{Col: c, Val: semiring.WHF{W: rng.Int63n(3), H: rng.Int63n(2), FH: rng.Int31n(5)}})
+			}
+		}
+		return r
+	}
+	want := func(rows []Row[semiring.WHF]) Row[semiring.WHF] {
+		sum := map[int32]semiring.WHF{}
+		for _, r := range rows {
+			for _, e := range r {
+				if v, ok := sum[e.Col]; ok {
+					sum[e.Col] = sr.Add(v, e.Val)
+				} else {
+					sum[e.Col] = e.Val
+				}
+			}
+		}
+		var out Row[semiring.WHF]
+		for c := int32(0); c < 24; c++ {
+			if v, ok := sum[c]; ok {
+				out = append(out, Entry[semiring.WHF]{Col: c, Val: v})
+			}
+		}
+		return out
+	}
+	for trial := 0; trial < 200; trial++ {
+		rows := make([]Row[semiring.WHF], 1+trial%6)
+		for i := range rows {
+			rows[i] = row()
+		}
+		if got, w := MergeRows(sr, rows...), want(rows); !slices.Equal(got, w) {
+			t.Fatalf("%d sorted rows merge to %v, want %v", len(rows), got, w)
+		}
+		shuffled := make([]Row[semiring.WHF], len(rows))
+		for i, r := range rows {
+			shuffled[i] = slices.Clone(r)
+			rng.Shuffle(len(r), func(a, b int) { shuffled[i][a], shuffled[i][b] = shuffled[i][b], shuffled[i][a] })
+		}
+		if got, w := MergeRows(sr, shuffled...), want(rows); !slices.Equal(got, w) {
+			t.Fatalf("%d shuffled rows merge to %v, want %v", len(rows), got, w)
+		}
+	}
+	if got := MergeRows(sr, nil, Row[semiring.WHF]{}); got != nil {
+		t.Errorf("empty rows merge to %v, want nil", got)
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/congestedclique/ccsp/internal/disttools"
 	"github.com/congestedclique/ccsp/internal/hopset"
+	"github.com/congestedclique/ccsp/internal/matmul"
 	"github.com/congestedclique/ccsp/internal/matrix"
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
@@ -15,13 +16,21 @@ import (
 // and the artifact's hopset row, exactly as RunWithHopset's per-node
 // setup computes it. The result is immutable and depends only on
 // (w, art), so callers serving many queries should build it once and
-// reuse it via RunDirectMerged (DESIGN.md §13).
+// reuse it via RunDirectMerged (DESIGN.md §13). The rows are merged on a
+// row pass at the default width; MergeGHWorkers bounds it. MergeGH is
+// kept with this signature for benchmark/layers.go, its one caller; the
+// engine calls MergeGHWorkers.
 func MergeGH(sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], art *hopset.Artifact) *matrix.Mat[semiring.WH] {
-	n := w.N
-	g := matrix.New[semiring.WH](n)
-	for v := 0; v < n; v++ {
-		g.Rows[v] = matrix.MergeRows(sr, w.Rows[v], art.Rows[v])
-	}
+	return MergeGHWorkers(sr, w, art, 0)
+}
+
+// MergeGHWorkers is MergeGH on a row pass of at most workers goroutines
+// (<= 0 means GOMAXPROCS).
+func MergeGHWorkers(sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], art *hopset.Artifact, workers int) *matrix.Mat[semiring.WH] {
+	g := matrix.New[semiring.WH](w.N)
+	matmul.RunRows(w.N, workers, func() func(int) {
+		return func(v int) { g.Rows[v] = matrix.MergeRows(sr, w.Rows[v], art.Rows[v]) }
+	})
 	return g
 }
 

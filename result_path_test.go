@@ -24,10 +24,10 @@ import (
 // at n = 128 and n = 512, up to the handful of closures each extra
 // detection sweep costs (TestMSSPKernelBytes and TestDistanceKernelBytes
 // below hold the bytes). Before the
-// one-materialisation rule it was 3n+. A knearest query is ⌈log₂ k⌉
-// filtered squarings on the generic kernel in a recycled matmul.Filtered
-// (one worker's scratch, two output slabs and two sets of row headers,
-// allocated once per pool), then one backing array of neighbors; an apsp
+// one-materialisation rule it was 3n+. A knearest query is one search per
+// row in a recycled search state (one worker's scratch, the arcs, an
+// answer slab and its row headers, allocated once per pool), then one
+// backing array of neighbors; an apsp
 // adds the estimate table, the through-sets transpose, the hitting-set
 // inputs and an MSSP, each one backing array and one set of headers - 2n+
 // allocations before the kernels stopped building anything per node.
@@ -445,17 +445,16 @@ func warmBytes(runs int, query func()) uint64 {
 // inverted index (4 + 4) make 24, the allocator's size classes the rest.
 // 224·n covers every n-sized vector (~80·n of row headers - table, W₂, both
 // set lists; ~40·n of pivots, counts and memberships; the hitting set's
-// own), 8 KiB what does not grow. The filtered squarings' two slabs, their
-// row headers, the worker scratch and the by-weight view come from a
-// recycled matmul.Filtered, and the MSSP planes from their pool, all warm.
-// Measured (least of five): 144 864 B besides the table at n = 256 and
-// 968 352 at n = 1024, which is 23.7·n·⌈√n⌉ + 187·n. A Filtered not given
-// back (two slabs at 24 per entry, a view at 20), a second W₂ or a
-// materialised through-sets product (16 bytes per touched cell, ~n² of
-// them) breaks it at n = 1024.
+// own), 8 KiB what does not grow. The k-nearest searches' answer slab,
+// its row headers, the arcs and the worker scratch come from a recycled
+// search state, and the MSSP planes from their pool, all warm. Measured
+// (least of five): 142 968 B besides the table at n = 256 and 967 352 at
+// n = 1024. A search state not given back (a slab at 24 per entry, arcs
+// at 16), a second W₂ or a materialised through-sets product (16 bytes per
+// touched cell, ~n² of them) breaks it at n = 1024.
 func TestAPSPKernelBytes(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under the race detector: the MSSP planes and the Filtered are not reliably warm")
+		t.Skip("sync.Pool drops Puts under the race detector: the MSSP planes and the search state are not reliably warm")
 	}
 	ctx := context.Background()
 	for _, n := range []int{256, 1024} {
@@ -537,15 +536,15 @@ func TestLentAnswerBytes(t *testing.T) {
 // TestKNearestKernelBytes pins what a warm direct-mode k-nearest query
 // allocates: the answer's own backing array (32 bytes per Neighbor, at most
 // n·k of them), its n list headers (n·27, as TestMSSPKernelBytes counts
-// them) and 4 KiB for what does not grow with n - measured, 389 192 bytes
-// at n = 1024, k = 11 against a budget of 392 192. The squarings' two
-// slabs, their row headers, the window offsets and the worker scratch come
-// from a recycled matmul.Filtered; one that is not given back (two slabs of
-// 32-byte routed entries, 64·n·k) breaks it, and so do per-product arenas,
-// scratch or a third slab.
+// them) and 4 KiB for what does not grow with n - measured, 388 408 bytes
+// at n = 1024, k = 11 against a budget of 392 192. The searches' answer
+// slab, its row headers, the arcs and the per-worker scratch come from a
+// recycled search state (disttools.KNearestLent); one that is not given
+// back (a slab of 32-byte routed entries, 32·n·k) breaks it, and so does
+// per-call n-sized scratch.
 func TestKNearestKernelBytes(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under the race detector: the Filtered is not reliably warm")
+		t.Skip("sync.Pool drops Puts under the race detector: the search state is not reliably warm")
 	}
 	ctx := context.Background()
 	for _, n := range []int{256, 1024} {
@@ -643,9 +642,9 @@ func TestDirectMSSPCancel(t *testing.T) {
 	})
 }
 
-// TestDirectKNearestCancel: the squaring loop polls once per product, and
-// a k-nearest query canceled at any of them hands out neither of its
-// slabs.
+// TestDirectKNearestCancel: the k-nearest search polls before its row
+// pass and once per block of rows, and a k-nearest query canceled at any
+// of them hands out nothing of its search state.
 func TestDirectKNearestCancel(t *testing.T) {
 	cancelAtEveryPoll(t, 3, func(ctx context.Context, eng *Engine) ([][]Neighbor, error) {
 		res, err := eng.KNearest(ctx, 9)
@@ -656,8 +655,8 @@ func TestDirectKNearestCancel(t *testing.T) {
 	})
 }
 
-// TestDirectAPSPCancel: an APSP polls on entry, once per squaring, once
-// before each through-sets fold and once per MSSP sweep - the unweighted
+// TestDirectAPSPCancel: an APSP polls on entry, through each k-nearest
+// search, once before each through-sets fold and once per MSSP sweep - the unweighted
 // variant twice over, on G and on G' - and the (3+ε) one skips the fold;
 // canceled at any of them it returns no table, releases the planes it
 // took, and the next APSP is a cold engine's.
@@ -675,9 +674,9 @@ func TestDirectAPSPCancel(t *testing.T) {
 	}
 }
 
-// TestDirectSSSPCancel: an exact SSSP polls on entry and once per
-// k-nearest squaring (the Bellman-Ford rounds that follow are not
-// polled); canceled at any of them it returns no distances.
+// TestDirectSSSPCancel: an exact SSSP polls on entry and through its
+// k-nearest search (the Bellman-Ford rounds that follow are not polled);
+// canceled at any of them it returns no distances.
 func TestDirectSSSPCancel(t *testing.T) {
 	cancelAtEveryPoll(t, 4, func(ctx context.Context, eng *Engine) (*SSSPResult, error) {
 		res, err := eng.SSSP(ctx, 7)
@@ -702,8 +701,8 @@ func TestDirectSourceDetectionCancel(t *testing.T) {
 	})
 }
 
-// TestDirectDiameterCancel: the §7.2 estimate polls on entry, once per
-// k-nearest squaring and once per sweep of each of its two MSSP stages;
+// TestDirectDiameterCancel: the §7.2 estimate polls on entry, through its
+// k-nearest search and once per sweep of each of its two MSSP stages;
 // canceled at any of them it returns no estimate and releases the stages'
 // planes.
 func TestDirectDiameterCancel(t *testing.T) {
