@@ -181,7 +181,7 @@ func (d *directExec) knearest(ctx context.Context, k int) (*matrix.Mat[semiring.
 func (d *directExec) sourceDetect(ctx context.Context, inS []bool, dHops, k int) (*matrix.Mat[semiring.WH], func(), Stats, error) {
 	var release func()
 	rows, stats, err := direct(ctx, d, func() (rows *matrix.Mat[semiring.WH], err error) {
-		rows, release, err = disttools.SourceDetectKLent[semiring.WH](ctx, d.g.AugSemiring(), d.weightMat(), inS, dHops, k, d.workers)
+		rows, release, err = disttools.SourceDetectKLent(ctx, d.g.AugSemiring(), d.weightMat(), inS, dHops, k, d.workers)
 		return rows, err
 	})
 	return rows, release, stats, err

@@ -3,20 +3,24 @@
 // per-node collectives, so the outputs are byte-identical rows for every
 // node (the oracle-equivalence guarantee of DESIGN.md §12). Detection and
 // distance through sets mirror their distributed siblings step by step -
-// same clamping, same iteration counts, same filter orders. k-nearest is
-// the one tool computed by another algorithm: ⌈log₂ k⌉ filtered squarings
-// return each row's k least entries over all walks, and a truncated
+// same clamping, same iteration counts, same filter orders; the filtered
+// products of (S,d,k)-detection run as sweeps of a k-wide rank panel
+// whose rows are the filtered iterates themselves. k-nearest is the one
+// tool computed by another algorithm: ⌈log₂ k⌉ filtered squarings return
+// each row's k least entries over all walks, and a truncated
 // lexicographic Dijkstra per row returns exactly those (nearest.go;
 // DESIGN.md §13, "the fast build path", exit 5). The ctx parameter is
-// checked between product iterations, and between row blocks of a
-// search: these are the long loops of direct preprocessing, and a
-// canceled caller unwinds within one multiply or one block.
+// checked between product iterations and sweeps, and between row blocks
+// of a search: these are the long loops of direct preprocessing, and a
+// canceled caller unwinds within one multiply, one sweep or one block.
 
 package disttools
 
 import (
 	"context"
+	"math/bits"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"github.com/congestedclique/ccsp/internal/matmul"
@@ -280,34 +284,284 @@ func SourceDetectAllRestricted(ctx context.Context, g *matrix.Mat[semiring.WH], 
 
 // SourceDetectKLent solves (S,d,k)-source detection (Theorem 19, first
 // variant) for every node at once: row v equals what SourceDetectK
-// returns at node v. It stops at the first fixed point of
-// u ← Filter(w·u, k), since w and k never change between steps. The
-// answer is lent, with a release like KNearestLent's; a caller that never
-// calls release owns the rows.
-func SourceDetectKLent[E any](ctx context.Context, sr semiring.Ordered[E], w *matrix.Mat[E], inS []bool, d, k, workers int) (_ *matrix.Mat[E], release func(), _ error) {
-	n := w.N
-	if k < 1 {
-		k = 1
+// returns at node v. The d-1 filtered products u ← Filter(w·u, k) run as
+// sweeps of a k-wide rank panel (kdetect) and stop at the first sweep
+// that changes no row, since w and k never change between steps; ctx is
+// polled once before each sweep. Values come back from their ranks, so
+// every hop count of an iterate must stay at most sr.MaxH - as it does
+// for a graph's weight matrix and d <= n. The answer is lent, with a
+// release like KNearestLent's; a caller that never calls release owns
+// the rows.
+func SourceDetectKLent(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], inS []bool, d, k, workers int) (_ *matrix.Mat[semiring.WH], release func(), _ error) {
+	p := takeKDetect(w.N)
+	rows, err := p.detect(ctx, sr, w, inS, d, max(1, min(k, w.N)), workers)
+	if err != nil {
+		p.release()
+		return nil, nil, err
 	}
-	if k > n {
-		k = n
+	return rows, p.release, nil
+}
+
+// kdetect is what successive (S, d, k)-source detections over n nodes
+// share: the source index of every column, the two slot planes the
+// iterates alternate between, the answer slab under its header and one
+// sweeper per pass worker. A released one waits in kdetects and the next
+// detection of the same n takes it over (DESIGN.md §13, "who owns which
+// slab, and for how long").
+type kdetect struct {
+	n, k  int
+	width int     // min(k, |S|): the slots a row of an iterate has room for
+	idx   []int32 // column → source index, -1 off S
+	srcs  []int32 // source index → column, ascending
+	u     [2]plane
+	out   *matrix.Mat[semiring.WH]
+	slab  []matrix.Entry[semiring.WH] // answer row v's window is [v·width, v·width + width)
+
+	mu    sync.Mutex
+	ws    []*sweeper
+	taken int // sweepers handed out in the running pass
+}
+
+// plane holds an iterate: row v is lens[v] slots from v·width on,
+// ascending by source index, kth[v] is its k-th rank once it holds k
+// slots, unreached before, and moved[v] reports whether it differs from
+// row v of the iterate before.
+type plane struct {
+	slots []slot
+	lens  []int32
+	kth   []int64
+	moved []bool
+	full  atomic.Bool // some row holds k slots
+}
+
+// row is row v of the iterate.
+func (u *plane) row(v, width int) []slot { return u.slots[v*width:][:u.lens[v]] }
+
+// slot is an entry of an iterate: the rank of node v's distance to source
+// j, and j.
+type slot struct {
+	rank int64
+	j    int32
+}
+
+// sweeper is one pass worker's scratch, sized by |S|: a rank accumulator
+// per source, at rest unreached, the bitmap of the sources a row reached,
+// the row built from them and the cutoff's rank scratch.
+type sweeper struct {
+	acc  []int64
+	mark []uint64
+	row  []slot
+	sel  []int64
+}
+
+var kdetects sync.Pool // of *kdetect
+
+// takeKDetect returns a released kdetect of n nodes, or a new one.
+func takeKDetect(n int) *kdetect {
+	if p, _ := kdetects.Get().(*kdetect); p != nil && p.n == n {
+		return p
 	}
-	// No iterate has an entry outside the source columns, so FilterCols
-	// gives rows room for the smaller of k and |S|, whatever k was asked.
-	f := matmul.NewFiltered(sr, n, k, workers)
-	u := f.FilterCols(w, inS)
+	return &kdetect{n: n, idx: make([]int32, n), out: matrix.New[semiring.WH](n)}
+}
+
+// release gives p back for a later detection to take over. Every row p
+// handed out is dead from then on, and so is p.
+func (p *kdetect) release() { kdetects.Put(p) }
+
+// worker hands the calling pass goroutine a sweeper of its own with room
+// for q sources.
+func (p *kdetect) worker(q int) *sweeper {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.taken == len(p.ws) {
+		p.ws = append(p.ws, new(sweeper))
+	}
+	s := p.ws[p.taken]
+	p.taken++
+	if len(s.acc) < q {
+		s.acc, s.mark = make([]int64, q), make([]uint64, (q+63)/64)
+		s.row, s.sel = make([]slot, 0, q), make([]int64, q)
+		for j := range s.acc {
+			s.acc[j] = unreached
+		}
+	}
+	return s
+}
+
+// grow returns b resized to n, reallocated only when too small.
+func grow[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
+}
+
+// detect computes U_1, the first k slots of every row of w restricted to
+// S, then sweeps until U_d or a fixed point, and decodes the last iterate
+// into the answer slab.
+func (p *kdetect) detect(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], inS []bool, d, k, workers int) (*matrix.Mat[semiring.WH], error) {
+	n := p.n
+	p.srcs = p.srcs[:0]
+	for v, in := range inS {
+		p.idx[v] = -1
+		if in {
+			p.idx[v] = int32(len(p.srcs))
+			p.srcs = append(p.srcs, int32(v))
+		}
+	}
+	q := len(p.srcs)
+	p.k, p.width = k, min(k, q)
+	for i := range p.u {
+		u := &p.u[i]
+		u.slots, u.lens, u.kth, u.moved = grow(u.slots, n*p.width), grow(u.lens, n), grow(u.kth, n), grow(u.moved, n)
+	}
+	p.u[0].full.Store(false)
+	p.pass(q, workers, func(s *sweeper, v int) {
+		row := s.row[:0]
+		for _, e := range w.Rows[v] {
+			if j := p.idx[e.Col]; j >= 0 {
+				row = append(row, slot{sr.Rank(e.Val), j})
+			}
+		}
+		p.put(s, &p.u[0], v, row)
+		p.u[0].moved[v] = true
+	})
+	cur, next := &p.u[0], &p.u[1]
 	for i := 1; i < d; i++ {
 		if err := ctx.Err(); err != nil {
-			f.Release()
-			return nil, nil, err
+			return nil, err
 		}
-		next := f.Mul(w, u)
-		if matrix.Equal[E](sr, next, u) {
+		if !p.sweep(sr, w, cur, next, q, workers) {
 			break
 		}
-		u = next
+		cur, next = next, cur
 	}
-	return u, f.Release, nil
+	p.slab = grow(p.slab, n*p.width)
+	m := sr.MaxH + 2 // Rank is W·(MaxH+2) + H
+	p.pass(q, workers, func(_ *sweeper, v int) {
+		p.out.Rows[v] = nil // the all-zero row
+		if got := cur.row(v, p.width); len(got) > 0 {
+			row := p.slab[v*p.width:][:len(got):len(got)]
+			for i, sl := range got {
+				wt := sl.rank / m
+				row[i] = matrix.Entry[semiring.WH]{Col: p.srcs[sl.j], Val: semiring.WH{W: wt, H: sl.rank - wt*m}}
+			}
+			p.out.Rows[v] = row
+		}
+	})
+	return p.out, nil
+}
+
+// pass runs row on every row on a row pass, each pass goroutine with a
+// sweeper of its own.
+func (p *kdetect) pass(q, workers int, row func(s *sweeper, v int)) {
+	p.taken = 0
+	matmul.RunRows(p.n, workers, func() func(int) {
+		s := p.worker(q)
+		return func(v int) { row(s, v) }
+	})
+}
+
+// sweep computes next = Filter(w·U, k) from cur = U and reports whether
+// any row moved. Row v of the product is a function of the rows of U its
+// arcs name alone, so while none of those moved it is row v of U again
+// and is copied, not computed.
+func (p *kdetect) sweep(sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], cur, next *plane, q, workers int) bool {
+	var changed atomic.Bool
+	next.full.Store(false)
+	full := cur.full.Load()
+	p.pass(q, workers, func(s *sweeper, v int) {
+		was := cur.row(v, p.width)
+		next.moved[v] = false
+		if !slices.ContainsFunc(w.Rows[v], func(e matrix.Entry[semiring.WH]) bool { return cur.moved[e.Col] }) {
+			p.put(s, next, v, was)
+			return
+		}
+		if got := p.put(s, next, v, s.gather(sr, w.Rows[v], cur, p.width, q, full)); !slices.Equal(got, was) {
+			next.moved[v] = true
+			if !changed.Load() {
+				changed.Store(true)
+			}
+		}
+	})
+	return changed.Load()
+}
+
+// gather returns row wrow·U unfiltered, ascending by source: for every
+// source j, the least rank sum rank(w(v,x)) + rank(U(x,j)), exactly the
+// rank of the product's value while hop counts stay at most MaxH. Once
+// some row of U is full it skips every sum above τ_v, the least
+// rank(w(v,x)) + kth(x) over full rows x: each proves k sources at or
+// below it, so nothing above τ_v survives the filter. Sums at τ_v are
+// kept, whatever their source, so the cutoff's lowest-source rule sees
+// every tie.
+func (s *sweeper) gather(sr semiring.AugMinPlus, wrow matrix.Row[semiring.WH], u *plane, width, q int, full bool) []slot {
+	tau := int64(unreached)
+	if full {
+		for _, e := range wrow {
+			if t := u.kth[e.Col]; t != unreached {
+				tau = min(tau, sr.Rank(e.Val)+t)
+			}
+		}
+	}
+	acc, mark := s.acc, s.mark[:(q+63)/64]
+	for _, e := range wrow {
+		a := sr.Rank(e.Val)
+		for _, sl := range u.row(int(e.Col), width) {
+			if c := a + sl.rank; c <= tau {
+				acc[sl.j] = min(acc[sl.j], c)
+				mark[sl.j>>6] |= 1 << (sl.j & 63)
+			}
+		}
+	}
+	row := s.row[:0]
+	for i, word := range mark {
+		for ; word != 0; word &= word - 1 {
+			j := int32(i<<6 | bits.TrailingZeros64(word))
+			row = append(row, slot{acc[j], j})
+			acc[j] = unreached
+		}
+		mark[i] = 0
+	}
+	return row
+}
+
+// put files row, ascending by source index, as row v of u: all of it when
+// it holds at most k slots, its Lemma 15 cutoff at k otherwise (every
+// slot ranked below the k-th rank, then the lowest tied sources). It
+// returns the filed row.
+func (p *kdetect) put(s *sweeper, u *plane, v int, row []slot) []slot {
+	kth := int64(unreached)
+	dst := u.slots[v*p.width:][:0:p.width]
+	if len(row) > p.k {
+		sel := s.sel[:len(row)]
+		for i, sl := range row {
+			sel[i] = sl.rank
+		}
+		cut, ties := matrix.Cutoff(sel, p.k)
+		for _, sl := range row {
+			if sl.rank < cut || sl.rank == cut && ties > 0 {
+				if sl.rank == cut {
+					ties--
+				}
+				dst = append(dst, sl)
+			}
+		}
+		kth = cut
+	} else {
+		dst = append(dst, row...)
+		if len(row) == p.k {
+			kth = 0
+			for _, sl := range row {
+				kth = max(kth, sl.rank)
+			}
+		}
+	}
+	u.lens[v], u.kth[v] = int32(len(dst)), kth
+	if kth != unreached && !u.full.Load() {
+		u.full.Store(true)
+	}
+	return dst
 }
 
 // FoldThroughSets solves distance-through-sets (Theorem 20) for every

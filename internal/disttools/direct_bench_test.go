@@ -2,6 +2,8 @@ package disttools
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"github.com/congestedclique/ccsp/internal/graphgen"
@@ -36,4 +38,37 @@ func benchKNearestAll[E any](b *testing.B, sr semiring.Ordered[E], w *matrix.Mat
 	s, r := SearchWork()
 	b.ReportMetric(float64(s-settled)/float64(b.N), "settled/op")
 	b.ReportMetric(float64(r-relaxed)/float64(b.N), "relaxations/op")
+}
+
+// BenchmarkSourceDetectK measures the direct (S, d, k)-source detection of
+// Theorem 19 (SourceDetectKLent, its answer given back after each call, as
+// a served source_detection query does) on the same graph family at
+// n = 1024 over |S| ∈ {32, 256, 1024}, d ∈ {4, 40} and k ∈ {4, 8, 32},
+// default worker pool. The sources are a fixed random subset. Run with
+// -benchmem.
+func BenchmarkSourceDetectK(b *testing.B) {
+	const n = 1024
+	g := graphgen.Connected(n, 3*n, graphgen.Weights{Max: 10}, int64(n)+17)
+	sr, w := g.AugSemiring(), g.WeightMatrix()
+	perm := rand.New(rand.NewSource(int64(n) + 19)).Perm(n)
+	for _, q := range []int{32, 256, 1024} {
+		inS := make([]bool, n)
+		for _, v := range perm[:q] {
+			inS[v] = true
+		}
+		for _, d := range []int{4, 40} {
+			for _, k := range []int{4, 8, 32} {
+				b.Run(fmt.Sprintf("S=%d/d=%d/k=%d", q, d, k), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						_, release, err := SourceDetectKLent(context.Background(), sr, w, inS, d, k, 0)
+						if err != nil {
+							b.Fatal(err)
+						}
+						release()
+					}
+				})
+			}
+		}
+	}
 }

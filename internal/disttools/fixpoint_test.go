@@ -22,7 +22,7 @@ import (
 // sparse and dense, a long path (converges late), a disconnected graph
 // (rows that never fill up to k), zero-weight edges (a lighter node can
 // sit more hops away) and paths and a star whose every edge is the
-// heaviest the engine admits (keys at the top of the packed range).
+// heaviest the engine admits (ranks at the top of their range).
 // TestKNearestAllFixpointEquivalence adds the §6.3 subgraph G' of each.
 func fixpointGraphs() map[string]*graph.Graph {
 	path := graph.New(33)
@@ -183,7 +183,7 @@ func TestSourceDetectKAllFixpointEquivalence(t *testing.T) {
 				for _, k := range []int{1, 3, g.N} {
 					want := sourceDetectKAllRef[semiring.WH](sr, w, inS, d, k)
 					for _, workers := range []int{1, 0} {
-						got, release, err := SourceDetectKLent[semiring.WH](context.Background(), sr, w, inS, d, k, workers)
+						got, release, err := SourceDetectKLent(context.Background(), sr, w, inS, d, k, workers)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -251,4 +251,84 @@ func FuzzKNearest(f *testing.F) {
 			sameRows(t, fmt.Sprintf("WHF k=%d workers=%d", kk, workers), gotR, knearestAllRef[semiring.WHF](g.RoutedSemiring(), wr, kk))
 		}
 	})
+}
+
+// FuzzSourceDetectK holds the (S, d, k)-source detection panel to all d-1
+// filtered products on random small graphs: weights drawn from {0, 1, 2},
+// from 1..9, or all graph.MaxWeightFor(n), a random source set, d below
+// the graph's hop diameter (so the hop budget binds: some row misses a
+// source it would reach with more hops), k on both sides of |S|, and
+// workers 1 and 0.
+func FuzzSourceDetectK(f *testing.F) {
+	for _, seed := range []struct {
+		seed             int64
+		n, k, d, weights uint8
+		sources          uint16
+	}{
+		{1, 12, 2, 3, 0, 0x0f0f}, {2, 20, 7, 5, 1, 0x0003}, {3, 30, 30, 9, 2, 0xffff}, {4, 40, 4, 200, 1, 0x8421}, {5, 1, 1, 1, 0, 1}, {6, 33, 3, 17, 0, 0x0100},
+	} {
+		f.Add(seed.seed, seed.n, seed.k, seed.d, seed.weights, seed.sources)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n, k, d, weights uint8, sources uint16) {
+		size := int(n)%48 + 1
+		rng := rand.New(rand.NewSource(seed))
+		g := graph.New(size)
+		weight := func() int64 {
+			switch weights % 3 {
+			case 0:
+				return rng.Int63n(3)
+			case 1:
+				return rng.Int63n(9) + 1
+			default:
+				return graph.MaxWeightFor(size)
+			}
+		}
+		for v := 1; v < size; v++ { // a tree, then a few more edges: long hop paths
+			g.MustAddEdge(v, rng.Intn(v), weight())
+		}
+		for e := rng.Intn(size); e > 0; e-- {
+			if u, v := rng.Intn(size), rng.Intn(size); u != v {
+				g.MustAddEdge(u, v, weight())
+			}
+		}
+		inS := make([]bool, size)
+		for v := range inS {
+			inS[v] = sources&(1<<(v%16)) != 0 && rng.Intn(2) == 0
+		}
+		dd := 1 + int(d)%max(1, hopDiameter(g)-1)
+		kk := int(k)%(size+1) + 1
+		sr, w := g.AugSemiring(), g.WeightMatrix()
+		want := sourceDetectKAllRef[semiring.WH](sr, w, inS, dd, kk)
+		for _, workers := range []int{1, 0} {
+			got, release, err := SourceDetectKLent(context.Background(), sr, w, inS, dd, kk, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRows(t, fmt.Sprintf("n=%d d=%d k=%d workers=%d", size, dd, kk, workers), got, want)
+			release()
+		}
+	})
+}
+
+// hopDiameter is the most hops a least-hop path of g takes, over all
+// connected pairs.
+func hopDiameter(g *graph.Graph) int {
+	diam, hops := 0, make([]int, g.N)
+	for s := 0; s < g.N; s++ {
+		for v := range hops {
+			hops[v] = -1
+		}
+		hops[s] = 0
+		for queue := []int{s}; len(queue) > 0; queue = queue[1:] {
+			u := queue[0]
+			diam = max(diam, hops[u])
+			for _, e := range g.Adj[u] {
+				if hops[e.To] < 0 {
+					hops[e.To] = hops[u] + 1
+					queue = append(queue, int(e.To))
+				}
+			}
+		}
+	}
+	return diam
 }

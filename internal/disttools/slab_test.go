@@ -13,6 +13,7 @@ import (
 	"unsafe"
 
 	"github.com/congestedclique/ccsp/internal/cc"
+	"github.com/congestedclique/ccsp/internal/matmul"
 	"github.com/congestedclique/ccsp/internal/matrix"
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
@@ -131,7 +132,7 @@ func TestSourceDetectKAllBytesFollowSources(t *testing.T) {
 	var got *matrix.Mat[semiring.WH]
 	bytes := allocatedBy(func() {
 		var err error
-		if got, _, err = SourceDetectKLent[semiring.WH](context.Background(), sr, w, inS, 6, n, 1); err != nil {
+		if got, _, err = SourceDetectKLent(context.Background(), sr, w, inS, 6, n, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -241,6 +242,176 @@ func checkKNearestLentCancel[E comparable](t *testing.T, name string, sr semirin
 			if !raceEnabled && bytes >= slab {
 				t.Errorf("%s workers=%d: every search after a cancel at poll %d allocated a slab (%d bytes, a slab is %d): the canceled ones kept their state", name, workers, p, bytes, slab)
 			}
+		}
+	}
+}
+
+// sweepsRef is how many sweeps SourceDetectKLent runs, one poll each: the
+// d-1 products, or fewer when a product changes nothing.
+func sweepsRef(sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], inS []bool, d, k int) int64 {
+	u := sourceDetectKAllRef[semiring.WH](sr, w, inS, 1, k)
+	sweeps := int64(0)
+	for i := 1; i < d; i++ {
+		sweeps++
+		next := matmul.KernelMulFilteredGeneric[semiring.WH](sr, w, u, k, 1)
+		if matrix.Equal[semiring.WH](sr, next, u) {
+			break
+		}
+		u = next
+	}
+	return sweeps
+}
+
+// TestSourceDetectKLentCancel: a detection polls once before each sweep,
+// and canceled at any of those polls it polls no more, returns
+// context.Canceled with neither rows nor release, and has given its state
+// back - the next detection takes a state over instead of allocating an
+// answer slab - and answers exactly what the d-1 products do. The
+// hand-over gets a few tries, as in TestKNearestLentCancel; the bytes are
+// checked without -race. Run under -race too.
+func TestSourceDetectKLentCancel(t *testing.T) {
+	g := randGraph(100, 40, 9, 33)
+	sr, w := g.AugSemiring(), g.WeightMatrix()
+	inS := make([]bool, g.N)
+	for _, v := range rand.New(rand.NewSource(7)).Perm(g.N)[:20] {
+		inS[v] = true
+	}
+	const d, k = 30, 4
+	cold := sourceDetectKAllRef[semiring.WH](sr, w, inS, d, k)
+	slab := uint64(g.N*k) * uint64(unsafe.Sizeof(matrix.Entry[semiring.WH]{}))
+	for _, workers := range []int{1, 0} {
+		full := &pollCtx{Context: context.Background(), k: math.MaxInt64}
+		_, release, err := SourceDetectKLent(full, sr, w, inS, d, k, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+		polls := full.calls.Load()
+		if want := sweepsRef(sr, w, inS, d, k); polls != want || polls < 3 {
+			t.Fatalf("workers=%d: a full detection polled %d times, want one per sweep: %d (at least 3)", workers, polls, want)
+		}
+		for p := int64(1); p <= polls; p++ {
+			var bytes uint64
+			for try := 0; try < 4 && (try == 0 || bytes >= slab); try++ {
+				ctx := &pollCtx{Context: context.Background(), k: p}
+				rows, release, err := SourceDetectKLent(ctx, sr, w, inS, d, k, workers)
+				if !errors.Is(err, context.Canceled) || rows != nil || release != nil {
+					t.Fatalf("workers=%d: canceled at poll %d of %d: got (%v, %v), want context.Canceled and nothing else", workers, p, polls, rows != nil, err)
+				}
+				if c := ctx.calls.Load(); c != p {
+					t.Fatalf("workers=%d: canceled at poll %d of %d, the detection polled %d times", workers, p, polls, c)
+				}
+				var next *matrix.Mat[semiring.WH]
+				bytes = allocatedBy(func() {
+					if next, release, err = SourceDetectKLent(context.Background(), sr, w, inS, d, k, workers); err != nil {
+						t.Fatal(err)
+					}
+				})
+				sameRows(t, fmt.Sprintf("workers=%d after a cancel at poll %d", workers, p), next, cold)
+				release()
+			}
+			if !raceEnabled && bytes >= slab {
+				t.Errorf("workers=%d: every detection after a cancel at poll %d allocated a slab (%d bytes, a slab is %d): the canceled ones kept their state", workers, p, bytes, slab)
+			}
+		}
+	}
+}
+
+// lentDetections builds the graph and the three source sets (|S| = 2, 20,
+// n) the lent-answer tests detect on, and a run that detects at one step,
+// checks it against the reference and returns its answer header and
+// release.
+func lentDetections(t *testing.T) (n int, run func(workers, set, d, k int) (*matrix.Mat[semiring.WH], func())) {
+	g := randGraph(3*pollRows+5, 150, 9, 35)
+	sr, w := g.AugSemiring(), g.WeightMatrix()
+	rng := rand.New(rand.NewSource(9))
+	sets := make([][]bool, 3)
+	for i, q := range []int{2, 20, g.N} {
+		sets[i] = make([]bool, g.N)
+		for _, v := range rng.Perm(g.N)[:q] {
+			sets[i][v] = true
+		}
+	}
+	return g.N, func(workers, set, d, k int) (*matrix.Mat[semiring.WH], func()) {
+		t.Helper()
+		got, release, err := SourceDetectKLent(context.Background(), sr, w, sets[set], d, k, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, fmt.Sprintf("workers=%d |S| set %d d=%d k=%d", workers, set, d, k), got, sourceDetectKAllRef[semiring.WH](sr, w, sets[set], d, k))
+		return got, release
+	}
+}
+
+// TestSourceDetectKLentLifetime: a lent answer stays intact, and its rows
+// capacity-clipped, until it is released, whatever other detections run
+// meanwhile, and no detection takes over the state of an answer still
+// lent. Run under -race: the rows of one sweep are written by several
+// workers.
+func TestSourceDetectKLentLifetime(t *testing.T) {
+	n, run := lentDetections(t)
+	for _, workers := range []int{1, 2, 4, 0} {
+		held, releaseHeld := run(workers, 1, 6, 5)
+		heldRows := make([]matrix.Row[semiring.WH], held.N)
+		for v, r := range held.Rows {
+			heldRows[v] = slices.Clone(r)
+		}
+		for _, step := range [][3]int{{2, 9, n}, {1, 3, 1}, {0, 9, 3}, {2, 2, 7}} {
+			got, release := run(workers, step[0], step[1], step[2])
+			if got == held {
+				t.Fatalf("workers=%d: a detection took over the state of an answer still lent", workers)
+			}
+			release()
+		}
+		sameRows(t, fmt.Sprintf("workers=%d: the held answer after later detections", workers), held, &matrix.Mat[semiring.WH]{N: held.N, Rows: heldRows})
+		for v := 0; v+1 < held.N; v++ {
+			if len(held.Rows[v]) > 0 && cap(held.Rows[v]) != len(held.Rows[v]) {
+				t.Fatalf("workers=%d: row %d has capacity %d past its %d entries", workers, v, cap(held.Rows[v]), len(held.Rows[v]))
+			}
+			_ = append(held.Rows[v], matrix.Entry[semiring.WH]{Col: -7})
+		}
+		sameRows(t, fmt.Sprintf("workers=%d: the held answer after appends to its rows", workers), held, &matrix.Mat[semiring.WH]{N: held.N, Rows: heldRows})
+		releaseHeld()
+	}
+}
+
+// TestSourceDetectKLentRecycled: a released state taken over by the next
+// detection of its n answers exactly what the d-1 products do, whatever
+// the last user's k, |S| and d - the slot width a narrow detection left
+// does not stay narrow - and whatever worker count either ran at: one
+// released at workers 4 is taken over at 1 and one released at 1 at 4.
+// Taking over shows as the same answer header. Run under -race: the rows
+// of one sweep are written by several workers.
+func TestSourceDetectKLentRecycled(t *testing.T) {
+	n, run := lentDetections(t)
+	for _, workers := range []int{1, 2, 4, 0} {
+		var last *matrix.Mat[semiring.WH]
+		reused := 0
+		for _, step := range [][3]int{{1, 6, 5}, {2, 9, n}, {1, 3, 1}, {0, 9, 3}, {2, 2, 7}, {1, 9, n}, {0, 6, 2}} {
+			got, release := run(workers, step[0], step[1], step[2])
+			if got == last {
+				reused++
+			}
+			release()
+			last = got
+		}
+		if !raceEnabled && reused == 0 {
+			t.Errorf("workers=%d: no detection took over a released state", workers)
+		}
+	}
+	// Across worker counts. The pool may miss a Put (under -race it drops
+	// a share of them), so each hand-over gets a few tries.
+	for _, counts := range [][2]int{{4, 1}, {1, 4}} {
+		taken := false
+		for try := 0; try < 20 && !taken; try++ {
+			released, release := run(counts[0], 2, 9, 3)
+			release()
+			got, release := run(counts[1], 1, 4, 6)
+			taken = got == released
+			release()
+		}
+		if !taken {
+			t.Errorf("no detection at workers %d took over a state released at %d", counts[1], counts[0])
 		}
 	}
 }

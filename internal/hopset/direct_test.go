@@ -174,7 +174,7 @@ func encoded(a *Artifact) []byte {
 // buildCases are the graphs and presets the build oracles run over:
 // weighted, unit-weight, tree, path and disconnected graphs, zero-weight
 // edges and a path whose every edge is the heaviest graph.MaxWeightFor
-// admits (packed keys at the top of their range); Paper runs
+// admits (ranks at the top of their range); Paper runs
 // the level loop at d = n, Practical well below it, a small K makes A_1
 // large, a hop cap makes each level build on the last and one shallow
 // level makes the clique edges depend on ε.

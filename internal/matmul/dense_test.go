@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"github.com/congestedclique/ccsp/internal/graph"
 	"github.com/congestedclique/ccsp/internal/matrix"
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
@@ -114,11 +113,9 @@ func TestKernelMulWHDensityPaths(t *testing.T) {
 	}
 }
 
-// TestKernelMulFilteredWHEquivalence: the specialized filtered kernel
-// equals Filter ∘ MulRef via the generic filtered reference, for random
-// shapes, filter sizes, and worker counts (including rho >= row length,
-// where FilterRow returns its input - the arena must still copy it out
-// of the reused row buffer).
+// TestKernelMulFilteredWHEquivalence: the augmented filtered product
+// equals Filter ∘ MulRef for random shapes, filter sizes, and worker
+// counts (including rho >= row length, where FilterRow returns its input).
 func TestKernelMulFilteredWHEquivalence(t *testing.T) {
 	sr := semiring.NewAugMinPlus(1<<30, 1<<16)
 	prop := func(seed int64, nRaw, dRaw, rhoRaw uint8) bool {
@@ -127,14 +124,10 @@ func TestKernelMulFilteredWHEquivalence(t *testing.T) {
 		rho := int(rhoRaw)%n + 1
 		s := randMatWH(n, d, seed+1000)
 		tm := randMatWH(n, d, seed+1001)
-		want := KernelMulFilteredGeneric[semiring.WH](sr, s, tm, rho, 1)
+		want := matrix.Filter[semiring.WH](sr, matrix.MulRef[semiring.WH](sr, s, tm), rho)
 		for _, workers := range []int{1, 2, 3, 8} {
 			if !sameMatWH(t, KernelMulFilteredWH(sr, s, tm, rho, workers), want, "filtered") {
 				t.Logf("workers=%d differs (n=%d rho=%d)", workers, n, rho)
-				return false
-			}
-			if !sameMatWH(t, NewFiltered[semiring.WH](sr, s.N, rho, workers).Mul(s, tm), want, "filtered dispatch") {
-				t.Logf("dispatch workers=%d differs (n=%d rho=%d)", workers, n, rho)
 				return false
 			}
 		}
@@ -170,47 +163,5 @@ func TestKernelMulWHSaturation(t *testing.T) {
 	want := KernelMulGeneric[semiring.WH](sr, s, tm, 1)
 	if !sameMatWH(t, KernelMulWH(s, tm, 1), want, "saturation") {
 		t.Fatal("saturating products handled differently from generic kernel")
-	}
-}
-
-// TestAugSemiringPacks: the packed keys of the filtered kernel fit every
-// semiring the engine sizes - graph.AugSemiring of a graph on n nodes
-// whose heaviest edge is graph.MaxWeightFor(n) - at n = 1…64 and every
-// power of two up to 2^20 (1024 among them), and every semiring
-// semiring.NewAugMinPlus admits at its largest weight; so their products
-// take the packed kernel. A box too large to pack - MaxW = Inf, the
-// saturation cases of TestKernelMulFilteredOnTheBound - takes the generic
-// one.
-func TestAugSemiringPacks(t *testing.T) {
-	var sizes []int
-	for n := 1; n <= 64; n++ {
-		sizes = append(sizes, n)
-	}
-	for n := 128; n <= 1<<20; n *= 2 {
-		sizes = append(sizes, n)
-	}
-	var srs []semiring.AugMinPlus
-	for _, n := range sizes {
-		// AugSemiring reads only N and the heaviest edge.
-		g := &graph.Graph{N: n, Adj: [][]graph.Edge{{{W: graph.MaxWeightFor(n)}}}}
-		srs = append(srs, g.AugSemiring())
-	}
-	for _, maxH := range []int64{1, 2, 3, 8, 1000, 1 << 20, 1 << 40} {
-		srs = append(srs, semiring.NewAugMinPlus(semiring.Inf/(maxH+2)-2, maxH))
-	}
-	for _, sr := range srs {
-		m, ok := keyBase(sr)
-		if !ok || m != 2*sr.MaxH+1 {
-			t.Fatalf("MaxW=%d MaxH=%d: keys do not pack (M=%d, ok=%v)", sr.MaxW, sr.MaxH, m, ok)
-		}
-		if top := sr.MaxW*m + sr.MaxH; top > (1<<62-1)/2 || 2*sr.MaxW >= semiring.Inf {
-			t.Fatalf("MaxW=%d MaxH=%d: two keys of the box sum past 2^62 or to a weight of Inf", sr.MaxW, sr.MaxH)
-		}
-	}
-	if !NewFiltered[semiring.WH](srs[len(sizes)-1], 8, 3, 1).wh() {
-		t.Error("the semiring of n = 2^20 at its heaviest weight does not take the packed kernel")
-	}
-	if NewFiltered[semiring.WH](semiring.AugMinPlus{MaxW: semiring.Inf, MaxH: 4}, 8, 3, 1).wh() {
-		t.Error("AugMinPlus{MaxW: Inf} takes the packed kernel: its keys do not fit")
 	}
 }

@@ -4,11 +4,14 @@
 // direct execution mode of DESIGN.md §12 - the same products can be
 // computed on flat, cache-blocked matrices with a worker pool and zero
 // message construction. KernelMul is row-for-row equal to matrix.MulRef
-// (and therefore to the distributed Multiply), and Filtered.Mul equals
-// matrix.Filter ∘ matrix.MulRef (and therefore MultiplyFiltered):
-// rows are independent, the scratch accumulators replicate MulRef's
-// accumulation exactly, and semiring addition is commutative, so the
-// output is byte-identical for every worker count.
+// (and therefore to the distributed Multiply), and the reference
+// KernelMulFilteredGeneric equals matrix.Filter ∘ matrix.MulRef (and
+// therefore MultiplyFiltered): rows are independent, the scratch
+// accumulators replicate MulRef's accumulation exactly, and semiring
+// addition is commutative, so the output is byte-identical for every
+// worker count. No direct path multiplies filtered matrices: the
+// filtered products of Theorems 18 and 19 run as a search per row and a
+// rank panel in internal/disttools (DESIGN.md §13).
 package matmul
 
 import (
@@ -135,14 +138,13 @@ func (a *rowArena[E]) place(src []matrix.Entry[E]) matrix.Row[E] {
 }
 
 // genWorker is one generic-kernel worker's reusable scratch: MulRef's
-// column accumulators and first-touch list, the row build buffer the
-// product row lives in, and the filter's rank scratch.
+// column accumulators and first-touch list, and the row build buffer the
+// product row lives in.
 type genWorker[E any] struct {
 	acc     []E
 	hit     []bool
 	touched []int32
 	rowBuf  []matrix.Entry[E]
-	ranks   []int64
 }
 
 func newGenWorker[E any](n int) *genWorker[E] {
@@ -187,38 +189,6 @@ func (wk *genWorker[E]) mulRow(sr semiring.Semiring[E], srow matrix.Row[E], t *m
 	}
 	wk.touched, wk.rowBuf = tch, buf
 	return buf
-}
-
-// genKernel computes the rows of successive ρ-filtered products for a
-// Filtered (kernel_filtered.go) with the generic reference accumulation,
-// keeping every pass worker's scratch from one product to the next.
-type genKernel[E any] struct {
-	sr     semiring.Ordered[E]
-	n, rho int
-	ws     []*genWorker[E]
-}
-
-func (k *genKernel[E]) begin(*matrix.Mat[E], int, func(func(worker, row int))) {}
-
-func (k *genKernel[E]) reset(sr semiring.Ordered[E], rho int) { k.sr, k.rho = sr, rho }
-
-func (k *genKernel[E]) fit(workers int) { k.ws = fitSlots(k.ws, workers) }
-
-func (k *genKernel[E]) row(w int, srow matrix.Row[E], t *matrix.Mat[E], dst matrix.Row[E]) matrix.Row[E] {
-	if k.ws[w] == nil {
-		k.ws[w] = newGenWorker[E](k.n)
-	}
-	wk := k.ws[w]
-	return matrix.FilterRowAppend(k.sr, dst, wk.mulRow(k.sr, srow, t), k.rho, &wk.ranks)
-}
-
-// fitSlots grows a kernel's per-worker scratch slots to workers, keeping
-// the ones it has.
-func fitSlots[W any](ws []*W, workers int) []*W {
-	if len(ws) < workers {
-		ws = append(ws, make([]*W, workers-len(ws))...)
-	}
-	return ws
 }
 
 // productsAccumulated counts the semiring products the host-side kernels
@@ -291,10 +261,11 @@ func FoldMinPlus[E any](rows [][]int64, s *matrix.Mat[E], w func(E) int64, t *ma
 	})
 }
 
-// KernelMulFilteredGeneric is the generic reference filtered kernel; see
-// KernelMulGeneric. It is one product on an unreleased Filtered
-// (kernel_filtered.go) held to the generic row path over every semiring,
-// the augmented one included.
+// KernelMulFilteredGeneric is the reference ρ-filtered product
+// Filter(S·T, ρ) on the host: KernelMulGeneric, each row then filtered
+// to its ρ smallest entries under the (Rank, column) order of §2.2. It
+// equals matrix.Filter ∘ matrix.MulRef, and therefore the distributed
+// MultiplyFiltered, at every worker count.
 func KernelMulFilteredGeneric[E any](sr semiring.Ordered[E], s, t *matrix.Mat[E], rho, workers int) *matrix.Mat[E] {
-	return newFiltered(sr, s.N, rho, workers, false).Mul(s, t)
+	return matrix.Filter(sr, KernelMulGeneric(sr, s, t, workers), rho)
 }

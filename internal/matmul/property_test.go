@@ -203,7 +203,7 @@ func TestKernelMulEquivalence(t *testing.T) {
 	}
 }
 
-// TestKernelMulFilteredEquivalence: the filtered kernel equals
+// TestKernelMulFilteredEquivalence: the reference filtered kernel equals
 // Filter ∘ MulRef - the same identity MultiplyFiltered satisfies
 // (Theorem 14's output contract) - for every worker count.
 func TestKernelMulFilteredEquivalence(t *testing.T) {
@@ -216,7 +216,7 @@ func TestKernelMulFilteredEquivalence(t *testing.T) {
 		tm := randMat(n, d, seed+501)
 		want := matrix.Filter[int64](sr, matrix.MulRef[int64](sr, s, tm), rho)
 		for _, workers := range []int{1, 3, 8} {
-			if !matrix.Equal[int64](sr, NewFiltered[int64](sr, s.N, rho, workers).Mul(s, tm), want) {
+			if !matrix.Equal[int64](sr, KernelMulFilteredGeneric[int64](sr, s, tm, rho, workers), want) {
 				t.Logf("workers=%d differs (n=%d rho=%d)", workers, n, rho)
 				return false
 			}

@@ -123,14 +123,7 @@ func FilterRowAppend[E any](sr semiring.Ordered[E], dst, r Row[E], rho int, rank
 		rank[i] = sr.Rank(e.Val)
 	}
 	copy(sel, rank)
-	selectNth(sel, rho-1)
-	cut := sel[rho-1]
-	ties := rho // entries ranked exactly cut that still fit
-	for _, rk := range sel[:rho-1] {
-		if rk < cut {
-			ties--
-		}
-	}
+	cut, ties := Cutoff(sel, rho)
 	for i, rk := range rank {
 		if rk < cut {
 			dst = append(dst, r[i])
@@ -140,6 +133,22 @@ func FilterRowAppend[E any](sr semiring.Ordered[E], dst, r Row[E], rho int, rank
 		}
 	}
 	return dst
+}
+
+// Cutoff returns the Lemma 15 cutoff of ranks at rho, for
+// 1 <= rho < len(ranks): cut is the rho-th smallest rank, and a filter to
+// rho keeps every entry ranked below cut and then the ties entries of rank
+// cut in the lowest columns. It permutes ranks, which is the caller's
+// scratch.
+func Cutoff(ranks []int64, rho int) (cut int64, ties int) {
+	selectNth(ranks, rho-1)
+	cut, ties = ranks[rho-1], rho
+	for _, rk := range ranks[:rho-1] {
+		if rk < cut {
+			ties--
+		}
+	}
+	return cut, ties
 }
 
 // selectNth permutes a so that a[k] is what sorting a would put there,
