@@ -64,22 +64,24 @@ func lowDegree(w *matrix.Mat[semiring.WH], degs []int64) *matrix.Mat[semiring.WH
 	return low
 }
 
-// artifactMats returns the artifact's cached query matrices: the weight
-// matrix the artifact was built on (G, or the low-degree subgraph G' for
-// artLowDegree, reconstructed from the entry's degs vector exactly as the
-// build did) and the merged G ∪ H matrix the β-hop detections run over. Built once
-// per entry under its sync.Once - also for entries restored from a
-// snapshot - and immutable afterwards, so every query after the first
-// skips the O(n·deg) merge entirely (DESIGN.md §13).
-func (d *directExec) artifactMats(variant artVariant, ent *artifactEntry) (base, gh *matrix.Mat[semiring.WH]) {
-	ent.ghOnce.Do(func() {
-		ent.base = d.weightMat()
-		if variant == artLowDegree {
-			ent.base = lowDegree(ent.base, ent.degs)
-		}
-		ent.gh = mssp.MergeGHWorkers(d.g.AugSemiring(), ent.base, ent.art, d.workers)
-	})
-	return ent.base, ent.gh
+// attach derives the entry's query matrices before it is published: the
+// weight matrix the artifact was built on (G, or the low-degree subgraph
+// G' for artLowDegree, reconstructed from the entry's degs vector exactly
+// as the build did) and the G ∪ H overlay the β-hop detections run over,
+// which re-points the artifact's rows into its own (DESIGN.md §13, "One
+// copy of G ∪ H"). A sibling on G lends the overlay every row the two
+// artifacts share; a G' entry never takes one, as its base is its own.
+func (d *directExec) attach(variant artVariant, ent, sib *artifactEntry) {
+	ent.base = d.weightMat()
+	if variant == artLowDegree {
+		ent.base, sib = lowDegree(ent.base, ent.degs), nil
+	}
+	var sibArt *hopset.Artifact
+	var sibGH *matrix.Mat[semiring.WH]
+	if sib != nil {
+		sibArt, sibGH = sib.art, sib.gh
+	}
+	ent.gh = mssp.OverlayGH(ent.base, ent.art, sibArt, sibGH, d.workers)
 }
 
 // direct is the frame around every kernel call: refuse a context that is
@@ -103,7 +105,11 @@ func direct[T any](ctx context.Context, d *directExec, kernel func() (T, error))
 	}, err
 }
 
-func (d *directExec) build(ctx context.Context, key artifactKey, sib *hopset.Artifact) (*hopset.Artifact, []int64, Stats, error) {
+func (d *directExec) build(ctx context.Context, key artifactKey, sib *artifactEntry) (*hopset.Artifact, []int64, Stats, error) {
+	var sibArt *hopset.Artifact
+	if sib != nil {
+		sibArt = sib.art
+	}
 	var degs []int64
 	art, stats, err := direct(ctx, d, func() (*hopset.Artifact, error) {
 		w := d.weightMat()
@@ -114,7 +120,7 @@ func (d *directExec) build(ctx context.Context, key artifactKey, sib *hopset.Art
 			}
 			w = lowDegree(w, degs)
 		}
-		return hopset.BuildDirectFrom(ctx, d.g.AugSemiring(), w, key.params, sib, d.workers)
+		return hopset.BuildDirectFrom(ctx, d.g.AugSemiring(), w, key.params, sibArt, d.workers)
 	})
 	return art, degs, stats, err
 }
@@ -124,8 +130,7 @@ func (d *directExec) build(ctx context.Context, key artifactKey, sib *hopset.Art
 // copied.
 func (d *directExec) mssp(ctx context.Context, ent *artifactEntry, inS []bool) ([]int64, Stats, error) {
 	return direct(ctx, d, func() ([]int64, error) {
-		_, gh := d.artifactMats(artFull, ent)
-		p, err := mssp.RunDirectPanel(ctx, gh, ent.art.Beta, inS, d.workers)
+		p, err := mssp.RunDirectPanel(ctx, ent.gh, ent.art.Beta, inS, d.workers)
 		if err != nil {
 			return nil, err
 		}
@@ -147,23 +152,20 @@ func (d *directExec) sssp(ctx context.Context, source int) ([]int64, int, Stats,
 func (d *directExec) apsp(ctx context.Context, v api.APSPVariant, entG, entLow *artifactEntry) ([]int64, Stats, error) {
 	return direct(ctx, d, func() ([]int64, error) {
 		sr, w := d.g.AugSemiring(), d.weightMat()
-		_, ghG := d.artifactMats(artFull, entG)
 		switch v {
 		case api.APSPWeighted:
-			return apsp.TwoPlusEpsWeightedDirect(ctx, sr, w, ghG, entG.art.Beta, d.workers)
+			return apsp.TwoPlusEpsWeightedDirect(ctx, sr, w, entG.gh, entG.art.Beta, d.workers)
 		case api.APSPWeighted3:
-			return apsp.ThreePlusEpsDirect(ctx, sr, w, ghG, entG.art.Beta, d.workers)
+			return apsp.ThreePlusEpsDirect(ctx, sr, w, entG.gh, entG.art.Beta, d.workers)
 		default:
-			low, ghLow := d.artifactMats(artLowDegree, entLow)
-			return apsp.TwoPlusEpsUnweightedDirect(ctx, sr, w, ghG, entG.art.Beta, low, ghLow, entLow.art.Beta, d.workers)
+			return apsp.TwoPlusEpsUnweightedDirect(ctx, sr, w, entG.gh, entG.art.Beta, entLow.base, entLow.gh, entLow.art.Beta, d.workers)
 		}
 	})
 }
 
 func (d *directExec) diameter(ctx context.Context, ent *artifactEntry) (int64, Stats, error) {
 	return direct(ctx, d, func() (int64, error) {
-		_, gh := d.artifactMats(artFull, ent)
-		return diameter.ApproxDirect(ctx, d.g.AugSemiring(), d.weightMat(), gh, ent.art.Beta, d.workers)
+		return diameter.ApproxDirect(ctx, d.g.AugSemiring(), d.weightMat(), ent.gh, ent.art.Beta, d.workers)
 	})
 }
 

@@ -122,13 +122,14 @@ type artifactEntry struct {
 	stats Stats
 
 	// directExec's query matrices derived from the artifact (DESIGN.md
-	// §13), built once on first direct query and immutable afterwards:
-	// base is the weight matrix the artifact was built on (G itself, or
-	// the low-degree subgraph G' for artLowDegree) and gh is base merged
-	// with the hopset rows (G ∪ H). Unused by simExec.
-	ghOnce sync.Once
-	base   *matrix.Mat[semiring.WH]
-	gh     *matrix.Mat[semiring.WH]
+	// §13, "One copy of G ∪ H"), set by attach before the entry is
+	// published and immutable afterwards: base is the weight matrix the
+	// artifact was built on (G itself, or the low-degree subgraph G' for
+	// artLowDegree) and gh is mssp.OverlayGH's G ∪ H, row v the hopset row
+	// then the base entries it does not dominate. art.Rows[v] is the
+	// leading window of gh.Rows[v], so H is held once. Unused by simExec.
+	base *matrix.Mat[semiring.WH]
+	gh   *matrix.Mat[semiring.WH]
 }
 
 // NewEngine validates the input and runs the preprocessing: one simulator
@@ -262,30 +263,34 @@ func (e *Engine) build(ctx context.Context, key artifactKey, call *buildCall) {
 
 // buildArtifact runs the preprocessing for one artifact: the hopset
 // construction of §4 (plus, for the low-degree variant, the degree vector
-// that defines G'). The entry is byte-identical whichever executor built
-// it, and whether or not it had a sibling; only its stats differ (rounds,
-// or wall-clock for the kernels).
+// that defines G'), then the executor's attach, so the entry is complete
+// before build publishes it. The artifact is byte-identical whichever
+// executor built it, and whether or not it had a sibling; only its stats
+// differ (rounds, or wall-clock for the kernels).
 func (e *Engine) buildArtifact(ctx context.Context, key artifactKey) (*artifactEntry, error) {
-	art, degs, stats, err := e.exec.build(ctx, key, e.sibling(key))
+	sib := e.sibling(key)
+	art, degs, stats, err := e.exec.build(ctx, key, sib)
 	if err != nil {
 		return nil, wrapRun(fmt.Sprintf("preprocess (%s)", key.variant), err)
 	}
-	return &artifactEntry{art: art, degs: degs, stats: stats}, nil
+	ent := &artifactEntry{art: art, degs: degs, stats: stats}
+	e.exec.attach(key.variant, ent, sib)
+	return ent, nil
 }
 
-// sibling returns a completed artifact of key's variant whose params differ
+// sibling returns a completed entry of key's variant whose params differ
 // from key's only in ε, or nil. Its bunch stage depends on the graph and k
 // alone, so key's build can skip it (DESIGN.md §13, "One bunch stage per
-// graph"). Only completed entries count: a build in flight is never waited
-// for, and key then builds cold.
-func (e *Engine) sibling(key artifactKey) *hopset.Artifact {
+// graph"), and key's attach can share its rows. Only completed entries
+// count: a build in flight is never waited for, and key then builds cold.
+func (e *Engine) sibling(key artifactKey) *artifactEntry {
 	e.pre.mu.Lock()
 	defer e.pre.mu.Unlock()
 	for _, k := range e.pre.order {
 		p := k.params
 		p.Eps = key.params.Eps
 		if k.variant == key.variant && p == key.params {
-			return e.pre.arts[k].art
+			return e.pre.arts[k]
 		}
 	}
 	return nil

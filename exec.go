@@ -29,10 +29,15 @@ import (
 type executor interface {
 	// build constructs the hopset artifact for key (§4) and, for
 	// artLowDegree, the degree vector that defines G'. sib, if not nil, is
-	// a completed artifact of key's variant whose params differ from key's
-	// only in ε: directExec runs only the level loop over its bunch stage;
-	// simExec builds in full, because its Stats are the paper's rounds.
-	build(ctx context.Context, key artifactKey, sib *hopset.Artifact) (*hopset.Artifact, []int64, Stats, error)
+	// a completed entry of key's variant whose params differ from key's
+	// only in ε: directExec runs only the level loop over its artifact's
+	// bunch stage; simExec builds in full, because its Stats are the
+	// paper's rounds.
+	build(ctx context.Context, key artifactKey, sib *artifactEntry) (*hopset.Artifact, []int64, Stats, error)
+	// attach readies a built or loaded entry of variant for queries before
+	// it is published, sib as for build: directExec derives the matrices
+	// its queries read (artifactEntry.base and gh), simExec reads none.
+	attach(variant artVariant, ent, sib *artifactEntry)
 	// mssp runs the β-hop source detection on G ∪ H (Theorem 3): the flat
 	// row-major n×|S| plane, cell v·|S|+j holding d̃(v,s) for the j-th
 	// source s in ascending order, Unreachable where s does not reach v.
@@ -74,7 +79,7 @@ func (s *simExec) run(ctx context.Context, prog cc.Program) (Stats, error) {
 	return statsFrom(stats), err
 }
 
-func (s *simExec) build(ctx context.Context, key artifactKey, _ *hopset.Artifact) (*hopset.Artifact, []int64, Stats, error) {
+func (s *simExec) build(ctx context.Context, key artifactKey, _ *artifactEntry) (*hopset.Artifact, []int64, Stats, error) {
 	n := s.g.N
 	sr := s.g.AugSemiring()
 	board := hitting.NewBoard(n)
@@ -99,6 +104,8 @@ func (s *simExec) build(ctx context.Context, key artifactKey, _ *hopset.Artifact
 	art, err := hopset.Collect(results)
 	return art, degsShared, stats, err
 }
+
+func (s *simExec) attach(artVariant, *artifactEntry, *artifactEntry) {}
 
 func (s *simExec) mssp(ctx context.Context, ent *artifactEntry, inS []bool) ([]int64, Stats, error) {
 	sr := s.g.AugSemiring()

@@ -176,10 +176,11 @@ func plainWeights(m *matrix.Mat[semiring.WH], dropDiagonal bool) *matrix.Mat[int
 
 // ThreePlusEpsDirect is the host-side counterpart of
 // ThreePlusEpsWithHopset for all nodes. gh and beta come from the eps/2
-// artifact on G (gh = mssp.MergeGH(sr, w, art), beta = art.Beta);
-// callers serving many queries pass a cached merge (DESIGN.md §13). The
-// result is the row-major n×n table, and its row v (cells v·n to v·n+n−1)
-// is byte-identical to node v's collective output.
+// artifact on G: gh is G ∪ H, either mssp.MergeGH(sr, w, art) or the
+// engine's cached mssp.OverlayGH, which detects the same (DESIGN.md §13,
+// "One copy of G ∪ H"), and beta = art.Beta. The result is the row-major
+// n×n table, and its row v (cells v·n to v·n+n−1) is byte-identical to
+// node v's collective output.
 func ThreePlusEpsDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh *matrix.Mat[semiring.WH], beta, workers int) ([]int64, error) {
 	n := w.N
 	e := newEstAll(n)
@@ -214,9 +215,9 @@ func ThreePlusEpsDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh *matr
 }
 
 // TwoPlusEpsWeightedDirect is the host-side counterpart of
-// TwoPlusEpsWeightedWithHopset for all nodes. gh and beta come from the
-// eps/2 artifact on G, and the result is the flat table, as in
-// ThreePlusEpsDirect.
+// TwoPlusEpsWeightedWithHopset for all nodes. gh (G ∪ H, MergeGH's or
+// OverlayGH's) and beta come from the eps/2 artifact on G, and the result
+// is the flat table, as in ThreePlusEpsDirect.
 func TwoPlusEpsWeightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh *matrix.Mat[semiring.WH], beta, workers int) ([]int64, error) {
 	n := w.N
 	// Line (1): edge estimates.

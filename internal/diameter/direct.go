@@ -18,10 +18,10 @@ import (
 // byte-identical to the collective version against the same artifact;
 // every step - the k-nearest sets, the greedy hitting set, the pivot
 // argmax tie-breaking, the N_k(w) membership and both MSSP stages -
-// mirrors it exactly. gh and beta come from the artifact (gh =
-// mssp.MergeGH(sr, w, art), beta = art.Beta); callers serving many
-// queries pass a cached merge (DESIGN.md §13). workers sizes the kernel
-// pool.
+// mirrors it exactly. gh and beta come from the artifact: gh is G ∪ H,
+// either mssp.MergeGH(sr, w, art) or the engine's cached mssp.OverlayGH,
+// which detects the same (DESIGN.md §13, "One copy of G ∪ H"), and
+// beta = art.Beta. workers sizes the kernel pool.
 func ApproxDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh *matrix.Mat[semiring.WH], beta, workers int) (int64, error) {
 	n := w.N
 	// Line (1): distances to the k nearest, k = O~(√n).

@@ -154,6 +154,11 @@ func (p *Panel) Release() {
 // rest state ("no entry") and the saturation test: Inf plus a weight
 // never undercuts a cell and cannot overflow, which is how the sparse
 // path's dropping of saturated products comes out of the one comparison.
+// Every step takes the least weight per column, so a row of g may hold a
+// column twice and in any order: the engine's G ∪ H row is the hopset
+// row followed by the graph entries it does not dominate, two
+// column-ordered runs (mssp.OverlayGH; DESIGN.md §13, "One copy of
+// G ∪ H").
 //
 // The iteration also stops at its fixed point: an iteration that changes
 // no weight makes every later iterate identical and the remaining steps
@@ -191,12 +196,13 @@ func SourceDetectPanel(ctx context.Context, g *matrix.Mat[semiring.WH], inS []bo
 		cur[i] = semiring.Inf
 	}
 	// U_1: row v of G restricted to source columns (self-distance 0
-	// included for sources via the diagonal of G).
+	// included for sources via the diagonal of G), the least weight where
+	// the row repeats a column.
 	for v := 0; v < n; v++ {
 		base := v * q
 		for _, e := range g.Rows[v] {
 			if j := idx[e.Col]; j >= 0 {
-				cur[base+int(j)] = e.Val.W
+				cur[base+int(j)] = min(cur[base+int(j)], e.Val.W)
 			}
 		}
 	}

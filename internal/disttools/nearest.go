@@ -42,8 +42,8 @@ type item struct {
 // nearest is what successive k-nearest searches over n nodes share: the
 // arcs of the weight matrix, the answer slab under its header and one
 // searcher per pass worker. A released one waits in a sync.Pool per
-// element type, like a matmul.Filtered, and the next search of the same n
-// takes it over.
+// element type, as a released (S, d, k)-detection state waits in
+// kdetects, and the next search of the same n takes it over.
 type nearest[E any] struct {
 	n    int
 	off  []int32 // row y's arcs are arcs[off[y]:off[y+1]]

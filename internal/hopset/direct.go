@@ -150,7 +150,9 @@ func bunchesOf(sib *Artifact) *Artifact {
 // carry clique edges, so a level re-merges just the rows whose clique
 // edges it changed; one that changes none leaves every later level's
 // input, hence output, identical and ends the loop (DESIGN.md §13, "the
-// fast build path"). art.Rows goes in as H_0 and comes out as H_0 ∪ H_ℓ.
+// fast build path"). art.Rows goes in as H_0 and comes out as H_0 ∪ H_ℓ;
+// a row that gained no clique edge is its H_0 row itself, already merged,
+// which over a sibling's bunch stage is the sibling's own row.
 func runLevels(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], art *Artifact, levels, d, workers int) error {
 	n, inA1, h0 := art.N, art.InA1, art.Rows
 	aRows := make([]matrix.Row[semiring.WH], n)
@@ -193,7 +195,13 @@ func runLevels(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiri
 
 	rows := make([]matrix.Row[semiring.WH], n)
 	matmul.RunRows(n, workers, func() func(int) {
-		return func(v int) { rows[v] = matrix.MergeRows(sr, h0[v], aRows[v]) }
+		return func(v int) {
+			if aRows[v] == nil {
+				rows[v] = slices.Clip(h0[v])
+				return
+			}
+			rows[v] = matrix.MergeRows(sr, h0[v], aRows[v])
+		}
 	})
 	art.Rows = rows
 	return nil

@@ -451,17 +451,24 @@ func warmBytes(runs int, query func()) uint64 {
 // (least of five): 142 968 B besides the table at n = 256 and 967 352 at
 // n = 1024. A search state not given back (a slab at 24 per entry, arcs
 // at 16), a second W₂ or a materialised through-sets product (16 bytes per
-// touched cell, ~n² of them) breaks it at n = 1024.
+// touched cell, ~n² of them) breaks it at n = 1024. It runs on one P with
+// the collector off, as TestMSSPKernelBytes does and for its reason: a
+// call that lands on another P than the one that put the MSSP panel's
+// plane back, or after two collections, allocates that plane again
+// (n·|A|·8, 278 528 B at n = 1024), and under `go test ./...` five such
+// calls in a row have failed it by 90 KB.
 func TestAPSPKernelBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector: the MSSP planes and the search state are not reliably warm")
 	}
+	onePNoGC(t)
 	ctx := context.Background()
 	for _, n := range []int{256, 1024} {
 		eng, err := NewEngine(ctx, testGraph(n, 3*n, 10, int64(n)), Options{Epsilon: 0.5, Execution: ExecDirect, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
+		runtime.GC()
 		got := warmBytes(5, func() {
 			if _, err := eng.APSPWeighted(ctx); err != nil {
 				t.Fatal(err)

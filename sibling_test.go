@@ -304,3 +304,70 @@ func TestEngineSiblingBuildConcurrent(t *testing.T) {
 		check(order.name, eng)
 	}
 }
+
+// sameWindow reports whether a is the leading window of b: a prefix of
+// b's storage, or empty.
+func sameWindow[E any](a, b []E) bool {
+	return len(a) == 0 || (len(a) <= len(b) && &a[0] == &b[0])
+}
+
+// TestEngineSiblingSharesRows: a direct engine holds H once. After
+// NewEngine, an MSSP and both APSP variants (ε, ε/2 on G, ε/2 on G'),
+// built and loaded back from its snapshot, every artifact row is the
+// leading window of its entry's G ∪ H row, and every ε/2 row outside A_1 -
+// a row equal to the ε artifact's - is the ε entry's own storage, in the
+// artifact and in G ∪ H, so the ε/2 artifact allocates only its A_1 rows.
+func TestEngineSiblingSharesRows(t *testing.T) {
+	ctx := context.Background()
+	for _, fam := range append(diffFamilies(), struct {
+		name string
+		gr   *Graph
+	}{"two-hub-grid", twoHubGrid()}) {
+		eng, err := NewEngine(ctx, fam.gr, Options{Epsilon: 0.5, Execution: ExecDirect})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.MSSP(ctx, []int{0}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.APSPWeighted(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.APSPUnweighted(ctx); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := eng.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadEngine(ctx, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			what string
+			eng  *Engine
+		}{{"built", eng}, {"loaded", loaded}} {
+			if n := len(c.eng.pre.arts); n != 3 {
+				t.Fatalf("%s/%s: %d artifacts, want 3", fam.name, c.what, n)
+			}
+			for key, ent := range c.eng.pre.arts {
+				for v, row := range ent.art.Rows {
+					if !sameWindow(row, ent.gh.Rows[v]) {
+						t.Errorf("%s/%s %s ε′=%g row %d: not a window of its G ∪ H row", fam.name, c.what, key.variant, key.params.Eps, v)
+					}
+				}
+			}
+			base, half := c.eng.pre.arts[c.eng.baseKey()], c.eng.pre.arts[c.eng.apspKey()]
+			for v, in := range half.art.InA1 {
+				if in {
+					continue
+				}
+				if !sameWindow(half.art.Rows[v], base.art.Rows[v]) || len(half.art.Rows[v]) != len(base.art.Rows[v]) ||
+					!sameWindow(half.gh.Rows[v], base.gh.Rows[v]) || len(half.gh.Rows[v]) != len(base.gh.Rows[v]) {
+					t.Errorf("%s/%s row %d outside A_1: the ε/2 entry does not share the ε entry's storage", fam.name, c.what, v)
+				}
+			}
+		}
+	}
+}

@@ -123,8 +123,10 @@ func LoadEngine(ctx context.Context, r io.Reader) (*Engine, error) {
 			return nil, fmt.Errorf("ccsp: snapshot low-degree artifact %d is missing its degree vector", i)
 		}
 		// Entries in arts are by definition complete: queries use the
-		// rehydrated artifact as-is, with no build to wait on.
+		// rehydrated artifact as-is, with no build to wait on, once attach
+		// has derived what they read from it.
 		ent := &artifactEntry{art: a.Art, degs: a.Degs, stats: fromSnapStats(a.Stats)}
+		e.exec.attach(key.variant, ent, e.sibling(key))
 		e.pre.arts[key] = ent
 		e.pre.order = append(e.pre.order, key)
 	}

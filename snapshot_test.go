@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -436,5 +437,52 @@ func TestSaveFileAtomic(t *testing.T) {
 	}
 	if got := names(target); !reflect.DeepEqual(got, []string{"keep"}) {
 		t.Errorf("failed SaveFile disturbed its target: %v", got)
+	}
+}
+
+// TestEngineSaveDuringFirstQueries: Save beside the first MSSP and the
+// first APSP of a fresh lazy direct engine - whose builds derive each
+// entry's G ∪ H, re-pointing its artifact's rows, before publishing it -
+// writes a snapshot whose engine answers what this one does. Under -race
+// it checks that nothing reads an artifact while its rows move.
+func TestEngineSaveDuringFirstQueries(t *testing.T) {
+	ctx := context.Background()
+	for i := 0; i < 4; i++ {
+		eng, err := newEngine(twoHubGrid(), Options{Epsilon: 0.5, Execution: ExecDirect, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			wg   sync.WaitGroup
+			buf  bytes.Buffer
+			ms   *MSSPResult
+			ap   *APSPResult
+			errs [3]error
+		)
+		wg.Add(3)
+		go func() { defer wg.Done(); errs[0] = eng.Save(&buf) }()
+		go func() { defer wg.Done(); ms, errs[1] = eng.MSSP(ctx, []int{0, 7}) }()
+		go func() { defer wg.Done(); ap, errs[2] = eng.APSPWeighted(ctx) }()
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		loaded, err := LoadEngine(ctx, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms2, err := loaded.MSSP(ctx, []int{0, 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ap2, err := loaded.APSPWeighted(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ms2.Dist, ms.Dist) || !reflect.DeepEqual(ap2.Dist, ap.Dist) {
+			t.Fatalf("run %d: the engine loaded from a snapshot saved mid-build answers differently", i)
+		}
 	}
 }
