@@ -5,11 +5,14 @@
 // remote daemon by swapping the receiver. This example builds a small
 // network, answers a mixed batch locally through Engine.Batch (one
 // preprocessing for the whole batch, the paper's amortization claim),
-// then serves the same engine over HTTP and re-answers the batch through
-// client.Batch, verifying the responses agree position by position.
+// round-trips the warm engine through a snapshot (Engine.Save, then
+// LoadEngine, as ccspd -save / -load do), serves the restored engine over
+// HTTP and re-answers the batch through client.Batch, verifying the
+// responses agree position by position.
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -78,9 +81,19 @@ func run(ctx context.Context) error {
 	fmt.Printf("  preprocessing charged once: %d rounds over %d build(s)\n\n",
 		pre.Total.TotalRounds, len(pre.Builds))
 
-	// Remote: the same engine behind the HTTP plane, the same batch
+	// Restart: the snapshot restores every artifact without a round.
+	var snap bytes.Buffer
+	if err := eng.Save(&snap); err != nil {
+		return err
+	}
+	restored, err := ccsp.LoadEngine(ctx, &snap)
+	if err != nil {
+		return err
+	}
+
+	// Remote: the restored engine behind the HTTP plane, the same batch
 	// through the client package.
-	srv, err := server.New(server.Config{Engine: eng})
+	srv, err := server.New(server.Config{Engine: restored})
 	if err != nil {
 		return err
 	}

@@ -1,9 +1,10 @@
-// Package baseline implements the prior-work comparison points of §1.1:
+// The prior-work comparison points of §1.1 that E10 and E12 measure:
 // exact APSP by iterated squaring of the augmented weight matrix over the
 // dense 3D semiring multiplication of Censor-Hillel et al. [13] (O(n^{1/3})
 // rounds per product), and plain distributed Bellman-Ford SSSP (SPD
 // rounds). Sequential ground truth lives in package graph.
-package baseline
+
+package bench
 
 import (
 	"fmt"
@@ -16,12 +17,12 @@ import (
 	"github.com/congestedclique/ccsp/internal/sssp"
 )
 
-// DenseAPSP computes exact APSP by squaring the augmented weight matrix
+// denseAPSP computes exact APSP by squaring the augmented weight matrix
 // ceil(log2 n) times with output density n - which makes Theorem 8's cube
 // partition degenerate to the classic 3D multiplication of [13] with
 // a = b = c = n^{1/3} and O(n^{1/3}) rounds per product. Returns this
 // node's row of exact distances.
-func DenseAPSP(nd *cc.Node, sr semiring.AugMinPlus, wrow matrix.Row[semiring.WH]) (matrix.Row[semiring.WH], error) {
+func denseAPSP(nd *cc.Node, sr semiring.AugMinPlus, wrow matrix.Row[semiring.WH]) (matrix.Row[semiring.WH], error) {
 	cur := wrow
 	for t := 0; t < bits.Len(uint(nd.N-1)); t++ {
 		next, err := matmul.Multiply(nd, sr, cur, cur, nd.N)
@@ -33,9 +34,9 @@ func DenseAPSP(nd *cc.Node, sr semiring.AugMinPlus, wrow matrix.Row[semiring.WH]
 	return cur, nil
 }
 
-// BellmanFordSSSP is the baseline exact SSSP without shortcuts: plain
+// bellmanFordSSSP is the baseline exact SSSP without shortcuts: plain
 // distributed Bellman-Ford on G, converging in SPD(G) rounds. Returns the
 // global distance vector (shared read-only) and iterations used.
-func BellmanFordSSSP(nd *cc.Node, wrow matrix.Row[semiring.WH], src int) ([]int64, int) {
+func bellmanFordSSSP(nd *cc.Node, wrow matrix.Row[semiring.WH], src int) ([]int64, int) {
 	return sssp.BellmanFord(nd, wrow, src, nd.N+2)
 }

@@ -1,4 +1,4 @@
-package baseline
+package bench
 
 import (
 	"context"
@@ -31,7 +31,7 @@ func TestDenseAPSPExact(t *testing.T) {
 		sr := g.AugSemiring()
 		rows := make([][]int64, g.N)
 		_, err := cc.Run(context.Background(), cc.Config{N: g.N}, func(nd *cc.Node) error {
-			row, err := DenseAPSP(nd, sr, g.WeightRow(nd.ID))
+			row, err := denseAPSP(nd, sr, g.WeightRow(nd.ID))
 			if err != nil {
 				return err
 			}
@@ -75,7 +75,7 @@ func TestDenseAPSPRoundsPolynomial(t *testing.T) {
 		g := randGraph(n, 3*n, 5, int64(n))
 		sr := g.AugSemiring()
 		stats, err := cc.Run(context.Background(), cc.Config{N: n}, func(nd *cc.Node) error {
-			_, err := DenseAPSP(nd, sr, g.WeightRow(nd.ID))
+			_, err := denseAPSP(nd, sr, g.WeightRow(nd.ID))
 			return err
 		})
 		if err != nil {
@@ -93,7 +93,7 @@ func TestBellmanFordSSSPBaseline(t *testing.T) {
 	want := g.Dijkstra(4)
 	var got []int64
 	_, err := cc.Run(context.Background(), cc.Config{N: g.N}, func(nd *cc.Node) error {
-		dist, _ := BellmanFordSSSP(nd, g.WeightRow(nd.ID), 4)
+		dist, _ := bellmanFordSSSP(nd, g.WeightRow(nd.ID), 4)
 		if nd.ID == 0 {
 			got = append([]int64(nil), dist...)
 		}

@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"github.com/congestedclique/ccsp/internal/apsp"
-	"github.com/congestedclique/ccsp/internal/baseline"
 	"github.com/congestedclique/ccsp/internal/cc"
 	"github.com/congestedclique/ccsp/internal/diameter"
 	"github.com/congestedclique/ccsp/internal/graph"
@@ -13,7 +12,6 @@ import (
 	"github.com/congestedclique/ccsp/internal/hitting"
 	"github.com/congestedclique/ccsp/internal/hopset"
 	"github.com/congestedclique/ccsp/internal/semiring"
-	"github.com/congestedclique/ccsp/internal/spanner"
 	"github.com/congestedclique/ccsp/internal/sssp"
 )
 
@@ -63,7 +61,7 @@ func e10(c Config) (*Table, error) {
 		var gotB []int64
 		var itB int
 		statsB, err := cc.Run(context.Background(), engineCfg(c, n), func(nd *cc.Node) error {
-			d, it := baseline.BellmanFordSSSP(nd, g.WeightRow(nd.ID), 0)
+			d, it := bellmanFordSSSP(nd, g.WeightRow(nd.ID), 0)
 			if nd.ID == 0 {
 				gotB = append([]int64(nil), d...)
 				itB = it
@@ -177,7 +175,7 @@ func e12(c Config) (*Table, error) {
 		// Baseline: exact APSP by iterated dense squaring [13].
 		rowsD := make([][]int64, n)
 		statsD, err := cc.Run(context.Background(), engineCfg(c, n), func(nd *cc.Node) error {
-			row, err := baseline.DenseAPSP(nd, sr, g.WeightRow(nd.ID))
+			row, err := denseAPSP(nd, sr, g.WeightRow(nd.ID))
 			if err != nil {
 				return err
 			}
@@ -200,7 +198,7 @@ func e12(c Config) (*Table, error) {
 		for _, k := range []int{2, 3} {
 			rowsS := make([][]int64, n)
 			statsS, err := cc.Run(context.Background(), engineCfg(c, n), func(nd *cc.Node) error {
-				res, err := spanner.APSP(nd, g.WeightRow(nd.ID), k, 7)
+				res, err := spannerAPSP(nd, g.WeightRow(nd.ID), k, 7)
 				if err != nil {
 					return err
 				}

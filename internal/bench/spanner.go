@@ -1,4 +1,4 @@
-// Package spanner implements the spanner-route baseline of §1.1: build a
+// The spanner-route baseline of §1.1 that E12 measures: build a
 // (2k-1)-spanner, have every node learn all its O~(n^{1+1/k}) edges, and
 // answer APSP queries locally - a (2k-1)-approximation in O~(n^{1/k})
 // rounds, the approach the paper's polylogarithmic algorithms are compared
@@ -9,7 +9,8 @@
 // with a seeded deterministic hash (same size/stretch trade-off,
 // reproducible runs). Each clustering phase costs one broadcast round; the
 // dominant cost is learning the spanner, charged through routing.
-package spanner
+
+package bench
 
 import (
 	"fmt"
@@ -22,8 +23,8 @@ import (
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
 
-// Result is one node's baseline APSP output.
-type Result struct {
+// spannerResult is one node's spanner-baseline APSP output.
+type spannerResult struct {
 	// Dist is this node's distance estimates via the spanner (stretch at
 	// most 2k-1).
 	Dist []int64
@@ -31,10 +32,10 @@ type Result struct {
 	SpannerEdges int
 }
 
-// APSP runs the spanner baseline: Baswana-Sen clustering (k-1 broadcast
+// spannerAPSP runs the spanner baseline: Baswana-Sen clustering (k-1 broadcast
 // phases), a final per-cluster edge phase, full dissemination of the
 // spanner, and local Dijkstra. All nodes pass identical k and seed.
-func APSP(nd *cc.Node, wrow matrix.Row[semiring.WH], k int, seed int64) (*Result, error) {
+func spannerAPSP(nd *cc.Node, wrow matrix.Row[semiring.WH], k int, seed int64) (*spannerResult, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("spanner: invalid k=%d", k)
 	}
@@ -170,7 +171,7 @@ func APSP(nd *cc.Node, wrow matrix.Row[semiring.WH], k int, seed int64) (*Result
 		}
 		edges++
 	}
-	return &Result{Dist: h.Dijkstra(me), SpannerEdges: edges}, nil
+	return &spannerResult{Dist: h.Dijkstra(me), SpannerEdges: edges}, nil
 }
 
 func hash3(seed, a, b int64) int64 {

@@ -1,9 +1,8 @@
-package spanner
+package bench
 
 import (
 	"context"
 	"math"
-	"math/rand"
 	"testing"
 
 	"github.com/congestedclique/ccsp/internal/cc"
@@ -11,26 +10,11 @@ import (
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
 
-func randGraph(n, extraEdges int, maxW int64, seed int64) *graph.Graph {
-	rng := rand.New(rand.NewSource(seed))
-	g := graph.New(n)
-	for v := 1; v < n; v++ {
-		g.MustAddEdge(v, rng.Intn(v), rng.Int63n(maxW)+1)
-	}
-	for e := 0; e < extraEdges; e++ {
-		u, v := rng.Intn(n), rng.Intn(n)
-		if u != v {
-			g.MustAddEdge(u, v, rng.Int63n(maxW)+1)
-		}
-	}
-	return g
-}
-
-func runSpanner(t *testing.T, g *graph.Graph, k int, seed int64) []*Result {
+func runSpanner(t *testing.T, g *graph.Graph, k int, seed int64) []*spannerResult {
 	t.Helper()
-	results := make([]*Result, g.N)
+	results := make([]*spannerResult, g.N)
 	_, err := cc.Run(context.Background(), cc.Config{N: g.N}, func(nd *cc.Node) error {
-		res, err := APSP(nd, g.WeightRow(nd.ID), k, seed)
+		res, err := spannerAPSP(nd, g.WeightRow(nd.ID), k, seed)
 		if err != nil {
 			return err
 		}
