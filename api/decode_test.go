@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -183,6 +184,48 @@ func TestResponseDecodeOnePass(t *testing.T) {
 		if allocs[0] > 40 || math.Abs(allocs[0]-allocs[1]) > 2 {
 			t.Errorf("%s: %v allocations at n=16, %v at n=128: want a small envelope and nothing per row", kind, allocs[0], allocs[1])
 		}
+	}
+}
+
+// TestMSSPDecodeBytes: a 1024×8 mssp body decodes into its 64 KiB of cells,
+// its row headers (24 B each, ~27·n as allocated: a pointerful slice carries a
+// malloc header into the next size class) and an envelope of under 4 KiB. The
+// counts that size the cells stop at the matrix's "]]", so the body's tail
+// adds no cell - eight more would push the cells into the 72 KiB size class.
+// It skips under -race, whose instrumentation allocates.
+func TestMSSPDecodeBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	const n, q = 1024, 8
+	dist := make(Matrix, n)
+	for v := range dist {
+		dist[v] = make([]int64, q)
+		for s := range dist[v] {
+			dist[v][s] = int64(v*s%97) - 1
+		}
+	}
+	body, err := json.Marshal(Response{Kind: KindMSSP, MSSP: &MSSPResult{Sources: []int{0, 1, 2, 3, 4, 5, 6, 7}, Dist: dist},
+		Stats: &Stats{TotalRounds: 9, SimRounds: 3, Messages: 1 << 20, Words: 1 << 22}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	least := uint64(math.MaxUint64)
+	for run := 0; run < 5; run++ {
+		var got Response
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := got.UnmarshalJSON(body); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		if !reflect.DeepEqual(got.MSSP.Dist, dist) {
+			t.Fatal("decoded cells differ from the sent ones")
+		}
+	}
+	if budget := uint64(n*q*8 + 27*n + 4<<10); least > budget {
+		t.Errorf("a %d×%d mssp decode allocates %d B, want <= %d (cells, row headers, envelope)", n, q, least, budget)
 	}
 }
 

@@ -36,22 +36,36 @@ func (m *Matrix) UnmarshalJSON(data []byte) error {
 // decodeMatrix decodes the canonical matrix that starts at data[i] and
 // returns it with the index after its closing bracket; whatever follows is
 // the caller's. In the canonical form every '[' after the first opens a row
-// and every cell after the first follows a comma, so two byte counts over
-// data[i:] bound the rows and the cells: exactly when the matrix is all of
-// it and no row is empty, by the few brackets and commas of a response's
-// tail (Response.UnmarshalJSON) otherwise.
+// and every cell after the first follows a comma, so two byte counts bound
+// the rows and the cells - exactly when no row is empty - over the bytes
+// the parse can read (arraySpan): up to the first "]]", which ends a
+// canonical matrix and ends the parse of anything else, so the tail of a
+// response or a batch (Response.UnmarshalJSON) adds no cell.
 func decodeMatrix(data []byte, i int) (Matrix, int, bool) {
-	rows := make(Matrix, max(bytes.Count(data[i:], []byte{'['})-1, 0))
-	cells := make([]int64, bytes.Count(data[i:], []byte{','})+1)
+	span := arraySpan(data, i, "]]")
+	rows := make(Matrix, max(bytes.Count(span, []byte{'['})-1, 0))
+	cells := make([]int64, bytes.Count(span, []byte{','})+1)
 	nr, end, ok := parseLists(data, i, rows, cells, parseCell)
 	return rows[:nr:nr], end, ok
 }
 
-// decodeVector is decodeMatrix for one row: the []int64 of an sssp answer.
+// decodeVector is decodeMatrix for one row: the []int64 of an sssp answer,
+// which the first ']' ends.
 func decodeVector(data []byte, i int) ([]int64, int, bool) {
-	cells := make([]int64, bytes.Count(data[i:], []byte{','})+1)
+	cells := make([]int64, bytes.Count(arraySpan(data, i, "]"), []byte{','})+1)
 	n, end, ok := parseList(data, i, cells, 0, parseCell)
 	return cells[:n:n], end, ok
+}
+
+// arraySpan is data[i:] up to and including the first closer, the bytes a
+// decoder's counts run over: no parse of an array at data[i] reads past it,
+// since in every state of the grammar the parse meets closer it either ends
+// the array or fails. Without closer it is all of data[i:].
+func arraySpan(data []byte, i int, closer string) []byte {
+	if k := bytes.Index(data[i:], []byte(closer)); k >= 0 {
+		return data[i : i+k+len(closer)]
+	}
+	return data[i:]
 }
 
 // parseLists parses the array of arrays of elements at data[i] into rows,

@@ -35,10 +35,11 @@ func (l *NeighborLists) UnmarshalJSON(data []byte) error {
 // decodeNeighborLists decodes the canonical lists that start at data[i]
 // and returns them with the index after the closing bracket. Every '['
 // after the first opens a list and every '{' a neighbour, so two byte
-// counts over data[i:] bound both (see decodeMatrix).
+// counts up to the first "]]" bound both (see decodeMatrix).
 func decodeNeighborLists(data []byte, i int) (NeighborLists, int, bool) {
-	lists := make(NeighborLists, max(bytes.Count(data[i:], []byte{'['})-1, 0))
-	cells := make([]Neighbor, bytes.Count(data[i:], []byte{'{'}))
+	span := arraySpan(data, i, "]]")
+	lists := make(NeighborLists, max(bytes.Count(span, []byte{'['})-1, 0))
+	cells := make([]Neighbor, bytes.Count(span, []byte{'{'}))
 	nr, end, ok := parseLists(data, i, lists, cells, parseNeighbor)
 	return lists[:nr:nr], end, ok
 }

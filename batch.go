@@ -77,7 +77,7 @@ func (e *Engine) Batch(ctx context.Context, reqs []api.Request) ([]api.Response,
 // RunPlans runs every distinct plan once: positions are grouped by
 // Plan.Key, each group runs on a bounded worker group, and every position
 // receives its group's response as Plan.Run returned it - unfinished, the
-// value a cache stores under the key; the caller finishes each with its
+// answer a cache keeps under the key; the caller finishes each with its
 // own plan - or the run's typed error (Response.Error; Finish keeps it).
 // Keys are graph- and epoch-qualified, so plans made on different engines
 // may ride one call. runs is the number of engine runs made. The error is

@@ -2,23 +2,27 @@ package server
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"testing"
 )
+
+// tagged is an entry whose body is tag.
+func tagged(tag string) *entry { return &entry{body: []byte(tag)} }
 
 // TestLRUEvictionOrder pins the eviction policy: least-recently-used
 // goes first, and both Get and Put refresh recency.
 func TestLRUEvictionOrder(t *testing.T) {
 	c := newLRU(3)
-	c.Put("a", 1)
-	c.Put("b", 2)
-	c.Put("c", 3)
+	c.Put("a", tagged("1"))
+	c.Put("b", tagged("2"))
+	c.Put("c", tagged("3"))
 
 	// Touch "a" so "b" becomes the oldest, then overflow.
-	if v, ok := c.Get("a"); !ok || v.(int) != 1 {
+	if v, ok := c.Get("a"); !ok || string(v.body) != "1" {
 		t.Fatalf("Get(a) = %v, %v", v, ok)
 	}
-	c.Put("d", 4)
+	c.Put("d", tagged("4"))
 	if _, ok := c.Get("b"); ok {
 		t.Error("b survived eviction; want LRU out first")
 	}
@@ -30,12 +34,12 @@ func TestLRUEvictionOrder(t *testing.T) {
 
 	// Re-putting an existing key refreshes recency and replaces the value
 	// without growing the cache.
-	c.Put("c", 33)
-	c.Put("e", 5) // evicts "a": the oldest after c's refresh (d, c were touched later)
+	c.Put("c", tagged("33"))
+	c.Put("e", tagged("5")) // evicts "a": the oldest after c's refresh (d, c were touched later)
 	if _, ok := c.Get("a"); ok {
 		t.Error("a survived; re-Put of c should have refreshed c, leaving a oldest")
 	}
-	if v, ok := c.Get("c"); !ok || v.(int) != 33 {
+	if v, ok := c.Get("c"); !ok || string(v.body) != "33" {
 		t.Errorf("Get(c) = %v, %v; want the replaced value 33", v, ok)
 	}
 	if entries, _, _ := c.Stats(); entries != 3 {
@@ -48,7 +52,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 func TestLRUAccounting(t *testing.T) {
 	c := newLRU(2)
 	c.Get("nope") // miss
-	c.Put("k", "v")
+	c.Put("k", tagged("v"))
 	c.Get("k")    // hit
 	c.Get("k")    // hit
 	c.Get("gone") // miss
@@ -58,7 +62,7 @@ func TestLRUAccounting(t *testing.T) {
 	}
 
 	off := newLRU(0)
-	off.Put("k", "v")
+	off.Put("k", tagged("v"))
 	if _, ok := off.Get("k"); ok {
 		t.Error("disabled cache returned a value")
 	}
@@ -80,12 +84,12 @@ func TestLRUConcurrent(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				key := fmt.Sprintf("k%d", (g+i)%16)
 				if v, ok := c.Get(key); ok {
-					if _, isInt := v.(int); !isInt {
-						t.Errorf("corrupted value %v under key %s", v, key)
+					if _, err := strconv.Atoi(string(v.body)); err != nil {
+						t.Errorf("corrupted value %q under key %s", v.body, key)
 						return
 					}
 				}
-				c.Put(key, i)
+				c.Put(key, tagged(strconv.Itoa(i)))
 			}
 		}(g)
 	}
@@ -96,5 +100,12 @@ func TestLRUConcurrent(t *testing.T) {
 	}
 	if hits+misses != 8*500 {
 		t.Errorf("hits+misses = %d, want %d lookups accounted", hits+misses, 8*500)
+	}
+	var held int64
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		held += el.Value.(*lruEntry).val.size()
+	}
+	if got := c.Bytes(); got != held {
+		t.Errorf("Bytes() = %d after concurrent puts and evictions, entries hold %d", got, held)
 	}
 }

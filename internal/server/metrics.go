@@ -64,6 +64,9 @@ func (s *Server) initMetrics() {
 	r.GaugeFunc("ccspd_cache_entries",
 		"Responses currently held by the LRU.",
 		func() float64 { e, _, _ := s.cache.Stats(); return float64(e) })
+	r.GaugeFunc("ccspd_cache_bytes",
+		"Bytes the LRU's entries retain: stored bodies plus distance columns.",
+		func() float64 { return float64(s.cache.Bytes()) })
 	r.CounterFunc("ccspd_cache_hits_total",
 		"Queries answered from the response LRU.",
 		func() float64 { _, h, _ := s.cache.Stats(); return float64(h) })

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -98,6 +100,114 @@ func TestQueryCountersCacheOff(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCacheBytesGauge: ccspd_cache_bytes and /v1/stats' cache.bytes are
+// the sum of the stored entries' sizes, len(body) + 8·len(col), after every
+// step of a scripted run of puts, overwrites (growing and shrinking) and
+// evictions, and after real queries fill and churn the cache - where each
+// entry is its hit's body, allocated to size, plus an n-cell column for a
+// one-source MSSP key and none for any other.
+func TestCacheBytesGauge(t *testing.T) {
+	_, eng := testEngine(t, 12)
+	s, err := New(Config{Engine: eng, CacheSize: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	// check compares both views with the sum of the sizes of the entries the
+	// LRU holds, and those entries' keys with live.
+	check := func(step string, live ...string) {
+		t.Helper()
+		var want int64
+		var keys []string
+		for el := s.cache.order.Front(); el != nil; el = el.Next() {
+			le := el.Value.(*lruEntry)
+			want += int64(len(le.val.body) + 8*len(le.val.col))
+			keys = append(keys, le.key)
+		}
+		if live != nil && strings.Join(keys, ",") != strings.Join(live, ",") {
+			t.Errorf("%s: the LRU holds %v, want %v", step, keys, live)
+		}
+		var st struct {
+			Cache struct {
+				Bytes int64 `json:"bytes"`
+			} `json:"cache"`
+		}
+		getJSON(t, ts.URL+"/v1/stats", http.StatusOK, &st)
+		if gauge := metricValue(t, ts.URL, "ccspd_cache_bytes"); gauge != float64(want) || st.Cache.Bytes != want {
+			t.Errorf("%s: ccspd_cache_bytes %v, /v1/stats cache.bytes %d, stored sizes sum to %d", step, gauge, st.Cache.Bytes, want)
+		}
+	}
+	check("empty", []string{}...)
+	for _, step := range []struct {
+		key       string
+		body, col int
+		live      []string // most recent first
+	}{
+		{"a", 100, 12, []string{"a"}},
+		{"b", 40, 0, []string{"b", "a"}},
+		{"a", 7, 0, []string{"a", "b"}},
+		{"c", 300, 12, []string{"c", "a", "b"}},
+		{"d", 5, 0, []string{"d", "c", "a"}},
+		{"c", 1000, 0, []string{"c", "d", "a"}},
+		{"e", 1, 1, []string{"e", "c", "d"}},
+		{"f", 0, 0, []string{"f", "e", "c"}},
+	} {
+		s.cache.Put(step.key, &entry{body: make([]byte, step.body), col: make([]int64, step.col)})
+		check(fmt.Sprintf("put %s (%d B body, %d cells)", step.key, step.body, step.col), step.live...)
+	}
+
+	for _, req := range []string{
+		`{"kind":"distance","distance":{"from":1,"to":7}}`,
+		`{"kind":"mssp","mssp":{"sources":[0,2,4,6,8,10,11,1]}}`,
+		`{"kind":"knearest","knearest":{"k":4}}`,
+		`{"kind":"mssp","mssp":{"sources":[5]}}`,
+		`{"kind":"apsp"}`,
+		`{"kind":"diameter"}`,
+	} {
+		miss := postJSON(t, ts.URL+"/v1/query", req, http.StatusOK, nil)
+		check(req)
+		front := s.cache.order.Front().Value.(*lruEntry)
+		key, e := front.key, front.val
+		if hit := bytes.Replace(miss, []byte(`"cached":false`), []byte(`"cached":true`), 1); !strings.Contains(req, `"distance"`) && !bytes.Equal(e.body, hit) {
+			t.Errorf("%s: entry body %s, hit body %s", key, e.body, hit)
+		}
+		wantCol := 0
+		if _, sources, ok := strings.Cut(key, "mssp:sources="); ok && !strings.Contains(sources, ",") {
+			wantCol = 12
+		}
+		if len(e.body) != cap(e.body) || len(e.col) != wantCol || (e.stats != nil) != (wantCol > 0) {
+			t.Errorf("%s: entry holds a %d-byte body in %d, %d column cells, stats %v; want no slack and %d cells",
+				key, len(e.body), cap(e.body), len(e.col), e.stats, wantCol)
+		}
+	}
+}
+
+// metricValue reads one unlabelled series off a daemon's /metrics page.
+func metricValue(t *testing.T, base, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(page), "\n") {
+		if value, ok := strings.CutPrefix(line, name+" "); ok {
+			v, err := strconv.ParseFloat(value, 64)
+			if err != nil {
+				t.Fatalf("metrics line %q: %v", line, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("metrics page carries no %s", name)
+	return 0
 }
 
 // queryCounters reads the three per-query counters of a daemon: two off

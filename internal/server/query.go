@@ -56,7 +56,7 @@ func (s *Server) fail(w http.ResponseWriter, kind api.Kind, err error) {
 // handleQuery serves POST /v1/query: one api.Request in, one
 // api.Response out (a distance request shares the single-source MSSP
 // cache entry, an auto APSP variant resolves before keying). A lent
-// answer goes back only after writeJSON returns: by then the whole body
+// answer goes back only after writeAnswer returns: by then the whole body
 // has been encoded and handed to the connection, and nothing reads the
 // answer again.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -68,12 +68,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, req.Kind, err)
 		return
 	}
-	resp, release, err := s.execute(r.Context(), req)
+	a, release, err := s.execute(r.Context(), req)
 	if err != nil {
 		s.fail(w, req.Kind, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeAnswer(w, a)
 	release()
 }
 
@@ -85,10 +85,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // dead before any query ran) is the only way to get a non-200.
 //
 // Cache interplay: every position goes through the same lookup as a
-// single query, hits answer from the cache (Cached: true), distinct
-// misses dedup onto one engine run each, and completed runs refill the
-// cache for the next request - so a hot batch converges to zero
-// simulator runs.
+// single query, hits answer from the cache (Cached: true; a stored body is
+// spliced into the batch's as it is), distinct misses dedup onto one
+// engine run each, and each completed run refills the cache once for the
+// next request - so a hot batch converges to zero simulator runs.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.requirePOST(w, r, "") {
 		return
@@ -122,18 +122,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// distance requests from one source (or a distance and a plain
 	// single-source MSSP) coalesce onto one run yet finish different
 	// responses out of it.
-	resps := make([]api.Response, len(br.Requests))
+	answers := make([]answer, len(br.Requests))
 	var (
 		plans []ccsp.Plan
 		at    []int // plans[j] answers br.Requests[at[j]]
 	)
 	for i, req := range br.Requests {
-		p, resp, hit, err := s.lookup(req)
+		_, p, hit, err := s.lookup(req)
 		switch {
 		case err != nil:
-			resps[i] = api.Response{Kind: req.Kind, Graph: req.Graph, Error: ccsp.APIError(err)}
-		case hit:
-			resps[i] = resp
+			answers[i].resp = api.Response{Kind: req.Kind, Graph: req.Graph, Error: ccsp.APIError(err)}
+		case hit != nil:
+			answers[i] = hitAnswer(p, req, hit)
 		default:
 			plans, at = append(plans, p), append(at, i)
 		}
@@ -157,25 +157,35 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.batchRuns.Add(int64(runs))
+		var stored map[string]bool // keys this batch's runs have entered
+		if s.cacheCap > 0 {
+			stored = make(map[string]bool)
+		}
 		for j, i := range at {
-			if out[j].Error == nil {
-				s.store(plans[j], out[j])
+			answers[i].resp = plans[j].Finish(out[j], false)
+			if out[j].Error != nil {
+				continue
 			}
-			resps[i] = plans[j].Finish(out[j], false)
+			s.queries.Inc()
+			if stored != nil {
+				if key := plans[j].Key(); !stored[key] {
+					stored[key] = true
+					s.cache.Put(key, newEntry(out[j]))
+				}
+			}
 		}
 	}
 	// Per-position failures return inside a 200, but they still feed the
 	// serving stats: a batch workload going bad must show up in
 	// /v1/stats exactly like failing single queries would.
-	for _, resp := range resps {
-		if resp.Error == nil {
-			continue
-		}
-		if resp.Error.Code == api.CodeDeadline {
+	for i := range answers {
+		switch e := answers[i].resp.Error; {
+		case e == nil:
+		case e.Code == api.CodeDeadline:
 			s.timeouts.Inc()
-		} else {
+		default:
 			s.errors.Inc()
 		}
 	}
-	writeJSON(w, http.StatusOK, api.BatchResponse{Responses: resps})
+	writeBatch(w, answers)
 }

@@ -114,65 +114,202 @@ func TestQueryEndpointSharesLegacyCache(t *testing.T) {
 	}
 }
 
-// TestCacheHitBodyMatchesMiss: the LRU holds the very response Plan.Run
-// rewrote to wire form in place, and every hit re-encodes it - so a hit's
-// body is the miss's body with the cached flag flipped, byte for byte, also
-// while other hits encode it and distance requests project pairs out of it
-// (run under -race: the stored panel must only ever be read). The graph has
-// two components, so the panel holds rewritten sentinels.
+// TestCacheHitBodyMatchesMiss: an LRU entry is the wire bytes a hit sends
+// (plus, for a one-source MSSP, the column a distance hit projects from), so
+// for every kind - sssp, mssp at q = 1 and 8, apsp auto and explicit,
+// knearest, source detection, diameter, distance - a hit's body is the
+// miss's with the cached flag flipped, byte for byte, and the miss's is a
+// cold engine's answer: through /v1/query, and position by position through
+// /v1/batch bodies that mix hits, misses and duplicates. A distance hit on
+// the entry an mssp [src] miss stored, and an mssp [src] hit on the entry a
+// distance miss stored, are a cold engine's answers too. Last, concurrent
+// /v1/query and /v1/batch hits and projections read one stored slice and
+// one column (run under -race: nothing may write an entry once stored), and
+// concurrent misses on a small cache each give their lent buffer back only
+// after their write. The graph has two components, so the answers hold wire
+// sentinels.
 func TestCacheHitBodyMatchesMiss(t *testing.T) {
+	ctx := context.Background()
 	gr := ccsp.NewGraph(8)
 	for _, e := range [][3]int64{{0, 1, 2}, {1, 2, 3}, {2, 3, 1}, {4, 5, 2}, {5, 6, 4}, {6, 7, 1}} {
 		gr.MustAddEdge(int(e[0]), int(e[1]), e[2])
 	}
-	eng, err := ccsp.NewEngine(context.Background(), gr, ccsp.Options{Epsilon: 0.5, Execution: ccsp.ExecDirect})
+	opts := ccsp.Options{Epsilon: 0.5, Execution: ccsp.ExecDirect}
+	eng, err := ccsp.NewEngine(ctx, gr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := newTestServer(t, eng, Config{CacheSize: 16})
-	cold := newTestServer(t, eng, Config{CacheSize: -1})
-
-	const msspReq = `{"kind":"mssp","mssp":{"sources":[1]}}`
-	hit := func(miss []byte) []byte {
-		if !bytes.Contains(miss, []byte(`"cached":false`)) {
-			t.Fatalf("miss body carries no cached flag: %s", miss)
+	coldEng, err := ccsp.NewEngine(ctx, gr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	distReq := func(from, to int) string {
+		return fmt.Sprintf(`{"kind":"distance","distance":{"from":%d,"to":%d}}`, from, to)
+	}
+	msspReq := func(sources ...int) string {
+		b, err := json.Marshal(api.MSSP(sources...))
+		if err != nil {
+			t.Fatal(err)
 		}
-		return bytes.Replace(miss, []byte(`"cached":false`), []byte(`"cached":true`), 1)
+		return string(b)
 	}
-	wantMSSP := hit(postJSON(t, ts.URL+"/v1/query", msspReq, http.StatusOK, nil))
-	if !bytes.Contains(wantMSSP, []byte(`[-1]`)) {
-		t.Fatalf("the other component must read -1 on the wire: %s", wantMSSP)
+	// cold is a cold engine's answer to req, as a cache miss sends it
+	// (no newline: a batch position).
+	cold := func(req string) []byte {
+		var r api.Request
+		if err := json.Unmarshal([]byte(req), &r); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := coldEng.Query(ctx, r)
+		if err != nil {
+			t.Fatalf("%s: %v", req, err)
+		}
+		b, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasSuffix(b, []byte(`,"cached":false}`)) {
+			t.Fatalf("%s: a cold answer ends %s", req, b[max(len(b)-20, 0):])
+		}
+		return b
 	}
-	distReq := func(to int) string {
-		return fmt.Sprintf(`{"kind":"distance","distance":{"from":1,"to":%d}}`, to)
+	hit := func(miss []byte) []byte {
+		return append(bytes.Clone(bytes.TrimSuffix(miss, []byte(`false}`))), `true}`...)
 	}
+	query := func(url, req string) []byte {
+		return bytes.TrimSuffix(postJSON(t, url+"/v1/query", req, http.StatusOK, nil), []byte("\n"))
+	}
+	batch := func(url string, reqs []string) []json.RawMessage {
+		var br struct{ Responses []json.RawMessage }
+		postJSON(t, url+"/v1/batch", `{"requests":[`+strings.Join(reqs, ",")+`]}`, http.StatusOK, &br)
+		if len(br.Responses) != len(reqs) {
+			t.Fatalf("%d batch positions answered, want %d", len(br.Responses), len(reqs))
+		}
+		return br.Responses
+	}
+
+	all := []string{
+		`{"kind":"sssp","sssp":{"source":2}}`,
+		msspReq(1),
+		msspReq(0, 1, 2, 3, 4, 5, 6, 7),
+		`{"kind":"apsp"}`,
+		`{"kind":"apsp","apsp":{"variant":"weighted3"}}`,
+		`{"kind":"knearest","knearest":{"k":3}}`,
+		`{"kind":"source_detection","source_detection":{"sources":[0,5,6],"d":3,"k":2}}`,
+		`{"kind":"diameter"}`,
+		distReq(5, 7),
+	}
+	want := make(map[string][]byte)
+	for _, req := range append(all, `{"kind":"apsp","apsp":{"variant":"weighted"}}`) {
+		want[req] = cold(req)
+	}
+	if !bytes.Contains(want[msspReq(1)], []byte(`[-1]`)) {
+		t.Fatalf("the other component must read -1 on the wire: %s", want[msspReq(1)])
+	}
+
+	// /v1/query: the miss, then the hit.
+	ts := newTestServer(t, eng, Config{CacheSize: 32})
+	for _, req := range all {
+		if got := query(ts.URL, req); !bytes.Equal(got, want[req]) {
+			t.Errorf("%s: miss %s, cold engine %s", req, got, want[req])
+		}
+		if got := query(ts.URL, req); !bytes.Equal(got, hit(want[req])) {
+			t.Errorf("%s: hit %s, want %s", req, got, hit(want[req]))
+		}
+	}
+	// The auto apsp stored the entry its explicit variant hits.
+	explicit := `{"kind":"apsp","apsp":{"variant":"weighted"}}`
+	if got := query(ts.URL, explicit); !bytes.Equal(got, hit(want[explicit])) {
+		t.Errorf("%s after auto: %s, want the hit %s", explicit, got, hit(want[explicit]))
+	}
+
+	// /v1/batch: every other kind warmed by a query, the rest missed in the
+	// batch, each asked twice; then all of it again, every position a hit.
+	ts = newTestServer(t, eng, Config{CacheSize: 32})
+	warm := make(map[string]bool)
+	for i, req := range all {
+		if i%2 == 0 {
+			query(ts.URL, req)
+			warm[req] = true
+		}
+	}
+	twice := append(append([]string(nil), all...), all...)
+	for round := 0; round < 2; round++ {
+		for i, got := range batch(ts.URL, twice) {
+			req, w := twice[i], want[twice[i]]
+			if round == 1 || warm[req] {
+				w = hit(w)
+			}
+			if !bytes.Equal(got, w) {
+				t.Errorf("batch round %d, position %d (%s): %s, want %s", round, i, req, got, w)
+			}
+		}
+	}
+
+	// One entry, two kinds: mssp [src] stores what distance hits project,
+	// and a distance miss stores what mssp [src] hits send.
+	ts = newTestServer(t, eng, Config{CacheSize: 32})
+	query(ts.URL, msspReq(1))
+	batch(ts.URL, []string{distReq(6, 4)})
+	for to := 0; to < gr.N(); to++ {
+		for _, from := range []int{1, 6} {
+			req := distReq(from, to)
+			w := hit(cold(req))
+			if got := query(ts.URL, req); !bytes.Equal(got, w) {
+				t.Errorf("%s off the mssp [%d] entry: %s, want %s", req, from, got, w)
+			}
+			if got := batch(ts.URL, []string{req})[0]; !bytes.Equal(got, w) {
+				t.Errorf("%s off the mssp [%d] entry, in a batch: %s, want %s", req, from, got, w)
+			}
+		}
+	}
+	ts = newTestServer(t, eng, Config{CacheSize: 32})
+	query(ts.URL, distReq(2, 5))
+	batch(ts.URL, []string{distReq(7, 0)})
+	for _, src := range []int{2, 7} {
+		w := hit(cold(msspReq(src)))
+		if got := query(ts.URL, msspReq(src)); !bytes.Equal(got, w) {
+			t.Errorf("mssp [%d] off a distance's entry: %s, want %s", src, got, w)
+		}
+		if got := batch(ts.URL, []string{msspReq(src)})[0]; !bytes.Equal(got, w) {
+			t.Errorf("mssp [%d] off a distance's entry, in a batch: %s, want %s", src, got, w)
+		}
+	}
+
+	// Concurrent hits on one daemon's entries.
+	ts = newTestServer(t, eng, Config{CacheSize: 32})
 	wantDist := make([][]byte, gr.N())
 	for to := range wantDist {
-		wantDist[to] = hit(postJSON(t, cold.URL+"/v1/query", distReq(to), http.StatusOK, nil))
+		wantDist[to] = hit(cold(distReq(1, to)))
 	}
-
+	query(ts.URL, msspReq(1))
+	query(ts.URL, `{"kind":"apsp"}`)
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func() {
 			for i := 0; i < 20; i++ {
-				req, want := msspReq, wantMSSP
-				if (g+i)%2 == 1 {
-					to := (g + i) % gr.N()
-					req, want = distReq(to), wantDist[to]
+				to := (g + i) % gr.N()
+				reqs := []string{msspReq(1), distReq(1, to), `{"kind":"apsp"}`}
+				wants := [][]byte{hit(want[msspReq(1)]), wantDist[to], hit(want[`{"kind":"apsp"}`])}
+				url, body := ts.URL+"/v1/query", reqs[i%3]
+				if g%2 == 1 {
+					url, body = ts.URL+"/v1/batch", `{"requests":[`+strings.Join(reqs, ",")+`]}`
 				}
-				resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(req))
+				got, err := postRaw(url, body)
 				if err != nil {
 					errs <- err
 					return
 				}
-				got, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil {
-					errs <- err
-					return
+				if g%2 == 0 {
+					if w := append(bytes.Clone(wants[i%3]), '\n'); !bytes.Equal(got, w) {
+						errs <- fmt.Errorf("%s: hit body %s, want %s", body, got, w)
+						return
+					}
+					continue
 				}
-				if !bytes.Equal(got, want) {
-					errs <- fmt.Errorf("%s: hit body %s, want %s", req, got, want)
+				w := append(append([]byte(`{"responses":[`), bytes.Join(wants, []byte(","))...), "]}\n"...)
+				if !bytes.Equal(got, w) {
+					errs <- fmt.Errorf("%s: batch body %s, want %s", body, got, w)
 					return
 				}
 			}
@@ -184,6 +321,69 @@ func TestCacheHitBodyMatchesMiss(t *testing.T) {
 			t.Error(err)
 		}
 	}
+
+	// Concurrent misses, hits and evictions on a four-entry cache: each miss
+	// answers lent and gives its plane, table or backing back after the
+	// write, so one given back before would be the next miss's scratch
+	// while its body is still being written.
+	ts = newTestServer(t, eng, Config{CacheSize: 4})
+	churn := []string{msspReq(0, 1, 2, 3, 4, 5, 6, 7), `{"kind":"apsp"}`, `{"kind":"knearest","knearest":{"k":3}}`,
+		`{"kind":"source_detection","source_detection":{"sources":[0,5,6],"d":3,"k":2}}`, distReq(3, 6), distReq(6, 3)}
+	for src := 0; src < gr.N(); src++ {
+		churn = append(churn, msspReq(src))
+	}
+	for _, req := range churn {
+		want[req] = cold(req)
+	}
+	unflag := func(body []byte) []byte {
+		return bytes.ReplaceAll(body, []byte(`"cached":true`), []byte(`"cached":false`))
+	}
+	for g := 0; g < 8; g++ {
+		go func() {
+			for i := 0; i < 200; i++ {
+				reqs := []string{churn[(g+i)%len(churn)], churn[(3*g+i+5)%len(churn)], churn[(5*g+2*i+1)%len(churn)]}
+				url, body := ts.URL+"/v1/query", reqs[0]
+				w := append(bytes.Clone(want[reqs[0]]), '\n')
+				if i%2 == 1 {
+					url, body = ts.URL+"/v1/batch", `{"requests":[`+strings.Join(reqs, ",")+`]}`
+					w = []byte(`{"responses":[`)
+					for j, req := range reqs {
+						if j > 0 {
+							w = append(w, ',')
+						}
+						w = append(w, want[req]...)
+					}
+					w = append(w, "]}\n"...)
+				}
+				got, err := postRaw(url, body)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !bytes.Equal(unflag(got), w) {
+					errs <- fmt.Errorf("%s: body %s, want %s", body, got, w)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < 8; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// postRaw POSTs body to url and returns the response body, whatever the
+// status.
+func postRaw(url, body string) ([]byte, error) {
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	return io.ReadAll(resp.Body)
 }
 
 // TestDistanceBodyCacheOffMatchesOn: with the cache off a daemon answers

@@ -280,29 +280,47 @@ func (s *Server) Handler() http.Handler {
 // graph, plan the request on its engine (ccsp.Engine.Plan - the one
 // canonicalisation: a distance shares its source's MSSP entry, an auto
 // APSP the entry of the variant it means) and consult the response
-// cache. A hit is counted and comes back finished (Cached: true); a miss
-// returns the plan to run.
+// cache. A hit is counted and comes back as its entry; a miss returns the
+// plan to run and the engine that made it.
 //
 // The serving engine is taken from the registry once per request (one
 // atomic load): it carries its epoch, so the plan's key, its validation
 // and its run all describe one graph generation even if a swap lands in
 // between. Keys are graph- and epoch-qualified, so one shared LRU serves
 // every graph and every generation without aliasing.
-func (s *Server) lookup(req api.Request) (p ccsp.Plan, resp api.Response, hit bool, err error) {
+func (s *Server) lookup(req api.Request) (eng *ccsp.Engine, p ccsp.Plan, hit *entry, err error) {
 	dyn, err := s.engineFor(req.Graph)
 	if err != nil {
-		return p, resp, false, err
+		return nil, p, nil, err
 	}
-	if p, err = dyn.Engine().Plan(req); err != nil {
-		return p, resp, false, err
+	eng = dyn.Engine()
+	if p, err = eng.Plan(req); err != nil {
+		return nil, p, nil, err
 	}
 	if s.cacheCap > 0 { // a disabled cache costs no key
-		if v, ok := s.cache.Get(p.Key()); ok {
+		if e, ok := s.cache.Get(p.Key()); ok {
 			s.queries.Inc()
-			return p, p.Finish(v.(api.Response), true), true, nil
+			return eng, p, e, nil
 		}
 	}
-	return p, resp, false, nil
+	return eng, p, nil, nil
+}
+
+// answer is what one query position sends: a hit's stored body (newline
+// included), or a response to encode.
+type answer struct {
+	body []byte
+	resp api.Response
+}
+
+// hitAnswer is what a hit on e sends for req, planned as p: a distance
+// projects its pair out of the entry's column, every other request sends
+// the stored body.
+func hitAnswer(p ccsp.Plan, req api.Request, e *entry) answer {
+	if pair := req.Distance; pair != nil {
+		return answer{resp: p.FinishDistance(e.col[pair.To], e.stats, true)}
+	}
+	return answer{body: e.body}
 }
 
 // withTimeout bounds ctx by the per-request Config.Timeout (unbounded
@@ -331,48 +349,43 @@ func (s *Server) enter(ctx context.Context) (_ context.Context, leave func(), er
 	return ctx, func() { release(); cancel() }, nil
 }
 
-// store caches one completed engine response under its plan key and
-// counts the position it answers. Only completed results are cached;
-// cached responses repeat the original run's deterministic stats. A batch
-// calls it for every position of a shared run: the write is idempotent,
-// and ccspd_queries_total counts answered positions, not runs.
-func (s *Server) store(p ccsp.Plan, resp api.Response) {
-	if s.cacheCap > 0 {
-		s.cache.Put(p.Key(), resp)
+// execute answers one request: lookup, enter, answer, store. A miss is
+// answered lent (Plan.Answer), and release - a no-op on a hit - hands its
+// plane, table or neighbor backing back once the caller has written the
+// body. With the cache off the request's own plan answers (a distance
+// reads its one cell); with it on the canonical plan does (Engine.Plan of
+// p.Request() is that plan), since the entry is made of its answer:
+// newEntry copies what it keeps, and the request's own answer is finished
+// out of the same run.
+func (s *Server) execute(ctx context.Context, req api.Request) (_ answer, release func(), _ error) {
+	eng, p, hit, err := s.lookup(req)
+	if err != nil {
+		return answer{}, keepAll, err
 	}
-	s.queries.Inc()
-}
-
-// execute answers one request: lookup, enter, run, store, finish. With the
-// cache off nothing keeps the canonical run, so the plan answers directly
-// (Plan.Answer: a distance reads its one cell) and only the count is kept;
-// the answer is lent, and release - a no-op on every other path - hands
-// its plane or table back once the caller has written the body.
-func (s *Server) execute(ctx context.Context, req api.Request) (_ api.Response, release func(), _ error) {
-	p, resp, hit, err := s.lookup(req)
-	if err != nil || hit {
-		return resp, keepAll, err
+	if hit != nil {
+		return hitAnswer(p, req, hit), keepAll, nil
+	}
+	run := p
+	if s.cacheCap > 0 {
+		if run, err = eng.Plan(p.Request()); err != nil {
+			return answer{}, keepAll, err
+		}
 	}
 	ctx, leave, err := s.enter(ctx)
 	if err != nil {
-		return api.Response{}, keepAll, err
+		return answer{}, keepAll, err
 	}
-	if s.cacheCap == 0 {
-		out, release, err := p.Answer(ctx)
-		leave()
-		if err != nil {
-			return api.Response{}, keepAll, err
-		}
-		s.queries.Inc()
-		return *out, release, nil
-	}
-	out, err := p.Run(ctx)
+	out, release, err := run.Answer(ctx)
 	leave()
 	if err != nil {
-		return api.Response{}, keepAll, err
+		return answer{}, keepAll, err
 	}
-	s.store(p, *out)
-	return p.Finish(*out, false), keepAll, nil
+	s.queries.Inc()
+	if s.cacheCap == 0 {
+		return answer{resp: *out}, release, nil
+	}
+	s.cache.Put(p.Key(), newEntry(*out))
+	return answer{resp: p.Finish(*out, false)}, release, nil
 }
 
 // keepAll is the release of an answer that is not lent.
@@ -452,6 +465,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"cache": map[string]interface{}{
 			"capacity": s.cacheCap,
 			"entries":  entries,
+			"bytes":    s.cache.Bytes(),
 			"hits":     hits,
 			"misses":   misses,
 		},
@@ -529,11 +543,11 @@ func engineStats(dyn *ccsp.DynamicEngine) (graph, options, preprocess map[string
 // large body carries its Content-Length, which is what lets the client read
 // it into one buffer of the right size (client.readBody).
 //
-// An answer that carries a large array, alone or in a batch, is appended
-// into a pooled buffer JSONLen sized (api.Response.AppendJSON: the bytes
-// encoding/json would write, without its reflective walk over the array);
-// the buffer goes back once the connection has taken the bytes. Everything
-// else goes through encoding/json.
+// An answer that carries a large array is appended into a pooled buffer
+// JSONLen sized (api.Response.AppendJSON: the bytes encoding/json would
+// write, without its reflective walk over the array), as a batch is
+// (writeBatch); the buffer goes back once the connection has taken the
+// bytes. Everything else goes through encoding/json.
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	switch v := v.(type) {
@@ -541,24 +555,6 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 		if carriesArray(&v) {
 			buf := encodeBufs.Get(v.JSONLen() + 1)
 			send(w, code, append(v.AppendJSON(buf[:0]), '\n'))
-			encodeBufs.Put(buf)
-			return
-		}
-	case api.BatchResponse:
-		if v.Responses != nil {
-			n := len(`{"responses":[]}`+"\n") + max(len(v.Responses)-1, 0)
-			for i := range v.Responses {
-				n += v.Responses[i].JSONLen()
-			}
-			buf := encodeBufs.Get(n)
-			b := append(buf[:0], `{"responses":[`...)
-			for i := range v.Responses {
-				if i > 0 {
-					b = append(b, ',')
-				}
-				b = v.Responses[i].AppendJSON(b)
-			}
-			send(w, code, append(b, "]}\n"...))
 			encodeBufs.Put(buf)
 			return
 		}
@@ -577,6 +573,47 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 		writeAPIError(w, http.StatusInternalServerError, "",
 			&api.Error{Code: api.CodeInternal, Message: "encode response: " + err.Error()})
 	}
+}
+
+// writeAnswer writes one query position's 200: a hit's stored body as it
+// is, anything else through writeJSON.
+func writeAnswer(w http.ResponseWriter, a answer) {
+	if a.body == nil {
+		writeJSON(w, http.StatusOK, a.resp)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	send(w, http.StatusOK, a.body)
+}
+
+// writeBatch writes the 200 of a /v1/batch: the api.BatchResponse of the
+// positions, appended into one pooled buffer JSONLen sized. A hit's stored
+// body is spliced in as it is, less its newline, and a response appended
+// (api.Response.AppendJSON).
+func writeBatch(w http.ResponseWriter, answers []answer) {
+	w.Header().Set("Content-Type", "application/json")
+	n := len(`{"responses":[]}`+"\n") + max(len(answers)-1, 0)
+	for i := range answers {
+		if body := answers[i].body; body != nil {
+			n += len(body) - 1
+		} else {
+			n += answers[i].resp.JSONLen()
+		}
+	}
+	buf := encodeBufs.Get(n)
+	b := append(buf[:0], `{"responses":[`...)
+	for i := range answers {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if body := answers[i].body; body != nil {
+			b = append(b, body[:len(body)-1]...)
+		} else {
+			b = answers[i].resp.AppendJSON(b)
+		}
+	}
+	send(w, http.StatusOK, append(b, "]}\n"...))
+	encodeBufs.Put(buf)
 }
 
 // carriesArray reports whether r holds a result with one of the large

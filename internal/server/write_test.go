@@ -109,8 +109,9 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 
 // TestWriteJSONAppendedMatchesEncoder: an answer with a large array, alone
 // or in a batch, is appended rather than encoded (api.Response.AppendJSON),
-// and goes out as the bytes encoding/json writes, newline included, under
-// the Content-Length they have.
+// a cache hit's stored body is written or spliced into a batch as it is, and
+// every body goes out as the bytes encoding/json writes, newline included,
+// under the Content-Length they have.
 func TestWriteJSONAppendedMatchesEncoder(t *testing.T) {
 	dist := make(api.Matrix, 40)
 	for u := range dist {
@@ -124,28 +125,42 @@ func TestWriteJSONAppendedMatchesEncoder(t *testing.T) {
 		Neighbors: api.NeighborLists{{{Node: 0, Dist: 0, Hops: 0, FirstHop: -1}}, {}}}}
 	small := api.Response{Kind: api.KindSSSP, SSSP: &api.SSSPResult{Source: 0, Dist: []int64{0, 4, -1}}}
 	failed := api.Response{Kind: api.KindMSSP, Error: &api.Error{Code: api.CodeInvalidSource, Message: "node 99 out of range"}}
-	for name, v := range map[string]interface{}{
-		"apsp":     apsp,
-		"knearest": knear,
-		"small":    small,
-		"batch":    api.BatchResponse{Responses: []api.Response{apsp, failed, knear, small}},
-		"empty":    api.BatchResponse{Responses: []api.Response{}},
+	diameter := api.Response{Kind: api.KindDiameter, Diameter: &api.DiameterResult{Estimate: 17}, Cached: true}
+	// stored is what a hit on resp's cache entry sends.
+	stored := func(resp api.Response) answer { return answer{body: newEntry(resp).body} }
+	cachedAPSP := apsp
+	cachedAPSP.Cached = true
+	for _, tc := range []struct {
+		name  string
+		want  interface{} // what encoding/json is given
+		write func(http.ResponseWriter)
+	}{
+		{"apsp", apsp, func(w http.ResponseWriter) { writeJSON(w, http.StatusOK, apsp) }},
+		{"knearest", knear, func(w http.ResponseWriter) { writeJSON(w, http.StatusOK, knear) }},
+		{"small", small, func(w http.ResponseWriter) { writeJSON(w, http.StatusOK, small) }},
+		{"stored apsp", cachedAPSP, func(w http.ResponseWriter) { writeAnswer(w, stored(apsp)) }},
+		{"stored diameter", diameter, func(w http.ResponseWriter) { writeAnswer(w, stored(diameter)) }},
+		{"batch", api.BatchResponse{Responses: []api.Response{apsp, failed, knear, cachedAPSP, small, diameter}}, func(w http.ResponseWriter) {
+			writeBatch(w, []answer{{resp: apsp}, {resp: failed}, {resp: knear}, stored(apsp), {resp: small}, stored(diameter)})
+		}},
+		{"empty", api.BatchResponse{Responses: []api.Response{}}, func(w http.ResponseWriter) { writeBatch(w, []answer{}) }},
 	} {
 		var want strings.Builder
-		if err := json.NewEncoder(&want).Encode(v); err != nil {
+		if err := json.NewEncoder(&want).Encode(tc.want); err != nil {
 			t.Fatal(err)
 		}
 		w := &headerWriter{h: make(http.Header)}
-		writeJSON(w, http.StatusOK, v)
+		tc.write(w)
 		if string(w.body) != want.String() {
-			t.Errorf("%s: wrote\n%s\nencoding/json writes\n%s", name, w.body, want.String())
+			t.Errorf("%s: wrote\n%s\nencoding/json writes\n%s", tc.name, w.body, want.String())
 		}
 		wantLength := ""
 		if want.Len() >= chunkingThreshold {
 			wantLength = strconv.Itoa(want.Len())
 		}
-		if w.code != http.StatusOK || w.h.Get("Content-Length") != wantLength {
-			t.Errorf("%s: status %d, Content-Length %q, want 200 and %q", name, w.code, w.h.Get("Content-Length"), wantLength)
+		if w.code != http.StatusOK || w.h.Get("Content-Length") != wantLength || w.h.Get("Content-Type") != "application/json" {
+			t.Errorf("%s: status %d, Content-Length %q, Content-Type %q, want 200, %q and JSON",
+				tc.name, w.code, w.h.Get("Content-Length"), w.h.Get("Content-Type"), wantLength)
 		}
 	}
 }

@@ -66,8 +66,8 @@ func (p Plan) Key() string { return p.run.CacheKeyAt(p.eng.epoch) }
 
 // Run executes the plan's canonical request and returns its response in
 // wire form (distances use api.Unreachable = -1 for disconnected pairs),
-// not yet finished: this is the value a cache stores under Key, read-only
-// from here on. Run owns the result the engine method hands it, so the wire
+// not yet finished: the answer a cache keeps under Key, read-only from here
+// on. Run owns the result the engine method hands it, so the wire
 // sentinels are written into that result in place, not into a copy. Errors
 // wrap the ccsp sentinels (ErrCanceled, ErrRoundLimit, ErrInvalidSource,
 // ErrInvalidOption) exactly as the direct Engine methods do.
@@ -151,21 +151,31 @@ func (p Plan) Finish(resp api.Response, cached bool) api.Response {
 	if resp.Error != nil {
 		return api.Response{Kind: p.req.Kind, Graph: p.req.Graph, Error: resp.Error}
 	}
-	resp.Cached = cached
 	if pair := p.req.Distance; pair != nil {
-		resp.Kind, resp.Distance = api.KindDistance, distanceResult(pair, resp.MSSP.Dist[pair.To][0])
-		resp.MSSP = nil
+		return p.FinishDistance(resp.MSSP.Dist[pair.To][0], resp.Stats, cached)
 	}
+	resp.Cached = cached
 	return resp
 }
 
-// Answer is Finish(Run, false) for a caller that keeps nothing but the
-// answer: the same response, byte for byte, and the same errors. Only a
-// distance takes another way - Run would shape the whole n×1 MSSP that a
-// cache stores under Key for Finish to read one cell of, so Answer reads
-// that cell straight from the detection plane and hands the plane back
-// (Engine.distance). A caller that stores the canonical run (a response
-// cache) keeps calling Run and Finish.
+// FinishDistance is Finish for a distance plan, from the one cell of the
+// canonical run it reads - d, the run's wire distance at the pair's target -
+// and the run's stats: the projection of a pair out of its one-source MSSP,
+// for a caller that kept the run's column and not the run (a response
+// cache). Finish and Answer project through it too.
+func (p Plan) FinishDistance(d int64, stats *api.Stats, cached bool) api.Response {
+	return api.Response{Kind: api.KindDistance, Graph: p.req.Graph, Distance: distanceResult(p.req.Distance, d), Stats: stats, Cached: cached}
+}
+
+// Answer is Finish(Run, false) for a caller that keeps nothing of the
+// response once it is written: the same response, byte for byte, and the
+// same errors. Only a distance takes another way - Run would shape the
+// whole n×1 MSSP that a cache keeps under Key for Finish to read one cell
+// of, so Answer reads that cell straight from the detection plane and hands
+// the plane back (Engine.distance). A caller that keeps a copy of the
+// canonical run (a response cache) answers the canonical plan - the
+// engine's Plan of this plan's Request - and finishes the request's own
+// answer out of that.
 //
 // The answer is lent: release, nil exactly when err is not, hands an mssp
 // answer's detection plane or an apsp answer's estimate table back to the
@@ -200,7 +210,8 @@ func (p Plan) answer(ctx context.Context, lend bool) (*api.Response, func(), err
 	if d >= Unreachable {
 		d = api.Unreachable
 	}
-	return &api.Response{Kind: api.KindDistance, Graph: p.req.Graph, Distance: distanceResult(pair, d), Stats: wireStats(stats)}, keepAll, nil
+	resp := p.FinishDistance(d, wireStats(stats), false)
+	return &resp, keepAll, nil
 }
 
 // keepAll is the release of an answer that lends nothing.
