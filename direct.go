@@ -64,13 +64,14 @@ func lowDegree(w *matrix.Mat[semiring.WH], degs []int64) *matrix.Mat[semiring.WH
 	return low
 }
 
-// attach derives the entry's query matrices before it is published: the
-// weight matrix the artifact was built on (G, or the low-degree subgraph
-// G' for artLowDegree, reconstructed from the entry's degs vector exactly
-// as the build did) and the G ∪ H overlay the β-hop detections run over,
-// which re-points the artifact's rows into its own (DESIGN.md §13, "One
-// copy of G ∪ H"). A sibling on G lends the overlay every row the two
-// artifacts share; a G' entry never takes one, as its base is its own.
+// attach derives a loaded entry's query matrices before it is published:
+// the weight matrix the artifact was built on (G, or the low-degree
+// subgraph G' for artLowDegree, reconstructed from the entry's degs
+// vector exactly as the build did) and the G ∪ H overlay the β-hop
+// detections run over, which re-points the artifact's rows into its own
+// (DESIGN.md §13, "One copy of G ∪ H"). A built entry has both from build.
+// A sibling on G lends the overlay every row the two artifacts share; a
+// G' entry never takes one, as its base is its own.
 func (d *directExec) attach(variant artVariant, ent, sib *artifactEntry) {
 	ent.base = d.weightMat()
 	if variant == artLowDegree {
@@ -105,24 +106,35 @@ func direct[T any](ctx context.Context, d *directExec, kernel func() (T, error))
 	}, err
 }
 
-func (d *directExec) build(ctx context.Context, key artifactKey, sib *artifactEntry) (*hopset.Artifact, []int64, Stats, error) {
+// build runs the direct hopset build over the entry's base - G, or G'
+// for artLowDegree - and keeps the G ∪ H matrix its level loop swept as
+// the entry's gh, so the entry is ready for queries without attach. Over
+// a sibling the build reads the sibling's bunch stage back and shares
+// its rows outside A_1 (hopset.BuildDirectFrom).
+func (d *directExec) build(ctx context.Context, key artifactKey, sib *artifactEntry) (*artifactEntry, error) {
 	var sibArt *hopset.Artifact
+	var sibGH *matrix.Mat[semiring.WH]
 	if sib != nil {
-		sibArt = sib.art
+		sibArt, sibGH = sib.art, sib.gh
 	}
-	var degs []int64
-	art, stats, err := direct(ctx, d, func() (*hopset.Artifact, error) {
-		w := d.weightMat()
+	ent := &artifactEntry{}
+	var err error
+	ent.art, ent.stats, err = direct(ctx, d, func() (art *hopset.Artifact, err error) {
+		ent.base = d.weightMat()
 		if key.variant == artLowDegree {
-			degs = make([]int64, w.N)
-			for v := range degs {
-				degs[v] = int64(len(w.Rows[v])) // the row includes the diagonal: |N(v)|
+			ent.degs = make([]int64, ent.base.N)
+			for v := range ent.degs {
+				ent.degs[v] = int64(len(ent.base.Rows[v])) // the row includes the diagonal: |N(v)|
 			}
-			w = lowDegree(w, degs)
+			ent.base = lowDegree(ent.base, ent.degs)
 		}
-		return hopset.BuildDirectFrom(ctx, d.g.AugSemiring(), w, key.params, sibArt, d.workers)
+		art, ent.gh, err = hopset.BuildDirectFrom(ctx, d.g.AugSemiring(), ent.base, key.params, sibArt, sibGH, d.workers)
+		return art, err
 	})
-	return art, degs, stats, err
+	if err != nil {
+		return nil, err
+	}
+	return ent, nil
 }
 
 // mssp hands back the kernel's own weight plane: its rest state

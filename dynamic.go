@@ -19,8 +19,8 @@ type EdgeUpdate = api.EdgeUpdate
 // with a single atomic load - they never block on writers and never see
 // a half-built engine. ApplyUpdates stages mutations into a pending
 // generation and kicks a background rebuild: a full preprocess of the
-// mutated graph under the wrapped engine's own Options (direct mode
-// rebuilds in ~0.5 s at n=1024: update_fresh_s in BENCHMARK.json). When
+// mutated graph under the wrapped engine's own Options (its cost at
+// n=1024 is the benchmark's update_fresh_s row, BENCHMARK.json). When
 // the rebuild completes, the fresh engine - stamped with the
 // generation's epoch - is swapped in atomically. Updates arriving while
 // a rebuild is in flight coalesce into the next generation; there is
@@ -107,10 +107,10 @@ func (d *DynamicEngine) Update(ctx context.Context, ups []EdgeUpdate) (uint64, e
 func (d *DynamicEngine) Close() { d.coord.Close() }
 
 // rebuild is the coordinator's BuildFunc: patch the serving graph,
-// preprocess it from scratch under the same Options, stamp the epoch,
-// swap. Building from the *serving* engine's graph is correct because
-// generations are serialized: the serving graph always reflects every
-// previously published generation.
+// preprocess it from scratch under the same Options (NewEngine's eager
+// build), stamp the epoch, swap. Building from the *serving* engine's
+// graph is correct because generations are serialized: the serving graph
+// always reflects every previously published generation.
 func (d *DynamicEngine) rebuild(ctx context.Context, epoch uint64, ups []dynamic.Update) error {
 	start := time.Now()
 	base := d.cur.Load()
@@ -119,8 +119,11 @@ func (d *DynamicEngine) rebuild(ctx context.Context, epoch uint64, ups []dynamic
 		metRebuildErrors.Inc()
 		return fmt.Errorf("%w: %v", ErrInvalidOption, err)
 	}
-	eng2, err := NewEngine(ctx, &Graph{g: g2}, d.opts)
-	if err != nil {
+	// g2 is Apply's own copy, so the engine adopts it instead of
+	// copying it once more, and d.opts are the serving engine's prepared
+	// Options.
+	eng2 := adoptEngine(g2, d.opts)
+	if _, err := eng2.artifact(ctx, eng2.baseKey()); err != nil {
 		metRebuildErrors.Inc()
 		return err
 	}

@@ -12,6 +12,7 @@ import (
 	"github.com/congestedclique/ccsp/api"
 	"github.com/congestedclique/ccsp/internal/apsp"
 	"github.com/congestedclique/ccsp/internal/disttools"
+	"github.com/congestedclique/ccsp/internal/graph"
 	"github.com/congestedclique/ccsp/internal/hopset"
 	"github.com/congestedclique/ccsp/internal/matrix"
 	"github.com/congestedclique/ccsp/internal/pool"
@@ -121,13 +122,14 @@ type artifactEntry struct {
 	degs  []int64 // artLowDegree only: broadcast |N(v)| vector, read-only
 	stats Stats
 
-	// directExec's query matrices derived from the artifact (DESIGN.md
-	// §13, "One copy of G ∪ H"), set by attach before the entry is
-	// published and immutable afterwards: base is the weight matrix the
-	// artifact was built on (G itself, or the low-degree subgraph G' for
-	// artLowDegree) and gh is mssp.OverlayGH's G ∪ H, row v the hopset row
-	// then the base entries it does not dominate. art.Rows[v] is the
-	// leading window of gh.Rows[v], so H is held once. Unused by simExec.
+	// directExec's query matrices (DESIGN.md §13, "One copy of G ∪ H"),
+	// set by its build - or, for a loaded entry, by attach - before the
+	// entry is published and immutable afterwards: base is the weight
+	// matrix the artifact was built on (G itself, or the low-degree
+	// subgraph G' for artLowDegree) and gh is G ∪ H, row v the hopset row
+	// then the base entries it does not dominate (hopset.OverlayRow).
+	// art.Rows[v] is the leading window of gh.Rows[v], so H is held once.
+	// Unused by simExec.
 	base *matrix.Mat[semiring.WH]
 	gh   *matrix.Mat[semiring.WH]
 }
@@ -164,7 +166,14 @@ func newEngine(gr *Graph, opts Options) (*Engine, error) {
 	// at construction, so a caller appending edges to its *Graph later
 	// must not be able to change what cached artifacts (or lazy direct
 	// matrices) are derived from.
-	gr = &Graph{g: gr.g.Clone()}
+	return adoptEngine(gr.g.Clone(), opts), nil
+}
+
+// adoptEngine is newEngine over a graph nobody else holds - a rebuild's
+// patched copy, a decoded snapshot's graph - and prepared opts: the
+// engine takes g over as it is, without the defensive copy.
+func adoptEngine(g *graph.Graph, opts Options) *Engine {
+	gr := &Graph{g: g}
 	e := &Engine{
 		gr:   gr,
 		opts: opts,
@@ -177,7 +186,7 @@ func newEngine(gr *Graph, opts Options) (*Engine, error) {
 	if opts.Execution == ExecDirect {
 		e.exec = &directExec{g: gr.g, workers: opts.Workers}
 	}
-	return e, nil
+	return e
 }
 
 // baseKey is the hopset parameterization of direct (1+ε) queries: MSSP
@@ -263,18 +272,15 @@ func (e *Engine) build(ctx context.Context, key artifactKey, call *buildCall) {
 
 // buildArtifact runs the preprocessing for one artifact: the hopset
 // construction of §4 (plus, for the low-degree variant, the degree vector
-// that defines G'), then the executor's attach, so the entry is complete
-// before build publishes it. The artifact is byte-identical whichever
-// executor built it, and whether or not it had a sibling; only its stats
-// differ (rounds, or wall-clock for the kernels).
+// that defines G'), which the executor hands back as a complete entry for
+// build to publish. The artifact is byte-identical whichever executor
+// built it, and whether or not it had a sibling; only its stats differ
+// (rounds, or wall-clock for the kernels).
 func (e *Engine) buildArtifact(ctx context.Context, key artifactKey) (*artifactEntry, error) {
-	sib := e.sibling(key)
-	art, degs, stats, err := e.exec.build(ctx, key, sib)
+	ent, err := e.exec.build(ctx, key, e.sibling(key))
 	if err != nil {
 		return nil, wrapRun(fmt.Sprintf("preprocess (%s)", key.variant), err)
 	}
-	ent := &artifactEntry{art: art, degs: degs, stats: stats}
-	e.exec.attach(key.variant, ent, sib)
 	return ent, nil
 }
 

@@ -27,16 +27,19 @@ import (
 // the public error taxonomy live once, in the Engine methods above the
 // seam. newEngine picks the implementation from Options.Execution.
 type executor interface {
-	// build constructs the hopset artifact for key (§4) and, for
-	// artLowDegree, the degree vector that defines G'. sib, if not nil, is
-	// a completed entry of key's variant whose params differ from key's
+	// build constructs the entry for key, ready for queries: the hopset
+	// artifact (§4), for artLowDegree the degree vector that defines G',
+	// the run's Stats and whatever the executor's queries read besides
+	// (directExec: artifactEntry.base and gh). sib, if not nil, is a
+	// completed entry of key's variant whose params differ from key's
 	// only in ε: directExec runs only the level loop over its artifact's
 	// bunch stage; simExec builds in full, because its Stats are the
 	// paper's rounds.
-	build(ctx context.Context, key artifactKey, sib *artifactEntry) (*hopset.Artifact, []int64, Stats, error)
-	// attach readies a built or loaded entry of variant for queries before
-	// it is published, sib as for build: directExec derives the matrices
-	// its queries read (artifactEntry.base and gh), simExec reads none.
+	build(ctx context.Context, key artifactKey, sib *artifactEntry) (*artifactEntry, error)
+	// attach readies an entry of variant loaded from a snapshot for
+	// queries before it is published, sib as for build: directExec
+	// derives what build would have kept (artifactEntry.base and gh),
+	// simExec reads nothing besides the artifact.
 	attach(variant artVariant, ent, sib *artifactEntry)
 	// mssp runs the β-hop source detection on G ∪ H (Theorem 3): the flat
 	// row-major n×|S| plane, cell v·|S|+j holding d̃(v,s) for the j-th
@@ -79,7 +82,7 @@ func (s *simExec) run(ctx context.Context, prog cc.Program) (Stats, error) {
 	return statsFrom(stats), err
 }
 
-func (s *simExec) build(ctx context.Context, key artifactKey, _ *artifactEntry) (*hopset.Artifact, []int64, Stats, error) {
+func (s *simExec) build(ctx context.Context, key artifactKey, _ *artifactEntry) (*artifactEntry, error) {
 	n := s.g.N
 	sr := s.g.AugSemiring()
 	board := hitting.NewBoard(n)
@@ -99,10 +102,13 @@ func (s *simExec) build(ctx context.Context, key artifactKey, _ *artifactEntry) 
 		return err
 	})
 	if err != nil {
-		return nil, nil, stats, err
+		return nil, err
 	}
 	art, err := hopset.Collect(results)
-	return art, degsShared, stats, err
+	if err != nil {
+		return nil, err
+	}
+	return &artifactEntry{art: art, degs: degsShared, stats: stats}, nil
 }
 
 func (s *simExec) attach(artVariant, *artifactEntry, *artifactEntry) {}

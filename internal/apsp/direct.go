@@ -138,24 +138,6 @@ func pivotCombineAll(e *estAll, p *disttools.Panel, pvs, dpvs []int64) {
 	}
 }
 
-// colSets extracts the column set of every row that holds at least
-// minLen entries (the hitting-set inputs; a shorter row gives the empty
-// set), all cut from one backing array.
-func colSets(m *matrix.Mat[semiring.WH], minLen int) [][]int32 {
-	sets := make([][]int32, m.N)
-	backing := make([]int32, 0, m.NNZ())
-	for v, row := range m.Rows {
-		start := len(backing)
-		if len(row) >= minLen {
-			for _, e := range row {
-				backing = append(backing, e.Col)
-			}
-		}
-		sets[v] = backing[start:len(backing):len(backing)]
-	}
-	return sets
-}
-
 // plainWeights is m over the plain min-plus semiring - the weights
 // without the hop counts - minus the diagonal if asked, all rows cut from
 // one backing array.
@@ -177,10 +159,10 @@ func plainWeights(m *matrix.Mat[semiring.WH], dropDiagonal bool) *matrix.Mat[int
 // ThreePlusEpsDirect is the host-side counterpart of
 // ThreePlusEpsWithHopset for all nodes. gh and beta come from the eps/2
 // artifact on G: gh is G ∪ H, either mssp.MergeGH(sr, w, art) or the
-// engine's cached mssp.OverlayGH, which detects the same (DESIGN.md §13,
-// "One copy of G ∪ H"), and beta = art.Beta. The result is the row-major
-// n×n table, and its row v (cells v·n to v·n+n−1) is byte-identical to
-// node v's collective output.
+// engine's cached overlay (hopset.OverlayRow), which detects the same
+// (DESIGN.md §13, "One copy of G ∪ H"), and beta = art.Beta. The result
+// is the row-major n×n table, and its row v (cells v·n to v·n+n−1) is
+// byte-identical to node v's collective output.
 func ThreePlusEpsDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh *matrix.Mat[semiring.WH], beta, workers int) ([]int64, error) {
 	n := w.N
 	e := newEstAll(n)
@@ -194,7 +176,7 @@ func ThreePlusEpsDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh *matr
 		return nil, err
 	}
 	defer release()
-	inA := hitting.Greedy(n, colSets(knear, 0))
+	inA := hitting.GreedyRows(n, knear.Rows)
 	res, err := mssp.RunDirectPanel(ctx, gh, beta, inA, workers)
 	if err != nil {
 		return nil, err
@@ -216,8 +198,8 @@ func ThreePlusEpsDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh *matr
 
 // TwoPlusEpsWeightedDirect is the host-side counterpart of
 // TwoPlusEpsWeightedWithHopset for all nodes. gh (G ∪ H, MergeGH's or
-// OverlayGH's) and beta come from the eps/2 artifact on G, and the result
-// is the flat table, as in ThreePlusEpsDirect.
+// the engine's overlay) and beta come from the eps/2 artifact on G, and
+// the result is the flat table, as in ThreePlusEpsDirect.
 func TwoPlusEpsWeightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh *matrix.Mat[semiring.WH], beta, workers int) ([]int64, error) {
 	n := w.N
 	// Line (1): edge estimates.
@@ -238,7 +220,7 @@ func TwoPlusEpsWeightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh
 		return nil, err
 	}
 	// Line (4): hitting set A of the N_k sets.
-	inA := hitting.Greedy(n, colSets(knear, 0))
+	inA := hitting.GreedyRows(n, knear.Rows)
 	// Line (5): (1+ε')-approximate MSSP from A over the prebuilt hopset.
 	res, err := mssp.RunDirectPanel(ctx, gh, beta, inA, workers)
 	if err != nil {
@@ -273,8 +255,14 @@ func TwoPlusEpsUnweightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, 
 	// --- First phase: shortest paths with a high-degree node. ---
 
 	// Line (2): A hits every high-degree neighborhood (a row includes the
-	// diagonal: its length is |N(v)|).
-	inA := hitting.Greedy(n, colSets(w, DegreeThreshold(n)))
+	// diagonal: its length is |N(v)|); a low-degree row is no set.
+	high := make([]matrix.Row[semiring.WH], n)
+	for v, row := range w.Rows {
+		if len(row) >= DegreeThreshold(n) {
+			high[v] = row
+		}
+	}
+	inA := hitting.GreedyRows(n, high)
 	// Line (3): MSSP from A over the prebuilt G hopset.
 	res, err := mssp.RunDirectPanel(ctx, ghG, betaG, inA, workers)
 	if err != nil {
@@ -303,7 +291,7 @@ func TwoPlusEpsUnweightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, 
 		return nil, err
 	}
 	// Line (7): A' hits the N_{k'} sets of G' nodes.
-	inA2 := hitting.Greedy(n, colSets(knearLow, 0))
+	inA2 := hitting.GreedyRows(n, knearLow.Rows)
 	// Line (8): sparse MSSP from A' in G' over the prebuilt G' hopset.
 	res2, err := mssp.RunDirectPanel(ctx, ghLow, betaLow, inA2, workers)
 	if err != nil {

@@ -19,9 +19,9 @@ import (
 // every step - the k-nearest sets, the greedy hitting set, the pivot
 // argmax tie-breaking, the N_k(w) membership and both MSSP stages -
 // mirrors it exactly. gh and beta come from the artifact: gh is G ∪ H,
-// either mssp.MergeGH(sr, w, art) or the engine's cached mssp.OverlayGH,
-// which detects the same (DESIGN.md §13, "One copy of G ∪ H"), and
-// beta = art.Beta. workers sizes the kernel pool.
+// either mssp.MergeGH(sr, w, art) or the engine's cached overlay
+// (hopset.OverlayRow), which detects the same (DESIGN.md §13, "One copy
+// of G ∪ H"), and beta = art.Beta. workers sizes the kernel pool.
 func ApproxDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh *matrix.Mat[semiring.WH], beta, workers int) (int64, error) {
 	n := w.N
 	// Line (1): distances to the k nearest, k = O~(√n).
@@ -34,16 +34,8 @@ func ApproxDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh *matrix.Mat
 		return 0, fmt.Errorf("diameter: %w", err)
 	}
 	defer release()
-	sets := make([][]int32, n)
-	for v := 0; v < n; v++ {
-		sv := make([]int32, 0, len(knear.Rows[v]))
-		for _, e := range knear.Rows[v] {
-			sv = append(sv, e.Col)
-		}
-		sets[v] = sv
-	}
 	// Line (2): hitting set S.
-	inS := hitting.Greedy(n, sets)
+	inS := hitting.GreedyRows(n, knear.Rows)
 	// Line (3): MSSP from S over the shared hopset.
 	res, err := mssp.RunDirectMerged(ctx, gh, beta, inS, workers)
 	if err != nil {

@@ -157,7 +157,7 @@ func (p *Panel) Release() {
 // Every step takes the least weight per column, so a row of g may hold a
 // column twice and in any order: the engine's G ∪ H row is the hopset
 // row followed by the graph entries it does not dominate, two
-// column-ordered runs (mssp.OverlayGH; DESIGN.md §13, "One copy of
+// column-ordered runs (hopset.OverlayRow; DESIGN.md §13, "One copy of
 // G ∪ H").
 //
 // The iteration also stops at its fixed point: an iteration that changes

@@ -56,15 +56,24 @@ func (g *Graph) MustAddEdge(u, v int, w int64) {
 }
 
 // Clone returns a deep copy: mutating the copy's adjacency lists (or the
-// original's) never affects the other. Used by the engine to decouple its
+// original's) never affects the other. The copy's lists are
+// capacity-clipped windows of one slab, so an append to one moves it out
+// rather than into its neighbour. Used by the engine to decouple its
 // cached artifacts from later mutation of the caller's graph.
 func (g *Graph) Clone() *Graph {
+	total := 0
+	for _, adj := range g.Adj {
+		total += len(adj)
+	}
 	c := &Graph{N: g.N, Adj: make([][]Edge, g.N)}
+	slab := make([]Edge, 0, total)
 	for v, adj := range g.Adj {
 		if len(adj) == 0 {
 			continue
 		}
-		c.Adj[v] = append(make([]Edge, 0, len(adj)), adj...)
+		start := len(slab)
+		slab = append(slab, adj...)
+		c.Adj[v] = slab[start:len(slab):len(slab)]
 	}
 	return c
 }

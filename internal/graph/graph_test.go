@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/congestedclique/ccsp/internal/matrix"
@@ -155,5 +157,26 @@ func TestMaxWeightForFitsSemiring(t *testing.T) {
 			g.MustAddEdge(0, 1, MaxWeightFor(n))
 		}
 		g.AugSemiring() // panics on overflow
+	}
+}
+
+// TestCloneRowsAreIndependent: a clone's adjacency lists share one slab,
+// yet appending to one of them - as AddEdge does - leaves the next list
+// in the slab and the original graph as they were.
+func TestCloneRowsAreIndependent(t *testing.T) {
+	g := line(4, 2)
+	c := g.Clone()
+	if !reflect.DeepEqual(c, g) {
+		t.Fatalf("clone %v differs from %v", c.Adj, g.Adj)
+	}
+	next := slices.Clone(c.Adj[2])
+	c.Adj[1] = append(c.Adj[1], Edge{To: 3, W: 7})
+	if !slices.Equal(c.Adj[2], next) {
+		t.Errorf("appending to row 1 of the clone changed row 2: %v, was %v", c.Adj[2], next)
+	}
+	c.MustAddEdge(0, 3, 5)
+	c.Adj[2][0].W = 9
+	if want := line(4, 2); !reflect.DeepEqual(g, want) {
+		t.Errorf("mutating the clone changed the original: %v", g.Adj)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"sync"
 
 	"github.com/congestedclique/ccsp/internal/cc"
+	"github.com/congestedclique/ccsp/internal/matrix"
 )
 
 // Lemma4Rounds is the round charge of the hitting-set primitive:
@@ -68,11 +69,32 @@ func (b *Board) Hit(nd *cc.Node, sv []int32) []bool {
 // element covering the most uncovered sets (ties to the smallest ID).
 // Size is at most (ln n + 1)(n/k + 1) when all sets have size >= k.
 func Greedy(n int, sets [][]int32) []bool {
+	return greedy(n, len(sets), func(si int, _ []int32) []int32 { return sets[si] })
+}
+
+// GreedyRows is Greedy over the column sets of rows, read out of the rows
+// themselves: the hitting set of the k-nearest rows without an n·k copy
+// of their columns.
+func GreedyRows[E any](n int, rows []matrix.Row[E]) []bool {
+	return greedy(n, len(rows), func(si int, buf []int32) []int32 {
+		for _, e := range rows[si] {
+			buf = append(buf, e.Col)
+		}
+		return buf
+	})
+}
+
+// greedy is the one body of Greedy and GreedyRows over m sets: set(si,
+// buf) returns set si, appended to buf when it is not at hand as a
+// []int32, so every pass over the sets reuses one buffer.
+func greedy(n, m int, set func(si int, buf []int32) []int32) []bool {
 	inA := make([]bool, n)
-	covered := make([]bool, len(sets))
+	covered := make([]bool, m)
 	count := make([]int64, n)
+	var buf []int32
 	remaining, total := 0, 0
-	for si, s := range sets {
+	for si := range m {
+		s := set(si, buf[:0])
 		if len(s) == 0 {
 			covered[si] = true
 			continue
@@ -82,6 +104,7 @@ func Greedy(n int, sets [][]int32) []bool {
 		for _, u := range s {
 			count[u]++
 		}
+		buf = s
 	}
 	// Inverted index: elem -> set indices, ascending. count[u] is the
 	// exact length of where[u], so the lists share one backing array.
@@ -92,8 +115,9 @@ func Greedy(n int, sets [][]int32) []bool {
 		where[u] = backing[off : off : off+int(c)]
 		off += int(c)
 	}
-	for si, s := range sets {
-		for _, u := range s {
+	for si := range m {
+		buf = set(si, buf[:0])
+		for _, u := range buf {
 			where[u] = append(where[u], int32(si))
 		}
 	}
@@ -115,7 +139,8 @@ func Greedy(n int, sets [][]int32) []bool {
 			}
 			covered[si] = true
 			remaining--
-			for _, u := range sets[si] {
+			buf = set(int(si), buf[:0])
+			for _, u := range buf {
 				count[u]--
 			}
 		}

@@ -4,10 +4,12 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"github.com/congestedclique/ccsp/internal/cc"
+	"github.com/congestedclique/ccsp/internal/matrix"
 )
 
 func randSets(n, k int, seed int64) [][]int32 {
@@ -161,5 +163,27 @@ func TestMembers(t *testing.T) {
 	m := Members(inA)
 	if len(m) != 3 || m[0] != 1 || m[1] != 3 || m[2] != 4 {
 		t.Errorf("Members=%v", m)
+	}
+}
+
+// TestGreedyRowsMatchesGreedy: GreedyRows over rows, empty and nil rows
+// among them, picks the set Greedy picks over the rows' column sets.
+func TestGreedyRowsMatchesGreedy(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(60) + 1
+		sets := randSets(n, rng.Intn(n)+1, seed)
+		rows := make([]matrix.Row[int64], n)
+		for v, s := range sets {
+			if rng.Intn(5) == 0 {
+				sets[v] = s[:rng.Intn(2)] // some empty sets, some singletons
+			}
+			for _, u := range sets[v] {
+				rows[v] = append(rows[v], matrix.Entry[int64]{Col: u, Val: rng.Int63()})
+			}
+		}
+		if got, want := GreedyRows(n, rows), Greedy(n, sets); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: GreedyRows picked %v, Greedy %v", seed, Members(got), Members(want))
+		}
 	}
 }

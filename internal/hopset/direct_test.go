@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -223,20 +224,46 @@ func buildCases() (map[string]*graph.Graph, map[string]Params) {
 // build shares the sibling's read-only InA1, a cold one has its own.
 func derived(art, sib *Artifact) bool { return &art.InA1[0] == &sib.InA1[0] }
 
+// sameWindow reports whether a and b are one window: equal length and,
+// when not empty, the same first element.
+func sameWindow[E any](a, b []E) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// checkGH checks a build's G ∪ H against its artifact over w: each row,
+// reduced to its least value per column, is the merge of w's row and the
+// artifact's, and each artifact row is the capacity-clipped leading window
+// of its G ∪ H row.
+func checkGH(t *testing.T, name string, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], art *Artifact, gh *matrix.Mat[semiring.WH]) {
+	t.Helper()
+	for v, row := range gh.Rows {
+		h := art.Rows[v]
+		if got, want := matrix.MergeRows(sr, row), matrix.MergeRows(sr, w.Rows[v], h); !slices.Equal(got, want) {
+			t.Fatalf("%s row %d: G ∪ H row %v reduces to %v, want %v", name, v, row, got, want)
+		}
+		if cap(h) != len(h) || len(h) > 0 && &h[0] != &row[0] {
+			t.Fatalf("%s row %d: artifact row is not the clipped leading window of its G ∪ H row", name, v)
+		}
+	}
+}
+
 // TestBuildDirectFromSiblingMatchesCold: the level loop run over a bunch
 // stage read back out of a sibling gives the encoded artifact a cold
-// BuildDirect gives, at a smaller ε′ and a larger one, serial and pooled;
-// a sibling built for another K or another N is not read back.
+// BuildDirect gives, at a smaller ε′ and a larger one, serial and pooled,
+// with a G ∪ H whose rows hold the artifact's as their leading windows and
+// share the sibling's storage wherever the rows are equal; a sibling built
+// for another K or another N is not read back.
 func TestBuildDirectFromSiblingMatchesCold(t *testing.T) {
 	ctx := context.Background()
 	graphs, presets := buildCases()
 	for gname, g := range graphs {
 		sr, w := g.AugSemiring(), g.WeightMatrix()
 		for pname, p := range presets {
-			sib, err := BuildDirect(ctx, sr, w, p, 1)
+			sib, sibGH, err := BuildDirectFrom(ctx, sr, w, p, nil, nil, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkGH(t, gname+"/"+pname, sr, w, sib, sibGH)
 			for _, eps := range []float64{p.Eps / 2, p.Eps / 4, 1} {
 				q := p
 				q.Eps = eps
@@ -245,9 +272,15 @@ func TestBuildDirectFromSiblingMatchesCold(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{1, 0} {
-					got, err := BuildDirectFrom(ctx, sr, w, q, sib, workers)
+					got, gh, err := BuildDirectFrom(ctx, sr, w, q, sib, sibGH, workers)
 					if err != nil {
 						t.Fatal(err)
+					}
+					checkGH(t, fmt.Sprintf("%s/%s ε′=%g", gname, pname, eps), sr, w, got, gh)
+					for v, row := range got.Rows {
+						if slices.Equal(row, sib.Rows[v]) && (!sameWindow(row, sib.Rows[v]) || !sameWindow(gh.Rows[v], sibGH.Rows[v])) {
+							t.Fatalf("%s/%s ε′=%g row %d: a row equal to the sibling's is not its storage", gname, pname, eps, v)
+						}
 					}
 					if !derived(got, sib) {
 						t.Fatalf("%s/%s ε′=%g: the sibling's bunch stage was not reused", gname, pname, eps)
@@ -279,7 +312,7 @@ func TestBuildDirectFromSiblingMatchesCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, sib := range map[string]*Artifact{"K": otherK, "N": otherN} {
-		got, err := BuildDirectFrom(ctx, sr, w, p, sib, 0)
+		got, _, err := BuildDirectFrom(ctx, sr, w, p, sib, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

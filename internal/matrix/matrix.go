@@ -182,10 +182,29 @@ func (m *Mat[E]) Check(sr semiring.Semiring[E]) error {
 
 // SortRow sorts a row built by appends by column, in place. It does not
 // merge or reject duplicate columns: callers either append each column at
-// most once or combine duplicates afterwards (MergeRows).
+// most once or combine duplicates afterwards (Combine).
 func SortRow[E any](r Row[E]) Row[E] {
 	slices.SortFunc(r, byCol[E])
 	return r
+}
+
+// Combine is MergeRows of the one row r computed in r's own storage: r
+// sorted by column, each column's entries folded into one by semiring
+// addition, and the combined prefix of r returned (nil when r is empty).
+func Combine[E any](sr semiring.Semiring[E], r Row[E]) Row[E] {
+	if len(r) == 0 {
+		return nil
+	}
+	SortRow(r)
+	out := r[:1]
+	for _, e := range r[1:] {
+		if last := &out[len(out)-1]; last.Col == e.Col {
+			last.Val = sr.Add(last.Val, e.Val)
+		} else {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // MergeRows combines rows by semiring addition on overlapping columns
@@ -204,23 +223,18 @@ func MergeRows[E any](sr semiring.Semiring[E], rows ...Row[E]) Row[E] {
 		return nil
 	}
 	out := make(Row[E], 0, total)
+	if !sorted {
+		for _, r := range rows {
+			out = append(out, r...)
+		}
+		return Combine(sr, out)
+	}
 	add := func(e Entry[E]) {
 		if n := len(out); n > 0 && out[n-1].Col == e.Col {
 			out[n-1].Val = sr.Add(out[n-1].Val, e.Val)
 			return
 		}
 		out = append(out, e)
-	}
-	if !sorted {
-		for _, r := range rows {
-			out = append(out, r...)
-		}
-		all := SortRow(out)
-		out = out[:0]
-		for _, e := range all {
-			add(e)
-		}
-		return out
 	}
 	var next [4]int
 	for {

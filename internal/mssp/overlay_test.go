@@ -166,7 +166,7 @@ func TestOverlayGH(t *testing.T) {
 					t.Fatal(err)
 				}
 				coldGH := checkOverlay(t, name+"/cold", sr, w, cold, nil, nil, seed)
-				half, err := hopset.BuildDirectFrom(ctx, sr, w, apsp.HopsetParams(p, p.Eps), cold, 1)
+				half, _, err := hopset.BuildDirectFrom(ctx, sr, w, apsp.HopsetParams(p, p.Eps), cold, coldGH, 1)
 				if err != nil {
 					t.Fatal(err)
 				}

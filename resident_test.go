@@ -1,0 +1,181 @@
+package ccsp
+
+import (
+	"context"
+	"runtime"
+	"testing"
+
+	"github.com/congestedclique/ccsp/internal/disttools"
+	"github.com/congestedclique/ccsp/internal/graphgen"
+	"github.com/congestedclique/ccsp/internal/hopset"
+	"github.com/congestedclique/ccsp/internal/matrix"
+	"github.com/congestedclique/ccsp/internal/semiring"
+)
+
+// entryBytes is the size of one matrix.Entry[semiring.WH]: a 4-byte
+// column padded to 8, then the 16-byte (W, H) pair.
+const entryBytes = 24
+
+// heapBytes is what an allocation of size pointer-free bytes takes from
+// the heap: size rounded up to its size class (pages, past 32 KiB). It
+// reads the class off the capacity append gives a fresh slice.
+func heapBytes(size int) uint64 {
+	if size == 0 {
+		return 0
+	}
+	return uint64(cap(append([]byte(nil), make([]byte, size)...)))
+}
+
+// rowBytes is the heap a row of its own allocation takes.
+func rowBytes[E any](r matrix.Row[E], size int) uint64 { return heapBytes(cap(r) * size) }
+
+// TestBuildDirectBytes holds a cold direct hopset build at n = 1024 to
+// what it must hold: the k-nearest slab (24·n·k), the hitting set's
+// inverted index (4·n·k), one H_0 slab of the bunch entries at both
+// endpoints, one G ∪ H, and a fixed slack. The slack is the rest of the
+// build: the search's arcs and scratch (cold, so every pool is empty),
+// the artifact's vectors, the level loop's detection planes, rows and
+// merges, and headers. On one P with the collector off it measures
+// 0.99 MB on this graph; the budget allows 1.25 MiB. The budget comes to
+// 16.4 MB here; the build allocated 27.2 MB before H_0 went into one slab
+// and the level loop started sweeping the G ∪ H it returns. Skipped
+// under -race, where sync.Pool drops Puts.
+func TestBuildDirectBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector: the build's scratch is not reliably pooled")
+	}
+	onePNoGC(t)
+	const n, slack = 1024, 5 << 18
+	g := graphgen.Connected(n, 3*n, graphgen.Weights{Max: 10}, n+17)
+	sr, w := g.AugSemiring(), g.WeightMatrix()
+	p := hopset.Practical(0.5)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC() // the second collection empties every pool
+	runtime.ReadMemStats(&before)
+	art, gh, err := hopset.BuildDirectFrom(context.Background(), sr, w, p, nil, nil, 0)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+
+	k := art.K
+	knear, err := disttools.KNearestAll[semiring.WH](context.Background(), sr, w, k, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bunch := 0
+	for v, row := range knear.Rows {
+		if art.InA1[v] || art.PV[v] < 0 {
+			continue
+		}
+		for _, e := range row {
+			if e.Col != int32(v) && (e.Val.W < art.DPV[v].W || e.Col == art.PV[v]) {
+				bunch += 2
+			}
+		}
+	}
+	var ghBytes uint64
+	for v, row := range gh.Rows {
+		if len(art.Rows[v]) > 0 { // an empty H row lays out as w's own row
+			ghBytes += rowBytes(row, entryBytes)
+		}
+	}
+	kn, index, h0 := uint64(entryBytes*n*k), uint64(4*n*k), heapBytes(bunch*entryBytes)
+	if budget := kn + index + h0 + ghBytes + slack; got > budget {
+		t.Errorf("a cold BuildDirect at n=%d allocates %d bytes, want <= %d (k-nearest %d + index %d + H_0 %d + G ∪ H %d + slack %d)",
+			n, got, budget, kn, index, h0, ghBytes, slack)
+	}
+	t.Logf("allocated %d bytes: k-nearest %d + index %d + H_0 %d + G ∪ H %d + %d over", got, kn, index, h0, ghBytes, int64(got)-int64(kn+index+h0+ghBytes))
+}
+
+// liveBytes is the heap in use once two collections have run: the second
+// empties the pools the first moved to their victim caches.
+func liveBytes() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// entryBytesOf accounts an artifact entry's own storage: the artifact's
+// row headers, pivots and (for a cold build) membership, the G ∪ H row
+// headers, and every G ∪ H row it does not share with sib (nil: none)
+// and does not take from the base matrix. It also reports the rows it
+// counted.
+func entryBytesOf(ent, sib *artifactEntry) (uint64, []int) {
+	n := ent.art.N
+	total := 2 * heapBytes(n*24) // art.Rows and gh.Rows headers
+	if sib == nil {
+		total += heapBytes(n*4) + heapBytes(n*16) + heapBytes(n) // PV, DPV, InA1
+	}
+	var own []int
+	for v, row := range ent.gh.Rows {
+		if len(ent.art.Rows[v]) == 0 || sib != nil && len(row) > 0 && len(sib.gh.Rows[v]) > 0 && &row[0] == &sib.gh.Rows[v][0] {
+			continue
+		}
+		total += rowBytes(row, entryBytes)
+		own = append(own, v)
+	}
+	return total, own
+}
+
+// TestEngineResidentBytes: once built, a direct engine holds what its
+// graph, its base matrix and its artifact entry account for and nothing
+// else - no transient slab of the build kept alive by a row pointing into
+// it - within 64 KiB for the engine's own small structs. The ε/2 entry an
+// APSP builds over it adds its own headers and only its A_1 rows: every
+// other row is the ε entry's storage. Skipped under -race, where sync.Pool
+// drops Puts.
+func TestEngineResidentBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector: pooled scratch may outlive the collections")
+	}
+	const n, slack = 1024, 64 << 10
+	ctx := context.Background()
+	opts := Options{Epsilon: 0.5, Execution: ExecDirect}
+	gr := testGraph(n, 3*n, 10, 7)
+	if _, err := NewEngine(ctx, gr, opts); err != nil { // first-use globals
+		t.Fatal(err)
+	}
+	start := liveBytes()
+	eng, err := NewEngine(ctx, gr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := liveBytes()
+
+	ent := eng.pre.arts[eng.baseKey()]
+	d := eng.exec.(*directExec)
+	g := eng.gr.g
+	want := heapBytes(n*24) + heapBytes(2*g.M()*16) // graph: Adj header, one slab of edges
+	want += heapBytes(n * 24)                       // base matrix: header, then a row each
+	for _, row := range d.weightMat().Rows {
+		want += rowBytes(row, entryBytes)
+	}
+	own, _ := entryBytesOf(ent, nil)
+	want += own
+	got := built - start
+	if got > want+slack || want > got+slack {
+		t.Errorf("a built engine holds %d bytes, its graph, base matrix and entry account for %d (want within %d)", got, want, slack)
+	}
+
+	half, err := eng.artifact(ctx, eng.apspKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := liveBytes()
+	runtime.KeepAlive(gr) // live across every measurement, so in none
+	runtime.KeepAlive(eng)
+	own, rows := entryBytesOf(half, ent)
+	for _, v := range rows {
+		if !half.art.InA1[v] {
+			t.Errorf("the ε/2 entry holds its own G ∪ H row %d outside A_1", v)
+		}
+	}
+	if got := grown - built; got > own+slack || own > got+slack {
+		t.Errorf("the ε/2 entry adds %d bytes, its headers and %d own A_1 rows account for %d (want within %d)", got, len(rows), own, slack)
+	}
+}

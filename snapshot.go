@@ -96,7 +96,6 @@ func LoadEngine(ctx context.Context, r io.Reader) (*Engine, error) {
 	if snap.Opts.Exec > uint8(ExecDirect) {
 		return nil, fmt.Errorf("ccsp: snapshot has unknown execution mode %d", snap.Opts.Exec)
 	}
-	gr := &Graph{g: snap.Graph}
 	opts := Options{
 		Epsilon:   snap.Opts.Epsilon,
 		Preset:    Preset(snap.Opts.Preset),
@@ -104,10 +103,12 @@ func LoadEngine(ctx context.Context, r io.Reader) (*Engine, error) {
 		Workers:   snap.Opts.Workers,
 		Execution: Execution(snap.Opts.Exec),
 	}
-	e, err := newEngine(gr, opts)
+	// The decoded graph is nobody else's: the engine adopts it.
+	opts, err = prepare(&Graph{g: snap.Graph}, opts)
 	if err != nil {
 		return nil, err
 	}
+	e := adoptEngine(snap.Graph, opts)
 	// Restore the persisted graph version: a DynamicEngine wrapped
 	// around the loaded engine resumes its epoch sequence from here.
 	e.epoch = snap.Opts.Epoch
