@@ -1,11 +1,12 @@
 package ccsp
 
 import (
-	"container/heap"
 	"context"
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"github.com/congestedclique/ccsp/internal/stretch"
 )
 
 // testGraph builds a connected random weighted graph through the public
@@ -23,48 +24,6 @@ func testGraph(n, extra int, maxW int64, seed int64) *Graph {
 		}
 	}
 	return gr
-}
-
-// dijkstra is an API-independent ground truth.
-func dijkstra(gr *Graph, src int) []int64 {
-	n := gr.N()
-	dist := make([]int64, n)
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	dist[src] = 0
-	q := &itemHeap{{v: src}}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
-		if it.d > dist[it.v] {
-			continue
-		}
-		gr.Neighbors(it.v, func(u int, w int64) {
-			if it.d+w < dist[u] {
-				dist[u] = it.d + w
-				heap.Push(q, pqItem{v: u, d: dist[u]})
-			}
-		})
-	}
-	return dist
-}
-
-type pqItem struct {
-	v int
-	d int64
-}
-
-type itemHeap []pqItem
-
-func (h itemHeap) Len() int            { return len(h) }
-func (h itemHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h itemHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *itemHeap) Push(x interface{}) { *h = append(*h, x.(pqItem)) }
-func (h *itemHeap) Pop() interface{} {
-	old := *h
-	it := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return it
 }
 
 func TestGraphBuilder(t *testing.T) {
@@ -127,25 +86,8 @@ func TestAPSPWeightedPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxW := gr.MaxWeight()
-	for u := 0; u < gr.N(); u++ {
-		ref := dijkstra(gr, u)
-		for v := 0; v < gr.N(); v++ {
-			d, got := ref[v], res.Distance(u, v)
-			if d >= Unreachable {
-				if got < Unreachable {
-					t.Fatalf("(%d,%d): estimate for unreachable pair", u, v)
-				}
-				continue
-			}
-			if got < d {
-				t.Fatalf("(%d,%d): underestimate %d < %d", u, v, got, d)
-			}
-			bound := (2+eps)*float64(d) + (1+eps)*float64(maxW)
-			if float64(got) > bound+1e-9 {
-				t.Fatalf("(%d,%d): %d above (2+ε)d+(1+ε)W bound for d=%d", u, v, got, d)
-			}
-		}
+	if err := stretch.Check(gr.g, nil, res.Dist, stretch.TwoPlusW(eps, gr.MaxWeight())).Err(); err != nil {
+		t.Fatal(err)
 	}
 	if res.Stats.TotalRounds <= 0 || res.Stats.Messages <= 0 {
 		t.Error("stats not populated")
@@ -172,17 +114,8 @@ func TestAPSPUnweightedPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for u := 0; u < gr.N(); u++ {
-		ref := dijkstra(gr, u)
-		for v := 0; v < gr.N(); v++ {
-			if ref[v] >= Unreachable {
-				continue
-			}
-			got := res.Distance(u, v)
-			if got < ref[v] || float64(got) > (2+eps)*float64(ref[v])+1e-9 {
-				t.Fatalf("(%d,%d): estimate %d for true %d violates (2+ε)", u, v, got, ref[v])
-			}
-		}
+	if err := stretch.Check(gr.g, nil, res.Dist, stretch.TwoPlus(eps)).Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -193,17 +126,8 @@ func TestAPSPWeighted3Public(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for u := 0; u < gr.N(); u++ {
-		ref := dijkstra(gr, u)
-		for v := 0; v < gr.N(); v++ {
-			if ref[v] >= Unreachable {
-				continue
-			}
-			got := res.Distance(u, v)
-			if got < ref[v] || float64(got) > (3+eps)*float64(ref[v])+1e-9 {
-				t.Fatalf("(%d,%d): estimate %d for true %d violates (3+ε)", u, v, got, ref[v])
-			}
-		}
+	if err := stretch.Check(gr.g, nil, res.Dist, stretch.ThreePlus(eps)).Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -215,20 +139,11 @@ func TestMSSPPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range sources {
-		ref := dijkstra(gr, s)
-		for v := 0; v < gr.N(); v++ {
-			got, err := res.Distance(v, s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref[v] >= Unreachable {
-				continue
-			}
-			if got < ref[v] || float64(got) > (1+eps)*float64(ref[v])+1e-9 {
-				t.Fatalf("(%d,%d): %d violates (1+ε) for true %d", v, s, got, ref[v])
-			}
-		}
+	if !reflect.DeepEqual(res.Sources, sources) {
+		t.Fatalf("sources %v, want %v", res.Sources, sources)
+	}
+	if err := stretch.Check(gr.g, sources, res.Dist, stretch.OnePlus(eps)).Err(); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := res.Distance(0, 5); err == nil {
 		t.Error("want error for non-source query")
@@ -250,7 +165,7 @@ func TestSSSPPublicExactAndPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := dijkstra(gr, src)
+	ref := gr.g.Dijkstra(src)
 	for v := 0; v < gr.N(); v++ {
 		if res.Dist[v] != ref[v] {
 			t.Fatalf("d[%d]=%d, want %d", v, res.Dist[v], ref[v])
@@ -320,7 +235,7 @@ func TestDiameterPublic(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := int64(23)
-	if res.Estimate < 2*d/3 || float64(res.Estimate) > (1+eps)*float64(d)+1e-9 {
+	if res.Estimate < 2*d/3 || float64(res.Estimate) > stretch.OnePlus(eps)(0, 23, d)+1e-9 {
 		t.Errorf("diameter estimate %d outside [2D/3, (1+ε)D] for D=%d", res.Estimate, d)
 	}
 }
@@ -340,7 +255,7 @@ func TestKNearestPublic(t *testing.T) {
 		if nb[0].Node != v || nb[0].Dist != 0 || nb[0].FirstHop != -1 {
 			t.Fatalf("node %d: first entry must be self: %+v", v, nb[0])
 		}
-		ref := dijkstra(gr, v)
+		ref := gr.g.Dijkstra(v)
 		for i, e := range nb {
 			if e.Dist != ref[e.Node] {
 				t.Fatalf("node %d neighbor %d: dist %d, want %d", v, e.Node, e.Dist, ref[e.Node])
@@ -352,7 +267,7 @@ func TestKNearestPublic(t *testing.T) {
 				// The witness must be adjacent and on a shortest path.
 				ok := false
 				gr.Neighbors(v, func(u int, w int64) {
-					if u == e.FirstHop && w+dijkstra(gr, u)[e.Node] == e.Dist {
+					if u == e.FirstHop && w+gr.g.Dijkstra(u)[e.Node] == e.Dist {
 						ok = true
 					}
 				})

@@ -2,18 +2,21 @@ package ccsp
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
 	"github.com/congestedclique/ccsp/api"
+	"github.com/congestedclique/ccsp/internal/stretch"
 )
 
 // FuzzDirectVsSimulated fuzzes the differential oracle: an arbitrary
 // byte string decodes to a small graph, a stretch setting, and one query,
 // and the direct-mode answer must equal the simulated-mode answer exactly
-// - including which calls fail (validation is mode-independent). The
-// committed corpus under testdata/fuzz covers every kind; the CI fuzz
-// smoke mutates from there.
+// - including which calls fail (validation is mode-independent) - and
+// hold to the bound its kind promises (checkBound). The committed corpus
+// under testdata/fuzz covers every kind; the CI fuzz smoke mutates from
+// there.
 func FuzzDirectVsSimulated(f *testing.F) {
 	f.Add([]byte{8, 0, 0, 1, 2, 0, 1, 3, 1, 2, 5, 2, 3, 1, 0, 4, 7})
 	f.Add([]byte{5, 1, 3, 0, 1, 0, 1, 1, 1, 2, 1, 2, 3, 1, 3, 4, 1})
@@ -80,5 +83,72 @@ func FuzzDirectVsSimulated(f *testing.F) {
 		if !reflect.DeepEqual(simResp, dirResp) {
 			t.Fatalf("answers differ for %s on n=%d:\nsimulated: %+v\ndirect:    %+v", kind, n, simResp, dirResp)
 		}
+		checkBound(t, gr, eps, dirResp)
 	})
+}
+
+// checkBound holds an sssp, mssp, distance or apsp answer to the bound of
+// its kind - of the variant it names, for apsp - with stretch.Check.
+func checkBound(t *testing.T, gr *Graph, eps float64, resp *api.Response) {
+	t.Helper()
+	var srcs []int
+	var est [][]int64
+	b := stretch.OnePlus(eps)
+	switch resp.Kind {
+	case api.KindSSSP:
+		srcs, est, b = []int{resp.SSSP.Source}, column(resp.SSSP.Dist), stretch.Exact()
+	case api.KindMSSP:
+		srcs, est = resp.MSSP.Sources, fromWire(resp.MSSP.Dist)
+	case api.KindDistance:
+		// One cell of the source's column is answered; the others are
+		// exact, so only that cell can break the bound.
+		d := resp.Distance
+		col := gr.g.Dijkstra(d.From)
+		col[d.To] = d.Distance
+		srcs, est = []int{d.From}, column(col)
+	case api.KindAPSP:
+		est = fromWire(resp.APSP.Dist)
+		switch {
+		case resp.APSP.Variant == api.APSPWeighted:
+			b = stretch.TwoPlusW(eps, gr.MaxWeight())
+		case resp.APSP.Variant == api.APSPWeighted3:
+			b = stretch.ThreePlus(eps)
+		case gr.Unweighted():
+			b = stretch.TwoPlus(eps)
+		default:
+			// Theorem 31 needs unit weights; on other graphs its
+			// estimates are only upper bounds.
+			b = stretch.Factor(math.Inf(1))
+		}
+	default:
+		return
+	}
+	if err := stretch.Check(gr.g, srcs, est, b).Err(); err != nil {
+		t.Fatalf("%s on n=%d: %v", resp.Kind, gr.N(), err)
+	}
+}
+
+// column is the one-source estimate table of a distance vector in wire
+// form.
+func column(dist []int64) [][]int64 {
+	est := make([][]int64, len(dist))
+	for v, d := range dist {
+		est[v] = []int64{d}
+	}
+	return fromWire(est)
+}
+
+// fromWire is rows with api.Unreachable read back as Unreachable.
+func fromWire(rows [][]int64) [][]int64 {
+	out := make([][]int64, len(rows))
+	for v, row := range rows {
+		out[v] = make([]int64, len(row))
+		for i, d := range row {
+			if d == api.Unreachable {
+				d = Unreachable
+			}
+			out[v][i] = d
+		}
+	}
+	return out
 }

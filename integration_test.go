@@ -4,6 +4,8 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"github.com/congestedclique/ccsp/internal/stretch"
 )
 
 // TestPublicDeterminism: the paper's algorithms are deterministic - two
@@ -39,21 +41,8 @@ func TestPresetPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for u := 0; u < gr.N(); u++ {
-		ref := dijkstra(gr, u)
-		for v := 0; v < gr.N(); v++ {
-			if ref[v] >= Unreachable {
-				continue
-			}
-			got := res.Distance(u, v)
-			if got < ref[v] {
-				t.Fatalf("(%d,%d): underestimate", u, v)
-			}
-			bound := (2+eps)*float64(ref[v]) + (1+eps)*float64(gr.MaxWeight())
-			if float64(got) > bound+1e-9 {
-				t.Fatalf("(%d,%d): %d above bound for d=%d", u, v, got, ref[v])
-			}
-		}
+	if err := stretch.Check(gr.g, nil, res.Dist, stretch.TwoPlusW(eps, gr.MaxWeight())).Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"github.com/congestedclique/ccsp/internal/hitting"
 	"github.com/congestedclique/ccsp/internal/hopset"
 	"github.com/congestedclique/ccsp/internal/semiring"
+	"github.com/congestedclique/ccsp/internal/stretch"
 )
 
 func randGraph(n, extraEdges int, maxW int64, seed int64) *graph.Graph {
@@ -120,24 +121,12 @@ func runUnweighted2(t *testing.T, g *graph.Graph, eps float64, hp hopset.Params)
 	return rows, stats
 }
 
-// checkNoUnderestimates: estimates are never below true distances, and
-// unreachable pairs stay infinite.
-func checkNoUnderestimates(t *testing.T, g *graph.Graph, rows [][]int64) {
+// checkStretch holds every pair of an APSP table to b, and unreachable
+// pairs to no estimate (stretch.Check).
+func checkStretch(t *testing.T, g *graph.Graph, rows [][]int64, b stretch.Bound) {
 	t.Helper()
-	ref := g.APSPRef()
-	for v := 0; v < g.N; v++ {
-		for u := 0; u < g.N; u++ {
-			d, got := ref[v][u], rows[v][u]
-			if d >= semiring.Inf {
-				if got < semiring.Inf {
-					t.Fatalf("(%d,%d): estimate %d for unreachable pair", v, u, got)
-				}
-				continue
-			}
-			if got < d {
-				t.Fatalf("(%d,%d): estimate %d below true distance %d", v, u, got, d)
-			}
-		}
+	if err := stretch.Check(g, nil, rows, b).Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -154,21 +143,13 @@ func TestTwoPlusEpsWeightedGuarantee(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rows, _ := runWeighted2(t, tc.g, tc.eps, hopset.Practical(1))
-			checkNoUnderestimates(t, tc.g, rows)
-			ref := tc.g.APSPRef()
-			for v := 0; v < tc.g.N; v++ {
-				bott := minBottleneck(tc.g, v)
-				for u := 0; u < tc.g.N; u++ {
-					d := ref[v][u]
-					if d >= semiring.Inf {
-						continue
-					}
-					bound := (2+tc.eps)*float64(d) + (1+tc.eps)*float64(bott[u])
-					if got := float64(rows[v][u]); got > bound+1e-9 {
-						t.Fatalf("(%d,%d): estimate %v exceeds (2+ε)·%d + (1+ε)·%d", v, u, got, d, bott[u])
-					}
-				}
+			bott := make([][]int64, tc.g.N)
+			for v := range bott {
+				bott[v] = minBottleneck(tc.g, v)
 			}
+			checkStretch(t, tc.g, rows, func(s, v int, d int64) float64 {
+				return stretch.TwoPlusW(tc.eps, bott[s][v])(s, v, d)
+			})
 		})
 	}
 }
@@ -186,19 +167,7 @@ func TestThreePlusEpsGuarantee(t *testing.T) {
 	g := randGraph(25, 40, 10, 3)
 	eps := 0.5
 	rows, _ := runThree(t, g, eps, hopset.Practical(1))
-	checkNoUnderestimates(t, g, rows)
-	ref := g.APSPRef()
-	for v := 0; v < g.N; v++ {
-		for u := 0; u < g.N; u++ {
-			d := ref[v][u]
-			if d >= semiring.Inf {
-				continue
-			}
-			if got := float64(rows[v][u]); got > (3+eps)*float64(d)+1e-9 {
-				t.Fatalf("(%d,%d): estimate %v exceeds (3+ε)·%d", v, u, got, d)
-			}
-		}
-	}
+	checkStretch(t, g, rows, stretch.ThreePlus(eps))
 }
 
 func unweightedRand(n, extra int, seed int64) *graph.Graph {
@@ -244,19 +213,7 @@ func TestTwoPlusEpsUnweightedGuarantee(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rows, _ := runUnweighted2(t, tc.g, tc.eps, hopset.Practical(1))
-			checkNoUnderestimates(t, tc.g, rows)
-			ref := tc.g.APSPRef()
-			for v := 0; v < tc.g.N; v++ {
-				for u := 0; u < tc.g.N; u++ {
-					d := ref[v][u]
-					if d >= semiring.Inf {
-						continue
-					}
-					if got := float64(rows[v][u]); got > (2+tc.eps)*float64(d)+1e-9 {
-						t.Fatalf("(%d,%d): estimate %v exceeds (2+ε)·%d", v, u, got, d)
-					}
-				}
-			}
+			checkStretch(t, tc.g, rows, stretch.TwoPlus(tc.eps))
 		})
 	}
 }
@@ -312,10 +269,9 @@ func TestLemma27Cases(t *testing.T) {
 	// neighborhoods; the (2+ε) bound must hold via the pivots.
 	g2 := heavyLine(24)
 	rows2, _ := runWeighted2(t, g2, eps, hopset.Practical(1))
-	ref2 := g2.APSPRef()
-	d := ref2[0][23]
+	d := g2.Dijkstra(0)[23]
 	bott := minBottleneck(g2, 0)[23]
-	if got := float64(rows2[0][23]); got > (2+eps)*float64(d)+(1+eps)*float64(bott)+1e-9 {
+	if got := float64(rows2[0][23]); got > stretch.TwoPlusW(eps, bott)(0, 23, d)+1e-9 {
 		t.Errorf("case 2: δ(0,23)=%v exceeds bound for d=%d W=%d", got, d, bott)
 	}
 	// Case 3: endpoints' neighborhoods meet only at an edge {u',v'}: the
@@ -329,10 +285,8 @@ func TestLemma27Cases(t *testing.T) {
 		g3.MustAddEdge(v, v+1, 1)
 	}
 	rows3, _ := runWeighted2(t, g3, eps, hopset.Practical(1))
-	ref3 := g3.APSPRef()
-	d3 := ref3[0][11]
-	bound := (2+eps)*float64(d3) + (1+eps)*50
-	if got := float64(rows3[0][11]); got > bound+1e-9 {
+	d3 := g3.Dijkstra(0)[11]
+	if got := float64(rows3[0][11]); got > stretch.TwoPlusW(eps, 50)(0, 11, d3)+1e-9 {
 		t.Errorf("case 3: δ(0,11)=%v exceeds (2+ε)·%d+(1+ε)·50", got, d3)
 	}
 }

@@ -21,8 +21,8 @@ import (
 // ceil(log2 n) times with output density n - which makes Theorem 8's cube
 // partition degenerate to the classic 3D multiplication of [13] with
 // a = b = c = n^{1/3} and O(n^{1/3}) rounds per product. Returns this
-// node's row of exact distances.
-func denseAPSP(nd *cc.Node, sr semiring.AugMinPlus, wrow matrix.Row[semiring.WH]) (matrix.Row[semiring.WH], error) {
+// node's row of exact distances, semiring.Inf where unreachable.
+func denseAPSP(nd *cc.Node, sr semiring.AugMinPlus, wrow matrix.Row[semiring.WH]) ([]int64, error) {
 	cur := wrow
 	for t := 0; t < bits.Len(uint(nd.N-1)); t++ {
 		next, err := matmul.Multiply(nd, sr, cur, cur, nd.N)
@@ -31,7 +31,14 @@ func denseAPSP(nd *cc.Node, sr semiring.AugMinPlus, wrow matrix.Row[semiring.WH]
 		}
 		cur = next
 	}
-	return cur, nil
+	dense := make([]int64, nd.N)
+	for i := range dense {
+		dense[i] = semiring.Inf
+	}
+	for _, e := range cur {
+		dense[e.Col] = e.Val.W
+	}
+	return dense, nil
 }
 
 // bellmanFordSSSP is the baseline exact SSSP without shortcuts: plain

@@ -7,7 +7,7 @@ import (
 
 	"github.com/congestedclique/ccsp/internal/cc"
 	"github.com/congestedclique/ccsp/internal/graph"
-	"github.com/congestedclique/ccsp/internal/semiring"
+	"github.com/congestedclique/ccsp/internal/stretch"
 )
 
 func randGraph(n, extraEdges int, maxW int64, seed int64) *graph.Graph {
@@ -35,30 +35,14 @@ func TestDenseAPSPExact(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			dense := make([]int64, g.N)
-			for i := range dense {
-				dense[i] = semiring.Inf
-			}
-			for _, e := range row {
-				dense[e.Col] = e.Val.W
-			}
-			rows[nd.ID] = dense
+			rows[nd.ID] = row
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := g.APSPRef()
-		for v := 0; v < g.N; v++ {
-			for u := 0; u < g.N; u++ {
-				want := ref[v][u]
-				if want >= semiring.Inf {
-					want = semiring.Inf
-				}
-				if rows[v][u] != want {
-					t.Fatalf("seed %d: dense APSP [%d,%d]=%d, want %d", seed, v, u, rows[v][u], want)
-				}
-			}
+		if err := stretch.Check(g, nil, rows, stretch.Exact()).Err(); err != nil {
+			t.Fatalf("seed %d: dense APSP: %v", seed, err)
 		}
 	}
 }

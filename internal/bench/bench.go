@@ -46,6 +46,9 @@ type Table struct {
 	Columns []string
 	Rows    [][]string
 	Notes   []string
+	// err is the first pair that broke a guarantee the table measured
+	// (worst); it fails the experiment.
+	err error
 }
 
 // Add appends a row; values are formatted with %v.
@@ -135,7 +138,11 @@ func Run(id string, s Scale) (*Table, error) {
 func RunConfig(id string, c Config) (*Table, error) {
 	for _, e := range registry {
 		if e.ID == id {
-			return e.Run(c)
+			t, err := e.Run(c)
+			if err == nil && t.err != nil {
+				err = fmt.Errorf("bench: %s: %w", id, t.err)
+			}
+			return t, err
 		}
 	}
 	return nil, fmt.Errorf("bench: unknown experiment %q", id)

@@ -3,6 +3,10 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"github.com/congestedclique/ccsp/internal/graph"
+	"github.com/congestedclique/ccsp/internal/semiring"
+	"github.com/congestedclique/ccsp/internal/stretch"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -105,5 +109,25 @@ func TestExperimentsRunQuick(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWorstFailsTheExperiment: a pair over its bound is the table's error,
+// not only a large ratio in a row; the first error stays.
+func TestWorstFailsTheExperiment(t *testing.T) {
+	const inf = semiring.Inf
+	g := graph.New(3)
+	g.MustAddEdge(0, 1, 2)
+	var tab Table
+	if w := tab.worst(g, nil, [][]int64{{0, 2, inf}, {2, 0, inf}, {inf, inf, 0}}, stretch.Exact()); w != 1 || tab.err != nil {
+		t.Fatalf("exact table: worst %v, err %v", w, tab.err)
+	}
+	if w := tab.worst(g, nil, [][]int64{{0, 3, inf}, {3, 0, inf}, {inf, inf, 0}}, stretch.Exact()); w != 1.5 || tab.err == nil {
+		t.Fatalf("over the bound: worst %v, err %v", w, tab.err)
+	}
+	first := tab.err
+	tab.worst(g, nil, [][]int64{{0, 2, 7}, {2, 0, inf}, {inf, inf, 0}}, stretch.Exact())
+	if tab.err != first {
+		t.Errorf("err %v replaced %v", tab.err, first)
 	}
 }

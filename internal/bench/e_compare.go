@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"slices"
 	"strconv"
 
 	"github.com/congestedclique/ccsp/internal/apsp"
@@ -11,22 +12,14 @@ import (
 	"github.com/congestedclique/ccsp/internal/graphgen"
 	"github.com/congestedclique/ccsp/internal/hitting"
 	"github.com/congestedclique/ccsp/internal/hopset"
-	"github.com/congestedclique/ccsp/internal/semiring"
 	"github.com/congestedclique/ccsp/internal/sssp"
+	"github.com/congestedclique/ccsp/internal/stretch"
 )
 
 func init() {
 	register(Experiment{ID: "E10", Title: "Theorem 33: exact SSSP vs Bellman-Ford baseline", Run: e10})
 	register(Experiment{ID: "E11", Title: "§7.2: diameter approximation", Run: e11})
 	register(Experiment{ID: "E12", Title: "§1.1 comparison: this paper vs dense-MM and spanner baselines", Run: e12})
-}
-
-func apspWeighted(nd *cc.Node, sr semiring.AugMinPlus, g *graph.Graph, eps float64, boards *hitting.BoardSeq) ([]int64, error) {
-	return apsp.TwoPlusEpsWeighted(nd, sr, g.WeightRow(nd.ID), eps, boards, hopset.Practical(eps))
-}
-
-func apspUnweighted(nd *cc.Node, sr semiring.AugMinPlus, g *graph.Graph, eps float64, boards *hitting.BoardSeq) ([]int64, error) {
-	return apsp.TwoPlusEpsUnweighted(nd, sr, g.WeightRow(nd.ID), eps, boards, hopset.Practical(eps))
 }
 
 // e10 contrasts Theorem 33 against plain Bellman-Ford on the adversarial
@@ -56,7 +49,7 @@ func e10(c Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.Add(n, n-1, "Thm 33 (k=n^{5/6})", statsS.TotalRounds(), itS, equalDist(gotS, want))
+		t.Add(n, n-1, "Thm 33 (k=n^{5/6})", statsS.TotalRounds(), itS, slices.Equal(gotS, want))
 
 		var gotB []int64
 		var itB int
@@ -71,22 +64,10 @@ func e10(c Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.Add(n, n-1, "Bellman-Ford", statsB.TotalRounds(), itB, equalDist(gotB, want))
+		t.Add(n, n-1, "Bellman-Ford", statsB.TotalRounds(), itB, slices.Equal(gotB, want))
 	}
 	t.Note("Paths maximize the shortest-path diameter; the baseline's rounds grow linearly in n while the shortcut algorithm's Bellman-Ford phase stays at ~4n/k+O(1) iterations.")
 	return t, nil
-}
-
-func equalDist(got, want []int64) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // e11 measures diameter estimates across families with known diameters.
@@ -129,7 +110,7 @@ func e11(c Config) (*Table, error) {
 			if z == 2 {
 				lower = 2*h + 1
 			}
-			t.Add(fam.g.N, fam.name, d, est, lower, (1+eps)*float64(d), stats.TotalRounds())
+			t.Add(fam.g.N, fam.name, d, est, lower, stretch.OnePlus(eps)(0, 0, d), stats.TotalRounds())
 		}
 	}
 	return t, nil
@@ -154,61 +135,38 @@ func e12(c Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.Add(n, "Thm 28 (this paper)", "(2+ε,(1+ε)W)", stats.TotalRounds(), apspStretch(g, rows))
+		t.Add(n, "Thm 28 (this paper)", "(2+ε,(1+ε)W)", stats.TotalRounds(), t.worst(g, nil, rows, stretch.TwoPlusW(eps, g.MaxW())))
 
 		// Ours: (3+ε) (§6.1).
 		boards := hitting.NewBoardSeq(n)
-		rows3 := make([][]int64, n)
-		stats3, err := cc.Run(context.Background(), engineCfg(c, n), func(nd *cc.Node) error {
-			row, err := apsp.ThreePlusEps(nd, sr, g.WeightRow(nd.ID), eps, boards, hopset.Practical(eps))
-			if err != nil {
-				return err
-			}
-			rows3[nd.ID] = row
-			return nil
+		rows3, stats3, err := runRows(c, g, func(nd *cc.Node) ([]int64, error) {
+			return apsp.ThreePlusEps(nd, sr, g.WeightRow(nd.ID), eps, boards, hopset.Practical(eps))
 		})
 		if err != nil {
 			return nil, err
 		}
-		t.Add(n, "§6.1 (this paper)", "(3+ε)", stats3.TotalRounds(), apspStretch(g, rows3))
+		t.Add(n, "§6.1 (this paper)", "(3+ε)", stats3.TotalRounds(), t.worst(g, nil, rows3, stretch.ThreePlus(eps)))
 
 		// Baseline: exact APSP by iterated dense squaring [13].
-		rowsD := make([][]int64, n)
-		statsD, err := cc.Run(context.Background(), engineCfg(c, n), func(nd *cc.Node) error {
-			row, err := denseAPSP(nd, sr, g.WeightRow(nd.ID))
-			if err != nil {
-				return err
-			}
-			dense := make([]int64, n)
-			for i := range dense {
-				dense[i] = semiring.Inf
-			}
-			for _, e := range row {
-				dense[e.Col] = e.Val.W
-			}
-			rowsD[nd.ID] = dense
-			return nil
-		})
+		rowsD, statsD, err := runRows(c, g, func(nd *cc.Node) ([]int64, error) { return denseAPSP(nd, sr, g.WeightRow(nd.ID)) })
 		if err != nil {
 			return nil, err
 		}
-		t.Add(n, "dense MM [13]", "exact", statsD.TotalRounds(), apspStretch(g, rowsD))
+		t.Add(n, "dense MM [13]", "exact", statsD.TotalRounds(), t.worst(g, nil, rowsD, stretch.Exact()))
 
 		// Baseline: spanner APSP for k = 2, 3.
 		for _, k := range []int{2, 3} {
-			rowsS := make([][]int64, n)
-			statsS, err := cc.Run(context.Background(), engineCfg(c, n), func(nd *cc.Node) error {
+			rowsS, statsS, err := runRows(c, g, func(nd *cc.Node) ([]int64, error) {
 				res, err := spannerAPSP(nd, g.WeightRow(nd.ID), k, 7)
 				if err != nil {
-					return err
+					return nil, err
 				}
-				rowsS[nd.ID] = res.Dist
-				return nil
+				return res.Dist, nil
 			})
 			if err != nil {
 				return nil, err
 			}
-			t.Add(n, "spanner k="+strconv.Itoa(k), "("+strconv.Itoa(2*k-1)+")", statsS.TotalRounds(), apspStretch(g, rowsS))
+			t.Add(n, "spanner k="+strconv.Itoa(k), "("+strconv.Itoa(2*k-1)+")", statsS.TotalRounds(), t.worst(g, nil, rowsS, stretch.Factor(float64(2*k-1))))
 		}
 	}
 	t.Note("Expected shape (§1.1): the dense-MM baseline is exact but grows as n^{1/3}·log n; spanners are cheap but pay stretch 2k-1; the paper's algorithms hold (2+ε)-class stretch at polylog rounds.")

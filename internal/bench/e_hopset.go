@@ -10,8 +10,8 @@ import (
 	"github.com/congestedclique/ccsp/internal/graphgen"
 	"github.com/congestedclique/ccsp/internal/hitting"
 	"github.com/congestedclique/ccsp/internal/hopset"
-	"github.com/congestedclique/ccsp/internal/matrix"
-	"github.com/congestedclique/ccsp/internal/semiring"
+	"github.com/congestedclique/ccsp/internal/mssp"
+	"github.com/congestedclique/ccsp/internal/stretch"
 )
 
 func init() {
@@ -63,8 +63,10 @@ type phaseRounds struct {
 	rounds int
 }
 
-// buildHopsetBench constructs a hopset and returns per-node results.
-func buildHopsetBench(c Config, g *graph.Graph, p hopset.Params) ([]*hopset.Result, cc.Stats, error) {
+// buildHopsetBench constructs a hopset on the simulator and returns it
+// with every pair's β-hop distance in G ∪ H, which a (β,ε)-hopset holds to
+// (1+ε)·d_G.
+func buildHopsetBench(c Config, g *graph.Graph, p hopset.Params) (*hopset.Artifact, [][]int64, cc.Stats, error) {
 	sr := g.AugSemiring()
 	board := hitting.NewBoard(g.N)
 	results := make([]*hopset.Result, g.N)
@@ -76,54 +78,32 @@ func buildHopsetBench(c Config, g *graph.Graph, p hopset.Params) ([]*hopset.Resu
 		results[nd.ID] = res
 		return nil
 	})
-	return results, stats, err
+	if err != nil {
+		return nil, nil, stats, err
+	}
+	art, err := hopset.Collect(results)
+	if err != nil {
+		return nil, nil, stats, err
+	}
+	all := make([]bool, g.N)
+	for v := range all {
+		all[v] = true
+	}
+	panel, err := mssp.RunDirectPanel(context.Background(), mssp.MergeGH(sr, g.WeightMatrix(), art), art.Beta, all, 0)
+	if err != nil {
+		return nil, nil, stats, err
+	}
+	dist := make([][]int64, g.N)
+	for v := range dist {
+		dist[v] = panel.W[v*g.N : (v+1)*g.N]
+	}
+	return art, dist, stats, nil
 }
 
-// maxHopsetStretch verifies the (β,ε) guarantee exhaustively and returns
-// the worst measured ratio d^β_{G∪H}/d_G.
-func maxHopsetStretch(g *graph.Graph, results []*hopset.Result, beta int) float64 {
-	sr := semiring.NewMinPlus(semiring.Inf - 1)
-	n := g.N
-	base := matrix.New[int64](n)
-	for v := 0; v < n; v++ {
-		row := matrix.Row[int64]{{Col: int32(v), Val: 0}}
-		for _, e := range g.Adj[v] {
-			row = append(row, matrix.Entry[int64]{Col: e.To, Val: e.W})
-		}
-		for _, e := range results[v].Row {
-			row = append(row, matrix.Entry[int64]{Col: e.Col, Val: e.Val.W})
-		}
-		base.Rows[v] = matrix.MergeRows[int64](sr, row)
-	}
-	pow := matrix.Identity[int64](sr, n)
-	sq := base
-	for e := beta; e > 0; e >>= 1 {
-		if e&1 == 1 {
-			pow = matrix.MulRef[int64](sr, pow, sq)
-		}
-		sq = matrix.MulRef[int64](sr, sq, sq)
-	}
-	worst := 1.0
-	for v := 0; v < n; v++ {
-		trueDist := g.Dijkstra(v)
-		for u := 0; u < n; u++ {
-			d := trueDist[u]
-			if d <= 0 || d >= semiring.Inf {
-				continue
-			}
-			h := pow.Get(sr, v, u)
-			if r := float64(h) / float64(d); r > worst {
-				worst = r
-			}
-		}
-	}
-	return worst
-}
-
-func hopsetEdgeCount(results []*hopset.Result) int {
+func hopsetEdgeCount(art *hopset.Artifact) int {
 	total := 0
-	for _, r := range results {
-		total += r.EdgeCount()
+	for _, r := range art.Rows {
+		total += len(r)
 	}
 	return total / 2
 }
@@ -139,15 +119,14 @@ func e6(c Config) (*Table, error) {
 	eps := 0.5
 	for _, n := range sizes(c.Scale, []int{36, 64}, []int{36, 64, 100}) {
 		g := graphgen.Connected(n, 2*n, graphgen.Weights{Max: 20}, int64(n)+1)
-		results, stats, err := buildHopsetBench(c, g, hopset.Practical(eps))
+		art, dist, stats, err := buildHopsetBench(c, g, hopset.Practical(eps))
 		if err != nil {
 			return nil, err
 		}
-		beta := results[0].Beta
 		logn := math.Log2(float64(n))
-		t.Add(n, eps, beta, hopsetEdgeCount(results),
+		t.Add(n, eps, art.Beta, hopsetEdgeCount(art),
 			int(float64(n)*math.Sqrt(float64(n))*logn),
-			maxHopsetStretch(g, results, beta), 1+eps,
+			t.worst(g, nil, dist, stretch.OnePlus(eps)), 1+eps,
 			stats.TotalRounds(), logn*logn/eps)
 	}
 	t.Note("The guarantee check is exhaustive: every pair's β-hop distance in G∪H is compared against its true distance.")
@@ -172,17 +151,12 @@ func a2(c Config) (*Table, error) {
 			name string
 			p    hopset.Params
 		}{{"paper", hopset.Paper(eps)}, {"practical", hopset.Practical(eps)}, {"practical-L3", pinned}} {
-			results, stats, err := buildHopsetBench(c, g, preset.p)
+			art, dist, stats, err := buildHopsetBench(c, g, preset.p)
 			if err != nil {
 				return nil, err
 			}
-			beta := results[0].Beta
-			d := 4 * beta
-			if d > n {
-				d = n
-			}
-			t.Add(n, preset.name, beta, d, hopsetEdgeCount(results),
-				maxHopsetStretch(g, results, beta), 1+eps, stats.TotalRounds())
+			t.Add(n, preset.name, art.Beta, min(4*art.Beta, n), hopsetEdgeCount(art),
+				t.worst(g, nil, dist, stretch.OnePlus(eps)), 1+eps, stats.TotalRounds())
 		}
 	}
 	t.Note("Where d caps at n, paper and practical behave identically (exact exploration); the uncapped practical-L3 row shows the cost/quality trade. All rows satisfy the stretch guarantee on every pair.")

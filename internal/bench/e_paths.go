@@ -3,7 +3,9 @@ package bench
 import (
 	"context"
 	"math"
+	"slices"
 
+	"github.com/congestedclique/ccsp/internal/apsp"
 	"github.com/congestedclique/ccsp/internal/cc"
 	"github.com/congestedclique/ccsp/internal/graph"
 	"github.com/congestedclique/ccsp/internal/graphgen"
@@ -11,6 +13,7 @@ import (
 	"github.com/congestedclique/ccsp/internal/hopset"
 	"github.com/congestedclique/ccsp/internal/mssp"
 	"github.com/congestedclique/ccsp/internal/semiring"
+	"github.com/congestedclique/ccsp/internal/stretch"
 )
 
 func init() {
@@ -41,17 +44,17 @@ func e7(c Config) (*Table, error) {
 			p     hopset.Params
 		}{{"adaptive", hopset.Practical(eps)}, {"pinned", pinned}} {
 			for _, nS := range []int{sqn, 2 * sqn} {
-				inS := make([]bool, n)
-				for i := 0; i < nS; i++ {
-					inS[(i*n)/nS] = true
+				srcs := make([]int, nS)
+				for i := range srcs {
+					srcs[i] = (i * n) / nS
 				}
-				worst, stats, err := runMSSPBench(c, g, inS, cfg.p)
+				dists, stats, err := runMSSPBench(c, g, srcs, cfg.p)
 				if err != nil {
 					return nil, err
 				}
 				logn := math.Log2(float64(n))
 				formula := (math.Pow(float64(nS), 2.0/3)/math.Cbrt(float64(n)) + logn) * logn / eps
-				t.Add(n, nS, eps, cfg.label, worst, 1+eps, stats.TotalRounds(), formula,
+				t.Add(n, nS, eps, cfg.label, t.worst(g, srcs, dists, stretch.OnePlus(eps)), 1+eps, stats.TotalRounds(), formula,
 					float64(stats.TotalRounds())/formula)
 			}
 		}
@@ -60,64 +63,50 @@ func e7(c Config) (*Table, error) {
 	return t, nil
 }
 
-func runMSSPBench(c Config, g *graph.Graph, inS []bool, p hopset.Params) (float64, cc.Stats, error) {
-	n := g.N
-	sr := g.AugSemiring()
-	boards := hitting.NewBoardSeq(n)
-	dists := make([][]int64, n)
-	stats, err := cc.Run(context.Background(), engineCfg(c, n), func(nd *cc.Node) error {
+// runMSSPBench runs the collective MSSP for srcs (ascending); row v of
+// the result is node v's estimate of its distance to each source.
+func runMSSPBench(c Config, g *graph.Graph, srcs []int, p hopset.Params) ([][]int64, cc.Stats, error) {
+	inS := make([]bool, g.N)
+	for _, s := range srcs {
+		inS[s] = true
+	}
+	sr, boards := g.AugSemiring(), hitting.NewBoardSeq(g.N)
+	return runRows(c, g, func(nd *cc.Node) ([]int64, error) {
 		res, err := mssp.Run(nd, sr, g.WeightRow(nd.ID), inS, boards.Next(nd.ID), p)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		row := make([]int64, n)
+		row := make([]int64, len(srcs))
 		for i := range row {
 			row[i] = semiring.Inf
 		}
 		for _, e := range res.Dist {
-			row[e.Col] = e.Val.W
+			i, _ := slices.BinarySearch(srcs, int(e.Col))
+			row[i] = e.Val.W
 		}
-		dists[nd.ID] = row
-		return nil
+		return row, nil
 	})
-	if err != nil {
-		return 0, stats, err
-	}
-	worst := 1.0
-	for src := 0; src < n; src++ {
-		if !inS[src] {
-			continue
-		}
-		ref := g.Dijkstra(src)
-		for v := 0; v < n; v++ {
-			if ref[v] <= 0 || ref[v] >= semiring.Inf {
-				continue
-			}
-			if r := float64(dists[v][src]) / float64(ref[v]); r > worst {
-				worst = r
-			}
-		}
-	}
-	return worst, stats, nil
 }
 
-// apspStretch returns the worst multiplicative stretch over all connected
-// pairs, and the worst value of (δ - (1+eps)·W) / d for the weighted bound
-// check.
-func apspStretch(g *graph.Graph, rows [][]int64) float64 {
-	worst := 1.0
-	for v := 0; v < g.N; v++ {
-		ref := g.Dijkstra(v)
-		for u := 0; u < g.N; u++ {
-			if ref[u] <= 0 || ref[u] >= semiring.Inf {
-				continue
-			}
-			if r := float64(rows[v][u]) / float64(ref[u]); r > worst {
-				worst = r
-			}
-		}
+// runRows runs a collective that leaves one row at every node of g, and
+// collects the rows.
+func runRows(c Config, g *graph.Graph, row func(nd *cc.Node) ([]int64, error)) ([][]int64, cc.Stats, error) {
+	rows := make([][]int64, g.N)
+	stats, err := cc.Run(context.Background(), engineCfg(c, g.N), func(nd *cc.Node) (err error) {
+		rows[nd.ID], err = row(nd)
+		return err
+	})
+	return rows, stats, err
+}
+
+// worst is the largest estimate/distance ratio stretch.Check measures
+// against b; a pair that breaks b fails the experiment.
+func (t *Table) worst(g *graph.Graph, srcs []int, est [][]int64, b stretch.Bound) float64 {
+	r := stretch.Check(g, srcs, est, b)
+	if t.err == nil {
+		t.err = r.Err()
 	}
-	return worst
+	return r.Worst
 }
 
 // e8 measures the weighted APSP on several graph families.
@@ -146,8 +135,9 @@ func e8(c Config) (*Table, error) {
 			// The additive (1+ε)W term can push pair stretch up to
 			// (2+ε) + (1+ε)·W/d; report the worst-case admissible bound
 			// for the family's heaviest edge at distance >= 1.
-			t.Add(fam.g.N, fam.name, eps, apspStretch(fam.g, rows),
-				(2+eps)+(1+eps)*float64(fam.g.MaxW()), stats.TotalRounds(), logn*logn/eps)
+			b := stretch.TwoPlusW(eps, fam.g.MaxW())
+			t.Add(fam.g.N, fam.name, eps, t.worst(fam.g, nil, rows, b),
+				b(0, 0, 1), stats.TotalRounds(), logn*logn/eps)
 		}
 	}
 	t.Note("The per-pair guarantee δ <= (2+ε)d + (1+ε)W is verified exactly in the test suite (internal/apsp); the table reports the worst measured ratio.")
@@ -155,18 +145,10 @@ func e8(c Config) (*Table, error) {
 }
 
 func runWeightedAPSP(c Config, g *graph.Graph, eps float64) ([][]int64, cc.Stats, error) {
-	sr := g.AugSemiring()
-	boards := hitting.NewBoardSeq(g.N)
-	rows := make([][]int64, g.N)
-	stats, err := cc.Run(context.Background(), engineCfg(c, g.N), func(nd *cc.Node) error {
-		row, err := apspWeighted(nd, sr, g, eps, boards)
-		if err != nil {
-			return err
-		}
-		rows[nd.ID] = row
-		return nil
+	sr, boards := g.AugSemiring(), hitting.NewBoardSeq(g.N)
+	return runRows(c, g, func(nd *cc.Node) ([]int64, error) {
+		return apsp.TwoPlusEpsWeighted(nd, sr, g.WeightRow(nd.ID), eps, boards, hopset.Practical(eps))
 	})
-	return rows, stats, err
 }
 
 // e9 measures the unweighted APSP across degree regimes.
@@ -193,7 +175,7 @@ func e9(c Config) (*Table, error) {
 				return nil, err
 			}
 			logn := math.Log2(float64(fam.g.N))
-			t.Add(fam.g.N, fam.name, eps, apspStretch(fam.g, rows), 2+eps,
+			t.Add(fam.g.N, fam.name, eps, t.worst(fam.g, nil, rows, stretch.TwoPlus(eps)), 2+eps,
 				stats.TotalRounds(), logn*logn/eps)
 		}
 	}
@@ -202,16 +184,8 @@ func e9(c Config) (*Table, error) {
 }
 
 func runUnweightedAPSP(c Config, g *graph.Graph, eps float64) ([][]int64, cc.Stats, error) {
-	sr := g.AugSemiring()
-	boards := hitting.NewBoardSeq(g.N)
-	rows := make([][]int64, g.N)
-	stats, err := cc.Run(context.Background(), engineCfg(c, g.N), func(nd *cc.Node) error {
-		row, err := apspUnweighted(nd, sr, g, eps, boards)
-		if err != nil {
-			return err
-		}
-		rows[nd.ID] = row
-		return nil
+	sr, boards := g.AugSemiring(), hitting.NewBoardSeq(g.N)
+	return runRows(c, g, func(nd *cc.Node) ([]int64, error) {
+		return apsp.TwoPlusEpsUnweighted(nd, sr, g.WeightRow(nd.ID), eps, boards, hopset.Practical(eps))
 	})
-	return rows, stats, err
 }

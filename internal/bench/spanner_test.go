@@ -7,7 +7,7 @@ import (
 
 	"github.com/congestedclique/ccsp/internal/cc"
 	"github.com/congestedclique/ccsp/internal/graph"
-	"github.com/congestedclique/ccsp/internal/semiring"
+	"github.com/congestedclique/ccsp/internal/stretch"
 )
 
 func runSpanner(t *testing.T, g *graph.Graph, k int, seed int64) []*spannerResult {
@@ -32,43 +32,28 @@ func TestSpannerStretch(t *testing.T) {
 		for _, seed := range []int64{1, 2} {
 			g := randGraph(24, 60, 10, seed)
 			results := runSpanner(t, g, k, seed*7+1)
-			ref := g.APSPRef()
-			for v := 0; v < g.N; v++ {
-				for u := 0; u < g.N; u++ {
-					d, got := ref[v][u], results[v].Dist[u]
-					if d >= semiring.Inf {
-						if got < semiring.Inf {
-							t.Fatalf("k=%d: unreachable pair (%d,%d) got %d", k, v, u, got)
-						}
-						continue
-					}
-					if got < d {
-						t.Fatalf("k=%d: spanner distance %d below true %d", k, got, d)
-					}
-					if float64(got) > float64(2*k-1)*float64(d)+1e-9 {
-						t.Fatalf("k=%d: pair (%d,%d) stretch %d/%d exceeds 2k-1", k, v, u, got, d)
-					}
-				}
+			if err := stretch.Check(g, nil, spannerRows(results), stretch.Factor(float64(2*k-1))).Err(); err != nil {
+				t.Fatalf("k=%d: %v", k, err)
 			}
 		}
 	}
+}
+
+// spannerRows is the spanner APSP's estimate table.
+func spannerRows(results []*spannerResult) [][]int64 {
+	rows := make([][]int64, len(results))
+	for v, r := range results {
+		rows[v] = r.Dist
+	}
+	return rows
 }
 
 func TestSpannerK1IsWholeGraphDistances(t *testing.T) {
 	// k=1 yields stretch 1: exact distances (spanner = whole graph).
 	g := randGraph(16, 30, 5, 3)
 	results := runSpanner(t, g, 1, 11)
-	ref := g.APSPRef()
-	for v := 0; v < g.N; v++ {
-		for u := 0; u < g.N; u++ {
-			want := ref[v][u]
-			if want >= semiring.Inf {
-				continue
-			}
-			if results[v].Dist[u] != want {
-				t.Fatalf("k=1 must be exact: (%d,%d) got %d want %d", v, u, results[v].Dist[u], want)
-			}
-		}
+	if err := stretch.Check(g, nil, spannerRows(results), stretch.Exact()).Err(); err != nil {
+		t.Fatalf("k=1 must be exact: %v", err)
 	}
 }
 

@@ -250,16 +250,6 @@ func (g *Graph) Dijkstra(src int) []int64 {
 	return out
 }
 
-// APSPRef computes all-pairs distances sequentially (ground truth for
-// stretch measurements; quadratic memory, test-scale only).
-func (g *Graph) APSPRef() [][]int64 {
-	out := make([][]int64, g.N)
-	for v := 0; v < g.N; v++ {
-		out[v] = g.Dijkstra(v)
-	}
-	return out
-}
-
 // Diameter returns the exact weighted diameter (max finite distance), and
 // whether the graph is connected.
 func (g *Graph) Diameter() (int64, bool) {

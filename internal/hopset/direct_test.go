@@ -14,10 +14,12 @@ import (
 
 	"github.com/congestedclique/ccsp/internal/disttools"
 	"github.com/congestedclique/ccsp/internal/graph"
+	"github.com/congestedclique/ccsp/internal/graphgen"
 	"github.com/congestedclique/ccsp/internal/hitting"
 	"github.com/congestedclique/ccsp/internal/matmul"
 	"github.com/congestedclique/ccsp/internal/matrix"
 	"github.com/congestedclique/ccsp/internal/semiring"
+	"github.com/congestedclique/ccsp/internal/stretch"
 	"github.com/congestedclique/ccsp/internal/wire"
 )
 
@@ -395,5 +397,54 @@ func TestBuildDirectCancelMidBuild(t *testing.T) {
 		if n := ctx.calls.Load(); n != after+1 {
 			t.Errorf("canceled at poll %d of %d: build polled %d more times before returning", after+1, polls, n-after-1)
 		}
+	}
+}
+
+// TestStretchCatchesDroppedLevels: a hopset without its level edges - H_0,
+// the bunch stage's output, alone - is not a (β, ε)-hopset, and
+// stretch.Check on the β-hop detection over it must say so. With the
+// default K the bunches of a path are so wide that H_0 alone reaches
+// every pair within β (the levels add 6 of 277 136 entries at n = 1024),
+// so the test narrows them to K = 8; the full artifact must still pass.
+func TestStretchCatchesDroppedLevels(t *testing.T) {
+	const n = 256
+	g := graphgen.Path(n, graphgen.Weights{Max: 5}, 3)
+	ctx, sr, w := context.Background(), g.AugSemiring(), g.WeightMatrix()
+	p := Practical(0.5)
+	p.K = 8
+	full, fullGH, err := BuildDirectFrom(ctx, sr, w, p, nil, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h0, err := bunchStage(ctx, sr, w, p.K, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h0GH := matrix.New[semiring.WH](n)
+	for v := range h0GH.Rows {
+		h0GH.Rows[v] = OverlayRow(h0.Rows[v], w.Rows[v])
+	}
+	srcs := []int{0, n / 3, n - 1}
+	inS := make([]bool, n)
+	for _, s := range srcs {
+		inS[s] = true
+	}
+	check := func(gh *matrix.Mat[semiring.WH]) stretch.Report {
+		panel, err := disttools.SourceDetectPanel(ctx, gh, inS, full.Beta, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer panel.Release()
+		est := make([][]int64, n)
+		for v := range est {
+			est[v] = panel.W[v*len(srcs) : (v+1)*len(srcs)]
+		}
+		return stretch.Check(g, srcs, est, stretch.OnePlus(p.Eps))
+	}
+	if err := check(fullGH).Err(); err != nil {
+		t.Errorf("full hopset: %v", err)
+	}
+	if r := check(h0GH); r.Kind != stretch.Missing && r.Kind != stretch.Over {
+		t.Errorf("H_0 alone at β=%d: want a reachable pair with no estimate or one over the bound, got %q", full.Beta, r.Kind)
 	}
 }

@@ -183,7 +183,3 @@ func Build(nd *cc.Node, sr semiring.AugMinPlus, wrow matrix.Row[semiring.WH], bo
 func (r *Result) GraphRow(sr semiring.AugMinPlus, wrow matrix.Row[semiring.WH]) matrix.Row[semiring.WH] {
 	return matrix.MergeRows(sr, wrow, r.Row)
 }
-
-// EdgeCount returns the number of hopset entries in this node's row (each
-// undirected hopset edge is counted at both endpoints).
-func (r *Result) EdgeCount() int { return len(r.Row) }

@@ -11,6 +11,7 @@ import (
 	"github.com/congestedclique/ccsp/internal/hitting"
 	"github.com/congestedclique/ccsp/internal/matrix"
 	"github.com/congestedclique/ccsp/internal/semiring"
+	"github.com/congestedclique/ccsp/internal/stretch"
 )
 
 func randGraph(n, extraEdges int, maxW int64, seed int64) *graph.Graph {
@@ -117,23 +118,8 @@ func TestHopsetGuarantee(t *testing.T) {
 			results, _ := buildHopset(t, tc.g, tc.p)
 			beta := results[0].Beta
 			hop := betaHopDistances(tc.g, results, beta)
-			trueDist := tc.g.APSPRef()
-			for v := 0; v < tc.g.N; v++ {
-				for u := 0; u < tc.g.N; u++ {
-					d, h := trueDist[v][u], hop[v][u]
-					if d >= semiring.Inf {
-						if h < semiring.Inf {
-							t.Fatalf("pair (%d,%d): hopset connected an unreachable pair", v, u)
-						}
-						continue
-					}
-					if h < d {
-						t.Fatalf("pair (%d,%d): hopset shortcut %d below true distance %d", v, u, h, d)
-					}
-					if float64(h) > (1+tc.p.Eps)*float64(d)+1e-9 {
-						t.Fatalf("pair (%d,%d): β-hop distance %d exceeds (1+ε)·%d", v, u, h, d)
-					}
-				}
+			if err := stretch.Check(tc.g, nil, hop, stretch.OnePlus(tc.p.Eps)).Err(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -153,7 +139,7 @@ func TestHopsetSize(t *testing.T) {
 	results, _ := buildHopset(t, g, Practical(0.5))
 	total := 0
 	for _, r := range results {
-		total += r.EdgeCount()
+		total += len(r.Row) // each edge at both endpoints
 	}
 	total /= 2 // both endpoints count each edge
 	n := float64(g.N)
@@ -168,7 +154,6 @@ func TestHopsetSize(t *testing.T) {
 func TestBunchProperty(t *testing.T) {
 	g := randGraph(28, 40, 10, 5)
 	results, _ := buildHopset(t, g, Practical(0.5))
-	trueDist := g.APSPRef()
 	for v, r := range results {
 		if r.InA1[v] {
 			continue
@@ -176,8 +161,8 @@ func TestBunchProperty(t *testing.T) {
 		if r.PV < 0 {
 			t.Fatalf("node %d has no pivot", v)
 		}
-		if trueDist[v][r.PV] != r.DPV.W {
-			t.Errorf("node %d: pivot distance %d, want %d", v, r.DPV.W, trueDist[v][r.PV])
+		if d := g.Dijkstra(v)[r.PV]; d != r.DPV.W {
+			t.Errorf("node %d: pivot distance %d, want %d", v, r.DPV.W, d)
 		}
 	}
 }

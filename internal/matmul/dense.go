@@ -69,7 +69,6 @@ func (wk *whWorker) mulRow(srow matrix.Row[semiring.WH], t *matrix.Mat[semiring.
 	for _, es := range srow {
 		products += len(t.Rows[es.Col])
 	}
-	productsAccumulated.Add(int64(products))
 	accW, accH := wk.accW, wk.accH
 	buf := wk.rowBuf[:0]
 

@@ -163,11 +163,8 @@ func newGenWorker[E any](n int) *genWorker[E] {
 func (wk *genWorker[E]) mulRow(sr semiring.Semiring[E], srow matrix.Row[E], t *matrix.Mat[E]) []matrix.Entry[E] {
 	acc, hit := wk.acc, wk.hit
 	tch := wk.touched[:0]
-	products := 0
 	for _, es := range srow {
-		trow := t.Rows[es.Col]
-		products += len(trow)
-		for _, et := range trow {
+		for _, et := range t.Rows[es.Col] {
 			prod := sr.Mul(es.Val, et.Val)
 			if hit[et.Col] {
 				acc[et.Col] = sr.Add(acc[et.Col], prod)
@@ -178,7 +175,6 @@ func (wk *genWorker[E]) mulRow(sr semiring.Semiring[E], srow matrix.Row[E], t *m
 			}
 		}
 	}
-	productsAccumulated.Add(int64(products))
 	slices.Sort(tch)
 	buf := wk.rowBuf[:0]
 	for _, j := range tch {
@@ -190,16 +186,6 @@ func (wk *genWorker[E]) mulRow(sr semiring.Semiring[E], srow matrix.Row[E], t *m
 	wk.touched, wk.rowBuf = tch, buf
 	return buf
 }
-
-// productsAccumulated counts the semiring products the host-side kernels
-// (this file and dense.go) have accumulated since process start.
-var productsAccumulated atomic.Int64
-
-// ProductsAccumulated reads the process-wide product counter. It is
-// monotone and shared by every concurrent product, so only a delta taken
-// around a call with nothing else running means anything: the use of
-// benchmarks and of DESIGN.md §13's products-per-product tables.
-func ProductsAccumulated() int64 { return productsAccumulated.Load() }
 
 // KernelMul computes P = S·T over sr on the host, parallel over
 // cache-sized row blocks. The result equals matrix.MulRef(sr, s, t)
@@ -246,17 +232,14 @@ func FoldMinPlus[E any](rows [][]int64, s *matrix.Mat[E], w func(E) int64, t *ma
 	runRows(s.N, workers, func() func(int) {
 		return func(i int) {
 			row := rows[i]
-			products := 0
 			for _, es := range s.Rows[i] {
-				ew, trow := w(es.Val), t.Rows[es.Col]
-				products += len(trow)
-				for _, et := range trow {
+				ew := w(es.Val)
+				for _, et := range t.Rows[es.Col] {
 					if x := ew + et.Val; x < row[et.Col] {
 						row[et.Col] = x
 					}
 				}
 			}
-			productsAccumulated.Add(int64(products))
 		}
 	})
 }

@@ -97,17 +97,6 @@ func (m *Mat[E]) Density() int {
 	return rho
 }
 
-// MaxRowNNZ returns the largest row size.
-func (m *Mat[E]) MaxRowNNZ() int {
-	mx := 0
-	for _, r := range m.Rows {
-		if len(r) > mx {
-			mx = len(r)
-		}
-	}
-	return mx
-}
-
 // Clone returns a deep copy.
 func (m *Mat[E]) Clone() *Mat[E] {
 	c := New[E](m.N)

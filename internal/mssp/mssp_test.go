@@ -10,6 +10,7 @@ import (
 	"github.com/congestedclique/ccsp/internal/hitting"
 	"github.com/congestedclique/ccsp/internal/hopset"
 	"github.com/congestedclique/ccsp/internal/semiring"
+	"github.com/congestedclique/ccsp/internal/stretch"
 )
 
 func randGraph(n, extraEdges int, maxW int64, seed int64) *graph.Graph {
@@ -64,36 +65,26 @@ func runMSSP(t *testing.T, g *graph.Graph, inS []bool, p hopset.Params) ([]*Resu
 // every (node, source) pair, with unreachable pairs absent.
 func checkStretch(t *testing.T, g *graph.Graph, inS []bool, results []*Result, eps float64) {
 	t.Helper()
-	sr := g.AugSemiring()
-	for s := 0; s < g.N; s++ {
-		if !inS[s] {
-			continue
+	var srcs []int
+	for s, in := range inS {
+		if in {
+			srcs = append(srcs, s)
 		}
-		trueDist := g.Dijkstra(s)
-		for v := 0; v < g.N; v++ {
-			got := sr.Zero()
+	}
+	est := make([][]int64, g.N)
+	for v := range est {
+		est[v] = make([]int64, len(srcs))
+		for i, s := range srcs {
+			est[v][i] = semiring.Inf
 			for _, e := range results[v].Dist {
 				if int(e.Col) == s {
-					got = e.Val
+					est[v][i] = e.Val.W
 				}
-			}
-			d := trueDist[v]
-			if d >= semiring.Inf {
-				if !sr.IsZero(got) {
-					t.Fatalf("(%d,%d): unreachable pair got estimate %v", v, s, got)
-				}
-				continue
-			}
-			if sr.IsZero(got) {
-				t.Fatalf("(%d,%d): reachable pair missing estimate (true %d)", v, s, d)
-			}
-			if got.W < d {
-				t.Fatalf("(%d,%d): estimate %d below true %d", v, s, got.W, d)
-			}
-			if float64(got.W) > (1+eps)*float64(d)+1e-9 {
-				t.Fatalf("(%d,%d): estimate %d exceeds (1+%v)·%d", v, s, got.W, eps, d)
 			}
 		}
+	}
+	if err := stretch.Check(g, srcs, est, stretch.OnePlus(eps)).Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 
