@@ -18,6 +18,7 @@ package disttools
 
 import (
 	"context"
+	"fmt"
 	"math/bits"
 	"slices"
 	"sync"
@@ -43,7 +44,10 @@ import (
 // but not the slab and header the rows live in, so nobody writes to them
 // once this call has returned. A caller that is done with the rows before
 // it returns, and runs often enough for a later search to take the slab
-// over, takes KNearestLent instead and gives it back.
+// over, takes KNearestLent instead and gives it back. No product code
+// calls it: the hopset build keeps its rows as KNearestRanks', and the
+// serving paths lend theirs; it stays for the benchmark harness, which
+// times it under this signature, and as the tests' form of the answer.
 func KNearestAll[E any](ctx context.Context, sr semiring.Ordered[E], w *matrix.Mat[E], k, workers int) (*matrix.Mat[E], error) {
 	nb := takeNearest[E](w.N)
 	defer nb.release()
@@ -69,6 +73,42 @@ func KNearestLent[E any](ctx context.Context, sr semiring.Ordered[E], w *matrix.
 		return nil, nil, err
 	}
 	return knear, nb.release, nil
+}
+
+// KNearestRanks is KNearestAll's answer as its searches keep it: row v is
+// cols[v], its nodes in the order the search settled them - those tied
+// at the k-th rank that did not all fit come last, the lowest columns in
+// column order - and ranks[v] their ranks, which sr.Unrank decodes to
+// their values, so ranks never decrease along a row. A kept node costs a
+// 4-byte column and an 8-byte rank where an Entry costs 24: the rows are
+// windows of one n·k slab of each, which the caller owns, as
+// KNearestAll's. It is the same search; only what a row keeps differs.
+// sr's MaxH must be at least n - 2, as a graph's AugSemiring's is, for a
+// rank to hold the value of every path a search keeps.
+func KNearestRanks(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], k, workers int) (cols [][]int32, ranks [][]int64, err error) {
+	n := w.N
+	if int64(n) > sr.MaxH+2 { // decoder's condition
+		return nil, nil, fmt.Errorf("disttools: ranks of %d-node paths need MaxH >= %d, have %d", n, n-2, sr.MaxH)
+	}
+	k = max(1, min(k, n))
+	nb := takeNearest[semiring.WH](n)
+	defer nb.release()
+	colSlab, rankSlab := make([]int32, n*k), make([]int64, n*k)
+	cols, ranks = make([][]int32, n), make([][]int64, n)
+	err = nb.pass(ctx, sr, w, k, workers, keepFunc[semiring.WH](func(s *searcher[semiring.WH], v int, got []int32) {
+		if len(got) == 0 {
+			return // the all-zero row
+		}
+		c, r := colSlab[v*k:v*k+len(got):v*k+len(got)], rankSlab[v*k:v*k+len(got):v*k+len(got)]
+		for i, u := range got {
+			c[i], r[i] = u, s.key[u]
+		}
+		cols[v], ranks[v] = c, r
+	}))
+	if err != nil {
+		return nil, nil, err
+	}
+	return cols, ranks, nil
 }
 
 // SourceDetectAll solves (S,d,|S|)-source detection (Theorem 19, second
@@ -443,14 +483,12 @@ func (p *kdetect) detect(ctx context.Context, sr semiring.AugMinPlus, w *matrix.
 		cur, next = next, cur
 	}
 	p.slab = grow(p.slab, n*p.width)
-	m := sr.MaxH + 2 // Rank is W·(MaxH+2) + H
 	p.pass(q, workers, func(_ *sweeper, v int) {
 		p.out.Rows[v] = nil // the all-zero row
 		if got := cur.row(v, p.width); len(got) > 0 {
 			row := p.slab[v*p.width:][:len(got):len(got)]
 			for i, sl := range got {
-				wt := sl.rank / m
-				row[i] = matrix.Entry[semiring.WH]{Col: p.srcs[sl.j], Val: semiring.WH{W: wt, H: sl.rank - wt*m}}
+				row[i] = matrix.Entry[semiring.WH]{Col: p.srcs[sl.j], Val: sr.Unrank(sl.rank)}
 			}
 			p.out.Rows[v] = row
 		}

@@ -136,6 +136,56 @@ func sameRows[E comparable](t *testing.T, what string, got, want *matrix.Mat[E])
 	}
 }
 
+// sameRanks asserts that KNearestRanks' rows (cols, ranks) are the rows of
+// KNearestAll, want, in settle order: per row, the same columns, each
+// rank decoding to its column's entry, ranks that never decrease, and at
+// the last rank the lowest of the columns all's row (every reachable
+// node) holds at that rank.
+func sameRanks(t *testing.T, what string, sr semiring.AugMinPlus, cols [][]int32, ranks [][]int64, want, all *matrix.Mat[semiring.WH]) {
+	t.Helper()
+	for v, row := range want.Rows {
+		c, r := cols[v], ranks[v]
+		if len(c) != len(row) || len(r) != len(row) {
+			t.Errorf("%s: row %d holds %d columns and %d ranks, want %d", what, v, len(c), len(r), len(row))
+			return
+		}
+		for i, u := range c {
+			j, ok := slices.BinarySearchFunc(row, u, func(e matrix.Entry[semiring.WH], u int32) int { return int(e.Col - u) })
+			if !ok {
+				t.Errorf("%s: row %d keeps column %d, which KNearestAll's row %v does not", what, v, u, row)
+				return
+			}
+			if got := sr.Unrank(r[i]); got != row[j].Val {
+				t.Errorf("%s: row %d column %d: rank %d decodes to %v, want %v", what, v, u, r[i], got, row[j].Val)
+				return
+			}
+			if i > 0 && r[i] < r[i-1] {
+				t.Errorf("%s: row %d: rank %d of column %d follows rank %d", what, v, r[i], u, r[i-1])
+				return
+			}
+		}
+		if len(c) == 0 {
+			continue
+		}
+		last, kept := r[len(r)-1], []int32{}
+		for i, u := range c {
+			if r[i] == last {
+				kept = append(kept, u)
+			}
+		}
+		var tied []int32
+		for _, e := range all.Rows[v] {
+			if sr.Rank(e.Val) == last {
+				tied = append(tied, e.Col)
+			}
+		}
+		if slices.Sort(kept); !slices.Equal(kept, tied[:len(kept)]) {
+			t.Errorf("%s: row %d keeps %v at its last rank %d, want the lowest of %v", what, v, kept, last, tied)
+			return
+		}
+	}
+}
+
 // knearestAllRef is Theorem 18 as the collective KNearest computes it: all
 // ⌈log₂ k⌉ filtered squarings, on the generic reference kernel.
 func knearestAllRef[E any](sr semiring.Ordered[E], w *matrix.Mat[E], k int) *matrix.Mat[E] {
@@ -201,7 +251,8 @@ func TestSourceDetectKAllFixpointEquivalence(t *testing.T) {
 // (zero-weight edges: a lighter node can sit more hops away), from 1..9,
 // or all graph.MaxWeightFor(n) (keys at the top of the range), and a
 // random set of rows dropped to nil, as G' drops its high-degree rows
-// while other rows still reach them.
+// while other rows still reach them. KNearestRanks' rows are held to
+// KNearestAll's (sameRanks).
 func FuzzKNearest(f *testing.F) {
 	for _, seed := range []struct {
 		seed          int64
@@ -244,6 +295,11 @@ func FuzzKNearest(f *testing.F) {
 				t.Fatal(err)
 			}
 			sameRows(t, fmt.Sprintf("WH k=%d workers=%d", kk, workers), got, knearestAllRef[semiring.WH](g.AugSemiring(), w, kk))
+			cols, ranks, err := KNearestRanks(context.Background(), g.AugSemiring(), w, kk, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRanks(t, fmt.Sprintf("ranks k=%d workers=%d", kk, workers), g.AugSemiring(), cols, ranks, got, knearestAllRef[semiring.WH](g.AugSemiring(), w, size))
 			gotR, err := KNearestAll(context.Background(), g.RoutedSemiring(), wr, kk, workers)
 			if err != nil {
 				t.Fatal(err)

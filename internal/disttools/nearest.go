@@ -50,6 +50,8 @@ type nearest[E any] struct {
 	arcs []arc
 	out  *matrix.Mat[E]
 	slab []matrix.Entry[E] // row v's window is [v·k, v·k + k)
+	k    int               // the running pass's k
+	dec  func(int64) E     // and its decoder (nil: values ride beside keys)
 
 	mu    sync.Mutex
 	ws    []*searcher[E]
@@ -122,12 +124,50 @@ func (nb *nearest[E]) worker() *searcher[E] {
 }
 
 // knearest runs one search per row of w on a row pass and returns the
-// rows, each a clipped window of nb's slab.
+// rows, each a clipped window of nb's slab, in column order.
 func (nb *nearest[E]) knearest(ctx context.Context, sr semiring.Ordered[E], w *matrix.Mat[E], k, workers int) (*matrix.Mat[E], error) {
+	if nb.out == nil {
+		nb.out = matrix.New[E](nb.n)
+	}
+	if cap(nb.slab) < nb.n*k {
+		nb.slab = make([]matrix.Entry[E], nb.n*k)
+	}
+	if err := nb.pass(ctx, sr, w, k, workers, nb); err != nil {
+		return nil, err
+	}
+	return nb.out, nil
+}
+
+// rowSink takes each row's kept nodes off a pass: got in the order
+// search returns them, with the searcher whose keys they are; got and the
+// keys are the searcher's until keep returns. An interface, not a func,
+// so that knearest's sink, nb itself, costs a query no allocation.
+type rowSink[E any] interface {
+	keep(s *searcher[E], v int, got []int32)
+}
+
+// keepFunc is a func as a rowSink.
+type keepFunc[E any] func(s *searcher[E], v int, got []int32)
+
+func (f keepFunc[E]) keep(s *searcher[E], v int, got []int32) { f(s, v, got) }
+
+// keep is knearest's row sink: row v's kept nodes as entries, in column
+// order, in the row's window of nb's slab.
+func (nb *nearest[E]) keep(s *searcher[E], v int, got []int32) {
+	k := nb.k
+	nb.out.Rows[v] = nil // the all-zero row
+	if row := s.emit(got, nb.dec, nb.slab[v*k:v*k:v*k+k]); len(row) > 0 {
+		nb.out.Rows[v] = slices.Clip(row)
+	}
+}
+
+// pass runs one search per row of w on a row pass and hands each row's
+// kept nodes to sink.
+func (nb *nearest[E]) pass(ctx context.Context, sr semiring.Ordered[E], w *matrix.Mat[E], k, workers int, sink rowSink[E]) error {
 	n := nb.n
 	poll := poller{ctx: ctx}
 	if poll.poll() {
-		return nil, poll.err
+		return poll.err
 	}
 	total := 0
 	for y, row := range w.Rows {
@@ -145,13 +185,7 @@ func (nb *nearest[E]) knearest(ctx context.Context, sr semiring.Ordered[E], w *m
 			as[j] = arc{rank: sr.Rank(e.Val), col: e.Col}
 		}
 	}
-	if nb.out == nil {
-		nb.out = matrix.New[E](n)
-	}
-	if cap(nb.slab) < n*k {
-		nb.slab = make([]matrix.Entry[E], n*k)
-	}
-	dec := decoder[E](sr, n)
+	nb.k, nb.dec = k, decoder(sr, n)
 	nb.taken = 0
 	matmul.RunRows(n, workers, func() func(int) {
 		s := nb.worker()
@@ -159,10 +193,8 @@ func (nb *nearest[E]) knearest(ctx context.Context, sr semiring.Ordered[E], w *m
 			if poll.stopped(v) {
 				return
 			}
-			nb.out.Rows[v] = nil // the all-zero row
-			if row := s.search(sr, w, nb, v, k, dec, nb.slab[v*k:v*k:v*k+k]); len(row) > 0 {
-				nb.out.Rows[v] = slices.Clip(row)
-			}
+			sink.keep(s, v, s.search(sr, w, nb, v, k, nb.dec))
+			s.reset()
 		}
 	})
 	for _, s := range nb.ws[:nb.taken] {
@@ -170,10 +202,7 @@ func (nb *nearest[E]) knearest(ctx context.Context, sr semiring.Ordered[E], w *m
 		searched.relaxed.Add(s.relaxed)
 		s.settled, s.relaxed = 0, 0
 	}
-	if poll.err != nil {
-		return nil, poll.err
-	}
-	return nb.out, nil
+	return poll.err
 }
 
 // decoder returns the value of a key when the semiring's values are their
@@ -184,25 +213,27 @@ func (nb *nearest[E]) knearest(ctx context.Context, sr semiring.Ordered[E], w *m
 // up to a fifth slower that way (DESIGN.md §13, exit 5).
 func decoder[E any](sr semiring.Ordered[E], n int) func(int64) E {
 	a, ok := any(sr).(semiring.AugMinPlus)
-	m := a.MaxH + 2
-	if !ok || int64(n) > m {
+	if !ok || int64(n) > a.MaxH+2 {
 		return nil
 	}
-	return any(func(key int64) semiring.WH { return semiring.WH{W: key / m, H: key % m} }).(func(int64) E)
+	return any(a.Unrank).(func(int64) E)
 }
 
-// search returns row v of Filter_k(D_∞), appended to dst in column order.
-// It is seeded with row v's own entries - a nil row, a node outside the
-// §6.3 subgraph G', settles nothing - and settles nodes in key order,
-// keys being ranks: the rank of a path is the sum of its entries' ranks,
-// exactly, while hop sums stay below MaxH. Every node tied with the k-th
-// key is settled too, all of them reached from lower keys already, and
-// the lowest columns among them are kept (Lemma 15's rule). Without a
-// decoder a node's value is the semiring sum over its tied candidates, so
-// over the routed semiring it carries the least first hop. The k-th node
-// and the ones after it relax nothing: an off-diagonal entry has H >= 1,
-// so what they reach ranks past the k-th key.
-func (s *searcher[E]) search(sr semiring.Ordered[E], w *matrix.Mat[E], nb *nearest[E], v, k int, dec func(int64) E, dst matrix.Row[E]) matrix.Row[E] {
+// search returns the nodes of row v of Filter_k(D_∞) in the order it
+// settled them, so their keys - s.key, until reset - never decrease; the
+// ones tied with the k-th key come last, in column order, when they did
+// not all fit. It is seeded with row v's own entries - a nil row, a node
+// outside the §6.3 subgraph G', settles nothing - and settles nodes in
+// key order, keys being ranks: the rank of a path is the sum of its
+// entries' ranks, exactly, while hop sums stay below MaxH. Every node
+// tied with the k-th key is settled too, all of them reached from lower
+// keys already, and the lowest columns among them are kept (Lemma 15's
+// rule). Without a decoder a node's value is the semiring sum over its
+// tied candidates, so over the routed semiring it carries the least
+// first hop. The k-th node and the ones after it relax nothing: an
+// off-diagonal entry has H >= 1, so what they reach ranks past the k-th
+// key.
+func (s *searcher[E]) search(sr semiring.Ordered[E], w *matrix.Mat[E], nb *nearest[E], v, k int, dec func(int64) E) []int32 {
 	for j, e := range w.Rows[v] {
 		u := e.Col
 		s.key[u], s.val[u] = nb.arcs[int(nb.off[v])+j].rank, e.Val
@@ -259,13 +290,17 @@ func (s *searcher[E]) search(sr semiring.Ordered[E], w *matrix.Mat[E], nb *neare
 		slices.Sort(got[first:])
 		got = got[:k]
 	}
-	dst = s.emit(got, dec, dst)
+	return got
+}
+
+// reset readies s for the next search: every key it set back at
+// unreached, its heap and lists empty.
+func (s *searcher[E]) reset() {
 	for _, u := range s.seen {
 		s.key[u] = unreached
 	}
 	s.heap.reset()
 	s.seen, s.got = s.seen[:0], s.got[:0]
-	return dst
 }
 
 // emit appends the kept nodes to dst in column order: through the bitmap

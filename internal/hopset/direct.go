@@ -72,23 +72,29 @@ func BuildDirectFrom(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[
 // the greedy hitting set, the pivots and the bunch edges H_0. It returns
 // an artifact whose Rows are H_0 and whose level loop has not run.
 //
+// The k-nearest rows are KNearestRanks': a column and a rank per kept
+// node, in the order the row's search settled them, so ranks never
+// decrease along a row. The hitting set reads the columns, and does not
+// depend on their order within a set. The pivot p(v) is the least-rank
+// A_1 node of the row, the lowest column among ties (the rank order is
+// LessWH's), and every bunch edge ranks at or below it, so the pivot and
+// bunch walks read only the prefix up to p(v)'s rank. The rows are owned
+// rather than lent: the stage runs once per engine, so the only search
+// their slabs could feed is the next build's bunch stage, and whether
+// they survive the collections in between is timing; a rebuild costs the
+// same bytes every time (DESIGN.md §13, "who owns which slab, and for how
+// long").
+//
 // H_0 is one slab of exactly the entries the bunch edges put at both
 // endpoints; the level loop copies every row out into G ∪ H, so the slab
-// lives only as long as the build. The k-nearest rows, which the hitting
-// set reads in place, are owned here rather than lent back: the stage
-// runs once per engine, so the only search their n·k slab could feed is
-// the next build's bunch stage, and whether it survives the collections
-// in between is timing. So the stage takes KNearestAll, which keeps the
-// slab for it and hands only the search's scratch back, and a rebuild
-// costs the same slab bytes every time (DESIGN.md §13, "who owns which
-// slab, and for how long").
+// lives only as long as the build.
 func bunchStage(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], k, workers int) (*Artifact, error) {
 	n := w.N
-	knear, err := disttools.KNearestAll[semiring.WH](ctx, sr, w, k, workers)
+	cols, ranks, err := disttools.KNearestRanks(ctx, sr, w, k, workers)
 	if err != nil {
 		return nil, fmt.Errorf("hopset: k-nearest: %w", err)
 	}
-	inA1 := hitting.GreedyRows(n, knear.Rows)
+	inA1 := hitting.Greedy(n, cols)
 
 	art := &Artifact{
 		N:    n,
@@ -98,14 +104,21 @@ func bunchStage(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semir
 		PV:   make([]int32, n),
 		DPV:  make([]semiring.WH, n),
 	}
-	// p(v): the closest A_1 node within N_k(v).
+	// p(v): the closest A_1 node within N_k(v). The first A_1 node of the
+	// row has the least rank; the ones tied with it follow it.
 	for v := 0; v < n; v++ {
 		art.PV[v], art.DPV[v] = -1, semiring.InfWH
-		for _, e := range knear.Rows[v] {
-			if inA1[e.Col] && semiring.LessWH(e.Val, art.DPV[v]) {
-				art.PV[v] = e.Col
-				art.DPV[v] = e.Val
+		var top int64
+		for i, u := range cols[v] {
+			if art.PV[v] >= 0 && ranks[v][i] > top {
+				break
 			}
+			if inA1[u] && (art.PV[v] < 0 || u < art.PV[v]) {
+				art.PV[v], top = u, ranks[v][i]
+			}
+		}
+		if art.PV[v] >= 0 {
+			art.DPV[v] = sr.Unrank(top)
 		}
 	}
 
@@ -114,21 +127,32 @@ func bunchStage(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semir
 	// end; here each edge is written into both rows - Combine makes the
 	// order irrelevant, and folds an edge in both endpoints' bunches into
 	// one entry per row). A bunch edge of v is a node strictly closer than
-	// p(v), or p(v) itself, at its exact weight. The first pass sizes
-	// every row, the second fills the rows' windows of one slab.
-	bunch := func(v int, e matrix.Entry[semiring.WH]) bool {
-		return !inA1[v] && art.PV[v] >= 0 && e.Col != int32(v) && (e.Val.W < art.DPV[v].W || e.Col == art.PV[v])
+	// p(v), or p(v) itself, at its exact weight; bunch hands each to f.
+	// The first pass sizes every row, the second fills the rows' windows
+	// of one slab.
+	bunch := func(v int, f func(u int32, wu int64)) {
+		if inA1[v] || art.PV[v] < 0 {
+			return
+		}
+		pv, dpv := art.PV[v], art.DPV[v]
+		top := sr.Rank(dpv)
+		for i, u := range cols[v] {
+			if ranks[v][i] > top {
+				return
+			}
+			if wu := sr.Unrank(ranks[v][i]).W; u != int32(v) && (wu < dpv.W || u == pv) {
+				f(u, wu)
+			}
+		}
 	}
 	size := make([]int, n)
 	total := 0
 	for v := 0; v < n; v++ {
-		for _, e := range knear.Rows[v] {
-			if bunch(v, e) {
-				size[v]++
-				size[e.Col]++
-				total += 2
-			}
-		}
+		bunch(v, func(u int32, _ int64) {
+			size[v]++
+			size[u]++
+			total += 2
+		})
 	}
 	slab := make([]matrix.Entry[semiring.WH], total)
 	h0 := art.Rows
@@ -136,12 +160,10 @@ func bunchStage(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semir
 		h0[v], off = slab[off:off:off+size[v]], off+size[v]
 	}
 	for v := 0; v < n; v++ {
-		for _, e := range knear.Rows[v] {
-			if bunch(v, e) {
-				h0[v] = append(h0[v], matrix.Entry[semiring.WH]{Col: e.Col, Val: semiring.WH{W: e.Val.W, H: 1}})
-				h0[e.Col] = append(h0[e.Col], matrix.Entry[semiring.WH]{Col: int32(v), Val: semiring.WH{W: e.Val.W, H: 1}})
-			}
-		}
+		bunch(v, func(u int32, wu int64) {
+			h0[v] = append(h0[v], matrix.Entry[semiring.WH]{Col: u, Val: semiring.WH{W: wu, H: 1}})
+			h0[u] = append(h0[u], matrix.Entry[semiring.WH]{Col: int32(v), Val: semiring.WH{W: wu, H: 1}})
+		})
 	}
 	matmul.RunRows(n, workers, func() func(int) {
 		return func(v int) { h0[v] = matrix.Combine(sr, h0[v]) }

@@ -176,9 +176,11 @@ func encoded(a *Artifact) []byte {
 
 // buildCases are the graphs and presets the build oracles run over:
 // weighted, unit-weight, tree, path and disconnected graphs, zero-weight
-// edges and a path whose every edge is the heaviest graph.MaxWeightFor
-// admits (ranks at the top of their range); Paper runs
-// the level loop at d = n, Practical well below it, a small K makes A_1
+// edges, a path whose every edge is the heaviest graph.MaxWeightFor
+// admits (ranks at the top of their range), and a unit-weight grid and
+// star, where whole rings of nodes tie (TestBuildCasesHaveTies holds
+// them to ties at a pivot's rank and at the k-th rank); Paper runs the
+// level loop at d = n, Practical well below it, a small K makes A_1
 // large, a hop cap makes each level build on the last and one shallow
 // level makes the clique edges depend on ε.
 func buildCases() (map[string]*graph.Graph, map[string]Params) {
@@ -207,6 +209,8 @@ func buildCases() (map[string]*graph.Graph, map[string]Params) {
 		"unit-weight":  randGraph(40, 60, 1, 74),
 		"unit-path":    lineGraph(36, 1),
 		"disconnected": split,
+		"unit-grid":    graphgen.Grid(8, 8, graphgen.Weights{Max: 1}, 76),
+		"unit-star":    graphgen.Star(24, graphgen.Weights{Max: 1}, 77),
 	}
 	presets := map[string]Params{
 		"practical":       Practical(0.5),
@@ -218,8 +222,74 @@ func buildCases() (map[string]*graph.Graph, map[string]Params) {
 		// One level at d = 4β = 16 < n, and β follows ε: builds at another
 		// ε see other clique edges (everywhere else d reaches n).
 		"shallow": {Eps: 0.5, BetaFactor: 2, Levels: 1, K: 3},
+		// K = 5: a grid row keeps its node and four more, so a ring ties
+		// at the pivot's rank or at the k-th (TestBuildCasesHaveTies).
+		"small-k": {Eps: 0.5, BetaFactor: 2, K: 5},
 	}
 	return graphs, presets
+}
+
+// TestBuildCasesHaveTies: the tie cases of buildCases are not vacuous. Under
+// a small K, some row of them has two or more A_1 nodes at its pivot's
+// (W, H) within its k nearest - so p(v) is decided by column - and some
+// row has more nodes at its k-th (W, H) than it keeps - so the kept set
+// is. Both are read off KNearestAll's rows, not the bunch stage's.
+func TestBuildCasesHaveTies(t *testing.T) {
+	ctx := context.Background()
+	graphs, presets := buildCases()
+	pivotTies, kthTies := 0, 0
+	for _, gname := range []string{"unit-grid", "unit-star"} {
+		g := graphs[gname]
+		sr, w := g.AugSemiring(), g.WeightMatrix()
+		for _, pname := range []string{"practical-small", "small-k"} {
+			art, err := BuildDirect(ctx, sr, w, presets[pname], 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept, err := disttools.KNearestAll[semiring.WH](ctx, sr, w, art.K, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all, err := disttools.KNearestAll[semiring.WH](ctx, sr, w, g.N, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v, row := range kept.Rows {
+				atPivot, kth := 0, row[0].Val
+				for _, e := range row {
+					if art.InA1[e.Col] && e.Val == art.DPV[v] {
+						atPivot++
+					}
+					if semiring.LessWH(kth, e.Val) {
+						kth = e.Val
+					}
+				}
+				atKth := 0
+				for _, e := range all.Rows[v] {
+					if e.Val == kth {
+						atKth++
+					}
+				}
+				for _, e := range row {
+					if e.Val == kth {
+						atKth--
+					}
+				}
+				if atPivot >= 2 {
+					pivotTies++
+				}
+				if atKth > 0 {
+					kthTies++
+				}
+			}
+		}
+	}
+	if pivotTies == 0 {
+		t.Error("no row of the tie cases has two A_1 nodes at its pivot's (W, H)")
+	}
+	if kthTies == 0 {
+		t.Error("no row of the tie cases leaves a node at its k-th (W, H) out")
+	}
 }
 
 // derived reports whether art took its bunch stage from sib: a derived

@@ -99,5 +99,14 @@ func (s AugMinPlus) Rank(e WH) int64 {
 	return e.W*(s.MaxH+2) + h
 }
 
+// Unrank inverts Rank on the finite values whose hop count is at most
+// MaxH + 1: it is the (W, H) of rank r. A k-nearest search keeps ranks
+// and decodes them with it, its hop counts staying below n <= MaxH + 2.
+func (s AugMinPlus) Unrank(r int64) WH {
+	m := s.MaxH + 2
+	w := r / m
+	return WH{W: w, H: r - w*m}
+}
+
 // MaxRank is the rank of (∞, ∞).
 func (s AugMinPlus) MaxRank() int64 { return (s.MaxW + 1) * (s.MaxH + 2) }

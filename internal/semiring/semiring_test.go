@@ -101,6 +101,19 @@ func TestAugMinPlusLexOrder(t *testing.T) {
 	}
 }
 
+// TestAugMinPlusUnrank: Unrank inverts Rank on every finite value whose
+// hop count is at most MaxH + 1, at both ends of the weight range.
+func TestAugMinPlusUnrank(t *testing.T) {
+	s := NewAugMinPlus(1000, 64)
+	for _, w := range []int64{0, 1, 7, 999, 1000} {
+		for h := int64(0); h <= s.MaxH+1; h++ {
+			if e := (WH{W: w, H: h}); s.Unrank(s.Rank(e)) != e {
+				t.Fatalf("Unrank(Rank(%v)) = %v", e, s.Unrank(s.Rank(e)))
+			}
+		}
+	}
+}
+
 func TestAugMinPlusAxioms(t *testing.T) {
 	s := NewAugMinPlus(1<<16, 1<<10)
 	mk := func(w, h int64) WH {

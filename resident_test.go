@@ -30,16 +30,18 @@ func heapBytes(size int) uint64 {
 func rowBytes[E any](r matrix.Row[E], size int) uint64 { return heapBytes(cap(r) * size) }
 
 // TestBuildDirectBytes holds a cold direct hopset build at n = 1024 to
-// what it must hold: the k-nearest slab (24·n·k), the hitting set's
-// inverted index (4·n·k), one H_0 slab of the bunch entries at both
-// endpoints, one G ∪ H, and a fixed slack. The slack is the rest of the
-// build: the search's arcs and scratch (cold, so every pool is empty),
-// the artifact's vectors, the level loop's detection planes, rows and
-// merges, and headers. On one P with the collector off it measures
-// 0.99 MB on this graph; the budget allows 1.25 MiB. The budget comes to
-// 16.4 MB here; the build allocated 27.2 MB before H_0 went into one slab
-// and the level loop started sweeping the G ∪ H it returns. Skipped
-// under -race, where sync.Pool drops Puts.
+// what it must hold: the k-nearest slabs (12·n·k: a 4-byte column and an
+// 8-byte rank per kept node), the hitting set's inverted index (4·n·k),
+// one H_0 slab of the bunch entries at both endpoints, one G ∪ H, and a
+// fixed slack. The slack is the rest of the build: the search's arcs and
+// scratch (cold, so every pool is empty), the k-nearest row headers, the
+// artifact's vectors, the level loop's detection planes, rows and merges,
+// and headers. On one P with the collector off it measures 0.97 MiB on
+// this graph; the budget allows 1.25 MiB. The budget comes to 12.4 MB
+// here (16.4 MB while the k-nearest rows were 24-byte entries); the
+// build allocated 27.2 MB before H_0 went into one slab and the level
+// loop started sweeping the G ∪ H it returns. Skipped under -race, where
+// sync.Pool drops Puts.
 func TestBuildDirectBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector: the build's scratch is not reliably pooled")
@@ -82,7 +84,7 @@ func TestBuildDirectBytes(t *testing.T) {
 			ghBytes += rowBytes(row, entryBytes)
 		}
 	}
-	kn, index, h0 := uint64(entryBytes*n*k), uint64(4*n*k), heapBytes(bunch*entryBytes)
+	kn, index, h0 := uint64(12*n*k), uint64(4*n*k), heapBytes(bunch*entryBytes)
 	if budget := kn + index + h0 + ghBytes + slack; got > budget {
 		t.Errorf("a cold BuildDirect at n=%d allocates %d bytes, want <= %d (k-nearest %d + index %d + H_0 %d + G ∪ H %d + slack %d)",
 			n, got, budget, kn, index, h0, ghBytes, slack)
