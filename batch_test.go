@@ -193,7 +193,7 @@ func TestBatchCoalescesDistanceOntoMSSP(t *testing.T) {
 		want[i] = *resp
 	}
 
-	runs := metQueries[ExecSimulated]
+	runs := metQueries
 	before := runs.Value()
 	got, err := eng.Batch(ctx, reqs)
 	if err != nil {

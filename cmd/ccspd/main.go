@@ -1,14 +1,16 @@
 // Command ccspd is the distance-serving daemon: it loads (or builds,
 // then saves) preprocessed snapshots of one or more graphs and serves
 // approximate shortest-path queries over HTTP/JSON from shared query
-// engines.
+// engines. Every engine it serves runs the direct kernels (ccsp.ExecDirect):
+// a -graph build and every update rebuild are direct, and -load restores
+// any snapshot - one ccsp built in simulated mode included - through
+// ccsp.LoadEngineDirect, so every answer's stats report zero rounds.
 //
 // Startup sources (at least one required):
 //
 //	ccspd -load warm.snap                       # restore a saved engine: no preprocessing
 //	ccspd -graph g.txt                          # build from an edge-list or DIMACS .gr file
-//	ccspd -graph g.gr -save warm.snap           # build once, persist for the next restart
-//	ccspd -graph g.gr -exec direct              # direct-kernel build: identical answers, seconds not minutes
+//	ccspd -graph g.gr -save warm.snap           # build once, persist a direct-built snapshot
 //	ccspd -load roads=roads.snap -load web=web.snap   # serve named graphs (api.Request.Graph routes)
 //	ccspd -graphs snapdir/                      # serve every NAME.snap in a directory as graph NAME
 //
@@ -52,12 +54,12 @@
 //
 // -debug-addr starts a second listener (keep it loopback-only) with
 // pprof profiles and the same /metrics page - the public port serves
-// neither profiles nor anything else about the process. SIGINT/SIGTERM during startup aborts a build in
-// flight at its next simulator barrier (a partial -save snapshot is never
-// left behind: the write is temp-file + rename, and an interrupted build
-// never reaches it); during serving it drains in-flight requests, then
-// cancels whatever is still running after the drain window, and exits
-// cleanly.
+// neither profiles nor anything else about the process. SIGINT/SIGTERM
+// during startup aborts a build in flight at its next cancellation poll (a
+// partial -save snapshot is never left behind: the write is temp-file +
+// rename, and an interrupted build never reaches it); during serving it
+// drains in-flight requests, then cancels whatever is still running after
+// the drain window, and exits cleanly.
 //
 // Example:
 //
@@ -121,10 +123,9 @@ func run() error {
 		savePath  = flag.String("save", "", "write the preprocessed engine to this snapshot file after building (with -graph)")
 		graphsDir = flag.String("graphs", "", "directory of NAME.snap snapshots to serve as named graphs")
 		eps       = flag.Float64("eps", 0.5, "approximation parameter ε (ignored with -load: the snapshot pins it)")
-		workers   = flag.Int("workers", 0, "simulator worker-pool size and upper bound on direct row-pass goroutines (0 = GOMAXPROCS; ignored with -load)")
+		workers   = flag.Int("workers", 0, "upper bound on the kernels' row-pass goroutines (0 = GOMAXPROCS; ignored with -load: the snapshot pins it)")
 		timeout   = flag.Duration("timeout", 30*time.Second, "per-request query timeout (0 = none)")
 		cacheSize = flag.Int("cache", 128, "response cache capacity in entries (negative = disabled)")
-		execMode  = flag.String("exec", "simulated", "execution mode: simulated (round accounting) | direct (kernel, identical answers, fast startup; ignored with -load)")
 		maxInFl   = flag.Int("max-inflight", 0, "admission control: max queries executing concurrently (0 = 4×GOMAXPROCS, negative = unlimited)")
 		maxQueue  = flag.Int("max-queue", 0, "admission control: max queries waiting for an execution slot (0 = same as -max-inflight, negative = no queue)")
 		debugAddr = flag.String("debug-addr", "", "optional separate listener for pprof + /metrics, which the serving port never exposes (e.g. 127.0.0.1:6060); off when empty")
@@ -134,19 +135,14 @@ func run() error {
 	if flag.NArg() != 0 {
 		return fmt.Errorf("unexpected arguments %v (use -graph/-load/-graphs)", flag.Args())
 	}
-	exec, err := ccsp.ParseExecution(*execMode)
-	if err != nil {
-		return err
-	}
-
 	sources, err := gatherSources(*graphPath, *savePath, loads, *graphsDir)
 	if err != nil {
 		return err
 	}
 
 	// One signal context governs the whole lifecycle: SIGINT/SIGTERM
-	// during the (potentially minutes-long) preprocessing builds aborts
-	// them at the next simulator barrier; during serving it triggers the
+	// during the preprocessing builds aborts them at their next
+	// cancellation poll; during serving it triggers the
 	// graceful drain below.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -186,7 +182,7 @@ func run() error {
 
 	// Request contexts derive from serveCtx: if the drain window below
 	// expires with queries still running, canceling it stops them at
-	// their next barrier instead of leaking CPU-bound runs past exit.
+	// their next poll instead of leaking CPU-bound runs past exit.
 	serveCtx, cancelServe := context.WithCancel(context.Background())
 	defer cancelServe()
 	httpSrv := &http.Server{
@@ -202,7 +198,7 @@ func run() error {
 	go func() { errc <- httpSrv.Serve(ln) }()
 	log.Printf("ccspd: listening on %s (loading %d graph(s); poll /readyz for readiness)", ln.Addr(), len(sources))
 
-	opts := ccsp.Options{Epsilon: *eps, Workers: *workers, Execution: exec}
+	opts := ccsp.Options{Epsilon: *eps, Workers: *workers, Execution: ccsp.ExecDirect}
 	interrupted := false
 	for _, src := range sources {
 		eng, err := loadSource(ctx, src, opts)
@@ -352,8 +348,8 @@ func loadSource(ctx context.Context, src source, opts ccsp.Options) (*ccsp.Engin
 		if err != nil {
 			return nil, err
 		}
-		log.Printf("ccspd: [%s] preprocessed %s in %v (%d rounds)",
-			label, src.path, time.Since(start).Round(time.Millisecond), eng.PreprocessStats().Total.TotalRounds)
+		log.Printf("ccspd: [%s] preprocessed %s in %v",
+			label, src.path, time.Since(start).Round(time.Millisecond))
 		if src.savePath != "" {
 			if err := eng.SaveFile(src.savePath); err != nil {
 				return nil, err
@@ -368,7 +364,7 @@ func loadSource(ctx context.Context, src source, opts ccsp.Options) (*ccsp.Engin
 	}
 	defer f.Close()
 	start := time.Now()
-	eng, err := ccsp.LoadEngine(ctx, f)
+	eng, err := ccsp.LoadEngineDirect(ctx, f)
 	if err != nil {
 		return nil, fmt.Errorf("load %s: %w", src.path, err)
 	}

@@ -3,6 +3,7 @@ package ccsp
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"reflect"
 	"strconv"
@@ -274,5 +275,123 @@ func TestDirectPreprocessStats(t *testing.T) {
 	}
 	if res.Stats.Exec != ExecDirect || res.Stats.TotalRounds != 0 || res.Stats.Messages != 0 {
 		t.Errorf("direct query stats = %+v, want zero rounds/messages and direct tag", res.Stats)
+	}
+}
+
+// TestDirectLoadServesSimulatedSnapshot is the oracle of LoadEngineDirect,
+// the path every ccspd -load takes: a snapshot built simulated, mutated to
+// epoch 2 and holding all three artifact kinds (the unit weights make the
+// auto APSP variant build the low-degree G′ one too) loads into a direct
+// engine that keeps the epoch and the original PreprocessStats, answers
+// every request kind with the wire bytes of a cold direct engine on the
+// same graph, and rebuilds direct. A direct-built snapshot round-trips
+// through it byte for byte.
+func TestDirectLoadServesSimulatedSnapshot(t *testing.T) {
+	ctx := context.Background()
+	gr := unweightedTestGraph(20)
+	for _, v := range []int{7, 9, 11, 13, 17} { // a hub of degree > ⌈√n⌉, so G′ ≠ G
+		gr.MustAddEdge(0, v, 1)
+	}
+	for _, workers := range diffWorkerCounts(t) {
+		sim, err := NewEngine(ctx, gr, Options{Epsilon: 0.5, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dyn := NewDynamicEngine(sim)
+		for _, up := range []EdgeUpdate{{U: 2, V: 12, W: 1}, {U: 0, V: 5, W: -1}} {
+			if _, err := dyn.Update(ctx, []EdgeUpdate{up}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sim = dyn.Engine()
+		if _, err := sim.Query(ctx, api.Request{Kind: api.KindAPSP}); err != nil {
+			t.Fatal(err)
+		}
+		var snap bytes.Buffer
+		if err := sim.Save(&snap); err != nil {
+			t.Fatal(err)
+		}
+		dyn.Close()
+		if b := sim.PreprocessStats().Builds; len(b) != 3 || b[2].Kind != artLowDegree.String() {
+			t.Fatalf("workers=%d: snapshot builds %+v, want base, ε/2 and low-degree", workers, b)
+		}
+
+		loaded, err := LoadEngineDirect(ctx, bytes.NewReader(snap.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		asBuilt, err := LoadEngine(ctx, bytes.NewReader(snap.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := loaded.Options().Execution; got != ExecDirect {
+			t.Errorf("workers=%d: loaded execution = %v, want direct", workers, got)
+		}
+		if got := loaded.Epoch(); got != 2 {
+			t.Errorf("workers=%d: loaded epoch = %d, want 2", workers, got)
+		}
+		ps := loaded.PreprocessStats()
+		if !reflect.DeepEqual(ps, asBuilt.PreprocessStats()) {
+			t.Errorf("workers=%d: PreprocessStats differ from LoadEngine's:\n got %+v\nwant %+v",
+				workers, ps, asBuilt.PreprocessStats())
+		}
+		if ps.Total.TotalRounds == 0 {
+			t.Errorf("workers=%d: PreprocessStats lost the simulated builds' rounds", workers)
+		}
+
+		cold, err := NewEngine(ctx, sim.Graph(), Options{Epsilon: 0.5, Workers: workers, Execution: ExecDirect})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, req := range diffRequests(gr.N()) {
+			got, gotErr := loaded.Query(ctx, req)
+			want, wantErr := cold.Query(ctx, req)
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("workers=%d %s: error mismatch: loaded %v, cold %v", workers, req.Kind, gotErr, wantErr)
+			}
+			if gotErr != nil {
+				continue
+			}
+			gotJSON, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantJSON, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Errorf("workers=%d %s: loaded answer differs from a cold direct engine's\n got %s\nwant %s",
+					workers, req.Kind, gotJSON, wantJSON)
+			}
+		}
+
+		dynL := NewDynamicEngine(loaded)
+		epoch, err := dynL.Update(ctx, []EdgeUpdate{{U: 3, V: 15, W: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := dynL.Engine()
+		dynL.Close()
+		if epoch != 3 || next.Epoch() != 3 || next.Options().Execution != ExecDirect {
+			t.Errorf("workers=%d: rebuild published epoch %d (engine %d, %v), want 3 and direct",
+				workers, epoch, next.Epoch(), next.Options().Execution)
+		}
+
+		// A direct-built snapshot: LoadEngineDirect → Save writes the input.
+		var dsnap, resaved bytes.Buffer
+		if err := cold.Save(&dsnap); err != nil {
+			t.Fatal(err)
+		}
+		reloaded, err := LoadEngineDirect(ctx, bytes.NewReader(dsnap.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reloaded.Save(&resaved); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dsnap.Bytes(), resaved.Bytes()) {
+			t.Errorf("workers=%d: direct-built snapshot is not byte-identical through LoadEngineDirect → Save", workers)
+		}
 	}
 }

@@ -262,7 +262,7 @@ func (e *Engine) build(ctx context.Context, key artifactKey, call *buildCall) {
 		if call.err == nil {
 			e.pre.arts[key] = call.ent
 			e.pre.order = append(e.pre.order, key)
-			e.observeBuild(start)
+			observeBuild(start)
 		}
 		e.pre.mu.Unlock()
 		close(call.done)

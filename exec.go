@@ -25,7 +25,8 @@ import (
 // byte - plus the run's Stats. Errors come back raw (cc or context
 // sentinels); validation, artifact lookup, result shaping and the wrap into
 // the public error taxonomy live once, in the Engine methods above the
-// seam. newEngine picks the implementation from Options.Execution.
+// seam. adoptEngine, which every engine is made by, picks the
+// implementation from Options.Execution.
 type executor interface {
 	// build constructs the entry for key, ready for queries: the hopset
 	// artifact (§4), for artLowDegree the degree vector that defines G',

@@ -1,7 +1,7 @@
 // Multi-process integration test of the sharded serving tier: builds
 // the real ccspd binary, starts three daemon processes each loading the
 // snapshots the ring places on it, and drives them through
-// client.Cluster - asserting cluster-routed answers equal in-process
+// client.Cluster - asserting cluster-routed answers equal in-process direct
 // engine answers for every request kind, then SIGKILLing one replica
 // and asserting its graphs degrade to typed unavailable errors while
 // every other position keeps answering correctly.
@@ -31,9 +31,9 @@ import (
 // distinct sizes so graphs are distinguishable by vector length.
 var integrationGraphs = map[string]int{"alpha": 8, "beta": 10, "gamma": 12, "delta": 14, "omega": 9}
 
-// buildEngine is the same generator the in-process cluster tests use,
-// so a daemon restoring the saved snapshot answers identically.
-func buildEngine(t *testing.T, n int) *ccsp.Engine {
+// buildEngine builds an engine in the given mode on the same generator the
+// in-process cluster tests use.
+func buildEngine(t *testing.T, n int, mode ccsp.Execution) *ccsp.Engine {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(n)))
 	gr := ccsp.NewGraph(n)
@@ -46,7 +46,7 @@ func buildEngine(t *testing.T, n int) *ccsp.Engine {
 			gr.MustAddEdge(u, v, rng.Int63n(9)+1)
 		}
 	}
-	eng, err := ccsp.NewEngine(context.Background(), gr, ccsp.Options{Epsilon: 0.5})
+	eng, err := ccsp.NewEngine(context.Background(), gr, ccsp.Options{Epsilon: 0.5, Execution: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,14 +137,16 @@ func TestMultiProcessCluster(t *testing.T) {
 
 	addrs, members, ring := spreadPlacement(t, 3)
 
-	// Build each graph's engine in-process and save its snapshot into
-	// the owner's load list - owner-only placement, no failover copies,
-	// so killing a replica makes its graphs strictly unavailable.
+	// Build each graph's engine in-process in simulated mode and save its
+	// snapshot into the owner's load list - owner-only placement, no
+	// failover copies, so killing a replica makes its graphs strictly
+	// unavailable. ccspd serves every snapshot direct, so the answers to
+	// match, Stats included, are a cold direct engine's on the same graph.
 	engines := make(map[string]*ccsp.Engine, len(integrationGraphs))
 	loads := make(map[string][]string) // member -> repeated -load flags
 	for g, n := range integrationGraphs {
-		eng := buildEngine(t, n)
-		engines[g] = eng
+		eng := buildEngine(t, n, ccsp.ExecSimulated)
+		engines[g] = buildEngine(t, n, ccsp.ExecDirect)
 		snap := filepath.Join(dir, g+".snap")
 		f, err := os.Create(snap)
 		if err != nil {
@@ -194,7 +196,7 @@ func TestMultiProcessCluster(t *testing.T) {
 		t.Fatalf("Live() = %v, want the %d spawned members", live, len(daemons))
 	}
 
-	// Every request kind, every graph: cluster == in-process engine.
+	// Every request kind, every graph: cluster == in-process direct engine.
 	for g, n := range integrationGraphs {
 		reqs := allKinds(g, n)
 		want, err := engines[g].Batch(ctx, reqs)

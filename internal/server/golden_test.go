@@ -47,7 +47,10 @@ func goldenEngine(t testing.TB, exec ccsp.Execution) *ccsp.Engine {
 // TestGoldenResponses pins the full JSON bytes of POST /v1/query for
 // every algorithm (and one typed error) against committed golden files.
 // A wire-schema change that alters any byte shows up as a diff here -
-// the review gate the versioning policy of DESIGN.md §11 relies on.
+// the review gate the versioning policy of DESIGN.md §11 relies on. The
+// engine is simulated: its stats objects are the paper's round, message
+// and word counts, and this is the only test that pins them in wire form
+// byte for byte.
 // Regenerate intentionally with: go test ./internal/server -run Golden -update
 func TestGoldenResponses(t *testing.T) {
 	checkGolden(t, goldenGraph(t), false)
@@ -76,9 +79,10 @@ var statsBlock = regexp.MustCompile(`(?s)\n  "stats": \{.*?\n  \},`)
 
 // TestGoldenResponsesDirect holds ExecDirect to the same golden files,
 // with the stats object (rounds and messages, which the kernels do not
-// have) cut from both sides. Both backends share one shaping layer, so the
-// differential oracle cannot see a shaping bug - both sides inherit it -
-// but these absolute bytes can.
+// have) cut from both sides. ccspd serves only the direct kernels, so this
+// pins the answers the daemon sends. Both backends share one shaping
+// layer, so the differential oracle cannot see a shaping bug - both sides
+// inherit it - but these absolute bytes can.
 func TestGoldenResponsesDirect(t *testing.T) {
 	if *updateGolden {
 		t.Skip("golden files are written from the simulated run")

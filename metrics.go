@@ -9,22 +9,20 @@ import (
 // Engine-level telemetry, recorded into the process-global
 // telemetry.Default registry (ccspd's /metrics page serves it alongside
 // the server's own registry): artifact-cache effectiveness and the
-// wall-clock cost of preprocessing and queries, split by execution mode
-// so the simulated-vs-direct speedup the direct kernel claims is
-// readable off a live daemon. Hot-path cost is one atomic increment or
-// one histogram observation; the registry mutex is only taken here, at
-// package init.
+// wall-clock cost of preprocessing and queries. Hot-path cost is one
+// atomic increment or one histogram observation; the registry mutex is
+// only taken here, at package init.
 var (
 	metArtifactHits = telemetry.Default.Counter("ccsp_engine_artifact_cache_hits_total",
 		"Artifact requests answered from the preprocessing cache.")
-	metArtifactBuilds = execCounters("ccsp_engine_artifact_builds_total",
-		"Preprocessing artifact builds completed, by execution mode.")
-	metPreprocessSeconds = execHistograms("ccsp_engine_preprocess_seconds",
-		"Wall-clock duration of completed artifact builds, by execution mode.")
-	metQueries = execCounters("ccsp_engine_queries_total",
-		"Engine.Query calls (batch positions included), by execution mode.")
-	metQuerySeconds = execHistograms("ccsp_engine_query_seconds",
-		"Wall-clock duration of Engine.Query calls, by execution mode.")
+	metArtifactBuilds = telemetry.Default.Counter("ccsp_engine_artifact_builds_total",
+		"Preprocessing artifact builds completed.")
+	metPreprocessSeconds = telemetry.Default.Histogram("ccsp_engine_preprocess_seconds",
+		"Wall-clock duration of completed artifact builds.", nil)
+	metQueries = telemetry.Default.Counter("ccsp_engine_queries_total",
+		"Engine.Query calls (batch positions included).")
+	metQuerySeconds = telemetry.Default.Histogram("ccsp_engine_query_seconds",
+		"Wall-clock duration of Engine.Query calls.", nil)
 	metRebuilds = telemetry.Default.Counter("ccsp_engine_rebuilds_total",
 		"DynamicEngine background rebuilds that published a new epoch.",
 		telemetry.L("result", "ok"))
@@ -35,36 +33,15 @@ var (
 		"Wall-clock duration of successful DynamicEngine rebuilds.", nil)
 )
 
-// execCounters pre-creates one counter child per execution mode,
-// indexable by the Execution constant itself.
-func execCounters(name, help string) [2]*telemetry.Counter {
-	var out [2]*telemetry.Counter
-	for _, x := range []Execution{ExecSimulated, ExecDirect} {
-		out[x] = telemetry.Default.Counter(name, help, telemetry.L("exec", x.String()))
-	}
-	return out
-}
-
-// execHistograms is execCounters for latency histograms.
-func execHistograms(name, help string) [2]*telemetry.Histogram {
-	var out [2]*telemetry.Histogram
-	for _, x := range []Execution{ExecSimulated, ExecDirect} {
-		out[x] = telemetry.Default.Histogram(name, help, nil, telemetry.L("exec", x.String()))
-	}
-	return out
-}
-
 // observeQuery records one Engine.Query call (errors included: a failed
 // query burned its wall-clock too).
-func (e *Engine) observeQuery(start time.Time) {
-	x := e.opts.Execution
-	metQueries[x].Inc()
-	metQuerySeconds[x].ObserveDuration(time.Since(start))
+func observeQuery(start time.Time) {
+	metQueries.Inc()
+	metQuerySeconds.ObserveDuration(time.Since(start))
 }
 
 // observeBuild records one completed (successful) artifact build.
-func (e *Engine) observeBuild(start time.Time) {
-	x := e.opts.Execution
-	metArtifactBuilds[x].Inc()
-	metPreprocessSeconds[x].ObserveDuration(time.Since(start))
+func observeBuild(start time.Time) {
+	metArtifactBuilds.Inc()
+	metPreprocessSeconds.ObserveDuration(time.Since(start))
 }

@@ -86,7 +86,7 @@ func (p Plan) Run(ctx context.Context) (*api.Response, error) {
 // neighborBackings only then, and allocated to size for an owned answer.
 func (p Plan) runLent(ctx context.Context, lend bool) (*api.Response, func(), error) {
 	e, req := p.eng, p.run
-	defer e.observeQuery(time.Now())
+	defer observeQuery(time.Now())
 	// The engine serves exactly one graph; the Graph field is a serving-
 	// layer routing concern, echoed back so merged fan-out responses stay
 	// attributable.
@@ -202,7 +202,7 @@ func (p Plan) answer(ctx context.Context, lend bool) (*api.Response, func(), err
 		*resp = p.Finish(*resp, false)
 		return resp, release, nil
 	}
-	defer p.eng.observeQuery(time.Now())
+	defer observeQuery(time.Now())
 	d, stats, err := p.eng.distance(ctx, pair.From, pair.To)
 	if err != nil {
 		return nil, nil, err

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the snapshot + serving pipeline (run by CI,
 # runnable locally): build a graph, answer an MSSP query with the one-shot
-# CLI, persist the engine as a snapshot, serve it with ccspd, and assert
+# CLI, persist the engine as a (simulated-built) snapshot, serve it with
+# ccspd - which serves every snapshot with the direct kernels - and assert
 # the daemon's distance answers (POST /v1/query) match the CLI's distances
 # exactly.
 set -euo pipefail
@@ -50,7 +51,7 @@ echo "== one-shot CLI MSSP from node 0 (and snapshot save)"
 "$tmp/ccsp" -graph "$tmp/g.txt" -algo mssp -sources 0 -save "$tmp/warm.snap" | tee "$tmp/cli.out"
 test -s "$tmp/warm.snap"
 
-echo "== serving the snapshot"
+echo "== serving the snapshot (built simulated, served direct)"
 "$tmp/ccspd" -load "$tmp/warm.snap" -addr "$addr" &
 pid=$!
 
@@ -62,7 +63,9 @@ curl -fs "http://$addr/healthz" | grep -q '"status": *"ok"'
 echo "healthz ok"
 
 # Every node's distance-to-0 from the daemon must equal the CLI's MSSP
-# column (both run the same Theorem 3 query over the same artifact).
+# column: both run the same Theorem 3 query over the same artifact, the
+# CLI in the simulator and the daemon in the direct kernels, so this is
+# the simulated == direct differential end to end over the serving stack.
 fail=0
 for v in 0 1 2 3 4 5 6 7; do
   cli=$(awk -v v="$v" '$1 == v { print $2 }' "$tmp/cli.out")
@@ -74,6 +77,10 @@ for v in 0 1 2 3 4 5 6 7; do
 done
 [ "$fail" = 0 ]
 echo "distance agreement ok (8 pairs)"
+# Distances cannot tell the modes apart; stats can: the daemon loaded
+# the simulated-built snapshot into the direct executor.
+q "$addr" '{"kind":"distance","distance":{"from":0,"to":5}}' | grep -q '"total_rounds":0[,}]'
+echo "served direct ok (total_rounds 0)"
 
 q "$addr" '{"kind":"diameter"}' | grep -q '"estimate"'
 curl -fs "http://$addr/v1/stats" | grep -q '"preprocess"'
@@ -86,10 +93,11 @@ curl -fs "http://$addr/v1/batch" -d '{"requests":[{"kind":"diameter"},{"kind":"s
 echo "query plane endpoints ok"
 
 # A mixed batch over every algorithm family, answered three ways: the
-# local engine batch (ccsp -load -batch → Engine.Batch), the remote
-# batch (ccsp -server -batch → one POST /v1/batch), and - for the MSSP
-# member - the sequential CLI answers from the top of this script. All
-# three must agree exactly.
+# local engine batch (ccsp -load -batch → Engine.Batch, on a direct-built
+# copy of the graph's snapshot, because the daemon answers direct), the
+# remote batch (ccsp -server -batch → one POST /v1/batch), and - for the
+# MSSP member - the sequential (simulated) CLI answers from the top of
+# this script. All three must agree exactly.
 cat > "$tmp/q.txt" <<'EOF'
 mssp 0
 sssp 0
@@ -99,7 +107,8 @@ apsp3
 sourcedetect 0,3 4 2
 distance 0 5
 EOF
-"$tmp/ccsp" -load "$tmp/warm.snap" -batch "$tmp/q.txt" > "$tmp/local.out"
+"$tmp/ccsp" -exec direct -graph "$tmp/g.txt" -save "$tmp/direct.snap" -quiet > /dev/null
+"$tmp/ccsp" -load "$tmp/direct.snap" -batch "$tmp/q.txt" > "$tmp/local.out"
 "$tmp/ccsp" -server "http://$addr" -batch "$tmp/q.txt" > "$tmp/remote.out"
 # Strip the mode-specific headers/footers (preprocess ledger, summary
 # line); every per-query answer and stats line must match byte for byte.
@@ -118,33 +127,6 @@ if ! diff "$tmp/batch_mssp.txt" "$tmp/cli_mssp.txt"; then
   exit 1
 fi
 echo "mixed batch ok (local == remote == sequential CLI)"
-
-echo "== direct-kernel daemon answers match simulated mode"
-# The same graph served with -exec direct: every distance answer must
-# equal the simulated daemon's (= the CLI's MSSP column) byte for byte -
-# the differential-oracle guarantee, end to end over the serving stack.
-addr2=127.0.0.1:8949
-"$tmp/ccspd" -graph "$tmp/g.txt" -exec direct -addr "$addr2" &
-pid2=$!
-for _ in $(seq 50); do
-  curl -fs "http://$addr2/healthz" >/dev/null 2>&1 && break
-  sleep 0.2
-done
-curl -fs "http://$addr2/healthz" | grep -q '"status": *"ok"'
-fail=0
-for v in 0 1 2 3 4 5 6 7; do
-  cli=$(awk -v v="$v" '$1 == v { print $2 }' "$tmp/cli.out")
-  http=$(dist "$addr2" 0 "$v")
-  if [ "$cli" != "$http" ]; then
-    echo "DIRECT MISMATCH node $v: cli=$cli http=$http"
-    fail=1
-  fi
-done
-[ "$fail" = 0 ]
-kill -TERM "$pid2"
-wait "$pid2"
-pid2=""
-echo "direct-mode agreement ok (8 pairs)"
 
 echo "== dynamic update plane: POST /v1/update bumps the epoch and changes answers"
 # Reweight the {1,5} chord from 2 to 100: dist(0,5) must leave the
@@ -192,12 +174,24 @@ wait "$pid"
 pid=""
 echo "graceful shutdown ok"
 
+# ring_graph N: a weighted ring with chords v -> 7v+3, N nodes.
+ring_graph() {
+  awk -v n="$1" 'BEGIN {
+    for (v = 0; v < n; v++) print v, (v+1)%n, 1+v%7
+    for (v = 0; v < n; v++) print v, (v*7+3)%n, 1+v%5
+  }'
+}
+
 echo "== overload: concurrency >> admission limit sheds typed 503s, health stays green"
 # One execution slot, no wait queue, cache off: a 40-way parallel burst
 # must shed most requests as typed 503s carrying Retry-After, while
-# /healthz (which bypasses admission) answers 200 throughout.
+# /healthz (which bypasses admission) answers 200 throughout. The graph
+# has n=1024 so that a query holds its slot while the burst arrives: on
+# the 8-node smoke graph a direct query returns before the next one
+# arrives, and a burst rarely sheds at all.
+ring_graph 1024 > "$tmp/over.txt"
 addr3=127.0.0.1:8950
-"$tmp/ccspd" -load "$tmp/warm.snap" -addr "$addr3" -max-inflight 1 -max-queue=-1 -cache=-1 &
+"$tmp/ccspd" -graph "$tmp/over.txt" -addr "$addr3" -max-inflight 1 -max-queue=-1 -cache=-1 &
 pid2=$!
 for _ in $(seq 50); do
   curl -fs "http://$addr3/readyz" >/dev/null 2>&1 && break
@@ -248,32 +242,39 @@ wait "$pid2"
 pid2=""
 
 echo "== SIGINT mid-preprocess must not leave a (partial) snapshot"
-# A clique large enough that the hopset build takes many seconds (n=256
-# takes ~57s, DESIGN.md §9); the INT lands while the build is in flight and the
-# daemon must unwind at the next simulator barrier, exit cleanly, and
-# never create the -save target (the atomic temp-file+rename write only
-# runs after a *completed* build).
-awk 'BEGIN {
-  n = 192
-  for (v = 0; v < n; v++) print v, (v+1)%n, 1+v%7
-  for (v = 0; v < n; v++) print v, (v*7+3)%n, 1+v%5
-}' > "$tmp/big.txt"
-"$tmp/ccspd" -graph "$tmp/big.txt" -save "$tmp/big.snap" -addr 127.0.0.1:8948 &
+# A graph large enough that the direct build takes seconds (n=8192: about
+# 2 s on 2 cores); the INT is sent as soon as /healthz answers
+# "starting", so it lands while the build is in flight. The daemon must
+# unwind at the build's next cancellation poll, exit cleanly, say it was
+# interrupted during startup (a build that won the race fails here, not
+# silently), and never create the -save target (the atomic
+# temp-file+rename write only runs after a *completed* build).
+ring_graph 8192 > "$tmp/big.txt"
+"$tmp/ccspd" -graph "$tmp/big.txt" -save "$tmp/big.snap" -addr 127.0.0.1:8948 2> "$tmp/big.log" &
 pid=$!
-sleep 1
+for _ in $(seq 200); do
+  curl -s "http://127.0.0.1:8948/healthz" 2>/dev/null | grep -q '"status": *"starting"' && break
+  sleep 0.01
+done
 kill -INT "$pid"
 if ! wait "$pid"; then
   echo "ccspd exited non-zero after SIGINT during preprocess"
+  cat "$tmp/big.log"
   exit 1
 fi
 pid=""
+if ! grep -q 'interrupted during startup' "$tmp/big.log"; then
+  echo "SIGINT did not land mid-build:"
+  cat "$tmp/big.log"
+  exit 1
+fi
 if [ -e "$tmp/big.snap" ]; then
   echo "interrupted preprocess left a snapshot at the -save path"
   exit 1
 fi
-if ls "$tmp"/.ccspd-snap-* >/dev/null 2>&1; then
+if ls "$tmp"/.ccsp-snap-* >/dev/null 2>&1; then
   echo "interrupted preprocess left temp snapshot files"
   exit 1
 fi
-echo "kill-mid-preprocess ok (no partial snapshot)"
+echo "kill-mid-preprocess ok (INT landed mid-build, no partial snapshot)"
 echo "SMOKE PASS"

@@ -77,10 +77,12 @@ for port in 9161 9162 9163; do
 done
 echo "replica metrics ok (3 replicas linted)"
 
-# Every request kind, answered three ways per graph: the warm local
-# engine (ccsp -load -batch → Engine.Batch), the owner daemon directly
-# (-server -graphid), and the routed cluster (-cluster -graphid). All
-# three outputs must match byte for byte (modulo mode headers/footers).
+# Every request kind, answered three ways per graph: a local direct
+# engine on the graph file (ccsp -exec direct -batch → Engine.Batch, the
+# mode the daemons serve the simulated-built snapshots in), the owner
+# daemon directly (-server -graphid), and the routed cluster (-cluster
+# -graphid). All three outputs must match byte for byte, stats lines
+# included (modulo mode headers/footers).
 cat > "$tmp/q.txt" <<'EOF'
 mssp 0,2
 sssp 1
@@ -96,7 +98,7 @@ strip() { grep -v '^preprocess\|^  \|^batch:\|^saved engine' "$1"; }
 echo "== cluster answers == owner answers == local engine answers, all kinds"
 for g in $graphs; do
   owner=$(awk -v g="$g" '$1 == g { print $2 }' "$tmp/placement.txt")
-  "$tmp/ccsp" -load "$tmp/$g.snap" -batch "$tmp/q.txt" > "$tmp/$g.local.out"
+  "$tmp/ccsp" -exec direct -graph "$tmp/$g.txt" -batch "$tmp/q.txt" > "$tmp/$g.local.out"
   "$tmp/ccsp" -server "$owner" -graphid "$g" -batch "$tmp/q.txt" > "$tmp/$g.owner.out"
   "$tmp/ccsp" -cluster "$members" -graphid "$g" -batch "$tmp/q.txt" > "$tmp/$g.cluster.out"
   strip "$tmp/$g.local.out"   > "$tmp/$g.local.cmp"

@@ -83,6 +83,21 @@ func (e *Engine) SaveFile(path string) error {
 //
 // Corrupt, truncated or version-skewed input returns an error.
 func LoadEngine(ctx context.Context, r io.Reader) (*Engine, error) {
+	return loadEngine(ctx, r, false)
+}
+
+// LoadEngineDirect is LoadEngine with the engine switched to ExecDirect,
+// whatever mode built the snapshot: the artifacts are the same bytes in
+// both modes (DESIGN.md §12), so the direct kernels serve them as they
+// are. Queries and DynamicEngine rebuilds run direct, while
+// PreprocessStats still reports the original builds. This is how ccspd
+// loads every snapshot.
+func LoadEngineDirect(ctx context.Context, r io.Reader) (*Engine, error) {
+	return loadEngine(ctx, r, true)
+}
+
+// loadEngine is the one body of LoadEngine and LoadEngineDirect.
+func loadEngine(ctx context.Context, r io.Reader, direct bool) (*Engine, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, fmt.Errorf("ccsp: load engine: %w", err)
 	}
@@ -102,6 +117,9 @@ func LoadEngine(ctx context.Context, r io.Reader) (*Engine, error) {
 		MaxRounds: snap.Opts.MaxRounds,
 		Workers:   snap.Opts.Workers,
 		Execution: Execution(snap.Opts.Exec),
+	}
+	if direct {
+		opts.Execution = ExecDirect
 	}
 	// The decoded graph is nobody else's: the engine adopts it.
 	opts, err = prepare(&Graph{g: snap.Graph}, opts)
