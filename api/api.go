@@ -484,14 +484,16 @@ type EpochResponse struct {
 	Pending int `json:"pending,omitempty"`
 }
 
-// decodeStrict decodes exactly one JSON value (trailing garbage is an
-// error), mapping every failure to ErrMalformed.
+// decodeStrict decodes exactly one JSON value followed by nothing but
+// whitespace, mapping every failure to ErrMalformed. The end is checked
+// with Token, not More: More reports false before a closing delimiter, so
+// a stray "}" or "]" after the body would pass it.
 func decodeStrict(r io.Reader, v interface{}) error {
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return fmt.Errorf("%w: trailing data after the JSON body", ErrMalformed)
 	}
 	return nil

@@ -152,12 +152,14 @@ func TestDecodeRequest(t *testing.T) {
 
 	// ...but malformed bodies are typed ErrMalformed.
 	for name, body := range map[string]string{
-		"syntax":        `{"kind":`,
-		"wrong-type":    `{"kind":"sssp","sssp":{"source":"zero"}}`,
-		"trailing":      `{"kind":"diameter"}{"kind":"diameter"}`,
-		"union-mix":     `{"kind":"sssp","mssp":{"sources":[1]}}`,
-		"unknown-kind":  `{"kind":"bfs"}`,
-		"empty-payload": `{"kind":"knearest"}`,
+		"syntax":           `{"kind":`,
+		"wrong-type":       `{"kind":"sssp","sssp":{"source":"zero"}}`,
+		"trailing":         `{"kind":"diameter"}{"kind":"diameter"}`,
+		"trailing-brace":   `{"kind":"diameter"}}`,
+		"trailing-bracket": `{"kind":"diameter"}]`,
+		"union-mix":        `{"kind":"sssp","mssp":{"sources":[1]}}`,
+		"unknown-kind":     `{"kind":"bfs"}`,
+		"empty-payload":    `{"kind":"knearest"}`,
 	} {
 		if _, err := DecodeRequest(strings.NewReader(body)); !errors.Is(err, ErrMalformed) {
 			t.Errorf("%s: err = %v, want ErrMalformed", name, err)

@@ -15,8 +15,8 @@ import (
 
 // Benchmarks for the direct query path (DESIGN.md §13). Engines are
 // preprocessed once per size and shared across benchmark runs, so the
-// measured loop is the warm per-query cost: cached G ∪ H, the
-// source-restricted detection panel, and the specialized WH kernel.
+// measured loop is the warm per-query cost: cached G ∪ H and the
+// source-restricted detection panel.
 
 var benchEngines sync.Map // n -> *Engine (ExecDirect, eps 0.5)
 

@@ -1,17 +1,18 @@
-// Host-side ("direct") semiring product kernels. The distributed
-// algorithms of this package compute S·T by shuffling row fragments
-// between simulated nodes; when the caller only wants the algebra - the
-// direct execution mode of DESIGN.md §12 - the same products can be
-// computed on flat, cache-blocked matrices with a worker pool and zero
-// message construction. KernelMul is row-for-row equal to matrix.MulRef
-// (and therefore to the distributed Multiply), and the reference
-// KernelMulFilteredGeneric equals matrix.Filter ∘ matrix.MulRef (and
-// therefore MultiplyFiltered): rows are independent, the scratch
-// accumulators replicate MulRef's accumulation exactly, and semiring
-// addition is commutative, so the output is byte-identical for every
-// worker count. No direct path multiplies filtered matrices: the
-// filtered products of Theorems 18 and 19 run as a search per row and a
-// rank panel in internal/disttools (DESIGN.md §13).
+// The host-side ("direct") semiring product kernel and the row pass it
+// runs on. The distributed algorithms of this package compute S·T by
+// shuffling row fragments between simulated nodes; when the caller only
+// wants the algebra - the direct execution mode of DESIGN.md §12 - the
+// same product is computed on the host by KernelMul, one generic kernel
+// for every semiring, with a worker pool and zero message construction.
+// KernelMul is row-for-row equal to matrix.MulRef (and therefore to the
+// distributed Multiply), and the reference KernelMulFilteredGeneric
+// equals matrix.Filter ∘ matrix.MulRef (and therefore MultiplyFiltered):
+// rows are independent, the scratch accumulators replicate MulRef's
+// accumulation exactly, and semiring addition is commutative, so the
+// output is byte-identical for every worker count. No direct path
+// multiplies augmented or filtered matrices: the detections and the
+// filtered products of Theorems 18 and 19 run as a search per row and
+// rank panels in internal/disttools over RunRows (DESIGN.md §13).
 package matmul
 
 import (
@@ -45,29 +46,24 @@ func kernelWorkers(workers, n int) int {
 	return workers
 }
 
-// RunRows exposes the kernel worker pool's deterministic row
-// partitioning to sibling packages (the restricted source-detection
-// panel of internal/disttools iterates it per product step): each row is
-// computed by exactly one worker, so any per-row function whose output
-// depends only on its row index runs identically at every worker count -
-// and at whatever width runRows picks under load.
-func RunRows(n, workers int, newWorker func() func(row int)) {
-	runRows(n, workers, newWorker)
-}
-
 // passes counts the row passes running in the process, serial ones
 // included: each holds at least one core.
 var passes atomic.Int32
 
-// runRows executes a per-row function over rows [0, n), block-partitioned
-// across at most workers goroutines. A pass that starts while r-1 others
-// run takes only its share of the cores, GOMAXPROCS/r of them and at least
-// one (DESIGN.md §13, "a pass fans out only into idle cores"), so a lone
-// pass fans out fully and concurrent queries do not fork onto busy cores.
-// newWorker is called once per goroutine the pass starts to allocate its
-// private scratch state and returns the row function; with one the loop
-// runs inline with no goroutines (the serial engine analogue).
-func runRows(n, workers int, newWorker func() func(row int)) {
+// RunRows executes a per-row function over rows [0, n), block-partitioned
+// across at most workers goroutines. Each row is computed by exactly one
+// worker, so any per-row function whose output depends only on its row
+// index runs identically at every worker count and at whatever width the
+// pass picks under load: KernelMul, FoldMinPlus and the row passes of
+// internal/disttools, internal/hopset and internal/mssp all run on it. A
+// pass that starts while r-1 others run takes only its share of the
+// cores, GOMAXPROCS/r of them and at least one (DESIGN.md §13, "a pass
+// fans out only into idle cores"), so a lone pass fans out fully and
+// concurrent queries do not fork onto busy cores. newWorker is called
+// once per goroutine the pass starts to allocate its private scratch
+// state and returns the row function; with one the loop runs inline with
+// no goroutines (the serial engine analogue).
+func RunRows(n, workers int, newWorker func() func(row int)) {
 	r := int(passes.Add(1))
 	defer passes.Add(-1)
 	w := min(kernelWorkers(workers, n), max(1, runtime.GOMAXPROCS(0)/r))
@@ -137,7 +133,7 @@ func (a *rowArena[E]) place(src []matrix.Entry[E]) matrix.Row[E] {
 	return out
 }
 
-// genWorker is one generic-kernel worker's reusable scratch: MulRef's
+// genWorker is one KernelMul worker's reusable scratch: MulRef's
 // column accumulators and first-touch list, and the row build buffer the
 // product row lives in.
 type genWorker[E any] struct {
@@ -187,34 +183,27 @@ func (wk *genWorker[E]) mulRow(sr semiring.Semiring[E], srow matrix.Row[E], t *m
 	return buf
 }
 
-// KernelMul computes P = S·T over sr on the host, parallel over
-// cache-sized row blocks. The result equals matrix.MulRef(sr, s, t)
-// entry-for-entry at every worker count (workers <= 0 means GOMAXPROCS,
-// 1 runs serially). Products over the augmented min-plus semiring
-// dispatch to the specialized flat kernel (dense.go); every other
-// semiring runs the generic reference path.
+// KernelMul computes P = S·T over sr on the host: the exact row
+// accumulation of matrix.MulRef, parallel over cache-sized row blocks.
+// The result equals matrix.MulRef(sr, s, t) entry-for-entry at every
+// worker count (workers <= 0 means GOMAXPROCS, 1 runs serially).
 func KernelMul[E any](sr semiring.Semiring[E], s, t *matrix.Mat[E], workers int) *matrix.Mat[E] {
-	if _, ok := any(sr).(semiring.AugMinPlus); ok {
-		p := KernelMulWH(any(s).(*matrix.Mat[semiring.WH]), any(t).(*matrix.Mat[semiring.WH]), workers)
-		return any(p).(*matrix.Mat[E])
-	}
-	return KernelMulGeneric(sr, s, t, workers)
-}
-
-// KernelMulGeneric is the generic reference kernel: the exact row
-// accumulation of matrix.MulRef, block-parallelized. The specialized WH
-// kernel is verified against it entry-for-entry (dense_test.go), so it
-// remains the checkable specification of every product.
-func KernelMulGeneric[E any](sr semiring.Semiring[E], s, t *matrix.Mat[E], workers int) *matrix.Mat[E] {
 	n := s.N
 	p := matrix.New[E](n)
-	runRows(n, workers, func() func(int) {
+	RunRows(n, workers, func() func(int) {
 		wk, arena := newGenWorker[E](n), newRowArena[E](n, n)
 		return func(i int) {
 			p.Rows[i] = arena.place(wk.mulRow(sr, s.Rows[i], t))
 		}
 	})
 	return p
+}
+
+// KernelMulWH is KernelMul over the augmented semiring, kept for the
+// benchmark harness's per-layer row that calls it. AugMinPlus's Add and
+// Mul never read its bounds, so the zero value serves.
+func KernelMulWH(s, t *matrix.Mat[semiring.WH], workers int) *matrix.Mat[semiring.WH] {
+	return KernelMul[semiring.WH](semiring.AugMinPlus{}, s, t, workers)
 }
 
 // FoldMinPlus folds the min-plus product S·T into dense rows without
@@ -229,7 +218,7 @@ func KernelMulGeneric[E any](sr semiring.Semiring[E], s, t *matrix.Mat[E], worke
 // computed and min-ed in cell by cell, at every worker count. Operands are
 // at most Inf = 2^60, so a sum cannot overflow.
 func FoldMinPlus[E any](rows [][]int64, s *matrix.Mat[E], w func(E) int64, t *matrix.Mat[int64], workers int) {
-	runRows(s.N, workers, func() func(int) {
+	RunRows(s.N, workers, func() func(int) {
 		return func(i int) {
 			row := rows[i]
 			for _, es := range s.Rows[i] {
@@ -245,10 +234,16 @@ func FoldMinPlus[E any](rows [][]int64, s *matrix.Mat[E], w func(E) int64, t *ma
 }
 
 // KernelMulFilteredGeneric is the reference ρ-filtered product
-// Filter(S·T, ρ) on the host: KernelMulGeneric, each row then filtered
+// Filter(S·T, ρ) on the host: KernelMul, each row then filtered
 // to its ρ smallest entries under the (Rank, column) order of §2.2. It
 // equals matrix.Filter ∘ matrix.MulRef, and therefore the distributed
 // MultiplyFiltered, at every worker count.
 func KernelMulFilteredGeneric[E any](sr semiring.Ordered[E], s, t *matrix.Mat[E], rho, workers int) *matrix.Mat[E] {
-	return matrix.Filter(sr, KernelMulGeneric(sr, s, t, workers), rho)
+	return matrix.Filter(sr, KernelMul(sr, s, t, workers), rho)
+}
+
+// KernelMulFilteredWH is KernelMulFilteredGeneric over the augmented
+// semiring, kept for the benchmark harness's per-layer row that calls it.
+func KernelMulFilteredWH(sr semiring.Ordered[semiring.WH], s, t *matrix.Mat[semiring.WH], rho, workers int) *matrix.Mat[semiring.WH] {
+	return KernelMulFilteredGeneric(sr, s, t, rho, workers)
 }

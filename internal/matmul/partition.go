@@ -110,22 +110,6 @@ func PartitionConsecutive2(w, u []int64, k int) []int {
 	return starts
 }
 
-// locate returns the group of index x in a half-open boundary list
-// (starts[g] <= x < starts[g+1]).
-func locate(starts []int, x int) int {
-	// starts is sorted; find the last g with starts[g] <= x.
-	lo, hi := 0, len(starts)-1
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if starts[mid] <= x {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // Params holds the subtask-shape parameters a, b, c of §2.1.1: the cube V³
 // is split into (at most) n subcubes of shape (n/b) × (n/c) × (n/a), chosen
 // to optimize ρS·a/n + ρT·b/n + ρ̂·c/n subject to a·b·c ≤ n.

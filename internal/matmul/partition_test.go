@@ -132,37 +132,6 @@ func TestLemma7Bounds(t *testing.T) {
 	}
 }
 
-func TestLocate(t *testing.T) {
-	starts := []int{0, 3, 3, 7, 10}
-	cases := []struct{ x, want int }{
-		{0, 0}, {2, 0}, {3, 2}, {6, 2}, {7, 3}, {9, 3},
-	}
-	for _, tc := range cases {
-		if got := locate(starts, tc.x); got != tc.want {
-			t.Errorf("locate(%d)=%d, want %d", tc.x, got, tc.want)
-		}
-	}
-}
-
-func TestLocateProperty(t *testing.T) {
-	prop := func(seed int64, nRaw, kRaw uint8) bool {
-		n := int(nRaw)%60 + 1
-		k := int(kRaw)%n + 1
-		ws := randWeights(n, 20, seed)
-		starts := PartitionConsecutive(ws, k)
-		for x := 0; x < n; x++ {
-			g := locate(starts, x)
-			if g < 0 || g >= k || starts[g] > x || x >= starts[g+1] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestChooseParamsBudget(t *testing.T) {
 	prop := func(nRaw, sRaw, tRaw, hRaw uint16) bool {
 		n := int(nRaw)%500 + 1

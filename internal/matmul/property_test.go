@@ -180,19 +180,62 @@ func withReflexiveDiagonal(m *matrix.Mat[int64]) *matrix.Mat[int64] {
 
 // TestKernelMulEquivalence: the block-partitioned host kernel equals the
 // unpartitioned sequential reference for every worker count - the direct
-// execution mode's ground contract (DESIGN.md §12). Worker count 1 runs
-// the serial inline path; larger counts exercise the atomic block
-// claiming.
+// execution mode's ground contract (DESIGN.md §12) - over the min-plus
+// semiring and, entry by entry, over the augmented one. Worker count 1
+// runs the serial inline path; larger counts exercise the atomic block
+// claiming. The saturating augmented pair pins the drop of semiring
+// zeros at emit.
 func TestKernelMulEquivalence(t *testing.T) {
 	sr := semiring.NewMinPlus(1 << 40)
+	aug := semiring.NewAugMinPlus(1<<30, 1<<16)
+	workerCounts := []int{1, 2, 3, 8}
 	prop := func(seed int64, nRaw, dS, dT uint8) bool {
 		n := int(nRaw)%24 + 2
 		s := randMat(n, int(dS)%n+1, seed+400)
 		tm := randMat(n, int(dT)%n+1, seed+401)
 		want := matrix.MulRef[int64](sr, s, tm)
-		for _, workers := range []int{1, 3, 8} {
+		sw := randMatWH(n, int(dS)%n+1, seed+800)
+		tw := randMatWH(n, int(dT)%n+1, seed+801)
+		wantWH := matrix.MulRef[semiring.WH](aug, sw, tw)
+		for _, workers := range workerCounts {
 			if !matrix.Equal[int64](sr, KernelMul[int64](sr, s, tm, workers), want) {
 				t.Logf("workers=%d differs (n=%d)", workers, n)
+				return false
+			}
+			if !sameMatWH(t, KernelMul[semiring.WH](aug, sw, tw, workers), wantWH, "augmented") {
+				t.Logf("augmented workers=%d differs (n=%d)", workers, n)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
+	}
+	s, tm := saturatingMatsWH(6)
+	want := matrix.MulRef[semiring.WH](aug, s, tm)
+	for _, workers := range workerCounts {
+		if !sameMatWH(t, KernelMul[semiring.WH](aug, s, tm, workers), want, "saturation") {
+			t.Fatalf("workers=%d: saturating products differ from MulRef", workers)
+		}
+	}
+}
+
+// TestKernelMulFilteredWHEquivalence: the augmented filtered product
+// equals Filter ∘ MulRef for random shapes, filter sizes, and worker
+// counts (including rho >= row length, where FilterRow returns its input).
+func TestKernelMulFilteredWHEquivalence(t *testing.T) {
+	sr := semiring.NewAugMinPlus(1<<30, 1<<16)
+	prop := func(seed int64, nRaw, dRaw, rhoRaw uint8) bool {
+		n := int(nRaw)%24 + 2
+		d := int(dRaw)%n + 1
+		rho := int(rhoRaw)%n + 1
+		s := randMatWH(n, d, seed+1000)
+		tm := randMatWH(n, d, seed+1001)
+		want := matrix.Filter[semiring.WH](sr, matrix.MulRef[semiring.WH](sr, s, tm), rho)
+		for _, workers := range []int{1, 2, 3, 8} {
+			if !sameMatWH(t, KernelMulFilteredWH(sr, s, tm, rho, workers), want, "filtered") {
+				t.Logf("workers=%d differs (n=%d rho=%d)", workers, n, rho)
 				return false
 			}
 		}
@@ -308,4 +351,77 @@ func TestBuildSigma2(t *testing.T) {
 			break
 		}
 	}
+}
+
+// randMatWH builds a random sparse augmented matrix with about perRow
+// entries per row (plus a zero diagonal, as every query-path matrix has).
+func randMatWH(n, perRow int, seed int64) *matrix.Mat[semiring.WH] {
+	rng := rand.New(rand.NewSource(seed))
+	m := matrix.New[semiring.WH](n)
+	for v := 0; v < n; v++ {
+		row := matrix.Row[semiring.WH]{{Col: int32(v), Val: semiring.WH{W: 0, H: 0}}}
+		seen := map[int32]bool{int32(v): true}
+		for i := 0; i < perRow; i++ {
+			c := int32(rng.Intn(n))
+			if !seen[c] {
+				seen[c] = true
+				row = append(row, matrix.Entry[semiring.WH]{
+					Col: c,
+					Val: semiring.WH{W: int64(rng.Intn(40) + 1), H: int64(rng.Intn(4) + 1)},
+				})
+			}
+		}
+		m.Rows[v] = matrix.SortRow(row)
+	}
+	return m
+}
+
+// saturatingMatsWH builds an augmented pair S, T whose product has
+// entries that overflow past semiring.Inf: S's off-diagonal weight is
+// finite but saturates when a T weight above 5 is added. Row v's column
+// v+3 meets a saturating product beside a finite one, and column v+4 is
+// reached only by a saturating product, so it is a semiring zero and
+// must not be stored.
+func saturatingMatsWH(n int) (*matrix.Mat[semiring.WH], *matrix.Mat[semiring.WH]) {
+	s := matrix.New[semiring.WH](n)
+	tm := matrix.New[semiring.WH](n)
+	big := semiring.Inf - 5
+	for v := 0; v < n; v++ {
+		s.Rows[v] = matrix.SortRow(matrix.Row[semiring.WH]{
+			{Col: int32(v), Val: semiring.WH{W: 0, H: 0}},
+			{Col: int32((v + 1) % n), Val: semiring.WH{W: big, H: 1}},
+		})
+		tm.Rows[v] = matrix.SortRow(matrix.Row[semiring.WH]{
+			{Col: int32(v), Val: semiring.WH{W: 0, H: 0}},
+			{Col: int32((v + 2) % n), Val: semiring.WH{W: 3, H: 1}},
+			{Col: int32((v + 3) % n), Val: semiring.WH{W: 7, H: 1}},
+		})
+	}
+	return s, tm
+}
+
+// sameMatWH asserts exact entry-for-entry equality, stricter than
+// matrix.Equal: it compares the stored representation (columns, weights,
+// hops) entry by entry, which is the byte-identity contract of the
+// direct kernels.
+func sameMatWH(t *testing.T, got, want *matrix.Mat[semiring.WH], label string) bool {
+	t.Helper()
+	if got.N != want.N {
+		t.Logf("%s: size %d != %d", label, got.N, want.N)
+		return false
+	}
+	for v := 0; v < want.N; v++ {
+		g, w := got.Rows[v], want.Rows[v]
+		if len(g) != len(w) {
+			t.Logf("%s: row %d length %d != %d", label, v, len(g), len(w))
+			return false
+		}
+		for i := range w {
+			if g[i] != w[i] {
+				t.Logf("%s: row %d entry %d: %+v != %+v", label, v, i, g[i], w[i])
+				return false
+			}
+		}
+	}
+	return true
 }
