@@ -180,30 +180,19 @@ func withReflexiveDiagonal(m *matrix.Mat[int64]) *matrix.Mat[int64] {
 
 // TestKernelMulEquivalence: the block-partitioned host kernel equals the
 // unpartitioned sequential reference for every worker count - the direct
-// execution mode's ground contract (DESIGN.md §12) - over the min-plus
-// semiring and, entry by entry, over the augmented one. Worker count 1
-// runs the serial inline path; larger counts exercise the atomic block
-// claiming. The saturating augmented pair pins the drop of semiring
-// zeros at emit.
+// execution mode's ground contract (DESIGN.md §12). Worker count 1 runs
+// the serial inline path; larger counts exercise the atomic block
+// claiming.
 func TestKernelMulEquivalence(t *testing.T) {
 	sr := semiring.NewMinPlus(1 << 40)
-	aug := semiring.NewAugMinPlus(1<<30, 1<<16)
-	workerCounts := []int{1, 2, 3, 8}
 	prop := func(seed int64, nRaw, dS, dT uint8) bool {
 		n := int(nRaw)%24 + 2
 		s := randMat(n, int(dS)%n+1, seed+400)
 		tm := randMat(n, int(dT)%n+1, seed+401)
 		want := matrix.MulRef[int64](sr, s, tm)
-		sw := randMatWH(n, int(dS)%n+1, seed+800)
-		tw := randMatWH(n, int(dT)%n+1, seed+801)
-		wantWH := matrix.MulRef[semiring.WH](aug, sw, tw)
-		for _, workers := range workerCounts {
+		for _, workers := range []int{1, 2, 3, 8} {
 			if !matrix.Equal[int64](sr, KernelMul[int64](sr, s, tm, workers), want) {
 				t.Logf("workers=%d differs (n=%d)", workers, n)
-				return false
-			}
-			if !sameMatWH(t, KernelMul[semiring.WH](aug, sw, tw, workers), wantWH, "augmented") {
-				t.Logf("augmented workers=%d differs (n=%d)", workers, n)
 				return false
 			}
 		}
@@ -212,10 +201,43 @@ func TestKernelMulEquivalence(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestKernelMulWHEquivalence: over the augmented semiring, KernelMulWH
+// and KernelMul equal matrix.MulRef entry for entry at every worker count.
+func TestKernelMulWHEquivalence(t *testing.T) {
+	sr := semiring.NewAugMinPlus(1<<30, 1<<16)
+	prop := func(seed int64, nRaw, dS, dT uint8) bool {
+		n := int(nRaw)%24 + 2
+		s := randMatWH(n, int(dS)%n+1, seed+800)
+		tm := randMatWH(n, int(dT)%n+1, seed+801)
+		want := matrix.MulRef[semiring.WH](sr, s, tm)
+		for _, workers := range []int{1, 2, 3, 8} {
+			if !sameMatWH(t, KernelMulWH(s, tm, workers), want, "wrapper") {
+				t.Logf("workers=%d differs (n=%d)", workers, n)
+				return false
+			}
+			if !sameMatWH(t, KernelMul[semiring.WH](sr, s, tm, workers), want, "generic") {
+				t.Logf("generic workers=%d differs (n=%d)", workers, n)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKernelMulWHSaturation: entries whose products overflow past
+// semiring.Inf are semiring zeros, dropped at emit exactly as
+// matrix.MulRef drops them, at every worker count.
+func TestKernelMulWHSaturation(t *testing.T) {
+	sr := semiring.NewAugMinPlus(1<<30, 1<<16)
 	s, tm := saturatingMatsWH(6)
-	want := matrix.MulRef[semiring.WH](aug, s, tm)
-	for _, workers := range workerCounts {
-		if !sameMatWH(t, KernelMul[semiring.WH](aug, s, tm, workers), want, "saturation") {
+	want := matrix.MulRef[semiring.WH](sr, s, tm)
+	for _, workers := range []int{1, 2, 3, 8} {
+		if !sameMatWH(t, KernelMulWH(s, tm, workers), want, "saturation") {
 			t.Fatalf("workers=%d: saturating products differ from MulRef", workers)
 		}
 	}
