@@ -71,14 +71,10 @@ func (d *DynamicEngine) ApplyUpdates(ctx context.Context, ups []EdgeUpdate) (uin
 	if err := ctx.Err(); err != nil {
 		return 0, ctxErr(ctx)
 	}
-	conv := make([]dynamic.Update, len(ups))
-	for i, u := range ups {
-		conv[i] = dynamic.Update{U: u.U, V: u.V, W: u.W}
-	}
-	if err := dynamic.Validate(d.cur.Load().gr.N(), conv); err != nil {
+	if err := dynamic.Validate(d.cur.Load().gr.N(), ups); err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrInvalidOption, err)
 	}
-	return d.coord.Stage(conv)
+	return d.coord.Stage(ups)
 }
 
 // Wait blocks until the given epoch is serving (nil), its rebuild

@@ -181,9 +181,7 @@ func ThreePlusEps(nd *cc.Node, sr semiring.AugMinPlus, wrow matrix.Row[semiring.
 func ThreePlusEpsWithHopset(nd *cc.Node, sr semiring.AugMinPlus, wrow matrix.Row[semiring.WH], eps float64, boards *hitting.BoardSeq, hs *hopset.Result) ([]int64, error) {
 	n := nd.N
 	e := newEst(n, nd.ID)
-	for _, en := range wrow {
-		e.upd(en.Col, en.Val.W)
-	}
+	e.updRowWH(wrow)
 	k := sqrtCeil(n)
 	knear := exactKNearest(nd, sr, wrow, k, e)
 
@@ -237,9 +235,7 @@ func TwoPlusEpsWeightedWithHopset(nd *cc.Node, sr semiring.AugMinPlus, wrow matr
 	n := nd.N
 	// Line (1): edge estimates.
 	e := newEst(n, nd.ID)
-	for _, en := range wrow {
-		e.upd(en.Col, en.Val.W)
-	}
+	e.updRowWH(wrow)
 	// Line (2): exact distances to the √n nearest (both directions).
 	nd.Phase("apsp/k-nearest")
 	k := sqrtCeil(n)

@@ -166,11 +166,7 @@ func plainWeights(m *matrix.Mat[semiring.WH], dropDiagonal bool) *matrix.Mat[int
 func ThreePlusEpsDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh *matrix.Mat[semiring.WH], beta, workers int) ([]int64, error) {
 	n := w.N
 	e := newEstAll(n)
-	for v := 0; v < n; v++ {
-		for _, en := range w.Rows[v] {
-			e.upd(v, en.Col, en.Val.W)
-		}
-	}
+	e.updMatWH(w)
 	knear, release, err := exactKNearestAll(ctx, sr, w, sqrtCeil(n), workers, e)
 	if err != nil {
 		return nil, err
@@ -204,11 +200,7 @@ func TwoPlusEpsWeightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh
 	n := w.N
 	// Line (1): edge estimates.
 	e := newEstAll(n)
-	for v := 0; v < n; v++ {
-		for _, en := range w.Rows[v] {
-			e.upd(v, en.Col, en.Val.W)
-		}
-	}
+	e.updMatWH(w)
 	// Line (2): exact distances to the √n nearest (both directions).
 	knear, release, err := exactKNearestAll(ctx, sr, w, sqrtCeil(n), workers, e)
 	if err != nil {
@@ -246,11 +238,7 @@ func TwoPlusEpsUnweightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, 
 
 	// Line (1): edge estimates.
 	e := newEstAll(n)
-	for v := 0; v < n; v++ {
-		for _, en := range w.Rows[v] {
-			e.upd(v, en.Col, en.Val.W)
-		}
-	}
+	e.updMatWH(w)
 
 	// --- First phase: shortest paths with a high-degree node. ---
 

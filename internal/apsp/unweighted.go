@@ -69,9 +69,7 @@ func TwoPlusEpsUnweightedWithHopsets(nd *cc.Node, sr semiring.AugMinPlus, wrow m
 
 	// Line (1): edge estimates.
 	e := newEst(n, nd.ID)
-	for _, en := range wrow {
-		e.upd(en.Col, en.Val.W)
-	}
+	e.updRowWH(wrow)
 
 	// --- First phase: shortest paths with a high-degree node. ---
 

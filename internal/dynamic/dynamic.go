@@ -13,16 +13,15 @@ package dynamic
 import (
 	"fmt"
 
+	"github.com/congestedclique/ccsp/api"
 	"github.com/congestedclique/ccsp/internal/graph"
 )
 
-// Update is one edge mutation. W >= 0 sets the weight of the
-// undirected edge {U, V} (inserting it if absent, collapsing any
-// parallel edges); W < 0 deletes the edge (a no-op if absent).
-type Update struct {
-	U, V int
-	W    int64
-}
+// Update is one edge mutation, the wire's api.EdgeUpdate: W >= 0 sets
+// the weight of the undirected edge {U, V} (inserting it if absent,
+// collapsing any parallel edges); W < 0 deletes the edge (a no-op if
+// absent).
+type Update = api.EdgeUpdate
 
 // Validate checks every update against an n-node graph: endpoints in
 // range, no self-loops, and no weight past graph.MaxWeightFor(n) - updates

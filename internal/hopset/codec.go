@@ -75,8 +75,9 @@ func EncodeArtifact(w *wire.Writer, a *Artifact) {
 
 // DecodeArtifact reads an Artifact encoded by EncodeArtifact, validating
 // structure as it goes: row columns must be strictly ascending and in
-// range, pivots must be in [-1, n). Malformed input returns an error,
-// never a panic.
+// range, every row entry must be a hopset edge (weight in [0, Inf), one
+// hop), pivots must be in [-1, n), and pivot distances must not be
+// negative. Malformed input returns an error, never a panic.
 func DecodeArtifact(r *wire.Reader) (*Artifact, error) {
 	a := &Artifact{N: r.Int(), Beta: r.Int(), K: r.Int()}
 	if r.Err() != nil {
@@ -118,6 +119,9 @@ func DecodeArtifact(r *wire.Reader) (*Artifact, error) {
 			if col >= int64(a.N) {
 				return nil, fmt.Errorf("hopset: row %d column %d out of range [0, %d)", v, col, a.N)
 			}
+			if wgt < 0 || wgt >= semiring.Inf || hop != 1 {
+				return nil, fmt.Errorf("hopset: row %d column %d entry (w=%d, h=%d) is not a one-hop edge of weight in [0, Inf)", v, col, wgt, hop)
+			}
 			prev = int32(col)
 			row = append(row, matrix.Entry[semiring.WH]{Col: prev, Val: semiring.WH{W: wgt, H: hop}})
 		}
@@ -137,6 +141,9 @@ func DecodeArtifact(r *wire.Reader) (*Artifact, error) {
 	a.DPV = make([]semiring.WH, a.N)
 	for v := range a.DPV {
 		a.DPV[v] = semiring.WH{W: r.Varint(), H: r.Varint()}
+		if r.Err() == nil && (a.DPV[v].W < 0 || a.DPV[v].H < 0) {
+			return nil, fmt.Errorf("hopset: pivot distance d(%d, p(%d))=%+v negative", v, v, a.DPV[v])
+		}
 	}
 	return a, r.Err()
 }

@@ -89,21 +89,31 @@ func TestDecodeArtifactRejectsMalformed(t *testing.T) {
 		}
 	}
 
-	// Structural corruption: out-of-range pivot.
-	bad := testArtifact()
-	bad.PV[1] = 99
-	w = wire.Writer{}
-	EncodeArtifact(&w, bad)
-	if _, err := DecodeArtifact(wire.NewReader(w.Bytes())); err == nil {
-		t.Error("out-of-range pivot: no error")
-	}
-
-	// Structural corruption: unsorted row columns.
-	bad = testArtifact()
-	bad.Rows[0] = matrix.Row[semiring.WH]{{Col: 3, Val: semiring.WH{W: 1, H: 1}}, {Col: 1, Val: semiring.WH{W: 1, H: 1}}}
-	w = wire.Writer{}
-	EncodeArtifact(&w, bad)
-	if _, err := DecodeArtifact(wire.NewReader(w.Bytes())); err == nil {
-		t.Error("unsorted row: no error")
+	// Structural corruption, and weights no builder writes (a negative
+	// or infinite edge, a hop count other than 1, a negative pivot
+	// distance) that a loaded engine would otherwise serve.
+	for _, tc := range []struct {
+		name   string
+		poison func(a *Artifact)
+	}{
+		{"out-of-range pivot", func(a *Artifact) { a.PV[1] = 99 }},
+		{"unsorted row", func(a *Artifact) {
+			a.Rows[0] = matrix.Row[semiring.WH]{{Col: 3, Val: semiring.WH{W: 1, H: 1}}, {Col: 1, Val: semiring.WH{W: 1, H: 1}}}
+		}},
+		{"negative edge weight", func(a *Artifact) { a.Rows[0][0].Val = semiring.WH{W: -1000, H: -7} }},
+		{"negative weight, one hop", func(a *Artifact) { a.Rows[1][0].Val.W = -1 }},
+		{"infinite edge weight", func(a *Artifact) { a.Rows[3][0].Val.W = semiring.Inf }},
+		{"zero hops", func(a *Artifact) { a.Rows[0][1].Val.H = 0 }},
+		{"two hops", func(a *Artifact) { a.Rows[0][1].Val.H = 2 }},
+		{"negative pivot weight", func(a *Artifact) { a.DPV[2].W = -5 }},
+		{"negative pivot hops", func(a *Artifact) { a.DPV[1].H = -1 }},
+	} {
+		bad := testArtifact()
+		tc.poison(bad)
+		w = wire.Writer{}
+		EncodeArtifact(&w, bad)
+		if _, err := DecodeArtifact(wire.NewReader(w.Bytes())); err == nil {
+			t.Errorf("%s: no error", tc.name)
+		}
 	}
 }

@@ -266,6 +266,26 @@ func (cs *cubeState[E]) deliver(sigma []int32) (ssub, tsub []triple[E]) {
 	return ssub, tsub
 }
 
+// identity is step (2)'s assignment σ₁: node v computes subcube v, and the
+// nodes beyond the a·b·c subcubes idle.
+func (cs *cubeState[E]) identity() []int32 {
+	sigma1 := make([]int32, cs.n)
+	for v := range sigma1 {
+		sigma1[v] = -1
+		if v < cs.nsub {
+			sigma1[v] = int32(v)
+		}
+	}
+	return sigma1
+}
+
+// compute delivers the subcubes sigma assigns (Lemma 11) and returns the
+// product of the one assigned to this node, nil if sigma assigns it none.
+func (cs *cubeState[E]) compute(sigma []int32) []triple[E] {
+	ssub, tsub := cs.deliver(sigma)
+	return localProduct(cs.sr, ssub, tsub)
+}
+
 // localProduct computes the subtask product of the delivered submatrices
 // sequentially at one node, returning non-zero entries sorted by (row, col).
 func localProduct[E any](sr semiring.Semiring[E], ssub, tsub []triple[E]) []triple[E] {

@@ -44,18 +44,10 @@ func MultiplyFiltered[E any](nd *cc.Node, sr semiring.Ordered[E], srow, trow mat
 	}
 	cs := newCube(nd, sr, srow, trow, rho)
 
-	// Step (2): identity assignment; node v computes subtask v, which is
-	// the (i,j) block of the layer matrix P_k for (i,j,k) = decode(v).
-	sigma1 := make([]int32, cs.n)
-	for v := range sigma1 {
-		if v < cs.nsub {
-			sigma1[v] = int32(v)
-		} else {
-			sigma1[v] = -1
-		}
-	}
-	ssub, tsub := cs.deliver(sigma1)
-	pmine := localProduct(cs.sr, ssub, tsub)
+	// Step (2): node v computes subtask v, which is the (i,j) block of the
+	// layer matrix P_k for (i,j,k) = decode(v).
+	sigma1 := cs.identity()
+	pmine := cs.compute(sigma1)
 
 	// Step (3), Lemma 15: per-row distributed binary searches within the
 	// groups B_ik determine the cutoff values.
@@ -68,18 +60,10 @@ func MultiplyFiltered[E any](nd *cc.Node, sr semiring.Ordered[E], srow, trow mat
 	// overloaded subtasks within their B_ik group.
 	wkept := nd.BroadcastVal(int64(len(kept)))
 	sigma2, capPer := buildSigma2InGroups(cs, wkept, rho)
-	ssub2, tsub2 := cs.deliver(sigma2)
-	var kept2 []triple[E]
-	if sigma2[nd.ID] >= 0 {
-		// Helpers recompute the product and filter with the cutoffs they
-		// learned as members of the same group B_ik.
-		kept2 = fs.filter(localProduct(cs.sr, ssub2, tsub2))
-	}
-	counts := make([]int64, cs.n)
-	for v := 0; v < cs.n; v++ {
-		counts[v] = wkept[v]
-	}
-	mine := selectChunksPerGroup(cs, nd.ID, sigma1, sigma2, counts, capPer, kept, kept2)
+	// Helpers recompute the product and filter with the cutoffs they
+	// learned as members of the same group B_ik.
+	kept2 := fs.filter(cs.compute(sigma2))
+	mine := selectChunks(nd.ID, sigma1, sigma2, wkept, func(sid int) int64 { return capPer[sid] }, kept, kept2)
 
 	// Step (5): balanced summation gives Q = Σ_k P̄_k; step (6): the final
 	// local filter of the owned row gives the ρ-filtered product.
@@ -94,8 +78,7 @@ type filterState[E any] struct {
 	cs *cubeState[E]
 	sr semiring.Ordered[E]
 
-	active  bool // node participates (ID < nsub)
-	i, j, k int
+	i, k int // this node's group B_ik, if it has a subcube (ID < nsub)
 
 	groupRows []int32 // C^S_i, ascending
 	rowIdx    map[int32]int
@@ -128,8 +111,7 @@ func newFilterState[E any](cs *cubeState[E], sr semiring.Ordered[E], pmine []tri
 	if cs.nd.ID >= cs.nsub {
 		return fs
 	}
-	fs.active = true
-	fs.i, fs.j, fs.k = cs.decode(cs.nd.ID)
+	fs.i, _, fs.k = cs.decode(cs.nd.ID)
 	for u := 0; u < cs.n; u++ {
 		if int(cs.sAssign[u]) == fs.i {
 			fs.groupRows = append(fs.groupRows, int32(u))
@@ -188,16 +170,13 @@ func (fs *filterState[E]) runSearches(rho int) {
 	// Initial counts: every participant reports its per-row entry counts
 	// to the row's coordinator.
 	var out []cc.Packet
-	if fs.active {
-		for row, es := range fs.rowEntries {
-			out = append(out, cc.Packet{
-				Dst: fs.coordinator(fs.rowIdx[row]),
-				M:   cc.Msg{Kind: kindCntInit, A: int64(row), B: int64(len(es))},
-			})
-		}
+	for row, es := range fs.rowEntries {
+		out = append(out, cc.Packet{
+			Dst: fs.coordinator(fs.rowIdx[row]),
+			M:   cc.Msg{Kind: kindCntInit, A: int64(row), B: int64(len(es))},
+		})
 	}
-	in := nd.Route(out)
-	for _, m := range in {
+	for _, m := range nd.Route(out) {
 		row := int32(m.A)
 		st := fs.searches[row]
 		if st == nil {
@@ -206,82 +185,22 @@ func (fs *filterState[E]) runSearches(rho int) {
 		}
 		st.total += m.B
 	}
-	for row, st := range fs.searches {
+	for _, st := range fs.searches {
 		if st.total <= int64(rho) {
+			// Keep-all row: its cutoff is the top of both ranges.
 			st.done = true
-			fs.setCut(row, cutoff{rank: maxRank, colCut: int32(fs.cs.n - 1)})
+			st.lo, st.colLo = maxRank, int64(fs.cs.n-1)
 		}
 	}
 
 	// Value phase: find the smallest rank r with count(<= r) >= rho.
-	query := func(val func(st *searchState) int64, phase uint8) map[int32]int64 {
-		var q []cc.Packet
-		if fs.active {
-			for row, st := range fs.searches {
-				if st.done {
-					continue
-				}
-				for j := 0; j < fs.cs.par.A; j++ {
-					q = append(q, cc.Packet{
-						Dst: int32(fs.cs.subcubeID(fs.i, j, fs.k)),
-						M:   cc.Msg{Kind: kindQuery, A: int64(row), B: val(st), C: int64(phase)},
-					})
-				}
-			}
-		}
-		queries := nd.Route(q)
-		var replies []cc.Packet
-		for _, m := range queries {
-			row := int32(m.A)
-			es := fs.rowEntries[row]
-			var cnt int64
-			switch uint8(m.C) {
-			case 0: // count rank <= B
-				cnt = countAtMost(es, m.B)
-			case 1: // count rank < B (pre-column round)
-				cnt = countAtMost(es, m.B-1)
-			case 2: // count rank == B(hi bits)... packed: B = rank, D = col
-				cnt = countEqColAtMost(es, m.B, m.D)
-			}
-			replies = append(replies, cc.Packet{Dst: m.Src, M: cc.Msg{Kind: kindReply, A: int64(row), B: cnt}})
-		}
-		sums := make(map[int32]int64)
-		for _, m := range nd.Route(replies) {
-			sums[int32(m.A)] += m.B
-		}
-		return sums
-	}
-
 	valIters := bits.Len64(uint64(maxRank)) + 1
 	for it := 0; it < valIters; it++ {
-		// Pack mid into the query; converged searches are skipped.
-		var q []cc.Packet
-		if fs.active {
-			for row, st := range fs.searches {
-				if st.done || st.lo >= st.hi {
-					continue
-				}
-				mid := st.lo + (st.hi-st.lo)/2
-				for j := 0; j < fs.cs.par.A; j++ {
-					q = append(q, cc.Packet{
-						Dst: int32(fs.cs.subcubeID(fs.i, j, fs.k)),
-						M:   cc.Msg{Kind: kindQuery, A: int64(row), B: mid, C: 0},
-					})
-				}
-			}
-		}
-		queries := nd.Route(q)
-		var replies []cc.Packet
-		for _, m := range queries {
-			cnt := countAtMost(fs.rowEntries[int32(m.A)], m.B)
-			replies = append(replies, cc.Packet{Dst: m.Src, M: cc.Msg{Kind: kindReply, A: m.A, B: cnt}})
-		}
-		sums := make(map[int32]int64)
-		for _, m := range nd.Route(replies) {
-			sums[int32(m.A)] += m.B
-		}
+		sums := fs.queryRound(func(st *searchState) (int64, int64, bool) {
+			return st.lo + (st.hi-st.lo)/2, 0, st.lo < st.hi
+		}, func(es []rankCol, r, _ int64) int64 { return countAtMost(es, r) })
 		for row, st := range fs.searches {
-			if st.done || st.lo >= st.hi {
+			if st.lo >= st.hi {
 				continue
 			}
 			mid := st.lo + (st.hi-st.lo)/2
@@ -294,43 +213,21 @@ func (fs *filterState[E]) runSearches(rho int) {
 	}
 
 	// Pre-column round: learn count(rank < r) for the converged rank.
-	sums := query(func(st *searchState) int64 { return st.lo }, 1)
+	sums := fs.queryRound(func(st *searchState) (int64, int64, bool) {
+		return st.lo, 0, true
+	}, func(es []rankCol, r, _ int64) int64 { return countAtMost(es, r-1) })
 	for row, st := range fs.searches {
-		if !st.done {
-			st.cntLess = sums[row]
-		}
+		st.cntLess = sums[row]
 	}
 
 	// Column phase: smallest colCut with cntLess + count(==r, col<=cut) >= rho.
 	colIters := bits.Len64(uint64(fs.cs.n)) + 1
 	for it := 0; it < colIters; it++ {
-		var q []cc.Packet
-		if fs.active {
-			for row, st := range fs.searches {
-				if st.done || st.colLo >= st.colHi {
-					continue
-				}
-				mid := st.colLo + (st.colHi-st.colLo)/2
-				for j := 0; j < fs.cs.par.A; j++ {
-					q = append(q, cc.Packet{
-						Dst: int32(fs.cs.subcubeID(fs.i, j, fs.k)),
-						M:   cc.Msg{Kind: kindQuery, A: int64(row), B: st.lo, C: 2, D: mid},
-					})
-				}
-			}
-		}
-		queries := nd.Route(q)
-		var replies []cc.Packet
-		for _, m := range queries {
-			cnt := countEqColAtMost(fs.rowEntries[int32(m.A)], m.B, m.D)
-			replies = append(replies, cc.Packet{Dst: m.Src, M: cc.Msg{Kind: kindReply, A: m.A, B: cnt}})
-		}
-		csums := make(map[int32]int64)
-		for _, m := range nd.Route(replies) {
-			csums[int32(m.A)] += m.B
-		}
+		csums := fs.queryRound(func(st *searchState) (int64, int64, bool) {
+			return st.lo, st.colLo + (st.colHi-st.colLo)/2, st.colLo < st.colHi
+		}, countEqColAtMost)
 		for row, st := range fs.searches {
-			if st.done || st.colLo >= st.colHi {
+			if st.colLo >= st.colHi {
 				continue
 			}
 			mid := st.colLo + (st.colHi-st.colLo)/2
@@ -342,40 +239,51 @@ func (fs *filterState[E]) runSearches(rho int) {
 		}
 	}
 
-	// Disseminate cutoffs to the whole group.
+	// Disseminate every row's cutoff, keep-all rows included, to the whole
+	// group, so helpers know them.
 	var cuts []cc.Packet
-	if fs.active {
-		for row, st := range fs.searches {
-			if st.done {
-				continue
-			}
-			for j := 0; j < fs.cs.par.A; j++ {
-				cuts = append(cuts, cc.Packet{
-					Dst: int32(fs.cs.subcubeID(fs.i, j, fs.k)),
-					M:   cc.Msg{Kind: kindCutoff, A: int64(row), B: st.lo, C: st.colLo},
-				})
-			}
-		}
-		// Done (keep-all) rows: also disseminate, so helpers know them.
-		for row, st := range fs.searches {
-			if !st.done {
-				continue
-			}
-			for j := 0; j < fs.cs.par.A; j++ {
-				cuts = append(cuts, cc.Packet{
-					Dst: int32(fs.cs.subcubeID(fs.i, j, fs.k)),
-					M:   cc.Msg{Kind: kindCutoff, A: int64(row), B: maxRank, C: int64(fs.cs.n - 1)},
-				})
-			}
+	for row, st := range fs.searches {
+		for j := 0; j < fs.cs.par.A; j++ {
+			cuts = append(cuts, cc.Packet{
+				Dst: int32(fs.cs.subcubeID(fs.i, j, fs.k)),
+				M:   cc.Msg{Kind: kindCutoff, A: int64(row), B: st.lo, C: st.colLo},
+			})
 		}
 	}
 	for _, m := range nd.Route(cuts) {
-		fs.setCut(int32(m.A), cutoff{rank: m.B, colCut: int32(m.C)})
+		fs.cutoffs[int32(m.A)] = cutoff{rank: m.B, colCut: int32(m.C)}
 	}
 }
 
-func (fs *filterState[E]) setCut(row int32, c cutoff) {
-	fs.cutoffs[row] = c
+// queryRound runs one query round of the Lemma 15 searches. The
+// coordinator of each search that is not done and that ask reports live
+// sends ask's (b, d) to every member of the group B_ik; each member
+// replies with count(its entries of the row, b, d); and queryRound
+// returns, at each coordinator, the replies summed per row.
+func (fs *filterState[E]) queryRound(ask func(st *searchState) (b, d int64, live bool), count func(es []rankCol, b, d int64) int64) map[int32]int64 {
+	var q []cc.Packet
+	for row, st := range fs.searches {
+		b, d, live := ask(st)
+		if st.done || !live {
+			continue
+		}
+		for j := 0; j < fs.cs.par.A; j++ {
+			q = append(q, cc.Packet{
+				Dst: int32(fs.cs.subcubeID(fs.i, j, fs.k)),
+				M:   cc.Msg{Kind: kindQuery, A: int64(row), B: b, D: d},
+			})
+		}
+	}
+	var replies []cc.Packet
+	for _, m := range fs.cs.nd.Route(q) {
+		cnt := count(fs.rowEntries[int32(m.A)], m.B, m.D)
+		replies = append(replies, cc.Packet{Dst: m.Src, M: cc.Msg{Kind: kindReply, A: m.A, B: cnt}})
+	}
+	sums := make(map[int32]int64)
+	for _, m := range fs.cs.nd.Route(replies) {
+		sums[int32(m.A)] += m.B
+	}
+	return sums
 }
 
 // filter keeps the entries passing their row's cutoff. Rows with no learned
@@ -437,50 +345,4 @@ func buildSigma2InGroups[E any](cs *cubeState[E], wkept []int64, rho int) (sigma
 		}
 	}
 	return sigma2, capPer
-}
-
-// selectChunksPerGroup mirrors selectChunks with per-node capacities.
-func selectChunksPerGroup[E any](cs *cubeState[E], me int, sigma1, sigma2 []int32, counts []int64, capPer []int64, p1, p2 []triple[E]) []triple[E] {
-	var mine []triple[E]
-	take := func(sid int, product []triple[E]) {
-		if counts[sid] == 0 {
-			return
-		}
-		capacity := capPer[sid]
-		if capacity <= 0 {
-			return
-		}
-		var positions []int
-		pos := 0
-		for v := 0; v < len(sigma1); v++ {
-			if sigma1[v] >= 0 && int(sigma1[v]) == sid {
-				if v == me {
-					positions = append(positions, pos)
-				}
-				pos++
-			}
-		}
-		for v := 0; v < len(sigma2); v++ {
-			if sigma2[v] >= 0 && int(sigma2[v]) == sid {
-				if v == me {
-					positions = append(positions, pos)
-				}
-				pos++
-			}
-		}
-		for _, p := range positions {
-			if p == pos-1 {
-				mine = append(mine, chunkTail(product, p, capacity)...)
-			} else {
-				mine = append(mine, chunk(product, p, capacity)...)
-			}
-		}
-	}
-	if s1 := int32OrNeg(sigma1, me); s1 >= 0 {
-		take(s1, p1)
-	}
-	if s2 := int32OrNeg(sigma2, me); s2 >= 0 && s2 != int32OrNeg(sigma1, me) {
-		take(s2, p2)
-	}
-	return mine
 }

@@ -30,18 +30,9 @@ func Multiply[E any](nd *cc.Node, sr semiring.Semiring[E], srow, trow matrix.Row
 	}
 	cs := newCube(nd, sr, srow, trow, rhoHat)
 
-	// Step (2): sigma1 is the identity - node v computes the product of
-	// subcube v (nodes beyond the a*b*c subcubes idle).
-	sigma1 := make([]int32, cs.n)
-	for v := range sigma1 {
-		if v < cs.nsub {
-			sigma1[v] = int32(v)
-		} else {
-			sigma1[v] = -1
-		}
-	}
-	ssub, tsub := cs.deliver(sigma1)
-	pmine := localProduct(cs.sr, ssub, tsub)
+	// Step (2): node v computes the product of subcube v.
+	sigma1 := cs.identity()
+	pmine := cs.compute(sigma1)
 
 	// Step (3), Lemma 12: balance the intermediate product matrices by
 	// duplicating dense subtasks across helper nodes.
@@ -55,11 +46,10 @@ func Multiply[E any](nd *cc.Node, sr semiring.Semiring[E], srow, trow matrix.Row
 		return nil, ErrDensityUnderestimated
 	}
 	sigma2 := buildSigma2(counts, cs.nsub, cs.n, capPer)
-	ssub2, tsub2 := cs.deliver(sigma2)
-	p2 := localProduct(cs.sr, ssub2, tsub2)
+	p2 := cs.compute(sigma2)
 
 	// Each responsible node takes its chunk(s) of O(rhoHat*c) entries.
-	mine := selectChunks(nd.ID, sigma1, sigma2, counts, capPer, pmine, p2)
+	mine := selectChunks(nd.ID, sigma1, sigma2, counts, func(int) int64 { return capPer }, pmine, p2)
 
 	// Step (4), Lemma 13: balanced summation into output rows.
 	return cs.sumIntermediates(mine), nil
@@ -102,9 +92,10 @@ func buildSigma2(counts []int64, nsub, n int, capPer int64) []int32 {
 
 // selectChunks returns the intermediate values node me is responsible for:
 // for every subcube it computed (via sigma1 and/or sigma2), the chunk(s) of
-// up to capPer entries determined by its position among the subcube's
-// responsible nodes (Lemma 12 step (3)).
-func selectChunks[E any](me int, sigma1, sigma2 []int32, counts []int64, capPer int64, p1, p2 []triple[E]) []triple[E] {
+// up to capPer(sid) entries determined by its position among the subcube's
+// responsible nodes (Lemma 12 step (3); Lemma 16 passes each group's own
+// capacity).
+func selectChunks[E any](me int, sigma1, sigma2 []int32, counts []int64, capPer func(sid int) int64, p1, p2 []triple[E]) []triple[E] {
 	var mine []triple[E]
 	take := func(sid int, product []triple[E]) {
 		if counts[sid] == 0 {
@@ -116,27 +107,21 @@ func selectChunks[E any](me int, sigma1, sigma2 []int32, counts []int64, capPer 
 		// even if parameter rounding left the helper pool short.
 		var positions []int
 		pos := 0
-		for v := 0; v < len(sigma1); v++ {
-			if sigma1[v] >= 0 && int(sigma1[v]) == sid {
-				if v == me {
-					positions = append(positions, pos)
+		for _, sigma := range [][]int32{sigma1, sigma2} {
+			for v, s := range sigma {
+				if int(s) == sid {
+					if v == me {
+						positions = append(positions, pos)
+					}
+					pos++
 				}
-				pos++
-			}
-		}
-		for v := 0; v < len(sigma2); v++ {
-			if sigma2[v] >= 0 && int(sigma2[v]) == sid {
-				if v == me {
-					positions = append(positions, pos)
-				}
-				pos++
 			}
 		}
 		for _, p := range positions {
 			if p == pos-1 {
-				mine = append(mine, chunkTail(product, p, capPer)...)
+				mine = append(mine, chunkTail(product, p, capPer(sid))...)
 			} else {
-				mine = append(mine, chunk(product, p, capPer)...)
+				mine = append(mine, chunk(product, p, capPer(sid))...)
 			}
 		}
 	}

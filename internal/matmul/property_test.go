@@ -122,36 +122,59 @@ func TestMultiplySelfAndPowers(t *testing.T) {
 	}
 }
 
-// TestMultiplyDeterministic: identical runs give identical stats and
-// outputs (the paper's algorithms are deterministic).
+// TestMultiplyDeterministic: identical runs give identical outputs and
+// stats (the paper's algorithms are deterministic), and the stats are the
+// pinned rounds and messages of both simulated products, so a change to
+// which packets go where fails here and not only in the server's golden
+// files.
 func TestMultiplyDeterministic(t *testing.T) {
-	sr := semiring.NewMinPlus(1 << 40)
-	n := 24
-	s := randMat(n, 5, 304)
-	tm := randMat(n, 5, 305)
-	rhoHat := matrix.SupportDensity[int64](s, tm)
-	run := func() (string, *matrix.Mat[int64]) {
-		got := matrix.New[int64](n)
-		stats, err := cc.Run(context.Background(), cc.Config{N: n}, func(nd *cc.Node) error {
-			row, err := Multiply(nd, sr, s.Rows[nd.ID], tm.Rows[nd.ID], rhoHat)
-			if err != nil {
-				return err
-			}
-			got.Rows[nd.ID] = row
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+	sr := semiring.NewMinPlus(1 << 20)
+	cases := []struct {
+		n, per, rho       int
+		seed              int64
+		filtered, product string
+	}{
+		{24, 5, 3, 1, "rounds=141 (sim=10 route=122 sort=9) msgs=14080", "rounds=45 (sim=13 route=20 sort=12) msgs=9220"},
+		{36, 6, 6, 2, "rounds=145 (sim=10 route=126 sort=9) msgs=28811", "rounds=32 (sim=10 route=13 sort=9) msgs=16562"},
+		{64, 8, 4, 3, "rounds=145 (sim=10 route=126 sort=9) msgs=93205", "rounds=32 (sim=10 route=13 sort=9) msgs=51018"},
+		{49, 12, 7, 4, "rounds=154 (sim=13 route=129 sort=12) msgs=75935", "rounds=53 (sim=13 route=28 sort=12) msgs=45629"},
+	}
+	for _, tc := range cases {
+		s := randMat(tc.n, tc.per, tc.seed)
+		tm := randMat(tc.n, tc.per, tc.seed+100)
+		products := []struct {
+			name, want string
+			row        func(nd *cc.Node) (matrix.Row[int64], error)
+		}{
+			{"MultiplyFiltered", tc.filtered, func(nd *cc.Node) (matrix.Row[int64], error) {
+				return MultiplyFiltered(nd, sr, s.Rows[nd.ID], tm.Rows[nd.ID], tc.rho), nil
+			}},
+			{"Multiply", tc.product, func(nd *cc.Node) (matrix.Row[int64], error) {
+				return Multiply(nd, sr, s.Rows[nd.ID], tm.Rows[nd.ID], tc.n)
+			}},
 		}
-		return stats.String(), got
-	}
-	s1, g1 := run()
-	s2, g2 := run()
-	if s1 != s2 {
-		t.Errorf("stats differ: %s vs %s", s1, s2)
-	}
-	if !matrix.Equal[int64](sr, g1, g2) {
-		t.Error("outputs differ between identical runs")
+		for _, p := range products {
+			run := func() (string, *matrix.Mat[int64]) {
+				got := matrix.New[int64](tc.n)
+				stats, err := cc.Run(context.Background(), cc.Config{N: tc.n}, func(nd *cc.Node) error {
+					row, err := p.row(nd)
+					got.Rows[nd.ID] = row
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return stats.String(), got
+			}
+			s1, g1 := run()
+			s2, g2 := run()
+			if s1 != p.want || s2 != p.want {
+				t.Errorf("%s n=%d per=%d rho=%d seed=%d: stats %q and %q, want %q", p.name, tc.n, tc.per, tc.rho, tc.seed, s1, s2, p.want)
+			}
+			if !matrix.Equal[int64](sr, g1, g2) {
+				t.Errorf("%s n=%d: outputs differ between identical runs", p.name, tc.n)
+			}
+		}
 	}
 }
 

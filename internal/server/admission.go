@@ -49,9 +49,9 @@ type admission struct {
 
 // newAdmission resolves the Config knobs: limit 0 picks the default
 // (4 × GOMAXPROCS), negative disables admission entirely (nil);
-// queue 0 defaults to the resolved limit, negative means no queue;
-// wait 0 picks defaultQueueWait.
-func newAdmission(limit, queue int, wait time.Duration) *admission {
+// queue 0 defaults to the resolved limit, negative means no queue.
+// A queued query waits defaultQueueWait.
+func newAdmission(limit, queue int) *admission {
 	if limit < 0 {
 		return nil
 	}
@@ -64,11 +64,8 @@ func newAdmission(limit, queue int, wait time.Duration) *admission {
 	case queue < 0:
 		queue = 0
 	}
-	if wait == 0 {
-		wait = defaultQueueWait
-	}
 	return &admission{
-		wait:   wait,
+		wait:   defaultQueueWait,
 		slots:  make(chan struct{}, limit),
 		queued: make(chan struct{}, queue),
 	}

@@ -100,10 +100,11 @@ func TestAdmissionShedsWhenFull(t *testing.T) {
 }
 
 // TestAdmissionQueueWaitSheds: a query that gets a queue slot but no
-// execution slot within QueueWait is shed; one that gets a slot in time
+// execution slot within the queue wait is shed; one that gets a slot in time
 // is served.
 func TestAdmissionQueueWaitSheds(t *testing.T) {
-	s, ts := newAdmissionServer(t, 10, Config{MaxInFlight: 1, MaxQueue: 1, QueueWait: 30 * time.Millisecond})
+	s, ts := newAdmissionServer(t, 10, Config{MaxInFlight: 1, MaxQueue: 1})
+	s.adm.wait = 30 * time.Millisecond
 
 	s.adm.slots <- struct{}{}
 	start := time.Now()
@@ -144,7 +145,8 @@ func TestAdmissionQueueWaitSheds(t *testing.T) {
 // while every admitted request still succeeds (generous queue + wait).
 func TestAdmissionBoundsInFlight(t *testing.T) {
 	const limit, clients = 2, 16
-	s, ts := newAdmissionServer(t, 12, Config{MaxInFlight: limit, MaxQueue: clients, QueueWait: 30 * time.Second})
+	s, ts := newAdmissionServer(t, 12, Config{MaxInFlight: limit, MaxQueue: clients})
+	s.adm.wait = 30 * time.Second
 
 	var wg sync.WaitGroup
 	var failed atomic.Int64
@@ -177,7 +179,8 @@ func TestAdmissionBoundsInFlight(t *testing.T) {
 // bound, health stays green, and the flood leaks no goroutines.
 func TestAdmissionSaturation(t *testing.T) {
 	const clients = 24
-	s, ts := newAdmissionServer(t, 10, Config{MaxInFlight: 1, MaxQueue: 1, QueueWait: 10 * time.Millisecond})
+	s, ts := newAdmissionServer(t, 10, Config{MaxInFlight: 1, MaxQueue: 1})
+	s.adm.wait = 10 * time.Millisecond
 
 	baseline := runtime.NumGoroutine()
 	s.adm.slots <- struct{}{}
@@ -256,7 +259,7 @@ func TestAdmissionDisabled(t *testing.T) {
 // TestAdmissionDefaults pins the knob resolution: zero values pick the
 // documented defaults.
 func TestAdmissionDefaults(t *testing.T) {
-	a := newAdmission(0, 0, 0)
+	a := newAdmission(0, 0)
 	want := 4 * runtime.GOMAXPROCS(0)
 	if cap(a.slots) != want {
 		t.Errorf("default limit %d, want %d", cap(a.slots), want)
@@ -267,7 +270,7 @@ func TestAdmissionDefaults(t *testing.T) {
 	if a.wait != defaultQueueWait {
 		t.Errorf("default wait %s, want %s", a.wait, defaultQueueWait)
 	}
-	if q := newAdmission(3, -1, time.Second); cap(q.queued) != 0 {
+	if q := newAdmission(3, -1); cap(q.queued) != 0 {
 		t.Errorf("negative queue resolved to %d, want 0", cap(q.queued))
 	}
 }
@@ -311,7 +314,8 @@ func TestAdmissionCacheHitsBypass(t *testing.T) {
 // TestAcquireHonorsContext: a caller whose context dies while queued
 // gets the cancellation taxonomy, not an overload.
 func TestAcquireHonorsContext(t *testing.T) {
-	a := newAdmission(1, 1, time.Minute)
+	a := newAdmission(1, 1)
+	a.wait = time.Minute
 	a.slots <- struct{}{}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()

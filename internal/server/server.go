@@ -108,9 +108,6 @@ type Config struct {
 	// 0 picks the default (= the resolved MaxInFlight); negative
 	// disables queueing, so full slots shed instantly.
 	MaxQueue int
-	// QueueWait bounds how long a queued query waits for an execution
-	// slot before being shed; 0 picks the default (1s).
-	QueueWait time.Duration
 }
 
 // Server holds the engine registry and per-process serving state.
@@ -156,7 +153,7 @@ func New(cfg Config) (*Server, error) {
 		cache:    newLRU(size),
 		cacheCap: size,
 		start:    time.Now(),
-		adm:      newAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait),
+		adm:      newAdmission(cfg.MaxInFlight, cfg.MaxQueue),
 	}
 	s.initMetrics()
 	if cfg.Engine == nil {

@@ -3,12 +3,16 @@ package ccsp
 import (
 	"bytes"
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/congestedclique/ccsp/internal/semiring"
+	"github.com/congestedclique/ccsp/internal/snapshot"
 )
 
 // unweightedTestGraph builds a connected unit-weight graph (for the
@@ -336,8 +340,9 @@ func TestSnapshotLazyAfterLoad(t *testing.T) {
 	}
 }
 
-// TestLoadEngineRejectsBadInput: corruption, truncation and version skew
-// all surface as errors through the public API.
+// TestLoadEngineRejectsBadInput: corruption, truncation, version skew and
+// a hopset edge of negative weight all surface as errors through the
+// public API.
 func TestLoadEngineRejectsBadInput(t *testing.T) {
 	warm, err := NewEngine(context.Background(), testGraph(12, 10, 4, 9), Options{})
 	if err != nil {
@@ -364,6 +369,33 @@ func TestLoadEngineRejectsBadInput(t *testing.T) {
 	}
 	if _, err := LoadEngine(context.Background(), bytes.NewReader(nil)); err == nil {
 		t.Error("empty input loaded without error")
+	}
+
+	// A hopset row of negative weight and hop count, with the CRCs
+	// recomputed so only the artifact decoder can catch it: either loader
+	// would otherwise serve negative distances.
+	snap, err := snapshot.Decode(bytes.NewReader(valid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	poisoned := false
+	for v := 0; v < len(snap.Artifacts[0].Art.Rows) && !poisoned; v++ {
+		if row := snap.Artifacts[0].Art.Rows[v]; len(row) > 0 {
+			row[0].Val = semiring.WH{W: -1000, H: -7}
+			poisoned = true
+		}
+	}
+	if !poisoned {
+		t.Fatal("snapshot holds no hopset row to poison")
+	}
+	var neg bytes.Buffer
+	if err := snap.Encode(&neg); err != nil {
+		t.Fatal(err)
+	}
+	for name, load := range map[string]func(context.Context, io.Reader) (*Engine, error){"LoadEngine": LoadEngine, "LoadEngineDirect": LoadEngineDirect} {
+		if _, err := load(context.Background(), bytes.NewReader(neg.Bytes())); err == nil {
+			t.Errorf("%s accepted a hopset row of weight -1000", name)
+		}
 	}
 }
 
