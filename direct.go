@@ -7,6 +7,7 @@ import (
 
 	"github.com/congestedclique/ccsp/api"
 	"github.com/congestedclique/ccsp/internal/apsp"
+	"github.com/congestedclique/ccsp/internal/clique"
 	"github.com/congestedclique/ccsp/internal/diameter"
 	"github.com/congestedclique/ccsp/internal/disttools"
 	"github.com/congestedclique/ccsp/internal/graph"
@@ -20,7 +21,8 @@ import (
 // directExec is the ExecDirect backend (DESIGN.md §12): every step is
 // computed on flat host-side matrices with the matmul kernels, bypassing
 // the per-node simulator. Each method mirrors its simExec sibling step by
-// step and hands back the kernels' own matrix; Stats carry no rounds or
+// step, or, for the §7 theorems, runs the same body over a clique.Direct,
+// and hands back the kernels' own matrix; Stats carry no rounds or
 // messages, only the wall-clock cost. The weight matrix and its routed
 // (first-hop witness) sibling are materialized once on first use and
 // immutable afterwards (the graph does not change after newEngine).
@@ -153,7 +155,8 @@ func (d *directExec) mssp(ctx context.Context, ent *artifactEntry, inS []bool) (
 func (d *directExec) sssp(ctx context.Context, source int) ([]int64, int, Stats, error) {
 	var iters int
 	dist, stats, err := direct(ctx, d, func() (dist []int64, err error) {
-		dist, iters, err = sssp.ExactDirect(ctx, d.g.AugSemiring(), d.weightMat(), source, 0, d.workers)
+		w := d.weightMat()
+		dist, iters, err = sssp.Exact(clique.NewDirect(ctx, d.g.AugSemiring(), w, nil, 0, d.workers), w, source, 0)
 		return dist, err
 	})
 	return dist, iters, stats, err
@@ -177,7 +180,7 @@ func (d *directExec) apsp(ctx context.Context, v api.APSPVariant, entG, entLow *
 
 func (d *directExec) diameter(ctx context.Context, ent *artifactEntry) (int64, Stats, error) {
 	return direct(ctx, d, func() (int64, error) {
-		return diameter.ApproxDirect(ctx, d.g.AugSemiring(), d.weightMat(), ent.gh, ent.art.Beta, d.workers)
+		return diameter.Approx(clique.NewDirect(ctx, d.g.AugSemiring(), d.weightMat(), ent.gh, ent.art.Beta, d.workers))
 	})
 }
 

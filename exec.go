@@ -6,13 +6,13 @@ import (
 	"github.com/congestedclique/ccsp/api"
 	"github.com/congestedclique/ccsp/internal/apsp"
 	"github.com/congestedclique/ccsp/internal/cc"
+	"github.com/congestedclique/ccsp/internal/clique"
 	"github.com/congestedclique/ccsp/internal/diameter"
 	"github.com/congestedclique/ccsp/internal/disttools"
 	"github.com/congestedclique/ccsp/internal/graph"
 	"github.com/congestedclique/ccsp/internal/hitting"
 	"github.com/congestedclique/ccsp/internal/hopset"
 	"github.com/congestedclique/ccsp/internal/matrix"
-	"github.com/congestedclique/ccsp/internal/mssp"
 	"github.com/congestedclique/ccsp/internal/semiring"
 	"github.com/congestedclique/ccsp/internal/sssp"
 )
@@ -69,9 +69,11 @@ type executor interface {
 	sourceDetect(ctx context.Context, inS []bool, d, k int) (*matrix.Mat[semiring.WH], func(), Stats, error)
 }
 
-// simExec is the round-accurate backend: every step is one cc.Run of the
-// per-node collective program, each node writing its row into a shared
-// matrix (disjoint writes). Stats are the run's rounds and messages.
+// simExec is the round-accurate backend: a build, APSP or neighbour query
+// is one cc.Run of the per-node collective program, each node writing its
+// row into a shared matrix (disjoint writes); MSSP and the §7 theorems run
+// over a clique.Sim, one run per primitive. Stats are the runs' rounds
+// and messages.
 type simExec struct {
 	g    *graph.Graph
 	opts Options
@@ -115,62 +117,16 @@ func (s *simExec) build(ctx context.Context, key artifactKey, _ *artifactEntry) 
 func (s *simExec) attach(artVariant, *artifactEntry, *artifactEntry) {}
 
 func (s *simExec) mssp(ctx context.Context, ent *artifactEntry, inS []bool) ([]int64, Stats, error) {
-	sr := s.g.AugSemiring()
-	rows := matrix.New[semiring.WH](s.g.N)
-	stats, err := s.run(ctx, func(nd *cc.Node) error {
-		res, err := mssp.RunWithHopset(nd, sr, s.g.WeightRow(nd.ID), inS, ent.art.At(nd.ID))
-		if err != nil {
-			return err
-		}
-		rows.Rows[nd.ID] = res.Dist
-		return nil
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	return sourceColumns(rows, inS), stats, nil
-}
-
-// sourceColumns projects detection rows (entries keyed by source ID) onto
-// the flat answer plane: row-major, a column per source of inS in
-// ascending order, Unreachable where a source was not detected.
-func sourceColumns(rows *matrix.Mat[semiring.WH], inS []bool) []int64 {
-	col := make([]int32, len(inS))
-	q := 0
-	for v, in := range inS {
-		col[v] = -1
-		if in {
-			col[v] = int32(q)
-			q++
-		}
-	}
-	flat := make([]int64, len(rows.Rows)*q)
-	for i := range flat {
-		flat[i] = Unreachable
-	}
-	for v, det := range rows.Rows {
-		for _, en := range det {
-			if j := col[en.Col]; j >= 0 {
-				flat[v*q+int(j)] = en.Val.W
-			}
-		}
-	}
-	return flat
+	c := clique.NewSim(ctx, s.opts.config(s.g.N), s.g.AugSemiring(), s.g.WeightMatrix(), ent.art)
+	plane, err := c.MSSP(inS)
+	return plane, statsFrom(c.Stats), err
 }
 
 func (s *simExec) sssp(ctx context.Context, source int) ([]int64, int, Stats, error) {
-	sr := s.g.AugSemiring()
-	var dist []int64
-	var iters int
-	stats, err := s.run(ctx, func(nd *cc.Node) error {
-		d, it := sssp.Exact(nd, sr, s.g.WeightRow(nd.ID), source, 0)
-		if nd.ID == 0 {
-			dist = append([]int64(nil), d...)
-			iters = it
-		}
-		return nil
-	})
-	return dist, iters, stats, err
+	w := s.g.WeightMatrix()
+	c := clique.NewSim(ctx, s.opts.config(s.g.N), s.g.AugSemiring(), w, nil)
+	dist, iters, err := sssp.Exact(c, w, source, 0)
+	return dist, iters, statsFrom(c.Stats), err
 }
 
 // apsp has every node write its estimate row into its own row of one
@@ -200,17 +156,9 @@ func (s *simExec) apsp(ctx context.Context, v api.APSPVariant, entG, entLow *art
 }
 
 func (s *simExec) diameter(ctx context.Context, ent *artifactEntry) (int64, Stats, error) {
-	sr := s.g.AugSemiring()
-	boards := hitting.NewBoardSeq(s.g.N)
-	var estimate int64
-	stats, err := s.run(ctx, func(nd *cc.Node) error {
-		est, err := diameter.ApproxWithHopset(nd, sr, s.g.WeightRow(nd.ID), boards, ent.art.At(nd.ID))
-		if nd.ID == 0 {
-			estimate = est
-		}
-		return err
-	})
-	return estimate, stats, err
+	c := clique.NewSim(ctx, s.opts.config(s.g.N), s.g.AugSemiring(), s.g.WeightMatrix(), ent.art)
+	est, err := diameter.Approx(c)
+	return est, statsFrom(c.Stats), err
 }
 
 func (s *simExec) knearest(ctx context.Context, k int) (*matrix.Mat[semiring.WHF], func(), Stats, error) {

@@ -7,10 +7,13 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 
 	"github.com/congestedclique/ccsp/internal/cc"
+	"github.com/congestedclique/ccsp/internal/clique"
+	"github.com/congestedclique/ccsp/internal/graph"
 	"github.com/congestedclique/ccsp/internal/matmul"
 	"github.com/congestedclique/ccsp/internal/matrix"
 	"github.com/congestedclique/ccsp/internal/semiring"
@@ -43,7 +46,10 @@ func denseAPSP(nd *cc.Node, sr semiring.AugMinPlus, wrow matrix.Row[semiring.WH]
 
 // bellmanFordSSSP is the baseline exact SSSP without shortcuts: plain
 // distributed Bellman-Ford on G, converging in SPD(G) rounds. Returns the
-// global distance vector (shared read-only) and iterations used.
-func bellmanFordSSSP(nd *cc.Node, wrow matrix.Row[semiring.WH], src int) ([]int64, int) {
-	return sssp.BellmanFord(nd, wrow, src, nd.N+2)
+// global distance vector, the iterations used and the run's Stats.
+func bellmanFordSSSP(c Config, g *graph.Graph, src int) ([]int64, int, cc.Stats, error) {
+	w := g.WeightMatrix()
+	cl := clique.NewSim(context.Background(), engineCfg(c, g.N), g.AugSemiring(), w, nil)
+	dist, iters, err := sssp.BellmanFord(cl, w.Rows, src, g.N+2)
+	return dist, iters, cl.Stats, err
 }

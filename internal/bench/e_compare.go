@@ -7,6 +7,7 @@ import (
 
 	"github.com/congestedclique/ccsp/internal/apsp"
 	"github.com/congestedclique/ccsp/internal/cc"
+	"github.com/congestedclique/ccsp/internal/clique"
 	"github.com/congestedclique/ccsp/internal/diameter"
 	"github.com/congestedclique/ccsp/internal/graph"
 	"github.com/congestedclique/ccsp/internal/graphgen"
@@ -33,34 +34,17 @@ func e10(c Config) (*Table, error) {
 	}
 	for _, n := range sizes(c.Scale, []int{64, 128}, []int{64, 128, 256}) {
 		g := graphgen.Path(n, graphgen.Weights{Max: 5}, int64(n)+41)
-		sr := g.AugSemiring()
 		want := g.Dijkstra(0)
 
-		var gotS []int64
-		var itS int
-		statsS, err := cc.Run(context.Background(), engineCfg(c, n), func(nd *cc.Node) error {
-			d, it := sssp.Exact(nd, sr, g.WeightRow(nd.ID), 0, 0)
-			if nd.ID == 0 {
-				gotS = append([]int64(nil), d...)
-				itS = it
-			}
-			return nil
-		})
+		w := g.WeightMatrix()
+		cl := clique.NewSim(context.Background(), engineCfg(c, n), g.AugSemiring(), w, nil)
+		gotS, itS, err := sssp.Exact(cl, w, 0, 0)
 		if err != nil {
 			return nil, err
 		}
-		t.Add(n, n-1, "Thm 33 (k=n^{5/6})", statsS.TotalRounds(), itS, slices.Equal(gotS, want))
+		t.Add(n, n-1, "Thm 33 (k=n^{5/6})", cl.Stats.TotalRounds(), itS, slices.Equal(gotS, want))
 
-		var gotB []int64
-		var itB int
-		statsB, err := cc.Run(context.Background(), engineCfg(c, n), func(nd *cc.Node) error {
-			d, it := bellmanFordSSSP(nd, g.WeightRow(nd.ID), 0)
-			if nd.ID == 0 {
-				gotB = append([]int64(nil), d...)
-				itB = it
-			}
-			return nil
-		})
+		gotB, itB, statsB, err := bellmanFordSSSP(c, g, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -89,22 +73,16 @@ func e11(c Config) (*Table, error) {
 		}
 		for _, fam := range families {
 			d, _ := fam.g.Diameter()
-			sr := fam.g.AugSemiring()
-			boards := hitting.NewBoardSeq(fam.g.N)
-			var est int64
-			stats, err := cc.Run(context.Background(), engineCfg(c, fam.g.N), func(nd *cc.Node) error {
-				e, err := diameter.Approx(nd, sr, fam.g.WeightRow(nd.ID), eps, boards, hopset.Practical(eps))
-				if err != nil {
-					return err
-				}
-				if nd.ID == 0 {
-					est = e
-				}
-				return nil
-			})
+			art, stats, err := buildHopsetSim(c, fam.g, hopset.Practical(eps))
 			if err != nil {
 				return nil, err
 			}
+			cl := clique.NewSim(context.Background(), engineCfg(c, fam.g.N), fam.g.AugSemiring(), fam.g.WeightMatrix(), art)
+			est, err := diameter.Approx(cl)
+			if err != nil {
+				return nil, err
+			}
+			stats.Add(&cl.Stats)
 			h, z := d/3, d%3
 			lower := 2*h + z
 			if z == 2 {

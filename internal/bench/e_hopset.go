@@ -58,6 +58,23 @@ func a4(c Config) (*Table, error) {
 	return t, nil
 }
 
+// buildHopsetSim constructs a hopset on the simulator.
+func buildHopsetSim(c Config, g *graph.Graph, p hopset.Params) (*hopset.Artifact, cc.Stats, error) {
+	sr := g.AugSemiring()
+	board := hitting.NewBoard(g.N)
+	results := make([]*hopset.Result, g.N)
+	stats, err := cc.Run(context.Background(), engineCfg(c, g.N), func(nd *cc.Node) error {
+		res, err := hopset.Build(nd, sr, g.WeightRow(nd.ID), board, p)
+		results[nd.ID] = res
+		return err
+	})
+	if err != nil {
+		return nil, stats, err
+	}
+	art, err := hopset.Collect(results)
+	return art, stats, err
+}
+
 type phaseRounds struct {
 	name   string
 	rounds int
@@ -67,24 +84,11 @@ type phaseRounds struct {
 // with every pair's β-hop distance in G ∪ H, which a (β,ε)-hopset holds to
 // (1+ε)·d_G.
 func buildHopsetBench(c Config, g *graph.Graph, p hopset.Params) (*hopset.Artifact, [][]int64, cc.Stats, error) {
+	art, stats, err := buildHopsetSim(c, g, p)
+	if err != nil {
+		return nil, nil, stats, err
+	}
 	sr := g.AugSemiring()
-	board := hitting.NewBoard(g.N)
-	results := make([]*hopset.Result, g.N)
-	stats, err := cc.Run(context.Background(), engineCfg(c, g.N), func(nd *cc.Node) error {
-		res, err := hopset.Build(nd, sr, g.WeightRow(nd.ID), board, p)
-		if err != nil {
-			return err
-		}
-		results[nd.ID] = res
-		return nil
-	})
-	if err != nil {
-		return nil, nil, stats, err
-	}
-	art, err := hopset.Collect(results)
-	if err != nil {
-		return nil, nil, stats, err
-	}
 	all := make([]bool, g.N)
 	for v := range all {
 		all[v] = true

@@ -4,69 +4,62 @@
 // (1+ε)-MSSP from S, and a second (1+ε)-MSSP from N_k(w) for the node w
 // farthest from its pivot. For unweighted diameter D = 3h+z the estimate D'
 // satisfies 2h+z <= D' <= (1+ε)D (z ∈ {0,1}; 2h+1 for z = 2); weighted
-// graphs lose an additive max-edge-weight term.
+// graphs lose an additive max-edge-weight term. It is written once, over
+// internal/clique, for the simulated and the direct backend alike.
 package diameter
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/congestedclique/ccsp/internal/cc"
+	"github.com/congestedclique/ccsp/internal/clique"
 	"github.com/congestedclique/ccsp/internal/disttools"
-	"github.com/congestedclique/ccsp/internal/hitting"
-	"github.com/congestedclique/ccsp/internal/hopset"
-	"github.com/congestedclique/ccsp/internal/matrix"
-	"github.com/congestedclique/ccsp/internal/mssp"
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
 
-// Approx returns the diameter estimate (identical at all nodes). eps is
-// the MSSP approximation parameter; hp configures the shared hopset.
-func Approx(nd *cc.Node, sr semiring.AugMinPlus, wrow matrix.Row[semiring.WH], eps float64, boards *hitting.BoardSeq, hp hopset.Params) (int64, error) {
-	hp.Eps = eps
-	hs, err := hopset.Build(nd, sr, wrow, boards.Next(nd.ID), hp)
-	if err != nil {
-		return 0, fmt.Errorf("diameter: %w", err)
-	}
-	return ApproxWithHopset(nd, sr, wrow, boards, hs)
-}
-
-// ApproxWithHopset is the query stage of Approx against a previously
-// built hopset on G (built at the target ε): both MSSP stages reuse it,
-// so the run pays zero hopset-construction rounds.
-func ApproxWithHopset(nd *cc.Node, sr semiring.AugMinPlus, wrow matrix.Row[semiring.WH], boards *hitting.BoardSeq, hs *hopset.Result) (int64, error) {
-	n := nd.N
+// Approx returns the diameter estimate on c's graph, both MSSP stages
+// running over c's hopset (built at the target ε).
+func Approx(c clique.Clique) (int64, error) {
 	// Line (1): distances to the k nearest, k = O~(√n) so that the
 	// hitting set has size O~(√n).
-	k := int(math.Ceil(math.Sqrt(float64(n)) * math.Log2(float64(n)+1)))
-	if k > n {
-		k = n
-	}
-	knear := disttools.KNearest(nd, sr, wrow, k)
-	sv := make([]int32, 0, len(knear))
-	for _, e := range knear {
-		sv = append(sv, e.Col)
-	}
-	// Line (2): hitting set S.
-	inS := boards.Next(nd.ID).Hit(nd, sv)
-	// Line (3): MSSP from S over the shared hopset (reused by line (5)).
-	res, err := mssp.RunWithHopset(nd, sr, wrow, inS, hs)
+	n := c.N()
+	k := min(n, int(math.Ceil(math.Sqrt(float64(n))*math.Log2(float64(n)+1))))
+	knear, release, err := c.KNearest(k)
 	if err != nil {
 		return 0, fmt.Errorf("diameter: %w", err)
 	}
-	// Line (4): pivots p(v) ∈ S ∩ N_k(v), exact d(v, p(v)); all nodes
-	// learn all pivot distances.
-	dpv := semiring.InfWH
-	for _, e := range knear {
-		if inS[e.Col] && semiring.LessWH(e.Val, dpv) {
-			dpv = e.Val
+	defer release()
+	// Line (2): hitting set S.
+	inS, err := c.Hit(knear.Rows)
+	if err != nil {
+		return 0, fmt.Errorf("diameter: %w", err)
+	}
+	// Line (3): MSSP from S.
+	dS, err := c.MSSP(inS)
+	if err != nil {
+		return 0, fmt.Errorf("diameter: %w", err)
+	}
+	defer disttools.ReleasePlane(dS)
+	// Line (4): pivots p(v) ∈ S ∩ N_k(v), exact d(v, p(v)), 0 for nodes
+	// with no pivot; all nodes learn all pivot distances.
+	pivD := make([]int64, n)
+	for v, row := range knear.Rows {
+		dpv := semiring.InfWH
+		for _, e := range row {
+			if inS[e.Col] && semiring.LessWH(e.Val, dpv) {
+				dpv = e.Val
+			}
+		}
+		if dpv.W < semiring.Inf {
+			pivD[v] = dpv.W
 		}
 	}
-	pivD := int64(0)
-	if dpv.W < semiring.Inf {
-		pivD = dpv.W
+	dpvs, err := c.Broadcast(pivD)
+	if err != nil {
+		return 0, fmt.Errorf("diameter: %w", err)
 	}
-	dpvs := nd.BroadcastVal(pivD)
 	// Line (5): w maximizes d(v, p(v)); ties to the smallest ID. w floods
 	// N_k(w) membership (one message per member, then a membership
 	// broadcast).
@@ -76,44 +69,45 @@ func ApproxWithHopset(nd *cc.Node, sr semiring.AugMinPlus, wrow matrix.Row[semir
 			w = v
 		}
 	}
-	var flood []cc.Packet
-	if nd.ID == w {
-		for _, e := range knear {
-			flood = append(flood, cc.Packet{Dst: e.Col, M: cc.Msg{}})
+	flood := make([][]cc.Packet, n)
+	for _, e := range knear.Rows[w] {
+		flood[w] = append(flood[w], cc.Packet{Dst: e.Col})
+	}
+	got, err := c.Exchange(flood)
+	if err != nil {
+		return 0, fmt.Errorf("diameter: %w", err)
+	}
+	member := make([]int64, n)
+	for v := range member {
+		if len(got[v]) > 0 || v == w {
+			member[v] = 1
 		}
 	}
-	inNkw := len(nd.Sync(flood)) > 0 || nd.ID == w
-	member := int64(0)
-	if inNkw {
-		member = 1
+	members, err := c.Broadcast(member)
+	if err != nil {
+		return 0, fmt.Errorf("diameter: %w", err)
 	}
-	members := nd.BroadcastVal(member)
-	inNkwAll := make([]bool, n)
-	for v := range inNkwAll {
-		inNkwAll[v] = members[v] == 1
+	inNkw := make([]bool, n)
+	for v := range inNkw {
+		inNkw[v] = members[v] == 1
 	}
-	res2, err := mssp.RunWithHopset(nd, sr, wrow, inNkwAll, hs)
+	dNkw, err := c.MSSP(inNkw)
 	if err != nil {
 		return 0, fmt.Errorf("diameter: second MSSP: %w", err)
 	}
+	defer disttools.ReleasePlane(dNkw)
 	// Line (6): the estimate is the maximum distance seen in either MSSP.
-	var local int64
-	for _, e := range res.Dist {
-		if e.Val.W < semiring.Inf && e.Val.W > local {
-			local = e.Val.W
+	local := make([]int64, n)
+	for _, plane := range [][]int64{dS, dNkw} {
+		for i, d := range plane {
+			if v := i / (len(plane) / n); d < semiring.Inf && d > local[v] {
+				local[v] = d
+			}
 		}
 	}
-	for _, e := range res2.Dist {
-		if e.Val.W < semiring.Inf && e.Val.W > local {
-			local = e.Val.W
-		}
+	maxes, err := c.Broadcast(local)
+	if err != nil {
+		return 0, fmt.Errorf("diameter: %w", err)
 	}
-	maxes := nd.BroadcastVal(local)
-	best := int64(0)
-	for _, m := range maxes {
-		if m > best {
-			best = m
-		}
-	}
-	return best, nil
+	return slices.Max(maxes), nil
 }

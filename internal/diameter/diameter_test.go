@@ -6,9 +6,11 @@ import (
 	"testing"
 
 	"github.com/congestedclique/ccsp/internal/cc"
+	"github.com/congestedclique/ccsp/internal/clique"
 	"github.com/congestedclique/ccsp/internal/graph"
 	"github.com/congestedclique/ccsp/internal/hitting"
 	"github.com/congestedclique/ccsp/internal/hopset"
+	"github.com/congestedclique/ccsp/internal/mssp"
 )
 
 func randGraph(n, extraEdges int, maxW int64, seed int64) *graph.Graph {
@@ -42,25 +44,38 @@ func cycleGraph(n int) *graph.Graph {
 	return g
 }
 
+// runDiameter returns the estimate of the simulated clique on g, over a
+// hopset the simulator built at eps, after checking that the direct
+// clique over the same hopset gives the same.
 func runDiameter(t *testing.T, g *graph.Graph, eps float64) int64 {
 	t.Helper()
-	sr := g.AugSemiring()
-	boards := hitting.NewBoardSeq(g.N)
-	var estimate int64
-	_, err := cc.Run(context.Background(), cc.Config{N: g.N}, func(nd *cc.Node) error {
-		est, err := Approx(nd, sr, g.WeightRow(nd.ID), eps, boards, hopset.Practical(eps))
-		if err != nil {
-			return err
-		}
-		if nd.ID == 0 {
-			estimate = est
-		}
-		return nil
+	ctx := context.Background()
+	sr, w := g.AugSemiring(), g.WeightMatrix()
+	board := hitting.NewBoard(g.N)
+	results := make([]*hopset.Result, g.N)
+	_, err := cc.Run(ctx, cc.Config{N: g.N}, func(nd *cc.Node) (err error) {
+		results[nd.ID], err = hopset.Build(nd, sr, w.Rows[nd.ID], board, hopset.Practical(eps))
+		return err
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := hopset.Collect(results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := Approx(clique.NewSim(ctx, cc.Config{N: g.N}, sr, w, art))
 	if err != nil {
 		t.Fatalf("diameter failed: %v", err)
 	}
-	return estimate
+	direct, err := Approx(clique.NewDirect(ctx, sr, w, mssp.MergeGH(sr, w, art), art.Beta, 0))
+	if err != nil {
+		t.Fatalf("direct diameter failed: %v", err)
+	}
+	if direct != sim {
+		t.Fatalf("the direct clique estimates %d, the simulated one %d", direct, sim)
+	}
+	return sim
 }
 
 // claim35Lower returns the Claim 35 lower bound for unweighted diameter D.
@@ -118,25 +133,9 @@ func TestDiameterWeightedBounds(t *testing.T) {
 	}
 }
 
+// TestDiameterAgreesAcrossNodes: every node reads the estimate off one
+// broadcast vector, so what is left to agree is the two cliques the one
+// copy of §7.2 runs on, which runDiameter compares.
 func TestDiameterAgreesAcrossNodes(t *testing.T) {
-	g := randGraph(20, 20, 5, 6)
-	sr := g.AugSemiring()
-	boards := hitting.NewBoardSeq(g.N)
-	ests := make([]int64, g.N)
-	_, err := cc.Run(context.Background(), cc.Config{N: g.N}, func(nd *cc.Node) error {
-		est, err := Approx(nd, sr, g.WeightRow(nd.ID), 0.5, boards, hopset.Practical(0.5))
-		if err != nil {
-			return err
-		}
-		ests[nd.ID] = est
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 1; v < g.N; v++ {
-		if ests[v] != ests[0] {
-			t.Fatalf("nodes disagree on the estimate: %d vs %d", ests[v], ests[0])
-		}
-	}
+	runDiameter(t, randGraph(20, 20, 5, 6), 0.5)
 }

@@ -136,6 +136,9 @@ func DecodeArtifact(r *wire.Reader) (*Artifact, error) {
 		if pv < -1 || pv >= int64(a.N) {
 			return nil, fmt.Errorf("hopset: pivot p(%d)=%d out of range", v, pv)
 		}
+		if pv >= 0 && !a.InA1[pv] {
+			return nil, fmt.Errorf("hopset: pivot p(%d)=%d is not in A_1", v, pv)
+		}
 		a.PV[v] = int32(pv)
 	}
 	a.DPV = make([]semiring.WH, a.N)

@@ -89,14 +89,16 @@ func TestDecodeArtifactRejectsMalformed(t *testing.T) {
 		}
 	}
 
-	// Structural corruption, and weights no builder writes (a negative
-	// or infinite edge, a hop count other than 1, a negative pivot
-	// distance) that a loaded engine would otherwise serve.
+	// Structural corruption (a pivot outside A_1 among it: every builder
+	// picks p(v) from A_1), and weights no builder writes (a negative or
+	// infinite edge, a hop count other than 1, a negative pivot distance)
+	// that a loaded engine would otherwise serve.
 	for _, tc := range []struct {
 		name   string
 		poison func(a *Artifact)
 	}{
 		{"out-of-range pivot", func(a *Artifact) { a.PV[1] = 99 }},
+		{"pivot outside A_1", func(a *Artifact) { a.PV[1] = 2 }},
 		{"unsorted row", func(a *Artifact) {
 			a.Rows[0] = matrix.Row[semiring.WH]{{Col: 3, Val: semiring.WH{W: 1, H: 1}}, {Col: 1, Val: semiring.WH{W: 1, H: 1}}}
 		}},

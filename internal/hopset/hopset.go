@@ -92,6 +92,19 @@ func (p Params) shape(n int) (shape, error) {
 	return shape{k: k, levels: levels, beta: beta, d: max(min(4*beta, hopCap), 1)}, nil
 }
 
+// Check reports an artifact whose K or Beta is not what p derives to on
+// its N, as every build at p writes them.
+func (p Params) Check(a *Artifact) error {
+	sh, err := p.shape(a.N)
+	if err != nil {
+		return err
+	}
+	if a.K != sh.k || a.Beta != sh.beta {
+		return fmt.Errorf("hopset: artifact has k=%d, beta=%d; its params give k=%d, beta=%d on n=%d", a.K, a.Beta, sh.k, sh.beta, a.N)
+	}
+	return nil
+}
+
 // Build constructs the hopset collectively (all nodes call it with
 // identical params). wrow is row nd.ID of the augmented weight matrix of G;
 // board is a fresh hitting-set board shared by all nodes.

@@ -3,93 +3,98 @@
 // whose shortest-path diameter is below 4n/k (Lemma 32), and a distributed
 // Bellman-Ford finishes in O(n/k) rounds. With k = n^{5/6} both phases cost
 // O~(n^{1/6}) rounds. The plain Bellman-Ford here is also the paper's
-// baseline (SPD rounds on G).
+// baseline (SPD rounds on G). Both are written once, over internal/clique,
+// for the simulated and the direct backend alike.
 package sssp
 
 import (
+	"fmt"
 	"math"
+	"slices"
 
 	"github.com/congestedclique/ccsp/internal/cc"
-	"github.com/congestedclique/ccsp/internal/disttools"
+	"github.com/congestedclique/ccsp/internal/clique"
 	"github.com/congestedclique/ccsp/internal/matrix"
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
 
 // BellmanFord runs the classic distributed Bellman-Ford from src on the
-// graph given by this node's weight row (undirected; the row must contain
-// this node's incident edges). Each iteration broadcasts every node's
-// tentative distance (one round) and relaxes local edges. It stops after
+// undirected graph whose row v, node v's incident edges, is rows[v]. Each
+// iteration broadcasts every node's tentative distance (one round) and
+// relaxes every node's edges against the broadcast vector. It stops after
 // two consecutive identical distance vectors or maxIters iterations,
-// whichever is first, and returns the final global distance vector (shared
-// read-only) together with the number of iterations executed.
-func BellmanFord(nd *cc.Node, row matrix.Row[semiring.WH], src, maxIters int) ([]int64, int) {
-	my := semiring.Inf
-	if nd.ID == src {
-		my = 0
+// whichever is first - a capped run broadcasts once more - and returns the
+// final global distance vector with the number of broadcasts.
+func BellmanFord(c clique.Clique, rows []matrix.Row[semiring.WH], src, maxIters int) ([]int64, int, error) {
+	my := make([]int64, c.N())
+	for v := range my {
+		my[v] = semiring.Inf
 	}
+	my[src] = 0
 	var prev []int64
-	iters := 0
-	for it := 0; it < maxIters; it++ {
-		vals := nd.BroadcastVal(my)
-		iters++
-		same := prev != nil
-		if same {
-			for v := range vals {
-				if vals[v] != prev[v] {
-					same = false
-					break
+	for it := 1; ; it++ {
+		vals, err := c.Broadcast(my)
+		if err != nil {
+			return nil, 0, fmt.Errorf("sssp: Bellman-Ford: %w", err)
+		}
+		if it > maxIters || prev != nil && slices.Equal(vals, prev) {
+			return vals, it, nil
+		}
+		prev = append(prev[:0], vals...)
+		for v, row := range rows {
+			for _, e := range row {
+				if int(e.Col) == v {
+					continue
+				}
+				if d := vals[e.Col]; d < semiring.Inf && d+e.Val.W < my[v] {
+					my[v] = d + e.Val.W
 				}
 			}
 		}
-		if same {
-			return vals, iters
-		}
-		prev = append(prev[:0], vals...)
-		for _, e := range row {
-			if int(e.Col) == nd.ID {
-				continue
-			}
-			if d := vals[e.Col]; d < semiring.Inf && d+e.Val.W < my {
-				my = d + e.Val.W
-			}
-		}
 	}
-	return nd.BroadcastVal(my), iters + 1
 }
 
-// Exact computes exact single-source shortest paths from src (Theorem 33):
-// k-nearest distances become shortcut edges, then Bellman-Ford runs for
-// O(n/k) iterations on the shortcut graph. k = 0 selects the paper's
-// n^{5/6}. It returns the global distance vector (shared read-only) and
-// the Bellman-Ford iteration count.
-func Exact(nd *cc.Node, sr semiring.AugMinPlus, wrow matrix.Row[semiring.WH], src, k int) ([]int64, int) {
-	n := nd.N
+// Exact computes exact single-source shortest paths from src on c's graph,
+// whose augmented weight matrix is w (Theorem 33): k-nearest distances
+// become shortcut edges, then Bellman-Ford runs for O(n/k) iterations on
+// the shortcut graph. k = 0 selects the paper's n^{5/6}. It returns the
+// global distance vector and the Bellman-Ford iteration count.
+func Exact(c clique.Clique, w *matrix.Mat[semiring.WH], src, k int) ([]int64, int, error) {
+	n := c.N()
 	if k <= 0 {
 		k = int(math.Ceil(math.Pow(float64(n), 5.0/6.0)))
 	}
-	if k > n {
-		k = n
+	k = min(k, n)
+	knear, release, err := c.KNearest(k)
+	if err != nil {
+		return nil, 0, fmt.Errorf("sssp: k-nearest: %w", err)
 	}
-	knear := disttools.KNearest(nd, sr, wrow, k)
+	defer release() // the shortcut rows copy what they need
 
-	// Shortcut edges {v, u} for u ∈ N_k(v) with exact weights, symmetrized
-	// so Bellman-Ford can relax in both directions.
-	shortcuts := make(matrix.Row[semiring.WH], 0, len(knear))
-	out := make([]cc.Packet, 0, len(knear))
-	for _, e := range knear {
-		if int(e.Col) == nd.ID {
-			continue
+	// Row v of G' is row v of G plus the shortcut edges {v, u}, u ∈ N_k(v),
+	// each also routed to u; a repeated column relaxes to its least weight.
+	rows := make([]matrix.Row[semiring.WH], n)
+	out := make([][]cc.Packet, n)
+	for v, row := range knear.Rows {
+		rows[v] = slices.Clip(w.Rows[v])
+		for _, e := range row {
+			if int(e.Col) != v {
+				rows[v] = append(rows[v], matrix.Entry[semiring.WH]{Col: e.Col, Val: semiring.WH{W: e.Val.W, H: 1}})
+				out[v] = append(out[v], cc.Packet{Dst: e.Col, M: cc.Msg{A: e.Val.W}})
+			}
 		}
-		shortcuts = append(shortcuts, matrix.Entry[semiring.WH]{Col: e.Col, Val: semiring.WH{W: e.Val.W, H: 1}})
-		out = append(out, cc.Packet{Dst: e.Col, M: cc.Msg{A: e.Val.W}})
 	}
-	for _, m := range nd.Route(out) {
-		shortcuts = append(shortcuts, matrix.Entry[semiring.WH]{Col: m.Src, Val: semiring.WH{W: m.A, H: 1}})
+	in, err := c.Route(out)
+	if err != nil {
+		return nil, 0, fmt.Errorf("sssp: shortcuts: %w", err)
 	}
-	gRow := matrix.MergeRows[semiring.WH](sr, wrow, shortcuts)
+	for v, msgs := range in {
+		for _, m := range msgs {
+			rows[v] = append(rows[v], matrix.Entry[semiring.WH]{Col: m.Src, Val: semiring.WH{W: m.A, H: 1}})
+		}
+	}
 
 	// Lemma 32: SPD(G') < 4n/k, so 4·ceil(n/k)+1 iterations always reach a
 	// fixpoint; convergence detection usually stops earlier.
-	maxIters := 4*((n+k-1)/k) + 2
-	return BellmanFord(nd, gRow, src, maxIters)
+	return BellmanFord(c, rows, src, 4*((n+k-1)/k)+2)
 }

@@ -3,10 +3,14 @@ package sssp
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/congestedclique/ccsp/internal/cc"
+	"github.com/congestedclique/ccsp/internal/clique"
 	"github.com/congestedclique/ccsp/internal/graph"
+	"github.com/congestedclique/ccsp/internal/matrix"
+	"github.com/congestedclique/ccsp/internal/semiring"
 )
 
 func randGraph(n, extraEdges int, maxW int64, seed int64) *graph.Graph {
@@ -32,6 +36,27 @@ func lineGraph(n int, w int64) *graph.Graph {
 	return g
 }
 
+// onBoth runs an SSSP algorithm on g's simulated and direct cliques and
+// returns the simulated distances and iteration count after checking that
+// the direct clique gives the same.
+func onBoth(t *testing.T, g *graph.Graph, run func(c clique.Clique, w *matrix.Mat[semiring.WH]) ([]int64, int, error)) ([]int64, int) {
+	t.Helper()
+	ctx := context.Background()
+	sr, w := g.AugSemiring(), g.WeightMatrix()
+	dist, iters, err := run(clique.NewSim(ctx, cc.Config{N: g.N}, sr, w, nil), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dDist, dIters, err := run(clique.NewDirect(ctx, sr, w, nil, 0, 0), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(dDist, dist) || dIters != iters {
+		t.Fatalf("the direct clique answers %v in %d iterations, the simulated one %v in %d", dDist, dIters, dist, iters)
+	}
+	return dist, iters
+}
+
 func TestBellmanFordExact(t *testing.T) {
 	cases := []struct {
 		name string
@@ -45,17 +70,9 @@ func TestBellmanFordExact(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want := tc.g.Dijkstra(tc.src)
-			var got []int64
-			_, err := cc.Run(context.Background(), cc.Config{N: tc.g.N}, func(nd *cc.Node) error {
-				dist, _ := BellmanFord(nd, tc.g.WeightRow(nd.ID), tc.src, tc.g.N+2)
-				if nd.ID == 0 {
-					got = append([]int64(nil), dist...)
-				}
-				return nil
+			got, _ := onBoth(t, tc.g, func(c clique.Clique, w *matrix.Mat[semiring.WH]) ([]int64, int, error) {
+				return BellmanFord(c, w.Rows, tc.src, tc.g.N+2)
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			for v := range want {
 				if got[v] != want[v] {
 					t.Errorf("d[%d]=%d, want %d", v, got[v], want[v])
@@ -77,17 +94,9 @@ func TestBellmanFordIterationsTrackSPD(t *testing.T) {
 	// On a line, Bellman-Ford needs ~SPD iterations; convergence detection
 	// must stop within SPD + 3.
 	g := lineGraph(20, 1)
-	var iters int
-	_, err := cc.Run(context.Background(), cc.Config{N: g.N}, func(nd *cc.Node) error {
-		_, it := BellmanFord(nd, g.WeightRow(nd.ID), 0, 100)
-		if nd.ID == 0 {
-			iters = it
-		}
-		return nil
+	_, iters := onBoth(t, g, func(c clique.Clique, w *matrix.Mat[semiring.WH]) ([]int64, int, error) {
+		return BellmanFord(c, w.Rows, 0, 100)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	spd := g.SPD()
 	if iters < spd || iters > spd+3 {
 		t.Errorf("iters=%d, want within [%d, %d]", iters, spd, spd+3)
@@ -109,19 +118,10 @@ func TestExactSSSP(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sr := tc.g.AugSemiring()
 			want := tc.g.Dijkstra(tc.src)
-			var got []int64
-			_, err := cc.Run(context.Background(), cc.Config{N: tc.g.N}, func(nd *cc.Node) error {
-				dist, _ := Exact(nd, sr, tc.g.WeightRow(nd.ID), tc.src, tc.k)
-				if nd.ID == 0 {
-					got = append([]int64(nil), dist...)
-				}
-				return nil
+			got, _ := onBoth(t, tc.g, func(c clique.Clique, w *matrix.Mat[semiring.WH]) ([]int64, int, error) {
+				return Exact(c, w, tc.src, tc.k)
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			for v := range want {
 				if got[v] != want[v] {
 					t.Fatalf("d[%d]=%d, want %d", v, got[v], want[v])
@@ -135,23 +135,14 @@ func TestExactSSSP(t *testing.T) {
 // Bellman-Ford phase needs ~n/k iterations instead of ~SPD.
 func TestShortcutsCutIterations(t *testing.T) {
 	g := lineGraph(64, 1) // SPD = 63
-	sr := g.AugSemiring()
 	k := 16
-	var iters int
-	_, err := cc.Run(context.Background(), cc.Config{N: g.N}, func(nd *cc.Node) error {
-		dist, it := Exact(nd, sr, g.WeightRow(nd.ID), 0, k)
-		if nd.ID == 0 {
-			iters = it
-			for v := 0; v < g.N; v++ {
-				if dist[v] != int64(v) {
-					t.Errorf("d[%d]=%d, want %d", v, dist[v], v)
-				}
-			}
-		}
-		return nil
+	dist, iters := onBoth(t, g, func(c clique.Clique, w *matrix.Mat[semiring.WH]) ([]int64, int, error) {
+		return Exact(c, w, 0, k)
 	})
-	if err != nil {
-		t.Fatal(err)
+	for v := 0; v < g.N; v++ {
+		if dist[v] != int64(v) {
+			t.Errorf("d[%d]=%d, want %d", v, dist[v], v)
+		}
 	}
 	if bound := 4*(g.N/k) + 3; iters > bound {
 		t.Errorf("shortcut Bellman-Ford took %d iterations, want <= %d (4n/k+3)", iters, bound)

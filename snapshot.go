@@ -138,6 +138,9 @@ func loadEngine(ctx context.Context, r io.Reader, direct bool) (*Engine, error) 
 		if _, dup := e.pre.arts[key]; dup {
 			return nil, fmt.Errorf("ccsp: snapshot has duplicate artifact (%s, ε'=%g)", key.variant, a.Params.Eps)
 		}
+		if err := a.Params.Check(a.Art); err != nil {
+			return nil, fmt.Errorf("ccsp: snapshot artifact %d: %w", i, err)
+		}
 		if key.variant == artLowDegree && a.Degs == nil {
 			return nil, fmt.Errorf("ccsp: snapshot low-degree artifact %d is missing its degree vector", i)
 		}

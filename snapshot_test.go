@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/congestedclique/ccsp/internal/hopset"
 	"github.com/congestedclique/ccsp/internal/semiring"
 	"github.com/congestedclique/ccsp/internal/snapshot"
 )
@@ -371,30 +372,42 @@ func TestLoadEngineRejectsBadInput(t *testing.T) {
 		t.Error("empty input loaded without error")
 	}
 
-	// A hopset row of negative weight and hop count, with the CRCs
-	// recomputed so only the artifact decoder can catch it: either loader
-	// would otherwise serve negative distances.
-	snap, err := snapshot.Decode(bytes.NewReader(valid))
-	if err != nil {
-		t.Fatal(err)
-	}
-	poisoned := false
-	for v := 0; v < len(snap.Artifacts[0].Art.Rows) && !poisoned; v++ {
-		if row := snap.Artifacts[0].Art.Rows[v]; len(row) > 0 {
-			row[0].Val = semiring.WH{W: -1000, H: -7}
-			poisoned = true
+	// Artifacts no build writes, with the CRCs recomputed so only the
+	// artifact checks can catch them: a hopset row of negative weight and
+	// hop count would serve negative distances, and a β below what the
+	// artifact's params give would cut every detection short and answer
+	// reachable pairs Unreachable.
+	for _, tc := range []struct {
+		name   string
+		poison func(a *hopset.Artifact) bool
+	}{
+		{"a hopset row of weight -1000", func(a *hopset.Artifact) bool {
+			for _, row := range a.Rows {
+				if len(row) > 0 {
+					row[0].Val = semiring.WH{W: -1000, H: -7}
+					return true
+				}
+			}
+			return false
+		}},
+		{"β = 1 beside its params", func(a *hopset.Artifact) bool { a.Beta = 1; return true }},
+		{"k + 1 beside its params", func(a *hopset.Artifact) bool { a.K++; return true }},
+	} {
+		snap, err := snapshot.Decode(bytes.NewReader(valid))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !poisoned {
-		t.Fatal("snapshot holds no hopset row to poison")
-	}
-	var neg bytes.Buffer
-	if err := snap.Encode(&neg); err != nil {
-		t.Fatal(err)
-	}
-	for name, load := range map[string]func(context.Context, io.Reader) (*Engine, error){"LoadEngine": LoadEngine, "LoadEngineDirect": LoadEngineDirect} {
-		if _, err := load(context.Background(), bytes.NewReader(neg.Bytes())); err == nil {
-			t.Errorf("%s accepted a hopset row of weight -1000", name)
+		if !tc.poison(snap.Artifacts[0].Art) {
+			t.Fatalf("%s: snapshot holds nothing to poison", tc.name)
+		}
+		var bad bytes.Buffer
+		if err := snap.Encode(&bad); err != nil {
+			t.Fatal(err)
+		}
+		for name, load := range map[string]func(context.Context, io.Reader) (*Engine, error){"LoadEngine": LoadEngine, "LoadEngineDirect": LoadEngineDirect} {
+			if _, err := load(context.Background(), bytes.NewReader(bad.Bytes())); err == nil {
+				t.Errorf("%s accepted %s", name, tc.name)
+			}
 		}
 	}
 }
