@@ -88,12 +88,11 @@ func buildHopsetBench(c Config, g *graph.Graph, p hopset.Params) (*hopset.Artifa
 	if err != nil {
 		return nil, nil, stats, err
 	}
-	sr := g.AugSemiring()
 	all := make([]bool, g.N)
 	for v := range all {
 		all[v] = true
 	}
-	panel, err := mssp.RunDirectPanel(context.Background(), mssp.MergeGH(sr, g.WeightMatrix(), art), art.Beta, all, 0)
+	panel, err := mssp.RunDirectPanel(context.Background(), mssp.MergeGH(g.AugSemiring(), g.WeightMatrix(), art), art.Beta, all, 0)
 	if err != nil {
 		return nil, nil, stats, err
 	}

@@ -203,9 +203,19 @@ func (d *Direct) Exchange(out [][]cc.Packet) ([][]cc.Msg, error) { return transp
 
 func (d *Direct) Route(out [][]cc.Packet) ([][]cc.Msg, error) { return transpose(out), nil }
 
-// transpose delivers out in memory, in (sender, submission) order.
+// transpose delivers out in memory, in (sender, submission) order, each
+// inbox allocated once at its size.
 func transpose(out [][]cc.Packet) [][]cc.Msg {
 	in := make([][]cc.Msg, len(out))
+	cnt := make([]int, len(out))
+	for _, ps := range out {
+		for _, p := range ps {
+			cnt[p.Dst]++
+		}
+	}
+	for u := range in {
+		in[u] = make([]cc.Msg, 0, cnt[u])
+	}
 	for v, ps := range out {
 		for _, p := range ps {
 			m := p.M

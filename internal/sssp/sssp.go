@@ -41,11 +41,8 @@ func BellmanFord(c clique.Clique, rows []matrix.Row[semiring.WH], src, maxIters 
 			return vals, it, nil
 		}
 		prev = append(prev[:0], vals...)
-		for v, row := range rows {
+		for v, row := range rows { // a diagonal entry (0 weight) never improves my[v] <= vals[v]
 			for _, e := range row {
-				if int(e.Col) == v {
-					continue
-				}
 				if d := vals[e.Col]; d < semiring.Inf && d+e.Val.W < my[v] {
 					my[v] = d + e.Val.W
 				}
@@ -71,15 +68,13 @@ func Exact(c clique.Clique, w *matrix.Mat[semiring.WH], src, k int) ([]int64, in
 	}
 	defer release() // the shortcut rows copy what they need
 
-	// Row v of G' is row v of G plus the shortcut edges {v, u}, u ∈ N_k(v),
-	// each also routed to u; a repeated column relaxes to its least weight.
-	rows := make([]matrix.Row[semiring.WH], n)
+	// Row v of G' is row v of G, v's k-nearest entries (Bellman-Ford reads
+	// only weights) and the shortcuts {u, v} routed to v from every u.
 	out := make([][]cc.Packet, n)
 	for v, row := range knear.Rows {
-		rows[v] = slices.Clip(w.Rows[v])
+		out[v] = make([]cc.Packet, 0, len(row))
 		for _, e := range row {
 			if int(e.Col) != v {
-				rows[v] = append(rows[v], matrix.Entry[semiring.WH]{Col: e.Col, Val: semiring.WH{W: e.Val.W, H: 1}})
 				out[v] = append(out[v], cc.Packet{Dst: e.Col, M: cc.Msg{A: e.Val.W}})
 			}
 		}
@@ -88,8 +83,11 @@ func Exact(c clique.Clique, w *matrix.Mat[semiring.WH], src, k int) ([]int64, in
 	if err != nil {
 		return nil, 0, fmt.Errorf("sssp: shortcuts: %w", err)
 	}
-	for v, msgs := range in {
-		for _, m := range msgs {
+	rows := make([]matrix.Row[semiring.WH], n)
+	for v := range rows {
+		rows[v] = make(matrix.Row[semiring.WH], 0, len(w.Rows[v])+len(knear.Rows[v])+len(in[v]))
+		rows[v] = append(append(rows[v], w.Rows[v]...), knear.Rows[v]...)
+		for _, m := range in[v] {
 			rows[v] = append(rows[v], matrix.Entry[semiring.WH]{Col: m.Src, Val: semiring.WH{W: m.A, H: 1}})
 		}
 	}
