@@ -32,15 +32,32 @@ type directExec struct {
 
 	once sync.Once
 	w    *matrix.Mat[semiring.WH]
+	sr   semiring.AugMinPlus
 
 	routedOnce sync.Once
 	routed     *matrix.Mat[semiring.WHF]
+
+	// served, when set, hears which path served each mssp: the
+	// certified searches or the panel (a hook for tests).
+	served func(certified bool)
+}
+
+// materialize computes the weight matrix and the semiring sized for it
+// once: the graph is immutable, and Graph.AugSemiring scans every edge.
+func (d *directExec) materialize() {
+	d.once.Do(func() { d.w, d.sr = d.g.WeightMatrix(), d.g.AugSemiring() })
 }
 
 // weightMat returns the cached full augmented weight matrix.
 func (d *directExec) weightMat() *matrix.Mat[semiring.WH] {
-	d.once.Do(func() { d.w = d.g.WeightMatrix() })
+	d.materialize()
 	return d.w
+}
+
+// augSemiring returns the cached Graph.AugSemiring.
+func (d *directExec) augSemiring() semiring.AugMinPlus {
+	d.materialize()
+	return d.sr
 }
 
 // routedMat returns the cached routed weight matrix (the k-nearest query
@@ -130,7 +147,7 @@ func (d *directExec) build(ctx context.Context, key artifactKey, sib *artifactEn
 			}
 			ent.base = lowDegree(ent.base, ent.degs)
 		}
-		art, ent.gh, err = hopset.BuildDirectFrom(ctx, d.g.AugSemiring(), ent.base, key.params, sibArt, sibGH, d.workers)
+		art, ent.gh, err = hopset.BuildDirectFrom(ctx, d.augSemiring(), ent.base, key.params, sibArt, sibGH, d.workers)
 		return art, err
 	})
 	if err != nil {
@@ -141,14 +158,15 @@ func (d *directExec) build(ctx context.Context, key artifactKey, sib *artifactEn
 
 // mssp hands back the kernel's own weight plane: its rest state
 // semiring.Inf is Unreachable, so the plane is the answer and no cell is
-// copied.
+// copied. The searches over the entry's base serve it wherever the hop
+// certificate proves their plane the panel's (mssp.RunDirect).
 func (d *directExec) mssp(ctx context.Context, ent *artifactEntry, inS []bool) ([]int64, Stats, error) {
 	return direct(ctx, d, func() ([]int64, error) {
-		p, err := mssp.RunDirectPanel(ctx, ent.gh, ent.art.Beta, inS, d.workers)
-		if err != nil {
-			return nil, err
+		plane, certified, err := mssp.RunDirect(ctx, d.augSemiring(), ent.base, ent.gh, ent.art.Beta, inS, d.workers)
+		if err == nil && d.served != nil {
+			d.served(certified)
 		}
-		return p.W, nil
+		return plane, err
 	})
 }
 
@@ -156,7 +174,7 @@ func (d *directExec) sssp(ctx context.Context, source int) ([]int64, int, Stats,
 	var iters int
 	dist, stats, err := direct(ctx, d, func() (dist []int64, err error) {
 		w := d.weightMat()
-		dist, iters, err = sssp.Exact(clique.NewDirect(ctx, d.g.AugSemiring(), w, nil, 0, d.workers), w, source, 0)
+		dist, iters, err = sssp.Exact(clique.NewDirect(ctx, d.augSemiring(), w, nil, 0, d.workers), w, source, 0)
 		return dist, err
 	})
 	return dist, iters, stats, err
@@ -166,7 +184,7 @@ func (d *directExec) sssp(ctx context.Context, source int) ([]int64, int, Stats,
 // semiring.Inf, so - as for mssp's plane - no cell is copied.
 func (d *directExec) apsp(ctx context.Context, v api.APSPVariant, entG, entLow *artifactEntry) ([]int64, Stats, error) {
 	return direct(ctx, d, func() ([]int64, error) {
-		sr, w := d.g.AugSemiring(), d.weightMat()
+		sr, w := d.augSemiring(), d.weightMat()
 		switch v {
 		case api.APSPWeighted:
 			return apsp.TwoPlusEpsWeightedDirect(ctx, sr, w, entG.gh, entG.art.Beta, d.workers)
@@ -180,7 +198,7 @@ func (d *directExec) apsp(ctx context.Context, v api.APSPVariant, entG, entLow *
 
 func (d *directExec) diameter(ctx context.Context, ent *artifactEntry) (int64, Stats, error) {
 	return direct(ctx, d, func() (int64, error) {
-		return diameter.Approx(clique.NewDirect(ctx, d.g.AugSemiring(), d.weightMat(), ent.gh, ent.art.Beta, d.workers))
+		return diameter.Approx(clique.NewDirect(ctx, d.augSemiring(), d.weightMat(), ent.gh, ent.art.Beta, d.workers))
 	})
 }
 
@@ -198,7 +216,7 @@ func (d *directExec) knearest(ctx context.Context, k int) (*matrix.Mat[semiring.
 func (d *directExec) sourceDetect(ctx context.Context, inS []bool, dHops, k int) (*matrix.Mat[semiring.WH], func(), Stats, error) {
 	var release func()
 	rows, stats, err := direct(ctx, d, func() (rows *matrix.Mat[semiring.WH], err error) {
-		rows, release, err = disttools.SourceDetectKLent(ctx, d.g.AugSemiring(), d.weightMat(), inS, dHops, k, d.workers)
+		rows, release, err = disttools.SourceDetectKLent(ctx, d.augSemiring(), d.weightMat(), inS, dHops, k, d.workers)
 		return rows, err
 	})
 	return rows, release, stats, err

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/congestedclique/ccsp/internal/graph"
 	"github.com/congestedclique/ccsp/internal/graphgen"
 	"github.com/congestedclique/ccsp/internal/hopset"
 	"github.com/congestedclique/ccsp/internal/stretch"
@@ -136,76 +137,83 @@ func BenchmarkDirectAPSP(b *testing.B) {
 }
 
 // BenchmarkScale is the direct path's n axis, at n = 1024, 4096 and 8192
-// on graphgen.Connected(n, 3n, weights 1-10). An op is a cold
-// NewEngine - the ε = 0.5 hopset build a dynamic rebuild also pays - and
-// build-ns and build-MB are its time and bytes. With the last engine
-// held it reports live-MB, the heap in use after two collections; H/m,
-// the hopset's edges over the graph's; the mean of five warm MSSP calls
-// at q = 1 and q = 8 sources (mssp-q1-ns, mssp-q8-ns) beside its exact
-// twin, q serial graph.Dijkstra runs (exact-q1-ns, exact-q8-ns); and
-// exact-cells, the fraction of the q = 8 answer's reachable cells that
-// equal the exact distance (stretch.Report.Exact; the answer must be
-// within its (1+ε) bound). Skipped under -short: n = 8192 builds take
-// seconds and a few hundred MB each.
+// on graphgen.Connected(n, 3n, weights 1-10), where every served cell is
+// certified (mssp.RunDirect), plus one fallback row, grid=32x32
+// (graphgen.Grid at n = 1024, weights 1-10): its hop depth, 62, passes
+// β = 40, so every MSSP there aborts its searches and runs the β-hop
+// panel. An op is a cold NewEngine - the ε = 0.5 hopset build a dynamic
+// rebuild also pays - and build-ns and build-MB are its time and bytes.
+// With the last engine held it reports live-MB, the heap in use after two
+// collections; H/m, the hopset's edges over the graph's; the mean of five
+// warm MSSP calls at q = 1 and q = 8 sources (mssp-q1-ns, mssp-q8-ns)
+// beside its exact twin, q serial graph.Dijkstra runs (exact-q1-ns,
+// exact-q8-ns); and exact-cells, the fraction of the q = 8 answer's
+// reachable cells that equal the exact distance (stretch.Report.Exact;
+// the answer must be within its (1+ε) bound). Skipped under -short: n =
+// 8192 builds take seconds and a few hundred MB each.
 func BenchmarkScale(b *testing.B) {
 	if testing.Short() {
 		b.Skip("builds engines up to n = 8192")
 	}
-	const reps = 5
 	for _, n := range []int{1024, 4096, 8192} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			ctx := context.Background()
-			g := graphgen.Connected(n, 3*n, graphgen.Weights{Max: 10}, int64(n)+17)
-			gr := &Graph{g: g}
-			var eng *Engine
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng = nil // a build does not hold the last one alive
-				var err error
-				if eng, err = NewEngine(ctx, gr, Options{Epsilon: 0.5, Execution: ExecDirect}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "build-ns")
-			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/1e6, "build-MB")
-			b.ReportMetric(float64(liveBytes())/1e6, "live-MB")
-			b.ReportMetric(float64(eng.PreprocessStats().Builds[0].Edges)/float64(g.M()), "H/m")
-			for _, q := range []int{1, 8} {
-				srcs := make([]int, q)
-				for i := range srcs {
-					srcs[i] = (i*n/q + 1) % n
-				}
-				res, err := eng.MSSP(ctx, srcs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				start := time.Now()
-				for i := 0; i < reps; i++ {
-					if res, err = eng.MSSP(ctx, srcs); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(time.Since(start).Nanoseconds())/reps, fmt.Sprintf("mssp-q%d-ns", q))
-				start = time.Now()
-				for i := 0; i < reps; i++ {
-					for _, s := range res.Sources {
-						g.Dijkstra(s)
-					}
-				}
-				b.ReportMetric(float64(time.Since(start).Nanoseconds())/reps, fmt.Sprintf("exact-q%d-ns", q))
-				if q == 8 {
-					r := stretch.Check(g, res.Sources, res.Dist, stretch.OnePlus(0.5))
-					if err := r.Err(); err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(r.Exact, "exact-cells")
-				}
-			}
+			benchScale(b, graphgen.Connected(n, 3*n, graphgen.Weights{Max: 10}, int64(n)+17))
 		})
+	}
+	b.Run("grid=32x32", func(b *testing.B) {
+		benchScale(b, graphgen.Grid(32, 32, graphgen.Weights{Max: 10}, 1024+17))
+	})
+}
+
+// benchScale is one BenchmarkScale row on g.
+func benchScale(b *testing.B, g *graph.Graph) {
+	const reps = 5
+	ctx, n := context.Background(), g.N
+	gr := &Graph{g: g}
+	var eng *Engine
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng = nil // a build does not hold the last one alive
+		var err error
+		if eng, err = NewEngine(ctx, gr, Options{Epsilon: 0.5, Execution: ExecDirect}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "build-ns")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/1e6, "build-MB")
+	b.ReportMetric(float64(liveBytes())/1e6, "live-MB")
+	b.ReportMetric(float64(eng.PreprocessStats().Builds[0].Edges)/float64(g.M()), "H/m")
+	for _, q := range []int{1, 8} {
+		srcs := spreadSources(n, q)
+		res, err := eng.MSSP(ctx, srcs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		start := time.Now()
+		for i := 0; i < reps; i++ {
+			if res, err = eng.MSSP(ctx, srcs); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(time.Since(start).Nanoseconds())/reps, fmt.Sprintf("mssp-q%d-ns", q))
+		start = time.Now()
+		for i := 0; i < reps; i++ {
+			for _, s := range res.Sources {
+				g.Dijkstra(s)
+			}
+		}
+		b.ReportMetric(float64(time.Since(start).Nanoseconds())/reps, fmt.Sprintf("exact-q%d-ns", q))
+		if q == 8 {
+			r := stretch.Check(g, res.Sources, res.Dist, stretch.OnePlus(0.5))
+			if err := r.Err(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(r.Exact, "exact-cells")
+		}
 	}
 }

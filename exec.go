@@ -42,9 +42,11 @@ type executor interface {
 	// derives what build would have kept (artifactEntry.base and gh),
 	// simExec reads nothing besides the artifact.
 	attach(variant artVariant, ent, sib *artifactEntry)
-	// mssp runs the β-hop source detection on G ∪ H (Theorem 3): the flat
-	// row-major n×|S| plane, cell v·|S|+j holding d̃(v,s) for the j-th
+	// mssp answers the β-hop source detection on G ∪ H (Theorem 3): the
+	// flat row-major n×|S| plane, cell v·|S|+j holding d̃(v,s) for the j-th
 	// source s in ascending order, Unreachable where s does not reach v.
+	// directExec computes it by one search per source over G wherever the
+	// hop certificate proves it the same plane (mssp.RunDirect).
 	// The caller owns the plane: Engine.MSSP serves it under row headers,
 	// Engine.distance reads one cell and releases it (DESIGN.md §13, "the
 	// result path").

@@ -56,6 +56,8 @@ type nearest[E any] struct {
 	mu    sync.Mutex
 	ws    []*searcher[E]
 	taken int // searchers handed out in the running pass
+
+	cert certPass // the running CertifiedPlane pass
 }
 
 // searcher is one pass worker's scratch: a key and a value per node, at
@@ -70,6 +72,8 @@ type searcher[E any] struct {
 	mark []uint64 // kept columns, a bit each, while a row is emitted
 
 	settled, relaxed int64
+
+	certify func(j int) // its CertifiedPlane row, made once
 }
 
 // searched counts the nodes the searches have settled and the arcs they
@@ -169,22 +173,7 @@ func (nb *nearest[E]) pass(ctx context.Context, sr semiring.Ordered[E], w *matri
 	if poll.poll() {
 		return poll.err
 	}
-	total := 0
-	for y, row := range w.Rows {
-		nb.off[y] = int32(total)
-		total += len(row)
-	}
-	nb.off[n] = int32(total)
-	if cap(nb.arcs) < total {
-		nb.arcs = make([]arc, total)
-	}
-	nb.arcs = nb.arcs[:total]
-	for y, row := range w.Rows {
-		as := nb.arcs[nb.off[y]:]
-		for j, e := range row {
-			as[j] = arc{rank: sr.Rank(e.Val), col: e.Col}
-		}
-	}
+	nb.fill(sr, w)
 	nb.k, nb.dec = k, decoder(sr, n)
 	nb.taken = 0
 	matmul.RunRows(n, workers, func() func(int) {
@@ -203,6 +192,27 @@ func (nb *nearest[E]) pass(ctx context.Context, sr semiring.Ordered[E], w *matri
 		s.settled, s.relaxed = 0, 0
 	}
 	return poll.err
+}
+
+// fill lays w out as nb's arcs: row y's entries, ranked under sr, in
+// order.
+func (nb *nearest[E]) fill(sr semiring.Ordered[E], w *matrix.Mat[E]) {
+	total := 0
+	for y, row := range w.Rows {
+		nb.off[y] = int32(total)
+		total += len(row)
+	}
+	nb.off[nb.n] = int32(total)
+	if cap(nb.arcs) < total {
+		nb.arcs = make([]arc, total)
+	}
+	nb.arcs = nb.arcs[:total]
+	for y, row := range w.Rows {
+		as := nb.arcs[nb.off[y]:]
+		for j, e := range row {
+			as[j] = arc{rank: sr.Rank(e.Val), col: e.Col}
+		}
+	}
 }
 
 // decoder returns the value of a key when the semiring's values are their

@@ -32,12 +32,13 @@ import (
 const kernelBlock = 32
 
 // kernelWorkers resolves a worker-count knob: <= 0 means GOMAXPROCS,
-// and the count is capped so no worker would sit idle.
-func kernelWorkers(workers, n int) int {
+// and the count is capped so no worker would sit idle on a pass of n
+// rows claimed block at a time.
+func kernelWorkers(workers, n, block int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if blocks := (n + kernelBlock - 1) / kernelBlock; workers > blocks {
+	if blocks := (n + block - 1) / block; workers > blocks {
 		workers = blocks
 	}
 	if workers < 1 {
@@ -64,9 +65,21 @@ var passes atomic.Int32
 // state and returns the row function; with one the loop runs inline with
 // no goroutines (the serial engine analogue).
 func RunRows(n, workers int, newWorker func() func(row int)) {
+	runBlocks(n, kernelBlock, workers, newWorker)
+}
+
+// RunEach is RunRows for a pass whose every row is a whole search: a
+// worker claims one row at a time, so even a pass of a few rows fans out
+// across the cores its share allows.
+func RunEach(n, workers int, newWorker func() func(row int)) {
+	runBlocks(n, 1, workers, newWorker)
+}
+
+// runBlocks is RunRows with workers claiming block rows at a time.
+func runBlocks(n, block, workers int, newWorker func() func(row int)) {
 	r := int(passes.Add(1))
 	defer passes.Add(-1)
-	w := min(kernelWorkers(workers, n), max(1, runtime.GOMAXPROCS(0)/r))
+	w := min(kernelWorkers(workers, n, block), max(1, runtime.GOMAXPROCS(0)/r))
 	if w == 1 {
 		fn := newWorker()
 		for i := 0; i < n; i++ {
@@ -82,11 +95,11 @@ func RunRows(n, workers int, newWorker func() func(row int)) {
 			defer wg.Done()
 			fn := newWorker()
 			for {
-				lo := int(next.Add(kernelBlock)) - kernelBlock
+				lo := int(next.Add(int64(block))) - block
 				if lo >= n {
 					return
 				}
-				hi := min(lo+kernelBlock, n)
+				hi := min(lo+block, n)
 				for i := lo; i < hi; i++ {
 					fn(i)
 				}

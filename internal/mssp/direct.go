@@ -81,6 +81,32 @@ func RunDirectPanel(ctx context.Context, gh *matrix.Mat[semiring.WH], beta int, 
 	return p, nil
 }
 
+// RunDirect is RunDirectPanel's plane as the engine serves it (DESIGN.md
+// §13, "certified cells"), answered by one lexicographic search per source
+// over w, the weight matrix of the G that gh is G ∪ H of, wherever that is
+// provably the same plane. The certificate lemma: no H edge weighs less
+// than d_G between its endpoints, so d^β_{G∪H} >= d_G; G ⊆ G ∪ H, so where
+// G has a shortest v–s path of h <= β hops, d^β_{G∪H}(v, s) <= d_G(v, s).
+// So a search that settles every node it reaches at a least (W, H) of at
+// most min(β, n) hops has computed the β-hop detection's plane, and
+// certified reports that it served it. The first node settled past that
+// bound stops the searches, and RunDirectPanel computes the whole plane
+// instead. The plane belongs to the caller either way.
+func RunDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh *matrix.Mat[semiring.WH], beta int, inS []bool, workers int) (plane []int64, certified bool, err error) {
+	plane, err = disttools.CertifiedPlane(ctx, sr, w, inS, max(min(beta, gh.N), 1), workers)
+	if err != nil {
+		return nil, false, fmt.Errorf("mssp: certified search: %w", err)
+	}
+	if plane != nil {
+		return plane, true, nil
+	}
+	p, err := RunDirectPanel(ctx, gh, beta, inS, workers)
+	if err != nil {
+		return nil, false, err
+	}
+	return p.W, false, nil
+}
+
 // RunDirectMerged is RunDirectPanel in row form: row v of the result holds
 // (s, w) for every entry (s, (w, h)) of the Dist row RunWithHopset returns
 // at node v against the same artifact, in the same order. Hop counts are
