@@ -363,7 +363,7 @@ func (e *Engine) Epoch() uint64 { return e.epoch }
 func (e *Engine) Options() Options { return e.opts }
 
 // normalizeSources validates and deduplicates a source list, returning
-// the membership vector and the ascending source list.
+// the membership vector (sourceSet's) and the ascending source list.
 func normalizeSources(n int, sources []int) (inS []bool, srcList []int, err error) {
 	inS, err = sourceSet(n, sources)
 	if err != nil {
@@ -376,16 +376,26 @@ func normalizeSources(n int, sources []int) (inS []bool, srcList []int, err erro
 		}
 	}
 	if len(srcList) == 0 {
+		memberships.Put(inS)
 		return nil, nil, fmt.Errorf("%w: empty source set", ErrInvalidSource)
 	}
 	return inS, srcList, nil
 }
 
-// sourceSet validates a source list into its membership vector.
+// memberships recycles source membership vectors. Every one is dead once
+// the executor it was handed to returns - no executor keeps it, and a
+// simulated run returns only after every node has exited - so the engine
+// method that took it puts it back right there.
+var memberships pool.Scratch[bool]
+
+// sourceSet validates a source list into its membership vector, taken from
+// memberships.
 func sourceSet(n int, sources []int) ([]bool, error) {
-	inS := make([]bool, n)
+	inS := memberships.Get(n)
+	clear(inS)
 	for _, s := range sources {
 		if s < 0 || s >= n {
+			memberships.Put(inS)
 			return nil, fmt.Errorf("%w: source %d out of range [0,%d)", ErrInvalidSource, s, n)
 		}
 		inS[s] = true
@@ -398,14 +408,14 @@ func sourceSet(n int, sources []int) ([]bool, error) {
 // construction. Safe to call concurrently; canceling ctx aborts the query
 // run at its next barrier.
 func (e *Engine) MSSP(ctx context.Context, sources []int) (*MSSPResult, error) {
-	res, _, err := e.mssp(ctx, sources)
+	res, _, err := e.mssp(ctx, sources, false)
 	return res, err
 }
 
-// mssp is MSSP plus the plane its Dist rows are cut from, for Plan.Run: a
-// caller that keeps nothing after writing the answer may hand the plane
-// back (Plan.Answer's release; DESIGN.md §13, "the result path").
-func (e *Engine) mssp(ctx context.Context, sources []int) (*MSSPResult, []int64, error) {
+// mssp is MSSP for Plan.runLent: with lend set the answer is lent, and
+// release hands its plane and row headers back (rowsOver; DESIGN.md §13,
+// "the result path"), else it is owned and release is keepAll.
+func (e *Engine) mssp(ctx context.Context, sources []int, lend bool) (_ *MSSPResult, release func(), _ error) {
 	inS, srcList, err := normalizeSources(e.gr.N(), sources)
 	if err != nil {
 		return nil, nil, err
@@ -414,7 +424,8 @@ func (e *Engine) mssp(ctx context.Context, sources []int) (*MSSPResult, []int64,
 	if err != nil {
 		return nil, nil, err
 	}
-	return &MSSPResult{Sources: srcList, Dist: rowsOver(plane, len(srcList)), Stats: stats}, plane, nil
+	rows, release := rowsOver(plane, len(srcList), lend)
+	return &MSSPResult{Sources: srcList, Dist: rows, Stats: stats}, release, nil
 }
 
 // distance is MSSP from the one source from, read at the one node to
@@ -438,8 +449,10 @@ func (e *Engine) distance(ctx context.Context, from, to int) (int64, Stats, erro
 }
 
 // detect runs the β-hop detection from inS on the base hopset and returns
-// the executor's flat n×|S| plane, which the caller owns.
+// the executor's flat n×|S| plane, which the caller owns. inS goes back to
+// memberships on return.
 func (e *Engine) detect(ctx context.Context, inS []bool) ([]int64, Stats, error) {
+	defer memberships.Put(inS)
 	ent, err := e.artifact(ctx, e.baseKey())
 	if err != nil {
 		return nil, Stats{}, err
@@ -453,13 +466,45 @@ func (e *Engine) detect(ctx context.Context, inS []bool) ([]int64, Stats, error)
 
 // rowsOver cuts a row-major plane of q-cell rows into row headers over the
 // plane itself. Each row is capacity-clipped, so an append to one cannot
-// write into the next.
-func rowsOver(flat []int64, q int) [][]int64 {
-	rows := make([][]int64, len(flat)/q)
+// write into the next. With lend set the headers come from rowHeaders and
+// release hands them and the plane back to their pools; else they are
+// allocated to size for an owned answer and release is keepAll.
+func rowsOver(flat []int64, q int, lend bool) ([][]int64, func()) {
+	rows := headers(&rowHeaders, len(flat)/q, lend)
 	for v := range rows {
 		rows[v] = flat[v*q : (v+1)*q : (v+1)*q]
 	}
-	return rows
+	if !lend {
+		return rows, keepAll
+	}
+	return rows, func() {
+		giveHeaders(&rowHeaders, rows)
+		disttools.ReleasePlane(flat)
+	}
+}
+
+// rowHeaders and listHeaders recycle the headers of lent answers: the row
+// headers of an mssp or apsp answer and the list headers of a knearest or
+// source_detection answer.
+var (
+	rowHeaders  pool.Scratch[[]int64]
+	listHeaders pool.Scratch[[]Neighbor]
+)
+
+// headers returns n headers for an answer: taken from p when it is to be
+// lent, allocated to exactly n when it is to be owned.
+func headers[T any](p *pool.Scratch[[]T], n int, lend bool) [][]T {
+	if lend {
+		return p.Get(n)
+	}
+	return make([][]T, n)
+}
+
+// giveHeaders hands a lent answer's headers back to p, cleared first so
+// that a pooled header keeps no buffer it was cut over alive.
+func giveHeaders[T any](p *pool.Scratch[[]T], h [][]T) {
+	clear(h)
+	p.Put(h)
 }
 
 // SSSP answers an exact single-source query (Theorem 33). The shortcut
@@ -505,13 +550,13 @@ func (e *Engine) APSPUnweighted(ctx context.Context) (*APSPResult, error) {
 // apspByVariant answers one concrete (non-auto) APSP variant from the ε/2
 // hopset on G, plus - for the unweighted algorithm only - the one on G'.
 func (e *Engine) apspByVariant(ctx context.Context, v api.APSPVariant) (*APSPResult, error) {
-	res, _, err := e.apsp(ctx, v)
+	res, _, err := e.apsp(ctx, v, false)
 	return res, err
 }
 
-// apsp is apspByVariant plus the n×n table its Dist rows are cut from, for
-// Plan.Run to lend as mssp's plane is lent.
-func (e *Engine) apsp(ctx context.Context, v api.APSPVariant) (*APSPResult, []int64, error) {
+// apsp is apspByVariant for Plan.runLent, its n×n table and row headers
+// lent as mssp's plane and headers are.
+func (e *Engine) apsp(ctx context.Context, v api.APSPVariant, lend bool) (_ *APSPResult, release func(), _ error) {
 	if v != api.APSPWeighted && v != api.APSPWeighted3 && v != api.APSPUnweighted {
 		return nil, nil, fmt.Errorf("%w: unknown apsp variant %q", api.ErrMalformed, v)
 	}
@@ -529,7 +574,8 @@ func (e *Engine) apsp(ctx context.Context, v api.APSPVariant) (*APSPResult, []in
 	if err != nil {
 		return nil, nil, wrapRun(string(v)+" APSP", err)
 	}
-	return &APSPResult{Dist: rowsOver(table, e.gr.N()), Stats: stats}, table, nil
+	rows, release := rowsOver(table, e.gr.N(), lend)
+	return &APSPResult{Dist: rows, Stats: stats}, release, nil
 }
 
 // Diameter answers a near-3/2 diameter query (§7.2) from the cached base
@@ -553,27 +599,25 @@ func (e *Engine) KNearest(ctx context.Context, k int) (*KNearestResult, error) {
 	return res, err
 }
 
-// knearest is KNearest plus the backing its lists are cut from, for
-// Plan.Answer to lend as mssp's plane is lent: with lend set the backing
-// comes from neighborBackings, else it is allocated to size for an owned
-// answer. The kernel's rows go back to the kernel as soon as the lists
-// hold their copy.
-func (e *Engine) knearest(ctx context.Context, k int, lend bool) (*KNearestResult, []Neighbor, error) {
+// knearest is KNearest for Plan.runLent, its lists lent as mssp's rows
+// are (neighborLists). The kernel's rows go back to the kernel as soon as
+// the lists hold their copy.
+func (e *Engine) knearest(ctx context.Context, k int, lend bool) (_ *KNearestResult, release func(), _ error) {
 	if k < 1 {
 		return nil, nil, fmt.Errorf("%w: k must be positive, got %d", ErrInvalidOption, k)
 	}
-	rows, release, stats, err := e.exec.knearest(ctx, k)
+	rows, done, stats, err := e.exec.knearest(ctx, k)
 	if err != nil {
 		return nil, nil, wrapRun("k-nearest", err)
 	}
-	out, backing := neighborLists(rows, lend, func(en matrix.Entry[semiring.WHF]) Neighbor {
+	out, release := neighborLists(rows, lend, func(en matrix.Entry[semiring.WHF]) Neighbor {
 		return Neighbor{Node: int(en.Col), Dist: en.Val.W, Hops: int(en.Val.H), FirstHop: int(en.Val.FH)}
 	})
-	release()
+	done()
 	for _, nb := range out {
 		slices.SortFunc(nb, nearestFirst)
 	}
-	return &KNearestResult{Neighbors: out, Stats: stats}, backing, nil
+	return &KNearestResult{Neighbors: out, Stats: stats}, release, nil
 }
 
 // nearestFirst orders a k-nearest list by (Dist, Hops, Node).
@@ -586,12 +630,13 @@ func nearestFirst(a, b Neighbor) int {
 var neighborBackings pool.Scratch[Neighbor]
 
 // neighborLists shapes sparse result rows into per-node neighbor lists in
-// row order, all cut from one backing array sized from the row lengths -
-// taken from neighborBackings when the answer is to be lent, allocated to
-// exactly that size when it is to be owned - and returns the lists and that
-// backing. Each list is capacity-clipped (an append to one cannot write
-// into the next), and an empty one stays non-nil so it still encodes as [].
-func neighborLists[E any](rows *matrix.Mat[E], lend bool, of func(matrix.Entry[E]) Neighbor) ([][]Neighbor, []Neighbor) {
+// row order, all cut from one backing array sized from the row lengths.
+// Each list is capacity-clipped (an append to one cannot write into the
+// next), and an empty one stays non-nil so it still encodes as []. With
+// lend set the backing comes from neighborBackings and the list headers
+// from listHeaders, and release hands both back; else both are allocated
+// to size for an owned answer and release is keepAll.
+func neighborLists[E any](rows *matrix.Mat[E], lend bool, of func(matrix.Entry[E]) Neighbor) ([][]Neighbor, func()) {
 	total := 0
 	for _, row := range rows.Rows {
 		total += len(row)
@@ -603,7 +648,7 @@ func neighborLists[E any](rows *matrix.Mat[E], lend bool, of func(matrix.Entry[E
 	if backing == nil {
 		backing = make([]Neighbor, 0, total)
 	}
-	out := make([][]Neighbor, len(rows.Rows))
+	out := headers(&listHeaders, len(rows.Rows), lend)
 	for v, row := range rows.Rows {
 		start := len(backing)
 		for _, en := range row {
@@ -611,7 +656,13 @@ func neighborLists[E any](rows *matrix.Mat[E], lend bool, of func(matrix.Entry[E
 		}
 		out[v] = backing[start:len(backing):len(backing)]
 	}
-	return out, backing
+	if !lend {
+		return out, keepAll
+	}
+	return out, func() {
+		giveHeaders(&listHeaders, out)
+		neighborBackings.Put(backing)
+	}
 }
 
 // SourceDetection answers an (S, d, k)-source detection query
@@ -624,9 +675,9 @@ func (e *Engine) SourceDetection(ctx context.Context, sources []int, d, k int) (
 	return res, err
 }
 
-// sourceDetection is SourceDetection plus the backing its lists are cut
-// from, taken and lent as knearest's.
-func (e *Engine) sourceDetection(ctx context.Context, sources []int, d, k int, lend bool) (*SourceDetectionResult, []Neighbor, error) {
+// sourceDetection is SourceDetection for Plan.runLent, its lists lent as
+// knearest's are.
+func (e *Engine) sourceDetection(ctx context.Context, sources []int, d, k int, lend bool) (_ *SourceDetectionResult, release func(), _ error) {
 	if d < 1 || k < 1 {
 		return nil, nil, fmt.Errorf("%w: d and k must be positive (d=%d, k=%d)", ErrInvalidOption, d, k)
 	}
@@ -635,15 +686,16 @@ func (e *Engine) sourceDetection(ctx context.Context, sources []int, d, k int, l
 	if err != nil {
 		return nil, nil, err
 	}
-	rows, release, stats, err := e.exec.sourceDetect(ctx, inS, min(d, n), k)
+	rows, done, stats, err := e.exec.sourceDetect(ctx, inS, min(d, n), k)
+	memberships.Put(inS)
 	if err != nil {
 		return nil, nil, wrapRun("source detection", err)
 	}
-	out, backing := neighborLists(rows, lend, func(en matrix.Entry[semiring.WH]) Neighbor {
+	out, release := neighborLists(rows, lend, func(en matrix.Entry[semiring.WH]) Neighbor {
 		return Neighbor{Node: int(en.Col), Dist: en.Val.W, Hops: int(en.Val.H), FirstHop: -1}
 	})
-	release()
-	return &SourceDetectionResult{Detected: out, Stats: stats}, backing, nil
+	done()
+	return &SourceDetectionResult{Detected: out, Stats: stats}, release, nil
 }
 
 // oneShot runs a single query on a fresh lazy Engine and has fold add the

@@ -1,7 +1,8 @@
 // Package pool holds Scratch, the size-classed buffer pool every layer that
 // recycles a large flat buffer shares: the detection planes of disttools,
-// the engine's lent neighbor backings, the client's large response bodies
-// and the daemon's encode buffers (DESIGN.md §13, "who owns which buffer").
+// the engine's lent neighbor backings, row and list headers and source
+// membership vectors, the client's large response bodies and the daemon's
+// encode buffers (DESIGN.md §13, "who owns which buffer").
 package pool
 
 import (
@@ -19,6 +20,10 @@ import (
 // ready to use.
 type Scratch[T any] struct {
 	classes [bits.UintSize]sync.Pool
+	// boxes recycles the *[]T a class stores its slices in: boxing a
+	// fresh &b on every Put would allocate one, so a warm Get/Put pair
+	// allocates nothing.
+	boxes sync.Pool
 }
 
 // Get returns a buffer of length n whose elements are arbitrary: the
@@ -27,8 +32,13 @@ func (s *Scratch[T]) Get(n int) []T {
 	if n == 0 {
 		return nil
 	}
-	if b, _ := s.classes[bits.Len(uint(n))-1].Get().(*[]T); b != nil && cap(*b) >= n {
-		return (*b)[:n]
+	if box, _ := s.classes[bits.Len(uint(n))-1].Get().(*[]T); box != nil {
+		b := *box
+		*box = nil
+		s.boxes.Put(box)
+		if cap(b) >= n {
+			return b[:n]
+		}
 	}
 	return make([]T, n)
 }
@@ -38,7 +48,12 @@ func (s *Scratch[T]) Put(b []T) {
 	if cap(b) == 0 {
 		return
 	}
-	s.classes[bits.Len(uint(cap(b)))-1].Put(&b)
+	box, _ := s.boxes.Get().(*[]T)
+	if box == nil {
+		box = new([]T)
+	}
+	*box = b
+	s.classes[bits.Len(uint(cap(b)))-1].Put(box)
 }
 
 // Ceiling is the largest length of n's class, 2^(⌊log₂ n⌋+1) − 1: a caller

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/congestedclique/ccsp/api"
-	"github.com/congestedclique/ccsp/internal/disttools"
 )
 
 // Plan is the executable form of one api.Request on one engine: the
@@ -76,14 +75,14 @@ func (p Plan) Run(ctx context.Context) (*api.Response, error) {
 	return resp, err
 }
 
-// runLent is Run plus the release of the buffer the response's one large
-// field is cut from: an mssp or apsp answer's detection plane or estimate
-// table goes back to the kernels' pool, a knearest or source_detection
-// answer's neighbor backing to neighborBackings, and every other kind has
-// nothing to give (keepAll). Nobody else holds the buffer, so a caller that
-// keeps nothing once the response is written may call it (Answer's
-// release). lend says whether it will: a neighbor backing is taken from
-// neighborBackings only then, and allocated to size for an owned answer.
+// runLent is Run, lent when lend is set: the response's one large field -
+// an mssp or apsp answer's rows over the detection plane or estimate
+// table, a knearest or source_detection answer's lists over their neighbor
+// backing - is cut from buffers and headers taken from the pools, and
+// release hands them all back (Answer's release). Nobody else holds them,
+// so a caller that keeps nothing once the response is written may call
+// it. Without lend the answer is owned, allocated to size, and release is
+// keepAll, as it is for every other kind.
 func (p Plan) runLent(ctx context.Context, lend bool) (*api.Response, func(), error) {
 	e, req := p.eng, p.run
 	defer observeQuery(time.Now())
@@ -102,19 +101,19 @@ func (p Plan) runLent(ctx context.Context, lend bool) (*api.Response, func(), er
 		resp.SSSP = &api.SSSPResult{Source: res.Source, Dist: wireVec(res.Dist), Iterations: res.Iterations}
 		stats = res.Stats
 	case api.KindMSSP:
-		res, plane, err := e.mssp(ctx, req.MSSP.Sources)
+		res, lent, err := e.mssp(ctx, req.MSSP.Sources, lend)
 		if err != nil {
 			return nil, nil, err
 		}
 		resp.MSSP = &api.MSSPResult{Sources: res.Sources, Dist: wireMat(res.Dist)}
-		stats, release = res.Stats, func() { disttools.ReleasePlane(plane) }
+		stats, release = res.Stats, lent
 	case api.KindAPSP:
-		res, table, err := e.apsp(ctx, req.APSP.Variant)
+		res, lent, err := e.apsp(ctx, req.APSP.Variant, lend)
 		if err != nil {
 			return nil, nil, err
 		}
 		resp.APSP = &api.APSPResult{Variant: req.APSP.Variant, Dist: wireMat(res.Dist)}
-		stats, release = res.Stats, func() { disttools.ReleasePlane(table) }
+		stats, release = res.Stats, lent
 	case api.KindDiameter:
 		res, err := e.Diameter(ctx)
 		if err != nil {
@@ -123,20 +122,20 @@ func (p Plan) runLent(ctx context.Context, lend bool) (*api.Response, func(), er
 		resp.Diameter = &api.DiameterResult{Estimate: res.Estimate}
 		stats = res.Stats
 	case api.KindKNearest:
-		res, backing, err := e.knearest(ctx, req.KNearest.K, lend)
+		res, lent, err := e.knearest(ctx, req.KNearest.K, lend)
 		if err != nil {
 			return nil, nil, err
 		}
 		resp.KNearest = &api.KNearestResult{K: req.KNearest.K, Neighbors: res.Neighbors}
-		stats, release = res.Stats, func() { neighborBackings.Put(backing) }
+		stats, release = res.Stats, lent
 	case api.KindSourceDetection:
 		q := req.SourceDetection
-		res, backing, err := e.sourceDetection(ctx, q.Sources, q.D, q.K, lend)
+		res, lent, err := e.sourceDetection(ctx, q.Sources, q.D, q.K, lend)
 		if err != nil {
 			return nil, nil, err
 		}
 		resp.SourceDetection = &api.SourceDetectionResult{D: q.D, K: q.K, Detected: res.Detected}
-		stats, release = res.Stats, func() { neighborBackings.Put(backing) }
+		stats, release = res.Stats, lent
 	}
 	resp.Stats = wireStats(stats)
 	return resp, release, nil
@@ -180,12 +179,13 @@ func (p Plan) FinishDistance(d int64, stats *api.Stats, cached bool) api.Respons
 // The answer is lent: release, nil exactly when err is not, hands an mssp
 // answer's detection plane or an apsp answer's estimate table back to the
 // kernels' pool and a knearest or source_detection answer's neighbor
-// backing back to the engine's, and does nothing for the other kinds. Call
-// it at most once, after the last read of the response - from then on its
-// rows are another query's scratch. Not calling it is always safe: the
-// answer is then owned like any Engine result, though a neighbor backing
-// taken from the pool may be up to twice as large as the lists need
-// (Engine.Query goes through answer, which takes nothing from the pool).
+// backing back to the engine's, each with the row or list headers cut over
+// it, and does nothing for the other kinds. Call it at most once, after
+// the last read of the response - from then on its rows are another
+// query's scratch. Not calling it is always safe: the answer is then owned
+// like any Engine result, though a buffer or headers taken from a pool may
+// be up to twice as large as the answer needs (Engine.Query goes through
+// answer, which takes nothing from a pool).
 func (p Plan) Answer(ctx context.Context) (resp *api.Response, release func(), err error) {
 	return p.answer(ctx, true)
 }

@@ -13,8 +13,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"github.com/congestedclique/ccsp/api"
+	"github.com/congestedclique/ccsp/internal/cc"
+	"github.com/congestedclique/ccsp/internal/matrix"
+	"github.com/congestedclique/ccsp/internal/semiring"
 )
 
 // TestQueryAllocsIndependentOfN pins the result path's O(1) shape
@@ -68,12 +72,12 @@ func TestQueryAllocsIndependentOfN(t *testing.T) {
 // TestMSSPKernelBytes pins what a warm direct-mode MSSP allocates in
 // bytes (DESIGN.md §13, "who owns which buffer"): the n·q·8-byte answer
 // plane, the n row headers over it (24 bytes each, plus the up to 1/8 the
-// allocator's size classes round a slice of that size up by), the
-// engine's n-byte membership vector, and a slack of 2 KiB for everything
-// that does not grow with n - the q source IDs, the result and its Stats,
-// the sweeps' closures. A second plane (n·q·8) coming back into the
-// kernel breaks it at every size below, an n-sized index or source vector
-// (n·4) at n = 1024.
+// allocator's size classes round a slice of that size up by), and a slack
+// of 2 KiB for everything that does not grow with n - the q source IDs,
+// the result and its Stats, the sweeps' closures. The engine's membership
+// vector comes from its pool (memberships). A second plane (n·q·8) coming
+// back into the kernel breaks it at every size below, an n-sized index or
+// source vector (n·4) at n = 1024.
 //
 // The test runs on one P with the collector off (both restored on
 // cleanup; an explicit collection drops each engine build's garbage): a
@@ -102,9 +106,9 @@ func TestMSSPKernelBytes(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if budget := uint64(n*q*8 + n*27 + n + slack); got > budget {
-				t.Errorf("n=%d q=%d: a warm MSSP allocates %d bytes, want <= %d (answer %d + row headers %d + membership %d + slack %d)",
-					n, q, got, budget, n*q*8, n*27, n, slack)
+			if budget := uint64(n*q*8 + n*27 + slack); got > budget {
+				t.Errorf("n=%d q=%d: a warm MSSP allocates %d bytes, want <= %d (answer %d + row headers %d + slack %d)",
+					n, q, got, budget, n*q*8, n*27, slack)
 			}
 		}
 	}
@@ -146,14 +150,16 @@ func spreadSources(n, q int) []int {
 }
 
 // TestDistanceKernelBytes pins what a warm direct-mode distance allocates
-// in bytes (DESIGN.md §13, "a point answer reads one cell"): the engine's
-// n-byte membership vector and 4 KiB for everything that does not grow
-// with n - the plan, the response, the Stats, the sweeps' closures. The
-// detection plane goes back to the pool once its one cell is read, so a
-// warm call takes both its planes from there; shaping the n×1 answer (an
-// 8·n plane kept plus 24·n of row headers, as before the one-cell read)
-// breaks it at both sizes. Same harness as TestMSSPKernelBytes: one P,
-// collector off, the mean of 20 calls.
+// in bytes (DESIGN.md §13, "a point answer reads one cell"): 4 KiB for
+// everything that does not grow with n - the plan, the response, the
+// Stats, the sweeps' closures - and nothing that does. The detection plane
+// goes back to the pool once its one cell is read, and the membership
+// vector once the detection returns, so a warm call takes all three from
+// there (measured: 544 bytes at both sizes; TestDirectCertifiedAllocs
+// counts the vector); shaping the n×1 answer (an 8·n plane kept plus 24·n
+// of row headers, as before the one-cell read) breaks it at both sizes.
+// Same harness as TestMSSPKernelBytes: one P, collector off, the mean of
+// 20 calls.
 func TestDistanceKernelBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector: the detection planes are not reliably warm")
@@ -173,8 +179,8 @@ func TestDistanceKernelBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if budget := uint64(n + slack); got > budget {
-			t.Errorf("n=%d: a warm distance allocates %d bytes, want <= %d (membership %d + slack %d)", n, got, budget, n, slack)
+		if got > slack {
+			t.Errorf("n=%d: a warm distance allocates %d bytes, want <= %d", n, got, slack)
 		}
 	}
 }
@@ -297,8 +303,9 @@ func TestDistancePlaneRecycled(t *testing.T) {
 // four goroutines answer mssp (q = 1, 8 and n - the last a plane the size
 // of the n×n table), all three apsp variants, a distance, knearest at
 // k = 4…11 and a source detection through Plan.Answer on one direct
-// engine, each read before its release, while one of them also takes and
-// holds owned Engine.MSSP, Engine.APSP, Engine.KNearest and
+// engine, each read before its release - which hands back its plane or
+// backing and the row or list headers cut over it - while one of them
+// also takes and holds owned Engine.MSSP, Engine.APSP, Engine.KNearest and
 // Engine.SourceDetection answers. Every lent answer equals a cold
 // engine's, and so does every held answer after all the releases.
 // internal/server has its namesake for the daemon's release point.
@@ -489,18 +496,18 @@ func apspScratchBudget(n int) uint64 {
 }
 
 // TestLentAnswerBytes pins what lending saves (DESIGN.md §13, "the result
-// path"): a warm Plan.Answer followed by its release allocates neither a
-// plane nor a table. An mssp at q = 8 allocates the n row headers over its
-// plane (24 bytes each, plus the size-class rounding TestMSSPKernelBytes
-// allows: n·27), the engine's n-byte membership vector and 4 KiB for what
-// does not grow with n - the response, the source list, the sweeps'
-// closures, the release - measured as TestMSSPKernelBytes does; a
-// weighted apsp allocates TestAPSPKernelBytes' budget less the n²·8-byte
-// table, the least of five calls (warmBytes); a knearest at k = 4 and 11
-// allocates its n list headers (n·27) and 4 KiB, measured as the mssp:
-// 28 976 bytes at n = 1024, k = 11, against 389 192 owned. An answer that
-// is not given back breaks all three, the mssp by its n·q·8-byte plane, the
-// knearest by its 32·n·k-byte neighbor backing.
+// path"): a warm Plan.Answer followed by its release allocates nothing
+// that grows with n - neither a plane or table nor a neighbor backing, nor
+// the row or list headers over them, nor a membership vector. An mssp at
+// q = 8, a knearest at k = 4 and 11 and a source detection each allocate
+// at most 4 KiB, the same at both sizes - the response, the source list,
+// the sweeps' closures, the release - measured as TestMSSPKernelBytes
+// does (816, 960, 960 and 1 636 bytes at both sizes); a weighted apsp
+// allocates TestAPSPKernelBytes' budget less the n²·8-byte table and the
+// n·27 of its row headers, the least of five calls (warmBytes). An answer that is not given back breaks every one, the
+// mssp by its n·q·8-byte plane, a neighbor list by its 32·n·k-byte
+// backing, and headers that are not given back break the four flat ones
+// at n = 1024 (24 KiB).
 func TestLentAnswerBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector: a released buffer is not reliably pooled")
@@ -526,16 +533,23 @@ func TestLentAnswerBytes(t *testing.T) {
 				release()
 			}
 		}
-		if got, budget := meanWarmBytes(answer(api.MSSP(spreadSources(n, 8)...))), uint64(n*27+n+4<<10); got > budget {
-			t.Errorf("n=%d: a warm lent mssp q=8 allocates %d bytes, want <= %d (row headers %d + membership %d + 4 KiB)", n, got, budget, n*27, n)
-		}
-		if got, budget := warmBytes(5, answer(api.APSP(api.APSPWeighted))), apspScratchBudget(n); got > budget {
-			t.Errorf("n=%d: a warm lent apsp allocates %d bytes, want <= %d (TestAPSPKernelBytes' budget without the %d-byte table)", n, got, budget, n*n*8)
-		}
-		for _, k := range []int{4, 11} {
-			if got, budget := meanWarmBytes(answer(api.KNearest(k))), uint64(n*27+4<<10); got > budget {
-				t.Errorf("n=%d: a warm lent knearest k=%d allocates %d bytes, want <= %d (list headers %d + 4 KiB)", n, k, got, budget, n*27)
+		const flat = 4 << 10
+		for _, tc := range []struct {
+			name string
+			req  api.Request
+		}{
+			{"mssp q=8", api.MSSP(spreadSources(n, 8)...)},
+			{"knearest k=4", api.KNearest(4)},
+			{"knearest k=11", api.KNearest(11)},
+			{"source_detection", api.SourceDetection(spreadSources(n, 5), 6, 3)},
+		} {
+			if got := meanWarmBytes(answer(tc.req)); got > flat {
+				t.Errorf("n=%d: a warm lent %s allocates %d bytes, want <= %d", n, tc.name, got, flat)
 			}
+		}
+		if got, budget := warmBytes(5, answer(api.APSP(api.APSPWeighted))), apspScratchBudget(n)-uint64(n*27); got > budget {
+			t.Errorf("n=%d: a warm lent apsp allocates %d bytes, want <= %d (TestAPSPKernelBytes' budget without the %d-byte table and the %d of row headers)",
+				n, got, budget, n*n*8, n*27)
 		}
 	}
 }
@@ -569,6 +583,52 @@ func TestKNearestKernelBytes(t *testing.T) {
 				t.Errorf("n=%d k=%d: a warm k-nearest allocates %d bytes, want <= %d (answer 32·n·k %d + list headers %d + 4 KiB)",
 					n, k, got, budget, 32*n*k, 27*n)
 			}
+		}
+	}
+}
+
+// TestSSSPKernelBytes pins what a warm direct-mode exact SSSP allocates
+// (Theorem 33): it builds the k-shortcut graph, k = ⌈n^{5/6}⌉, so its
+// bytes grow as n·k ≈ n^{11/6} - 47.7 MB at n = 1024 - and nothing caps
+// them yet (ROADMAP item 8); this keeps them from growing unseen. Each of
+// the at most n·k shortcuts is an outgoing packet, a delivered message
+// and two shortcut-row entries (the k-nearest entry and the routed one):
+// 48 + 40 + 2·24 bytes, plus the allocator's up to 1/8 of rounding. Each
+// row also copies G's row (2m + n entries of 24 bytes, rounded the same),
+// each Bellman-Ford iteration broadcasts an n-vector, 128·n covers the
+// n-sized headers and vectors and 16 KiB what does not grow. Measured
+// (least of three): 3.91 MB of 4.10 allowed at n = 256, 13.66 of 14.46 at
+// n = 512. A second copy of the shortcut rows (24·n·k) breaks it, and so
+// does a search state that is not given back.
+func TestSSSPKernelBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector: the k-nearest search state is not reliably warm")
+	}
+	onePNoGC(t)
+	ctx := context.Background()
+	perShortcut := unsafe.Sizeof(cc.Packet{}) + unsafe.Sizeof(cc.Msg{}) + 2*unsafe.Sizeof(matrix.Entry[semiring.WH]{})
+	entry := unsafe.Sizeof(matrix.Entry[semiring.WH]{})
+	for _, n := range []int{256, 512} {
+		m := 3 * n
+		eng, err := NewEngine(ctx, testGraph(n, m, 10, int64(n)), Options{Epsilon: 0.5, Execution: ExecDirect, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		iters := 0
+		got := warmBytes(3, func() {
+			res, err := eng.SSSP(ctx, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			iters = res.Iterations
+		})
+		k := int(math.Ceil(math.Pow(float64(n), 5.0/6.0)))
+		shortcuts := uint64(n*k) * uint64(perShortcut) * 9 / 8
+		graphRows := uint64(2*m+n) * uint64(entry) * 9 / 8
+		if budget := shortcuts + graphRows + uint64(iters*n*8+128*n+16<<10); got > budget {
+			t.Errorf("n=%d k=%d: a warm exact SSSP allocates %d bytes, want <= %d (shortcuts %d + G's rows %d + %d broadcasts + 128·n + 16 KiB)",
+				n, k, got, budget, shortcuts, graphRows, iters)
 		}
 	}
 }
