@@ -2,11 +2,14 @@ package ccsp
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"slices"
 	"testing"
 
+	"github.com/congestedclique/ccsp/api"
 	"github.com/congestedclique/ccsp/internal/cc"
 	"github.com/congestedclique/ccsp/internal/graph"
 	"github.com/congestedclique/ccsp/internal/graphgen"
@@ -145,6 +148,63 @@ func TestSection7RoundCap(t *testing.T) {
 		capped.MaxRounds--
 		if _, err := q.run(&simExec{g: sh.g, opts: capped}); !errors.Is(err, cc.ErrRoundLimit) {
 			t.Errorf("%s: MaxRounds = %d, one below its rounds: got %v, want ErrRoundLimit", q.name, capped.MaxRounds, err)
+		}
+	}
+}
+
+// tableSum is an FNV-1a checksum of an estimate table, row by row.
+func tableSum(rows [][]int64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, r := range rows {
+		for _, d := range r {
+			binary.LittleEndian.PutUint64(b[:], uint64(d))
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// TestSection6Deterministic: the three simulated §6 APSP variants - the
+// (2+ε, (1+ε)W) of Theorem 28 and the (3+ε) of §6.1 on every §7 shape,
+// the (2+ε) of Theorem 31 on the unit-weight one - answer the same twice,
+// and their tables and Stats are the pinned ones: a checksum of the
+// table, the rounds, messages and charged rounds per tag.
+func TestSection6Deterministic(t *testing.T) {
+	want := map[string]struct {
+		sum   uint64
+		stats string
+	}{
+		"random/weighted":  {0xb986ee256e079ee5, "n=40 rounds=2424 (sim=557 charged=1867) msgs=1117008 words=4468032 charged=map[hitting-set:15 route:1108 sort:744]"},
+		"random/weighted3": {0xcc4dd310c17c8255, "n=40 rounds=2389 (sim=545 charged=1844) msgs=1094476 words=4377904 charged=map[hitting-set:15 route:1094 sort:735]"},
+		"path/weighted":    {0x78fb678e9718f025, "n=32 rounds=1889 (sim=447 charged=1442) msgs=645452 words=2581808 charged=map[hitting-set:13 route:835 sort:594]"},
+		"path/weighted3":   {0x810eaf446be0d0ef, "n=32 rounds=1855 (sim=435 charged=1420) msgs=631984 words=2527936 charged=map[hitting-set:13 route:822 sort:585]"},
+		"cycle/weighted":   {0xa7b9684167ac0b05, "n=30 rounds=1815 (sim=418 charged=1397) msgs=492305 words=1969220 charged=map[hitting-set:13 route:829 sort:555]"},
+		"cycle/weighted3":  {0xdd8e61d28f6dab19, "n=30 rounds=1781 (sim=406 charged=1375) msgs=480121 words=1920484 charged=map[hitting-set:13 route:816 sort:546]"},
+		"cycle/unweighted": {0x2f69862e24342285, "n=30 rounds=2128 (sim=440 charged=1688) msgs=611355 words=2445420 charged=map[hitting-set:26 route:1095 sort:567]"},
+	}
+	ctx := context.Background()
+	for _, sh := range section7Shapes {
+		eng, err := NewEngine(ctx, &Graph{g: sh.g}, Options{Epsilon: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		variants := []api.APSPVariant{api.APSPWeighted, api.APSPWeighted3}
+		if sh.g.MaxW() == 1 {
+			variants = append(variants, api.APSPUnweighted)
+		}
+		for _, v := range variants {
+			name := sh.name + "/" + string(v)
+			w := want[name]
+			for range 2 {
+				res, err := eng.apspByVariant(ctx, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sum, got := tableSum(res.Dist), statsLine(res.Stats); sum != w.sum || got != w.stats {
+					t.Errorf("%s: table %#x with %q, want %#x with %q", name, sum, got, w.sum, w.stats)
+				}
+			}
 		}
 	}
 }
