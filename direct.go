@@ -21,8 +21,8 @@ import (
 // directExec is the ExecDirect backend (DESIGN.md §12): every step is
 // computed on flat host-side matrices with the matmul kernels, bypassing
 // the per-node simulator. Each method mirrors its simExec sibling step by
-// step, or, for the §7 theorems, runs the same body over a clique.Direct,
-// and hands back the kernels' own matrix; Stats carry no rounds or
+// step, or, for the §6 and §7 algorithms, runs the same body over a
+// clique.Direct, and hands back the kernels' own matrix; Stats carry no rounds or
 // messages, only the wall-clock cost. The weight matrix and its routed
 // (first-hop witness) sibling are materialized once on first use and
 // immutable afterwards (the graph does not change after newEngine).
@@ -72,17 +72,6 @@ func (d *directExec) routedMat() *matrix.Mat[semiring.WHF] {
 	return d.routed
 }
 
-// lowDegree returns the §6.3 low-degree subgraph G' of w under the
-// broadcast degree vector degs.
-func lowDegree(w *matrix.Mat[semiring.WH], degs []int64) *matrix.Mat[semiring.WH] {
-	k := apsp.DegreeThreshold(w.N)
-	low := matrix.New[semiring.WH](w.N)
-	for v := range low.Rows {
-		low.Rows[v] = apsp.LowDegreeRow(v, w.Rows[v], degs, k)
-	}
-	return low
-}
-
 // attach derives a loaded entry's query matrices before it is published:
 // the weight matrix the artifact was built on (G, or the low-degree
 // subgraph G' for artLowDegree, reconstructed from the entry's degs
@@ -94,7 +83,7 @@ func lowDegree(w *matrix.Mat[semiring.WH], degs []int64) *matrix.Mat[semiring.WH
 func (d *directExec) attach(variant artVariant, ent, sib *artifactEntry) {
 	ent.base = d.weightMat()
 	if variant == artLowDegree {
-		ent.base, sib = lowDegree(ent.base, ent.degs), nil
+		ent.base, sib = apsp.LowDegree(ent.base, ent.degs), nil
 	}
 	var sibArt *hopset.Artifact
 	var sibGH *matrix.Mat[semiring.WH]
@@ -107,8 +96,7 @@ func (d *directExec) attach(variant artVariant, ent, sib *artifactEntry) {
 // direct is the frame around every kernel call: refuse a context that is
 // already dead (the kernels only poll between product iterations), time the
 // call, and report the wall-clock as the run's Stats - no rounds, no
-// messages, the maps empty rather than nil so snapshots round-trip
-// losslessly.
+// messages, so no charged or phase breakdown either (nil).
 func direct[T any](ctx context.Context, d *directExec, kernel func() (T, error)) (T, Stats, error) {
 	if err := ctx.Err(); err != nil {
 		var zero T
@@ -119,8 +107,6 @@ func direct[T any](ctx context.Context, d *directExec, kernel func() (T, error))
 	return out, Stats{
 		Nodes:          d.g.N,
 		Exec:           ExecDirect,
-		ChargedRounds:  map[string]int{},
-		PhaseRounds:    map[string]int{},
 		CollectiveTime: map[string]time.Duration{"direct": time.Since(start)},
 	}, err
 }
@@ -145,7 +131,7 @@ func (d *directExec) build(ctx context.Context, key artifactKey, sib *artifactEn
 			for v := range ent.degs {
 				ent.degs[v] = int64(len(ent.base.Rows[v])) // the row includes the diagonal: |N(v)|
 			}
-			ent.base = lowDegree(ent.base, ent.degs)
+			ent.base = apsp.LowDegree(ent.base, ent.degs)
 		}
 		art, ent.gh, err = hopset.BuildDirectFrom(ctx, d.augSemiring(), ent.base, key.params, sibArt, sibGH, d.workers)
 		return art, err
@@ -180,26 +166,25 @@ func (d *directExec) sssp(ctx context.Context, source int) ([]int64, int, Stats,
 	return dist, iters, stats, err
 }
 
-// apsp hands back the kernel's own estimate table, rest state
+// apsp hands back the body's own estimate table, rest state
 // semiring.Inf, so - as for mssp's plane - no cell is copied.
 func (d *directExec) apsp(ctx context.Context, v api.APSPVariant, entG, entLow *artifactEntry) ([]int64, Stats, error) {
 	return direct(ctx, d, func() ([]int64, error) {
-		sr, w := d.augSemiring(), d.weightMat()
-		switch v {
-		case api.APSPWeighted:
-			return apsp.TwoPlusEpsWeightedDirect(ctx, sr, w, entG.gh, entG.art.Beta, d.workers)
-		case api.APSPWeighted3:
-			return apsp.ThreePlusEpsDirect(ctx, sr, w, entG.gh, entG.art.Beta, d.workers)
-		default:
-			return apsp.TwoPlusEpsUnweightedDirect(ctx, sr, w, entG.gh, entG.art.Beta, entLow.base, entLow.gh, entLow.art.Beta, d.workers)
+		var low clique.Clique
+		if entLow != nil {
+			low = d.clique(ctx, entLow)
 		}
+		return apspOn(v, d.clique(ctx, entG), entG.base, low)
 	})
 }
 
 func (d *directExec) diameter(ctx context.Context, ent *artifactEntry) (int64, Stats, error) {
-	return direct(ctx, d, func() (int64, error) {
-		return diameter.Approx(clique.NewDirect(ctx, d.augSemiring(), d.weightMat(), ent.gh, ent.art.Beta, d.workers))
-	})
+	return direct(ctx, d, func() (int64, error) { return diameter.Approx(d.clique(ctx, ent)) })
+}
+
+// clique is the host clique on ent's base, detecting over its G ∪ H.
+func (d *directExec) clique(ctx context.Context, ent *artifactEntry) *clique.Direct {
+	return clique.NewDirect(ctx, d.augSemiring(), ent.base, ent.gh, ent.art.Beta, d.workers)
 }
 
 // knearest lends the k-nearest search's own slab; release hands its

@@ -71,11 +71,11 @@ type executor interface {
 	sourceDetect(ctx context.Context, inS []bool, d, k int) (*matrix.Mat[semiring.WH], func(), Stats, error)
 }
 
-// simExec is the round-accurate backend: a build, APSP or neighbour query
-// is one cc.Run of the per-node collective program, each node writing its
-// row into a shared matrix (disjoint writes); MSSP and the §7 theorems run
-// over a clique.Sim, one run per primitive. Stats are the runs' rounds
-// and messages.
+// simExec is the round-accurate backend: a build or neighbour query is
+// one cc.Run of the per-node collective program, each node writing its
+// row into a shared matrix (disjoint writes); MSSP and the §6 and §7
+// algorithms run over a clique.Sim, one run per primitive. Stats are the
+// runs' rounds and messages.
 type simExec struct {
 	g    *graph.Graph
 	opts Options
@@ -131,30 +131,27 @@ func (s *simExec) sssp(ctx context.Context, source int) ([]int64, int, Stats, er
 	return dist, iters, statsFrom(c.Stats), err
 }
 
-// apsp has every node write its estimate row into its own row of one
-// flat table (disjoint writes), so the answer crosses the seam in the
-// direct backend's form.
 func (s *simExec) apsp(ctx context.Context, v api.APSPVariant, entG, entLow *artifactEntry) ([]int64, Stats, error) {
-	n := s.g.N
-	sr := s.g.AugSemiring()
-	eps := s.opts.Epsilon
-	boards := hitting.NewBoardSeq(n)
-	table := make([]int64, n*n)
-	stats, err := s.run(ctx, func(nd *cc.Node) (err error) {
-		var est []int64
-		wrow := s.g.WeightRow(nd.ID)
-		switch v {
-		case api.APSPWeighted:
-			est, err = apsp.TwoPlusEpsWeightedWithHopset(nd, sr, wrow, eps, boards, entG.art.At(nd.ID))
-		case api.APSPWeighted3:
-			est, err = apsp.ThreePlusEpsWithHopset(nd, sr, wrow, eps, boards, entG.art.At(nd.ID))
-		default:
-			est, err = apsp.TwoPlusEpsUnweightedWithHopsets(nd, sr, wrow, eps, boards, entLow.degs, entG.art.At(nd.ID), entLow.art.At(nd.ID))
-		}
-		copy(table[nd.ID*n:], est)
-		return err
-	})
-	return table, stats, err
+	w := s.g.WeightMatrix()
+	c := clique.NewSim(ctx, s.opts.config(s.g.N), s.g.AugSemiring(), w, entG.art)
+	var low clique.Clique
+	if entLow != nil {
+		low = c.On(apsp.LowDegree(w, entLow.degs), entLow.art)
+	}
+	table, err := apspOn(v, c, w, low)
+	return table, statsFrom(c.Stats), err
+}
+
+// apspOn runs variant v on c, the clique on G, whose weight matrix is w;
+// the unweighted variant also on low, the clique on G'.
+func apspOn(v api.APSPVariant, c clique.Clique, w *matrix.Mat[semiring.WH], low clique.Clique) ([]int64, error) {
+	switch v {
+	case api.APSPWeighted:
+		return apsp.TwoPlusEpsWeighted(c, w)
+	case api.APSPWeighted3:
+		return apsp.ThreePlusEps(c, w)
+	}
+	return apsp.TwoPlusEpsUnweighted(c, w, low)
 }
 
 func (s *simExec) diameter(ctx context.Context, ent *artifactEntry) (int64, Stats, error) {

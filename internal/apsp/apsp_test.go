@@ -3,13 +3,17 @@ package apsp
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"github.com/congestedclique/ccsp/internal/cc"
+	"github.com/congestedclique/ccsp/internal/clique"
 	"github.com/congestedclique/ccsp/internal/graph"
 	"github.com/congestedclique/ccsp/internal/hitting"
 	"github.com/congestedclique/ccsp/internal/hopset"
+	"github.com/congestedclique/ccsp/internal/matrix"
+	"github.com/congestedclique/ccsp/internal/mssp"
 	"github.com/congestedclique/ccsp/internal/semiring"
 	"github.com/congestedclique/ccsp/internal/stretch"
 )
@@ -64,61 +68,84 @@ func minBottleneck(g *graph.Graph, src int) []int64 {
 	return w
 }
 
-func runWeighted2(t *testing.T, g *graph.Graph, eps float64, hp hopset.Params) ([][]int64, cc.Stats) {
+// query is one of the three algorithms, on the clique on G and, for the
+// unweighted one, the clique on G'.
+type query func(c clique.Clique, w *matrix.Mat[semiring.WH], low clique.Clique) ([]int64, error)
+
+// buildSim builds the hopset of the graph whose weight matrix is w on the
+// simulator.
+func buildSim(t *testing.T, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], p hopset.Params) (*hopset.Artifact, cc.Stats) {
 	t.Helper()
-	sr := g.AugSemiring()
-	boards := hitting.NewBoardSeq(g.N)
-	rows := make([][]int64, g.N)
-	stats, err := cc.Run(context.Background(), cc.Config{N: g.N}, func(nd *cc.Node) error {
-		row, err := TwoPlusEpsWeighted(nd, sr, g.WeightRow(nd.ID), eps, boards, hp)
-		if err != nil {
-			return err
-		}
-		rows[nd.ID] = row
-		return nil
+	board := hitting.NewBoard(w.N)
+	results := make([]*hopset.Result, w.N)
+	stats, err := cc.Run(context.Background(), cc.Config{N: w.N}, func(nd *cc.Node) (err error) {
+		results[nd.ID], err = hopset.Build(nd, sr, w.Rows[nd.ID], board, p)
+		return err
 	})
 	if err != nil {
-		t.Fatalf("TwoPlusEpsWeighted: %v", err)
+		t.Fatal(err)
+	}
+	art, err := hopset.Collect(results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return art, stats
+}
+
+// run answers q on the simulated cliques on g and its G', over hopsets
+// of HopsetParams(hp, eps) the simulator built, after checking that the
+// direct cliques over the same hopsets answer the same table. It returns
+// the rows and the Stats of every run, the builds' included.
+func run(t *testing.T, g *graph.Graph, eps float64, hp hopset.Params, q query) ([][]int64, cc.Stats) {
+	t.Helper()
+	ctx := context.Background()
+	sr, w := g.AugSemiring(), g.WeightMatrix()
+	degs := make([]int64, g.N)
+	for v, row := range w.Rows {
+		degs[v] = int64(len(row))
+	}
+	wLow := LowDegree(w, degs)
+	art, stats := buildSim(t, sr, w, HopsetParams(hp, eps))
+	artLow, statsLow := buildSim(t, sr, wLow, HopsetParams(hp, eps))
+	sim := clique.NewSim(ctx, cc.Config{N: g.N}, sr, w, art)
+	table, err := q(sim, w, sim.On(wLow, artLow))
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := q(clique.NewDirect(ctx, sr, w, mssp.MergeGH(sr, w, art), art.Beta, 0), w,
+		clique.NewDirect(ctx, sr, wLow, mssp.MergeGH(sr, wLow, artLow), artLow.Beta, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(direct, table) {
+		t.Fatal("the direct cliques answer another table than the simulated ones")
+	}
+	stats.Add(&statsLow)
+	stats.Add(&sim.Stats)
+	rows := make([][]int64, g.N)
+	for v := range rows {
+		rows[v] = table[v*g.N : (v+1)*g.N]
 	}
 	return rows, stats
+}
+
+func runWeighted2(t *testing.T, g *graph.Graph, eps float64, hp hopset.Params) ([][]int64, cc.Stats) {
+	t.Helper()
+	return run(t, g, eps, hp, func(c clique.Clique, w *matrix.Mat[semiring.WH], _ clique.Clique) ([]int64, error) {
+		return TwoPlusEpsWeighted(c, w)
+	})
 }
 
 func runThree(t *testing.T, g *graph.Graph, eps float64, hp hopset.Params) ([][]int64, cc.Stats) {
 	t.Helper()
-	sr := g.AugSemiring()
-	boards := hitting.NewBoardSeq(g.N)
-	rows := make([][]int64, g.N)
-	stats, err := cc.Run(context.Background(), cc.Config{N: g.N}, func(nd *cc.Node) error {
-		row, err := ThreePlusEps(nd, sr, g.WeightRow(nd.ID), eps, boards, hp)
-		if err != nil {
-			return err
-		}
-		rows[nd.ID] = row
-		return nil
+	return run(t, g, eps, hp, func(c clique.Clique, w *matrix.Mat[semiring.WH], _ clique.Clique) ([]int64, error) {
+		return ThreePlusEps(c, w)
 	})
-	if err != nil {
-		t.Fatalf("ThreePlusEps: %v", err)
-	}
-	return rows, stats
 }
 
 func runUnweighted2(t *testing.T, g *graph.Graph, eps float64, hp hopset.Params) ([][]int64, cc.Stats) {
 	t.Helper()
-	sr := g.AugSemiring()
-	boards := hitting.NewBoardSeq(g.N)
-	rows := make([][]int64, g.N)
-	stats, err := cc.Run(context.Background(), cc.Config{N: g.N}, func(nd *cc.Node) error {
-		row, err := TwoPlusEpsUnweighted(nd, sr, g.WeightRow(nd.ID), eps, boards, hp)
-		if err != nil {
-			return err
-		}
-		rows[nd.ID] = row
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("TwoPlusEpsUnweighted: %v", err)
-	}
-	return rows, stats
+	return run(t, g, eps, hp, TwoPlusEpsUnweighted)
 }
 
 // checkStretch holds every pair of an APSP table to b, and unreachable

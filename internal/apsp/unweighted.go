@@ -3,39 +3,96 @@ package apsp
 import (
 	"math"
 
-	"github.com/congestedclique/ccsp/internal/cc"
+	"github.com/congestedclique/ccsp/internal/clique"
 	"github.com/congestedclique/ccsp/internal/disttools"
-	"github.com/congestedclique/ccsp/internal/hitting"
-	"github.com/congestedclique/ccsp/internal/hopset"
-	"github.com/congestedclique/ccsp/internal/matmul"
 	"github.com/congestedclique/ccsp/internal/matrix"
-	"github.com/congestedclique/ccsp/internal/mssp"
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
 
 // TwoPlusEpsUnweighted computes the (2+ε)-approximate unweighted APSP of
-// §6.3 (Theorem 31), returning this node's dense estimate row. The
-// algorithm handles shortest paths through high-degree nodes via a
-// neighborhood hitting set and MSSP (first phase), and paths confined to
-// low-degree nodes via the sparse subgraph G', n^{1/4}-nearest sets, a
-// sparse MSSP from an O~(n^{3/4}) hitting set, and the 3-hop triple product
-// M1·M2·M3 (second phase).
-func TwoPlusEpsUnweighted(nd *cc.Node, sr semiring.AugMinPlus, wrow matrix.Row[semiring.WH], eps float64, boards *hitting.BoardSeq, hp hopset.Params) ([]int64, error) {
-	// Both MSSP stages run at ε' = ε/2 (Lemma 30 yields (2+2ε')). Their
-	// hopsets - one on G, one on the low-degree subgraph G' - are built up
-	// front so queries can reuse them.
-	hpIn := HopsetParams(hp, eps)
-	degs := nd.BroadcastVal(int64(len(wrow))) // wrow includes the diagonal: |N(v)|
-	hsG, err := hopset.Build(nd, sr, wrow, boards.Next(nd.ID), hpIn)
+// §6.3 (Theorem 31) on g's graph G, whose augmented weight matrix is w.
+// It handles shortest paths through high-degree nodes via a neighborhood
+// hitting set and MSSP on g (first phase), and paths confined to
+// low-degree nodes on low, the clique of the same nodes on the sparse
+// subgraph G' (LowDegree): n^{1/4}-nearest sets, a sparse MSSP from an
+// O~(n^{3/4}) hitting set, and the 3-hop triple product M1·M2·M3 (second
+// phase). Both MSSPs run over the hopsets of
+// HopsetParams, on G and on G'; the answer is the table, as in
+// ThreePlusEps.
+func TwoPlusEpsUnweighted(g clique.Clique, w *matrix.Mat[semiring.WH], low clique.Clique) ([]int64, error) {
+	n := g.N()
+
+	// Line (1): edge estimates.
+	flat, est := newTable(w)
+
+	// --- First phase: shortest paths with a high-degree node. ---
+
+	// Line (2): A hits every high-degree neighborhood (a row includes the
+	// diagonal: its length is |N(v)|); a low-degree row is no set.
+	k := DegreeThreshold(n)
+	high := make([]matrix.Row[semiring.WH], n)
+	for v, row := range w.Rows {
+		if len(row) >= k {
+			high[v] = row
+		}
+	}
+	inA, err := g.Hit(high)
 	if err != nil {
 		return nil, err
 	}
-	lowRow := LowDegreeRow(nd.ID, wrow, degs, DegreeThreshold(nd.N))
-	hsLow, err := hopset.Build(nd, sr, lowRow, boards.Next(nd.ID), hpIn)
+	// Line (3): MSSP from A.
+	plane, src, err := detect(g, est, inA)
 	if err != nil {
 		return nil, err
 	}
-	return TwoPlusEpsUnweightedWithHopsets(nd, sr, wrow, eps, boards, degs, hsG, hsLow)
+	// Line (4): distances through A - every node's set is its estimates
+	// to all of A.
+	through := planeRows(n, plane, src)
+	disttools.ReleasePlane(plane)
+	if err := g.ThroughSets(est, through); err != nil {
+		return nil, err
+	}
+
+	// --- Second phase: shortest paths among low-degree nodes only. ---
+
+	// Line (5): n^{1/4}-nearest in G' (exact G'-distances, which upper
+	// bound d_G and equal it for all-low shortest paths).
+	kq := int(math.Ceil(math.Pow(float64(n), 0.25)))
+	knearLow, release, err := low.KNearest(kq)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	foldRows(est, knearLow)
+	// Line (6): distances through N_{k'}(u) ∩ N_{k'}(v).
+	if err := low.ThroughSets(est, knearLow); err != nil {
+		return nil, err
+	}
+	// Line (7): A' hits the N_{k'} sets of G' nodes.
+	inA2, err := low.Hit(knearLow.Rows)
+	if err != nil {
+		return nil, err
+	}
+	// Line (8): sparse MSSP from A' in G' (the G' ∪ H graph has
+	// O~(n^{3/2}) edges).
+	plane2, src2, err := detect(low, est, inA2)
+	if err != nil {
+		return nil, err
+	}
+	defer disttools.ReleasePlane(plane2)
+	// Lines (9)-(10): pivots p'(v) and the symmetric combination.
+	if err := combine(low, est, knearLow, inA2, plane2, src2, true); err != nil {
+		return nil, err
+	}
+
+	// Lines (11)-(12): 3-hop paths u - u' - v' - v with u' ∈ N_{k'}(u),
+	// v' ∈ N_{k'}(v), {u',v'} ∈ E', via the triple product M1·M2·M3 over
+	// min-plus, M3 = M1ᵀ: each row of M1·M2 has at most k'·maxdeg(G') <=
+	// k'·k support entries.
+	if err := low.Triple(est, knearLow, min(kq*k, n)); err != nil {
+		return nil, err
+	}
+	return flat, nil
 }
 
 // DegreeThreshold returns the §6.3 high/low degree threshold k = ⌈√n⌉
@@ -59,115 +116,31 @@ func LowDegreeRow(self int, wrow matrix.Row[semiring.WH], degs []int64, k int) m
 	return low
 }
 
-// TwoPlusEpsUnweightedWithHopsets is the query stage of
-// TwoPlusEpsUnweighted against previously built hopsets: hsG on G and
-// hsLow on the low-degree subgraph G' (both with params
-// HopsetParams(hp, eps)), with degs the broadcast |N(v)| vector from the
-// same preprocessing (no degree broadcast happens here).
-func TwoPlusEpsUnweightedWithHopsets(nd *cc.Node, sr semiring.AugMinPlus, wrow matrix.Row[semiring.WH], eps float64, boards *hitting.BoardSeq, degs []int64, hsG, hsLow *hopset.Result) ([]int64, error) {
-	n := nd.N
+// LowDegree is the weight matrix of G', the subgraph of w induced on the
+// nodes of degree < DegreeThreshold under the degree vector degs.
+func LowDegree(w *matrix.Mat[semiring.WH], degs []int64) *matrix.Mat[semiring.WH] {
+	low := matrix.New[semiring.WH](w.N)
+	for v := range low.Rows {
+		low.Rows[v] = LowDegreeRow(v, w.Rows[v], degs, DegreeThreshold(w.N))
+	}
+	return low
+}
 
-	// Line (1): edge estimates.
-	e := newEst(n, nd.ID)
-	e.updRowWH(wrow)
-
-	// --- First phase: shortest paths with a high-degree node. ---
-
-	// Degree threshold k = √n; |N(v)| counts v itself (§6.3).
-	k := DegreeThreshold(n)
-	degPlus := len(wrow) // wrow includes the diagonal, so this is |N(v)|
-	highSet := make([]int32, 0, degPlus)
-	if degPlus >= k {
-		highSet = colsOf(wrow)
-	}
-	// Line (2): A hits every high-degree neighborhood.
-	inA := boards.Next(nd.ID).Hit(nd, highSet)
-	// Line (3): MSSP from A over the prebuilt G hopset.
-	res, err := mssp.RunWithHopset(nd, sr, wrow, inA, hsG)
-	if err != nil {
-		return nil, err
-	}
-	e.updRowWH(res.Dist)
-	// Line (4): distances through A - every node's set is its estimates
-	// to all of A.
-	aEsts := make([]disttools.Est, 0, len(res.Dist))
-	for _, en := range res.Dist {
-		aEsts = append(aEsts, disttools.Est{W: en.Col, To: en.Val.W, From: en.Val.W})
-	}
-	dts, err := disttools.DistThroughSets(nd, plainMinPlus(sr), aEsts)
-	if err != nil {
-		return nil, err
-	}
-	e.updRow(dts)
-
-	// --- Second phase: shortest paths among low-degree nodes only. ---
-
-	// G' is induced on nodes of degree < k; high-degree nodes have empty
-	// rows (they are not in G').
-	lowRow := LowDegreeRow(nd.ID, wrow, degs, k)
-	// Line (5): n^{1/4}-nearest in G' (exact G'-distances, which upper
-	// bound d_G and equal it for all-low shortest paths).
-	kq := int(math.Ceil(math.Pow(float64(n), 0.25)))
-	knearLow := disttools.KNearest(nd, sr, lowRow, kq)
-	e.updRowWH(knearLow)
-	// Line (6): distances through N_{k'}(u) ∩ N_{k'}(v).
-	dts2, err := disttools.DistThroughSets(nd, plainMinPlus(sr), estsFromRow(knearLow))
-	if err != nil {
-		return nil, err
-	}
-	e.updRow(dts2)
-	// Line (7): A' hits the N_{k'} sets of G' nodes.
-	inA2 := boards.Next(nd.ID).Hit(nd, colsOf(knearLow))
-	// Line (8): sparse MSSP from A' in G' over the prebuilt G' hopset
-	// (the G' ∪ H graph has O~(n^{3/2}) edges).
-	res2, err := mssp.RunWithHopset(nd, sr, lowRow, inA2, hsLow)
-	if err != nil {
-		return nil, err
-	}
-	e.updRowWH(res2.Dist)
-	mssp2Dense := whToDense(n, res2.Dist)
-	// Lines (9)-(10): pivots p'(v) and the symmetric combination.
-	pv, dpv := pivotOf(knearLow, inA2)
-	pvs, dpvs := broadcastPivots(nd, pv, dpv.W)
-	pivotCombine(nd, e, mssp2Dense, pvs, dpvs)
-
-	// Lines (11)-(12): 3-hop paths u - u' - v' - v with u' ∈ N_{k'}(u),
-	// v' ∈ N_{k'}(v), {u',v'} ∈ E', via the triple product M1·M2·M3 over
-	// min-plus (two Theorem 8 multiplications).
-	pm := plainMinPlus(sr)
-	m1 := make(matrix.Row[int64], 0, len(knearLow))
-	for _, en := range knearLow {
-		m1 = append(m1, matrix.Entry[int64]{Col: en.Col, Val: en.Val.W})
-	}
-	var m2 matrix.Row[int64]
-	for _, en := range lowRow {
-		if int(en.Col) != nd.ID {
-			m2 = append(m2, matrix.Entry[int64]{Col: en.Col, Val: en.Val.W})
+// planeRows is an MSSP plane as sets: row v holds (s, δ̃(v,s)) for every
+// source s (src the plane's columns) that reaches v, all rows cut from
+// one backing array.
+func planeRows(n int, plane []int64, src []int32) *matrix.Mat[semiring.WH] {
+	q := len(src)
+	out := matrix.New[semiring.WH](n)
+	backing := make([]matrix.Entry[semiring.WH], 0, len(plane))
+	for v := range out.Rows {
+		start := len(backing)
+		for j, s := range src {
+			if d := plane[v*q+j]; d < semiring.Inf {
+				backing = append(backing, matrix.Entry[semiring.WH]{Col: s, Val: semiring.WH{W: d}})
+			}
 		}
+		out.Rows[v] = backing[start:len(backing):len(backing)]
 	}
-	// M3 = M1^T: ship each M1 entry to its column owner (one per link).
-	out := make([]cc.Packet, 0, len(m1))
-	for _, en := range m1 {
-		out = append(out, cc.Packet{Dst: en.Col, M: cc.Msg{A: en.Val}})
-	}
-	var m3 matrix.Row[int64]
-	for _, m := range nd.Sync(out) {
-		m3 = append(m3, matrix.Entry[int64]{Col: m.Src, Val: m.A})
-	}
-	// ρ̂ for M1·M2: each output row has at most k'·maxdeg(G') <= k'·k
-	// support entries.
-	rho1 := kq * k
-	if rho1 > n {
-		rho1 = n
-	}
-	p1, err := matmul.Multiply(nd, pm, m1, m2, rho1)
-	if err != nil {
-		return nil, err
-	}
-	p2, err := matmul.Multiply(nd, pm, p1, m3, n)
-	if err != nil {
-		return nil, err
-	}
-	e.updRow(p2)
-	return e.row, nil
+	return out
 }

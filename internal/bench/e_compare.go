@@ -11,8 +11,9 @@ import (
 	"github.com/congestedclique/ccsp/internal/diameter"
 	"github.com/congestedclique/ccsp/internal/graph"
 	"github.com/congestedclique/ccsp/internal/graphgen"
-	"github.com/congestedclique/ccsp/internal/hitting"
 	"github.com/congestedclique/ccsp/internal/hopset"
+	"github.com/congestedclique/ccsp/internal/matrix"
+	"github.com/congestedclique/ccsp/internal/semiring"
 	"github.com/congestedclique/ccsp/internal/sssp"
 	"github.com/congestedclique/ccsp/internal/stretch"
 )
@@ -73,7 +74,7 @@ func e11(c Config) (*Table, error) {
 		}
 		for _, fam := range families {
 			d, _ := fam.g.Diameter()
-			art, stats, err := buildHopsetSim(c, fam.g, hopset.Practical(eps))
+			art, stats, err := buildHopsetSim(c, fam.g.AugSemiring(), fam.g.WeightMatrix(), hopset.Practical(eps))
 			if err != nil {
 				return nil, err
 			}
@@ -116,9 +117,8 @@ func e12(c Config) (*Table, error) {
 		t.Add(n, "Thm 28 (this paper)", "(2+ε,(1+ε)W)", stats.TotalRounds(), t.worst(g, nil, rows, stretch.TwoPlusW(eps, g.MaxW())))
 
 		// Ours: (3+ε) (§6.1).
-		boards := hitting.NewBoardSeq(n)
-		rows3, stats3, err := runRows(c, g, func(nd *cc.Node) ([]int64, error) {
-			return apsp.ThreePlusEps(nd, sr, g.WeightRow(nd.ID), eps, boards, hopset.Practical(eps))
+		rows3, stats3, err := simAPSP(c, g, eps, func(sim *clique.Sim, w *matrix.Mat[semiring.WH]) ([]int64, error) {
+			return apsp.ThreePlusEps(sim, w)
 		})
 		if err != nil {
 			return nil, err

@@ -10,7 +10,9 @@ import (
 	"github.com/congestedclique/ccsp/internal/graphgen"
 	"github.com/congestedclique/ccsp/internal/hitting"
 	"github.com/congestedclique/ccsp/internal/hopset"
+	"github.com/congestedclique/ccsp/internal/matrix"
 	"github.com/congestedclique/ccsp/internal/mssp"
+	"github.com/congestedclique/ccsp/internal/semiring"
 	"github.com/congestedclique/ccsp/internal/stretch"
 )
 
@@ -58,13 +60,13 @@ func a4(c Config) (*Table, error) {
 	return t, nil
 }
 
-// buildHopsetSim constructs a hopset on the simulator.
-func buildHopsetSim(c Config, g *graph.Graph, p hopset.Params) (*hopset.Artifact, cc.Stats, error) {
-	sr := g.AugSemiring()
-	board := hitting.NewBoard(g.N)
-	results := make([]*hopset.Result, g.N)
-	stats, err := cc.Run(context.Background(), engineCfg(c, g.N), func(nd *cc.Node) error {
-		res, err := hopset.Build(nd, sr, g.WeightRow(nd.ID), board, p)
+// buildHopsetSim constructs a hopset on the simulator, on the graph whose
+// augmented weight matrix is w.
+func buildHopsetSim(c Config, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], p hopset.Params) (*hopset.Artifact, cc.Stats, error) {
+	board := hitting.NewBoard(w.N)
+	results := make([]*hopset.Result, w.N)
+	stats, err := cc.Run(context.Background(), engineCfg(c, w.N), func(nd *cc.Node) error {
+		res, err := hopset.Build(nd, sr, w.Rows[nd.ID], board, p)
 		results[nd.ID] = res
 		return err
 	})
@@ -84,7 +86,7 @@ type phaseRounds struct {
 // with every pair's β-hop distance in G ∪ H, which a (β,ε)-hopset holds to
 // (1+ε)·d_G.
 func buildHopsetBench(c Config, g *graph.Graph, p hopset.Params) (*hopset.Artifact, [][]int64, cc.Stats, error) {
-	art, stats, err := buildHopsetSim(c, g, p)
+	art, stats, err := buildHopsetSim(c, g.AugSemiring(), g.WeightMatrix(), p)
 	if err != nil {
 		return nil, nil, stats, err
 	}

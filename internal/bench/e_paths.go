@@ -7,10 +7,12 @@ import (
 
 	"github.com/congestedclique/ccsp/internal/apsp"
 	"github.com/congestedclique/ccsp/internal/cc"
+	"github.com/congestedclique/ccsp/internal/clique"
 	"github.com/congestedclique/ccsp/internal/graph"
 	"github.com/congestedclique/ccsp/internal/graphgen"
 	"github.com/congestedclique/ccsp/internal/hitting"
 	"github.com/congestedclique/ccsp/internal/hopset"
+	"github.com/congestedclique/ccsp/internal/matrix"
 	"github.com/congestedclique/ccsp/internal/mssp"
 	"github.com/congestedclique/ccsp/internal/semiring"
 	"github.com/congestedclique/ccsp/internal/stretch"
@@ -70,9 +72,9 @@ func runMSSPBench(c Config, g *graph.Graph, srcs []int, p hopset.Params) ([][]in
 	for _, s := range srcs {
 		inS[s] = true
 	}
-	sr, boards := g.AugSemiring(), hitting.NewBoardSeq(g.N)
+	sr, board := g.AugSemiring(), hitting.NewBoard(g.N)
 	return runRows(c, g, func(nd *cc.Node) ([]int64, error) {
-		res, err := mssp.Run(nd, sr, g.WeightRow(nd.ID), inS, boards.Next(nd.ID), p)
+		res, err := mssp.Run(nd, sr, g.WeightRow(nd.ID), inS, board, p)
 		if err != nil {
 			return nil, err
 		}
@@ -145,10 +147,28 @@ func e8(c Config) (*Table, error) {
 }
 
 func runWeightedAPSP(c Config, g *graph.Graph, eps float64) ([][]int64, cc.Stats, error) {
-	sr, boards := g.AugSemiring(), hitting.NewBoardSeq(g.N)
-	return runRows(c, g, func(nd *cc.Node) ([]int64, error) {
-		return apsp.TwoPlusEpsWeighted(nd, sr, g.WeightRow(nd.ID), eps, boards, hopset.Practical(eps))
+	return simAPSP(c, g, eps, func(sim *clique.Sim, w *matrix.Mat[semiring.WH]) ([]int64, error) {
+		return apsp.TwoPlusEpsWeighted(sim, w)
 	})
+}
+
+// simAPSP runs a §6 APSP from scratch on the simulator, as the paper
+// states it: the hopset of apsp.HopsetParams on G, then query over the
+// clique on G with it; the rows and the Stats of every run.
+func simAPSP(c Config, g *graph.Graph, eps float64, query func(*clique.Sim, *matrix.Mat[semiring.WH]) ([]int64, error)) ([][]int64, cc.Stats, error) {
+	sr, w := g.AugSemiring(), g.WeightMatrix()
+	art, stats, err := buildHopsetSim(c, sr, w, apsp.HopsetParams(hopset.Practical(eps), eps))
+	if err != nil {
+		return nil, stats, err
+	}
+	sim := clique.NewSim(context.Background(), engineCfg(c, g.N), sr, w, art)
+	table, err := query(sim, w)
+	stats.Add(&sim.Stats)
+	rows := make([][]int64, g.N)
+	for v := range rows {
+		rows[v] = table[v*g.N : (v+1)*g.N]
+	}
+	return rows, stats, err
 }
 
 // e9 measures the unweighted APSP across degree regimes.
@@ -183,9 +203,24 @@ func e9(c Config) (*Table, error) {
 	return t, nil
 }
 
+// runUnweightedAPSP preprocesses G' on the clique on G before the query:
+// the degree broadcast that defines it and its hopset.
 func runUnweightedAPSP(c Config, g *graph.Graph, eps float64) ([][]int64, cc.Stats, error) {
-	sr, boards := g.AugSemiring(), hitting.NewBoardSeq(g.N)
-	return runRows(c, g, func(nd *cc.Node) ([]int64, error) {
-		return apsp.TwoPlusEpsUnweighted(nd, sr, g.WeightRow(nd.ID), eps, boards, hopset.Practical(eps))
+	return simAPSP(c, g, eps, func(sim *clique.Sim, w *matrix.Mat[semiring.WH]) ([]int64, error) {
+		degs := make([]int64, g.N)
+		for v, row := range w.Rows {
+			degs[v] = int64(len(row)) // the row includes the diagonal: |N(v)|
+		}
+		degs, err := sim.Broadcast(degs)
+		if err != nil {
+			return nil, err
+		}
+		low := apsp.LowDegree(w, degs)
+		art, stats, err := buildHopsetSim(c, g.AugSemiring(), low, apsp.HopsetParams(hopset.Practical(eps), eps))
+		sim.Stats.Add(&stats)
+		if err != nil {
+			return nil, err
+		}
+		return apsp.TwoPlusEpsUnweighted(sim, w, sim.On(low, art))
 	})
 }

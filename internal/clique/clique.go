@@ -1,8 +1,8 @@
-// Package clique is the collective seam the §7 theorems are written once
-// against (DESIGN.md §12): the paper's distance tools and communication
-// steps as calls over all n nodes at once, node v's share of every
-// argument and answer at index v, on a simulated (Sim) or a host (Direct)
-// backend that give the same answers.
+// Package clique is the collective seam the §6 and §7 algorithms are
+// written once against (DESIGN.md §12): the paper's distance tools and
+// communication steps as calls over all n nodes at once, node v's share of
+// every argument and answer at index v, on a simulated (Sim) or a host
+// (Direct) backend that give the same answers.
 package clique
 
 import (
@@ -14,6 +14,7 @@ import (
 	"github.com/congestedclique/ccsp/internal/disttools"
 	"github.com/congestedclique/ccsp/internal/hitting"
 	"github.com/congestedclique/ccsp/internal/hopset"
+	"github.com/congestedclique/ccsp/internal/matmul"
 	"github.com/congestedclique/ccsp/internal/matrix"
 	"github.com/congestedclique/ccsp/internal/mssp"
 	"github.com/congestedclique/ccsp/internal/semiring"
@@ -34,7 +35,8 @@ type Clique interface {
 	// for the j-th source s, semiring.Inf where s does not reach v.
 	MSSP(inS []bool) ([]int64, error)
 	// Broadcast announces vals[v] from every node v in one round; every
-	// node learns the vector, which nobody may mutate.
+	// node learns the vector, which nobody may mutate. It may be vals
+	// itself: the caller leaves vals alone while it reads the answer.
 	Broadcast(vals []int64) ([]int64, error)
 	// Exchange is one synchronous round, at most one packet per link:
 	// in[u] is what u received from out, sorted by sender.
@@ -42,20 +44,58 @@ type Clique interface {
 	// Route delivers any addressed message set by Lenzen's routing [43],
 	// in[u] sorted by (sender, submission order).
 	Route(out [][]cc.Packet) (in [][]cc.Msg, _ error)
+	// Phase labels the rounds of the calls that follow, until the next
+	// Phase, in the per-phase breakdown (cc.Node.Phase); it costs nothing.
+	Phase(label string)
+
+	// The four steps below fold what node v learns into row v of a dense
+	// estimate table, est[v][u] = min(est[v][u], ·), so that Direct never
+	// materializes the messages: n·k and n² of them (DESIGN.md §12).
+
+	// Mirror has every node v route d(v, u) to each u ≠ v of its row
+	// (Lenzen's routing), which u folds into est[u][v].
+	Mirror(est [][]int64, rows *matrix.Mat[semiring.WH]) error
+	// PivotCross is one round in which every node u sends every v the cell
+	// of its row of plane (n×q, as MSSP returns it) in v's column col[v],
+	// which v folds, plus add[v], into est[v][u]; a v whose col[v] is
+	// negative folds nothing (it is sent Inf).
+	PivotCross(est [][]int64, plane []int64, col []int, add []int64) error
+	// ThroughSets folds min over w ∈ W_v ∩ W_u of δ(v,w) + δ(w,u) into
+	// est[v][u] (Theorem 20), row v of sets being W_v with v's symmetric
+	// estimates.
+	ThroughSets(est [][]int64, sets *matrix.Mat[semiring.WH]) error
+	// Triple folds the min-plus product A·W·Aᵀ into est, W the weights of
+	// G's edges (no diagonal), A's weights read without their hops (two
+	// Theorem 8 products, the first at output density rho).
+	Triple(est [][]int64, a *matrix.Mat[semiring.WH], rho int) error
+}
+
+// MinPlus is the plain min-plus semiring whose values are bounded as sr's
+// weights are.
+func MinPlus(sr semiring.AugMinPlus) semiring.MinPlus {
+	return semiring.NewMinPlus(sr.MaxW + 1)
 }
 
 // Sim is the round-accurate clique. Stats sums its runs (cc.Stats.Add):
 // the rounds, messages and charged rounds of one run doing every step in
-// turn, but each run starts unlabeled (phase ""). The config's MaxRounds
-// caps that running total, not each run.
+// turn, but each run starts under the last Phase label ("" before the
+// first), not under the label its predecessor ended in. The config's
+// MaxRounds caps that running total, not each run.
 type Sim struct {
-	Stats cc.Stats
+	*ledger
 
 	ctx context.Context
 	cfg cc.Config
 	sr  semiring.AugMinPlus
 	w   *matrix.Mat[semiring.WH]
 	art *hopset.Artifact
+}
+
+// ledger is what the cliques On one another share: the summed Stats and
+// the label the next run starts under.
+type ledger struct {
+	Stats cc.Stats
+	phase string
 }
 
 // NewSim returns the simulated clique of cfg.N nodes on the graph whose
@@ -65,7 +105,16 @@ func NewSim(ctx context.Context, cfg cc.Config, sr semiring.AugMinPlus, w *matri
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = cc.DefaultMaxRounds
 	}
-	return &Sim{Stats: cc.Stats{N: cfg.N}, ctx: ctx, cfg: cfg, sr: sr, w: w, art: art}
+	return &Sim{ledger: &ledger{Stats: cc.Stats{N: cfg.N}}, ctx: ctx, cfg: cfg, sr: sr, w: w, art: art}
+}
+
+// On is the clique of s's nodes on another graph, whose augmented weight
+// matrix is w, MSSP running over art: its runs add to s's Stats, under
+// s's round budget and label.
+func (s *Sim) On(w *matrix.Mat[semiring.WH], art *hopset.Artifact) *Sim {
+	o := *s
+	o.w, o.art = w, art
+	return &o
 }
 
 // run is one primitive: one cc.Run of prog under what is left of the
@@ -74,7 +123,13 @@ func (s *Sim) run(prog cc.Program) error {
 	cfg := s.cfg
 	left := cfg.MaxRounds - s.Stats.TotalRounds()
 	cfg.MaxRounds = max(left, 1) // cc reads 0 as its default cap
-	st, err := cc.Run(s.ctx, cfg, prog)
+	phase := s.phase
+	st, err := cc.Run(s.ctx, cfg, func(nd *cc.Node) error {
+		if phase != "" {
+			nd.Phase(phase)
+		}
+		return prog(nd)
+	})
 	s.Stats.Add(&st)
 	if err == nil && st.TotalRounds() > left {
 		err = fmt.Errorf("%w: %d > MaxRounds=%d", cc.ErrRoundLimit, s.Stats.TotalRounds(), s.cfg.MaxRounds)
@@ -151,6 +206,91 @@ func (s *Sim) Exchange(out [][]cc.Packet) ([][]cc.Msg, error) { return s.send(ou
 
 func (s *Sim) Route(out [][]cc.Packet) ([][]cc.Msg, error) { return s.send(out, (*cc.Node).Route) }
 
+func (s *Sim) Phase(label string) { s.phase = label }
+
+func (s *Sim) Mirror(est [][]int64, rows *matrix.Mat[semiring.WH]) error {
+	return s.run(func(nd *cc.Node) error {
+		out := make([]cc.Packet, 0, len(rows.Rows[nd.ID]))
+		for _, e := range rows.Rows[nd.ID] {
+			if int(e.Col) != nd.ID {
+				out = append(out, cc.Packet{Dst: e.Col, M: cc.Msg{A: e.Val.W}})
+			}
+		}
+		row := est[nd.ID]
+		for _, m := range nd.Route(out) {
+			row[m.Src] = min(row[m.Src], m.A)
+		}
+		return nil
+	})
+}
+
+func (s *Sim) PivotCross(est [][]int64, plane []int64, col []int, add []int64) error {
+	n := s.cfg.N
+	q := len(plane) / n
+	return s.run(func(nd *cc.Node) error {
+		out := make([]cc.Packet, n)
+		for v := range out {
+			out[v] = cc.Packet{Dst: int32(v), M: cc.Msg{A: semiring.Inf}}
+			if c := col[v]; c >= 0 {
+				out[v].M.A = plane[nd.ID*q+c]
+			}
+		}
+		in := nd.Sync(out)
+		if col[nd.ID] >= 0 {
+			row := est[nd.ID]
+			for _, m := range in {
+				row[m.Src] = min(row[m.Src], semiring.MinPlus{}.Mul(add[nd.ID], m.A))
+			}
+		}
+		return nil
+	})
+}
+
+// ThroughSets runs DistThroughSets at every node (one Sync and a Theorem
+// 8 product).
+func (s *Sim) ThroughSets(est [][]int64, sets *matrix.Mat[semiring.WH]) error {
+	sr := MinPlus(s.sr)
+	return s.run(func(nd *cc.Node) error {
+		ests := make([]disttools.Est, 0, len(sets.Rows[nd.ID]))
+		for _, e := range sets.Rows[nd.ID] {
+			ests = append(ests, disttools.Est{W: e.Col, To: e.Val.W, From: e.Val.W})
+		}
+		through, err := disttools.DistThroughSets(nd, sr, ests)
+		foldRow(est[nd.ID], through)
+		return err
+	})
+}
+
+// Triple ships every row of A to its column owners (one Sync, which
+// assembles the rows of Aᵀ) and multiplies twice.
+func (s *Sim) Triple(est [][]int64, a *matrix.Mat[semiring.WH], rho int) error {
+	sr, a1, w1 := MinPlus(s.sr), plainWeights(a, false), plainWeights(s.w, true)
+	return s.run(func(nd *cc.Node) error {
+		out := make([]cc.Packet, 0, len(a1.Rows[nd.ID]))
+		for _, e := range a1.Rows[nd.ID] {
+			out = append(out, cc.Packet{Dst: e.Col, M: cc.Msg{A: e.Val}})
+		}
+		var at matrix.Row[int64]
+		for _, m := range nd.Sync(out) {
+			at = append(at, matrix.Entry[int64]{Col: m.Src, Val: m.A})
+		}
+		aw, err := matmul.Multiply(nd, sr, a1.Rows[nd.ID], w1.Rows[nd.ID], rho)
+		if err != nil {
+			return err
+		}
+		awa, err := matmul.Multiply(nd, sr, aw, at, nd.N)
+		foldRow(est[nd.ID], awa)
+		return err
+	})
+}
+
+// foldRow folds a sparse row into a dense one.
+func foldRow(dst []int64, r matrix.Row[int64]) {
+	for _, e := range r {
+		dst[e.Col] = min(dst[e.Col], e.Val)
+	}
+}
+
 // send is one run in which every node sends its packets through send.
 func (s *Sim) send(out [][]cc.Packet, send func(*cc.Node, []cc.Packet) []cc.Msg) ([][]cc.Msg, error) {
 	in := make([][]cc.Msg, s.cfg.N)
@@ -162,8 +302,10 @@ func (s *Sim) send(out [][]cc.Packet, send func(*cc.Node, []cc.Packet) []cc.Msg)
 }
 
 // Direct is the host clique: the direct kernels (KNearestLent,
-// GreedyRows, RunDirectPanel), Broadcast a copy, Exchange and Route a
-// transpose. It keeps no Stats.
+// GreedyRows, RunDirectPanel, FoldThroughSets, KernelMul and
+// FoldMinPlus), Broadcast the vector itself, Exchange and Route a
+// transpose, and Mirror and PivotCross a fold that reads the senders'
+// rows in place. It keeps no Stats.
 type Direct struct {
 	ctx      context.Context
 	sr       semiring.AugMinPlus
@@ -197,11 +339,65 @@ func (d *Direct) MSSP(inS []bool) ([]int64, error) {
 	return p.W, nil
 }
 
-func (d *Direct) Broadcast(vals []int64) ([]int64, error) { return slices.Clone(vals), nil }
+func (d *Direct) Broadcast(vals []int64) ([]int64, error) { return vals, nil }
 
 func (d *Direct) Exchange(out [][]cc.Packet) ([][]cc.Msg, error) { return transpose(out), nil }
 
 func (d *Direct) Route(out [][]cc.Packet) ([][]cc.Msg, error) { return transpose(out), nil }
+
+func (d *Direct) Phase(string) {}
+
+func (d *Direct) Mirror(est [][]int64, rows *matrix.Mat[semiring.WH]) error {
+	for v, r := range rows.Rows {
+		for _, e := range r {
+			if int(e.Col) != v {
+				est[e.Col][v] = min(est[e.Col][v], e.Val.W)
+			}
+		}
+	}
+	return nil
+}
+
+func (d *Direct) PivotCross(est [][]int64, plane []int64, col []int, add []int64) error {
+	q := len(plane) / d.w.N
+	for v, row := range est {
+		if c := col[v]; c >= 0 {
+			for u := range row {
+				row[u] = min(row[u], semiring.MinPlus{}.Mul(add[v], plane[u*q+c]))
+			}
+		}
+	}
+	return nil
+}
+
+func (d *Direct) ThroughSets(est [][]int64, sets *matrix.Mat[semiring.WH]) error {
+	return disttools.FoldThroughSets(d.ctx, est, sets, func(v semiring.WH) int64 { return v.W }, d.wk)
+}
+
+// Triple folds the last product straight into est.
+func (d *Direct) Triple(est [][]int64, a *matrix.Mat[semiring.WH], _ int) error {
+	a1 := plainWeights(a, false)
+	aw := matmul.KernelMul[int64](MinPlus(d.sr), a1, plainWeights(d.w, true), d.wk)
+	matmul.FoldMinPlus(est, aw, func(v int64) int64 { return v }, a1.Transpose(), d.wk)
+	return nil
+}
+
+// plainWeights is m's weights without their hops, less the diagonal if
+// asked, all rows cut from one backing array.
+func plainWeights(m *matrix.Mat[semiring.WH], dropDiagonal bool) *matrix.Mat[int64] {
+	out := matrix.New[int64](m.N)
+	backing := make([]matrix.Entry[int64], 0, m.NNZ())
+	for v, row := range m.Rows {
+		start := len(backing)
+		for _, en := range row {
+			if !dropDiagonal || int(en.Col) != v {
+				backing = append(backing, matrix.Entry[int64]{Col: en.Col, Val: en.Val.W})
+			}
+		}
+		out.Rows[v] = backing[start:len(backing):len(backing)]
+	}
+	return out
+}
 
 // transpose delivers out in memory, in (sender, submission) order, each
 // inbox allocated once at its size.

@@ -13,6 +13,7 @@ import (
 	"github.com/congestedclique/ccsp/internal/hitting"
 	"github.com/congestedclique/ccsp/internal/hopset"
 	"github.com/congestedclique/ccsp/internal/mssp"
+	"github.com/congestedclique/ccsp/internal/semiring"
 )
 
 // cliques returns the simulated and the direct clique on a seeded graph,
@@ -112,5 +113,66 @@ func TestSimCapsTheTotal(t *testing.T) {
 	}
 	if _, err := capped.Broadcast(vals); !errors.Is(err, cc.ErrRoundLimit) {
 		t.Fatalf("a third broadcast on a 2-round budget: got %v, want ErrRoundLimit", err)
+	}
+}
+
+// TestFoldsMatch: the four steps that fold into an estimate table leave
+// the same table on both backends, and Sim.On's clique adds its runs to
+// the Stats it came from.
+func TestFoldsMatch(t *testing.T) {
+	sim, direct := cliques(t)
+	n := sim.N()
+	table := func() [][]int64 {
+		est := make([][]int64, n)
+		for v := range est {
+			est[v] = make([]int64, n)
+			for u := range est[v] {
+				est[v][u] = semiring.Inf
+			}
+			est[v][v] = 0
+		}
+		return est
+	}
+	sEst, dEst := table(), table()
+	check := func(what string, sErr, dErr error) {
+		t.Helper()
+		if sErr != nil || dErr != nil {
+			t.Fatalf("%s: direct error %v, simulated error %v", what, dErr, sErr)
+		}
+		if !reflect.DeepEqual(dEst, sEst) {
+			t.Fatalf("%s: the direct table differs from the simulated one", what)
+		}
+	}
+	knear, release, err := sim.KNearest(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	check("Mirror", sim.Mirror(sEst, knear), direct.Mirror(dEst, knear))
+	check("ThroughSets", sim.ThroughSets(sEst, knear), direct.ThroughSets(dEst, knear))
+	inA, err := sim.Hit(knear.Rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plane, err := sim.MSSP(inA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, add := make([]int, n), make([]int64, n)
+	for v := range col {
+		col[v], add[v] = -1, int64(v%4)
+		if v%3 != 0 {
+			col[v] = v % (len(plane) / n)
+		}
+	}
+	check("PivotCross", sim.PivotCross(sEst, plane, col, add), direct.PivotCross(dEst, plane, col, add))
+	check("Triple", sim.Triple(sEst, knear, n), direct.Triple(dEst, knear, n))
+
+	before := sim.Stats.TotalRounds()
+	if _, err := sim.On(sim.w, nil).Broadcast(add); err != nil {
+		t.Fatal(err)
+	}
+	if got := sim.Stats.TotalRounds(); got != before+1 {
+		t.Errorf("a broadcast on the clique On another graph: %d rounds, want %d", got, before+1)
 	}
 }

@@ -21,11 +21,7 @@ func lowDegree(g *graph.Graph) *matrix.Mat[semiring.WH] {
 	for v, row := range w.Rows {
 		degs[v] = int64(len(row))
 	}
-	low := matrix.New[semiring.WH](g.N)
-	for v := range low.Rows {
-		low.Rows[v] = apsp.LowDegreeRow(v, w.Rows[v], degs, apsp.DegreeThreshold(g.N))
-	}
-	return low
+	return apsp.LowDegree(w, degs)
 }
 
 // routed gives every entry of w its first hop as witness, -1 on the

@@ -207,33 +207,6 @@ func hash64(seed, x int64) int64 {
 	return int64(h & (1<<62 - 1))
 }
 
-// BoardSeq hands out Boards for algorithms that invoke the hitting-set
-// primitive several times: every node asks for its i-th board in the same
-// global order, receiving the same Board per invocation site.
-type BoardSeq struct {
-	n      int
-	mu     sync.Mutex
-	boards []*Board
-	idx    []int
-}
-
-// NewBoardSeq returns a sequencer for an n-node run.
-func NewBoardSeq(n int) *BoardSeq {
-	return &BoardSeq{n: n, idx: make([]int, n)}
-}
-
-// Next returns the calling node's next Board.
-func (bs *BoardSeq) Next(nodeID int) *Board {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	i := bs.idx[nodeID]
-	bs.idx[nodeID]++
-	for len(bs.boards) <= i {
-		bs.boards = append(bs.boards, NewBoard(bs.n))
-	}
-	return bs.boards[i]
-}
-
 // Members lists the members of a hitting set in ascending order.
 func Members(inA []bool) []int32 {
 	var out []int32

@@ -40,11 +40,7 @@ func lowDegree(w *matrix.Mat[semiring.WH]) *matrix.Mat[semiring.WH] {
 	for v, row := range w.Rows {
 		degs[v] = int64(len(row))
 	}
-	low := matrix.New[semiring.WH](w.N)
-	for v := range low.Rows {
-		low.Rows[v] = apsp.LowDegreeRow(v, w.Rows[v], degs, apsp.DegreeThreshold(w.N))
-	}
-	return low
+	return apsp.LowDegree(w, degs)
 }
 
 // sameStorage reports whether a and b are one window: equal length and,

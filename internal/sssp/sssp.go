@@ -40,10 +40,12 @@ func BellmanFord(c clique.Clique, rows []matrix.Row[semiring.WH], src, maxIters 
 		if it > maxIters || prev != nil && slices.Equal(vals, prev) {
 			return vals, it, nil
 		}
+		// Relax against a copy: vals may be my itself. A diagonal entry (0
+		// weight) never improves my[v] <= prev[v].
 		prev = append(prev[:0], vals...)
-		for v, row := range rows { // a diagonal entry (0 weight) never improves my[v] <= vals[v]
+		for v, row := range rows {
 			for _, e := range row {
-				if d := vals[e.Col]; d < semiring.Inf && d+e.Val.W < my[v] {
+				if d := prev[e.Col]; d < semiring.Inf && d+e.Val.W < my[v] {
 					my[v] = d + e.Val.W
 				}
 			}

@@ -2,6 +2,7 @@ package ccsp
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"github.com/congestedclique/ccsp/internal/cc"
@@ -145,6 +146,8 @@ func prepare(gr *Graph, opts Options) (Options, error) {
 // model: TotalRounds = SimRounds (barrier steps actually executed) plus the
 // rounds charged by the primitives the paper cites as black boxes (Lenzen
 // routing/sorting, the Lemma 4 hitting set), broken down in ChargedRounds.
+// A breakdown with nothing in it (a direct run's ChargedRounds and
+// PhaseRounds) is nil, never an empty map.
 type Stats struct {
 	Nodes int
 	// Exec records which execution mode produced these stats. Direct-mode
@@ -169,27 +172,15 @@ type Stats struct {
 }
 
 func statsFrom(s cc.Stats) Stats {
-	charged := make(map[string]int, len(s.Charged))
-	for k, v := range s.Charged {
-		charged[k] = v
-	}
-	phases := make(map[string]int, len(s.Phases))
-	for k, v := range s.Phases {
-		phases[k] = v
-	}
-	times := make(map[string]time.Duration, len(s.CollectiveTime))
-	for k, v := range s.CollectiveTime {
-		times[k] = v
-	}
 	return Stats{
 		Nodes:          s.N,
 		TotalRounds:    s.TotalRounds(),
 		SimRounds:      s.SimRounds,
-		ChargedRounds:  charged,
+		ChargedRounds:  maps.Clone(s.Charged),
 		Messages:       s.Messages,
 		Words:          s.Words(),
-		PhaseRounds:    phases,
-		CollectiveTime: times,
+		PhaseRounds:    maps.Clone(s.Phases),
+		CollectiveTime: maps.Clone(s.CollectiveTime),
 	}
 }
 

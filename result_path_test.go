@@ -455,10 +455,13 @@ func warmBytes(runs int, query func()) uint64 {
 // own), 8 KiB what does not grow. The k-nearest searches' answer slab,
 // its row headers, the arcs and the worker scratch come from a recycled
 // search state, and the MSSP planes from their pool, all warm. Measured
-// (least of five): 142 968 B besides the table at n = 256 and 967 352 at
+// (least of five): 120 112 B besides the table at n = 256 and 809 008 at
 // n = 1024. A search state not given back (a slab at 24 per entry, arcs
 // at 16), a second W₂ or a materialised through-sets product (16 bytes per
-// touched cell, ~n² of them) breaks it at n = 1024. It runs on one P with
+// touched cell, ~n² of them) breaks it at n = 1024. The objects are held
+// too, at n = 1024: 41 for the (2+ε) variant and 35 for the (3+ε) one,
+// so a step that sends its messages through Route or Exchange instead of
+// folding them in place (DESIGN.md §12) fails here, not only in bytes. It runs on one P with
 // the collector off, as TestMSSPKernelBytes does and for its reason: a
 // call that lands on another P than the one that put the MSSP panel's
 // plane back, or after two collections, allocates that plane again
@@ -484,6 +487,20 @@ func TestAPSPKernelBytes(t *testing.T) {
 		if budget := uint64(n*n*8) + apspScratchBudget(n); got > budget {
 			t.Errorf("n=%d: a warm APSP allocates %d bytes, want <= %d (table %d + 28·n·√n + 224·n + 8 KiB)",
 				n, got, budget, n*n*8)
+		}
+	}
+	eng, err := NewEngine(ctx, testGraph(1024, 3*1024, 10, 1024), Options{Epsilon: 0.5, Execution: ExecDirect, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, most := range map[api.APSPVariant]float64{api.APSPWeighted: 41, api.APSPWeighted3: 35} {
+		got := testing.AllocsPerRun(5, func() {
+			if _, err := eng.apspByVariant(ctx, v); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > most {
+			t.Errorf("n=1024: a warm %s APSP allocates %v objects, want <= %v", v, got, most)
 		}
 	}
 }

@@ -107,10 +107,11 @@ func TestSection7Deterministic(t *testing.T) {
 	}
 }
 
-// TestSection7RoundCap: Options.MaxRounds bounds a simulated diameter or
-// SSSP query as a whole - a cap of the query's own TotalRounds lets it
-// finish, one round less is ErrRoundLimit - however many runs the query
-// is made of.
+// TestSection7RoundCap: Options.MaxRounds bounds a simulated diameter,
+// SSSP or §6 APSP query as a whole - a cap of the query's own TotalRounds
+// lets it finish, one round less is ErrRoundLimit - however many runs the
+// query is made of, and on however many cliques: the unweighted APSP's
+// last run is on G', under the budget its runs on G left.
 func TestSection7RoundCap(t *testing.T) {
 	ctx := context.Background()
 	sh := section7Shapes[2]
@@ -118,36 +119,41 @@ func TestSection7RoundCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ent, err := eng.artifact(ctx, eng.baseKey())
-	if err != nil {
-		t.Fatal(err)
+	var ents [3]*artifactEntry
+	for i, key := range []artifactKey{eng.baseKey(), eng.apspKey(), eng.apspLowKey()} {
+		if ents[i], err = eng.artifact(ctx, key); err != nil {
+			t.Fatal(err)
+		}
 	}
-	queries := []struct {
-		name string
-		run  func(s *simExec) (Stats, error)
-	}{
-		{"diameter", func(s *simExec) (Stats, error) {
-			_, st, err := s.diameter(ctx, ent)
+	queries := map[string]func(s *simExec) (Stats, error){
+		"diameter": func(s *simExec) (Stats, error) {
+			_, st, err := s.diameter(ctx, ents[0])
 			return st, err
-		}},
-		{"sssp", func(s *simExec) (Stats, error) {
+		},
+		"sssp": func(s *simExec) (Stats, error) {
 			_, _, st, err := s.sssp(ctx, 5)
 			return st, err
-		}},
+		},
 	}
-	for _, q := range queries {
-		full, err := q.run(&simExec{g: sh.g, opts: eng.opts})
+	for _, v := range []api.APSPVariant{api.APSPWeighted, api.APSPWeighted3, api.APSPUnweighted} {
+		queries["apsp/"+string(v)] = func(s *simExec) (Stats, error) {
+			_, st, err := s.apsp(ctx, v, ents[1], ents[2])
+			return st, err
+		}
+	}
+	for name, run := range queries {
+		full, err := run(&simExec{g: sh.g, opts: eng.opts})
 		if err != nil {
 			t.Fatal(err)
 		}
 		capped := eng.opts
 		capped.MaxRounds = full.TotalRounds
-		if _, err := q.run(&simExec{g: sh.g, opts: capped}); err != nil {
-			t.Errorf("%s: MaxRounds = its own %d rounds: %v", q.name, full.TotalRounds, err)
+		if _, err := run(&simExec{g: sh.g, opts: capped}); err != nil {
+			t.Errorf("%s: MaxRounds = its own %d rounds: %v", name, full.TotalRounds, err)
 		}
 		capped.MaxRounds--
-		if _, err := q.run(&simExec{g: sh.g, opts: capped}); !errors.Is(err, cc.ErrRoundLimit) {
-			t.Errorf("%s: MaxRounds = %d, one below its rounds: got %v, want ErrRoundLimit", q.name, capped.MaxRounds, err)
+		if _, err := run(&simExec{g: sh.g, opts: capped}); !errors.Is(err, cc.ErrRoundLimit) {
+			t.Errorf("%s: MaxRounds = %d, one below its rounds: got %v, want ErrRoundLimit", name, capped.MaxRounds, err)
 		}
 	}
 }
@@ -169,19 +175,34 @@ func tableSum(rows [][]int64) uint64 {
 // (2+ε, (1+ε)W) of Theorem 28 and the (3+ε) of §6.1 on every §7 shape,
 // the (2+ε) of Theorem 31 on the unit-weight one - answer the same twice,
 // and their tables and Stats are the pinned ones: a checksum of the
-// table, the rounds, messages and charged rounds per tag.
+// table, the rounds, messages and charged rounds per tag, and the rounds
+// per phase. Each primitive of the simulated clique is its own run, which
+// starts under the last label the algorithm set, not under the label the
+// run before it ended in. The two weighted variants are one body that
+// labels each step "apsp/..." (the (3+ε) one used to label none: its 2
+// pivot-broadcast rounds counted under "mssp/source-detect", the rest
+// before its MSSP under ""). The unweighted one labels none, so everything
+// after its first MSSP but the second MSSP's detection - 321 rounds on
+// the cycle - counts under "", not under "mssp/source-detect".
 func TestSection6Deterministic(t *testing.T) {
 	want := map[string]struct {
-		sum   uint64
-		stats string
+		sum           uint64
+		stats, phases string
 	}{
-		"random/weighted":  {0xb986ee256e079ee5, "n=40 rounds=2424 (sim=557 charged=1867) msgs=1117008 words=4468032 charged=map[hitting-set:15 route:1108 sort:744]"},
-		"random/weighted3": {0xcc4dd310c17c8255, "n=40 rounds=2389 (sim=545 charged=1844) msgs=1094476 words=4377904 charged=map[hitting-set:15 route:1094 sort:735]"},
-		"path/weighted":    {0x78fb678e9718f025, "n=32 rounds=1889 (sim=447 charged=1442) msgs=645452 words=2581808 charged=map[hitting-set:13 route:835 sort:594]"},
-		"path/weighted3":   {0x810eaf446be0d0ef, "n=32 rounds=1855 (sim=435 charged=1420) msgs=631984 words=2527936 charged=map[hitting-set:13 route:822 sort:585]"},
-		"cycle/weighted":   {0xa7b9684167ac0b05, "n=30 rounds=1815 (sim=418 charged=1397) msgs=492305 words=1969220 charged=map[hitting-set:13 route:829 sort:555]"},
-		"cycle/weighted3":  {0xdd8e61d28f6dab19, "n=30 rounds=1781 (sim=406 charged=1375) msgs=480121 words=1920484 charged=map[hitting-set:13 route:816 sort:546]"},
-		"cycle/unweighted": {0x2f69862e24342285, "n=30 rounds=2128 (sim=440 charged=1688) msgs=611355 words=2445420 charged=map[hitting-set:26 route:1095 sort:567]"},
+		"random/weighted": {0xb986ee256e079ee5, "n=40 rounds=2424 (sim=557 charged=1867) msgs=1117008 words=4468032 charged=map[hitting-set:15 route:1108 sort:744]",
+			"map[apsp/dist-through-sets:34 apsp/hitting-set:15 apsp/k-nearest:383 apsp/pivot-combine:3 mssp/source-detect:1989]"},
+		"random/weighted3": {0xcc4dd310c17c8255, "n=40 rounds=2389 (sim=545 charged=1844) msgs=1094476 words=4377904 charged=map[hitting-set:15 route:1094 sort:735]",
+			"map[apsp/hitting-set:15 apsp/k-nearest:383 apsp/pivot-combine:2 mssp/source-detect:1989]"},
+		"path/weighted": {0x78fb678e9718f025, "n=32 rounds=1889 (sim=447 charged=1442) msgs=645452 words=2581808 charged=map[hitting-set:13 route:835 sort:594]",
+			"map[apsp/dist-through-sets:33 apsp/hitting-set:13 apsp/k-nearest:259 apsp/pivot-combine:3 mssp/source-detect:1581]"},
+		"path/weighted3": {0x810eaf446be0d0ef, "n=32 rounds=1855 (sim=435 charged=1420) msgs=631984 words=2527936 charged=map[hitting-set:13 route:822 sort:585]",
+			"map[apsp/hitting-set:13 apsp/k-nearest:259 apsp/pivot-combine:2 mssp/source-detect:1581]"},
+		"cycle/weighted": {0xa7b9684167ac0b05, "n=30 rounds=1815 (sim=418 charged=1397) msgs=492305 words=1969220 charged=map[hitting-set:13 route:829 sort:555]",
+			"map[apsp/dist-through-sets:33 apsp/hitting-set:13 apsp/k-nearest:239 apsp/pivot-combine:3 mssp/source-detect:1527]"},
+		"cycle/weighted3": {0xdd8e61d28f6dab19, "n=30 rounds=1781 (sim=406 charged=1375) msgs=480121 words=1920484 charged=map[hitting-set:13 route:816 sort:546]",
+			"map[apsp/hitting-set:13 apsp/k-nearest:239 apsp/pivot-combine:2 mssp/source-detect:1527]"},
+		"cycle/unweighted": {0x2f69862e24342285, "n=30 rounds=2128 (sim=440 charged=1688) msgs=611355 words=2445420 charged=map[hitting-set:26 route:1095 sort:567]",
+			"map[:334 mssp/source-detect:1794]"},
 	}
 	ctx := context.Background()
 	for _, sh := range section7Shapes {
@@ -203,6 +224,9 @@ func TestSection6Deterministic(t *testing.T) {
 				}
 				if sum, got := tableSum(res.Dist), statsLine(res.Stats); sum != w.sum || got != w.stats {
 					t.Errorf("%s: table %#x with %q, want %#x with %q", name, sum, got, w.sum, w.stats)
+				}
+				if got := fmt.Sprint(res.Stats.PhaseRounds); got != w.phases {
+					t.Errorf("%s: phases %s, want %s", name, got, w.phases)
 				}
 			}
 		}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 
 	"github.com/congestedclique/ccsp/internal/snapshot"
 )
@@ -169,11 +168,11 @@ func toSnapStats(s Stats) snapshot.Stats {
 	}
 }
 
-// fromSnapStats converts back, normalizing absent breakdown maps to empty
-// ones (Stats built by statsFrom always carry non-nil maps, and the wire
-// format does not distinguish nil from empty).
+// fromSnapStats converts back. The wire format does not tell a nil map
+// from an empty one; it decodes both as nil, the one empty breakdown
+// Stats has.
 func fromSnapStats(s snapshot.Stats) Stats {
-	out := Stats{
+	return Stats{
 		Nodes:          s.Nodes,
 		TotalRounds:    s.TotalRounds,
 		SimRounds:      s.SimRounds,
@@ -184,14 +183,4 @@ func fromSnapStats(s snapshot.Stats) Stats {
 		CollectiveTime: s.CollectiveTime,
 		Exec:           Execution(s.Exec),
 	}
-	if out.ChargedRounds == nil {
-		out.ChargedRounds = map[string]int{}
-	}
-	if out.PhaseRounds == nil {
-		out.PhaseRounds = map[string]int{}
-	}
-	if out.CollectiveTime == nil {
-		out.CollectiveTime = map[string]time.Duration{}
-	}
-	return out
 }
