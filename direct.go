@@ -22,10 +22,10 @@ import (
 // computed on flat host-side matrices with the matmul kernels, bypassing
 // the per-node simulator. Each method mirrors its simExec sibling step by
 // step, or, for the §6 and §7 algorithms, runs the same body over a
-// clique.Direct, and hands back the kernels' own matrix; Stats carry no rounds or
-// messages, only the wall-clock cost. The weight matrix and its routed
-// (first-hop witness) sibling are materialized once on first use and
-// immutable afterwards (the graph does not change after newEngine).
+// clique.Direct, and hands back the kernels' own matrix; Stats carry no
+// rounds or messages, only the wall-clock cost. The weight matrix and its
+// routed (first-hop witness) sibling are materialized once on first use
+// and immutable afterwards (the graph does not change after newEngine).
 type directExec struct {
 	g       *graph.Graph
 	workers int

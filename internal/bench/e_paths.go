@@ -164,11 +164,14 @@ func simAPSP(c Config, g *graph.Graph, eps float64, query func(*clique.Sim, *mat
 	sim := clique.NewSim(context.Background(), engineCfg(c, g.N), sr, w, art)
 	table, err := query(sim, w)
 	stats.Add(&sim.Stats)
+	if err != nil {
+		return nil, stats, err
+	}
 	rows := make([][]int64, g.N)
 	for v := range rows {
 		rows[v] = table[v*g.N : (v+1)*g.N]
 	}
-	return rows, stats, err
+	return rows, stats, nil
 }
 
 // e9 measures the unweighted APSP across degree regimes.

@@ -70,9 +70,9 @@ type Clique interface {
 	Triple(est [][]int64, a *matrix.Mat[semiring.WH], rho int) error
 }
 
-// MinPlus is the plain min-plus semiring whose values are bounded as sr's
+// minPlus is the plain min-plus semiring whose values are bounded as sr's
 // weights are.
-func MinPlus(sr semiring.AugMinPlus) semiring.MinPlus {
+func minPlus(sr semiring.AugMinPlus) semiring.MinPlus {
 	return semiring.NewMinPlus(sr.MaxW + 1)
 }
 
@@ -249,7 +249,7 @@ func (s *Sim) PivotCross(est [][]int64, plane []int64, col []int, add []int64) e
 // ThroughSets runs DistThroughSets at every node (one Sync and a Theorem
 // 8 product).
 func (s *Sim) ThroughSets(est [][]int64, sets *matrix.Mat[semiring.WH]) error {
-	sr := MinPlus(s.sr)
+	sr := minPlus(s.sr)
 	return s.run(func(nd *cc.Node) error {
 		ests := make([]disttools.Est, 0, len(sets.Rows[nd.ID]))
 		for _, e := range sets.Rows[nd.ID] {
@@ -264,7 +264,7 @@ func (s *Sim) ThroughSets(est [][]int64, sets *matrix.Mat[semiring.WH]) error {
 // Triple ships every row of A to its column owners (one Sync, which
 // assembles the rows of Aᵀ) and multiplies twice.
 func (s *Sim) Triple(est [][]int64, a *matrix.Mat[semiring.WH], rho int) error {
-	sr, a1, w1 := MinPlus(s.sr), plainWeights(a, false), plainWeights(s.w, true)
+	sr, a1, w1 := minPlus(s.sr), plainWeights(a, false), plainWeights(s.w, true)
 	return s.run(func(nd *cc.Node) error {
 		out := make([]cc.Packet, 0, len(a1.Rows[nd.ID]))
 		for _, e := range a1.Rows[nd.ID] {
@@ -359,7 +359,7 @@ func (d *Direct) Mirror(est [][]int64, rows *matrix.Mat[semiring.WH]) error {
 }
 
 func (d *Direct) PivotCross(est [][]int64, plane []int64, col []int, add []int64) error {
-	q := len(plane) / d.w.N
+	q := len(plane) / len(est)
 	for v, row := range est {
 		if c := col[v]; c >= 0 {
 			for u := range row {
@@ -377,7 +377,7 @@ func (d *Direct) ThroughSets(est [][]int64, sets *matrix.Mat[semiring.WH]) error
 // Triple folds the last product straight into est.
 func (d *Direct) Triple(est [][]int64, a *matrix.Mat[semiring.WH], _ int) error {
 	a1 := plainWeights(a, false)
-	aw := matmul.KernelMul[int64](MinPlus(d.sr), a1, plainWeights(d.w, true), d.wk)
+	aw := matmul.KernelMul[int64](minPlus(d.sr), a1, plainWeights(d.w, true), d.wk)
 	matmul.FoldMinPlus(est, aw, func(v int64) int64 { return v }, a1.Transpose(), d.wk)
 	return nil
 }

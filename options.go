@@ -172,6 +172,9 @@ type Stats struct {
 }
 
 func statsFrom(s cc.Stats) Stats {
+	if len(s.Charged) == 0 {
+		s.Charged = nil // cc.Run makes it before the first charge
+	}
 	return Stats{
 		Nodes:          s.N,
 		TotalRounds:    s.TotalRounds(),
