@@ -26,13 +26,15 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
+
+	"github.com/congestedclique/ccsp/internal/pool"
 )
 
 // Version is the wire schema major version, reflected in the /v1/ HTTP
@@ -319,71 +321,138 @@ func (r Request) CacheKey() string { return r.CacheKeyAt(0) }
 // positive epoch inserts "e=<epoch>:" after the version and graph
 // prefix.
 func (r Request) CacheKeyAt(epoch uint64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "v%d:", Version)
+	var space [128]byte
+	b := append(space[:0], 'v')
+	b = strconv.AppendInt(b, Version, 10)
+	b = append(b, ':')
 	if r.Graph != "" {
-		fmt.Fprintf(&b, "g=%s:", r.Graph)
+		b = append(append(append(b, "g="...), r.Graph...), ':')
 	}
 	if epoch != 0 {
-		fmt.Fprintf(&b, "e=%d:", epoch)
+		b = append(strconv.AppendUint(append(b, "e="...), epoch, 10), ':')
 	}
-	b.WriteString(string(r.Kind))
+	b = append(b, r.Kind...)
 	switch r.Kind {
 	case KindSSSP:
 		if r.SSSP != nil {
-			fmt.Fprintf(&b, ":src=%d", r.SSSP.Source)
+			b = strconv.AppendInt(append(b, ":src="...), int64(r.SSSP.Source), 10)
 		}
 	case KindMSSP:
 		if r.MSSP != nil {
-			b.WriteString(":sources=")
-			b.WriteString(canonicalInts(r.MSSP.Sources))
+			b = appendCanonicalInts(append(b, ":sources="...), r.MSSP.Sources)
 		}
 	case KindAPSP:
-		fmt.Fprintf(&b, ":variant=%s", r.Variant())
+		b = append(append(b, ":variant="...), r.Variant()...)
 	case KindDistance:
 		if r.Distance != nil {
-			fmt.Fprintf(&b, ":from=%d:to=%d", r.Distance.From, r.Distance.To)
+			b = strconv.AppendInt(append(b, ":from="...), int64(r.Distance.From), 10)
+			b = strconv.AppendInt(append(b, ":to="...), int64(r.Distance.To), 10)
 		}
 	case KindKNearest:
 		if r.KNearest != nil {
-			fmt.Fprintf(&b, ":k=%d", r.KNearest.K)
+			b = strconv.AppendInt(append(b, ":k="...), int64(r.KNearest.K), 10)
 		}
 	case KindSourceDetection:
-		if r.SourceDetection != nil {
-			fmt.Fprintf(&b, ":sources=%s:d=%d:k=%d",
-				canonicalInts(r.SourceDetection.Sources), r.SourceDetection.D, r.SourceDetection.K)
+		if p := r.SourceDetection; p != nil {
+			b = appendCanonicalInts(append(b, ":sources="...), p.Sources)
+			b = strconv.AppendInt(append(b, ":d="...), int64(p.D), 10)
+			b = strconv.AppendInt(append(b, ":k="...), int64(p.K), 10)
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
-// canonicalInts renders a sorted, deduplicated, comma-separated list.
-func canonicalInts(vals []int) string {
-	uniq := append([]int(nil), vals...)
-	sort.Ints(uniq)
-	parts := make([]string, 0, len(uniq))
+// appendCanonicalInts appends vals sorted, deduplicated and
+// comma-separated. It sorts a copy in pooled scratch: vals is the caller's.
+func appendCanonicalInts(b []byte, vals []int) []byte {
+	uniq := keyScratch.Get(len(vals))
+	copy(uniq, vals)
+	slices.Sort(uniq)
 	for i, v := range uniq {
-		if i > 0 && v == uniq[i-1] {
+		switch {
+		case i == 0:
+		case v == uniq[i-1]:
 			continue
+		default:
+			b = append(b, ',')
 		}
-		parts = append(parts, strconv.Itoa(v))
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return strings.Join(parts, ",")
+	keyScratch.Put(uniq)
+	return b
 }
+
+// keyScratch recycles the source lists CacheKeyAt sorts.
+var keyScratch pool.Scratch[int]
 
 // DecodeRequest reads one JSON-encoded Request from r and validates it.
 // Callers cap the reader (http.MaxBytesReader or io.LimitReader) before
 // handing it over; syntax and validation failures both wrap ErrMalformed.
+//
+// The body is read whole into a pooled buffer and walked once
+// (decodeRequest), so a canonical request allocates only what it holds:
+// its payload and source list, its graph ID. Anything else - escapes,
+// folded, repeated or unknown keys, null, fractions, trailing bytes, a
+// failed read - goes, byte for byte and failure for failure, to
+// encoding/json (decodeStrict), so what a Request accepts, holds and
+// reports are that decoder's by construction (FuzzRequestJSON). Nothing
+// decoded points into the buffer, which goes back before DecodeRequest
+// returns.
 func DecodeRequest(r io.Reader) (Request, error) {
-	var req Request
-	if err := decodeStrict(r, &req); err != nil {
-		return Request{}, err
+	buf, readErr := readRequest(r)
+	defer requestBufs.Put(buf)
+	req, ok := Request{}, false
+	if readErr == nil {
+		req, ok = decodeRequest(buf)
+	}
+	if !ok {
+		var body io.Reader = bytes.NewReader(buf)
+		if readErr != nil {
+			body = io.MultiReader(body, failedReader{readErr})
+		}
+		var plain Request
+		if err := decodeStrict(body, &plain); err != nil {
+			return Request{}, err
+		}
+		req = plain
 	}
 	if err := req.Validate(); err != nil {
 		return Request{}, err
 	}
 	return req, nil
 }
+
+// requestBufs recycles the buffers DecodeRequest reads bodies into
+// (DESIGN.md §13, "who owns which buffer").
+var requestBufs pool.Scratch[byte]
+
+// readRequest reads r to its end into a buffer from requestBufs, doubling
+// the buffer as it fills; the caller hands the one returned back. On a read
+// error it holds what came before the error.
+func readRequest(r io.Reader) ([]byte, error) {
+	buf := requestBufs.Get(512)[:0]
+	for {
+		if len(buf) == cap(buf) {
+			grown := requestBufs.Get(2 * cap(buf))
+			copy(grown, buf)
+			requestBufs.Put(buf)
+			buf = grown[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// failedReader replays a read error after the bytes read before it.
+type failedReader struct{ err error }
+
+func (f failedReader) Read([]byte) (int, error) { return 0, f.err }
 
 // BatchRequest is the body of POST /v1/batch.
 type BatchRequest struct {

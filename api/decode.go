@@ -7,76 +7,384 @@ import "encoding/json"
 // (FuzzResponseJSON) of UnmarshalJSON.
 type plainResponse Response
 
-// UnmarshalJSON decodes a response in one pass over its one large array.
-// A served apsp answer is a few hundred bytes of envelope around megabytes
-// of matrix; encoding/json scans all of it to validate it, again to find
-// where each value ends, and a third time in Matrix.UnmarshalJSON to parse
-// it. Here the envelope is walked down to that array (apsp/mssp/sssp
-// "dist", knearest "neighbors", source_detection "detected"), the array is
-// parsed where it lies by the decoder its type already has, and what is
-// left - the body with the array cut down to [] - goes to encoding/json,
-// which validates and decodes it as it always did.
+// UnmarshalJSON decodes a response in one walk over its bytes. A served
+// apsp answer is a few hundred bytes of envelope around megabytes of
+// matrix; encoding/json scans all of it to validate it, again to find where
+// each value ends, and a third time in Matrix.UnmarshalJSON to parse it,
+// and a point answer's envelope costs it a dozen objects. Here the
+// envelope is walked key by key: every scalar is parsed where it lies, the
+// kind, variant and error code are matched against their constants, and
+// the one large array (apsp/mssp/sssp "dist", knearest "neighbors",
+// source_detection "detected") is parsed by the decoder its type already
+// has. A response allocates only what it holds.
 //
-// The walk takes only what it can be sure of: an object whose keys at both
-// levels are plain [a-z_]* (so a key matches a field exactly or not at all,
-// where encoding/json would also fold case), the array's key and its
-// result's key not repeated after it, the array in its canonical form. On
-// anything else, and on any error, the whole input goes to encoding/json
-// instead, so what a Response accepts, holds and reports are that decoder's
-// by construction. Callers holding a whole body may call it directly;
-// json.Unmarshal reaches it too, after its own two scans.
+// The walk takes only the canonical form json.Marshal writes: objects
+// whose keys are Response's own, plain [a-z_]* (so a key matches a field
+// exactly or not at all, where encoding/json would also fold case), each
+// once; integer literals that fit their field; true or false; strings
+// without escapes; no null; nothing after the body. It decodes into a
+// zero Response only, since encoding/json merges into whatever r holds. On
+// anything else the whole input goes to encoding/json instead, so what a
+// Response accepts, holds and reports are that decoder's by construction.
+// Callers holding a whole body may call it directly; json.Unmarshal
+// reaches it too, after its own two scans.
 func (r *Response) UnmarshalJSON(data []byte) error {
-	if set, start, end := findLargeArray(data); set != nil {
-		rest := make([]byte, 0, start+len("[]")+len(data)-end)
-		rest = append(append(append(rest, data[:start]...), "[]"...), data[end:]...)
-		if json.Unmarshal(rest, (*plainResponse)(r)) == nil {
-			set(r)
+	if *r == (Response{}) {
+		if resp, ok := decodeResponse(data); ok {
+			*r = resp
 			return nil
 		}
 	}
 	return json.Unmarshal(data, (*plainResponse)(r))
 }
 
-// findLargeArray walks a response body to its large array and decodes it:
-// data[start:end] is the array and set stores the decoded value in the
-// field it belongs to, once the rest of the body has been decoded (the
-// result struct the field lives in exists by then: its key held an object).
-// set is nil when the body has no such array or is not in the form
-// UnmarshalJSON describes.
-func findLargeArray(data []byte) (set func(*Response), start, end int) {
-	var result, member []byte // the keys the array was found under
-	last, ok := walkObject(data, 0, func(key []byte, at int) (int, bool) {
-		if set != nil {
-			// The array is decoded; only its result's key coming back could
-			// still change what it means.
-			if string(key) == string(result) {
-				return at, false
-			}
-			return skipValue(data, at)
+// decodeResponse decodes the canonical form UnmarshalJSON describes; ok is
+// false on anything else, and r is then garbage.
+func decodeResponse(data []byte) (r Response, ok bool) {
+	end, ok := walkFields(data, 0, responseFields, func(key string, at int) (int, bool) {
+		switch key {
+		case "kind":
+			return constField(data, at, kinds, &r.Kind)
+		case "graph":
+			return graphField(data, at, &r.Graph)
+		case "sssp":
+			r.SSSP = new(SSSPResult)
+			return r.SSSP.decode(data, at)
+		case "mssp":
+			r.MSSP = new(MSSPResult)
+			return r.MSSP.decode(data, at)
+		case "apsp":
+			r.APSP = new(APSPResult)
+			return r.APSP.decode(data, at)
+		case "distance":
+			r.Distance = new(DistanceResult)
+			return r.Distance.decode(data, at)
+		case "diameter":
+			r.Diameter = new(DiameterResult)
+			return walkFields(data, at, diameterFields, func(_ string, at int) (int, bool) {
+				return int64Field(data, at, &r.Diameter.Estimate)
+			})
+		case "knearest":
+			r.KNearest = new(KNearestResult)
+			return r.KNearest.decode(data, at)
+		case "source_detection":
+			r.SourceDetection = new(SourceDetectionResult)
+			return r.SourceDetection.decode(data, at)
+		case "stats":
+			r.Stats = new(Stats)
+			return r.Stats.decode(data, at)
+		case "cached":
+			return boolField(data, at, &r.Cached)
+		default: // "error"
+			r.Error = new(Error)
+			return r.Error.decode(data, at)
 		}
-		if at == len(data) || data[at] != '{' {
-			return skipValue(data, at)
-		}
-		return walkObject(data, at, func(inner []byte, at int) (int, bool) {
-			switch {
-			case set != nil && string(inner) == string(member):
-				return at, false
-			case set != nil || at == len(data) || data[at] != '[':
-				return skipValue(data, at)
-			}
-			s, e, ok := decodeLargeArray(key, inner, data, at)
-			if s == nil {
-				return skipValue(data, at)
-			}
-			set, start, end, result, member = s, at, e, key, inner
-			return e, ok
-		})
 	})
-	if !ok || skipSpace(data, last) != len(data) {
-		return nil, 0, 0
-	}
-	return set, start, end
+	return r, ok && skipSpace(data, end) == len(data)
 }
+
+// decodeRequest decodes the canonical form of a Request, the one
+// json.Marshal writes, under the rules of Response's walk: Request's own
+// keys once each, integer literals, no escapes, no null, nothing after the
+// body. Kind and variant are matched against their constants; the integer
+// fields are parsed where they lie, a source list into a slice of its
+// exact length. ok is false on anything else, and r is then garbage.
+func decodeRequest(data []byte) (r Request, ok bool) {
+	end, ok := walkFields(data, 0, requestFields, func(key string, at int) (int, bool) {
+		switch key {
+		case "kind":
+			return constField(data, at, kinds, &r.Kind)
+		case "graph":
+			return graphField(data, at, &r.Graph)
+		case "sssp":
+			r.SSSP = new(SSSPParams)
+			return walkFields(data, at, ssspParams, func(_ string, at int) (int, bool) {
+				return intField(data, at, &r.SSSP.Source)
+			})
+		case "mssp":
+			r.MSSP = new(MSSPParams)
+			return walkFields(data, at, msspParams, func(_ string, at int) (end int, ok bool) {
+				r.MSSP.Sources, end, ok = decodeList(data, at, parseInt)
+				return end, ok
+			})
+		case "apsp":
+			r.APSP = new(APSPParams)
+			return walkFields(data, at, apspParams, func(_ string, at int) (int, bool) {
+				return constField(data, at, variants, &r.APSP.Variant)
+			})
+		case "distance":
+			r.Distance = new(DistanceParams)
+			return walkFields(data, at, distanceParams, func(key string, at int) (int, bool) {
+				if key == "from" {
+					return intField(data, at, &r.Distance.From)
+				}
+				return intField(data, at, &r.Distance.To)
+			})
+		case "knearest":
+			r.KNearest = new(KNearestParams)
+			return walkFields(data, at, knearestParams, func(_ string, at int) (int, bool) {
+				return intField(data, at, &r.KNearest.K)
+			})
+		default: // "source_detection"
+			p := new(SourceDetectionParams)
+			r.SourceDetection = p
+			return walkFields(data, at, detectParams, func(key string, at int) (end int, ok bool) {
+				switch key {
+				case "sources":
+					p.Sources, end, ok = decodeList(data, at, parseInt)
+					return end, ok
+				case "d":
+					return intField(data, at, &p.D)
+				default:
+					return intField(data, at, &p.K)
+				}
+			})
+		}
+	})
+	return r, ok && skipSpace(data, end) == len(data)
+}
+
+// The keys each object of the canonical form may carry, json.Marshal's
+// names for the fields.
+var (
+	responseFields = []string{"kind", "graph", "sssp", "mssp", "apsp", "distance", "diameter",
+		"knearest", "source_detection", "stats", "cached", "error"}
+	ssspFields     = []string{"source", "dist", "iterations"}
+	msspFields     = []string{"sources", "dist"}
+	apspFields     = []string{"variant", "dist"}
+	distanceFields = []string{"from", "to", "distance", "reachable"}
+	diameterFields = []string{"estimate"}
+	knearestFields = []string{"k", "neighbors"}
+	detectFields   = []string{"d", "k", "detected"}
+	statsFields    = []string{"total_rounds", "sim_rounds", "messages", "words"}
+	errorFields    = []string{"code", "message"}
+
+	requestFields  = []string{"kind", "graph", "sssp", "mssp", "apsp", "distance", "knearest", "source_detection"}
+	ssspParams     = []string{"source"}
+	msspParams     = []string{"sources"}
+	apspParams     = []string{"variant"}
+	distanceParams = []string{"from", "to"}
+	knearestParams = []string{"k"}
+	detectParams   = []string{"sources", "d", "k"}
+)
+
+// The string constants a walk matches a value against instead of copying
+// it. The empty string matches too: it is what the zero value encodes as.
+var (
+	kinds      = Kinds()
+	variants   = []APSPVariant{APSPAuto, APSPWeighted, APSPWeighted3, APSPUnweighted}
+	errorCodes = []ErrorCode{CodeCanceled, CodeDeadline, CodeRoundLimit, CodeInvalidSource, CodeInvalidOption,
+		CodeMalformed, CodeUnknownGraph, CodeUnavailable, CodeOverloaded, CodeInternal}
+)
+
+func (s *SSSPResult) decode(data []byte, i int) (int, bool) {
+	return walkFields(data, i, ssspFields, func(key string, at int) (end int, ok bool) {
+		switch key {
+		case "source":
+			return intField(data, at, &s.Source)
+		case "dist":
+			s.Dist, end, ok = decodeList(data, at, parseCell)
+			return end, ok
+		default:
+			return intField(data, at, &s.Iterations)
+		}
+	})
+}
+
+func (m *MSSPResult) decode(data []byte, i int) (int, bool) {
+	return walkFields(data, i, msspFields, func(key string, at int) (end int, ok bool) {
+		if key == "sources" {
+			m.Sources, end, ok = decodeList(data, at, parseInt)
+		} else {
+			m.Dist, end, ok = decodeMatrix(data, at)
+		}
+		return end, ok
+	})
+}
+
+func (a *APSPResult) decode(data []byte, i int) (int, bool) {
+	return walkFields(data, i, apspFields, func(key string, at int) (end int, ok bool) {
+		if key == "variant" {
+			return constField(data, at, variants, &a.Variant)
+		}
+		a.Dist, end, ok = decodeMatrix(data, at)
+		return end, ok
+	})
+}
+
+func (d *DistanceResult) decode(data []byte, i int) (int, bool) {
+	return walkFields(data, i, distanceFields, func(key string, at int) (int, bool) {
+		switch key {
+		case "from":
+			return intField(data, at, &d.From)
+		case "to":
+			return intField(data, at, &d.To)
+		case "distance":
+			return int64Field(data, at, &d.Distance)
+		default:
+			return boolField(data, at, &d.Reachable)
+		}
+	})
+}
+
+func (k *KNearestResult) decode(data []byte, i int) (int, bool) {
+	return walkFields(data, i, knearestFields, func(key string, at int) (end int, ok bool) {
+		if key == "k" {
+			return intField(data, at, &k.K)
+		}
+		k.Neighbors, end, ok = decodeNeighborLists(data, at)
+		return end, ok
+	})
+}
+
+func (s *SourceDetectionResult) decode(data []byte, i int) (int, bool) {
+	return walkFields(data, i, detectFields, func(key string, at int) (end int, ok bool) {
+		switch key {
+		case "d":
+			return intField(data, at, &s.D)
+		case "k":
+			return intField(data, at, &s.K)
+		default:
+			s.Detected, end, ok = decodeNeighborLists(data, at)
+			return end, ok
+		}
+	})
+}
+
+func (s *Stats) decode(data []byte, i int) (int, bool) {
+	return walkFields(data, i, statsFields, func(key string, at int) (int, bool) {
+		switch key {
+		case "total_rounds":
+			return intField(data, at, &s.TotalRounds)
+		case "sim_rounds":
+			return intField(data, at, &s.SimRounds)
+		case "messages":
+			return int64Field(data, at, &s.Messages)
+		default:
+			return int64Field(data, at, &s.Words)
+		}
+	})
+}
+
+func (e *Error) decode(data []byte, i int) (int, bool) {
+	return walkFields(data, i, errorFields, func(key string, at int) (int, bool) {
+		if key == "code" {
+			return constField(data, at, errorCodes, &e.Code)
+		}
+		s, end, ok := parseString(data, at, isTextByte)
+		if ok {
+			e.Message = string(s)
+		}
+		return end, ok
+	})
+}
+
+// walkFields is walkObject over an object whose keys are each one of
+// fields, at most once: visit gets the key as fields spells it. An unknown
+// or repeated key stops the walk, ok false. It holds at most 32 fields.
+func walkFields(data []byte, i int, fields []string, visit func(key string, at int) (int, bool)) (end int, ok bool) {
+	var seen uint32
+	return walkObject(data, i, func(key []byte, at int) (int, bool) {
+		for f, name := range fields {
+			if string(key) == name {
+				if seen&(1<<f) != 0 {
+					return at, false
+				}
+				seen |= 1 << f
+				return visit(name, at)
+			}
+		}
+		return at, false
+	})
+}
+
+// intField parses the integer literal at data[i] into an int field.
+func intField(data []byte, i int, dst *int) (end int, ok bool) {
+	*dst, end, ok = parseInt(data, i)
+	return end, ok
+}
+
+// int64Field parses the integer literal at data[i] into an int64 field.
+func int64Field(data []byte, i int, dst *int64) (end int, ok bool) {
+	*dst, end, ok = parseInt64(data, i)
+	return end, ok
+}
+
+// parseInt is parseInt64 for what an int holds.
+func parseInt(data []byte, i int) (int, int, bool) {
+	v, end, ok := parseInt64(data, i)
+	return int(v), end, ok && int64(int(v)) == v
+}
+
+// parseInt64 is parseCell refusing -0, which no encoder writes.
+func parseInt64(data []byte, i int) (int64, int, bool) {
+	v, end, ok := parseCell(data, i)
+	return v, end, ok && (v != 0 || data[i] != '-')
+}
+
+// boolField parses true or false at data[i].
+func boolField(data []byte, i int, dst *bool) (int, bool) {
+	if end, ok := expect(data, i, "true"); ok {
+		*dst = true
+		return end, true
+	}
+	*dst = false
+	return expect(data, i, "false")
+}
+
+// constField parses a string at data[i] that is one of consts, or empty,
+// into dst, which then holds the constant itself: the walk copies no
+// string a constant already spells.
+func constField[T ~string](data []byte, i int, consts []T, dst *T) (int, bool) {
+	s, end, ok := parseString(data, i, isKeyByte)
+	if !ok || len(s) == 0 {
+		*dst = ""
+		return end, ok
+	}
+	for _, c := range consts {
+		if string(s) == string(c) {
+			*dst = c
+			return end, true
+		}
+	}
+	return end, false
+}
+
+// graphField parses a graph ID: a string of ValidateGraphID's bytes.
+func graphField(data []byte, i int, dst *string) (int, bool) {
+	s, end, ok := parseString(data, i, isGraphByte)
+	if ok {
+		*dst = string(s)
+	}
+	return end, ok
+}
+
+// parseString reads the string literal at data[i] whose bytes all satisfy
+// plain - none of them a quote, a backslash or a control byte, so the
+// literal means its bytes - and returns those bytes.
+func parseString(data []byte, i int, plain func(byte) bool) ([]byte, int, bool) {
+	if i >= len(data) || data[i] != '"' {
+		return nil, i, false
+	}
+	first := i + 1
+	for i = first; i < len(data) && plain(data[i]); i++ {
+	}
+	if i == len(data) || data[i] != '"' {
+		return nil, i, false
+	}
+	return data[first:i], i + 1, true
+}
+
+// isKeyByte is a byte of a plain key or constant: [a-z_].
+func isKeyByte(c byte) bool { return c >= 'a' && c <= 'z' || c == '_' }
+
+// isGraphByte is a byte ValidateGraphID allows: [A-Za-z0-9._-].
+func isGraphByte(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '.' || c == '_' || c == '-'
+}
+
+// isTextByte is a printable ASCII byte other than a quote or a backslash.
+func isTextByte(c byte) bool { return c >= ' ' && c <= '~' && c != '"' && c != '\\' }
 
 // largeArray names a field that carries an answer's large array.
 type largeArray uint8
@@ -108,29 +416,6 @@ func largeArrayAt(result, member []byte) largeArray {
 	return noArray
 }
 
-// decodeLargeArray decodes the array at data[i] when result.member is a
-// field that carries an answer's large array; set is nil when it is not.
-func decodeLargeArray(result, member, data []byte, i int) (set func(*Response), end int, ok bool) {
-	switch largeArrayAt(result, member) {
-	case ssspDist:
-		v, end, ok := decodeVector(data, i)
-		return func(r *Response) { r.SSSP.Dist = v }, end, ok
-	case msspDist:
-		m, end, ok := decodeMatrix(data, i)
-		return func(r *Response) { r.MSSP.Dist = m }, end, ok
-	case apspDist:
-		m, end, ok := decodeMatrix(data, i)
-		return func(r *Response) { r.APSP.Dist = m }, end, ok
-	case knearestNeighbors:
-		l, end, ok := decodeNeighborLists(data, i)
-		return func(r *Response) { r.KNearest.Neighbors = l }, end, ok
-	case detectedSources:
-		l, end, ok := decodeNeighborLists(data, i)
-		return func(r *Response) { r.SourceDetection.Detected = l }, end, ok
-	}
-	return nil, i, false
-}
-
 // walkObject walks the members of the object at or after data[i]: visit
 // gets each key (the bytes between its quotes) with the index its value
 // starts at, and returns the index after that value. The walk stops, ok
@@ -150,7 +435,7 @@ func walkObject(data []byte, i int, visit func(key []byte, at int) (int, bool)) 
 			return i, false
 		}
 		first := i
-		for i < len(data) && (data[i] >= 'a' && data[i] <= 'z' || data[i] == '_') {
+		for i < len(data) && isKeyByte(data[i]) {
 			i++
 		}
 		if i == len(data) || data[i] != '"' {

@@ -49,12 +49,17 @@ func decodeMatrix(data []byte, i int) (Matrix, int, bool) {
 	return rows[:nr:nr], end, ok
 }
 
-// decodeVector is decodeMatrix for one row: the []int64 of an sssp answer,
-// which the first ']' ends.
-func decodeVector(data []byte, i int) ([]int64, int, bool) {
-	cells := make([]int64, bytes.Count(arraySpan(data, i, "]"), []byte{','})+1)
-	n, end, ok := parseList(data, i, cells, 0, parseCell)
-	return cells[:n:n], end, ok
+// decodeList is decodeMatrix for one row - the []int64 of an sssp answer,
+// a source list - which the first ']' ends: one slice of exactly its
+// length, [] a non-nil empty one.
+func decodeList[T any](data []byte, i int, elem func([]byte, int) (T, int, bool)) ([]T, int, bool) {
+	n := 0
+	if j := skipSpace(data, i+1); j < len(data) && data[j] != ']' {
+		n = bytes.Count(arraySpan(data, i, "]"), []byte{','}) + 1
+	}
+	cells := make([]T, n)
+	got, end, ok := parseList(data, i, cells, 0, elem)
+	return cells[:got:got], end, ok
 }
 
 // arraySpan is data[i:] up to and including the first closer, the bytes a

@@ -132,15 +132,9 @@ func foldRows(est [][]int64, m *matrix.Mat[semiring.WH]) {
 // est. It returns the plane, whose j-th column is the j-th member of
 // src; the caller gives the plane back.
 func detect(c clique.Clique, est [][]int64, inA []bool) ([]int64, []int32, error) {
-	plane, err := c.MSSP(inA)
+	plane, src, err := c.MSSP(inA)
 	if err != nil {
 		return nil, nil, err
-	}
-	src := make([]int32, 0, len(plane)/len(est))
-	for a, in := range inA {
-		if in {
-			src = append(src, int32(a))
-		}
 	}
 	q := len(src)
 	for v, row := range est {

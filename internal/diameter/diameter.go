@@ -37,7 +37,7 @@ func Approx(c clique.Clique) (int64, error) {
 		return 0, fmt.Errorf("diameter: %w", err)
 	}
 	// Line (3): MSSP from S.
-	dS, err := c.MSSP(inS)
+	dS, _, err := c.MSSP(inS)
 	if err != nil {
 		return 0, fmt.Errorf("diameter: %w", err)
 	}
@@ -91,7 +91,7 @@ func Approx(c clique.Clique) (int64, error) {
 	for v := range inNkw {
 		inNkw[v] = members[v] == 1
 	}
-	dNkw, err := c.MSSP(inNkw)
+	dNkw, _, err := c.MSSP(inNkw)
 	if err != nil {
 		return 0, fmt.Errorf("diameter: second MSSP: %w", err)
 	}

@@ -540,22 +540,9 @@ func engineStats(dyn *ccsp.DynamicEngine) (graph, options, preprocess map[string
 // large body carries its Content-Length, which is what lets the client read
 // it into one buffer of the right size (client.readBody).
 //
-// An answer that carries a large array is appended into a pooled buffer
-// JSONLen sized (api.Response.AppendJSON: the bytes encoding/json would
-// write, without its reflective walk over the array), as a batch is
-// (writeBatch); the buffer goes back once the connection has taken the
-// bytes. Everything else goes through encoding/json.
+// An api.Response goes through writeResponse instead, which appends it.
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	switch v := v.(type) {
-	case api.Response:
-		if carriesArray(&v) {
-			buf := encodeBufs.Get(v.JSONLen() + 1)
-			send(w, code, append(v.AppendJSON(buf[:0]), '\n'))
-			encodeBufs.Put(buf)
-			return
-		}
-	}
+	setJSON(w)
 	bw := bodyWriters.Get().(*bodyWriter)
 	bw.w, bw.code, bw.started = w, code, false
 	err := bw.enc.Encode(v)
@@ -572,14 +559,43 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	}
 }
 
+// writeResponse writes r as writeJSON would, appended into a pooled buffer
+// (api.Response.AppendJSON: the bytes encoding/json would write, without
+// its reflective walk over a large array) that goes back once the
+// connection has taken the bytes. An answer with a large array gets a
+// buffer JSONLen sized, as a batch does (writeBatch); a point answer one of
+// pointBodyLen. r is never boxed, so a warm point answer allocates nothing.
+func writeResponse(w http.ResponseWriter, code int, r *api.Response) {
+	setJSON(w)
+	n := pointBodyLen
+	if carriesArray(r) {
+		n = r.JSONLen() + 1
+	}
+	body := append(r.AppendJSON(encodeBufs.Get(n)[:0]), '\n')
+	send(w, code, body)
+	encodeBufs.Put(body)
+}
+
+// pointBodyLen is the buffer a response without a large array is appended
+// into: a distance, diameter or error answer is a few hundred bytes.
+const pointBodyLen = 1 << 10
+
+// jsonContentType is the Content-Type of every body, one slice for all of
+// them: net/http clones a handler's header before it writes it, so nothing
+// writes into the shared value.
+var jsonContentType = []string{"application/json"}
+
+// setJSON labels the body as JSON without allocating the header value.
+func setJSON(w http.ResponseWriter) { w.Header()["Content-Type"] = jsonContentType }
+
 // writeAnswer writes one query position's 200: a hit's stored body as it
-// is, anything else through writeJSON.
+// is, anything else through writeResponse.
 func writeAnswer(w http.ResponseWriter, a answer) {
 	if a.body == nil {
-		writeJSON(w, http.StatusOK, a.resp)
+		writeResponse(w, http.StatusOK, &a.resp)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	setJSON(w)
 	send(w, http.StatusOK, a.body)
 }
 
@@ -588,7 +604,7 @@ func writeAnswer(w http.ResponseWriter, a answer) {
 // body is spliced in as it is, less its newline, and a response appended
 // (api.Response.AppendJSON).
 func writeBatch(w http.ResponseWriter, answers []answer) {
-	w.Header().Set("Content-Type", "application/json")
+	setJSON(w)
 	n := len(`{"responses":[]}`+"\n") + max(len(answers)-1, 0)
 	for i := range answers {
 		if body := answers[i].body; body != nil {
@@ -614,8 +630,7 @@ func writeBatch(w http.ResponseWriter, answers []answer) {
 }
 
 // carriesArray reports whether r holds a result with one of the large
-// arrays AppendJSON writes by hand. A point answer (distance, diameter, an
-// error) stays on encoding/json, whose pooled writer costs it nothing.
+// arrays AppendJSON writes by hand, which JSONLen then sizes.
 func carriesArray(r *api.Response) bool {
 	return r.SSSP != nil || r.MSSP != nil || r.APSP != nil || r.KNearest != nil || r.SourceDetection != nil
 }

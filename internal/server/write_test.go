@@ -31,26 +31,29 @@ func (w *headerWriter) Write(p []byte) (int, error) {
 
 // TestWriteJSONSmallBodyAllocs: net/http labels a body under its chunking
 // threshold with a Content-Length on its own, so a point answer must not
-// pay for the header large answers get - two allocations (the boxed value,
-// the Content-Type slice), what writeJSON cost before it knew lengths.
+// pay for the header large answers get. writeAnswer reaches the append path
+// without boxing the response and labels it with the one shared
+// Content-Type slice, so a warm point answer allocates nothing at all (two
+// objects before: the boxed value and the Content-Type slice).
 func TestWriteJSONSmallBodyAllocs(t *testing.T) {
 	resp := api.Response{Kind: api.KindDistance,
 		Distance: &api.DistanceResult{From: 1, To: 100, Distance: 42, Reachable: true},
 		Stats:    &api.Stats{TotalRounds: 3, SimRounds: 1, Messages: 100, Words: 200}}
 	w := &headerWriter{h: make(http.Header), body: make([]byte, 0, 512)}
-	// The least of many runs: the writer comes from a sync.Pool, which a GC
-	// empties and the race detector makes forgetful on purpose.
+	// The least of many runs: the buffer and the envelope come from
+	// sync.Pools, which a GC empties and the race detector makes forgetful
+	// on purpose.
 	allocs := uint64(math.MaxUint64)
 	for run := 0; run < 100; run++ {
 		var before, after runtime.MemStats
 		delete(w.h, "Content-Type")
 		runtime.ReadMemStats(&before)
-		writeJSON(w, http.StatusOK, resp)
+		writeAnswer(w, answer{resp: resp})
 		runtime.ReadMemStats(&after)
 		allocs = min(allocs, after.Mallocs-before.Mallocs)
 	}
-	if allocs > 2 {
-		t.Errorf("writeJSON of a distance response allocates %d times, want <= 2", allocs)
+	if allocs > 0 {
+		t.Errorf("writeAnswer of a distance response allocates %d times, want 0", allocs)
 	}
 	if w.code != http.StatusOK || w.h.Get("Content-Length") != "" || !strings.HasPrefix(string(w.body), `{"kind":"distance"`) {
 		t.Errorf("small body: status %d, Content-Length %q, body %s", w.code, w.h.Get("Content-Length"), w.body)
@@ -65,7 +68,7 @@ func TestWriteJSONAnnouncesLength(t *testing.T) {
 	small := api.Health{Status: "ok", Nodes: 3}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/large" {
-			writeJSON(w, http.StatusOK, large)
+			writeResponse(w, http.StatusOK, &large)
 			return
 		}
 		writeJSON(w, http.StatusOK, small)
@@ -107,8 +110,9 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 	}
 }
 
-// TestWriteJSONAppendedMatchesEncoder: an answer with a large array, alone
-// or in a batch, is appended rather than encoded (api.Response.AppendJSON),
+// TestWriteJSONAppendedMatchesEncoder: an answer, with a large array or
+// without, alone or in a batch, is appended rather than encoded
+// (api.Response.AppendJSON),
 // a cache hit's stored body is written or spliced into a batch as it is, and
 // every body goes out as the bytes encoding/json writes, newline included,
 // under the Content-Length they have.
@@ -135,9 +139,9 @@ func TestWriteJSONAppendedMatchesEncoder(t *testing.T) {
 		want  interface{} // what encoding/json is given
 		write func(http.ResponseWriter)
 	}{
-		{"apsp", apsp, func(w http.ResponseWriter) { writeJSON(w, http.StatusOK, apsp) }},
-		{"knearest", knear, func(w http.ResponseWriter) { writeJSON(w, http.StatusOK, knear) }},
-		{"small", small, func(w http.ResponseWriter) { writeJSON(w, http.StatusOK, small) }},
+		{"apsp", apsp, func(w http.ResponseWriter) { writeResponse(w, http.StatusOK, &apsp) }},
+		{"knearest", knear, func(w http.ResponseWriter) { writeResponse(w, http.StatusOK, &knear) }},
+		{"small", small, func(w http.ResponseWriter) { writeAnswer(w, answer{resp: small}) }},
 		{"stored apsp", cachedAPSP, func(w http.ResponseWriter) { writeAnswer(w, stored(apsp)) }},
 		{"stored diameter", diameter, func(w http.ResponseWriter) { writeAnswer(w, stored(diameter)) }},
 		{"batch", api.BatchResponse{Responses: []api.Response{apsp, failed, knear, cachedAPSP, small, diameter}}, func(w http.ResponseWriter) {
