@@ -40,8 +40,16 @@ func (r *Response) UnmarshalJSON(data []byte) error {
 
 // decodeResponse decodes the canonical form UnmarshalJSON describes; ok is
 // false on anything else, and r is then garbage.
-func decodeResponse(data []byte) (r Response, ok bool) {
-	end, ok := walkFields(data, 0, responseFields, func(key string, at int) (int, bool) {
+func decodeResponse(data []byte) (Response, bool) {
+	r, end, ok := decodeResponseAt(data, 0)
+	return r, ok && skipSpace(data, end) == len(data)
+}
+
+// decodeResponseAt is decodeResponse for the object at data[i], a batch's
+// position: it returns the index after the closing brace, and whatever
+// follows is the caller's.
+func decodeResponseAt(data []byte, i int) (r Response, end int, ok bool) {
+	end, ok = walkFields(data, i, responseFields, func(key string, at int) (int, bool) {
 		switch key {
 		case "kind":
 			return constField(data, at, kinds, &r.Kind)
@@ -80,15 +88,72 @@ func decodeResponse(data []byte) (r Response, ok bool) {
 			return r.Error.decode(data, at)
 		}
 	})
-	return r, ok && skipSpace(data, end) == len(data)
+	return r, end, ok
+}
+
+// plainBatch is BatchResponse without its decoder, as plainResponse is
+// Response without its.
+type plainBatch BatchResponse
+
+// UnmarshalJSON decodes a batch in one walk: {"responses":[...]} by hand,
+// each position by Response's walk (decodeResponseAt), into a slice of
+// exactly the batch's length. It takes the canonical form Response's
+// UnmarshalJSON takes, into a batch that holds no slice yet; on anything
+// else the whole input goes to encoding/json, whose walk then hands each
+// position to Response.UnmarshalJSON.
+func (b *BatchResponse) UnmarshalJSON(data []byte) error {
+	if b.Responses == nil {
+		if br, ok := decodeBatch(data); ok {
+			*b = br
+			return nil
+		}
+	}
+	return json.Unmarshal(data, (*plainBatch)(b))
+}
+
+// decodeBatch decodes the canonical form of a BatchResponse; ok is false on
+// anything else, and b is then garbage.
+func decodeBatch(data []byte) (b BatchResponse, ok bool) {
+	end, ok := walkFields(data, 0, batchFields, func(_ string, at int) (end int, ok bool) {
+		b.Responses, end, ok = decodeResponses(data, at)
+		return end, ok
+	})
+	return b, ok && skipSpace(data, end) == len(data)
+}
+
+// decodeResponses decodes the array of responses at data[i] and returns it
+// with the index after its closing bracket. The positions are gathered on
+// the stack - in a heap slice past 16 - and copied into one slice of
+// exactly their number; [] is a non-nil empty one, as encoding/json makes.
+func decodeResponses(data []byte, i int) ([]Response, int, bool) {
+	if i >= len(data) || data[i] != '[' {
+		return nil, i, false
+	}
+	var local [16]Response
+	held := local[:0]
+	i = skipSpace(data, i+1)
+	for more := i == len(data) || data[i] != ']'; more; {
+		r, next, ok := decodeResponseAt(data, i)
+		if !ok {
+			return nil, next, false
+		}
+		held = append(held, r)
+		if i, more, ok = separator(data, next); !ok {
+			return nil, i, false
+		}
+	}
+	out := make([]Response, len(held))
+	copy(out, held)
+	return out, i + 1, true
 }
 
 // decodeRequest decodes the canonical form of a Request, the one
-// json.Marshal writes, under the rules of Response's walk: Request's own
-// keys once each, integer literals, no escapes, no null, nothing after the
-// body. Kind and variant are matched against their constants; the integer
-// fields are parsed where they lie, a source list into a slice of its
-// exact length. ok is false on anything else, and r is then garbage.
+// json.Marshal (and Request.AppendJSON) writes, under the rules of
+// Response's walk: Request's own keys once each, integer literals, no
+// escapes, no null but a nil source list's, nothing after the body. Kind
+// and variant are matched against their constants; the integer fields are
+// parsed where they lie, a source list into a slice of its exact length.
+// ok is false on anything else, and r is then garbage.
 func decodeRequest(data []byte) (r Request, ok bool) {
 	end, ok := walkFields(data, 0, requestFields, func(key string, at int) (int, bool) {
 		switch key {
@@ -103,9 +168,8 @@ func decodeRequest(data []byte) (r Request, ok bool) {
 			})
 		case "mssp":
 			r.MSSP = new(MSSPParams)
-			return walkFields(data, at, msspParams, func(_ string, at int) (end int, ok bool) {
-				r.MSSP.Sources, end, ok = decodeList(data, at, parseInt)
-				return end, ok
+			return walkFields(data, at, msspParams, func(_ string, at int) (int, bool) {
+				return sourceList(data, at, &r.MSSP.Sources)
 			})
 		case "apsp":
 			r.APSP = new(APSPParams)
@@ -131,8 +195,7 @@ func decodeRequest(data []byte) (r Request, ok bool) {
 			return walkFields(data, at, detectParams, func(key string, at int) (end int, ok bool) {
 				switch key {
 				case "sources":
-					p.Sources, end, ok = decodeList(data, at, parseInt)
-					return end, ok
+					return sourceList(data, at, &p.Sources)
 				case "d":
 					return intField(data, at, &p.D)
 				default:
@@ -142,6 +205,17 @@ func decodeRequest(data []byte) (r Request, ok bool) {
 		}
 	})
 	return r, ok && skipSpace(data, end) == len(data)
+}
+
+// sourceList parses the source list at data[i] into dst: null, which
+// json.Marshal writes for a nil list, or a list of integers.
+func sourceList(data []byte, i int, dst *[]int) (end int, ok bool) {
+	if end, ok = expect(data, i, "null"); ok {
+		*dst = nil
+		return end, true
+	}
+	*dst, end, ok = decodeList(data, i, parseInt)
+	return end, ok
 }
 
 // The keys each object of the canonical form may carry, json.Marshal's
@@ -158,6 +232,7 @@ var (
 	detectFields   = []string{"d", "k", "detected"}
 	statsFields    = []string{"total_rounds", "sim_rounds", "messages", "words"}
 	errorFields    = []string{"code", "message"}
+	batchFields    = []string{"responses"}
 
 	requestFields  = []string{"kind", "graph", "sssp", "mssp", "apsp", "distance", "knearest", "source_detection"}
 	ssspParams     = []string{"source"}
@@ -334,9 +409,11 @@ func boolField(data []byte, i int, dst *bool) (int, bool) {
 
 // constField parses a string at data[i] that is one of consts, or empty,
 // into dst, which then holds the constant itself: the walk copies no
-// string a constant already spells.
+// string a constant already spells. The string may hold any plain byte
+// (isTextByte), since only a constant's own bytes match: "weighted3" is a
+// variant.
 func constField[T ~string](data []byte, i int, consts []T, dst *T) (int, bool) {
-	s, end, ok := parseString(data, i, isKeyByte)
+	s, end, ok := parseString(data, i, isTextByte)
 	if !ok || len(s) == 0 {
 		*dst = ""
 		return end, ok
@@ -375,7 +452,7 @@ func parseString(data []byte, i int, plain func(byte) bool) ([]byte, int, bool) 
 	return data[first:i], i + 1, true
 }
 
-// isKeyByte is a byte of a plain key or constant: [a-z_].
+// isKeyByte is a byte of a plain key: [a-z_].
 func isKeyByte(c byte) bool { return c >= 'a' && c <= 'z' || c == '_' }
 
 // isGraphByte is a byte ValidateGraphID allows: [A-Za-z0-9._-].

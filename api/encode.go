@@ -29,6 +29,79 @@ func (r *Response) AppendJSON(dst []byte) []byte {
 	return dst
 }
 
+// AppendJSON appends r's JSON encoding to dst and returns the extended
+// buffer: the bytes json.Marshal(r) returns, byte for byte
+// (FuzzRequestJSON), written field by field with strconv - a request is a
+// kind, a graph ID and a few integers - so a client sends one without the
+// reflective encoder or a box. A kind, graph ID or variant that
+// encoding/json would escape (a quote, a backslash, a control, HTML or
+// non-ASCII byte) sends the request to json.Marshal instead; no
+// constructor's value has one, and ValidateGraphID refuses every such
+// graph ID.
+func (r Request) AppendJSON(dst []byte) []byte {
+	if !plainString(r.Kind) || !plainString(r.Graph) || r.APSP != nil && !plainString(r.APSP.Variant) {
+		b, err := json.Marshal(r)
+		if err != nil {
+			// A Request holds no float, map, interface or marshaler.
+			panic("api: encode request: " + err.Error())
+		}
+		return append(dst, b...)
+	}
+	dst = appendString(append(dst, `{"kind":`...), r.Kind)
+	if r.Graph != "" {
+		dst = appendString(append(dst, `,"graph":`...), r.Graph)
+	}
+	if p := r.SSSP; p != nil {
+		dst = strconv.AppendInt(append(dst, `,"sssp":{"source":`...), int64(p.Source), 10)
+		dst = append(dst, '}')
+	}
+	if p := r.MSSP; p != nil {
+		dst = appendInts(append(dst, `,"mssp":{"sources":`...), p.Sources)
+		dst = append(dst, '}')
+	}
+	if p := r.APSP; p != nil {
+		dst = append(dst, `,"apsp":{`...)
+		if p.Variant != "" {
+			dst = appendString(append(dst, `"variant":`...), p.Variant)
+		}
+		dst = append(dst, '}')
+	}
+	if p := r.Distance; p != nil {
+		dst = strconv.AppendInt(append(dst, `,"distance":{"from":`...), int64(p.From), 10)
+		dst = strconv.AppendInt(append(dst, `,"to":`...), int64(p.To), 10)
+		dst = append(dst, '}')
+	}
+	if p := r.KNearest; p != nil {
+		dst = strconv.AppendInt(append(dst, `,"knearest":{"k":`...), int64(p.K), 10)
+		dst = append(dst, '}')
+	}
+	if p := r.SourceDetection; p != nil {
+		dst = appendInts(append(dst, `,"source_detection":{"sources":`...), p.Sources)
+		dst = strconv.AppendInt(append(dst, `,"d":`...), int64(p.D), 10)
+		dst = strconv.AppendInt(append(dst, `,"k":`...), int64(p.K), 10)
+		dst = append(dst, '}')
+	}
+	return append(dst, '}')
+}
+
+// plainString reports whether encoding/json writes s as its own bytes
+// between quotes: printable ASCII other than a quote, a backslash and the
+// HTML bytes it escapes.
+func plainString[T ~string](s T) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; !isTextByte(c) || c == '<' || c == '>' || c == '&' {
+			return false
+		}
+	}
+	return true
+}
+
+// appendString appends a plainString s between quotes.
+func appendString[T ~string](dst []byte, s T) []byte {
+	dst = append(append(dst, '"'), s...)
+	return append(dst, '"')
+}
+
 // JSONLen returns the number of bytes AppendJSON appends: the envelope's,
 // with each cut's [] replaced by a digit-count pass over its array.
 func (r *Response) JSONLen() int {
@@ -190,8 +263,9 @@ func (m Matrix) jsonLen() int {
 	return n
 }
 
-// appendInts appends v as encoding/json writes a []int64: null when nil.
-func appendInts(dst []byte, v []int64) []byte {
+// appendInts appends v as encoding/json writes a []int64 or []int: null
+// when nil.
+func appendInts[T int | int64](dst []byte, v []T) []byte {
 	if v == nil {
 		return append(dst, "null"...)
 	}
@@ -200,7 +274,7 @@ func appendInts(dst []byte, v []int64) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = strconv.AppendInt(dst, x, 10)
+		dst = strconv.AppendInt(dst, int64(x), 10)
 	}
 	return append(dst, ']')
 }

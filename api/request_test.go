@@ -18,7 +18,11 @@ import (
 // bytes (decodeStrict, then Validate): the same inputs accepted, the same
 // value held - reflect.DeepEqual, so [] and null sources are told apart -
 // and the same error reported. The walk itself (decodeRequest) may refuse
-// anything, but what it takes it must take as encoding/json does.
+// anything, but what it takes it must take as encoding/json does. It also
+// holds the client's encoder to encoding/json's: every request decoded
+// re-encodes (Request.AppendJSON) to json.Marshal's bytes, and the walk
+// takes those bytes back to the same request whenever it is valid, so a
+// request a client sends never decodes on the fallback.
 func FuzzRequestJSON(f *testing.F) {
 	corpus, err := filepath.Glob("../internal/server/testdata/fuzz/FuzzQueryJSON/*")
 	if err != nil || len(corpus) == 0 {
@@ -38,7 +42,9 @@ func FuzzRequestJSON(f *testing.F) {
 	}
 	reqs := []Request{SSSP(3), MSSP(5, 2, 5), MSSP(), APSP(""), APSP(APSPAuto), APSP(APSPWeighted), APSP(APSPWeighted3),
 		APSP(APSPUnweighted), Distance(1, 7), Diameter(), KNearest(4), SourceDetection([]int{0, 2}, 3, 2),
-		SourceDetection(nil, 1, 1), SSSP(-3).On("roads"), MSSP(make([]int, 200)...).On("a-b.c_D9")}
+		SourceDetection(nil, 1, 1), SSSP(-3).On("roads"), MSSP(make([]int, 200)...).On("a-b.c_D9"),
+		// Values encoding/json escapes, which AppendJSON leaves to it.
+		Diameter().On("<a&b>"), MSSP(1).On("päris"), APSP(`"fast\est"`), {Kind: "diameter\u2028"}, {Kind: "x\ty"}}
 	for _, req := range reqs {
 		body, err := json.Marshal(req)
 		if err != nil {
@@ -76,12 +82,25 @@ func FuzzRequestJSON(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var want Request
-		wantErr := decodeStrict(bytes.NewReader(data), &want)
+		strictErr := decodeStrict(bytes.NewReader(data), &want)
+		wantErr := strictErr
 		if wantErr == nil {
 			wantErr = want.Validate()
 		}
 		if walked, ok := decodeRequest(data); ok && !reflect.DeepEqual(walked, want) {
 			t.Fatalf("the walk holds %s, encoding/json holds %s (%v)", dump(walked), dump(want), wantErr)
+		}
+		if strictErr == nil {
+			body, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if appended := want.AppendJSON(nil); !bytes.Equal(appended, body) {
+				t.Fatalf("AppendJSON writes %s, json.Marshal %s", appended, body)
+			}
+			if walked, ok := decodeRequest(body); wantErr == nil && (!ok || !reflect.DeepEqual(walked, want)) {
+				t.Fatalf("the walk does not take %s back (ok %v): holds %s, want %s", body, ok, dump(walked), dump(want))
+			}
 		}
 		got, err := DecodeRequest(bytes.NewReader(data))
 		switch {

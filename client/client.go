@@ -23,7 +23,6 @@
 package client
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -36,6 +35,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/congestedclique/ccsp"
@@ -50,6 +50,28 @@ type Client struct {
 	retries   int
 	retryBase time.Duration
 	maxBody   int64 // maxResponseBytes; tests lower it
+
+	postQuery, postBatch, postUpdate endpoint
+}
+
+// endpoint is one POST route of the daemon, its request made once (New):
+// every call sends a shallow copy of req (http.Request.WithContext) that
+// shares its URL and its Header, which nothing on the way writes - a
+// RoundTripper must not modify the request, and a cookie jar, which adds to
+// the header, gets a copy of it (postOnce).
+type endpoint struct {
+	path string
+	req  *http.Request
+	err  error // the URL did not parse; req is nil
+}
+
+func newEndpoint(base, path string) endpoint {
+	req, err := http.NewRequest(http.MethodPost, base+path, nil)
+	if err != nil {
+		return endpoint{path: path, err: err}
+	}
+	req.Header.Set("Content-Type", "application/json")
+	return endpoint{path: path, req: req}
 }
 
 // Option configures a Client.
@@ -122,13 +144,18 @@ func New(baseURL string, opts ...Option) *Client {
 	for _, o := range opts {
 		o(c)
 	}
+	c.postQuery = newEndpoint(c.base, "/v1/query")
+	c.postBatch = newEndpoint(c.base, "/v1/batch")
+	c.postUpdate = newEndpoint(c.base, "/v1/update")
 	return c
 }
 
 // Query answers one typed request via POST /v1/query.
 func (c *Client) Query(ctx context.Context, req api.Request) (*api.Response, error) {
+	u := takeUpload()
+	u.payload = req.AppendJSON(u.payload)
 	var resp api.Response
-	if err := c.post(ctx, "/v1/query", req, &resp); err != nil {
+	if err := c.send(ctx, &c.postQuery, u, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -140,7 +167,7 @@ func (c *Client) Query(ctx context.Context, req api.Request) (*api.Response, err
 // transport and whole-batch failures only.
 func (c *Client) Batch(ctx context.Context, reqs []api.Request) ([]api.Response, error) {
 	var br api.BatchResponse
-	if err := c.post(ctx, "/v1/batch", api.BatchRequest{Requests: reqs}, &br); err != nil {
+	if err := c.post(ctx, &c.postBatch, api.BatchRequest{Requests: reqs}, &br); err != nil {
 		return nil, err
 	}
 	if len(br.Responses) != len(reqs) {
@@ -168,7 +195,7 @@ func (c *Client) UpdateAsync(ctx context.Context, graph string, ups []api.EdgeUp
 
 func (c *Client) update(ctx context.Context, req api.UpdateRequest) (*api.UpdateResponse, error) {
 	var resp api.UpdateResponse
-	if err := c.post(ctx, "/v1/update", req, &resp); err != nil {
+	if err := c.post(ctx, &c.postUpdate, req, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -214,16 +241,30 @@ func (c *Client) get(ctx context.Context, name, url string, out interface{}) err
 	return err
 }
 
-// post sends one JSON body and decodes the response, translating
-// non-200 statuses through the typed-error taxonomy and retrying
-// transient failures when WithRetry enabled them.
-func (c *Client) post(ctx context.Context, path string, in, out interface{}) error {
+// post sends in, encoded by json.Marshal, to ep and decodes the response
+// into out (send).
+func (c *Client) post(ctx context.Context, ep *endpoint, in, out interface{}) error {
 	payload, err := json.Marshal(in)
 	if err != nil {
-		return fmt.Errorf("client: encode %s: %w", path, err)
+		return fmt.Errorf("client: encode %s: %w", ep.path, err)
+	}
+	u := takeUpload()
+	u.payload = append(u.payload, payload...)
+	return c.send(ctx, ep, u, out)
+}
+
+// send sends the JSON body u holds to ep and decodes the response,
+// translating non-200 statuses through the typed-error taxonomy and
+// retrying transient failures when WithRetry enabled them. It lets go of u
+// on return; u goes back to its pool once the transport has closed every
+// body it was handed as well.
+func (c *Client) send(ctx context.Context, ep *endpoint, u *upload, out interface{}) error {
+	defer u.drop()
+	if ep.err != nil {
+		return fmt.Errorf("client: %w", ep.err)
 	}
 	for attempt := 0; ; attempt++ {
-		retryable, retryAfter, err := c.postOnce(ctx, path, payload, out)
+		retryable, retryAfter, err := c.postOnce(ctx, ep, u.reader(attempt == 0), out)
 		if err == nil {
 			return nil
 		}
@@ -236,14 +277,87 @@ func (c *Client) post(ctx context.Context, path string, in, out interface{}) err
 	}
 }
 
-// postOnce runs one POST round trip through do.
-func (c *Client) postOnce(ctx context.Context, path string, payload []byte, out interface{}) (bool, time.Duration, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(payload))
-	if err != nil {
-		return false, 0, fmt.Errorf("client: %w", err)
+// postOnce runs one POST round trip of body through do.
+func (c *Client) postOnce(ctx context.Context, ep *endpoint, body *uploadReader, out interface{}) (bool, time.Duration, error) {
+	req := ep.req.WithContext(ctx)
+	req.Body, req.GetBody, req.ContentLength = body, body.u.getBody, int64(len(body.u.payload))
+	if c.hc.Jar != nil {
+		req.Header = req.Header.Clone()
 	}
-	req.Header.Set("Content-Type", "application/json")
-	return c.do(ctx, req, path, out)
+	return c.do(ctx, req, ep.path, out)
+}
+
+// upload is one POST body in flight: its payload, appended once per call,
+// and the reader of the call's first attempt. A transport may close a body
+// after RoundTrip returns, from another goroutine, and a retry or a rewind
+// (GetBody) reads the payload through a reader of its own; so the upload,
+// payload and all, goes back to uploads only once the call has let go of it
+// and every reader has been closed (holds).
+type upload struct {
+	payload []byte
+	holds   atomic.Int32 // the call's own, and one per reader not yet closed
+	first   uploadReader
+	getBody func() (io.ReadCloser, error) // GetBody: a new reader per call; the func is made once per upload
+}
+
+var uploads = sync.Pool{New: func() interface{} {
+	u := new(upload)
+	u.getBody = func() (io.ReadCloser, error) { return u.reader(false), nil }
+	return u
+}}
+
+// takeUpload returns an upload with an empty payload, held by the caller.
+func takeUpload() *upload {
+	u := uploads.Get().(*upload)
+	u.payload = u.payload[:0]
+	u.holds.Store(1)
+	return u
+}
+
+// reader returns a reader of the payload from its start, held until it is
+// closed: the upload's own for a call's first attempt, a new one for a
+// retry or a rewind, which must not share the offset of a reader the
+// transport may still be reading.
+func (u *upload) reader(first bool) *uploadReader {
+	u.holds.Add(1)
+	if !first {
+		return &uploadReader{u: u}
+	}
+	u.first.u, u.first.off = u, 0
+	u.first.closed.Store(false)
+	return &u.first
+}
+
+// drop lets go of one hold; the last hands u back, unless its payload grew
+// past maxPooledBody.
+func (u *upload) drop() {
+	if u.holds.Add(-1) == 0 && cap(u.payload) <= maxPooledBody {
+		uploads.Put(u)
+	}
+}
+
+// uploadReader is the io.ReadCloser one attempt sends. Its first Close lets
+// go of its upload's hold.
+type uploadReader struct {
+	u      *upload
+	off    int
+	closed atomic.Bool
+}
+
+func (r *uploadReader) Read(p []byte) (int, error) {
+	if r.off >= len(r.u.payload) {
+		return 0, io.EOF
+	}
+	n := copy(p, r.u.payload[r.off:])
+	r.off += n
+	return n, nil
+}
+
+func (r *uploadReader) Close() error {
+	if r.closed.CompareAndSwap(false, true) {
+		r.u.drop()
+	}
+	return nil
 }
 
 // do runs one round trip and decodes a 200 into out; name labels the

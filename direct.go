@@ -96,7 +96,8 @@ func (d *directExec) attach(variant artVariant, ent, sib *artifactEntry) {
 // direct is the frame around every kernel call: refuse a context that is
 // already dead (the kernels only poll between product iterations), time the
 // call, and report the wall-clock as the run's Stats - no rounds, no
-// messages, so no charged or phase breakdown either (nil).
+// messages, so no charged or phase breakdown either (nil). The time rides
+// in kernelTime until the Stats leave the engine (Stats.leave).
 func direct[T any](ctx context.Context, d *directExec, kernel func() (T, error)) (T, Stats, error) {
 	if err := ctx.Err(); err != nil {
 		var zero T
@@ -104,11 +105,7 @@ func direct[T any](ctx context.Context, d *directExec, kernel func() (T, error))
 	}
 	start := time.Now()
 	out, err := kernel()
-	return out, Stats{
-		Nodes:          d.g.N,
-		Exec:           ExecDirect,
-		CollectiveTime: map[string]time.Duration{"direct": time.Since(start)},
-	}, err
+	return out, Stats{Nodes: d.g.N, Exec: ExecDirect, kernelTime: time.Since(start)}, err
 }
 
 // build runs the direct hopset build over the entry's base - G, or G'
@@ -139,6 +136,7 @@ func (d *directExec) build(ctx context.Context, key artifactKey, sib *artifactEn
 	if err != nil {
 		return nil, err
 	}
+	ent.stats = ent.stats.leave()
 	return ent, nil
 }
 

@@ -408,24 +408,29 @@ func sourceSet(n int, sources []int) ([]bool, error) {
 // construction. Safe to call concurrently; canceling ctx aborts the query
 // run at its next barrier.
 func (e *Engine) MSSP(ctx context.Context, sources []int) (*MSSPResult, error) {
-	res, _, err := e.mssp(ctx, sources, false)
-	return res, err
+	res, err := e.mssp(ctx, sources, nil)
+	if err != nil {
+		return nil, err
+	}
+	res.Stats = res.Stats.leave()
+	return res, nil
 }
 
-// mssp is MSSP for Plan.runLent: with lend set the answer is lent, and
-// release hands its plane and row headers back (rowsOver; DESIGN.md §13,
-// "the result path"), else it is owned and release is keepAll.
-func (e *Engine) mssp(ctx context.Context, sources []int, lend bool) (_ *MSSPResult, release func(), _ error) {
+// mssp is MSSP for Plan.runLent, lent into l unless l is nil: the result
+// is l's, and l records its plane and row headers to hand back (rowsOver;
+// DESIGN.md §13, "the result path"). Its Stats have not left the engine.
+func (e *Engine) mssp(ctx context.Context, sources []int, l *lent) (*MSSPResult, error) {
 	inS, srcList, err := normalizeSources(e.gr.N(), sources)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	plane, stats, err := e.detect(ctx, inS)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	rows, release := rowsOver(plane, len(srcList), lend)
-	return &MSSPResult{Sources: srcList, Dist: rows, Stats: stats}, release, nil
+	res := l.msspResult()
+	res.Sources, res.Dist, res.Stats = srcList, l.rowsOver(plane, len(srcList)), stats
+	return res, nil
 }
 
 // distance is MSSP from the one source from, read at the one node to
@@ -466,21 +471,18 @@ func (e *Engine) detect(ctx context.Context, inS []bool) ([]int64, Stats, error)
 
 // rowsOver cuts a row-major plane of q-cell rows into row headers over the
 // plane itself. Each row is capacity-clipped, so an append to one cannot
-// write into the next. With lend set the headers come from rowHeaders and
-// release hands them and the plane back to their pools; else they are
-// allocated to size for an owned answer and release is keepAll.
-func rowsOver(flat []int64, q int, lend bool) ([][]int64, func()) {
-	rows := headers(&rowHeaders, len(flat)/q, lend)
+// write into the next. Lent (l not nil), the headers come from rowHeaders
+// and l records them and the plane, for its release to hand back; owned,
+// they are allocated to size.
+func (l *lent) rowsOver(flat []int64, q int) [][]int64 {
+	rows := headers(&rowHeaders, len(flat)/q, l != nil)
 	for v := range rows {
 		rows[v] = flat[v*q : (v+1)*q : (v+1)*q]
 	}
-	if !lend {
-		return rows, keepAll
+	if l != nil {
+		l.rows, l.plane = rows, flat
 	}
-	return rows, func() {
-		giveHeaders(&rowHeaders, rows)
-		disttools.ReleasePlane(flat)
-	}
+	return rows
 }
 
 // rowHeaders and listHeaders recycle the headers of lent answers: the row
@@ -518,7 +520,7 @@ func (e *Engine) SSSP(ctx context.Context, source int) (*SSSPResult, error) {
 	if err != nil {
 		return nil, wrapRun("SSSP", err)
 	}
-	return &SSSPResult{Source: source, Dist: dist, Iterations: iters, Stats: stats}, nil
+	return &SSSPResult{Source: source, Dist: dist, Iterations: iters, Stats: stats.leave()}, nil
 }
 
 // APSP answers an all-pairs query with the strongest guarantee for the
@@ -550,32 +552,35 @@ func (e *Engine) APSPUnweighted(ctx context.Context) (*APSPResult, error) {
 // apspByVariant answers one concrete (non-auto) APSP variant from the ε/2
 // hopset on G, plus - for the unweighted algorithm only - the one on G'.
 func (e *Engine) apspByVariant(ctx context.Context, v api.APSPVariant) (*APSPResult, error) {
-	res, _, err := e.apsp(ctx, v, false)
-	return res, err
+	res, err := e.apsp(ctx, v, nil)
+	if err != nil {
+		return nil, err
+	}
+	res.Stats = res.Stats.leave()
+	return res, nil
 }
 
 // apsp is apspByVariant for Plan.runLent, its n×n table and row headers
-// lent as mssp's plane and headers are.
-func (e *Engine) apsp(ctx context.Context, v api.APSPVariant, lend bool) (_ *APSPResult, release func(), _ error) {
+// lent into l as mssp's plane and headers are.
+func (e *Engine) apsp(ctx context.Context, v api.APSPVariant, l *lent) (*APSPResult, error) {
 	if v != api.APSPWeighted && v != api.APSPWeighted3 && v != api.APSPUnweighted {
-		return nil, nil, fmt.Errorf("%w: unknown apsp variant %q", api.ErrMalformed, v)
+		return nil, fmt.Errorf("%w: unknown apsp variant %q", api.ErrMalformed, v)
 	}
 	entG, err := e.artifact(ctx, e.apspKey())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var entLow *artifactEntry
 	if v == api.APSPUnweighted {
 		if entLow, err = e.artifact(ctx, e.apspLowKey()); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	table, stats, err := e.exec.apsp(ctx, v, entG, entLow)
 	if err != nil {
-		return nil, nil, wrapRun(string(v)+" APSP", err)
+		return nil, wrapRun(string(v)+" APSP", err)
 	}
-	rows, release := rowsOver(table, e.gr.N(), lend)
-	return &APSPResult{Dist: rows, Stats: stats}, release, nil
+	return &APSPResult{Dist: l.rowsOver(table, e.gr.N()), Stats: stats}, nil
 }
 
 // Diameter answers a near-3/2 diameter query (§7.2) from the cached base
@@ -589,35 +594,39 @@ func (e *Engine) Diameter(ctx context.Context) (*DiameterResult, error) {
 	if err != nil {
 		return nil, wrapRun("diameter", err)
 	}
-	return &DiameterResult{Estimate: est, Stats: stats}, nil
+	return &DiameterResult{Estimate: est, Stats: stats.leave()}, nil
 }
 
 // KNearest answers a k-nearest query (Theorem 18 over the
 // witness-tracking semiring). It needs no preprocessing artifacts.
 func (e *Engine) KNearest(ctx context.Context, k int) (*KNearestResult, error) {
-	res, _, err := e.knearest(ctx, k, false)
-	return res, err
+	res, err := e.knearest(ctx, k, nil)
+	if err != nil {
+		return nil, err
+	}
+	res.Stats = res.Stats.leave()
+	return res, nil
 }
 
-// knearest is KNearest for Plan.runLent, its lists lent as mssp's rows
-// are (neighborLists). The kernel's rows go back to the kernel as soon as
-// the lists hold their copy.
-func (e *Engine) knearest(ctx context.Context, k int, lend bool) (_ *KNearestResult, release func(), _ error) {
+// knearest is KNearest for Plan.runLent, its lists lent into l as mssp's
+// rows are (neighborLists). The kernel's rows go back to the kernel as soon
+// as the lists hold their copy.
+func (e *Engine) knearest(ctx context.Context, k int, l *lent) (*KNearestResult, error) {
 	if k < 1 {
-		return nil, nil, fmt.Errorf("%w: k must be positive, got %d", ErrInvalidOption, k)
+		return nil, fmt.Errorf("%w: k must be positive, got %d", ErrInvalidOption, k)
 	}
 	rows, done, stats, err := e.exec.knearest(ctx, k)
 	if err != nil {
-		return nil, nil, wrapRun("k-nearest", err)
+		return nil, wrapRun("k-nearest", err)
 	}
-	out, release := neighborLists(rows, lend, func(en matrix.Entry[semiring.WHF]) Neighbor {
+	out := neighborLists(rows, l, func(en matrix.Entry[semiring.WHF]) Neighbor {
 		return Neighbor{Node: int(en.Col), Dist: en.Val.W, Hops: int(en.Val.H), FirstHop: int(en.Val.FH)}
 	})
 	done()
 	for _, nb := range out {
 		slices.SortFunc(nb, nearestFirst)
 	}
-	return &KNearestResult{Neighbors: out, Stats: stats}, release, nil
+	return &KNearestResult{Neighbors: out, Stats: stats}, nil
 }
 
 // nearestFirst orders a k-nearest list by (Dist, Hops, Node).
@@ -632,23 +641,23 @@ var neighborBackings pool.Scratch[Neighbor]
 // neighborLists shapes sparse result rows into per-node neighbor lists in
 // row order, all cut from one backing array sized from the row lengths.
 // Each list is capacity-clipped (an append to one cannot write into the
-// next), and an empty one stays non-nil so it still encodes as []. With
-// lend set the backing comes from neighborBackings and the list headers
-// from listHeaders, and release hands both back; else both are allocated
-// to size for an owned answer and release is keepAll.
-func neighborLists[E any](rows *matrix.Mat[E], lend bool, of func(matrix.Entry[E]) Neighbor) ([][]Neighbor, func()) {
+// next), and an empty one stays non-nil so it still encodes as []. Lent (l
+// not nil), the backing comes from neighborBackings and the list headers
+// from listHeaders, and l records both for its release to hand back;
+// owned, both are allocated to size.
+func neighborLists[E any](rows *matrix.Mat[E], l *lent, of func(matrix.Entry[E]) Neighbor) [][]Neighbor {
 	total := 0
 	for _, row := range rows.Rows {
 		total += len(row)
 	}
 	var backing []Neighbor
-	if lend {
+	if l != nil {
 		backing = neighborBackings.Get(total)[:0]
 	}
 	if backing == nil {
 		backing = make([]Neighbor, 0, total)
 	}
-	out := headers(&listHeaders, len(rows.Rows), lend)
+	out := headers(&listHeaders, len(rows.Rows), l != nil)
 	for v, row := range rows.Rows {
 		start := len(backing)
 		for _, en := range row {
@@ -656,13 +665,10 @@ func neighborLists[E any](rows *matrix.Mat[E], lend bool, of func(matrix.Entry[E
 		}
 		out[v] = backing[start:len(backing):len(backing)]
 	}
-	if !lend {
-		return out, keepAll
+	if l != nil {
+		l.lists, l.backing = out, backing
 	}
-	return out, func() {
-		giveHeaders(&listHeaders, out)
-		neighborBackings.Put(backing)
-	}
+	return out
 }
 
 // SourceDetection answers an (S, d, k)-source detection query
@@ -671,31 +677,35 @@ func neighborLists[E any](rows *matrix.Mat[E], lend bool, of func(matrix.Entry[E
 // answers are identical and the run does not pay for dead iterations (nor
 // can a wire-supplied d drive unbounded work).
 func (e *Engine) SourceDetection(ctx context.Context, sources []int, d, k int) (*SourceDetectionResult, error) {
-	res, _, err := e.sourceDetection(ctx, sources, d, k, false)
-	return res, err
+	res, err := e.sourceDetection(ctx, sources, d, k, nil)
+	if err != nil {
+		return nil, err
+	}
+	res.Stats = res.Stats.leave()
+	return res, nil
 }
 
-// sourceDetection is SourceDetection for Plan.runLent, its lists lent as
-// knearest's are.
-func (e *Engine) sourceDetection(ctx context.Context, sources []int, d, k int, lend bool) (_ *SourceDetectionResult, release func(), _ error) {
+// sourceDetection is SourceDetection for Plan.runLent, its lists lent into
+// l as knearest's are.
+func (e *Engine) sourceDetection(ctx context.Context, sources []int, d, k int, l *lent) (*SourceDetectionResult, error) {
 	if d < 1 || k < 1 {
-		return nil, nil, fmt.Errorf("%w: d and k must be positive (d=%d, k=%d)", ErrInvalidOption, d, k)
+		return nil, fmt.Errorf("%w: d and k must be positive (d=%d, k=%d)", ErrInvalidOption, d, k)
 	}
 	n := e.gr.N()
 	inS, err := sourceSet(n, sources)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rows, done, stats, err := e.exec.sourceDetect(ctx, inS, min(d, n), k)
 	memberships.Put(inS)
 	if err != nil {
-		return nil, nil, wrapRun("source detection", err)
+		return nil, wrapRun("source detection", err)
 	}
-	out, release := neighborLists(rows, lend, func(en matrix.Entry[semiring.WH]) Neighbor {
+	out := neighborLists(rows, l, func(en matrix.Entry[semiring.WH]) Neighbor {
 		return Neighbor{Node: int(en.Col), Dist: en.Val.W, Hops: int(en.Val.H), FirstHop: -1}
 	})
 	done()
-	return &SourceDetectionResult{Detected: out, Stats: stats}, release, nil
+	return &SourceDetectionResult{Detected: out, Stats: stats}, nil
 }
 
 // oneShot runs a single query on a fresh lazy Engine and has fold add the

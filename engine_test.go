@@ -69,8 +69,8 @@ func TestEngineMatchesOneShot(t *testing.T) {
 		if got := c.got(resp); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("one-shot Query %s payload differs from the typed one-shot", c.req.Kind)
 		}
-		if *resp.Stats != *wireStats(c.stats) {
-			t.Errorf("one-shot Query %s stats %+v, want %+v", c.req.Kind, *resp.Stats, *wireStats(c.stats))
+		if *resp.Stats != wireStats(c.stats) {
+			t.Errorf("one-shot Query %s stats %+v, want %+v", c.req.Kind, *resp.Stats, wireStats(c.stats))
 		}
 	}
 

@@ -36,6 +36,7 @@ func TwoPlusEpsUnweighted(g clique.Clique, w *matrix.Mat[semiring.WH], low cliqu
 			high[v] = row
 		}
 	}
+	g.Phase("apsp/hitting-set")
 	inA, err := g.Hit(high)
 	if err != nil {
 		return nil, err
@@ -49,6 +50,7 @@ func TwoPlusEpsUnweighted(g clique.Clique, w *matrix.Mat[semiring.WH], low cliqu
 	// to all of A.
 	through := planeRows(n, plane, src)
 	disttools.ReleasePlane(plane)
+	g.Phase("apsp/dist-through-sets")
 	if err := g.ThroughSets(est, through); err != nil {
 		return nil, err
 	}
@@ -58,6 +60,7 @@ func TwoPlusEpsUnweighted(g clique.Clique, w *matrix.Mat[semiring.WH], low cliqu
 	// Line (5): n^{1/4}-nearest in G' (exact G'-distances, which upper
 	// bound d_G and equal it for all-low shortest paths).
 	kq := int(math.Ceil(math.Pow(float64(n), 0.25)))
+	low.Phase("apsp/low-degree/k-nearest")
 	knearLow, release, err := low.KNearest(kq)
 	if err != nil {
 		return nil, err
@@ -65,10 +68,12 @@ func TwoPlusEpsUnweighted(g clique.Clique, w *matrix.Mat[semiring.WH], low cliqu
 	defer release()
 	foldRows(est, knearLow)
 	// Line (6): distances through N_{k'}(u) ∩ N_{k'}(v).
+	low.Phase("apsp/low-degree/dist-through-sets")
 	if err := low.ThroughSets(est, knearLow); err != nil {
 		return nil, err
 	}
 	// Line (7): A' hits the N_{k'} sets of G' nodes.
+	low.Phase("apsp/low-degree/hitting-set")
 	inA2, err := low.Hit(knearLow.Rows)
 	if err != nil {
 		return nil, err
@@ -81,6 +86,7 @@ func TwoPlusEpsUnweighted(g clique.Clique, w *matrix.Mat[semiring.WH], low cliqu
 	}
 	defer disttools.ReleasePlane(plane2)
 	// Lines (9)-(10): pivots p'(v) and the symmetric combination.
+	low.Phase("apsp/pivot-combine")
 	if err := combine(low, est, knearLow, inA2, plane2, src2, true); err != nil {
 		return nil, err
 	}
@@ -89,6 +95,7 @@ func TwoPlusEpsUnweighted(g clique.Clique, w *matrix.Mat[semiring.WH], low cliqu
 	// v' ∈ N_{k'}(v), {u',v'} ∈ E', via the triple product M1·M2·M3 over
 	// min-plus, M3 = M1ᵀ: each row of M1·M2 has at most k'·maxdeg(G') <=
 	// k'·k support entries.
+	low.Phase("apsp/low-degree/triple-product")
 	if err := low.Triple(est, knearLow, min(kq*k, n)); err != nil {
 		return nil, err
 	}

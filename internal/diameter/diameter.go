@@ -26,12 +26,14 @@ func Approx(c clique.Clique) (int64, error) {
 	// hitting set has size O~(√n).
 	n := c.N()
 	k := min(n, int(math.Ceil(math.Sqrt(float64(n))*math.Log2(float64(n)+1))))
+	c.Phase("diameter/k-nearest")
 	knear, release, err := c.KNearest(k)
 	if err != nil {
 		return 0, fmt.Errorf("diameter: %w", err)
 	}
 	defer release()
 	// Line (2): hitting set S.
+	c.Phase("diameter/hitting-set")
 	inS, err := c.Hit(knear.Rows)
 	if err != nil {
 		return 0, fmt.Errorf("diameter: %w", err)
@@ -56,6 +58,7 @@ func Approx(c clique.Clique) (int64, error) {
 			pivD[v] = dpv.W
 		}
 	}
+	c.Phase("diameter/pivots")
 	dpvs, err := c.Broadcast(pivD)
 	if err != nil {
 		return 0, fmt.Errorf("diameter: %w", err)
@@ -69,6 +72,7 @@ func Approx(c clique.Clique) (int64, error) {
 			w = v
 		}
 	}
+	c.Phase("diameter/far-neighborhood")
 	flood := make([][]cc.Packet, n)
 	for _, e := range knear.Rows[w] {
 		flood[w] = append(flood[w], cc.Packet{Dst: e.Col})
@@ -105,6 +109,7 @@ func Approx(c clique.Clique) (int64, error) {
 			}
 		}
 	}
+	c.Phase("diameter/max")
 	maxes, err := c.Broadcast(local)
 	if err != nil {
 		return 0, fmt.Errorf("diameter: %w", err)

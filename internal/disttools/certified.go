@@ -40,7 +40,7 @@ type certPass struct {
 // maxH = min(β, n) (mssp.RunDirect; DESIGN.md §13, "certified cells").
 //
 // It runs one lexicographic search per source at k = n, the k-nearest
-// searcher over the same arcs (nearest.fill), on one pass that hands each
+// searcher over the same arcs (fill), on one pass that hands each
 // worker a source at a time (matmul.RunEach). A search settles every node
 // it reaches at its least (W, H), in rank order, and writes W into the
 // plane as it settles. The first node any search settles past maxH hops
@@ -80,7 +80,7 @@ func CertifiedPlane(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[s
 	}
 	c.maxH, c.m = int64(maxH), sr.MaxH+2
 	c.over.Store(false)
-	nb.fill(sr, w)
+	fill(nb, sr, w)
 	nb.taken = 0
 	if c.newWorker == nil {
 		c.newWorker = func() func(int) {

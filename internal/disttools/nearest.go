@@ -173,7 +173,7 @@ func (nb *nearest[E]) pass(ctx context.Context, sr semiring.Ordered[E], w *matri
 	if poll.poll() {
 		return poll.err
 	}
-	nb.fill(sr, w)
+	fill(nb, sr, w)
 	nb.k, nb.dec = k, decoder(sr, n)
 	nb.taken = 0
 	matmul.RunRows(n, workers, func() func(int) {
@@ -195,8 +195,9 @@ func (nb *nearest[E]) pass(ctx context.Context, sr semiring.Ordered[E], w *matri
 }
 
 // fill lays w out as nb's arcs: row y's entries, ranked under sr, in
-// order.
-func (nb *nearest[E]) fill(sr semiring.Ordered[E], w *matrix.Mat[E]) {
+// order. sr comes in as its own type S, so a caller holding a concrete
+// semiring (CertifiedPlane's AugMinPlus) does not box it.
+func fill[E any, S semiring.Ordered[E]](nb *nearest[E], sr S, w *matrix.Mat[E]) {
 	total := 0
 	for y, row := range w.Rows {
 		nb.off[y] = int32(total)

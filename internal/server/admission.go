@@ -124,22 +124,25 @@ func (a *admission) release() {
 
 // admit is the server-level gate every engine-bound query passes:
 // acquire a slot (when admission control is enabled), track the
-// in-flight gauge, count sheds. The returned release must be called
-// once the engine work completes.
-func (s *Server) admit(ctx context.Context) (release func(), err error) {
+// in-flight gauge, count sheds. A nil error must be paired with
+// s.release once the engine work completes.
+func (s *Server) admit(ctx context.Context) error {
 	if s.adm != nil {
 		if err := s.adm.acquire(ctx); err != nil {
 			if errors.Is(err, ccsp.ErrOverloaded) {
 				s.shed.Inc()
 			}
-			return nil, err
+			return err
 		}
 	}
 	s.inflight.Inc()
-	return func() {
-		s.inflight.Dec()
-		if s.adm != nil {
-			s.adm.release()
-		}
-	}, nil
+	return nil
+}
+
+// release ends what admit began.
+func (s *Server) release() {
+	s.inflight.Dec()
+	if s.adm != nil {
+		s.adm.release()
+	}
 }

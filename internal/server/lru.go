@@ -50,7 +50,8 @@ type entry struct {
 }
 
 // newEntry makes the entry of resp, a canonical answer in wire form. It
-// copies what it keeps, so resp may be a lent answer given back right after.
+// copies what it keeps - the stats too, which a lent answer's envelope
+// holds - so resp may be a lent answer given back right after.
 func newEntry(resp api.Response) *entry {
 	resp.Cached = true
 	e := &entry{body: append(resp.AppendJSON(make([]byte, 0, resp.JSONLen()+1)), '\n')}
@@ -59,7 +60,10 @@ func newEntry(resp api.Response) *entry {
 		for v, row := range m.Dist {
 			e.col[v] = row[0]
 		}
-		e.stats = resp.Stats
+		if resp.Stats != nil {
+			stats := *resp.Stats
+			e.stats = &stats
+		}
 	}
 	return e
 }

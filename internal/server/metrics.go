@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"sync"
 	"time"
 
 	"github.com/congestedclique/ccsp/internal/telemetry"
@@ -140,22 +141,29 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Inc()
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		rec := recorders.Get().(*statusRecorder)
+		rec.ResponseWriter, rec.status = w, http.StatusOK
 		start := time.Now()
 		h(rec, r)
 		em.hist.ObserveDuration(time.Since(start))
 		if class := rec.status / 100; class >= 1 && class < len(em.classes) {
 			em.classes[class].Inc()
 		}
+		rec.ResponseWriter = nil
+		recorders.Put(rec)
 	})
 }
 
 // statusRecorder captures the status code a handler writes; 200 when
-// the handler never calls WriteHeader explicitly.
+// the handler never calls WriteHeader explicitly. Every handler is done
+// with its writer when it returns, so the middleware takes one from
+// recorders and gives it back after.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
 }
+
+var recorders = sync.Pool{New: func() interface{} { return new(statusRecorder) }}
 
 func (r *statusRecorder) WriteHeader(code int) {
 	r.status = code

@@ -144,13 +144,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// slot: its runs share RunPlans' one bounded worker group, so it
 		// occupies one engine's worth of CPU however many positions and
 		// graphs it carries.
-		ctx, leave, err := s.enter(r.Context())
+		ctx, admitted, err := s.enter(r.Context())
 		if err != nil {
 			s.fail(w, "", err)
 			return
 		}
 		out, runs, err := ccsp.RunPlans(ctx, plans)
-		leave()
+		admitted.leave()
 		if err != nil {
 			// Only "the batch never ran" (context dead on entry) lands here.
 			s.fail(w, "", err)

@@ -334,16 +334,27 @@ func (s *Server) withTimeout(ctx context.Context) (context.Context, context.Canc
 // sheds here with a fast typed 503 instead of queueing unboundedly. The
 // work runs synchronously on the request goroutine under the returned
 // context, so when it fires the run unwinds and the request returns - no
-// goroutine keeps burning CPU behind an abandoned request. leave must be
-// called once the engine work completes.
-func (s *Server) enter(ctx context.Context) (_ context.Context, leave func(), err error) {
+// goroutine keeps burning CPU behind an abandoned request. The returned
+// pass's leave must be called once the engine work completes.
+func (s *Server) enter(ctx context.Context) (context.Context, pass, error) {
 	ctx, cancel := s.withTimeout(ctx)
-	release, err := s.admit(ctx)
-	if err != nil {
+	if err := s.admit(ctx); err != nil {
 		cancel()
-		return nil, nil, err
+		return nil, pass{}, err
 	}
-	return ctx, func() { release(); cancel() }, nil
+	return ctx, pass{s, cancel}, nil
+}
+
+// pass is one admitted stretch of engine work, a value so that entering
+// allocates no closure: leave releases its admission and its timeout.
+type pass struct {
+	s      *Server
+	cancel context.CancelFunc
+}
+
+func (p pass) leave() {
+	p.s.release()
+	p.cancel()
 }
 
 // execute answers one request: lookup, enter, answer, store. A miss is
@@ -368,12 +379,12 @@ func (s *Server) execute(ctx context.Context, req api.Request) (_ answer, releas
 			return answer{}, keepAll, err
 		}
 	}
-	ctx, leave, err := s.enter(ctx)
+	ctx, admitted, err := s.enter(ctx)
 	if err != nil {
 		return answer{}, keepAll, err
 	}
 	out, release, err := run.Answer(ctx)
-	leave()
+	admitted.leave()
 	if err != nil {
 		return answer{}, keepAll, err
 	}

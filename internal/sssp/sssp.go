@@ -64,6 +64,7 @@ func Exact(c clique.Clique, w *matrix.Mat[semiring.WH], src, k int) ([]int64, in
 		k = int(math.Ceil(math.Pow(float64(n), 5.0/6.0)))
 	}
 	k = min(k, n)
+	c.Phase("sssp/k-nearest")
 	knear, release, err := c.KNearest(k)
 	if err != nil {
 		return nil, 0, fmt.Errorf("sssp: k-nearest: %w", err)
@@ -81,6 +82,7 @@ func Exact(c clique.Clique, w *matrix.Mat[semiring.WH], src, k int) ([]int64, in
 			}
 		}
 	}
+	c.Phase("sssp/shortcuts")
 	in, err := c.Route(out)
 	if err != nil {
 		return nil, 0, fmt.Errorf("sssp: shortcuts: %w", err)
@@ -96,5 +98,6 @@ func Exact(c clique.Clique, w *matrix.Mat[semiring.WH], src, k int) ([]int64, in
 
 	// Lemma 32: SPD(G') < 4n/k, so 4·ceil(n/k)+1 iterations always reach a
 	// fixpoint; convergence detection usually stops earlier.
+	c.Phase("sssp/bellman-ford")
 	return BellmanFord(c, rows, src, 4*((n+k-1)/k)+2)
 }

@@ -169,6 +169,22 @@ type Stats struct {
 	// - and is excluded from the determinism guarantee; all other fields
 	// are identical across worker counts.
 	CollectiveTime map[string]time.Duration
+
+	// kernelTime is a direct run's wall-clock while its Stats are inside
+	// the engine. leave files it under CollectiveTime["direct"] where the
+	// Stats leave it (an Engine method's result, PreprocessStats), so an
+	// answer that drops it - Engine.Query's, a served one - makes no map.
+	kernelTime time.Duration
+}
+
+// leave is s as it leaves the engine: a direct run's kernel time filed
+// under CollectiveTime["direct"].
+func (s Stats) leave() Stats {
+	if s.Exec == ExecDirect && s.CollectiveTime == nil {
+		s.CollectiveTime = map[string]time.Duration{"direct": s.kernelTime}
+	}
+	s.kernelTime = 0
+	return s
 }
 
 func statsFrom(s cc.Stats) Stats {

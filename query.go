@@ -3,9 +3,11 @@ package ccsp
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/congestedclique/ccsp/api"
+	"github.com/congestedclique/ccsp/internal/disttools"
 )
 
 // Plan is the executable form of one api.Request on one engine: the
@@ -28,7 +30,7 @@ import (
 type Plan struct {
 	eng *Engine
 	req api.Request // as asked: Finish answers this
-	run api.Request // as run: the canonical form, what Key encodes
+	run api.Request // as run: the canonical form, what Key encodes; a distance's is made on demand (Request)
 }
 
 // Plan validates req once and canonicalises it. Errors keep the typed
@@ -45,15 +47,21 @@ func (e *Engine) Plan(req api.Request) (Plan, error) {
 		if to := req.Distance.To; to < 0 || to >= e.gr.N() {
 			return Plan{}, fmt.Errorf("%w: node %d out of range [0,%d)", ErrInvalidSource, to, e.gr.N())
 		}
-		p.run = api.MSSP(req.Distance.From).On(req.Graph)
 	case api.KindAPSP:
 		p.run = api.APSP(e.ResolveAPSPVariant(req.Variant())).On(req.Graph)
 	}
 	return p, nil
 }
 
-// Request returns the canonical request the plan runs.
-func (p Plan) Request() api.Request { return p.run }
+// Request returns the canonical request the plan runs. A distance plan
+// makes its one-source MSSP here, on demand: Answer reads the pair's cell
+// without it, so a served distance with the cache off never builds it.
+func (p Plan) Request() api.Request {
+	if pair := p.req.Distance; pair != nil {
+		return api.MSSP(pair.From).On(p.req.Graph)
+	}
+	return p.run
+}
 
 // Key returns the canonical encoding of the plan's request qualified by
 // the engine's epoch (api.Request.CacheKeyAt): the key response caches
@@ -61,7 +69,7 @@ func (p Plan) Request() api.Request { return p.run }
 // is one immutable graph generation - a key made at epoch E can only ever
 // match plans made on that same generation, so an answer never outlives
 // the graph it was computed on.
-func (p Plan) Key() string { return p.run.CacheKeyAt(p.eng.epoch) }
+func (p Plan) Key() string { return p.Request().CacheKeyAt(p.eng.epoch) }
 
 // Run executes the plan's canonical request and returns its response in
 // wire form (distances use api.Unreachable = -1 for disconnected pairs),
@@ -71,74 +79,74 @@ func (p Plan) Key() string { return p.run.CacheKeyAt(p.eng.epoch) }
 // wrap the ccsp sentinels (ErrCanceled, ErrRoundLimit, ErrInvalidSource,
 // ErrInvalidOption) exactly as the direct Engine methods do.
 func (p Plan) Run(ctx context.Context) (*api.Response, error) {
-	resp, _, err := p.runLent(ctx, false)
-	return resp, err
+	return p.runLent(ctx, nil)
 }
 
-// runLent is Run, lent when lend is set: the response's one large field -
-// an mssp or apsp answer's rows over the detection plane or estimate
-// table, a knearest or source_detection answer's lists over their neighbor
-// backing - is cut from buffers and headers taken from the pools, and
-// release hands them all back (Answer's release). Nobody else holds them,
-// so a caller that keeps nothing once the response is written may call
-// it. Without lend the answer is owned, allocated to size, and release is
-// keepAll, as it is for every other kind.
-func (p Plan) runLent(ctx context.Context, lend bool) (*api.Response, func(), error) {
-	e, req := p.eng, p.run
+// runLent is Run, lent into l unless l is nil (Answer): the response, its
+// stats and an mssp answer's result structs are l's, and the response's
+// one large field - an mssp or apsp answer's rows over the detection plane
+// or estimate table, a knearest or source_detection answer's lists over
+// their neighbor backing - is cut from buffers and headers taken from the
+// pools and recorded in l, whose release hands them all back. Nobody else
+// holds them, so a caller that keeps nothing once the response is written
+// may release it. With l nil the answer is owned and allocated to size.
+func (p Plan) runLent(ctx context.Context, l *lent) (*api.Response, error) {
+	e, req := p.eng, p.Request()
 	defer observeQuery(time.Now())
 	// The engine serves exactly one graph; the Graph field is a serving-
 	// layer routing concern, echoed back so merged fan-out responses stay
 	// attributable.
-	resp := &api.Response{Kind: req.Kind, Graph: req.Graph}
+	resp := l.response()
+	resp.Kind, resp.Graph = req.Kind, req.Graph
 	var stats Stats
-	release := keepAll
 	switch req.Kind {
 	case api.KindSSSP:
 		res, err := e.SSSP(ctx, req.SSSP.Source)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		resp.SSSP = &api.SSSPResult{Source: res.Source, Dist: wireVec(res.Dist), Iterations: res.Iterations}
 		stats = res.Stats
 	case api.KindMSSP:
-		res, lent, err := e.mssp(ctx, req.MSSP.Sources, lend)
+		res, err := e.mssp(ctx, req.MSSP.Sources, l)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		resp.MSSP = &api.MSSPResult{Sources: res.Sources, Dist: wireMat(res.Dist)}
-		stats, release = res.Stats, lent
+		resp.MSSP = l.wireMSSP()
+		resp.MSSP.Sources, resp.MSSP.Dist = res.Sources, wireMat(res.Dist)
+		stats = res.Stats
 	case api.KindAPSP:
-		res, lent, err := e.apsp(ctx, req.APSP.Variant, lend)
+		res, err := e.apsp(ctx, req.APSP.Variant, l)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		resp.APSP = &api.APSPResult{Variant: req.APSP.Variant, Dist: wireMat(res.Dist)}
-		stats, release = res.Stats, lent
+		stats = res.Stats
 	case api.KindDiameter:
 		res, err := e.Diameter(ctx)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		resp.Diameter = &api.DiameterResult{Estimate: res.Estimate}
 		stats = res.Stats
 	case api.KindKNearest:
-		res, lent, err := e.knearest(ctx, req.KNearest.K, lend)
+		res, err := e.knearest(ctx, req.KNearest.K, l)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		resp.KNearest = &api.KNearestResult{K: req.KNearest.K, Neighbors: res.Neighbors}
-		stats, release = res.Stats, lent
+		stats = res.Stats
 	case api.KindSourceDetection:
 		q := req.SourceDetection
-		res, lent, err := e.sourceDetection(ctx, q.Sources, q.D, q.K, lend)
+		res, err := e.sourceDetection(ctx, q.Sources, q.D, q.K, l)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		resp.SourceDetection = &api.SourceDetectionResult{D: q.D, K: q.K, Detected: res.Detected}
-		stats, release = res.Stats, lent
+		stats = res.Stats
 	}
-	resp.Stats = wireStats(stats)
-	return resp, release, nil
+	resp.Stats = l.wireStats(stats)
+	return resp, nil
 }
 
 // Finish turns a response to the plan's canonical request - fresh from
@@ -163,7 +171,8 @@ func (p Plan) Finish(resp api.Response, cached bool) api.Response {
 // for a caller that kept the run's column and not the run (a response
 // cache). Finish and Answer project through it too.
 func (p Plan) FinishDistance(d int64, stats *api.Stats, cached bool) api.Response {
-	return api.Response{Kind: api.KindDistance, Graph: p.req.Graph, Distance: distanceResult(p.req.Distance, d), Stats: stats, Cached: cached}
+	pair := distanceResult(p.req.Distance, d)
+	return api.Response{Kind: api.KindDistance, Graph: p.req.Graph, Distance: &pair, Stats: stats, Cached: cached}
 }
 
 // Answer is Finish(Run, false) for a caller that keeps nothing of the
@@ -176,50 +185,156 @@ func (p Plan) FinishDistance(d int64, stats *api.Stats, cached bool) api.Respons
 // engine's Plan of this plan's Request - and finishes the request's own
 // answer out of that.
 //
-// The answer is lent: release, nil exactly when err is not, hands an mssp
-// answer's detection plane or an apsp answer's estimate table back to the
-// kernels' pool and a knearest or source_detection answer's neighbor
-// backing back to the engine's, each with the row or list headers cut over
-// it, and does nothing for the other kinds. Call it at most once, after
-// the last read of the response - from then on its rows are another
-// query's scratch. Not calling it is always safe: the answer is then owned
-// like any Engine result, though a buffer or headers taken from a pool may
-// be up to twice as large as the answer needs (Engine.Query goes through
-// answer, which takes nothing from a pool).
+// The answer is lent: release, nil exactly when err is not, hands back the
+// response's envelope - the response itself, its stats and its result
+// struct, for a distance or an mssp - together with an mssp answer's
+// detection plane or an apsp answer's estimate table and the row headers
+// cut over it, or a knearest or source_detection answer's neighbor backing
+// and the list headers cut over it (lent). Call it at most once, after the
+// last read of the response - from then on all of it is another query's
+// scratch. Not calling it is always safe: the answer is then owned like
+// any Engine result, though a buffer or headers taken from a pool may be up
+// to twice as large as the answer needs (Engine.Query goes through answer,
+// which takes nothing from a pool).
 func (p Plan) Answer(ctx context.Context) (resp *api.Response, release func(), err error) {
 	return p.answer(ctx, true)
 }
 
-// answer is Answer, with lend as runLent's: false for a caller that keeps
-// the answer (Engine.Query).
+// answer is Answer, owned unless lend is set (Engine.Query keeps the
+// answer): a lent answer is written into an envelope from takeLent.
 func (p Plan) answer(ctx context.Context, lend bool) (*api.Response, func(), error) {
+	var l *lent
+	release := keepAll
+	if lend {
+		l = takeLent()
+		release = l.release
+	}
+	resp, err := p.answerInto(ctx, l)
+	if err != nil {
+		release()
+		return nil, nil, err
+	}
+	return resp, release, nil
+}
+
+// answerInto is answer's body, lent into l as runLent's is.
+func (p Plan) answerInto(ctx context.Context, l *lent) (*api.Response, error) {
 	pair := p.req.Distance
 	if pair == nil {
-		resp, release, err := p.runLent(ctx, lend)
+		resp, err := p.runLent(ctx, l)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		*resp = p.Finish(*resp, false)
-		return resp, release, nil
+		return resp, nil
 	}
 	defer observeQuery(time.Now())
 	d, stats, err := p.eng.distance(ctx, pair.From, pair.To)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if d >= Unreachable {
 		d = api.Unreachable
 	}
-	resp := p.FinishDistance(d, wireStats(stats), false)
-	return &resp, keepAll, nil
+	if l == nil {
+		resp := p.FinishDistance(d, l.wireStats(stats), false)
+		return &resp, nil
+	}
+	l.dist = distanceResult(pair, d)
+	l.resp = api.Response{Kind: api.KindDistance, Graph: p.req.Graph, Distance: &l.dist, Stats: l.wireStats(stats)}
+	return &l.resp, nil
 }
 
 // keepAll is the release of an answer that lends nothing.
 func keepAll() {}
 
 // distanceResult is the answer to pair at wire distance d.
-func distanceResult(pair *api.DistanceParams, d int64) *api.DistanceResult {
-	return &api.DistanceResult{From: pair.From, To: pair.To, Distance: d, Reachable: d != api.Unreachable}
+func distanceResult(pair *api.DistanceParams, d int64) api.DistanceResult {
+	return api.DistanceResult{From: pair.From, To: pair.To, Distance: d, Reachable: d != api.Unreachable}
+}
+
+// lent is the envelope of one lent answer (Plan.Answer) and the record of
+// what it lends: the response, its stats and the result structs of a
+// distance or mssp answer are its own fields, and an mssp or apsp answer's
+// plane or table with the row headers over it, or a knearest or
+// source_detection answer's neighbor backing with the list headers over
+// it, were taken from the pools and are recorded here. release - give,
+// bound once per envelope - hands all of it back, the envelope included,
+// so a lent answer allocates no response, result struct, stats or release
+// of its own. A nil *lent stands for an owned answer: its methods then
+// allocate what they return, to size.
+type lent struct {
+	resp  api.Response
+	stats api.Stats
+	dist  api.DistanceResult
+	wire  api.MSSPResult // runLent's
+	mssp  MSSPResult     // Engine.mssp's
+
+	rows    [][]int64    // from rowHeaders, over plane
+	plane   []int64      // a detection plane or estimate table
+	lists   [][]Neighbor // from listHeaders, over backing
+	backing []Neighbor   // from neighborBackings
+
+	release func()
+}
+
+// lentAnswers recycles envelopes that give handed back.
+var lentAnswers sync.Pool
+
+// takeLent returns an empty envelope.
+func takeLent() *lent {
+	if l, _ := lentAnswers.Get().(*lent); l != nil {
+		return l
+	}
+	l := new(lent)
+	l.release = l.give
+	return l
+}
+
+// give hands back what l lends, then l itself, cleared so that a pooled
+// envelope keeps no answer alive.
+func (l *lent) give() {
+	if l.plane != nil {
+		giveHeaders(&rowHeaders, l.rows)
+		disttools.ReleasePlane(l.plane)
+	}
+	if l.lists != nil {
+		giveHeaders(&listHeaders, l.lists)
+		neighborBackings.Put(l.backing)
+	}
+	*l = lent{release: l.release}
+	lentAnswers.Put(l)
+}
+
+func (l *lent) response() *api.Response {
+	if l == nil {
+		return new(api.Response)
+	}
+	return &l.resp
+}
+
+func (l *lent) wireMSSP() *api.MSSPResult {
+	if l == nil {
+		return new(api.MSSPResult)
+	}
+	return &l.wire
+}
+
+func (l *lent) msspResult() *MSSPResult {
+	if l == nil {
+		return new(MSSPResult)
+	}
+	return &l.mssp
+}
+
+// wireStats is the wire form of a run's stats: l's, or a new one.
+func (l *lent) wireStats(s Stats) *api.Stats {
+	if l == nil {
+		st := wireStats(s)
+		return &st
+	}
+	l.stats = wireStats(s)
+	return &l.stats
 }
 
 // Query answers one typed api.Request: plan, then answer. It is the
@@ -273,6 +388,6 @@ func wireMat(dist [][]int64) [][]int64 {
 }
 
 // wireStats converts a run's Stats to the wire core.
-func wireStats(s Stats) *api.Stats {
-	return &api.Stats{TotalRounds: s.TotalRounds, SimRounds: s.SimRounds, Messages: s.Messages, Words: s.Words}
+func wireStats(s Stats) api.Stats {
+	return api.Stats{TotalRounds: s.TotalRounds, SimRounds: s.SimRounds, Messages: s.Messages, Words: s.Words}
 }

@@ -27,9 +27,8 @@ func TestQueryMatchesEngineMethods(t *testing.T) {
 		if got == nil {
 			t.Fatalf("%s: response without stats", kind)
 		}
-		w := wireStats(want)
-		if *got != *w {
-			t.Errorf("%s: stats %+v, want %+v", kind, *got, *w)
+		if w := wireStats(want); *got != w {
+			t.Errorf("%s: stats %+v, want %+v", kind, *got, w)
 		}
 	}
 

@@ -37,10 +37,12 @@ func statsLine(s Stats) string {
 // iterations, the rounds, messages and charged rounds per tag, and the
 // diameter's rounds per phase - so a change to how the theorems
 // communicate fails here and not only in the server's golden files. Each
-// primitive of the simulated clique is its own run, which starts
-// unlabeled, so the diameter's four rounds between and after its MSSPs
-// (the pivot broadcast, the N_k(w) flood, the membership broadcast and
-// the final max) count under "", not under the first MSSP's label.
+// primitive of the simulated clique is its own run, which starts under the
+// last label the algorithm set, and the diameter labels every step
+// "diameter/...": its four rounds between and after its MSSPs (the pivot
+// broadcast, the N_k(w) flood, the membership broadcast and the final max)
+// and its k-nearest and hitting-set rounds used to count under "" (1001 of
+// them on the random shape). No round counts under "" (unlabeled).
 func TestSection7Deterministic(t *testing.T) {
 	want := map[string]struct {
 		estimate          int64
@@ -50,17 +52,17 @@ func TestSection7Deterministic(t *testing.T) {
 	}{
 		"random": {
 			23, "n=40 rounds=3969 (sim=794 charged=3175) msgs=2019733 words=8078932 charged=map[hitting-set:15 route:2116 sort:1044]",
-			"map[:1001 mssp/source-detect:2968]",
+			"map[diameter/far-neighborhood:2 diameter/hitting-set:15 diameter/k-nearest:982 diameter/max:1 diameter/pivots:1 mssp/source-detect:2968]",
 			4, "n=40 rounds=779 (sim=81 charged=698) msgs=257522 words=1030088 charged=map[route:602 sort:96]",
 		},
 		"path": {
 			84, "n=32 rounds=2787 (sim=623 charged=2164) msgs=1071049 words=4284196 charged=map[hitting-set:13 route:1335 sort:816]",
-			"map[:376 mssp/source-detect:2411]",
+			"map[diameter/far-neighborhood:2 diameter/hitting-set:13 diameter/k-nearest:359 diameter/max:1 diameter/pivots:1 mssp/source-detect:2411]",
 			4, "n=32 rounds=404 (sim=63 charged=341) msgs=97185 words=388740 charged=map[route:275 sort:66]",
 		},
 		"cycle": {
 			15, "n=30 rounds=2856 (sim=623 charged=2233) msgs=932162 words=3728648 charged=map[hitting-set:13 route:1518 sort:702]",
-			"map[:435 mssp/source-detect:2421]",
+			"map[diameter/far-neighborhood:2 diameter/hitting-set:13 diameter/k-nearest:418 diameter/max:1 diameter/pivots:1 mssp/source-detect:2421]",
 			4, "n=30 rounds=414 (sim=69 charged=345) msgs=99077 words=396308 charged=map[route:273 sort:72]",
 		},
 	}
@@ -86,6 +88,7 @@ func TestSection7Deterministic(t *testing.T) {
 			if got := fmt.Sprint(d.Stats.PhaseRounds); got != w.phases {
 				t.Errorf("%s: diameter phases %s, want %s", sh.name, got, w.phases)
 			}
+			checkLabeled(t, sh.name+": diameter", d.Stats)
 		}
 		src := sh.g.N / 3
 		s1, err := eng.SSSP(ctx, src)
@@ -103,6 +106,7 @@ func TestSection7Deterministic(t *testing.T) {
 			if got := statsLine(s.Stats); s.Iterations != w.iters || got != w.ssspStats {
 				t.Errorf("%s: SSSP %d iterations with %q, want %d with %q", sh.name, s.Iterations, got, w.iters, w.ssspStats)
 			}
+			checkLabeled(t, sh.name+": SSSP", s.Stats)
 		}
 	}
 }
@@ -158,6 +162,15 @@ func TestSection7RoundCap(t *testing.T) {
 	}
 }
 
+// checkLabeled fails a simulated result whose rounds count in part under
+// no phase label: every round of a §6 or §7 query is attributed.
+func checkLabeled(t *testing.T, name string, s Stats) {
+	t.Helper()
+	if r, ok := s.PhaseRounds[""]; ok {
+		t.Errorf("%s: %d rounds count under no phase label (%v)", name, r, s.PhaseRounds)
+	}
+}
+
 // tableSum is an FNV-1a checksum of an estimate table, row by row.
 func tableSum(rows [][]int64) uint64 {
 	h := fnv.New64a()
@@ -181,9 +194,10 @@ func tableSum(rows [][]int64) uint64 {
 // run before it ended in. The two weighted variants are one body that
 // labels each step "apsp/..." (the (3+ε) one used to label none: its 2
 // pivot-broadcast rounds counted under "mssp/source-detect", the rest
-// before its MSSP under ""). The unweighted one labels none, so everything
-// after its first MSSP but the second MSSP's detection - 321 rounds on
-// the cycle - counts under "", not under "mssp/source-detect".
+// before its MSSP under ""). The unweighted one labels its steps too, its
+// second phase's on G' "apsp/low-degree/..." (it used to label none, and
+// 334 of its 2128 rounds on the cycle counted under ""). No round counts
+// under "" (unlabeled).
 func TestSection6Deterministic(t *testing.T) {
 	want := map[string]struct {
 		sum           uint64
@@ -202,7 +216,7 @@ func TestSection6Deterministic(t *testing.T) {
 		"cycle/weighted3": {0xdd8e61d28f6dab19, "n=30 rounds=1781 (sim=406 charged=1375) msgs=480121 words=1920484 charged=map[hitting-set:13 route:816 sort:546]",
 			"map[apsp/hitting-set:13 apsp/k-nearest:239 apsp/pivot-combine:2 mssp/source-detect:1527]"},
 		"cycle/unweighted": {0x2f69862e24342285, "n=30 rounds=2128 (sim=440 charged=1688) msgs=611355 words=2445420 charged=map[hitting-set:26 route:1095 sort:567]",
-			"map[:334 mssp/source-detect:1794]"},
+			"map[apsp/dist-through-sets:10 apsp/hitting-set:13 apsp/low-degree/dist-through-sets:31 apsp/low-degree/hitting-set:13 apsp/low-degree/k-nearest:202 apsp/low-degree/triple-product:62 apsp/pivot-combine:3 mssp/source-detect:1794]"},
 	}
 	ctx := context.Background()
 	for _, sh := range section7Shapes {
@@ -228,6 +242,7 @@ func TestSection6Deterministic(t *testing.T) {
 				if got := fmt.Sprint(res.Stats.PhaseRounds); got != w.phases {
 					t.Errorf("%s: phases %s, want %s", name, got, w.phases)
 				}
+				checkLabeled(t, name, res.Stats)
 			}
 		}
 	}
