@@ -23,6 +23,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -35,7 +36,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/congestedclique/ccsp"
@@ -152,14 +152,17 @@ func New(baseURL string, opts ...Option) *Client {
 
 // Query answers one typed request via POST /v1/query.
 func (c *Client) Query(ctx context.Context, req api.Request) (*api.Response, error) {
-	u := takeUpload()
-	u.payload = req.AppendJSON(u.payload)
 	var resp api.Response
-	if err := c.send(ctx, &c.postQuery, u, &resp); err != nil {
+	if err := c.send(ctx, &c.postQuery, req.AppendJSON(make([]byte, 0, requestPresize)), &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
 }
+
+// requestPresize is the first capacity of a Query payload: a point
+// request's JSON, even one naming a graph and a few sources, fits it in
+// one allocation.
+const requestPresize = 128
 
 // Batch answers many requests via POST /v1/batch: one response per
 // request, per-request typed errors in place (inspect Response.Error /
@@ -248,23 +251,19 @@ func (c *Client) post(ctx context.Context, ep *endpoint, in, out interface{}) er
 	if err != nil {
 		return fmt.Errorf("client: encode %s: %w", ep.path, err)
 	}
-	u := takeUpload()
-	u.payload = append(u.payload, payload...)
-	return c.send(ctx, ep, u, out)
+	return c.send(ctx, ep, payload, out)
 }
 
-// send sends the JSON body u holds to ep and decodes the response,
-// translating non-200 statuses through the typed-error taxonomy and
-// retrying transient failures when WithRetry enabled them. It lets go of u
-// on return; u goes back to its pool once the transport has closed every
-// body it was handed as well.
-func (c *Client) send(ctx context.Context, ep *endpoint, u *upload, out interface{}) error {
-	defer u.drop()
+// send sends the JSON payload to ep and decodes the response, translating
+// non-200 statuses through the typed-error taxonomy and retrying transient
+// failures when WithRetry enabled them. Nothing reuses payload: a transport
+// may still read or close an attempt's body after the call returns.
+func (c *Client) send(ctx context.Context, ep *endpoint, payload []byte, out interface{}) error {
 	if ep.err != nil {
 		return fmt.Errorf("client: %w", ep.err)
 	}
 	for attempt := 0; ; attempt++ {
-		retryable, retryAfter, err := c.postOnce(ctx, ep, u.reader(attempt == 0), out)
+		retryable, retryAfter, err := c.postOnce(ctx, ep, payload, out)
 		if err == nil {
 			return nil
 		}
@@ -277,87 +276,19 @@ func (c *Client) send(ctx context.Context, ep *endpoint, u *upload, out interfac
 	}
 }
 
-// postOnce runs one POST round trip of body through do.
-func (c *Client) postOnce(ctx context.Context, ep *endpoint, body *uploadReader, out interface{}) (bool, time.Duration, error) {
+// postOnce runs one POST round trip of payload through do. The body is an
+// io.NopCloser over a bytes.Reader, with the GetBody http.NewRequest would
+// set: net/http knows it is in memory, and writes the headers and the body
+// in one write.
+func (c *Client) postOnce(ctx context.Context, ep *endpoint, payload []byte, out interface{}) (bool, time.Duration, error) {
 	req := ep.req.WithContext(ctx)
-	req.Body, req.GetBody, req.ContentLength = body, body.u.getBody, int64(len(body.u.payload))
+	req.Body = io.NopCloser(bytes.NewReader(payload))
+	req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(payload)), nil }
+	req.ContentLength = int64(len(payload))
 	if c.hc.Jar != nil {
 		req.Header = req.Header.Clone()
 	}
 	return c.do(ctx, req, ep.path, out)
-}
-
-// upload is one POST body in flight: its payload, appended once per call,
-// and the reader of the call's first attempt. A transport may close a body
-// after RoundTrip returns, from another goroutine, and a retry or a rewind
-// (GetBody) reads the payload through a reader of its own; so the upload,
-// payload and all, goes back to uploads only once the call has let go of it
-// and every reader has been closed (holds).
-type upload struct {
-	payload []byte
-	holds   atomic.Int32 // the call's own, and one per reader not yet closed
-	first   uploadReader
-	getBody func() (io.ReadCloser, error) // GetBody: a new reader per call; the func is made once per upload
-}
-
-var uploads = sync.Pool{New: func() interface{} {
-	u := new(upload)
-	u.getBody = func() (io.ReadCloser, error) { return u.reader(false), nil }
-	return u
-}}
-
-// takeUpload returns an upload with an empty payload, held by the caller.
-func takeUpload() *upload {
-	u := uploads.Get().(*upload)
-	u.payload = u.payload[:0]
-	u.holds.Store(1)
-	return u
-}
-
-// reader returns a reader of the payload from its start, held until it is
-// closed: the upload's own for a call's first attempt, a new one for a
-// retry or a rewind, which must not share the offset of a reader the
-// transport may still be reading.
-func (u *upload) reader(first bool) *uploadReader {
-	u.holds.Add(1)
-	if !first {
-		return &uploadReader{u: u}
-	}
-	u.first.u, u.first.off = u, 0
-	u.first.closed.Store(false)
-	return &u.first
-}
-
-// drop lets go of one hold; the last hands u back, unless its payload grew
-// past maxPooledBody.
-func (u *upload) drop() {
-	if u.holds.Add(-1) == 0 && cap(u.payload) <= maxPooledBody {
-		uploads.Put(u)
-	}
-}
-
-// uploadReader is the io.ReadCloser one attempt sends. Its first Close lets
-// go of its upload's hold.
-type uploadReader struct {
-	u      *upload
-	off    int
-	closed atomic.Bool
-}
-
-func (r *uploadReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.u.payload) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.u.payload[r.off:])
-	r.off += n
-	return n, nil
-}
-
-func (r *uploadReader) Close() error {
-	if r.closed.CompareAndSwap(false, true) {
-		r.u.drop()
-	}
-	return nil
 }
 
 // do runs one round trip and decodes a 200 into out; name labels the

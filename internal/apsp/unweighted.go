@@ -86,7 +86,7 @@ func TwoPlusEpsUnweighted(g clique.Clique, w *matrix.Mat[semiring.WH], low cliqu
 	}
 	defer disttools.ReleasePlane(plane2)
 	// Lines (9)-(10): pivots p'(v) and the symmetric combination.
-	low.Phase("apsp/pivot-combine")
+	low.Phase("apsp/low-degree/pivot-combine")
 	if err := combine(low, est, knearLow, inA2, plane2, src2, true); err != nil {
 		return nil, err
 	}

@@ -216,7 +216,7 @@ func TestSection6Deterministic(t *testing.T) {
 		"cycle/weighted3": {0xdd8e61d28f6dab19, "n=30 rounds=1781 (sim=406 charged=1375) msgs=480121 words=1920484 charged=map[hitting-set:13 route:816 sort:546]",
 			"map[apsp/hitting-set:13 apsp/k-nearest:239 apsp/pivot-combine:2 mssp/source-detect:1527]"},
 		"cycle/unweighted": {0x2f69862e24342285, "n=30 rounds=2128 (sim=440 charged=1688) msgs=611355 words=2445420 charged=map[hitting-set:26 route:1095 sort:567]",
-			"map[apsp/dist-through-sets:10 apsp/hitting-set:13 apsp/low-degree/dist-through-sets:31 apsp/low-degree/hitting-set:13 apsp/low-degree/k-nearest:202 apsp/low-degree/triple-product:62 apsp/pivot-combine:3 mssp/source-detect:1794]"},
+			"map[apsp/dist-through-sets:10 apsp/hitting-set:13 apsp/low-degree/dist-through-sets:31 apsp/low-degree/hitting-set:13 apsp/low-degree/k-nearest:202 apsp/low-degree/pivot-combine:3 apsp/low-degree/triple-product:62 mssp/source-detect:1794]"},
 	}
 	ctx := context.Background()
 	for _, sh := range section7Shapes {
