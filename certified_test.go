@@ -17,10 +17,11 @@ import (
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
 
-// Certified cells (DESIGN.md §13): a direct MSSP or distance answer comes
-// from one lexicographic search per source over G wherever the hop
-// certificate proves it equal to the β-hop panel over G ∪ H, and from
-// the panel everywhere else (mssp.RunDirect).
+// Certified cells (DESIGN.md §13): every direct β-hop detection - a
+// served MSSP or distance, APSP's and diameter's - comes from one
+// lexicographic search per source over G wherever the hop certificate
+// proves it equal to the β-hop panel over G ∪ H, and from the panel
+// everywhere else (clique.Direct.Plane, mssp.RunDirect).
 
 // TestDirectCertifiedBoundary pins the certificate's boundary on G ∪ ∅,
 // an artifact with no H edges, where a β-hop cell really differs from d_G.
@@ -54,7 +55,7 @@ func TestDirectCertifiedBoundary(t *testing.T) {
 				}
 				served := 0
 				var certified bool
-				d.served = func(c bool) { served, certified = served+1, c }
+				d.served = func(_ *matrix.Mat[semiring.WH], _ int, _ []bool, c bool) { served, certified = served+1, c }
 				plane, _, err := d.mssp(ctx, ent, inS)
 				if err != nil {
 					t.Fatal(err)
@@ -80,25 +81,28 @@ func TestDirectCertifiedBoundary(t *testing.T) {
 
 // certifiedFamilies are the graph families of TestDirectCertifiedFamilies
 // at n = 64, where ε = 1 gives β = 12: holds says whether every cell of
-// every answer the test asks certifies (the hop depth of G stays within
-// β) or none of them does (a source has a node past β hops).
+// every MSSP and distance answer the test asks certifies (the hop depth
+// of G stays within β) or none of them does (a source has a node past β
+// hops). simAll says whether the APSP and diameter answers are held to
+// the simulated engine's too, on one family of each kind: the simulator's
+// ε/2 builds on G and G′ take seconds, minutes under -race.
 func certifiedFamilies() []struct {
-	name  string
-	gr    *Graph
-	holds bool
+	name          string
+	gr            *Graph
+	holds, simAll bool
 } {
 	w := graphgen.Weights{Max: 9}
 	return []struct {
-		name  string
-		gr    *Graph
-		holds bool
+		name          string
+		gr            *Graph
+		holds, simAll bool
 	}{
-		{"connected", &Graph{g: graphgen.Connected(64, 128, w, 1)}, true},
-		{"geometric", &Graph{g: graphgen.Geometric(64, 0.3, w, 2)}, true},
-		{"preferential", &Graph{g: graphgen.PreferentialAttachment(64, 2, w, 3)}, true},
-		{"grid", &Graph{g: graphgen.Grid(8, 8, w, 4)}, false},
-		{"cycle", &Graph{g: graphgen.Cycle(64, w, 5)}, false},
-		{"path", &Graph{g: graphgen.Path(64, w, 6)}, false},
+		{"connected", &Graph{g: graphgen.Connected(64, 128, w, 1)}, true, true},
+		{"geometric", &Graph{g: graphgen.Geometric(64, 0.3, w, 2)}, true, false},
+		{"preferential", &Graph{g: graphgen.PreferentialAttachment(64, 2, w, 3)}, true, false},
+		{"grid", &Graph{g: graphgen.Grid(8, 8, w, 4)}, false, true},
+		{"cycle", &Graph{g: graphgen.Cycle(64, w, 5)}, false, false},
+		{"path", &Graph{g: graphgen.Path(64, w, 6)}, false, false},
 	}
 }
 
@@ -116,13 +120,40 @@ func certifies(g *graph.Graph, beta int, sources []int) bool {
 	return true
 }
 
+// graphOf is the graph whose augmented weight matrix is w.
+func graphOf(w *matrix.Mat[semiring.WH]) *graph.Graph {
+	g := graph.New(w.N)
+	for v, r := range w.Rows {
+		for _, e := range r {
+			if int(e.Col) > v {
+				g.MustAddEdge(v, int(e.Col), e.Val.W)
+			}
+		}
+	}
+	return g
+}
+
+// detection is one β-hop detection the test hook heard: the graph and β
+// it ran at, its sources, and whether the searches served it.
+type detection struct {
+	w         *matrix.Mat[semiring.WH]
+	beta      int
+	sources   []int
+	certified bool
+}
+
 // TestDirectCertifiedFamilies is the differential oracle of the certified
 // path across graph families: on each, the served MSSP (q = 1 and 8) and
 // distance answers are byte-identical to a simulated engine's and equal
 // to the β-hop panel's plane, and the test hook reports the path the
 // certificate, read off graph.DijkstraAug, says served them - the
 // searches on the connected, geometric and preferential-attachment
-// families, the panel on the grid, cycle and path.
+// families, the panel on the grid, cycle and path. Each detection of the
+// three APSP variants and the diameter - on G at the ε/2 artifact's β, on
+// the unweighted variant's G′ at its own, on G at the base β for the
+// diameter - is served by the path the certificate names over that graph
+// at that β, and on the connected family and the grid their answers are
+// byte-identical to the simulated engine's.
 func TestDirectCertifiedFamilies(t *testing.T) {
 	ctx := context.Background()
 	for _, fam := range certifiedFamilies() {
@@ -134,6 +165,7 @@ func TestDirectCertifiedFamilies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			simAnswers := map[string][]byte{}
 			for _, workers := range diffWorkerCounts(t) {
 				dir, err := NewEngine(ctx, fam.gr, Options{Epsilon: 1, Workers: workers, Execution: ExecDirect})
 				if err != nil {
@@ -143,39 +175,60 @@ func TestDirectCertifiedFamilies(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var served []bool
-				dir.exec.(*directExec).served = func(c bool) { served = append(served, c) }
-				// expect asserts that the queries since the last call were
-				// served by the path the certificate names for sources.
-				expect := func(what string, sources []int) {
-					t.Helper()
-					want := certifies(fam.gr.g, ent.art.Beta, sources)
-					if want != fam.holds {
-						t.Fatalf("workers=%d %s: the certificate reads %v on a family where it should read %v", workers, what, want, fam.holds)
-					}
-					if len(served) == 0 {
-						t.Errorf("workers=%d %s: the hook heard no query", workers, what)
-					}
-					for _, c := range served {
-						if c != want {
-							t.Errorf("workers=%d %s: served by certified=%v, want %v", workers, what, served, want)
-							break
+				var heard []detection
+				dir.exec.(*directExec).served = func(w *matrix.Mat[semiring.WH], beta int, inS []bool, c bool) {
+					var sources []int
+					for v, in := range inS {
+						if in {
+							sources = append(sources, v)
 						}
 					}
-					served = served[:0]
+					heard = append(heard, detection{w, beta, sources, c})
 				}
-				// sameAsSim asks both engines req and compares the bytes.
+				// expectEach asserts that the hook heard the given number of
+				// detections since the last call, each served by the path the
+				// certificate names for its graph, β and sources.
+				expectEach := func(what string, detections int) {
+					t.Helper()
+					if len(heard) != detections {
+						t.Errorf("workers=%d %s: the hook heard %d detections, want %d", workers, what, len(heard), detections)
+					}
+					for i, d := range heard {
+						if want := certifies(graphOf(d.w), d.beta, d.sources); d.certified != want {
+							t.Errorf("workers=%d %s: detection %d served by certified=%v, the certificate reads %v", workers, what, i, d.certified, want)
+						}
+					}
+					heard = heard[:0]
+				}
+				// expect asserts that the queries since the last call, from
+				// sources, ran one detection each, served by the path the
+				// certificate names, and that the certificate reads as the
+				// family says it should.
+				expect := func(what string, sources []int, queries int) {
+					t.Helper()
+					if want := certifies(fam.gr.g, ent.art.Beta, sources); want != fam.holds {
+						t.Fatalf("workers=%d %s: the certificate reads %v on a family where it should read %v", workers, what, want, fam.holds)
+					}
+					expectEach(what, queries)
+				}
+				// sameAsSim asks both engines req and compares the bytes; the
+				// simulated engine answers each request once.
 				sameAsSim := func(req api.Request) *api.Response {
 					t.Helper()
-					simResp, err := sim.Query(ctx, req)
-					if err != nil {
-						t.Fatal(err)
+					key := string(req.AppendJSON(nil))
+					simJSON, ok := simAnswers[key]
+					if !ok {
+						simResp, err := sim.Query(ctx, req)
+						if err != nil {
+							t.Fatal(err)
+						}
+						simJSON, _ = json.Marshal(stripStats(simResp))
+						simAnswers[key] = simJSON
 					}
 					dirResp, err := dir.Query(ctx, req)
 					if err != nil {
 						t.Fatal(err)
 					}
-					simJSON, _ := json.Marshal(stripStats(simResp))
 					dirJSON, _ := json.Marshal(stripStats(dirResp))
 					if !bytes.Equal(simJSON, dirJSON) {
 						t.Errorf("workers=%d %v: answers differ\nsimulated: %s\ndirect:    %s", workers, req, simJSON, dirJSON)
@@ -204,7 +257,7 @@ func TestDirectCertifiedFamilies(t *testing.T) {
 					if !slices.Equal(slices.Concat(res.Dist...), panel(sources)) {
 						t.Errorf("workers=%d q=%d: the served plane differs from the panel's", workers, q)
 					}
-					expect(fmt.Sprintf("mssp q=%d", q), sources)
+					expect(fmt.Sprintf("mssp q=%d", q), sources, 2)
 				}
 				for _, pair := range [][2]int{{1, n - 1}, {0, n / 2}, {n - 1, n / 3}} {
 					from, to := pair[0], pair[1]
@@ -215,7 +268,18 @@ func TestDirectCertifiedFamilies(t *testing.T) {
 					if want := panel([]int{from})[to]; got != want {
 						t.Errorf("workers=%d distance %d→%d: served %d, the panel %d", workers, from, to, got, want)
 					}
-					expect(fmt.Sprintf("distance %d→%d", from, to), []int{from})
+					expect(fmt.Sprintf("distance %d→%d", from, to), []int{from}, 1)
+				}
+				for _, tc := range []struct {
+					req        api.Request
+					detections int
+				}{{api.APSP(api.APSPWeighted), 1}, {api.APSP(api.APSPWeighted3), 1}, {api.APSP(api.APSPUnweighted), 2}, {api.Diameter(), 2}} {
+					if fam.simAll {
+						sameAsSim(tc.req)
+					} else if _, err := dir.Query(ctx, tc.req); err != nil {
+						t.Fatal(err)
+					}
+					expectEach(string(tc.req.AppendJSON(nil)), tc.detections)
 				}
 			}
 		})
@@ -247,7 +311,7 @@ func TestDirectCertifiedAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	served := 0
-	eng.exec.(*directExec).served = func(c bool) {
+	eng.exec.(*directExec).served = func(_ *matrix.Mat[semiring.WH], _ int, _ []bool, c bool) {
 		if !c {
 			t.Fatal("the panel served a query on a graph where every cell certifies")
 		}

@@ -37,9 +37,8 @@ type directExec struct {
 	routedOnce sync.Once
 	routed     *matrix.Mat[semiring.WHF]
 
-	// served, when set, hears which path served each mssp: the
-	// certified searches or the panel (a hook for tests).
-	served func(certified bool)
+	// served is the Served hook of every clique.Direct it detects on (tests).
+	served func(w *matrix.Mat[semiring.WH], beta int, inS []bool, certified bool)
 }
 
 // materialize computes the weight matrix and the semiring sized for it
@@ -142,15 +141,11 @@ func (d *directExec) build(ctx context.Context, key artifactKey, sib *artifactEn
 
 // mssp hands back the kernel's own weight plane: its rest state
 // semiring.Inf is Unreachable, so the plane is the answer and no cell is
-// copied. The searches over the entry's base serve it wherever the hop
-// certificate proves their plane the panel's (mssp.RunDirect).
+// copied. It is the detection the §6 and §7 bodies run (clique.Direct).
 func (d *directExec) mssp(ctx context.Context, ent *artifactEntry, inS []bool) ([]int64, Stats, error) {
 	return direct(ctx, d, func() ([]int64, error) {
-		plane, certified, err := mssp.RunDirect(ctx, d.augSemiring(), ent.base, ent.gh, ent.art.Beta, inS, d.workers)
-		if err == nil && d.served != nil {
-			d.served(certified)
-		}
-		return plane, err
+		c := d.clique(ctx, ent)
+		return c.Plane(inS)
 	})
 }
 
@@ -168,21 +163,29 @@ func (d *directExec) sssp(ctx context.Context, source int) ([]int64, int, Stats,
 // semiring.Inf, so - as for mssp's plane - no cell is copied.
 func (d *directExec) apsp(ctx context.Context, v api.APSPVariant, entG, entLow *artifactEntry) ([]int64, Stats, error) {
 	return direct(ctx, d, func() ([]int64, error) {
+		g := d.clique(ctx, entG)
 		var low clique.Clique
 		if entLow != nil {
-			low = d.clique(ctx, entLow)
+			l := d.clique(ctx, entLow)
+			low = &l
 		}
-		return apspOn(v, d.clique(ctx, entG), entG.base, low)
+		return apspOn(v, &g, entG.base, low)
 	})
 }
 
 func (d *directExec) diameter(ctx context.Context, ent *artifactEntry) (int64, Stats, error) {
-	return direct(ctx, d, func() (int64, error) { return diameter.Approx(d.clique(ctx, ent)) })
+	return direct(ctx, d, func() (int64, error) {
+		c := d.clique(ctx, ent)
+		return diameter.Approx(&c)
+	})
 }
 
-// clique is the host clique on ent's base, detecting over its G ∪ H.
-func (d *directExec) clique(ctx context.Context, ent *artifactEntry) *clique.Direct {
-	return clique.NewDirect(ctx, d.augSemiring(), ent.base, ent.gh, ent.art.Beta, d.workers)
+// clique is the host clique on ent's base, detecting over its G ∪ H; a
+// value, so that a served MSSP's stays off the heap.
+func (d *directExec) clique(ctx context.Context, ent *artifactEntry) clique.Direct {
+	c := clique.NewDirect(ctx, d.augSemiring(), ent.base, ent.gh, ent.art.Beta, d.workers)
+	c.Served = d.served
+	return *c
 }
 
 // knearest lends the k-nearest search's own slab; release hands its

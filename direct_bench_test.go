@@ -136,6 +136,41 @@ func BenchmarkDirectAPSP(b *testing.B) {
 	}
 }
 
+// BenchmarkDirectDiameter measures a warm near-3/2 diameter query (§7.2):
+// k-nearest, the hitting set and its two β-hop detections, from A and
+// from N_k(w). n=1024 is benchEngine's graph, where every detection
+// certifies; grid=32x32 (graphgen.Grid at n = 1024, weights 1-10) is the
+// fallback row, its hop depth past β, so both detections abort their
+// searches and run the panel.
+func BenchmarkDirectDiameter(b *testing.B) {
+	b.Run("n=1024", func(b *testing.B) { benchDiameter(b, benchEngine(b, 1024)) })
+	b.Run("grid=32x32", func(b *testing.B) {
+		eng, err := benchGrid()
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchDiameter(b, eng)
+	})
+}
+
+// benchGrid is BenchmarkDirectDiameter's fallback engine, built once per
+// process as benchEngine's are.
+var benchGrid = sync.OnceValues(func() (*Engine, error) {
+	g := graphgen.Grid(32, 32, graphgen.Weights{Max: 10}, 1024+17)
+	return NewEngine(context.Background(), &Graph{g: g}, Options{Epsilon: 0.5, Execution: ExecDirect})
+})
+
+// benchDiameter is one BenchmarkDirectDiameter row on eng.
+func benchDiameter(b *testing.B, eng *Engine) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Diameter(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkScale is the direct path's n axis, at n = 1024, 4096 and 8192
 // on graphgen.Connected(n, 3n, weights 1-10), where every served cell is
 // certified (mssp.RunDirect), plus one fallback row, grid=32x32

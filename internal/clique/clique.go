@@ -303,15 +303,18 @@ func (s *Sim) send(out [][]cc.Packet, send func(*cc.Node, []cc.Packet) []cc.Msg)
 }
 
 // Direct is the host clique: the direct kernels (KNearestLent,
-// GreedyRows, RunDirectPanel, FoldThroughSets, KernelMul and
-// FoldMinPlus), Broadcast the vector itself, Exchange and Route a
-// transpose, and Mirror and PivotCross a fold that reads the senders'
-// rows in place. It keeps no Stats.
+// GreedyRows, RunDirect for every β-hop detection, FoldThroughSets,
+// KernelMul and FoldMinPlus), Broadcast the vector itself, Exchange and
+// Route a transpose, and Mirror and PivotCross a fold that reads the
+// senders' rows in place. It keeps no Stats.
 type Direct struct {
 	ctx      context.Context
 	sr       semiring.AugMinPlus
 	w, gh    *matrix.Mat[semiring.WH]
 	beta, wk int
+	// Served, when set, hears each detection's graph, β and sources, and
+	// whether the certified searches served it (a hook for tests).
+	Served func(w *matrix.Mat[semiring.WH], beta int, inS []bool, certified bool)
 }
 
 // NewDirect returns the host clique on the graph whose augmented weight
@@ -333,11 +336,17 @@ func (d *Direct) Hit(rows []matrix.Row[semiring.WH]) ([]bool, error) {
 }
 
 func (d *Direct) MSSP(inS []bool) ([]int64, []int32, error) {
-	p, err := mssp.RunDirectPanel(d.ctx, d.gh, d.beta, inS, d.wk)
-	if err != nil {
-		return nil, nil, err
+	plane, err := d.Plane(inS)
+	return plane, hitting.Members(inS), err
+}
+
+// Plane is MSSP's plane without its source list (mssp.RunDirect).
+func (d *Direct) Plane(inS []bool) ([]int64, error) {
+	plane, certified, err := mssp.RunDirect(d.ctx, d.sr, d.w, d.gh, d.beta, inS, d.wk)
+	if err == nil && d.Served != nil {
+		d.Served(d.w, d.beta, inS, certified)
 	}
-	return p.W, p.Sources, nil
+	return plane, err
 }
 
 func (d *Direct) Broadcast(vals []int64) ([]int64, error) { return vals, nil }

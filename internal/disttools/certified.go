@@ -74,6 +74,9 @@ func CertifiedPlane(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[s
 		}
 	}
 	q := len(c.srcs)
+	if q == 0 {
+		return []int64{}, nil // no source is a proof; nil would read as an abort
+	}
 	c.plane = planes.Get(n * q)
 	for i := range c.plane {
 		c.plane[i] = semiring.Inf

@@ -64,15 +64,16 @@ func certifiedCases() []struct {
 }
 
 // TestCertifiedPlane holds CertifiedPlane to graph.DijkstraAug at every
-// hop bound from 1 past the hop depth, at one and at several sources and
-// at both ends of the worker range: the plane of least weights exactly
+// hop bound from 1 past the hop depth, at none, one and several sources
+// and at both ends of the worker range: the plane of least weights exactly
 // when every reached node's least (W, H) keeps the bound, nil otherwise.
+// No source is a proof, not an abort: its plane is empty and not nil.
 func TestCertifiedPlane(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range certifiedCases() {
 		g := tc.g
 		sr, w := g.AugSemiring(), g.WeightMatrix()
-		for _, sources := range [][]int32{{0}, {3, 17, 29}, {0, 1, 2, 3, 4, 5, 6, 7, 8}} {
+		for _, sources := range [][]int32{{}, {0}, {3, 17, 29}, {0, 1, 2, 3, 4, 5, 6, 7, 8}} {
 			inS := make([]bool, g.N)
 			for _, s := range sources {
 				inS[s] = true

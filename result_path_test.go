@@ -455,16 +455,16 @@ func warmBytes(runs int, query func()) uint64 {
 // own), 8 KiB what does not grow. The k-nearest searches' answer slab,
 // its row headers, the arcs and the worker scratch come from a recycled
 // search state, and the MSSP planes from their pool, all warm. Measured
-// (least of five): 120 112 B besides the table at n = 256 and 809 008 at
+// (least of five): 120 104 B besides the table at n = 256 and 809 128 at
 // n = 1024. A search state not given back (a slab at 24 per entry, arcs
 // at 16), a second W₂ or a materialised through-sets product (16 bytes per
 // touched cell, ~n² of them) breaks it at n = 1024. The objects are held
-// too, at n = 1024: 40 for the (2+ε) variant and 34 for the (3+ε) one
-// (39 and 33 measured; the MSSP hands its source list over with the plane,
-// so detect builds none), so a step that sends its messages through Route or Exchange instead of
+// too, at n = 1024: 40 for the (2+ε) variant and 34 for the (3+ε) one,
+// as measured (the MSSP's certified searches hand over the plane and
+// hitting.Members the source list, one object, so detect builds none), so a step that sends its messages through Route or Exchange instead of
 // folding them in place (DESIGN.md §12) fails here, not only in bytes. It runs on one P with
 // the collector off, as TestMSSPKernelBytes does and for its reason: a
-// call that lands on another P than the one that put the MSSP panel's
+// call that lands on another P than the one that put the MSSP's
 // plane back, or after two collections, allocates that plane again
 // (n·|A|·8, 278 528 B at n = 1024), and under `go test ./...` five such
 // calls in a row have failed it by 90 KB.
