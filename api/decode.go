@@ -463,36 +463,6 @@ func isGraphByte(c byte) bool {
 // isTextByte is a printable ASCII byte other than a quote or a backslash.
 func isTextByte(c byte) bool { return c >= ' ' && c <= '~' && c != '"' && c != '\\' }
 
-// largeArray names a field that carries an answer's large array.
-type largeArray uint8
-
-const (
-	noArray largeArray = iota
-	ssspDist
-	msspDist
-	apspDist
-	knearestNeighbors
-	detectedSources
-)
-
-// largeArrayAt reports which large array the member key of the result key
-// holds, noArray when it holds none.
-func largeArrayAt(result, member []byte) largeArray {
-	switch {
-	case string(result) == "sssp" && string(member) == "dist":
-		return ssspDist
-	case string(result) == "mssp" && string(member) == "dist":
-		return msspDist
-	case string(result) == "apsp" && string(member) == "dist":
-		return apspDist
-	case string(result) == "knearest" && string(member) == "neighbors":
-		return knearestNeighbors
-	case string(result) == "source_detection" && string(member) == "detected":
-		return detectedSources
-	}
-	return noArray
-}
-
 // walkObject walks the members of the object at or after data[i]: visit
 // gets each key (the bytes between its quotes) with the index its value
 // starts at, and returns the index after that value. The walk stops, ok
@@ -537,58 +507,4 @@ func walkObject(data []byte, i int, visit func(key []byte, at int) (int, bool)) 
 			return i, false
 		}
 	}
-}
-
-// skipValue returns the index after the JSON value starting at data[i]: a
-// string to its closing quote, an object or array to its matching bracket
-// (strings inside passed over whole), anything else to the next delimiter.
-// Like walkObject it finds extents of valid JSON and promises nothing about
-// the rest.
-func skipValue(data []byte, i int) (int, bool) {
-	depth := 0
-	for i < len(data) {
-		switch data[i] {
-		case '"':
-			for i++; i < len(data) && data[i] != '"'; i++ {
-				if data[i] == '\\' {
-					i++
-				}
-			}
-			if i >= len(data) {
-				return len(data), false
-			}
-			i++
-		case '{', '[':
-			depth++
-			i++
-		case '}', ']':
-			if depth == 0 {
-				return i, false // no value here at all
-			}
-			depth--
-			i++
-		case ',', ':', ' ', '\n', '\t', '\r':
-			if depth == 0 {
-				return i, false
-			}
-			i++
-		default:
-			for i < len(data) && !isDelimiter(data[i]) {
-				i++
-			}
-		}
-		if depth == 0 {
-			return i, true
-		}
-	}
-	return i, false
-}
-
-// isDelimiter reports whether c ends a JSON number or literal.
-func isDelimiter(c byte) bool {
-	switch c {
-	case ',', ']', '}', ':', '"', '{', '[', ' ', '\n', '\t', '\r':
-		return true
-	}
-	return false
 }

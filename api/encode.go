@@ -3,30 +3,142 @@ package api
 import (
 	"encoding/json"
 	"strconv"
-	"sync"
 )
 
 // AppendJSON appends r's JSON encoding to dst and returns the extended
 // buffer: the bytes json.Marshal(r) returns, byte for byte
-// (FuzzAppendJSON). encoding/json writes the envelope with every large
-// array cut down to []; the arrays themselves (apsp/mssp/sssp "dist",
-// knearest "neighbors", source_detection "detected" - the ones
-// UnmarshalJSON parses in place) are appended with strconv where they were
-// cut, so a megabyte matrix never goes through the reflective encoder. It
-// is deliberately not a MarshalJSON, whose output encoding/json would scan
+// (FuzzAppendJSON), written field by field with strconv as a Request's are,
+// so a megabyte matrix never goes through the reflective encoder. A kind,
+// graph ID, variant, error code or error message that encoding/json would
+// escape sends the whole response to json.Marshal instead. It is
+// deliberately not a MarshalJSON, whose output encoding/json would scan
 // again to compact it. dst grows as append grows it: a caller that wants
 // one buffer of the right size asks JSONLen first.
 func (r *Response) AppendJSON(dst []byte) []byte {
-	e := r.envelope()
-	prev := 0
-	for _, c := range e.cuts {
-		dst = append(dst, e.body[prev:c.at]...)
-		dst = r.appendArray(dst, c.array)
-		prev = c.at + len("[]")
+	if !r.plain() {
+		return append(dst, r.marshal()...)
 	}
-	dst = append(dst, e.body[prev:]...)
-	envelopes.Put(e)
+	dst, _ = r.appendJSON(dst, true)
 	return dst
+}
+
+// JSONLen returns the number of bytes AppendJSON appends: the response
+// written into a stack buffer without its large arrays, plus a digit-count
+// pass over each array.
+func (r *Response) JSONLen() int {
+	if !r.plain() {
+		return len(r.marshal())
+	}
+	var space [1 << 10]byte
+	b, arrays := r.appendJSON(space[:0], false)
+	return len(b) + arrays
+}
+
+// plain reports whether every string r holds is one encoding/json writes
+// as its own bytes.
+func (r *Response) plain() bool {
+	return plainString(r.Kind) && plainString(r.Graph) &&
+		(r.APSP == nil || plainString(r.APSP.Variant)) &&
+		(r.Error == nil || plainString(r.Error.Code) && plainString(r.Error.Message))
+}
+
+// marshal is json.Marshal of a copy of r: marshalling r itself would make
+// every caller's Response escape to the heap.
+func (r *Response) marshal() []byte {
+	p := plainResponse(*r)
+	b, err := json.Marshal(&p)
+	if err != nil {
+		// A Response holds no float, map, interface or marshaler.
+		panic("api: encode response: " + err.Error())
+	}
+	return b
+}
+
+// appendJSON appends a plain r in Response's field order. With arrays
+// false it leaves out each large array (apsp/mssp/sssp "dist", knearest
+// "neighbors", source_detection "detected") and returns their length.
+func (r *Response) appendJSON(dst []byte, arrays bool) (_ []byte, arraysLen int) {
+	dst = appendString(append(dst, `{"kind":`...), r.Kind)
+	if r.Graph != "" {
+		dst = appendString(append(dst, `,"graph":`...), r.Graph)
+	}
+	if p := r.SSSP; p != nil {
+		dst = strconv.AppendInt(append(dst, `,"sssp":{"source":`...), int64(p.Source), 10)
+		dst = append(dst, `,"dist":`...)
+		if arrays {
+			dst = appendInts(dst, p.Dist)
+		} else {
+			arraysLen += intsLen(p.Dist)
+		}
+		dst = strconv.AppendInt(append(dst, `,"iterations":`...), int64(p.Iterations), 10)
+		dst = append(dst, '}')
+	}
+	if p := r.MSSP; p != nil {
+		dst = appendInts(append(dst, `,"mssp":{"sources":`...), p.Sources)
+		dst = append(dst, `,"dist":`...)
+		if arrays {
+			dst = p.Dist.appendJSON(dst)
+		} else {
+			arraysLen += p.Dist.jsonLen()
+		}
+		dst = append(dst, '}')
+	}
+	if p := r.APSP; p != nil {
+		dst = appendString(append(dst, `,"apsp":{"variant":`...), p.Variant)
+		dst = append(dst, `,"dist":`...)
+		if arrays {
+			dst = p.Dist.appendJSON(dst)
+		} else {
+			arraysLen += p.Dist.jsonLen()
+		}
+		dst = append(dst, '}')
+	}
+	if p := r.Distance; p != nil {
+		dst = strconv.AppendInt(append(dst, `,"distance":{"from":`...), int64(p.From), 10)
+		dst = strconv.AppendInt(append(dst, `,"to":`...), int64(p.To), 10)
+		dst = strconv.AppendInt(append(dst, `,"distance":`...), p.Distance, 10)
+		dst = strconv.AppendBool(append(dst, `,"reachable":`...), p.Reachable)
+		dst = append(dst, '}')
+	}
+	if p := r.Diameter; p != nil {
+		dst = strconv.AppendInt(append(dst, `,"diameter":{"estimate":`...), p.Estimate, 10)
+		dst = append(dst, '}')
+	}
+	if p := r.KNearest; p != nil {
+		dst = strconv.AppendInt(append(dst, `,"knearest":{"k":`...), int64(p.K), 10)
+		dst = append(dst, `,"neighbors":`...)
+		if arrays {
+			dst = p.Neighbors.appendJSON(dst)
+		} else {
+			arraysLen += p.Neighbors.jsonLen()
+		}
+		dst = append(dst, '}')
+	}
+	if p := r.SourceDetection; p != nil {
+		dst = strconv.AppendInt(append(dst, `,"source_detection":{"d":`...), int64(p.D), 10)
+		dst = strconv.AppendInt(append(dst, `,"k":`...), int64(p.K), 10)
+		dst = append(dst, `,"detected":`...)
+		if arrays {
+			dst = p.Detected.appendJSON(dst)
+		} else {
+			arraysLen += p.Detected.jsonLen()
+		}
+		dst = append(dst, '}')
+	}
+	if s := r.Stats; s != nil {
+		dst = strconv.AppendInt(append(dst, `,"stats":{"total_rounds":`...), int64(s.TotalRounds), 10)
+		dst = strconv.AppendInt(append(dst, `,"sim_rounds":`...), int64(s.SimRounds), 10)
+		dst = strconv.AppendInt(append(dst, `,"messages":`...), s.Messages, 10)
+		dst = strconv.AppendInt(append(dst, `,"words":`...), s.Words, 10)
+		dst = append(dst, '}')
+	}
+	dst = strconv.AppendBool(append(dst, `,"cached":`...), r.Cached)
+	if e := r.Error; e != nil {
+		dst = appendString(append(dst, `,"error":{"code":`...), e.Code)
+		dst = appendString(append(dst, `,"message":`...), e.Message)
+		dst = append(dst, '}')
+	}
+	return append(dst, '}'), arraysLen
 }
 
 // AppendJSON appends r's JSON encoding to dst and returns the extended
@@ -100,142 +212,6 @@ func plainString[T ~string](s T) bool {
 func appendString[T ~string](dst []byte, s T) []byte {
 	dst = append(append(dst, '"'), s...)
 	return append(dst, '"')
-}
-
-// JSONLen returns the number of bytes AppendJSON appends: the envelope's,
-// with each cut's [] replaced by a digit-count pass over its array.
-func (r *Response) JSONLen() int {
-	e := r.envelope()
-	n := len(e.body)
-	for _, c := range e.cuts {
-		n += r.arrayLen(c.array) - len("[]")
-	}
-	envelopes.Put(e)
-	return n
-}
-
-// envelope is a Response encoded with its large arrays cut: body is what
-// encoding/json writes for it, cuts says where each array goes and which it
-// is, in body order. The copies of the response and of its results it is
-// encoded from are recycled with the bytes, so a warm encode allocates
-// nothing.
-type envelope struct {
-	enc  *json.Encoder // writes into body
-	body []byte
-	cuts []cut
-
-	plain  plainResponse
-	sssp   SSSPResult
-	mssp   MSSPResult
-	apsp   APSPResult
-	knear  KNearestResult
-	detect SourceDetectionResult
-}
-
-// cut is the offset of one large array's [] in an envelope's body.
-type cut struct {
-	at    int
-	array largeArray
-}
-
-var envelopes = sync.Pool{New: func() interface{} {
-	e := new(envelope)
-	e.enc = json.NewEncoder(e)
-	return e
-}}
-
-func (e *envelope) Write(p []byte) (int, error) {
-	e.body = append(e.body, p...)
-	return len(p), nil
-}
-
-// envelope encodes r with every non-nil large array replaced by an empty
-// one - which encodes as [] where a nil one encodes as null - then walks
-// the bytes to those []s. Hand it back to envelopes when done.
-func (r *Response) envelope() *envelope {
-	e := envelopes.Get().(*envelope)
-	e.plain = plainResponse(*r)
-	arrays := 0
-	if r.SSSP != nil && r.SSSP.Dist != nil {
-		e.sssp, e.plain.SSSP = *r.SSSP, &e.sssp
-		e.sssp.Dist, arrays = []int64{}, arrays+1
-	}
-	if r.MSSP != nil && r.MSSP.Dist != nil {
-		e.mssp, e.plain.MSSP = *r.MSSP, &e.mssp
-		e.mssp.Dist, arrays = Matrix{}, arrays+1
-	}
-	if r.APSP != nil && r.APSP.Dist != nil {
-		e.apsp, e.plain.APSP = *r.APSP, &e.apsp
-		e.apsp.Dist, arrays = Matrix{}, arrays+1
-	}
-	if r.KNearest != nil && r.KNearest.Neighbors != nil {
-		e.knear, e.plain.KNearest = *r.KNearest, &e.knear
-		e.knear.Neighbors, arrays = NeighborLists{}, arrays+1
-	}
-	if r.SourceDetection != nil && r.SourceDetection.Detected != nil {
-		e.detect, e.plain.SourceDetection = *r.SourceDetection, &e.detect
-		e.detect.Detected, arrays = NeighborLists{}, arrays+1
-	}
-	e.body = e.body[:0]
-	err := e.enc.Encode(&e.plain)
-	// Drop what r points to: a pooled envelope must not keep an answer alive.
-	e.plain, e.sssp, e.mssp, e.apsp = plainResponse{}, SSSPResult{}, MSSPResult{}, APSPResult{}
-	e.knear, e.detect = KNearestResult{}, SourceDetectionResult{}
-	if err != nil {
-		// A Response holds no float, map, interface or marshaler.
-		panic("api: encode response: " + err.Error())
-	}
-	e.body = e.body[:len(e.body)-1] // Encode's newline
-	e.cuts = e.cuts[:0]
-	walkObject(e.body, 0, func(result []byte, at int) (int, bool) {
-		if at == len(e.body) || e.body[at] != '{' {
-			return skipValue(e.body, at)
-		}
-		return walkObject(e.body, at, func(member []byte, at int) (int, bool) {
-			if a := largeArrayAt(result, member); a != noArray && at < len(e.body) && e.body[at] == '[' {
-				e.cuts = append(e.cuts, cut{at, a})
-			}
-			return skipValue(e.body, at)
-		})
-	})
-	if len(e.cuts) != arrays {
-		panic("api: encode response: " + strconv.Itoa(arrays) + " large arrays, " + strconv.Itoa(len(e.cuts)) + " found in " + string(e.body))
-	}
-	return e
-}
-
-// appendArray appends r's large array a the way encoding/json would.
-func (r *Response) appendArray(dst []byte, a largeArray) []byte {
-	switch a {
-	case ssspDist:
-		return appendInts(dst, r.SSSP.Dist)
-	case msspDist:
-		return r.MSSP.Dist.appendJSON(dst)
-	case apspDist:
-		return r.APSP.Dist.appendJSON(dst)
-	case knearestNeighbors:
-		return r.KNearest.Neighbors.appendJSON(dst)
-	case detectedSources:
-		return r.SourceDetection.Detected.appendJSON(dst)
-	}
-	return dst
-}
-
-// arrayLen is the length of what appendArray appends.
-func (r *Response) arrayLen(a largeArray) int {
-	switch a {
-	case ssspDist:
-		return intsLen(r.SSSP.Dist)
-	case msspDist:
-		return r.MSSP.Dist.jsonLen()
-	case apspDist:
-		return r.APSP.Dist.jsonLen()
-	case knearestNeighbors:
-		return r.KNearest.Neighbors.jsonLen()
-	case detectedSources:
-		return r.SourceDetection.Detected.jsonLen()
-	}
-	return 0
 }
 
 func (m Matrix) appendJSON(dst []byte) []byte {

@@ -41,6 +41,10 @@ func FuzzAppendJSON(f *testing.F) {
 		`{"kind":"apsp","graph":"g","apsp":{"variant":"\"dist\":[]<&>","dist":[[1]]},"error":{"code":"x","message":"\"dist\":[], "}}`,
 		// Several arrays in one response.
 		`{"sssp":{"dist":[1]},"mssp":{"dist":[[2]]},"apsp":{"dist":[[3]]},"knearest":{"neighbors":[[]]},"source_detection":{"detected":[[]]}}`,
+		// One string encoding/json escapes per field AppendJSON checks, alone,
+		// so each clause of the plain check has a seed that needs it.
+		`{"kind":"<"}`, `{"graph":"\""}`, `{"apsp":{"variant":"&"}}`,
+		`{"error":{"code":"<"}}`, `{"error":{"message":"\""}}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -72,19 +76,26 @@ func TestAppendJSONAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
-	for _, r := range []Response{
+	for i, r := range []Response{
 		{Kind: KindAPSP, APSP: &APSPResult{Variant: APSPWeighted, Dist: matrixAnswer(64)}, Stats: &Stats{TotalRounds: 7}},
 		{Kind: KindKNearest, KNearest: &KNearestResult{K: 8, Neighbors: neighborAnswer(64, 8)}},
 		{Kind: KindDistance, Distance: &DistanceResult{From: 1, To: 2, Distance: 3, Reachable: true}},
+		{Kind: KindSSSP, SSSP: &SSSPResult{Source: 3, Dist: matrixAnswer(64)[3], Iterations: 2}},
+		{Kind: KindMSSP, MSSP: &MSSPResult{Sources: []int{1, 5, 9}, Dist: matrixAnswer(64)}},
+		{Kind: KindDiameter, Diameter: &DiameterResult{Estimate: 41}},
+		{Kind: KindSourceDetection, SourceDetection: &SourceDetectionResult{D: 4, K: 2, Detected: neighborAnswer(64, 2)}},
+		{Kind: KindMSSP, Error: &Error{Code: CodeInvalidSource, Message: "node 99 out of range"}},
+		{Kind: KindDistance, Graph: "roads", Distance: &DistanceResult{From: 4, To: 2, Distance: Unreachable},
+			Stats: &Stats{TotalRounds: 12, SimRounds: 3, Messages: 4096, Words: 8192}, Cached: true},
 	} {
 		buf := make([]byte, 0, r.JSONLen())
 		if allocs := testing.AllocsPerRun(50, func() {
 			if got := r.AppendJSON(buf[:0]); len(got) != cap(buf) {
-				t.Fatalf("%s: %d bytes, JSONLen said %d", r.Kind, len(got), cap(buf))
+				t.Fatalf("%d (%s): %d bytes, JSONLen said %d", i, r.Kind, len(got), cap(buf))
 			}
 			_ = r.JSONLen()
 		}); allocs != 0 {
-			t.Errorf("%s: a warm AppendJSON + JSONLen allocates %v times, want 0", r.Kind, allocs)
+			t.Errorf("%d (%s): a warm AppendJSON + JSONLen allocates %v times, want 0", i, r.Kind, allocs)
 		}
 	}
 }

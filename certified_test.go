@@ -21,7 +21,7 @@ import (
 // served MSSP or distance, APSP's and diameter's - comes from one
 // lexicographic search per source over G wherever the hop certificate
 // proves it equal to the β-hop panel over G ∪ H, and from the panel
-// everywhere else (clique.Direct.Plane, mssp.RunDirect).
+// everywhere else (clique.Direct.MSSP, mssp.RunDirect).
 
 // TestDirectCertifiedBoundary pins the certificate's boundary on G ∪ ∅,
 // an artifact with no H edges, where a β-hop cell really differs from d_G.

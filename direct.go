@@ -145,7 +145,7 @@ func (d *directExec) build(ctx context.Context, key artifactKey, sib *artifactEn
 func (d *directExec) mssp(ctx context.Context, ent *artifactEntry, inS []bool) ([]int64, Stats, error) {
 	return direct(ctx, d, func() ([]int64, error) {
 		c := d.clique(ctx, ent)
-		return c.Plane(inS)
+		return c.MSSP(inS)
 	})
 }
 

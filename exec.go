@@ -120,7 +120,7 @@ func (s *simExec) attach(artVariant, *artifactEntry, *artifactEntry) {}
 
 func (s *simExec) mssp(ctx context.Context, ent *artifactEntry, inS []bool) ([]int64, Stats, error) {
 	c := clique.NewSim(ctx, s.opts.config(s.g.N), s.g.AugSemiring(), s.g.WeightMatrix(), ent.art)
-	plane, _, err := c.MSSP(inS)
+	plane, err := c.MSSP(inS)
 	return plane, statsFrom(c.Stats), err
 }
 

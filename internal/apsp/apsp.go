@@ -16,6 +16,7 @@ import (
 
 	"github.com/congestedclique/ccsp/internal/clique"
 	"github.com/congestedclique/ccsp/internal/disttools"
+	"github.com/congestedclique/ccsp/internal/hitting"
 	"github.com/congestedclique/ccsp/internal/hopset"
 	"github.com/congestedclique/ccsp/internal/matrix"
 	"github.com/congestedclique/ccsp/internal/semiring"
@@ -132,10 +133,11 @@ func foldRows(est [][]int64, m *matrix.Mat[semiring.WH]) {
 // est. It returns the plane, whose j-th column is the j-th member of
 // src; the caller gives the plane back.
 func detect(c clique.Clique, est [][]int64, inA []bool) ([]int64, []int32, error) {
-	plane, src, err := c.MSSP(inA)
+	plane, err := c.MSSP(inA)
 	if err != nil {
 		return nil, nil, err
 	}
+	src := hitting.Members(inA)
 	q := len(src)
 	for v, row := range est {
 		for j, a := range src {

@@ -32,9 +32,9 @@ type Clique interface {
 	Hit(rows []matrix.Row[semiring.WH]) ([]bool, error)
 	// MSSP runs β-hop source detection from inS on G ∪ H (Theorem 3): the
 	// caller's flat row-major n×|S| plane, cell v·|S|+j holding d̃(v, s)
-	// for the j-th source s, semiring.Inf where s does not reach v, and the
-	// sources in ascending order, the plane's columns.
-	MSSP(inS []bool) (plane []int64, src []int32, _ error)
+	// for the j-th source s (the j-th member of inS, in ascending order),
+	// semiring.Inf where s does not reach v.
+	MSSP(inS []bool) (plane []int64, _ error)
 	// Broadcast announces vals[v] from every node v in one round; every
 	// node learns the vector, which nobody may mutate. It may be vals
 	// itself: the caller leaves vals alone while it reads the answer.
@@ -168,7 +168,7 @@ func (s *Sim) Hit(rows []matrix.Row[semiring.WH]) ([]bool, error) {
 }
 
 // MSSP has every node write its detections into its own row of the plane.
-func (s *Sim) MSSP(inS []bool) ([]int64, []int32, error) {
+func (s *Sim) MSSP(inS []bool) ([]int64, error) {
 	src := hitting.Members(inS)
 	q := len(src)
 	plane := make([]int64, s.cfg.N*q)
@@ -187,9 +187,9 @@ func (s *Sim) MSSP(inS []bool) ([]int64, []int32, error) {
 		}
 		return nil
 	}); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return plane, src, nil
+	return plane, nil
 }
 
 func (s *Sim) Broadcast(vals []int64) ([]int64, error) {
@@ -335,13 +335,8 @@ func (d *Direct) Hit(rows []matrix.Row[semiring.WH]) ([]bool, error) {
 	return hitting.GreedyRows(d.w.N, rows), nil
 }
 
-func (d *Direct) MSSP(inS []bool) ([]int64, []int32, error) {
-	plane, err := d.Plane(inS)
-	return plane, hitting.Members(inS), err
-}
-
-// Plane is MSSP's plane without its source list (mssp.RunDirect).
-func (d *Direct) Plane(inS []bool) ([]int64, error) {
+// MSSP detects by mssp.RunDirect: the certified searches, else the panel.
+func (d *Direct) MSSP(inS []bool) ([]int64, error) {
 	plane, certified, err := mssp.RunDirect(d.ctx, d.sr, d.w, d.gh, d.beta, inS, d.wk)
 	if err == nil && d.Served != nil {
 		d.Served(d.w, d.beta, inS, certified)

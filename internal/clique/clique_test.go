@@ -66,10 +66,9 @@ func TestSimMatchesDirect(t *testing.T) {
 	sHit, sErr := sim.Hit(sk.Rows)
 	dHit, dErr := direct.Hit(dk.Rows)
 	same("Hit", dHit, sHit, dErr, sErr)
-	sPlane, sSrc, sErr := sim.MSSP(sHit)
-	dPlane, dSrc, dErr := direct.MSSP(dHit)
+	sPlane, sErr := sim.MSSP(sHit)
+	dPlane, dErr := direct.MSSP(dHit)
 	same("MSSP", dPlane, sPlane, dErr, sErr)
-	same("MSSP sources", dSrc, sSrc, dErr, sErr)
 	disttools.ReleasePlane(dPlane)
 
 	vals := make([]int64, n)
@@ -155,7 +154,7 @@ func TestFoldsMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plane, _, err := sim.MSSP(inA)
+	plane, err := sim.MSSP(inA)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func Approx(c clique.Clique) (int64, error) {
 		return 0, fmt.Errorf("diameter: %w", err)
 	}
 	// Line (3): MSSP from S.
-	dS, _, err := c.MSSP(inS)
+	dS, err := c.MSSP(inS)
 	if err != nil {
 		return 0, fmt.Errorf("diameter: %w", err)
 	}
@@ -95,7 +95,7 @@ func Approx(c clique.Clique) (int64, error) {
 	for v := range inNkw {
 		inNkw[v] = members[v] == 1
 	}
-	dNkw, _, err := c.MSSP(inNkw)
+	dNkw, err := c.MSSP(inNkw)
 	if err != nil {
 		return 0, fmt.Errorf("diameter: second MSSP: %w", err)
 	}

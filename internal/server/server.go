@@ -571,25 +571,16 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 }
 
 // writeResponse writes r as writeJSON would, appended into a pooled buffer
-// (api.Response.AppendJSON: the bytes encoding/json would write, without
-// its reflective walk over a large array) that goes back once the
-// connection has taken the bytes. An answer with a large array gets a
-// buffer JSONLen sized, as a batch does (writeBatch); a point answer one of
-// pointBodyLen. r is never boxed, so a warm point answer allocates nothing.
+// JSONLen sized (api.Response.AppendJSON: the bytes encoding/json would
+// write, field by field), as a batch is (writeBatch), that goes back once
+// the connection has taken the bytes. r is never boxed, so a warm point
+// answer allocates nothing.
 func writeResponse(w http.ResponseWriter, code int, r *api.Response) {
 	setJSON(w)
-	n := pointBodyLen
-	if carriesArray(r) {
-		n = r.JSONLen() + 1
-	}
-	body := append(r.AppendJSON(encodeBufs.Get(n)[:0]), '\n')
+	body := append(r.AppendJSON(encodeBufs.Get(r.JSONLen() + 1)[:0]), '\n')
 	send(w, code, body)
 	encodeBufs.Put(body)
 }
-
-// pointBodyLen is the buffer a response without a large array is appended
-// into: a distance, diameter or error answer is a few hundred bytes.
-const pointBodyLen = 1 << 10
 
 // jsonContentType is the Content-Type of every body, one slice for all of
 // them: net/http clones a handler's header before it writes it, so nothing
@@ -640,14 +631,8 @@ func writeBatch(w http.ResponseWriter, answers []answer) {
 	encodeBufs.Put(buf)
 }
 
-// carriesArray reports whether r holds a result with one of the large
-// arrays AppendJSON writes by hand, which JSONLen then sizes.
-func carriesArray(r *api.Response) bool {
-	return r.SSSP != nil || r.MSSP != nil || r.APSP != nil || r.KNearest != nil || r.SourceDetection != nil
-}
-
-// encodeBufs recycles the buffers writeJSON appends large answers into
-// (DESIGN.md §13, "who owns which buffer").
+// encodeBufs recycles the buffers writeResponse and writeBatch append
+// answers into (DESIGN.md §13, "who owns which buffer").
 var encodeBufs pool.Scratch[byte]
 
 // send writes a whole body under its status, with the length announced as
