@@ -1,23 +1,19 @@
 package api
 
 import (
-	"encoding/json"
 	"strconv"
+	"unicode/utf8"
 )
 
 // AppendJSON appends r's JSON encoding to dst and returns the extended
 // buffer: the bytes json.Marshal(r) returns, byte for byte
 // (FuzzAppendJSON), written field by field with strconv as a Request's are,
-// so a megabyte matrix never goes through the reflective encoder. A kind,
-// graph ID, variant, error code or error message that encoding/json would
-// escape sends the whole response to json.Marshal instead. It is
+// so a megabyte matrix never goes through the reflective encoder, and a
+// string is escaped as encoding/json escapes it (appendString). It is
 // deliberately not a MarshalJSON, whose output encoding/json would scan
 // again to compact it. dst grows as append grows it: a caller that wants
 // one buffer of the right size asks JSONLen first.
 func (r *Response) AppendJSON(dst []byte) []byte {
-	if !r.plain() {
-		return append(dst, r.marshal()...)
-	}
 	dst, _ = r.appendJSON(dst, true)
 	return dst
 }
@@ -26,35 +22,12 @@ func (r *Response) AppendJSON(dst []byte) []byte {
 // written into a stack buffer without its large arrays, plus a digit-count
 // pass over each array.
 func (r *Response) JSONLen() int {
-	if !r.plain() {
-		return len(r.marshal())
-	}
 	var space [1 << 10]byte
 	b, arrays := r.appendJSON(space[:0], false)
 	return len(b) + arrays
 }
 
-// plain reports whether every string r holds is one encoding/json writes
-// as its own bytes.
-func (r *Response) plain() bool {
-	return plainString(r.Kind) && plainString(r.Graph) &&
-		(r.APSP == nil || plainString(r.APSP.Variant)) &&
-		(r.Error == nil || plainString(r.Error.Code) && plainString(r.Error.Message))
-}
-
-// marshal is json.Marshal of a copy of r: marshalling r itself would make
-// every caller's Response escape to the heap.
-func (r *Response) marshal() []byte {
-	p := plainResponse(*r)
-	b, err := json.Marshal(&p)
-	if err != nil {
-		// A Response holds no float, map, interface or marshaler.
-		panic("api: encode response: " + err.Error())
-	}
-	return b
-}
-
-// appendJSON appends a plain r in Response's field order. With arrays
+// appendJSON appends r in Response's field order. With arrays
 // false it leaves out each large array (apsp/mssp/sssp "dist", knearest
 // "neighbors", source_detection "detected") and returns their length.
 func (r *Response) appendJSON(dst []byte, arrays bool) (_ []byte, arraysLen int) {
@@ -145,20 +118,8 @@ func (r *Response) appendJSON(dst []byte, arrays bool) (_ []byte, arraysLen int)
 // buffer: the bytes json.Marshal(r) returns, byte for byte
 // (FuzzRequestJSON), written field by field with strconv - a request is a
 // kind, a graph ID and a few integers - so a client sends one without the
-// reflective encoder or a box. A kind, graph ID or variant that
-// encoding/json would escape (a quote, a backslash, a control, HTML or
-// non-ASCII byte) sends the request to json.Marshal instead; no
-// constructor's value has one, and ValidateGraphID refuses every such
-// graph ID.
+// reflective encoder or a box.
 func (r Request) AppendJSON(dst []byte) []byte {
-	if !plainString(r.Kind) || !plainString(r.Graph) || r.APSP != nil && !plainString(r.APSP.Variant) {
-		b, err := json.Marshal(r)
-		if err != nil {
-			// A Request holds no float, map, interface or marshaler.
-			panic("api: encode request: " + err.Error())
-		}
-		return append(dst, b...)
-	}
 	dst = appendString(append(dst, `{"kind":`...), r.Kind)
 	if r.Graph != "" {
 		dst = appendString(append(dst, `,"graph":`...), r.Graph)
@@ -196,22 +157,56 @@ func (r Request) AppendJSON(dst []byte) []byte {
 	return append(dst, '}')
 }
 
-// plainString reports whether encoding/json writes s as its own bytes
-// between quotes: printable ASCII other than a quote, a backslash and the
-// HTML bytes it escapes.
-func plainString[T ~string](s T) bool {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; !isTextByte(c) || c == '<' || c == '>' || c == '&' {
-			return false
-		}
-	}
-	return true
-}
-
-// appendString appends a plainString s between quotes.
+// appendString appends s as json.Marshal writes a string: between quotes,
+// with a quote, a backslash, a control byte and the HTML bytes <, > and &
+// escaped, U+2028 and U+2029 escaped, and each byte that is not part of
+// valid UTF-8 written as \ufffd.
 func appendString[T ~string](dst []byte, s T) []byte {
-	dst = append(append(dst, '"'), s...)
-	return append(dst, '"')
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(string(s[i:]))
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(append(dst, s[start:i]...), `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(dst, s[start:]...), '"')
 }
 
 func (m Matrix) appendJSON(dst []byte) []byte {

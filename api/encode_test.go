@@ -41,10 +41,11 @@ func FuzzAppendJSON(f *testing.F) {
 		`{"kind":"apsp","graph":"g","apsp":{"variant":"\"dist\":[]<&>","dist":[[1]]},"error":{"code":"x","message":"\"dist\":[], "}}`,
 		// Several arrays in one response.
 		`{"sssp":{"dist":[1]},"mssp":{"dist":[[2]]},"apsp":{"dist":[[3]]},"knearest":{"neighbors":[[]]},"source_detection":{"detected":[[]]}}`,
-		// One string encoding/json escapes per field AppendJSON checks, alone,
-		// so each clause of the plain check has a seed that needs it.
+		// One string encoding/json escapes per string field, alone, and
+		// every escape appendString writes.
 		`{"kind":"<"}`, `{"graph":"\""}`, `{"apsp":{"variant":"&"}}`,
 		`{"error":{"code":"<"}}`, `{"error":{"message":"\""}}`,
+		`{"error":{"code":"malformed","message":"decode: invalid character 'x' in \"kind\" \\ \b\f\n\r\t\u0000\u001f\u007f é \u2028\u2029 \ufffd"}}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -70,8 +71,9 @@ func FuzzAppendJSON(f *testing.F) {
 }
 
 // TestAppendJSONAllocs: a warm encode into a buffer JSONLen sized allocates
-// nothing, whatever the answer's size. It skips under -race, whose
-// instrumentation allocates.
+// nothing, whatever the answer's size and whatever its strings hold: no
+// response goes through json.Marshal, for its length or its bytes. It
+// skips under -race, whose instrumentation allocates.
 func TestAppendJSONAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -87,6 +89,10 @@ func TestAppendJSONAllocs(t *testing.T) {
 		{Kind: KindMSSP, Error: &Error{Code: CodeInvalidSource, Message: "node 99 out of range"}},
 		{Kind: KindDistance, Graph: "roads", Distance: &DistanceResult{From: 4, To: 2, Distance: Unreachable},
 			Stats: &Stats{TotalRounds: 12, SimRounds: 3, Messages: 4096, Words: 8192}, Cached: true},
+		// Strings encoding/json escapes: a batch position's answer to a
+		// malformed request quotes it, and a kind or graph ID the request
+		// carried comes back as it came.
+		{Kind: "<&>", Graph: "g\u2028", Error: &Error{Code: CodeMalformed, Message: `unknown kind "dist\tance" \xff`}},
 	} {
 		buf := make([]byte, 0, r.JSONLen())
 		if allocs := testing.AllocsPerRun(50, func() {
@@ -98,4 +104,25 @@ func TestAppendJSONAllocs(t *testing.T) {
 			t.Errorf("%d (%s): a warm AppendJSON + JSONLen allocates %v times, want 0", i, r.Kind, allocs)
 		}
 	}
+}
+
+// FuzzAppendString holds appendString to json.Marshal of a string on any
+// bytes, invalid UTF-8 among them, which no decoded response can hold
+// (json.Unmarshal replaces it) for FuzzAppendJSON to reach.
+func FuzzAppendString(f *testing.F) {
+	for _, seed := range []string{
+		"", "plain", `"\`, "<>&", "\b\f\n\r\t", "\x00\x1f\x7f", "é€😀",
+		"\u2028\u2029", "\xff", "a\xc3", "\xed\xa0\x80", "\xf0\x9f\x98",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendString([]byte("prefix"), s); string(got) != "prefix"+string(want) {
+			t.Fatalf("appendString(%q) wrote %s, json.Marshal %s", s, got[len("prefix"):], want)
+		}
+	})
 }

@@ -25,8 +25,10 @@ type Artifact struct {
 	InA1 []bool
 	// Rows[v] is node v's hopset row (symmetric across endpoints).
 	Rows []matrix.Row[semiring.WH]
-	// PV[v] is p(v), the A_1 node closest to v (§4.1; -1 only for
-	// isolated nodes), and DPV[v] its exact distance.
+	// PV[v] is p(v), the A_1 node closest to v (§4.1; -1 only for a
+	// node with no k-nearest set, an all-zero row of the weight matrix:
+	// a graph's rows hold their node, so an isolated node is its own
+	// pivot), and DPV[v] its exact distance.
 	PV  []int32
 	DPV []semiring.WH
 }

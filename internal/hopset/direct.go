@@ -3,6 +3,7 @@ package hopset
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/congestedclique/ccsp/internal/disttools"
@@ -55,13 +56,14 @@ func BuildDirectFrom(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[
 		sib, sibGH = nil, nil
 	}
 	var art *Artifact
+	var h0 *bunches
 	if sib != nil {
-		art = bunchesOf(sib)
-	} else if art, err = bunchStage(ctx, sr, w, sh.k, workers); err != nil {
+		art, h0 = bunchesOf(sib)
+	} else if art, h0, err = bunchStage(ctx, sr, w, sh.k, workers); err != nil {
 		return nil, nil, err
 	}
 	art.Beta = sh.beta
-	gh, err := runLevels(ctx, sr, w, art, sib, sibGH, sh.levels, sh.d, workers)
+	gh, err := runLevels(ctx, sr, w, art, h0, sib, sibGH, sh.levels, sh.d, workers)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -70,7 +72,8 @@ func BuildDirectFrom(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[
 
 // bunchStage is the first stage of §4.2.1: k-nearest for all rows at once,
 // the greedy hitting set, the pivots and the bunch edges H_0. It returns
-// an artifact whose Rows are H_0 and whose level loop has not run.
+// an artifact with its membership and pivots but no Rows, and H_0 as
+// bunches, which the level loop's first pass reads row by row.
 //
 // The k-nearest rows are KNearestRanks': a column and a rank per kept
 // node, in the order the row's search settled them, so ranks never
@@ -85,14 +88,19 @@ func BuildDirectFrom(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[
 // same bytes every time (DESIGN.md §13, "who owns which slab, and for how
 // long").
 //
-// H_0 is one slab of exactly the entries the bunch edges put at both
-// endpoints; the level loop copies every row out into G ∪ H, so the slab
-// lives only as long as the build.
-func bunchStage(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], k, workers int) (*Artifact, error) {
+// H_0 is never held as rows. A bunch edge of v is recorded once, in the
+// mirror index of its far endpoint (bunches), and the first pass of the
+// level loop assembles each row from its own bunch prefix and its
+// mirrored edges in scratch and lays it straight into G ∪ H; the
+// k-nearest slabs and the index live until that pass.
+func bunchStage(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], k, workers int) (*Artifact, *bunches, error) {
 	n := w.N
+	if int64(n)*int64(k) > math.MaxInt32 {
+		return nil, nil, fmt.Errorf("hopset: %d·%d k-nearest positions overflow the bunch index", n, k)
+	}
 	cols, ranks, err := disttools.KNearestRanks(ctx, sr, w, k, workers)
 	if err != nil {
-		return nil, fmt.Errorf("hopset: k-nearest: %w", err)
+		return nil, nil, fmt.Errorf("hopset: k-nearest: %w", err)
 	}
 	inA1 := hitting.Greedy(n, cols)
 
@@ -100,7 +108,6 @@ func bunchStage(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semir
 		N:    n,
 		K:    k,
 		InA1: inA1,
-		Rows: make([]matrix.Row[semiring.WH], n),
 		PV:   make([]int32, n),
 		DPV:  make([]semiring.WH, n),
 	}
@@ -122,53 +129,90 @@ func bunchStage(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semir
 		}
 	}
 
-	// H_0: bunch edges of nodes outside A_1, symmetrized at both
-	// endpoints (the collective version routes each edge to its other
-	// end; here each edge is written into both rows - Combine makes the
-	// order irrelevant, and folds an edge in both endpoints' bunches into
-	// one entry per row). A bunch edge of v is a node strictly closer than
-	// p(v), or p(v) itself, at its exact weight; bunch hands each to f.
-	// The first pass sizes every row, the second fills the rows' windows
-	// of one slab.
-	bunch := func(v int, f func(u int32, wu int64)) {
-		if inA1[v] || art.PV[v] < 0 {
+	// The mirror index, counted and then filled in ascending v.
+	b := &bunches{art: art, sr: sr, add: sr, cols: cols, ranks: ranks, k: k, start: make([]int32, n+1)}
+	for v := 0; v < n; v++ {
+		b.each(v, func(_ int, u int32, _ int64) { b.start[u+1]++ })
+	}
+	for v := 0; v < n; v++ {
+		b.start[v+1] += b.start[v]
+	}
+	b.at = make([]int32, b.start[n])
+	next := slices.Clone(b.start[:n])
+	for v := 0; v < n; v++ {
+		b.each(v, func(i int, u int32, _ int64) {
+			b.at[next[u]] = int32(v*k + i)
+			next[u]++
+		})
+	}
+	return art, b, nil
+}
+
+// bunches is H_0 as the bunch stage leaves it, read one row at a time
+// (row). A cold stage keeps the k-nearest rows and a mirror index: v's own
+// bunch edges are a walk of its row (each), and the edges other rows put
+// at v - the collective version routes each edge to its other end - are
+// at[start[v]:start[v+1]], each the flat position u·k+i of v in row u, in
+// ascending u: 4 bytes an edge. A stage read back out of a sibling
+// (bunchesOf) reads its rows instead.
+type bunches struct {
+	art       *Artifact // membership and pivots
+	sr        semiring.AugMinPlus
+	add       semiring.Semiring[semiring.WH] // sr, boxed once for Combine
+	cols      [][]int32
+	ranks     [][]int64
+	k         int
+	start, at []int32
+	sib       *Artifact
+}
+
+// each hands each bunch edge of a cold stage's v to f: the index i in v's
+// row of a node u strictly closer than p(v), or p(v) itself, and u's exact
+// weight. A node in A_1, or one without a pivot, has none.
+func (b *bunches) each(v int, f func(i int, u int32, wu int64)) {
+	pv, dpv := b.art.PV[v], b.art.DPV[v]
+	if b.art.InA1[v] || pv < 0 {
+		return
+	}
+	top := b.sr.Rank(dpv)
+	for i, u := range b.cols[v] {
+		if b.ranks[v][i] > top {
 			return
 		}
-		pv, dpv := art.PV[v], art.DPV[v]
-		top := sr.Rank(dpv)
-		for i, u := range cols[v] {
-			if ranks[v][i] > top {
-				return
-			}
-			if wu := sr.Unrank(ranks[v][i]).W; u != int32(v) && (wu < dpv.W || u == pv) {
-				f(u, wu)
-			}
+		if wu := b.sr.Unrank(b.ranks[v][i]).W; u != int32(v) && (wu < dpv.W || u == pv) {
+			f(i, u, wu)
 		}
 	}
-	size := make([]int, n)
-	total := 0
-	for v := 0; v < n; v++ {
-		bunch(v, func(u int32, _ int64) {
-			size[v]++
-			size[u]++
-			total += 2
-		})
+}
+
+// row returns row v of H_0 in buf's storage, grown as append grows it: in
+// column order, one entry per column. A cold stage appends v's own bunch
+// edges and its mirrored ones and folds an edge in both endpoints' bunches
+// into one entry (Combine); a sibling's row already is one.
+func (b *bunches) row(v int, buf matrix.Row[semiring.WH]) matrix.Row[semiring.WH] {
+	buf = buf[:0]
+	if b.sib != nil {
+		for _, e := range b.sib.Rows[v] {
+			if !b.art.InA1[v] || !b.art.InA1[e.Col] {
+				buf = append(buf, e)
+			}
+		}
+		return buf
 	}
-	slab := make([]matrix.Entry[semiring.WH], total)
-	h0 := art.Rows
-	for v, off := 0, 0; v < n; v++ {
-		h0[v], off = slab[off:off:off+size[v]], off+size[v]
+	b.each(v, func(_ int, u int32, wu int64) { buf = append(buf, hop(u, wu)) })
+	for _, p := range b.at[b.start[v]:b.start[v+1]] {
+		u, i := int(p)/b.k, int(p)%b.k
+		buf = append(buf, hop(int32(u), b.sr.Unrank(b.ranks[u][i]).W))
 	}
-	for v := 0; v < n; v++ {
-		bunch(v, func(u int32, wu int64) {
-			h0[v] = append(h0[v], matrix.Entry[semiring.WH]{Col: u, Val: semiring.WH{W: wu, H: 1}})
-			h0[u] = append(h0[u], matrix.Entry[semiring.WH]{Col: int32(v), Val: semiring.WH{W: wu, H: 1}})
-		})
+	if len(buf) == 0 {
+		return buf
 	}
-	matmul.RunRows(n, workers, func() func(int) {
-		return func(v int) { h0[v] = matrix.Combine(sr, h0[v]) }
-	})
-	return art, nil
+	return matrix.Combine(b.add, buf)
+}
+
+// hop is the one-hop hopset entry to u at weight w.
+func hop(u int32, w int64) matrix.Entry[semiring.WH] {
+	return matrix.Entry[semiring.WH]{Col: u, Val: semiring.WH{W: w, H: 1}}
 }
 
 // bunchesOf reads the bunch stage back out of a completed artifact. Its
@@ -178,30 +222,30 @@ func bunchStage(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semir
 // reaches A_1 only at c = p(u)). So dropping the A_1×A_1 entries leaves
 // exactly H_0, already merged; rows outside A_1 hold nothing else and are
 // sib's own.
-func bunchesOf(sib *Artifact) *Artifact {
-	h0 := slices.Clone(sib.Rows)
-	for v, in := range sib.InA1 {
-		if in {
-			h0[v] = slices.DeleteFunc(slices.Clone(h0[v]), func(e matrix.Entry[semiring.WH]) bool { return sib.InA1[e.Col] })
-		}
-	}
-	return &Artifact{N: sib.N, K: sib.K, InA1: sib.InA1, Rows: h0, PV: sib.PV, DPV: sib.DPV}
+func bunchesOf(sib *Artifact) (*Artifact, *bunches) {
+	art := &Artifact{N: sib.N, K: sib.K, InA1: sib.InA1, PV: sib.PV, DPV: sib.DPV}
+	return art, &bunches{art: art, sib: sib}
 }
 
 // runLevels is the second, ε-dependent stage: iterated bounded hopsets
-// (§4.2.1) over the bunch stage in art. Level ℓ computes d-hop distances
-// between A_1 nodes in G ∪ H^{ℓ-1} and replaces the A_1 clique edges with
-// the improved estimates, exactly like the collective loop. art.Rows goes
-// in as H_0 and comes out as H_0 ∪ H_ℓ, and the G ∪ H the levels sweep is
-// laid out once, in the layout the queries read: G ∪ H_0 first - a row
-// outside A_1 over a sibling's bunch stage is the sibling's own - and then, per level, just the A_1 rows whose clique edges changed.
-// A level that changes none leaves every later level's input, hence
-// output, identical and ends the loop (DESIGN.md §13, "the fast build
-// path"). The last matrix swept is G ∪ H of the result, which runLevels
-// returns; an A_1 row that came out equal to sib's is then sib's too.
-// sib is nil on the cold path.
-func runLevels(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], art, sib *Artifact, sibGH *matrix.Mat[semiring.WH], levels, d, workers int) (*matrix.Mat[semiring.WH], error) {
-	n, inA1, h0 := art.N, art.InA1, art.Rows
+// (§4.2.1) over the bunch stage art and h0. Level ℓ computes d-hop
+// distances between A_1 nodes in G ∪ H^{ℓ-1} and replaces the A_1 clique
+// edges with the improved estimates, exactly like the collective loop.
+// art.Rows comes out as H_0 ∪ H_ℓ, and the G ∪ H the levels sweep is laid
+// out once, in the layout the queries read. The first pass lays G ∪ H_0:
+// each worker assembles a row of h0 in its own scratch, and OverlayRow
+// copies it into the one exact-size row G ∪ H keeps; a row outside A_1
+// over a sibling's bunch stage is the sibling's own. An A_1 row's H_0 is
+// then the leading window of that first row, which the levels merge their
+// clique edges into, again in one scratch; a level re-lays just the A_1
+// rows whose clique edges changed. A level that changes none leaves every
+// later level's input, hence output, identical and ends the loop
+// (DESIGN.md §13, "the fast build path"). The last matrix swept is G ∪ H
+// of the result, which runLevels returns; an A_1 row that came out equal
+// to sib's is then sib's too. sib is nil on the cold path.
+func runLevels(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], art *Artifact, h0 *bunches, sib *Artifact, sibGH *matrix.Mat[semiring.WH], levels, d, workers int) (*matrix.Mat[semiring.WH], error) {
+	n, inA1 := art.N, art.InA1
+	var add semiring.Semiring[semiring.WH] = sr // boxed once, not per merge
 	g := matrix.New[semiring.WH](n)
 	art.Rows = make([]matrix.Row[semiring.WH], n)
 	// lay makes h the hopset row of v: it lays out row v of G ∪ H over h
@@ -212,43 +256,60 @@ func runLevels(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiri
 			art.Rows[v] = g.Rows[v][:len(h):len(h)]
 		}
 	}
+	hA := make([]matrix.Row[semiring.WH], n) // H_0 of the A_1 rows
 	matmul.RunRows(n, workers, func() func(int) {
+		var buf matrix.Row[semiring.WH]
 		return func(v int) {
 			if sib != nil && !inA1[v] {
 				art.Rows[v], g.Rows[v] = sib.Rows[v], sibGH.Rows[v]
 				return
 			}
-			lay(v, h0[v])
+			buf = h0.row(v, buf)
+			lay(v, buf)
+			if inA1[v] {
+				hA[v] = art.Rows[v]
+			}
 		}
 	})
 	aRows := make([]matrix.Row[semiring.WH], n)
+	fresh := make([]matrix.Row[semiring.WH], n)
+	var merged matrix.Row[semiring.WH]
 	for level := 0; level < levels; level++ {
 		det, err := disttools.SourceDetectAllRestricted(ctx, g, inA1, d, workers)
 		if err != nil {
 			return nil, fmt.Errorf("hopset: level %d source detection: %w", level, err)
 		}
-		fresh := make([]matrix.Row[semiring.WH], n)
-		for v := 0; v < n; v++ {
-			if !inA1[v] {
+		// Detection runs from A_1 only, so every clique edge joins two A_1 rows.
+		for v, in := range inA1 {
+			if !in {
+				continue
+			}
+			fresh[v] = fresh[v][:0]
+		}
+		for v, in := range inA1 {
+			if !in {
 				continue
 			}
 			for _, e := range det.Rows[v] {
-				if e.Col == int32(v) {
-					continue
+				if e.Col != int32(v) {
+					fresh[v] = append(fresh[v], hop(e.Col, e.Val))
+					fresh[e.Col] = append(fresh[e.Col], hop(int32(v), e.Val))
 				}
-				fresh[v] = append(fresh[v], matrix.Entry[semiring.WH]{Col: e.Col, Val: semiring.WH{W: e.Val, H: 1}})
-				fresh[e.Col] = append(fresh[e.Col], matrix.Entry[semiring.WH]{Col: int32(v), Val: semiring.WH{W: e.Val, H: 1}})
 			}
 		}
 		changed := false
-		for v := 0; v < n; v++ {
-			row := matrix.MergeRows(sr, fresh[v])
+		for v, in := range inA1 {
+			if !in {
+				continue
+			}
+			row := matrix.Combine(add, fresh[v])
 			if slices.Equal(row, aRows[v]) {
 				continue
 			}
 			changed = true
-			aRows[v] = row
-			lay(v, matrix.MergeRows(sr, h0[v], row))
+			aRows[v] = slices.Clone(row)
+			merged = matrix.Combine(add, append(append(merged[:0], hA[v]...), row...))
+			lay(v, merged)
 		}
 		if !changed {
 			break

@@ -292,6 +292,116 @@ func TestBuildCasesHaveTies(t *testing.T) {
 	}
 }
 
+// slabRows is H_0 as the bunch stage used to lay it: one slab sized to
+// every bunch edge at both endpoints, each edge written into both rows and
+// each row folded by Combine. It is the reference TestBunchRowsMatchSlab
+// holds the rows the level loop assembles to.
+func slabRows(sr semiring.AugMinPlus, art *Artifact, cols [][]int32, ranks [][]int64) []matrix.Row[semiring.WH] {
+	n, inA1 := art.N, art.InA1
+	bunch := func(v int, f func(u int32, wu int64)) {
+		if inA1[v] || art.PV[v] < 0 {
+			return
+		}
+		pv, dpv := art.PV[v], art.DPV[v]
+		top := sr.Rank(dpv)
+		for i, u := range cols[v] {
+			if ranks[v][i] > top {
+				return
+			}
+			if wu := sr.Unrank(ranks[v][i]).W; u != int32(v) && (wu < dpv.W || u == pv) {
+				f(u, wu)
+			}
+		}
+	}
+	size := make([]int, n)
+	total := 0
+	for v := 0; v < n; v++ {
+		bunch(v, func(u int32, _ int64) {
+			size[v]++
+			size[u]++
+			total += 2
+		})
+	}
+	slab := make([]matrix.Entry[semiring.WH], total)
+	h0 := make([]matrix.Row[semiring.WH], n)
+	for v, off := 0, 0; v < n; v++ {
+		h0[v], off = slab[off:off:off+size[v]], off+size[v]
+	}
+	for v := 0; v < n; v++ {
+		bunch(v, func(u int32, wu int64) {
+			h0[v] = append(h0[v], matrix.Entry[semiring.WH]{Col: u, Val: semiring.WH{W: wu, H: 1}})
+			h0[u] = append(h0[u], matrix.Entry[semiring.WH]{Col: int32(v), Val: semiring.WH{W: wu, H: 1}})
+		})
+	}
+	for v := range h0 {
+		h0[v] = matrix.Combine[semiring.WH](sr, h0[v])
+	}
+	return h0
+}
+
+// TestBunchRowsMatchSlab: every H_0 row the level loop's first pass
+// assembles - a cold stage's from its own bunch prefix and the mirror
+// index, a derived one's from its sibling's rows - equals the two-endpoint
+// slab's, on the build cases (whose ties TestBuildCasesHaveTies holds), at
+// K = 1 (A_1 is every node: no bunch edge) and K = n, and on a graph with
+// an all-zero row, which has no k-nearest set and so no pivot (PV = -1).
+func TestBunchRowsMatchSlab(t *testing.T) {
+	ctx := context.Background()
+	check := func(name string, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], k int) *Artifact {
+		t.Helper()
+		art, b, err := bunchStage(ctx, sr, w, k, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := slabRows(sr, art, b.cols, b.ranks)
+		sib, err := BuildDirect(ctx, sr, w, Params{Eps: 0.5, BetaFactor: 2, K: k}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, derived := bunchesOf(sib)
+		var buf matrix.Row[semiring.WH]
+		for v := range want {
+			if buf = b.row(v, buf); !slices.Equal(buf, want[v]) {
+				t.Fatalf("%s k=%d row %d: assembled %v, the slab holds %v", name, k, v, buf, want[v])
+			}
+			if buf = derived.row(v, buf); !slices.Equal(buf, want[v]) {
+				t.Fatalf("%s k=%d row %d: read back from a sibling %v, the slab holds %v", name, k, v, buf, want[v])
+			}
+		}
+		return art
+	}
+	graphs, presets := buildCases()
+	for gname, g := range graphs {
+		sr, w := g.AugSemiring(), g.WeightMatrix()
+		for _, p := range presets {
+			sh, err := p.shape(g.N)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(gname, sr, w, sh.k)
+		}
+		if art := check(gname, sr, w, 1); slices.Contains(art.InA1, false) {
+			t.Fatalf("%s k=1: A_1 is not every node", gname)
+		}
+		check(gname, sr, w, g.N)
+	}
+
+	// Two components, and node 30 with no entry at all, not even its own.
+	g := graph.New(32)
+	for v := 1; v < 30; v++ {
+		if v != 15 {
+			g.MustAddEdge(v-1, v, int64(v%4)+1)
+		}
+	}
+	sr, w := g.AugSemiring(), g.WeightMatrix()
+	w.Rows[30] = nil
+	for _, k := range []int{1, 3, 5, g.N} {
+		if art := check("all-zero row", sr, w, k); art.PV[30] != -1 {
+			t.Fatalf("k=%d: the all-zero row has pivot %d", k, art.PV[30])
+		}
+	}
+}
+
 // derived reports whether art took its bunch stage from sib: a derived
 // build shares the sibling's read-only InA1, a cold one has its own.
 func derived(art, sib *Artifact) bool { return &art.InA1[0] == &sib.InA1[0] }
@@ -486,13 +596,15 @@ func TestStretchCatchesDroppedLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h0, err := bunchStage(ctx, sr, w, p.K, 1)
+	_, h0, err := bunchStage(ctx, sr, w, p.K, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h0GH := matrix.New[semiring.WH](n)
+	var buf matrix.Row[semiring.WH]
 	for v := range h0GH.Rows {
-		h0GH.Rows[v] = OverlayRow(h0.Rows[v], w.Rows[v])
+		buf = h0.row(v, buf)
+		h0GH.Rows[v] = OverlayRow(buf, w.Rows[v])
 	}
 	srcs := []int{0, n / 3, n - 1}
 	inS := make([]bool, n)

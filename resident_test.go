@@ -32,22 +32,28 @@ func rowBytes[E any](r matrix.Row[E], size int) uint64 { return heapBytes(cap(r)
 // TestBuildDirectBytes holds a cold direct hopset build at n = 1024 to
 // what it must hold: the k-nearest slabs (12·n·k: a 4-byte column and an
 // 8-byte rank per kept node), the hitting set's inverted index (4·n·k),
-// one H_0 slab of the bunch entries at both endpoints, one G ∪ H, and a
+// the bunch stage's mirror index (4 bytes a bunch edge), one G ∪ H, and a
 // fixed slack. The slack is the rest of the build: the search's arcs and
 // scratch (cold, so every pool is empty), the k-nearest row headers, the
-// artifact's vectors, the level loop's detection planes, rows and merges,
-// and headers. On one P with the collector off it measures 0.97 MiB on
-// this graph; the budget allows 1.25 MiB. The budget comes to 12.4 MB
-// here (16.4 MB while the k-nearest rows were 24-byte entries); the
-// build allocated 27.2 MB before H_0 went into one slab and the level
-// loop started sweeping the G ∪ H it returns. Skipped under -race, where
-// sync.Pool drops Puts.
+// artifact's vectors, the first pass's row scratch, the level loop's
+// detection planes, rows and merges, and headers. On one P with the
+// collector off it measures 0.97 MiB on this graph; the budget allows
+// 1.25 MiB. The budget comes to 9.6 MB here; the build allocated 12.1 MB
+// while H_0 was a slab of its own, with every bunch entry at both
+// endpoints, and 27.2 MB before H_0 went into one slab and the level loop
+// started sweeping the G ∪ H it returns.
+//
+// It also counts the build's objects: at most maxObjects, about one per
+// G ∪ H row and a few hundred besides (1 270 measured). A semiring boxed
+// once per row, where the row passes take it boxed once, costs n more
+// (the build made 4 346 while Combine and MergeRows boxed it per row).
+// Skipped under -race, where sync.Pool drops Puts.
 func TestBuildDirectBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector: the build's scratch is not reliably pooled")
 	}
 	onePNoGC(t)
-	const n, slack = 1024, 5 << 18
+	const n, slack, maxObjects = 1024, 5 << 18, 1400
 	g := graphgen.Connected(n, 3*n, graphgen.Weights{Max: 10}, n+17)
 	sr, w := g.AugSemiring(), g.WeightMatrix()
 	p := hopset.Practical(0.5)
@@ -60,21 +66,21 @@ func TestBuildDirectBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := after.TotalAlloc - before.TotalAlloc
+	got, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
 
 	k := art.K
 	knear, err := disttools.KNearestAll[semiring.WH](context.Background(), sr, w, k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bunch := 0
+	edges := 0
 	for v, row := range knear.Rows {
 		if art.InA1[v] || art.PV[v] < 0 {
 			continue
 		}
 		for _, e := range row {
 			if e.Col != int32(v) && (e.Val.W < art.DPV[v].W || e.Col == art.PV[v]) {
-				bunch += 2
+				edges++
 			}
 		}
 	}
@@ -84,12 +90,15 @@ func TestBuildDirectBytes(t *testing.T) {
 			ghBytes += rowBytes(row, entryBytes)
 		}
 	}
-	kn, index, h0 := uint64(12*n*k), uint64(4*n*k), heapBytes(bunch*entryBytes)
-	if budget := kn + index + h0 + ghBytes + slack; got > budget {
-		t.Errorf("a cold BuildDirect at n=%d allocates %d bytes, want <= %d (k-nearest %d + index %d + H_0 %d + G ∪ H %d + slack %d)",
-			n, got, budget, kn, index, h0, ghBytes, slack)
+	kn, index, mirror := uint64(12*n*k), uint64(4*n*k), heapBytes(4*edges)
+	if budget := kn + index + mirror + ghBytes + slack; got > budget {
+		t.Errorf("a cold BuildDirect at n=%d allocates %d bytes, want <= %d (k-nearest %d + index %d + mirror %d + G ∪ H %d + slack %d)",
+			n, got, budget, kn, index, mirror, ghBytes, slack)
 	}
-	t.Logf("allocated %d bytes: k-nearest %d + index %d + H_0 %d + G ∪ H %d + %d over", got, kn, index, h0, ghBytes, int64(got)-int64(kn+index+h0+ghBytes))
+	if objects > maxObjects {
+		t.Errorf("a cold BuildDirect at n=%d allocates %d objects, want <= %d", n, objects, maxObjects)
+	}
+	t.Logf("allocated %d bytes: k-nearest %d + index %d + mirror %d + G ∪ H %d + %d over; %d objects", got, kn, index, mirror, ghBytes, int64(got)-int64(kn+index+mirror+ghBytes), objects)
 }
 
 // liveBytes is the heap in use once two collections have run: the second
