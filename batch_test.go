@@ -2,6 +2,7 @@ package ccsp
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -204,5 +205,40 @@ func TestBatchCoalescesDistanceOntoMSSP(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("coalesced batch differs from separate queries\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// BenchmarkEngineBatch measures Engine.Batch of q distinct MSSP requests,
+// each its own run, in both execution modes: q = 1 is a batch whose other
+// positions coalesced or hit a cache, q = 8 fills RunPlans' worker group.
+// The engine is preprocessed once per mode, so the loop is the batch alone.
+func BenchmarkEngineBatch(b *testing.B) {
+	for _, mode := range []struct {
+		x Execution
+		n int
+	}{{ExecDirect, 1024}, {ExecSimulated, 48}} {
+		var eng *Engine
+		for _, q := range []int{1, 8} {
+			b.Run(fmt.Sprintf("%s/n=%d/q=%d", mode.x, mode.n, q), func(b *testing.B) {
+				if eng == nil {
+					var err error
+					eng, err = NewEngine(context.Background(), testGraph(mode.n, 3*mode.n, 10, 17), Options{Epsilon: 0.5, Execution: mode.x})
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				reqs := make([]api.Request, q)
+				for i := range reqs {
+					reqs[i] = api.Request{Kind: api.KindMSSP, MSSP: &api.MSSPParams{Sources: []int{i, i + q}}}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := eng.Batch(context.Background(), reqs); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

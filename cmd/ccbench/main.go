@@ -47,7 +47,7 @@ func run() error {
 		exp     = flag.String("exp", "all", "experiment ID (E1..E14, A1..A4), comma-separated set, or 'all'")
 		scale   = flag.String("scale", "quick", "quick | full")
 		format  = flag.String("format", "md", "md | json")
-		workers = flag.Int("workers", 0, "simulator worker-pool size: shards per collective (0 = GOMAXPROCS, 1 = one shard inline)")
+		workers = flag.Int("workers", 0, "simulator shards per collective, an upper bound on its goroutines (0 = GOMAXPROCS, 1 = one shard inline)")
 		list    = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()

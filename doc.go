@@ -20,9 +20,9 @@
 // Every result carries the Stats of the simulated run - rounds (split into
 // simulated and primitive-charged), messages and words - so the paper's
 // round bounds can be measured directly; see DESIGN.md and EXPERIMENTS.md.
-// The simulator executes collectives on a multi-core worker pool
-// (Options.Workers, DESIGN.md §5); worker count never changes results or
-// round statistics, only wall-clock time.
+// The simulator executes each collective in shards on the row pass the
+// direct kernels use (Options.Workers, DESIGN.md §5); worker count never
+// changes results or round statistics, only wall-clock time.
 //
 // # Quick start
 //

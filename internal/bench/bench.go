@@ -19,7 +19,7 @@ import (
 type Config struct {
 	// Scale selects experiment sizes.
 	Scale Scale
-	// Workers is the engine worker-pool size experiments use when
+	// Workers is the engine shard count experiments use when
 	// building simulator configs; 0 keeps the engine default (GOMAXPROCS,
 	// one shard for small cliques). E13 ignores it: that experiment sweeps
 	// worker counts itself.

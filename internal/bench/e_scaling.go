@@ -39,8 +39,8 @@ func scalingWorkload(rounds int) cc.Program {
 	}
 }
 
-// e13 measures the worker pool of internal/cc (DESIGN.md §5): the same
-// workload runs on one shard (workers=1) and on P shards (workers=P),
+// e13 measures the sharded collectives of internal/cc (DESIGN.md §5): the
+// same workload runs on one shard (workers=1) and on P shards (workers=P),
 // reporting wall-clock per collective kind and verifying that the
 // deterministic statistics are identical.
 func e13(c Config) (*Table, error) {
@@ -51,7 +51,7 @@ func e13(c Config) (*Table, error) {
 	}
 	p := runtime.GOMAXPROCS(0)
 	if p < 2 {
-		p = 2 // still exercises the pool; no speedup on one core
+		p = 2 // still two shards; no speedup on one core
 	}
 	const rounds = 4
 	for _, n := range sizes(c.Scale, []int{64, 128}, []int{256, 512}) {

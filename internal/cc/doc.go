@@ -22,14 +22,16 @@
 // engine validates the model's bandwidth constraint - at most one message per
 // ordered pair per round for Sync and Broadcast - and accounts rounds.
 //
-// Collectives execute on a sharded worker pool (Config.Workers; see
-// DESIGN.md §5): because the model is round-synchronous, the engine holds
-// every node's request before executing a collective, so delivery can be
-// partitioned by destination (and gathering by sender) across
-// runtime.GOMAXPROCS workers. Each collective has one body; Workers=1 runs
-// it as a single shard on the coordinator goroutine. Every worker count
-// yields identical results and identical deterministic Stats, with
-// wall-clock per collective kind reported in Stats.CollectiveTime.
+// Collectives execute in shards (Config.Workers; see DESIGN.md §5):
+// because the model is round-synchronous, the engine holds every node's
+// request before executing a collective, so delivery can be partitioned by
+// destination (and gathering by sender) into shards that run as the rows
+// of one pool.RunEach pass, the row pass the direct kernels use. Each
+// collective has one body; Workers=1 runs it as a single shard on the
+// coordinator goroutine. Every worker count yields identical results and
+// identical deterministic Stats, whatever width the pass takes beside
+// other passes, with wall-clock per collective kind reported in
+// Stats.CollectiveTime.
 //
 // # Round accounting
 //

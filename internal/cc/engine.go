@@ -20,13 +20,16 @@ type Config struct {
 	// MaxRounds bounds total rounds; 0 means DefaultMaxRounds.
 	MaxRounds int
 	// Workers is the number of shards each collective body is split
-	// into, each run on its own pool goroutine. 0 means
-	// runtime.GOMAXPROCS(0) (falling back to one shard for cliques smaller
-	// than autoParMinN, where fan-out overhead dominates); 1 runs every
-	// body as one shard on the coordinator goroutine. Every value produces
-	// identical results and identical deterministic statistics - only
-	// wall-clock time (and the observational Stats.CollectiveTime)
-	// changes. Negative values are rejected.
+	// into, the rows of one pool.RunEach pass. It is an upper bound on
+	// the goroutines a body fans out to: the pass takes only its share
+	// of the cores beside other passes in the process (DESIGN.md §13).
+	// 0 means runtime.GOMAXPROCS(0) (falling back to one shard for
+	// cliques smaller than autoParMinN, where fan-out overhead
+	// dominates); 1 runs every body as one shard on the coordinator
+	// goroutine. Every value produces identical results and identical
+	// deterministic statistics - only wall-clock time (and the
+	// observational Stats.CollectiveTime) changes. Negative values are
+	// rejected.
 	Workers int
 }
 
@@ -111,7 +114,7 @@ type engine struct {
 	n         int
 	cfg       Config
 	ctx       context.Context
-	pool      *pool
+	workers   int // shards per collective body
 	reqs      chan *request
 	resps     []chan response
 	stats     Stats
@@ -160,19 +163,18 @@ func Run(ctx context.Context, cfg Config, prog Program) (Stats, error) {
 		workers = cfg.N
 	}
 	e := &engine{
-		n:     cfg.N,
-		cfg:   cfg,
-		ctx:   ctx,
-		reqs:  make(chan *request, cfg.N),
-		resps: make([]chan response, cfg.N),
-		batch: make([]*request, cfg.N),
-		stats: Stats{N: cfg.N, Charged: make(map[string]int)},
+		n:       cfg.N,
+		cfg:     cfg,
+		ctx:     ctx,
+		workers: workers,
+		reqs:    make(chan *request, cfg.N),
+		resps:   make([]chan response, cfg.N),
+		batch:   make([]*request, cfg.N),
+		stats:   Stats{N: cfg.N, Charged: make(map[string]int)},
 	}
 	for v := 0; v < cfg.N; v++ {
 		e.resps[v] = make(chan response, 1)
 	}
-	e.pool = newPool(workers)
-	defer e.pool.close()
 
 	var wg sync.WaitGroup
 	wg.Add(cfg.N)

@@ -4,12 +4,13 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
+
+	"github.com/congestedclique/ccsp/internal/pool"
 )
 
 // ctxStep is the cancellation check the collective bodies make between
-// their stages, at every pool width: a fired context.Context aborts a large
-// collective between pool fan-outs instead of only at the next barrier
+// their stages, at every shard count: a fired context.Context aborts a
+// large collective between row passes instead of only at the next barrier
 // (execute's check). It returns nil while the context is live.
 func (e *engine) ctxStep() error {
 	if e.ctx.Err() != nil {
@@ -20,62 +21,9 @@ func (e *engine) ctxStep() error {
 
 // autoParMinN is the clique size below which a default (Workers=0) run
 // uses one shard: collective bodies on tiny cliques are too small to
-// amortize the fan-out cost of the pool. An explicit Workers>1 always
-// uses the pool, whatever the size.
+// amortize the fan-out cost of a row pass. An explicit Workers>1 always
+// shards, whatever the size.
 const autoParMinN = 64
-
-// pool is the engine's sharded worker pool. Collectives are embarrassingly
-// parallel across destination (and sender) nodes because the model is
-// round-synchronous: by the time the coordinator executes a collective it
-// holds every node's request, so the body can be partitioned into disjoint
-// shards with no locking. Every collective has one body; a pool of size 1
-// runs it as a single shard, inline on the coordinator goroutine.
-type pool struct {
-	size int
-	jobs chan func()
-}
-
-func newPool(size int) *pool {
-	p := &pool{size: size}
-	if size > 1 {
-		p.jobs = make(chan func())
-		for i := 0; i < size; i++ {
-			go func() {
-				for f := range p.jobs {
-					f()
-				}
-			}()
-		}
-	}
-	return p
-}
-
-func (p *pool) close() {
-	if p.jobs != nil {
-		close(p.jobs)
-	}
-}
-
-// run executes the tasks concurrently on the pool and returns when all of
-// them have finished. It must only be called from the coordinator
-// goroutine (tasks never submit nested tasks, so there is no deadlock).
-func (p *pool) run(tasks []func()) {
-	if p.jobs == nil || len(tasks) == 1 {
-		for _, t := range tasks {
-			t()
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(tasks))
-	for _, t := range tasks {
-		p.jobs <- func() {
-			defer wg.Done()
-			t()
-		}
-	}
-	wg.Wait()
-}
 
 // spans splits [0, n) into k balanced contiguous ranges: the first n%k
 // spans have ceil(n/k) elements, the rest floor(n/k). Both directions
@@ -111,16 +59,17 @@ func (s spans) of(x int) int {
 	return r + (x-r*(q+1))/q
 }
 
-// forShards runs fn(shard, lo, hi) for every shard of sp on the pool and
-// waits for completion. Shards own disjoint index ranges, so fn may write
-// to per-index state without synchronization.
+// forShards runs fn(shard, lo, hi) for every shard of sp, one row of a
+// pool.RunEach pass each, and waits for completion. Shards own disjoint
+// index ranges, so fn may write to per-index state without
+// synchronization; the pass may run them at any width up to e.workers.
 func (e *engine) forShards(sp spans, fn func(shard, lo, hi int)) {
-	tasks := make([]func(), sp.k)
-	for i := 0; i < sp.k; i++ {
-		lo, hi := sp.bounds(i)
-		tasks[i] = func() { fn(i, lo, hi) }
-	}
-	e.pool.run(tasks)
+	pool.RunEach(sp.k, e.workers, func() func(int) {
+		return func(i int) {
+			lo, hi := sp.bounds(i)
+			fn(i, lo, hi)
+		}
+	})
 }
 
 // pktRef locates one packet of the batch, by sender and submission index,
@@ -128,7 +77,7 @@ func (e *engine) forShards(sp spans, fn func(shard, lo, hi int)) {
 type pktRef struct{ dst, src, idx int32 }
 
 // scatter builds the per-destination inboxes for a sync or route collective
-// with a two-stage shuffle over the pool:
+// with a two-stage shuffle, one row pass a stage:
 //
 //   - stage 1 partitions senders into contiguous ID ranges; each shard
 //     validates its senders' packets while counting them per destination
@@ -144,7 +93,7 @@ type pktRef struct{ dst, src, idx int32 }
 // byte of the result is independent of it; only the wall-clock changes.
 func (e *engine) scatter(kind reqKind) (inbox [][]Msg, maxSend int, msgs int64, err error) {
 	n := e.n
-	sp := makeSpans(n, e.pool.size)
+	sp := makeSpans(n, e.workers)
 	k := sp.k
 	dupCheck := kind == reqSync
 	buckets := make([][][]pktRef, k)
@@ -278,17 +227,17 @@ func (e *engine) execRoute() error {
 }
 
 // bcastChunkMinN is the clique size below which the broadcast gather runs
-// on one shard: copying one word per node is so cheap that pool dispatch
-// costs more than it saves.
+// on one shard: copying one word per node is so cheap that a row pass's
+// fan-out costs more than it saves.
 const bcastChunkMinN = 4096
 
 // execBcast performs one broadcast round: each node announces one word to
-// everyone. The gather is chunked across the pool for cliques large enough
+// everyone. The gather is sharded across a row pass for cliques large enough
 // to amortize the fan-out. The result slice (indexed by sender) is shared
 // read-only by all nodes, which keeps the simulation at O(n) memory for an
 // O(n^2)-message round; node programs must not mutate it.
 func (e *engine) execBcast() error {
-	workers := e.pool.size
+	workers := e.workers
 	if e.n < bcastChunkMinN {
 		workers = 1
 	}
@@ -337,7 +286,7 @@ func itemCmp(a, b sortItem) int {
 // total order, so the result does not depend on the shard count.
 func (e *engine) execSort() error {
 	n := e.n
-	sp := makeSpans(n, e.pool.size)
+	sp := makeSpans(n, e.workers)
 	runs := make([][]sortItem, sp.k)
 	maxInShard := make([]int, sp.k)
 	e.forShards(sp, func(s, lo, hi int) {
@@ -394,8 +343,8 @@ func (e *engine) execSort() error {
 }
 
 // mergeRunTree merges pre-sorted runs into one globally sorted slice with a
-// pairwise merge tree; merges within one level run concurrently on the
-// pool. The order is independent of the merge shape because itemCmp is a
+// pairwise merge tree; the merges of one level are the rows of one row
+// pass. The order is independent of the merge shape because itemCmp is a
 // strict total order.
 func (e *engine) mergeRunTree(runs [][]sortItem) []sortItem {
 	cur := make([][]sortItem, 0, len(runs))
@@ -410,15 +359,12 @@ func (e *engine) mergeRunTree(runs [][]sortItem) []sortItem {
 	for len(cur) > 1 {
 		pairs := len(cur) / 2
 		next := make([][]sortItem, (len(cur)+1)/2)
-		tasks := make([]func(), pairs)
-		for i := 0; i < pairs; i++ {
-			a, b := cur[2*i], cur[2*i+1]
-			tasks[i] = func() { next[i] = mergeRuns(a, b) }
-		}
 		if len(cur)%2 == 1 {
 			next[pairs] = cur[len(cur)-1]
 		}
-		e.pool.run(tasks)
+		pool.RunEach(pairs, e.workers, func() func(int) {
+			return func(i int) { next[i] = mergeRuns(cur[2*i], cur[2*i+1]) }
+		})
 		cur = next
 	}
 	return cur[0]

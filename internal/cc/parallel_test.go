@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"github.com/congestedclique/ccsp/internal/pool"
 )
 
 // mixedWorkload exercises every collective kind: sync fan-out, broadcast,
@@ -91,6 +93,41 @@ func TestWorkersProduceIdenticalRuns(t *testing.T) {
 			if !reflect.DeepEqual(out, refOut) {
 				t.Errorf("n=%d workers=%d: outputs differ from workers=1", n, w)
 			}
+		}
+	}
+}
+
+// TestWorkersIdenticalInHeldPass: a simulated run started while another
+// row pass runs takes only its share of the cores - at GOMAXPROCS 4 a
+// collective's shards run two at a time instead of four - and still
+// yields the outputs and deterministic statistics of the same run
+// started alone, at every worker count.
+func TestWorkersIdenticalInHeldPass(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
+	run := func(n, w int) (Stats, [][]int64) {
+		out := make([][]int64, n)
+		stats, err := Run(context.Background(), Config{N: n, Workers: w}, mixedWorkload(out))
+		if err != nil {
+			t.Fatalf("n=%d workers=%d: %v", n, w, err)
+		}
+		return clearTime(stats), out
+	}
+	for _, n := range []int{5, 33, 64} {
+		for _, w := range []int{1, 2, 4} {
+			refStats, refOut := run(n, w)
+			// A one-row serial pass runs its row on this goroutine and
+			// counts as running for as long as the row takes.
+			pool.RunRows(1, 1, func() func(int) {
+				return func(int) {
+					stats, out := run(n, w)
+					if !reflect.DeepEqual(stats, refStats) {
+						t.Errorf("n=%d workers=%d: stats in a held pass differ from the run alone:\n%+v\nvs\n%+v", n, w, stats, refStats)
+					}
+					if !reflect.DeepEqual(out, refOut) {
+						t.Errorf("n=%d workers=%d: outputs in a held pass differ from the run alone", n, w)
+					}
+				}
+			})
 		}
 	}
 }

@@ -27,7 +27,7 @@ type Stats struct {
 	// CollectiveTime is the wall-clock time the engine spent executing
 	// each collective kind ("sync", "broadcast", "route", "sort", ...),
 	// including response distribution. It is purely observational - used
-	// to measure the worker pool's speedup - and is excluded from the
+	// to measure the sharded bodies' speedup - and is excluded from the
 	// determinism guarantee and from String.
 	CollectiveTime map[string]time.Duration
 }

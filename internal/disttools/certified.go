@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"github.com/congestedclique/ccsp/internal/matmul"
 	"github.com/congestedclique/ccsp/internal/matrix"
+	"github.com/congestedclique/ccsp/internal/pool"
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
 
@@ -18,7 +18,7 @@ const pollSettles = 256
 
 // certPass is what the running CertifiedPlane pass shares with its
 // searches. It lives in the pooled search state, and so do the closures
-// the pass hands matmul.RunEach, made once per state, so that a warm pass
+// the pass hands pool.RunEach, made once per state, so that a warm pass
 // allocates none.
 type certPass struct {
 	srcs  []int32 // the sources, ascending: search j starts at srcs[j]
@@ -41,7 +41,7 @@ type certPass struct {
 //
 // It runs one lexicographic search per source at k = n, the k-nearest
 // searcher over the same arcs (fill), on one pass that hands each
-// worker a source at a time (matmul.RunEach). A search settles every node
+// worker a source at a time (pool.RunEach). A search settles every node
 // it reaches at its least (W, H), in rank order, and writes W into the
 // plane as it settles. The first node any search settles past maxH hops
 // stops every search. A search reads rows s → u where the plane's cell is
@@ -97,7 +97,7 @@ func CertifiedPlane(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[s
 			return s.certify
 		}
 	}
-	matmul.RunEach(q, workers, c.newWorker)
+	pool.RunEach(q, workers, c.newWorker)
 	plane := c.plane
 	if c.poll.err != nil || c.over.Load() {
 		planes.Put(plane)

@@ -26,6 +26,7 @@ import (
 
 	"github.com/congestedclique/ccsp/internal/matmul"
 	"github.com/congestedclique/ccsp/internal/matrix"
+	"github.com/congestedclique/ccsp/internal/pool"
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
 
@@ -166,14 +167,6 @@ type Panel struct {
 	W       []int64
 }
 
-// Col is the panel column of source s, -1 when s is not a source.
-func (p *Panel) Col(s int32) int {
-	if j, ok := slices.BinarySearch(p.Sources, s); ok {
-		return j
-	}
-	return -1
-}
-
 // Release recycles W as a later detection's plane. The panel, and every
 // slice of W, is dead afterwards.
 func (p *Panel) Release() {
@@ -277,7 +270,7 @@ func SourceDetectPanel(ctx context.Context, g *matrix.Mat[semiring.WH], inS []bo
 			return nil, err
 		}
 		changed.Store(false)
-		matmul.RunRows(n, workers, worker)
+		pool.RunRows(n, workers, worker)
 		cur, next = next, cur
 		if !changed.Load() {
 			break
@@ -500,7 +493,7 @@ func (p *kdetect) detect(ctx context.Context, sr semiring.AugMinPlus, w *matrix.
 // sweeper of its own.
 func (p *kdetect) pass(q, workers int, row func(s *sweeper, v int)) {
 	p.taken = 0
-	matmul.RunRows(p.n, workers, func() func(int) {
+	pool.RunRows(p.n, workers, func() func(int) {
 		s := p.worker(q)
 		return func(v int) { row(s, v) }
 	})

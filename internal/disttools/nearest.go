@@ -8,8 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/congestedclique/ccsp/internal/matmul"
 	"github.com/congestedclique/ccsp/internal/matrix"
+	"github.com/congestedclique/ccsp/internal/pool"
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
 
@@ -22,8 +22,8 @@ import (
 const unreached = math.MaxInt64
 
 // pollRows is how many rows of a search pass run between two polls of
-// ctx: one claim of the row pass (matmul.RunRows hands out blocks of 32).
-const pollRows = 32
+// ctx: one block claim of the row pass (pool.RunRows).
+const pollRows = pool.RowBlock
 
 // arc is an entry of the weight matrix as a search relaxes it: its rank
 // under the semiring and its column. Row y's arcs are its entries in
@@ -176,7 +176,7 @@ func (nb *nearest[E]) pass(ctx context.Context, sr semiring.Ordered[E], w *matri
 	fill(nb, sr, w)
 	nb.k, nb.dec = k, decoder(sr, n)
 	nb.taken = 0
-	matmul.RunRows(n, workers, func() func(int) {
+	pool.RunRows(n, workers, func() func(int) {
 		s := nb.worker()
 		return func(v int) {
 			if poll.stopped(v) {

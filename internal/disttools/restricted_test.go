@@ -10,8 +10,8 @@ import (
 	"testing"
 
 	"github.com/congestedclique/ccsp/internal/cc"
-	"github.com/congestedclique/ccsp/internal/matmul"
 	"github.com/congestedclique/ccsp/internal/matrix"
+	"github.com/congestedclique/ccsp/internal/pool"
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
 
@@ -133,7 +133,7 @@ func TestSourceDetectAllRestrictedEquivalence(t *testing.T) {
 }
 
 // TestSourceDetectAllRestrictedInHeldPass: while another row pass runs, a
-// sweep starts at most GOMAXPROCS/2 goroutines (matmul.RunRows), and the
+// sweep starts at most GOMAXPROCS/2 goroutines (pool.RunRows), and the
 // restricted detection still has SourceDetectAll's weights at every worker
 // count - over TestSourceDetectAllRestrictedEquivalence's cases and one
 // wide enough (n = 256, eight row blocks) for the width to matter.
@@ -156,7 +156,7 @@ func TestSourceDetectAllRestrictedInHeldPass(t *testing.T) {
 	}
 	// A one-row serial pass runs its row on this goroutine and counts as
 	// running for as long as the row takes.
-	matmul.RunRows(1, 1, func() func(int) {
+	pool.RunRows(1, 1, func() func(int) {
 		return func(int) {
 			for c, tc := range cases {
 				for _, workers := range []int{1, 2, 4, 0} {

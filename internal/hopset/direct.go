@@ -8,8 +8,8 @@ import (
 
 	"github.com/congestedclique/ccsp/internal/disttools"
 	"github.com/congestedclique/ccsp/internal/hitting"
-	"github.com/congestedclique/ccsp/internal/matmul"
 	"github.com/congestedclique/ccsp/internal/matrix"
+	"github.com/congestedclique/ccsp/internal/pool"
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
 
@@ -23,7 +23,7 @@ import (
 // Build exactly, and each underlying kernel equals its distributed
 // counterpart entry-for-entry.
 //
-// workers bounds the kernel worker pool (<= 0 means GOMAXPROCS); the
+// workers bounds each row pass (<= 0 means GOMAXPROCS); the
 // result is identical for every value. ctx is checked between product
 // iterations, so a canceled build unwinds within one multiply.
 func BuildDirect(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], p Params, workers int) (*Artifact, error) {
@@ -257,7 +257,7 @@ func runLevels(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiri
 		}
 	}
 	hA := make([]matrix.Row[semiring.WH], n) // H_0 of the A_1 rows
-	matmul.RunRows(n, workers, func() func(int) {
+	pool.RunRows(n, workers, func() func(int) {
 		var buf matrix.Row[semiring.WH]
 		return func(v int) {
 			if sib != nil && !inA1[v] {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/congestedclique/ccsp/internal/matrix"
+	"github.com/congestedclique/ccsp/internal/pool"
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
 
@@ -127,7 +128,7 @@ func routed(m *matrix.Mat[semiring.WH], salt int) *matrix.Mat[semiring.WHF] {
 // tiled repeats m along the diagonal until it spans three kernel blocks,
 // so a worker count of 3 is not capped to 1 as it is for a tiny matrix.
 func tiled[E any](m *matrix.Mat[E]) *matrix.Mat[E] {
-	copies := (2*kernelBlock)/m.N + 1
+	copies := (2*pool.RowBlock)/m.N + 1
 	out := matrix.New[E](m.N * copies)
 	for c := 0; c < copies; c++ {
 		for r, row := range m.Rows {

@@ -1,9 +1,9 @@
-// The host-side ("direct") semiring product kernel and the row pass it
-// runs on. The distributed algorithms of this package compute S·T by
-// shuffling row fragments between simulated nodes; when the caller only
-// wants the algebra - the direct execution mode of DESIGN.md §12 - the
-// same product is computed on the host by KernelMul, one generic kernel
-// for every semiring, with a worker pool and zero message construction.
+// The host-side ("direct") semiring product kernel. The distributed
+// algorithms of this package compute S·T by shuffling row fragments
+// between simulated nodes; when the caller only wants the algebra - the
+// direct execution mode of DESIGN.md §12 - the same product is computed
+// on the host by KernelMul, one generic kernel for every semiring, on
+// pool.RunRows and with zero message construction.
 // KernelMul is row-for-row equal to matrix.MulRef (and therefore to the
 // distributed Multiply), and the reference KernelMulFilteredGeneric
 // equals matrix.Filter ∘ matrix.MulRef (and therefore MultiplyFiltered):
@@ -12,102 +12,16 @@
 // output is byte-identical for every worker count. No direct path
 // multiplies augmented or filtered matrices: the detections and the
 // filtered products of Theorems 18 and 19 run as a search per row and
-// rank panels in internal/disttools over RunRows (DESIGN.md §13).
+// rank panels in internal/disttools over pool.RunRows (DESIGN.md §13).
 package matmul
 
 import (
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"github.com/congestedclique/ccsp/internal/matrix"
+	"github.com/congestedclique/ccsp/internal/pool"
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
-
-// kernelBlock is the number of consecutive rows a worker claims at a
-// time: large enough that the claim counter is cold, small enough that
-// the rows of one block (plus the scratch accumulator) stay
-// cache-resident and the tail imbalance is negligible.
-const kernelBlock = 32
-
-// kernelWorkers resolves a worker-count knob: <= 0 means GOMAXPROCS,
-// and the count is capped so no worker would sit idle on a pass of n
-// rows claimed block at a time.
-func kernelWorkers(workers, n, block int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if blocks := (n + block - 1) / block; workers > blocks {
-		workers = blocks
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// passes counts the row passes running in the process, serial ones
-// included: each holds at least one core.
-var passes atomic.Int32
-
-// RunRows executes a per-row function over rows [0, n), block-partitioned
-// across at most workers goroutines. Each row is computed by exactly one
-// worker, so any per-row function whose output depends only on its row
-// index runs identically at every worker count and at whatever width the
-// pass picks under load: KernelMul, FoldMinPlus and the row passes of
-// internal/disttools, internal/hopset and internal/mssp all run on it. A
-// pass that starts while r-1 others run takes only its share of the
-// cores, GOMAXPROCS/r of them and at least one (DESIGN.md §13, "a pass
-// fans out only into idle cores"), so a lone pass fans out fully and
-// concurrent queries do not fork onto busy cores. newWorker is called
-// once per goroutine the pass starts to allocate its private scratch
-// state and returns the row function; with one the loop runs inline with
-// no goroutines (the serial engine analogue).
-func RunRows(n, workers int, newWorker func() func(row int)) {
-	runBlocks(n, kernelBlock, workers, newWorker)
-}
-
-// RunEach is RunRows for a pass whose every row is a whole search: a
-// worker claims one row at a time, so even a pass of a few rows fans out
-// across the cores its share allows.
-func RunEach(n, workers int, newWorker func() func(row int)) {
-	runBlocks(n, 1, workers, newWorker)
-}
-
-// runBlocks is RunRows with workers claiming block rows at a time.
-func runBlocks(n, block, workers int, newWorker func() func(row int)) {
-	r := int(passes.Add(1))
-	defer passes.Add(-1)
-	w := min(kernelWorkers(workers, n, block), max(1, runtime.GOMAXPROCS(0)/r))
-	if w == 1 {
-		fn := newWorker()
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for p := 0; p < w; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn := newWorker()
-			for {
-				lo := int(next.Add(int64(block))) - block
-				if lo >= n {
-					return
-				}
-				hi := min(lo+block, n)
-				for i := lo; i < hi; i++ {
-					fn(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
 
 // arenaChunkEntries caps the row-arena chunk size: large enough that row
 // allocation cost is amortized over hundreds of rows, small enough that
@@ -203,7 +117,7 @@ func (wk *genWorker[E]) mulRow(sr semiring.Semiring[E], srow matrix.Row[E], t *m
 func KernelMul[E any](sr semiring.Semiring[E], s, t *matrix.Mat[E], workers int) *matrix.Mat[E] {
 	n := s.N
 	p := matrix.New[E](n)
-	RunRows(n, workers, func() func(int) {
+	pool.RunRows(n, workers, func() func(int) {
 		wk, arena := newGenWorker[E](n), newRowArena[E](n, n)
 		return func(i int) {
 			p.Rows[i] = arena.place(wk.mulRow(sr, s.Rows[i], t))
@@ -231,7 +145,7 @@ func KernelMulWH(s, t *matrix.Mat[semiring.WH], workers int) *matrix.Mat[semirin
 // computed and min-ed in cell by cell, at every worker count. Operands are
 // at most Inf = 2^60, so a sum cannot overflow.
 func FoldMinPlus[E any](rows [][]int64, s *matrix.Mat[E], w func(E) int64, t *matrix.Mat[int64], workers int) {
-	RunRows(s.N, workers, func() func(int) {
+	pool.RunRows(s.N, workers, func() func(int) {
 		return func(i int) {
 			row := rows[i]
 			for _, es := range s.Rows[i] {

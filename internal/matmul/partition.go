@@ -3,7 +3,8 @@
 // 5-7), the cube partitioning of Lemma 9, the balanced delivery of Lemmas
 // 10-12, balanced summation (Lemma 13), output-sensitive sparse matrix
 // multiplication (Theorem 8) and sparse matrix multiplication with on-line
-// sparsification of the output (Theorem 14).
+// sparsification of the output (Theorem 14). Its host-side kernels
+// (kernel.go) run on internal/pool's row pass, pool.RunRows.
 package matmul
 
 import (

@@ -7,8 +7,8 @@ import (
 
 	"github.com/congestedclique/ccsp/internal/disttools"
 	"github.com/congestedclique/ccsp/internal/hopset"
-	"github.com/congestedclique/ccsp/internal/matmul"
 	"github.com/congestedclique/ccsp/internal/matrix"
+	"github.com/congestedclique/ccsp/internal/pool"
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
 
@@ -21,7 +21,7 @@ import (
 // that benchmark/layers.go and the overlay's tests compare against.
 func MergeGH(sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], art *hopset.Artifact) *matrix.Mat[semiring.WH] {
 	g := matrix.New[semiring.WH](w.N)
-	matmul.RunRows(w.N, 0, func() func(int) {
+	pool.RunRows(w.N, 0, func() func(int) {
 		return func(v int) { g.Rows[v] = matrix.MergeRows(sr, w.Rows[v], art.Rows[v]) }
 	})
 	return g
@@ -43,7 +43,7 @@ func MergeGH(sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], art *hopset.Art
 // GOMAXPROCS).
 func OverlayGH(w *matrix.Mat[semiring.WH], art, sib *hopset.Artifact, sibGH *matrix.Mat[semiring.WH], workers int) *matrix.Mat[semiring.WH] {
 	g := matrix.New[semiring.WH](w.N)
-	matmul.RunRows(w.N, workers, func() func(int) {
+	pool.RunRows(w.N, workers, func() func(int) {
 		return func(v int) {
 			h := art.Rows[v]
 			if sib != nil && slices.Equal(h, sib.Rows[v]) {
@@ -64,7 +64,7 @@ func OverlayGH(w *matrix.Mat[semiring.WH], art, sib *hopset.Artifact, sibGH *mat
 // node at once (DESIGN.md §12), against a prebuilt G ∪ H matrix (see
 // hopset.OverlayRow) and the artifact's β: β-hop source detection computed with the
 // matmul kernels over the source-restricted panel, which propagates only
-// the |S| source columns. workers sizes the kernel pool (<= 0 means
+// the |S| source columns. workers bounds each row pass (<= 0 means
 // GOMAXPROCS). The panel is the answer itself - cell (v, j) is the weight
 // RunWithHopset's Dist row at node v holds for the j-th source,
 // semiring.Inf where it holds none - and belongs to the caller, who serves

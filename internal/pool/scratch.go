@@ -1,8 +1,12 @@
-// Package pool holds Scratch, the size-classed buffer pool every layer that
-// recycles a large flat buffer shares: the detection planes of disttools,
-// the engine's lent neighbor backings, row and list headers and source
-// membership vectors, the client's large response bodies and the daemon's
-// encode buffers (DESIGN.md §13, "who owns which buffer").
+// Package pool holds what every layer shares for CPU and memory. RunRows
+// and RunEach are the one CPU-bound parallel-for: the direct kernels and
+// searches and the simulator's collective shards all fan out on them, and
+// a pass beside others takes only its share of the cores (DESIGN.md §5,
+// §13). Scratch is the size-classed buffer pool every
+// layer that recycles a large flat buffer shares: the detection planes of
+// disttools, the engine's lent neighbor backings, row and list headers and
+// source membership vectors, the client's large response bodies and the
+// daemon's encode buffers (DESIGN.md §13, "who owns which buffer").
 package pool
 
 import (

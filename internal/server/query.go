@@ -141,9 +141,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	if len(plans) > 0 {
 		// The whole batch runs under one timeout and takes one admission
-		// slot: its runs share RunPlans' one bounded worker group, so it
-		// occupies one engine's worth of CPU however many positions and
-		// graphs it carries.
+		// slot however many positions and graphs it carries: its runs
+		// share RunPlans' one bounded worker group, and each run's row
+		// passes take only their share of the cores (DESIGN.md §13).
 		ctx, admitted, err := s.enter(r.Context())
 		if err != nil {
 			s.fail(w, "", err)

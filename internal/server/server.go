@@ -553,21 +553,14 @@ func engineStats(dyn *ccsp.DynamicEngine) (graph, options, preprocess map[string
 //
 // An api.Response goes through writeResponse instead, which appends it.
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	setJSON(w)
-	bw := bodyWriters.Get().(*bodyWriter)
-	bw.w, bw.code, bw.started = w, code, false
-	err := bw.enc.Encode(v)
-	if err != nil && bw.started {
-		// The client is gone, and the encoder keeps a failed Write's error
-		// for good: this writer is not reused.
-		return
-	}
-	bw.w = nil
-	bodyWriters.Put(bw)
+	body, err := json.Marshal(v)
 	if err != nil {
 		writeAPIError(w, http.StatusInternalServerError, "",
 			&api.Error{Code: api.CodeInternal, Message: "encode response: " + err.Error()})
+		return
 	}
+	setJSON(w)
+	send(w, code, append(body, '\n'))
 }
 
 // writeResponse writes r as writeJSON would, appended into a pooled buffer
@@ -635,31 +628,12 @@ func writeBatch(w http.ResponseWriter, answers []answer) {
 // answers into (DESIGN.md §13, "who owns which buffer").
 var encodeBufs pool.Scratch[byte]
 
-// send writes a whole body under its status, with the length announced as
-// bodyWriter announces it. A failed write is a client that left.
+// send writes a whole body in one Write under its status, its length
+// announced first (announce). A failed write is a client that left.
 func send(w http.ResponseWriter, code int, body []byte) {
 	announce(w, code, len(body))
 	w.Write(body)
 }
-
-// bodyWriter is where a json.Encoder, made once and pooled with it, sends
-// its document. Encoder.Encode marshals into encoding/json's own recycled
-// buffer and hands all of it to one Write; that Write is the first moment
-// the length is known and the last before the header is sent, so it
-// announces the one and forwards the other - no second copy of a
-// multi-megabyte answer just to measure it.
-type bodyWriter struct {
-	enc     *json.Encoder
-	w       http.ResponseWriter
-	code    int
-	started bool // the header has gone out
-}
-
-var bodyWriters = sync.Pool{New: func() interface{} {
-	bw := new(bodyWriter)
-	bw.enc = json.NewEncoder(bw)
-	return bw
-}}
 
 // chunkingThreshold is the body size from which net/http, not told a
 // length, switches to chunked encoding; anything smaller it buffers whole
@@ -673,12 +647,4 @@ func announce(w http.ResponseWriter, code, n int) {
 		w.Header().Set("Content-Length", strconv.Itoa(n))
 	}
 	w.WriteHeader(code)
-}
-
-func (bw *bodyWriter) Write(p []byte) (int, error) {
-	if !bw.started {
-		bw.started = true
-		announce(bw.w, bw.code, len(p))
-	}
-	return bw.w.Write(p)
 }

@@ -37,7 +37,7 @@ const (
 	// round/message accounting in Stats.
 	ExecSimulated Execution = iota
 	// ExecDirect computes the same algebra directly on flat host-side
-	// matrices with the matmul kernels and a worker pool, skipping the
+	// matrices with the matmul kernels on the row pass, skipping the
 	// simulator entirely. Results are byte-identical to ExecSimulated
 	// (the differential oracle guarantee); Stats report zero rounds and
 	// messages but real wall-clock time.
@@ -76,20 +76,19 @@ type Options struct {
 	// call that preprocesses and queries (or an Engine serving several
 	// queries) runs the budget per run, not over the combined total.
 	MaxRounds int
-	// Workers sizes the simulator's worker pool, which executes each
-	// collective sharded across destination nodes (DESIGN.md §5). 0 uses
-	// runtime.GOMAXPROCS(0); 1 runs every collective as one shard on the
-	// coordinator goroutine. Results and all
-	// deterministic statistics are identical for every value - only
-	// wall-clock time (and the observational Stats.CollectiveTime)
-	// changes. In direct mode the same knob bounds the kernel worker
-	// pool: a row pass starts at most this many goroutines, and fewer
-	// while other passes hold the cores (DESIGN.md §13, "A pass fans out
-	// only into idle cores").
+	// Workers is the number of shards the simulator splits each
+	// collective into (DESIGN.md §5). 0 uses runtime.GOMAXPROCS(0); 1
+	// runs every collective as one shard on the coordinator goroutine.
+	// Results and all deterministic statistics are identical for every
+	// value - only wall-clock time (and the observational
+	// Stats.CollectiveTime) changes. In both modes it bounds a row pass,
+	// a collective's shards or a direct kernel's rows: the pass starts at
+	// most this many goroutines, and fewer while other passes hold the
+	// cores (DESIGN.md §13, "A pass fans out only into idle cores").
 	Workers int
 	// Execution selects the execution mode: ExecSimulated (default) runs
 	// the round-synchronous simulator, ExecDirect computes the identical
-	// results on flat matrices with the kernel worker pool (DESIGN.md
+	// results on flat matrices with the host kernels (DESIGN.md
 	// §12). Answers are byte-identical in both modes; only Stats (and
 	// wall-clock) differ.
 	Execution Execution
