@@ -40,8 +40,8 @@ func TestDirectCertifiedBoundary(t *testing.T) {
 	}
 	g.MustAddEdge(0, n-1, beta+2)
 	for _, workers := range diffWorkerCounts(t) {
-		d := &directExec{g: g, workers: workers}
-		w := d.weightMat()
+		d := &backend{g: g, opts: Options{Workers: workers, Execution: ExecDirect}}
+		w, _ := d.weights()
 		for _, tc := range []struct {
 			beta      int
 			certified bool
@@ -176,7 +176,7 @@ func TestDirectCertifiedFamilies(t *testing.T) {
 					t.Fatal(err)
 				}
 				var heard []detection
-				dir.exec.(*directExec).served = func(w *matrix.Mat[semiring.WH], beta int, inS []bool, c bool) {
+				dir.exec.served = func(w *matrix.Mat[semiring.WH], beta int, inS []bool, c bool) {
 					var sources []int
 					for v, in := range inS {
 						if in {
@@ -311,7 +311,7 @@ func TestDirectCertifiedAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	served := 0
-	eng.exec.(*directExec).served = func(_ *matrix.Mat[semiring.WH], _ int, _ []bool, c bool) {
+	eng.exec.served = func(_ *matrix.Mat[semiring.WH], _ int, _ []bool, c bool) {
 		if !c {
 			t.Fatal("the panel served a query on a graph where every cell certifies")
 		}
@@ -331,6 +331,6 @@ func TestDirectCertifiedAllocs(t *testing.T) {
 		}
 	}
 	if served == 0 {
-		t.Fatal("no query reached the executor")
+		t.Fatal("no query reached the backend")
 	}
 }

@@ -24,9 +24,10 @@ import (
 // (§4, Theorem 25), then answer queries with cheap β-hop-limited
 // computations (Theorems 3/28/31). An Engine materializes that split:
 // NewEngine runs the preprocessing once and caches the resulting
-// host-side artifacts (Preprocessed); every query method then launches a
-// query-only simulator run seeded with the cached artifact, paying zero
-// hopset-construction rounds.
+// host-side artifacts (Preprocessed); every query method then runs only
+// the query's steps, seeded with the cached artifact, on the clique
+// Options.Execution names - simulator runs that pay zero
+// hopset-construction rounds, or host kernels that pay no build time.
 //
 // Determinism contract: an artifact depends only on (graph, hopset
 // params), and every collective is deterministic, so Engine queries
@@ -35,8 +36,8 @@ import (
 // rounds exactly (round accounting is additive across runs). The
 // one-shot functions are in fact thin wrappers over a lazy Engine.
 //
-// Concurrency: the cached artifacts are read-only and each query runs in
-// its own simulator instance, so an Engine is safe for concurrent
+// Concurrency: the cached artifacts are read-only and each query runs on
+// its own clique, so an Engine is safe for concurrent
 // queries from multiple goroutines. The engine deep-copies the input
 // graph, so mutating the caller's *Graph after NewEngine (via AddEdge)
 // cannot corrupt cached artifacts; such mutations are simply invisible
@@ -64,9 +65,9 @@ type Engine struct {
 	// afterwards, like everything else here).
 	epoch uint64
 	// exec computes every artifact and query for the public methods
-	// (exec.go): the round-accurate simulator or the flat-matrix kernels,
-	// chosen once from Options.Execution.
-	exec executor
+	// (exec.go) on the clique Options.Execution names: the round-accurate
+	// simulator or the host kernels.
+	exec *backend
 }
 
 // Preprocessed is the cache of reusable preprocessing artifacts - per-node
@@ -122,14 +123,14 @@ type artifactEntry struct {
 	degs  []int64 // artLowDegree only: broadcast |N(v)| vector, read-only
 	stats Stats
 
-	// directExec's query matrices (DESIGN.md §13, "One copy of G ∪ H"),
-	// set by its build - or, for a loaded entry, by attach - before the
-	// entry is published and immutable afterwards: base is the weight
-	// matrix the artifact was built on (G itself, or the low-degree
-	// subgraph G' for artLowDegree) and gh is G ∪ H, row v the hopset row
-	// then the base entries it does not dominate (hopset.OverlayRow).
-	// art.Rows[v] is the leading window of gh.Rows[v], so H is held once.
-	// Unused by simExec.
+	// The query matrices, set by build - or, for a loaded entry, by
+	// attach - before the entry is published and immutable afterwards:
+	// base is the weight matrix the artifact was built on (G itself, or
+	// the low-degree subgraph G' for artLowDegree), the graph of every
+	// clique on the entry. On the host gh is G ∪ H (DESIGN.md §13, "One
+	// copy of G ∪ H"), row v the hopset row then the base entries it does
+	// not dominate (hopset.OverlayRow), and art.Rows[v] is the leading
+	// window of gh.Rows[v], so H is held once; the simulator keeps none.
 	base *matrix.Mat[semiring.WH]
 	gh   *matrix.Mat[semiring.WH]
 }
@@ -181,10 +182,7 @@ func adoptEngine(g *graph.Graph, opts Options) *Engine {
 			arts:     make(map[artifactKey]*artifactEntry),
 			inflight: make(map[artifactKey]*buildCall),
 		},
-		exec: &simExec{g: gr.g, opts: opts},
-	}
-	if opts.Execution == ExecDirect {
-		e.exec = &directExec{g: gr.g, workers: opts.Workers}
+		exec: &backend{g: gr.g, opts: opts},
 	}
 	return e
 }
@@ -272,8 +270,8 @@ func (e *Engine) build(ctx context.Context, key artifactKey, call *buildCall) {
 
 // buildArtifact runs the preprocessing for one artifact: the hopset
 // construction of §4 (plus, for the low-degree variant, the degree vector
-// that defines G'), which the executor hands back as a complete entry for
-// build to publish. The artifact is byte-identical whichever executor
+// that defines G'), which the backend hands back as a complete entry for
+// build to publish. The artifact is byte-identical whichever clique
 // built it, and whether or not it had a sibling; only its stats differ
 // (rounds, or wall-clock for the kernels).
 func (e *Engine) buildArtifact(ctx context.Context, key artifactKey) (*artifactEntry, error) {
@@ -383,7 +381,7 @@ func normalizeSources(n int, sources []int) (inS []bool, srcList []int, err erro
 }
 
 // memberships recycles source membership vectors. Every one is dead once
-// the executor it was handed to returns - no executor keeps it, and a
+// the backend it was handed to returns - no clique keeps it, and a
 // simulated run returns only after every node has exited - so the engine
 // method that took it puts it back right there.
 var memberships pool.Scratch[bool]
@@ -454,7 +452,7 @@ func (e *Engine) distance(ctx context.Context, from, to int) (int64, Stats, erro
 }
 
 // detect runs the β-hop detection from inS on the base hopset and returns
-// the executor's flat n×|S| plane, which the caller owns. inS goes back to
+// the backend's flat n×|S| plane, which the caller owns. inS goes back to
 // memberships on return.
 func (e *Engine) detect(ctx context.Context, inS []bool) ([]int64, Stats, error) {
 	defer memberships.Put(inS)

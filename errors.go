@@ -134,7 +134,7 @@ func SentinelError(e *api.Error) error {
 	return e
 }
 
-// wrapRun translates an executor error into the public error taxonomy,
+// wrapRun translates a backend error into the public error taxonomy,
 // prefixed with the failing operation. The simulator reports cancellation
 // as cc.ErrCanceled (which wraps the context's sentinel), the kernels
 // return the raw context sentinels; either way the originals stay in the

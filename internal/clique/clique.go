@@ -28,6 +28,15 @@ type Clique interface {
 	// weights (Theorem 18), rows in column order, lent until release;
 	// release is nil exactly when err is not.
 	KNearest(k int) (_ *matrix.Mat[semiring.WH], release func(), _ error)
+	// KNearestRouted is KNearest over routed, G's weights with each edge's
+	// first hop as witness (Graph.WeightRowRouted), in the routed semiring
+	// bounded as G's augmented one is: the witness of every answer is the
+	// first hop of a shortest path to it.
+	KNearestRouted(routed *matrix.Mat[semiring.WHF], k int) (_ *matrix.Mat[semiring.WHF], release func(), _ error)
+	// SourceDetect solves (S, d, k)-source detection on G (Theorem 19): row
+	// v holds the k members of inS nearest v by paths of at most d hops, in
+	// column order, lent until release as KNearest's rows are.
+	SourceDetect(inS []bool, d, k int) (_ *matrix.Mat[semiring.WH], release func(), _ error)
 	// Hit returns a hitting set of the rows' column sets (Lemma 4).
 	Hit(rows []matrix.Row[semiring.WH]) ([]bool, error)
 	// MSSP runs β-hop source detection from inS on G ∪ H (Theorem 3): the
@@ -75,6 +84,12 @@ type Clique interface {
 // weights are.
 func minPlus(sr semiring.AugMinPlus) semiring.MinPlus {
 	return semiring.NewMinPlus(sr.MaxW + 1)
+}
+
+// routedOf is the witness-tracking semiring bounded as sr is, which is
+// Graph.RoutedSemiring when sr is Graph.AugSemiring.
+func routedOf(sr semiring.AugMinPlus) semiring.RoutedMinPlus {
+	return semiring.NewRoutedMinPlus(sr.MaxW, sr.MaxH)
 }
 
 // Sim is the round-accurate clique. Stats sums its runs (cc.Stats.Add):
@@ -140,15 +155,36 @@ func (s *Sim) run(prog cc.Program) error {
 
 func (s *Sim) N() int { return s.cfg.N }
 
-func (s *Sim) KNearest(k int) (*matrix.Mat[semiring.WH], func(), error) {
-	rows := matrix.New[semiring.WH](s.cfg.N)
+// perNode is one run in which every node v computes row v of the answer by
+// row; the rows are nobody else's, so release has nothing to give back.
+func perNode[E any](s *Sim, row func(nd *cc.Node) matrix.Row[E]) (*matrix.Mat[E], func(), error) {
+	rows := matrix.New[E](s.cfg.N)
 	if err := s.run(func(nd *cc.Node) error {
-		rows.Rows[nd.ID] = disttools.KNearest(nd, s.sr, s.w.Rows[nd.ID], k)
+		rows.Rows[nd.ID] = row(nd)
 		return nil
 	}); err != nil {
 		return nil, nil, err
 	}
 	return rows, func() {}, nil
+}
+
+func (s *Sim) KNearest(k int) (*matrix.Mat[semiring.WH], func(), error) {
+	return perNode(s, func(nd *cc.Node) matrix.Row[semiring.WH] {
+		return disttools.KNearest(nd, s.sr, s.w.Rows[nd.ID], k)
+	})
+}
+
+func (s *Sim) KNearestRouted(routed *matrix.Mat[semiring.WHF], k int) (*matrix.Mat[semiring.WHF], func(), error) {
+	sr := routedOf(s.sr)
+	return perNode(s, func(nd *cc.Node) matrix.Row[semiring.WHF] {
+		return disttools.KNearest(nd, sr, routed.Rows[nd.ID], k)
+	})
+}
+
+func (s *Sim) SourceDetect(inS []bool, d, k int) (*matrix.Mat[semiring.WH], func(), error) {
+	return perNode(s, func(nd *cc.Node) matrix.Row[semiring.WH] {
+		return disttools.SourceDetectK(nd, s.sr, s.w.Rows[nd.ID], inS, d, k)
+	})
 }
 
 func (s *Sim) Hit(rows []matrix.Row[semiring.WH]) ([]bool, error) {
@@ -303,10 +339,10 @@ func (s *Sim) send(out [][]cc.Packet, send func(*cc.Node, []cc.Packet) []cc.Msg)
 }
 
 // Direct is the host clique: the direct kernels (KNearestLent,
-// GreedyRows, RunDirect for every β-hop detection, FoldThroughSets,
-// KernelMul and FoldMinPlus), Broadcast the vector itself, Exchange and
-// Route a transpose, and Mirror and PivotCross a fold that reads the
-// senders' rows in place. It keeps no Stats.
+// SourceDetectKLent, GreedyRows, RunDirect for every β-hop detection,
+// FoldThroughSets, KernelMul and FoldMinPlus), Broadcast the vector
+// itself, Exchange and Route a transpose, and Mirror and PivotCross a fold
+// that reads the senders' rows in place. It keeps no Stats.
 type Direct struct {
 	ctx      context.Context
 	sr       semiring.AugMinPlus
@@ -329,6 +365,14 @@ func (d *Direct) N() int { return d.w.N }
 
 func (d *Direct) KNearest(k int) (*matrix.Mat[semiring.WH], func(), error) {
 	return disttools.KNearestLent[semiring.WH](d.ctx, d.sr, d.w, k, d.wk)
+}
+
+func (d *Direct) KNearestRouted(routed *matrix.Mat[semiring.WHF], k int) (*matrix.Mat[semiring.WHF], func(), error) {
+	return disttools.KNearestLent[semiring.WHF](d.ctx, routedOf(d.sr), routed, k, d.wk)
+}
+
+func (d *Direct) SourceDetect(inS []bool, hops, k int) (*matrix.Mat[semiring.WH], func(), error) {
+	return disttools.SourceDetectKLent(d.ctx, d.sr, d.w, inS, hops, k, d.wk)
 }
 
 func (d *Direct) Hit(rows []matrix.Row[semiring.WH]) ([]bool, error) {

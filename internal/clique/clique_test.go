@@ -3,22 +3,25 @@ package clique
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
 
 	"github.com/congestedclique/ccsp/internal/cc"
 	"github.com/congestedclique/ccsp/internal/disttools"
+	"github.com/congestedclique/ccsp/internal/graph"
 	"github.com/congestedclique/ccsp/internal/graphgen"
 	"github.com/congestedclique/ccsp/internal/hitting"
 	"github.com/congestedclique/ccsp/internal/hopset"
+	"github.com/congestedclique/ccsp/internal/matrix"
 	"github.com/congestedclique/ccsp/internal/mssp"
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
 
 // cliques returns the simulated and the direct clique on a seeded graph,
-// MSSP running over one hopset the simulator built.
-func cliques(t *testing.T) (*Sim, *Direct) {
+// MSSP running over one hopset the simulator built, and the graph.
+func cliques(t *testing.T) (*Sim, *Direct, *graph.Graph) {
 	t.Helper()
 	ctx := context.Background()
 	g := graphgen.Connected(24, 40, graphgen.Weights{Max: 7}, 5)
@@ -35,13 +38,13 @@ func cliques(t *testing.T) (*Sim, *Direct) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewSim(ctx, cc.Config{N: g.N}, sr, w, art), NewDirect(ctx, sr, w, mssp.MergeGH(sr, w, art), art.Beta, 0)
+	return NewSim(ctx, cc.Config{N: g.N}, sr, w, art), NewDirect(ctx, sr, w, mssp.MergeGH(sr, w, art), art.Beta, 0), g
 }
 
 // TestSimMatchesDirect: every primitive answers the same on both
 // backends, so a theorem written over Clique does too.
 func TestSimMatchesDirect(t *testing.T) {
-	sim, direct := cliques(t)
+	sim, direct, g := cliques(t)
 	n := sim.N()
 	if direct.N() != n {
 		t.Fatalf("N: direct %d, simulated %d", direct.N(), n)
@@ -70,6 +73,31 @@ func TestSimMatchesDirect(t *testing.T) {
 	dPlane, dErr := direct.MSSP(dHit)
 	same("MSSP", dPlane, sPlane, dErr, sErr)
 	disttools.ReleasePlane(dPlane)
+
+	// Both lending primitives: k-nearest at a k below n and one above it,
+	// detection at a d below the hop diameter and one above n.
+	routed := matrix.New[semiring.WHF](n)
+	for v := range routed.Rows {
+		routed.Rows[v] = g.WeightRowRouted(v)
+	}
+	for _, k := range []int{6, n + 3} {
+		sr, sRelease, sErr := sim.KNearestRouted(routed, k)
+		dr, dRelease, dErr := direct.KNearestRouted(routed, k)
+		same(fmt.Sprintf("KNearestRouted(k=%d)", k), rowsOf(dr), rowsOf(sr), dErr, sErr)
+		sRelease()
+		dRelease()
+	}
+	inS := make([]bool, n)
+	for v := range inS {
+		inS[v] = v%4 == 1
+	}
+	for _, dk := range [][2]int{{2, 3}, {n + 5, 4}} {
+		sd, sRelease, sErr := sim.SourceDetect(inS, dk[0], dk[1])
+		dd, dRelease, dErr := direct.SourceDetect(inS, dk[0], dk[1])
+		same(fmt.Sprintf("SourceDetect(d=%d, k=%d)", dk[0], dk[1]), rowsOf(dd), rowsOf(sd), dErr, sErr)
+		sRelease()
+		dRelease()
+	}
 
 	vals := make([]int64, n)
 	out := make([][]cc.Packet, n)
@@ -100,6 +128,14 @@ func TestSimMatchesDirect(t *testing.T) {
 	inboxes("Route", dIn, sIn, dErr, sErr)
 }
 
+// rowsOf is m's rows, nil for no matrix.
+func rowsOf[E any](m *matrix.Mat[E]) []matrix.Row[E] {
+	if m == nil {
+		return nil
+	}
+	return m.Rows
+}
+
 // TestSimCapsTheTotal: MaxRounds caps the sum of a Sim's runs, so the
 // run that crosses it fails with ErrRoundLimit even though it alone fits.
 func TestSimCapsTheTotal(t *testing.T) {
@@ -120,7 +156,7 @@ func TestSimCapsTheTotal(t *testing.T) {
 // the same table on both backends, and Sim.On's clique adds its runs to
 // the Stats it came from.
 func TestFoldsMatch(t *testing.T) {
-	sim, direct := cliques(t)
+	sim, direct, _ := cliques(t)
 	n := sim.N()
 	table := func() [][]int64 {
 		est := make([][]int64, n)

@@ -161,14 +161,6 @@ func (c *Coordinator) Wait(ctx context.Context, epoch uint64) error {
 	}
 }
 
-// Published returns the epoch of the newest successfully built
-// generation.
-func (c *Coordinator) Published() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.published
-}
-
 // Pending reports how many staged updates are not yet visible: those
 // waiting for the next generation plus those in the generation being
 // built, until it publishes or fails.

@@ -294,3 +294,11 @@ func TestCoordinatorConcurrentStagers(t *testing.T) {
 	}
 	t.Logf("stages=%d builds=%d published=%d", workers*perWorker, builds.Load(), c.Published())
 }
+
+// Published returns the epoch of the newest successfully built
+// generation.
+func (c *Coordinator) Published() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.published
+}

@@ -86,17 +86,6 @@ func (m *Mat[E]) NNZ() int {
 	return total
 }
 
-// Density returns ρ_M: the smallest positive integer with nz(M) ≤ ρ·n
-// (§2.1).
-func (m *Mat[E]) Density() int {
-	nnz := m.NNZ()
-	rho := (nnz + m.N - 1) / m.N
-	if rho < 1 {
-		rho = 1
-	}
-	return rho
-}
-
 // Clone returns a deep copy.
 func (m *Mat[E]) Clone() *Mat[E] {
 	c := New[E](m.N)

@@ -427,3 +427,14 @@ func TestMergeRows(t *testing.T) {
 		t.Errorf("empty rows merge to %v, want nil", got)
 	}
 }
+
+// Density returns ρ_M: the smallest positive integer with nz(M) ≤ ρ·n
+// (§2.1).
+func (m *Mat[E]) Density() int {
+	nnz := m.NNZ()
+	rho := (nnz + m.N - 1) / m.N
+	if rho < 1 {
+		rho = 1
+	}
+	return rho
+}

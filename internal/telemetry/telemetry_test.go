@@ -195,3 +195,30 @@ func TestObserveDuration(t *testing.T) {
 		t.Fatalf("500ms not in the le=1 bucket")
 	}
 }
+
+// Quantile returns an estimate of the q-quantile (0 < q <= 1) from the
+// bucket counts: the upper bound of the bucket the quantile falls in
+// (+Inf degrades to the largest finite bound). It is a coarse,
+// bucket-resolution estimate - load reports wanting exact percentiles
+// keep raw samples instead - but good enough for smoke assertions.
+func (h *Histogram) Quantile(q float64) float64 {
+	total := h.count.Load()
+	if total == 0 {
+		return 0
+	}
+	rank := uint64(math.Ceil(q * float64(total)))
+	var cum uint64
+	for i := range h.counts {
+		cum += h.counts[i].Load()
+		if cum >= rank {
+			if i < len(h.bounds) {
+				return h.bounds[i]
+			}
+			break
+		}
+	}
+	if len(h.bounds) == 0 {
+		return math.Inf(1)
+	}
+	return h.bounds[len(h.bounds)-1]
+}

@@ -159,11 +159,11 @@ func TestEngineResidentBytes(t *testing.T) {
 	built := liveBytes()
 
 	ent := eng.pre.arts[eng.baseKey()]
-	d := eng.exec.(*directExec)
 	g := eng.gr.g
 	want := heapBytes(n*24) + heapBytes(2*g.M()*16) // graph: Adj header, one slab of edges
 	want += heapBytes(n * 24)                       // base matrix: header, then a row each
-	for _, row := range d.weightMat().Rows {
+	w, _ := eng.exec.weights()
+	for _, row := range w.Rows {
 		want += rowBytes(row, entryBytes)
 	}
 	own, _ := entryBytesOf(ent, nil)

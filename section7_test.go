@@ -123,40 +123,55 @@ func TestSection7RoundCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ents [3]*artifactEntry
-	for i, key := range []artifactKey{eng.baseKey(), eng.apspKey(), eng.apspLowKey()} {
-		if ents[i], err = eng.artifact(ctx, key); err != nil {
+	for _, key := range []artifactKey{eng.baseKey(), eng.apspKey(), eng.apspLowKey()} {
+		if _, err := eng.artifact(ctx, key); err != nil {
 			t.Fatal(err)
 		}
 	}
-	queries := map[string]func(s *simExec) (Stats, error){
-		"diameter": func(s *simExec) (Stats, error) {
-			_, st, err := s.diameter(ctx, ents[0])
-			return st, err
+	// under is an engine on eng's artifacts under opts, so that its
+	// queries build nothing and run under opts' cap.
+	under := func(opts Options) *Engine {
+		e := adoptEngine(sh.g, opts)
+		e.pre = eng.pre
+		return e
+	}
+	queries := map[string]func(e *Engine) (Stats, error){
+		"diameter": func(e *Engine) (Stats, error) {
+			res, err := e.Diameter(ctx)
+			if err != nil {
+				return Stats{}, err
+			}
+			return res.Stats, nil
 		},
-		"sssp": func(s *simExec) (Stats, error) {
-			_, _, st, err := s.sssp(ctx, 5)
-			return st, err
+		"sssp": func(e *Engine) (Stats, error) {
+			res, err := e.SSSP(ctx, 5)
+			if err != nil {
+				return Stats{}, err
+			}
+			return res.Stats, nil
 		},
 	}
 	for _, v := range []api.APSPVariant{api.APSPWeighted, api.APSPWeighted3, api.APSPUnweighted} {
-		queries["apsp/"+string(v)] = func(s *simExec) (Stats, error) {
-			_, st, err := s.apsp(ctx, v, ents[1], ents[2])
-			return st, err
+		queries["apsp/"+string(v)] = func(e *Engine) (Stats, error) {
+			res, err := e.apspByVariant(ctx, v)
+			if err != nil {
+				return Stats{}, err
+			}
+			return res.Stats, nil
 		}
 	}
 	for name, run := range queries {
-		full, err := run(&simExec{g: sh.g, opts: eng.opts})
+		full, err := run(under(eng.opts))
 		if err != nil {
 			t.Fatal(err)
 		}
 		capped := eng.opts
 		capped.MaxRounds = full.TotalRounds
-		if _, err := run(&simExec{g: sh.g, opts: capped}); err != nil {
+		if _, err := run(under(capped)); err != nil {
 			t.Errorf("%s: MaxRounds = its own %d rounds: %v", name, full.TotalRounds, err)
 		}
 		capped.MaxRounds--
-		if _, err := run(&simExec{g: sh.g, opts: capped}); !errors.Is(err, cc.ErrRoundLimit) {
+		if _, err := run(under(capped)); !errors.Is(err, cc.ErrRoundLimit) {
 			t.Errorf("%s: MaxRounds = %d, one below its rounds: got %v, want ErrRoundLimit", name, capped.MaxRounds, err)
 		}
 	}
