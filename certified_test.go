@@ -48,6 +48,8 @@ func TestDirectCertifiedBoundary(t *testing.T) {
 			far       int64 // the cell between the path's ends
 		}{{beta, false, beta + 2}, {beta + 1, true, beta + 1}} {
 			ent := &artifactEntry{art: &hopset.Artifact{N: n, Beta: tc.beta, Rows: make([]matrix.Row[semiring.WH], n)}, base: w, gh: w}
+			d.base = func(context.Context) (*artifactEntry, error) { return ent, nil }
+			d.beta = tc.beta
 			for _, sources := range [][]int{{0}, {n - 1}, {0, n - 1}} {
 				inS, err := sourceSet(n, sources)
 				if err != nil {
@@ -56,7 +58,7 @@ func TestDirectCertifiedBoundary(t *testing.T) {
 				served := 0
 				var certified bool
 				d.served = func(_ *matrix.Mat[semiring.WH], _ int, _ []bool, c bool) { served, certified = served+1, c }
-				plane, _, err := d.mssp(ctx, ent, inS)
+				plane, _, err := d.mssp(ctx, inS)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -252,3 +252,66 @@ func benchScale(b *testing.B, g *graph.Graph) {
 		}
 	}
 }
+
+// BenchmarkRebuild measures one DynamicEngine generation on the host: a
+// 4-edge reweight (each of four nodes spread over the graph to its first
+// neighbour, a new weight every op), staged and waited for until its epoch
+// serves (DynamicEngine.Update). The rows are benchEngine's graph family
+// at n = 1024 and 8192, whose detections certify, and grid=32x32
+// (graphgen.Grid at n = 1024, weights 1-10), whose detections abort;
+// ns/op and B/op are the update's. The grid row also reports fallback-ns,
+// the first MSSP from the corner after each update, timed outside ns/op:
+// its detection aborts and, on a rebuilt engine, builds the base hopset
+// the rebuild left out (DESIGN.md §16). n = 8192 is skipped under -short.
+func BenchmarkRebuild(b *testing.B) {
+	for _, row := range []struct {
+		name     string
+		g        func() *graph.Graph
+		fallback bool
+	}{
+		{"n=1024", func() *graph.Graph { return graphgen.Connected(1024, 3*1024, graphgen.Weights{Max: 10}, 1024+17) }, false},
+		{"n=8192", func() *graph.Graph { return graphgen.Connected(8192, 3*8192, graphgen.Weights{Max: 10}, 8192+17) }, false},
+		{"grid=32x32", func() *graph.Graph { return graphgen.Grid(32, 32, graphgen.Weights{Max: 10}, 1024+17) }, true},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			g := row.g()
+			if testing.Short() && g.N > 1024 {
+				b.Skip("builds an n = 8192 engine")
+			}
+			ctx, n := context.Background(), g.N
+			eng, err := NewEngine(ctx, &Graph{g: g}, Options{Epsilon: 0.5, Execution: ExecDirect})
+			if err != nil {
+				b.Fatal(err)
+			}
+			dyn := NewDynamicEngine(eng)
+			defer dyn.Close()
+			var ups []EdgeUpdate
+			for _, v := range []int{1, n / 4, n / 2, 3 * n / 4} {
+				ups = append(ups, EdgeUpdate{U: v, V: int(g.Adj[v][0].To)})
+			}
+			var fallback time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range ups {
+					ups[j].W = int64(1 + (i+j)%10)
+				}
+				if _, err := dyn.Update(ctx, ups); err != nil {
+					b.Fatal(err)
+				}
+				if row.fallback {
+					b.StopTimer()
+					start := time.Now()
+					if _, err := dyn.Engine().MSSP(ctx, []int{0}); err != nil {
+						b.Fatal(err)
+					}
+					fallback += time.Since(start)
+					b.StartTimer()
+				}
+			}
+			if row.fallback {
+				b.ReportMetric(float64(fallback.Nanoseconds())/float64(b.N), "fallback-ns")
+			}
+		})
+	}
+}

@@ -18,9 +18,11 @@ type EdgeUpdate = api.EdgeUpdate
 // an atomic pointer (DESIGN.md §16). Queries read the current engine
 // with a single atomic load - they never block on writers and never see
 // a half-built engine. ApplyUpdates stages mutations into a pending
-// generation and kicks a background rebuild: a full preprocess of the
-// mutated graph under the wrapped engine's own Options (its cost at
-// n=1024 is the benchmark's update_fresh_s row, BENCHMARK.json). When
+// generation and kicks a background rebuild: the mutated graph under the
+// wrapped engine's own Options, with the base hopset built on the
+// simulator, whose rounds are the point, and left on the host to the
+// first detection whose certified searches abort (DESIGN.md §16; its cost
+// at n=1024 is the benchmark's update_fresh_s row, BENCHMARK.json). When
 // the rebuild completes, the fresh engine - stamped with the
 // generation's epoch - is swapped in atomically. Updates arriving while
 // a rebuild is in flight coalesce into the next generation; there is
@@ -102,11 +104,13 @@ func (d *DynamicEngine) Update(ctx context.Context, ups []EdgeUpdate) (uint64, e
 // for queries.
 func (d *DynamicEngine) Close() { d.coord.Close() }
 
-// rebuild is the coordinator's BuildFunc: patch the serving graph,
-// preprocess it from scratch under the same Options (NewEngine's eager
-// build), stamp the epoch, swap. Building from the *serving* engine's
-// graph is correct because generations are serialized: the serving graph
-// always reflects every previously published generation.
+// rebuild is the coordinator's BuildFunc: patch the serving graph, ready
+// a fresh engine on it under the same Options (backend.baseEntry: the
+// simulator builds the base hopset from scratch, the host builds nothing
+// until a detection needs H), stamp the epoch, swap. Patching the
+// *serving* engine's graph is correct because generations are
+// serialized: the serving graph always reflects every previously
+// published generation, and the fresh engine shares no artifact with it.
 func (d *DynamicEngine) rebuild(ctx context.Context, epoch uint64, ups []dynamic.Update) error {
 	start := time.Now()
 	base := d.cur.Load()
@@ -119,7 +123,7 @@ func (d *DynamicEngine) rebuild(ctx context.Context, epoch uint64, ups []dynamic
 	// copying it once more, and d.opts are the serving engine's prepared
 	// Options.
 	eng2 := adoptEngine(g2, d.opts)
-	if _, err := eng2.artifact(ctx, eng2.baseKey()); err != nil {
+	if _, err := eng2.exec.baseEntry(ctx); err != nil {
 		metRebuildErrors.Inc()
 		return err
 	}

@@ -3,12 +3,17 @@ package ccsp
 import (
 	"bytes"
 	"context"
-	"fmt"
+	"errors"
+	"math"
+	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/congestedclique/ccsp/api"
+	"github.com/congestedclique/ccsp/internal/graphgen"
 )
 
 // allKindRequests is one request per api kind (plus the apsp3 variant),
@@ -44,18 +49,32 @@ func edgeSet(gr *Graph) map[[2]int]int64 {
 // mutation subsystem: after a batch of inserts, reweights and deletes,
 // a DynamicEngine answers every query kind identically - results AND
 // stats - to a cold engine built from scratch on the final graph. Both
-// execution modes.
+// execution modes, and on the host a family whose detections certify and
+// one whose detections abort (grid 32×32: hop depth 62 against β = 40),
+// where the rebuilt engine builds its base hopset at the first fallback
+// and a G ∪ H of the previous generation would answer the old graph. The
+// simulator rebuilds its base hopset eagerly; the host builds none until
+// a detection aborts.
 func TestDynamicDifferentialAllKinds(t *testing.T) {
 	ups := []EdgeUpdate{
 		{U: 0, V: 1, W: 3},   // reweight (the spanning edge {1,0} always exists)
 		{U: 2, V: 9, W: 7},   // insert-or-reweight
 		{U: 4, V: 11, W: -1}, // delete (maybe a no-op)
 	}
-	for _, exec := range []Execution{ExecSimulated, ExecDirect} {
-		t.Run(fmt.Sprint(exec), func(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		exec      Execution
+		gr        *Graph
+		fallsBack bool
+	}{
+		{"simulated", ExecSimulated, testGraph(16, 16, 9, 3), false},
+		{"direct", ExecDirect, testGraph(16, 16, 9, 3), false},
+		{"direct-grid=32x32", ExecDirect, &Graph{g: graphgen.Grid(32, 32, graphgen.Weights{Max: 10}, 1024+17)}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			ctx := context.Background()
-			gr := testGraph(16, 16, 9, 3)
-			opts := Options{Epsilon: 0.5, Execution: exec}
+			gr, n := tc.gr, tc.gr.N()
+			opts := Options{Epsilon: 0.5, Execution: tc.exec}
 			eng, err := NewEngine(ctx, gr, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -68,6 +87,23 @@ func TestDynamicDifferentialAllKinds(t *testing.T) {
 			}
 			if epoch != 1 || dyn.Epoch() != 1 {
 				t.Fatalf("epoch = %d (Epoch() %d), want 1", epoch, dyn.Epoch())
+			}
+			eager := 0
+			if tc.exec == ExecSimulated {
+				eager = 1
+			}
+			if got := len(dyn.Engine().PreprocessStats().Builds); got != eager {
+				t.Fatalf("the rebuild published %d builds, want %d", got, eager)
+			}
+			if _, err := dyn.Engine().MSSP(ctx, []int{2, 5}); err != nil {
+				t.Fatal(err)
+			}
+			builds := dyn.Engine().PreprocessStats().Builds
+			if tc.fallsBack {
+				eager = 1
+			}
+			if len(builds) != eager || eager == 1 && builds[0].Kind != "hopset" {
+				t.Fatalf("after the first detection: builds %+v, want %d of the base hopset", builds, eager)
 			}
 
 			// Expected final graph: the update semantics replayed by hand
@@ -84,7 +120,7 @@ func TestDynamicDifferentialAllKinds(t *testing.T) {
 					edges[key] = u.W
 				}
 			}
-			final := NewGraph(16)
+			final := NewGraph(n)
 			for key, w := range edges {
 				final.MustAddEdge(key[0], key[1], w)
 			}
@@ -273,4 +309,146 @@ func TestSnapshotEpochRoundTrip(t *testing.T) {
 	if epoch != 4 {
 		t.Fatalf("resumed sequence published at %d, want 4", epoch)
 	}
+}
+
+// cancelAtPoll is a context canceled at its k-th Err call, Done channel
+// and all, so that a query waiting on a build it started sees the cancel
+// as a waiter would.
+type cancelAtPoll struct {
+	context.Context
+	cancel context.CancelFunc
+	k      int64
+	calls  atomic.Int64
+}
+
+func newCancelAtPoll(k int64) *cancelAtPoll {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &cancelAtPoll{Context: ctx, cancel: cancel, k: k}
+}
+
+func (c *cancelAtPoll) Err() error {
+	if c.calls.Add(1) >= c.k {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestDynamicLazyFallbackConcurrent: on a direct DynamicEngine over a grid
+// whose detections abort (hop depth 50 against β = 32), readers race each
+// rebuilt engine's first fallbacks - the builds of its base hopset - while
+// a writer publishes generations, and every other reader query is canceled
+// at a random poll: in the certified searches, mid-build or in the panel.
+// A canceled query returns ErrCanceled; every answer equals a cold
+// engine's on the graph of the epoch that served it, so a canceled build
+// was neither cached nor handed to a live waiter; and a served engine
+// holds the base hopset once. Run under -race.
+func TestDynamicLazyFallbackConcurrent(t *testing.T) {
+	ctx := context.Background()
+	gr := &Graph{g: graphgen.Grid(4, 48, graphgen.Weights{Max: 9}, 11)}
+	n := gr.N()
+	opts := Options{Epsilon: 0.5, Execution: ExecDirect, Workers: 2}
+	sources := []int{0, n - 1}
+	ask := func(ctx context.Context, e *Engine) ([][]int64, error) {
+		res, err := e.MSSP(ctx, sources)
+		if err != nil {
+			return nil, err
+		}
+		return res.Dist, nil
+	}
+
+	// full is the polls of one fallback that builds the base hopset.
+	lazy, err := newEngine(gr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := newCancelAtPoll(math.MaxInt64)
+	if _, err := ask(probe, lazy); err != nil {
+		t.Fatal(err)
+	}
+	if len(lazy.PreprocessStats().Builds) != 1 {
+		t.Fatal("the probe did not fall back to the base hopset")
+	}
+	full := probe.calls.Load()
+
+	eng, err := NewEngine(ctx, gr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyn := NewDynamicEngine(eng)
+	defer dyn.Close()
+
+	type served struct {
+		eng  *Engine
+		dist [][]int64
+	}
+	var byEpoch sync.Map // epoch -> served, first answer wins
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				e := dyn.Engine()
+				qctx := context.Context(ctx)
+				if i%2 == 1 {
+					qctx = newCancelAtPoll(1 + rng.Int63n(full))
+				}
+				dist, err := ask(qctx, e)
+				if err != nil {
+					if qctx == ctx || !errors.Is(err, ErrCanceled) {
+						t.Errorf("epoch %d: %v", e.Epoch(), err)
+						return
+					}
+					continue
+				}
+				got, _ := byEpoch.LoadOrStore(e.Epoch(), served{e, dist})
+				if !reflect.DeepEqual(got.(served).dist, dist) {
+					t.Errorf("epoch %d answered inconsistently", e.Epoch())
+					return
+				}
+			}
+		}()
+	}
+
+	const generations = 6
+	for i := 0; i < generations; i++ {
+		epoch, err := dyn.Update(ctx, []EdgeUpdate{{U: 0, V: 1, W: int64(2 + i)}, {U: n - 2, V: n - 1, W: int64(9 - i)}})
+		if err != nil {
+			t.Fatalf("generation %d: %v", i, err)
+		}
+		for !t.Failed() {
+			if _, ok := byEpoch.Load(epoch); ok {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	close(done)
+	wg.Wait()
+
+	byEpoch.Range(func(epoch, v any) bool {
+		s := v.(served)
+		cold, err := NewEngine(ctx, s.eng.Graph(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ask(ctx, cold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(s.dist, want) {
+			t.Errorf("epoch %d: the rebuilt engine's answer differs from a cold engine's", epoch)
+		}
+		if builds := s.eng.PreprocessStats().Builds; len(builds) != 1 {
+			t.Errorf("epoch %d: %d builds, want the base hopset once", epoch, len(builds))
+		}
+		return true
+	})
 }

@@ -73,8 +73,9 @@ type Engine struct {
 // Preprocessed is the cache of reusable preprocessing artifacts - per-node
 // hopset rows, hitting-set membership and PV/DPV pivots, all host-side
 // data - keyed by hopset parameterization. Artifacts are built lazily on
-// first need (NewEngine builds the base one eagerly) and are immutable
-// afterwards. Only completed builds enter arts; an in-flight build is a
+// first need (NewEngine builds the base one eagerly; on the host a
+// DynamicEngine rebuild leaves it to the first detection whose certified
+// searches abort) and are immutable afterwards. Only completed builds enter arts; an in-flight build is a
 // buildCall that concurrent queries wait on (cancelably), and a failed or
 // canceled build vanishes without poisoning the cache.
 type Preprocessed struct {
@@ -174,6 +175,10 @@ func newEngine(gr *Graph, opts Options) (*Engine, error) {
 // patched copy, a decoded snapshot's graph - and prepared opts: the
 // engine takes g over as it is, without the defensive copy.
 func adoptEngine(g *graph.Graph, opts Options) *Engine {
+	beta, err := opts.hopsetParams().Beta(g.N)
+	if err != nil {
+		panic(err) // prepared opts have ε in (0, 1]
+	}
 	gr := &Graph{g: g}
 	e := &Engine{
 		gr:   gr,
@@ -182,8 +187,9 @@ func adoptEngine(g *graph.Graph, opts Options) *Engine {
 			arts:     make(map[artifactKey]*artifactEntry),
 			inflight: make(map[artifactKey]*buildCall),
 		},
-		exec: &backend{g: gr.g, opts: opts},
+		exec: &backend{g: gr.g, opts: opts, beta: beta},
 	}
+	e.exec.base = func(ctx context.Context) (*artifactEntry, error) { return e.artifact(ctx, e.baseKey()) }
 	return e
 }
 
@@ -259,7 +265,12 @@ func (e *Engine) build(ctx context.Context, key artifactKey, call *buildCall) {
 		delete(e.pre.inflight, key)
 		if call.err == nil {
 			e.pre.arts[key] = call.ent
-			e.pre.order = append(e.pre.order, key)
+			if key == e.baseKey() {
+				// First, as on an engine whose NewEngine built it.
+				e.pre.order = slices.Insert(e.pre.order, 0, key)
+			} else {
+				e.pre.order = append(e.pre.order, key)
+			}
 			observeBuild(start)
 		}
 		e.pre.mu.Unlock()
@@ -320,7 +331,8 @@ type ArtifactBuild struct {
 // far gives exactly what the corresponding one-shot calls would have
 // reported.
 type PreprocessStats struct {
-	// Builds lists each artifact construction, in completion order.
+	// Builds lists each artifact construction: the base hopset first,
+	// however late a lazy engine built it, then in completion order.
 	Builds []ArtifactBuild
 	// Total is the merged cost of all builds.
 	Total Stats
@@ -403,8 +415,10 @@ func sourceSet(n int, sources []int) ([]bool, error) {
 
 // MSSP answers a (1+ε)-approximate multi-source query (Theorem 3) from
 // the cached hopset: one β-hop source detection on G ∪ H, no hopset
-// construction. Safe to call concurrently; canceling ctx aborts the query
-// run at its next barrier.
+// construction - but for the first detection on a DynamicEngine's rebuilt
+// host engine that does not certify from G alone, which builds the base
+// hopset (DESIGN.md §16). Safe to call concurrently; canceling ctx aborts
+// the query run at its next barrier.
 func (e *Engine) MSSP(ctx context.Context, sources []int) (*MSSPResult, error) {
 	res, err := e.mssp(ctx, sources, nil)
 	if err != nil {
@@ -456,11 +470,7 @@ func (e *Engine) distance(ctx context.Context, from, to int) (int64, Stats, erro
 // memberships on return.
 func (e *Engine) detect(ctx context.Context, inS []bool) ([]int64, Stats, error) {
 	defer memberships.Put(inS)
-	ent, err := e.artifact(ctx, e.baseKey())
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	plane, stats, err := e.exec.mssp(ctx, ent, inS)
+	plane, stats, err := e.exec.mssp(ctx, inS)
 	if err != nil {
 		return nil, Stats{}, wrapRun("MSSP", err)
 	}
@@ -584,11 +594,7 @@ func (e *Engine) apsp(ctx context.Context, v api.APSPVariant, l *lent) (*APSPRes
 // Diameter answers a near-3/2 diameter query (§7.2) from the cached base
 // hopset: both MSSP stages reuse it.
 func (e *Engine) Diameter(ctx context.Context) (*DiameterResult, error) {
-	ent, err := e.artifact(ctx, e.baseKey())
-	if err != nil {
-		return nil, err
-	}
-	est, stats, err := e.exec.diameter(ctx, ent)
+	est, stats, err := e.exec.diameter(ctx)
 	if err != nil {
 		return nil, wrapRun("diameter", err)
 	}

@@ -24,16 +24,24 @@ import (
 // written once over clique.Clique, and the backend hands it the clique
 // Options.Execution names: a clique.Sim, whose Stats are its runs' rounds
 // and messages, or a clique.Direct on the host kernels, timed as one call
-// with no rounds or messages. Only build and attach have a body per mode;
-// the other methods differ by mode in the clique alone. A method returns
-// the kind's intermediate rows - the same values on either clique, which
-// the differential oracle (direct_test.go, FuzzDirectVsSimulated) pins
-// byte for byte - plus the run's Stats. Errors come back raw (cc or context
-// sentinels); validation, artifact lookup, result shaping and the wrap
-// into the public error taxonomy live once, in the Engine methods.
+// with no rounds or messages. Only build, attach and baseEntry have a
+// body per mode; the other methods differ by mode in the clique alone. A
+// method returns the kind's intermediate rows - the same values on either
+// clique, which the differential oracle (direct_test.go,
+// FuzzDirectVsSimulated) pins byte for byte - plus the run's Stats. Errors
+// come back raw (cc or context sentinels), but for the base entry's build,
+// which comes back as Engine.artifact wraps it; validation, artifact
+// lookup, result shaping and the wrap into the public error taxonomy live
+// once, in the Engine methods.
 type backend struct {
 	g    *graph.Graph
 	opts Options
+	// base resolves the engine's base entry (Engine.artifact at baseKey),
+	// building it on first need, and beta is its hop bound, derived from
+	// the params alone (hopset.Params.Beta), so that a host detection over
+	// G needs no entry until its certified searches abort.
+	base func(ctx context.Context) (*artifactEntry, error)
+	beta int
 
 	// The weight matrix, the semiring sized for it and the routed (first-hop
 	// witness) weight matrix are built once on first use and immutable
@@ -173,6 +181,31 @@ func direct[T any](ctx context.Context, b *backend, kernel func() (T, error)) (T
 	return out, Stats{Nodes: b.g.N, Exec: ExecDirect, kernelTime: time.Since(start)}, err
 }
 
+// baseEntry is the entry a detection on the base hopset (mssp, distance,
+// diameter) runs on, which a DynamicEngine's rebuild readies before it
+// publishes: on the simulator the base entry, built now if need be,
+// because its rounds are the point; on the host nil, as directOn detects
+// over G and resolves G ∪ H only when the certified searches abort, so
+// the first such detection builds it (DESIGN.md §16).
+func (b *backend) baseEntry(ctx context.Context) (*artifactEntry, error) {
+	if b.opts.Execution == ExecDirect {
+		return nil, nil
+	}
+	return b.base(ctx)
+}
+
+// Resolve is the base entry's G ∪ H (mssp.GH), resolved under the ctx of
+// the detection whose certified searches aborted: Engine.artifact's rules
+// hold, so that a waiter's cancel leaves only that waiter and a canceled
+// build is taken over by a live one.
+func (b *backend) Resolve(ctx context.Context) (*matrix.Mat[semiring.WH], error) {
+	ent, err := b.base(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return ent.gh, nil
+}
+
 // simOn is the simulated clique on ent's base, MSSP running over its
 // hopset, or on G alone if ent is nil.
 func (b *backend) simOn(ctx context.Context, ent *artifactEntry) *clique.Sim {
@@ -183,15 +216,16 @@ func (b *backend) simOn(ctx context.Context, ent *artifactEntry) *clique.Sim {
 	return clique.NewSim(ctx, b.opts.config(b.g.N), sr, ent.base, ent.art)
 }
 
-// directOn is the host clique on ent's base, detecting over its G ∪ H, or
-// on G alone if ent is nil; a value, so that a served query's stays off
-// the heap.
+// directOn is the host clique on ent's base, detecting over its G ∪ H, or,
+// if ent is nil, on G, detecting over the base entry's G ∪ H, which only
+// an aborted certified search resolves (Resolve); a value, so that a
+// served query's stays off the heap.
 func (b *backend) directOn(ctx context.Context, ent *artifactEntry) clique.Direct {
 	w, sr := b.weights()
-	var gh *matrix.Mat[semiring.WH]
-	beta := 0
+	var gh mssp.GH = b
+	beta := b.beta
 	if ent != nil {
-		w, gh, beta = ent.base, ent.gh, ent.art.Beta
+		w, gh, beta = ent.base, mssp.Built{M: ent.gh}, ent.art.Beta
 	}
 	c := clique.NewDirect(ctx, sr, w, gh, beta, b.opts.Workers)
 	c.Served = b.served
@@ -226,16 +260,20 @@ func on[T any](ctx context.Context, b *backend, ent, lowEnt *artifactEntry, f fu
 	})
 }
 
-// mssp answers the β-hop source detection on G ∪ H (Theorem 3): the flat
-// row-major n×|S| plane, cell v·|S|+j holding d̃(v,s) for the j-th source s
-// in ascending order, Unreachable where s does not reach v. The host
-// computes it by one search per source over G wherever the hop certificate
-// proves it the same plane (mssp.RunDirect), and hands back the kernel's
-// own plane: its rest state semiring.Inf is Unreachable, so no cell is
-// copied. The caller owns the plane: Engine.MSSP serves it under row
-// headers, Engine.distance reads one cell and releases it (DESIGN.md §13,
-// "the result path").
-func (b *backend) mssp(ctx context.Context, ent *artifactEntry, inS []bool) ([]int64, Stats, error) {
+// mssp answers the β-hop source detection on G ∪ H of the base hopset
+// (Theorem 3): the flat row-major n×|S| plane, cell v·|S|+j holding
+// d̃(v,s) for the j-th source s in ascending order, Unreachable where s
+// does not reach v. The host computes it by one search per source over G
+// wherever the hop certificate proves it the same plane (mssp.RunDirect),
+// and hands back the kernel's own plane: its rest state semiring.Inf is
+// Unreachable, so no cell is copied. The caller owns the plane:
+// Engine.MSSP serves it under row headers, Engine.distance reads one cell
+// and releases it (DESIGN.md §13, "the result path").
+func (b *backend) mssp(ctx context.Context, inS []bool) ([]int64, Stats, error) {
+	ent, err := b.baseEntry(ctx)
+	if err != nil {
+		return nil, Stats{}, err
+	}
 	if b.opts.Execution == ExecSimulated {
 		c := b.simOn(ctx, ent)
 		plane, err := c.MSSP(inS)
@@ -310,7 +348,11 @@ func (b *backend) apsp(ctx context.Context, v api.APSPVariant, entG, entLow *art
 }
 
 // diameter returns the §7.2 estimate from the base hopset.
-func (b *backend) diameter(ctx context.Context, ent *artifactEntry) (int64, Stats, error) {
+func (b *backend) diameter(ctx context.Context) (int64, Stats, error) {
+	ent, err := b.baseEntry(ctx)
+	if err != nil {
+		return 0, Stats{}, err
+	}
 	return on(ctx, b, ent, nil, func(c, _ clique.Clique) (int64, error) {
 		return diameter.Approx(c)
 	})

@@ -19,6 +19,7 @@ import (
 	"github.com/congestedclique/ccsp/internal/hitting"
 	"github.com/congestedclique/ccsp/internal/hopset"
 	"github.com/congestedclique/ccsp/internal/matrix"
+	"github.com/congestedclique/ccsp/internal/mssp"
 	"github.com/congestedclique/ccsp/internal/semiring"
 )
 
@@ -97,7 +98,7 @@ func weighted(c clique.Clique, w *matrix.Mat[semiring.WH], through bool) ([]int6
 // TwoPlusEpsWeightedDirect is TwoPlusEpsWeighted on the host clique, gh
 // and beta an artifact's G ∪ H and hopbound.
 func TwoPlusEpsWeightedDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh *matrix.Mat[semiring.WH], beta, workers int) ([]int64, error) {
-	return TwoPlusEpsWeighted(clique.NewDirect(ctx, sr, w, gh, beta, workers), w)
+	return TwoPlusEpsWeighted(clique.NewDirect(ctx, sr, w, mssp.Built{M: gh}, beta, workers), w)
 }
 
 // newTable returns the estimate table holding line (1)'s edge estimates,

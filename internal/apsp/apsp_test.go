@@ -112,8 +112,8 @@ func run(t *testing.T, g *graph.Graph, eps float64, hp hopset.Params, q query) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := q(clique.NewDirect(ctx, sr, w, mssp.MergeGH(sr, w, art), art.Beta, 0), w,
-		clique.NewDirect(ctx, sr, wLow, mssp.MergeGH(sr, wLow, artLow), artLow.Beta, 0))
+	direct, err := q(clique.NewDirect(ctx, sr, w, mssp.Built{M: mssp.MergeGH(sr, w, art)}, art.Beta, 0), w,
+		clique.NewDirect(ctx, sr, wLow, mssp.Built{M: mssp.MergeGH(sr, wLow, artLow)}, artLow.Beta, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,8 +86,7 @@ func minPlus(sr semiring.AugMinPlus) semiring.MinPlus {
 	return semiring.NewMinPlus(sr.MaxW + 1)
 }
 
-// routedOf is the witness-tracking semiring bounded as sr is, which is
-// Graph.RoutedSemiring when sr is Graph.AugSemiring.
+// routedOf is the witness-tracking semiring bounded as sr is.
 func routedOf(sr semiring.AugMinPlus) semiring.RoutedMinPlus {
 	return semiring.NewRoutedMinPlus(sr.MaxW, sr.MaxH)
 }
@@ -346,7 +345,8 @@ func (s *Sim) send(out [][]cc.Packet, send func(*cc.Node, []cc.Packet) []cc.Msg)
 type Direct struct {
 	ctx      context.Context
 	sr       semiring.AugMinPlus
-	w, gh    *matrix.Mat[semiring.WH]
+	w        *matrix.Mat[semiring.WH]
+	gh       mssp.GH
 	beta, wk int
 	// Served, when set, hears each detection's graph, β and sources, and
 	// whether the certified searches served it (a hook for tests).
@@ -354,10 +354,11 @@ type Direct struct {
 }
 
 // NewDirect returns the host clique on the graph whose augmented weight
-// matrix is w, MSSP detecting beta-hop distances over gh, an artifact's
-// G ∪ H (nil and 0 for none). The kernels poll ctx and start at most
-// workers goroutines a pass (<= 0 means GOMAXPROCS).
-func NewDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh *matrix.Mat[semiring.WH], beta, workers int) *Direct {
+// matrix is w, MSSP detecting beta-hop distances over the G ∪ H of an
+// artifact of hop bound beta, which gh resolves only for a detection whose
+// certified searches abort (nil and 0 for none). The kernels poll ctx and
+// start at most workers goroutines a pass (<= 0 means GOMAXPROCS).
+func NewDirect(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], gh mssp.GH, beta, workers int) *Direct {
 	return &Direct{ctx: ctx, sr: sr, w: w, gh: gh, beta: beta, wk: workers}
 }
 
@@ -379,7 +380,8 @@ func (d *Direct) Hit(rows []matrix.Row[semiring.WH]) ([]bool, error) {
 	return hitting.GreedyRows(d.w.N, rows), nil
 }
 
-// MSSP detects by mssp.RunDirect: the certified searches, else the panel.
+// MSSP detects by mssp.RunDirect: the certified searches, else the panel
+// over the G ∪ H gh resolves.
 func (d *Direct) MSSP(inS []bool) ([]int64, error) {
 	plane, certified, err := mssp.RunDirect(d.ctx, d.sr, d.w, d.gh, d.beta, inS, d.wk)
 	if err == nil && d.Served != nil {

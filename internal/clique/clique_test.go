@@ -38,7 +38,7 @@ func cliques(t *testing.T) (*Sim, *Direct, *graph.Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewSim(ctx, cc.Config{N: g.N}, sr, w, art), NewDirect(ctx, sr, w, mssp.MergeGH(sr, w, art), art.Beta, 0), g
+	return NewSim(ctx, cc.Config{N: g.N}, sr, w, art), NewDirect(ctx, sr, w, mssp.Built{M: mssp.MergeGH(sr, w, art)}, art.Beta, 0), g
 }
 
 // TestSimMatchesDirect: every primitive answers the same on both

@@ -68,7 +68,7 @@ func runDiameter(t *testing.T, g *graph.Graph, eps float64) int64 {
 	if err != nil {
 		t.Fatalf("diameter failed: %v", err)
 	}
-	direct, err := Approx(clique.NewDirect(ctx, sr, w, mssp.MergeGH(sr, w, art), art.Beta, 0))
+	direct, err := Approx(clique.NewDirect(ctx, sr, w, mssp.Built{M: mssp.MergeGH(sr, w, art)}, art.Beta, 0))
 	if err != nil {
 		t.Fatalf("direct diameter failed: %v", err)
 	}

@@ -23,7 +23,7 @@ func BenchmarkKNearestAll(b *testing.B) {
 	g := graphgen.Connected(n, 3*n, graphgen.Weights{Max: 10}, int64(n)+17)
 	b.Run("WH/k=321", func(b *testing.B) { benchKNearestAll[semiring.WH](b, g.AugSemiring(), g.WeightMatrix(), 321) })
 	b.Run("WH/k=32", func(b *testing.B) { benchKNearestAll[semiring.WH](b, g.AugSemiring(), g.WeightMatrix(), 32) })
-	b.Run("WHF/k=8", func(b *testing.B) { benchKNearestAll[semiring.WHF](b, g.RoutedSemiring(), routedMatrix(g), 8) })
+	b.Run("WHF/k=8", func(b *testing.B) { benchKNearestAll[semiring.WHF](b, routedSemiring(g), routedMatrix(g), 8) })
 }
 
 func benchKNearestAll[E any](b *testing.B, sr semiring.Ordered[E], w *matrix.Mat[E], k int) {

@@ -13,6 +13,7 @@ import (
 var (
 	FixpointGraphs = fixpointGraphs
 	RoutedMatrix   = routedMatrix
+	RoutedSemiring = routedSemiring
 )
 
 func KNearestAllRef[E any](sr semiring.Ordered[E], w *matrix.Mat[E], k int) *matrix.Mat[E] {

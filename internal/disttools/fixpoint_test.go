@@ -116,6 +116,13 @@ func maxWeightStar(n int) *graph.Graph {
 	return g
 }
 
+// routedSemiring is the witness-tracking semiring sized for g (§3.1,
+// recovering paths), bounded as g.AugSemiring() is.
+func routedSemiring(g *graph.Graph) semiring.RoutedMinPlus {
+	sr := g.AugSemiring()
+	return semiring.NewRoutedMinPlus(sr.MaxW, sr.MaxH)
+}
+
 // routedMatrix is the routed (first-hop witness) weight matrix of g.
 func routedMatrix(g *graph.Graph) *matrix.Mat[semiring.WHF] {
 	m := matrix.New[semiring.WHF](g.N)
@@ -300,11 +307,11 @@ func FuzzKNearest(f *testing.F) {
 				t.Fatal(err)
 			}
 			sameRanks(t, fmt.Sprintf("ranks k=%d workers=%d", kk, workers), g.AugSemiring(), cols, ranks, got, knearestAllRef[semiring.WH](g.AugSemiring(), w, size))
-			gotR, err := KNearestAll(context.Background(), g.RoutedSemiring(), wr, kk, workers)
+			gotR, err := KNearestAll(context.Background(), routedSemiring(g), wr, kk, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameRows(t, fmt.Sprintf("WHF k=%d workers=%d", kk, workers), gotR, knearestAllRef[semiring.WHF](g.RoutedSemiring(), wr, kk))
+			sameRows(t, fmt.Sprintf("WHF k=%d workers=%d", kk, workers), gotR, knearestAllRef[semiring.WHF](routedSemiring(g), wr, kk))
 		}
 	})
 }

@@ -63,9 +63,9 @@ func checkKNearest[E comparable](t *testing.T, name string, sr semiring.Ordered[
 func TestKNearestAllFixpointEquivalence(t *testing.T) {
 	for name, g := range disttools.FixpointGraphs() {
 		checkKNearest[semiring.WH](t, name+"/WH", g.AugSemiring(), g.WeightMatrix())
-		checkKNearest[semiring.WHF](t, name+"/WHF", g.RoutedSemiring(), disttools.RoutedMatrix(g))
+		checkKNearest[semiring.WHF](t, name+"/WHF", disttools.RoutedSemiring(g), disttools.RoutedMatrix(g))
 		low := lowDegree(g)
 		checkKNearest[semiring.WH](t, name+"/G'/WH", g.AugSemiring(), low)
-		checkKNearest[semiring.WHF](t, name+"/G'/WHF", g.RoutedSemiring(), routed(low))
+		checkKNearest[semiring.WHF](t, name+"/G'/WHF", disttools.RoutedSemiring(g), routed(low))
 	}
 }

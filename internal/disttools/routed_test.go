@@ -13,7 +13,7 @@ import (
 // over the routed semiring yields first hops that walk shortest paths.
 func TestKNearestRoutedWitnesses(t *testing.T) {
 	g := randGraph(20, 24, 10, 11)
-	sr := g.RoutedSemiring()
+	sr := routedSemiring(g)
 	k := 8
 	rows := make([]matrix.Row[semiring.WHF], g.N)
 	_, err := cc.Run(context.Background(), cc.Config{N: g.N}, func(nd *cc.Node) error {
@@ -61,7 +61,7 @@ func TestKNearestRoutedWitnesses(t *testing.T) {
 // full shortest path.
 func TestRoutedFullClosureWalk(t *testing.T) {
 	g := randGraph(16, 18, 6, 13)
-	sr := g.RoutedSemiring()
+	sr := routedSemiring(g)
 	rows := make([]matrix.Row[semiring.WHF], g.N)
 	_, err := cc.Run(context.Background(), cc.Config{N: g.N}, func(nd *cc.Node) error {
 		// k = n: full closure with witnesses.

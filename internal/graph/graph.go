@@ -152,12 +152,6 @@ func (g *Graph) WeightRow(v int) matrix.Row[semiring.WH] {
 	return out
 }
 
-// RoutedSemiring returns the witness-tracking semiring sized for this
-// graph (§3.1, recovering paths).
-func (g *Graph) RoutedSemiring() semiring.RoutedMinPlus {
-	return semiring.NewRoutedMinPlus(int64(g.N)*g.MaxW()+1, int64(g.N)+1)
-}
-
 // WeightRowRouted returns row v of the routed weight matrix: like
 // WeightRow, but every edge entry carries its first hop as witness, so
 // distance products produce routing tables (§3.1).

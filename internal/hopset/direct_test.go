@@ -513,7 +513,8 @@ func TestBuildDirectFromSiblingMatchesCold(t *testing.T) {
 // presets (Paper runs the level loop at d = n, Practical well below it)
 // and with a hop cap that makes each level build on the last, serial and
 // pooled, across weighted, unit-weight, tree, path and
-// disconnected graphs.
+// disconnected graphs. Its β is the one Params.Beta derives before any
+// build.
 func TestBuildDirectMatchesUnrestrictedReference(t *testing.T) {
 	graphs, presets := buildCases()
 	for gname, g := range graphs {
@@ -522,6 +523,9 @@ func TestBuildDirectMatchesUnrestrictedReference(t *testing.T) {
 			want, err := buildDirectRef(context.Background(), sr, w, p, 1)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if beta, err := p.Beta(w.N); err != nil || beta != want.Beta {
+				t.Errorf("%s/%s: Params.Beta = %d (%v), the build wrote %d", gname, pname, beta, err, want.Beta)
 			}
 			for _, workers := range []int{1, 0} {
 				got, err := BuildDirect(context.Background(), sr, w, p, workers)

@@ -92,6 +92,13 @@ func (p Params) shape(n int) (shape, error) {
 	return shape{k: k, levels: levels, beta: beta, d: max(min(4*beta, hopCap), 1)}, nil
 }
 
+// Beta is the hop bound β every build at p writes on n nodes
+// (Artifact.Beta), known before any build runs.
+func (p Params) Beta(n int) (int, error) {
+	sh, err := p.shape(n)
+	return sh.beta, err
+}
+
 // Check reports an artifact whose K or Beta is not what p derives to on
 // its N, as every build at p writes them.
 func (p Params) Check(a *Artifact) error {

@@ -212,6 +212,9 @@ func TestBuildRejectsBadEps(t *testing.T) {
 	if err == nil {
 		t.Fatal("want error for eps=0")
 	}
+	if _, err := (Params{Eps: 0}).Beta(g.N); err == nil {
+		t.Fatal("Params.Beta: want error for eps=0")
+	}
 }
 
 // TestArtifactRoundTrip: Collect followed by At must reproduce every

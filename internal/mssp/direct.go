@@ -81,26 +81,44 @@ func RunDirectPanel(ctx context.Context, gh *matrix.Mat[semiring.WH], beta int, 
 	return p, nil
 }
 
+// GH hands a detection the G ∪ H matrix (hopset.OverlayRow's layout) it
+// falls back to when its certified searches abort. RunDirect asks for it
+// only then, under its own ctx, so a resolver may build H on that first
+// call (DESIGN.md §13, "One copy of G ∪ H").
+type GH interface {
+	Resolve(ctx context.Context) (*matrix.Mat[semiring.WH], error)
+}
+
+// Built is a GH already at hand.
+type Built struct{ M *matrix.Mat[semiring.WH] }
+
+func (b Built) Resolve(context.Context) (*matrix.Mat[semiring.WH], error) { return b.M, nil }
+
 // RunDirect is RunDirectPanel's plane as the engine serves it (DESIGN.md
 // §13, "certified cells"), answered by one lexicographic search per source
-// over w, the weight matrix of the G that gh is G ∪ H of, wherever that is
-// provably the same plane. The certificate lemma: no H edge weighs less
-// than d_G between its endpoints, so d^β_{G∪H} >= d_G; G ⊆ G ∪ H, so where
-// G has a shortest v–s path of h <= β hops, d^β_{G∪H}(v, s) <= d_G(v, s).
-// So a search that settles every node it reaches at a least (W, H) of at
-// most min(β, n) hops has computed the β-hop detection's plane, and
-// certified reports that it served it. The first node settled past that
-// bound stops the searches, and RunDirectPanel computes the whole plane
-// instead. The plane belongs to the caller either way.
-func RunDirect(ctx context.Context, sr semiring.AugMinPlus, w, gh *matrix.Mat[semiring.WH], beta int, inS []bool, workers int) (plane []int64, certified bool, err error) {
-	plane, err = disttools.CertifiedPlane(ctx, sr, w, inS, max(min(beta, gh.N), 1), workers)
+// over w, the weight matrix of the G that gh resolves G ∪ H of, wherever
+// that is provably the same plane. The certificate lemma: no H edge weighs
+// less than d_G between its endpoints, so d^β_{G∪H} >= d_G; G ⊆ G ∪ H, so
+// where G has a shortest v–s path of h <= β hops, d^β_{G∪H}(v, s) <=
+// d_G(v, s). So a search that settles every node it reaches at a least
+// (W, H) of at most min(β, n) hops has computed the β-hop detection's
+// plane, and certified reports that it served it: H is never read. The
+// first node settled past that bound stops the searches, and
+// RunDirectPanel computes the whole plane over what gh resolves, its error
+// returned as it is. The plane belongs to the caller either way.
+func RunDirect(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], gh GH, beta int, inS []bool, workers int) (plane []int64, certified bool, err error) {
+	plane, err = disttools.CertifiedPlane(ctx, sr, w, inS, max(min(beta, w.N), 1), workers)
 	if err != nil {
 		return nil, false, fmt.Errorf("mssp: certified search: %w", err)
 	}
 	if plane != nil {
 		return plane, true, nil
 	}
-	p, err := RunDirectPanel(ctx, gh, beta, inS, workers)
+	m, err := gh.Resolve(ctx)
+	if err != nil {
+		return nil, false, err
+	}
+	p, err := RunDirectPanel(ctx, m, beta, inS, workers)
 	if err != nil {
 		return nil, false, err
 	}

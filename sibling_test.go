@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"maps"
 	"math"
 	"reflect"
@@ -46,7 +47,8 @@ func derivedFrom(e *Engine, key, from artifactKey) bool {
 
 // TestDirectSiblingBuildBothOrders: per APSP variant, a direct engine that
 // builds ε then derives ε/2 (NewEngine, then APSP), one that builds ε/2
-// cold then derives ε (a lazy engine asked APSP, then MSSP) and one loaded
+// cold then derives ε (a lazy engine asked APSP, then MSSP, which
+// certifies and builds nothing, then Save, which builds ε) and one loaded
 // from a snapshot holding only ε hold artifacts byte-identical to the
 // simulated engine's under every key, answer what it answers, and report
 // each build with its own ε, β and edge count. The low-degree artifact has
@@ -101,6 +103,9 @@ func TestDirectSiblingBuildBothOrders(t *testing.T) {
 							t.Fatal(err)
 						}
 						if _, err := c.eng.MSSP(ctx, []int{0}); err != nil {
+							t.Fatal(err)
+						}
+						if err := c.eng.Save(io.Discard); err != nil {
 							t.Fatal(err)
 						}
 						if !reflect.DeepEqual(res.Dist, dist) {
@@ -214,20 +219,29 @@ func TestDirectSiblingBuildCancel(t *testing.T) {
 	}
 }
 
-// gateCtx holds the first Err call - the direct frame's entry poll, inside
-// the build it governs - until release is closed, so a build can be kept
-// in flight while another starts.
+// gateCtx holds the first Err call made while eng has key's build in
+// flight - the direct frame's entry poll, inside the build it governs -
+// until release is closed, so a build can be kept in flight while another
+// starts. The polls before it pass: a detection's certified searches run
+// before their abort starts the build.
 type gateCtx struct {
 	context.Context
+	eng              *Engine
+	key              artifactKey
 	once             sync.Once
 	entered, release chan struct{}
 }
 
 func (g *gateCtx) Err() error {
-	g.once.Do(func() {
-		close(g.entered)
-		<-g.release
-	})
+	g.eng.pre.mu.Lock()
+	_, building := g.eng.pre.inflight[g.key]
+	g.eng.pre.mu.Unlock()
+	if building {
+		g.once.Do(func() {
+			close(g.entered)
+			<-g.release
+		})
+	}
 	return g.Context.Err()
 }
 
@@ -235,8 +249,9 @@ func (g *gateCtx) Err() error {
 // direct engine build ε and ε/2 in whichever order the scheduler picks -
 // one cold and the other derived, or both cold when neither has completed
 // when the other starts - and the artifacts are byte-identical to cold
-// builds either way. Holding one build in flight forces the both-cold
-// interleaving: a build never waits for its sibling.
+// builds either way. The MSSP builds ε because its detection aborts: on
+// the grid, source 0 has nodes past β hops. Holding one build in flight
+// forces the both-cold interleaving: a build never waits for its sibling.
 func TestEngineSiblingBuildConcurrent(t *testing.T) {
 	ctx := context.Background()
 	gr := twoHubGrid()
@@ -258,6 +273,9 @@ func TestEngineSiblingBuildConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 		maps.Copy(want, encodedArtifacts(eng))
+	}
+	if len(want) != 2 {
+		t.Fatalf("MSSP and APSP built %d artifacts alone, want ε and ε/2", len(want))
 	}
 	check := func(what string, eng *Engine) {
 		t.Helper()
@@ -287,9 +305,10 @@ func TestEngineSiblingBuildConcurrent(t *testing.T) {
 	for _, order := range []struct {
 		name        string
 		held, other func(context.Context, *Engine) error
-	}{{"ε in flight", mssp, apsp}, {"ε/2 in flight", apsp, mssp}} {
+		key         func(*Engine) artifactKey
+	}{{"ε in flight", mssp, apsp, (*Engine).baseKey}, {"ε/2 in flight", apsp, mssp, (*Engine).apspKey}} {
 		eng := lazy()
-		gate := &gateCtx{Context: ctx, entered: make(chan struct{}), release: make(chan struct{})}
+		gate := &gateCtx{Context: ctx, eng: eng, key: order.key(eng), entered: make(chan struct{}), release: make(chan struct{})}
 		held := make(chan error, 1)
 		go func() { held <- order.held(gate, eng) }()
 		<-gate.entered

@@ -17,10 +17,18 @@ import (
 // with results and Stats identical to this engine, reports the same
 // PreprocessStats, and re-Saves to byte-identical output.
 //
-// Save is safe to call concurrently with queries; artifacts whose builds
-// are still in flight are not included (they will be rebuilt lazily by
-// the loaded engine, preserving results).
+// Save first builds the base artifact if the engine has none yet - a
+// DynamicEngine rebuild on the host publishes without it (DESIGN.md §16) -
+// so a snapshot holds it, first, whichever queries ran: what a rebuilt
+// engine writes is what a cold NewEngine on its graph writes.
+//
+// Save is safe to call concurrently with queries; other artifacts whose
+// builds are still in flight are not included (they will be rebuilt
+// lazily by the loaded engine, preserving results).
 func (e *Engine) Save(w io.Writer) error {
+	if _, err := e.artifact(context.Background(), e.baseKey()); err != nil {
+		return err
+	}
 	snap := &snapshot.Snapshot{
 		Graph: e.gr.g,
 		Opts: snapshot.Options{

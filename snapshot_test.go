@@ -531,3 +531,73 @@ func TestEngineSaveDuringFirstQueries(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotLazyRebuildBytes: a direct DynamicEngine rebuild publishes
+// no base hopset, and Save builds it first, so the rebuilt engine's
+// snapshot is a cold NewEngine's on the same graph and epoch, byte for
+// byte: after no query, and after an APSP that built the ε/2 artifacts
+// before it, where the base artifact still leads. Only the builds'
+// wall-clock is cleared before the bytes are compared.
+func TestSnapshotLazyRebuildBytes(t *testing.T) {
+	ctx := context.Background()
+	opts := Options{Epsilon: 0.5, Execution: ExecDirect}
+	for _, tc := range []struct {
+		name   string
+		before func(*Engine) error
+	}{
+		{"no query", func(*Engine) error { return nil }},
+		{"apsp-weighted", func(e *Engine) error { _, err := e.APSPWeighted(ctx); return err }},
+		{"apsp-unweighted", func(e *Engine) error { _, err := e.APSPUnweighted(ctx); return err }},
+	} {
+		eng, err := NewEngine(ctx, testGraph(40, 60, 9, 8), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dyn := NewDynamicEngine(eng)
+		_, err = dyn.Update(ctx, []EdgeUpdate{{U: 0, V: 1, W: 5}, {U: 3, V: 30, W: 2}})
+		dyn.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rebuilt := dyn.Engine()
+		if n := len(rebuilt.PreprocessStats().Builds); n != 0 {
+			t.Fatalf("%s: the rebuild published %d builds, want none", tc.name, n)
+		}
+		cold, err := NewEngine(ctx, rebuilt.Graph(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold.epoch = rebuilt.Epoch()
+		for _, e := range []*Engine{rebuilt, cold} {
+			if err := tc.before(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(savedWithoutWallClock(t, rebuilt), savedWithoutWallClock(t, cold)) {
+			t.Errorf("%s: the rebuilt engine's snapshot differs from a cold engine's", tc.name)
+		}
+	}
+}
+
+// savedWithoutWallClock is e's snapshot with every build's wall-clock
+// (Stats.CollectiveTime) cleared: the one field two builds of an artifact
+// do not share.
+func savedWithoutWallClock(t *testing.T, e *Engine) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := e.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range snap.Artifacts {
+		snap.Artifacts[i].Stats.CollectiveTime = nil
+	}
+	var out bytes.Buffer
+	if err := snap.Encode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
