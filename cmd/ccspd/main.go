@@ -54,10 +54,12 @@
 //
 // -debug-addr starts a second listener (keep it loopback-only) with
 // pprof profiles and the same /metrics page - the public port serves
-// neither profiles nor anything else about the process. SIGINT/SIGTERM
-// during startup aborts a build in flight at its next cancellation poll (a
-// partial -save snapshot is never left behind: the write is temp-file +
-// rename, and an interrupted build never reaches it); during serving it
+// neither profiles nor anything else about the process. A -graph engine
+// is ready at once: the base hopset is built by the first query whose
+// detection falls back to it, or by -save. SIGINT/SIGTERM during startup
+// abandons that -save build (a partial -save snapshot is never left
+// behind: the write is temp-file + rename, and an interrupted build never
+// reaches it); during serving it
 // drains in-flight requests, then cancels whatever is still running after
 // the drain window, and exits cleanly.
 //
@@ -73,6 +75,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -90,7 +93,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(context.Background(), os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "ccspd:", err)
 		os.Exit(1)
 	}
@@ -115,25 +118,28 @@ type source struct {
 	savePath string // non-empty: persist the built engine
 }
 
-func run() error {
+// run is the daemon on the command-line arguments args, until ctx is done
+// or a SIGINT/SIGTERM arrives.
+func run(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("ccspd", flag.ExitOnError)
 	var loads loadList
 	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		graphPath = flag.String("graph", "", "graph file (edge list or DIMACS .gr) to build the default engine from")
-		savePath  = flag.String("save", "", "write the preprocessed engine to this snapshot file after building (with -graph)")
-		graphsDir = flag.String("graphs", "", "directory of NAME.snap snapshots to serve as named graphs")
-		eps       = flag.Float64("eps", 0.5, "approximation parameter ε (ignored with -load: the snapshot pins it)")
-		workers   = flag.Int("workers", 0, "upper bound on the kernels' row-pass goroutines (0 = GOMAXPROCS; ignored with -load: the snapshot pins it)")
-		timeout   = flag.Duration("timeout", 30*time.Second, "per-request query timeout (0 = none)")
-		cacheSize = flag.Int("cache", 128, "response cache capacity in entries (negative = disabled)")
-		maxInFl   = flag.Int("max-inflight", 0, "admission control: max queries executing concurrently (0 = 4×GOMAXPROCS, negative = unlimited)")
-		maxQueue  = flag.Int("max-queue", 0, "admission control: max queries waiting for an execution slot (0 = same as -max-inflight, negative = no queue)")
-		debugAddr = flag.String("debug-addr", "", "optional separate listener for pprof + /metrics, which the serving port never exposes (e.g. 127.0.0.1:6060); off when empty")
+		addr      = fs.String("addr", ":8080", "listen address")
+		graphPath = fs.String("graph", "", "graph file (edge list or DIMACS .gr) to build the default engine from")
+		savePath  = fs.String("save", "", "write the preprocessed engine to this snapshot file after building (with -graph)")
+		graphsDir = fs.String("graphs", "", "directory of NAME.snap snapshots to serve as named graphs")
+		eps       = fs.Float64("eps", 0.5, "approximation parameter ε (ignored with -load: the snapshot pins it)")
+		workers   = fs.Int("workers", 0, "upper bound on the kernels' row-pass goroutines (0 = GOMAXPROCS; ignored with -load: the snapshot pins it)")
+		timeout   = fs.Duration("timeout", 30*time.Second, "per-request query timeout (0 = none)")
+		cacheSize = fs.Int("cache", 128, "response cache capacity in entries (negative = disabled)")
+		maxInFl   = fs.Int("max-inflight", 0, "admission control: max queries executing concurrently (0 = 4×GOMAXPROCS, negative = unlimited)")
+		maxQueue  = fs.Int("max-queue", 0, "admission control: max queries waiting for an execution slot (0 = same as -max-inflight, negative = no queue)")
+		debugAddr = fs.String("debug-addr", "", "optional separate listener for pprof + /metrics, which the serving port never exposes (e.g. 127.0.0.1:6060); off when empty")
 	)
-	flag.Var(&loads, "load", "snapshot to restore: PATH for the default graph, or NAME=PATH for a named graph (repeatable)")
-	flag.Parse()
-	if flag.NArg() != 0 {
-		return fmt.Errorf("unexpected arguments %v (use -graph/-load/-graphs)", flag.Args())
+	fs.Var(&loads, "load", "snapshot to restore: PATH for the default graph, or NAME=PATH for a named graph (repeatable)")
+	fs.Parse(args) //nolint:errcheck // ExitOnError: a bad flag exits 2
+	if fs.NArg() != 0 {
+		return fmt.Errorf("unexpected arguments %v (use -graph/-load/-graphs)", fs.Args())
 	}
 	sources, err := gatherSources(*graphPath, *savePath, loads, *graphsDir)
 	if err != nil {
@@ -141,10 +147,9 @@ func run() error {
 	}
 
 	// One signal context governs the whole lifecycle: SIGINT/SIGTERM
-	// during the preprocessing builds aborts them at their next
-	// cancellation poll; during serving it triggers the
-	// graceful drain below.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// during startup stops the loads (a -save build is abandoned,
+	// saveFile); during serving it triggers the graceful drain below.
+	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	// Listen before loading: the daemon is immediately probeable
@@ -329,9 +334,9 @@ func describeGraphs(sources []source) string {
 	return fmt.Sprintf("%d graph(s): %s", len(sources), strings.Join(names, ", "))
 }
 
-// loadSource realizes one source: restore its snapshot, or build from a
-// graph file (optionally persisting the warm engine). Canceling ctx
-// aborts a build in flight; a -save snapshot is only written after a
+// loadSource realizes one source: restore its snapshot, or ready an
+// engine on a graph file (optionally persisting it). Canceling ctx
+// abandons a build in flight; a -save snapshot is only written after a
 // completed build, atomically.
 func loadSource(ctx context.Context, src source, opts ccsp.Options) (*ccsp.Engine, error) {
 	label := src.name
@@ -348,10 +353,10 @@ func loadSource(ctx context.Context, src source, opts ccsp.Options) (*ccsp.Engin
 		if err != nil {
 			return nil, err
 		}
-		log.Printf("ccspd: [%s] preprocessed %s in %v",
+		log.Printf("ccspd: [%s] engine on %s ready in %v (the base hopset is built by the first query that falls back to it, or by -save)",
 			label, src.path, time.Since(start).Round(time.Millisecond))
 		if src.savePath != "" {
-			if err := eng.SaveFile(src.savePath); err != nil {
+			if err := saveFile(ctx, eng, src.savePath); err != nil {
 				return nil, err
 			}
 			log.Printf("ccspd: [%s] saved snapshot to %s", label, src.savePath)
@@ -372,4 +377,24 @@ func loadSource(ctx context.Context, src source, opts ccsp.Options) (*ccsp.Engin
 		label, src.path, time.Since(start).Round(time.Millisecond),
 		len(eng.PreprocessStats().Builds), eng.PreprocessStats().Total.TotalRounds)
 	return eng, nil
+}
+
+// saveFile writes eng's snapshot to path atomically (Engine.SaveFile). The
+// snapshot needs the base hopset, which a host engine builds only then,
+// and no ctx governs that build: it runs on a goroutine of its own, into
+// io.Discard, and a ctx done first abandons it before any file exists.
+func saveFile(ctx context.Context, eng *ccsp.Engine, path string) error {
+	built := make(chan error, 1)
+	go func() { built <- eng.Save(io.Discard) }()
+	select {
+	case err := <-built:
+		if err != nil {
+			return err
+		}
+	case <-ctx.Done():
+	}
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("save %s: %w: %w", path, ccsp.ErrCanceled, err)
+	}
+	return eng.SaveFile(path)
 }

@@ -176,8 +176,9 @@ func benchDiameter(b *testing.B, eng *Engine) {
 // certified (mssp.RunDirect), plus one fallback row, grid=32x32
 // (graphgen.Grid at n = 1024, weights 1-10): its hop depth, 62, passes
 // β = 40, so every MSSP there aborts its searches and runs the β-hop
-// panel. An op is a cold NewEngine - the ε = 0.5 hopset build a dynamic
-// rebuild also pays - and build-ns and build-MB are its time and bytes.
+// panel. An op is a cold NewEngine and its base build - the ε = 0.5
+// hopset a host engine builds at its first fallback or Save - and build-ns
+// and build-MB are their time and bytes.
 // With the last engine held it reports live-MB, the heap in use after two
 // collections; H/m, the hopset's edges over the graph's; the mean of five
 // warm MSSP calls at q = 1 and q = 8 sources (mssp-q1-ns, mssp-q8-ns)
@@ -214,6 +215,9 @@ func benchScale(b *testing.B, g *graph.Graph) {
 		eng = nil // a build does not hold the last one alive
 		var err error
 		if eng, err = NewEngine(ctx, gr, Options{Epsilon: 0.5, Execution: ExecDirect}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err = eng.artifact(ctx, eng.baseKey()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -253,6 +257,62 @@ func benchScale(b *testing.B, g *graph.Graph) {
 	}
 }
 
+// BenchmarkNewEngine measures a host NewEngine, which readies the engine
+// as a rebuild does and builds no hopset (DESIGN.md §16). The rows are
+// BenchmarkRebuild's: benchEngine's graph family at n = 1024 and 8192,
+// whose detections certify, and grid=32x32, whose detections abort. Beside
+// ns/op and B/op it reports live-B, the heap the last engine holds after
+// two collections, over what the graph alone held before the first op.
+// The grid row also reports fallback-ns, the first MSSP from the corner on
+// that engine, timed outside ns/op: its detection aborts and builds the
+// base hopset NewEngine left out, so there the build's cost moves to that
+// query. n = 8192 is skipped under -short.
+func BenchmarkNewEngine(b *testing.B) {
+	for _, row := range rebuildRows {
+		b.Run(row.name, func(b *testing.B) {
+			g := row.g()
+			if testing.Short() && g.N > 1024 {
+				b.Skip("builds an n = 8192 engine")
+			}
+			ctx, gr := context.Background(), &Graph{g: g}
+			opts := Options{Epsilon: 0.5, Execution: ExecDirect}
+			var eng *Engine
+			held := liveBytes()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng = nil // an op does not hold the last engine alive
+				var err error
+				if eng, err = NewEngine(ctx, gr, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(liveBytes())-float64(held), "live-B")
+			if row.fallback {
+				start := time.Now()
+				if _, err := eng.MSSP(ctx, []int{0}); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(time.Since(start).Nanoseconds()), "fallback-ns")
+			}
+			runtime.KeepAlive(gr)
+		})
+	}
+}
+
+// rebuildRows are the graphs of BenchmarkRebuild and BenchmarkNewEngine;
+// fallback marks the one whose detections abort.
+var rebuildRows = []struct {
+	name     string
+	g        func() *graph.Graph
+	fallback bool
+}{
+	{"n=1024", func() *graph.Graph { return graphgen.Connected(1024, 3*1024, graphgen.Weights{Max: 10}, 1024+17) }, false},
+	{"n=8192", func() *graph.Graph { return graphgen.Connected(8192, 3*8192, graphgen.Weights{Max: 10}, 8192+17) }, false},
+	{"grid=32x32", func() *graph.Graph { return graphgen.Grid(32, 32, graphgen.Weights{Max: 10}, 1024+17) }, true},
+}
+
 // BenchmarkRebuild measures one DynamicEngine generation on the host: a
 // 4-edge reweight (each of four nodes spread over the graph to its first
 // neighbour, a new weight every op), staged and waited for until its epoch
@@ -264,15 +324,7 @@ func benchScale(b *testing.B, g *graph.Graph) {
 // its detection aborts and, on a rebuilt engine, builds the base hopset
 // the rebuild left out (DESIGN.md §16). n = 8192 is skipped under -short.
 func BenchmarkRebuild(b *testing.B) {
-	for _, row := range []struct {
-		name     string
-		g        func() *graph.Graph
-		fallback bool
-	}{
-		{"n=1024", func() *graph.Graph { return graphgen.Connected(1024, 3*1024, graphgen.Weights{Max: 10}, 1024+17) }, false},
-		{"n=8192", func() *graph.Graph { return graphgen.Connected(8192, 3*8192, graphgen.Weights{Max: 10}, 8192+17) }, false},
-		{"grid=32x32", func() *graph.Graph { return graphgen.Grid(32, 32, graphgen.Weights{Max: 10}, 1024+17) }, true},
-	} {
+	for _, row := range rebuildRows {
 		b.Run(row.name, func(b *testing.B) {
 			g := row.g()
 			if testing.Short() && g.N > 1024 {

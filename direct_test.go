@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"os"
 	"reflect"
 	"strconv"
@@ -103,9 +104,14 @@ func stripStats(r *api.Response) *api.Response {
 
 // assertSameArtifacts asserts that every artifact the simulated engine
 // built has a byte-identical direct twin (same cache key, same encoded
-// bytes, same degree vector).
+// bytes, same degree vector). It first forces the direct engine's base
+// entry with a Save: a host engine builds it only when a detection falls
+// back, or then.
 func assertSameArtifacts(t *testing.T, sim, dir *Engine) {
 	t.Helper()
+	if err := dir.Save(io.Discard); err != nil {
+		t.Fatal(err)
+	}
 	sim.pre.mu.Lock()
 	simArts := make(map[artifactKey]*artifactEntry, len(sim.pre.arts))
 	for k, v := range sim.pre.arts {
@@ -136,6 +142,26 @@ func assertSameArtifacts(t *testing.T, sim, dir *Engine) {
 	}
 }
 
+// assertCertifiedBuildsNothing asserts that a fresh host engine holds no
+// artifact, and still holds none after an MSSP from sources whose every
+// reached node keeps within β hops (certifies): the certified searches
+// over G answer it without the base hopset.
+func assertCertifiedBuildsNothing(t *testing.T, dir *Engine, sources []int) {
+	t.Helper()
+	if !certifies(dir.gr.g, dir.exec.beta, sources) {
+		t.Fatalf("sources %v do not certify at β = %d", sources, dir.exec.beta)
+	}
+	if got := len(dir.PreprocessStats().Builds); got != 0 {
+		t.Fatalf("a fresh host engine lists %d builds, want 0", got)
+	}
+	if _, err := dir.MSSP(context.Background(), sources); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(dir.PreprocessStats().Builds); got != 0 {
+		t.Errorf("a certified MSSP left %d builds on a host engine, want 0", got)
+	}
+}
+
 // TestDirectOracle is the cross-validation centerpiece: for each graph
 // family, run every query kind in both modes and require byte-identical
 // answers and byte-identical preprocessing artifacts.
@@ -155,6 +181,7 @@ func TestDirectOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("direct NewEngine (workers=%d): %v", workers, err)
 				}
+				assertCertifiedBuildsNothing(t, dir, []int{0, n - 1})
 				for _, req := range diffRequests(n) {
 					simResp, simErr := sim.Query(ctx, req)
 					dirResp, dirErr := dir.Query(ctx, req)
@@ -191,6 +218,7 @@ func TestDirectOracleEpsilons(t *testing.T) {
 		if err != nil {
 			t.Fatalf("direct NewEngine (eps=%v): %v", eps, err)
 		}
+		assertCertifiedBuildsNothing(t, dir, []int{0, gr.N() - 1})
 		for _, req := range diffRequests(gr.N()) {
 			simResp, err := sim.Query(ctx, req)
 			if err != nil {
@@ -243,7 +271,8 @@ func TestDirectRepeatedQueries(t *testing.T) {
 }
 
 // TestDirectPreprocessStats locks the satellite contract: a direct-mode
-// engine reports zero rounds and messages but a real wall-clock cost, and
+// engine lists no build after NewEngine and the base build after a Save,
+// which reports zero rounds and messages but a real wall-clock cost, and
 // tags its stats with the execution mode.
 func TestDirectPreprocessStats(t *testing.T) {
 	ctx := context.Background()
@@ -252,9 +281,15 @@ func TestDirectPreprocessStats(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
+	if got := len(eng.PreprocessStats().Builds); got != 0 {
+		t.Fatalf("a fresh host engine lists %d builds, want 0", got)
+	}
+	if err := eng.Save(io.Discard); err != nil {
+		t.Fatal(err)
+	}
 	ps := eng.PreprocessStats()
 	if len(ps.Builds) != 1 {
-		t.Fatalf("got %d builds, want 1", len(ps.Builds))
+		t.Fatalf("got %d builds after Save, want 1", len(ps.Builds))
 	}
 	st := ps.Builds[0].Stats
 	if st.Exec != ExecDirect {

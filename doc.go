@@ -51,7 +51,8 @@
 //
 // The pipeline is two-phase - build a (β, ε)-hopset once (§4), answer
 // queries with cheap β-hop computations - and Engine exposes that split:
-// NewEngine preprocesses the graph once, then MSSP/SSSP/APSP/Diameter
+// each hopset is built once (by NewEngine on the simulator, by the first
+// query that needs it on the host), then MSSP/SSSP/APSP/Diameter
 // queries run at query-only cost, safe for concurrent use. Engine
 // queries return byte-identical results to the one-shot functions, and
 // PreprocessStats + per-query Stats sum to exactly the one-shot totals

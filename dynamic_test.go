@@ -54,7 +54,11 @@ func edgeSet(gr *Graph) map[[2]int]int64 {
 // where the rebuilt engine builds its base hopset at the first fallback
 // and a G ∪ H of the previous generation would answer the old graph. The
 // simulator rebuilds its base hopset eagerly; the host builds none until
-// a detection aborts.
+// a detection aborts, on the rebuilt engine and on the cold host engine
+// alike, which a NewEngine readies as a rebuild does. (On the grid the
+// simulator's build alone takes minutes, so there the cold host engine
+// stands in for the oracle; TestDirectCertifiedFamilies holds a host
+// engine on a grid that falls back to the simulated engine.)
 func TestDynamicDifferentialAllKinds(t *testing.T) {
 	ups := []EdgeUpdate{
 		{U: 0, V: 1, W: 3},   // reweight (the spanning edge {1,0} always exists)
@@ -88,23 +92,6 @@ func TestDynamicDifferentialAllKinds(t *testing.T) {
 			if epoch != 1 || dyn.Epoch() != 1 {
 				t.Fatalf("epoch = %d (Epoch() %d), want 1", epoch, dyn.Epoch())
 			}
-			eager := 0
-			if tc.exec == ExecSimulated {
-				eager = 1
-			}
-			if got := len(dyn.Engine().PreprocessStats().Builds); got != eager {
-				t.Fatalf("the rebuild published %d builds, want %d", got, eager)
-			}
-			if _, err := dyn.Engine().MSSP(ctx, []int{2, 5}); err != nil {
-				t.Fatal(err)
-			}
-			builds := dyn.Engine().PreprocessStats().Builds
-			if tc.fallsBack {
-				eager = 1
-			}
-			if len(builds) != eager || eager == 1 && builds[0].Kind != "hopset" {
-				t.Fatalf("after the first detection: builds %+v, want %d of the base hopset", builds, eager)
-			}
 
 			// Expected final graph: the update semantics replayed by hand
 			// on the original edge set.
@@ -127,6 +114,31 @@ func TestDynamicDifferentialAllKinds(t *testing.T) {
 			cold, err := NewEngine(ctx, final, opts)
 			if err != nil {
 				t.Fatal(err)
+			}
+			// The rebuilt engine and the cold one are readied alike: the
+			// base hopset up front on the simulator, on the host at the
+			// first detection that aborts.
+			for _, c := range []struct {
+				what string
+				eng  *Engine
+			}{{"the rebuilt engine", dyn.Engine()}, {"the cold engine", cold}} {
+				eager := 0
+				if tc.exec == ExecSimulated {
+					eager = 1
+				}
+				if got := len(c.eng.PreprocessStats().Builds); got != eager {
+					t.Fatalf("%s lists %d builds before its first detection, want %d", c.what, got, eager)
+				}
+				if _, err := c.eng.MSSP(ctx, []int{2, 5}); err != nil {
+					t.Fatal(err)
+				}
+				builds := c.eng.PreprocessStats().Builds
+				if tc.fallsBack {
+					eager = 1
+				}
+				if len(builds) != eager || eager == 1 && builds[0].Kind != "hopset" {
+					t.Fatalf("%s after its first detection: builds %+v, want %d of the base hopset", c.what, builds, eager)
+				}
 			}
 
 			reqs := allKindRequests()
@@ -451,4 +463,71 @@ func TestDynamicLazyFallbackConcurrent(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestEngineLazyFallbackConcurrent: a cold host NewEngine over a grid whose
+// detections abort (hop depth 50 against β = 32) holds no artifact, and
+// concurrent first queries race its one build of the base hopset, every
+// other one canceled at a random poll: in the certified searches,
+// mid-build (the initiator's cancel is taken over by a live waiter) or in
+// the panel. A canceled query returns ErrCanceled, every other answer
+// equals an engine's that built the base hopset alone, and the engine
+// ends holding that one build. No rebuild is involved. Run under -race.
+func TestEngineLazyFallbackConcurrent(t *testing.T) {
+	ctx := context.Background()
+	gr := &Graph{g: graphgen.Grid(4, 48, graphgen.Weights{Max: 9}, 11)}
+	n := gr.N()
+	opts := Options{Epsilon: 0.5, Execution: ExecDirect, Workers: 2}
+	sources := []int{0, n - 1}
+	fresh := func() *Engine {
+		t.Helper()
+		eng, err := NewEngine(ctx, gr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if builds := len(eng.PreprocessStats().Builds); builds != 0 {
+			t.Fatalf("a host NewEngine lists %d builds, want 0", builds)
+		}
+		return eng
+	}
+
+	// want and full: the answer and polls of one query that falls back
+	// alone and builds the base hopset.
+	probe := newCancelAtPoll(math.MaxInt64)
+	alone := fresh()
+	res, err := alone.MSSP(probe, sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(alone.PreprocessStats().Builds) != 1 {
+		t.Fatal("the probe did not fall back to the base hopset")
+	}
+	want, full := res.Dist, probe.calls.Load()
+
+	for round := 0; round < 4; round++ {
+		eng := fresh()
+		rng := rand.New(rand.NewSource(int64(round)))
+		var wg sync.WaitGroup
+		for r := 0; r < 6; r++ {
+			qctx := context.Context(ctx)
+			if r%2 == 1 {
+				qctx = newCancelAtPoll(1 + rng.Int63n(full))
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := eng.MSSP(qctx, sources)
+				switch {
+				case err != nil && (qctx == ctx || !errors.Is(err, ErrCanceled)):
+					t.Errorf("round %d: %v", round, err)
+				case err == nil && !reflect.DeepEqual(res.Dist, want):
+					t.Errorf("round %d: the answer differs from an engine's that built alone", round)
+				}
+			}()
+		}
+		wg.Wait()
+		if builds := eng.PreprocessStats().Builds; len(builds) != 1 || builds[0].Kind != "hopset" {
+			t.Errorf("round %d: builds %+v, want the base hopset once", round, builds)
+		}
+	}
 }

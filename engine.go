@@ -23,10 +23,11 @@ import (
 // distance pipeline is explicitly two-phase: build a (β, ε)-hopset once
 // (§4, Theorem 25), then answer queries with cheap β-hop-limited
 // computations (Theorems 3/28/31). An Engine materializes that split:
-// NewEngine runs the preprocessing once and caches the resulting
-// host-side artifacts (Preprocessed); every query method then runs only
-// the query's steps, seeded with the cached artifact, on the clique
-// Options.Execution names - simulator runs that pay zero
+// each hopset is built once, on the simulator by NewEngine, on the host
+// by the first query whose detection needs it (DESIGN.md §16), and
+// cached as host-side artifacts (Preprocessed); every query method then
+// runs only the query's steps, seeded with the cached artifact, on the
+// clique Options.Execution names - simulator runs that pay zero
 // hopset-construction rounds, or host kernels that pay no build time.
 //
 // Determinism contract: an artifact depends only on (graph, hopset
@@ -73,9 +74,10 @@ type Engine struct {
 // Preprocessed is the cache of reusable preprocessing artifacts - per-node
 // hopset rows, hitting-set membership and PV/DPV pivots, all host-side
 // data - keyed by hopset parameterization. Artifacts are built lazily on
-// first need (NewEngine builds the base one eagerly; on the host a
-// DynamicEngine rebuild leaves it to the first detection whose certified
-// searches abort) and are immutable afterwards. Only completed builds enter arts; an in-flight build is a
+// first need (on the simulator NewEngine and a DynamicEngine rebuild build
+// the base one eagerly; on the host both leave it to the first detection
+// whose certified searches abort, or to Save) and are immutable
+// afterwards. Only completed builds enter arts; an in-flight build is a
 // buildCall that concurrent queries wait on (cancelably), and a failed or
 // canceled build vanishes without poisoning the cache.
 type Preprocessed struct {
@@ -136,22 +138,31 @@ type artifactEntry struct {
 	gh   *matrix.Mat[semiring.WH]
 }
 
-// NewEngine validates the input and runs the preprocessing: one simulator
-// run that constructs the base hopset artifact (at the Options' ε - the
-// parameterization shared by MSSP and Diameter queries). The APSP queries
-// need a hopset at ε/2; that artifact (and, for the unweighted algorithm,
-// a second one on the low-degree subgraph) is built lazily on the first
-// APSP call and cached like the rest.
+// NewEngine validates the input and readies the engine as a
+// DynamicEngine rebuild does (backend.baseEntry). On the simulator that
+// is the preprocessing: one run that constructs the base hopset artifact
+// (at the Options' ε - the parameterization shared by MSSP and Diameter
+// queries). On the host it builds nothing: a detection whose shortest
+// paths fit in β hops is served from G alone, and the first one that
+// does not builds the base artifact under its own ctx, as Save does
+// before it writes (DESIGN.md §16). The APSP queries need a hopset at
+// ε/2; that artifact (and, for the unweighted algorithm, a second one on
+// the low-degree subgraph) is built lazily on the first APSP call and
+// cached like the rest.
 //
 // Canceling ctx aborts the preprocessing run at its next barrier and
 // NewEngine returns an error wrapping ErrCanceled; no engine is returned.
+// A ctx already done is refused that way in either mode.
 func NewEngine(ctx context.Context, gr *Graph, opts Options) (*Engine, error) {
 	e, err := newEngine(gr, opts)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := e.artifact(ctx, e.baseKey()); err != nil {
+	if _, err := e.exec.baseEntry(ctx); err != nil {
 		return nil, err
+	}
+	if err := ctxErr(ctx); err != nil {
+		return nil, fmt.Errorf("ccsp: new engine: %w", err)
 	}
 	return e, nil
 }
@@ -415,10 +426,10 @@ func sourceSet(n int, sources []int) ([]bool, error) {
 
 // MSSP answers a (1+ε)-approximate multi-source query (Theorem 3) from
 // the cached hopset: one β-hop source detection on G ∪ H, no hopset
-// construction - but for the first detection on a DynamicEngine's rebuilt
-// host engine that does not certify from G alone, which builds the base
-// hopset (DESIGN.md §16). Safe to call concurrently; canceling ctx aborts
-// the query run at its next barrier.
+// construction - but for the first detection on a host engine that does
+// not certify from G alone, which builds the base hopset (DESIGN.md §16).
+// Safe to call concurrently; canceling ctx aborts the query run at its
+// next barrier.
 func (e *Engine) MSSP(ctx context.Context, sources []int) (*MSSPResult, error) {
 	res, err := e.mssp(ctx, sources, nil)
 	if err != nil {

@@ -201,6 +201,9 @@ func TestTypedErrorsCanceled(t *testing.T) {
 	if !errors.Is(err, cc.ErrCanceled) {
 		t.Errorf("NewEngine: cc sentinel lost from chain: %v", err)
 	}
+	// A host NewEngine builds nothing, and still refuses a dead ctx.
+	_, err = NewEngine(dead, gr, Options{Execution: ExecDirect})
+	checkCanceled("direct NewEngine", err, context.Canceled)
 	_, err = MSSP(dead, gr, []int{0}, Options{})
 	checkCanceled("one-shot MSSP", err, context.Canceled)
 	_, err = SSSP(dead, gr, 0, Options{})

@@ -182,11 +182,11 @@ func direct[T any](ctx context.Context, b *backend, kernel func() (T, error)) (T
 }
 
 // baseEntry is the entry a detection on the base hopset (mssp, distance,
-// diameter) runs on, which a DynamicEngine's rebuild readies before it
-// publishes: on the simulator the base entry, built now if need be,
-// because its rounds are the point; on the host nil, as directOn detects
-// over G and resolves G ∪ H only when the certified searches abort, so
-// the first such detection builds it (DESIGN.md §16).
+// diameter) runs on, which NewEngine and a DynamicEngine's rebuild ready
+// before they hand the engine out: on the simulator the base entry, built
+// now if need be, because its rounds are the point; on the host nil, as
+// directOn detects over G and resolves G ∪ H only when the certified
+// searches abort, so the first such detection builds it (DESIGN.md §16).
 func (b *backend) baseEntry(ctx context.Context) (*artifactEntry, error) {
 	if b.opts.Execution == ExecDirect {
 		return nil, nil

@@ -67,7 +67,7 @@ type Result struct {
 type shape struct{ k, levels, beta, d int }
 
 func (p Params) shape(n int) (shape, error) {
-	if p.Eps <= 0 || p.Eps > 1 {
+	if !(p.Eps > 0 && p.Eps <= 1) { // NaN too: it compares false both ways
 		return shape{}, fmt.Errorf("hopset: invalid eps %v", p.Eps)
 	}
 	k := p.K

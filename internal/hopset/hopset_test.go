@@ -212,8 +212,10 @@ func TestBuildRejectsBadEps(t *testing.T) {
 	if err == nil {
 		t.Fatal("want error for eps=0")
 	}
-	if _, err := (Params{Eps: 0}).Beta(g.N); err == nil {
-		t.Fatal("Params.Beta: want error for eps=0")
+	for _, eps := range []float64{0, math.NaN()} {
+		if _, err := (Params{Eps: eps}).Beta(g.N); err == nil {
+			t.Fatalf("Params.Beta: want error for eps=%v", eps)
+		}
 	}
 }
 

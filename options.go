@@ -102,7 +102,7 @@ func (o Options) withDefaults() Options {
 }
 
 func (o Options) validate() error {
-	if o.Epsilon < 0 || o.Epsilon > 1 {
+	if !(o.Epsilon > 0 && o.Epsilon <= 1) { // NaN too: it compares false both ways
 		return fmt.Errorf("%w: epsilon %v outside (0, 1]", ErrInvalidOption, o.Epsilon)
 	}
 	if o.Workers < 0 {

@@ -1,7 +1,9 @@
 package ccsp
 
 import (
+	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -15,6 +17,7 @@ func TestOptionsValidateEdgeCases(t *testing.T) {
 	}{
 		{"negative epsilon", Options{Epsilon: -0.1}, true},
 		{"epsilon above one", Options{Epsilon: 1.0001}, true},
+		{"NaN epsilon", Options{Epsilon: math.NaN()}, true},
 		{"epsilon exactly one", Options{Epsilon: 1}, false},
 		{"negative workers", Options{Epsilon: 0.5, Workers: -1}, true},
 		{"zero value after defaults", Options{}.withDefaults(), false},
@@ -40,6 +43,19 @@ func TestOptionsValidateEdgeCases(t *testing.T) {
 	opts, err := prepare(NewGraph(3), Options{})
 	if err != nil || opts.Epsilon != 0.5 {
 		t.Errorf("prepare defaults: opts=%+v err=%v", opts, err)
+	}
+}
+
+// TestNewEngineRefusesNaNEpsilon: NaN compares false against both ends of
+// (0, 1], so a range check written as two rejections lets it through; an
+// artifact key holding it never equals itself, so every lookup would build
+// again. Both modes refuse it before any build.
+func TestNewEngineRefusesNaNEpsilon(t *testing.T) {
+	for _, exec := range []Execution{ExecSimulated, ExecDirect} {
+		eng, err := NewEngine(context.Background(), testGraph(8, 10, 4, 1), Options{Epsilon: math.NaN(), Execution: exec})
+		if !errors.Is(err, ErrInvalidOption) || eng != nil {
+			t.Errorf("%v: NewEngine with ε = NaN: got (%v, %v), want ErrInvalidOption", exec, eng, err)
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package ccsp
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"runtime"
 	"testing"
 
@@ -133,13 +135,22 @@ func entryBytesOf(ent, sib *artifactEntry) (uint64, []int) {
 	return total, own
 }
 
-// TestEngineResidentBytes: once built, a direct engine holds what its
-// graph, its base matrix and its artifact entry account for and nothing
-// else - no transient slab of the build kept alive by a row pointing into
-// it - within 64 KiB for the engine's own small structs. The ε/2 entry an
-// APSP builds over it adds its own headers and only its A_1 rows: every
-// other row is the ε entry's storage. Skipped under -race, where sync.Pool
-// drops Puts.
+// TestEngineResidentBytes holds a direct engine's live heap to an exact
+// account in each of four states, within 64 KiB for the engine's own small
+// structs:
+//
+//   - fresh, after a certified MSSP: its graph and its weight matrix only,
+//     as a host NewEngine builds no hopset and the certified searches need
+//     none;
+//   - with the base entry forced (a Save): that and the entry's own
+//     storage - no transient slab of the build kept alive by a row pointing
+//     into it;
+//   - with the ε/2 entry an APSP builds over that base sibling: its own
+//     headers and only its A_1 rows, every other row being the ε entry's;
+//   - with the ε/2 entry built cold, on a fresh engine: all of its own
+//     rows.
+//
+// Skipped under -race, where sync.Pool drops Puts.
 func TestEngineResidentBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector: pooled scratch may outlive the collections")
@@ -148,45 +159,83 @@ func TestEngineResidentBytes(t *testing.T) {
 	ctx := context.Background()
 	opts := Options{Epsilon: 0.5, Execution: ExecDirect}
 	gr := testGraph(n, 3*n, 10, 7)
-	if _, err := NewEngine(ctx, gr, opts); err != nil { // first-use globals
+	sources := []int{0, n / 2}
+	ready := func() *Engine {
+		t.Helper()
+		eng, err := NewEngine(ctx, gr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !certifies(eng.gr.g, eng.exec.beta, sources) {
+			t.Fatalf("sources %v do not certify at β = %d", sources, eng.exec.beta)
+		}
+		if _, err := eng.MSSP(ctx, sources); err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	within := func(what string, got, want uint64) {
+		t.Helper()
+		if got > want+slack || want > got+slack {
+			t.Errorf("%s: %d bytes, its account %d (want within %d)", what, got, want, slack)
+		}
+		t.Logf("%s: %d bytes, its account %d", what, got, want)
+	}
+	warm := ready() // first-use globals
+	if err := warm.Save(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	start := liveBytes()
-	eng, err := NewEngine(ctx, gr, opts)
-	if err != nil {
+	if _, err := warm.APSPWeighted(ctx); err != nil {
 		t.Fatal(err)
 	}
-	built := liveBytes()
+	warm = nil
 
-	ent := eng.pre.arts[eng.baseKey()]
+	start := liveBytes()
+	eng := ready()
+	fresh := liveBytes()
 	g := eng.gr.g
 	want := heapBytes(n*24) + heapBytes(2*g.M()*16) // graph: Adj header, one slab of edges
-	want += heapBytes(n * 24)                       // base matrix: header, then a row each
+	want += heapBytes(n * 24)                       // weight matrix: header, then a row each
 	w, _ := eng.exec.weights()
 	for _, row := range w.Rows {
 		want += rowBytes(row, entryBytes)
 	}
-	own, _ := entryBytesOf(ent, nil)
-	want += own
-	got := built - start
-	if got > want+slack || want > got+slack {
-		t.Errorf("a built engine holds %d bytes, its graph, base matrix and entry account for %d (want within %d)", got, want, slack)
+	within("a fresh host engine holds its graph and weight matrix", fresh-start, want)
+	if builds := len(eng.PreprocessStats().Builds); builds != 0 {
+		t.Errorf("a fresh host engine lists %d builds after a certified MSSP, want 0", builds)
 	}
+
+	if err := eng.Save(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	built := liveBytes()
+	ent := eng.pre.arts[eng.baseKey()]
+	own, _ := entryBytesOf(ent, nil)
+	within("an engine with its base entry holds its graph, weight matrix and entry", built-start, want+own)
 
 	half, err := eng.artifact(ctx, eng.apspKey())
 	if err != nil {
 		t.Fatal(err)
 	}
 	grown := liveBytes()
-	runtime.KeepAlive(gr) // live across every measurement, so in none
-	runtime.KeepAlive(eng)
 	own, rows := entryBytesOf(half, ent)
 	for _, v := range rows {
 		if !half.art.InA1[v] {
 			t.Errorf("the ε/2 entry holds its own G ∪ H row %d outside A_1", v)
 		}
 	}
-	if got := grown - built; got > own+slack || own > got+slack {
-		t.Errorf("the ε/2 entry adds %d bytes, its headers and %d own A_1 rows account for %d (want within %d)", got, len(rows), own, slack)
+	within(fmt.Sprintf("the ε/2 entry over its sibling adds its headers and %d own A_1 rows", len(rows)), grown-built, own)
+
+	cold := ready()
+	coldStart := liveBytes()
+	coldHalf, err := cold.artifact(ctx, cold.apspKey())
+	if err != nil {
+		t.Fatal(err)
 	}
+	coldGrown := liveBytes()
+	runtime.KeepAlive(gr) // live across every measurement, so in none
+	runtime.KeepAlive(eng)
+	runtime.KeepAlive(cold)
+	own, rows = entryBytesOf(coldHalf, nil)
+	within(fmt.Sprintf("the ε/2 entry built cold adds all %d of its own rows", len(rows)), coldGrown-coldStart, own)
 }

@@ -46,9 +46,9 @@ func derivedFrom(e *Engine, key, from artifactKey) bool {
 }
 
 // TestDirectSiblingBuildBothOrders: per APSP variant, a direct engine that
-// builds ε then derives ε/2 (NewEngine, then APSP), one that builds ε/2
-// cold then derives ε (a lazy engine asked APSP, then MSSP, which
-// certifies and builds nothing, then Save, which builds ε) and one loaded
+// builds ε then derives ε/2 (NewEngine and Save, then APSP), one that
+// builds ε/2 cold then derives ε (a lazy engine asked APSP, then MSSP,
+// which certifies and builds nothing, then Save, which builds ε) and one loaded
 // from a snapshot holding only ε hold artifacts byte-identical to the
 // simulated engine's under every key, answer what it answers, and report
 // each build with its own ε, β and edge count. The low-degree artifact has
@@ -161,10 +161,11 @@ func hasBuild(builds []ArtifactBuild, b ArtifactBuild) bool {
 	return false
 }
 
-// TestDirectSiblingBuildCancel: the first APSP on a fresh engine derives
-// ε/2 from ε; canceled at any poll that derived build reaches, it returns
-// ErrCanceled over context.Canceled and caches no ε/2 entry, and the next
-// APSP derives it again and answers what a cold engine answers.
+// TestDirectSiblingBuildCancel: the first APSP on an engine whose Save
+// built ε derives ε/2 from ε; canceled at any poll that derived build
+// reaches, it returns ErrCanceled over context.Canceled and caches no ε/2
+// entry, and the next APSP derives it again and answers what a cold engine
+// answers.
 func TestDirectSiblingBuildCancel(t *testing.T) {
 	bg := context.Background()
 	gr := twoHubGrid()
@@ -172,6 +173,9 @@ func TestDirectSiblingBuildCancel(t *testing.T) {
 	fresh := func() *Engine {
 		eng, err := NewEngine(bg, gr, opts)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Save(io.Discard); err != nil {
 			t.Fatal(err)
 		}
 		return eng
@@ -331,8 +335,9 @@ func sameWindow[E any](a, b []E) bool {
 }
 
 // TestEngineSiblingSharesRows: a direct engine holds H once. After
-// NewEngine, an MSSP and both APSP variants (ε, ε/2 on G, ε/2 on G'),
-// built and loaded back from its snapshot, every artifact row is the
+// NewEngine, a Save that builds ε, an MSSP and both APSP variants (ε/2 on
+// G, ε/2 on G'), built and loaded back from its snapshot, every artifact
+// row is the
 // leading window of its entry's G ∪ H row, and every ε/2 row outside A_1 -
 // a row equal to the ε artifact's - is the ε entry's own storage, in the
 // artifact and in G ∪ H, so the ε/2 artifact allocates only its A_1 rows.
@@ -344,6 +349,9 @@ func TestEngineSiblingSharesRows(t *testing.T) {
 	}{"two-hub-grid", twoHubGrid()}) {
 		eng, err := NewEngine(ctx, fam.gr, Options{Epsilon: 0.5, Execution: ExecDirect})
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Save(io.Discard); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := eng.MSSP(ctx, []int{0}); err != nil {

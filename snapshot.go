@@ -17,10 +17,11 @@ import (
 // with results and Stats identical to this engine, reports the same
 // PreprocessStats, and re-Saves to byte-identical output.
 //
-// Save first builds the base artifact if the engine has none yet - a
-// DynamicEngine rebuild on the host publishes without it (DESIGN.md §16) -
-// so a snapshot holds it, first, whichever queries ran: what a rebuilt
-// engine writes is what a cold NewEngine on its graph writes.
+// Save first builds the base artifact if the engine has none yet - on
+// the host neither NewEngine nor a DynamicEngine rebuild builds it
+// (DESIGN.md §16) - so a snapshot holds it, first, whichever queries ran:
+// what a lazy host engine writes is what an engine that built the base
+// artifact up front writes on the same graph and options.
 //
 // Save is safe to call concurrently with queries; other artifacts whose
 // builds are still in flight are not included (they will be rebuilt

@@ -532,12 +532,14 @@ func TestEngineSaveDuringFirstQueries(t *testing.T) {
 	}
 }
 
-// TestSnapshotLazyRebuildBytes: a direct DynamicEngine rebuild publishes
-// no base hopset, and Save builds it first, so the rebuilt engine's
-// snapshot is a cold NewEngine's on the same graph and epoch, byte for
-// byte: after no query, and after an APSP that built the ε/2 artifacts
-// before it, where the base artifact still leads. Only the builds'
-// wall-clock is cleared before the bytes are compared.
+// TestSnapshotLazyRebuildBytes: neither a direct DynamicEngine rebuild nor
+// a host NewEngine builds the base hopset, and Save builds it first, so
+// the rebuilt engine's snapshot and a cold NewEngine's are, byte for byte,
+// that of an engine which built the base artifact before anything else -
+// what NewEngine did on the host before it was lazy - on the same graph
+// and epoch: after no query, and after an APSP that built the ε/2
+// artifacts before it, where the base artifact still leads. Only the
+// builds' wall-clock is cleared before the bytes are compared.
 func TestSnapshotLazyRebuildBytes(t *testing.T) {
 	ctx := context.Background()
 	opts := Options{Epsilon: 0.5, Execution: ExecDirect}
@@ -567,14 +569,28 @@ func TestSnapshotLazyRebuildBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold.epoch = rebuilt.Epoch()
-		for _, e := range []*Engine{rebuilt, cold} {
+		if n := len(cold.PreprocessStats().Builds); n != 0 {
+			t.Fatalf("%s: a host NewEngine built %d artifacts, want none", tc.name, n)
+		}
+		eager, err := newEngine(rebuilt.Graph(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eager.artifact(ctx, eager.baseKey()); err != nil {
+			t.Fatal(err)
+		}
+		cold.epoch, eager.epoch = rebuilt.Epoch(), rebuilt.Epoch()
+		for _, e := range []*Engine{rebuilt, cold, eager} {
 			if err := tc.before(e); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if !bytes.Equal(savedWithoutWallClock(t, rebuilt), savedWithoutWallClock(t, cold)) {
-			t.Errorf("%s: the rebuilt engine's snapshot differs from a cold engine's", tc.name)
+		want := savedWithoutWallClock(t, eager)
+		if !bytes.Equal(savedWithoutWallClock(t, rebuilt), want) {
+			t.Errorf("%s: the rebuilt engine's snapshot differs from an eagerly built engine's", tc.name)
+		}
+		if !bytes.Equal(savedWithoutWallClock(t, cold), want) {
+			t.Errorf("%s: a cold host engine's snapshot differs from an eagerly built engine's", tc.name)
 		}
 	}
 }
