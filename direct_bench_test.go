@@ -301,6 +301,47 @@ func BenchmarkNewEngine(b *testing.B) {
 	}
 }
 
+// BenchmarkFirstAPSP measures a host engine's first APSP: an op is a fresh
+// NewEngine and its first APSPWeighted. Beside ns/op and B/op it reports
+// live-B, the heap the last engine holds after two collections, over what
+// the graph alone held before the first op. On n=1024 (benchEngine's graph
+// family) every detection certifies at the ε/2 β of 80 and no hopset is
+// built; on cycle=1024 (hop depth 512) the detections abort, and the first
+// one builds the ε/2 hopset under the APSP's ctx, so there the build's cost
+// moves into the APSP.
+func BenchmarkFirstAPSP(b *testing.B) {
+	for _, row := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"n=1024", graphgen.Connected(1024, 3*1024, graphgen.Weights{Max: 10}, 1024+17)},
+		{"cycle=1024", graphgen.Cycle(1024, graphgen.Weights{Max: 10}, 1024+17)},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			ctx, gr := context.Background(), &Graph{g: row.g}
+			opts := Options{Epsilon: 0.5, Execution: ExecDirect}
+			var eng *Engine
+			held := liveBytes()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng = nil // an op does not hold the last engine alive
+				var err error
+				if eng, err = NewEngine(ctx, gr, opts); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.APSPWeighted(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(liveBytes())-float64(held), "live-B")
+			runtime.KeepAlive(eng)
+			runtime.KeepAlive(gr)
+		})
+	}
+}
+
 // rebuildRows are the graphs of BenchmarkRebuild and BenchmarkNewEngine;
 // fallback marks the one whose detections abort.
 var rebuildRows = []struct {

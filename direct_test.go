@@ -104,9 +104,10 @@ func stripStats(r *api.Response) *api.Response {
 
 // assertSameArtifacts asserts that every artifact the simulated engine
 // built has a byte-identical direct twin (same cache key, same encoded
-// bytes, same degree vector). It first forces the direct engine's base
-// entry with a Save: a host engine builds it only when a detection falls
-// back, or then.
+// bytes, same degree vector). It first forces each of those keys on the
+// direct engine, the base one with a Save: a host engine builds an entry
+// only when a detection over its graph falls back (or, the base one, when
+// Save needs it).
 func assertSameArtifacts(t *testing.T, sim, dir *Engine) {
 	t.Helper()
 	if err := dir.Save(io.Discard); err != nil {
@@ -118,6 +119,11 @@ func assertSameArtifacts(t *testing.T, sim, dir *Engine) {
 		simArts[k] = v
 	}
 	sim.pre.mu.Unlock()
+	for key := range simArts {
+		if _, err := dir.artifact(context.Background(), key); err != nil {
+			t.Fatal(err)
+		}
+	}
 	dir.pre.mu.Lock()
 	defer dir.pre.mu.Unlock()
 	if len(simArts) == 0 {
@@ -148,8 +154,8 @@ func assertSameArtifacts(t *testing.T, sim, dir *Engine) {
 // over G answer it without the base hopset.
 func assertCertifiedBuildsNothing(t *testing.T, dir *Engine, sources []int) {
 	t.Helper()
-	if !certifies(dir.gr.g, dir.exec.beta, sources) {
-		t.Fatalf("sources %v do not certify at β = %d", sources, dir.exec.beta)
+	if !certifies(dir.gr.g, dir.exec.base.beta, sources) {
+		t.Fatalf("sources %v do not certify at β = %d", sources, dir.exec.base.beta)
 	}
 	if got := len(dir.PreprocessStats().Builds); got != 0 {
 		t.Fatalf("a fresh host engine lists %d builds, want 0", got)

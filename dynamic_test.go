@@ -58,7 +58,12 @@ func edgeSet(gr *Graph) map[[2]int]int64 {
 // alike, which a NewEngine readies as a rebuild does. (On the grid the
 // simulator's build alone takes minutes, so there the cold host engine
 // stands in for the oracle; TestDirectCertifiedFamilies holds a host
-// engine on a grid that falls back to the simulated engine.)
+// engine on a grid that falls back to the simulated engine.) The APSP
+// requests build the ε/2 hopset before their detections on the simulator,
+// and on the host only where one aborts: on the cycle (hop depth 128
+// against the ε/2 β of 64), so there the lazy ε/2 build runs under the
+// rebuilt == cold oracle, once per engine, while the other direct rows,
+// whose APSP detections certify, list no ε/2 build at all.
 func TestDynamicDifferentialAllKinds(t *testing.T) {
 	ups := []EdgeUpdate{
 		{U: 0, V: 1, W: 3},   // reweight (the spanning edge {1,0} always exists)
@@ -70,10 +75,14 @@ func TestDynamicDifferentialAllKinds(t *testing.T) {
 		exec      Execution
 		gr        *Graph
 		fallsBack bool
+		// halfBuilds is the number of ε/2 builds on G an engine lists
+		// after the requests.
+		halfBuilds int
 	}{
-		{"simulated", ExecSimulated, testGraph(16, 16, 9, 3), false},
-		{"direct", ExecDirect, testGraph(16, 16, 9, 3), false},
-		{"direct-grid=32x32", ExecDirect, &Graph{g: graphgen.Grid(32, 32, graphgen.Weights{Max: 10}, 1024+17)}, true},
+		{"simulated", ExecSimulated, testGraph(16, 16, 9, 3), false, 1},
+		{"direct", ExecDirect, testGraph(16, 16, 9, 3), false, 0},
+		{"direct-grid=32x32", ExecDirect, &Graph{g: graphgen.Grid(32, 32, graphgen.Weights{Max: 10}, 1024+17)}, true, 0},
+		{"direct-cycle", ExecDirect, &Graph{g: graphgen.Cycle(256, graphgen.Weights{Max: 10}, 256+17)}, true, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx := context.Background()
@@ -157,6 +166,20 @@ func TestDynamicDifferentialAllKinds(t *testing.T) {
 				got.Cached, want.Cached = false, false
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: rebuilt engine differs from cold engine on the final graph\n got %+v\nwant %+v", name, got, want)
+				}
+			}
+			for _, c := range []struct {
+				what string
+				eng  *Engine
+			}{{"the rebuilt engine", dyn.Engine()}, {"the cold engine", cold}} {
+				half := 0
+				for _, b := range c.eng.PreprocessStats().Builds {
+					if b.Kind == "hopset" && b.Eps == 0.25 {
+						half++
+					}
+				}
+				if half != tc.halfBuilds {
+					t.Errorf("%s lists %d ε/2 builds after the requests, want %d", c.what, half, tc.halfBuilds)
 				}
 			}
 		})
@@ -467,18 +490,49 @@ func TestDynamicLazyFallbackConcurrent(t *testing.T) {
 
 // TestEngineLazyFallbackConcurrent: a cold host NewEngine over a grid whose
 // detections abort (hop depth 50 against β = 32) holds no artifact, and
-// concurrent first queries race its one build of the base hopset, every
-// other one canceled at a random poll: in the certified searches,
-// mid-build (the initiator's cancel is taken over by a live waiter) or in
-// the panel. A canceled query returns ErrCanceled, every other answer
-// equals an engine's that built the base hopset alone, and the engine
-// ends holding that one build. No rebuild is involved. Run under -race.
+// concurrent first MSSPs race its one build of the base hopset, every
+// other one canceled at a random poll (raceFirstQueries). No rebuild is
+// involved. Run under -race.
 func TestEngineLazyFallbackConcurrent(t *testing.T) {
-	ctx := context.Background()
 	gr := &Graph{g: graphgen.Grid(4, 48, graphgen.Weights{Max: 9}, 11)}
-	n := gr.N()
+	sources := []int{0, gr.N() - 1}
+	raceFirstQueries(t, gr, (*Engine).baseKey, func(ctx context.Context, e *Engine) ([][]int64, error) {
+		res, err := e.MSSP(ctx, sources)
+		if err != nil {
+			return nil, err
+		}
+		return res.Dist, nil
+	})
+}
+
+// TestEngineLazyAPSPConcurrent: a cold host NewEngine over a cycle whose
+// APSP detections abort (hop depth 96 against the ε/2 β of 64) holds no
+// artifact, and concurrent first APSPWeighted calls race its one build of
+// the ε/2 hopset, every other one canceled at a random poll
+// (raceFirstQueries). Run under -race.
+func TestEngineLazyAPSPConcurrent(t *testing.T) {
+	gr := &Graph{g: graphgen.Cycle(192, graphgen.Weights{Max: 9}, 13)}
+	raceFirstQueries(t, gr, (*Engine).apspKey, func(ctx context.Context, e *Engine) ([][]int64, error) {
+		res, err := e.APSPWeighted(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return res.Dist, nil
+	})
+}
+
+// raceFirstQueries is the body of the lazy-build race tests: on fresh
+// host engines over gr, each listing no build, six concurrent first asks
+// race the engine's one build of the hopset at key, every other ask
+// canceled at a random poll of a full ask that builds it: in the certified
+// searches, mid-build (the initiator's cancel is taken over by a live
+// waiter) or in the panel. A canceled ask returns ErrCanceled, every other
+// answer equals that of an engine that built alone, and the engine ends
+// holding that one build.
+func raceFirstQueries(t *testing.T, gr *Graph, key func(*Engine) artifactKey, ask func(context.Context, *Engine) ([][]int64, error)) {
+	t.Helper()
+	ctx := context.Background()
 	opts := Options{Epsilon: 0.5, Execution: ExecDirect, Workers: 2}
-	sources := []int{0, n - 1}
 	fresh := func() *Engine {
 		t.Helper()
 		eng, err := NewEngine(ctx, gr, opts)
@@ -490,19 +544,25 @@ func TestEngineLazyFallbackConcurrent(t *testing.T) {
 		}
 		return eng
 	}
+	// builtOnce reports whether eng lists exactly one build: key's.
+	builtOnce := func(eng *Engine) bool {
+		k := key(eng)
+		builds := eng.PreprocessStats().Builds
+		return len(builds) == 1 && builds[0].Kind == k.variant.String() && builds[0].Eps == k.params.Eps
+	}
 
-	// want and full: the answer and polls of one query that falls back
-	// alone and builds the base hopset.
+	// want and full: the answer and polls of one ask that falls back
+	// alone and builds the hopset.
 	probe := newCancelAtPoll(math.MaxInt64)
 	alone := fresh()
-	res, err := alone.MSSP(probe, sources)
+	want, err := ask(probe, alone)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(alone.PreprocessStats().Builds) != 1 {
-		t.Fatal("the probe did not fall back to the base hopset")
+	if !builtOnce(alone) {
+		t.Fatalf("the probe built %+v, not the hopset at %v alone", alone.PreprocessStats().Builds, key(alone))
 	}
-	want, full := res.Dist, probe.calls.Load()
+	full := probe.calls.Load()
 
 	for round := 0; round < 4; round++ {
 		eng := fresh()
@@ -516,18 +576,18 @@ func TestEngineLazyFallbackConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				res, err := eng.MSSP(qctx, sources)
+				got, err := ask(qctx, eng)
 				switch {
 				case err != nil && (qctx == ctx || !errors.Is(err, ErrCanceled)):
 					t.Errorf("round %d: %v", round, err)
-				case err == nil && !reflect.DeepEqual(res.Dist, want):
+				case err == nil && !reflect.DeepEqual(got, want):
 					t.Errorf("round %d: the answer differs from an engine's that built alone", round)
 				}
 			}()
 		}
 		wg.Wait()
-		if builds := eng.PreprocessStats().Builds; len(builds) != 1 || builds[0].Kind != "hopset" {
-			t.Errorf("round %d: builds %+v, want the base hopset once", round, builds)
+		if !builtOnce(eng) {
+			t.Errorf("round %d: builds %+v, want the hopset at %v once", round, eng.PreprocessStats().Builds, key(eng))
 		}
 	}
 }

@@ -146,9 +146,10 @@ type artifactEntry struct {
 // paths fit in β hops is served from G alone, and the first one that
 // does not builds the base artifact under its own ctx, as Save does
 // before it writes (DESIGN.md §16). The APSP queries need a hopset at
-// ε/2; that artifact (and, for the unweighted algorithm, a second one on
-// the low-degree subgraph) is built lazily on the first APSP call and
-// cached like the rest.
+// ε/2 (and, for the unweighted algorithm, a second one on the low-degree
+// subgraph); the simulator builds it lazily on the first APSP call, the
+// host on the first APSP detection that does not fit in the ε/2 β, and
+// both cache it like the rest.
 //
 // Canceling ctx aborts the preprocessing run at its next barrier and
 // NewEngine returns an error wrapping ErrCanceled; no engine is returned.
@@ -186,10 +187,6 @@ func newEngine(gr *Graph, opts Options) (*Engine, error) {
 // patched copy, a decoded snapshot's graph - and prepared opts: the
 // engine takes g over as it is, without the defensive copy.
 func adoptEngine(g *graph.Graph, opts Options) *Engine {
-	beta, err := opts.hopsetParams().Beta(g.N)
-	if err != nil {
-		panic(err) // prepared opts have ε in (0, 1]
-	}
 	gr := &Graph{g: g}
 	e := &Engine{
 		gr:   gr,
@@ -198,29 +195,31 @@ func adoptEngine(g *graph.Graph, opts Options) *Engine {
 			arts:     make(map[artifactKey]*artifactEntry),
 			inflight: make(map[artifactKey]*buildCall),
 		},
-		exec: &backend{g: gr.g, opts: opts, beta: beta},
 	}
-	e.exec.base = func(ctx context.Context) (*artifactEntry, error) { return e.artifact(ctx, e.baseKey()) }
+	// The base hopset serves the direct (1+ε) queries: MSSP (Theorem 3)
+	// and both MSSP stages of Diameter (§7.2). The §6 APSP algorithms run
+	// their inner MSSP at ε/2 (Lemmas 27/30), over G and, in the second
+	// phase of the unweighted one, over the low-degree subgraph G′ (§6.3).
+	hp, art := opts.hopsetParams(), e.artifact
+	half := apsp.HopsetParams(hp, opts.Epsilon)
+	e.exec = &backend{
+		g:       g,
+		opts:    opts,
+		base:    newLazyHopset(artifactKey{artFull, hp}, g.N, art),
+		half:    newLazyHopset(artifactKey{artFull, half}, g.N, art),
+		halfLow: newLazyHopset(artifactKey{artLowDegree, half}, g.N, art),
+	}
 	return e
 }
 
-// baseKey is the hopset parameterization of direct (1+ε) queries: MSSP
-// (Theorem 3) and both MSSP stages of Diameter (§7.2).
-func (e *Engine) baseKey() artifactKey {
-	return artifactKey{artFull, e.opts.hopsetParams()}
-}
+// baseKey is the base hopset's key (backend.base).
+func (e *Engine) baseKey() artifactKey { return e.exec.base.key }
 
-// apspKey is the ε/2 parameterization all §6 APSP algorithms use for
-// their inner MSSP (Lemmas 27/30).
-func (e *Engine) apspKey() artifactKey {
-	return artifactKey{artFull, apsp.HopsetParams(e.opts.hopsetParams(), e.opts.Epsilon)}
-}
+// apspKey is the key of the ε/2 hopset on G (backend.half).
+func (e *Engine) apspKey() artifactKey { return e.exec.half.key }
 
-// apspLowKey is the ε/2 hopset on the low-degree subgraph G' used by the
-// second phase of the unweighted APSP (§6.3).
-func (e *Engine) apspLowKey() artifactKey {
-	return artifactKey{artLowDegree, apsp.HopsetParams(e.opts.hopsetParams(), e.opts.Epsilon)}
-}
+// apspLowKey is the key of the ε/2 hopset on G′ (backend.halfLow).
+func (e *Engine) apspLowKey() artifactKey { return e.exec.halfLow.key }
 
 // artifact returns the cached artifact for key, building it in a
 // preprocessing run on first use. Concurrent callers of the same key
@@ -550,25 +549,30 @@ func (e *Engine) APSP(ctx context.Context) (*APSPResult, error) {
 }
 
 // APSPWeighted answers a (2+ε, (1+ε)W)-approximate all-pairs query
-// (Theorem 28) from the cached ε/2 hopset.
+// (Theorem 28) from the ε/2 hopset, which the simulator builds before the
+// first such query runs and the host only when one of its detections does
+// not fit in the ε/2 β (DESIGN.md §13, "When H exists").
 func (e *Engine) APSPWeighted(ctx context.Context) (*APSPResult, error) {
 	return e.apspByVariant(ctx, api.APSPWeighted)
 }
 
 // APSPWeighted3 answers the simpler (3+ε)-approximate weighted all-pairs
-// query of §6.1; it shares the ε/2 hopset artifact with APSPWeighted.
+// query of §6.1; it shares the ε/2 hopset artifact with APSPWeighted,
+// built as APSPWeighted builds it.
 func (e *Engine) APSPWeighted3(ctx context.Context) (*APSPResult, error) {
 	return e.apspByVariant(ctx, api.APSPWeighted3)
 }
 
 // APSPUnweighted answers a (2+ε)-approximate all-pairs query on an
 // unweighted graph (Theorem 31). It uses two cached artifacts: the ε/2
-// hopset on G and the ε/2 hopset on the low-degree subgraph G'.
+// hopset on G and the ε/2 hopset on the low-degree subgraph G', each built
+// as APSPWeighted builds its one (on the host, only when a detection over
+// that graph needs it).
 func (e *Engine) APSPUnweighted(ctx context.Context) (*APSPResult, error) {
 	return e.apspByVariant(ctx, api.APSPUnweighted)
 }
 
-// apspByVariant answers one concrete (non-auto) APSP variant from the ε/2
+// apspByVariant answers one concrete (non-auto) APSP variant over the ε/2
 // hopset on G, plus - for the unweighted algorithm only - the one on G'.
 func (e *Engine) apspByVariant(ctx context.Context, v api.APSPVariant) (*APSPResult, error) {
 	res, err := e.apsp(ctx, v, nil)
@@ -585,17 +589,7 @@ func (e *Engine) apsp(ctx context.Context, v api.APSPVariant, l *lent) (*APSPRes
 	if v != api.APSPWeighted && v != api.APSPWeighted3 && v != api.APSPUnweighted {
 		return nil, fmt.Errorf("%w: unknown apsp variant %q", api.ErrMalformed, v)
 	}
-	entG, err := e.artifact(ctx, e.apspKey())
-	if err != nil {
-		return nil, err
-	}
-	var entLow *artifactEntry
-	if v == api.APSPUnweighted {
-		if entLow, err = e.artifact(ctx, e.apspLowKey()); err != nil {
-			return nil, err
-		}
-	}
-	table, stats, err := e.exec.apsp(ctx, v, entG, entLow)
+	table, stats, err := e.exec.apsp(ctx, v)
 	if err != nil {
 		return nil, wrapRun(string(v)+" APSP", err)
 	}

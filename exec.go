@@ -3,6 +3,7 @@ package ccsp
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/congestedclique/ccsp/api"
@@ -29,32 +30,83 @@ import (
 // method returns the kind's intermediate rows - the same values on either
 // clique, which the differential oracle (direct_test.go,
 // FuzzDirectVsSimulated) pins byte for byte - plus the run's Stats. Errors
-// come back raw (cc or context sentinels), but for the base entry's build,
-// which comes back as Engine.artifact wraps it; validation, artifact
-// lookup, result shaping and the wrap into the public error taxonomy live
-// once, in the Engine methods.
+// come back raw (cc or context sentinels), but for an entry's build, which
+// comes back as Engine.artifact wraps it; the backend reaches the artifact
+// cache only through its lazy hopsets, and validation, result shaping and
+// the wrap into the public error taxonomy live once, in the Engine
+// methods.
 type backend struct {
 	g    *graph.Graph
 	opts Options
-	// base resolves the engine's base entry (Engine.artifact at baseKey),
-	// building it on first need, and beta is its hop bound, derived from
-	// the params alone (hopset.Params.Beta), so that a host detection over
-	// G needs no entry until its certified searches abort.
-	base func(ctx context.Context) (*artifactEntry, error)
-	beta int
+	// base, half and halfLow are the engine's hopsets as its detections
+	// see them: the base entry, and the ε/2 entries on G and on G′ that the
+	// §6 APSP algorithms detect over. A host detection runs over G (or G′)
+	// at the hopset's β and reads the entry only when its certified
+	// searches abort (lazyHopset.Resolve).
+	base, half, halfLow *lazyHopset
 
-	// The weight matrix, the semiring sized for it and the routed (first-hop
-	// witness) weight matrix are built once on first use and immutable
-	// afterwards: the graph does not change after newEngine, and
-	// Graph.AugSemiring scans every edge.
+	// The weight matrix, the semiring sized for it, the routed (first-hop
+	// witness) weight matrix and the low-degree subgraph G′ with its degree
+	// vector are built once on first use and immutable afterwards: the
+	// graph does not change after newEngine, and Graph.AugSemiring scans
+	// every edge.
 	once       sync.Once
 	w          *matrix.Mat[semiring.WH]
 	sr         semiring.AugMinPlus
 	routedOnce sync.Once
 	routed     *matrix.Mat[semiring.WHF]
+	lowOnce    sync.Once
+	degs       []int64
+	low        *matrix.Mat[semiring.WH]
 
 	// served is the Served hook of every clique.Direct it makes (tests).
 	served func(w *matrix.Mat[semiring.WH], beta int, inS []bool, certified bool)
+}
+
+// lazyHopset is one hopset of the engine as a detection sees it: its key,
+// its hop bound β, derived from the params alone (hopset.Params.Beta), and
+// the entry, fetched through artifact (Engine.artifact). The simulator
+// fetches the entry before its run; a host detection asks for the entry's
+// G ∪ H (Resolve) only when its certified searches abort, so that the
+// first such detection builds it under its own ctx (DESIGN.md §16).
+type lazyHopset struct {
+	key      artifactKey
+	beta     int
+	artifact func(context.Context, artifactKey) (*artifactEntry, error)
+	// asked records that a query has run over h, so that Save writes h's
+	// entry whether or not a detection needed it (set by backend.apsp; the
+	// base entry is written always).
+	asked atomic.Bool
+}
+
+// newLazyHopset is the lazy hopset at key on n nodes, its entries fetched
+// through artifact.
+func newLazyHopset(key artifactKey, n int, artifact func(context.Context, artifactKey) (*artifactEntry, error)) *lazyHopset {
+	beta, err := key.params.Beta(n)
+	if err != nil {
+		panic(err) // prepared opts have ε in (0, 1]
+	}
+	return &lazyHopset{key: key, beta: beta, artifact: artifact}
+}
+
+// entry is h's entry, built now if need be; nil for no hopset.
+func (h *lazyHopset) entry(ctx context.Context) (*artifactEntry, error) {
+	if h == nil {
+		return nil, nil
+	}
+	return h.artifact(ctx, h.key)
+}
+
+// Resolve is h's G ∪ H (mssp.GH), resolved under the ctx of the detection
+// whose certified searches aborted: Engine.artifact's rules hold, so that
+// a waiter's cancel leaves only that waiter and a canceled build is taken
+// over by a live one.
+func (h *lazyHopset) Resolve(ctx context.Context) (*matrix.Mat[semiring.WH], error) {
+	ent, err := h.entry(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return ent.gh, nil
 }
 
 // weights returns the cached augmented weight matrix and the semiring
@@ -76,12 +128,38 @@ func (b *backend) routedMat() *matrix.Mat[semiring.WHF] {
 	return b.routed
 }
 
+// lowDegree returns the cached degree vector and low-degree subgraph G′
+// of §6.3 (apsp.LowDegree), which every entry on G′ and every detection
+// over it share.
+func (b *backend) lowDegree() ([]int64, *matrix.Mat[semiring.WH]) {
+	b.lowOnce.Do(func() {
+		w, _ := b.weights()
+		b.degs = make([]int64, w.N)
+		for v := range b.degs {
+			b.degs[v] = int64(len(w.Rows[v])) // the row includes the diagonal: |N(v)|
+		}
+		b.low = apsp.LowDegree(w, b.degs)
+	})
+	return b.degs, b.low
+}
+
+// graphOf is the weight matrix a hopset of variant is built on: G, or G′.
+func (b *backend) graphOf(variant artVariant) *matrix.Mat[semiring.WH] {
+	if variant == artLowDegree {
+		_, low := b.lowDegree()
+		return low
+	}
+	w, _ := b.weights()
+	return w
+}
+
 // build constructs the entry for key, ready for queries: the hopset
 // artifact (§4), for artLowDegree the degree vector that defines G', the
-// base the artifact was built on (G, or G'), the run's Stats and, on the
-// host, the G ∪ H its level loop swept (hopset.BuildDirectFrom), so that
-// the entry needs no attach. sib, if not nil, is a completed entry of
-// key's variant whose params differ from key's only in ε: the host build
+// base the artifact was built on (G, or G': on the host the backend's own
+// copy, lowDegree), the run's Stats and, on the host, the G ∪ H its level
+// loop swept (hopset.BuildDirectFrom), so that the entry needs no attach.
+// sib, if not nil, is a completed entry of key's variant whose params
+// differ from key's only in ε: the host build
 // runs only the level loop over its bunch stage and shares its rows
 // outside A_1; the simulator builds in full, each node's row of G' cut
 // from the degree broadcast, because its Stats are the paper's rounds.
@@ -93,11 +171,7 @@ func (b *backend) build(ctx context.Context, key artifactKey, sib *artifactEntry
 		var err error
 		ent.art, ent.stats, err = direct(ctx, b, func() (art *hopset.Artifact, err error) {
 			if low {
-				ent.degs = make([]int64, w.N)
-				for v := range ent.degs {
-					ent.degs[v] = int64(len(w.Rows[v])) // the row includes the diagonal: |N(v)|
-				}
-				ent.base = apsp.LowDegree(w, ent.degs)
+				ent.degs, ent.base = b.lowDegree()
 			}
 			sibArt, sibGH := sib.parts()
 			art, ent.gh, err = hopset.BuildDirectFrom(ctx, sr, ent.base, key.params, sibArt, sibGH, b.opts.Workers)
@@ -141,16 +215,16 @@ func (b *backend) build(ctx context.Context, key artifactKey, sib *artifactEntry
 
 // attach readies an entry of variant loaded from a snapshot for queries
 // before it is published, sib as for build, by deriving what build would
-// have kept: the base (G, or G' reconstructed from the entry's degs
-// exactly as the build did) and, on the host, the G ∪ H overlay the β-hop
+// have kept: the base (G, or the backend's G′, which loadEngine has checked
+// the entry's degs against) and, on the host, the G ∪ H overlay the β-hop
 // detections run over, which re-points the artifact's rows into its own
 // (DESIGN.md §13, "One copy of G ∪ H"). A sibling on G lends the overlay
 // every row the two artifacts share; a G' entry never takes one, as its
 // base is its own.
 func (b *backend) attach(variant artVariant, ent, sib *artifactEntry) {
-	ent.base, _ = b.weights()
+	ent.base = b.graphOf(variant)
 	if variant == artLowDegree {
-		ent.base, sib = apsp.LowDegree(ent.base, ent.degs), nil
+		sib = nil
 	}
 	if b.opts.Execution == ExecDirect {
 		sibArt, sibGH := sib.parts()
@@ -191,19 +265,7 @@ func (b *backend) baseEntry(ctx context.Context) (*artifactEntry, error) {
 	if b.opts.Execution == ExecDirect {
 		return nil, nil
 	}
-	return b.base(ctx)
-}
-
-// Resolve is the base entry's G ∪ H (mssp.GH), resolved under the ctx of
-// the detection whose certified searches aborted: Engine.artifact's rules
-// hold, so that a waiter's cancel leaves only that waiter and a canceled
-// build is taken over by a live one.
-func (b *backend) Resolve(ctx context.Context) (*matrix.Mat[semiring.WH], error) {
-	ent, err := b.base(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return ent.gh, nil
+	return b.base.entry(ctx)
 }
 
 // simOn is the simulated clique on ent's base, MSSP running over its
@@ -216,47 +278,59 @@ func (b *backend) simOn(ctx context.Context, ent *artifactEntry) *clique.Sim {
 	return clique.NewSim(ctx, b.opts.config(b.g.N), sr, ent.base, ent.art)
 }
 
-// directOn is the host clique on ent's base, detecting over its G ∪ H, or,
-// if ent is nil, on G, detecting over the base entry's G ∪ H, which only
-// an aborted certified search resolves (Resolve); a value, so that a
-// served query's stays off the heap.
-func (b *backend) directOn(ctx context.Context, ent *artifactEntry) clique.Direct {
+// directOn is the host clique on the graph h is built on (G, or G′),
+// detecting at h's β over h's G ∪ H, which only an aborted certified
+// search resolves (lazyHopset.Resolve), or on G with no hopset if h is nil
+// (for kinds that run no detection); a value, so that a served query's
+// stays off the heap. h is the backend's own pointer, so handing it over
+// boxes nothing.
+func (b *backend) directOn(ctx context.Context, h *lazyHopset) clique.Direct {
 	w, sr := b.weights()
-	var gh mssp.GH = b
-	beta := b.beta
-	if ent != nil {
-		w, gh, beta = ent.base, mssp.Built{M: ent.gh}, ent.art.Beta
+	var gh mssp.GH
+	beta := 0
+	if h != nil {
+		w, gh, beta = b.graphOf(h.key.variant), h, h.beta
 	}
 	c := clique.NewDirect(ctx, sr, w, gh, beta, b.opts.Workers)
 	c.Served = b.served
 	return *c
 }
 
-// on runs f, a kind written over clique.Clique, on the clique on ent (as
-// simOn and directOn take it) and, if lowEnt is not nil, low on lowEnt's:
-// on the simulator low is On c, so that both share one round budget and
-// the Stats are their runs'; on the host both run inside the direct frame.
-// A kind of one primitive calls it on a clique.Direct of its own instead:
-// on is not inlined, so the clique it passes as an interface goes to the
+// on runs f, a kind written over clique.Clique, on the clique over h (nil:
+// G alone) and, if low is not nil, low on the clique over low: on the
+// simulator, each entry fetched (and built, if need be) first, low is On
+// c, so that both share one round budget and the Stats are their runs';
+// on the host both run inside the direct frame, as directOn makes them. A
+// kind of one primitive calls it on a clique.Direct of its own instead: on
+// is not inlined, so the clique it passes as an interface goes to the
 // heap.
-func on[T any](ctx context.Context, b *backend, ent, lowEnt *artifactEntry, f func(c, low clique.Clique) (T, error)) (T, Stats, error) {
+func on[T any](ctx context.Context, b *backend, h, low *lazyHopset, f func(c, low clique.Clique) (T, error)) (T, Stats, error) {
 	if b.opts.Execution == ExecSimulated {
-		c := b.simOn(ctx, ent)
-		var low clique.Clique
-		if lowEnt != nil {
-			low = c.On(lowEnt.base, lowEnt.art)
+		var zero T
+		ent, err := h.entry(ctx)
+		if err != nil {
+			return zero, Stats{}, err
 		}
-		out, err := f(c, low)
+		lowEnt, err := low.entry(ctx)
+		if err != nil {
+			return zero, Stats{}, err
+		}
+		c := b.simOn(ctx, ent)
+		var lc clique.Clique
+		if lowEnt != nil {
+			lc = c.On(lowEnt.base, lowEnt.art)
+		}
+		out, err := f(c, lc)
 		return out, statsFrom(c.Stats), err
 	}
 	return direct(ctx, b, func() (T, error) {
-		c := b.directOn(ctx, ent)
-		var low clique.Clique
-		if lowEnt != nil {
-			l := b.directOn(ctx, lowEnt)
-			low = &l
+		c := b.directOn(ctx, h)
+		var lc clique.Clique
+		if low != nil {
+			l := b.directOn(ctx, low)
+			lc = &l
 		}
-		return f(&c, low)
+		return f(&c, lc)
 	})
 }
 
@@ -270,17 +344,17 @@ func on[T any](ctx context.Context, b *backend, ent, lowEnt *artifactEntry, f fu
 // Engine.MSSP serves it under row headers, Engine.distance reads one cell
 // and releases it (DESIGN.md §13, "the result path").
 func (b *backend) mssp(ctx context.Context, inS []bool) ([]int64, Stats, error) {
-	ent, err := b.baseEntry(ctx)
-	if err != nil {
-		return nil, Stats{}, err
-	}
 	if b.opts.Execution == ExecSimulated {
+		ent, err := b.base.entry(ctx)
+		if err != nil {
+			return nil, Stats{}, err
+		}
 		c := b.simOn(ctx, ent)
 		plane, err := c.MSSP(inS)
 		return plane, statsFrom(c.Stats), err
 	}
 	return direct(ctx, b, func() ([]int64, error) {
-		c := b.directOn(ctx, ent)
+		c := b.directOn(ctx, b.base)
 		return c.MSSP(inS)
 	})
 }
@@ -332,28 +406,33 @@ func (b *backend) sssp(ctx context.Context, source int) ([]int64, int, Stats, er
 	return dist, iters, st, err
 }
 
-// apsp runs one concrete §6 variant from the ε/2 hopset on G (and, for the
-// unweighted algorithm, the one on G'): the flat row-major n×n estimate
-// table, rest state semiring.Inf, owned by the caller like mssp's plane.
-func (b *backend) apsp(ctx context.Context, v api.APSPVariant, entG, entLow *artifactEntry) ([]int64, Stats, error) {
-	return on(ctx, b, entG, entLow, func(c, low clique.Clique) ([]int64, error) {
+// apsp runs one concrete §6 variant over the ε/2 hopset on G (and, for
+// the unweighted algorithm, the one on G'): the flat row-major n×n
+// estimate table, rest state semiring.Inf, owned by the caller like mssp's
+// plane. The simulator builds both entries before its run; the host reads
+// one only when a detection over its graph aborts (on).
+func (b *backend) apsp(ctx context.Context, v api.APSPVariant) ([]int64, Stats, error) {
+	var low *lazyHopset
+	if v == api.APSPUnweighted {
+		low = b.halfLow
+		low.asked.Store(true)
+	}
+	b.half.asked.Store(true)
+	w, _ := b.weights()
+	return on(ctx, b, b.half, low, func(c, low clique.Clique) ([]int64, error) {
 		switch v {
 		case api.APSPWeighted:
-			return apsp.TwoPlusEpsWeighted(c, entG.base)
+			return apsp.TwoPlusEpsWeighted(c, w)
 		case api.APSPWeighted3:
-			return apsp.ThreePlusEps(c, entG.base)
+			return apsp.ThreePlusEps(c, w)
 		}
-		return apsp.TwoPlusEpsUnweighted(c, entG.base, low)
+		return apsp.TwoPlusEpsUnweighted(c, w, low)
 	})
 }
 
 // diameter returns the §7.2 estimate from the base hopset.
 func (b *backend) diameter(ctx context.Context) (int64, Stats, error) {
-	ent, err := b.baseEntry(ctx)
-	if err != nil {
-		return 0, Stats{}, err
-	}
-	return on(ctx, b, ent, nil, func(c, _ clique.Clique) (int64, error) {
+	return on(ctx, b, b.base, nil, func(c, _ clique.Clique) (int64, error) {
 		return diameter.Approx(c)
 	})
 }

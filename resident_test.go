@@ -136,14 +136,17 @@ func entryBytesOf(ent, sib *artifactEntry) (uint64, []int) {
 }
 
 // TestEngineResidentBytes holds a direct engine's live heap to an exact
-// account in each of four states, within 64 KiB for the engine's own small
+// account in each of five states, within 64 KiB for the engine's own small
 // structs:
 //
 //   - fresh, after a certified MSSP: its graph and its weight matrix only,
 //     as a host NewEngine builds no hopset and the certified searches need
 //     none;
-//   - with the base entry forced (a Save): that and the entry's own
-//     storage - no transient slab of the build kept alive by a row pointing
+//   - still fresh after a certified APSPWeighted: the same, with no build
+//     listed, as its detections run over G at the ε/2 β and read the ε/2
+//     entry only when they abort;
+//   - with the base entry forced (as a fallback or a Save would force
+//     it): that and the entry's own storage - no transient slab of the build kept alive by a row pointing
 //     into it;
 //   - with the ε/2 entry an APSP builds over that base sibling: its own
 //     headers and only its A_1 rows, every other row being the ε entry's;
@@ -166,8 +169,8 @@ func TestEngineResidentBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !certifies(eng.gr.g, eng.exec.beta, sources) {
-			t.Fatalf("sources %v do not certify at β = %d", sources, eng.exec.beta)
+		if !certifies(eng.gr.g, eng.exec.base.beta, sources) {
+			t.Fatalf("sources %v do not certify at β = %d", sources, eng.exec.base.beta)
 		}
 		if _, err := eng.MSSP(ctx, sources); err != nil {
 			t.Fatal(err)
@@ -205,7 +208,21 @@ func TestEngineResidentBytes(t *testing.T) {
 		t.Errorf("a fresh host engine lists %d builds after a certified MSSP, want 0", builds)
 	}
 
-	if err := eng.Save(io.Discard); err != nil {
+	eng.exec.served = func(_ *matrix.Mat[semiring.WH], _ int, _ []bool, c bool) {
+		if !c {
+			t.Error("an APSP detection fell back on a graph where every one certifies")
+		}
+	}
+	if _, err := eng.APSPWeighted(ctx); err != nil {
+		t.Fatal(err)
+	}
+	eng.exec.served = nil
+	within("a fresh host engine holds its graph and weight matrix after a certified APSP", liveBytes()-start, want)
+	if builds := len(eng.PreprocessStats().Builds); builds != 0 {
+		t.Errorf("a fresh host engine lists %d builds after a certified APSP, want 0", builds)
+	}
+
+	if _, err := eng.artifact(ctx, eng.baseKey()); err != nil {
 		t.Fatal(err)
 	}
 	built := liveBytes()

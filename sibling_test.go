@@ -46,13 +46,16 @@ func derivedFrom(e *Engine, key, from artifactKey) bool {
 }
 
 // TestDirectSiblingBuildBothOrders: per APSP variant, a direct engine that
-// builds ε then derives ε/2 (NewEngine and Save, then APSP), one that
-// builds ε/2 cold then derives ε (a lazy engine asked APSP, then MSSP,
-// which certifies and builds nothing, then Save, which builds ε) and one loaded
+// builds ε then derives ε/2 (NewEngine and Save, then the ε/2 entries the
+// variant detects over, then APSP), one that builds ε/2 cold then derives
+// ε (a lazy engine asked for the ε/2 entries and APSP, then MSSP, which
+// certifies and builds nothing, then Save, which builds ε) and one loaded
 // from a snapshot holding only ε hold artifacts byte-identical to the
 // simulated engine's under every key, answer what it answers, and report
 // each build with its own ε, β and edge count. The low-degree artifact has
-// no sibling and builds cold.
+// no sibling and builds cold. A host APSP whose detections certify builds
+// no ε/2 entry, so the test asks for them as a fallback would
+// (Engine.artifact).
 func TestDirectSiblingBuildBothOrders(t *testing.T) {
 	ctx := context.Background()
 	for _, fam := range diffFamilies() {
@@ -98,6 +101,15 @@ func TestDirectSiblingBuildBothOrders(t *testing.T) {
 						eng       *Engine
 						key, from artifactKey
 					}{{"eager", eager, half, base}, {"loaded", loaded, half, base}, {"lazy", lazy, base, half}} {
+						keys := []artifactKey{half}
+						if v == api.APSPUnweighted {
+							keys = append(keys, low)
+						}
+						for _, key := range keys {
+							if _, err := c.eng.artifact(ctx, key); err != nil {
+								t.Fatal(err)
+							}
+						}
 						res, err := c.eng.apspByVariant(ctx, v)
 						if err != nil {
 							t.Fatal(err)
@@ -161,11 +173,12 @@ func hasBuild(builds []ArtifactBuild, b ArtifactBuild) bool {
 	return false
 }
 
-// TestDirectSiblingBuildCancel: the first APSP on an engine whose Save
-// built ε derives ε/2 from ε; canceled at any poll that derived build
+// TestDirectSiblingBuildCancel: on an engine whose Save built ε, the ε/2
+// entry - which a host APSP asks for under its own ctx once a detection
+// falls back - derives from ε; canceled at any poll that derived build
 // reaches, it returns ErrCanceled over context.Canceled and caches no ε/2
-// entry, and the next APSP derives it again and answers what a cold engine
-// answers.
+// entry, and the next ask derives it again, and the APSP then answers what
+// a cold engine answers.
 func TestDirectSiblingBuildCancel(t *testing.T) {
 	bg := context.Background()
 	gr := twoHubGrid()
@@ -188,27 +201,29 @@ func TestDirectSiblingBuildCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	polls := func(eng *Engine) int64 {
-		ctx := &pollCtx{Context: bg, k: math.MaxInt64}
-		if _, err := eng.APSPWeighted(ctx); err != nil {
-			t.Fatal(err)
-		}
-		return ctx.calls.Load()
-	}
 	eng := fresh()
-	first := polls(eng)
-	build := first - polls(eng) // the warm query polls what the first did, less the build
+	probe := &pollCtx{Context: bg, k: math.MaxInt64}
+	if _, err := eng.artifact(probe, eng.apspKey()); err != nil {
+		t.Fatal(err)
+	}
+	build := probe.calls.Load()
 	if build < 4 {
 		t.Fatalf("the derived build polled ctx %d times, want >= 4 (entry and the levels' sweeps)", build)
 	}
 	for k := int64(1); k <= build; k++ {
 		eng := fresh()
-		res, err := eng.APSPWeighted(&pollCtx{Context: bg, k: k})
-		if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) || res != nil {
-			t.Fatalf("canceled at poll %d of %d: got (%v, %v), want ErrCanceled", k, build, res, err)
+		ent, err := eng.artifact(&pollCtx{Context: bg, k: k}, eng.apspKey())
+		if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) || ent != nil {
+			t.Fatalf("canceled at poll %d of %d: got (%v, %v), want ErrCanceled", k, build, ent, err)
 		}
 		if len(encodedArtifacts(eng)) != 1 {
 			t.Fatalf("canceled at poll %d of %d: the ε/2 entry was cached", k, build)
+		}
+		if _, err := eng.artifact(bg, eng.apspKey()); err != nil {
+			t.Fatal(err)
+		}
+		if !derivedFrom(eng, eng.apspKey(), eng.baseKey()) {
+			t.Fatalf("the ask after a cancel at poll %d did not derive ε/2", k)
 		}
 		next, err := eng.APSPWeighted(bg)
 		if err != nil {
@@ -216,9 +231,6 @@ func TestDirectSiblingBuildCancel(t *testing.T) {
 		}
 		if !reflect.DeepEqual(next.Dist, cold.Dist) {
 			t.Fatalf("the APSP after a cancel at poll %d differs from a cold engine's", k)
-		}
-		if !derivedFrom(eng, eng.apspKey(), eng.baseKey()) {
-			t.Fatalf("the APSP after a cancel at poll %d did not derive ε/2", k)
 		}
 	}
 }
@@ -254,14 +266,22 @@ func (g *gateCtx) Err() error {
 // one cold and the other derived, or both cold when neither has completed
 // when the other starts - and the artifacts are byte-identical to cold
 // builds either way. The MSSP builds ε because its detection aborts: on
-// the grid, source 0 has nodes past β hops. Holding one build in flight
-// forces the both-cold interleaving: a build never waits for its sibling.
+// the grid, source 0 has nodes past β hops. The APSP's detections certify
+// at the larger ε/2 β, so it asks for ε/2 first, under its own ctx, as a
+// fallback would (Engine.artifact). Holding one build in flight forces the
+// both-cold interleaving: a build never waits for its sibling.
 func TestEngineSiblingBuildConcurrent(t *testing.T) {
 	ctx := context.Background()
 	gr := twoHubGrid()
 	opts := Options{Epsilon: 0.5, Execution: ExecDirect, Workers: 2}
 	mssp := func(ctx context.Context, eng *Engine) error { _, err := eng.MSSP(ctx, []int{0, 7}); return err }
-	apsp := func(ctx context.Context, eng *Engine) error { _, err := eng.APSPWeighted(ctx); return err }
+	apsp := func(ctx context.Context, eng *Engine) error {
+		if _, err := eng.artifact(ctx, eng.apspKey()); err != nil {
+			return err
+		}
+		_, err := eng.APSPWeighted(ctx)
+		return err
+	}
 	asks := []func(context.Context, *Engine) error{mssp, apsp}
 	lazy := func() *Engine {
 		eng, err := newEngine(gr, opts)
@@ -335,12 +355,13 @@ func sameWindow[E any](a, b []E) bool {
 }
 
 // TestEngineSiblingSharesRows: a direct engine holds H once. After
-// NewEngine, a Save that builds ε, an MSSP and both APSP variants (ε/2 on
-// G, ε/2 on G'), built and loaded back from its snapshot, every artifact
-// row is the
-// leading window of its entry's G ∪ H row, and every ε/2 row outside A_1 -
-// a row equal to the ε artifact's - is the ε entry's own storage, in the
-// artifact and in G ∪ H, so the ε/2 artifact allocates only its A_1 rows.
+// NewEngine, a Save that builds ε, an MSSP, the ε/2 entries on G and G'
+// (asked for as a fallback APSP would, Engine.artifact) and both APSP
+// variants, built and loaded back from its snapshot, every artifact row is
+// the leading window of its entry's G ∪ H row, and every ε/2 row outside
+// A_1 - a row equal to the ε artifact's - is the ε entry's own storage, in
+// the artifact and in G ∪ H, so the ε/2 artifact allocates only its A_1
+// rows.
 func TestEngineSiblingSharesRows(t *testing.T) {
 	ctx := context.Background()
 	for _, fam := range append(diffFamilies(), struct {
@@ -356,6 +377,11 @@ func TestEngineSiblingSharesRows(t *testing.T) {
 		}
 		if _, err := eng.MSSP(ctx, []int{0}); err != nil {
 			t.Fatal(err)
+		}
+		for _, key := range []artifactKey{eng.apspKey(), eng.apspLowKey()} {
+			if _, err := eng.artifact(ctx, key); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if _, err := eng.APSPWeighted(ctx); err != nil {
 			t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"github.com/congestedclique/ccsp/internal/snapshot"
 )
@@ -19,16 +20,24 @@ import (
 //
 // Save first builds the base artifact if the engine has none yet - on
 // the host neither NewEngine nor a DynamicEngine rebuild builds it
-// (DESIGN.md §16) - so a snapshot holds it, first, whichever queries ran:
-// what a lazy host engine writes is what an engine that built the base
-// artifact up front writes on the same graph and options.
+// (DESIGN.md §16) - so a snapshot holds it, first, whichever queries ran.
+// It then builds the ε/2 artifacts of every APSP variant the engine has
+// served that it has not built - a host APSP builds one only when a
+// detection falls back - and no others: what a lazy host engine writes
+// is what an engine that built each artifact when its first query asked
+// for it writes on the same graph and options.
 //
 // Save is safe to call concurrently with queries; other artifacts whose
 // builds are still in flight are not included (they will be rebuilt
 // lazily by the loaded engine, preserving results).
 func (e *Engine) Save(w io.Writer) error {
-	if _, err := e.artifact(context.Background(), e.baseKey()); err != nil {
-		return err
+	for _, h := range []*lazyHopset{e.exec.base, e.exec.half, e.exec.halfLow} {
+		if h != e.exec.base && !h.asked.Load() {
+			continue
+		}
+		if _, err := h.entry(context.Background()); err != nil {
+			return err
+		}
 	}
 	snap := &snapshot.Snapshot{
 		Graph: e.gr.g,
@@ -149,8 +158,18 @@ func loadEngine(ctx context.Context, r io.Reader, direct bool) (*Engine, error) 
 		if err := a.Params.Check(a.Art); err != nil {
 			return nil, fmt.Errorf("ccsp: snapshot artifact %d: %w", i, err)
 		}
-		if key.variant == artLowDegree && a.Degs == nil {
-			return nil, fmt.Errorf("ccsp: snapshot low-degree artifact %d is missing its degree vector", i)
+		if key.variant == artLowDegree {
+			if a.Degs == nil {
+				return nil, fmt.Errorf("ccsp: snapshot low-degree artifact %d is missing its degree vector", i)
+			}
+			// The engine's G′ is derived from its graph (backend.lowDegree),
+			// so the entry must have been built on that very subgraph; it
+			// then shares the engine's degree vector.
+			degs, _ := e.exec.lowDegree()
+			if !slices.Equal(a.Degs, degs) {
+				return nil, fmt.Errorf("ccsp: snapshot low-degree artifact %d has a degree vector that is not its graph's", i)
+			}
+			a.Degs = degs
 		}
 		// Entries in arts are by definition complete: queries use the
 		// rehydrated artifact as-is, with no build to wait on, once attach

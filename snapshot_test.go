@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/congestedclique/ccsp/api"
 	"github.com/congestedclique/ccsp/internal/hopset"
 	"github.com/congestedclique/ccsp/internal/semiring"
 	"github.com/congestedclique/ccsp/internal/snapshot"
@@ -341,9 +342,9 @@ func TestSnapshotLazyAfterLoad(t *testing.T) {
 	}
 }
 
-// TestLoadEngineRejectsBadInput: corruption, truncation, version skew and
-// a hopset edge of negative weight all surface as errors through the
-// public API.
+// TestLoadEngineRejectsBadInput: corruption, truncation, version skew, a
+// hopset edge of negative weight and a low-degree artifact whose degree
+// vector is not its graph's all surface as errors through the public API.
 func TestLoadEngineRejectsBadInput(t *testing.T) {
 	warm, err := NewEngine(context.Background(), testGraph(12, 10, 4, 9), Options{})
 	if err != nil {
@@ -408,6 +409,43 @@ func TestLoadEngineRejectsBadInput(t *testing.T) {
 			if _, err := load(context.Background(), bytes.NewReader(bad.Bytes())); err == nil {
 				t.Errorf("%s accepted %s", name, tc.name)
 			}
+		}
+	}
+
+	// The engine detects over the G′ its own graph defines, so a
+	// low-degree artifact built on another subgraph is refused.
+	low, err := newEngine(testGraph(12, 10, 4, 9), Options{Execution: ExecDirect})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := low.artifact(context.Background(), low.apspLowKey()); err != nil {
+		t.Fatal(err)
+	}
+	var lowBuf bytes.Buffer
+	if err := low.Save(&lowBuf); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.Decode(&lowBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poisoned := false
+	for _, a := range snap.Artifacts {
+		if a.Variant == uint8(artLowDegree) {
+			a.Degs[0]++
+			poisoned = true
+		}
+	}
+	if !poisoned {
+		t.Fatal("the snapshot holds no low-degree artifact")
+	}
+	var bad bytes.Buffer
+	if err := snap.Encode(&bad); err != nil {
+		t.Fatal(err)
+	}
+	for name, load := range map[string]func(context.Context, io.Reader) (*Engine, error){"LoadEngine": LoadEngine, "LoadEngineDirect": LoadEngineDirect} {
+		if _, err := load(context.Background(), bytes.NewReader(bad.Bytes())); err == nil {
+			t.Errorf("%s accepted a low-degree artifact whose degree vector is not its graph's", name)
 		}
 	}
 }
@@ -592,6 +630,69 @@ func TestSnapshotLazyRebuildBytes(t *testing.T) {
 		if !bytes.Equal(savedWithoutWallClock(t, cold), want) {
 			t.Errorf("%s: a cold host engine's snapshot differs from an eagerly built engine's", tc.name)
 		}
+	}
+}
+
+// TestSnapshotCertifiedAPSPBytes: a host APSP whose detections certify
+// builds no ε/2 entry, and Save builds the entries of every variant served,
+// so the engine's snapshot is, byte for byte, that of an engine which
+// fetched its ε/2 entries before its APSP ran, as every APSP did before
+// its detections resolved them only on an abort. An engine that served no
+// APSP writes no ε/2 entry. Only the builds' wall-clock is cleared before
+// the bytes are compared.
+func TestSnapshotCertifiedAPSPBytes(t *testing.T) {
+	ctx := context.Background()
+	gr := testGraph(40, 60, 9, 8)
+	opts := Options{Epsilon: 0.5, Execution: ExecDirect}
+	for _, tc := range []struct {
+		v    api.APSPVariant
+		keys func(*Engine) []artifactKey
+	}{
+		{api.APSPWeighted, func(e *Engine) []artifactKey { return []artifactKey{e.apspKey()} }},
+		{api.APSPWeighted3, func(e *Engine) []artifactKey { return []artifactKey{e.apspKey()} }},
+		{api.APSPUnweighted, func(e *Engine) []artifactKey { return []artifactKey{e.apspKey(), e.apspLowKey()} }},
+	} {
+		lazy, err := NewEngine(ctx, gr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lazy.apspByVariant(ctx, tc.v); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(lazy.PreprocessStats().Builds); n != 0 {
+			t.Fatalf("%s: a certified APSP left %d builds, want none", tc.v, n)
+		}
+		eager, err := NewEngine(ctx, gr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range tc.keys(eager) {
+			if _, err := eager.artifact(ctx, key); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := eager.apspByVariant(ctx, tc.v); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(savedWithoutWallClock(t, lazy), savedWithoutWallClock(t, eager)) {
+			t.Errorf("%s: the snapshot differs from an engine's that fetched its ε/2 entries up front", tc.v)
+		}
+		if got, want := len(lazy.PreprocessStats().Builds), 1+len(tc.keys(lazy)); got != want {
+			t.Errorf("%s: %d builds after Save, want %d", tc.v, got, want)
+		}
+	}
+	none, err := NewEngine(ctx, gr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := none.MSSP(ctx, []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := none.Save(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if builds := none.PreprocessStats().Builds; len(builds) != 1 || builds[0].Eps != opts.Epsilon {
+		t.Errorf("an engine that served no APSP saved builds %+v, want the base one alone", builds)
 	}
 }
 
