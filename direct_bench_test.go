@@ -94,12 +94,13 @@ func BenchmarkBuildDirect(b *testing.B) {
 }
 
 // BenchmarkDirectKNearest measures a warm k-nearest query: one truncated
-// lexicographic Dijkstra per row of the routed weight matrix, k = 4, 8
-// and 11 being what the serve-bulk workload asks for. The routed matrix
-// is built once per engine, not per query, and the searches take their
-// scratch and answer slab from a recycled search state, so allocs/op
-// stays flat in the matrix size (TestQueryAllocsIndependentOfN) and B/op
-// near the answer (TestKNearestKernelBytes).
+// lexicographic Dijkstra per row of the engine's weight matrix, tracking
+// each node's first hop beside its key (disttools.KNearestRouted), k = 4,
+// 8 and 11 being what the serve-bulk workload asks for. No routed copy of
+// the graph is built, and the searches take their scratch and answer slab
+// from a recycled search state, so allocs/op stays flat in the matrix
+// size (TestQueryAllocsIndependentOfN) and B/op near the answer
+// (TestKNearestKernelBytes).
 func BenchmarkDirectKNearest(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		for _, k := range []int{4, 8, 11} {
@@ -308,7 +309,11 @@ func BenchmarkNewEngine(b *testing.B) {
 // family) every detection certifies at the ε/2 β of 80 and no hopset is
 // built; on cycle=1024 (hop depth 512) the detections abort, and the first
 // one builds the ε/2 hopset under the APSP's ctx, so there the build's cost
-// moves into the APSP.
+// moves into the APSP. Read it at -benchtime 5x or more: a one-op row
+// cannot tell a lazy first APSP from an eager one. On cycle=1024 (2 cores,
+// go1.24) 1x read 93-100 ms for the lazy one against 58-62 ms for an
+// eager one, while 5x read 59-66 ms for both. CI's 1x smoke line keeps
+// 1x, because it only exercises the path.
 func BenchmarkFirstAPSP(b *testing.B) {
 	for _, row := range []struct {
 		name string

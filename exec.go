@@ -45,19 +45,18 @@ type backend struct {
 	// searches abort (lazyHopset.Resolve).
 	base, half, halfLow *lazyHopset
 
-	// The weight matrix, the semiring sized for it, the routed (first-hop
-	// witness) weight matrix and the low-degree subgraph G′ with its degree
-	// vector are built once on first use and immutable afterwards: the
-	// graph does not change after newEngine, and Graph.AugSemiring scans
-	// every edge.
-	once       sync.Once
-	w          *matrix.Mat[semiring.WH]
-	sr         semiring.AugMinPlus
-	routedOnce sync.Once
-	routed     *matrix.Mat[semiring.WHF]
-	lowOnce    sync.Once
-	degs       []int64
-	low        *matrix.Mat[semiring.WH]
+	// The weight matrix, the semiring sized for it and the low-degree
+	// subgraph G′ with its degree vector are built once on first use and
+	// immutable afterwards: the graph does not change after newEngine, and
+	// Graph.AugSemiring scans every edge. They are the backend's only
+	// copies of G: a knearest tracks its first hops over w itself
+	// (clique.Clique.KNearestRouted).
+	once    sync.Once
+	w       *matrix.Mat[semiring.WH]
+	sr      semiring.AugMinPlus
+	lowOnce sync.Once
+	degs    []int64
+	low     *matrix.Mat[semiring.WH]
 
 	// served is the Served hook of every clique.Direct it makes (tests).
 	served func(w *matrix.Mat[semiring.WH], beta int, inS []bool, certified bool)
@@ -114,18 +113,6 @@ func (h *lazyHopset) Resolve(ctx context.Context) (*matrix.Mat[semiring.WH], err
 func (b *backend) weights() (*matrix.Mat[semiring.WH], semiring.AugMinPlus) {
 	b.once.Do(func() { b.w, b.sr = b.g.WeightMatrix(), b.g.AugSemiring() })
 	return b.w, b.sr
-}
-
-// routedMat returns the cached routed weight matrix (the k-nearest query
-// input), so repeated queries stop paying the O(n·deg) row rebuild.
-func (b *backend) routedMat() *matrix.Mat[semiring.WHF] {
-	b.routedOnce.Do(func() {
-		b.routed = matrix.New[semiring.WHF](b.g.N)
-		for v := range b.routed.Rows {
-			b.routed.Rows[v] = b.g.WeightRowRouted(v)
-		}
-	})
-	return b.routed
 }
 
 // lowDegree returns the cached degree vector and low-degree subgraph G′
@@ -364,15 +351,14 @@ func (b *backend) mssp(ctx context.Context, inS []bool) ([]int64, Stats, error) 
 // successful call, release gives them back once the caller has copied them
 // out (the host search's state; nothing on the simulator).
 func (b *backend) knearest(ctx context.Context, k int) (rows *matrix.Mat[semiring.WHF], release func(), st Stats, err error) {
-	routed := b.routedMat()
 	if b.opts.Execution == ExecSimulated {
 		c := b.simOn(ctx, nil)
-		rows, release, err = c.KNearestRouted(routed, k)
+		rows, release, err = c.KNearestRouted(k)
 		return rows, release, statsFrom(c.Stats), err
 	}
 	rows, st, err = direct(ctx, b, func() (rows *matrix.Mat[semiring.WHF], err error) {
 		c := b.directOn(ctx, nil)
-		rows, release, err = c.KNearestRouted(routed, k)
+		rows, release, err = c.KNearestRouted(k)
 		return rows, err
 	})
 	return rows, release, st, err

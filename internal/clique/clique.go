@@ -28,11 +28,11 @@ type Clique interface {
 	// weights (Theorem 18), rows in column order, lent until release;
 	// release is nil exactly when err is not.
 	KNearest(k int) (_ *matrix.Mat[semiring.WH], release func(), _ error)
-	// KNearestRouted is KNearest over routed, G's weights with each edge's
-	// first hop as witness (Graph.WeightRowRouted), in the routed semiring
-	// bounded as G's augmented one is: the witness of every answer is the
-	// first hop of a shortest path to it.
-	KNearestRouted(routed *matrix.Mat[semiring.WHF], k int) (_ *matrix.Mat[semiring.WHF], release func(), _ error)
+	// KNearestRouted is KNearest in the routed semiring bounded as G's
+	// augmented one is, over G's weights with each edge's first hop as
+	// witness (routedRow): the witness of every answer is the first hop
+	// of a shortest path to it, the least one on a tie.
+	KNearestRouted(k int) (_ *matrix.Mat[semiring.WHF], release func(), _ error)
 	// SourceDetect solves (S, d, k)-source detection on G (Theorem 19): row
 	// v holds the k members of inS nearest v by paths of at most d hops, in
 	// column order, lent until release as KNearest's rows are.
@@ -173,11 +173,27 @@ func (s *Sim) KNearest(k int) (*matrix.Mat[semiring.WH], func(), error) {
 	})
 }
 
-func (s *Sim) KNearestRouted(routed *matrix.Mat[semiring.WHF], k int) (*matrix.Mat[semiring.WHF], func(), error) {
+// KNearestRouted lifts each node's row of G's weights into the routed
+// semiring inside the node's own run.
+func (s *Sim) KNearestRouted(k int) (*matrix.Mat[semiring.WHF], func(), error) {
 	sr := routedOf(s.sr)
 	return perNode(s, func(nd *cc.Node) matrix.Row[semiring.WHF] {
-		return disttools.KNearest(nd, sr, routed.Rows[nd.ID], k)
+		return disttools.KNearest(nd, sr, routedRow(s.w.Rows[nd.ID], nd.ID), k)
 	})
+}
+
+// routedRow is row v of G's weights with each entry's first hop as
+// witness: its own column, -1 on the diagonal (§3.1, recovering paths).
+func routedRow(row matrix.Row[semiring.WH], v int) matrix.Row[semiring.WHF] {
+	out := make(matrix.Row[semiring.WHF], len(row))
+	for i, e := range row {
+		fh := e.Col
+		if int(fh) == v {
+			fh = -1
+		}
+		out[i] = matrix.Entry[semiring.WHF]{Col: e.Col, Val: semiring.WHF{W: e.Val.W, H: e.Val.H, FH: fh}}
+	}
+	return out
 }
 
 func (s *Sim) SourceDetect(inS []bool, d, k int) (*matrix.Mat[semiring.WH], func(), error) {
@@ -338,10 +354,11 @@ func (s *Sim) send(out [][]cc.Packet, send func(*cc.Node, []cc.Packet) []cc.Msg)
 }
 
 // Direct is the host clique: the direct kernels (KNearestLent,
-// SourceDetectKLent, GreedyRows, RunDirect for every β-hop detection,
-// FoldThroughSets, KernelMul and FoldMinPlus), Broadcast the vector
-// itself, Exchange and Route a transpose, and Mirror and PivotCross a fold
-// that reads the senders' rows in place. It keeps no Stats.
+// KNearestRouted, SourceDetectKLent, GreedyRows, RunDirect for every
+// β-hop detection, FoldThroughSets, KernelMul and FoldMinPlus), Broadcast
+// the vector itself, Exchange and Route a transpose, and Mirror and
+// PivotCross a fold that reads the senders' rows in place. It keeps no
+// Stats.
 type Direct struct {
 	ctx      context.Context
 	sr       semiring.AugMinPlus
@@ -368,8 +385,10 @@ func (d *Direct) KNearest(k int) (*matrix.Mat[semiring.WH], func(), error) {
 	return disttools.KNearestLent[semiring.WH](d.ctx, d.sr, d.w, k, d.wk)
 }
 
-func (d *Direct) KNearestRouted(routed *matrix.Mat[semiring.WHF], k int) (*matrix.Mat[semiring.WHF], func(), error) {
-	return disttools.KNearestLent[semiring.WHF](d.ctx, routedOf(d.sr), routed, k, d.wk)
+// KNearestRouted tracks the first hops over G's weights themselves
+// (disttools.KNearestRouted): no routed copy of G is made.
+func (d *Direct) KNearestRouted(k int) (*matrix.Mat[semiring.WHF], func(), error) {
+	return disttools.KNearestRouted(d.ctx, d.sr, d.w, k, d.wk)
 }
 
 func (d *Direct) SourceDetect(inS []bool, hops, k int) (*matrix.Mat[semiring.WH], func(), error) {

@@ -10,7 +10,6 @@ import (
 
 	"github.com/congestedclique/ccsp/internal/cc"
 	"github.com/congestedclique/ccsp/internal/disttools"
-	"github.com/congestedclique/ccsp/internal/graph"
 	"github.com/congestedclique/ccsp/internal/graphgen"
 	"github.com/congestedclique/ccsp/internal/hitting"
 	"github.com/congestedclique/ccsp/internal/hopset"
@@ -20,8 +19,8 @@ import (
 )
 
 // cliques returns the simulated and the direct clique on a seeded graph,
-// MSSP running over one hopset the simulator built, and the graph.
-func cliques(t *testing.T) (*Sim, *Direct, *graph.Graph) {
+// MSSP running over one hopset the simulator built.
+func cliques(t *testing.T) (*Sim, *Direct) {
 	t.Helper()
 	ctx := context.Background()
 	g := graphgen.Connected(24, 40, graphgen.Weights{Max: 7}, 5)
@@ -38,13 +37,13 @@ func cliques(t *testing.T) (*Sim, *Direct, *graph.Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewSim(ctx, cc.Config{N: g.N}, sr, w, art), NewDirect(ctx, sr, w, mssp.Built{M: mssp.MergeGH(sr, w, art)}, art.Beta, 0), g
+	return NewSim(ctx, cc.Config{N: g.N}, sr, w, art), NewDirect(ctx, sr, w, mssp.Built{M: mssp.MergeGH(sr, w, art)}, art.Beta, 0)
 }
 
 // TestSimMatchesDirect: every primitive answers the same on both
 // backends, so a theorem written over Clique does too.
 func TestSimMatchesDirect(t *testing.T) {
-	sim, direct, g := cliques(t)
+	sim, direct := cliques(t)
 	n := sim.N()
 	if direct.N() != n {
 		t.Fatalf("N: direct %d, simulated %d", direct.N(), n)
@@ -76,13 +75,9 @@ func TestSimMatchesDirect(t *testing.T) {
 
 	// Both lending primitives: k-nearest at a k below n and one above it,
 	// detection at a d below the hop diameter and one above n.
-	routed := matrix.New[semiring.WHF](n)
-	for v := range routed.Rows {
-		routed.Rows[v] = g.WeightRowRouted(v)
-	}
 	for _, k := range []int{6, n + 3} {
-		sr, sRelease, sErr := sim.KNearestRouted(routed, k)
-		dr, dRelease, dErr := direct.KNearestRouted(routed, k)
+		sr, sRelease, sErr := sim.KNearestRouted(k)
+		dr, dRelease, dErr := direct.KNearestRouted(k)
 		same(fmt.Sprintf("KNearestRouted(k=%d)", k), rowsOf(dr), rowsOf(sr), dErr, sErr)
 		sRelease()
 		dRelease()
@@ -156,7 +151,7 @@ func TestSimCapsTheTotal(t *testing.T) {
 // the same table on both backends, and Sim.On's clique adds its runs to
 // the Stats it came from.
 func TestFoldsMatch(t *testing.T) {
-	sim, direct, _ := cliques(t)
+	sim, direct := cliques(t)
 	n := sim.N()
 	table := func() [][]int64 {
 		est := make([][]int64, n)

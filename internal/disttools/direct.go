@@ -76,6 +76,34 @@ func KNearestLent[E any](ctx context.Context, sr semiring.Ordered[E], w *matrix.
 	return knear, nb.release, nil
 }
 
+// KNearestRouted is KNearestLent over the routed semiring (§3.1,
+// recovering paths) without a routed copy of w: what KNearestLent answers
+// over w's entries lifted into semiring.WHF, each witness its column (-1
+// on the diagonal), so each row's entries carry the least first hop of a
+// least path. Its searches decode keys over w, as KNearestRanks' do, and
+// track one first hop a node beside the key. The rows are lent as
+// KNearestLent's; sr's MaxH must be at least n - 2, as a graph's
+// AugSemiring's is.
+func KNearestRouted(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], k, workers int) (_ *matrix.Mat[semiring.WHF], release func(), _ error) {
+	n := w.N
+	if int64(n) > sr.MaxH+2 { // decoder's condition
+		return nil, nil, fmt.Errorf("disttools: ranks of %d-node paths need MaxH >= %d, have %d", n, n-2, sr.MaxH)
+	}
+	k = max(1, min(k, n))
+	nb := takeNearest[semiring.WH](n)
+	if nb.routed == nil {
+		nb.routed = matrix.New[semiring.WHF](n)
+	}
+	if cap(nb.rslab) < n*k {
+		nb.rslab = make([]matrix.Entry[semiring.WHF], n*k)
+	}
+	if err := nb.pass(ctx, sr, w, k, workers, true, routedRows{nb}); err != nil {
+		nb.release()
+		return nil, nil, err
+	}
+	return nb.routed, nb.release, nil
+}
+
 // KNearestRanks is KNearestAll's answer as its searches keep it: row v is
 // cols[v], its nodes in the order the search settled them - those tied
 // at the k-th rank that did not all fit come last, the lowest columns in
@@ -96,7 +124,7 @@ func KNearestRanks(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[se
 	defer nb.release()
 	colSlab, rankSlab := make([]int32, n*k), make([]int64, n*k)
 	cols, ranks = make([][]int32, n), make([][]int64, n)
-	err = nb.pass(ctx, sr, w, k, workers, keepFunc[semiring.WH](func(s *searcher[semiring.WH], v int, got []int32) {
+	err = nb.pass(ctx, sr, w, k, workers, false, keepFunc[semiring.WH](func(s *searcher[semiring.WH], v int, got []int32) {
 		if len(got) == 0 {
 			return // the all-zero row
 		}

@@ -11,9 +11,8 @@ import (
 // ones: the external tests build the §6.3 subgraph G' with internal/apsp,
 // which imports this package.
 var (
+	CheckRouted    = checkRouted
 	FixpointGraphs = fixpointGraphs
-	RoutedMatrix   = routedMatrix
-	RoutedSemiring = routedSemiring
 )
 
 func KNearestAllRef[E any](sr semiring.Ordered[E], w *matrix.Mat[E], k int) *matrix.Mat[E] {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/congestedclique/ccsp/internal/graph"
+	"github.com/congestedclique/ccsp/internal/graphgen"
 	"github.com/congestedclique/ccsp/internal/matmul"
 	"github.com/congestedclique/ccsp/internal/matrix"
 	"github.com/congestedclique/ccsp/internal/semiring"
@@ -123,13 +124,62 @@ func routedSemiring(g *graph.Graph) semiring.RoutedMinPlus {
 	return semiring.NewRoutedMinPlus(sr.MaxW, sr.MaxH)
 }
 
-// routedMatrix is the routed (first-hop witness) weight matrix of g.
-func routedMatrix(g *graph.Graph) *matrix.Mat[semiring.WHF] {
-	m := matrix.New[semiring.WHF](g.N)
-	for v := 0; v < g.N; v++ {
-		m.Rows[v] = g.WeightRowRouted(v)
+// routedMatrix gives every entry of w its first hop as witness, its own
+// column, -1 on the diagonal: over a graph's weight matrix, the routed
+// (first-hop witness) weight matrix of §3.1. A nil row stays nil.
+func routedMatrix(w *matrix.Mat[semiring.WH]) *matrix.Mat[semiring.WHF] {
+	m := matrix.New[semiring.WHF](w.N)
+	for v, row := range w.Rows {
+		for _, e := range row {
+			fh := e.Col
+			if int(fh) == v {
+				fh = -1
+			}
+			m.Rows[v] = append(m.Rows[v], matrix.Entry[semiring.WHF]{Col: e.Col, Val: semiring.WHF{W: e.Val.W, H: e.Val.H, FH: fh}})
+		}
 	}
 	return m
+}
+
+// checkRouted holds both routed k-nearest searches on g's weights w -
+// KNearestAll over routedMatrix(w), and KNearestRouted over w itself - to
+// all ⌈log₂ k⌉ squarings over routedMatrix(w), row for row, first hops
+// included, at workers 1, 2, 4 and 0.
+func checkRouted(t *testing.T, what string, g *graph.Graph, w *matrix.Mat[semiring.WH], k int) {
+	t.Helper()
+	sr, wr := routedSemiring(g), routedMatrix(w)
+	want := knearestAllRef[semiring.WHF](sr, wr, k)
+	for _, workers := range []int{1, 2, 4, 0} {
+		got, err := KNearestAll(context.Background(), sr, wr, k, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, fmt.Sprintf("%s: WHF k=%d workers=%d", what, k, workers), got, want)
+		got, release, err := KNearestRouted(context.Background(), g.AugSemiring(), w, k, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, fmt.Sprintf("%s: KNearestRouted k=%d workers=%d", what, k, workers), got, want)
+		release()
+	}
+}
+
+// TestKNearestRoutedTies holds the routed searches to the squarings where
+// most first hops tie: on seeded unit-weight grids and cycles, a node
+// is reached at its least (W, H) through several of the source's
+// neighbours, and the answer must name the least of them; the source's
+// own entry names none (-1).
+func TestKNearestRoutedTies(t *testing.T) {
+	for name, g := range map[string]*graph.Graph{
+		"grid=6x7": graphgen.Grid(6, 7, graphgen.Weights{}, 3),
+		"grid=9x9": graphgen.Grid(9, 9, graphgen.Weights{}, 5),
+		"cycle=24": graphgen.Cycle(24, graphgen.Weights{}, 7),
+		"cycle=31": graphgen.Cycle(31, graphgen.Weights{}, 9),
+	} {
+		for _, k := range []int{1, 3, 8, 20, g.N} {
+			checkRouted(t, name, g, g.WeightMatrix(), k)
+		}
+	}
 }
 
 // sameRows asserts entry-for-entry equality, entry order included.
@@ -259,7 +309,8 @@ func TestSourceDetectKAllFixpointEquivalence(t *testing.T) {
 // or all graph.MaxWeightFor(n) (keys at the top of the range), and a
 // random set of rows dropped to nil, as G' drops its high-degree rows
 // while other rows still reach them. KNearestRanks' rows are held to
-// KNearestAll's (sameRanks).
+// KNearestAll's (sameRanks), and KNearestRouted's over those weights to
+// the routed squarings (checkRouted).
 func FuzzKNearest(f *testing.F) {
 	for _, seed := range []struct {
 		seed          int64
@@ -289,10 +340,10 @@ func FuzzKNearest(f *testing.F) {
 				g.MustAddEdge(u, v, weight())
 			}
 		}
-		w, wr := g.WeightMatrix(), routedMatrix(g)
+		w := g.WeightMatrix()
 		for v := 0; v < size; v++ {
 			if drop&(1<<(v%16)) != 0 && rng.Intn(2) == 0 {
-				w.Rows[v], wr.Rows[v] = nil, nil
+				w.Rows[v] = nil
 			}
 		}
 		kk := int(k)%(size+1) + 1
@@ -307,12 +358,8 @@ func FuzzKNearest(f *testing.F) {
 				t.Fatal(err)
 			}
 			sameRanks(t, fmt.Sprintf("ranks k=%d workers=%d", kk, workers), g.AugSemiring(), cols, ranks, got, knearestAllRef[semiring.WH](g.AugSemiring(), w, size))
-			gotR, err := KNearestAll(context.Background(), routedSemiring(g), wr, kk, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameRows(t, fmt.Sprintf("WHF k=%d workers=%d", kk, workers), gotR, knearestAllRef[semiring.WHF](routedSemiring(g), wr, kk))
 		}
+		checkRouted(t, fmt.Sprintf("n=%d", size), g, w, kk)
 	})
 }
 

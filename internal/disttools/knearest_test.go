@@ -24,22 +24,6 @@ func lowDegree(g *graph.Graph) *matrix.Mat[semiring.WH] {
 	return apsp.LowDegree(w, degs)
 }
 
-// routed gives every entry of w its first hop as witness, -1 on the
-// diagonal, as graph.WeightRowRouted does.
-func routed(w *matrix.Mat[semiring.WH]) *matrix.Mat[semiring.WHF] {
-	m := matrix.New[semiring.WHF](w.N)
-	for v, row := range w.Rows {
-		for _, e := range row {
-			fh := e.Col
-			if int(fh) == v {
-				fh = -1
-			}
-			m.Rows[v] = append(m.Rows[v], matrix.Entry[semiring.WHF]{Col: e.Col, Val: semiring.WHF{W: e.Val.W, H: e.Val.H, FH: fh}})
-		}
-	}
-	return m
-}
-
 func checkKNearest[E comparable](t *testing.T, name string, sr semiring.Ordered[E], w *matrix.Mat[E]) {
 	t.Helper()
 	for _, k := range []int{1, 2, 5, 7, 17, w.N} {
@@ -57,15 +41,19 @@ func checkKNearest[E comparable](t *testing.T, name string, sr semiring.Ordered[
 // TestKNearestAllFixpointEquivalence: the truncated lexicographic
 // Dijkstra returns exactly what all ⌈log₂ k⌉ filtered squarings on the
 // generic kernel return, over the augmented semiring and over the routed
-// one (witnesses included in the comparison), on every fixpoint family
-// and on its §6.3 subgraph G', whose high-degree rows are nil - a search
-// seeded at its source instead of its row would answer {v} there.
+// one (witnesses included in the comparison; KNearestAll over the lifted
+// weights and KNearestRouted over the weights themselves, checkRouted) on
+// every fixpoint family and on its §6.3 subgraph G', whose high-degree
+// rows are nil - a search seeded at its source instead of its row would
+// answer {v} there.
 func TestKNearestAllFixpointEquivalence(t *testing.T) {
 	for name, g := range disttools.FixpointGraphs() {
 		checkKNearest[semiring.WH](t, name+"/WH", g.AugSemiring(), g.WeightMatrix())
-		checkKNearest[semiring.WHF](t, name+"/WHF", disttools.RoutedSemiring(g), disttools.RoutedMatrix(g))
 		low := lowDegree(g)
 		checkKNearest[semiring.WH](t, name+"/G'/WH", g.AugSemiring(), low)
-		checkKNearest[semiring.WHF](t, name+"/G'/WHF", disttools.RoutedSemiring(g), routed(low))
+		for _, k := range []int{1, 2, 5, 7, 17, g.N} {
+			disttools.CheckRouted(t, name, g, g.WeightMatrix(), k)
+			disttools.CheckRouted(t, name+"/G'", g, low, k)
+		}
 	}
 }

@@ -40,18 +40,22 @@ type item struct {
 }
 
 // nearest is what successive k-nearest searches over n nodes share: the
-// arcs of the weight matrix, the answer slab under its header and one
-// searcher per pass worker. A released one waits in a sync.Pool per
-// element type, as a released (S, d, k)-detection state waits in
-// kdetects, and the next search of the same n takes it over.
+// arcs of the weight matrix, the answer slab under its header (and, over
+// a WH matrix, KNearestRouted's) and one searcher per pass worker. A
+// released one waits in a sync.Pool per element type, as a released
+// (S, d, k)-detection state waits in kdetects, and the next search of the
+// same n takes it over.
 type nearest[E any] struct {
-	n    int
-	off  []int32 // row y's arcs are arcs[off[y]:off[y+1]]
-	arcs []arc
-	out  *matrix.Mat[E]
-	slab []matrix.Entry[E] // row v's window is [v·k, v·k + k)
-	k    int               // the running pass's k
-	dec  func(int64) E     // and its decoder (nil: values ride beside keys)
+	n      int
+	off    []int32 // row y's arcs are arcs[off[y]:off[y+1]]
+	arcs   []arc
+	out    *matrix.Mat[E]
+	slab   []matrix.Entry[E] // row v's window is [v·k, v·k + k)
+	routed *matrix.Mat[semiring.WHF]
+	rslab  []matrix.Entry[semiring.WHF] // routed row v's window, as slab's
+	k      int                          // the running pass's k
+	dec    func(int64) E                // and its decoder (nil: values ride beside keys),
+	decSr  semiring.AugMinPlus          // which unranks under decSr
 
 	mu    sync.Mutex
 	ws    []*searcher[E]
@@ -61,11 +65,12 @@ type nearest[E any] struct {
 }
 
 // searcher is one pass worker's scratch: a key and a value per node, at
-// rest unreached, the heap, the nodes it reached and the nodes it
-// settled, in order.
+// rest unreached, a first hop per node once a pass has tracked them, the
+// heap, the nodes it reached and the nodes it settled, in order.
 type searcher[E any] struct {
 	key  []int64
 	val  []E
+	fh   []int32
 	heap radix
 	seen []int32
 	got  []int32
@@ -136,7 +141,7 @@ func (nb *nearest[E]) knearest(ctx context.Context, sr semiring.Ordered[E], w *m
 	if cap(nb.slab) < nb.n*k {
 		nb.slab = make([]matrix.Entry[E], nb.n*k)
 	}
-	if err := nb.pass(ctx, sr, w, k, workers, nb); err != nil {
+	if err := nb.pass(ctx, sr, w, k, workers, false, nb); err != nil {
 		return nil, err
 	}
 	return nb.out, nil
@@ -158,31 +163,61 @@ func (f keepFunc[E]) keep(s *searcher[E], v int, got []int32) { f(s, v, got) }
 // keep is knearest's row sink: row v's kept nodes as entries, in column
 // order, in the row's window of nb's slab.
 func (nb *nearest[E]) keep(s *searcher[E], v int, got []int32) {
-	k := nb.k
-	nb.out.Rows[v] = nil // the all-zero row
-	if row := s.emit(got, nb.dec, nb.slab[v*k:v*k:v*k+k]); len(row) > 0 {
-		nb.out.Rows[v] = slices.Clip(row)
+	row := window(s, got, nb.slab, v, nb.k)
+	for i, u := range got {
+		row[i] = s.entry(u, nb.dec)
 	}
+	nb.out.Rows[v] = row
+}
+
+// window puts the kept nodes in column order and returns row v's window
+// of slab, one entry a kept node, for a sink to fill; nil, the all-zero
+// row, for none.
+func window[E, F any](s *searcher[E], got []int32, slab []matrix.Entry[F], v, k int) matrix.Row[F] {
+	if len(got) == 0 {
+		return nil
+	}
+	s.order(got)
+	return slab[v*k:][:len(got):len(got)]
+}
+
+// routedRows is KNearestRouted's row sink: row v's kept nodes as routed
+// entries, (W, H) decoded from the key and the first hop beside it, in
+// column order, in the row's window of nb's routed slab.
+type routedRows struct{ nb *nearest[semiring.WH] }
+
+func (r routedRows) keep(s *searcher[semiring.WH], v int, got []int32) {
+	nb := r.nb
+	row := window(s, got, nb.rslab, v, nb.k)
+	for i, u := range got {
+		wh := nb.decSr.Unrank(s.key[u])
+		row[i] = matrix.Entry[semiring.WHF]{Col: u, Val: semiring.WHF{W: wh.W, H: wh.H, FH: s.fh[u]}}
+	}
+	nb.routed.Rows[v] = row
 }
 
 // pass runs one search per row of w on a row pass and hands each row's
-// kept nodes to sink.
-func (nb *nearest[E]) pass(ctx context.Context, sr semiring.Ordered[E], w *matrix.Mat[E], k, workers int, sink rowSink[E]) error {
+// kept nodes to sink; with hops set its searches track first hops, which
+// takes a decoder.
+func (nb *nearest[E]) pass(ctx context.Context, sr semiring.Ordered[E], w *matrix.Mat[E], k, workers int, hops bool, sink rowSink[E]) error {
 	n := nb.n
 	poll := poller{ctx: ctx}
 	if poll.poll() {
 		return poll.err
 	}
 	fill(nb, sr, w)
-	nb.k, nb.dec = k, decoder(sr, n)
+	nb.k, nb.dec = k, nb.decoder(sr)
 	nb.taken = 0
 	pool.RunRows(n, workers, func() func(int) {
 		s := nb.worker()
+		if hops && s.fh == nil {
+			s.fh = make([]int32, n)
+		}
 		return func(v int) {
 			if poll.stopped(v) {
 				return
 			}
-			sink.keep(s, v, s.search(sr, w, nb, v, k, nb.dec))
+			sink.keep(s, v, s.search(sr, w, nb, v, k, nb.dec, hops))
 			s.reset()
 		}
 	})
@@ -221,13 +256,17 @@ func fill[E any, S semiring.Ordered[E]](nb *nearest[E], sr S, w *matrix.Mat[E]) 
 // stays below the rank's multiplier MaxH + 2. Otherwise it returns nil
 // and searches carry values beside keys, which costs a semiring product
 // and a value store per improved node: the WH searches of a §4 build run
-// up to a fifth slower that way (DESIGN.md §13, exit 5).
-func decoder[E any](sr semiring.Ordered[E], n int) func(int64) E {
+// up to a fifth slower that way (DESIGN.md §13, exit 5). The decoder is
+// a method value, made once per state and semiring, not once per pass.
+func (nb *nearest[E]) decoder(sr semiring.Ordered[E]) func(int64) E {
 	a, ok := any(sr).(semiring.AugMinPlus)
-	if !ok || int64(n) > a.MaxH+2 {
+	if !ok || int64(nb.n) > a.MaxH+2 {
 		return nil
 	}
-	return any(a.Unrank).(func(int64) E)
+	if nb.dec == nil || nb.decSr != a {
+		nb.dec, nb.decSr = any(a.Unrank).(func(int64) E), a
+	}
+	return nb.dec
 }
 
 // search returns the nodes of row v of Filter_k(D_∞) in the order it
@@ -241,13 +280,23 @@ func decoder[E any](sr semiring.Ordered[E], n int) func(int64) E {
 // keys already, and the lowest columns among them are kept (Lemma 15's
 // rule). Without a decoder a node's value is the semiring sum over its
 // tied candidates, so over the routed semiring it carries the least
-// first hop. The k-th node and the ones after it relax nothing: an
-// off-diagonal entry has H >= 1, so what they reach ranks past the k-th
-// key.
-func (s *searcher[E]) search(sr semiring.Ordered[E], w *matrix.Mat[E], nb *nearest[E], v, k int, dec func(int64) E) []int32 {
+// first hop. With hops set the search tracks that first hop itself, in
+// s.fh, as the routed semiring would over w's entries lifted with their
+// columns (RoutedMinPlus.Mul and Add): a seed's is its column, -1 for the
+// source's own entry; an improved node takes the first hop of the node it
+// was reached from, and a tied one keeps the least of the two. The k-th
+// node and the ones after it relax nothing: an off-diagonal entry has
+// H >= 1, so what they reach ranks past the k-th key.
+func (s *searcher[E]) search(sr semiring.Ordered[E], w *matrix.Mat[E], nb *nearest[E], v, k int, dec func(int64) E, hops bool) []int32 {
 	for j, e := range w.Rows[v] {
 		u := e.Col
 		s.key[u], s.val[u] = nb.arcs[int(nb.off[v])+j].rank, e.Val
+		if hops {
+			s.fh[u] = u
+			if int(u) == v {
+				s.fh[u] = -1
+			}
+		}
 		s.seen = append(s.seen, u)
 		s.heap.push(s.key[u], u)
 	}
@@ -272,6 +321,10 @@ func (s *searcher[E]) search(sr semiring.Ordered[E], w *matrix.Mat[E], nb *neare
 			continue // the source's row is the seed
 		}
 		ky, vy, row := it.key, s.val[y], w.Rows[y]
+		var fy int32
+		if hops {
+			fy = s.fh[y]
+		}
 		as := nb.arcs[nb.off[y]:nb.off[y+1]]
 		s.relaxed += int64(len(as))
 		for j, a := range as {
@@ -285,9 +338,13 @@ func (s *searcher[E]) search(sr semiring.Ordered[E], w *matrix.Mat[E], nb *neare
 				s.heap.push(c, u)
 				if dec == nil {
 					s.val[u] = sr.Mul(vy, row[j].Val)
+				} else if hops {
+					s.fh[u] = fy
 				}
 			case c == cu && dec == nil:
 				s.val[u] = sr.Add(s.val[u], sr.Mul(vy, row[j].Val))
+			case c == cu && hops:
+				s.fh[u] = min(s.fh[u], fy)
 			}
 		}
 	}
@@ -314,37 +371,31 @@ func (s *searcher[E]) reset() {
 	s.seen, s.got = s.seen[:0], s.got[:0]
 }
 
-// emit appends the kept nodes to dst in column order: through the bitmap
+// order puts the kept nodes in column order, in place: through the bitmap
 // while its span holds at most one word per kept node, sorted past that.
 // At that bound the bitmap costs about what a sort does for 8 nodes and a
 // quarter of it for 321; past it a sort of 8 nodes already wins
 // (DESIGN.md §13, exit 5).
-func (s *searcher[E]) emit(got []int32, dec func(int64) E, dst matrix.Row[E]) matrix.Row[E] {
-	if len(got) == 0 {
-		return dst
-	}
+func (s *searcher[E]) order(got []int32) {
 	lo, hi := got[0], got[0]
 	for _, u := range got {
 		lo, hi = min(lo, u), max(hi, u)
 	}
 	if words := int(hi>>6 - lo>>6 + 1); words > len(got) {
 		slices.Sort(got)
-		for _, u := range got {
-			dst = append(dst, s.entry(u, dec))
-		}
-		return dst
+		return
 	}
 	for _, u := range got {
 		s.mark[u>>6] |= 1 << (u & 63)
 	}
+	j := 0
 	for i := lo >> 6; i <= hi>>6; i++ {
 		for m := s.mark[i]; m != 0; m &= m - 1 {
-			u := i<<6 | int32(bits.TrailingZeros64(m))
-			dst = append(dst, s.entry(u, dec))
+			got[j] = i<<6 | int32(bits.TrailingZeros64(m))
+			j++
 		}
 		s.mark[i] = 0
 	}
-	return dst
 }
 
 // entry is node u's answer entry.

@@ -13,11 +13,11 @@ import (
 // over the routed semiring yields first hops that walk shortest paths.
 func TestKNearestRoutedWitnesses(t *testing.T) {
 	g := randGraph(20, 24, 10, 11)
-	sr := routedSemiring(g)
+	sr, wr := routedSemiring(g), routedMatrix(g.WeightMatrix())
 	k := 8
 	rows := make([]matrix.Row[semiring.WHF], g.N)
 	_, err := cc.Run(context.Background(), cc.Config{N: g.N}, func(nd *cc.Node) error {
-		rows[nd.ID] = KNearest[semiring.WHF](nd, sr, g.WeightRowRouted(nd.ID), k)
+		rows[nd.ID] = KNearest[semiring.WHF](nd, sr, wr.Rows[nd.ID], k)
 		return nil
 	})
 	if err != nil {
@@ -61,11 +61,11 @@ func TestKNearestRoutedWitnesses(t *testing.T) {
 // full shortest path.
 func TestRoutedFullClosureWalk(t *testing.T) {
 	g := randGraph(16, 18, 6, 13)
-	sr := routedSemiring(g)
+	sr, wr := routedSemiring(g), routedMatrix(g.WeightMatrix())
 	rows := make([]matrix.Row[semiring.WHF], g.N)
 	_, err := cc.Run(context.Background(), cc.Config{N: g.N}, func(nd *cc.Node) error {
 		// k = n: full closure with witnesses.
-		rows[nd.ID] = KNearest[semiring.WHF](nd, sr, g.WeightRowRouted(nd.ID), g.N)
+		rows[nd.ID] = KNearest[semiring.WHF](nd, sr, wr.Rows[nd.ID], g.N)
 		return nil
 	})
 	if err != nil {

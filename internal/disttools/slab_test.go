@@ -150,7 +150,7 @@ func TestSourceDetectKAllBytesFollowSources(t *testing.T) {
 // own capacity: an append to one cannot reach the next. Run under -race.
 func TestKNearestAllResultIsNotReused(t *testing.T) {
 	g := randGraph(100, 150, 9, 21)
-	sr, w := routedSemiring(g), routedMatrix(g)
+	sr, w := routedSemiring(g), routedMatrix(g.WeightMatrix())
 	for _, workers := range []int{1, 2, 4, 0} {
 		first, err := KNearestAll(context.Background(), sr, w, 6, workers)
 		if err != nil {
@@ -201,7 +201,7 @@ func (c *pollCtx) Err() error {
 func TestKNearestLentCancel(t *testing.T) {
 	g := randGraph(100, 150, 9, 31)
 	checkKNearestLentCancel[semiring.WH](t, "WH", g.AugSemiring(), g.WeightMatrix(), 7)
-	checkKNearestLentCancel[semiring.WHF](t, "WHF", routedSemiring(g), routedMatrix(g), 7)
+	checkKNearestLentCancel[semiring.WHF](t, "WHF", routedSemiring(g), routedMatrix(g.WeightMatrix()), 7)
 }
 
 func checkKNearestLentCancel[E comparable](t *testing.T, name string, sr semiring.Ordered[E], w *matrix.Mat[E], k int) {

@@ -152,22 +152,6 @@ func (g *Graph) WeightRow(v int) matrix.Row[semiring.WH] {
 	return out
 }
 
-// WeightRowRouted returns row v of the routed weight matrix: like
-// WeightRow, but every edge entry carries its first hop as witness, so
-// distance products produce routing tables (§3.1).
-func (g *Graph) WeightRowRouted(v int) matrix.Row[semiring.WHF] {
-	base := g.WeightRow(v)
-	row := make(matrix.Row[semiring.WHF], 0, len(base))
-	for _, e := range base {
-		fh := e.Col
-		if int(e.Col) == v {
-			fh = -1
-		}
-		row = append(row, matrix.Entry[semiring.WHF]{Col: e.Col, Val: semiring.WHF{W: e.Val.W, H: e.Val.H, FH: fh}})
-	}
-	return row
-}
-
 // WeightMatrix returns the full augmented weight matrix (sequential helper
 // for references and tests).
 func (g *Graph) WeightMatrix() *matrix.Mat[semiring.WH] {

@@ -136,7 +136,7 @@ func entryBytesOf(ent, sib *artifactEntry) (uint64, []int) {
 }
 
 // TestEngineResidentBytes holds a direct engine's live heap to an exact
-// account in each of five states, within 64 KiB for the engine's own small
+// account in each of six states, within 64 KiB for the engine's own small
 // structs:
 //
 //   - fresh, after a certified MSSP: its graph and its weight matrix only,
@@ -145,6 +145,9 @@ func entryBytesOf(ent, sib *artifactEntry) (uint64, []int) {
 //   - still fresh after a certified APSPWeighted: the same, with no build
 //     listed, as its detections run over G at the ε/2 β and read the ε/2
 //     entry only when they abort;
+//   - still fresh after a warm KNearest(8): the same, with no build
+//     listed, as its searches track first hops over the weight matrix
+//     itself and keep no routed copy of G;
 //   - with the base entry forced (as a fallback or a Save would force
 //     it): that and the entry's own storage - no transient slab of the build kept alive by a row pointing
 //     into it;
@@ -191,6 +194,9 @@ func TestEngineResidentBytes(t *testing.T) {
 	if _, err := warm.APSPWeighted(ctx); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := warm.KNearest(ctx, 8); err != nil {
+		t.Fatal(err)
+	}
 	warm = nil
 
 	start := liveBytes()
@@ -220,6 +226,16 @@ func TestEngineResidentBytes(t *testing.T) {
 	within("a fresh host engine holds its graph and weight matrix after a certified APSP", liveBytes()-start, want)
 	if builds := len(eng.PreprocessStats().Builds); builds != 0 {
 		t.Errorf("a fresh host engine lists %d builds after a certified APSP, want 0", builds)
+	}
+
+	for range 2 { // the first one warms the search state
+		if _, err := eng.KNearest(ctx, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	within("a fresh host engine holds its graph and weight matrix after a warm KNearest(8)", liveBytes()-start, want)
+	if builds := len(eng.PreprocessStats().Builds); builds != 0 {
+		t.Errorf("a fresh host engine lists %d builds after a KNearest, want 0", builds)
 	}
 
 	if _, err := eng.artifact(ctx, eng.baseKey()); err != nil {

@@ -576,11 +576,12 @@ func TestLentAnswerBytes(t *testing.T) {
 // allocates: the answer's own backing array (32 bytes per Neighbor, at most
 // n·k of them), its n list headers (n·27, as TestMSSPKernelBytes counts
 // them) and 4 KiB for what does not grow with n - measured, 388 408 bytes
-// at n = 1024, k = 11 against a budget of 392 192. The searches' answer
-// slab, its row headers, the arcs and the per-worker scratch come from a
-// recycled search state (disttools.KNearestLent); one that is not given
-// back (a slab of 32-byte routed entries, 32·n·k) breaks it, and so does
-// per-call n-sized scratch.
+// at n = 1024, k = 11 against a budget of 392 192. The searches run over
+// the engine's weight matrix, their first hops tracked beside the keys
+// (disttools.KNearestRouted): the routed answer slab, its row headers, the
+// arcs and the per-worker scratch come from a recycled search state; one
+// that is not given back (a slab of 32-byte routed entries, 32·n·k)
+// breaks it, and so does per-call n-sized scratch.
 func TestKNearestKernelBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector: the search state is not reliably warm")
