@@ -174,26 +174,12 @@ func (s *Sim) KNearest(k int) (*matrix.Mat[semiring.WH], func(), error) {
 }
 
 // KNearestRouted lifts each node's row of G's weights into the routed
-// semiring inside the node's own run.
+// semiring (disttools.RoutedRow) inside the node's own run.
 func (s *Sim) KNearestRouted(k int) (*matrix.Mat[semiring.WHF], func(), error) {
 	sr := routedOf(s.sr)
 	return perNode(s, func(nd *cc.Node) matrix.Row[semiring.WHF] {
-		return disttools.KNearest(nd, sr, routedRow(s.w.Rows[nd.ID], nd.ID), k)
+		return disttools.KNearest(nd, sr, disttools.RoutedRow(s.w.Rows[nd.ID], nd.ID), k)
 	})
-}
-
-// routedRow is row v of G's weights with each entry's first hop as
-// witness: its own column, -1 on the diagonal (§3.1, recovering paths).
-func routedRow(row matrix.Row[semiring.WH], v int) matrix.Row[semiring.WHF] {
-	out := make(matrix.Row[semiring.WHF], len(row))
-	for i, e := range row {
-		fh := e.Col
-		if int(fh) == v {
-			fh = -1
-		}
-		out[i] = matrix.Entry[semiring.WHF]{Col: e.Col, Val: semiring.WHF{W: e.Val.W, H: e.Val.H, FH: fh}}
-	}
-	return out
 }
 
 func (s *Sim) SourceDetect(inS []bool, d, k int) (*matrix.Mat[semiring.WH], func(), error) {
@@ -382,7 +368,7 @@ func NewDirect(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiri
 func (d *Direct) N() int { return d.w.N }
 
 func (d *Direct) KNearest(k int) (*matrix.Mat[semiring.WH], func(), error) {
-	return disttools.KNearestLent[semiring.WH](d.ctx, d.sr, d.w, k, d.wk)
+	return disttools.KNearestLent(d.ctx, d.sr, d.w, k, d.wk)
 }
 
 // KNearestRouted tracks the first hops over G's weights themselves

@@ -2,7 +2,6 @@ package disttools
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
 
 	"github.com/congestedclique/ccsp/internal/matrix"
@@ -56,10 +55,10 @@ type certPass struct {
 // the search state goes back to its pool on every return.
 func CertifiedPlane(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], inS []bool, maxH, workers int) ([]int64, error) {
 	n := w.N
-	if int64(n) > sr.MaxH+2 { // decoder's condition
-		return nil, fmt.Errorf("disttools: ranks of %d-node paths need MaxH >= %d, have %d", n, n-2, sr.MaxH)
+	nb, err := takeNearest(sr, n)
+	if err != nil {
+		return nil, err
 	}
-	nb := takeNearest[semiring.WH](n)
 	defer nb.release()
 	c := &nb.cert
 	c.poll = poller{ctx: ctx}
@@ -83,7 +82,7 @@ func CertifiedPlane(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[s
 	}
 	c.maxH, c.m = int64(maxH), sr.MaxH+2
 	c.over.Store(false)
-	fill(nb, sr, w)
+	nb.fill(sr, w)
 	nb.taken = 0
 	if c.newWorker == nil {
 		c.newWorker = func() func(int) {
@@ -111,7 +110,7 @@ func CertifiedPlane(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[s
 // j of the plane, unless the pass has stopped. It stops the pass when it
 // settles a node past the hop bound; the source's row is the seed, so it
 // relaxes every settled row but that one.
-func (s *searcher[E]) settleAll(nb *nearest[E], j int) {
+func (s *searcher) settleAll(nb *nearest, j int) {
 	c := &nb.cert
 	if c.over.Load() || c.poll.poll() {
 		return
@@ -143,7 +142,7 @@ func (s *searcher[E]) settleAll(nb *nearest[E], j int) {
 }
 
 // relax offers every arc of row y to the search at key ky + its rank.
-func (s *searcher[E]) relax(nb *nearest[E], y int32, ky int64) {
+func (s *searcher) relax(nb *nearest, y int32, ky int64) {
 	for _, a := range nb.arcs[nb.off[y]:nb.off[y+1]] {
 		c, u := ky+a.rank, a.col
 		if cu := s.key[u]; c < cu {

@@ -18,7 +18,6 @@ package disttools
 
 import (
 	"context"
-	"fmt"
 	"math/bits"
 	"slices"
 	"sync"
@@ -48,15 +47,21 @@ import (
 // over, takes KNearestLent instead and gives it back. No product code
 // calls it: the hopset build keeps its rows as KNearestRanks', and the
 // serving paths lend theirs; it stays for the benchmark harness, which
-// times it under this signature, and as the tests' form of the answer.
-func KNearestAll[E any](ctx context.Context, sr semiring.Ordered[E], w *matrix.Mat[E], k, workers int) (*matrix.Mat[E], error) {
-	nb := takeNearest[E](w.N)
-	defer nb.release()
-	knear, err := nb.knearest(ctx, sr, w, max(1, min(k, w.N)), workers)
-	if err == nil {
-		nb.out, nb.slab = nil, nil // handed over: only the scratch goes back
+// times it as KNearestAll[semiring.WH] - E is WH, the one element type a
+// search decodes from its keys - and as the tests' form of the answer.
+// sr's MaxH must be at least n - 2, as a graph's AugSemiring's is.
+func KNearestAll[E semiring.WH](ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[E], k, workers int) (*matrix.Mat[E], error) {
+	nb, err := takeNearest(sr, w.N)
+	if err != nil {
+		return nil, err
 	}
-	return knear, err
+	defer nb.release()
+	knear, err := nb.knearest(ctx, sr, any(w).(*matrix.Mat[semiring.WH]), max(1, min(k, w.N)), workers)
+	if err != nil {
+		return nil, err
+	}
+	nb.out, nb.slab = nil, nil // handed over: only the scratch goes back
+	return any(knear).(*matrix.Mat[E]), nil
 }
 
 // KNearestLent is KNearestAll lending its answer: the rows are the slab of
@@ -66,8 +71,11 @@ func KNearestAll[E any](ctx context.Context, sr semiring.Ordered[E], w *matrix.M
 // at most once, after the last read of the rows; it is nil exactly when
 // err is not, and a canceled search has given everything back before it
 // returns.
-func KNearestLent[E any](ctx context.Context, sr semiring.Ordered[E], w *matrix.Mat[E], k, workers int) (_ *matrix.Mat[E], release func(), _ error) {
-	nb := takeNearest[E](w.N)
+func KNearestLent(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], k, workers int) (_ *matrix.Mat[semiring.WH], release func(), _ error) {
+	nb, err := takeNearest(sr, w.N)
+	if err != nil {
+		return nil, nil, err
+	}
 	knear, err := nb.knearest(ctx, sr, w, max(1, min(k, w.N)), workers)
 	if err != nil {
 		nb.release()
@@ -77,20 +85,19 @@ func KNearestLent[E any](ctx context.Context, sr semiring.Ordered[E], w *matrix.
 }
 
 // KNearestRouted is KNearestLent over the routed semiring (§3.1,
-// recovering paths) without a routed copy of w: what KNearestLent answers
-// over w's entries lifted into semiring.WHF, each witness its column (-1
-// on the diagonal), so each row's entries carry the least first hop of a
-// least path. Its searches decode keys over w, as KNearestRanks' do, and
-// track one first hop a node beside the key. The rows are lent as
-// KNearestLent's; sr's MaxH must be at least n - 2, as a graph's
-// AugSemiring's is.
+// recovering paths) without a routed copy of w: what the collective
+// KNearest answers over w's rows lifted by RoutedRow, so each row's
+// entries carry the least first hop of a least path. Its searches decode
+// keys over w, as KNearestLent's do, and track one first hop a node
+// beside the key. The rows are lent as KNearestLent's; sr's MaxH must be
+// at least n - 2, as a graph's AugSemiring's is.
 func KNearestRouted(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], k, workers int) (_ *matrix.Mat[semiring.WHF], release func(), _ error) {
 	n := w.N
-	if int64(n) > sr.MaxH+2 { // decoder's condition
-		return nil, nil, fmt.Errorf("disttools: ranks of %d-node paths need MaxH >= %d, have %d", n, n-2, sr.MaxH)
+	nb, err := takeNearest(sr, n)
+	if err != nil {
+		return nil, nil, err
 	}
 	k = max(1, min(k, n))
-	nb := takeNearest[semiring.WH](n)
 	if nb.routed == nil {
 		nb.routed = matrix.New[semiring.WHF](n)
 	}
@@ -116,15 +123,15 @@ func KNearestRouted(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[s
 // rank to hold the value of every path a search keeps.
 func KNearestRanks(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], k, workers int) (cols [][]int32, ranks [][]int64, err error) {
 	n := w.N
-	if int64(n) > sr.MaxH+2 { // decoder's condition
-		return nil, nil, fmt.Errorf("disttools: ranks of %d-node paths need MaxH >= %d, have %d", n, n-2, sr.MaxH)
+	nb, err := takeNearest(sr, n)
+	if err != nil {
+		return nil, nil, err
 	}
-	k = max(1, min(k, n))
-	nb := takeNearest[semiring.WH](n)
 	defer nb.release()
+	k = max(1, min(k, n))
 	colSlab, rankSlab := make([]int32, n*k), make([]int64, n*k)
 	cols, ranks = make([][]int32, n), make([][]int64, n)
-	err = nb.pass(ctx, sr, w, k, workers, false, keepFunc[semiring.WH](func(s *searcher[semiring.WH], v int, got []int32) {
+	err = nb.pass(ctx, sr, w, k, workers, false, keepFunc(func(s *searcher, v int, got []int32) {
 		if len(got) == 0 {
 			return // the all-zero row
 		}

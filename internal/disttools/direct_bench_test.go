@@ -7,29 +7,26 @@ import (
 	"testing"
 
 	"github.com/congestedclique/ccsp/internal/graphgen"
-	"github.com/congestedclique/ccsp/internal/semiring"
 )
 
 // BenchmarkKNearestAll measures the k-nearest searches of Theorem 18 on
 // the root package's benchEngine graph family at n = 1024 (m ≈ 4n,
 // weights <= 10, default worker pool), at the three sizes the serving
 // system runs them: WH/k=321 is the §4 build's bunch computation,
-// WH/k=32 the apsp stage, routed/k=8 a knearest query with first-hop
-// witnesses (KNearestRouted over the weights, its answer given back after
-// each call, as a served query does), and WHF/k=8 the same answer by the
-// routed semiring's values beside the keys, over a lifted copy of the
-// weights. Run with -benchmem; settled/op and relaxations/op are the
+// WH/k=32 the apsp stage, and routed/k=8 a knearest query with
+// first-hop witnesses (KNearestRouted over the weights, its answer given
+// back after each call, as a served query does). Run with -benchmem; settled/op and relaxations/op are the
 // nodes the searches settled and the arcs they relaxed (DESIGN.md §13).
 func BenchmarkKNearestAll(b *testing.B) {
 	const n = 1024
 	ctx := context.Background()
 	g := graphgen.Connected(n, 3*n, graphgen.Weights{Max: 10}, int64(n)+17)
 	sr, w := g.AugSemiring(), g.WeightMatrix()
-	all := func(sr semiring.Ordered[semiring.WH], k int) func() error {
+	all := func(k int) func() error {
 		return func() error { _, err := KNearestAll(ctx, sr, w, k, 0); return err }
 	}
-	b.Run("WH/k=321", func(b *testing.B) { benchSearches(b, all(sr, 321)) })
-	b.Run("WH/k=32", func(b *testing.B) { benchSearches(b, all(sr, 32)) })
+	b.Run("WH/k=321", func(b *testing.B) { benchSearches(b, all(321)) })
+	b.Run("WH/k=32", func(b *testing.B) { benchSearches(b, all(32)) })
 	b.Run("routed/k=8", func(b *testing.B) {
 		benchSearches(b, func() error {
 			_, release, err := KNearestRouted(ctx, sr, w, 8, 0)
@@ -38,10 +35,6 @@ func BenchmarkKNearestAll(b *testing.B) {
 			}
 			return err
 		})
-	})
-	rsr, wr := routedSemiring(g), routedMatrix(w)
-	b.Run("WHF/k=8", func(b *testing.B) {
-		benchSearches(b, func() error { _, err := KNearestAll(ctx, rsr, wr, 8, 0); return err })
 	})
 }
 

@@ -124,37 +124,24 @@ func routedSemiring(g *graph.Graph) semiring.RoutedMinPlus {
 	return semiring.NewRoutedMinPlus(sr.MaxW, sr.MaxH)
 }
 
-// routedMatrix gives every entry of w its first hop as witness, its own
-// column, -1 on the diagonal: over a graph's weight matrix, the routed
-// (first-hop witness) weight matrix of §3.1. A nil row stays nil.
+// routedMatrix is w with every row lifted by RoutedRow: over a graph's
+// weight matrix, the routed (first-hop witness) weight matrix of §3.1. A
+// nil row stays nil.
 func routedMatrix(w *matrix.Mat[semiring.WH]) *matrix.Mat[semiring.WHF] {
 	m := matrix.New[semiring.WHF](w.N)
 	for v, row := range w.Rows {
-		for _, e := range row {
-			fh := e.Col
-			if int(fh) == v {
-				fh = -1
-			}
-			m.Rows[v] = append(m.Rows[v], matrix.Entry[semiring.WHF]{Col: e.Col, Val: semiring.WHF{W: e.Val.W, H: e.Val.H, FH: fh}})
-		}
+		m.Rows[v] = RoutedRow(row, v)
 	}
 	return m
 }
 
-// checkRouted holds both routed k-nearest searches on g's weights w -
-// KNearestAll over routedMatrix(w), and KNearestRouted over w itself - to
-// all ⌈log₂ k⌉ squarings over routedMatrix(w), row for row, first hops
-// included, at workers 1, 2, 4 and 0.
+// checkRouted holds KNearestRouted over g's weights w to all ⌈log₂ k⌉
+// squarings over routedMatrix(w), row for row, first hops included, at
+// workers 1, 2, 4 and 0.
 func checkRouted(t *testing.T, what string, g *graph.Graph, w *matrix.Mat[semiring.WH], k int) {
 	t.Helper()
-	sr, wr := routedSemiring(g), routedMatrix(w)
-	want := knearestAllRef[semiring.WHF](sr, wr, k)
+	want := knearestAllRef[semiring.WHF](routedSemiring(g), routedMatrix(w), k)
 	for _, workers := range []int{1, 2, 4, 0} {
-		got, err := KNearestAll(context.Background(), sr, wr, k, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRows(t, fmt.Sprintf("%s: WHF k=%d workers=%d", what, k, workers), got, want)
 		got, release, err := KNearestRouted(context.Background(), g.AugSemiring(), w, k, workers)
 		if err != nil {
 			t.Fatal(err)
@@ -164,7 +151,7 @@ func checkRouted(t *testing.T, what string, g *graph.Graph, w *matrix.Mat[semiri
 	}
 }
 
-// TestKNearestRoutedTies holds the routed searches to the squarings where
+// TestKNearestRoutedTies holds the routed search to the squarings where
 // most first hops tie: on seeded unit-weight grids and cycles, a node
 // is reached at its least (W, H) through several of the source's
 // neighbours, and the answer must name the least of them; the source's

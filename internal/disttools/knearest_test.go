@@ -24,7 +24,7 @@ func lowDegree(g *graph.Graph) *matrix.Mat[semiring.WH] {
 	return apsp.LowDegree(w, degs)
 }
 
-func checkKNearest[E comparable](t *testing.T, name string, sr semiring.Ordered[E], w *matrix.Mat[E]) {
+func checkKNearest(t *testing.T, name string, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH]) {
 	t.Helper()
 	for _, k := range []int{1, 2, 5, 7, 17, w.N} {
 		want := disttools.KNearestAllRef(sr, w, k)
@@ -41,16 +41,16 @@ func checkKNearest[E comparable](t *testing.T, name string, sr semiring.Ordered[
 // TestKNearestAllFixpointEquivalence: the truncated lexicographic
 // Dijkstra returns exactly what all ⌈log₂ k⌉ filtered squarings on the
 // generic kernel return, over the augmented semiring and over the routed
-// one (witnesses included in the comparison; KNearestAll over the lifted
-// weights and KNearestRouted over the weights themselves, checkRouted) on
+// one (KNearestRouted over the weights, witnesses included in the
+// comparison with the squarings over the lifted weights, checkRouted) on
 // every fixpoint family and on its §6.3 subgraph G', whose high-degree
 // rows are nil - a search seeded at its source instead of its row would
 // answer {v} there.
 func TestKNearestAllFixpointEquivalence(t *testing.T) {
 	for name, g := range disttools.FixpointGraphs() {
-		checkKNearest[semiring.WH](t, name+"/WH", g.AugSemiring(), g.WeightMatrix())
+		checkKNearest(t, name+"/WH", g.AugSemiring(), g.WeightMatrix())
 		low := lowDegree(g)
-		checkKNearest[semiring.WH](t, name+"/G'/WH", g.AugSemiring(), low)
+		checkKNearest(t, name+"/G'/WH", g.AugSemiring(), low)
 		for _, k := range []int{1, 2, 5, 7, 17, g.N} {
 			disttools.CheckRouted(t, name, g, g.WeightMatrix(), k)
 			disttools.CheckRouted(t, name+"/G'", g, low, k)

@@ -2,6 +2,7 @@ package disttools
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -40,36 +41,34 @@ type item struct {
 }
 
 // nearest is what successive k-nearest searches over n nodes share: the
-// arcs of the weight matrix, the answer slab under its header (and, over
-// a WH matrix, KNearestRouted's) and one searcher per pass worker. A
-// released one waits in a sync.Pool per element type, as a released
-// (S, d, k)-detection state waits in kdetects, and the next search of the
-// same n takes it over.
-type nearest[E any] struct {
+// arcs of the weight matrix, ranked under the running pass's semiring,
+// the answer slabs under their headers (KNearestAll's and KNearestLent's
+// rows, KNearestRouted's routed ones) and one searcher per pass worker. A
+// released one waits in nearests, as a released (S, d, k)-detection state
+// waits in kdetects, and the next search of the same n takes it over.
+type nearest struct {
 	n      int
 	off    []int32 // row y's arcs are arcs[off[y]:off[y+1]]
 	arcs   []arc
-	out    *matrix.Mat[E]
-	slab   []matrix.Entry[E] // row v's window is [v·k, v·k + k)
+	sr     semiring.AugMinPlus // the running pass's semiring, which unranks its keys,
+	k      int                 // and its k
+	out    *matrix.Mat[semiring.WH]
+	slab   []matrix.Entry[semiring.WH] // row v's window is [v·k, v·k + k)
 	routed *matrix.Mat[semiring.WHF]
 	rslab  []matrix.Entry[semiring.WHF] // routed row v's window, as slab's
-	k      int                          // the running pass's k
-	dec    func(int64) E                // and its decoder (nil: values ride beside keys),
-	decSr  semiring.AugMinPlus          // which unranks under decSr
 
 	mu    sync.Mutex
-	ws    []*searcher[E]
+	ws    []*searcher
 	taken int // searchers handed out in the running pass
 
 	cert certPass // the running CertifiedPlane pass
 }
 
-// searcher is one pass worker's scratch: a key and a value per node, at
-// rest unreached, a first hop per node once a pass has tracked them, the
-// heap, the nodes it reached and the nodes it settled, in order.
-type searcher[E any] struct {
+// searcher is one pass worker's scratch: a key per node, at rest
+// unreached, a first hop per node once a pass has tracked them, the heap,
+// the nodes it reached and the nodes it settled, in order.
+type searcher struct {
 	key  []int64
-	val  []E
 	fh   []int32
 	heap radix
 	seen []int32
@@ -92,36 +91,34 @@ func SearchWork() (settled, relaxed int64) {
 	return searched.settled.Load(), searched.relaxed.Load()
 }
 
-type nearestKey[E any] struct{}
+var nearests sync.Pool // of *nearest
 
-var nearestPools sync.Map // nearestKey[E] → *sync.Pool of *nearest[E]
-
-func nearestPool[E any]() *sync.Pool {
-	if p, ok := nearestPools.Load(nearestKey[E]{}); ok {
-		return p.(*sync.Pool)
+// takeNearest returns a released nearest of n nodes, or a new one, for
+// searches whose keys are ranks under sr. A key is the sum of its path's
+// entries' ranks and unranks to the path's (W, H) while the hop count
+// stays below the rank's multiplier MaxH + 2; a search keeps paths of
+// fewer than n hops, so it refuses an sr whose MaxH is below n - 2 (a
+// graph's AugSemiring has MaxH = n + 1).
+func takeNearest(sr semiring.AugMinPlus, n int) (*nearest, error) {
+	if int64(n) > sr.MaxH+2 {
+		return nil, fmt.Errorf("disttools: ranks of %d-node paths need MaxH >= %d, have %d", n, n-2, sr.MaxH)
 	}
-	p, _ := nearestPools.LoadOrStore(nearestKey[E]{}, new(sync.Pool))
-	return p.(*sync.Pool)
-}
-
-// takeNearest returns a released nearest of n nodes, or a new one.
-func takeNearest[E any](n int) *nearest[E] {
-	if nb, _ := nearestPool[E]().Get().(*nearest[E]); nb != nil && nb.n == n {
-		return nb
+	if nb, _ := nearests.Get().(*nearest); nb != nil && nb.n == n {
+		return nb, nil
 	}
-	return &nearest[E]{n: n, off: make([]int32, n+1)}
+	return &nearest{n: n, off: make([]int32, n+1)}, nil
 }
 
 // release gives nb back for a later search to take over. Every row nb
 // handed out is dead from then on, and so is nb.
-func (nb *nearest[E]) release() { nearestPool[E]().Put(nb) }
+func (nb *nearest) release() { nearests.Put(nb) }
 
 // worker hands the calling pass goroutine a searcher of its own.
-func (nb *nearest[E]) worker() *searcher[E] {
+func (nb *nearest) worker() *searcher {
 	nb.mu.Lock()
 	defer nb.mu.Unlock()
 	if nb.taken == len(nb.ws) {
-		s := &searcher[E]{key: make([]int64, nb.n), val: make([]E, nb.n), mark: make([]uint64, (nb.n+63)/64)}
+		s := &searcher{key: make([]int64, nb.n), mark: make([]uint64, (nb.n+63)/64)}
 		for u := range s.key {
 			s.key[u] = unreached
 		}
@@ -134,12 +131,12 @@ func (nb *nearest[E]) worker() *searcher[E] {
 
 // knearest runs one search per row of w on a row pass and returns the
 // rows, each a clipped window of nb's slab, in column order.
-func (nb *nearest[E]) knearest(ctx context.Context, sr semiring.Ordered[E], w *matrix.Mat[E], k, workers int) (*matrix.Mat[E], error) {
+func (nb *nearest) knearest(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], k, workers int) (*matrix.Mat[semiring.WH], error) {
 	if nb.out == nil {
-		nb.out = matrix.New[E](nb.n)
+		nb.out = matrix.New[semiring.WH](nb.n)
 	}
 	if cap(nb.slab) < nb.n*k {
-		nb.slab = make([]matrix.Entry[E], nb.n*k)
+		nb.slab = make([]matrix.Entry[semiring.WH], nb.n*k)
 	}
 	if err := nb.pass(ctx, sr, w, k, workers, false, nb); err != nil {
 		return nil, err
@@ -151,21 +148,22 @@ func (nb *nearest[E]) knearest(ctx context.Context, sr semiring.Ordered[E], w *m
 // search returns them, with the searcher whose keys they are; got and the
 // keys are the searcher's until keep returns. An interface, not a func,
 // so that knearest's sink, nb itself, costs a query no allocation.
-type rowSink[E any] interface {
-	keep(s *searcher[E], v int, got []int32)
+type rowSink interface {
+	keep(s *searcher, v int, got []int32)
 }
 
 // keepFunc is a func as a rowSink.
-type keepFunc[E any] func(s *searcher[E], v int, got []int32)
+type keepFunc func(s *searcher, v int, got []int32)
 
-func (f keepFunc[E]) keep(s *searcher[E], v int, got []int32) { f(s, v, got) }
+func (f keepFunc) keep(s *searcher, v int, got []int32) { f(s, v, got) }
 
-// keep is knearest's row sink: row v's kept nodes as entries, in column
-// order, in the row's window of nb's slab.
-func (nb *nearest[E]) keep(s *searcher[E], v int, got []int32) {
+// keep is knearest's row sink: row v's kept nodes as entries, (W, H)
+// decoded from the key, in column order, in the row's window of nb's
+// slab.
+func (nb *nearest) keep(s *searcher, v int, got []int32) {
 	row := window(s, got, nb.slab, v, nb.k)
 	for i, u := range got {
-		row[i] = s.entry(u, nb.dec)
+		row[i] = matrix.Entry[semiring.WH]{Col: u, Val: nb.sr.Unrank(s.key[u])}
 	}
 	nb.out.Rows[v] = row
 }
@@ -173,7 +171,7 @@ func (nb *nearest[E]) keep(s *searcher[E], v int, got []int32) {
 // window puts the kept nodes in column order and returns row v's window
 // of slab, one entry a kept node, for a sink to fill; nil, the all-zero
 // row, for none.
-func window[E, F any](s *searcher[E], got []int32, slab []matrix.Entry[F], v, k int) matrix.Row[F] {
+func window[F any](s *searcher, got []int32, slab []matrix.Entry[F], v, k int) matrix.Row[F] {
 	if len(got) == 0 {
 		return nil
 	}
@@ -184,29 +182,28 @@ func window[E, F any](s *searcher[E], got []int32, slab []matrix.Entry[F], v, k 
 // routedRows is KNearestRouted's row sink: row v's kept nodes as routed
 // entries, (W, H) decoded from the key and the first hop beside it, in
 // column order, in the row's window of nb's routed slab.
-type routedRows struct{ nb *nearest[semiring.WH] }
+type routedRows struct{ nb *nearest }
 
-func (r routedRows) keep(s *searcher[semiring.WH], v int, got []int32) {
+func (r routedRows) keep(s *searcher, v int, got []int32) {
 	nb := r.nb
 	row := window(s, got, nb.rslab, v, nb.k)
 	for i, u := range got {
-		wh := nb.decSr.Unrank(s.key[u])
+		wh := nb.sr.Unrank(s.key[u])
 		row[i] = matrix.Entry[semiring.WHF]{Col: u, Val: semiring.WHF{W: wh.W, H: wh.H, FH: s.fh[u]}}
 	}
 	nb.routed.Rows[v] = row
 }
 
 // pass runs one search per row of w on a row pass and hands each row's
-// kept nodes to sink; with hops set its searches track first hops, which
-// takes a decoder.
-func (nb *nearest[E]) pass(ctx context.Context, sr semiring.Ordered[E], w *matrix.Mat[E], k, workers int, hops bool, sink rowSink[E]) error {
+// kept nodes to sink; with hops set its searches track first hops.
+func (nb *nearest) pass(ctx context.Context, sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH], k, workers int, hops bool, sink rowSink) error {
 	n := nb.n
 	poll := poller{ctx: ctx}
 	if poll.poll() {
 		return poll.err
 	}
-	fill(nb, sr, w)
-	nb.k, nb.dec = k, nb.decoder(sr)
+	nb.fill(sr, w)
+	nb.k = k
 	nb.taken = 0
 	pool.RunRows(n, workers, func() func(int) {
 		s := nb.worker()
@@ -217,7 +214,7 @@ func (nb *nearest[E]) pass(ctx context.Context, sr semiring.Ordered[E], w *matri
 			if poll.stopped(v) {
 				return
 			}
-			sink.keep(s, v, s.search(sr, w, nb, v, k, nb.dec, hops))
+			sink.keep(s, v, s.search(nb, v, k, hops))
 			s.reset()
 		}
 	})
@@ -229,10 +226,10 @@ func (nb *nearest[E]) pass(ctx context.Context, sr semiring.Ordered[E], w *matri
 	return poll.err
 }
 
-// fill lays w out as nb's arcs: row y's entries, ranked under sr, in
-// order. sr comes in as its own type S, so a caller holding a concrete
-// semiring (CertifiedPlane's AugMinPlus) does not box it.
-func fill[E any, S semiring.Ordered[E]](nb *nearest[E], sr S, w *matrix.Mat[E]) {
+// fill lays w out as nb's arcs, ranked under sr, which becomes the
+// semiring nb's keys unrank under: row y's entries, in order.
+func (nb *nearest) fill(sr semiring.AugMinPlus, w *matrix.Mat[semiring.WH]) {
+	nb.sr = sr
 	total := 0
 	for y, row := range w.Rows {
 		nb.off[y] = int32(total)
@@ -251,54 +248,57 @@ func fill[E any, S semiring.Ordered[E]](nb *nearest[E], sr S, w *matrix.Mat[E]) 
 	}
 }
 
-// decoder returns the value of a key when the semiring's values are their
-// ranks: over AugMinPlus, while every hop count a search keeps - below n -
-// stays below the rank's multiplier MaxH + 2. Otherwise it returns nil
-// and searches carry values beside keys, which costs a semiring product
-// and a value store per improved node: the WH searches of a §4 build run
-// up to a fifth slower that way (DESIGN.md §13, exit 5). The decoder is
-// a method value, made once per state and semiring, not once per pass.
-func (nb *nearest[E]) decoder(sr semiring.Ordered[E]) func(int64) E {
-	a, ok := any(sr).(semiring.AugMinPlus)
-	if !ok || int64(nb.n) > a.MaxH+2 {
+// firstHop is the first hop of a path that leaves v by its weight
+// matrix's entry at column u: u itself, and -1 for v's own (0, 0) entry,
+// which leaves v by no edge (§3.1, recovering paths). It is the witness
+// RoutedRow gives an entry and the one KNearestRouted's searches seed.
+func firstHop(u int32, v int) int32 {
+	if int(u) == v {
+		return -1
+	}
+	return u
+}
+
+// RoutedRow is row v of a weight matrix lifted into the routed semiring,
+// each entry's witness its first hop (firstHop): a row of the routed
+// weight matrix that the collective KNearest runs over to answer what
+// KNearestRouted does. A nil row stays nil.
+func RoutedRow(row matrix.Row[semiring.WH], v int) matrix.Row[semiring.WHF] {
+	if row == nil {
 		return nil
 	}
-	if nb.dec == nil || nb.decSr != a {
-		nb.dec, nb.decSr = any(a.Unrank).(func(int64) E), a
+	out := make(matrix.Row[semiring.WHF], len(row))
+	for i, e := range row {
+		out[i] = matrix.Entry[semiring.WHF]{Col: e.Col, Val: semiring.WHF{W: e.Val.W, H: e.Val.H, FH: firstHop(e.Col, v)}}
 	}
-	return nb.dec
+	return out
 }
 
 // search returns the nodes of row v of Filter_k(D_∞) in the order it
 // settled them, so their keys - s.key, until reset - never decrease; the
 // ones tied with the k-th key come last, in column order, when they did
-// not all fit. It is seeded with row v's own entries - a nil row, a node
+// not all fit. It is seeded with row v's own arcs - a nil row, a node
 // outside the §6.3 subgraph G', settles nothing - and settles nodes in
 // key order, keys being ranks: the rank of a path is the sum of its
 // entries' ranks, exactly, while hop sums stay below MaxH. Every node
 // tied with the k-th key is settled too, all of them reached from lower
 // keys already, and the lowest columns among them are kept (Lemma 15's
-// rule). Without a decoder a node's value is the semiring sum over its
-// tied candidates, so over the routed semiring it carries the least
-// first hop. With hops set the search tracks that first hop itself, in
-// s.fh, as the routed semiring would over w's entries lifted with their
-// columns (RoutedMinPlus.Mul and Add): a seed's is its column, -1 for the
-// source's own entry; an improved node takes the first hop of the node it
-// was reached from, and a tied one keeps the least of the two. The k-th
-// node and the ones after it relax nothing: an off-diagonal entry has
-// H >= 1, so what they reach ranks past the k-th key.
-func (s *searcher[E]) search(sr semiring.Ordered[E], w *matrix.Mat[E], nb *nearest[E], v, k int, dec func(int64) E, hops bool) []int32 {
-	for j, e := range w.Rows[v] {
-		u := e.Col
-		s.key[u], s.val[u] = nb.arcs[int(nb.off[v])+j].rank, e.Val
+// rule). With hops set the search tracks each node's first hop, in s.fh,
+// as the routed semiring would over the entries lifted by RoutedRow
+// (RoutedMinPlus.Mul and Add): a seed's is firstHop's; an improved node
+// takes the first hop of the node it was reached from, and a tied one
+// keeps the least of the two. The k-th node and the ones after it relax
+// nothing: an off-diagonal entry has H >= 1, so what they reach ranks
+// past the k-th key.
+func (s *searcher) search(nb *nearest, v, k int, hops bool) []int32 {
+	for _, a := range nb.arcs[nb.off[v]:nb.off[v+1]] {
+		u := a.col
+		s.key[u] = a.rank
 		if hops {
-			s.fh[u] = u
-			if int(u) == v {
-				s.fh[u] = -1
-			}
+			s.fh[u] = firstHop(u, v)
 		}
 		s.seen = append(s.seen, u)
-		s.heap.push(s.key[u], u)
+		s.heap.push(a.rank, u)
 	}
 	kth := int64(unreached)
 	for {
@@ -320,14 +320,14 @@ func (s *searcher[E]) search(sr semiring.Ordered[E], w *matrix.Mat[E], nb *neare
 		if len(s.got) >= k || y == v {
 			continue // the source's row is the seed
 		}
-		ky, vy, row := it.key, s.val[y], w.Rows[y]
+		ky := it.key
 		var fy int32
 		if hops {
 			fy = s.fh[y]
 		}
 		as := nb.arcs[nb.off[y]:nb.off[y+1]]
 		s.relaxed += int64(len(as))
-		for j, a := range as {
+		for _, a := range as {
 			c, u := ky+a.rank, a.col
 			switch cu := s.key[u]; {
 			case c < cu:
@@ -336,13 +336,9 @@ func (s *searcher[E]) search(sr semiring.Ordered[E], w *matrix.Mat[E], nb *neare
 				}
 				s.key[u] = c
 				s.heap.push(c, u)
-				if dec == nil {
-					s.val[u] = sr.Mul(vy, row[j].Val)
-				} else if hops {
+				if hops {
 					s.fh[u] = fy
 				}
-			case c == cu && dec == nil:
-				s.val[u] = sr.Add(s.val[u], sr.Mul(vy, row[j].Val))
 			case c == cu && hops:
 				s.fh[u] = min(s.fh[u], fy)
 			}
@@ -363,7 +359,7 @@ func (s *searcher[E]) search(sr semiring.Ordered[E], w *matrix.Mat[E], nb *neare
 
 // reset readies s for the next search: every key it set back at
 // unreached, its heap and lists empty.
-func (s *searcher[E]) reset() {
+func (s *searcher) reset() {
 	for _, u := range s.seen {
 		s.key[u] = unreached
 	}
@@ -376,7 +372,7 @@ func (s *searcher[E]) reset() {
 // At that bound the bitmap costs about what a sort does for 8 nodes and a
 // quarter of it for 321; past it a sort of 8 nodes already wins
 // (DESIGN.md §13, exit 5).
-func (s *searcher[E]) order(got []int32) {
+func (s *searcher) order(got []int32) {
 	lo, hi := got[0], got[0]
 	for _, u := range got {
 		lo, hi = min(lo, u), max(hi, u)
@@ -396,14 +392,6 @@ func (s *searcher[E]) order(got []int32) {
 		}
 		s.mark[i] = 0
 	}
-}
-
-// entry is node u's answer entry.
-func (s *searcher[E]) entry(u int32, dec func(int64) E) matrix.Entry[E] {
-	if dec != nil {
-		return matrix.Entry[E]{Col: u, Val: dec(s.key[u])}
-	}
-	return matrix.Entry[E]{Col: u, Val: s.val[u]}
 }
 
 // radix is a monotone priority queue on int64 keys (a radix heap): no key

@@ -150,13 +150,13 @@ func TestSourceDetectKAllBytesFollowSources(t *testing.T) {
 // own capacity: an append to one cannot reach the next. Run under -race.
 func TestKNearestAllResultIsNotReused(t *testing.T) {
 	g := randGraph(100, 150, 9, 21)
-	sr, w := routedSemiring(g), routedMatrix(g.WeightMatrix())
+	sr, w := g.AugSemiring(), g.WeightMatrix()
 	for _, workers := range []int{1, 2, 4, 0} {
 		first, err := KNearestAll(context.Background(), sr, w, 6, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		held := matrix.New[semiring.WHF](first.N)
+		held := matrix.New[semiring.WH](first.N)
 		for v, r := range first.Rows {
 			held.Rows[v] = slices.Clone(r)
 		}
@@ -167,7 +167,7 @@ func TestKNearestAllResultIsNotReused(t *testing.T) {
 		}
 		sameRows(t, "held result after later calls", first, held)
 		for v := 0; v+1 < first.N; v++ {
-			_ = append(first.Rows[v], matrix.Entry[semiring.WHF]{Col: -7})
+			_ = append(first.Rows[v], matrix.Entry[semiring.WH]{Col: -7})
 		}
 		sameRows(t, "held result after appends to its rows", first, held)
 	}
@@ -197,33 +197,42 @@ func (c *pollCtx) Err() error {
 // keeps its own), so the hand-over gets a few tries; a search that kept
 // its state drains the pool and fails every one. The bytes are checked
 // without -race, where the pool keeps what it is given. Run under -race
-// too.
+// too. The routed search (KNearestRouted) is held to the same, its cold
+// answer the routed squarings.
 func TestKNearestLentCancel(t *testing.T) {
 	g := randGraph(100, 150, 9, 31)
-	checkKNearestLentCancel[semiring.WH](t, "WH", g.AugSemiring(), g.WeightMatrix(), 7)
-	checkKNearestLentCancel[semiring.WHF](t, "WHF", routedSemiring(g), routedMatrix(g.WeightMatrix()), 7)
+	sr, w := g.AugSemiring(), g.WeightMatrix()
+	const k = 7
+	checkKNearestLentCancel(t, "WH", k, knearestAllRef[semiring.WH](sr, w, k), func(ctx context.Context, workers int) (*matrix.Mat[semiring.WH], func(), error) {
+		return KNearestLent(ctx, sr, w, k, workers)
+	})
+	checkKNearestLentCancel(t, "routed", k, knearestAllRef[semiring.WHF](routedSemiring(g), routedMatrix(w), k), func(ctx context.Context, workers int) (*matrix.Mat[semiring.WHF], func(), error) {
+		return KNearestRouted(ctx, sr, w, k, workers)
+	})
 }
 
-func checkKNearestLentCancel[E comparable](t *testing.T, name string, sr semiring.Ordered[E], w *matrix.Mat[E], k int) {
+// checkKNearestLentCancel cancels lent, a lent k-nearest search, at each
+// of its polls; cold is its answer.
+func checkKNearestLentCancel[E comparable](t *testing.T, name string, k int, cold *matrix.Mat[E], lent func(ctx context.Context, workers int) (*matrix.Mat[E], func(), error)) {
 	t.Helper()
-	cold := knearestAllRef(sr, w, k)
-	slab := uint64(w.N*k) * uint64(unsafe.Sizeof(matrix.Entry[E]{}))
+	n := cold.N
+	slab := uint64(n*k) * uint64(unsafe.Sizeof(matrix.Entry[E]{}))
 	for _, workers := range []int{1, 0} {
 		full := &pollCtx{Context: context.Background(), k: math.MaxInt64}
-		_, release, err := KNearestLent(full, sr, w, k, workers)
+		_, release, err := lent(full, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		release()
 		polls := full.calls.Load()
-		if want := int64(1 + (w.N+pollRows-1)/pollRows); polls != want {
+		if want := int64(1 + (n+pollRows-1)/pollRows); polls != want {
 			t.Fatalf("%s workers=%d: a full search polled %d times, want %d (once, then once per block)", name, workers, polls, want)
 		}
 		for p := int64(1); p <= polls; p++ {
 			var bytes uint64
 			for try := 0; try < 4 && (try == 0 || bytes >= slab); try++ {
 				ctx := &pollCtx{Context: context.Background(), k: p}
-				rows, release, err := KNearestLent(ctx, sr, w, k, workers)
+				rows, release, err := lent(ctx, workers)
 				if !errors.Is(err, context.Canceled) || rows != nil || release != nil {
 					t.Fatalf("%s workers=%d: canceled at poll %d of %d: got (%v, %v), want context.Canceled and nothing else", name, workers, p, polls, rows != nil, err)
 				}
@@ -232,7 +241,7 @@ func checkKNearestLentCancel[E comparable](t *testing.T, name string, sr semirin
 				}
 				var next *matrix.Mat[E]
 				bytes = allocatedBy(func() {
-					if next, release, err = KNearestLent(context.Background(), sr, w, k, workers); err != nil {
+					if next, release, err = lent(context.Background(), workers); err != nil {
 						t.Fatal(err)
 					}
 				})
