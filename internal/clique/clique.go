@@ -30,7 +30,7 @@ type Clique interface {
 	KNearest(k int) (_ *matrix.Mat[semiring.WH], release func(), _ error)
 	// KNearestRouted is KNearest in the routed semiring bounded as G's
 	// augmented one is, over G's weights with each edge's first hop as
-	// witness (routedRow): the witness of every answer is the first hop
+	// witness (disttools.RoutedRow): the witness of every answer is the first hop
 	// of a shortest path to it, the least one on a tie.
 	KNearestRouted(k int) (_ *matrix.Mat[semiring.WHF], release func(), _ error)
 	// SourceDetect solves (S, d, k)-source detection on G (Theorem 19): row
